@@ -332,6 +332,23 @@ impl Machine {
         (out, log)
     }
 
+    /// Run `f` with this thread's active capture scope (if any) set
+    /// aside, restoring it afterwards: charges inside `f` reach the live
+    /// ledger. For work that merely *executes* on a capturing thread
+    /// without belonging to the captured region — a thread waiting
+    /// inside a task body lends itself to the pool and may be handed a
+    /// rank body of an unrelated computation.
+    pub fn uncaptured<R>(f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<ChargeLog>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CAPTURE.with(|c| *c.borrow_mut() = self.0.take());
+            }
+        }
+        let _restore = Restore(CAPTURE.with(|c| c.borrow_mut().take()));
+        f()
+    }
+
     /// Apply a captured [`ChargeLog`] to this machine's live ledger, in
     /// capture order. Same quiescence rules as the direct charging
     /// calls; the replay itself is not capturable (replaying inside a
@@ -566,6 +583,23 @@ mod threading_tests {
         replayed.replay(&log);
         replayed.fence();
         assert_eq!(replayed.report(), want);
+    }
+
+    #[test]
+    fn uncaptured_charges_reach_the_live_ledger() {
+        let m = Machine::new(MachineParams::new(2));
+        let ((), log) = Machine::capture(|| {
+            m.charge_flops(0, 5);
+            Machine::uncaptured(|| m.charge_flops(1, 7));
+            m.charge_flops(0, 1);
+        });
+        // The aside charge went straight through; the scope's own log
+        // kept both of its events, in order.
+        assert_eq!(m.flops_per_proc(), vec![0, 7]);
+        assert_eq!(
+            log.events(),
+            &[ChargeEvent::Flops(0, 5), ChargeEvent::Flops(0, 1)]
+        );
     }
 
     #[test]

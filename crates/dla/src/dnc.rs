@@ -608,6 +608,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Run `f` with the D&C leaf size pinned to `leaf` for this thread
+    /// only: the process-global setter would change the leaf under
+    /// sibling tests mid-solve (the drivers read it once at entry, so
+    /// the pin covers the halves they fork).
+    fn with_leaf<R>(leaf: usize, f: impl FnOnce() -> R) -> R {
+        let pinned = tune::KnobSnapshot {
+            dnc_leaf: leaf,
+            ..tune::KnobSnapshot::capture()
+        };
+        tune::with_knobs(pinned, f)
+    }
+
     fn check_eigen(d: &[f64], e: &[f64], tol: f64) {
         let n = d.len();
         let (lam, z) = dnc_eigen(d, e).expect("converges");
@@ -658,14 +670,12 @@ mod tests {
         let n = 33;
         let d = vec![2.0; n];
         let e = vec![-1.0; n - 1];
-        crate::tune::set_dnc_leaf(8);
-        let (lam, _) = dnc_eigen(&d, &e).unwrap();
+        let (lam, _) = with_leaf(8, || dnc_eigen(&d, &e)).unwrap();
         for (idx, l) in lam.iter().enumerate() {
             let want =
                 2.0 - 2.0 * ((idx + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
             assert!((l - want).abs() < 1e-12, "λ_{idx} = {l}, want {want}");
         }
-        crate::tune::set_dnc_leaf(crate::tune::DEFAULT_DNC_LEAF);
     }
 
     #[test]
@@ -682,13 +692,11 @@ mod tests {
     fn forced_deep_recursion() {
         // Leaf 2 exercises every merge size down to the base case.
         let mut rng = StdRng::seed_from_u64(701);
-        crate::tune::set_dnc_leaf(2);
         for n in [6usize, 11, 24, 37] {
             let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let e: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            check_eigen(&d, &e, 1e-11);
+            with_leaf(2, || check_eigen(&d, &e, 1e-11));
         }
-        crate::tune::set_dnc_leaf(crate::tune::DEFAULT_DNC_LEAF);
     }
 
     #[test]

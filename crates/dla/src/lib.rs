@@ -48,6 +48,14 @@ pub mod tune;
 pub mod view;
 pub mod workspace;
 
+/// The workspace's threading runtime (the `rayon` package), re-exported
+/// for crates that sit above `ca-dla` without an edge to it of their
+/// own: `ca-service` starts its workers and scopes their core budget
+/// through here, and tests read the spawn count.
+pub mod rt {
+    pub use rayon::{current_num_threads, spawn_worker, spawns, with_budget};
+}
+
 pub use band::BandedSym;
 pub use gemm::{gemm, matmul, Trans};
 pub use matrix::Matrix;

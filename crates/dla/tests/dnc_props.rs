@@ -19,6 +19,7 @@
 use ca_dla::bulge::reduce_band_to;
 use ca_dla::gemm::{matmul, Trans};
 use ca_dla::tridiag::spectrum_distance;
+use ca_dla::tune::KnobSnapshot;
 use ca_dla::{dnc, gen, sturm, BandedSym, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -132,15 +133,12 @@ proptest! {
         let d: Vec<f64> = (0..n).map(|i| dense.get(i, i)).collect();
         let e: Vec<f64> = (0..n - 1).map(|i| dense.get(i + 1, i)).collect();
 
-        let leaf0 = ca_dla::tune::dnc_leaf();
-        ca_dla::tune::set_dnc_leaf(2);
-        let result = std::panic::catch_unwind(|| {
+        // Pinned for this thread only: the process-global setter would
+        // change the leaf under the sibling properties mid-solve.
+        let pinned = KnobSnapshot { dnc_leaf: 2, ..KnobSnapshot::capture() };
+        ca_dla::tune::with_knobs(pinned, || {
             let ql = ca_dla::tridiag::tridiag_eigenvalues(&d, &e);
             check_against_oracles(&d, &e, &ql, 1e-9);
         });
-        ca_dla::tune::set_dnc_leaf(leaf0);
-        if let Err(p) = result {
-            std::panic::resume_unwind(p);
-        }
     }
 }

@@ -5,18 +5,19 @@
 //! buffer-size profile), replaying the identical plan on a fresh band
 //! copy must perform **zero** heap allocations — every scratch panel
 //! comes out of the arena and every GEMM in this regime sits below the
-//! packing threshold.
+//! packing threshold. The same holds when the plan runs as a forked
+//! piece on a worker of the runtime's persistent pool.
 //!
 //! Single test in this file on purpose: the counter is process-global
 //! and libtest runs sibling tests concurrently.
 
 use ca_dla::bulge::{chase_plan_to, execute_chase};
-use ca_dla::gen;
-use ca_dla::BandedSym;
+use ca_dla::{gen, rt, BandedSym};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 
 struct CountingAlloc;
 
@@ -46,29 +47,83 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_chase_is_allocation_free() {
-    let (n, b) = (96usize, 8usize);
-    let mut rng = StdRng::seed_from_u64(4242);
-    let dense = gen::random_banded(&mut rng, n, b);
+/// Run the chase plan twice on fresh copies of `dense`; return how many
+/// heap allocations the second pass performed.
+fn second_pass_allocations(dense: &ca_dla::Matrix, b: usize) -> u64 {
+    let n = dense.rows();
     let cap = (2 * b).min(n - 1);
     let plan = chase_plan_to(n, b, 1);
-    assert!(plan.len() > 100, "plan too small to be a meaningful workload");
+    assert!(
+        plan.len() > 100,
+        "plan too small to be a meaningful workload"
+    );
 
     // Warm-up: converge this thread's arena to the plan's size profile.
-    let mut warm = BandedSym::from_dense(&dense, b, cap);
+    let mut warm = BandedSym::from_dense(dense, b, cap);
     for op in &plan {
         execute_chase(&mut warm, op);
     }
 
-    // Steady state: the identical plan on a fresh copy allocates nothing.
-    let mut cold = BandedSym::from_dense(&dense, b, cap);
+    // Steady state: the identical plan on a fresh copy.
+    let mut cold = BandedSym::from_dense(dense, b, cap);
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     for op in &plan {
         execute_chase(&mut cold, op);
     }
     COUNTING.store(false, Ordering::SeqCst);
-    let count = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(count, 0, "steady-state chase performed {count} heap allocations");
+    ALLOCS.load(Ordering::SeqCst)
+}
+
+#[test]
+fn steady_state_chase_is_allocation_free() {
+    // A pool of two, so the second half below has a worker to land on
+    // whatever the host. Nothing has read the pool size yet: this is the
+    // only test of the binary and the first runtime call comes later.
+    std::env::set_var("RAYON_NUM_THREADS", "2");
+
+    let (n, b) = (96usize, 8usize);
+    let mut rng = StdRng::seed_from_u64(4242);
+    let dense = gen::random_banded(&mut rng, n, b);
+
+    // On the calling thread.
+    let count = second_pass_allocations(&dense, b);
+    assert_eq!(
+        count, 0,
+        "steady-state chase performed {count} heap allocations"
+    );
+
+    // As a forked piece on a pool worker: threads are not created per
+    // fork any more, so a worker's arena, too, survives from one pass to
+    // the next for as long as the worker stays busy. The first closure
+    // of the join runs here and blocks until the second has finished,
+    // which forces the second onto the pool's worker — and keeps this
+    // thread from allocating while the count is live.
+    assert_eq!(rt::current_num_threads(), 2);
+    let caller = std::thread::current().id();
+    let finished = (Mutex::new(false), Condvar::new());
+    let ((), (count, ran_on)) = rayon::join(
+        || {
+            let (lock, cv) = &finished;
+            let mut done = lock.lock().unwrap();
+            while !*done {
+                done = cv.wait(done).unwrap();
+            }
+        },
+        || {
+            let count = second_pass_allocations(&dense, b);
+            let (lock, cv) = &finished;
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
+            (count, std::thread::current().id())
+        },
+    );
+    assert_ne!(
+        ran_on, caller,
+        "the piece was meant to run on a pool worker"
+    );
+    assert_eq!(
+        count, 0,
+        "steady-state chase on a pool worker performed {count} heap allocations"
+    );
 }

@@ -3,7 +3,9 @@
 //! The chrome-trace output is the "JSON Array Format" understood by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one
 //! complete (`"ph": "X"`) event per span with microsecond `ts`/`dur`,
-//! the metered `F/W/Q/S` deltas and counter totals attached as `args`.
+//! the metered `F/W/Q/S` deltas and counter totals attached as `args`,
+//! plus a `thread_name` metadata event for every named thread that
+//! recorded a span.
 //! The summary groups events by exact span name in first-appearance
 //! order — the same keying `StageCosts` uses — so the two views of a
 //! run can be diffed line by line.
@@ -123,6 +125,22 @@ pub fn chrome_trace(events: &[Event], counters: &[(&str, u64)], dropped: u64) ->
             ev.depth
         ));
     }
+    // Name the threads that recorded spans (`ca-rt-<i>` pool workers,
+    // `ca-service-<i>`, `main`), so "which worker was idle" reads off
+    // the timeline.
+    for (tid, name) in crate::span::thread_names() {
+        if events.iter().any(|ev| ev.tid == tid) {
+            if !first {
+                out.push_str(",\n");
+            }
+            first = false;
+            out.push_str(&format!(
+                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
+                 \"args\": {{\"name\": \"{}\"}}}}",
+                json_escape(&name)
+            ));
+        }
+    }
     // Counter totals and trace health as instant metadata events.
     for (name, value) in counters {
         if !first {
@@ -172,6 +190,27 @@ mod tests {
         let table = render_summary(&s);
         assert!(table.contains("wall ms"));
         assert!(table.lines().count() >= 3);
+    }
+
+    #[test]
+    fn chrome_trace_names_the_threads_that_recorded_spans() {
+        let tid = std::thread::Builder::new()
+            .name("ca-rt-7".into())
+            .spawn(crate::thread_tid)
+            .unwrap()
+            .join()
+            .unwrap();
+        let mut e = ev("piece", 0, 10, 0);
+        e.tid = tid;
+        let json = chrome_trace(&[e], &[], 0);
+        assert!(
+            json.contains(&format!(
+                "\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"args\": {{\"name\": \"ca-rt-7\"}}"
+            )),
+            "{json}"
+        );
+        // A named thread with no span in this trace is left out.
+        assert!(!chrome_trace(&[], &[], 0).contains("ca-rt-7"));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::ring::Event;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// The process trace epoch: all event timestamps are nanoseconds since
@@ -35,7 +35,13 @@ thread_local! {
     static THREAD_DEPTH: Cell<u16> = const { Cell::new(0) };
 }
 
-/// Stable small id of the calling thread (assigned on first use).
+/// `(tid, OS thread name)` of every named thread that has been given a
+/// tid. Threads are long-lived (the runtime's pool workers `ca-rt-<i>`,
+/// the service's `ca-service-<i>`, `main`), so this stays small.
+static THREAD_NAMES: Mutex<Vec<(u32, String)>> = Mutex::new(Vec::new());
+
+/// Stable small id of the calling thread (assigned on first use, when
+/// the thread's name, if it has one, is recorded for the exporters).
 pub fn thread_tid() -> u32 {
     THREAD_TID.with(|cell| {
         let cur = cell.get();
@@ -45,8 +51,22 @@ pub fn thread_tid() -> u32 {
         static NEXT: AtomicU32 = AtomicU32::new(1);
         let id = NEXT.fetch_add(1, Ordering::Relaxed);
         cell.set(id);
+        if let Some(name) = std::thread::current().name() {
+            THREAD_NAMES
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((id, name.to_string()));
+        }
         id
     })
+}
+
+/// The recorded `(tid, name)` pairs, in tid order of first use.
+pub(crate) fn thread_names() -> Vec<(u32, String)> {
+    THREAD_NAMES
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .clone()
 }
 
 /// A scoped span. Create with [`crate::span`] (stage level) or

@@ -26,30 +26,38 @@
 //!
 //! Because capture is thread-local, each body is additionally wrapped
 //! in [`exec::with_forced_serial`]: nested `par_ranks`/`join` dispatch
-//! stays on the body's worker thread, so no charge escapes its log.
-//! Parallelism comes from running independent *tasks* concurrently,
-//! not from splitting one task's interior.
+//! stays on the body's thread, so no charge escapes its log. The pure
+//! compute a body forks *below* the executor (GEMM row blocks, D&C
+//! halves — `ca-dla` calls that charge nothing) still reaches the pool,
+//! which at p = 4, where the graph is two tasks wide, is most of the
+//! parallelism.
 //!
 //! ## Scheduling
 //!
-//! With one worker (single hardware thread, `CA_SERIAL`, or a
-//! single-task graph) bodies run inline in insertion order — zero
+//! With a core budget of one (single hardware thread, forced-serial
+//! dispatch, a batch-service worker with no cores to spare) or a
+//! single-task graph, bodies run inline in insertion order — zero
 //! scheduling overhead, and trivially the same order the barrier path
-//! executes. With more workers, a scoped thread pool (the same
-//! `std::thread::scope` machinery the rayon shim uses) pulls tasks
-//! from a ready queue guarded by a mutex/condvar pair; completion of a
-//! task decrements its dependents' in-degrees and enqueues any that
-//! reach zero.
+//! executes. Otherwise the graph runs inside one `rayon::scope` of the
+//! workspace's runtime: a task is `Scope::spawn`ed the moment its
+//! in-degree reaches zero, so tasks and the pieces forked inside them
+//! share the pool's one queue and an idle worker takes whichever
+//! exists. The executor owns no
+//! threads, no ready-queue and no condition variable; the scope keeps
+//! at most `current_budget()` tasks of one graph in flight and holds
+//! the rest back in readiness order. The thread that called
+//! [`TaskGraph::run`] waits by running tasks itself.
 //!
 //! Observability: every body runs inside a `dag.task` kernel span, and
 //! the `dag.ready_queue_depth` counter records the high-water mark of
-//! the ready queue — the visible measure of how much work lookahead
-//! exposes beyond the barrier path's one-phase window.
+//! one graph's ready-but-unstarted tasks — the visible measure of how
+//! much work lookahead exposes beyond the barrier path's one-phase
+//! window.
 
 use crate::exec;
 use ca_bsp::{ChargeLog, Machine};
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Identifier of a task within one [`TaskGraph`] (its insertion index).
 pub type TaskId = usize;
@@ -61,8 +69,8 @@ static TASKS_RUN: ca_obs::Counter = ca_obs::Counter::new("dag.tasks_run");
 ///
 /// The producer task calls [`TaskCell::set`]; consumer tasks declare a
 /// dependency on the producer and read with [`TaskCell::with_ref`] or
-/// [`TaskCell::take`]. The executor's queue synchronization provides
-/// the happens-before edge; the mutex makes the handoff sound.
+/// [`TaskCell::take`]. The executor's in-degree counters provide the
+/// happens-before edge; the mutex makes the handoff sound.
 pub struct TaskCell<T>(Mutex<Option<T>>);
 
 impl<T> TaskCell<T> {
@@ -192,7 +200,7 @@ impl<'env> TaskGraph<'env> {
         let workers = if exec::serial_forced() {
             1
         } else {
-            rayon::current_num_threads().min(n).max(1)
+            rayon::current_budget().min(n)
         };
 
         if workers <= 1 {
@@ -201,7 +209,8 @@ impl<'env> TaskGraph<'env> {
                 logs[id].set(log).expect("task ran twice");
             }
         } else {
-            self.run_pooled(workers, &logs);
+            self.run_pooled(&logs);
+            exec::mirror_rt_counters();
         }
 
         // Deterministic charging pass: insertion order, fences where the
@@ -217,71 +226,63 @@ impl<'env> TaskGraph<'env> {
         }
     }
 
-    /// Multi-worker execution: scoped threads pulling from a shared
-    /// ready queue; task completion releases its dependents.
-    fn run_pooled(&self, workers: usize, logs: &[OnceLock<ChargeLog>]) {
-        let n = self.tasks.len();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    /// Execution on the shared pool: every task is spawned into one
+    /// scope when its last dependency completes.
+    fn run_pooled(&self, logs: &[OnceLock<ChargeLog>]) {
+        let mut dependents: Vec<Vec<TaskId>> = vec![Vec::new(); self.tasks.len()];
         for (id, task) in self.tasks.iter().enumerate() {
-            indegree[id] = task.deps.len();
             for &d in &task.deps {
                 dependents[d].push(id);
             }
         }
-
-        struct State {
-            ready: VecDeque<TaskId>,
-            indegree: Vec<usize>,
-            remaining: usize,
-        }
-        let mut ready = VecDeque::new();
-        for (id, &deg) in indegree.iter().enumerate() {
-            if deg == 0 {
-                ready.push_back(id);
+        let run = PooledRun {
+            tasks: &self.tasks,
+            logs,
+            dependents,
+            indegree: self
+                .tasks
+                .iter()
+                .map(|t| AtomicUsize::new(t.deps.len()))
+                .collect(),
+            ready: AtomicUsize::new(0),
+        };
+        rayon::scope(|scope| {
+            for (id, task) in self.tasks.iter().enumerate() {
+                if task.deps.is_empty() {
+                    run.spawn(scope, id);
+                }
             }
-        }
-        READY_DEPTH.record_max(ready.len() as u64);
-        let state = Mutex::new(State {
-            ready,
-            indegree,
-            remaining: n,
         });
-        let cv = Condvar::new();
-        let state = &state;
-        let cv = &cv;
-        let dependents = &dependents;
-        let tasks = &self.tasks;
+    }
+}
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let id = {
-                        let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            if st.remaining == 0 {
-                                return;
-                            }
-                            if let Some(id) = st.ready.pop_front() {
-                                break id;
-                            }
-                            st = cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                        }
-                    };
-                    let log = run_body(&tasks[id]);
-                    logs[id].set(log).expect("task ran twice");
-                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                    st.remaining -= 1;
-                    for &dep in &dependents[id] {
-                        st.indegree[dep] -= 1;
-                        if st.indegree[dep] == 0 {
-                            st.ready.push_back(dep);
-                        }
-                    }
-                    READY_DEPTH.record_max(st.ready.len() as u64);
-                    drop(st);
-                    cv.notify_all();
-                });
+/// Shared state of one pooled graph execution.
+struct PooledRun<'a, 'env> {
+    tasks: &'a [Task<'env>],
+    logs: &'a [OnceLock<ChargeLog>],
+    dependents: Vec<Vec<TaskId>>,
+    /// Uncompleted dependencies per task.
+    indegree: Vec<AtomicUsize>,
+    /// Tasks spawned but not started (the `dag.ready_queue_depth` gauge).
+    ready: AtomicUsize,
+}
+
+impl<'a> PooledRun<'a, '_> {
+    /// Hand ready task `id` to the pool; on completion it releases its
+    /// dependents the same way.
+    fn spawn(&'a self, scope: &rayon::Scope<'a>, id: TaskId) {
+        let depth = self.ready.fetch_add(1, Ordering::Relaxed) + 1;
+        READY_DEPTH.record_max(depth as u64);
+        scope.spawn(move |scope| {
+            self.ready.fetch_sub(1, Ordering::Relaxed);
+            let log = run_body(&self.tasks[id]);
+            self.logs[id].set(log).expect("task ran twice");
+            for &next in &self.dependents[id] {
+                // `AcqRel`: the last decrement must see everything the
+                // other dependencies wrote before their own decrements.
+                if self.indegree[next].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    self.spawn(scope, next);
+                }
             }
         });
     }

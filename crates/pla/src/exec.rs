@@ -18,24 +18,43 @@
 //!   internally (and is therefore never dispatched through here).
 //! * Per-rank outputs must be disjoint (e.g. one local block per rank).
 //!
-//! ## Per-thread workspace arenas
+//! ## Threads, the core budget and workspace arenas
+//!
+//! Dispatch goes through the workspace's one runtime (the `rayon`
+//! package): `n` rank bodies are split into at most
+//! `rayon::current_budget()` contiguous pieces, the first of which runs
+//! on the calling thread while the rest are queued to the persistent
+//! pool. No thread is created here. A piece may end up on any thread —
+//! an idle pool worker, or a thread that is itself waiting for a fork
+//! and lends a hand — so a queued rank body runs under
+//! [`Machine::uncaptured`]: its charges go to the live ledger even if
+//! the lending thread happens to sit inside some task body's capture
+//! scope ([`crate::dag`]).
 //!
 //! The `ca-dla` hot-path kernels draw scratch buffers from a
 //! thread-local [`ca_dla::Workspace`] arena (`ca_dla::workspace::with_ws`).
-//! Because this executor runs each rank body to completion on a single
-//! worker thread, each checkout stays on one thread for the duration
-//! of a body: buffers checked out inside a rank body are returned
-//! before the body yields, arenas never migrate across threads, and no
-//! synchronization is needed. (Checkout is a re-entrant LIFO stack of
-//! arenas since the batch service arrived — nested `with_ws` scopes on
-//! one thread each get their own arena, warm-reused in steady state.)
-//! A warm arena makes steady-state bulge chasing allocation-free
-//! regardless of which worker a rank lands on.
+//! A rank body runs to completion on whichever thread picked its piece
+//! up, so each checkout stays on one thread for its duration: buffers
+//! are returned before the body yields, arenas never migrate across
+//! threads, and no synchronization is needed. (Checkout is a re-entrant
+//! LIFO stack of arenas — a thread that helps with someone else's piece
+//! while its own checkout is open simply takes the next arena down.)
+//! A thread's own arenas stay warm from one superstep to the next;
+//! the arenas a thread fills while *on loan* to queued pieces — a pool
+//! worker always, a waiting thread while it helps — are dropped when
+//! the loan ends (`ca_dla::workspace`), so memory warmed by one fork or
+//! graph does not outlive it.
+//!
+//! When tracing is on, each dispatch also mirrors the runtime's own
+//! counters into `ca_obs` as `rt.spawns`, `rt.jobs`, `rt.helped` and
+//! `rt.parks` (cumulative since process start; `rt.spawns` flat means no
+//! thread was created in the traced region).
 //!
 //! Set `CA_SERIAL` truthy (`1`/`true`/`yes`/`on`, per
 //! [`ca_obs::knobs`]) to force serial in-order execution — the escape
 //! hatch for debugging and for measuring the parallel overhead itself.
 
+use ca_bsp::Machine;
 use std::cell::Cell;
 
 thread_local! {
@@ -67,6 +86,24 @@ pub fn with_forced_serial<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
+static RT_SPAWNS: ca_obs::Counter = ca_obs::Counter::new("rt.spawns");
+static RT_JOBS: ca_obs::Counter = ca_obs::Counter::new("rt.jobs");
+static RT_HELPED: ca_obs::Counter = ca_obs::Counter::new("rt.helped");
+static RT_PARKS: ca_obs::Counter = ca_obs::Counter::new("rt.parks");
+
+/// Mirror the runtime's cumulative counters into `ca_obs` (the runtime
+/// sits below `ca-obs` in the package graph and cannot do it itself).
+/// One relaxed load and a branch when tracing is off.
+pub(crate) fn mirror_rt_counters() {
+    if ca_obs::enabled() {
+        let rt = rayon::stats();
+        RT_SPAWNS.record_max(rt.spawns);
+        RT_JOBS.record_max(rt.jobs_run);
+        RT_HELPED.record_max(rt.jobs_helped);
+        RT_PARKS.record_max(rt.parks);
+    }
+}
+
 /// Run `f(0), f(1), …, f(n-1)` — in parallel unless serial execution is
 /// forced — and collect the results in rank order.
 pub fn par_ranks<T, F>(n: usize, f: F) -> Vec<T>
@@ -79,7 +116,12 @@ where
         return (0..n).map(f).collect();
     }
     use rayon::prelude::*;
-    (0..n).into_par_iter().map(f).collect()
+    let out = (0..n)
+        .into_par_iter()
+        .map(|r| Machine::uncaptured(|| f(r)))
+        .collect();
+    mirror_rt_counters();
+    out
 }
 
 /// Run `f(rank)` for every rank in `0..n` for its side effects.
@@ -93,7 +135,10 @@ where
         return;
     }
     use rayon::prelude::*;
-    (0..n).into_par_iter().for_each(f);
+    (0..n)
+        .into_par_iter()
+        .for_each(|r| Machine::uncaptured(|| f(r)));
+    mirror_rt_counters();
 }
 
 /// Run `f(rank, &mut items[rank])` for every rank — the owner-computes
@@ -111,7 +156,11 @@ where
         return;
     }
     use rayon::prelude::*;
-    items.par_iter_mut().enumerate().for_each(|(r, item)| f(r, item));
+    items
+        .par_iter_mut()
+        .enumerate()
+        .for_each(|(r, item)| Machine::uncaptured(|| f(r, item)));
+    mirror_rt_counters();
 }
 
 /// Run two independent closures, potentially concurrently, and return
@@ -128,7 +177,7 @@ where
         let rb = b();
         return (ra, rb);
     }
-    rayon::join(a, b)
+    rayon::join(|| Machine::uncaptured(a), || Machine::uncaptured(b))
 }
 
 #[cfg(test)]
@@ -146,6 +195,31 @@ mod tests {
         let mut xs = vec![0u64; 23];
         par_over(&mut xs, |r, x| *x = r as u64 + 1);
         assert!(xs.iter().enumerate().all(|(r, &x)| x == r as u64 + 1));
+    }
+
+    #[test]
+    fn dispatched_rank_bodies_charge_the_live_ledger_from_a_capturing_thread() {
+        // A thread waiting inside a task body (capture scope active)
+        // lends itself to the pool and may be handed a stranger's rank
+        // body. Stand-in for that thread: this one, which runs at least
+        // the first piece of its own dispatch.
+        use ca_bsp::MachineParams;
+        if serial_forced() {
+            return; // nothing is dispatched: inline bodies belong to the log
+        }
+        let m = Machine::new(MachineParams::new(4));
+        let ((), log) = Machine::capture(|| {
+            for_each_rank(4, |r| m.charge_flops(r, 1 + r as u64));
+            let mut slots = [0u64; 4];
+            par_over(&mut slots, |r, _| m.charge_comm(r, 10));
+            join(|| m.charge_vert(0, 5), || m.charge_vert(1, 6));
+        });
+        assert!(
+            log.is_empty(),
+            "dispatched bodies leaked into the log: {log:?}"
+        );
+        assert_eq!(m.flops_per_proc(), vec![1, 2, 3, 4]);
+        assert_eq!(m.comm_per_proc(), vec![10; 4]);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! The research driver solves exactly one eigenproblem per process
 //! invocation. This crate turns it into a reusable serving substrate:
-//! an [`EigenService`] owns a shared pool of worker threads, accepts
+//! an [`EigenService`] owns a set of worker threads — started through
+//! the workspace runtime's one spawn site, each with a core budget of
+//! `max(1, current_num_threads() / workers)` for the forks and task
+//! graphs inside its jobs — accepts
 //! many independent [`SymmEigenJob`]s (values-only or with vectors,
 //! heterogeneous `n`, per-job engine choice), applies admission control
 //! over a bounded queue, cancels jobs whose scheduling deadline passes
@@ -64,6 +67,7 @@ mod stats;
 pub use config::ServiceConfig;
 pub use stats::StatsSnapshot;
 
+use ca_dla::rt;
 pub use ca_dla::tune::KnobSnapshot;
 pub use ca_eigen::{solve_job, Engine, EigenError, JobResult, SymmEigenJob};
 
@@ -194,13 +198,18 @@ impl EigenService {
             knobs,
             stats: ServiceStats::default(),
         });
-        let workers = (0..shared.config.effective_workers())
+        // The core budget is derived, not configured: the runtime's
+        // threads divided evenly among this service's workers. With no
+        // cores to spare (budget 1) a job runs entirely inline on its
+        // worker — nothing is handed to another thread.
+        let workers = shared.config.effective_workers();
+        let budget = (rt::current_num_threads() / workers).max(1);
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ca-service-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn service worker")
+                rt::spawn_worker(format!("ca-service-{i}"), move || {
+                    rt::with_budget(budget, || worker_loop(&shared))
+                })
             })
             .collect();
         Self {

@@ -1,46 +1,63 @@
-//! Offline stand-in for the `rayon` crate.
+//! The workspace's threading runtime, under `rayon`'s names.
 //!
-//! The build environment has no access to crates.io, so this local shim
-//! implements the subset of rayon's data-parallel API the workspace
-//! uses, with real shared-memory parallelism built on
-//! [`std::thread::scope`]. Work is split into one contiguous block per
-//! worker (fork-join, no work stealing); with a single hardware thread
-//! every operation degenerates to an inline sequential loop with zero
-//! spawn overhead.
+//! The build environment has no access to crates.io, so this package
+//! stands where the `rayon` crate would — and since every parallel call
+//! in the workspace already goes through it, it is also where the one
+//! runtime lives: a persistent pool of `current_num_threads() − 1`
+//! workers behind a single queue ([`pool`]), shared by the data-parallel
+//! adaptors below, by [`join`], and by [`scope`]/[`Scope::spawn`] (the
+//! task-graph executor in `ca-pla`). No thread is created per parallel
+//! call; [`spawn_worker`] is the only thread-creation site, and
+//! [`spawns`] counts its uses.
 //!
 //! Supported surface:
 //! * `(a..b).into_par_iter()` with `for_each`, `map(..).collect::<Vec<_>>()`
 //! * `slice.par_iter()` / `slice.par_iter_mut()` (+ `enumerate`)
 //! * `slice.par_chunks_mut(n)` (+ `enumerate`)
-//! * [`join`], [`current_num_threads`]
+//! * [`join`], [`scope`], [`current_num_threads`]
+//! * beyond `rayon`: the per-thread core budget ([`with_budget`],
+//!   [`current_budget`]), [`spawn_worker`], [`on_lend`] and the
+//!   counters ([`stats`], [`spawns`])
 //!
-//! The worker count honors `RAYON_NUM_THREADS`, defaulting to the
+//! Work is split into one contiguous block per piece, at most
+//! [`current_budget`] pieces; which thread runs a piece is the pool's
+//! business, which indices a piece covers is fixed by the split alone.
+//! With a budget of 1 (a single hardware thread, or a batch-service
+//! worker on a host with no cores to spare) every operation is an
+//! inline sequential loop and nothing is queued.
+//!
+//! `RAYON_NUM_THREADS` sets the pool size (workers + the forking
+//! thread); it is read once, on first use, and defaults to the
 //! available hardware parallelism.
 
-use std::sync::OnceLock;
+mod pool;
 
-/// Number of worker threads used for parallel operations.
-pub fn current_num_threads() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+pub use pool::{
+    current_budget, current_num_threads, on_lend, scope, spawn_worker, spawns, stats, with_budget,
+    RtStats, Scope,
+};
+
+use std::sync::Mutex;
+
+/// Take the value a piece owns out of its slot.
+fn claim<P>(slot: &Mutex<Option<P>>) -> P {
+    slot.lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .take()
+        .expect("a fork piece ran twice")
 }
 
-/// Partition `0..n` into at most `current_num_threads()` contiguous
-/// blocks and return their boundaries (length = blocks + 1).
-fn block_bounds(n: usize) -> Vec<usize> {
-    let t = current_num_threads().min(n).max(1);
-    (0..=t).map(|w| w * n / t).collect()
+/// The value a finished piece left in its slot.
+fn finished<R>(slot: Mutex<Option<R>>) -> R {
+    slot.into_inner()
+        .unwrap_or_else(|e| e.into_inner())
+        .expect("a fork piece did not run")
+}
+
+/// Run `f(w, part)` for every part, one piece each.
+fn fork_owned<P: Send>(parts: Vec<P>, f: impl Fn(usize, P) + Sync) {
+    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    pool::fork(slots.len(), &|w| f(w, claim(&slots[w])));
 }
 
 /// Run `a` and `b` potentially in parallel, returning both results.
@@ -51,78 +68,54 @@ where
     RA: Send,
     RB: Send,
 {
-    if current_num_threads() <= 1 {
+    if current_budget() <= 1 {
         let ra = a();
         let rb = b();
         return (ra, rb);
     }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon shim: worker panicked"))
-    })
+    let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+    pool::fork(2, &|w| {
+        if w == 0 {
+            let out = claim(&a)();
+            *ra.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+        } else {
+            let out = claim(&b)();
+            *rb.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+        }
+    });
+    (finished(ra), finished(rb))
+}
+
+/// Number of pieces a fork over `n` items splits into.
+fn pieces_for(n: usize) -> usize {
+    current_budget().min(n)
 }
 
 /// Run `f(lo, hi)` over a contiguous partition of `0..n`, one block per
-/// worker thread.
+/// piece.
 fn run_partitioned<F: Fn(usize, usize) + Sync>(n: usize, f: F) {
-    if n == 0 {
-        return;
-    }
-    let bounds = block_bounds(n);
-    if bounds.len() <= 2 {
-        f(0, n);
-        return;
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            if lo < hi {
-                s.spawn(move || f(lo, hi));
-            }
-        }
-    });
+    let k = pieces_for(n);
+    pool::fork(k, &|w| f(w * n / k, (w + 1) * n / k));
 }
 
 /// `map(..).collect::<Vec<_>>()` engine: evaluate `f(i)` for `i ∈ 0..n`
 /// in parallel, preserving index order.
 fn map_collect<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    {
-        let bounds = block_bounds(n);
-        let mut rest: &mut [Option<T>] = &mut out;
-        let mut pieces = Vec::with_capacity(bounds.len());
-        let mut at = 0;
-        for w in bounds.windows(2) {
-            let (piece, tail) = rest.split_at_mut(w[1] - w[0]);
-            pieces.push((w[0], piece));
-            rest = tail;
-            at = w[1];
-        }
-        debug_assert_eq!(at, n);
-        let f = &f;
-        if pieces.len() <= 1 {
-            for (off, piece) in pieces {
-                for (k, slot) in piece.iter_mut().enumerate() {
-                    *slot = Some(f(off + k));
-                }
-            }
-        } else {
-            std::thread::scope(|s| {
-                for (off, piece) in pieces {
-                    s.spawn(move || {
-                        for (k, slot) in piece.iter_mut().enumerate() {
-                            *slot = Some(f(off + k));
-                        }
-                    });
-                }
-            });
-        }
+    let k = pieces_for(n);
+    if k <= 1 {
+        return (0..n).map(f).collect();
     }
-    out.into_iter()
-        .map(|v| v.expect("rayon shim: missing mapped value"))
-        .collect()
+    let blocks: Vec<Mutex<Vec<T>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
+    pool::fork(k, &|w| {
+        let block: Vec<T> = (w * n / k..(w + 1) * n / k).map(&f).collect();
+        *blocks[w].lock().unwrap_or_else(|e| e.into_inner()) = block;
+    });
+    let mut out = Vec::with_capacity(n);
+    for block in blocks {
+        out.extend(block.into_inner().unwrap_or_else(|e| e.into_inner()));
+    }
+    out
 }
 
 /// Collection target of [`Map::collect`] (only `Vec<T>` is supported).
@@ -181,7 +174,10 @@ impl<F> Map<F> {
     {
         let start = self.start;
         let f = self.f;
-        C::from_ordered_vec(map_collect(self.end.saturating_sub(start), |i| f(start + i)))
+        C::from_ordered_vec(map_collect(
+            self.end.saturating_sub(start),
+            |i| f(start + i),
+        ))
     }
 
     /// Apply the mapped function for its effects only.
@@ -256,35 +252,32 @@ impl<'a, T: Sync> EnumParIter<'a, T> {
     }
 }
 
-/// Split `items` into per-worker contiguous sub-slices (with global
-/// offsets) and run `f` on each worker's share.
-fn for_each_split<T, F>(items: &mut [T], f: F)
+/// Split `items` into consecutive parts of whole `unit`-element units
+/// (the last unit may be short), one part per piece, and run
+/// `f(first_unit, part)` on each.
+fn for_each_split<T, F>(items: &mut [T], unit: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = items.len();
-    if n == 0 {
+    let len = items.len();
+    let n = len.div_ceil(unit);
+    let k = pieces_for(n);
+    if k <= 1 {
+        if n > 0 {
+            f(0, items);
+        }
         return;
     }
-    let bounds = block_bounds(n);
-    if bounds.len() <= 2 {
-        f(0, items);
-        return;
-    }
-    let mut pieces = Vec::with_capacity(bounds.len() - 1);
+    let mut parts = Vec::with_capacity(k);
     let mut rest = items;
-    for w in bounds.windows(2) {
-        let (piece, tail) = rest.split_at_mut(w[1] - w[0]);
-        pieces.push((w[0], piece));
+    for w in 0..k {
+        let (lo, hi) = (w * n / k, (w + 1) * n / k);
+        let (part, tail) = rest.split_at_mut((hi * unit).min(len) - lo * unit);
+        parts.push((lo, part));
         rest = tail;
     }
-    let f = &f;
-    std::thread::scope(|s| {
-        for (off, piece) in pieces {
-            s.spawn(move || f(off, piece));
-        }
-    });
+    fork_owned(parts, |_, (lo, part)| f(lo, part));
 }
 
 /// Parallel exclusive iterator over slice elements.
@@ -295,7 +288,7 @@ pub struct ParIterMut<'a, T> {
 impl<'a, T: Send> ParIterMut<'a, T> {
     /// Apply `f` to every element in parallel.
     pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
-        for_each_split(self.slice, |_, piece| {
+        for_each_split(self.slice, 1, |_, piece| {
             for item in piece.iter_mut() {
                 f(item);
             }
@@ -316,7 +309,7 @@ pub struct EnumParIterMut<'a, T> {
 impl<'a, T: Send> EnumParIterMut<'a, T> {
     /// Apply `f((index, &mut item))` in parallel.
     pub fn for_each<F: Fn((usize, &mut T)) + Sync>(self, f: F) {
-        for_each_split(self.slice, |off, piece| {
+        for_each_split(self.slice, 1, |off, piece| {
             for (i, item) in piece.iter_mut().enumerate() {
                 f((off + i, item));
             }
@@ -356,34 +349,9 @@ impl<'a, T: Send> EnumParChunksMut<'a, T> {
     pub fn for_each<F: Fn((usize, &mut [T])) + Sync>(self, f: F) {
         let size = self.size;
         assert!(size > 0, "par_chunks_mut: chunk size must be positive");
-        let len = self.slice.len();
-        let n_chunks = len.div_ceil(size);
-        if n_chunks == 0 {
-            return;
-        }
-        let bounds = block_bounds(n_chunks);
-        if bounds.len() <= 2 {
-            for (i, chunk) in self.slice.chunks_mut(size).enumerate() {
-                f((i, chunk));
-            }
-            return;
-        }
-        let mut pieces = Vec::with_capacity(bounds.len() - 1);
-        let mut rest = self.slice;
-        for w in bounds.windows(2) {
-            let elems = (w[1] * size).min(len) - w[0] * size;
-            let (piece, tail) = rest.split_at_mut(elems);
-            pieces.push((w[0], piece));
-            rest = tail;
-        }
-        let f = &f;
-        std::thread::scope(|s| {
-            for (chunk0, piece) in pieces {
-                s.spawn(move || {
-                    for (i, chunk) in piece.chunks_mut(size).enumerate() {
-                        f((chunk0 + i, chunk));
-                    }
-                });
+        for_each_split(self.slice, size, |chunk0, part| {
+            for (i, chunk) in part.chunks_mut(size).enumerate() {
+                f((chunk0 + i, chunk));
             }
         });
     }
@@ -459,15 +427,21 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 /// Common imports, mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-        ParallelSliceMut,
+        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSliceMut,
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    // libtest runs these concurrently on one shared pool, which is the
+    // point: forks from several threads interleave on the one queue.
+    // Every test passes for any pool size; the queued paths need
+    // `current_num_threads() ≥ 2` (CI also runs `RAYON_NUM_THREADS=4`).
 
     #[test]
     fn range_map_collect_preserves_order() {
@@ -499,7 +473,9 @@ mod tests {
     #[test]
     fn par_iter_mut_enumerate() {
         let mut data = vec![0usize; 37];
-        data.par_iter_mut().enumerate().for_each(|(i, v)| *v = i + 1);
+        data.par_iter_mut()
+            .enumerate()
+            .for_each(|(i, v)| *v = i + 1);
         assert!(data.iter().enumerate().all(|(i, &x)| x == i + 1));
     }
 
@@ -515,6 +491,251 @@ mod tests {
         let v: Vec<usize> = (5..5).into_par_iter().map(|i| i).collect();
         assert!(v.is_empty());
         let mut e: Vec<u8> = Vec::new();
-        e.par_chunks_mut(4).for_each(|_| panic!("no chunks expected"));
+        e.par_chunks_mut(4)
+            .for_each(|_| panic!("no chunks expected"));
+    }
+
+    /// The message a caught panic carried.
+    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p
+                .downcast::<&'static str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// After a contained panic the same pool must serve the next fork.
+    fn pool_still_works() {
+        let v: Vec<usize> = (0..300).into_par_iter().map(|i| i + 1).collect();
+        assert_eq!(v.iter().sum::<usize>(), 300 * 301 / 2);
+    }
+
+    #[test]
+    fn panic_in_the_first_piece_is_reraised_after_the_rest_ran() {
+        let ran = AtomicUsize::new(0);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            (0..64).into_par_iter().for_each(|i| {
+                if i == 0 {
+                    panic!("first piece, index {i}");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }))
+        .expect_err("the panic must reach the forking thread");
+        assert_eq!(message(err), "first piece, index 0");
+        // The other pieces borrow this frame, so they were drained, not
+        // abandoned (the panicking piece itself stops at index 0).
+        let pieces = super::current_budget().min(64);
+        assert_eq!(ran.load(Ordering::Relaxed), 64 - 64 / pieces);
+        pool_still_works();
+    }
+
+    #[test]
+    fn panic_in_a_queued_piece_carries_its_payload_to_the_forking_thread() {
+        let err = catch_unwind(|| {
+            super::join(|| 7, || -> usize { panic!("second closure") });
+        })
+        .expect_err("the panic must reach the forking thread");
+        assert_eq!(message(err), "second closure");
+
+        let mut data = vec![0u32; 64];
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            data.par_iter_mut().enumerate().for_each(|(i, v)| {
+                assert!(i != 63, "last piece, index {i}");
+                *v = 1;
+            });
+        }))
+        .expect_err("the panic must reach the forking thread");
+        assert_eq!(message(err), "last piece, index 63");
+        assert_eq!(data.iter().sum::<u32>(), 63);
+        pool_still_works();
+    }
+
+    #[test]
+    fn panic_in_a_spawned_grandchild_drains_the_scope_first() {
+        let done = AtomicUsize::new(0);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            super::scope(|s| {
+                for child in 0..4 {
+                    let done = &done;
+                    s.spawn(move |s| {
+                        for grandchild in 0..4 {
+                            s.spawn(move |_| {
+                                if (child, grandchild) == (2, 1) {
+                                    panic!("grandchild {child}.{grandchild}");
+                                }
+                                done.fetch_add(1, Ordering::Relaxed);
+                            });
+                        }
+                    });
+                }
+            });
+        }))
+        .expect_err("the panic must reach the scope's owner");
+        assert_eq!(message(err), "grandchild 2.1");
+        assert_eq!(
+            done.load(Ordering::Relaxed),
+            15,
+            "every other job still ran"
+        );
+        pool_still_works();
+    }
+
+    #[test]
+    fn budget_one_runs_everything_inline() {
+        let here = std::thread::current().id();
+        super::with_budget(1, || {
+            assert_eq!(super::current_budget(), 1);
+            (0..100).into_par_iter().for_each(|_| {
+                assert_eq!(std::thread::current().id(), here);
+            });
+            let (a, b) = super::join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            );
+            assert_eq!((a, b), (here, here));
+        });
+        assert_eq!(super::current_budget(), super::current_num_threads());
+    }
+
+    #[test]
+    fn jobs_run_under_their_creators_budget() {
+        // Wider than the pool is capped; a queued piece sees the budget
+        // of the thread that forked it, wherever it runs.
+        let cap = super::current_num_threads();
+        super::with_budget(cap + 5, || assert_eq!(super::current_budget(), cap));
+        let want = cap.min(2);
+        super::with_budget(want, || {
+            let seen: Vec<usize> = (0..64)
+                .into_par_iter()
+                .map(|_| super::current_budget())
+                .collect();
+            assert!(seen.iter().all(|&b| b == want), "{seen:?}");
+            super::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(move |_| assert_eq!(super::current_budget(), want));
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn a_scope_keeps_at_most_budget_jobs_in_flight() {
+        let budget = super::current_num_threads().min(2);
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let order = Mutex::new(Vec::new());
+        super::with_budget(budget, || {
+            super::scope(|s| {
+                for id in 0..24 {
+                    let (running, peak, order) = (&running, &peak, &order);
+                    s.spawn(move |_| {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        order.lock().unwrap().push(id);
+                        std::thread::yield_now();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    });
+                }
+            });
+        });
+        assert!(peak.load(Ordering::SeqCst) <= budget);
+        let mut order = order.into_inner().unwrap();
+        order.sort_unstable();
+        assert_eq!(
+            order,
+            (0..24).collect::<Vec<_>>(),
+            "every job ran exactly once"
+        );
+    }
+
+    #[test]
+    fn forks_nested_in_scope_jobs_complete() {
+        // Tasks that fork inside themselves while their siblings wait in
+        // the same queue: the shape of a task graph whose bodies call
+        // GEMM. Must neither deadlock nor lose work.
+        let total = AtomicU64::new(0);
+        super::scope(|s| {
+            for t in 0..6u64 {
+                let total = &total;
+                s.spawn(move |s| {
+                    let (a, b): (Vec<u64>, u64) =
+                        super::join(|| (0..50).into_par_iter().map(|i| i as u64).collect(), || t);
+                    total.fetch_add(a.iter().sum::<u64>() + b, Ordering::Relaxed);
+                    s.spawn(move |_| {
+                        total.fetch_add(1, Ordering::Relaxed);
+                    });
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 6 * 1225 + 15 + 6);
+    }
+
+    thread_local! {
+        /// (open loans, loans begun, loans ended) on this thread.
+        static LOANS: std::cell::Cell<(u32, u32, u32)> = const { std::cell::Cell::new((0, 0, 0)) };
+    }
+
+    fn loan_begins() {
+        LOANS.with(|l| {
+            let (open, begun, ended) = l.get();
+            assert_eq!(open, 0, "a loan began inside a loan");
+            l.set((1, begun + 1, ended));
+        });
+    }
+
+    fn loan_ends() {
+        LOANS.with(|l| {
+            let (open, begun, ended) = l.get();
+            // A pool worker is on loan for life: it only ever ends.
+            l.set((0, begun, ended + open));
+        });
+    }
+
+    #[test]
+    fn loans_of_a_waiting_thread_pair_up_and_do_not_nest() {
+        // Process-wide hooks; the other tests' threads run them too,
+        // which only makes the in-hook assertion bite more often.
+        super::on_lend(loan_begins, loan_ends);
+        for round in 0..200u64 {
+            let total = AtomicU64::new(0);
+            super::scope(|s| {
+                for t in 0..4u64 {
+                    let total = &total;
+                    s.spawn(move |_| {
+                        // A wait nested in a job this thread may be
+                        // running on loan already.
+                        let (a, b) = super::join(|| t, || round);
+                        total.fetch_add(a + b, Ordering::Relaxed);
+                    });
+                }
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 6 + 4 * round);
+            let (open, begun, ended) = LOANS.with(|l| l.get());
+            assert_eq!(open, 0, "a loan outlived its wait");
+            assert_eq!(begun, ended);
+            assert!(
+                begun <= round as u32 + 1,
+                "at most one loan per outermost wait"
+            );
+        }
+    }
+
+    #[test]
+    fn no_thread_is_created_after_the_pool_started() {
+        pool_still_works(); // starts the workers if there are any
+        let spawns = super::spawns();
+        assert!(spawns <= super::current_num_threads() as u64);
+        let before = super::stats();
+        for _ in 0..200 {
+            pool_still_works();
+        }
+        let after = super::stats();
+        assert_eq!(after.spawns, spawns);
+        if super::current_num_threads() > 1 {
+            assert!(after.jobs_run > before.jobs_run, "forks were queued");
+        }
     }
 }
