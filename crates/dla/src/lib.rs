@@ -51,9 +51,9 @@ pub mod workspace;
 /// The workspace's threading runtime (the `rayon` package), re-exported
 /// for crates that sit above `ca-dla` without an edge to it of their
 /// own: `ca-service` starts its workers and scopes their core budget
-/// through here, and tests read the spawn count.
+/// through here, and tests read the spawn count off `stats()`.
 pub mod rt {
-    pub use rayon::{current_num_threads, spawn_worker, spawns, with_budget};
+    pub use rayon::{current_num_threads, spawn_worker, stats, with_budget};
 }
 
 pub use band::BandedSym;

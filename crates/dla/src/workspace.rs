@@ -35,8 +35,10 @@
 //! different from run to run. So guest arenas live exactly as long as
 //! the loan (hooks registered with the runtime's `on_lend` on first
 //! checkout): a waiting thread sets its own stack aside before the
-//! first queued job it runs and drops whatever the jobs parked when the
-//! wait is over ([`begin_loan`], [`end_loan`]) — within one task graph
+//! first queued job it runs — other than a piece of its own fork, which
+//! is its own work and finds the arenas piece 0 warmed — and drops
+//! whatever the jobs parked when the wait is over ([`begin_loan`],
+//! [`end_loan`]) — within one task graph
 //! the arenas stay warm, as they did on the graph's scoped threads —
 //! and a pool worker drops its stack each time it runs out of work and
 //! goes to sleep ("release on park"). With that the peak is the same,

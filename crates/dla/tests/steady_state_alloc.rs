@@ -6,7 +6,8 @@
 //! copy must perform **zero** heap allocations — every scratch panel
 //! comes out of the arena and every GEMM in this regime sits below the
 //! packing threshold. The same holds when the plan runs as a forked
-//! piece on a worker of the runtime's persistent pool.
+//! piece on a worker of the runtime's persistent pool, and when the
+//! forking thread takes a queued piece of its own fork.
 //!
 //! Single test in this file on purpose: the counter is process-global
 //! and libtest runs sibling tests concurrently.
@@ -47,9 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run the chase plan twice on fresh copies of `dense`; return how many
-/// heap allocations the second pass performed.
-fn second_pass_allocations(dense: &ca_dla::Matrix, b: usize) -> u64 {
+/// Run the full `h = 1` chase plan on a fresh copy of `dense`; with
+/// `counted`, return how many heap allocations the pass performed.
+fn chase_pass(dense: &ca_dla::Matrix, b: usize, counted: bool) -> u64 {
     let n = dense.rows();
     let cap = (2 * b).min(n - 1);
     let plan = chase_plan_to(n, b, 1);
@@ -57,22 +58,23 @@ fn second_pass_allocations(dense: &ca_dla::Matrix, b: usize) -> u64 {
         plan.len() > 100,
         "plan too small to be a meaningful workload"
     );
-
-    // Warm-up: converge this thread's arena to the plan's size profile.
-    let mut warm = BandedSym::from_dense(dense, b, cap);
-    for op in &plan {
-        execute_chase(&mut warm, op);
-    }
-
-    // Steady state: the identical plan on a fresh copy.
-    let mut cold = BandedSym::from_dense(dense, b, cap);
+    let mut band = BandedSym::from_dense(dense, b, cap);
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.store(counted, Ordering::SeqCst);
     for op in &plan {
-        execute_chase(&mut cold, op);
+        execute_chase(&mut band, op);
     }
     COUNTING.store(false, Ordering::SeqCst);
     ALLOCS.load(Ordering::SeqCst)
+}
+
+/// Run the chase plan twice on fresh copies of `dense` — a warm-up that
+/// converges this thread's arena to the plan's size profile, then the
+/// identical plan again; return how many heap allocations the second
+/// pass performed.
+fn second_pass_allocations(dense: &ca_dla::Matrix, b: usize) -> u64 {
+    chase_pass(dense, b, false);
+    chase_pass(dense, b, true)
 }
 
 #[test]
@@ -125,5 +127,43 @@ fn steady_state_chase_is_allocation_free() {
     assert_eq!(
         count, 0,
         "steady-state chase on a pool worker performed {count} heap allocations"
+    );
+
+    // As a *queued* piece of the caller's own fork, run by the caller:
+    // with the pool's one worker kept busy, this thread runs the first
+    // half of a join and then takes the second off the queue itself.
+    // That is its own work continued, not a loan to strangers' jobs: the
+    // second half must find the arena the first half warmed.
+    let gate = (Mutex::new((false, false)), Condvar::new()); // (worker busy, release it)
+    let ((first_on, (count, second_on)), ()) = rayon::join(
+        || {
+            let (lock, cv) = &gate;
+            drop(cv.wait_while(lock.lock().unwrap(), |g| !g.0).unwrap());
+            let halves = rayon::join(
+                || {
+                    chase_pass(&dense, b, false);
+                    std::thread::current().id()
+                },
+                || (chase_pass(&dense, b, true), std::thread::current().id()),
+            );
+            lock.lock().unwrap().1 = true;
+            cv.notify_all();
+            halves
+        },
+        || {
+            let (lock, cv) = &gate;
+            lock.lock().unwrap().0 = true;
+            cv.notify_all();
+            drop(cv.wait_while(lock.lock().unwrap(), |g| !g.1).unwrap());
+        },
+    );
+    assert_eq!(
+        (first_on, second_on),
+        (caller, caller),
+        "both halves were meant to run on the forking thread"
+    );
+    assert_eq!(
+        count, 0,
+        "the forking thread's own queued piece performed {count} heap allocations"
     );
 }

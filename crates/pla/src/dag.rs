@@ -48,6 +48,12 @@
 //! the rest back in readiness order. The thread that called
 //! [`TaskGraph::run`] waits by running tasks itself.
 //!
+//! Tasks run concurrently but never *nested*: a thread waiting inside
+//! a body (for the pieces of a GEMM it forked) runs pieces, not other
+//! tasks. Bodies rely on it — several hold a [`TaskCell`]'s lock
+//! across such a fork, and a sibling reading the same cell on that
+//! very stack would block on a lock its own thread holds.
+//!
 //! Observability: every body runs inside a `dag.task` kernel span, and
 //! the `dag.ready_queue_depth` counter records the high-water mark of
 //! one graph's ready-but-unstarted tasks — the visible measure of how
@@ -70,7 +76,9 @@ static TASKS_RUN: ca_obs::Counter = ca_obs::Counter::new("dag.tasks_run");
 /// The producer task calls [`TaskCell::set`]; consumer tasks declare a
 /// dependency on the producer and read with [`TaskCell::with_ref`] or
 /// [`TaskCell::take`]. The executor's in-degree counters provide the
-/// happens-before edge; the mutex makes the handoff sound.
+/// happens-before edge; the mutex makes the handoff sound. Access is
+/// exclusive, reads included: concurrent readers of one cell take
+/// turns for as long as their closures run.
 pub struct TaskCell<T>(Mutex<Option<T>>);
 
 impl<T> TaskCell<T> {

@@ -8,7 +8,7 @@
 //! adaptors below, by [`join`], and by [`scope`]/[`Scope::spawn`] (the
 //! task-graph executor in `ca-pla`). No thread is created per parallel
 //! call; [`spawn_worker`] is the only thread-creation site, and
-//! [`spawns`] counts its uses.
+//! [`stats`]`().spawns` counts its uses.
 //!
 //! Supported surface:
 //! * `(a..b).into_par_iter()` with `for_each`, `map(..).collect::<Vec<_>>()`
@@ -17,7 +17,7 @@
 //! * [`join`], [`scope`], [`current_num_threads`]
 //! * beyond `rayon`: the per-thread core budget ([`with_budget`],
 //!   [`current_budget`]), [`spawn_worker`], [`on_lend`] and the
-//!   counters ([`stats`], [`spawns`])
+//!   counters ([`stats`])
 //!
 //! Work is split into one contiguous block per piece, at most
 //! [`current_budget`] pieces; which thread runs a piece is the pool's
@@ -33,8 +33,8 @@
 mod pool;
 
 pub use pool::{
-    current_budget, current_num_threads, on_lend, scope, spawn_worker, spawns, stats, with_budget,
-    RtStats, Scope,
+    current_budget, current_num_threads, on_lend, scope, spawn_worker, stats, with_budget, RtStats,
+    Scope,
 };
 
 use std::sync::Mutex;
@@ -174,10 +174,7 @@ impl<F> Map<F> {
     {
         let start = self.start;
         let f = self.f;
-        C::from_ordered_vec(map_collect(
-            self.end.saturating_sub(start),
-            |i| f(start + i),
-        ))
+        C::from_ordered_vec(map_collect(self.end.saturating_sub(start), |i| f(start + i)))
     }
 
     /// Apply the mapped function for its effects only.
@@ -427,7 +424,8 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 /// Common imports, mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSliceMut,
+        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
+        ParallelSliceMut,
     };
 }
 
@@ -473,9 +471,7 @@ mod tests {
     #[test]
     fn par_iter_mut_enumerate() {
         let mut data = vec![0usize; 37];
-        data.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, v)| *v = i + 1);
+        data.par_iter_mut().enumerate().for_each(|(i, v)| *v = i + 1);
         assert!(data.iter().enumerate().all(|(i, &x)| x == i + 1));
     }
 
@@ -491,8 +487,7 @@ mod tests {
         let v: Vec<usize> = (5..5).into_par_iter().map(|i| i).collect();
         assert!(v.is_empty());
         let mut e: Vec<u8> = Vec::new();
-        e.par_chunks_mut(4)
-            .for_each(|_| panic!("no chunks expected"));
+        e.par_chunks_mut(4).for_each(|_| panic!("no chunks expected"));
     }
 
     /// The message a caught panic carried.
@@ -673,6 +668,38 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 6 * 1225 + 15 + 6);
     }
 
+    #[test]
+    fn tasks_never_nest_on_one_thread() {
+        // A task may hold a lock across a fork that its siblings take
+        // too: a thread waiting inside a task must leave other tasks —
+        // siblings and strangers alike — to other threads, and run
+        // pieces only.
+        thread_local! {
+            static INSIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        }
+        let shared = Mutex::new(0u64);
+        for _ in 0..50 {
+            super::scope(|s| {
+                for t in 0..12u64 {
+                    let shared = &shared;
+                    s.spawn(move |_| {
+                        assert!(!INSIDE.with(|i| i.replace(true)), "task started inside a task");
+                        let mut sum = shared.lock().unwrap();
+                        let v: Vec<u64> = (0..64).into_par_iter().map(|i| {
+                                std::thread::yield_now();
+                                i as u64 + t
+                            })
+                            .collect();
+                        *sum += v.iter().sum::<u64>();
+                        drop(sum);
+                        INSIDE.with(|i| i.set(false));
+                    });
+                }
+            });
+        }
+        assert_eq!(*shared.lock().unwrap(), 50 * (12 * 2016 + 64 * 66));
+    }
+
     thread_local! {
         /// (open loans, loans begun, loans ended) on this thread.
         static LOANS: std::cell::Cell<(u32, u32, u32)> = const { std::cell::Cell::new((0, 0, 0)) };
@@ -726,14 +753,13 @@ mod tests {
     #[test]
     fn no_thread_is_created_after_the_pool_started() {
         pool_still_works(); // starts the workers if there are any
-        let spawns = super::spawns();
-        assert!(spawns <= super::current_num_threads() as u64);
         let before = super::stats();
+        assert!(before.spawns <= super::current_num_threads() as u64);
         for _ in 0..200 {
             pool_still_works();
         }
         let after = super::stats();
-        assert_eq!(after.spawns, spawns);
+        assert_eq!(after.spawns, before.spawns);
         if super::current_num_threads() > 1 {
             assert!(after.jobs_run > before.jobs_run, "forks were queued");
         }

@@ -12,25 +12,40 @@
 //!
 //! ## The helping rule, and why it cannot deadlock
 //!
-//! A thread that must wait for its jobs does not sleep while anything is
-//! queued: it runs its *own* latch's queued jobs first (oldest first —
-//! if no worker has picked a piece up yet, the forking thread simply
-//! runs it, so a fork never waits on a wake-up), then anyone's. It
-//! sleeps on the pool's one condition variable only when the queue is
-//! empty, and is therefore woken by any push, not only by its own
-//! latch's completion. A fork nested inside a pool job is queued like
-//! any other, so it reaches idle workers (at p = 4 the task graph is two
-//! tasks wide and the GEMM pieces forked *inside* tasks are most of the
-//! parallelism).
+//! A thread that must wait for its jobs does not sleep while there is
+//! something it may run: its *own* latch's queued jobs first (oldest
+//! first — if no worker has picked a piece up yet, the forking thread
+//! simply runs it, so a fork never waits on a wake-up), then other
+//! latches' **pieces**. It sleeps on the pool's one condition variable
+//! only when the queue holds nothing for it, and is therefore woken by
+//! any push, not only by its own latch's completion. A fork nested
+//! inside a pool job is queued like any other, so it reaches idle
+//! workers (at p = 4 the task graph is two tasks wide and the GEMM
+//! pieces forked *inside* tasks are most of the parallelism).
 //!
-//! Every job either finishes or waits — inside `wait_helping` — only on
-//! jobs that are queued (any waiting thread, the owner first of all,
-//! will take them) or running on some thread (which, by the same
-//! argument, finish). Jobs never wait on anything else, so some running
-//! job can always make progress, and the finite job tree drains. The
-//! one set of jobs that is neither queued nor running, a [`Scope`]'s
-//! deferred jobs, is released by the completion of that scope's own
-//! in-flight jobs, which are queued or running.
+//! Another latch's **spawned task** is run only by a thread with no
+//! task of its own half-done underneath: an idle pool worker, or a
+//! thread waiting in [`scope`] that is not itself inside a task. Never
+//! by a thread waiting for a fork, and never from inside a task. Task
+//! bodies are arbitrary code: the task-graph drivers hold a
+//! `TaskCell`'s mutex across a GEMM that forks, and a sibling task that
+//! reads the same cell, started on that very stack, would block on a
+//! lock its own thread holds. So tasks never nest on one thread (they
+//! did not when every graph had its own threads either); contending
+//! siblings land on other threads and merely wait their turn. Pieces
+//! are the compute kernels' loop bodies and `join` halves, and take no
+//! lock that outlives them.
+//!
+//! Every job therefore either finishes or waits on one of two things.
+//! Inside `wait_helping`, on jobs of its own latch: those are queued —
+//! the waiter itself takes them, whatever else it is allowed to run —
+//! or running on some thread, which by the same argument finish. Or on
+//! a lock held by a task on *another* thread, which is either running
+//! or in `wait_helping` for pieces, and pieces need no lock. Some
+//! running job can always make progress, and the finite job tree
+//! drains. The one set of jobs that is neither queued nor running, a
+//! [`Scope`]'s deferred jobs, is released by the completion of that
+//! scope's own in-flight jobs, which are queued or running.
 //!
 //! ## The core budget
 //!
@@ -44,6 +59,7 @@
 //!
 //! A thread that runs queued jobs is *on loan*: a pool worker for life,
 //! any other thread from the first queued job it picks up while waiting
+//! — pieces of its own fork aside: those are its own work, continued —
 //! until that (outermost) wait is over. [`on_lend`] lets a layer above
 //! bracket loans — `ca-dla` keeps the scratch arenas a job warms up
 //! from outliving the fork or graph it belonged to, which is what makes
@@ -116,15 +132,11 @@ pub fn stats() -> RtStats {
     }
 }
 
-/// Threads created by the runtime so far ([`RtStats::spawns`]).
-pub fn spawns() -> u64 {
-    SPAWNS.load(Ordering::Relaxed)
-}
-
 /// Start a named long-lived thread. This is the workspace's **only**
 /// thread-creation site outside tests and benches: the pool's own
 /// workers (`ca-rt-<i>`) and the batch service's (`ca-service-<i>`) both
-/// come from here, so [`spawns`] counts every thread the system owns.
+/// come from here, so [`RtStats::spawns`] counts every thread the system
+/// owns.
 pub fn spawn_worker(
     name: String,
     body: impl FnOnce() + Send + 'static,
@@ -190,8 +202,9 @@ static LEND_HOOKS: OnceLock<LendHooks> = OnceLock::new();
 /// wins.
 ///
 /// * A thread waiting for a latch runs `begin` before the first queued
-///   job it picks up and `end` when the wait is over (outermost wait
-///   only: a wait nested inside a job is part of the same loan).
+///   job it picks up that is not a piece of its own fork, and `end`
+///   when the wait is over (outermost wait only: a wait nested inside a
+///   job is part of the same loan).
 /// * A pool worker is on loan for life; it runs `end` each time it
 ///   finds the queue empty, before it sleeps.
 ///
@@ -204,6 +217,25 @@ pub fn on_lend(begin: fn(), end: fn()) {
 thread_local! {
     /// True while this thread is on loan to queued jobs.
     static ON_LOAN: Cell<bool> = const { Cell::new(false) };
+    /// True while a [`Scope::spawn`]ed task is running somewhere on this
+    /// thread's stack (a piece helped from inside it does not clear it).
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks this thread as inside a task; restores the previous mark on
+/// drop (panic-safe).
+struct TaskMark(bool);
+
+impl TaskMark {
+    fn set() -> Self {
+        TaskMark(IN_TASK.with(|t| t.replace(true)))
+    }
+}
+
+impl Drop for TaskMark {
+    fn drop(&mut self) {
+        IN_TASK.with(|t| t.set(self.0));
+    }
 }
 
 /// One loan of a waiting thread; closes it on drop. Inert when the
@@ -311,8 +343,9 @@ struct Shared {
 
 struct Pool {
     shared: Mutex<Shared>,
-    /// Signalled on every push (one sleeper per job) and whenever a
-    /// latch completes on a thread other than its owner (all sleepers).
+    /// Signalled on every push (one sleeper per piece, all sleepers for
+    /// a task) and whenever a latch completes on a thread other than its
+    /// owner (all sleepers).
     wake: Condvar,
 }
 
@@ -338,8 +371,12 @@ impl Pool {
         guard
     }
 
-    /// Queue `jobs`, starting the workers on first use.
-    fn push(&self, jobs: impl Iterator<Item = Job>) {
+    /// Queue `jobs`, starting the workers on first use. Pieces wake one
+    /// sleeper each, since any thread may run a piece. A task wakes every
+    /// sleeper: the one a single notification lands on may be a waiter
+    /// that must refuse it (see the helping rule) while an idle worker
+    /// sleeps on.
+    fn push(&self, jobs: impl Iterator<Item = Job>, wake_all: bool) {
         static START: Once = Once::new();
         START.call_once(|| {
             for i in 0..current_num_threads().saturating_sub(1) {
@@ -353,8 +390,12 @@ impl Pool {
         shared.queue.extend(jobs);
         let wakes = (shared.queue.len() - before).min(shared.sleepers);
         drop(shared);
-        for _ in 0..wakes {
-            self.wake.notify_one();
+        if wake_all && wakes > 0 {
+            self.wake.notify_all();
+        } else {
+            for _ in 0..wakes {
+                self.wake.notify_one();
+            }
         }
     }
 }
@@ -376,7 +417,10 @@ fn execute(job: Job, waiter: *const Latch) {
             // not return before this piece has been counted off its
             // latch below, so the body it borrowed is still alive.
             Work::Piece { body, idx } => unsafe { (*body)(idx) },
-            Work::Boxed(f) => f(),
+            Work::Boxed(f) => {
+                let _mark = TaskMark::set();
+                f()
+            }
         }))
     };
     let own = std::ptr::eq(latch, waiter);
@@ -429,8 +473,11 @@ fn worker_loop() {
 }
 
 /// Block until every job under `latch` has finished, running queued
-/// jobs meanwhile: this latch's own first (oldest first), then anyone's.
-fn wait_helping(latch: &Latch) {
+/// jobs meanwhile: this latch's own first (oldest first), then the
+/// oldest other job this thread may run — a piece, or, when
+/// `strangers_tasks` says so, anything (the helping rule in the module
+/// docs).
+fn wait_helping(latch: &Latch, strangers_tasks: bool) {
     // `Acquire` (here and below) pairs with the `Release` decrement in
     // `execute`. Fast path: the workers were quicker than piece 0.
     if latch.pending.load(Ordering::Acquire) == 0 {
@@ -445,17 +492,24 @@ fn wait_helping(latch: &Latch) {
             .queue
             .iter()
             .position(|job| std::ptr::eq(job.latch, me))
-            .or(if shared.queue.is_empty() {
-                None
-            } else {
-                Some(0)
+            .or_else(|| {
+                shared
+                    .queue
+                    .iter()
+                    .position(|job| strangers_tasks || matches!(job.work, Work::Piece { .. }))
             });
         match pick {
             Some(at) => {
                 let job = shared.queue.remove(at).expect("index from position");
                 drop(shared);
                 JOBS_HELPED.fetch_add(1, Ordering::Relaxed);
-                loan.get_or_insert_with(Loan::open);
+                // This thread's own fork, continued on this thread, is
+                // not a loan: piece k may use what piece 0 warmed up.
+                let own_piece =
+                    std::ptr::eq(job.latch, me) && matches!(job.work, Work::Piece { .. });
+                if !own_piece {
+                    loan.get_or_insert_with(Loan::open);
+                }
                 execute(job, me);
                 shared = POOL.lock();
             }
@@ -495,13 +549,16 @@ pub(crate) fn fork(pieces: usize, body: &(dyn Fn(usize) + Sync)) {
     let erased: *const (dyn Fn(usize) + Sync) = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
     };
-    POOL.push((1..pieces).map(|idx| Job {
-        work: Work::Piece { body: erased, idx },
-        latch: &latch,
-        budget,
-    }));
+    POOL.push(
+        (1..pieces).map(|idx| Job {
+            work: Work::Piece { body: erased, idx },
+            latch: &latch,
+            budget,
+        }),
+        false,
+    );
     let first = catch_unwind(AssertUnwindSafe(|| body(0)));
-    wait_helping(&latch);
+    wait_helping(&latch, false);
     if let Err(payload) = first {
         resume_unwind(payload);
     }
@@ -528,8 +585,11 @@ struct Gate {
 }
 
 /// Create a scope, run `op` in it on the calling thread, and wait —
-/// helping — until every job spawned into it has finished. A panic in
-/// `op` or in any job is re-raised here after the scope has drained.
+/// helping — until every job spawned into it has finished. Tasks of
+/// one scope may run concurrently but never nested on one thread, so a
+/// task may hold a lock across a fork even if its siblings take it too.
+/// A panic in `op` or in any job is re-raised here after the scope has
+/// drained.
 pub fn scope<'scope, OP, R>(op: OP) -> R
 where
     OP: FnOnce(&Scope<'scope>) -> R,
@@ -544,7 +604,9 @@ where
         marker: PhantomData,
     };
     let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
-    wait_helping(&scope.latch);
+    // Outside any task this thread holds nothing a task could want, so
+    // it may start other scopes' tasks too.
+    wait_helping(&scope.latch, !IN_TASK.with(Cell::get));
     match result {
         Err(payload) => resume_unwind(payload),
         Ok(value) => {
@@ -590,11 +652,14 @@ impl<'scope> Scope<'scope> {
     }
 
     fn enqueue(&self, run: Box<dyn FnOnce() + Send>) {
-        POOL.push(std::iter::once(Job {
-            work: Work::Boxed(run),
-            latch: &self.latch,
-            budget: self.budget,
-        }));
+        POOL.push(
+            std::iter::once(Job {
+                work: Work::Boxed(run),
+                latch: &self.latch,
+                budget: self.budget,
+            }),
+            true,
+        );
     }
 }
 

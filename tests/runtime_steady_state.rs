@@ -1,7 +1,7 @@
 //! Steady-state behaviour of the workspace's one threading runtime.
 //!
 //! * **No thread per superstep.** After a warm-up solve the runtime's
-//!   `spawns()` count does not move across 20 repeated solves at
+//!   `stats().spawns` count does not move across 20 repeated solves at
 //!   (n, p, c) = (129, 4, 1) and (100, 8, 2), nor across 200
 //!   `EigenService` jobs: every thread the system owns is created once,
 //!   through one spawn site, and lives on.
@@ -13,18 +13,26 @@
 //!   binary (the pattern of `tests/serial_knob.rs`).
 //! * **Isolation.** Solves running concurrently on the shared pool keep
 //!   their own bits and ledgers.
+//! * **Tasks never nest on one thread.** Sibling tasks that read one
+//!   `TaskCell` around a GEMM that forks — the shape of `f2b.w*` — all
+//!   finish on a pool wider than the cores: a thread that holds the
+//!   cell's lock and waits for its GEMM pieces must not start a sibling
+//!   on its own stack.
 //!
-//! `spawns()` is process-global and counts the runtime's own spawn site
-//! only, so everything that goes through that site (the pool, a
-//! service) lives in the one test that reads the count.
+//! `stats().spawns` is process-global and counts the runtime's own
+//! spawn site only, so everything that goes through that site (the
+//! pool, a service) lives in the one test that reads the count.
 
 use ca_service::{EigenService, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::{gen, rt, Matrix};
+use ca_symm_eig::dla::{gemm, Trans};
 use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenParams};
+use ca_symm_eig::pla::dag::{TaskCell, TaskGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// (n, p, c): a 2D grid with a ragged panel split, and a replicated
 /// grid that also runs band→band.
@@ -77,7 +85,7 @@ fn spawns_stay_flat_after_warm_up() {
         .iter()
         .map(|&(n, p, c)| solve_hashes(n, p, c))
         .collect();
-    let after_warm_up = rt::spawns();
+    let after_warm_up = rt::stats().spawns;
     assert!(
         after_warm_up <= rt::current_num_threads() as u64,
         "the pool is at most current_num_threads() - 1 workers"
@@ -91,7 +99,7 @@ fn spawns_stay_flat_after_warm_up() {
             );
         }
     }
-    assert_eq!(rt::spawns(), after_warm_up, "a solve created a thread");
+    assert_eq!(rt::stats().spawns, after_warm_up, "a solve created a thread");
 
     // Service: its workers are counted too, once, at construction.
     let workers = 2;
@@ -99,7 +107,7 @@ fn spawns_stay_flat_after_warm_up() {
         workers,
         ..ServiceConfig::default()
     });
-    assert_eq!(rt::spawns(), after_warm_up + workers as u64);
+    assert_eq!(rt::stats().spawns, after_warm_up + workers as u64);
     let job = |i: usize| {
         let n = [8, 24, 48, 96][i % 4];
         if i % 4 == 3 {
@@ -111,13 +119,13 @@ fn spawns_stay_flat_after_warm_up() {
     for r in service.solve_batch((0..16).map(job)) {
         r.expect("warm-up job");
     }
-    let warm = rt::spawns();
+    let warm = rt::stats().spawns;
     for round in 0..25 {
         for r in service.solve_batch((0..8).map(|i| job(8 * round + i))) {
             r.expect("job");
         }
     }
-    assert_eq!(rt::spawns(), warm, "serving 200 jobs created a thread");
+    assert_eq!(rt::stats().spawns, warm, "serving 200 jobs created a thread");
 }
 
 #[test]
@@ -154,7 +162,7 @@ fn inner_emit_hashes() {
         "HASHES={} THREADS={} SPAWNS={}",
         line.join(","),
         rt::current_num_threads(),
-        rt::spawns()
+        rt::stats().spawns
     );
 }
 
@@ -196,4 +204,85 @@ fn schedule_independence_across_pool_sizes() {
     let inline = leg("1");
     assert_eq!(leg("2"), inline, "2 threads changed bits or ledgers");
     assert_eq!(leg("4"), inline, "4 threads changed bits or ledgers");
+}
+
+/// Subprocess payload: task graphs whose tasks hold one cell's lock
+/// across a GEMM tall enough (m > 64) to fork into four pieces.
+#[test]
+#[ignore = "subprocess payload for sibling_tasks_sharing_a_locked_cell_…"]
+fn inner_locked_cell_graphs() {
+    let machine = Machine::new(MachineParams::new(4));
+    // Tall and thin: four row slabs to fork over, little to compute.
+    let mut rng = StdRng::seed_from_u64(5);
+    let tall = gen::random_matrix(&mut rng, 256, 32);
+    let square = gen::random_matrix(&mut rng, 32, 32);
+    let mut want = Matrix::zeros(256, 32);
+    gemm(1.0, &tall, Trans::N, &square, Trans::N, 0.0, &mut want);
+    let cell = TaskCell::new();
+    cell.set((tall, square));
+    // C ← A·B under the cell's lock, as `f2b.w` reads `c.qr`.
+    let read_and_multiply = |out: &TaskCell<f64>| {
+        cell.with_ref(|(a, b)| {
+            let mut c = Matrix::zeros(256, 32);
+            gemm(1.0, a, Trans::N, b, Trans::N, 0.0, &mut c);
+            out.set(c.get(200, 3));
+        })
+    };
+
+    // An unoptimised GEMM is ~50× slower; its longer pieces also widen
+    // the window, so fewer rounds find it.
+    let rounds = if cfg!(debug_assertions) { 300 } else { 3000 };
+    for round in 0..rounds {
+        let outs: Vec<TaskCell<f64>> = (0..7).map(|_| TaskCell::new()).collect();
+        let mut g = TaskGraph::new(&machine);
+        // One reader starts at once and forks while holding the lock …
+        g.add_task("reader", &[], || read_and_multiply(&outs[0]));
+        // … and short lock-free tasks release more readers while it
+        // waits for its pieces: those are the tasks a waiting holder
+        // must leave to other threads.
+        for i in 0..3 {
+            let small = Matrix::identity(8 + 8 * i);
+            let feeder = g.add_task("feeder", &[], move || {
+                let mut c = Matrix::zeros(small.rows(), small.rows());
+                gemm(1.0, &small, Trans::N, &small, Trans::N, 0.0, &mut c);
+            });
+            let (first, second) = (&outs[1 + 2 * i], &outs[2 + 2 * i]);
+            g.add_task("reader", &[feeder], || read_and_multiply(first));
+            g.add_task("reader", &[feeder], || read_and_multiply(second));
+        }
+        g.run();
+        for out in &outs {
+            assert_eq!(out.take().to_bits(), want.get(200, 3).to_bits(), "round {round}");
+        }
+    }
+    println!("LOCKED_CELL_GRAPHS=ok THREADS={}", rt::current_num_threads());
+}
+
+#[test]
+fn sibling_tasks_sharing_a_locked_cell_around_a_forking_gemm_finish() {
+    // A hang is the failure, so the leg runs under a watchdog.
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut child = Command::new(exe)
+        .args(["--ignored", "--exact", "inner_locked_cell_graphs", "--nocapture"])
+        .env("RAYON_NUM_THREADS", "4")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn test subprocess");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while child.try_wait().expect("poll test subprocess").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill hung subprocess");
+            child.wait().expect("reap hung subprocess");
+            panic!("tasks sharing a locked cell did not finish: the runtime deadlocked");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect test subprocess");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "leg failed:\n{stdout}");
+    assert!(
+        stdout.contains("LOCKED_CELL_GRAPHS=ok THREADS=4"),
+        "the leg did not run on a 4-thread pool:\n{stdout}"
+    );
 }
