@@ -4,9 +4,9 @@
 //!
 //! What one run does:
 //!
-//! 1. builds a deterministic mixed workload (sizes 8–96, QL and D&C
-//!    engines, ~1 in 4 jobs with eigenvectors) and submits it from
-//!    several client threads concurrently;
+//! 1. builds a deterministic mixed workload (sizes 8–96, ~1 in 4 jobs
+//!    with eigenvectors) and submits it from several client threads
+//!    concurrently;
 //! 2. records per-job latency (submit → result) and summarizes p50 /
 //!    p99 / mean / max plus jobs-per-second throughput;
 //! 3. re-solves the same workload sequentially in-process
@@ -37,7 +37,7 @@
 //! single-core hosts, and a one-worker soak never exercises the
 //! concurrent claim paths the benchmark exists to cover.
 
-use ca_service::{Engine, EigenService, JobResult, ServiceConfig, SymmEigenJob};
+use ca_service::{EigenService, JobResult, ServiceConfig, SymmEigenJob};
 use ca_dla::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,12 +59,11 @@ fn make_job(i: usize) -> SymmEigenJob {
     let n = SIZES[i % SIZES.len()];
     let mut rng = StdRng::seed_from_u64(0x50AC ^ (i as u64));
     let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(n, -2.0, 2.0));
-    let job = if i.is_multiple_of(4) {
+    if i.is_multiple_of(4) {
         SymmEigenJob::with_vectors(a, 4, 1)
     } else {
         SymmEigenJob::values(a, 4, 1)
-    };
-    job.engine(if i.is_multiple_of(3) { Engine::Dnc } else { Engine::Ql })
+    }
 }
 
 /// FNV-1a over a result's exact output bits (eigenvalues then vectors).
@@ -194,12 +193,11 @@ fn main() {
     let service_wall = t0.elapsed().as_secs_f64();
 
     // ---- Sequential baseline + determinism spot check ----------------
-    let knobs = service.knobs();
     let t1 = Instant::now();
     let mut divergent = 0usize;
     let mut seq_done = 0usize;
     for i in 0..total_jobs {
-        match ca_service::solve_job(&make_job(i), knobs) {
+        match ca_service::solve_job(&make_job(i)) {
             Ok(r) => {
                 seq_done += 1;
                 if i % 7 == 0 {

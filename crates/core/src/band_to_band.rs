@@ -24,12 +24,13 @@ use ca_bsp::Machine;
 use ca_dla::bulge::{chase_plan_to, ChaseOp};
 use ca_dla::gemm::Trans;
 use ca_dla::{BandedSym, Matrix};
+use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
 use ca_pla::dist::DistMatrix;
-use ca_pla::exec;
 use ca_pla::grid::Grid;
 use ca_pla::kern;
 use ca_pla::ops;
 use ca_pla::rect_qr::rect_qr;
+use std::sync::Mutex;
 
 /// Trace of the pipeline schedule (consumed by the Figure-2 binary).
 #[derive(Debug, Clone, Default)]
@@ -112,6 +113,14 @@ pub fn band_to_band_to_logged(
     band_to_band_impl(machine, grid, bmat, h, v_mem, Some(rec))
 }
 
+/// The driver: each chase of the plan is a [`TaskGraph`] node depending
+/// only on the earlier chases whose windows overlap its own — the
+/// diagonal-wavefront pipeline of Figure 2. A chase of phase `φ+1`
+/// whose window is clear of a straggling phase-`φ` window becomes ready
+/// without waiting for the phase to drain. Tasks are inserted phase by
+/// phase (residency prologue, then the phase's chases, a fence between
+/// phases), so the charge replay — and the graph's inline mode — is the
+/// phase-by-phase schedule whatever the execution interleaving.
 fn band_to_band_impl(
     machine: &Machine,
     grid: &Grid,
@@ -121,189 +130,12 @@ fn band_to_band_impl(
     rec: Option<&mut Vec<crate::transforms::Reflectors>>,
 ) -> (BandedSym, BandToBandTrace) {
     let _span = ca_obs::kernel_span("driver.band_to_band");
-    if ca_obs::knobs::lookahead() {
-        band_to_band_dag(machine, grid, bmat, h, v_mem, rec)
-    } else {
-        band_to_band_barrier(machine, grid, bmat, h, v_mem, rec)
-    }
-}
-
-/// Superstep-barrier driver: phase-by-phase execution with one `fence`
-/// per pipeline phase. This is the reference path the task-graph driver
-/// ([`band_to_band_dag`]) must match bit-for-bit in output, reflector
-/// record and ledger.
-fn band_to_band_barrier(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    h: usize,
-    v_mem: usize,
-    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, BandToBandTrace) {
     let n = bmat.n();
     let b = bmat.bandwidth();
     assert!(h >= 1 && h <= b, "need 1 ≤ h ≤ band-width");
     let p = grid.len();
 
     // Working copy with bulge capacity.
-    let cap = (2 * b).min(n - 1);
-    let mut work = BandedSym::zeros(n, b, cap);
-    for j in 0..n {
-        for i in j..n.min(j + b + 1) {
-            work.set(i, j, bmat.get(i, j));
-        }
-    }
-
-    let mut trace = BandToBandTrace::default();
-    if h == b {
-        work.set_bandwidth(h);
-        return (work, trace);
-    }
-
-    // Processor groups Π̂ⱼ: ⌈n/b⌉ groups of p̂ = p·b/n processors
-    // (clamped to the machine we actually have).
-    let n_groups = n.div_ceil(b).clamp(1, p);
-    let p_hat = (p / n_groups).max(1);
-    let groups: Vec<Grid> = (0..n_groups)
-        .map(|g| Grid::new_1d(grid.procs()[g * p_hat..(g + 1) * p_hat].to_vec()))
-        .collect();
-
-    // Phase-ordered plan (ties by ascending i — the pipeline handoff
-    // order, verified bitwise-equivalent to the sequential order in
-    // ca-dla's tests), chunked into pipeline phases: chases with equal
-    // 2i + j run concurrently on their disjoint groups Π̂ⱼ.
-    let mut plan = chase_plan_to(n, b, h);
-    plan.sort_by_key(|op| (op.phase(), op.i));
-    let mut phases: Vec<Vec<ChaseOp>> = Vec::new();
-    for op in plan {
-        match phases.last_mut() {
-            Some(cur) if cur[0].phase() == op.phase() => cur.push(op),
-            _ => phases.push(vec![op]),
-        }
-    }
-
-    let mut last_window: Vec<Option<(usize, usize)>> = vec![None; n_groups];
-    for (pi, ops) in phases.into_iter().enumerate() {
-        if pi > 0 {
-            machine.fence();
-        }
-        // Serial prologue: residency charges (stateful per group) and
-        // trace records, in pipeline handoff order.
-        let mut assignments = Vec::with_capacity(ops.len());
-        for op in &ops {
-            let gidx = (op.j - 1) % n_groups;
-            let group = &groups[gidx];
-            let qr_procs = ((p * h) / n).clamp(1, group.len());
-            trace.chases.push(ChaseRecord {
-                phase: op.phase(),
-                op: op.clone(),
-                group_index: gidx,
-                qr_procs,
-            });
-            charge_window_residency(machine, group, op, work.capacity(), &mut last_window[gidx]);
-            assignments.push((gidx, qr_procs));
-        }
-
-        // A phase's chases may run on real threads only when their
-        // windows are pairwise disjoint and no group is assigned twice
-        // (groups recycle when n/b > p); otherwise the phase falls back
-        // to in-order execution with identical results.
-        let disjoint = {
-            let mut spans: Vec<(usize, usize, usize)> = ops
-                .iter()
-                .zip(&assignments)
-                .map(|(op, &(gidx, _))| {
-                    let (lo, hi) = op.window();
-                    (lo, hi, gidx)
-                })
-                .collect();
-            spans.sort_unstable();
-            spans
-                .windows(2)
-                .all(|w| w[0].1 <= w[1].0 && w[0].2 != w[1].2)
-        };
-
-        if disjoint {
-            let windows: Vec<Matrix> = ops
-                .iter()
-                .map(|op| {
-                    let (lo, hi) = op.window();
-                    work.window(lo, hi)
-                })
-                .collect();
-            let capacity = work.capacity();
-            let results = exec::par_ranks(ops.len(), |idx| {
-                let (gidx, qr_procs) = assignments[idx];
-                let mut d = windows[idx].clone();
-                let (u, t) = chase_compute(
-                    machine, &groups[gidx], qr_procs, &mut d, &ops[idx], v_mem, capacity,
-                );
-                (d, u, t)
-            });
-            for (op, (d, u, t)) in ops.iter().zip(results) {
-                work.set_window(op.window().0, &d);
-                if let Some(r) = rec.as_deref_mut() {
-                    r.push(crate::transforms::Reflectors {
-                        row0: op.qr_rows.0,
-                        u,
-                        t,
-                    });
-                }
-            }
-        } else {
-            for (op, &(gidx, qr_procs)) in ops.iter().zip(&assignments) {
-                let (lo, hi) = op.window();
-                let mut d = work.window(lo, hi);
-                let (u, t) = chase_compute(
-                    machine,
-                    &groups[gidx],
-                    qr_procs,
-                    &mut d,
-                    op,
-                    v_mem,
-                    work.capacity(),
-                );
-                work.set_window(lo, &d);
-                if let Some(r) = rec.as_deref_mut() {
-                    r.push(crate::transforms::Reflectors {
-                        row0: op.qr_rows.0,
-                        u,
-                        t,
-                    });
-                }
-            }
-        }
-    }
-    machine.fence();
-    work.set_bandwidth(h);
-    (work, trace)
-}
-
-/// Task-graph driver: the same chase plan as [`band_to_band_barrier`],
-/// but each chase is a [`TaskGraph`] node depending only on the earlier
-/// chases whose windows overlap its own — the diagonal-wavefront
-/// pipeline of Figure 2. A chase of phase `φ+1` whose window is clear
-/// of a straggling phase-`φ` window becomes ready without waiting for
-/// the phase barrier. Charges are captured per task and replayed in the
-/// barrier path's program order (residency prologue, then chases, with
-/// the fence markers between phases), so values, reflector record and
-/// ledger are bitwise the barrier path's.
-fn band_to_band_dag(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    h: usize,
-    v_mem: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, BandToBandTrace) {
-    use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
-    use std::sync::Mutex;
-
-    let n = bmat.n();
-    let b = bmat.bandwidth();
-    assert!(h >= 1 && h <= b, "need 1 ≤ h ≤ band-width");
-    let p = grid.len();
-
     let cap = (2 * b).min(n - 1);
     let mut work0 = BandedSym::zeros(n, b, cap);
     for j in 0..n {
@@ -319,12 +151,18 @@ fn band_to_band_dag(
     }
     let capacity = work0.capacity();
 
+    // Processor groups Π̂ⱼ: ⌈n/b⌉ groups of p̂ = p·b/n processors
+    // (clamped to the machine we actually have).
     let n_groups = n.div_ceil(b).clamp(1, p);
     let p_hat = (p / n_groups).max(1);
     let groups: Vec<Grid> = (0..n_groups)
         .map(|g| Grid::new_1d(grid.procs()[g * p_hat..(g + 1) * p_hat].to_vec()))
         .collect();
 
+    // Phase-ordered plan (ties by ascending i — the pipeline handoff
+    // order, verified bitwise-equivalent to the sequential order in
+    // ca-dla's tests), chunked into pipeline phases: chases with equal
+    // 2i + j may run concurrently on their groups Π̂ⱼ.
     let mut plan = chase_plan_to(n, b, h);
     plan.sort_by_key(|op| (op.phase(), op.i));
     let mut phases: Vec<Vec<ChaseOp>> = Vec::new();
@@ -442,8 +280,8 @@ fn band_to_band_dag(
 /// chases, so only the freshly entered columns plus the boundary region
 /// updated by the adjacent group move — `O(h·b/p̂)` words per processor
 /// per chase, matching Lemma IV.3's per-iteration traffic. Pure in the
-/// schedule (stateful only through `last_window`), so the task-graph
-/// driver can evaluate it at build time.
+/// schedule (stateful only through `last_window`), so the driver
+/// evaluates it while building the graph.
 fn window_residency_words(
     op: &ChaseOp,
     capacity: usize,
@@ -458,22 +296,6 @@ fn window_residency_words(
     };
     *last_window = Some((lo, hi));
     (fresh_cols * height) as u64
-}
-
-/// Window residency charging: [`window_residency_words`] applied to the
-/// live ledger — the barrier path's serial per-phase prologue.
-fn charge_window_residency(
-    machine: &Machine,
-    group: &Grid,
-    op: &ChaseOp,
-    capacity: usize,
-    last_window: &mut Option<(usize, usize)>,
-) {
-    let win_words = window_residency_words(op, capacity, last_window);
-    for &pid in group.procs() {
-        machine.charge_comm(pid, 2 * win_words.div_ceil(group.len() as u64));
-    }
-    machine.step(group.procs(), 1);
 }
 
 /// One chase's compute on its gathered window `d`: parallel QR →

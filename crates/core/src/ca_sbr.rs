@@ -15,7 +15,9 @@ use ca_bsp::Machine;
 use ca_dla::bulge::{chase_plan, execute_chase};
 use ca_dla::costs;
 use ca_dla::BandedSym;
+use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
 use ca_pla::grid::Grid;
+use std::sync::Mutex;
 
 /// Halve the band-width of `bmat` (`b → ⌈b/2⌉`) on the processors of
 /// `grid` (1D column layout). Odd band-widths (which arise for
@@ -35,6 +37,10 @@ pub fn ca_sbr_logged(
     ca_sbr_impl(machine, grid, bmat, Some(rec))
 }
 
+/// The driver: one [`TaskGraph`] node per chase, depending only on the
+/// earlier chases whose windows overlap its own — the diagonal-wavefront
+/// dependency structure of the SBR pipeline, freed from sweep order.
+/// Tasks are inserted (and their charges replayed) in plan order.
 fn ca_sbr_impl(
     machine: &Machine,
     grid: &Grid,
@@ -42,23 +48,6 @@ fn ca_sbr_impl(
     rec: Option<&mut Vec<crate::transforms::Reflectors>>,
 ) -> BandedSym {
     let _span = ca_obs::kernel_span("driver.ca_sbr");
-    if ca_obs::knobs::lookahead() {
-        ca_sbr_dag(machine, grid, bmat, rec)
-    } else {
-        ca_sbr_barrier(machine, grid, bmat, rec)
-    }
-}
-
-/// Sequential-sweep driver: chases execute in plan order on the shared
-/// band. This is the reference path the task-graph driver
-/// ([`ca_sbr_dag`]) must match bit-for-bit in output, reflector record
-/// and ledger.
-fn ca_sbr_barrier(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> BandedSym {
     let n = bmat.n();
     let b = bmat.bandwidth();
     assert!(b >= 2, "cannot halve a band-width below 2");
@@ -67,95 +56,9 @@ fn ca_sbr_barrier(
 
     // Redistribution from any starting layout: O(nb/p) words each
     // (the lemma's O(β·nb) total term; ceiling division — the straggler
-    // with the ragged remainder sets the cost).
-    for &pid in grid.procs() {
-        machine.charge_comm(pid, ((n * (b + 1)) as u64).div_ceil(p as u64) * 2);
-    }
-    machine.step(grid.procs(), 1);
-
-    let cap = (2 * b).min(n - 1);
-    let mut work = BandedSym::zeros(n, b, cap);
-    for j in 0..n {
-        for i in j..n.min(j + b + 1) {
-            work.set(i, j, bmat.get(i, j));
-        }
-    }
-
-    let h_cache = machine.cache_words();
-    for op in chase_plan(n, b, 2) {
-        let (lo, hi) = op.window();
-        let owner_idx = (lo / cols_per_proc).min(p - 1);
-        let owner = grid.proc(owner_idx);
-        let h = op.h();
-        let (nr, nc) = (op.nr(), op.nc());
-
-        // Flops: the QR of the bulge block plus the W/V/update products
-        // (Lemma III.1/III.4 counts).
-        let f = costs::qr_flops(nr, h)
-            + costs::gemm_flops(nc, nr, h)       // B·U
-            + 2 * costs::gemm_flops(h, h, h)     // T chains
-            + costs::gemm_flops(nr, h, h)        // correction
-            + 2 * costs::gemm_flops(nr, h, nc); // rank-2h update
-        machine.charge_flops(owner, f);
-        // Vertical traffic: the O(b²) window per chase (Lemma IV.2's
-        // ν·n²/p total over the n²/(p·b²)-per-processor chases).
-        let win_words = ((hi - lo) * (cap + 1).min(hi - lo)) as u64;
-        machine.charge_vert(owner, win_words.min(h_cache.max(1)) + win_words.saturating_sub(h_cache));
-
-        // Boundary exchange when the window spans processors: only the
-        // bulge hand-off region (h columns of band data) moves, giving
-        // the lemma's O(β·nb) total per halving.
-        let last_idx = ((hi - 1) / cols_per_proc).min(p - 1);
-        if last_idx != owner_idx {
-            let boundary = h * (b + 1);
-            machine.charge_transfer(owner, grid.proc(last_idx), 2 * boundary as u64);
-        }
-
-        if let Some(r) = rec.as_deref_mut() {
-            let (u, t) = ca_dla::bulge::execute_chase_recording(&mut work, &op);
-            r.push(crate::transforms::Reflectors {
-                row0: op.qr_rows.0,
-                u,
-                t,
-            });
-        } else {
-            execute_chase(&mut work, &op);
-        }
-    }
-
-    // Aggregated pipeline schedule of [12]: O(p) parallel steps per
-    // halving (charged analytically — see module docs).
-    machine.step(grid.procs(), p as u64);
-    machine.fence();
-
-    work.set_bandwidth(b.div_ceil(2));
-    work
-}
-
-/// Task-graph driver: one node per chase, depending only on the earlier
-/// chases whose windows overlap its own — the diagonal-wavefront
-/// dependency structure of the SBR pipeline, freed from sweep order.
-/// Charges are captured per task and replayed in plan order, so the
-/// F/W/Q/S ledger (including the aggregated `O(p)` superstep charge
-/// issued after the graph) is bitwise the sequential driver's, as are
-/// the band values and the reflector record.
-fn ca_sbr_dag(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> BandedSym {
-    use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
-    use std::sync::Mutex;
-
-    let n = bmat.n();
-    let b = bmat.bandwidth();
-    assert!(b >= 2, "cannot halve a band-width below 2");
-    let p = grid.len();
-    let cols_per_proc = n.div_ceil(p);
-
-    // Redistribution happens live, before the graph: its charges open
-    // the ledger phase the replayed chase charges complete.
+    // with the ragged remainder sets the cost). It happens live, before
+    // the graph: its charges open the ledger phase the replayed chase
+    // charges complete.
     for &pid in grid.procs() {
         machine.charge_comm(pid, ((n * (b + 1)) as u64).div_ceil(p as u64) * 2);
     }
@@ -198,15 +101,22 @@ fn ca_sbr_dag(
             let owner = grid.proc(owner_idx);
             let h = op.h();
             let (nr, nc) = (op.nr(), op.nc());
+            // Flops: the QR of the bulge block plus the W/V/update
+            // products (Lemma III.1/III.4 counts).
             let f = costs::qr_flops(nr, h)
-                + costs::gemm_flops(nc, nr, h)
-                + 2 * costs::gemm_flops(h, h, h)
-                + costs::gemm_flops(nr, h, h)
-                + 2 * costs::gemm_flops(nr, h, nc);
+                + costs::gemm_flops(nc, nr, h)       // B·U
+                + 2 * costs::gemm_flops(h, h, h)     // T chains
+                + costs::gemm_flops(nr, h, h)        // correction
+                + 2 * costs::gemm_flops(nr, h, nc); // rank-2h update
             machine.charge_flops(owner, f);
+            // Vertical traffic: the O(b²) window per chase (Lemma IV.2's
+            // ν·n²/p total over the n²/(p·b²)-per-processor chases).
             let win_words = ((hi - lo) * (cap + 1).min(hi - lo)) as u64;
             machine
                 .charge_vert(owner, win_words.min(h_cache.max(1)) + win_words.saturating_sub(h_cache));
+            // Boundary exchange when the window spans processors: only
+            // the bulge hand-off region (h columns of band data) moves,
+            // giving the lemma's O(β·nb) total per halving.
             let last_idx = ((hi - 1) / cols_per_proc).min(p - 1);
             if last_idx != owner_idx {
                 let boundary = h * (b + 1);
@@ -233,6 +143,8 @@ fn ca_sbr_dag(
         }
     }
 
+    // Aggregated pipeline schedule of [12]: O(p) parallel steps per
+    // halving (charged analytically — see module docs).
     machine.step(grid.procs(), p as u64);
     machine.fence();
 

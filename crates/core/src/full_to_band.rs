@@ -23,14 +23,13 @@ use crate::params::EigenParams;
 use ca_bsp::Machine;
 use ca_dla::gemm::Trans;
 use ca_dla::{BandedSym, Matrix};
-use ca_pla::carma::{carma_spread, carma_spread_into};
+use ca_pla::carma::carma_spread_into;
 use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
 use ca_pla::dist::DistMatrix;
-use ca_pla::exec;
 use ca_pla::grid::Grid;
 use ca_pla::kern;
 use ca_pla::rect_qr::rect_qr;
-use ca_pla::streaming::{streaming_mm_dense, streaming_mm_view_into};
+use ca_pla::streaming::streaming_mm_view_into;
 use std::sync::{Mutex, RwLock};
 
 /// Structural trace of the reduction, used by the Figure-1 regeneration
@@ -114,6 +113,20 @@ pub fn full_to_band_logged(
     full_to_band_impl(machine, params, a, b, Some(rec))
 }
 
+/// The driver: one [`TaskGraph`] task per pseudocode line and panel —
+/// the two line-5 aggregate products, the panel combine, the diagonal
+/// band write, the panel QR (line 7), the three W terms (line 8), the
+/// V₁ chain (line 9) and the aggregate append (line 10). Independent
+/// tasks (the line-5 pair, the two aggregate W chains, the band writes
+/// vs. the QR) may overlap, and panel `k`'s band writes may run
+/// concurrently with panel `k+1`. Cross-panel QR lookahead is bounded
+/// at depth 1 by the algorithm itself: panel `k+1`'s line 5 reads the
+/// aggregates through panel `k` (DESIGN.md §6g).
+///
+/// Tasks are inserted in pseudocode order with one fence per panel, so
+/// the graph's charge replay (and its inline mode) is the straight-line
+/// Algorithm IV.1 schedule whatever the execution interleaving
+/// (`ca_pla::dag` module docs give the determinism argument).
 fn full_to_band_impl(
     machine: &Machine,
     params: &EigenParams,
@@ -127,278 +140,22 @@ fn full_to_band_impl(
     assert!(a.asymmetry() < 1e-10 * a.norm_max().max(1.0), "input must be symmetric");
     assert!(b >= 1 && b < n, "band-width must satisfy 1 ≤ b < n");
 
-    if ca_obs::knobs::lookahead() {
-        full_to_band_dag(machine, params, a, b, rec)
-    } else {
-        full_to_band_barrier(machine, params, a, b, rec)
-    }
-}
-
-/// Superstep-barrier driver: the straight-line Algorithm IV.1 schedule,
-/// one `fence` per panel. This is the reference path the task-graph
-/// driver ([`full_to_band_dag`]) must match bit-for-bit in output,
-/// eigenvector record and ledger.
-fn full_to_band_barrier(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-    b: usize,
-    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, FullToBandTrace) {
-    let n = a.rows();
-    let grid3 = params.grid3();
-    let w_depth = params.stream_depth(n, b);
-    let v_mem = params.p_2m3d();
-    let all = Grid::all(params.p);
-    // Per-processor share of a `words`-sized object, rounded up: the
-    // straggler holding the ragged remainder sets the BSP cost, so
-    // truncating here would under-count whenever p ∤ words.
-    let per_proc = |words: usize| (words as u64).div_ceil(params.p.max(1) as u64);
-
-    // Replicate A over the c layers (the Require block of Alg IV.1).
-    // The dense copy below is the numerical stand-in for the per-layer
-    // distributed copies; all charges flow through the replicate call.
-    let rep = ca_pla::streaming::Replicated::replicate(machine, &grid3, a);
-
-    let mut out = BandedSym::zeros(n, b, b);
-    let mut trace = FullToBandTrace::default();
-
-    // Aggregates, preallocated at full height with *global* row
-    // alignment (row r of the aggregate is global row r) and the final
-    // column count: panels append in place via `set_block` and every
-    // product takes an offset block spec, instead of the seed's
-    // per-panel O(n²) reallocate-and-copy rebuild. Rows above the
-    // current trailing range and columns beyond `m_agg` are never read.
-    let total_agg: usize = {
-        let mut total = 0usize;
-        let mut oo = 0usize;
-        while n - oo > b {
-            total += (n - oo - b).min(b);
-            oo += b;
-        }
-        total
-    };
-    let mut u_agg = Matrix::zeros(n, total_agg);
-    let mut v_agg = Matrix::zeros(n, total_agg);
-    let mut m_agg = 0usize;
-
-    let mut o = 0usize;
-    let mut step = 0usize;
-    while n - o > b {
-        let rem = n - o;
-        trace.panels.push(PanelTrace {
-            step,
-            offset: o,
-            remaining: rem,
-            agg_cols: m_agg,
-            qr_procs: params.panel_qr_procs(n, b),
-        });
-
-        // Line 5: update the current panel from the aggregates. The two
-        // products are independent — the executor runs them concurrently
-        // (both only charge commutative ledger entries).
-        let mut panel = a.block(o, o, rem, b);
-        if m_agg > 0 {
-            let (upd1, upd2) = exec::join(
-                || {
-                    let v1_0t = v_agg.block(o, 0, b, m_agg).transpose();
-                    streaming_mm_dense(
-                        machine, &grid3, &u_agg, (o, 0, rem, m_agg), false, &v1_0t, w_depth,
-                    )
-                },
-                || {
-                    let u1_0t = u_agg.block(o, 0, b, m_agg).transpose();
-                    streaming_mm_dense(
-                        machine, &grid3, &v_agg, (o, 0, rem, m_agg), false, &u1_0t, w_depth,
-                    )
-                },
-            );
-            panel.axpy(1.0, &upd1);
-            panel.axpy(1.0, &upd2);
-            for &pid in all.procs() {
-                machine.charge_flops(pid, 2 * per_proc(rem * b));
-            }
-        }
-
-        // The diagonal block A̅₁₁ goes straight into the output band.
-        let mut a11 = panel.block(0, 0, b, b);
-        a11.symmetrize();
-        write_diag_block(&mut out, o, &a11);
-
-        // Line 7: QR of A̅₂₁ on z·pᵟ processors. A ragged n leaves the
-        // final panel's sub-diagonal block wide (fewer than b rows);
-        // rect_qr requires m ≥ n, so that block is factored locally on
-        // the group leader with the factors re-spread — the same
-        // small-block fallback Algorithm IV.2's executor uses.
-        let qr_procs = params.panel_qr_procs(n, b).min(rem - b).max(1);
-        let a21 = panel.block(b, 0, rem - b, b);
-        let (u1, t1, r1) = if rem - b >= b {
-            let qr_group = Grid::new_2d((0..qr_procs).collect(), qr_procs, 1);
-            let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
-            let f = rect_qr(machine, &da21);
-            da21.release(machine);
-            let u1 = f.u.assemble_unchecked();
-            f.u.release(machine);
-            (u1, f.t, f.r)
-        } else {
-            let f = kern::local_qr(machine, all.proc(0), &a21);
-            let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
-            for &pid in all.procs() {
-                machine.charge_comm(pid, 2 * factor_words.div_ceil(params.p as u64));
-            }
-            machine.step(all.procs(), 1);
-            (f.u, f.t, f.r)
-        };
-
-        // R is the sub-diagonal block of the band (upper-trapezoidal
-        // when the panel is ragged).
-        write_subdiag_block(&mut out, o, &r1);
-
-        // Line 8: W = A₂₂·U₁ + U₂⁽⁰⁾(V₂⁽⁰⁾ᵀU₁) + V₂⁽⁰⁾(U₂⁽⁰⁾ᵀU₁).
-        if let Some(r) = rec.as_deref_mut() {
-            r.push(crate::transforms::Reflectors {
-                row0: o + b,
-                u: u1.clone(),
-                t: t1.clone(),
-            });
-        }
-        let mut w = streaming_mm_dense(
-            machine, &grid3, a, (o + b, o + b, rem - b, rem - b), false, &u1, w_depth,
-        );
-        if m_agg > 0 {
-            // The U₂⁽⁰⁾(V₂⁽⁰⁾ᵀU₁) and V₂⁽⁰⁾(U₂⁽⁰⁾ᵀU₁) chains are
-            // independent of each other — run them concurrently. The
-            // U₂⁽⁰⁾/V₂⁽⁰⁾ sub-panels are addressed by block spec, no
-            // copies.
-            let (w2, w3) = exec::join(
-                || {
-                    let vtu = streaming_mm_dense(
-                        machine, &grid3, &v_agg, (o + b, 0, rem - b, m_agg), true, &u1, w_depth,
-                    );
-                    streaming_mm_dense(
-                        machine, &grid3, &u_agg, (o + b, 0, rem - b, m_agg), false, &vtu, w_depth,
-                    )
-                },
-                || {
-                    let utu = streaming_mm_dense(
-                        machine, &grid3, &u_agg, (o + b, 0, rem - b, m_agg), true, &u1, w_depth,
-                    );
-                    streaming_mm_dense(
-                        machine, &grid3, &v_agg, (o + b, 0, rem - b, m_agg), false, &utu, w_depth,
-                    )
-                },
-            );
-            w.axpy(1.0, &w2);
-            w.axpy(1.0, &w3);
-            for &pid in all.procs() {
-                machine.charge_flops(pid, 2 * per_proc((rem - b) * b));
-            }
-        }
-
-        // Line 9: V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T, via Lemma III.2
-        // multiplies with v = p^{2−3δ} (right to left, as the
-        // Lemma IV.1 proof prescribes).
-        let wt = carma_spread(machine, &all, &w, &t1, v_mem);
-        let u1t = u1.transpose();
-        let utwt = carma_spread(machine, &all, &u1t, &wt, 1);
-        let tt = t1.transpose();
-        let t_utwt = carma_spread(machine, &all, &tt, &utwt, 1);
-        let corr = carma_spread(machine, &all, &u1, &t_utwt, v_mem);
-        let mut v1 = wt;
-        v1.scale(-1.0);
-        v1.axpy(0.5, &corr);
-        for &pid in all.procs() {
-            machine.charge_flops(pid, 2 * per_proc((rem - b) * b));
-        }
-
-        // Line 10: replicate U₁ and V₁ over the layers and append. A
-        // ragged final panel contributes only k = min(rem − b, b)
-        // reflector columns.
-        let kk = u1.cols();
-        let rep_words = 2 * (rem - b) * kk;
-        for &pid in grid3.procs() {
-            machine.charge_comm(pid, 2 * (rep_words as u64).div_ceil(params.p as u64));
-            machine.alloc(pid, (rep_words as u64).div_ceil((params.q * params.q) as u64));
-        }
-        machine.step(grid3.procs(), 2);
-
-        u_agg.set_block(o + b, m_agg, &u1);
-        v_agg.set_block(o + b, m_agg, &v1);
-        m_agg += kk;
-
-        o += b;
-        step += 1;
-        machine.fence();
-    }
-
-    // Base case (lines 1–2): the final b×b block.
-    let rem = n - o;
-    let mut last = a.block(o, o, rem, rem);
-    if m_agg > 0 {
-        let (upd1, upd2) = exec::join(
-            || {
-                let vt = v_agg.block(o, 0, rem, m_agg).transpose();
-                streaming_mm_dense(machine, &grid3, &u_agg, (o, 0, rem, m_agg), false, &vt, w_depth)
-            },
-            || {
-                let ut = u_agg.block(o, 0, rem, m_agg).transpose();
-                streaming_mm_dense(machine, &grid3, &v_agg, (o, 0, rem, m_agg), false, &ut, w_depth)
-            },
-        );
-        last.axpy(1.0, &upd1);
-        last.axpy(1.0, &upd2);
-        for &pid in all.procs() {
-            machine.charge_flops(pid, 2 * per_proc(rem * rem));
-        }
-    }
-    last.symmetrize();
-    write_diag_block(&mut out, o, &last);
-
-    rep.release(machine);
-    machine.fence();
-    (out, trace)
-}
-
-/// Task-graph (`CA_LOOKAHEAD`) driver for Algorithm IV.1.
-///
-/// Builds one dependency-driven task per pseudocode line and panel —
-/// the two line-5 aggregate products, the panel combine, the diagonal
-/// band write, the panel QR (line 7), the three W terms (line 8), the
-/// V₁ chain (line 9) and the aggregate append (line 10) — and hands the
-/// graph to [`ca_pla::dag::TaskGraph`]. Data dependencies replace the
-/// barrier path's lockstep schedule: independent tasks (the line-5
-/// pair, the two aggregate W chains, the band writes vs. the QR) may
-/// overlap, and panel `k`'s band writes may run concurrently with panel
-/// `k+1`. Cross-panel QR lookahead is bounded at depth 1 by the
-/// algorithm itself: panel `k+1`'s line 5 reads the aggregates through
-/// panel `k` (DESIGN.md §6g).
-///
-/// Output and ledger are bit-identical to [`full_to_band_barrier`]:
-/// * task bodies perform the barrier path's arithmetic through the
-///   zero-copy `_into` kernels, which are bitwise-equal to their
-///   copy-path counterparts (see the `ca_pla::{carma, streaming}`
-///   equivalence tests);
-/// * every BSP charge is captured per task and replayed in the barrier
-///   path's program order with the per-panel fences restored as replay
-///   markers (`ca_pla::dag` module docs give the determinism argument).
-fn full_to_band_dag(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-    b: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, FullToBandTrace) {
-    let n = a.rows();
     let grid3 = params.grid3();
     let w_depth = params.stream_depth(n, b);
     let v_mem = params.p_2m3d();
     let all = Grid::all(params.p);
     let p = params.p;
     let q = params.q;
+    // Per-processor share of a `words`-sized object, rounded up: the
+    // straggler holding the ragged remainder sets the BSP cost, so
+    // truncating here would under-count whenever p ∤ words.
     let per_proc = move |words: usize| (words as u64).div_ceil(p.max(1) as u64);
 
-    // Replication happens live, before the graph: its charges open the
-    // same ledger phase that panel 0's replayed charges complete.
+    // Replicate A over the c layers (the Require block of Alg IV.1).
+    // The dense `a` is the numerical stand-in for the per-layer
+    // distributed copies; all charges flow through the replicate call.
+    // It runs live, before the graph: its charges open the same ledger
+    // phase that panel 0's replayed charges complete.
     let rep = ca_pla::streaming::Replicated::replicate(machine, &grid3, a);
 
     // Static panel schedule — offsets, trailing sizes, aggregate widths
@@ -446,7 +203,11 @@ fn full_to_band_dag(
     // Shared state the tasks hand each other. Locks never contend on a
     // value's bits — the dependency edges serialize every write against
     // every read — they only make the sharing safe across worker
-    // threads.
+    // threads. The aggregates are preallocated at full height with
+    // *global* row alignment (row r of the aggregate is global row r)
+    // and the final column count: panels append in place and every
+    // product takes an offset block spec. Rows above the current
+    // trailing range and columns beyond `m_agg` are never read.
     let out_slot = Mutex::new(BandedSym::zeros(n, b, b));
     let u_agg = RwLock::new(Matrix::zeros(n, total_agg));
     let v_agg = RwLock::new(Matrix::zeros(n, total_agg));
@@ -480,9 +241,8 @@ fn full_to_band_dag(
     let base_upd2 = &base_upd2;
 
     let mut graph = TaskGraph::new(machine);
-    // Tail of the previous panel (its aggregate append): insertion
-    // order == barrier program order, so replaying the per-task logs in
-    // insertion order reproduces the barrier ledger exactly.
+    // Tail of the previous panel (its aggregate append), which the
+    // next panel's line 5 depends on.
     let mut prev_tail: Option<TaskId> = None;
     for (k, s) in specs.iter().enumerate() {
         let (o, rem, m_agg, kk) = (s.o, s.rem, s.m_agg, s.kk);
@@ -567,9 +327,13 @@ fn full_to_band_dag(
             }
         });
 
-        // Line 7: panel QR (and the eigenvector record, whose push
-        // order the dependency chain keeps identical to the barrier
-        // path's panel order).
+        // Line 7: QR of A̅₂₁ on z·pᵟ processors (and the eigenvector
+        // record, whose push order the dependency chain keeps in panel
+        // order). A ragged n leaves the final panel's sub-diagonal
+        // block wide (fewer than b rows); rect_qr requires m ≥ n, so
+        // that block is factored locally on the group leader with the
+        // factors re-spread — the same small-block fallback
+        // Algorithm IV.2's executor uses.
         let qr_id = graph.add_task("f2b.qr", &panel_deps, move || {
             let a21 = if m_agg > 0 {
                 c.panel.with_ref(|pm| pm.block(b, 0, rem - b, b))
@@ -603,6 +367,8 @@ fn full_to_band_dag(
             c.qr.set(factors);
         });
 
+        // R is the sub-diagonal block of the band (upper-trapezoidal
+        // when the panel is ragged).
         graph.add_task("f2b.subdiag", &[qr_id], move || {
             let mut band = out.lock().unwrap();
             c.qr.with_ref(|(_, _, r1)| write_subdiag_block(&mut band, o, r1));
@@ -703,8 +469,10 @@ fn full_to_band_dag(
             w_id
         };
 
-        // Line 9: V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T, written straight into
-        // the aggregate; the U₁ᵀ/Tᵀ operands are read in place.
+        // Line 9: V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T via Lemma III.2
+        // multiplies with v = p^{2−3δ} (right to left, as the
+        // Lemma IV.1 proof prescribes), written straight into the
+        // aggregate; the U₁ᵀ/Tᵀ operands are read in place.
         let v_id = graph.add_task("f2b.v1", &[w_tail], move || {
             c.qr.with_ref(|(u1, t1, _)| {
                 let w = c.w.take();
@@ -728,9 +496,9 @@ fn full_to_band_dag(
                     machine, all, &u1.view(), Trans::N, &t_utwt.view(), v_mem,
                     &mut corr.view_mut(),
                 );
-                // Fused `v1 = -wt; v1 += ½·corr` (the barrier path's
-                // scale-then-axpy, expression for expression — the
-                // `* -1.0` spelling is the scale's exact arithmetic).
+                // Fused `v1 = -wt; v1 += ½·corr` (the `* -1.0` spelling
+                // is `Matrix::scale`'s exact arithmetic, which the
+                // pinned output bits were produced with).
                 let mut vg = v_agg.write().unwrap();
                 let mut dst = vg.subview_mut(o + b, m_agg, rem - b, kk);
                 #[allow(clippy::neg_multiply)]
@@ -746,7 +514,9 @@ fn full_to_band_dag(
             });
         });
 
-        // Line 10: replicate-and-append charges, then the U₁ append.
+        // Line 10: replicate U₁ and V₁ over the layers (charges), then
+        // the U₁ append. A ragged final panel contributes only
+        // k = min(rem − b, b) reflector columns.
         let append_id = graph.add_task("f2b.append", &[v_id], move || {
             let rep_words = 2 * (rem - b) * kk;
             for &pid in grid3.procs() {

@@ -1,61 +1,23 @@
 //! Job and result types for batched / multi-tenant serving.
 //!
 //! A [`SymmEigenJob`] packages one independent eigenproblem — the
-//! matrix, grid parameters, engine choice, whether eigenvectors are
-//! wanted, and an optional scheduling deadline — into a value that can
-//! be queued, moved across threads, and solved anywhere.
-//! [`solve_job`] is the *one* execution path for a job: the
-//! `ca-service` scheduler calls it from its worker threads, and a solo
-//! (unbatched, unscheduled) reference run is the same function called
-//! directly. Bit-identity between service and solo results is therefore
-//! structural: both run byte-for-byte the same code under the same
-//! pinned [`KnobSnapshot`], and the solver itself is deterministic
-//! (serial ↔ parallel equivalence is pinned by the determinism suites).
+//! matrix, grid parameters, whether eigenvectors are wanted, and an
+//! optional scheduling deadline — into a value that can be queued,
+//! moved across threads, and solved anywhere. [`solve_job`] is the
+//! *one* execution path for a job: the `ca-service` scheduler calls it
+//! from its worker threads, and a solo (unbatched, unscheduled)
+//! reference run is the same function called directly. Bit-identity
+//! between service and solo results is therefore structural: both run
+//! byte-for-byte the same code, the solver has no process-global
+//! configuration to diverge on, and it is deterministic (serial ↔
+//! parallel equivalence is pinned by the determinism suites).
 
 use crate::error::EigenError;
 use crate::params::EigenParams;
 use crate::solver::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, StageCosts};
 use ca_bsp::{Machine, MachineParams};
-use ca_dla::tune::{self, KnobSnapshot};
 use ca_dla::Matrix;
 use std::time::Duration;
-
-/// Which sequential-finale engine a job requests.
-///
-/// The engines differ in schedule (QL rotations vs divide-and-conquer
-/// secular solves) but both return the full spectrum; `Auto` defers to
-/// the configuration snapshot in effect (the `CA_DNC` knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Use whatever the active [`KnobSnapshot`] says (`CA_DNC`).
-    #[default]
-    Auto,
-    /// Force the implicit-shift QL finale (`CA_DNC=0` semantics).
-    Ql,
-    /// Force the divide-and-conquer finale.
-    Dnc,
-}
-
-impl Engine {
-    /// The knob snapshot this engine choice executes under, given the
-    /// service's (or process's) base snapshot.
-    pub fn apply(self, base: KnobSnapshot) -> KnobSnapshot {
-        match self {
-            Engine::Auto => base,
-            Engine::Ql => KnobSnapshot { dnc_enabled: false, ..base },
-            Engine::Dnc => KnobSnapshot { dnc_enabled: true, ..base },
-        }
-    }
-
-    /// Display name (`"auto"` / `"ql"` / `"dnc"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Auto => "auto",
-            Engine::Ql => "ql",
-            Engine::Dnc => "dnc",
-        }
-    }
-}
 
 /// One independent symmetric eigenproblem, ready to be queued.
 #[derive(Debug, Clone)]
@@ -67,8 +29,6 @@ pub struct SymmEigenJob {
     /// Whether eigenvectors are wanted (the §IV.C extension) or
     /// eigenvalues only.
     pub want_vectors: bool,
-    /// Sequential-finale engine selection.
-    pub engine: Engine,
     /// Optional scheduling deadline: if the job is still queued when
     /// this much time has passed since submission, it is cancelled with
     /// [`EigenError::Deadline`] instead of being started. `None` waits
@@ -85,7 +45,6 @@ impl SymmEigenJob {
             a,
             params: EigenParams::new(p, c),
             want_vectors: false,
-            engine: Engine::Auto,
             timeout: None,
         }
     }
@@ -93,12 +52,6 @@ impl SymmEigenJob {
     /// A values-and-vectors job (see [`SymmEigenJob::values`]).
     pub fn with_vectors(a: Matrix, p: usize, c: usize) -> Self {
         Self { want_vectors: true, ..Self::values(a, p, c) }
-    }
-
-    /// Set the engine, by value (builder style).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Set the scheduling deadline, by value (builder style).
@@ -123,31 +76,24 @@ pub struct JobResult {
     /// Per-stage cost record of the solve (each job runs on its own
     /// fresh virtual machine, so ledgers never mix across tenants).
     pub costs: StageCosts,
-    /// The exact knob configuration the solve executed under.
-    pub knobs: KnobSnapshot,
 }
 
-/// Solve one job under the given configuration snapshot.
+/// Solve one job.
 ///
 /// Creates a fresh [`Machine`] for the job (ledger isolation between
-/// tenants), pins `knobs` (adjusted by the job's [`Engine`] choice) for
-/// the duration via [`tune::with_knobs`], and dispatches to the
-/// values-only or vectors solver. This function is deliberately the
-/// only way jobs are executed — see the module docs for the
-/// determinism argument.
-pub fn solve_job(job: &SymmEigenJob, knobs: KnobSnapshot) -> Result<JobResult, EigenError> {
-    let knobs = job.engine.apply(knobs);
-    tune::with_knobs(knobs, || {
-        let machine = Machine::new(MachineParams::new(job.params.p));
-        if job.want_vectors {
-            let (eigenvalues, vectors, costs) =
-                try_symm_eigen_25d_vectors(&machine, &job.params, &job.a)?;
-            Ok(JobResult { eigenvalues, vectors: Some(vectors), costs, knobs })
-        } else {
-            let (eigenvalues, costs) = try_symm_eigen_25d(&machine, &job.params, &job.a)?;
-            Ok(JobResult { eigenvalues, vectors: None, costs, knobs })
-        }
-    })
+/// tenants) and dispatches to the values-only or vectors solver. This
+/// function is deliberately the only way jobs are executed — see the
+/// module docs for the determinism argument.
+pub fn solve_job(job: &SymmEigenJob) -> Result<JobResult, EigenError> {
+    let machine = Machine::new(MachineParams::new(job.params.p));
+    if job.want_vectors {
+        let (eigenvalues, vectors, costs) =
+            try_symm_eigen_25d_vectors(&machine, &job.params, &job.a)?;
+        Ok(JobResult { eigenvalues, vectors: Some(vectors), costs })
+    } else {
+        let (eigenvalues, costs) = try_symm_eigen_25d(&machine, &job.params, &job.a)?;
+        Ok(JobResult { eigenvalues, vectors: None, costs })
+    }
 }
 
 #[cfg(test)]
@@ -158,22 +104,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn test_job(n: usize, vectors: bool) -> (SymmEigenJob, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(n as u64);
-        let spectrum = gen::linspace_spectrum(n, -2.0, 2.0);
-        let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-        let job = if vectors {
-            SymmEigenJob::with_vectors(a, 4, 1)
-        } else {
-            SymmEigenJob::values(a, 4, 1)
-        };
-        (job, spectrum)
-    }
-
     #[test]
     fn solve_job_matches_direct_solver_call() {
-        let (job, spectrum) = test_job(32, false);
-        let out = solve_job(&job, KnobSnapshot::capture()).expect("solve");
+        let mut rng = StdRng::seed_from_u64(32);
+        let spectrum = gen::linspace_spectrum(32, -2.0, 2.0);
+        let job = SymmEigenJob::values(gen::symmetric_with_spectrum(&mut rng, &spectrum), 4, 1);
+        let out = solve_job(&job).expect("solve");
         assert!(spectrum_distance(&out.eigenvalues, &spectrum) < 1e-8);
         assert!(out.vectors.is_none());
         assert!(out.costs.total().flops > 0);
@@ -191,39 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_pins_the_finale() {
-        let (job, spectrum) = test_job(48, true);
-        let base = KnobSnapshot::capture();
-        let ql = solve_job(&job.clone().engine(Engine::Ql), base).expect("ql");
-        let dnc = solve_job(&job.clone().engine(Engine::Dnc), base).expect("dnc");
-        assert!(!ql.knobs.dnc_enabled);
-        assert!(dnc.knobs.dnc_enabled);
-        for out in [&ql, &dnc] {
-            assert!(spectrum_distance(&out.eigenvalues, &spectrum) < 1e-8);
-            assert!(out.vectors.is_some());
-        }
-        // Engine selection through the job must match flipping the
-        // global knob by hand.
-        let was = tune::dnc_enabled();
-        tune::set_dnc_enabled(false);
-        let global_ql = solve_job(&job.clone().engine(Engine::Auto), KnobSnapshot::capture());
-        tune::set_dnc_enabled(was);
-        let global_ql = global_ql.expect("global ql");
-        assert_eq!(
-            ql.eigenvalues.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            global_ql
-                .eigenvalues
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn invalid_jobs_surface_typed_errors() {
         let job = SymmEigenJob::values(Matrix::from_vec(2, 3, vec![0.0; 6]), 4, 1);
         assert!(matches!(
-            solve_job(&job, KnobSnapshot::capture()),
+            solve_job(&job),
             Err(EigenError::NonSquareInput { rows: 2, cols: 3 })
         ));
     }

@@ -55,7 +55,7 @@ pub use band_to_band::{band_to_band, band_to_band_to, band_to_band_to_logged, tr
 pub use ca_sbr::{ca_sbr, ca_sbr_logged};
 pub use error::EigenError;
 pub use full_to_band::{full_to_band, full_to_band_logged, try_full_to_band, FullToBandTrace};
-pub use job::{solve_job, Engine, JobResult, SymmEigenJob};
+pub use job::{solve_job, JobResult, SymmEigenJob};
 pub use lang::lang_band_to_tridiagonal;
 pub use params::EigenParams;
 pub use solver::{

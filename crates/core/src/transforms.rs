@@ -131,7 +131,7 @@ pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Ma
             }
         }
     };
-    if ca_dla::tune::serial() || panels.len() == 1 {
+    if ca_obs::knobs::serial() || panels.len() == 1 {
         for xp in panels.iter_mut() {
             run(xp);
         }

@@ -18,9 +18,8 @@
 //!   band strip directly through [`crate::workspace`] arena buffers and
 //!   [`crate::view`] views, with no dense-window materialization and no
 //!   steady-state heap allocation. The seed's dense-window path is kept
-//!   as [`execute_chase_reference`]; the two are bitwise identical (see
-//!   DESIGN.md §"kernel engine") and [`set_zero_copy_enabled`] switches
-//!   between them at runtime for A/B benchmarking and oracle tests.
+//!   as [`execute_chase_reference`], the bitwise oracle of
+//!   `tests/kernel_equivalence.rs` (see DESIGN.md §"kernel engine").
 //! * [`reduce_band`] — run the whole plan sequentially.
 
 use crate::band::BandedSym;
@@ -29,28 +28,10 @@ use crate::matrix::Matrix;
 use crate::qr::{form_t_view, qr_factor, qr_inplace};
 use crate::view::{MatrixView, MatrixViewMut};
 use crate::workspace::{with_ws, Workspace};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Runtime toggle between the zero-copy chase engine (default) and the
-/// seed's dense-window reference path.
-static ZERO_COPY: AtomicBool = AtomicBool::new(true);
 
 /// Chase-window executions (all dispatch variants); live only when
 /// `CA_TRACE ≥ 1`, otherwise one relaxed load per chase.
 static CHASE_WINDOWS: ca_obs::Counter = ca_obs::Counter::new("bulge.chase_windows");
-
-/// Enable or disable the zero-copy chase engine. The reference path
-/// produces bitwise identical band matrices and `(U, T)` factors — the
-/// toggle exists for A/B benchmarking and for the equivalence oracles
-/// in `tests/kernel_equivalence.rs`.
-pub fn set_zero_copy_enabled(on: bool) {
-    ZERO_COPY.store(on, Ordering::SeqCst);
-}
-
-/// Whether the zero-copy chase engine is active.
-pub fn zero_copy_enabled() -> bool {
-    ZERO_COPY.load(Ordering::SeqCst)
-}
 
 /// One bulge-chase operation of Algorithm IV.2, with the paper's index
 /// ranges translated to 0-based half-open ranges.
@@ -176,11 +157,7 @@ pub fn chase_plan_to(n: usize, b: usize, h: usize) -> Vec<ChaseOp> {
 /// costs.
 pub fn chase_window_update(d: &mut Matrix, op: &ChaseOp) -> (usize, usize, usize) {
     CHASE_WINDOWS.add(1);
-    if zero_copy_enabled() {
-        with_ws(|ws| chase_dense_fast(d, op, ws, false));
-    } else {
-        let _ = chase_window_update_factors_reference(d, op);
-    }
+    with_ws(|ws| chase_dense_fast(d, op, ws, false));
     (op.nr(), op.h(), op.nc())
 }
 
@@ -190,17 +167,12 @@ pub fn chase_window_update(d: &mut Matrix, op: &ChaseOp) -> (usize, usize, usize
 /// back-transformation.
 pub fn chase_window_update_factors(d: &mut Matrix, op: &ChaseOp) -> (Matrix, Matrix) {
     CHASE_WINDOWS.add(1);
-    if zero_copy_enabled() {
-        with_ws(|ws| chase_dense_fast(d, op, ws, true)).expect("recording chase returns factors")
-    } else {
-        chase_window_update_factors_reference(d, op)
-    }
+    with_ws(|ws| chase_dense_fast(d, op, ws, true)).expect("recording chase returns factors")
 }
 
 /// The seed's dense-window chase: extract copies of the QR block and
 /// update panels with `block`/`set_block`, allocate every temporary.
-/// Kept verbatim as the bitwise oracle for the zero-copy engine and as
-/// the "before" leg of the stage-time benchmarks.
+/// Kept verbatim as the bitwise oracle for the zero-copy engine.
 pub fn chase_window_update_factors_reference(d: &mut Matrix, op: &ChaseOp) -> (Matrix, Matrix) {
     let (lo, _hi) = op.window();
     let nr = op.nr();
@@ -682,17 +654,12 @@ fn chase_banded_fast(
     out
 }
 
-/// Apply one chase operation to a banded matrix. The zero-copy engine
-/// updates the band in place through arena-backed strips; with the
-/// engine disabled this falls back to [`execute_chase_reference`]
-/// (bitwise identical results either way).
+/// Apply one chase operation to a banded matrix, updating the band in
+/// place through arena-backed strips (bitwise identical to
+/// [`execute_chase_reference`]).
 pub fn execute_chase(bmat: &mut BandedSym, op: &ChaseOp) {
     CHASE_WINDOWS.add(1);
-    if zero_copy_enabled() {
-        with_ws(|ws| chase_banded_fast(bmat, op, ws, false));
-    } else {
-        execute_chase_reference(bmat, op);
-    }
+    with_ws(|ws| chase_banded_fast(bmat, op, ws, false));
 }
 
 /// The seed's chase executor: materialize the dense symmetric window,
@@ -708,11 +675,7 @@ pub fn execute_chase_reference(bmat: &mut BandedSym, op: &ChaseOp) {
 /// factors `(U, T)` acting on global rows `op.qr_rows`.
 pub fn execute_chase_recording(bmat: &mut BandedSym, op: &ChaseOp) -> (Matrix, Matrix) {
     CHASE_WINDOWS.add(1);
-    if zero_copy_enabled() {
-        with_ws(|ws| chase_banded_fast(bmat, op, ws, true)).expect("recording chase returns factors")
-    } else {
-        execute_chase_recording_reference(bmat, op)
-    }
+    with_ws(|ws| chase_banded_fast(bmat, op, ws, true)).expect("recording chase returns factors")
 }
 
 /// Reference-path [`execute_chase_recording`] (dense window, allocating).

@@ -54,7 +54,7 @@
 use crate::gemm::{matmul, Trans};
 use crate::matrix::Matrix;
 use crate::tridiag::{try_tridiag_eigen, NoConvergence};
-use crate::tune;
+use ca_obs::knobs::serial;
 use rayon::prelude::*;
 
 // Secular-equation work counters (live only when `CA_TRACE ≥ 1`).
@@ -65,16 +65,20 @@ const EPS: f64 = f64::EPSILON;
 /// Secular systems at least this large solve their roots over rayon
 /// workers (same threshold flavour as `sturm::PAR_EIGS`).
 const PAR_ROOTS: usize = 64;
+/// Subproblem size at or below which the recursion falls back to the
+/// implicit-shift QL solver, whose `O(n²)` rotations beat the merge
+/// machinery's constant factors there.
+pub(crate) const LEAF: usize = 40;
 
 /// Eigenvalues and orthonormal eigenvectors of the symmetric
 /// tridiagonal matrix `(d, e)` by divide-and-conquer: returns
 /// `(λ ascending, Z)` with `T·Z = Z·diag(λ)`, like
 /// [`crate::tridiag::tridiag_eigen`]. Subproblems of size
-/// ≤ [`tune::dnc_leaf`] fall back to the QL solver, whose convergence
+/// ≤ 40 fall back to the QL solver, whose convergence
 /// failure (never observed on finite input) is the only error path.
 pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     check_shape(d, e);
-    solve_full(d, e, tune::dnc_leaf().max(2))
+    solve_full(d, e, LEAF)
 }
 
 /// Eigenvalues only, in ascending order. Same recursion and merge
@@ -82,7 +86,7 @@ pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergen
 /// and last eigenvector rows) instead of the full `Z`.
 pub fn dnc_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
     check_shape(d, e);
-    let (lam, _) = solve_rows(d, e, tune::dnc_leaf().max(2))?;
+    let (lam, _) = solve_rows(d, e, LEAF)?;
     Ok(lam)
 }
 
@@ -96,7 +100,7 @@ fn run_pair<RA: Send, RB: Send>(
     a: impl FnOnce() -> RA + Send,
     b: impl FnOnce() -> RB + Send,
 ) -> (RA, RB) {
-    if tune::serial() {
+    if serial() {
         (a(), b())
     } else {
         rayon::join(a, b)
@@ -320,7 +324,7 @@ struct Root {
 /// coefficient matrix via the Gu/Eisenstat ẑ recomputation.
 fn secular_system(dk: &[f64], zk: &[f64], rho: f64) -> (Vec<Root>, Matrix) {
     let m = dk.len();
-    let roots: Vec<Root> = if m >= PAR_ROOTS && !tune::serial() {
+    let roots: Vec<Root> = if m >= PAR_ROOTS && !serial() {
         (0..m)
             .into_par_iter()
             .map(|j| secular_root(dk, zk, rho, j))
@@ -608,21 +612,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Run `f` with the D&C leaf size pinned to `leaf` for this thread
-    /// only: the process-global setter would change the leaf under
-    /// sibling tests mid-solve (the drivers read it once at entry, so
-    /// the pin covers the halves they fork).
-    fn with_leaf<R>(leaf: usize, f: impl FnOnce() -> R) -> R {
-        let pinned = tune::KnobSnapshot {
-            dnc_leaf: leaf,
-            ..tune::KnobSnapshot::capture()
-        };
-        tune::with_knobs(pinned, f)
-    }
-
-    fn check_eigen(d: &[f64], e: &[f64], tol: f64) {
+    /// All oracle checks for one `(d, e)` instance, recursing down to
+    /// subproblems of size `leaf`; returns the eigenvalues.
+    fn check_eigen(d: &[f64], e: &[f64], tol: f64, leaf: usize) -> Vec<f64> {
         let n = d.len();
-        let (lam, z) = dnc_eigen(d, e).expect("converges");
+        let (lam, z) = solve_full(d, e, leaf).expect("converges");
         // Ascending.
         for w in lam.windows(2) {
             assert!(w[0] <= w[1], "eigenvalues not sorted");
@@ -661,8 +655,9 @@ mod tests {
             tz.max_diff(&zl)
         );
         // Values-only variant agrees exactly.
-        let vals = dnc_eigenvalues(d, e).expect("converges");
+        let (vals, _) = solve_rows(d, e, leaf).expect("converges");
         assert_eq!(vals, lam, "row-pair recursion diverged from full recursion");
+        lam
     }
 
     #[test]
@@ -670,7 +665,7 @@ mod tests {
         let n = 33;
         let d = vec![2.0; n];
         let e = vec![-1.0; n - 1];
-        let (lam, _) = with_leaf(8, || dnc_eigen(&d, &e)).unwrap();
+        let (lam, _) = solve_full(&d, &e, 8).unwrap();
         for (idx, l) in lam.iter().enumerate() {
             let want =
                 2.0 - 2.0 * ((idx + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
@@ -684,7 +679,7 @@ mod tests {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 17, 31, 33, 64, 65] {
             let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let e: Vec<f64> = (0..n.saturating_sub(1)).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            check_eigen(&d, &e, 1e-11);
+            check_eigen(&d, &e, 1e-11, LEAF);
         }
     }
 
@@ -695,7 +690,7 @@ mod tests {
         for n in [6usize, 11, 24, 37] {
             let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let e: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            with_leaf(2, || check_eigen(&d, &e, 1e-11));
+            check_eigen(&d, &e, 1e-11, 2);
         }
     }
 
@@ -705,7 +700,7 @@ mod tests {
         let d = vec![3.0, -1.0, 2.0, 0.5, 4.0, -2.0, 1.5, 0.25];
         let mut e = vec![0.4; 7];
         e[3] = 0.0;
-        check_eigen(&d, &e, 1e-12);
+        check_eigen(&d, &e, 1e-12, LEAF);
     }
 
     #[test]
@@ -730,7 +725,7 @@ mod tests {
         let n = 21;
         let d: Vec<f64> = (0..n).map(|i| (i as f64 - 10.0).abs()).collect();
         let e = vec![1.0; n - 1];
-        check_eigen(&d, &e, 1e-11);
+        check_eigen(&d, &e, 1e-11, LEAF);
         let (lam, _) = dnc_eigen(&d, &e).unwrap();
         assert!((lam[n - 1] - 10.746194182903393).abs() < 1e-9);
     }
@@ -752,7 +747,7 @@ mod tests {
         let n = 32;
         let d = vec![1.0; n];
         let e = vec![0.5; n - 1];
-        check_eigen(&d, &e, 1e-11);
+        check_eigen(&d, &e, 1e-11, LEAF);
     }
 
     #[test]
@@ -765,6 +760,29 @@ mod tests {
             let vals = dnc_eigenvalues(&d, &e).unwrap();
             let (full, _) = dnc_eigen(&d, &e).unwrap();
             assert_eq!(vals, full);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Raw random `(d, e)` over the awkward sizes (minimal, primes,
+        /// `2^k ± 1`) with leaf 2, so the recursion tree is as deep as
+        /// the size permits; oracles are QL (in `check_eigen`) and Sturm
+        /// bisection on the same data.
+        #[test]
+        fn random_tridiagonals_forced_deep_recursion(
+            size_ix in 0usize..12,
+            seed in 0u64..1u64 << 48,
+        ) {
+            let n = [2usize, 3, 5, 7, 13, 17, 31, 33, 47, 63, 65, 97][size_ix];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dense = gen::random_banded(&mut rng, n, 1);
+            let d: Vec<f64> = (0..n).map(|i| dense.get(i, i)).collect();
+            let e: Vec<f64> = (0..n - 1).map(|i| dense.get(i + 1, i)).collect();
+            let lam = check_eigen(&d, &e, 1e-9, 2);
+            let bis = sturm::bisection_eigenvalues(&d, &e, 1e-12);
+            proptest::prop_assert!(spectrum_distance(&lam, &bis) < 1e-9);
         }
     }
 }

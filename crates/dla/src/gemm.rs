@@ -28,7 +28,6 @@
 use crate::matrix::Matrix;
 use crate::view::{MatrixView, MatrixViewMut};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Operand orientation for [`gemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,15 +55,6 @@ const SMALL_FLOPS: usize = 1 << 17;
 
 /// Row count threshold above which the small kernel parallelizes.
 const PAR_ROWS: usize = 128;
-
-static BLOCKED_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the blocked path at runtime, routing every product
-/// through the fused unblocked loop instead — the benchmark hook for
-/// before/after comparisons (see `ca-bench`'s `bench_pr1`).
-pub fn set_blocked_enabled(on: bool) {
-    BLOCKED_ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// `C ← α·op(A)·op(B) + β·C`.
 ///
@@ -161,7 +151,7 @@ fn gemm_dispatch(
     }
 
     let (dm, dn, dk) = decision_shape;
-    if 2 * dm * dn * dk < SMALL_FLOPS || !BLOCKED_ENABLED.load(Ordering::Relaxed) {
+    if 2 * dm * dn * dk < SMALL_FLOPS {
         gemm_small(alpha, a, ta, b, tb, c);
     } else {
         gemm_blocked(alpha, a, ta, b, tb, c);
@@ -340,16 +330,12 @@ unsafe fn micro_kernel_avx2(kb: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; 
     }
 }
 
-/// True when the lookahead engine is on and the host supports the wide
-/// micro-kernel. Part of the `CA_LOOKAHEAD` engine (like the zero-copy
-/// carma/streaming internals): the barrier leg keeps the portable
-/// kernel so engine-off timings stay representative of the seed path,
-/// while the engine-on leg runs the bitwise-identical AVX2 tile.
+/// True when the host supports the wide micro-kernel (detected once).
 #[cfg(target_arch = "x86_64")]
 fn simd_kernel_enabled() -> bool {
     use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
-    ca_obs::knobs::lookahead() && *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 

@@ -14,8 +14,7 @@
 //!   with the exact index ranges of Algorithm IV.2 ([`band`], [`bulge`]),
 //! * symmetric tridiagonal eigensolvers: implicit-shift QL,
 //!   Sturm-sequence bisection, and GEMM-rich divide-and-conquer
-//!   ([`tridiag`], [`sturm`], [`dnc`]), with runtime-tunable kernel
-//!   crossovers ([`tune`]),
+//!   ([`tridiag`], [`sturm`], [`dnc`]),
 //! * reproducible matrix generators with prescribed spectra ([`gen`]),
 //! * analytic flop / vertical-traffic cost formulas ([`costs`]) used by
 //!   the virtual-BSP layer to charge local work,
@@ -44,7 +43,6 @@ pub mod qr;
 pub mod sturm;
 pub mod sym;
 pub mod tridiag;
-pub mod tune;
 pub mod view;
 pub mod workspace;
 

@@ -1,21 +1,33 @@
 //! Symmetric tridiagonal eigenvalues via the implicit-shift QL method.
 //!
 //! This is the final sequential stage of Algorithm IV.3: after the band
-//! has been reduced to width `n/p` and gathered on one processor, it is
-//! reduced to tridiagonal form (reusing the bulge-chasing kernel with
-//! `h = 1`) and its eigenvalues are computed here. The paper cites MRRR
-//! for this step; any correct `O(n²)`-ish sequential tridiagonal solver
-//! exercises the same code path (DESIGN.md §2), and the independent
-//! Sturm-sequence bisection solver in [`crate::sturm`] cross-checks it.
+//! has been reduced to width `n/p` and gathered on one processor,
+//! [`try_banded_eigenvalues`] reduces it to tridiagonal form (the fused
+//! rank-1 sweep of [`crate::bulge`]) and computes its eigenvalues —
+//! by divide-and-conquer ([`crate::dnc`]) with the QL solver of this
+//! module as its leaf. The paper cites MRRR for this step; any correct
+//! `O(n²)`-ish sequential tridiagonal solver exercises the same code
+//! path (DESIGN.md §2), and the independent Sturm-sequence bisection
+//! solver in [`crate::sturm`] cross-checks it.
 
 use crate::band::BandedSym;
 use crate::bulge;
-use crate::tune;
+use crate::dnc;
 
 /// Maximum implicit-QL iterations per eigenvalue before the solver
 /// reports [`NoConvergence`] (EISPACK used 30; 64 is generous — on
 /// finite input the shift strategy converges cubically).
 const MAX_QL_ITERS: usize = 64;
+
+/// Bandwidth above which the band → tridiagonal reduction first halves
+/// the band (fat rank-`b/2` block reflectors) before the fused rank-1
+/// sweep ([`bulge::sweep_to_tridiagonal`]) finishes it. The fused
+/// sweep's contiguous slab kernel runs near memory bandwidth, so on the
+/// reference host the direct sweep beats any halving schedule for every
+/// bandwidth the solver produces (n = 512: floor 128 ≈ 36 ms vs floor
+/// 64 ≈ 48 ms) — the floor therefore sits above the pipeline's
+/// intermediate bandwidths.
+pub const HALVE_FLOOR: usize = 128;
 
 /// A tridiagonal eigensolver failed to converge within its iteration
 /// budget. On finite input this does not occur (the Wilkinson shift
@@ -237,18 +249,13 @@ pub fn banded_eigenvalues(b: &BandedSym) -> Vec<f64> {
     try_banded_eigenvalues(b).unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// Eigenvalues of a symmetric banded matrix, computed sequentially:
-/// bulge-chase the band down to tridiagonal and run a tridiagonal
-/// eigensolver, with non-convergence reported as [`NoConvergence`].
-///
-/// The schedule is governed by [`crate::tune`]. With divide-and-conquer
-/// enabled (the default), bandwidth-halving sweeps (fat rank-`b/2`
-/// block reflectors — matrix–matrix rates) run while the band is above
-/// [`tune::halve_floor`], the remaining reduction runs as one fused
-/// rank-1 sweep ([`bulge::sweep_to_tridiagonal`]), and the tridiagonal
-/// spectrum comes from [`crate::dnc`]. With `CA_DNC=0` the legacy
-/// schedule is preserved exactly: halve to bandwidth 8, generic `h = 1`
-/// chase, implicit-QL finale.
+/// Eigenvalues of a symmetric banded matrix, computed sequentially,
+/// with non-convergence reported as [`NoConvergence`]:
+/// bandwidth-halving sweeps (fat rank-`b/2` block reflectors —
+/// matrix–matrix rates) run while the band is above [`HALVE_FLOOR`],
+/// the remaining reduction runs as one fused rank-1 sweep
+/// ([`bulge::sweep_to_tridiagonal`]), and the tridiagonal spectrum
+/// comes from [`crate::dnc`] (implicit QL at or below its leaf size).
 pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> {
     let n = b.n();
     if n == 1 {
@@ -257,20 +264,9 @@ pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> 
     let bw = b.bandwidth().max(b.measured_bandwidth(0.0));
     if bw <= 1 {
         let (d, e) = b.tridiagonal();
-        return if tune::dnc_enabled() && d.len() > tune::dnc_leaf() {
-            crate::dnc::dnc_eigenvalues(&d, &e)
-        } else {
-            try_tridiag_eigenvalues(&d, &e)
-        };
+        return tridiagonal_spectrum(&d, &e);
     }
-    // Re-house with enough fill capacity, then reduce to tridiagonal in
-    // bandwidth-halving sweeps while the band is fat: each halving's
-    // chases apply rank-⌈b/2⌉ block reflectors (fat GEMMs) instead of
-    // the rank-1 updates a direct b → 1 sweep degenerates to — the
-    // difference between matrix–matrix and matrix–vector flop rates.
-    // Below the crossover the chase count (∼n²/b² per halving) and its
-    // per-window overhead dominate the shrinking flop payload, so the
-    // tail runs as one direct sweep to bandwidth 1. The initial
+    // Re-house with enough fill capacity for the reduction: the initial
     // capacity 2·bw covers every later halving's 2·b′ fill as well.
     let cap = (2 * bw).min(n - 1);
     let mut work = BandedSym::zeros(n, bw, cap);
@@ -279,30 +275,22 @@ pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> 
             work.set(i, j, b.get(i, j));
         }
     }
-    if tune::dnc_enabled() {
-        let floor = tune::halve_floor();
-        while work.bandwidth() > floor {
-            bulge::reduce_band(&mut work, 2);
-        }
-        if work.bandwidth() > 1 {
-            bulge::sweep_to_tridiagonal(&mut work);
-        }
-        let (d, e) = work.tridiagonal();
-        if d.len() > tune::dnc_leaf() {
-            crate::dnc::dnc_eigenvalues(&d, &e)
-        } else {
-            try_tridiag_eigenvalues(&d, &e)
-        }
+    while work.bandwidth() > HALVE_FLOOR {
+        bulge::reduce_band(&mut work, 2);
+    }
+    if work.bandwidth() > 1 {
+        bulge::sweep_to_tridiagonal(&mut work);
+    }
+    let (d, e) = work.tridiagonal();
+    tridiagonal_spectrum(&d, &e)
+}
+
+/// Divide-and-conquer above its leaf size, values-only QL below.
+fn tridiagonal_spectrum(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
+    if d.len() > dnc::LEAF {
+        dnc::dnc_eigenvalues(d, e)
     } else {
-        const HALVE_FLOOR: usize = 8;
-        while work.bandwidth() > HALVE_FLOOR {
-            bulge::reduce_band(&mut work, 2);
-        }
-        if work.bandwidth() > 1 {
-            bulge::reduce_band_to(&mut work, 1);
-        }
-        let (d, e) = work.tridiagonal();
-        try_tridiag_eigenvalues(&d, &e)
+        try_tridiag_eigenvalues(d, e)
     }
 }
 
@@ -449,17 +437,16 @@ mod tests {
 
     #[test]
     fn banded_engines_agree_on_spectrum() {
-        // Same matrix through the legacy (halve-to-8 + QL) and tuned
-        // (fused sweep + D&C) schedules.
+        // Same matrix through the generic-chase + QL schedule (built
+        // here from its public pieces) and the fused sweep + D&C one.
         let mut rng = StdRng::seed_from_u64(54);
         let dense = gen::random_banded(&mut rng, 60, 7);
         let b = BandedSym::from_dense(&dense, 7, 14);
-        let was = crate::tune::dnc_enabled();
-        crate::tune::set_dnc_enabled(true);
         let tuned = banded_eigenvalues(&b);
-        crate::tune::set_dnc_enabled(false);
-        let legacy = banded_eigenvalues(&b);
-        crate::tune::set_dnc_enabled(was);
+        let mut w = b.clone();
+        bulge::reduce_band_to(&mut w, 1);
+        let (d, e) = w.tridiagonal();
+        let legacy = try_tridiag_eigenvalues(&d, &e).unwrap();
         let dist = spectrum_distance(&tuned, &legacy);
         assert!(dist < 1e-9 * dense.norm_fro().max(1.0), "engines differ by {dist}");
     }

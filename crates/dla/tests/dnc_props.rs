@@ -19,7 +19,6 @@
 use ca_dla::bulge::reduce_band_to;
 use ca_dla::gemm::{matmul, Trans};
 use ca_dla::tridiag::spectrum_distance;
-use ca_dla::tune::KnobSnapshot;
 use ca_dla::{dnc, gen, sturm, BandedSym, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -118,27 +117,5 @@ proptest! {
         let spectrum = gen::graded_spectrum(n, 10.0, decay);
         let (d, e) = tridiag_with_spectrum(seed, &spectrum);
         check_against_oracles(&d, &e, &spectrum, 1e-8);
-    }
-
-    #[test]
-    fn random_tridiagonals_forced_deep_recursion(
-        size_ix in 0usize..SIZES.len(),
-        seed in 0u64..1u64 << 48,
-    ) {
-        // Raw random (d, e) with a tiny leaf so the recursion tree is as
-        // deep as the size permits; oracle is QL + Sturm on the same data.
-        let n = SIZES[size_ix];
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dense = gen::random_banded(&mut rng, n, 1);
-        let d: Vec<f64> = (0..n).map(|i| dense.get(i, i)).collect();
-        let e: Vec<f64> = (0..n - 1).map(|i| dense.get(i + 1, i)).collect();
-
-        // Pinned for this thread only: the process-global setter would
-        // change the leaf under the sibling properties mid-solve.
-        let pinned = KnobSnapshot { dnc_leaf: 2, ..KnobSnapshot::capture() };
-        ca_dla::tune::with_knobs(pinned, || {
-            let ql = ca_dla::tridiag::tridiag_eigenvalues(&d, &e);
-            check_against_oracles(&d, &e, &ql, 1e-9);
-        });
     }
 }

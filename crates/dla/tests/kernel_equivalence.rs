@@ -12,7 +12,7 @@
 
 use ca_dla::bulge::{
     chase_plan_to, execute_chase, execute_chase_recording, execute_chase_recording_reference,
-    execute_chase_reference, zero_copy_enabled,
+    execute_chase_reference,
 };
 use ca_dla::gen;
 use ca_dla::sturm::{bisection_eigenvalues, kth_eigenvalue};
@@ -36,7 +36,6 @@ proptest! {
         seed in 0u64..1024,
     ) {
         prop_assume!(h < b && b % h != 0); // ragged: h ∤ b
-        prop_assert!(zero_copy_enabled(), "engine must be on by default");
         let n = SIZES[ni];
         let mut rng = StdRng::seed_from_u64(seed);
         let dense = gen::random_banded(&mut rng, n, b);

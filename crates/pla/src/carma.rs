@@ -56,40 +56,9 @@ pub fn carma(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize) -> Mat
 /// the entry charge, keeping only the internal replication/reduction
 /// traffic.
 pub fn carma_spread(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize) -> Matrix {
-    let (mm, kk) = (a.rows(), a.cols());
-    let (kk2, nn) = (b.rows(), b.cols());
-    assert_eq!(kk, kk2, "carma: inner dimensions disagree");
-    if ca_obs::knobs::lookahead() {
-        // Lookahead mode routes every multiply through the zero-copy
-        // recursion — bitwise- and ledger-identical to the path below
-        // (`into_variant_is_bitwise_identical_with_matching_charges`),
-        // it just skips the per-split operand extraction copies.
-        let mut out = Matrix::zeros(mm, nn);
-        carma_spread_into(m, group, &a.view(), Trans::N, &b.view(), v, &mut out.view_mut());
-        return out;
-    }
-    let v = v.max(1).min(kk.max(1));
-    if v == 1 || kk < 2 * v {
-        return carma_rec(m, group, a, b);
-    }
-    // Serialize into v inner-dimension chunks (streaming): each chunk is
-    // a full recursive multiply; partial products accumulate in place.
-    let mut c = Matrix::zeros(mm, nn);
-    let bounds: Vec<usize> = (0..=v).map(|i| i * kk / v).collect();
-    let g = group.len() as u64;
-    for w in bounds.windows(2) {
-        if w[1] == w[0] {
-            continue;
-        }
-        let ac = a.block(0, w[0], mm, w[1] - w[0]);
-        let bc = b.block(w[0], 0, w[1] - w[0], nn);
-        let part = carma_rec(m, group, &ac, &bc);
-        c.axpy(1.0, &part);
-        for &pid in group.procs() {
-            m.charge_flops(pid, (mm * nn) as u64 / g);
-        }
-    }
-    c
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    carma_spread_into(m, group, &a.view(), Trans::N, &b.view(), v, &mut out.view_mut());
+    out
 }
 
 /// Rows/cols of `op(A)` for a view operand.
@@ -118,25 +87,20 @@ fn op_sub<'a>(
     }
 }
 
-/// Zero-copy [`carma_spread`]: `out ← op(A)·B` written directly into a
-/// strided output view, with operands taken as (optionally transposed)
-/// views of their parent storage.
+/// The Lemma III.2 multiply on views: `out ← op(A)·B` written directly
+/// into a strided output view, with operands taken as (optionally
+/// transposed) views of their parent storage; [`carma_spread`] is the
+/// allocating wrapper.
 ///
-/// Used by the task-graph (`CA_LOOKAHEAD`) path of the reduction
-/// drivers, which address aggregate panels in place instead of
-/// extracting blocks. The result and the ledger charges are **bitwise
-/// identical** to `carma_spread` on extracted copies:
+/// The reduction drivers address aggregate panels in place instead of
+/// extracting blocks. Charges are shape-derived, so neither the output
+/// stride nor `ta` changes the ledger or the product's bits:
 ///
-/// * every split recurses on the same logical sub-shapes, so the charge
-///   sequence (values *and* order) is unchanged;
-/// * `m`/`n` splits route disjoint output regions instead of
-///   `vstack`/`set_block` assembly — pure data-movement elimination;
-/// * `k` splits and `v`-chunking keep the copy path's
-///   temporary-plus-elementwise-add accumulation, preserving the exact
-///   add sequence (including the `0.0 + x` of the first chunk);
-/// * the one-processor base writes through a `β = 0` GEMM, which
-///   pre-zeroes the output and therefore stores the same bits as a
-///   fresh-matrix product copied into place;
+/// * `m`/`n` splits recurse into disjoint output regions;
+/// * `k` splits and `v`-chunking accumulate through a temporary plus
+///   one elementwise add (the `0.0 + x` of the first chunk is
+///   observable on signed zeros, so it is part of the contract);
+/// * the one-processor base writes through a `β = 0` GEMM;
 /// * a transposed operand reads through the GEMM kernels' `op(A)`
 ///   resolver, which performs the same arithmetic in the same order as
 ///   on a pre-transposed copy.
@@ -162,9 +126,10 @@ pub fn carma_spread_into(
         carma_rec_into(m, group, a, ta, b, out);
         return;
     }
-    // v inner-dimension chunks, accumulated chunk-by-chunk exactly as
-    // the copy path does (zero-fill + add, not first-chunk direct write:
-    // the `0.0 + x` add is observable on signed zeros).
+    // Serialize into v inner-dimension chunks (streaming): each chunk is
+    // a full recursive multiply, accumulated by zero-fill + add (not a
+    // first-chunk direct write: the `0.0 + x` add is observable on
+    // signed zeros).
     out.fill(0.0);
     let bounds: Vec<usize> = (0..=v).map(|i| i * kk / v).collect();
     let g = group.len() as u64;
@@ -183,8 +148,8 @@ pub fn carma_spread_into(
     }
 }
 
-/// The recursion behind [`carma_spread_into`] — mirrors [`carma_rec`]
-/// split-for-split with the output routed to disjoint sub-views.
+/// The BFS recursion behind [`carma_spread_into`], with the output
+/// routed to disjoint sub-views.
 fn carma_rec_into(
     m: &Machine,
     group: &Grid,
@@ -210,6 +175,8 @@ fn carma_rec_into(
         let a1 = op_sub(a, ta, 0, 0, cut, kk);
         let a2 = op_sub(a, ta, cut, 0, mm - cut, kk);
         for &pid in group.procs() {
+            // Each processor's share of B doubles (A rows stay in place
+            // in the recursive layout).
             m.charge_comm(pid, 2 * (kk * nn) as u64 / gw);
             m.alloc(pid, (kk * nn) as u64 / gw);
         }
@@ -236,9 +203,8 @@ fn carma_rec_into(
         }
     } else if kk >= 2 {
         // Split the inner dimension: both halves compute a partial C,
-        // combined with a summed reduction over the full group. The
-        // copy path's `c2.axpy(1.0, c1)` accumulation is preserved:
-        // first half into a temporary, second half into `out`, one
+        // combined with a summed reduction over the full group: first
+        // half into a temporary, second half into `out`, one
         // elementwise add.
         let cut = kk * g1 / g;
         let a1 = op_sub(a, ta, 0, 0, mm, cut);
@@ -257,77 +223,6 @@ fn carma_rec_into(
     } else {
         // Degenerate tiny dimensions: compute on rank 0.
         kern::local_matmul_into(m, group.proc(0), a, ta, b, Trans::N, out);
-    }
-}
-
-fn carma_rec(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix) -> Matrix {
-    let g = group.len();
-    if g == 1 {
-        return kern::local_matmul(m, group.proc(0), a, Trans::N, b, Trans::N);
-    }
-    let (mm, kk) = (a.rows(), a.cols());
-    let nn = b.cols();
-    let g1 = g / 2;
-    let halves = (group.prefix(g1), Grid::new_1d(group.procs()[g1..].to_vec()));
-    let gw = g as u64;
-
-    if mm >= kk && mm >= nn && mm >= 2 {
-        // Split rows of A (and C); B is replicated into both halves.
-        let cut = mm * g1 / g;
-        let a1 = a.block(0, 0, cut, kk);
-        let a2 = a.block(cut, 0, mm - cut, kk);
-        for &pid in group.procs() {
-            // Each processor's share of B doubles (A rows stay in place
-            // in the recursive layout).
-            m.charge_comm(pid, 2 * (kk * nn) as u64 / gw);
-            m.alloc(pid, (kk * nn) as u64 / gw);
-        }
-        m.step(group.procs(), 1);
-        let c1 = carma_rec(m, &halves.0, &a1, b);
-        let c2 = carma_rec(m, &halves.1, &a2, b);
-        for &pid in group.procs() {
-            m.free(pid, (kk * nn) as u64 / gw);
-        }
-        Matrix::vstack(&[&c1, &c2])
-    } else if nn >= kk && nn >= 2 {
-        // Split columns of B (and C); A is replicated into both halves.
-        let cut = nn * g1 / g;
-        let b1 = b.block(0, 0, kk, cut);
-        let b2 = b.block(0, cut, kk, nn - cut);
-        for &pid in group.procs() {
-            m.charge_comm(pid, 2 * (mm * kk) as u64 / gw);
-            m.alloc(pid, (mm * kk) as u64 / gw);
-        }
-        m.step(group.procs(), 1);
-        let c1 = carma_rec(m, &halves.0, a, &b1);
-        let c2 = carma_rec(m, &halves.1, a, &b2);
-        for &pid in group.procs() {
-            m.free(pid, (mm * kk) as u64 / gw);
-        }
-        let mut c = Matrix::zeros(mm, nn);
-        c.set_block(0, 0, &c1);
-        c.set_block(0, cut, &c2);
-        c
-    } else if kk >= 2 {
-        // Split the inner dimension: both halves compute a partial C,
-        // combined with a summed reduction over the full group.
-        let cut = kk * g1 / g;
-        let a1 = a.block(0, 0, mm, cut);
-        let a2 = a.block(0, cut, mm, kk - cut);
-        let b1 = b.block(0, 0, cut, nn);
-        let b2 = b.block(cut, 0, kk - cut, nn);
-        let c1 = carma_rec(m, &halves.0, &a1, &b1);
-        let mut c2 = carma_rec(m, &halves.1, &a2, &b2);
-        for &pid in group.procs() {
-            m.charge_comm(pid, 2 * (mm * nn) as u64 / gw);
-            m.charge_flops(pid, (mm * nn) as u64 / gw);
-        }
-        m.step(group.procs(), 1);
-        c2.axpy(1.0, &c1);
-        c2
-    } else {
-        // Degenerate tiny dimensions: compute on rank 0.
-        kern::local_matmul(m, group.proc(0), a, Trans::N, b, Trans::N)
     }
 }
 
@@ -381,18 +276,21 @@ mod tests {
 
     #[test]
     fn into_variant_is_bitwise_identical_with_matching_charges() {
-        // The zero-copy recursion must reproduce the copy path exactly:
-        // same f64 bits in the product (written into an offset region of
-        // a larger buffer) and the same folded ledger, for both operand
-        // orientations and with v-chunking active.
-        let _knob = crate::test_knob::barrier_guard();
-        for (mm, kk, nn, g, v, ta, seed) in [
-            (24usize, 32usize, 16usize, 4usize, 1usize, Trans::N, 310u64),
-            (24, 32, 16, 4, 4, Trans::N, 311),
-            (64, 8, 8, 6, 1, Trans::N, 312),
-            (8, 40, 8, 8, 5, Trans::N, 313), // k-split + chunking
-            (17, 13, 19, 5, 2, Trans::T, 314),
-            (32, 24, 16, 4, 3, Trans::T, 315),
+        // Output stride and `op(A)` must be invisible: writing into an
+        // offset region of a larger buffer from a (possibly transposed)
+        // stored operand agrees bitwise and in ledger with the plain
+        // wrapper, with v-chunking active, and the ledger is the one the
+        // deleted copy-path recursion charged (its `report()` at the
+        // commit before its removal).
+        for (mm, kk, nn, g, v, ta, seed, pin) in [
+            (24usize, 32usize, 16usize, 4usize, 1usize, Trans::N, 310u64,
+             [6240u64, 448, 640, 3, 128, 1792, 24960]),
+            (24, 32, 16, 4, 4, Trans::N, 311, [6528, 640, 1024, 9, 80, 2560, 26112]),
+            (64, 8, 8, 6, 1, Trans::N, 312, [1408, 127, 240, 4, 63, 634, 8192]),
+            // k-split + chunking
+            (8, 40, 8, 8, 5, Trans::N, 313, [720, 240, 240, 16, 16, 1920, 5760]),
+            (17, 13, 19, 5, 2, Trans::T, 314, [2000, 347, 378, 7, 93, 1241, 9038]),
+            (32, 24, 16, 4, 3, Trans::T, 315, [6528, 576, 960, 7, 96, 2304, 26112]),
         ] {
             let grid = Grid::all(g);
             let mut rng = StdRng::seed_from_u64(seed);
@@ -405,15 +303,13 @@ mod tests {
 
             let m1 = machine(g);
             let a_op = match ta {
-                Trans::N => a.block(0, 0, mm, kk),
+                Trans::N => a.clone(),
                 Trans::T => a.transpose(),
             };
             let want = carma_spread(&m1, &grid, &a_op, &b, v);
             m1.fence();
 
             let m2 = machine(g);
-            // Write into an interior region of a larger host to exercise
-            // the strided case.
             let mut host = Matrix::zeros(mm + 3, nn + 2);
             carma_spread_into(
                 &m2,
@@ -434,10 +330,12 @@ mod tests {
                     );
                 }
             }
+            let r = m1.report();
+            assert_eq!(r, m2.report(), "seed {seed}: ledger depends on stride / op(A)");
             assert_eq!(
-                m1.report(),
-                m2.report(),
-                "m={mm} k={kk} n={nn} g={g} v={v} ta={ta:?}: ledger diverged"
+                crate::ledger_array(r),
+                pin,
+                "seed {seed}: ledger drifted from the copy-path pin"
             );
         }
     }

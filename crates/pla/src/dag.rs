@@ -1,28 +1,30 @@
 //! Dependency-driven task-graph executor with superstep lookahead.
 //!
 //! The BSP executor ([`crate::exec`]) joins every worker at every
-//! superstep: panel QR serializes against trailing updates even when
-//! their operands are disjoint. This module removes that barrier. A
-//! driver expresses one reduction as a [`TaskGraph`] — panel-QR,
-//! trailing-update, aggregate and chase-window nodes with explicit data
-//! dependencies — and the executor runs any task whose dependencies
-//! have completed, regardless of which superstep the barrier path would
-//! have assigned it to (depth-1 panel lookahead falls out naturally:
-//! panel `k+1`'s first tasks become ready while panel `k`'s trailing
-//! updates are still in flight).
+//! superstep: run that way, panel QR serializes against trailing
+//! updates even when their operands are disjoint. This module is the
+//! reduction drivers' one way of running instead. A driver expresses
+//! one reduction as a [`TaskGraph`] — panel-QR, trailing-update,
+//! aggregate and chase-window nodes with explicit data dependencies,
+//! inserted in the algorithm's program order — and the executor runs
+//! any task whose dependencies have completed, regardless of which
+//! superstep the program order assigns it to (depth-1 panel lookahead
+//! falls out naturally: panel `k+1`'s first tasks become ready while
+//! panel `k`'s trailing updates are still in flight).
 //!
-//! ## Deterministic charging (the ledger stays bit-identical)
+//! ## Deterministic charging (the ledger is schedule-independent)
 //!
 //! Task bodies do not touch the live F/W/Q/S ledger. Each body runs
 //! under [`Machine::capture`], which redirects every `charge_*`,
 //! `alloc`/`free` and `step` into a per-task [`ChargeLog`]. After all
 //! tasks have completed, a *replay pass* applies the logs in task
 //! **insertion order**, executing [`Machine::fence`] wherever the
-//! driver placed a fence marker ([`TaskGraph::add_fence`]). Drivers
-//! insert tasks in the barrier path's program order, so the replayed
-//! event stream — and therefore the folded per-phase maxima, superstep
-//! counts and peak-memory high-water marks — is bitwise the stream the
-//! barrier path produces, no matter how execution interleaved.
+//! driver placed a fence marker ([`TaskGraph::add_fence`]). The
+//! replayed event stream — and therefore the folded per-phase maxima,
+//! superstep counts and peak-memory high-water marks — is bitwise the
+//! stream of the straight-line program (bodies in insertion order, a
+//! live fence at every marker), no matter how execution interleaved.
+//! `tests/dag_equivalence.rs` pins it.
 //!
 //! Because capture is thread-local, each body is additionally wrapped
 //! in [`exec::with_forced_serial`]: nested `par_ranks`/`join` dispatch
@@ -37,8 +39,8 @@
 //! With a core budget of one (single hardware thread, forced-serial
 //! dispatch, a batch-service worker with no cores to spare) or a
 //! single-task graph, bodies run inline in insertion order — zero
-//! scheduling overhead, and trivially the same order the barrier path
-//! executes. Otherwise the graph runs inside one `rayon::scope` of the
+//! scheduling overhead, and literally the straight-line program.
+//! Otherwise the graph runs inside one `rayon::scope` of the
 //! workspace's runtime: a task is `Scope::spawn`ed the moment its
 //! in-degree reaches zero, so tasks and the pieces forked inside them
 //! share the pool's one queue and an idle worker takes whichever
@@ -57,8 +59,7 @@
 //! Observability: every body runs inside a `dag.task` kernel span, and
 //! the `dag.ready_queue_depth` counter records the high-water mark of
 //! one graph's ready-but-unstarted tasks — the visible measure of how
-//! much work lookahead exposes beyond the barrier path's one-phase
-//! window.
+//! much work lookahead exposes beyond one superstep's window.
 
 use crate::exec;
 use ca_bsp::{ChargeLog, Machine};
@@ -137,9 +138,9 @@ enum Item {
 }
 
 /// A dependency graph of charged task bodies plus the fence positions
-/// of the equivalent barrier-path schedule. Build with
-/// [`TaskGraph::add_task`]/[`TaskGraph::add_fence`] in the barrier
-/// path's program order, then [`TaskGraph::run`].
+/// of the straight-line schedule. Build with
+/// [`TaskGraph::add_task`]/[`TaskGraph::add_fence`] in the algorithm's
+/// program order, then [`TaskGraph::run`].
 pub struct TaskGraph<'env> {
     machine: &'env Machine,
     tasks: Vec<Task<'env>>,
@@ -158,9 +159,10 @@ impl<'env> TaskGraph<'env> {
 
     /// Append a task. `deps` are ids of previously added tasks; the
     /// body may start as soon as all of them have completed. Insertion
-    /// order must be the barrier path's program order — it defines the
-    /// deterministic charge-replay order, and it is a topological order
-    /// by construction (deps point backwards only).
+    /// order must be the algorithm's program order — it is the inline
+    /// execution order and the deterministic charge-replay order, and it
+    /// is a topological order by construction (deps point backwards
+    /// only).
     pub fn add_task(
         &mut self,
         label: &'static str,
@@ -180,11 +182,10 @@ impl<'env> TaskGraph<'env> {
         id
     }
 
-    /// Mark a superstep barrier of the equivalent barrier-path
-    /// schedule. Execution does **not** wait here — the marker only
-    /// tells the replay pass where to fold the ledger
-    /// ([`Machine::fence`]), keeping the per-phase maxima identical to
-    /// the barrier path's.
+    /// Mark a superstep boundary of the straight-line schedule.
+    /// Execution does **not** wait here — the marker only tells the
+    /// replay pass where to fold the ledger ([`Machine::fence`]), so the
+    /// per-phase maxima do not depend on the execution order.
     pub fn add_fence(&mut self) {
         self.schedule.push(Item::Fence);
     }
@@ -201,7 +202,7 @@ impl<'env> TaskGraph<'env> {
 
     /// Execute every task (respecting dependencies), then replay the
     /// captured charge logs in insertion order with fences at the
-    /// recorded barrier positions.
+    /// recorded positions.
     pub fn run(self) {
         let n = self.tasks.len();
         let logs: Vec<OnceLock<ChargeLog>> = (0..n).map(|_| OnceLock::new()).collect();
@@ -221,8 +222,8 @@ impl<'env> TaskGraph<'env> {
             exec::mirror_rt_counters();
         }
 
-        // Deterministic charging pass: insertion order, fences where the
-        // barrier path would have fenced.
+        // Deterministic charging pass: insertion order, fences at the
+        // markers.
         for item in &self.schedule {
             match item {
                 Item::Task(id) => {
@@ -334,17 +335,17 @@ mod tests {
     }
 
     #[test]
-    fn charges_replay_into_fence_phases_like_the_barrier_path() {
-        // Barrier path: phase 1 charges (1000 on p0), fence, phase 2
+    fn charges_replay_into_fence_phases_like_the_straight_line_program() {
+        // Straight-line program: phase 1 charges (1000 on p0), fence, phase 2
         // charges (10 on p0, 2000 on p1), fence. Folded F must be
         // 1000 + 2000 regardless of execution interleaving.
-        let barrier = Machine::new(MachineParams::new(2));
-        barrier.charge_flops(0, 1000);
-        barrier.fence();
-        barrier.charge_flops(0, 10);
-        barrier.charge_flops(1, 2000);
-        barrier.fence();
-        let want = barrier.report();
+        let inline = Machine::new(MachineParams::new(2));
+        inline.charge_flops(0, 1000);
+        inline.fence();
+        inline.charge_flops(0, 10);
+        inline.charge_flops(1, 2000);
+        inline.fence();
+        let want = inline.report();
 
         let m = Machine::new(MachineParams::new(2));
         let mut g = TaskGraph::new(&m);

@@ -73,8 +73,9 @@ pub fn serial_forced() -> bool {
 /// Run `f` with executor dispatch forced serial on this thread,
 /// regardless of `CA_SERIAL`. Because serial dispatch keeps all work on
 /// the calling thread, the override propagates through nested executor
-/// calls. Used by the determinism tests to compare serial and parallel
-/// runs within one process.
+/// calls, and a [`crate::dag::TaskGraph`] run inside the scope executes
+/// its bodies inline in insertion order. Used by the determinism tests
+/// to compare serial and parallel runs within one process.
 pub fn with_forced_serial<T>(f: impl FnOnce() -> T) -> T {
     struct Restore(bool);
     impl Drop for Restore {

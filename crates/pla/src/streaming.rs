@@ -19,7 +19,7 @@ use crate::dist::DistMatrix;
 use crate::exec;
 use crate::grid::Grid;
 use ca_bsp::Machine;
-use ca_dla::gemm::{gemm, gemm_view, Trans};
+use ca_dla::gemm::{gemm_view, Trans};
 use ca_dla::view::{MatrixView, MatrixViewMut};
 use ca_dla::Matrix;
 
@@ -115,154 +115,36 @@ pub fn streaming_mm_dense(
     b: &Matrix,
     w: usize,
 ) -> Matrix {
-    let (r0, c0, nr, nc) = sub;
-    let (q0, q1, c) = grid3.shape();
-    assert_eq!(q0, q1, "streaming_mm expects a square per-layer grid");
-    let q = q0;
-    let (inner, out_rows) = if transpose_a { (nr, nc) } else { (nc, nr) };
-    assert_eq!(b.rows(), inner, "streaming_mm: inner dimension mismatch");
-    let k = b.cols();
-    if ca_obs::knobs::lookahead() {
-        // Lookahead mode routes through the zero-copy sweep — bitwise-
-        // and ledger-identical to the path below (see
-        // `view_into_variant_is_bitwise_identical_with_matching_charges`),
-        // it just reads the resident/streamed blocks as sub-views.
-        let mut out = Matrix::zeros(out_rows, k);
-        streaming_mm_view_into(
-            m,
-            grid3,
-            &a_dense.view(),
-            sub,
-            transpose_a,
-            &b.view(),
-            false,
-            w,
-            &mut out.view_mut(),
-        );
-        return out;
-    }
-    let w = w.max(1);
-    let z = w * c;
-
-    // Redistribute B (charged from any balanced layout).
-    let total_b = (inner * k) as u64;
-    for &pid in grid3.procs() {
-        m.charge_comm(pid, 2 * total_b / grid3.len() as u64);
-    }
-    m.step(grid3.procs(), 1);
-
-    // Split the inner dimension by the layer grid's owner blocks of A
-    // and the k dimension into z column blocks.
-    let inner_splits = crate::dist::splits(inner, q);
-    let k_splits = crate::dist::splits(k, z);
-
-    let mut out = Matrix::zeros(out_rows, k);
-    let out_splits = crate::dist::splits(out_rows, q);
-    let h_cache = m.cache_words();
-
-    for l in 0..c {
-        // Layer l handles column blocks h ∈ {l, l+c, …, l+(w−1)c}.
-        for step in 0..w {
-            let h = l + step * c;
-            if h >= z || k_splits[h] == k_splits[h + 1] {
-                continue;
-            }
-            let (k0, k1) = (k_splits[h], k_splits[h + 1]);
-            let kb = k1 - k0;
-            for jdim in 0..q {
-                let (j0, j1) = (inner_splits[jdim], inner_splits[jdim + 1]);
-                if j0 == j1 {
-                    continue;
-                }
-                let b_jh = b.block(j0, k0, j1 - j0, kb);
-                // Gather B_jh along the row dimension of the layer grid.
-                let gather_group = if transpose_a {
-                    grid3.dim1_group(jdim, l)
-                } else {
-                    grid3.dim0_group(jdim, l)
-                };
-                coll::allgather(m, &gather_group, b_jh.len() as u64 / q as u64);
-
-                // Each idim produces a disjoint output row range
-                // [i0, i1): run the charged multiplies concurrently and
-                // accumulate the partial products in rank order.
-                let b_jh = &b_jh;
-                let parts = exec::par_ranks(q, |idim| {
-                    let (i0, i1) = (out_splits[idim], out_splits[idim + 1]);
-                    if i0 == i1 {
-                        return None;
-                    }
-                    // The resident A block for this (i, j): rows/cols of
-                    // the submatrix.
-                    let (ar, ac, anr, anc) = if transpose_a {
-                        (r0 + j0, c0 + i0, j1 - j0, i1 - i0)
-                    } else {
-                        (r0 + i0, c0 + j0, i1 - i0, j1 - j0)
-                    };
-                    let a_blk = a_dense.block(ar, ac, anr, anc);
-                    let pid = grid3.at(
-                        if transpose_a { jdim } else { idim },
-                        if transpose_a { idim } else { jdim },
-                        l,
-                    );
-                    let ta = if transpose_a { Trans::T } else { Trans::N };
-                    // Charged local multiply with Lemma III.3 vertical
-                    // accounting: A resident in cache across iterations
-                    // when it fits.
-                    let flops = 2 * (i1 - i0) as u64 * (j1 - j0) as u64 * kb as u64;
-                    m.charge_flops(pid, flops);
-                    let a_words = a_blk.len() as u64;
-                    let bc_words = (b_jh.len() + (i1 - i0) * kb) as u64;
-                    let vert = if a_words <= h_cache && step > 0 {
-                        bc_words
-                    } else {
-                        bc_words + a_words
-                    };
-                    m.charge_vert(pid, vert);
-                    let mut part = Matrix::zeros(i1 - i0, kb);
-                    gemm(1.0, &a_blk, ta, b_jh, Trans::N, 0.0, &mut part);
-                    Some((i0, part))
-                });
-                // The reduce-scatter below performs the Σⱼ numerically
-                // represented by this serial in-order accumulation.
-                for (i0, part) in parts.into_iter().flatten() {
-                    for rr in 0..part.rows() {
-                        for cc in 0..part.cols() {
-                            out.add_to(i0 + rr, k0 + cc, part.get(rr, cc));
-                        }
-                    }
-                }
-            }
-            // Reduce-scatter C_ih = Σ_j C̄_ijh along the other dimension.
-            for idim in 0..q {
-                let group = if transpose_a {
-                    grid3.dim0_group(idim, l)
-                } else {
-                    grid3.dim1_group(idim, l)
-                };
-                let ci_words = ((out_splits[idim + 1] - out_splits[idim]) * kb) as u64;
-                coll::reduce_scatter(m, &group, ci_words);
-            }
-            m.step(grid3.procs(), 1);
-        }
-    }
+    let (_, _, nr, nc) = sub;
+    let out_rows = if transpose_a { nc } else { nr };
+    let mut out = Matrix::zeros(out_rows, b.cols());
+    streaming_mm_view_into(
+        m,
+        grid3,
+        &a_dense.view(),
+        sub,
+        transpose_a,
+        &b.view(),
+        false,
+        w,
+        &mut out.view_mut(),
+    );
     out
 }
 
-/// Zero-copy [`streaming_mm_dense`]: operands as views, the product
-/// written (overwritten) into a strided output view.
+/// The Streaming-MM sweep on views: `out ← op(A[sub])·op(B)`, written
+/// (overwritten) into a strided output view; [`streaming_mm_dense`] is
+/// the allocating wrapper.
 ///
-/// The task-graph (`CA_LOOKAHEAD`) path of the reduction drivers uses
-/// this to stream trailing updates straight out of the replicated
-/// operand and straight into pre-allocated aggregate storage. Results
-/// and ledger are **bitwise identical** to the copy path: the per-rank
-/// resident blocks `A_ij` and streamed blocks `B_jh` become sub-views
-/// instead of extracted copies (same per-cell values, same GEMM kernel
-/// decision shapes), each rank's partial product still lands in a fresh
-/// `β = 0` buffer, and the rank-ordered elementwise accumulation into
-/// the zero-filled output performs the copy path's exact add sequence
-/// (including the `0.0 + x` first touch). All charges are shape-derived
-/// and issued in the same order.
+/// The reduction drivers stream trailing updates straight out of the
+/// replicated operand and straight into pre-allocated aggregate
+/// storage. The per-rank resident blocks `A_ij` and streamed blocks
+/// `B_jh` are sub-views, each rank's partial product lands in a fresh
+/// `β = 0` buffer, and the partials accumulate into the zero-filled
+/// output elementwise in rank order (the `0.0 + x` first touch is
+/// observable on signed zeros, so it is part of the contract). All
+/// charges are shape-derived: neither the output stride nor
+/// `transpose_b` changes the ledger or the product's bits.
 ///
 /// `transpose_b` streams `Bᵀ` without materializing the transpose (the
 /// aggregate-panel operands of Algorithm IV.1's lines 5/12 are
@@ -307,6 +189,8 @@ pub fn streaming_mm_view_into(
     }
     m.step(grid3.procs(), 1);
 
+    // Split the inner dimension by the layer grid's owner blocks of A
+    // and the k dimension into z column blocks.
     let inner_splits = crate::dist::splits(inner, q);
     let k_splits = crate::dist::splits(k, z);
 
@@ -315,6 +199,7 @@ pub fn streaming_mm_view_into(
     let h_cache = m.cache_words();
 
     for l in 0..c {
+        // Layer l handles column blocks h ∈ {l, l+c, …, l+(w−1)c}.
         for step in 0..w {
             let h = l + step * c;
             if h >= z || k_splits[h] == k_splits[h + 1] {
@@ -332,6 +217,7 @@ pub fn streaming_mm_view_into(
                 } else {
                     b.sub(j0, k0, j1 - j0, kb)
                 };
+                // Gather B_jh along the row dimension of the layer grid.
                 let gather_group = if transpose_a {
                     grid3.dim1_group(jdim, l)
                 } else {
@@ -339,6 +225,9 @@ pub fn streaming_mm_view_into(
                 };
                 coll::allgather(m, &gather_group, (b_jh.rows() * b_jh.cols()) as u64 / q as u64);
 
+                // Each idim produces a disjoint output row range
+                // [i0, i1): run the charged multiplies concurrently and
+                // accumulate the partial products in rank order.
                 let b_jh = &b_jh;
                 let parts = exec::par_ranks(q, |idim| {
                     let (i0, i1) = (out_splits[idim], out_splits[idim + 1]);
@@ -358,6 +247,9 @@ pub fn streaming_mm_view_into(
                     );
                     let ta = if transpose_a { Trans::T } else { Trans::N };
                     let tb = if transpose_b { Trans::T } else { Trans::N };
+                    // Charged local multiply with Lemma III.3 vertical
+                    // accounting: A resident in cache across iterations
+                    // when it fits.
                     let flops = 2 * (i1 - i0) as u64 * (j1 - j0) as u64 * kb as u64;
                     m.charge_flops(pid, flops);
                     let a_words = (a_blk.rows() * a_blk.cols()) as u64;
@@ -372,11 +264,14 @@ pub fn streaming_mm_view_into(
                     gemm_view(1.0, &a_blk, ta, b_jh, tb, 0.0, &mut part.view_mut());
                     Some((i0, part))
                 });
+                // The reduce-scatter below performs the Σⱼ numerically
+                // represented by this serial in-order accumulation.
                 for (i0, part) in parts.into_iter().flatten() {
                     out.sub_mut(i0, k0, part.rows(), part.cols())
                         .add_scaled(1.0, &part.view());
                 }
             }
+            // Reduce-scatter C_ih = Σ_j C̄_ijh along the other dimension.
             for idim in 0..q {
                 let group = if transpose_a {
                     grid3.dim0_group(idim, l)
@@ -479,14 +374,19 @@ mod tests {
 
     #[test]
     fn view_into_variant_is_bitwise_identical_with_matching_charges() {
-        let _knob = crate::test_knob::barrier_guard();
-        for (q, c, w, sub, transpose_a, transpose_b, k, seed) in [
-            (2usize, 1usize, 1usize, (0usize, 0usize, 12usize, 12usize), false, false, 6usize, 400u64),
-            (2, 2, 2, (4, 6, 12, 10), false, false, 4, 401),
-            (2, 1, 1, (2, 3, 9, 11), true, false, 5, 402),
-            (3, 1, 2, (1, 0, 13, 14), false, false, 7, 403),
-            (2, 1, 2, (3, 1, 11, 9), false, true, 6, 404),
-            (2, 2, 1, (0, 2, 10, 13), true, true, 5, 405),
+        // Output stride and `op(B)` must be invisible: the strided /
+        // transposed-B `_into` call agrees bitwise and in ledger with
+        // the plain wrapper, and the ledger is the one the deleted
+        // copy-path body charged (its `report()` at the commit before
+        // its removal).
+        for (q, c, w, sub, transpose_a, transpose_b, k, seed, pin) in [
+            (2usize, 1usize, 1usize, (0usize, 0usize, 12usize, 12usize), false, false, 6usize, 400u64,
+             [450u64, 108, 108, 5, 0, 432, 1800]),
+            (2, 2, 2, (4, 6, 12, 10), false, false, 4, 401, [126, 30, 52, 10, 0, 240, 1008]),
+            (2, 1, 1, (2, 3, 9, 11), true, false, 5, 402, [315, 76, 85, 5, 0, 286, 1044]),
+            (3, 1, 2, (1, 0, 13, 14), false, false, 7, 403, [373, 111, 95, 8, 0, 921, 2725]),
+            (2, 1, 2, (3, 1, 11, 9), false, true, 6, 404, [378, 91, 96, 8, 0, 344, 1252]),
+            (2, 2, 1, (0, 2, 10, 13), true, true, 5, 405, [220, 47, 71, 6, 0, 322, 1364]),
         ] {
             let p = q * q * c;
             let g = grid3(q, c);
@@ -495,7 +395,7 @@ mod tests {
             let (_, _, nr, nc) = sub;
             let inner = if transpose_a { nr } else { nc };
             let out_rows = if transpose_a { nc } else { nr };
-            // The copy path takes B stored `inner x k`; the view path may
+            // The wrapper takes B stored `inner x k`; the view call may
             // instead read the transpose of a `k x inner` backing store.
             let b = gen::random_matrix(&mut rng, inner, k);
             let b_stored = if transpose_b { b.transpose() } else { b.clone() };
@@ -527,10 +427,12 @@ mod tests {
                     );
                 }
             }
+            let r = m1.report();
+            assert_eq!(r, m2.report(), "seed {seed}: ledger depends on stride / op(B)");
             assert_eq!(
-                m1.report(),
-                m2.report(),
-                "q={q} c={c} w={w} ta={transpose_a} tb={transpose_b}: ledger diverged"
+                crate::ledger_array(r),
+                pin,
+                "seed {seed}: ledger drifted from the copy-path pin"
             );
         }
     }

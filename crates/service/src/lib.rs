@@ -7,7 +7,7 @@
 //! `max(1, current_num_threads() / workers)` for the forks and task
 //! graphs inside its jobs — accepts
 //! many independent [`SymmEigenJob`]s (values-only or with vectors,
-//! heterogeneous `n`, per-job engine choice), applies admission control
+//! heterogeneous `n`), applies admission control
 //! over a bounded queue, cancels jobs whose scheduling deadline passes
 //! ([`EigenError::Deadline`]), and **coalesces** small problems (below
 //! the `CA_BATCH_FLOOR` knob) into batched leaf solves that amortize
@@ -30,10 +30,9 @@
 //!    buffers ([`ca_dla::workspace`] is re-entrant for exactly this
 //!    use), so a warm arena is numerically indistinguishable from a
 //!    cold one;
-//! 3. the configuration knobs are **snapshotted once per service
-//!    instance** ([`KnobSnapshot`]) and pinned around every solve via
-//!    [`ca_dla::tune::with_knobs`], so a process-global knob flip
-//!    mid-batch cannot split a batch's configuration;
+//! 3. the solver has no process-global configuration a concurrent
+//!    caller could flip mid-batch (`CA_SERIAL` is read once per
+//!    process and changes dispatch, never bits);
 //! 4. the solver itself is interleaving-independent: its cost ledger
 //!    is commutative-atomic and its parallel schedules are
 //!    bit-identical to serial execution (pinned by the repo's
@@ -68,8 +67,7 @@ pub use config::ServiceConfig;
 pub use stats::StatsSnapshot;
 
 use ca_dla::rt;
-pub use ca_dla::tune::KnobSnapshot;
-pub use ca_eigen::{solve_job, Engine, EigenError, JobResult, SymmEigenJob};
+pub use ca_eigen::{solve_job, EigenError, JobResult, SymmEigenJob};
 
 use stats::ServiceStats;
 use std::collections::VecDeque;
@@ -118,7 +116,6 @@ struct Shared {
     /// service closes.
     cv: Condvar,
     config: ServiceConfig,
-    knobs: KnobSnapshot,
     stats: ServiceStats,
 }
 
@@ -174,19 +171,8 @@ pub struct EigenService {
 }
 
 impl EigenService {
-    /// A service with the given configuration, snapshotting the engine
-    /// knobs (`CA_DNC`, `CA_DNC_LEAF`, `CA_HALVE_FLOOR`, `CA_SERIAL`)
-    /// **once, now**: every job this instance ever runs executes under
-    /// this frozen configuration, no matter what the process globals do
-    /// later.
+    /// A service with the given configuration; its workers start now.
     pub fn new(config: ServiceConfig) -> Self {
-        Self::with_knobs(config, KnobSnapshot::capture())
-    }
-
-    /// [`EigenService::new`] with an explicit knob snapshot — the
-    /// multi-tenant entry point (two tenants can run different frozen
-    /// configurations side by side in one process).
-    pub fn with_knobs(config: ServiceConfig, knobs: KnobSnapshot) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -195,7 +181,6 @@ impl EigenService {
             }),
             cv: Condvar::new(),
             config,
-            knobs,
             stats: ServiceStats::default(),
         });
         // The core budget is derived, not configured: the runtime's
@@ -308,11 +293,6 @@ impl EigenService {
             .len()
     }
 
-    /// The frozen configuration snapshot every job runs under.
-    pub fn knobs(&self) -> KnobSnapshot {
-        self.shared.knobs
-    }
-
     /// The service's construction-time configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.shared.config
@@ -419,14 +399,13 @@ fn run_one(shared: &Shared, q: QueuedJob) {
         }
         _ => {
             let _span = ca_obs::span(&format!(
-                "service.job id={} n={} {}{}",
+                "service.job id={} n={}{}",
                 q.id,
                 q.job.n(),
-                q.job.engine.name(),
                 if q.job.want_vectors { " +v" } else { "" }
             ));
             let t0 = Instant::now();
-            let r = solve_job(&q.job, shared.knobs);
+            let r = solve_job(&q.job);
             shared.stats.record_solve(t0.elapsed(), r.is_ok());
             r
         }
@@ -605,11 +584,10 @@ mod tests {
     #[test]
     fn service_results_are_bit_identical_to_solo() {
         let service = small_service(4, 32);
-        let knobs = service.knobs();
         let jobs: Vec<_> = (0..8).map(|i| job(20 + 7 * i, 80 + i as u64).0).collect();
         let solo: Vec<_> = jobs
             .iter()
-            .map(|j| solve_job(j, knobs).unwrap().eigenvalues)
+            .map(|j| solve_job(j).unwrap().eigenvalues)
             .collect();
         let served = service.solve_batch(jobs);
         for (s, r) in solo.iter().zip(&served) {

@@ -1,21 +1,25 @@
 //! The task-graph executor must be invisible in the output bits.
 //!
-//! `CA_LOOKAHEAD=on` (the default) runs the two-sided reduction drivers
-//! on the dependency-driven DAG executor (`ca_pla::dag`) with zero-copy
-//! task bodies; `off` restores the seed's barrier path. These tests pin
-//! the PR's headline invariant: for every problem shape — including
-//! ragged ones where the halving target does not divide the band-width —
-//! the two paths agree **bitwise** on
+//! The two-sided reduction drivers run on the dependency-driven DAG
+//! executor (`ca_pla::dag`): pooled when the core budget allows, inline
+//! in insertion order otherwise. These tests pin that, for every
+//! problem shape — including ragged ones where the halving target does
+//! not divide the band-width — the two schedules agree **bitwise** on
 //!
 //! * the reduced band (every stored word),
 //! * the recorded Householder transforms (`row0`, `U`, `T`),
 //! * the eigenvalues and eigenvectors of the full solver, and
 //! * the metered ledger: `F`/`W`/`Q`/`S` totals *and* the per-processor
-//!   flop/word/superstep breakdowns.
+//!   flop/word/superstep breakdowns,
 //!
-//! The knob is process-global (`ca_obs::knobs::set_lookahead_enabled`),
-//! so every test here serializes through one lock while it holds the
-//! knob away from its default.
+//! and that on every fixed case the ledger equals [`PINS`]: the ledger
+//! the superstep-barrier drivers (one fence per panel / pipeline phase,
+//! deleted once the task graph had replaced them) charged for the same
+//! case, recorded from those drivers at the last commit that had them.
+//!
+//! When an intentional accounting change lands, re-run with
+//! `UPDATE_GOLDEN=1 cargo test --test dag_equivalence -- --nocapture`
+//! to print the new pin lines, then update the table.
 
 use ca_symm_eig::bsp::{Costs, Machine, MachineParams};
 use ca_symm_eig::dla::{gen, BandedSym};
@@ -23,40 +27,63 @@ use ca_symm_eig::eigen::band_to_band::band_to_band_to_logged;
 use ca_symm_eig::eigen::full_to_band::full_to_band_logged;
 use ca_symm_eig::eigen::transforms::Reflectors;
 use ca_symm_eig::eigen::{symm_eigen_25d_vectors, EigenParams};
-use ca_symm_eig::obs::knobs;
+use ca_symm_eig::pla::exec::with_forced_serial;
 use ca_symm_eig::pla::Grid;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
-/// Serializes knob toggling across this binary's tests (and proptest
-/// cases); restores the default on drop even if the closure panics.
-static KNOB_LOCK: Mutex<()> = Mutex::new(());
+/// `(case label, [F, W, Q, S, M, total volume, total flops], FNV-1a of
+/// the per-processor flop ++ word ++ superstep tallies)`.
+#[rustfmt::skip]
+const PINS: &[(&str, [u64; 7], u64)] = &[
+    ("full_to_band n=48 b=7", [79244, 14028, 13515, 250, 1217, 50840, 291188], 0x40e15cf150fc3946),
+    ("full_to_band n=48 b=16", [79020, 10880, 8704, 74, 1600, 38912, 258732], 0x17e3785f7338ba20),
+    ("full_to_band n=65 b=9", [196762, 25892, 25667, 290, 2181, 93816, 715101], 0x158abef13cf7b5f8),
+    ("full_to_band n=65 b=12", [195169, 24367, 22170, 206, 2326, 88164, 688349], 0x1b9ddb2ee3d72e83),
+    ("band_to_band n=48 b=9 h=4 p=1", [150472, 37199, 32032, 515, 0, 37199, 150472], 0xe319c654e5bd24a7),
+    ("band_to_band n=48 b=9 h=4 p=4", [105507, 21993, 22294, 350, 0, 29347, 150472], 0x3c62316f0360015c),
+    ("band_to_band n=48 b=7 h=3 p=1", [131360, 44778, 35174, 868, 0, 44778, 131360], 0xc6c53dd9bac4debd),
+    ("band_to_band n=48 b=7 h=3 p=4", [86643, 27057, 23181, 583, 0, 36134, 131360], 0x709d06dfe0ae897e),
+    ("band_to_band n=48 b=12 h=5 p=1", [166109, 31925, 28930, 330, 0, 31925, 166109], 0x51620f6a9c6a974e),
+    ("band_to_band n=48 b=12 h=5 p=4", [135714, 20934, 23136, 240, 0, 26507, 166109], 0xfbac8e43ba2fe6d6),
+    ("band_to_band n=65 b=9 h=4 p=1", [309111, 82793, 64556, 928, 0, 82793, 309111], 0xc73b5b0926aa1be7),
+    ("band_to_band n=65 b=9 h=4 p=4", [202632, 49380, 42164, 598, 0, 67943, 309111], 0x41e915d2911f43ad),
+    ("band_to_band n=65 b=7 h=3 p=1", [261756, 93712, 69133, 1569, 0, 93712, 261756], 0x8c2cbb7e1214ca9c),
+    ("band_to_band n=65 b=7 h=3 p=4", [160197, 53946, 42172, 954, 0, 83934, 261756], 0x7fdd126acefdcc92),
+    ("band_to_band n=65 b=12 h=5 p=1", [359334, 71658, 60619, 577, 0, 71658, 359334], 0x92ea766e64febaba),
+    ("band_to_band n=65 b=12 h=5 p=4", [249693, 42237, 41839, 397, 0, 55850, 359334], 0x1cc036a17dd71eb7),
+    ("band_to_band n=129 b=9 h=4 p=1", [1410710, 397361, 287948, 3570, 0, 397361, 1410710], 0xfa3330384783a83e),
+    ("band_to_band n=129 b=9 h=4 p=4", [807380, 221391, 164636, 2040, 0, 382829, 1410710], 0xeab3f042936b4045),
+    ("band_to_band n=129 b=7 h=3 p=1", [1149873, 422390, 298881, 6067, 0, 422390, 1149873], 0x3571aea329562a25),
+    ("band_to_band n=129 b=7 h=3 p=4", [638814, 231507, 166050, 3412, 0, 413424, 1149873], 0xf29cb9ce33018611),
+    ("band_to_band n=129 b=12 h=5 p=1", [1728330, 386332, 282460, 2193, 0, 386332, 1728330], 0xca1c57607a9f0bd3),
+    ("band_to_band n=129 b=12 h=5 p=4", [1033184, 221622, 168726, 1323, 0, 359576, 1728330], 0x7b1bd2c0b57ef611),
+    ("band_to_band n=257 b=9 h=4 p=1", [6002408, 1696659, 1213194, 13984, 0, 1696659, 6002408], 0xa50dd6f9b3bd4841),
+    ("band_to_band n=257 b=9 h=4 p=4", [3217400, 901812, 649756, 7474, 0, 1682127, 6002408], 0x11ac268ba273f4e1),
+    ("band_to_band n=257 b=7 h=3 p=1", [4809657, 1769123, 1241146, 23852, 0, 1769123, 4809657], 0x2904dcf314098138),
+    ("band_to_band n=257 b=7 h=3 p=4", [2537764, 929636, 654737, 12647, 0, 1759585, 4809657], 0x17f8dab22cff9a93),
+    ("band_to_band n=257 b=12 h=5 p=1", [7519052, 1702655, 1212245, 8484, 0, 1702655, 7519052], 0x927520382b2730d5),
+    ("band_to_band n=257 b=12 h=5 p=4", [4115638, 922593, 663191, 4674, 0, 1676825, 7519052], 0xdf59e75094d66241),
+    ("symm_eigen_25d_vectors n=48", [808176, 21284, 33060, 287, 5472, 66500, 1478208], 0x7f7bcd7d083a5311),
+    ("symm_eigen_25d_vectors n=65", [2008358, 39467, 70492, 406, 9728, 122964, 3603371], 0x50d19766d5dfa04b),
+];
 
-fn with_lookahead<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            knobs::reset_lookahead();
-        }
-    }
-    let _guard = KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = Reset;
-    knobs::set_lookahead_enabled(enabled);
-    f()
-}
-
-/// FNV-1a over the exact bit patterns of a stream of `f64`s.
-fn bit_hash(values: impl IntoIterator<Item = f64>) -> u64 {
+/// FNV-1a over a stream of 64-bit words (as little-endian bytes).
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
+    for w in words {
+        for byte in w.to_le_bytes() {
             h ^= byte as u64;
             h = h.wrapping_mul(0x1_0000_01b3);
         }
     }
     h
+}
+
+/// FNV-1a over the exact bit patterns of a stream of `f64`s.
+fn bit_hash(values: impl IntoIterator<Item = f64>) -> u64 {
+    fnv1a(values.into_iter().map(f64::to_bits))
 }
 
 /// Every stored word of the band plus every recorded transform, folded
@@ -125,30 +152,73 @@ fn solve_run(n: usize, p: usize, seed: u64) -> (u64, Ledger) {
     (bit_hash(bits), ledger(&machine))
 }
 
-/// Run `case` under both knob settings and demand bitwise + ledger
-/// equality. Returns the shared hash so callers can add cross-checks.
-fn assert_paths_agree<F>(label: &str, case: F) -> u64
+/// FNV-1a over the three per-processor tallies (integers, so the pin
+/// is portable across hosts).
+fn tally_hash(l: &Ledger) -> u64 {
+    fnv1a(l.1.iter().chain(&l.2).chain(&l.3).copied())
+}
+
+/// Run `case` pooled and inline (forced-serial dispatch: the graph runs
+/// its bodies in insertion order on this thread) and demand bitwise +
+/// ledger equality. Returns the shared ledger.
+fn assert_schedules_agree<F>(label: &str, case: F) -> Ledger
 where
     F: Fn() -> (u64, Ledger),
 {
-    let (dag_hash, dag_ledger) = with_lookahead(true, &case);
-    let (bar_hash, bar_ledger) = with_lookahead(false, &case);
+    let (pool_hash, pool_ledger) = case();
+    let (inl_hash, inl_ledger) = with_forced_serial(&case);
     assert_eq!(
-        format!("{dag_hash:016x}"),
-        format!("{bar_hash:016x}"),
-        "{label}: DAG output bits diverged from the barrier path"
+        format!("{pool_hash:016x}"),
+        format!("{inl_hash:016x}"),
+        "{label}: pooled output bits diverged from the inline schedule"
     );
     assert_eq!(
-        dag_ledger.0, bar_ledger.0,
+        pool_ledger.0, inl_ledger.0,
         "{label}: folded F/W/Q/S ledger diverged"
     );
-    assert_eq!(dag_ledger.1, bar_ledger.1, "{label}: per-proc flops diverged");
-    assert_eq!(dag_ledger.2, bar_ledger.2, "{label}: per-proc words diverged");
+    assert_eq!(pool_ledger.1, inl_ledger.1, "{label}: per-proc flops diverged");
+    assert_eq!(pool_ledger.2, inl_ledger.2, "{label}: per-proc words diverged");
     assert_eq!(
-        dag_ledger.3, bar_ledger.3,
+        pool_ledger.3, inl_ledger.3,
         "{label}: per-proc supersteps diverged"
     );
-    dag_hash
+    pool_ledger
+}
+
+/// [`assert_schedules_agree`], plus the ledger must equal the case's
+/// entry in [`PINS`].
+fn assert_paths_agree<F>(label: &str, case: F)
+where
+    F: Fn() -> (u64, Ledger),
+{
+    let ledger = assert_schedules_agree(label, case);
+    let c = ledger.0;
+    let got = (
+        [
+            c.flops,
+            c.horizontal_words,
+            c.vertical_words,
+            c.supersteps,
+            c.peak_memory_words,
+            c.total_volume_words,
+            c.total_flops,
+        ],
+        tally_hash(&ledger),
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        println!("    (\"{label}\", {:?}, 0x{:016x}),", got.0, got.1);
+        return;
+    }
+    let pin = PINS
+        .iter()
+        .find(|p| p.0 == label)
+        .unwrap_or_else(|| panic!("{label}: no pinned ledger"));
+    assert_eq!(got.0, pin.1, "{label}: ledger drifted from the barrier-driver pin");
+    assert_eq!(
+        format!("{:016x}", got.1),
+        format!("{:016x}", pin.2),
+        "{label}: per-processor tallies drifted from the barrier-driver pin"
+    );
 }
 
 /// The issue's sweep sizes: one in-regime power-of-two-ish size, one
@@ -195,8 +265,8 @@ fn dag_path_is_deterministic_run_to_run() {
     // Same problem, two independent DAG executions: the executor may
     // schedule tasks in any order, but the charging replay and the
     // output must not depend on it.
-    let first = with_lookahead(true, || band_to_band_run(129, 10, 3, 4, 42));
-    let second = with_lookahead(true, || band_to_band_run(129, 10, 3, 4, 42));
+    let first = band_to_band_run(129, 10, 3, 4, 42);
+    let second = band_to_band_run(129, 10, 3, 4, 42);
     assert_eq!(first.0, second.0, "DAG output bits varied between runs");
     assert_eq!(first.1, second.1, "DAG ledger varied between runs");
 }
@@ -207,8 +277,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Randomized ragged shapes over the issue's size sweep: any
-    /// `(n, b, h)` with `h ∤ b` must be bit-identical between the DAG
-    /// and barrier paths, band words and transforms and ledger alike.
+    /// `(n, b, h)` with `h ∤ b` must be bit-identical between the pooled
+    /// and inline schedules, band words and transforms and ledger alike.
     #[test]
     fn band_to_band_paths_agree_on_random_ragged_shapes(
         n_idx in 0usize..SWEEP_N.len(),
@@ -220,7 +290,7 @@ proptest! {
         let n = SWEEP_N[n_idx];
         let p = [1usize, 2, 4][p_idx];
         prop_assume!(!b.is_multiple_of(h)); // ragged by construction
-        assert_paths_agree(
+        assert_schedules_agree(
             &format!("proptest band_to_band n={n} b={b} h={h} p={p} seed={seed}"),
             || band_to_band_run(n, b, h, p, seed),
         );

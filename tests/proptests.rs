@@ -201,10 +201,9 @@ proptest! {
 }
 
 /// Strategy: one random service-batch composition. Each job spec is
-/// `((n, engine_idx), (want_vectors, seed))` — nested pairs because the
-/// proptest shim implements `Strategy` for 2- and 3-tuples only.
-fn batch_strategy() -> impl Strategy<Value = Vec<((usize, usize), (usize, u64))>> {
-    proptest::collection::vec(((4usize..=40, 0usize..3), (0usize..2, 0u64..100_000)), 3..=8)
+/// `(n, want_vectors, seed)`.
+fn batch_strategy() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
+    proptest::collection::vec((4usize..=40, 0usize..2, 0u64..100_000), 3..=8)
 }
 
 proptest! {
@@ -212,7 +211,7 @@ proptest! {
     // than the kernel-level properties above keep the suite CI-fast.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random batch compositions (mixed sizes, engines, values/vectors)
+    /// Random batch compositions (mixed sizes, values/vectors)
     /// served concurrently must preserve the conformance gallery's
     /// per-job numerical oracles: the construction spectrum, the
     /// eigenpair residual, and basis orthogonality — all at the
@@ -220,7 +219,7 @@ proptest! {
     /// gallery's own defect functions, not a reimplementation.
     #[test]
     fn service_batches_preserve_conformance_oracles(specs in batch_strategy()) {
-        use ca_service::{EigenService, Engine, ServiceConfig, SymmEigenJob};
+        use ca_service::{EigenService, ServiceConfig, SymmEigenJob};
         use ca_symm_eig::dla::gen;
         use conformance::oracle::{orthogonality_defect, residual_defect};
         use rand::{rngs::StdRng, SeedableRng};
@@ -235,7 +234,7 @@ proptest! {
 
         let jobs: Vec<(Vec<f64>, Matrix, SymmEigenJob)> = specs
             .iter()
-            .map(|&((n, engine), (vectors, seed))| {
+            .map(|&(n, vectors, seed)| {
                 let mut rng = StdRng::seed_from_u64(0xBA7C4 ^ seed);
                 let spectrum = gen::linspace_spectrum(n, -2.0, 2.0);
                 let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
@@ -244,11 +243,6 @@ proptest! {
                 } else {
                     SymmEigenJob::values(a.clone(), 4, 1)
                 };
-                let job = job.engine(match engine {
-                    0 => Engine::Auto,
-                    1 => Engine::Ql,
-                    _ => Engine::Dnc,
-                });
                 (spectrum, a, job)
             })
             .collect();

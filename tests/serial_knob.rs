@@ -14,13 +14,8 @@
 //!   bit-identical to the parallel run (serial ↔ parallel equivalence
 //!   is the repo's documented invariant);
 //! * falsy and unset leave both parallel;
-//! * malformed values (`CA_SERIAL=banana`, `CA_DNC=fast`,
-//!   `CA_TRACE=fast`) warn once on stderr naming the knob, instead of
-//!   being silently ignored;
-//! * the service pins a knob snapshot at construction: a global
-//!   `set_dnc_enabled` flip while jobs sit queued changes neither the
-//!   engine they run under nor a single output bit (the per-solve
-//!   knob-read footgun, regression-tested in its own subprocess).
+//! * malformed values (`CA_SERIAL=banana`, `CA_TRACE=fast`) warn once
+//!   on stderr naming the knob, instead of being silently ignored.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
@@ -65,11 +60,10 @@ fn solve_hash() -> u64 {
 #[ignore = "subprocess payload for the CA_SERIAL driver tests"]
 fn inner_emit_hash() {
     println!(
-        "HASH={:016x} SERIAL_EXEC={} SERIAL_DNC={} LOOKAHEAD={}",
+        "HASH={:016x} SERIAL_EXEC={} SERIAL_DNC={}",
         solve_hash(),
         ca_symm_eig::pla::exec::serial_forced(),
-        ca_symm_eig::dla::tune::serial(),
-        ca_symm_eig::obs::knobs::lookahead()
+        ca_symm_eig::obs::knobs::serial()
     );
 }
 
@@ -77,7 +71,6 @@ struct Probe {
     hash: String,
     serial_exec: bool,
     serial_dnc: bool,
-    lookahead: bool,
     stderr: String,
 }
 
@@ -87,9 +80,7 @@ fn probe(env: &[(&str, &str)]) -> Probe {
     let mut cmd = Command::new(exe);
     cmd.args(["--ignored", "--exact", "inner_emit_hash", "--nocapture"])
         .env_remove("CA_SERIAL")
-        .env_remove("CA_DNC")
-        .env_remove("CA_TRACE")
-        .env_remove("CA_LOOKAHEAD");
+        .env_remove("CA_TRACE");
     for (k, v) in env {
         cmd.env(k, v);
     }
@@ -116,112 +107,8 @@ fn probe(env: &[(&str, &str)]) -> Probe {
         hash: field("HASH"),
         serial_exec: field("SERIAL_EXEC") == "true",
         serial_dnc: field("SERIAL_DNC") == "true",
-        lookahead: field("LOOKAHEAD") == "true",
         stderr,
     }
-}
-
-/// Subprocess payload for [`service_snapshot_survives_global_knob_flip`]:
-/// in a clean process, a service's construction-time [`KnobSnapshot`]
-/// must govern every queued job even after the process-global knob is
-/// flipped out from under it. Before PR 9 each solve re-read `CA_DNC`
-/// at dispatch time, so a flip mid-queue could split one batch across
-/// two engine configurations.
-///
-/// [`KnobSnapshot`]: ca_symm_eig::dla::tune::KnobSnapshot
-#[test]
-#[ignore = "subprocess payload for the knob-snapshot driver test"]
-fn inner_service_snapshot_pins_knobs() {
-    use ca_service::{EigenService, ServiceConfig, SymmEigenJob};
-    use ca_symm_eig::dla::tune;
-
-    let service = EigenService::new(ServiceConfig {
-        workers: 2,
-        paused: true, // hold the queue so the flip lands before dispatch
-        ..ServiceConfig::default()
-    });
-    let knobs = service.knobs();
-
-    let jobs: Vec<SymmEigenJob> = (0..6)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(SEED + i);
-            let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(N, -2.0, 2.0));
-            if i % 2 == 0 {
-                SymmEigenJob::with_vectors(a, P, 1)
-            } else {
-                SymmEigenJob::values(a, P, 1)
-            }
-        })
-        .collect();
-
-    let result_hash = |r: &ca_service::JobResult| {
-        let mut bits = r.eigenvalues.clone();
-        if let Some(v) = &r.vectors {
-            bits.extend_from_slice(v.data());
-        }
-        bit_hash(&bits)
-    };
-
-    // Solo references under the pinned snapshot, before any flip.
-    let solo: Vec<u64> = jobs
-        .iter()
-        .map(|j| result_hash(&ca_service::solve_job(j, knobs).expect("solo reference")))
-        .collect();
-
-    let tickets: Vec<_> = jobs
-        .iter()
-        .map(|j| service.submit(j.clone()).expect("admit"))
-        .collect();
-
-    // The footgun this pins: a global engine flip while jobs sit queued.
-    tune::set_dnc_enabled(!knobs.dnc_enabled);
-    assert_ne!(
-        tune::dnc_enabled(),
-        knobs.dnc_enabled,
-        "the global flip must be visible outside the service"
-    );
-    service.resume();
-
-    for (t, want) in tickets.into_iter().zip(&solo) {
-        let r = t.wait().expect("queued job");
-        assert_eq!(
-            r.knobs.dnc_enabled, knobs.dnc_enabled,
-            "job ran under the flipped global, not the service snapshot"
-        );
-        assert_eq!(
-            result_hash(&r),
-            *want,
-            "global knob flip changed a queued job's output bits"
-        );
-    }
-    println!("KNOB_PIN_OK=1");
-}
-
-#[test]
-fn service_snapshot_survives_global_knob_flip() {
-    // The payload mutates process-global knob state, so it runs in its
-    // own subprocess like the CA_SERIAL probes above.
-    let exe = std::env::current_exe().expect("test binary path");
-    let out = Command::new(exe)
-        .args([
-            "--ignored",
-            "--exact",
-            "inner_service_snapshot_pins_knobs",
-            "--nocapture",
-        ])
-        .env_remove("CA_DNC")
-        .output()
-        .expect("spawn test subprocess");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "knob-snapshot payload failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        stdout.contains("KNOB_PIN_OK=1"),
-        "payload did not reach its end marker:\n{stdout}"
-    );
 }
 
 #[test]
@@ -255,33 +142,6 @@ fn falsy_and_unset_stay_parallel_in_both_subsystems() {
 }
 
 #[test]
-fn serial_knob_composes_with_lookahead_bit_identically() {
-    // The 2×2 of {CA_SERIAL} × {CA_LOOKAHEAD}: the task-graph executor
-    // under forced-serial dispatch must still match the parallel
-    // barrier path bit for bit — the DAG path may not smuggle in a
-    // scheduling dependence that only CA_SERIAL=1 exposes.
-    let reference = format!("{:016x}", solve_hash());
-    for (serial, lookahead) in [("true", "on"), ("true", "off"), ("0", "on"), ("0", "off")] {
-        let p = probe(&[("CA_SERIAL", serial), ("CA_LOOKAHEAD", lookahead)]);
-        assert_eq!(
-            p.lookahead,
-            lookahead == "on",
-            "CA_LOOKAHEAD={lookahead} did not reach the knob cache"
-        );
-        assert_eq!(
-            p.serial_exec,
-            serial == "true",
-            "CA_SERIAL={serial} did not reach the executor"
-        );
-        assert_eq!(
-            p.hash, reference,
-            "CA_SERIAL={serial} CA_LOOKAHEAD={lookahead}: output bits diverged \
-             from the in-process default run"
-        );
-    }
-}
-
-#[test]
 fn malformed_knobs_warn_on_stderr_and_fall_back() {
     let p = probe(&[("CA_SERIAL", "banana")]);
     assert!(
@@ -294,12 +154,10 @@ fn malformed_knobs_warn_on_stderr_and_fall_back() {
         p.stderr
     );
 
-    for knob in ["CA_DNC", "CA_TRACE"] {
-        let p = probe(&[(knob, "fast")]);
-        assert!(
-            p.stderr.contains(knob),
-            "malformed {knob}=fast must warn on stderr naming the knob; got:\n{}",
-            p.stderr
-        );
-    }
+    let p = probe(&[("CA_TRACE", "fast")]);
+    assert!(
+        p.stderr.contains("CA_TRACE"),
+        "malformed CA_TRACE=fast must warn on stderr naming the knob; got:\n{}",
+        p.stderr
+    );
 }

@@ -15,7 +15,7 @@
 //! suite stays CI-fast; the soak binary (`ca-bench --bin soak`) covers
 //! sustained load.
 
-use ca_service::{Engine, EigenService, KnobSnapshot, ServiceConfig, SymmEigenJob};
+use ca_service::{EigenService, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::eigen::EigenError;
 use rand::rngs::StdRng;
@@ -34,8 +34,8 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 const CLIENTS: usize = 8;
 const JOBS_PER_CLIENT: usize = 6;
 
-/// Deterministic mixed-size job list (sizes 8..64, both engines, a few
-/// vector jobs) shared by every test, identified by index.
+/// Deterministic mixed-size job list (sizes 8..64, a few vector jobs)
+/// shared by every test, identified by index.
 fn job_pool() -> Vec<SymmEigenJob> {
     let sizes = [8usize, 13, 16, 24, 32, 48, 64];
     (0..CLIENTS * JOBS_PER_CLIENT)
@@ -43,12 +43,11 @@ fn job_pool() -> Vec<SymmEigenJob> {
             let n = sizes[i % sizes.len()];
             let mut rng = StdRng::seed_from_u64(0xC0FFEE + i as u64);
             let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(n, -2.0, 2.0));
-            let job = if i % 5 == 0 {
+            if i % 5 == 0 {
                 SymmEigenJob::with_vectors(a, 4, 1)
             } else {
                 SymmEigenJob::values(a, 4, 1)
-            };
-            job.engine(if i % 2 == 0 { Engine::Dnc } else { Engine::Ql })
+            }
         })
         .collect()
 }
@@ -72,26 +71,22 @@ fn result_hash(r: &ca_service::JobResult) -> u64 {
 #[test]
 fn eight_clients_mixed_sizes_no_lost_jobs_bit_identical() {
     let pool = job_pool();
-    let knobs = KnobSnapshot::capture();
     // Solo references, one per pool entry.
     let solo: Vec<u64> = pool
         .iter()
-        .map(|j| result_hash(&ca_service::solve_job(j, knobs).expect("solo")))
+        .map(|j| result_hash(&ca_service::solve_job(j).expect("solo")))
         .collect();
 
     // Three interleaving seeds: per-client submission order is a seeded
     // shuffle of that client's slice, and a chaos thread pulses
     // pause/resume to force requeue-style dispatch patterns.
     for seed in [1u64, 7, 42] {
-        let service = Arc::new(EigenService::with_knobs(
-            ServiceConfig {
-                workers: 4,
-                queue_capacity: 256,
-                batch_floor: 32,
-                ..ServiceConfig::default()
-            },
-            knobs,
-        ));
+        let service = Arc::new(EigenService::new(ServiceConfig {
+            workers: 4,
+            queue_capacity: 256,
+            batch_floor: 32,
+            ..ServiceConfig::default()
+        }));
 
         let chaos = {
             let service = Arc::clone(&service);
