@@ -2,23 +2,55 @@
 //! the real compute performance underneath the simulated machine.
 
 use ca_dla::bulge::{chase_plan, execute_chase, execute_chase_reference, reduce_band};
-use ca_dla::gemm::{matmul, Trans};
+use ca_dla::gemm::{gemm, matmul, Trans};
 use ca_dla::qr::qr_factor;
 use ca_dla::tridiag::tridiag_eigenvalues;
-use ca_dla::{gen, BandedSym};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ca_dla::{gen, BandedSym, Matrix};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+/// Square products, then the shapes the solver actually issues, one per
+/// size class of `ca_dla::gemm` (packed `A` / transposed packed `A` /
+/// `A` in place with a gathered `Bᵀ`, down to the chase's 32×32×16).
+/// An element is a flop, so the `thrpt` column reads GFLOP/s; shapes
+/// under a megaflop are batched so that a sample outlasts the timer.
 fn bench_gemm(c: &mut Criterion) {
+    use Trans::{N, T};
     let mut group = c.benchmark_group("gemm");
-    for n in [64usize, 128, 256, 512] {
+    let shapes = [
+        (64usize, 64usize, 64usize, N, N),
+        (128, 128, 128, N, N),
+        (256, 256, 256, N, N),
+        (512, 512, 512, N, N),
+        (256, 256, 512, T, N),
+        (224, 64, 32, N, T),
+        (112, 32, 16, N, T),
+        (32, 32, 16, N, T),
+    ];
+    for (m, n, k, ta, tb) in shapes {
         let mut rng = StdRng::seed_from_u64(1);
-        let a = gen::random_matrix(&mut rng, n, n);
-        let b = gen::random_matrix(&mut rng, n, n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| black_box(matmul(&a, Trans::N, &b, Trans::N)));
+        let a = match ta {
+            N => gen::random_matrix(&mut rng, m, k),
+            T => gen::random_matrix(&mut rng, k, m),
+        };
+        let b = match tb {
+            N => gen::random_matrix(&mut rng, k, n),
+            T => gen::random_matrix(&mut rng, n, k),
+        };
+        let flops = 2 * (m * n * k) as u64;
+        let batch = (1 << 20) / flops + 1;
+        let mut out = Matrix::zeros(m, n);
+        group.throughput(Throughput::Elements(flops * batch));
+        let id = format!("{m}x{n}x{k}_{ta:?}{tb:?}");
+        group.bench_with_input(BenchmarkId::from_parameter(id), &batch, |bench, &batch| {
+            bench.iter(|| {
+                for _ in 0..batch {
+                    gemm(1.0, &a, ta, &b, tb, 0.0, &mut out);
+                }
+                black_box(out.get(0, 0))
+            });
         });
     }
     group.finish();

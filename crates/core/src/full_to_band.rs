@@ -89,15 +89,23 @@ pub fn try_full_to_band(
             cols: a.cols(),
         });
     }
-    if a.asymmetry() >= 1e-10 * a.norm_max().max(1.0) {
-        return Err(EigenError::AsymmetricInput {
-            asymmetry: a.asymmetry() / a.norm_max().max(1.0),
-        });
-    }
+    check_symmetric(a)?;
     if b < 1 || b >= n {
         return Err(EigenError::InvalidBandwidth { n, b });
     }
     Ok(full_to_band_impl(machine, params, a, b, None))
+}
+
+/// The symmetry test every entry point applies to its input, once: one
+/// scan each for `‖A‖_max` and `max |aᵢⱼ − aⱼᵢ|`.
+pub(crate) fn check_symmetric(a: &Matrix) -> Result<(), crate::EigenError> {
+    let (scale, asymmetry) = (a.norm_max().max(1.0), a.asymmetry());
+    if asymmetry >= 1e-10 * scale {
+        return Err(crate::EigenError::AsymmetricInput {
+            asymmetry: asymmetry / scale,
+        });
+    }
+    Ok(())
 }
 
 /// [`full_to_band`] with transform recording for eigenvector
@@ -110,6 +118,7 @@ pub fn full_to_band_logged(
     b: usize,
     rec: &mut Vec<crate::transforms::Reflectors>,
 ) -> (BandedSym, FullToBandTrace) {
+    check_symmetric(a).unwrap_or_else(|e| panic!("{e}"));
     full_to_band_impl(machine, params, a, b, Some(rec))
 }
 
@@ -127,7 +136,10 @@ pub fn full_to_band_logged(
 /// the graph's charge replay (and its inline mode) is the straight-line
 /// Algorithm IV.1 schedule whatever the execution interleaving
 /// (`ca_pla::dag` module docs give the determinism argument).
-fn full_to_band_impl(
+///
+/// The caller has validated `a` (each public entry point scans it for
+/// symmetry exactly once); here the scan is a debug assertion only.
+pub(crate) fn full_to_band_impl(
     machine: &Machine,
     params: &EigenParams,
     a: &Matrix,
@@ -137,7 +149,7 @@ fn full_to_band_impl(
     let _span = ca_obs::kernel_span("driver.full_to_band");
     let n = a.rows();
     assert_eq!(n, a.cols(), "input must be square");
-    assert!(a.asymmetry() < 1e-10 * a.norm_max().max(1.0), "input must be symmetric");
+    debug_assert!(check_symmetric(a).is_ok(), "input must be symmetric");
     assert!(b >= 1 && b < n, "band-width must satisfy 1 ≤ b < n");
 
     let grid3 = params.grid3();

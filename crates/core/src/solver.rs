@@ -17,7 +17,6 @@
 
 use crate::ca_sbr::ca_sbr;
 use crate::error::EigenError;
-use crate::full_to_band::full_to_band;
 use crate::params::EigenParams;
 use ca_bsp::{Costs, Machine};
 use ca_dla::Matrix;
@@ -218,13 +217,8 @@ fn validate_input(params: &EigenParams, a: &Matrix) -> Result<(), EigenError> {
             col: idx % a.cols(),
         });
     }
-    let scale = a.norm_max().max(1.0);
-    if a.asymmetry() >= 1e-10 * scale {
-        return Err(EigenError::AsymmetricInput {
-            asymmetry: a.asymmetry() / scale,
-        });
-    }
-    Ok(())
+    // The one symmetry scan of a solve: the stages below trust it.
+    crate::full_to_band::check_symmetric(a)
 }
 
 fn solve_impl(
@@ -242,17 +236,8 @@ fn solve_impl(
     // Stage 1: full → band at b = n / max(p^{2−3δ}, log₂ p).
     let b0 = params.initial_bandwidth(n);
     let scope = costs.begin(machine, format!("full-to-band (b={b0})"));
-    let (mut band, _) = if want_vectors {
-        crate::full_to_band::full_to_band_logged(
-            machine,
-            params,
-            a,
-            b0,
-            log.stage(&format!("full-to-band (b={b0})")),
-        )
-    } else {
-        full_to_band(machine, params, a, b0)
-    };
+    let rec = want_vectors.then(|| log.stage(&format!("full-to-band (b={b0})")));
+    let (mut band, _) = crate::full_to_band::full_to_band_impl(machine, params, a, b0, rec);
     scope.end(&mut costs);
 
     // Stage 2: successive band reductions on shrinking prefixes until

@@ -1,32 +1,56 @@
 //! General matrix multiplication, `C ← α·op(A)·op(B) + β·C`.
 //!
-//! The kernel is a three-level cache-blocked (BLIS-style) GEMM over
-//! row-major data:
+//! One register-tile kernel computes every product, fed by a
+//! three-level cache-blocked (BLIS-style) loop nest over row-major data:
 //!
 //! * the `n` dimension is split into `NC`-wide panels and the `k`
-//!   dimension into `KC`-deep panels; each `KC × NC` panel of `op(B)` is
-//!   **packed** once into an `NR`-strip buffer sized for the L2/L3 cache,
-//! * the `m` dimension is split into `MC`-tall blocks; each `MC × KC`
-//!   block of `op(A)` is packed into an `MR`-strip buffer sized for the
-//!   L1 cache,
-//! * an `MR × NR` register micro-kernel accumulates over the packed
-//!   strips with unit stride and independent accumulators.
+//!   dimension into `KC`-deep chunks; each `KC × NC` panel of `op(B)` is
+//!   **packed** once into `NR`-wide strips,
+//! * the `m` dimension is split into `MC`-tall slabs; each `MC × KC`
+//!   block of `op(A)` is packed into `MR`-tall strips sized for the L2
+//!   cache — or, for a product too small to repay that copy
+//!   (`2mnk <` [`SMALL_FLOPS`]), read where it lies through its strides,
+//! * an `MR × NR` register tile accumulates over the strips with
+//!   fused multiply-adds, one independent chain per cell of `C`.
 //!
 //! Transposed operands are handled by the packing routines (the gather
-//! happens once per panel), never by materializing `op(A)`/`op(B)`.
-//! Row blocks of `C` are distributed over rayon threads — distinct `MC`
-//! slabs write disjoint output rows. Small products skip the blocking
-//! machinery entirely and use a fused `i-l-j` loop.
+//! happens once per panel), never by materializing `op(A)`/`op(B)`, and
+//! the packing panels are checked out of the thread's
+//! [`Workspace`](crate::workspace::Workspace) arena, so a product
+//! allocates nothing once the arena is warm. Row slabs of `C` are
+//! distributed over the runtime's workers when the product is worth a
+//! wake-up ([`PAR_FLOPS`]) — distinct slabs write disjoint output rows.
+//!
+//! **The cell contract.** Whatever the shape, orientation, path, tile
+//! position, thread count or host, a cell of `C` is computed as
+//!
+//! ```text
+//! c ← β·c                                  (0 if β = 0, untouched if β = 1)
+//! for each KC-chunk [p, p + kb) of the inner dimension, p = 0, KC, 2·KC, …:
+//!     acc ← 0;  for l in p .. p + kb:  acc ← fma(a[i][l], b[l][j], acc)
+//!     c ← c + α·acc                        (a product, then a sum)
+//! ```
+//!
+//! — `k` roundings per chunk instead of the `2k` of a separate multiply
+//! and add. The chunk boundaries are multiples of `KC` counted from the
+//! start of the inner dimension, so they depend on nothing but `k`; a
+//! cell never shares an accumulator with another, so which other rows
+//! and columns are computed alongside it (and by which thread) cannot
+//! reach its bits. On x86-64 with AVX2 and FMA the tile loop is compiled
+//! for those features (detected once, [`Fma::detect`]); everywhere else
+//! the same source runs with [`f64::mul_add`] lowered to the C library's
+//! correctly-rounded `fma` — slow, and bit-for-bit the same.
 //!
 //! Every path is generic over row strides: [`gemm_view`] accepts
 //! [`MatrixView`] operands and a [`MatrixViewMut`] accumulation target,
 //! so the bulge-chase and QR kernels multiply directly into sub-blocks
 //! of a larger matrix with no `block`/`set_block` copies. The
 //! [`Matrix`]-based [`gemm`] is a thin wrapper over the same core (a
-//! full view has `stride == cols`), so its numerics are unchanged.
+//! full view has `stride == cols`).
 
 use crate::matrix::Matrix;
 use crate::view::{MatrixView, MatrixViewMut};
+use crate::workspace::with_ws;
 use rayon::prelude::*;
 
 /// Operand orientation for [`gemm`].
@@ -38,22 +62,43 @@ pub enum Trans {
     T,
 }
 
-/// Micro-kernel register tile height (rows of `C`).
-const MR: usize = 4;
-/// Micro-kernel register tile width (columns of `C`).
+/// Register tile height (rows of `C`): with `NR = 8` that is twelve
+/// 256-bit accumulators, two `B` vectors and one broadcast — fifteen of
+/// the sixteen vector registers.
+const MR: usize = 6;
+/// Register tile width (columns of `C`).
 const NR: usize = 8;
-/// Rows of `op(A)` packed per macro-block (L2-resident: `MC·KC` doubles).
-const MC: usize = 64;
-/// Inner-dimension depth per packed panel.
+/// Rows of `op(A)` packed per slab (L2-resident: `MC·KC` doubles); a
+/// multiple of `MR`, so only a product's last slab has a ragged strip.
+const MC: usize = 96;
+/// Inner-dimension depth per packed panel — and the chunk length of the
+/// cell contract, so changing it changes output bits.
 const KC: usize = 256;
-/// Columns of `op(B)` packed per panel (L3-resident: `KC·NC` doubles).
+/// Columns of `op(B)` packed per panel (`KC·NC` doubles).
 const NC: usize = 2048;
 
-/// Flop threshold (2mnk) below which the blocked path is not worth its
-/// packing overhead and a fused loop is used instead.
+/// Flop threshold (2mnk) below which `op(A)` is read in place instead
+/// of packed, whatever its orientation: under it the copy costs more
+/// than the strided reads.
 const SMALL_FLOPS: usize = 1 << 17;
 
-/// Row count threshold above which the small kernel parallelizes.
+/// The same threshold for an untransposed `A`, whose rows already run
+/// along the inner dimension: in place its six row streams read as well
+/// as a packed strip, so the copy only starts to pay once the block is
+/// large enough for page and cache-set conflicts between rows `ld`
+/// apart to matter (measured crossover on the reference host: between
+/// 256×256×128 and 256³; a transposed `A` with `ld = 1024` already loses
+/// a third of its rate in place at 32×64×224).
+const SMALL_FLOPS_ROWS: usize = 1 << 25;
+
+/// Flop threshold (2mnk) above which row slabs are forked. Waking a
+/// parked worker and waiting for its piece costs tens of microseconds
+/// on the reference host (a 224×64×32 product ran 57 µs forked, 30 µs
+/// inline; DESIGN.md §6b); a product this size runs for ~300 µs, so the
+/// fork can pay for itself.
+const PAR_FLOPS: usize = 1 << 23;
+
+/// Row count threshold above which [`symv`] parallelizes.
 const PAR_ROWS: usize = 128;
 
 /// `C ← α·op(A)·op(B) + β·C`.
@@ -75,21 +120,19 @@ pub fn gemm_view(
     beta: f64,
     c: &mut MatrixViewMut,
 ) {
-    let (m, n, k) = check_shapes(a, ta, b, tb, c);
-    gemm_dispatch(alpha, a, ta, b, tb, beta, c, (m, n, k));
+    let shape = check_shapes(a, ta, b, tb, c);
+    gemm_core(alpha, a, ta, b, tb, beta, c, shape, Fma::detect());
 }
 
-/// [`gemm_view`] with the small-vs-blocked kernel choice made as if the
-/// product had shape `full_shape = (m, n, k)`.
+/// [`gemm_view`] with the read-`A`-in-place-or-pack-it choice made as if
+/// the product had shape `full_shape = (m, n, k)`.
 ///
 /// Used by callers that shrink a product's output to just the cells they
 /// need (the bulge chase's diagonal-overlap update computes only the
-/// `nr × nr` corner of the reference path's `nr × nc` rank-2k update)
-/// but must keep the full product's kernel selection so each shared
-/// output cell sees bitwise the same accumulation as the reference.
-/// Per-cell results of both kernels are independent of which *other*
-/// columns are present; only the small/blocked decision depends on the
-/// total shape, which is what the hint pins down.
+/// `nr × nr` corner of the reference path's `nr × nc` rank-2k update).
+/// By the cell contract (module docs) each shared output cell is bitwise
+/// the reference's on either path; the hint only keeps the shrunk
+/// product on the path its full shape would have taken.
 #[allow(clippy::too_many_arguments)] // mirrors gemm_view's BLAS-shaped signature + the hint
 pub fn gemm_view_hinted(
     alpha: f64,
@@ -102,7 +145,27 @@ pub fn gemm_view_hinted(
     full_shape: (usize, usize, usize),
 ) {
     check_shapes(a, ta, b, tb, c);
-    gemm_dispatch(alpha, a, ta, b, tb, beta, c, full_shape);
+    gemm_core(alpha, a, ta, b, tb, beta, c, full_shape, Fma::detect());
+}
+
+/// [`gemm_view_hinted`] through the portable instantiation of the tile
+/// loop whatever the host supports: the oracle the SIMD instantiation
+/// is held to, bit for bit, by `tests/gemm_props.rs`. Not a runtime leg
+/// — nothing outside tests calls it.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_view_hinted_portable(
+    alpha: f64,
+    a: &MatrixView,
+    ta: Trans,
+    b: &MatrixView,
+    tb: Trans,
+    beta: f64,
+    c: &mut MatrixViewMut,
+    full_shape: (usize, usize, usize),
+) {
+    check_shapes(a, ta, b, tb, c);
+    gemm_core(alpha, a, ta, b, tb, beta, c, full_shape, None);
 }
 
 fn check_shapes(
@@ -126,71 +189,32 @@ fn check_shapes(
     (m, n, k)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gemm_dispatch(
-    alpha: f64,
-    a: &MatrixView,
-    ta: Trans,
-    b: &MatrixView,
-    tb: Trans,
-    beta: f64,
-    c: &mut MatrixViewMut,
-    decision_shape: (usize, usize, usize),
-) {
-    let k = match ta {
-        Trans::N => a.cols(),
-        Trans::T => a.rows(),
-    };
-    if c.rows() == 0 || c.cols() == 0 {
-        return;
-    }
+/// Proof that the host has AVX2 and FMA: the only way to obtain one is
+/// [`Fma::detect`], so holding it is what makes calling the
+/// feature-compiled tile loop sound.
+#[derive(Clone, Copy)]
+struct Fma(());
 
-    scale(beta, c);
-    if alpha == 0.0 || k == 0 {
-        return;
-    }
-
-    let (dm, dn, dk) = decision_shape;
-    if 2 * dm * dn * dk < SMALL_FLOPS {
-        gemm_small(alpha, a, ta, b, tb, c);
-    } else {
-        gemm_blocked(alpha, a, ta, b, tb, c);
+impl Fma {
+    /// The one feature-detection site (cached after the first call).
+    fn detect() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::sync::OnceLock;
+            static HAVE: OnceLock<bool> = OnceLock::new();
+            let have = *HAVE.get_or_init(|| {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            });
+            have.then_some(Self(()))
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        None
     }
 }
 
-/// `C ← β·C`, parallel over rows when large and contiguous.
-fn scale(beta: f64, c: &mut MatrixViewMut) {
-    if beta == 1.0 {
-        return;
-    }
-    let rows = c.rows();
-    let n = c.cols().max(1);
-    let stride = c.stride();
-    let body = |row: &mut [f64]| {
-        if beta == 0.0 {
-            row.fill(0.0);
-        } else {
-            for v in row.iter_mut() {
-                *v *= beta;
-            }
-        }
-    };
-    if stride == n {
-        let len = rows * n;
-        let data = &mut c.data_mut()[..len];
-        if rows >= PAR_ROWS {
-            data.par_chunks_mut(n).for_each(body);
-        } else {
-            data.chunks_mut(n).for_each(body);
-        }
-    } else {
-        for i in 0..rows {
-            body(c.row_mut(i));
-        }
-    }
-}
-
-/// Element `op(A)[i][l]` resolver data: (data, leading dim, transposed).
+/// An operand as stored: `op(X)[i][j]` is `data[i·ld + j]`, or
+/// `data[j·ld + i]` when transposed.
 struct Operand<'a> {
     data: &'a [f64],
     ld: usize,
@@ -205,214 +229,306 @@ impl<'a> Operand<'a> {
             t: matches!(tr, Trans::T),
         }
     }
+}
 
-    #[inline(always)]
-    fn get(&self, i: usize, j: usize) -> f64 {
-        if self.t {
-            self.data[j * self.ld + i]
+/// `cols ← β·cols` on columns `col0..col0 + ncols` of the first `rows`
+/// rows of `data` (row stride `cs`). β = 0 stores zeros without reading.
+fn scale_cols(beta: f64, data: &mut [f64], cs: usize, rows: usize, col0: usize, ncols: usize) {
+    if beta == 1.0 {
+        return;
+    }
+    for r in 0..rows {
+        let row = &mut data[r * cs + col0..][..ncols];
+        if beta == 0.0 {
+            row.fill(0.0);
         } else {
-            self.data[i * self.ld + j]
+            for v in row.iter_mut() {
+                *v *= beta;
+            }
         }
     }
 }
 
-/// Fused `i-l-j` kernel for small products (`C` pre-scaled by β):
-/// unit-stride accumulation over `C` rows, operand transposes read in
-/// place.
-fn gemm_small(alpha: f64, a: &MatrixView, ta: Trans, b: &MatrixView, tb: Trans, c: &mut MatrixViewMut) {
-    let (m, n) = (c.rows(), c.cols());
-    let cs = c.stride();
+/// The loop nest around the tile kernel. `decision_shape` chooses
+/// between packing `op(A)` and reading it in place; `fma` chooses the
+/// instantiation of the tile loop. Neither can change a bit of `C`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_core(
+    alpha: f64,
+    a: &MatrixView,
+    ta: Trans,
+    b: &MatrixView,
+    tb: Trans,
+    beta: f64,
+    c: &mut MatrixViewMut,
+    decision_shape: (usize, usize, usize),
+    fma: Option<Fma>,
+) {
+    let (m, n, cs) = (c.rows(), c.cols(), c.stride());
     let k = match ta {
         Trans::N => a.cols(),
         Trans::T => a.rows(),
     };
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Works on strided `C`: `cols ≤ stride`, so slab boundaries at
+    // multiples of `MC·stride` never split a row's live columns, and the
+    // last slab ends at its last row's `n`-th column.
+    let live = (m - 1) * cs + n;
+    if alpha == 0.0 || k == 0 {
+        scale_cols(beta, c.data_mut(), cs, m, 0, n);
+        return;
+    }
     let av = Operand::new(a, ta);
     let bv = Operand::new(b, tb);
-    let data = c.data_mut();
-    for i in 0..m {
-        let c_row = &mut data[i * cs..i * cs + n];
-        for l in 0..k {
-            let f = alpha * av.get(i, l);
-            if f == 0.0 {
-                continue;
-            }
-            if bv.t {
-                for (j, cv) in c_row.iter_mut().enumerate() {
-                    *cv += f * bv.data[j * bv.ld + l];
-                }
-            } else {
-                let b_row = &bv.data[l * bv.ld..l * bv.ld + n];
-                for (cv, &bb) in c_row.iter_mut().zip(b_row) {
-                    *cv += f * bb;
-                }
-            }
-        }
-    }
-}
+    let (dm, dn, dk) = decision_shape;
+    let pack_a = 2 * dm * dn * dk >= if av.t { SMALL_FLOPS } else { SMALL_FLOPS_ROWS };
+    let fork = m > MC && 2 * m * n * k >= PAR_FLOPS;
 
-/// Pack the `kb × nb` panel of `op(B)` starting at `(pc, jc)` into
-/// `NR`-wide column strips: strip `t` holds `kb` rows of `NR` contiguous
-/// values (zero-padded past `nb`).
-fn pack_b(buf: &mut [f64], bv: &Operand, pc: usize, jc: usize, kb: usize, nb: usize) {
-    let strips = nb.div_ceil(NR);
-    for t in 0..strips {
-        let j0 = jc + t * NR;
-        let nr_eff = NR.min(jc + nb - j0);
-        let strip = &mut buf[t * kb * NR..(t + 1) * kb * NR];
-        for (l, row) in strip.chunks_exact_mut(NR).enumerate() {
-            for (cc, slot) in row.iter_mut().enumerate() {
-                *slot = if cc < nr_eff {
-                    bv.get(pc + l, j0 + cc)
-                } else {
-                    0.0
+    with_ws(|ws| {
+        let mut bpack = ws.take_scratch(KC.min(k) * NC.min(n).next_multiple_of(NR));
+        for jc in (0..n).step_by(NC) {
+            let nb = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kb = KC.min(k - pc);
+                pack::<NR>(&mut bpack, &bv, bv.t, jc, pc, nb, kb);
+                let panel = Panel {
+                    alpha,
+                    beta: if pc == 0 { beta } else { 1.0 },
+                    av: &av,
+                    bpack: &bpack,
+                    pc,
+                    jc,
+                    kb,
+                    nb,
+                    cs,
+                    pack_a,
+                    fma,
                 };
-            }
-        }
-    }
-}
-
-/// Pack the `mb × kb` block of `op(A)` starting at `(i0, pc)` into
-/// `MR`-tall row strips: strip `s` holds `kb` columns of `MR` contiguous
-/// values (zero-padded past `mb`).
-fn pack_a(buf: &mut [f64], av: &Operand, i0: usize, pc: usize, mb: usize, kb: usize) {
-    let strips = mb.div_ceil(MR);
-    for s in 0..strips {
-        let r0 = i0 + s * MR;
-        let mr_eff = MR.min(i0 + mb - r0);
-        let strip = &mut buf[s * kb * MR..(s + 1) * kb * MR];
-        for (l, col) in strip.chunks_exact_mut(MR).enumerate() {
-            for (rr, slot) in col.iter_mut().enumerate() {
-                *slot = if rr < mr_eff {
-                    av.get(r0 + rr, pc + l)
+                // Each MC-row slab of C is owned by exactly one task.
+                let data = &mut c.data_mut()[..live];
+                if fork {
+                    data.par_chunks_mut(MC * cs)
+                        .enumerate()
+                        .for_each(|(blk, slab)| panel.slab(blk * MC, slab));
                 } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// The `MR × NR` register micro-kernel: `acc += Ap·Bp` over `kb` packed
-/// steps. The fixed-size array refs let the compiler keep the whole
-/// accumulator tile in registers with no bounds checks.
-#[inline(always)]
-fn micro_kernel(kb: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (avec, bvec) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kb) {
-        let avec: &[f64; MR] = avec.try_into().unwrap();
-        let bvec: &[f64; NR] = bvec.try_into().unwrap();
-        for r in 0..MR {
-            let ar = avec[r];
-            for cc in 0..NR {
-                acc[r][cc] += ar * bvec[cc];
-            }
-        }
-    }
-}
-
-/// [`micro_kernel`] compiled with 256-bit vectors (AVX2). The
-/// arithmetic is the same statement sequence — separate multiply and
-/// add (Rust never contracts to FMA), and each vector lane is a
-/// *distinct* element of `C`, so every `C` element sees the identical
-/// rounding sequence as the portable kernel: results are bitwise
-/// equal. Selected at runtime by [`simd_kernel_enabled`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn micro_kernel_avx2(kb: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (avec, bvec) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kb) {
-        let avec: &[f64; MR] = avec.try_into().unwrap();
-        let bvec: &[f64; NR] = bvec.try_into().unwrap();
-        for r in 0..MR {
-            let ar = avec[r];
-            for cc in 0..NR {
-                acc[r][cc] += ar * bvec[cc];
-            }
-        }
-    }
-}
-
-/// True when the host supports the wide micro-kernel (detected once).
-#[cfg(target_arch = "x86_64")]
-fn simd_kernel_enabled() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-
-/// The three-level blocked path (`C` pre-scaled by β). Works on strided
-/// `C`: row indexing uses the view stride, and each `MC`-row slab still
-/// covers disjoint output rows (`cols ≤ stride`, so slab boundaries at
-/// multiples of `MC·stride` never split a row's live columns).
-fn gemm_blocked(alpha: f64, a: &MatrixView, ta: Trans, b: &MatrixView, tb: Trans, c: &mut MatrixViewMut) {
-    let (m, n) = (c.rows(), c.cols());
-    let cs = c.stride();
-    let k = match ta {
-        Trans::N => a.cols(),
-        Trans::T => a.rows(),
-    };
-    let av = Operand::new(a, ta);
-    let bv = Operand::new(b, tb);
-
-    let kc = KC.min(k);
-    let nb_max = NC.min(n).div_ceil(NR) * NR;
-    let mut bpack = vec![0.0f64; kc * nb_max];
-    #[cfg(target_arch = "x86_64")]
-    let wide = simd_kernel_enabled();
-
-    for jc in (0..n).step_by(NC) {
-        let nb = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            pack_b(&mut bpack, &bv, pc, jc, kb, nb);
-            let bpack = &bpack;
-            let av = &av;
-
-            // Each MC-row slab of C is owned by exactly one task.
-            let do_slab = |blk: usize, slab: &mut [f64]| {
-                let i0 = blk * MC;
-                // The final slab may end at its last row's `n`-th column
-                // rather than a full stride, hence the ceiling division.
-                let mb = slab.len().div_ceil(cs);
-                let mut apack = vec![0.0f64; mb.div_ceil(MR) * MR * kb];
-                pack_a(&mut apack, av, i0, pc, mb, kb);
-                for s in 0..mb.div_ceil(MR) {
-                    let mr_eff = MR.min(mb - s * MR);
-                    let pa = &apack[s * kb * MR..(s + 1) * kb * MR];
-                    for t in 0..nb.div_ceil(NR) {
-                        let nr_eff = NR.min(nb - t * NR);
-                        let pb = &bpack[t * kb * NR..(t + 1) * kb * NR];
-                        let mut acc = [[0.0f64; NR]; MR];
-                        #[cfg(target_arch = "x86_64")]
-                        if wide {
-                            // SAFETY: `wide` implies AVX2 was detected.
-                            unsafe { micro_kernel_avx2(kb, pa, pb, &mut acc) };
-                        } else {
-                            micro_kernel(kb, pa, pb, &mut acc);
-                        }
-                        #[cfg(not(target_arch = "x86_64"))]
-                        micro_kernel(kb, pa, pb, &mut acc);
-                        let col0 = jc + t * NR;
-                        for r in 0..mr_eff {
-                            let row = &mut slab[(s * MR + r) * cs + col0..][..nr_eff];
-                            for (cv, &x) in row.iter_mut().zip(&acc[r][..nr_eff]) {
-                                *cv += alpha * x;
-                            }
-                        }
-                    }
+                    data.chunks_mut(MC * cs)
+                        .enumerate()
+                        .for_each(|(blk, slab)| panel.slab(blk * MC, slab));
                 }
+            }
+        }
+        ws.put(bpack);
+    });
+}
+
+/// Pack `count` rows of `op(A)` (or columns of `op(B)`) from `x0`, over
+/// the inner range `l0..l0 + depth`, into `W`-wide strips: strip `t`
+/// holds `depth` groups of `W` contiguous values, lane `q` of group `l`
+/// being the operand at outer index `x0 + t·W + q`, inner index
+/// `l0 + l` (zero past `count`). Split by orientation, not per element:
+/// when the outer index runs along stored rows (`outer_is_row`:
+/// untransposed `A`, transposed `B`) each lane is a contiguous run of
+/// one stored row and the strip interleaves `W` of them; otherwise a
+/// group's `W` values are contiguous in storage and are copied as a run.
+fn pack<const W: usize>(
+    buf: &mut [f64],
+    op: &Operand,
+    outer_is_row: bool,
+    x0: usize,
+    l0: usize,
+    count: usize,
+    depth: usize,
+) {
+    let strips = buf[..count.div_ceil(W) * depth * W].chunks_exact_mut(depth * W);
+    for (t, strip) in strips.enumerate() {
+        let x = x0 + t * W;
+        let w = W.min(x0 + count - x);
+        if outer_is_row {
+            for q in 0..w {
+                let src = &op.data[(x + q) * op.ld + l0..][..depth];
+                for (group, &v) in strip.chunks_exact_mut(W).zip(src) {
+                    group[q] = v;
+                }
+            }
+            if w < W {
+                for group in strip.chunks_exact_mut(W) {
+                    group[w..].fill(0.0);
+                }
+            }
+        } else {
+            for (l, group) in strip.chunks_exact_mut(W).enumerate() {
+                let src = &op.data[(l0 + l) * op.ld + x..][..w];
+                if w == W {
+                    group.copy_from_slice(src);
+                } else {
+                    group[..w].copy_from_slice(src);
+                    group[w..].fill(0.0);
+                }
+            }
+        }
+    }
+}
+
+/// Where the tile loop reads `op(A)`: slab-local row `s·MR + r`, inner
+/// index `l` of the current chunk is `data[origin + s·ss + r·rs + l·ls]`.
+/// A packed block and the operand in place (either orientation) are
+/// three settings of the same four numbers.
+struct ASrc<'a> {
+    data: &'a [f64],
+    origin: usize,
+    /// Offset from one `MR`-row strip to the next.
+    ss: usize,
+    /// Offset from one row to the next within a strip.
+    rs: usize,
+    /// Offset from one inner index to the next.
+    ls: usize,
+    /// Every strip has `MR` readable rows (packing padded the last one
+    /// with zeros); when false a ragged last strip re-reads its final
+    /// row in the lanes past it, whose results are discarded.
+    padded: bool,
+}
+
+/// One packed `kb × nb` panel of `op(B)` with everything a row slab of
+/// `C` needs to accumulate `α·op(A)[.., pc..pc+kb]·panel` into its
+/// columns `jc..jc + nb`.
+struct Panel<'a> {
+    alpha: f64,
+    /// Applied to the slab's columns before accumulating: the caller's
+    /// β on the first `KC` chunk, 1 on the later ones.
+    beta: f64,
+    av: &'a Operand<'a>,
+    bpack: &'a [f64],
+    pc: usize,
+    jc: usize,
+    kb: usize,
+    nb: usize,
+    cs: usize,
+    pack_a: bool,
+    fma: Option<Fma>,
+}
+
+impl Panel<'_> {
+    /// Update the rows of `C` in `slab`, which start at row `i0`.
+    fn slab(&self, i0: usize, slab: &mut [f64]) {
+        let (av, kb) = (self.av, self.kb);
+        let mb = slab.len().div_ceil(self.cs);
+        scale_cols(self.beta, slab, self.cs, mb, self.jc, self.nb);
+        if self.pack_a {
+            with_ws(|ws| {
+                let mut apack = ws.take_scratch(mb.next_multiple_of(MR) * kb);
+                pack::<MR>(&mut apack, av, !av.t, i0, self.pc, mb, kb);
+                let a = ASrc {
+                    data: &apack,
+                    origin: 0,
+                    ss: kb * MR,
+                    rs: 1,
+                    ls: MR,
+                    padded: true,
+                };
+                self.tiles(&a, slab, mb);
+                ws.put(apack);
+            });
+        } else {
+            let (rs, ls) = if av.t { (1, av.ld) } else { (av.ld, 1) };
+            let a = ASrc {
+                data: av.data,
+                origin: i0 * rs + self.pc * ls,
+                ss: MR * rs,
+                rs,
+                ls,
+                padded: false,
             };
+            self.tiles(&a, slab, mb);
+        }
+    }
 
-            let live = (m - 1) * cs + n;
-            let data = &mut c.data_mut()[..live];
-            if m > MC {
-                data.par_chunks_mut(MC * cs)
-                    .enumerate()
-                    .for_each(|(blk, slab)| do_slab(blk, slab));
-            } else {
-                do_slab(0, data);
+    /// Run the tile loop over the slab in the instantiation `self.fma`
+    /// selects.
+    fn tiles(&self, a: &ASrc, slab: &mut [f64], mb: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if self.fma.is_some() {
+            // SAFETY: an `Fma` exists only if `Fma::detect` found AVX2
+            // and FMA on this host.
+            unsafe { tiles_fma(self, a, slab, mb) };
+            return;
+        }
+        tiles_body(self, a, slab, mb);
+    }
+}
+
+/// [`tiles_body`] compiled for AVX2 + FMA: the same source, so the same
+/// chain of operations on every cell; `f64::mul_add` becomes one
+/// `vfmadd` lane instead of a call.
+///
+/// # Safety
+/// The host must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tiles_fma(p: &Panel, a: &ASrc, slab: &mut [f64], mb: usize) {
+    tiles_body(p, a, slab, mb);
+}
+
+/// All `MR × NR` tiles of one slab against one packed panel: `B` strips
+/// outermost so a strip stays in L1 while the slab's `A` strips stream
+/// past it.
+#[inline(always)]
+fn tiles_body(p: &Panel, a: &ASrc, slab: &mut [f64], mb: usize) {
+    let (kb, nb, cs) = (p.kb, p.nb, p.cs);
+    for (t, pb) in p.bpack[..nb.div_ceil(NR) * kb * NR]
+        .chunks_exact(kb * NR)
+        .enumerate()
+    {
+        let nr_eff = NR.min(nb - t * NR);
+        let col0 = p.jc + t * NR;
+        for s in 0..mb.div_ceil(MR) {
+            let mr_eff = MR.min(mb - s * MR);
+            let last = if a.padded { MR - 1 } else { mr_eff - 1 };
+            let base: [usize; MR] =
+                std::array::from_fn(|r| a.origin + s * a.ss + r.min(last) * a.rs);
+            let acc = tile(a.data, &base, a.ls, pb);
+            for (r, acc_row) in acc.iter().enumerate().take(mr_eff) {
+                let row = &mut slab[(s * MR + r) * cs + col0..][..nr_eff];
+                for (cv, &x) in row.iter_mut().zip(acc_row) {
+                    *cv += p.alpha * x;
+                }
             }
         }
     }
+}
+
+/// The register tile: for each group of `NR` packed `B` values, one
+/// fused multiply-add per cell, `MR × NR` independent chains over `l`
+/// ascending from zero. The fixed-size array refs let the compiler keep
+/// the whole accumulator tile in registers.
+#[inline(always)]
+fn tile(a: &[f64], base: &[usize; MR], ls: usize, pb: &[f64]) -> [[f64; NR]; MR] {
+    let steps = pb.len() / NR;
+    if steps == 0 {
+        return [[0.0; NR]; MR];
+    }
+    // The one bounds check on `a` for the whole tile: the largest index
+    // the loop below forms.
+    let reach = base.iter().copied().max().expect("MR > 0") + (steps - 1) * ls;
+    assert!(reach < a.len(), "gemm: op(A) tile reaches past its operand");
+    let mut acc = [[0.0f64; NR]; MR];
+    let mut off = 0;
+    for bvec in pb.chunks_exact(NR) {
+        let bvec: &[f64; NR] = bvec.try_into().expect("chunks_exact(NR) yields NR values");
+        for r in 0..MR {
+            // SAFETY: `off ≤ (steps − 1)·ls` and `base[r] ≤ max(base)`,
+            // so the index is at most `reach`, asserted above to be in
+            // bounds. (Checked indexing here spills the accumulator tile
+            // around twelve panic edges per step: 16 vs 28 GFLOP/s.)
+            let ar = unsafe { *a.get_unchecked(base[r] + off) };
+            for cc in 0..NR {
+                acc[r][cc] = ar.mul_add(bvec[cc], acc[r][cc]);
+            }
+        }
+        off += ls;
+    }
+    acc
 }
 
 /// Convenience: allocate and return `op(A)·op(B)`.
@@ -528,8 +644,9 @@ mod tests {
 
     #[test]
     fn large_parallel_path_matches() {
-        let a = Matrix::from_fn(200, 30, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
-        let b = Matrix::from_fn(30, 40, |i, j| ((i * 17 + j * 3) % 11) as f64 - 5.0);
+        // Three row slabs and 2mnk ≥ PAR_FLOPS: the slabs are forked.
+        let a = Matrix::from_fn(200, 150, |i, j| ((i * 31 + j * 7) % 13) as f64 - 6.0);
+        let b = Matrix::from_fn(150, 150, |i, j| ((i * 17 + j * 3) % 11) as f64 - 5.0);
         assert!(matmul(&a, Trans::N, &b, Trans::N).max_diff(&naive(&a, &b)) < 1e-10);
     }
 

@@ -407,8 +407,8 @@ mod tests {
         let pinned: &[(&str, u64)] = &[
             ("wilkinson(21)", 0xa5ba201c58447aff),
             ("clement(16)", 0xad4be3e461c68559),
-            ("graded(16)", 0xc24050c44092e638),
-            ("clustered(16)", 0x6c010698ecfae7a9),
+            ("graded(16)", 0x98a2cfc4e0ed54ea),
+            ("clustered(16)", 0x82dc6b00ae22ee37),
             ("diag_dominant(16)", 0x4c19aae1202cabed),
             ("tight_binding(16)", 0xb98e6561e35bc9e1),
         ];

@@ -89,6 +89,16 @@ impl Workspace {
     /// fits, grows the largest pooled buffer (or allocates afresh when
     /// the pool is empty), counting a `grow`.
     pub fn take(&mut self, len: usize) -> Vec<f64> {
+        let mut buf = self.take_scratch(len);
+        buf.fill(0.0);
+        buf
+    }
+
+    /// [`take`](Self::take) without the zero-fill: `len` elements whose
+    /// values are whatever an earlier checkout left behind. Only for a
+    /// caller that writes every element before reading any (the GEMM
+    /// packing panels), so that reuse still cannot change a result.
+    pub fn take_scratch(&mut self, len: usize) -> Vec<f64> {
         self.checkouts += 1;
         WS_CHECKOUTS.add(1);
         WS_HIGH_WATER.record_max(len as u64);
@@ -111,7 +121,6 @@ impl Workspace {
             self.grows += 1;
             WS_GROWS.add(1);
         }
-        buf.clear();
         buf.resize(len, 0.0);
         buf
     }

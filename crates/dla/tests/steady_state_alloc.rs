@@ -1,19 +1,22 @@
-//! Steady-state allocation check for the zero-copy chase engine.
+//! Steady-state allocation check for the zero-copy chase engine and
+//! for GEMM's packing panels.
 //!
 //! A counting global allocator wraps `System`; after one warm-up pass
 //! over a full `h = 1` chase plan (which converges the thread arena's
 //! buffer-size profile), replaying the identical plan on a fresh band
-//! copy must perform **zero** heap allocations — every scratch panel
-//! comes out of the arena and every GEMM in this regime sits below the
-//! packing threshold. The same holds when the plan runs as a forked
-//! piece on a worker of the runtime's persistent pool, and when the
-//! forking thread takes a queued piece of its own fork.
+//! copy must perform **zero** heap allocations — every scratch panel,
+//! GEMM's packed `B` panel included, comes out of the arena. So must a
+//! second pass over a blocked-size product in all four orientations
+//! (packed `B` panel, and a packed `A` block for the transposed `A`).
+//! The same holds when the work runs as a forked piece on a worker of
+//! the runtime's persistent pool, and when the forking thread takes a
+//! queued piece of its own fork.
 //!
 //! Single test in this file on purpose: the counter is process-global
 //! and libtest runs sibling tests concurrently.
 
 use ca_dla::bulge::{chase_plan_to, execute_chase};
-use ca_dla::{gen, rt, BandedSym};
+use ca_dla::{gemm, gen, rt, BandedSym, Matrix, Trans};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,6 +80,53 @@ fn second_pass_allocations(dense: &ca_dla::Matrix, b: usize) -> u64 {
     chase_pass(dense, b, true)
 }
 
+/// A 160×96×160 product — well above the packing thresholds, below the
+/// fork threshold — in all four orientations, every operand built
+/// outside the counted section.
+struct BlockedProduct {
+    a: [Matrix; 2],
+    b: [Matrix; 2],
+    c: Matrix,
+}
+
+impl BlockedProduct {
+    fn new() -> Self {
+        let (m, k, n) = (160usize, 96usize, 160usize);
+        let mut rng = StdRng::seed_from_u64(77);
+        Self {
+            a: [
+                gen::random_matrix(&mut rng, m, k),
+                gen::random_matrix(&mut rng, k, m),
+            ],
+            b: [
+                gen::random_matrix(&mut rng, k, n),
+                gen::random_matrix(&mut rng, n, k),
+            ],
+            c: Matrix::zeros(m, n),
+        }
+    }
+
+    /// Multiply in all four orientations; with `counted`, return how
+    /// many heap allocations that took.
+    fn pass(&mut self, counted: bool) -> u64 {
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(counted, Ordering::SeqCst);
+        for (ia, ta) in [Trans::N, Trans::T].into_iter().enumerate() {
+            for (ib, tb) in [Trans::N, Trans::T].into_iter().enumerate() {
+                gemm(1.0, &self.a[ia], ta, &self.b[ib], tb, 0.5, &mut self.c);
+            }
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+        ALLOCS.load(Ordering::SeqCst)
+    }
+
+    /// Warm-up pass, then the counted one.
+    fn second_pass_allocations(&mut self) -> u64 {
+        self.pass(false);
+        self.pass(true)
+    }
+}
+
 #[test]
 fn steady_state_chase_is_allocation_free() {
     // A pool of two, so the second half below has a worker to land on
@@ -94,6 +144,12 @@ fn steady_state_chase_is_allocation_free() {
         count, 0,
         "steady-state chase performed {count} heap allocations"
     );
+    let mut product = BlockedProduct::new();
+    let count = product.second_pass_allocations();
+    assert_eq!(
+        count, 0,
+        "a blocked-size product's second pass performed {count} heap allocations"
+    );
 
     // As a forked piece on a pool worker: threads are not created per
     // fork any more, so a worker's arena, too, survives from one pass to
@@ -104,7 +160,7 @@ fn steady_state_chase_is_allocation_free() {
     assert_eq!(rt::current_num_threads(), 2);
     let caller = std::thread::current().id();
     let finished = (Mutex::new(false), Condvar::new());
-    let ((), (count, ran_on)) = rayon::join(
+    let ((), (count, gemm_count, ran_on)) = rayon::join(
         || {
             let (lock, cv) = &finished;
             let mut done = lock.lock().unwrap();
@@ -114,10 +170,11 @@ fn steady_state_chase_is_allocation_free() {
         },
         || {
             let count = second_pass_allocations(&dense, b);
+            let gemm_count = product.second_pass_allocations();
             let (lock, cv) = &finished;
             *lock.lock().unwrap() = true;
             cv.notify_all();
-            (count, std::thread::current().id())
+            (count, gemm_count, std::thread::current().id())
         },
     );
     assert_ne!(
@@ -127,6 +184,10 @@ fn steady_state_chase_is_allocation_free() {
     assert_eq!(
         count, 0,
         "steady-state chase on a pool worker performed {count} heap allocations"
+    );
+    assert_eq!(
+        gemm_count, 0,
+        "a blocked-size product's second pass on a pool worker performed {gemm_count} heap allocations"
     );
 
     // As a *queued* piece of the caller's own fork, run by the caller:

@@ -3,11 +3,13 @@
 //! Implements the subset of criterion's API the workspace's benches
 //! use — `benchmark_group` / `bench_with_input` / `bench_function`,
 //! `BenchmarkId`, the `criterion_group!`/`criterion_main!` macros —
-//! with a simple median-of-samples wall-clock measurement. `--quick`
-//! (or `CRITERION_QUICK=1`) cuts warm-up and sample counts for CI.
-//! Results are printed as `group/id: <median> (<samples> samples)`
-//! lines and, when `CRITERION_JSON` names a file, appended to it as
-//! JSON-lines records.
+//! `Throughput::Elements` — with a simple median-of-samples wall-clock
+//! measurement. `--quick` (or `CRITERION_QUICK=1`) cuts warm-up and
+//! sample counts for CI. Results are printed as
+//! `group/id: <median> (<samples> samples)` lines — followed by
+//! `thrpt <rate> Gelem/s` when the group declared a throughput — and,
+//! when `CRITERION_JSON` names a file, appended to it as JSON-lines
+//! records.
 
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -42,6 +44,7 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             name: name.to_string(),
+            throughput: None,
         }
     }
 
@@ -53,7 +56,7 @@ impl Criterion {
             durations: Vec::new(),
         };
         f(&mut b);
-        report(id, &b.durations);
+        report(id, &b.durations, None);
     }
 
     fn effective_samples(&self) -> usize {
@@ -69,9 +72,24 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
+}
+
+/// Work done by one iteration of the benchmarks that follow in a group.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Elements (of whatever the benchmark counts) per iteration.
+    Elements(u64),
 }
 
 impl BenchmarkGroup<'_> {
+    /// Declare the work one iteration of the following benchmarks does;
+    /// their report lines gain a rate.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     /// Measure one parameterized benchmark in the group.
     pub fn bench_with_input<I: ?Sized, F>(&mut self, id: BenchmarkId, input: &I, mut f: F)
     where
@@ -83,7 +101,11 @@ impl BenchmarkGroup<'_> {
             durations: Vec::new(),
         };
         f(&mut b, input);
-        report(&format!("{}/{}", self.name, id.0), &b.durations);
+        report(
+            &format!("{}/{}", self.name, id.0),
+            &b.durations,
+            self.throughput,
+        );
     }
 
     /// Finish the group (printing is incremental; this is a no-op kept
@@ -125,7 +147,7 @@ impl Bencher {
 }
 
 /// Print (and optionally record) one benchmark's median timing.
-fn report(id: &str, durations: &[Duration]) {
+fn report(id: &str, durations: &[Duration], throughput: Option<Throughput>) {
     if durations.is_empty() {
         println!("{id}: no samples");
         return;
@@ -134,7 +156,19 @@ fn report(id: &str, durations: &[Duration]) {
     sorted.sort();
     let median = sorted[sorted.len() / 2];
     let best = sorted[0];
-    println!("{id}: median {median:?}, best {best:?} ({} samples)", sorted.len());
+    let thrpt = match throughput {
+        Some(Throughput::Elements(n)) => {
+            format!(
+                ", thrpt {:.2} Gelem/s",
+                n as f64 / median.as_secs_f64() / 1e9
+            )
+        }
+        None => String::new(),
+    };
+    println!(
+        "{id}: median {median:?}, best {best:?} ({} samples){thrpt}",
+        sorted.len()
+    );
     if let Ok(path) = std::env::var("CRITERION_JSON") {
         if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
             let _ = writeln!(

@@ -151,6 +151,14 @@ fn concurrent_solves_keep_their_own_bits_and_ledgers() {
 #[test]
 #[ignore = "subprocess payload for schedule_independence_across_pool_sizes"]
 fn inner_emit_hashes() {
+    // Start the pool the way a large solve would: under `CA_SERIAL` the
+    // task graphs run inline and no product at these sizes reaches
+    // GEMM's fork threshold, so nothing below would wake it, and the
+    // spawn count must show that the solves add nothing to a running
+    // pool.
+    let (a, b) = (Matrix::identity(128), Matrix::zeros(128, 256));
+    let mut c = Matrix::zeros(128, 256);
+    gemm(1.0, &a, Trans::N, &b, Trans::N, 0.0, &mut c);
     let line: Vec<String> = SHAPES
         .iter()
         .map(|&(n, p, c)| {
@@ -207,31 +215,38 @@ fn schedule_independence_across_pool_sizes() {
 }
 
 /// Subprocess payload: task graphs whose tasks hold one cell's lock
-/// across a GEMM tall enough (m > 64) to fork into four pieces.
+/// across a GEMM large enough (four row slabs, 2mnk ≥ 2²³) to fork.
 #[test]
 #[ignore = "subprocess payload for sibling_tasks_sharing_a_locked_cell_…"]
 fn inner_locked_cell_graphs() {
     let machine = Machine::new(MachineParams::new(4));
-    // Tall and thin: four row slabs to fork over, little to compute.
+    // Four row slabs to fork over, and no more to compute than a fork
+    // takes.
+    let (m, n, k) = (384, 32, 352);
     let mut rng = StdRng::seed_from_u64(5);
-    let tall = gen::random_matrix(&mut rng, 256, 32);
-    let square = gen::random_matrix(&mut rng, 32, 32);
-    let mut want = Matrix::zeros(256, 32);
-    gemm(1.0, &tall, Trans::N, &square, Trans::N, 0.0, &mut want);
+    let tall = gen::random_matrix(&mut rng, m, k);
+    let thin = gen::random_matrix(&mut rng, k, n);
+    let mut want = Matrix::zeros(m, n);
+    let queued = rt::stats().jobs_run;
+    gemm(1.0, &tall, Trans::N, &thin, Trans::N, 0.0, &mut want);
+    assert!(
+        rt::stats().jobs_run > queued,
+        "a {m}×{n}×{k} product no longer forks: this test has lost its subject"
+    );
     let cell = TaskCell::new();
-    cell.set((tall, square));
+    cell.set((tall, thin));
     // C ← A·B under the cell's lock, as `f2b.w` reads `c.qr`.
     let read_and_multiply = |out: &TaskCell<f64>| {
         cell.with_ref(|(a, b)| {
-            let mut c = Matrix::zeros(256, 32);
+            let mut c = Matrix::zeros(m, n);
             gemm(1.0, a, Trans::N, b, Trans::N, 0.0, &mut c);
             out.set(c.get(200, 3));
         })
     };
 
-    // An unoptimised GEMM is ~50× slower; its longer pieces also widen
+    // An unoptimised GEMM is ~300× slower; its longer pieces also widen
     // the window, so fewer rounds find it.
-    let rounds = if cfg!(debug_assertions) { 300 } else { 3000 };
+    let rounds = if cfg!(debug_assertions) { 30 } else { 3000 };
     for round in 0..rounds {
         let outs: Vec<TaskCell<f64>> = (0..7).map(|_| TaskCell::new()).collect();
         let mut g = TaskGraph::new(&machine);
