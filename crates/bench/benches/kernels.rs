@@ -56,16 +56,40 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The recursive QR at the shapes the solver gives it: rect-QR tree
+/// nodes and TSQR leaves (1024×512, 512×256), CA-SBR and finale chases
+/// (256×128 and the three narrow panels), and `service_mix`'s n ≤ 96
+/// solves (96×48, 32×16, 16×8 — the last is a single leaf). An element
+/// is a flop of the textbook count `2n²(m − n/3)`, so `thrpt` reads
+/// GFLOP/s; small shapes are batched so a sample outlasts the timer.
 fn bench_qr(c: &mut Criterion) {
     let mut group = c.benchmark_group("qr_panel");
-    for (m, n) in [(256usize, 32usize), (512, 32), (512, 64)] {
+    let shapes = [
+        (1024usize, 512usize),
+        (512, 256),
+        (256, 128),
+        (512, 64),
+        (512, 32),
+        (256, 32),
+        (96, 48),
+        (32, 16),
+        (16, 8),
+    ];
+    for (m, n) in shapes {
         let mut rng = StdRng::seed_from_u64(2);
         let a = gen::random_matrix(&mut rng, m, n);
+        let flops = (2 * n * n * (3 * m - n) / 3) as u64;
+        let batch = (1 << 20) / flops + 1;
+        group.throughput(Throughput::Elements(flops * batch));
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{m}x{n}")),
-            &(m, n),
-            |bench, _| {
-                bench.iter(|| black_box(qr_factor(&a, 32)));
+            &batch,
+            |bench, &batch| {
+                bench.iter(|| {
+                    for _ in 0..batch {
+                        black_box(qr_factor(&a, usize::MAX));
+                    }
+                });
             },
         );
     }
@@ -132,10 +156,11 @@ fn bench_chase_window(c: &mut Criterion) {
     group.finish();
 }
 
-/// Unblocked panel factorization (`nb = 1` routes everything through
-/// the vectorized `geqr2` + `form_t` micro-kernels).
-fn bench_geqr2(c: &mut Criterion) {
-    let mut group = c.benchmark_group("geqr2");
+/// The same factorisation recursed down to single columns (`nb = 1`):
+/// the unblocked elimination order the tests use as the oracle, every
+/// level of the tree a GEMM with an inner dimension of one or more.
+fn bench_qr_single_column_leaves(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qr_single_column_leaves");
     for (m, n) in [(256usize, 32usize), (512, 64)] {
         let mut rng = StdRng::seed_from_u64(5);
         let a = gen::random_matrix(&mut rng, m, n);
@@ -216,7 +241,7 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
     targets = bench_gemm, bench_qr, bench_band_reduction, bench_chase_window,
-        bench_geqr2, bench_tridiag_eigen, bench_dnc_values, bench_secular_solve,
+        bench_qr_single_column_leaves, bench_tridiag_eigen, bench_dnc_values, bench_secular_solve,
         bench_merge_gemm
 }
 criterion_main!(kernels);

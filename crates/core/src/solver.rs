@@ -369,6 +369,7 @@ fn solve_impl(
         // columns (k = 1 fast path in back_transform).
         while rehoused.bandwidth() > ca_dla::tridiag::HALVE_FLOOR {
             let b = rehoused.bandwidth();
+            let _span = ca_obs::kernel_span(&format!("finale.halve ({b}→{})", b.div_ceil(2)));
             let stage = log.stage(&format!("sequential band halving (b={b})"));
             for op in ca_dla::bulge::chase_plan(n, b, 2) {
                 let row0 = op.qr_rows.0;
@@ -377,21 +378,28 @@ fn solve_impl(
             }
             rehoused.set_bandwidth(b.div_ceil(2));
         }
-        let stage = log.stage("sequential band→tridiagonal (fused sweep)");
-        for (row0, u, tau) in ca_dla::bulge::sweep_to_tridiagonal_recording(&mut rehoused) {
-            let rows = u.len();
-            stage.push(crate::transforms::Reflectors {
-                row0,
-                u: Matrix::from_vec(rows, 1, u),
-                t: Matrix::from_vec(1, 1, vec![tau]),
-            });
+        {
+            let _span =
+                ca_obs::kernel_span(&format!("finale.sweep ({})", rehoused.bandwidth()));
+            let stage = log.stage("sequential band→tridiagonal (fused sweep)");
+            for (row0, u, tau) in ca_dla::bulge::sweep_to_tridiagonal_recording(&mut rehoused) {
+                let rows = u.len();
+                stage.push(crate::transforms::Reflectors {
+                    row0,
+                    u: Matrix::from_vec(rows, 1, u),
+                    t: Matrix::from_vec(1, 1, vec![tau]),
+                });
+            }
         }
         rehoused
     } else {
         band
     };
     let (d, e) = work.tridiagonal();
-    let (ev, z) = ca_dla::dnc::dnc_eigen(&d, &e)?;
+    let (ev, z) = {
+        let _span = ca_obs::kernel_span("finale.dnc");
+        ca_dla::dnc::dnc_eigen(&d, &e)?
+    };
     machine.charge_flops(machine_proc0(), (6 * (n as u64).pow(3)).div_ceil(p as u64));
     machine.fence();
     scope.end(&mut costs);

@@ -25,7 +25,7 @@
 use crate::band::BandedSym;
 use crate::gemm::{gemm, gemm_view, gemm_view_hinted, matmul, Trans};
 use crate::matrix::Matrix;
-use crate::qr::{form_t_view, qr_factor, qr_inplace};
+use crate::qr::{qr_factor, qr_inplace};
 use crate::view::{MatrixView, MatrixViewMut};
 use crate::workspace::{with_ws, Workspace};
 
@@ -184,7 +184,7 @@ pub fn chase_window_update_factors_reference(d: &mut Matrix, op: &ChaseOp) -> (M
 
     // Line 16: [U, T, R] ← QR(B[I_qr.rs, I_qr.cs]).
     let block = d.block(qr_r, qr_c, nr, h);
-    let f = qr_factor(&block, h.clamp(1, 32));
+    let f = qr_factor(&block, usize::MAX);
     let kk = f.k();
 
     // Line 17: B[I_qr.rs, I_qr.cs] = [R; 0] and its mirror.
@@ -247,23 +247,11 @@ fn chase_dense_fast(
     // Line 16: [U, T, R] ← QR(B[I_qr.rs, I_qr.cs]), factored in place —
     // afterwards the window block holds R above the diagonal and the
     // reflector tails below it.
-    let mut taus = ws.take(kk);
-    qr_inplace(&mut d.subview_mut(qr_r, qr_c, nr, h), h.clamp(1, 32), &mut taus, ws);
-
-    let mut u = ws.take(nr * kk);
-    {
-        let blk = d.subview(qr_r, qr_c, nr, h);
-        for j in 0..kk {
-            u[j * kk + j] = 1.0;
-            for i in j + 1..nr {
-                u[i * kk + j] = blk.get(i, j);
-            }
-        }
-    }
-    let mut t = ws.take(kk * kk);
-    form_t_view(
-        &MatrixView::from_slice(&u, nr, kk),
-        &taus,
+    let mut u = ws.take_scratch(nr * kk);
+    let mut t = ws.take_scratch(kk * kk);
+    qr_inplace(
+        &mut d.subview_mut(qr_r, qr_c, nr, h),
+        &mut MatrixViewMut::from_slice(&mut u, nr, kk),
         &mut MatrixViewMut::from_slice(&mut t, kk, kk),
         ws,
     );
@@ -384,7 +372,6 @@ fn chase_dense_fast(
     ws.put(bu);
     ws.put(t);
     ws.put(u);
-    ws.put(taus);
     out
 }
 
@@ -421,20 +408,11 @@ fn chase_banded_fast(
             blk[i * h + j] = bmat.get(qr_r0 + i, qr_c0 + j);
         }
     }
-    let mut taus = ws.take(kk);
-    qr_inplace(&mut MatrixViewMut::from_slice(&mut blk, nr, h), h.clamp(1, 32), &mut taus, ws);
-
-    let mut u = ws.take(nr * kk);
-    for j in 0..kk {
-        u[j * kk + j] = 1.0;
-        for i in j + 1..nr {
-            u[i * kk + j] = blk[i * h + j];
-        }
-    }
-    let mut t = ws.take(kk * kk);
-    form_t_view(
-        &MatrixView::from_slice(&u, nr, kk),
-        &taus,
+    let mut u = ws.take_scratch(nr * kk);
+    let mut t = ws.take_scratch(kk * kk);
+    qr_inplace(
+        &mut MatrixViewMut::from_slice(&mut blk, nr, h),
+        &mut MatrixViewMut::from_slice(&mut u, nr, kk),
         &mut MatrixViewMut::from_slice(&mut t, kk, kk),
         ws,
     );
@@ -649,7 +627,6 @@ fn chase_banded_fast(
     ws.put(p1);
     ws.put(t);
     ws.put(u);
-    ws.put(taus);
     ws.put(blk);
     out
 }

@@ -22,7 +22,7 @@ pub fn random_matrix<R: Rng>(rng: &mut R, m: usize, n: usize) -> Matrix {
 /// factorization of a random Gaussian-ish matrix.
 pub fn random_orthogonal<R: Rng>(rng: &mut R, n: usize) -> Matrix {
     let a = random_matrix(rng, n, n);
-    let f = qr_factor(&a, 8.min(n).max(1));
+    let f = qr_factor(&a, usize::MAX);
     explicit_q(&f.u, &f.t, n)
 }
 
@@ -407,8 +407,8 @@ mod tests {
         let pinned: &[(&str, u64)] = &[
             ("wilkinson(21)", 0xa5ba201c58447aff),
             ("clement(16)", 0xad4be3e461c68559),
-            ("graded(16)", 0x98a2cfc4e0ed54ea),
-            ("clustered(16)", 0x82dc6b00ae22ee37),
+            ("graded(16)", 0xeaed8a581de80b8c),
+            ("clustered(16)", 0xe4eb6c2e10c3b63a),
             ("diag_dominant(16)", 0x4c19aae1202cabed),
             ("tight_binding(16)", 0xb98e6561e35bc9e1),
         ];

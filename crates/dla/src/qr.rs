@@ -1,4 +1,4 @@
-//! Blocked Householder QR with the compact-WY representation
+//! Recursive Householder QR with the compact-WY representation
 //! `Q = I − U·T·Uᵀ` used throughout the paper (§III.B, §IV).
 //!
 //! `U` is unit lower-trapezoidal (`m × min(m,n)`, implicit unit diagonal
@@ -6,6 +6,12 @@
 //! matches the paper's Householder aggregation: Corollary III.7's
 //! reconstruction produces the same `(U, T)` pair, and the two-sided
 //! update identity of Eqn. (IV.1) consumes it.
+//!
+//! There is one factorisation, `qr_inplace` — Lemma III.4's sequential
+//! recursive QR: split the columns, factor the left half, update the
+//! right half by GEMM, factor it, assemble `T` by GEMM. It has no block
+//! size; rect-QR's tree nodes, TSQR's leaves, every bulge chase and the
+//! input generator reach it ([`qr_factor`] is its allocating wrapper).
 
 use crate::gemm::{gemm, gemm_view, matmul, Trans};
 use crate::matrix::Matrix;
@@ -40,34 +46,17 @@ impl QrFactors {
 /// returns `(v, tau, beta)` with `v\[0\] = 1` such that
 /// `(I − tau·v·vᵀ)·x = beta·e₁`.
 pub fn house_gen(x: &[f64]) -> (Vec<f64>, f64, f64) {
-    let n = x.len();
-    assert!(n > 0);
-    let alpha = x[0];
-    let sigma2: f64 = x[1..].iter().map(|v| v * v).sum();
     let mut v = x.to_vec();
-    v[0] = 1.0;
-    if sigma2 == 0.0 {
-        // Already in e₁ direction: H = I (tau = 0) keeps beta = alpha.
-        return (v, 0.0, alpha);
-    }
-    let norm = (alpha * alpha + sigma2).sqrt();
-    let beta = if alpha >= 0.0 { -norm } else { norm };
-    let denom = alpha - beta;
-    for vi in v[1..].iter_mut() {
-        *vi /= denom;
-    }
-    let tau = (beta - alpha) / beta;
+    let (tau, beta) = house_gen_in_place(&mut v);
     (v, tau, beta)
 }
 
-/// [`house_gen`] operating in place: `v` holds `x` on entry and the
-/// reflector (with `v[0] = 1`) on exit; returns `(tau, beta)`. Bitwise
-/// the same arithmetic as [`house_gen`], minus its allocation.
+/// [`house_gen`] in place: `v` holds `x` on entry and the reflector
+/// (with `v[0] = 1`) on exit; returns `(tau, beta)`.
 fn house_gen_in_place(v: &mut [f64]) -> (f64, f64) {
-    let n = v.len();
-    assert!(n > 0);
+    assert!(!v.is_empty());
     let alpha = v[0];
-    let sigma2: f64 = v[1..].iter().map(|x| x * x).sum();
+    let sigma2 = dot(&v[1..], &v[1..]);
     v[0] = 1.0;
     if sigma2 == 0.0 {
         // Already in e₁ direction: H = I (tau = 0) keeps beta = alpha.
@@ -83,111 +72,111 @@ fn house_gen_in_place(v: &mut [f64]) -> (f64, f64) {
     (tau, beta)
 }
 
-/// `row[c] −= s[c] · vi`, unrolled by 4. Elementwise (no accumulator),
-/// so unrolling cannot reassociate anything.
+/// `Σ x[i]·y[i]` over eight interleaved partial sums (element `i` into
+/// lane `i mod 8`) combined as a fixed tree, the ragged tail added last:
+/// the order is part of the source, so the compiler may vectorise the
+/// lanes but cannot reassociate, and the value is the same on every host.
 #[inline]
-fn axpy_sub(row: &mut [f64], s: &[f64], vi: f64) {
-    let mut rc = row.chunks_exact_mut(4);
-    let mut sc = s.chunks_exact(4);
-    for (r4, s4) in rc.by_ref().zip(sc.by_ref()) {
-        r4[0] -= s4[0] * vi;
-        r4[1] -= s4[1] * vi;
-        r4[2] -= s4[2] * vi;
-        r4[3] -= s4[3] * vi;
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 8];
+    let mut xc = x.chunks_exact(8);
+    let mut yc = y.chunks_exact(8);
+    for (a, b) in xc.by_ref().zip(yc.by_ref()) {
+        for l in 0..8 {
+            acc[l] += a[l] * b[l];
+        }
     }
-    for (r, &x) in rc.into_remainder().iter_mut().zip(sc.remainder()) {
-        *r -= x * vi;
+    let mut s = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    for (a, b) in xc.remainder().iter().zip(yc.remainder()) {
+        s += a * b;
     }
+    s
 }
 
-/// `acc[c] += row[c] · vi`, unrolled by 4 (elementwise over `c`; each
-/// `acc[c]` still receives its terms in the same caller-defined order).
-#[inline]
-fn axpy_add(acc: &mut [f64], row: &[f64], vi: f64) {
-    let mut ac = acc.chunks_exact_mut(4);
-    let mut rc = row.chunks_exact(4);
-    for (a4, r4) in ac.by_ref().zip(rc.by_ref()) {
-        a4[0] += r4[0] * vi;
-        a4[1] += r4[1] * vi;
-        a4[2] += r4[2] * vi;
-        a4[3] += r4[3] * vi;
-    }
-    for (a, &x) in ac.into_remainder().iter_mut().zip(rc.remainder()) {
-        *a += x * vi;
-    }
-}
-
-/// Unblocked Householder QR (LAPACK `geqr2` shape) on a strided view:
-/// factors `w` in place, leaving `R` in the upper triangle and the
-/// reflector tails below the diagonal; writes the `tau` scalars into
-/// `taus` (length `min(m, n)`).
-///
-/// The trailing update is a vectorized *row sweep*: the per-column dot
-/// products `s[c] = Σ_off v[off]·W[j+off][c]` are accumulated row by row
-/// over contiguous row slices. Each `s[c]` receives its terms in
-/// ascending `off` order — exactly the order of the scalar per-column
-/// loop it replaces — and the rank-1 update is elementwise, so the
-/// result is bitwise identical to the seed kernel.
-pub(crate) fn geqr2_view(w: &mut MatrixViewMut, taus: &mut [f64], ws: &mut Workspace) {
+/// The recursion's leaf: unblocked Householder QR (LAPACK `geqr2` +
+/// `larft`) of a tall `m × n` panel, `n ≤ LEAF`, with the same outputs
+/// as [`qr_inplace`]. The panel is gathered once into a column-major
+/// arena buffer so that every reflector norm, every `vᵀ·c` and every
+/// rank-1 update runs over contiguous columns (in `w` itself a column is
+/// one element per cache line, and for a power-of-two stride one cache
+/// set), then scattered back once.
+fn qr_leaf(w: &mut MatrixViewMut, u: &mut MatrixViewMut, t: &mut MatrixViewMut, ws: &mut Workspace) {
     let (m, n) = (w.rows(), w.cols());
-    let k = m.min(n);
-    assert_eq!(taus.len(), k);
-    let mut v = ws.take(m);
-    let mut s = ws.take(n);
-    for j in 0..k {
-        let vj = &mut v[..m - j];
-        for (off, slot) in vj.iter_mut().enumerate() {
-            *slot = w.get(j + off, j);
+    debug_assert!(n <= LEAF && n <= m);
+    let mut p = ws.take_scratch(m * n);
+    for i in 0..m {
+        for (c, &x) in w.row(i).iter().enumerate() {
+            p[c * m + i] = x;
         }
-        let (tau, beta) = house_gen_in_place(vj);
-        // Apply H = I − tau·v·vᵀ to the trailing columns. Columns are
-        // independent, so sweeping all dots before all updates performs
-        // the same arithmetic as the column-at-a-time loop.
-        if tau != 0.0 && j + 1 < n {
-            let sw = &mut s[..n - j - 1];
-            sw.fill(0.0);
-            for (off, &vi) in vj.iter().enumerate() {
-                let row = &w.row(j + off)[j + 1..n];
-                axpy_add(sw, row, vi);
-            }
-            for sc in sw.iter_mut() {
-                *sc *= tau;
-            }
-            for (off, &vi) in vj.iter().enumerate() {
-                let row = &mut w.row_mut(j + off)[j + 1..n];
-                axpy_sub(row, &s[..n - j - 1], vi);
+    }
+
+    let mut taus = [0.0; LEAF];
+    for j in 0..n {
+        let (head, rest) = p.split_at_mut((j + 1) * m);
+        let v = &mut head[j * m + j..];
+        let (tau, beta) = house_gen_in_place(v);
+        if tau != 0.0 {
+            for col in rest.chunks_exact_mut(m) {
+                let c = &mut col[j..];
+                let s = tau * dot(v, c);
+                for (x, &vi) in c.iter_mut().zip(v.iter()) {
+                    *x -= s * vi;
+                }
             }
         }
-        w.set(j, j, beta);
-        for (off, &vi) in vj.iter().enumerate().skip(1) {
-            w.set(j + off, j, vi);
-        }
+        v[0] = beta;
         taus[j] = tau;
     }
-    ws.put(s);
-    ws.put(v);
+
+    // T, column by column: T[0..j, j] = −τⱼ·T[0..j, 0..j]·(U[:, 0..j]ᵀ·uⱼ),
+    // with uⱼ's unit diagonal implicit.
+    t.fill(0.0);
+    let mut z = [0.0; LEAF];
+    for j in 0..n {
+        let tau = taus[j];
+        t.set(j, j, tau);
+        if tau == 0.0 {
+            continue;
+        }
+        let uj = &p[j * m + j + 1..(j + 1) * m];
+        for c in 0..j {
+            let uc = &p[c * m + j..(c + 1) * m];
+            z[c] = -tau * (uc[0] + dot(&uc[1..], uj));
+        }
+        for r in 0..j {
+            let mut acc = 0.0;
+            for (&tv, &zc) in t.row(r)[r..j].iter().zip(&z[r..j]) {
+                acc += tv * zc;
+            }
+            t.set(r, j, acc);
+        }
+    }
+
+    for i in 0..m {
+        let (wr, ur) = (w.row_mut(i), u.row_mut(i));
+        for (c, x) in wr.iter_mut().enumerate() {
+            *x = p[c * m + i];
+        }
+        let below = i.min(n);
+        ur[..below].copy_from_slice(&wr[..below]);
+        if i < n {
+            ur[i] = 1.0;
+            ur[i + 1..].fill(0.0);
+        }
+    }
+    ws.put(p);
 }
 
 /// Form the upper-triangular `T` of the compact-WY representation from
 /// the unit lower-trapezoidal `U` and the `tau` scalars (LAPACK `larft`,
-/// forward column-wise).
+/// forward column-wise, BLAS-1 over the full width). Not on any solver
+/// path: the oracle the recursion's GEMM-assembled `T` is held to in
+/// `tests/qr_props.rs`.
 pub fn form_t(u: &Matrix, taus: &[f64]) -> Matrix {
-    let k = u.cols();
-    let mut t = Matrix::zeros(k, k);
-    with_ws(|ws| form_t_view(&u.view(), taus, &mut t.view_mut(), ws));
-    t
-}
-
-/// [`form_t`] writing into a caller-provided (zeroed) `k × k` view, with
-/// scratch from `ws`. Row-slice accumulation; per-entry term order
-/// matches the scalar loops (ascending `c` within ascending `i`), so the
-/// result is bitwise identical.
-pub(crate) fn form_t_view(u: &MatrixView, taus: &[f64], t: &mut MatrixViewMut, ws: &mut Workspace) {
-    let k = u.cols();
+    let (m, k) = (u.rows(), u.cols());
     assert_eq!(taus.len(), k);
-    assert_eq!((t.rows(), t.cols()), (k, k));
-    let m = u.rows();
-    let mut w = ws.take(k);
+    let mut t = Matrix::zeros(k, k);
+    let mut w = vec![0.0; k];
     for j in 0..k {
         let tau = taus[j];
         t.set(j, j, tau);
@@ -197,15 +186,14 @@ pub(crate) fn form_t_view(u: &MatrixView, taus: &[f64], t: &mut MatrixViewMut, w
             wj.fill(0.0);
             for i in j..m {
                 let uij = u.get(i, j);
-                if uij != 0.0 {
-                    axpy_add(wj, &u.row(i)[..j], uij);
+                for (wc, &uic) in wj.iter_mut().zip(&u.row(i)[..j]) {
+                    *wc += uic * uij;
                 }
             }
             for wc in wj.iter_mut() {
                 *wc *= -tau;
             }
-            // T[0..j, j] = T[0..j, 0..j] · w (single accumulator per
-            // entry — same summation order as the scalar kernel).
+            // T[0..j, j] = T[0..j, 0..j] · w
             for r in 0..j {
                 let mut acc = 0.0;
                 for (&tv, &wc) in t.row(r)[r..j].iter().zip(&w[r..j]) {
@@ -215,14 +203,38 @@ pub(crate) fn form_t_view(u: &MatrixView, taus: &[f64], t: &mut MatrixViewMut, w
             }
         }
     }
-    ws.put(w);
+    t
 }
 
-/// Blocked Householder QR of `a` with panel width `nb`.
+/// Column count at or below which the recursion stops and the panel is
+/// factored by the unblocked [`qr_leaf`]. Not a knob of the interface:
+/// the recursion is cache-oblivious and every product above the leaf
+/// goes through the one GEMM; the leaf only has to be wide enough that
+/// those products are not dominated by call overhead, and narrow enough
+/// that the BLAS-2 share (`LEAF / n` of the flops) stays small. Changing
+/// it changes output bits.
+const LEAF: usize = 8;
+
+/// Where a node of `n > leaf` columns splits: half, rounded up to a
+/// whole number of leaves. A function of the column count and the leaf
+/// width alone — not of the cache, the worker count or the host — so the
+/// tree, and with it every bit of the factors, is fixed by the shape.
+fn split(n: usize, leaf: usize) -> usize {
+    (n / 2).next_multiple_of(leaf)
+}
+
+/// Householder QR of `a`: explicit `(U, T, R)`; the input is not
+/// modified. This is Lemma III.4's sequential recursive QR (see
+/// `qr_inplace`); the vertical-traffic charge for running it on a
+/// virtual processor lives in [`crate::costs`].
 ///
-/// Returns explicit `(U, T, R)`; the input is not modified. This realizes
-/// Lemma III.4's sequential QR; the vertical-traffic charge for running
-/// it on a virtual processor lives in [`crate::costs`].
+/// `nb` is a cap on the recursion's leaf width and nothing else: any
+/// `nb ≥ 8` (callers without an opinion pass `usize::MAX`) is the
+/// default factorisation, `nb = 1` recurses down to single columns —
+/// the unblocked elimination order, kept as the oracle the tests and
+/// `benches/kernels.rs` compare against. The parameter survives because
+/// the frozen benchmark harness passes one; it goes in the next
+/// `[benchmark]` PR (ROADMAP item 5's shim list).
 ///
 /// ```
 /// use ca_dla::qr::{qr_factor, explicit_q};
@@ -239,118 +251,163 @@ pub fn qr_factor(a: &Matrix, nb: usize) -> QrFactors {
     let (m, n) = (a.rows(), a.cols());
     let k = m.min(n);
     let mut w = a.clone();
-    let mut taus = vec![0.0; k];
-    with_ws(|ws| qr_inplace(&mut w.view_mut(), nb, &mut taus, ws));
-
-    // Extract U (unit lower-trapezoidal, m×k) and R (k×n upper).
     let mut u = Matrix::zeros(m, k);
-    for j in 0..k {
-        u.set(j, j, 1.0);
-        for i in j + 1..m {
-            u.set(i, j, w.get(i, j));
-        }
-    }
+    let mut t = Matrix::zeros(k, k);
+    let leaf = nb.clamp(1, LEAF);
+    with_ws(|ws| qr_leaf_capped(&mut w.view_mut(), &mut u.view_mut(), &mut t.view_mut(), leaf, ws));
     let mut r = Matrix::zeros(k, n);
     for i in 0..k {
-        for j in i..n {
-            r.set(i, j, w.get(i, j));
-        }
+        r.row_mut(i)[i..].copy_from_slice(&w.row(i)[i..]);
     }
-    let t = form_t(&u, &taus);
     QrFactors { u, t, r }
 }
 
-/// Blocked Householder QR of the view `w` **in place** with panel width
-/// `nb`: on exit `w` holds `R` in its upper triangle and the reflector
-/// tails below the diagonal, with the `tau` scalars in `taus` (length
-/// `min(m, n)`). All scratch (reflector panel copy, `T`, the two WY
-/// temporaries) comes from `ws` — steady-state calls allocate nothing.
+/// Recursive Householder QR of the view `w` **in place** (Lemma III.4,
+/// after Elmroth–Gustavson): on exit `w` holds `R` in its upper triangle
+/// and the reflector tails below the diagonal, `u` (`m × k`,
+/// `k = min(m, n)`) the explicit unit lower-trapezoidal reflectors and
+/// `t` (`k × k`) the upper-triangular compact-WY factor, `Q = I − U·T·Uᵀ`.
+/// Every entry of `u` and `t` is written, so both may be unzeroed scratch.
 ///
-/// Panels are factored directly in sub-views of `w` and the trailing
-/// update accumulates straight into `w` — the same arithmetic as the
-/// seed's copy-out/copy-back structure, minus the copies, so the factors
-/// are bitwise identical.
-pub(crate) fn qr_inplace(w: &mut MatrixViewMut, nb: usize, taus: &mut [f64], ws: &mut Workspace) {
+/// A node splits its columns `n = n₁ + n₂` ([`split`]), factors the left
+/// `m × n₁` block, applies `Q₁ᵀ` to the right one
+/// (`C −= U₁·(T₁₁ᵀ·(U₁ᵀ·C))`), factors the trailing `(m − n₁) × n₂`
+/// block and merges `T₁₂ = −T₁₁·(U₁ᵀ·U₂)·T₂₂` — six products through
+/// [`gemm_view`], so all but the leaf columns run at GEMM rate with no
+/// block size to tune. A wide input (`m < n`) factors its leading `m`
+/// columns and applies `Qᵀ` to the rest. All scratch (the `n₁ × n₂`
+/// temporaries) comes from `ws`: steady-state calls allocate nothing.
+///
+/// The tree depends on `(m, n)` only and each product obeys GEMM's cell
+/// contract, so the factors are bit-for-bit independent of worker count,
+/// `CA_SERIAL`, strides and host.
+pub(crate) fn qr_inplace(
+    w: &mut MatrixViewMut,
+    u: &mut MatrixViewMut,
+    t: &mut MatrixViewMut,
+    ws: &mut Workspace,
+) {
+    qr_leaf_capped(w, u, t, LEAF, ws);
+}
+
+/// [`qr_inplace`] with the leaf width given (`1 ≤ leaf ≤ LEAF`).
+fn qr_leaf_capped(
+    w: &mut MatrixViewMut,
+    u: &mut MatrixViewMut,
+    t: &mut MatrixViewMut,
+    leaf: usize,
+    ws: &mut Workspace,
+) {
     let (m, n) = (w.rows(), w.cols());
     let k = m.min(n);
-    assert_eq!(taus.len(), k);
-    let nb = nb.max(1);
-
-    let mut j0 = 0;
-    while j0 < k {
-        let jb = nb.min(k - j0);
-        let pm = m - j0;
-        // Factor the panel rows j0.., cols j0..j0+jb in place.
-        {
-            let mut panel = w.sub_mut(j0, j0, pm, jb);
-            geqr2_view(&mut panel, &mut taus[j0..j0 + jb], ws);
-        }
-
-        // Trailing update: C ← Qᵖᵃⁿᵉˡᵀ·C = C − U·(Tᵀ·(Uᵀ·C)) for
-        // C = W[j0.., j0+jb..], accumulated in place.
-        if j0 + jb < n {
-            let nc = n - (j0 + jb);
-            let mut pu = ws.take(pm * jb);
-            {
-                let panel = w.sub(j0, j0, pm, jb);
-                for j in 0..jb {
-                    pu[j * jb + j] = 1.0;
-                    for i in j + 1..pm {
-                        pu[i * jb + j] = panel.get(i, j);
-                    }
-                }
-            }
-            let mut pt = ws.take(jb * jb);
-            form_t_view(
-                &MatrixView::from_slice(&pu, pm, jb),
-                &taus[j0..j0 + jb],
-                &mut MatrixViewMut::from_slice(&mut pt, jb, jb),
-                ws,
-            );
-            let mut utc = ws.take(jb * nc);
-            gemm_view(
-                1.0,
-                &MatrixView::from_slice(&pu, pm, jb),
-                Trans::T,
-                &w.sub(j0, j0 + jb, pm, nc),
-                Trans::N,
-                0.0,
-                &mut MatrixViewMut::from_slice(&mut utc, jb, nc),
-            );
-            let mut ttutc = ws.take(jb * nc);
-            gemm_view(
-                1.0,
-                &MatrixView::from_slice(&pt, jb, jb),
-                Trans::T,
-                &MatrixView::from_slice(&utc, jb, nc),
-                Trans::N,
-                0.0,
-                &mut MatrixViewMut::from_slice(&mut ttutc, jb, nc),
-            );
-            gemm_view(
-                -1.0,
-                &MatrixView::from_slice(&pu, pm, jb),
-                Trans::N,
-                &MatrixView::from_slice(&ttutc, jb, nc),
-                Trans::N,
-                1.0,
-                &mut w.sub_mut(j0, j0 + jb, pm, nc),
-            );
-            ws.put(ttutc);
-            ws.put(utc);
-            ws.put(pt);
-            ws.put(pu);
-        }
-        j0 += jb;
+    assert_eq!((u.rows(), u.cols()), (m, k));
+    assert_eq!((t.rows(), t.cols()), (k, k));
+    qr_rec(&mut w.sub_mut(0, 0, m, k), u, t, leaf, ws);
+    if k < n {
+        apply_qt_view(&u.as_view(), &t.as_view(), &mut w.sub_mut(0, k, m, n - k), ws);
     }
+}
+
+/// One node of the recursion on a tall-or-square `m × n` block.
+fn qr_rec(
+    w: &mut MatrixViewMut,
+    u: &mut MatrixViewMut,
+    t: &mut MatrixViewMut,
+    leaf: usize,
+    ws: &mut Workspace,
+) {
+    let (m, n) = (w.rows(), w.cols());
+    if n <= leaf {
+        return qr_leaf(w, u, t, ws);
+    }
+    let n1 = split(n, leaf);
+    let n2 = n - n1;
+    qr_rec(
+        &mut w.sub_mut(0, 0, m, n1),
+        &mut u.sub_mut(0, 0, m, n1),
+        &mut t.sub_mut(0, 0, n1, n1),
+        leaf,
+        ws,
+    );
+    apply_qt_view(&u.sub(0, 0, m, n1), &t.sub(0, 0, n1, n1), &mut w.sub_mut(0, n1, m, n2), ws);
+    qr_rec(
+        &mut w.sub_mut(n1, n1, m - n1, n2),
+        &mut u.sub_mut(n1, n1, m - n1, n2),
+        &mut t.sub_mut(n1, n1, n2, n2),
+        leaf,
+        ws,
+    );
+    u.sub_mut(0, n1, n1, n2).fill(0.0);
+    t.sub_mut(n1, 0, n2, n1).fill(0.0);
+
+    // T₁₂ = −T₁₁·(U₁ᵀ·U₂)·T₂₂; U₂ is zero above row n₁, so only U₁'s
+    // rows from n₁ down meet it.
+    let mut g = ws.take_scratch(n1 * n2);
+    let mut h = ws.take_scratch(n1 * n2);
+    gemm_view(
+        1.0,
+        &u.sub(n1, 0, m - n1, n1),
+        Trans::T,
+        &u.sub(n1, n1, m - n1, n2),
+        Trans::N,
+        0.0,
+        &mut MatrixViewMut::from_slice(&mut g, n1, n2),
+    );
+    gemm_view(
+        1.0,
+        &MatrixView::from_slice(&g, n1, n2),
+        Trans::N,
+        &t.sub(n1, n1, n2, n2),
+        Trans::N,
+        0.0,
+        &mut MatrixViewMut::from_slice(&mut h, n1, n2),
+    );
+    gemm_view(
+        -1.0,
+        &t.sub(0, 0, n1, n1),
+        Trans::N,
+        &MatrixView::from_slice(&h, n1, n2),
+        Trans::N,
+        0.0,
+        &mut MatrixViewMut::from_slice(&mut g, n1, n2),
+    );
+    t.sub_mut(0, n1, n1, n2).copy_from(&MatrixView::from_slice(&g, n1, n2));
+    ws.put(h);
+    ws.put(g);
+}
+
+/// `C ← Qᵀ·C = C − U·(Tᵀ·(Uᵀ·C))` on views, temporaries from `ws`.
+fn apply_qt_view(u: &MatrixView, t: &MatrixView, c: &mut MatrixViewMut, ws: &mut Workspace) {
+    let (k, nc) = (u.cols(), c.cols());
+    let mut utc = ws.take_scratch(k * nc);
+    let mut s = ws.take_scratch(k * nc);
+    gemm_view(
+        1.0,
+        u,
+        Trans::T,
+        &c.as_view(),
+        Trans::N,
+        0.0,
+        &mut MatrixViewMut::from_slice(&mut utc, k, nc),
+    );
+    gemm_view(
+        1.0,
+        t,
+        Trans::T,
+        &MatrixView::from_slice(&utc, k, nc),
+        Trans::N,
+        0.0,
+        &mut MatrixViewMut::from_slice(&mut s, k, nc),
+    );
+    gemm_view(-1.0, u, Trans::N, &MatrixView::from_slice(&s, k, nc), Trans::N, 1.0, c);
+    ws.put(s);
+    ws.put(utc);
 }
 
 /// `C ← Qᵀ·C = C − U·(Tᵀ·(Uᵀ·C))`.
 pub fn apply_qt(u: &Matrix, t: &Matrix, c: &mut Matrix) {
     assert_eq!(u.rows(), c.rows());
-    let utc = matmul(u, Trans::T, c, Trans::N);
-    let s = matmul(t, Trans::T, &utc, Trans::N);
-    gemm(-1.0, u, Trans::N, &s, Trans::N, 1.0, c);
+    with_ws(|ws| apply_qt_view(&u.view(), &t.view(), &mut c.view_mut(), ws));
 }
 
 /// `C ← Q·C = C − U·(T·(Uᵀ·C))`.

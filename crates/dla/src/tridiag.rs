@@ -22,11 +22,17 @@ const MAX_QL_ITERS: usize = 64;
 /// Bandwidth above which the band → tridiagonal reduction first halves
 /// the band (fat rank-`b/2` block reflectors) before the fused rank-1
 /// sweep ([`bulge::sweep_to_tridiagonal`]) finishes it. The fused
-/// sweep's contiguous slab kernel runs near memory bandwidth, so on the
-/// reference host the direct sweep beats any halving schedule for every
-/// bandwidth the solver produces (n = 512: floor 128 ≈ 36 ms vs floor
-/// 64 ≈ 48 ms) — the floor therefore sits above the pipeline's
-/// intermediate bandwidths.
+/// sweep's contiguous slab kernel runs near memory bandwidth; the floor
+/// was chosen at n = 512 (floor 128 ≈ 36 ms vs floor 64 ≈ 48 ms there)
+/// against a halving chase whose QR ran at a tenth of GEMM rate. It does
+/// *not* sit above every bandwidth the pipeline hands over: `p = 4` at
+/// n = 1024 enters the finale at `bw = 256` and halves once. The
+/// crossover has to be re-measured against the recursive QR the chases
+/// now use — at (n, bw) = (1024, 256) the schedule `[128]` read
+/// 87 + 132 ms (halving + sweep) and one pass to 32 then the sweep
+/// 119 + 51 ms before that kernel landed (ROADMAP item 1(b)); the
+/// `finale.halve` / `finale.sweep` / `finale.dnc` kernel spans opened in
+/// [`try_banded_eigenvalues`] are what to measure it with.
 pub const HALVE_FLOOR: usize = 128;
 
 /// A tridiagonal eigensolver failed to converge within its iteration
@@ -106,7 +112,7 @@ pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConve
 
             let mut underflow = false;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -124,8 +130,6 @@ pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConve
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                f = 0.0;
-                let _ = f;
             }
             if underflow {
                 continue;
@@ -276,9 +280,12 @@ pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> 
         }
     }
     while work.bandwidth() > HALVE_FLOOR {
+        let b = work.bandwidth();
+        let _span = ca_obs::kernel_span(&format!("finale.halve ({b}→{})", b.div_ceil(2)));
         bulge::reduce_band(&mut work, 2);
     }
     if work.bandwidth() > 1 {
+        let _span = ca_obs::kernel_span(&format!("finale.sweep ({})", work.bandwidth()));
         bulge::sweep_to_tridiagonal(&mut work);
     }
     let (d, e) = work.tridiagonal();
@@ -287,6 +294,7 @@ pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> 
 
 /// Divide-and-conquer above its leaf size, values-only QL below.
 fn tridiagonal_spectrum(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
+    let _span = ca_obs::kernel_span("finale.dnc");
     if d.len() > dnc::LEAF {
         dnc::dnc_eigenvalues(d, e)
     } else {
@@ -533,14 +541,14 @@ mod tests {
 
     #[test]
     fn dense_bandwidth_one_agrees_with_banded_path() {
+        // Two routes that share no code past the band storage: reduce to
+        // tridiagonal and solve, against Sturm counts on the band itself.
         let mut rng = StdRng::seed_from_u64(52);
         let a = gen::random_banded(&mut rng, 18, 3);
         let b3 = BandedSym::from_dense(&a, 3, 6);
         let ev_banded = banded_eigenvalues(&b3);
-        // Reduce with two halvings instead (3 → 1 via k=3 happens inside);
-        // use a second, independent path: dense window moments.
-        let tr: f64 = (0..18).map(|i| a.get(i, i)).sum();
-        assert!((ev_banded.iter().sum::<f64>() - tr).abs() < 1e-9);
-        let _ = Matrix::identity(1);
+        let ev_sturm = crate::sturm::banded_bisection_eigenvalues(&b3, 1e-12);
+        let dist = spectrum_distance(&ev_banded, &ev_sturm);
+        assert!(dist < 1e-9 * a.norm_fro().max(1.0), "paths differ by {dist}");
     }
 }

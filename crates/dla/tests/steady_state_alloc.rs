@@ -7,7 +7,13 @@
 //! copy must perform **zero** heap allocations — every scratch panel,
 //! GEMM's packed `B` panel included, comes out of the arena. So must a
 //! second pass over a blocked-size product in all four orientations
-//! (packed `B` panel, and a packed `A` block for the transposed `A`).
+//! (packed `B` panel, and a packed `A` block for the transposed `A`),
+//! and so must the recursive QR at the sizes the solver gives it: a
+//! halving chase at (n, b) = (512, 128) on the band allocates nothing,
+//! and a 512×256 `qr_factor` allocates its four results (the working
+//! copy, `U`, `T`, `R`) and nothing else — `qr_inplace` underneath it is
+//! crate-private, and its `n₁ × n₂` temporaries, the leaf's panel and
+//! GEMM's packing buffers are all lent by the arena.
 //! The same holds when the work runs as a forked piece on a worker of
 //! the runtime's persistent pool, and when the forking thread takes a
 //! queued piece of its own fork.
@@ -16,6 +22,7 @@
 //! and libtest runs sibling tests concurrently.
 
 use ca_dla::bulge::{chase_plan_to, execute_chase};
+use ca_dla::qr::qr_factor;
 use ca_dla::{gemm, gen, rt, BandedSym, Matrix, Trans};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,6 +134,41 @@ impl BlockedProduct {
     }
 }
 
+/// Run `work` twice; return how many heap allocations the second run
+/// performed.
+fn second_run_allocations(mut work: impl FnMut()) -> u64 {
+    work();
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    work();
+    COUNTING.store(false, Ordering::SeqCst);
+    ALLOCS.load(Ordering::SeqCst)
+}
+
+/// The recursive QR at solver sizes: the first halving chase of
+/// (n, b) = (512, 128) on the band (a 128×64 QR block, `U` and `T` in
+/// the arena), and a 512×256 `qr_factor`. The second runs under a core
+/// budget of one: its products are large enough to fork, and what a
+/// fork allocates (job records, the worker's guest arena) is the
+/// runtime's, not the kernel's scratch this test is about.
+fn recursive_qr_allocations() -> (u64, u64) {
+    let mut rng = StdRng::seed_from_u64(515);
+    let (n, b) = (512usize, 128usize);
+    let band = BandedSym::from_dense(&gen::random_banded(&mut rng, n, b), b, 2 * b);
+    let op = chase_plan_to(n, b, b / 2).swap_remove(0);
+    assert_eq!((op.nr(), op.h()), (128, 64));
+    let mut copies = vec![band.clone(), band];
+    let chase = second_run_allocations(|| {
+        execute_chase(&mut copies.pop().expect("one copy per run"), &op);
+    });
+
+    let a = gen::random_matrix(&mut rng, 512, 256);
+    let factor = second_run_allocations(|| {
+        rt::with_budget(1, || qr_factor(&a, usize::MAX));
+    });
+    (chase, factor)
+}
+
 #[test]
 fn steady_state_chase_is_allocation_free() {
     // A pool of two, so the second half below has a worker to land on
@@ -149,6 +191,12 @@ fn steady_state_chase_is_allocation_free() {
     assert_eq!(
         count, 0,
         "a blocked-size product's second pass performed {count} heap allocations"
+    );
+
+    assert_eq!(
+        recursive_qr_allocations(),
+        (0, 4),
+        "a warmed halving chase at (512, 128) allocates nothing, a warmed 512×256 qr_factor its four results"
     );
 
     // As a forked piece on a pool worker: threads are not created per

@@ -91,7 +91,7 @@ pub fn local_matmul_into(
 pub fn local_qr(m: &Machine, j: ProcId, a: &Matrix) -> QrFactors {
     m.charge_flops(j, costs::qr_flops(a.rows(), a.cols()));
     m.charge_vert(j, costs::qr_vert(a.rows(), a.cols(), m.cache_words()));
-    qr_factor(a, 32)
+    qr_factor(a, usize::MAX)
 }
 
 /// Charged local non-pivoted LU on processor `j`.

@@ -8,12 +8,16 @@
 //!   metered F/W/Q/S deltas sum to the machine ledger's totals;
 //! * level 2: kernel-detail spans appear, and per thread every pair of
 //!   spans is properly nested or disjoint (the guards are scoped, so
-//!   intervals on one thread must form a tree).
+//!   intervals on one thread must form a tree);
+//! * level 2, the finale: a solve that enters the sequential stage above
+//!   `HALVE_FLOOR` opens `finale.halve`, `finale.sweep` and `finale.dnc`
+//!   under `sequential eigensolve`, on the values and on the vectors
+//!   path, and the three account for that stage's wall to within 5 %.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::eigen::solver::StageCosts;
-use ca_symm_eig::eigen::{symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{symm_eigen_25d, symm_eigen_25d_vectors, EigenParams};
 use ca_symm_eig::obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,5 +120,48 @@ fn stage_spans_pin_names_costs_and_nesting() {
     }
     for (tid, evs) in &by_tid {
         assert_intervals_nest(*tid, evs);
+    }
+
+    // Phase 3 — the finale's legs. One processor keeps the band at
+    // b₀ = n/2 = 144 > HALVE_FLOOR all the way to the sequential stage.
+    for vectors in [false, true] {
+        let machine = Machine::new(MachineParams::new(1));
+        let params = EigenParams::new(1, 1);
+        let a = gen::random_symmetric(&mut StdRng::seed_from_u64(43), 288);
+        obs::set_level(2);
+        let _ = obs::drain();
+        if vectors {
+            let _ = symm_eigen_25d_vectors(&machine, &params, &a);
+        } else {
+            let _ = symm_eigen_25d(&machine, &params, &a);
+        }
+        obs::set_level(0);
+        let events = obs::drain();
+        assert_eq!(obs::take_dropped(), 0, "finale trace must not overflow the ring");
+
+        let wall = |e: &obs::Event| (e.end_ns - e.start_ns) as f64;
+        let stage: Vec<&obs::Event> =
+            events.iter().filter(|e| e.name() == "sequential eigensolve").collect();
+        assert_eq!(stage.len(), 1, "one sequential stage per solve");
+        let legs: Vec<&obs::Event> =
+            events.iter().filter(|e| e.name().starts_with("finale.")).collect();
+        let names: Vec<&str> = legs.iter().map(|e| e.name()).collect();
+        assert_eq!(
+            names,
+            ["finale.halve (144→72)", "finale.sweep (72)", "finale.dnc"],
+            "vectors = {vectors}"
+        );
+        for leg in &legs {
+            assert!(
+                leg.start_ns >= stage[0].start_ns && leg.end_ns <= stage[0].end_ns,
+                "{} lies outside the sequential stage",
+                leg.name()
+            );
+        }
+        let (legs_ns, stage_ns) = (legs.iter().map(|e| wall(e)).sum::<f64>(), wall(stage[0]));
+        assert!(
+            (stage_ns - legs_ns).abs() <= 0.05 * stage_ns,
+            "vectors = {vectors}: finale legs cover {legs_ns} ns of the stage's {stage_ns} ns"
+        );
     }
 }
