@@ -1,7 +1,11 @@
 //! E-W1: wall-clock Criterion benchmarks of the sequential kernels —
 //! the real compute performance underneath the simulated machine.
 
-use ca_dla::bulge::{chase_plan, execute_chase, execute_chase_reference, reduce_band};
+use ca_dla::bulge::{
+    chase_plan, chase_plan_iter, execute_chase, execute_chase_reference, reduce_band,
+    reduce_band_to, sweep_to_tridiagonal,
+};
+use ca_dla::costs::{gemm_flops, qr_flops};
 use ca_dla::gemm::{gemm, matmul, Trans};
 use ca_dla::qr::qr_factor;
 use ca_dla::tridiag::tridiag_eigenvalues;
@@ -108,6 +112,79 @@ fn bench_band_reduction(c: &mut Criterion) {
                 bench.iter(|| {
                     let mut bm = BandedSym::from_dense(&dense, b, (2 * b).min(n - 1));
                     reduce_band(&mut bm, 2);
+                    black_box(bm)
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+/// The finale's fused rank-1 sweep, band → tridiagonal, at the widths
+/// the solver reaches it with (16: `values_p64c4`; 64: after the pass;
+/// 128: the widest band swept directly) — the numbers the doc comment of
+/// `tridiag::SWEEP_BAND` quotes. An element is a flop of the nominal
+/// `6n²b` (≈ n²/2b chases of ≈ 12b²), so `thrpt` reads GFLOP/s; each
+/// sample pays one band clone (≤ 2 MB) beside the sweep.
+fn bench_band_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("band_sweep");
+    for (n, b) in [
+        (1024usize, 16usize),
+        (1024, 32),
+        (1024, 64),
+        (1024, 128),
+        (768, 64),
+    ] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let base = BandedSym::from_dense(&gen::random_banded(&mut rng, n, b), b, 2 * b);
+        group.throughput(Throughput::Elements((6 * n * n * b) as u64));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("n{n}_b{b}")),
+            &(n, b),
+            |bench, _| {
+                bench.iter(|| {
+                    let mut bm = base.clone();
+                    sweep_to_tridiagonal(&mut bm, None);
+                    black_box(bm)
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+/// One sequential block-reflector pass `b → h` (Algorithm IV.2 on one
+/// processor): the halving the finale used to start with, and the single
+/// pass to the sweep band it takes now. An element is a flop of the
+/// per-chase count the distributed stages charge (QR of the bulge block,
+/// the `W`/`V` chain, the rank-2h update), summed over the plan.
+fn bench_band_pass(c: &mut Criterion) {
+    let mut group = c.benchmark_group("band_pass");
+    for (n, b, h) in [
+        (1024usize, 256usize, 128usize),
+        (1024, 256, 64),
+        (768, 192, 64),
+    ] {
+        let mut rng = StdRng::seed_from_u64(8);
+        let base = BandedSym::from_dense(&gen::random_banded(&mut rng, n, b), b, 2 * b);
+        let flops: u64 = chase_plan_iter(n, b, h)
+            .map(|op| {
+                let (nr, nc) = (op.nr(), op.nc());
+                qr_flops(nr, h)
+                    + gemm_flops(nc, nr, h)
+                    + 2 * gemm_flops(h, h, h)
+                    + gemm_flops(nr, h, h)
+                    + 2 * gemm_flops(nr, h, nc)
+            })
+            .sum();
+        group.throughput(Throughput::Elements(flops));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("n{n}_b{b}_to{h}")),
+            &(n, b, h),
+            |bench, _| {
+                bench.iter(|| {
+                    let mut bm = base.clone();
+                    reduce_band_to(&mut bm, h);
                     black_box(bm)
                 });
             },
@@ -240,8 +317,8 @@ fn bench_merge_gemm(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_gemm, bench_qr, bench_band_reduction, bench_chase_window,
-        bench_qr_single_column_leaves, bench_tridiag_eigen, bench_dnc_values, bench_secular_solve,
+    targets = bench_gemm, bench_qr, bench_band_reduction, bench_band_sweep, bench_band_pass,
+        bench_chase_window, bench_qr_single_column_leaves, bench_tridiag_eigen, bench_dnc_values, bench_secular_solve,
         bench_merge_gemm
 }
 criterion_main!(kernels);

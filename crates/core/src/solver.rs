@@ -352,50 +352,21 @@ fn solve_impl(
         return Ok((ev, costs, None));
     }
 
-    // Vectors path: record the final band → tridiagonal reduction,
-    // solve the tridiagonal with eigenvector accumulation, and
-    // back-transform through every stage.
-    let work = if bw > 1 {
-        let cap = (2 * bw).min(n - 1);
-        let mut rehoused = ca_dla::BandedSym::zeros(n, bw, cap);
-        for j in 0..n {
-            for i in j..n.min(j + bw + 1) {
-                rehoused.set(i, j, band.get(i, j));
-            }
-        }
-        // Recorded halvings down to the fused-sweep floor (fat
-        // compact-WY reflectors at matrix–matrix rates), then the
-        // fused rank-1 sweep whose reflectors are single Householder
-        // columns (k = 1 fast path in back_transform).
-        while rehoused.bandwidth() > ca_dla::tridiag::HALVE_FLOOR {
-            let b = rehoused.bandwidth();
-            let _span = ca_obs::kernel_span(&format!("finale.halve ({b}→{})", b.div_ceil(2)));
-            let stage = log.stage(&format!("sequential band halving (b={b})"));
-            for op in ca_dla::bulge::chase_plan(n, b, 2) {
-                let row0 = op.qr_rows.0;
-                let (u, t) = ca_dla::bulge::execute_chase_recording(&mut rehoused, &op);
-                stage.push(crate::transforms::Reflectors { row0, u, t });
-            }
-            rehoused.set_bandwidth(b.div_ceil(2));
-        }
-        {
-            let _span =
-                ca_obs::kernel_span(&format!("finale.sweep ({})", rehoused.bandwidth()));
-            let stage = log.stage("sequential band→tridiagonal (fused sweep)");
-            for (row0, u, tau) in ca_dla::bulge::sweep_to_tridiagonal_recording(&mut rehoused) {
-                let rows = u.len();
-                stage.push(crate::transforms::Reflectors {
-                    row0,
-                    u: Matrix::from_vec(rows, 1, u),
-                    t: Matrix::from_vec(1, 1, vec![tau]),
-                });
-            }
-        }
-        rehoused
-    } else {
-        band
-    };
-    let (d, e) = work.tridiagonal();
+    // Vectors path: record the final band → tridiagonal reduction (the
+    // same function the values path runs, its transforms logged as
+    // block reflectors), solve the tridiagonal with eigenvector
+    // accumulation, and back-transform through every stage.
+    let mut blocks = Vec::new();
+    let (d, e) = ca_dla::tridiag::band_to_tridiagonal(&band, Some(&mut blocks));
+    // The gathered band (n × (2b + 1) words at the last halving's fill
+    // capacity) has no reader past this point; the back-transformation
+    // below is the solve's memory peak.
+    drop(band);
+    log.stage("sequential band→tridiagonal").extend(
+        blocks
+            .into_iter()
+            .map(|(row0, u, t)| crate::transforms::Reflectors { row0, u, t }),
+    );
     let (ev, z) = {
         let _span = ca_obs::kernel_span("finale.dnc");
         ca_dla::dnc::dnc_eigen(&d, &e)?

@@ -17,8 +17,8 @@
 //! (`n/p` columns per processor; each reflector's `(U, T)` broadcast).
 
 use ca_bsp::Machine;
-use ca_dla::gemm::{gemm, matmul, Trans};
-use ca_dla::Matrix;
+use ca_dla::workspace::with_ws;
+use ca_dla::{Matrix, Workspace};
 use ca_pla::grid::Grid;
 use rayon::prelude::*;
 
@@ -87,8 +87,6 @@ const PANEL: usize = 64;
 /// panel running the full reverse reflector chain independently on a
 /// rayon worker (`CA_SERIAL=1` runs the same panels in order — the
 /// per-panel arithmetic is identical, so both orders are bit-identical).
-/// Rank-1 reflectors (the fused sweep's records) take a two-pass scalar
-/// path with no per-reflector temporaries.
 pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Matrix) -> Matrix {
     let _span = ca_obs::kernel_span("driver.back_transform");
     let n = z.rows();
@@ -124,12 +122,13 @@ pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Ma
         .map(|&c0| z.block(0, c0, n, PANEL.min(ncols - c0)))
         .collect();
     let run = |xp: &mut Matrix| {
-        let mut s = vec![0.0f64; xp.cols()];
-        for (_, stage) in log.stages.iter().rev() {
-            for refl in stage.iter().rev() {
-                apply_reflector(refl, xp, &mut s);
+        with_ws(|ws| {
+            for (_, stage) in log.stages.iter().rev() {
+                for refl in stage.iter().rev() {
+                    apply_reflector(refl, xp, ws);
+                }
             }
-        }
+        })
     };
     if ca_obs::knobs::serial() || panels.len() == 1 {
         for xp in panels.iter_mut() {
@@ -145,39 +144,40 @@ pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Ma
     x
 }
 
-/// `X[rows] ← (I − U·T·Uᵀ)·X[rows]` on one column panel. `s` is caller
-/// scratch of at least `xp.cols()` entries (used by the rank-1 path).
-fn apply_reflector(refl: &Reflectors, xp: &mut Matrix, s: &mut [f64]) {
+/// `X[rows] ← (I − U·T·Uᵀ)·X[rows]` on one column panel, in place. A
+/// block takes three products straight on the panel's row window
+/// (`qr::apply_q_view`), the two `k × w` intermediates lent by `ws`; a
+/// single reflector (the finale's records on a band too narrow for
+/// blocks, `ca_dla::bulge::sweep_group`) two row-major passes,
+/// `x ← x − τ·u·(uᵀx)`, over one lent row.
+fn apply_reflector(refl: &Reflectors, xp: &mut Matrix, ws: &mut Workspace) {
     let rows = refl.u.rows();
     let k = refl.u.cols();
     let w = xp.cols();
     if k == 1 {
-        // x ← x − τ·u·(uᵀx): two row-major passes, no temporaries.
         let tau = refl.t.get(0, 0);
-        let s = &mut s[..w];
-        s.fill(0.0);
+        let mut s = ws.take(w);
         for r in 0..rows {
             let ur = refl.u.get(r, 0);
-            let xr = xp.row(refl.row0 + r);
-            for c in 0..w {
-                s[c] += ur * xr[c];
+            for (sc, &x) in s.iter_mut().zip(xp.row(refl.row0 + r)) {
+                *sc += ur * x;
             }
         }
         for r in 0..rows {
             let h = tau * refl.u.get(r, 0);
-            let xr = xp.row_mut(refl.row0 + r);
-            for c in 0..w {
-                xr[c] -= h * s[c];
+            for (x, &sc) in xp.row_mut(refl.row0 + r).iter_mut().zip(s.iter()) {
+                *x -= h * sc;
             }
         }
-    } else {
-        let xr = xp.block(refl.row0, 0, rows, w);
-        let utx = matmul(&refl.u, Trans::T, &xr, Trans::N);
-        let tutx = matmul(&refl.t, Trans::N, &utx, Trans::N);
-        let mut upd = xr;
-        gemm(-1.0, &refl.u, Trans::N, &tutx, Trans::N, 1.0, &mut upd);
-        xp.set_block(refl.row0, 0, &upd);
+        ws.put(s);
+        return;
     }
+    ca_dla::qr::apply_q_view(
+        &refl.u.view(),
+        &refl.t.view(),
+        &mut xp.subview_mut(refl.row0, 0, rows, w),
+        ws,
+    );
 }
 
 #[cfg(test)]
@@ -185,6 +185,7 @@ mod tests {
     use super::*;
     use ca_bsp::MachineParams;
     use ca_dla::bulge::{chase_plan, execute_chase_recording};
+    use ca_dla::gemm::{matmul, Trans};
     use ca_dla::tridiag::tridiag_eigen;
     use ca_dla::{gen, BandedSym};
     use rand::rngs::StdRng;

@@ -40,6 +40,47 @@ impl BandedSym {
         }
     }
 
+    /// A copy of `self` at nominal bandwidth `bw` and fill capacity
+    /// `cap`, housed in the buffer `zeroed` returns for the slab's length
+    /// (`n·(cap + 1)` words, all zero) — a fresh allocation, or one an
+    /// arena lends and takes back through [`BandedSym::into_slab`].
+    /// Stored columns are copied as slices, every diagonal both
+    /// capacities hold; the caller vouches that nothing non-zero lies
+    /// beyond `cap`.
+    pub(crate) fn rehoused(
+        &self,
+        bw: usize,
+        cap: usize,
+        zeroed: impl FnOnce(usize) -> Vec<f64>,
+    ) -> Self {
+        let n = self.n;
+        assert!(bw <= cap && cap < n.max(1));
+        let mut slab = zeroed(n * (cap + 1));
+        assert_eq!(slab.len(), n * (cap + 1));
+        let (src_h, dst_h) = (self.cap + 1, cap + 1);
+        let keep = src_h.min(dst_h);
+        let mut scale = 0.0f64;
+        for (dst, src) in slab
+            .chunks_exact_mut(dst_h)
+            .zip(self.data.chunks_exact(src_h))
+        {
+            dst[..keep].copy_from_slice(&src[..keep]);
+            scale = src[..keep].iter().fold(scale, |m, x| m.max(x.abs()));
+        }
+        Self {
+            n,
+            bw,
+            cap,
+            data: slab,
+            scale,
+        }
+    }
+
+    /// Give the band slab back (to the arena that lent it).
+    pub(crate) fn into_slab(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Matrix order.
     #[inline]
     pub fn n(&self) -> usize {
@@ -183,15 +224,13 @@ impl BandedSym {
 
     /// Largest `i − j` with `|B[i,j]| > tol` (measured bandwidth).
     pub fn measured_bandwidth(&self, tol: f64) -> usize {
-        let mut bw = 0;
-        for j in 0..self.n {
-            for i in j..self.n.min(j + self.cap + 1) {
-                if self.get(i, j).abs() > tol {
-                    bw = bw.max(i - j);
-                }
-            }
-        }
-        bw
+        // Slots of a stored column past the last matrix row are never
+        // written, so whole columns can be scanned.
+        self.data
+            .chunks_exact(self.cap + 1)
+            .filter_map(|col| col.iter().rposition(|x| x.abs() > tol))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Diagonal and first subdiagonal, for handing to the tridiagonal

@@ -23,9 +23,9 @@
 //! * [`reduce_band`] — run the whole plan sequentially.
 
 use crate::band::BandedSym;
-use crate::gemm::{gemm, gemm_view, gemm_view_hinted, matmul, Trans};
+use crate::gemm::{gemm, gemm_view, gemm_view_hinted, matmul, Fma, Trans};
 use crate::matrix::Matrix;
-use crate::qr::{qr_factor, qr_inplace};
+use crate::qr::{dot, house_gen_in_place, qr_factor, qr_inplace};
 use crate::view::{MatrixView, MatrixViewMut};
 use crate::workspace::{with_ws, Workspace};
 
@@ -101,38 +101,74 @@ pub fn chase_plan(n: usize, b: usize, k: usize) -> Vec<ChaseOp> {
 /// [`chase_plan`] with the target band-width `h` given directly
 /// (`1 ≤ h ≤ b < n`): sweep `i` eliminates the `h`-column strip
 /// `[(i−1)h, ih)` and chases the resulting bulge in steps of `b`. `h`
-/// need not divide `b`.
+/// need not divide `b`. Collects [`chase_plan_iter`].
 pub fn chase_plan_to(n: usize, b: usize, h: usize) -> Vec<ChaseOp> {
+    chase_plan_iter(n, b, h).collect()
+}
+
+/// The plan of [`chase_plan_to`] enumerated lazily, in the same order:
+/// the one place the geometry lives. The sequential executors iterate
+/// it directly — an `h = 1` plan is `≈ n²/2b` operations, megabytes the
+/// sweep has no reason to materialise.
+pub fn chase_plan_iter(n: usize, b: usize, h: usize) -> ChasePlan {
     assert!(h >= 1 && h <= b, "need 1 ≤ h ≤ b (got h={h}, b={b})");
     assert!(b < n, "bandwidth must be below the matrix dimension");
-    let mut ops = Vec::new();
-    if h == b {
-        return ops; // already at target bandwidth
+    ChasePlan {
+        n,
+        b,
+        h,
+        i: 1,
+        j: 1,
     }
-    // Sweep i eliminates the column strip [(i−1)h, ih). The paper's loop
-    // bound `i ∈ [1, n/h − 1]` assumes h | n; the equivalent divisor-free
-    // condition is `ih ≤ n − 2` (a strip is needed while some entry below
-    // it can sit deeper than h).
-    let mut i = 1;
-    while i * h <= n - 2 {
-        // The paper's bound `j = 1 : ⌊(n − ih − 1)/b⌋` drops the final
-        // partial chase of each sweep, stranding tail fill near the
-        // bottom-right corner; we instead chase until the QR block hits
-        // the matrix end (nr ≥ 2 — a one-row block eliminates nothing
-        // and no fill deeper than the band can reach it).
-        let mut j = 1;
+}
+
+/// Iterator over a chase plan (see [`chase_plan_iter`]).
+#[derive(Debug, Clone)]
+pub struct ChasePlan {
+    n: usize,
+    b: usize,
+    h: usize,
+    /// The next operation's panel and chase index.
+    i: usize,
+    j: usize,
+}
+
+impl Iterator for ChasePlan {
+    type Item = ChaseOp;
+
+    fn next(&mut self) -> Option<ChaseOp> {
+        let (n, b, h) = (self.n, self.b, self.h);
+        if h == b {
+            return None; // already at target bandwidth
+        }
         loop {
+            let (i, j) = (self.i, self.j);
+            // Sweep i eliminates the column strip [(i−1)h, ih). The
+            // paper's loop bound `i ∈ [1, n/h − 1]` assumes h | n; the
+            // equivalent divisor-free condition is `ih ≤ n − 2` (a strip
+            // is needed while some entry below it can sit deeper than h).
+            if i * h > n - 2 {
+                return None;
+            }
+            // The paper's bound `j = 1 : ⌊(n − ih − 1)/b⌋` drops the
+            // final partial chase of each sweep, stranding tail fill
+            // near the bottom-right corner; we instead chase until the
+            // QR block hits the matrix end (nr ≥ 2 — a one-row block
+            // eliminates nothing and no fill deeper than the band can
+            // reach it).
             let oblg = (i - 1) * h + (j - 1) * b;
             let oqr_r = oblg + h;
             if oqr_r > n - 2 {
-                break;
+                (self.i, self.j) = (i + 1, 1);
+                continue;
             }
             let oqr_c = if j == 1 { oqr_r - h } else { oqr_r - b };
             let oup_c = oqr_c + h;
             let ov = oqr_r - oup_c;
             let nr = (n - oqr_r).min(b);
             let nc = (n - oup_c).min(h + 3 * b);
-            ops.push(ChaseOp {
+            self.j = j + 1;
+            return Some(ChaseOp {
                 i,
                 j,
                 qr_rows: (oqr_r, oqr_r + nr),
@@ -140,11 +176,8 @@ pub fn chase_plan_to(n: usize, b: usize, h: usize) -> Vec<ChaseOp> {
                 up_cols: (oup_c, oup_c + nc),
                 ov,
             });
-            j += 1;
         }
-        i += 1;
     }
-    ops
 }
 
 /// The dense-window computation of one chase, shared by the sequential
@@ -671,10 +704,26 @@ pub fn reduce_band(bmat: &mut BandedSym, k: usize) {
     reduce_band_to(bmat, bmat.bandwidth().div_ceil(k));
 }
 
+/// One recorded block reflector `(row0, U, T)`: `Q = I − U·T·Uᵀ` acting
+/// on global rows `row0 .. row0 + U.rows()`.
+pub type BlockReflector = (usize, Matrix, Matrix);
+
 /// Sequentially reduce a symmetric banded matrix to the explicit target
 /// bandwidth `h` (`1 ≤ h ≤ b`); `h` need not divide the current
 /// bandwidth.
 pub fn reduce_band_to(bmat: &mut BandedSym, h: usize) {
+    with_ws(|ws| reduce_band_pass(bmat, h, None, ws));
+}
+
+/// [`reduce_band_to`] on the caller's arena, the plan iterated lazily;
+/// with `record`, every chase's `(row0, U, T)` is appended in
+/// application order.
+pub(crate) fn reduce_band_pass(
+    bmat: &mut BandedSym,
+    h: usize,
+    mut record: Option<&mut Vec<BlockReflector>>,
+    ws: &mut Workspace,
+) {
     let n = bmat.n();
     let b = bmat.bandwidth();
     assert!(
@@ -683,16 +732,20 @@ pub fn reduce_band_to(bmat: &mut BandedSym, h: usize) {
         bmat.capacity(),
         b
     );
-    for op in chase_plan_to(n, b, h) {
-        execute_chase(bmat, &op);
+    for op in chase_plan_iter(n, b, h) {
+        CHASE_WINDOWS.add(1);
+        let factors = chase_banded_fast(bmat, &op, ws, record.is_some());
+        if let (Some(out), Some((u, t))) = (record.as_deref_mut(), factors) {
+            out.push((op.qr_rows.0, u, t));
+        }
     }
     bmat.set_bandwidth(h);
 }
 
 /// Reduce a symmetric banded matrix straight to tridiagonal form with
 /// the **fused rank-1 sweep**: the same `h = 1` chase geometry as
-/// `reduce_band_to(bmat, 1)` (identical [`chase_plan_to`] operations,
-/// identical fill pattern), but with the per-chase work — Householder
+/// `reduce_band_to(bmat, 1)` (the operations of [`chase_plan_iter`], the
+/// same fill pattern), but with the per-chase work — Householder
 /// generation, the two-sided rank-1 update, the symmetric correction —
 /// fused into two passes over the band slab's contiguous runs.
 ///
@@ -709,23 +762,108 @@ pub fn reduce_band_to(bmat: &mut BandedSym, h: usize) {
 /// the Frobenius norm (invariant under the orthogonal similarity, so it
 /// bounds every intermediate entry) instead of per cell.
 ///
-/// Unlike the zero-copy/reference engine pair this kernel is **not**
-/// bitwise-matched to `reduce_band_to`; it is validated against the
-/// spectrum oracles (moments, Sturm bisection, QL) in this module's and
-/// `tridiag`'s tests.
-pub fn sweep_to_tridiagonal(bmat: &mut BandedSym) {
-    let _ = sweep_impl(bmat, false);
+/// **The sum contract.** Per chase (`fused_op`), with `fma(a, b, c)`
+/// one correctly rounded `a·b + c` and `dot` the eight-lane fixed-tree
+/// sum of [`crate::qr`]:
+///
+/// ```text
+/// (u, τ, β)  = house_gen_in_place(column)         σ² = dot(tail, tail)
+/// pu[r]      = dot(mirror row r of P, u)           rows with an upper part
+/// pu[r]      = fma(u[c], P[r][c], pu[r])           stored columns, c ascending
+/// v[r]       = −τ·pu[r];  v[ov+i] = fma(½τ²·dot(u, pu[ov..]), u[i], v[ov+i])
+/// P[r][c]    = fma(v[r], u[c], P[r][c])            every cell once
+/// P[r][c]    = fma(u[r−ov], v[ov+c], ·)            then, in the symmetric square
+/// ```
+///
+/// Every order is in the source and no sum is shared between cells, so
+/// the band's bits are a function of the input alone — not of the
+/// instantiation (the loop is compiled for AVX2 + FMA behind `gemm`'s
+/// one detection token and, from the same source, portably, where
+/// `f64::mul_add` is the C library's `fma`), of threads, `CA_SERIAL` or
+/// host. Unlike the zero-copy/reference engine pair the kernel is not
+/// bitwise-matched to `reduce_band_to`: this module's tests hold it to
+/// that engine op by op at `1e-12·‖A‖`, and `tests/sweep_props.rs` the
+/// two instantiations to each other bit for bit.
+///
+/// **Recording.** With `record`, the sweep's reflectors are appended as
+/// compact-WY blocks rather than one by one. Reflector `H(i, j)` (sweep
+/// `i`, chase position `j`) acts on rows `[i + (j−1)b, i + jb)`. A group
+/// of `g =` [`sweep_group`]`(b)` consecutive sweeps `i₀ .. i₀ + g` emits
+/// one block per position — `U` the `(b + g − 1) × g` trapezoid whose
+/// column `s` is `H(i₀ + s, j)`'s vector shifted down `s` rows, `T` by
+/// `larft`'s forward recurrence, `row0 = i₀ + (j−1)b` — **`j`
+/// descending**, groups ascending. That is a reordering of the sweep's
+/// own `(i, j)`-lexicographic product, and a legal one: the pairs whose
+/// relative order changes are `H(i, j)`, `H(i′, j′)` with `i = i′`, or
+/// with `i < i′` in one group and `j′ > j`; the first act on rows
+/// `b` apart, the second on `[·, i + jb)` and `[i′ + jb, ·)` — disjoint
+/// either way, so they commute. (`j` ascending would not do: `H(i, j+1)`
+/// and `H(i′, j)`, `i < i′`, overlap and must keep their order.) An
+/// identity chase (`σ² = 0`) leaves a zero column in `U` and `T`; a block
+/// of nothing but those is not emitted. Recording does not touch the
+/// band's arithmetic.
+pub fn sweep_to_tridiagonal(bmat: &mut BandedSym, record: Option<&mut Vec<BlockReflector>>) {
+    with_ws(|ws| sweep(bmat, record, ws, Fma::detect()));
 }
 
-/// [`sweep_to_tridiagonal`], additionally returning every non-trivial
-/// Householder reflector as `(row0, u, τ)` — `Q_op = I − τ·u·uᵀ` acting
-/// on global rows `row0 .. row0 + u.len()` — in application order, the
-/// record eigenvector back-transformation replays in reverse.
-pub fn sweep_to_tridiagonal_recording(bmat: &mut BandedSym) -> Vec<(usize, Vec<f64>, f64)> {
-    sweep_impl(bmat, true)
+/// [`sweep_to_tridiagonal`] through the portable instantiation whatever
+/// the host supports: the oracle the SIMD instantiation is held to, bit
+/// for bit, by `tests/sweep_props.rs`. Not a runtime leg — nothing
+/// outside tests calls it.
+#[doc(hidden)]
+pub fn sweep_to_tridiagonal_portable(
+    bmat: &mut BandedSym,
+    record: Option<&mut Vec<BlockReflector>>,
+) {
+    with_ws(|ws| sweep(bmat, record, ws, None));
 }
 
-fn sweep_impl(bmat: &mut BandedSym, record: bool) -> Vec<(usize, Vec<f64>, f64)> {
+/// Sweeps per recorded block for a band of width `b`: `⌈b/2⌉`, at most
+/// 32 — and 1 below a band-width of 32 (`BLOCK_MIN_BAND`), where the record stays one
+/// reflector per chase (`U` a single column, `T = [τ]`).
+///
+/// A block of `g` reflectors of length `b` is applied as three products
+/// with inner dimensions `b + g − 1`, `g`, `g` over a trapezoid that is
+/// `(g − 1)/(b + g − 1)` zeros: wide enough to leave the BLAS-2 regime,
+/// narrow enough that `T` and the zeros stay a fraction of the work and
+/// of the record. Measured on the reference host at n = 768
+/// (back-transformation of the sweep's records alone, one thread):
+/// b = 64, g = 8 / 16 / 32 / 64 → 75 / 62 / 63 / 79 ms and 2.9 / 3.5 /
+/// 4.8 / 7.2 MB of record; b = 192, g = 16 / 32 / 48 / 64 / 96 → 50 /
+/// 45 / 44 / 45 / 70 ms.
+pub fn sweep_group(b: usize) -> usize {
+    if b < BLOCK_MIN_BAND {
+        1
+    } else {
+        b.div_ceil(2).min(GROUP_MAX)
+    }
+}
+
+/// Cap of [`sweep_group`] (and the length of the recorder's stack
+/// buffer for one column of `T`).
+const GROUP_MAX: usize = 32;
+
+/// Band-width below which the sweep records rank-1 reflectors: the
+/// widths whose blocks would be narrower than 16 columns, the plateau of
+/// the measurements above. Blocks do not lose there — at (n, b) =
+/// (96, 24), `g = 12`, a whole vectors solve read 1.87 → 1.75 ms — but
+/// that is a few per cent of a job the size of `service_mix`'s, and
+/// that workload's closed loop (FIFO queue, small jobs coalesced behind
+/// the large ones) turns a 6 % shorter largest job into a 19 % longer
+/// *median* job latency: the measurement, and why the rank-1 leg is kept
+/// for narrow bands, are in `results/pr17_benchmark_pairs.md`. A rule on
+/// the band-width, which the code observes; wide bands are
+/// `vectors_p4`'s side of it, narrow ones `service_mix`'s.
+const BLOCK_MIN_BAND: usize = 32;
+
+/// [`sweep_to_tridiagonal`] on the caller's arena, in the instantiation
+/// `fma` selects.
+pub(crate) fn sweep(
+    bmat: &mut BandedSym,
+    record: Option<&mut Vec<BlockReflector>>,
+    ws: &mut Workspace,
+    fma: Option<Fma>,
+) {
     let n = bmat.n();
     let b = bmat.bandwidth();
     let cap = bmat.capacity();
@@ -733,50 +871,99 @@ fn sweep_impl(bmat: &mut BandedSym, record: bool) -> Vec<(usize, Vec<f64>, f64)>
         cap >= (2 * b).min(n.saturating_sub(1)),
         "capacity {cap} too small for bulge fill of band {b}"
     );
-    let mut reflectors = Vec::new();
     if b <= 1 {
-        return reflectors;
+        return;
     }
-    let plan = chase_plan_to(n, b, 1);
-    let bw = cap + 1;
-    let mut u = vec![0.0f64; b];
-    let mut pu = vec![0.0f64; 1 + 3 * b];
-    let mut v = vec![0.0f64; 1 + 3 * b];
-
+    // The chase's three vectors — u (b), pu and v (1 + 3b each) — in one
+    // lent buffer.
+    let mut scratch = ws.take_scratch(b + 2 * (1 + 3 * b));
+    let mut blocks = record.map(|out| Blocks::new(out, n, b, ws));
     {
         let (slab, scale) = bmat.bands_mut_scale();
+        let fro = sweep_dispatch(fma, slab, (n, b, cap), &mut scratch, blocks.as_mut());
         // ‖A‖_F bounds every entry of every orthogonal similarity of A:
         // one high-water raise covers the whole sweep.
-        let mut fro2 = 0.0f64;
-        for j in 0..n {
-            let col = &slab[j * bw..j * bw + bw.min(n - j)];
-            fro2 += col[0] * col[0];
-            for &x in &col[1..] {
-                fro2 += 2.0 * x * x;
-            }
-        }
-        let fro = fro2.sqrt();
         if fro > *scale {
             *scale = fro;
         }
+    }
+    if let Some(blocks) = blocks {
+        ws.put(blocks.taus);
+        ws.put(blocks.stage);
+    }
+    ws.put(scratch);
+    bmat.set_bandwidth(1);
+}
 
-        for op in &plan {
-            if let Some((row0, tau)) = fused_op(slab, cap, op, &mut u, &mut pu, &mut v) {
-                if record {
-                    reflectors.push((row0, u[..op.nr()].to_vec(), tau));
-                }
-            }
+/// Run [`sweep_body`] in the instantiation `fma` selects.
+fn sweep_dispatch(
+    fma: Option<Fma>,
+    slab: &mut [f64],
+    shape: (usize, usize, usize),
+    scratch: &mut [f64],
+    blocks: Option<&mut Blocks>,
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if fma.is_some() {
+        // SAFETY: an `Fma` exists only if `Fma::detect` found AVX2 and
+        // FMA on this host.
+        return unsafe { sweep_fma(slab, shape, scratch, blocks) };
+    }
+    let _ = fma;
+    sweep_body(slab, shape, scratch, blocks)
+}
+
+/// [`sweep_body`] compiled for AVX2 + FMA: the same source, so the same
+/// chain of operations on every cell; `f64::mul_add` becomes one
+/// `vfmadd` lane instead of a call.
+///
+/// # Safety
+/// The host must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn sweep_fma(
+    slab: &mut [f64],
+    shape: (usize, usize, usize),
+    scratch: &mut [f64],
+    blocks: Option<&mut Blocks>,
+) -> f64 {
+    sweep_body(slab, shape, scratch, blocks)
+}
+
+/// The whole `h = 1` plan over the raw slab of an `(n, b, cap)` band,
+/// `scratch` holding `b + 2·(1 + 3b)` words; returns `‖A‖_F`.
+#[inline(always)]
+fn sweep_body(
+    slab: &mut [f64],
+    (n, b, cap): (usize, usize, usize),
+    scratch: &mut [f64],
+    mut blocks: Option<&mut Blocks>,
+) -> f64 {
+    let mut fro2 = 0.0f64;
+    for col in slab.chunks_exact(cap + 1) {
+        fro2 += col[0] * col[0] + 2.0 * dot(&col[1..], &col[1..]);
+    }
+    let (u, rest) = scratch.split_at_mut(b);
+    let (pu, v) = rest.split_at_mut(1 + 3 * b);
+    for op in chase_plan_iter(n, b, 1) {
+        let tau = fused_op(slab, cap, &op, u, pu, v);
+        if let Some(blocks) = blocks.as_deref_mut() {
+            blocks.stage_reflector(&op, &u[..op.nr()], tau);
         }
     }
-    bmat.set_bandwidth(1);
-    reflectors
+    if let Some(blocks) = blocks {
+        blocks.flush();
+    }
+    fro2.sqrt()
 }
 
 /// One fused rank-1 chase on the raw band slab (`cap + 1` stored
-/// diagonals per column). Returns `(row0, τ)` when the op did work
-/// (with the reflector left in `u[..op.nr()]`), `None` when its column
-/// was already eliminated. `u`/`pu`/`v` are caller-provided scratch of
-/// lengths ≥ `b`, `1 + 3b`, `1 + 3b`.
+/// diagonals per column), to the sum contract of
+/// [`sweep_to_tridiagonal`]. Returns the reflector's `τ` with the vector
+/// left in `u[..op.nr()]`, or `0.0` — and an untouched band — when the
+/// column was already eliminated. `u`/`pu`/`v` are caller-provided
+/// scratch of lengths ≥ `b`, `1 + 3b`, `1 + 3b`.
+#[inline(always)]
 fn fused_op(
     slab: &mut [f64],
     cap: usize,
@@ -784,121 +971,199 @@ fn fused_op(
     u: &mut [f64],
     pu: &mut [f64],
     v: &mut [f64],
-) -> Option<(usize, f64)> {
+) -> f64 {
     let bw = cap + 1;
-    let nr = op.nr();
-    let nc = op.nc();
-    let ov = op.ov;
+    let (nr, nc, ov) = (op.nr(), op.nc(), op.ov);
     let (qr_r0, qr_c0, up_c0) = (op.qr_rows.0, op.qr_cols.0, op.up_cols.0);
-    if nr < 2 {
-        return None;
-    }
+    let (u, pu, v) = (&mut u[..nr], &mut pu[..nc], &mut v[..nc]);
 
-    // Householder annihilating the length-nr column at
-    // (qr_r0, qr_c0) — contiguous in the slab. Same convention
-    // as qr::house_gen: u[0] = 1, (I − τuuᵀ)x = βe₁.
+    // Householder annihilating the length-nr column at (qr_r0, qr_c0) —
+    // contiguous in the slab.
     let cbase = qr_c0 * bw + (qr_r0 - qr_c0);
-    let alpha = slab[cbase];
-    let sigma2: f64 = slab[cbase + 1..cbase + nr].iter().map(|x| x * x).sum();
-    if sigma2 == 0.0 {
-        return None; // already eliminated; reflector is identity
-    }
-    let norm = (alpha * alpha + sigma2).sqrt();
-    let beta = if alpha >= 0.0 { -norm } else { norm };
-    let tau = (beta - alpha) / beta;
-    let inv = 1.0 / (alpha - beta);
-    u[0] = 1.0;
-    for (ui, x) in u[1..nr].iter_mut().zip(&slab[cbase + 1..cbase + nr]) {
-        *ui = *x * inv;
+    u.copy_from_slice(&slab[cbase..cbase + nr]);
+    let (tau, beta) = house_gen_in_place(u);
+    if tau == 0.0 {
+        return 0.0; // already eliminated; reflector is identity
     }
     slab[cbase] = beta;
     slab[cbase + 1..cbase + nr].fill(0.0);
 
-    // P·u over the strip P = B[I_up.cs, I_qr.rs], streaming the
-    // slab's two contiguous layouts: strip cell (r, c), global
-    // (up_c0 + r, qr_r0 + c), lives mirror-contiguous in row
-    // up_c0 + r when globally upper (r < ov + c) and contiguous
-    // in stored column qr_r0 + c when lower. Cells beyond the
-    // capacity are the (negligible, dropped) fill the generic
-    // engine also discards.
-    pu[..nc].fill(0.0);
-    for (r, pur) in pu[..nc.min(ov + nr)].iter_mut().enumerate() {
+    // P·u over the strip P = B[I_up.cs, I_qr.rs], streaming the slab's
+    // two contiguous layouts: strip cell (r, c), global
+    // (up_c0 + r, qr_r0 + c), lives mirror-contiguous in row up_c0 + r
+    // when globally upper (r < ov + c) and contiguous in stored column
+    // qr_r0 + c when lower. Cells beyond the capacity are the
+    // (negligible, dropped) fill the generic engine also discards.
+    for (r, pur) in pu.iter_mut().enumerate() {
         let c0 = (r + 1).saturating_sub(ov).min(nr);
         let c1 = nr.min((cap + r + 1).saturating_sub(ov));
-        if c0 < c1 {
+        *pur = if c0 < c1 {
             let base = (up_c0 + r) * bw + (ov + c0 - r);
-            let mut acc = 0.0f64;
-            for (s, uc) in slab[base..base + (c1 - c0)].iter().zip(&u[c0..c1]) {
-                acc += s * uc;
-            }
-            *pur += acc;
-        }
+            dot(&slab[base..base + (c1 - c0)], &u[c0..c1])
+        } else {
+            0.0
+        };
     }
-    for (c, &uc) in u[..nr].iter().enumerate() {
+    for (c, &uc) in u.iter().enumerate() {
         let r0 = ov + c;
         if r0 >= nc {
             break;
         }
         let r1 = nc.min(r0 + bw);
         let base = (qr_r0 + c) * bw;
-        for (s, pur) in slab[base..base + (r1 - r0)].iter().zip(&mut pu[r0..r1]) {
-            *pur += uc * s;
+        for (&s, pur) in slab[base..base + (r1 - r0)].iter().zip(&mut pu[r0..r1]) {
+            *pur = uc.mul_add(s, *pur);
         }
     }
 
-    // v = −τ·P·u + ½τ²(uᵀ(P·u)_sym)·u on the symmetric rows:
-    // the rank-1 specialization of lines 19–20.
-    let swsym: f64 = u[..nr].iter().zip(&pu[ov..ov + nr]).map(|(a, b)| a * b).sum();
-    for (vr, pur) in v[..nc].iter_mut().zip(&pu[..nc]) {
+    // v = −τ·P·u + ½τ²(uᵀ(P·u)_sym)·u on the symmetric rows: the rank-1
+    // specialization of lines 19–20.
+    for (vr, &pur) in v.iter_mut().zip(pu.iter()) {
         *vr = -tau * pur;
     }
-    let half = 0.5 * tau * tau * swsym;
-    for (vr, uc) in v[ov..ov + nr].iter_mut().zip(&u[..nr]) {
-        *vr += half * uc;
+    let half = 0.5 * tau * tau * dot(u, &pu[ov..ov + nr]);
+    for (vr, &uc) in v[ov..ov + nr].iter_mut().zip(u.iter()) {
+        *vr = half.mul_add(uc, *vr);
     }
 
     // ΔP(r, c) = v[r]·u[c] + (ov ≤ r < ov + nr) u[r−ov]·v[ov+c]
-    // (lines 21–22 restricted to the strip), written through the
-    // same two slab layouts as the gather — with one difference from
-    // the gather: strip rows ov..ov+nr and columns 0..nr form the
-    // symmetric square, whose upper-triangle strip cells alias the
-    // lower-triangle ones in band storage (strip (r, c) and
-    // (ov + c, r − ov) are the same stored cell). The delta there is
-    // symmetric, so apply it once through the lower orientation: the
-    // mirror-row pass covers only rows r < ov, which have no aliased
-    // partner in the strip.
-    for r in 0..ov.min(nc) {
+    // (lines 21–22 restricted to the strip), written through the same
+    // two slab layouts as the gather — with one difference from the
+    // gather: strip rows ov..ov+nr and columns 0..nr form the symmetric
+    // square, whose upper-triangle strip cells alias the lower-triangle
+    // ones in band storage (strip (r, c) and (ov + c, r − ov) are the
+    // same stored cell). The delta there is symmetric, so apply it once
+    // through the lower orientation: the mirror-row pass covers only
+    // rows r < ov, which have no aliased partner in the strip.
+    for (r, &vr) in v[..ov.min(nc)].iter().enumerate() {
         let c1 = nr.min((cap + r + 1).saturating_sub(ov));
-        if c1 == 0 {
-            continue;
-        }
         let base = (up_c0 + r) * bw + (ov - r);
-        let vr = v[r];
-        for (s, uc) in slab[base..base + c1].iter_mut().zip(&u[..c1]) {
-            *s += vr * uc;
+        for (s, &uc) in slab[base..base + c1].iter_mut().zip(u.iter()) {
+            *s = vr.mul_add(uc, *s);
         }
     }
-    for (c, &uc) in u[..nr].iter().enumerate() {
+    for (c, &uc) in u.iter().enumerate() {
         let r0 = ov + c;
         if r0 >= nc {
             break;
         }
         let r1 = nc.min(r0 + bw);
         let base = (qr_r0 + c) * bw;
-        let sym_end = (ov + nr).min(r1);
-        let vc = v[ov + c];
-        let mut idx = 0;
-        for r in r0..sym_end {
-            slab[base + idx] += v[r] * uc + u[r - ov] * vc;
-            idx += 1;
+        let sym = (ov + nr).min(r1) - r0;
+        let vc = v[r0];
+        let (square, below) = slab[base..base + (r1 - r0)].split_at_mut(sym);
+        for ((s, &vr), &ur) in square.iter_mut().zip(&v[r0..r0 + sym]).zip(&u[c..c + sym]) {
+            *s = ur.mul_add(vc, vr.mul_add(uc, *s));
         }
-        for r in sym_end..r1 {
-            slab[base + idx] += v[r] * uc;
-            idx += 1;
+        for (s, &vr) in below.iter_mut().zip(&v[r0 + sym..r1]) {
+            *s = vr.mul_add(uc, *s);
+        }
+    }
+    tau
+}
+
+/// The recording half of the sweep: the open group's reflectors staged
+/// column-major per chase position in arena buffers, emitted as
+/// `(row0, U, T)` blocks when the group closes (see
+/// [`sweep_to_tridiagonal`] for the order and why it is legal).
+struct Blocks<'a> {
+    out: &'a mut Vec<BlockReflector>,
+    n: usize,
+    b: usize,
+    /// Sweeps per group, [`sweep_group`]`(b)`.
+    g: usize,
+    /// Rows of a staged trapezoid, `b + g − 1`: position `j`'s column
+    /// `s` is `stage[((j − 1)·g + s)·ld ..][.. ld]`, its reflector at
+    /// rows `s ..`, zeros elsewhere.
+    ld: usize,
+    stage: Vec<f64>,
+    /// `taus[(j − 1)·g + s]`: `τ` of sweep `i₀ + s` at position `j`.
+    taus: Vec<f64>,
+    /// First sweep of the open group (1-based; the plan's `i`).
+    i0: usize,
+}
+
+impl<'a> Blocks<'a> {
+    fn new(out: &'a mut Vec<BlockReflector>, n: usize, b: usize, ws: &mut Workspace) -> Self {
+        let g = sweep_group(b);
+        let ld = b + g - 1;
+        // Sweep 1 has the most chase positions: ⌊(n − 3)/b⌋ + 1.
+        let positions = (n - 3) / b + 1;
+        Self {
+            out,
+            n,
+            b,
+            g,
+            ld,
+            stage: ws.take(positions * g * ld),
+            taus: ws.take(positions * g),
+            i0: 1,
         }
     }
 
-    Some((qr_r0, tau))
+    /// Stage the reflector `(u, τ)` of `op`, closing the open group
+    /// first if `op` starts the next one.
+    #[inline(always)]
+    fn stage_reflector(&mut self, op: &ChaseOp, u: &[f64], tau: f64) {
+        if op.i >= self.i0 + self.g {
+            self.flush();
+            self.i0 = op.i;
+        }
+        if tau != 0.0 {
+            let s = op.i - self.i0;
+            let col = ((op.j - 1) * self.g + s) * self.ld;
+            self.stage[col + s..col + s + u.len()].copy_from_slice(u);
+            self.taus[(op.j - 1) * self.g + s] = tau;
+        }
+    }
+
+    /// Emit the open group's blocks, `j` descending, and clear the
+    /// staging for the next group.
+    #[inline(always)]
+    fn flush(&mut self) {
+        let (n, b, g, ld, i0) = (self.n, self.b, self.g, self.ld, self.i0);
+        // Sweep i chases at position j iff its QR block starts at or
+        // above row n − 2: i + (j − 1)·b ≤ n − 2.
+        let positions = (n - 2 - i0) / b + 1;
+        for j in (1..=positions).rev() {
+            let row0 = i0 + (j - 1) * b;
+            let cols = g.min(n - 1 - row0);
+            let rows = (cols - 1 + b).min(n - row0);
+            let stage = &mut self.stage[(j - 1) * g * ld..][..g * ld];
+            let taus = &mut self.taus[(j - 1) * g..][..g];
+            if taus.iter().any(|&tau| tau != 0.0) {
+                let mut u = Matrix::zeros(rows, cols);
+                let mut t = Matrix::zeros(cols, cols);
+                for s in 0..cols {
+                    for (r, &x) in stage[s * ld..][..rows].iter().enumerate().skip(s) {
+                        u.set(r, s, x);
+                    }
+                    // larft, forward and column-wise:
+                    // T[..s, s] = −τ·T[..s, ..s]·(U[:, ..s]ᵀ·u_s).
+                    let tau = taus[s];
+                    t.set(s, s, tau);
+                    if tau == 0.0 {
+                        continue;
+                    }
+                    let us = &stage[s * ld + s..][..rows - s];
+                    let mut z = [0.0f64; GROUP_MAX];
+                    for c in 0..s {
+                        z[c] = -tau * dot(&stage[c * ld + s..][..rows - s], us);
+                    }
+                    for r in 0..s {
+                        let mut acc = 0.0;
+                        for c in r..s {
+                            acc += t.get(r, c) * z[c];
+                        }
+                        t.set(r, s, acc);
+                    }
+                }
+                self.out.push((row0, u, t));
+            }
+            stage.fill(0.0);
+            taus.fill(0.0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1095,25 +1360,40 @@ mod tests {
         // Drive the fused kernel and the generic engine through the same
         // h = 1 plan, comparing the dense band after every operation —
         // pinpoints any geometric disagreement to the first bad op.
-        let (n, b) = (18usize, 3usize);
-        let mut rng = StdRng::seed_from_u64(67);
-        let dense = gen::random_banded(&mut rng, n, b);
-        let cap = (2 * b).min(n - 1);
-        let mut fused = BandedSym::from_dense(&dense, b, cap);
-        let mut generic = BandedSym::from_dense(&dense, b, cap);
-        let scale = dense.norm_fro().max(1.0);
-        let (mut u, mut pu, mut v) = (vec![0.0; b], vec![0.0; 1 + 3 * b], vec![0.0; 1 + 3 * b]);
-        for (idx, op) in chase_plan_to(n, b, 1).iter().enumerate() {
-            execute_chase(&mut generic, op);
-            {
-                let (slab, _) = fused.bands_mut_scale();
-                fused_op(slab, cap, op, &mut u, &mut pu, &mut v);
+        // Ragged shapes: n not a multiple of b, capacity exactly
+        // min(2b, n − 1), b across dot's lane count and its tail.
+        for (n, b) in [
+            (18usize, 3usize),
+            (11, 2),
+            (23, 7),
+            (37, 8),
+            (40, 9),
+            (50, 15),
+            (53, 16),
+            (60, 17),
+            (24, 17),
+            (75, 33),
+            (131, 64),
+        ] {
+            let mut rng = StdRng::seed_from_u64(67 + n as u64);
+            let dense = gen::random_banded(&mut rng, n, b);
+            let cap = (2 * b).min(n - 1);
+            let mut fused = BandedSym::from_dense(&dense, b, cap);
+            let mut generic = BandedSym::from_dense(&dense, b, cap);
+            let scale = dense.norm_fro().max(1.0);
+            let (mut u, mut pu, mut v) = (vec![0.0; b], vec![0.0; 1 + 3 * b], vec![0.0; 1 + 3 * b]);
+            for (idx, op) in chase_plan_iter(n, b, 1).enumerate() {
+                execute_chase(&mut generic, &op);
+                {
+                    let (slab, _) = fused.bands_mut_scale();
+                    fused_op(slab, cap, &op, &mut u, &mut pu, &mut v);
+                }
+                let diff = fused.to_dense().max_diff(&generic.to_dense());
+                assert!(
+                    diff < 1e-12 * scale,
+                    "n={n} b={b} op {idx} ({op:?}): fused diverged from generic by {diff}"
+                );
             }
-            let diff = fused.to_dense().max_diff(&generic.to_dense());
-            assert!(
-                diff < 1e-12 * scale,
-                "op {idx} ({op:?}): fused diverged from generic by {diff}"
-            );
         }
     }
 
@@ -1127,7 +1407,7 @@ mod tests {
             let cap = (2 * b).min(n - 1);
             let mut fused = BandedSym::from_dense(&dense, b, cap);
             let mut generic = BandedSym::from_dense(&dense, b, cap);
-            sweep_to_tridiagonal(&mut fused);
+            sweep_to_tridiagonal(&mut fused, None);
             reduce_band_to(&mut generic, 1);
             assert_eq!(fused.bandwidth(), 1);
             assert!(fused.measured_bandwidth(1e-10) <= 1);
@@ -1146,7 +1426,7 @@ mod tests {
         let dense = gen::random_banded(&mut rng, 50, 9);
         let (t0, f0, m0) = moments(&dense);
         let mut bm = BandedSym::from_dense(&dense, 9, 18);
-        sweep_to_tridiagonal(&mut bm);
+        sweep_to_tridiagonal(&mut bm, None);
         let (t1, f1, m1) = moments(&bm.to_dense());
         let scale = f0.max(1.0);
         assert!((t0 - t1).abs() < 1e-9 * scale);
@@ -1156,34 +1436,32 @@ mod tests {
 
     #[test]
     fn fused_sweep_recording_reconstructs_similarity() {
-        // Accumulate the recorded reflectors into dense Q and verify
-        // Qᵀ·A·Q equals the tridiagonal result: the record is exactly
-        // the transform the sweep applied.
+        // Accumulate the recorded blocks into dense Q, in recorded
+        // order, and verify Qᵀ·A·Q equals the tridiagonal result: the
+        // record is exactly the transform the sweep applied. (The block
+        // order, `T` and the ragged shapes are taken apart in
+        // `tests/sweep_props.rs`.)
         let (n, b) = (26usize, 5usize);
         let mut rng = StdRng::seed_from_u64(65);
         let dense = gen::random_banded(&mut rng, n, b);
         let mut bm = BandedSym::from_dense(&dense, b, 2 * b);
-        let refl = sweep_to_tridiagonal_recording(&mut bm);
-        assert!(!refl.is_empty());
-        // Q = H₁·H₂·…  (application order: Hᵢᵀ…H₁ᵀ·A·H₁…Hᵢ).
+        let mut blocks = Vec::new();
+        sweep_to_tridiagonal(&mut bm, Some(&mut blocks));
+        assert!(!blocks.is_empty());
+        // Q = Q₁·Q₂·…  (application order: Qᵢᵀ…Q₁ᵀ·A·Q₁…Qᵢ).
         let mut q = Matrix::identity(n);
-        for (row0, u, tau) in &refl {
-            // q ← q·(I − τuuᵀ) on columns row0..row0+len.
-            let len = u.len();
-            for r in 0..n {
-                let row = q.row_mut(r);
-                let dot: f64 = row[*row0..row0 + len].iter().zip(u).map(|(a, b)| a * b).sum();
-                for (x, uc) in row[*row0..row0 + len].iter_mut().zip(u) {
-                    *x -= tau * dot * uc;
-                }
-            }
+        for (row0, u, t) in &blocks {
+            assert!(u.cols() <= sweep_group(b) && u.rows() < b + sweep_group(b));
+            let mut cols = q.block(0, *row0, n, u.rows());
+            crate::qr::apply_q_right(u, t, &mut cols);
+            q.set_block(0, *row0, &cols);
         }
         let qtaq = matmul(&matmul(&q, Trans::T, &dense, Trans::N), Trans::N, &q, Trans::N);
         let diff = qtaq.max_diff(&bm.to_dense());
         assert!(diff < 1e-9 * dense.norm_fro().max(1.0), "QᵀAQ ≠ T: {diff}");
         // And the recording run equals the plain run bitwise.
         let mut plain = BandedSym::from_dense(&dense, b, 2 * b);
-        sweep_to_tridiagonal(&mut plain);
+        sweep_to_tridiagonal(&mut plain, None);
         assert_eq!(plain, bm);
     }
 
@@ -1193,7 +1471,9 @@ mod tests {
         let dense = gen::random_banded(&mut rng, 12, 1);
         let mut bm = BandedSym::from_dense(&dense, 1, 4);
         let before = bm.clone();
-        assert!(sweep_to_tridiagonal_recording(&mut bm).is_empty());
+        let mut blocks = Vec::new();
+        sweep_to_tridiagonal(&mut bm, Some(&mut blocks));
+        assert!(blocks.is_empty());
         assert_eq!(bm, before);
     }
 

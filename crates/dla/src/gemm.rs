@@ -190,14 +190,15 @@ fn check_shapes(
 }
 
 /// Proof that the host has AVX2 and FMA: the only way to obtain one is
-/// [`Fma::detect`], so holding it is what makes calling the
-/// feature-compiled tile loop sound.
+/// [`Fma::detect`], so holding it is what makes calling a
+/// feature-compiled instantiation (the tile loop here, the band sweep in
+/// [`crate::bulge`]) sound.
 #[derive(Clone, Copy)]
-struct Fma(());
+pub(crate) struct Fma(());
 
 impl Fma {
     /// The one feature-detection site (cached after the first call).
-    fn detect() -> Option<Self> {
+    pub(crate) fn detect() -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         {
             use std::sync::OnceLock;

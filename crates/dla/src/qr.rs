@@ -52,8 +52,11 @@ pub fn house_gen(x: &[f64]) -> (Vec<f64>, f64, f64) {
 }
 
 /// [`house_gen`] in place: `v` holds `x` on entry and the reflector
-/// (with `v[0] = 1`) on exit; returns `(tau, beta)`.
-fn house_gen_in_place(v: &mut [f64]) -> (f64, f64) {
+/// (with `v[0] = 1`) on exit; returns `(tau, beta)`. The one reflector
+/// convention of the crate: the QR leaf and the band sweep
+/// ([`crate::bulge`]) both generate theirs here.
+#[inline]
+pub(crate) fn house_gen_in_place(v: &mut [f64]) -> (f64, f64) {
     assert!(!v.is_empty());
     let alpha = v[0];
     let sigma2 = dot(&v[1..], &v[1..]);
@@ -75,9 +78,11 @@ fn house_gen_in_place(v: &mut [f64]) -> (f64, f64) {
 /// `Σ x[i]·y[i]` over eight interleaved partial sums (element `i` into
 /// lane `i mod 8`) combined as a fixed tree, the ragged tail added last:
 /// the order is part of the source, so the compiler may vectorise the
-/// lanes but cannot reassociate, and the value is the same on every host.
+/// lanes but cannot reassociate, and the value is the same on every host
+/// and in every instantiation (the band sweep inlines it into a function
+/// compiled for AVX2 + FMA and into its portable twin).
 #[inline]
-fn dot(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
     let mut acc = [0.0f64; 8];
     let mut xc = x.chunks_exact(8);
     let mut yc = y.chunks_exact(8);
@@ -378,6 +383,26 @@ fn qr_rec(
 
 /// `C ← Qᵀ·C = C − U·(Tᵀ·(Uᵀ·C))` on views, temporaries from `ws`.
 fn apply_qt_view(u: &MatrixView, t: &MatrixView, c: &mut MatrixViewMut, ws: &mut Workspace) {
+    apply_block_view(u, t, Trans::T, c, ws);
+}
+
+/// `C ← Q·C = C − U·(T·(Uᵀ·C))` in place on a (strided) view of `C`, the
+/// two `k × n` intermediates lent by `ws` — the eigenvector
+/// back-transformation applies every recorded block this way, straight
+/// on a column panel's row window.
+pub fn apply_q_view(u: &MatrixView, t: &MatrixView, c: &mut MatrixViewMut, ws: &mut Workspace) {
+    apply_block_view(u, t, Trans::N, c, ws);
+}
+
+/// `C ← C − U·(op(T)·(Uᵀ·C))`: three products, `op(T) = T` for `Q`,
+/// `Tᵀ` for `Qᵀ`.
+fn apply_block_view(
+    u: &MatrixView,
+    t: &MatrixView,
+    tt: Trans,
+    c: &mut MatrixViewMut,
+    ws: &mut Workspace,
+) {
     let (k, nc) = (u.cols(), c.cols());
     let mut utc = ws.take_scratch(k * nc);
     let mut s = ws.take_scratch(k * nc);
@@ -393,7 +418,7 @@ fn apply_qt_view(u: &MatrixView, t: &MatrixView, c: &mut MatrixViewMut, ws: &mut
     gemm_view(
         1.0,
         t,
-        Trans::T,
+        tt,
         &MatrixView::from_slice(&utc, k, nc),
         Trans::N,
         0.0,

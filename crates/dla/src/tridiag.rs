@@ -1,39 +1,88 @@
-//! Symmetric tridiagonal eigenvalues via the implicit-shift QL method.
+//! The sequential finale of Algorithm IV.3, and the implicit-shift QL
+//! tridiagonal solvers.
 //!
-//! This is the final sequential stage of Algorithm IV.3: after the band
-//! has been reduced to width `n/p` and gathered on one processor,
-//! [`try_banded_eigenvalues`] reduces it to tridiagonal form (the fused
-//! rank-1 sweep of [`crate::bulge`]) and computes its eigenvalues —
-//! by divide-and-conquer ([`crate::dnc`]) with the QL solver of this
-//! module as its leaf. The paper cites MRRR for this step; any correct
-//! `O(n²)`-ish sequential tridiagonal solver exercises the same code
-//! path (DESIGN.md §2), and the independent Sturm-sequence bisection
-//! solver in [`crate::sturm`] cross-checks it.
+//! After the band has been reduced to width `n/p` and gathered on one
+//! processor, stage 4 is two steps, both here:
+//!
+//! * [`band_to_tridiagonal`] — band → tridiagonal, the one function the
+//!   values path ([`try_banded_eigenvalues`]) and the solver's vectors
+//!   path both call: at most one block-reflector pass down to a
+//!   cache-sized band, then the fused rank-1 sweep of [`crate::bulge`],
+//!   optionally recording every transform as a compact-WY block;
+//! * the tridiagonal spectrum — divide-and-conquer ([`crate::dnc`])
+//!   above its leaf size, with the QL solvers of this module
+//!   ([`try_tridiag_eigenvalues`], [`try_tridiag_eigen`]: EISPACK
+//!   `tql1` / `tql2` shapes) as its leaf and as the oracle of the
+//!   property sweeps.
+//!
+//! The paper cites MRRR for the second step; any correct `O(n²)`-ish
+//! sequential tridiagonal solver exercises the same code path
+//! (DESIGN.md §2), and the independent Sturm-sequence bisection solver
+//! in [`crate::sturm`] cross-checks it.
 
 use crate::band::BandedSym;
-use crate::bulge;
+use crate::bulge::{self, BlockReflector};
 use crate::dnc;
+use crate::gemm::Fma;
+use crate::workspace::with_ws;
 
 /// Maximum implicit-QL iterations per eigenvalue before the solver
 /// reports [`NoConvergence`] (EISPACK used 30; 64 is generous — on
 /// finite input the shift strategy converges cubically).
 const MAX_QL_ITERS: usize = 64;
 
-/// Bandwidth above which the band → tridiagonal reduction first halves
-/// the band (fat rank-`b/2` block reflectors) before the fused rank-1
-/// sweep ([`bulge::sweep_to_tridiagonal`]) finishes it. The fused
-/// sweep's contiguous slab kernel runs near memory bandwidth; the floor
-/// was chosen at n = 512 (floor 128 ≈ 36 ms vs floor 64 ≈ 48 ms there)
-/// against a halving chase whose QR ran at a tenth of GEMM rate. It does
-/// *not* sit above every bandwidth the pipeline hands over: `p = 4` at
-/// n = 1024 enters the finale at `bw = 256` and halves once. The
-/// crossover has to be re-measured against the recursive QR the chases
-/// now use — at (n, bw) = (1024, 256) the schedule `[128]` read
-/// 87 + 132 ms (halving + sweep) and one pass to 32 then the sweep
-/// 119 + 51 ms before that kernel landed (ROADMAP item 1(b)); the
-/// `finale.halve` / `finale.sweep` / `finale.dnc` kernel spans opened in
-/// [`try_banded_eigenvalues`] are what to measure it with.
-pub const HALVE_FLOOR: usize = 128;
+/// Bandwidth above which [`band_to_tridiagonal`] runs one
+/// block-reflector pass (down to [`SWEEP_BAND`]) before the fused sweep;
+/// at or below it the sweep runs directly. The sweep's working window is
+/// `≈ 3b` columns of `2b + 1` stored diagonals — 1.8 MB at `b = 192`,
+/// 3.2 MB at 256 against the reference host's 2 MB L2 — and the
+/// measurements under [`SWEEP_BAND`] put the crossover where the window
+/// leaves that cache.
+const HALVE_FLOOR: usize = 192;
+
+/// Bandwidth the pass above [`HALVE_FLOOR`] reduces to: a band whose
+/// sweep window (200 KB) sits well inside the L2 cache and whose sweep
+/// is a third of the pass that produces it. Ballard–Demmel–Dumitriu's
+/// argument (PAPERS.md): a band stage meets its communication bound by
+/// reducing *once*, with matrix–matrix work, to a band that fits the
+/// fast memory and finishing there — not by repeated halving, each of
+/// which streams the whole band again for a constant factor.
+///
+/// Measured on the reference host (2 vCPU Sapphire Rapids @ 2.1 GHz
+/// under KVM, one thread; minimum over four alternating rounds of 5–7
+/// runs, the host's speed drifts by tens of per cent between rounds).
+/// `cargo bench -p ca-bench --bench kernels` prints the legs (groups
+/// `band_sweep`, `band_pass`).
+///
+/// The fused sweep alone, n = 1024, band → tridiagonal, ms:
+///
+/// | b | 16 | 32 | 64 | 128 | 256 |
+/// |---|---|---|---|---|---|
+/// | SSE2 loops, serial sums (PR 16) | 24.1 | 34.2 | 65.2 | 114.6 | 219.1 |
+/// | FMA loops, 8-lane sums (this kernel) | 23.6 | 29.0 | 49.3 | 75.7 | 129.8 |
+///
+/// Schedules on this kernel, pass legs + sweep (each sweep on a slab
+/// re-housed to its own fill capacity — swept on the pass's wide slab,
+/// column stride 4 104 bytes, b = 64 read 87 instead of 46 ms), ms:
+///
+/// | (n, bw) | sweep directly | one pass to 64, sweep | other |
+/// |---|---|---|---|
+/// | (512, 128) | **16.8** | 10.3 + 11.3 = 21.6 | |
+/// | (640, 160) | **30.2** | 17.2 + 16.9 = 34.1 | |
+/// | (768, 192) | **50.1** | 31.3 + 26.3 = 57.6 | halve to 96, sweep: 29.2 + 33.9 = 63.1; PR 16 (that schedule, its kernel): 77.5 |
+/// | (1024, 160) | **88.1** | 53.5 + 46.3 = 99.8 | |
+/// | (1024, 192) | 105.0 | 62.1 + 46.0 = 108.1 | |
+/// | (1024, 224) | 123.0 | **62.4 + 46.3 = 108.7** | |
+/// | (1024, 256) | 130.6 | **73.2 + 45.9 = 119.1** | halve to 128, sweep: 71.8 + 78.3 = 150.1; halve twice, sweep: 67.9 + 52.5 + 46.4 = 166.8; one pass to 96 / 48 / 32: 131.2 / 116.1 / 122.9; PR 16 (halve to 128, its kernel): 194.5 |
+/// | (1536, 192) | 284.3 | **154.3 + 108.2 = 262.5** | |
+/// | (1536, 256) | 381.3 | **193.6 + 107.8 = 301.4** | |
+///
+/// Against this kernel every halving schedule loses to both one pass and
+/// no pass; the pass wins from `b ≈ 200` up and by more as `n` grows;
+/// its target is flat between 48 and 64. Not knobs: both constants are
+/// crossovers of this kernel pair on a cache hierarchy, to be re-measured
+/// when either kernel changes.
+const SWEEP_BAND: usize = 64;
 
 /// A tridiagonal eigensolver failed to converge within its iteration
 /// budget. On finite input this does not occur (the Wilkinson shift
@@ -255,50 +304,79 @@ pub fn banded_eigenvalues(b: &BandedSym) -> Vec<f64> {
 
 /// Eigenvalues of a symmetric banded matrix, computed sequentially,
 /// with non-convergence reported as [`NoConvergence`]:
-/// bandwidth-halving sweeps (fat rank-`b/2` block reflectors —
-/// matrix–matrix rates) run while the band is above [`HALVE_FLOOR`],
-/// the remaining reduction runs as one fused rank-1 sweep
-/// ([`bulge::sweep_to_tridiagonal`]), and the tridiagonal spectrum
-/// comes from [`crate::dnc`] (implicit QL at or below its leaf size).
+/// [`band_to_tridiagonal`], then [`crate::dnc`] (implicit QL at or below
+/// its leaf size).
 pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> {
-    let n = b.n();
-    if n == 1 {
-        return Ok(vec![b.get(0, 0)]);
-    }
-    let bw = b.bandwidth().max(b.measured_bandwidth(0.0));
-    if bw <= 1 {
-        let (d, e) = b.tridiagonal();
-        return tridiagonal_spectrum(&d, &e);
-    }
-    // Re-house with enough fill capacity for the reduction: the initial
-    // capacity 2·bw covers every later halving's 2·b′ fill as well.
-    let cap = (2 * bw).min(n - 1);
-    let mut work = BandedSym::zeros(n, bw, cap);
-    for j in 0..n {
-        for i in j..n.min(j + bw + 1) {
-            work.set(i, j, b.get(i, j));
-        }
-    }
-    while work.bandwidth() > HALVE_FLOOR {
-        let b = work.bandwidth();
-        let _span = ca_obs::kernel_span(&format!("finale.halve ({b}→{})", b.div_ceil(2)));
-        bulge::reduce_band(&mut work, 2);
-    }
-    if work.bandwidth() > 1 {
-        let _span = ca_obs::kernel_span(&format!("finale.sweep ({})", work.bandwidth()));
-        bulge::sweep_to_tridiagonal(&mut work);
-    }
-    let (d, e) = work.tridiagonal();
-    tridiagonal_spectrum(&d, &e)
-}
-
-/// Divide-and-conquer above its leaf size, values-only QL below.
-fn tridiagonal_spectrum(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
+    let (d, e) = band_to_tridiagonal(b, None);
     let _span = ca_obs::kernel_span("finale.dnc");
     if d.len() > dnc::LEAF {
-        dnc::dnc_eigenvalues(d, e)
+        dnc::dnc_eigenvalues(&d, &e)
     } else {
-        try_tridiag_eigenvalues(d, e)
+        try_tridiag_eigenvalues(&d, &e)
+    }
+}
+
+/// Reduce a symmetric banded matrix to tridiagonal form, sequentially:
+/// returns the diagonal and sub-diagonal of `T = QᵀBQ`. The band-width
+/// reduced is the larger of the declared and the measured one. A band
+/// wider than `HALVE_FLOOR` first takes one pass of fat block reflectors
+/// (Algorithm IV.2 on one processor, matrix–matrix rates) down to
+/// `SWEEP_BAND`; the fused rank-1 sweep
+/// ([`bulge::sweep_to_tridiagonal`]) finishes, on a slab re-housed to
+/// the narrow band's fill capacity. The working slabs are lent by the
+/// thread's arena: a warmed call allocates its two results and nothing
+/// else.
+///
+/// With `record`, every transform applied is appended as a block
+/// reflector `(row0, U, T)` — `Q = Q₁Q₂⋯` in append order, each
+/// `Qₖ = I − U·T·Uᵀ` on rows `row0 .. row0 + U.rows()`: the pass's
+/// chases as they come, the sweep's grouped as
+/// [`bulge::sweep_to_tridiagonal`] describes. Recording does not change
+/// a bit of `(d, e)`.
+///
+/// Opens the `finale.halve (b→b′)` and `finale.sweep (b)` kernel spans.
+pub fn band_to_tridiagonal(
+    band: &BandedSym,
+    mut record: Option<&mut Vec<BlockReflector>>,
+) -> (Vec<f64>, Vec<f64>) {
+    let n = band.n();
+    let bw = band.bandwidth().max(band.measured_bandwidth(0.0));
+    if bw <= 1 {
+        return band.tridiagonal();
+    }
+    with_ws(|ws| {
+        // The sweep's slab is lent by the arena. The pass's — up to n²
+        // words, twice anything else this thread's arena holds — is a
+        // plain allocation freed before the sweep: an arena never gives
+        // memory back, and keeping that slab resident raised
+        // `values_p4`'s peak heap by 2.1 MB over freeing it.
+        let fill = |b: usize| (2 * b).min(n - 1);
+        let mut work = if bw > HALVE_FLOOR {
+            let mut wide = band.rehoused(bw, fill(bw), |len| vec![0.0; len]);
+            let _span = leg_span(format_args!("finale.halve ({bw}→{SWEEP_BAND})"));
+            bulge::reduce_band_pass(&mut wide, SWEEP_BAND, record.as_deref_mut(), ws);
+            wide.rehoused(SWEEP_BAND, fill(SWEEP_BAND), |len| ws.take(len))
+        } else {
+            band.rehoused(bw, fill(bw), |len| ws.take(len))
+        };
+        {
+            let _span = leg_span(format_args!("finale.sweep ({})", work.bandwidth()));
+            bulge::sweep(&mut work, record, ws, Fma::detect());
+        }
+        let de = work.tridiagonal();
+        ws.put(work.into_slab());
+        de
+    })
+}
+
+/// A kernel span whose name is formatted only when it will be recorded
+/// (the finale's legs carry their band-widths; an untraced solve must
+/// not allocate for them).
+fn leg_span(name: std::fmt::Arguments) -> ca_obs::SpanGuard {
+    if ca_obs::level() >= 2 {
+        ca_obs::kernel_span(&name.to_string())
+    } else {
+        ca_obs::kernel_span("")
     }
 }
 

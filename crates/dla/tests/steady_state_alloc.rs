@@ -14,6 +14,13 @@
 //! copy, `U`, `T`, `R`) and nothing else — `qr_inplace` underneath it is
 //! crate-private, and its `n₁ × n₂` temporaries, the leaf's panel and
 //! GEMM's packing buffers are all lent by the arena.
+//! The finale's band → tridiagonal function on the values path obeys the
+//! same rule: at (n, b) = (512, 64) — the fused sweep alone, its plan
+//! iterated lazily, its slab and its three vectors lent by the arena — a
+//! warmed `band_to_tridiagonal` allocates the `(d, e)` it returns and
+//! nothing else; at (512, 224), where one block-reflector pass runs
+//! first, one allocation more: that pass's wide slab, which is freed
+//! before the sweep instead of staying resident in the arena.
 //! The same holds when the work runs as a forked piece on a worker of
 //! the runtime's persistent pool, and when the forking thread takes a
 //! queued piece of its own fork.
@@ -23,6 +30,7 @@
 
 use ca_dla::bulge::{chase_plan_to, execute_chase};
 use ca_dla::qr::qr_factor;
+use ca_dla::tridiag::band_to_tridiagonal;
 use ca_dla::{gemm, gen, rt, BandedSym, Matrix, Trans};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -169,6 +177,22 @@ fn recursive_qr_allocations() -> (u64, u64) {
     (chase, factor)
 }
 
+/// The values-path finale at a band the sweep takes directly and at one
+/// that takes the block-reflector pass first, each under a core budget
+/// of one (the pass's products are large enough to fork; see
+/// [`recursive_qr_allocations`]).
+fn finale_allocations() -> (u64, u64) {
+    let mut rng = StdRng::seed_from_u64(516);
+    let n = 512usize;
+    let mut count = |b: usize| {
+        let band = BandedSym::from_dense(&gen::random_banded(&mut rng, n, b), b, b);
+        second_run_allocations(|| {
+            rt::with_budget(1, || std::hint::black_box(band_to_tridiagonal(&band, None)));
+        })
+    };
+    (count(64), count(224))
+}
+
 #[test]
 fn steady_state_chase_is_allocation_free() {
     // A pool of two, so the second half below has a worker to land on
@@ -197,6 +221,12 @@ fn steady_state_chase_is_allocation_free() {
         recursive_qr_allocations(),
         (0, 4),
         "a warmed halving chase at (512, 128) allocates nothing, a warmed 512×256 qr_factor its four results"
+    );
+
+    assert_eq!(
+        finale_allocations(),
+        (2, 3),
+        "a warmed band_to_tridiagonal allocates its two results at (512, 64), and the pass's slab besides at (512, 224)"
     );
 
     // As a forked piece on a pool worker: threads are not created per

@@ -67,6 +67,7 @@ const PINS: &[(&str, [u64; 7], u64)] = &[
     ("band_to_band n=257 b=12 h=5 p=4", [4115638, 922593, 663191, 4674, 0, 1676825, 7519052], 0xdf59e75094d66241),
     ("symm_eigen_25d_vectors n=48", [808176, 21284, 33060, 287, 5472, 66500, 1478208], 0x7f7bcd7d083a5311),
     ("symm_eigen_25d_vectors n=65", [2008358, 39467, 70492, 406, 9728, 122964, 3603371], 0x50d19766d5dfa04b),
+    ("symm_eigen_25d_vectors n=129", [14393061, 178083, 182044, 156, 17920, 556312, 29168185], 0xe6600de59db74346),
 ];
 
 /// FNV-1a over a stream of 64-bit words (as little-endian bytes).
@@ -253,7 +254,10 @@ fn band_to_band_dag_matches_barrier_bitwise_ragged_sweep() {
 
 #[test]
 fn full_solve_dag_matches_barrier_bitwise() {
-    for n in [48, 65] {
+    // n = 129 enters the finale at a band-width of 33, wide enough for
+    // the sweep to record compact-WY blocks; the other two record one
+    // reflector per chase, as the barrier-era drivers did.
+    for n in [48, 65, 129] {
         assert_paths_agree(&format!("symm_eigen_25d_vectors n={n}"), || {
             solve_run(n, 4, 3000 + n as u64)
         });

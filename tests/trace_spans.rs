@@ -9,10 +9,12 @@
 //! * level 2: kernel-detail spans appear, and per thread every pair of
 //!   spans is properly nested or disjoint (the guards are scoped, so
 //!   intervals on one thread must form a tree);
-//! * level 2, the finale: a solve that enters the sequential stage above
-//!   `HALVE_FLOOR` opens `finale.halve`, `finale.sweep` and `finale.dnc`
-//!   under `sequential eigensolve`, on the values and on the vectors
-//!   path, and the three account for that stage's wall to within 5 %.
+//! * level 2, the finale: a solve that enters the sequential stage with
+//!   a band wide enough for the block-reflector pass opens
+//!   `finale.halve`, `finale.sweep` and `finale.dnc` under `sequential
+//!   eigensolve`, on the values and on the vectors path — the same
+//!   function runs both — and the three account for that stage's wall
+//!   to within 5 %.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
@@ -123,11 +125,13 @@ fn stage_spans_pin_names_costs_and_nesting() {
     }
 
     // Phase 3 — the finale's legs. One processor keeps the band at
-    // b₀ = n/2 = 144 > HALVE_FLOOR all the way to the sequential stage.
+    // b₀ = n/2 = 200 all the way to the sequential stage: above the
+    // width (192) from which `band_to_tridiagonal` takes one pass down
+    // to its sweep band (64) first.
     for vectors in [false, true] {
         let machine = Machine::new(MachineParams::new(1));
         let params = EigenParams::new(1, 1);
-        let a = gen::random_symmetric(&mut StdRng::seed_from_u64(43), 288);
+        let a = gen::random_symmetric(&mut StdRng::seed_from_u64(43), 400);
         obs::set_level(2);
         let _ = obs::drain();
         if vectors {
@@ -148,7 +152,7 @@ fn stage_spans_pin_names_costs_and_nesting() {
         let names: Vec<&str> = legs.iter().map(|e| e.name()).collect();
         assert_eq!(
             names,
-            ["finale.halve (144→72)", "finale.sweep (72)", "finale.dnc"],
+            ["finale.halve (200→64)", "finale.sweep (64)", "finale.dnc"],
             "vectors = {vectors}"
         );
         for leg in &legs {
