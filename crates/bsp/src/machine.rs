@@ -492,17 +492,6 @@ impl Machine {
         (out, self.costs_since(&snap))
     }
 
-    /// [`Machine::measure`] with a stage tag: returns the closure's
-    /// result and a named [`StageRecord`] ready for a per-stage ledger.
-    pub fn measure_stage<R>(
-        &self,
-        name: impl Into<String>,
-        f: impl FnOnce() -> R,
-    ) -> (R, crate::StageRecord) {
-        let (out, costs) = self.measure(f);
-        (out, crate::StageRecord::new(name, costs))
-    }
-
     /// Per-processor cumulative horizontal words (diagnostics / load
     /// balance inspection).
     pub fn comm_per_proc(&self) -> Vec<u64> {

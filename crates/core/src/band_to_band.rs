@@ -7,30 +7,30 @@
 //! paper's exact index ranges); iterations with equal `2i + j` run
 //! concurrently on disjoint processor groups `Π̂ⱼ` of `p̂ = p·b/n`
 //! processors (Figure 2), which the ledger's per-processor superstep
-//! counters capture. Each chase:
+//! counters capture. Each chase is charged for
 //!
-//! 1. gathers its `O(b)×O(b)` window onto the group
+//! 1. gathering its `O(b)×O(b)` window onto the group
 //!    (`O(b²/p̂)` words per processor, as in the Lemma IV.3 proof),
-//! 2. QR-factors the `(≤b)×h` bulge block on `p·h/n` processors
+//! 2. QR-factoring the `(≤b)×h` bulge block on `p·h/n` processors
 //!    (line 16, [`ca_pla::rect_qr`]),
-//! 3. applies the two-sided update of lines 17–22 with Lemma III.2
-//!    multiplies (`v = p̂^{2−3δ}/(k−1)`),
-//! 4. scatters the window back.
+//! 3. the two-sided update of lines 17–22 with Lemma III.2 multiplies
+//!    (`v = p̂^{2−3δ}/(k−1)`),
+//! 4. handing the boundary on to the adjacent group,
+//!
+//! and executed by `ca-dla`'s one banded chase kernel on the band itself
+//! ([`ca_dla::bulge::reduce_band_pass`]); only step 2, for a block large
+//! enough to amortize it, is a distributed computation — on the block the
+//! kernel gathered, its factors handed back to the kernel.
 //!
 //! A fence closes every pipeline phase, folding the per-superstep maxima
 //! exactly at the granularity the paper's cost expressions sum over.
 
 use ca_bsp::Machine;
-use ca_dla::bulge::{chase_plan_to, ChaseOp};
-use ca_dla::gemm::Trans;
-use ca_dla::{BandedSym, Matrix};
-use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
+use ca_dla::bulge::{chase_plan_to, reduce_band_pass, ChaseOp};
+use ca_dla::{costs, BandedSym, MatrixView, QrFactors, Workspace};
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
-use ca_pla::kern;
-use ca_pla::ops;
 use ca_pla::rect_qr::rect_qr;
-use std::sync::Mutex;
 
 /// Trace of the pipeline schedule (consumed by the Figure-2 binary).
 #[derive(Debug, Clone, Default)]
@@ -113,21 +113,20 @@ pub fn band_to_band_to_logged(
     band_to_band_impl(machine, grid, bmat, h, v_mem, Some(rec))
 }
 
-/// The driver: each chase of the plan is a [`TaskGraph`] node depending
-/// only on the earlier chases whose windows overlap its own — the
-/// diagonal-wavefront pipeline of Figure 2. A chase of phase `φ+1`
-/// whose window is clear of a straggling phase-`φ` window becomes ready
-/// without waiting for the phase to drain. Tasks are inserted phase by
-/// phase (residency prologue, then the phase's chases, a fence between
-/// phases), so the charge replay — and the graph's inline mode — is the
-/// phase-by-phase schedule whatever the execution interleaving.
+/// The driver: the plan in pipeline-phase order (chases with equal
+/// `2i + j` run concurrently on their groups `Π̂ⱼ`, Figure 2; ties by
+/// ascending `i`, the handoff order — bitwise the sequential order, as
+/// ca-dla's tests pin), walked phase by phase through the one banded
+/// kernel. Every phase charges its residency prologue, then each chase
+/// its cost model at the kernel's factor step, and a fence closes it:
+/// live charges in program order.
 fn band_to_band_impl(
     machine: &Machine,
     grid: &Grid,
     bmat: &BandedSym,
     h: usize,
     v_mem: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
+    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
 ) -> (BandedSym, BandToBandTrace) {
     let _span = ca_obs::kernel_span("driver.band_to_band");
     let n = bmat.n();
@@ -136,20 +135,12 @@ fn band_to_band_impl(
     let p = grid.len();
 
     // Working copy with bulge capacity.
-    let cap = (2 * b).min(n - 1);
-    let mut work0 = BandedSym::zeros(n, b, cap);
-    for j in 0..n {
-        for i in j..n.min(j + b + 1) {
-            work0.set(i, j, bmat.get(i, j));
-        }
-    }
-
+    let capacity = (2 * b).min(n - 1);
+    let mut work = bmat.rehoused(b, capacity, |len| vec![0.0; len]);
     let mut trace = BandToBandTrace::default();
     if h == b {
-        work0.set_bandwidth(h);
-        return (work0, trace);
+        return (work, trace);
     }
-    let capacity = work0.capacity();
 
     // Processor groups Π̂ⱼ: ⌈n/b⌉ groups of p̂ = p·b/n processors
     // (clamped to the machine we actually have).
@@ -158,121 +149,50 @@ fn band_to_band_impl(
     let groups: Vec<Grid> = (0..n_groups)
         .map(|g| Grid::new_1d(grid.procs()[g * p_hat..(g + 1) * p_hat].to_vec()))
         .collect();
+    let group_of = |op: &ChaseOp| (op.j - 1) % n_groups;
+    // Line 16's `Π̂ⱼ[1 : p·h/n]`.
+    let qr_procs = ((p * h) / n).clamp(1, p_hat);
 
-    // Phase-ordered plan (ties by ascending i — the pipeline handoff
-    // order, verified bitwise-equivalent to the sequential order in
-    // ca-dla's tests), chunked into pipeline phases: chases with equal
-    // 2i + j may run concurrently on their groups Π̂ⱼ.
     let mut plan = chase_plan_to(n, b, h);
     plan.sort_by_key(|op| (op.phase(), op.i));
-    let mut phases: Vec<Vec<ChaseOp>> = Vec::new();
-    for op in plan {
-        match phases.last_mut() {
-            Some(cur) if cur[0].phase() == op.phase() => cur.push(op),
-            _ => phases.push(vec![op]),
-        }
-    }
+    trace.chases = plan
+        .iter()
+        .map(|op| ChaseRecord {
+            phase: op.phase(),
+            op: op.clone(),
+            group_index: group_of(op),
+            qr_procs,
+        })
+        .collect();
 
-    // Shared state and per-chase reflector slots (collected out of
-    // completion order, appended to `rec` in plan order afterwards).
-    let work_slot = Mutex::new(work0);
-    let total_chases: usize = phases.iter().map(|ops| ops.len()).sum();
-    let factor_cells: Vec<TaskCell<(Matrix, Matrix)>> =
-        (0..total_chases).map(|_| TaskCell::new()).collect();
-
-    let work = &work_slot;
-    let groups_ref = &groups;
-    let cells = &factor_cells;
-
-    let mut graph = TaskGraph::new(machine);
-    // (window, task id) of every chase inserted so far — the overlap
-    // scan that yields the wavefront dependency structure.
-    let mut placed: Vec<(usize, usize, TaskId)> = Vec::new();
     let mut last_window: Vec<Option<(usize, usize)>> = vec![None; n_groups];
-    let mut chase_idx = 0usize;
-
-    for (pi, ops) in phases.into_iter().enumerate() {
-        if pi > 0 {
-            graph.add_fence();
-        }
-        // Residency prologue: the per-group window-slide state is pure
-        // schedule data, so the words are computed here at build time
-        // and one task per phase charges them in op order.
-        let mut residency: Vec<(usize, u64)> = Vec::with_capacity(ops.len());
-        let mut assignments = Vec::with_capacity(ops.len());
-        for op in &ops {
-            let gidx = (op.j - 1) % n_groups;
-            let qr_procs = ((p * h) / n).clamp(1, groups[gidx].len());
-            trace.chases.push(ChaseRecord {
-                phase: op.phase(),
-                op: op.clone(),
-                group_index: gidx,
-                qr_procs,
-            });
-            residency.push((
-                gidx,
-                window_residency_words(op, capacity, &mut last_window[gidx]),
-            ));
-            assignments.push((gidx, qr_procs));
-        }
-        graph.add_task("b2b.residency", &[], move || {
-            for (gidx, win_words) in residency {
-                let group = &groups_ref[gidx];
-                for &pid in group.procs() {
-                    machine.charge_comm(pid, 2 * win_words.div_ceil(group.len() as u64));
-                }
-                machine.step(group.procs(), 1);
+    // The stage's own scratch, dropped with it: strips parked in the
+    // calling thread's arena would stay resident under the finale's peak.
+    let mut ws = Workspace::new();
+    for ops in plan.chunk_by(|a, b| a.phase() == b.phase()) {
+        for op in ops {
+            let gidx = group_of(op);
+            let group = &groups[gidx];
+            let words = window_residency_words(op, capacity, &mut last_window[gidx]);
+            for &pid in group.procs() {
+                machine.charge_comm(pid, 2 * words.div_ceil(group.len() as u64));
             }
-        });
-
-        for (op, (gidx, qr_procs)) in ops.into_iter().zip(assignments) {
-            let (lo, hi) = op.window();
-            let deps: Vec<TaskId> = placed
-                .iter()
-                .filter(|&&(plo, phi, _)| plo < hi && lo < phi)
-                .map(|&(_, _, id)| id)
-                .collect();
-            let slot = chase_idx;
-            let id = graph.add_task("b2b.chase", &deps, move || {
-                let mut d = {
-                    let w = work.lock().unwrap_or_else(|e| e.into_inner());
-                    w.window(lo, hi)
-                };
-                let (u, t) = chase_compute(
-                    machine,
-                    &groups_ref[gidx],
-                    qr_procs,
-                    &mut d,
-                    &op,
-                    v_mem,
-                    capacity,
-                );
-                let mut w = work.lock().unwrap_or_else(|e| e.into_inner());
-                w.set_window(lo, &d);
-                drop(w);
-                cells[slot].set((u, t));
-            });
-            placed.push((lo, hi, id));
-            chase_idx += 1;
+            machine.step(group.procs(), 1);
         }
+        reduce_band_pass(
+            &mut work,
+            ops,
+            |op, block| {
+                let group = &groups[group_of(op)];
+                charge_chase(machine, group, qr_procs, op, block, v_mem, capacity)
+            },
+            rec.as_deref_mut(),
+            &mut ws,
+        );
+        machine.fence();
     }
-    graph.add_fence();
-    graph.run();
-
-    if let Some(r) = rec {
-        for (cell, chase) in factor_cells.iter().zip(&trace.chases) {
-            let (u, t) = cell.take();
-            r.push(crate::transforms::Reflectors {
-                row0: chase.op.qr_rows.0,
-                u,
-                t,
-            });
-        }
-    }
-
-    let mut out = work_slot.into_inner().unwrap_or_else(|e| e.into_inner());
-    out.set_bandwidth(h);
-    (out, trace)
+    work.set_bandwidth(h);
+    (work, trace)
 }
 
 /// Fresh words entering a group's window for one chase (line 2 of Alg
@@ -280,8 +200,7 @@ fn band_to_band_impl(
 /// chases, so only the freshly entered columns plus the boundary region
 /// updated by the adjacent group move — `O(h·b/p̂)` words per processor
 /// per chase, matching Lemma IV.3's per-iteration traffic. Pure in the
-/// schedule (stateful only through `last_window`), so the driver
-/// evaluates it while building the graph.
+/// schedule (stateful only through `last_window`).
 fn window_residency_words(
     op: &ChaseOp,
     capacity: usize,
@@ -298,28 +217,26 @@ fn window_residency_words(
     (fresh_cols * height) as u64
 }
 
-/// One chase's compute on its gathered window `d`: parallel QR →
-/// Lemma III.2 updates → boundary handoff. Mirrors
-/// `ca_dla::bulge::chase_window_update` with every product and word
-/// charged. Fold-free (charges and steps only), so same-phase chases on
-/// disjoint groups may run on real threads concurrently.
-#[allow(clippy::too_many_arguments)]
-fn chase_compute(
+/// One chase's cost on its group, charged at the kernel's factor step
+/// from the operation's shapes: line 16's QR, the Lemma III.2 products
+/// of lines 19–22 and the boundary handoff. Fold-free (charges and steps
+/// only). When the bulge block is large enough to amortize the
+/// distributed machinery, line 16 runs here — [`rect_qr`] on the gathered
+/// `block`, metering itself — and its factors go back to the kernel;
+/// otherwise the kernel factors locally (`None`) and the group leader is
+/// charged for it.
+fn charge_chase(
     machine: &Machine,
     group: &Grid,
     qr_procs: usize,
-    d: &mut Matrix,
     op: &ChaseOp,
+    block: &MatrixView,
     v_mem: usize,
     capacity: usize,
-) -> (Matrix, Matrix) {
+) -> Option<QrFactors> {
     let (lo, hi) = op.window();
-    let nr = op.nr();
-    let h = op.h();
-    let nc = op.nc();
-    let qr_r = op.qr_rows.0 - lo;
-    let qr_c = op.qr_cols.0 - lo;
-    let up_c = op.up_cols.0 - lo;
+    let (nr, h, nc) = (op.nr(), op.h(), op.nc());
+    let kk = nr.min(h);
     let p_hat = group.len() as u64;
     let height = (capacity + 1).min(hi - lo);
 
@@ -328,68 +245,42 @@ fn chase_compute(
     // sequential threshold) run locally on the group leader, with the
     // factors broadcast to the group.
     const LOCAL_QR_WORDS: usize = 1 << 14;
-    let block = d.block(qr_r, qr_c, nr, h);
-    let (u, t, r) = if nr >= h && qr_procs > 1 && nr * h > LOCAL_QR_WORDS {
-        let qr_group = group.prefix(qr_procs);
-        let dist = DistMatrix::from_dense(machine, &qr_group, &block);
+    let factors = if nr >= h && qr_procs > 1 && nr * h > LOCAL_QR_WORDS {
+        let dist = DistMatrix::from_dense(machine, &group.prefix(qr_procs), &block.to_matrix());
         let f = rect_qr(machine, &dist);
         dist.release(machine);
         let u = f.u.assemble_unchecked();
         f.u.release(machine);
-        (u, f.t, f.r)
+        Some(QrFactors { u, t: f.t, r: f.r })
     } else {
-        let f = kern::local_qr(machine, group.proc(0), &block);
+        let leader = group.proc(0);
+        machine.charge_flops(leader, costs::qr_flops(nr, h));
+        machine.charge_vert(leader, costs::qr_vert(nr, h, machine.cache_words()));
         // Re-spread the factors over the group (they stay distributed
         // for the update multiplies — the lemma never replicates them).
-        let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
+        let factor_words = (nr * kk + kk * kk + kk * h) as u64;
         for &pid in group.procs() {
             machine.charge_comm(pid, 2 * factor_words.div_ceil(p_hat));
         }
         machine.step(group.procs(), 1);
-        (f.u, f.t, f.r)
+        None
     };
-    let kk = u.cols();
 
-    // Line 17: B[I_qr.rs, I_qr.cs] = [R; 0] and mirror.
-    let mut r_full = Matrix::zeros(nr, h);
-    r_full.set_block(0, 0, &r);
-    d.set_block(qr_r, qr_c, &r_full);
-    d.set_block(qr_c, qr_r, &r_full.transpose());
-
-    // Line 19: W = B[I_up.cs, I_qr.rs]·U·T, V = −W. Operands are
-    // resident on the group (the window gather above paid for them), so
-    // these charge Lemma III.2's reduction terms only — exactly how the
-    // Lemma IV.3 proof prices the per-iteration multiplies.
-    let bup = d.block(up_c, qr_r, nc, nr);
-    let bu = ops::resident_mm(machine, group, &bup, Trans::N, &u, Trans::N, v_mem);
-    let w = ops::resident_mm(machine, group, &bu, Trans::N, &t, Trans::N, 1);
-    // Fused V = −W (one pass, no clone-then-scale; −x ≡ x·(−1) bitwise).
-    let mut v = Matrix::from_fn(w.rows(), w.cols(), |i, j| -w.get(i, j));
-
+    // Line 19: W = B[I_up.cs, I_qr.rs]·U·T. Operands are resident on the
+    // group (the window gather paid for them), so these charge Lemma
+    // III.2's reduction terms only — exactly how the Lemma IV.3 proof
+    // prices the per-iteration multiplies.
+    charge_resident_mm(machine, group, (nc, nr, kk), v_mem);
+    charge_resident_mm(machine, group, (nc, kk, kk), 1);
     // Line 20: V[I_v.rs, :] += ½·U·(Tᵀ·(Uᵀ·W[I_v.rs, :])).
-    let w_sym = w.block(op.ov, 0, nr, kk);
-    let utw = ops::resident_mm(machine, group, &u, Trans::T, &w_sym, Trans::N, 1);
-    let ttutw = ops::resident_mm(machine, group, &t, Trans::T, &utw, Trans::N, 1);
-    let corr = ops::resident_mm(machine, group, &u, Trans::N, &ttutw, Trans::N, 1);
-    for a in 0..nr {
-        for c in 0..kk {
-            v.add_to(op.ov + a, c, 0.5 * corr.get(a, c));
-        }
-    }
+    charge_resident_mm(machine, group, (kk, nr, kk), 1);
+    charge_resident_mm(machine, group, (kk, kk, kk), 1);
+    charge_resident_mm(machine, group, (nr, kk, kk), 1);
     for &pid in group.procs() {
         machine.charge_flops(pid, ((nr * kk) as u64).div_ceil(p_hat));
     }
-
-    // Lines 21–22: the symmetric rank-2h update (resident operands).
-    let uvt = ops::resident_mm(machine, group, &u, Trans::N, &v, Trans::T, v_mem);
-    d.add_block(qr_r, up_c, &uvt, 1.0);
-    // Transposed accumulate of the mirror, no block/axpy/set_block
-    // round-trip (`+= 1.0·s` ≡ `+= s` bitwise).
-    for i in 0..nc {
-        for j in 0..nr {
-            d.add_to(up_c + i, qr_r + j, uvt.get(j, i));
-        }
-    }
+    // Lines 21–22: the symmetric rank-2h update.
+    charge_resident_mm(machine, group, (nr, kk, nc), v_mem);
     for &pid in group.procs() {
         machine.charge_flops(pid, 2 * ((nr * nc) as u64).div_ceil(p_hat));
     }
@@ -401,7 +292,28 @@ fn chase_compute(
         machine.charge_comm(pid, 2 * boundary_words.div_ceil(p_hat));
     }
     machine.step(group.procs(), 1);
-    (u, t)
+    factors
+}
+
+/// Charge an `m × k` by `k × n` product whose operands are *resident*:
+/// both already live evenly spread on `group` (inside a bulge chase the
+/// window gather paid for residency — Lemma IV.3's "each processor subset
+/// can obtain the submatrix … with O(b²/p̂) horizontal communication").
+/// Lemma III.2's cost *without* the operand-movement term:
+/// `W = O(v^{1/3}·(mnk/g)^{2/3})` per processor — only the
+/// inner-dimension reduction crosses processors, outputs land
+/// distributed where they are produced (owner-computes) — plus the usual
+/// flops and vertical traffic, in two supersteps.
+fn charge_resident_mm(machine: &Machine, group: &Grid, (m, k, n): (usize, usize, usize), v: usize) {
+    let g = group.len() as u64;
+    let mnk = (m * k * n) as u64;
+    let reduce_term = ((v.max(1) as f64).cbrt() * ((mnk / g) as f64).powf(2.0 / 3.0)) as u64;
+    for &pid in group.procs() {
+        machine.charge_flops(pid, 2 * mnk / g);
+        machine.charge_comm(pid, reduce_term);
+        machine.charge_vert(pid, ((m * k + k * n + m * n) as u64) / g);
+    }
+    machine.step(group.procs(), 2);
 }
 
 #[cfg(test)]
@@ -480,6 +392,49 @@ mod tests {
         assert_eq!(out.bandwidth(), 4);
         assert!(trace.chases.is_empty());
         assert!(out.to_dense().max_diff(&dense) < 1e-14);
+    }
+
+    #[test]
+    fn parallel_qr_leg_reduces_records_and_meters() {
+        // nr·h = 200·100 words on p·h/n = 4 of a group's 8 processors:
+        // the bulge blocks are factored by `rect_qr` on the block the
+        // kernel gathered, and the kernel takes the factors from there.
+        use ca_dla::gemm::{matmul, Trans};
+        let (n, b, h, p) = (400usize, 200usize, 100usize, 16usize);
+        let grid = Grid::all(p);
+        let mut rng = StdRng::seed_from_u64(217);
+        let dense = gen::random_banded(&mut rng, n, b);
+        let bm = BandedSym::from_dense(&dense, b, b);
+        let reference = banded_eigenvalues(&bm);
+
+        let plain_machine = machine(p);
+        let (plain, trace) = band_to_band_to(&plain_machine, &grid, &bm, h, 1);
+        assert!(trace.chases.iter().all(|c| c.qr_procs == 4));
+        let m = machine(p);
+        let mut log = crate::transforms::TransformLog::default();
+        let (out, _) = band_to_band_to_logged(&m, &grid, &bm, h, 1, log.stage("band-to-band"));
+        assert_eq!(plain, out, "recording changed the band");
+        assert_eq!(plain_machine.report(), m.report(), "recording changed the ledger");
+
+        assert!(out.measured_bandwidth(1e-9) <= h);
+        let dist = spectrum_distance(&banded_eigenvalues(&out), &reference);
+        assert!(dist < 1e-8 * n as f64, "spectrum drifted {dist}");
+        // Every local-leg chase leaves M = 0; only the leg's `DistMatrix`
+        // allocates on the machine.
+        assert!(m.report().peak_memory_words > 0, "the rect_qr leg did not run");
+
+        // The record back-transforms to an orthonormal eigenbasis of the
+        // input.
+        let mut blocks = Vec::new();
+        let (d, e) = ca_dla::tridiag::band_to_tridiagonal(&out, Some(&mut blocks));
+        log.stage("finale").extend(blocks.into_iter().map(Into::into));
+        let (lam, z) = ca_dla::dnc::dnc_eigen(&d, &e).unwrap();
+        let v = crate::transforms::back_transform(&m, &grid, &log, &z);
+        let gram = matmul(&v, Trans::T, &v, Trans::N);
+        assert!(gram.max_diff(&ca_dla::Matrix::identity(n)) < 1e-10);
+        let av = matmul(&dense, Trans::N, &v, Trans::N);
+        let vl = ca_dla::Matrix::from_fn(n, n, |i, j| v.get(i, j) * lam[j]);
+        assert!(av.max_diff(&vl) < 1e-8 * n as f64);
     }
 
     #[test]

@@ -12,12 +12,9 @@
 //! (recorded deviation, DESIGN.md §8).
 
 use ca_bsp::Machine;
-use ca_dla::bulge::{chase_plan, execute_chase};
-use ca_dla::costs;
-use ca_dla::BandedSym;
-use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
+use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, ChaseOp};
+use ca_dla::{costs, BandedSym, Workspace};
 use ca_pla::grid::Grid;
-use std::sync::Mutex;
 
 /// Halve the band-width of `bmat` (`b → ⌈b/2⌉`) on the processors of
 /// `grid` (1D column layout). Odd band-widths (which arise for
@@ -37,10 +34,9 @@ pub fn ca_sbr_logged(
     ca_sbr_impl(machine, grid, bmat, Some(rec))
 }
 
-/// The driver: one [`TaskGraph`] node per chase, depending only on the
-/// earlier chases whose windows overlap its own — the diagonal-wavefront
-/// dependency structure of the SBR pipeline, freed from sweep order.
-/// Tasks are inserted (and their charges replayed) in plan order.
+/// The driver: the halving plan walked in sweep order through the one
+/// banded kernel, each chase charged to the owner of its window's first
+/// column at the kernel's factor step.
 fn ca_sbr_impl(
     machine: &Machine,
     grid: &Grid,
@@ -51,106 +47,68 @@ fn ca_sbr_impl(
     let n = bmat.n();
     let b = bmat.bandwidth();
     assert!(b >= 2, "cannot halve a band-width below 2");
+    let target = b.div_ceil(2);
     let p = grid.len();
     let cols_per_proc = n.div_ceil(p);
 
     // Redistribution from any starting layout: O(nb/p) words each
     // (the lemma's O(β·nb) total term; ceiling division — the straggler
-    // with the ragged remainder sets the cost). It happens live, before
-    // the graph: its charges open the ledger phase the replayed chase
-    // charges complete.
+    // with the ragged remainder sets the cost).
     for &pid in grid.procs() {
         machine.charge_comm(pid, ((n * (b + 1)) as u64).div_ceil(p as u64) * 2);
     }
     machine.step(grid.procs(), 1);
 
     let cap = (2 * b).min(n - 1);
-    let mut work0 = BandedSym::zeros(n, b, cap);
-    for j in 0..n {
-        for i in j..n.min(j + b + 1) {
-            work0.set(i, j, bmat.get(i, j));
-        }
-    }
-
-    let recording = rec.is_some();
+    let mut work = bmat.rehoused(b, cap, |len| vec![0.0; len]);
     let h_cache = machine.cache_words();
-    let plan = chase_plan(n, b, 2);
-    let work_slot = Mutex::new(work0);
-    let factor_cells: Vec<TaskCell<(ca_dla::Matrix, ca_dla::Matrix)>> = if recording {
-        (0..plan.len()).map(|_| TaskCell::new()).collect()
-    } else {
-        Vec::new()
+    let charge = |op: &ChaseOp| {
+        let (lo, hi) = op.window();
+        let owner_idx = (lo / cols_per_proc).min(p - 1);
+        let owner = grid.proc(owner_idx);
+        let (nr, h, nc) = (op.nr(), op.h(), op.nc());
+        // Flops: the QR of the bulge block plus the W/V/update
+        // products (Lemma III.1/III.4 counts).
+        let f = costs::qr_flops(nr, h)
+            + costs::gemm_flops(nc, nr, h)       // B·U
+            + 2 * costs::gemm_flops(h, h, h)     // T chains
+            + costs::gemm_flops(nr, h, h)        // correction
+            + 2 * costs::gemm_flops(nr, h, nc); // rank-2h update
+        machine.charge_flops(owner, f);
+        // Vertical traffic: the O(b²) window per chase (Lemma IV.2's
+        // ν·n²/p total over the n²/(p·b²)-per-processor chases).
+        let win_words = ((hi - lo) * (cap + 1).min(hi - lo)) as u64;
+        machine
+            .charge_vert(owner, win_words.min(h_cache.max(1)) + win_words.saturating_sub(h_cache));
+        // Boundary exchange when the window spans processors: only
+        // the bulge hand-off region (h columns of band data) moves,
+        // giving the lemma's O(β·nb) total per halving.
+        let last_idx = ((hi - 1) / cols_per_proc).min(p - 1);
+        if last_idx != owner_idx {
+            let boundary = h * (b + 1);
+            machine.charge_transfer(owner, grid.proc(last_idx), 2 * boundary as u64);
+        }
     };
 
-    let work = &work_slot;
-    let cells = &factor_cells;
-    let mut graph = TaskGraph::new(machine);
-    let mut placed: Vec<(usize, usize, TaskId)> = Vec::new();
-    let mut row0s: Vec<usize> = Vec::with_capacity(plan.len());
-
-    for (slot, op) in plan.into_iter().enumerate() {
-        let (lo, hi) = op.window();
-        row0s.push(op.qr_rows.0);
-        let deps: Vec<TaskId> = placed
-            .iter()
-            .filter(|&&(plo, phi, _)| plo < hi && lo < phi)
-            .map(|&(_, _, id)| id)
-            .collect();
-        let id = graph.add_task("sbr.chase", &deps, move || {
-            let owner_idx = (lo / cols_per_proc).min(p - 1);
-            let owner = grid.proc(owner_idx);
-            let h = op.h();
-            let (nr, nc) = (op.nr(), op.nc());
-            // Flops: the QR of the bulge block plus the W/V/update
-            // products (Lemma III.1/III.4 counts).
-            let f = costs::qr_flops(nr, h)
-                + costs::gemm_flops(nc, nr, h)       // B·U
-                + 2 * costs::gemm_flops(h, h, h)     // T chains
-                + costs::gemm_flops(nr, h, h)        // correction
-                + 2 * costs::gemm_flops(nr, h, nc); // rank-2h update
-            machine.charge_flops(owner, f);
-            // Vertical traffic: the O(b²) window per chase (Lemma IV.2's
-            // ν·n²/p total over the n²/(p·b²)-per-processor chases).
-            let win_words = ((hi - lo) * (cap + 1).min(hi - lo)) as u64;
-            machine
-                .charge_vert(owner, win_words.min(h_cache.max(1)) + win_words.saturating_sub(h_cache));
-            // Boundary exchange when the window spans processors: only
-            // the bulge hand-off region (h columns of band data) moves,
-            // giving the lemma's O(β·nb) total per halving.
-            let last_idx = ((hi - 1) / cols_per_proc).min(p - 1);
-            if last_idx != owner_idx {
-                let boundary = h * (b + 1);
-                machine.charge_transfer(owner, grid.proc(last_idx), 2 * boundary as u64);
-            }
-
-            let mut w = work.lock().unwrap_or_else(|e| e.into_inner());
-            if recording {
-                let (u, t) = ca_dla::bulge::execute_chase_recording(&mut w, &op);
-                drop(w);
-                cells[slot].set((u, t));
-            } else {
-                execute_chase(&mut w, &op);
-            }
-        });
-        placed.push((lo, hi, id));
-    }
-    graph.run();
-
-    if let Some(r) = rec {
-        for (cell, row0) in factor_cells.iter().zip(row0s) {
-            let (u, t) = cell.take();
-            r.push(crate::transforms::Reflectors { row0, u, t });
-        }
-    }
+    // The stage's own scratch, dropped with it (see `band_to_band`).
+    reduce_band_pass(
+        &mut work,
+        chase_plan_iter(n, b, target),
+        |op, _| {
+            charge(op);
+            None
+        },
+        rec,
+        &mut Workspace::new(),
+    );
 
     // Aggregated pipeline schedule of [12]: O(p) parallel steps per
     // halving (charged analytically — see module docs).
     machine.step(grid.procs(), p as u64);
     machine.fence();
 
-    let mut out = work_slot.into_inner().unwrap_or_else(|e| e.into_inner());
-    out.set_bandwidth(b.div_ceil(2));
-    out
+    work.set_bandwidth(target);
+    work
 }
 
 #[cfg(test)]

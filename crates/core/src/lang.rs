@@ -11,9 +11,8 @@
 //! intermediate band-widths.
 
 use ca_bsp::Machine;
-use ca_dla::bulge::{chase_plan, execute_chase, execute_chase_recording};
-use ca_dla::costs;
-use ca_dla::BandedSym;
+use ca_dla::bulge::{chase_plan, reduce_band_pass, ChaseOp};
+use ca_dla::{costs, BandedSym, Workspace};
 use ca_pla::grid::Grid;
 
 /// Reduce a symmetric band-`b` matrix to tridiagonal (Lang's algorithm
@@ -53,27 +52,15 @@ fn lang_impl(
     machine.step(grid.procs(), 1);
 
     let cap = (2 * b).min(n - 1);
-    let mut work = BandedSym::zeros(n, b, cap);
-    for j in 0..n {
-        for i in j..n.min(j + b + 1) {
-            work.set(i, j, bmat.get(i, j));
-        }
-    }
+    let mut work = bmat.rehoused(b, cap, |len| vec![0.0; len]);
 
-    // h = 1 chase plan, executed in pipeline-phase order: one phase per
+    // h = 1 chase plan, walked in pipeline-phase order: one phase per
     // sweep step, owners charged per chase, neighbour hand-offs when a
     // window crosses a processor boundary.
     let mut plan = chase_plan(n, b, b);
     plan.sort_by_key(|op| (op.phase(), op.i));
 
-    let mut current_phase = usize::MAX;
-    for op in plan {
-        if op.phase() != current_phase {
-            if current_phase != usize::MAX {
-                machine.fence();
-            }
-            current_phase = op.phase();
-        }
+    let charge = |op: &ChaseOp| {
         let (lo, hi) = op.window();
         let owner_idx = (lo / cols_per_proc).min(p - 1);
         let owner = grid.proc(owner_idx);
@@ -93,16 +80,22 @@ fn lang_impl(
             // (the per-phase fence below accounts for it).
             machine.charge_transfer(owner, grid.proc(last_idx), 2 * (h * (b + 1)) as u64);
         }
+    };
 
-        if let Some(r) = rec.as_deref_mut() {
-            let row0 = op.qr_rows.0;
-            let (u, t) = execute_chase_recording(&mut work, &op);
-            r.push(crate::transforms::Reflectors { row0, u, t });
-        } else {
-            execute_chase(&mut work, &op);
-        }
+    let mut ws = Workspace::new();
+    for ops in plan.chunk_by(|a, b| a.phase() == b.phase()) {
+        reduce_band_pass(
+            &mut work,
+            ops,
+            |op, _| {
+                charge(op);
+                None
+            },
+            rec.as_deref_mut(),
+            &mut ws,
+        );
+        machine.fence();
     }
-    machine.fence();
     work.set_bandwidth(1);
     work
 }

@@ -342,8 +342,8 @@ fn solve_impl(
     // divide-and-conquer's secular solves and 2×m·m row-carrier merge
     // GEMMs are ≈ 16n² with typical deflation.
     let seq_flops = 6 * (n as u64) * (bw as u64).pow(2) + 16 * (n as u64).pow(2);
-    machine.charge_flops(machine_proc0(), seq_flops);
-    machine.charge_vert(machine_proc0(), (n * (bw + 1)) as u64);
+    machine.charge_flops(0, seq_flops);
+    machine.charge_vert(0, (n * (bw + 1)) as u64);
 
     if !want_vectors {
         let ev = ca_dla::tridiag::try_banded_eigenvalues(&band)?;
@@ -362,16 +362,13 @@ fn solve_impl(
     // capacity) has no reader past this point; the back-transformation
     // below is the solve's memory peak.
     drop(band);
-    log.stage("sequential band→tridiagonal").extend(
-        blocks
-            .into_iter()
-            .map(|(row0, u, t)| crate::transforms::Reflectors { row0, u, t }),
-    );
+    log.stage("sequential band→tridiagonal")
+        .extend(blocks.into_iter().map(Into::into));
     let (ev, z) = {
         let _span = ca_obs::kernel_span("finale.dnc");
         ca_dla::dnc::dnc_eigen(&d, &e)?
     };
-    machine.charge_flops(machine_proc0(), (6 * (n as u64).pow(3)).div_ceil(p as u64));
+    machine.charge_flops(0, (6 * (n as u64).pow(3)).div_ceil(p as u64));
     machine.fence();
     scope.end(&mut costs);
 
@@ -381,11 +378,6 @@ fn solve_impl(
     scope.end(&mut costs);
 
     Ok((ev, costs, Some(v)))
-}
-
-#[inline]
-fn machine_proc0() -> ca_bsp::ProcId {
-    0
 }
 
 #[cfg(test)]

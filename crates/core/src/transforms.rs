@@ -34,6 +34,12 @@ pub struct Reflectors {
     pub t: Matrix,
 }
 
+impl From<ca_dla::bulge::BlockReflector> for Reflectors {
+    fn from((row0, u, t): ca_dla::bulge::BlockReflector) -> Self {
+        Reflectors { row0, u, t }
+    }
+}
+
 /// The ordered record of every similarity applied during a reduction
 /// (stage granularity is informational; application order is the flat
 /// concatenation).

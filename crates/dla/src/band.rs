@@ -42,12 +42,13 @@ impl BandedSym {
 
     /// A copy of `self` at nominal bandwidth `bw` and fill capacity
     /// `cap`, housed in the buffer `zeroed` returns for the slab's length
-    /// (`n·(cap + 1)` words, all zero) — a fresh allocation, or one an
-    /// arena lends and takes back through [`BandedSym::into_slab`].
-    /// Stored columns are copied as slices, every diagonal both
-    /// capacities hold; the caller vouches that nothing non-zero lies
-    /// beyond `cap`.
-    pub(crate) fn rehoused(
+    /// (`n·(cap + 1)` words, all zero) — a fresh allocation (`|len|
+    /// vec![0.0; len]`: how the reduction stages make their working copy
+    /// with room for bulge fill), or, inside this crate, one an arena
+    /// lends and takes back. Stored columns are copied as slices, every
+    /// diagonal both capacities hold; the caller vouches that nothing
+    /// non-zero lies beyond `cap`.
+    pub fn rehoused(
         &self,
         bw: usize,
         cap: usize,

@@ -8,28 +8,32 @@
 //! further QR factorizations. The module exposes:
 //!
 //! * [`chase_plan`] — the full list of chase operations `(i, j)` with all
-//!   index ranges precomputed. Both the sequential executor here and the
-//!   distributed executors in `ca-eigen` replay this same plan, so their
-//!   numerics are identical; the distributed versions additionally
-//!   schedule operations into the paper's pipeline *phases*
-//!   (`2i + j = const`, cf. Figure 2) and charge communication.
-//! * [`execute_chase`] — apply one chase to a [`BandedSym`] in place:
-//!   the zero-copy engine factors the QR block and updates the affected
-//!   band strip directly through [`crate::workspace`] arena buffers and
-//!   [`crate::view`] views, with no dense-window materialization and no
-//!   steady-state heap allocation. The seed's dense-window path is kept
-//!   as [`execute_chase_reference`], the bitwise oracle of
+//!   index ranges precomputed.
+//! * [`reduce_band_pass`] — the one walk: apply a sequence of the plan's
+//!   operations to a [`BandedSym`] in place through the one banded
+//!   kernel, calling the caller's hook at every chase's factor step. The
+//!   finale's pass and the distributed stages of `ca-eigen` (band→band,
+//!   CA-SBR, Lang) are this walk under their own charge models; the
+//!   distributed ones order the plan into the paper's pipeline *phases*
+//!   (`2i + j = const`, cf. Figure 2).
+//! * [`execute_chase`] — one chase on the thread's arena: the kernel
+//!   factors the QR block and updates the affected band strip directly
+//!   through [`crate::workspace`] arena buffers and [`crate::view`]
+//!   views, with no dense-window materialization and no steady-state
+//!   heap allocation. The seed's dense-window path is kept as
+//!   [`execute_chase_reference`], the bitwise oracle of
 //!   `tests/kernel_equivalence.rs` (see DESIGN.md §"kernel engine").
 //! * [`reduce_band`] — run the whole plan sequentially.
 
 use crate::band::BandedSym;
 use crate::gemm::{gemm, gemm_view, gemm_view_hinted, matmul, Fma, Trans};
 use crate::matrix::Matrix;
-use crate::qr::{dot, house_gen_in_place, qr_factor, qr_inplace};
+use crate::qr::{dot, house_gen_in_place, qr_factor, qr_inplace, QrFactors};
 use crate::view::{MatrixView, MatrixViewMut};
 use crate::workspace::{with_ws, Workspace};
+use std::borrow::Borrow;
 
-/// Chase-window executions (all dispatch variants); live only when
+/// Executions of the banded chase kernel; live only when
 /// `CA_TRACE ≥ 1`, otherwise one relaxed load per chase.
 static CHASE_WINDOWS: ca_obs::Counter = ca_obs::Counter::new("bulge.chase_windows");
 
@@ -180,29 +184,6 @@ impl Iterator for ChasePlan {
     }
 }
 
-/// The dense-window computation of one chase, shared by the sequential
-/// and distributed executors: given the symmetric window `d` (with
-/// `op.window() = (lo, _)` mapped to local index 0), perform the QR
-/// elimination and the two-sided trailing update of Algorithm IV.2
-/// lines 16–22 in place.
-///
-/// Returns the flop-relevant shapes `(nr, h, nc)` so callers can charge
-/// costs.
-pub fn chase_window_update(d: &mut Matrix, op: &ChaseOp) -> (usize, usize, usize) {
-    CHASE_WINDOWS.add(1);
-    with_ws(|ws| chase_dense_fast(d, op, ws, false));
-    (op.nr(), op.h(), op.nc())
-}
-
-/// Like [`chase_window_update`], additionally returning the chase's
-/// Householder factors `(U, T)` (with `Q = I − U·T·Uᵀ` acting on the
-/// global rows `op.qr_rows`) — the record needed for eigenvector
-/// back-transformation.
-pub fn chase_window_update_factors(d: &mut Matrix, op: &ChaseOp) -> (Matrix, Matrix) {
-    CHASE_WINDOWS.add(1);
-    with_ws(|ws| chase_dense_fast(d, op, ws, true)).expect("recording chase returns factors")
-}
-
 /// The seed's dense-window chase: extract copies of the QR block and
 /// update panels with `block`/`set_block`, allocate every temporary.
 /// Kept verbatim as the bitwise oracle for the zero-copy engine.
@@ -255,159 +236,6 @@ pub fn chase_window_update_factors_reference(d: &mut Matrix, op: &ChaseOp) -> (M
     (f.u, f.t)
 }
 
-/// Zero-copy dense-window chase: the same arithmetic as
-/// [`chase_window_update_factors_reference`] — bitwise identical output
-/// — but factoring the QR block in place inside the window and
-/// accumulating the rank-2k updates straight into `d`, with every
-/// temporary checked out of the arena `ws`. With `record == false` the
-/// steady state allocates nothing.
-fn chase_dense_fast(
-    d: &mut Matrix,
-    op: &ChaseOp,
-    ws: &mut Workspace,
-    record: bool,
-) -> Option<(Matrix, Matrix)> {
-    let (lo, _hi) = op.window();
-    let nr = op.nr();
-    let h = op.h();
-    let nc = op.nc();
-    let ov = op.ov;
-    let qr_r = op.qr_rows.0 - lo;
-    let qr_c = op.qr_cols.0 - lo;
-    let up_c = op.up_cols.0 - lo;
-    let kk = nr.min(h);
-
-    // Line 16: [U, T, R] ← QR(B[I_qr.rs, I_qr.cs]), factored in place —
-    // afterwards the window block holds R above the diagonal and the
-    // reflector tails below it.
-    let mut u = ws.take_scratch(nr * kk);
-    let mut t = ws.take_scratch(kk * kk);
-    qr_inplace(
-        &mut d.subview_mut(qr_r, qr_c, nr, h),
-        &mut MatrixViewMut::from_slice(&mut u, nr, kk),
-        &mut MatrixViewMut::from_slice(&mut t, kk, kk),
-        ws,
-    );
-
-    // Line 17: zero the reflector tails so the block reads [R; 0], and
-    // mirror it (the QR block sits strictly below the mirror — the two
-    // regions are disjoint).
-    for i in 1..nr {
-        for j in 0..i.min(kk) {
-            d.set(qr_r + i, qr_c + j, 0.0);
-        }
-    }
-    for i in 0..nr {
-        for j in 0..h {
-            let val = d.get(qr_r + i, qr_c + j);
-            d.set(qr_c + j, qr_r + i, val);
-        }
-    }
-
-    // Line 19: W = B[I_up.cs, I_qr.rs]·U·T and V = −W, the negation
-    // fused into the copy-out instead of clone-then-scale.
-    let mut bu = ws.take(nc * kk);
-    gemm_view(
-        1.0,
-        &d.subview(up_c, qr_r, nc, nr),
-        Trans::N,
-        &MatrixView::from_slice(&u, nr, kk),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut bu, nc, kk),
-    );
-    let mut w = ws.take(nc * kk);
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&bu, nc, kk),
-        Trans::N,
-        &MatrixView::from_slice(&t, kk, kk),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut w, nc, kk),
-    );
-    let mut v = ws.take(nc * kk);
-    for (vv, &wv) in v.iter_mut().zip(w.iter()) {
-        *vv = -wv;
-    }
-
-    // Line 20: V[I_v.rs, :] += ½·U·(Tᵀ·(Uᵀ·W[I_v.rs, :])), reading
-    // W's symmetric rows through a strided view instead of a copy.
-    let mut utw = ws.take(kk * kk);
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&u, nr, kk),
-        Trans::T,
-        &MatrixView::from_slice(&w, nc, kk).sub(ov, 0, nr, kk),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut utw, kk, kk),
-    );
-    let mut ttutw = ws.take(kk * kk);
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&t, kk, kk),
-        Trans::T,
-        &MatrixView::from_slice(&utw, kk, kk),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut ttutw, kk, kk),
-    );
-    let mut corr = ws.take(nr * kk);
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&u, nr, kk),
-        Trans::N,
-        &MatrixView::from_slice(&ttutw, kk, kk),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut corr, nr, kk),
-    );
-    for a in 0..nr {
-        for c in 0..kk {
-            v[(ov + a) * kk + c] += 0.5 * corr[a * kk + c];
-        }
-    }
-
-    // Lines 21–22: accumulate B[I_qr.rs, I_up.cs] += U·Vᵀ and
-    // B[I_up.cs, I_qr.rs] += V·Uᵀ directly into the window, in the
-    // reference's order (the second read-modify-writes the diagonal
-    // square the first already touched).
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&u, nr, kk),
-        Trans::N,
-        &MatrixView::from_slice(&v, nc, kk),
-        Trans::T,
-        1.0,
-        &mut d.subview_mut(qr_r, up_c, nr, nc),
-    );
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&v, nc, kk),
-        Trans::N,
-        &MatrixView::from_slice(&u, nr, kk),
-        Trans::T,
-        1.0,
-        &mut d.subview_mut(up_c, qr_r, nc, nr),
-    );
-
-    let out = if record {
-        Some((Matrix::from_vec(nr, kk, u.clone()), Matrix::from_vec(kk, kk, t.clone())))
-    } else {
-        None
-    };
-    ws.put(corr);
-    ws.put(ttutw);
-    ws.put(utw);
-    ws.put(v);
-    ws.put(w);
-    ws.put(bu);
-    ws.put(t);
-    ws.put(u);
-    out
-}
-
 /// Zero-copy banded chase: operate on the band storage directly, never
 /// materializing the dense symmetric window. Only the `nr × h` QR block
 /// and the `nc × nr` update strip `B[I_up.cs, I_qr.rs]` are gathered
@@ -415,14 +243,21 @@ fn chase_dense_fast(
 /// symmetric pair is written back exactly once, from the orientation
 /// whose floating-point accumulation order matches the cell the
 /// reference path's `set_window` persists (the globally *lower* one) —
-/// see DESIGN.md §"kernel engine" for the case analysis. Bitwise
-/// identical to [`execute_chase_reference`].
+/// see DESIGN.md §"kernel engine" for the case analysis.
+///
+/// The kernel is split at its factor step: `at_factor` sees the gathered
+/// QR block and either returns `None` — the kernel factors it in the
+/// arena with [`qr_inplace`], bitwise identical to
+/// [`execute_chase_reference`] — or the block's `(U, T, R)` from a
+/// factorization of its own (band→band's distributed line 16).
 fn chase_banded_fast(
     bmat: &mut BandedSym,
     op: &ChaseOp,
     ws: &mut Workspace,
+    at_factor: impl FnOnce(&MatrixView) -> Option<QrFactors>,
     record: bool,
 ) -> Option<(Matrix, Matrix)> {
+    CHASE_WINDOWS.add(1);
     let nr = op.nr();
     let h = op.h();
     let nc = op.nc();
@@ -443,18 +278,38 @@ fn chase_banded_fast(
     }
     let mut u = ws.take_scratch(nr * kk);
     let mut t = ws.take_scratch(kk * kk);
-    qr_inplace(
-        &mut MatrixViewMut::from_slice(&mut blk, nr, h),
-        &mut MatrixViewMut::from_slice(&mut u, nr, kk),
-        &mut MatrixViewMut::from_slice(&mut t, kk, kk),
-        ws,
-    );
+    match at_factor(&MatrixView::from_slice(&blk, nr, h)) {
+        None => {
+            qr_inplace(
+                &mut MatrixViewMut::from_slice(&mut blk, nr, h),
+                &mut MatrixViewMut::from_slice(&mut u, nr, kk),
+                &mut MatrixViewMut::from_slice(&mut t, kk, kk),
+                ws,
+            );
+            // The block holds R above the diagonal and the reflector
+            // tails below it: keep R.
+            for i in 1..kk {
+                blk[i * h..i * h + i].fill(0.0);
+            }
+        }
+        Some(f) => {
+            assert_eq!(
+                [f.u.rows(), f.u.cols(), f.t.rows(), f.t.cols(), f.r.rows(), f.r.cols()],
+                [nr, kk, kk, kk, kk, h],
+                "factors do not fit the chase's QR block"
+            );
+            u.copy_from_slice(f.u.data());
+            t.copy_from_slice(f.t.data());
+            blk[..kk * h].copy_from_slice(f.r.data());
+        }
+    }
 
-    // Line 17: write [R; 0] back. Every QR-block entry is globally
-    // lower (qr_rows.0 ≥ qr_cols.0 + h), so this covers the mirror too.
+    // Line 17: write [R; 0] back, R as the factor step left it. Every
+    // QR-block entry is globally lower (qr_rows.0 ≥ qr_cols.0 + h), so
+    // this covers the mirror too.
     for i in 0..nr {
         for j in 0..h {
-            let val = if i < kk && j >= i { blk[i * h + j] } else { 0.0 };
+            let val = if i < kk { blk[i * h + j] } else { 0.0 };
             bmat.set(qr_r0 + i, qr_c0 + j, val);
         }
     }
@@ -668,8 +523,7 @@ fn chase_banded_fast(
 /// place through arena-backed strips (bitwise identical to
 /// [`execute_chase_reference`]).
 pub fn execute_chase(bmat: &mut BandedSym, op: &ChaseOp) {
-    CHASE_WINDOWS.add(1);
-    with_ws(|ws| chase_banded_fast(bmat, op, ws, false));
+    with_ws(|ws| chase_banded_fast(bmat, op, ws, |_| None, false));
 }
 
 /// The seed's chase executor: materialize the dense symmetric window,
@@ -684,8 +538,8 @@ pub fn execute_chase_reference(bmat: &mut BandedSym, op: &ChaseOp) {
 /// [`execute_chase`], additionally returning the chase's Householder
 /// factors `(U, T)` acting on global rows `op.qr_rows`.
 pub fn execute_chase_recording(bmat: &mut BandedSym, op: &ChaseOp) -> (Matrix, Matrix) {
-    CHASE_WINDOWS.add(1);
-    with_ws(|ws| chase_banded_fast(bmat, op, ws, true)).expect("recording chase returns factors")
+    with_ws(|ws| chase_banded_fast(bmat, op, ws, |_| None, true))
+        .expect("recording chase returns factors")
 }
 
 /// Reference-path [`execute_chase_recording`] (dense window, allocating).
@@ -712,16 +566,33 @@ pub type BlockReflector = (usize, Matrix, Matrix);
 /// bandwidth `h` (`1 ≤ h ≤ b`); `h` need not divide the current
 /// bandwidth.
 pub fn reduce_band_to(bmat: &mut BandedSym, h: usize) {
-    with_ws(|ws| reduce_band_pass(bmat, h, None, ws));
+    let plan = chase_plan_iter(bmat.n(), bmat.bandwidth(), h);
+    let no_record = None::<&mut Vec<BlockReflector>>;
+    with_ws(|ws| reduce_band_pass(bmat, plan, |_, _| None, no_record, ws));
+    bmat.set_bandwidth(h);
 }
 
-/// [`reduce_band_to`] on the caller's arena, the plan iterated lazily;
-/// with `record`, every chase's `(row0, U, T)` is appended in
-/// application order.
-pub(crate) fn reduce_band_pass(
+/// The one walk over a chase plan: apply `ops` — operations of
+/// [`chase_plan_iter`] for `bmat`'s order and band-width, in any
+/// dependency-respecting order (sweep order, or pipeline-phase order
+/// with ties by ascending `i`: the two give bitwise the same band) — to
+/// `bmat` in place through the banded kernel, on the arena `ws`. The
+/// caller sets the target band-width when its plan is done.
+///
+/// `at_factor` runs once per chase, at the kernel's factor step, with the
+/// operation and the gathered `nr × h` QR block. It is where a
+/// distributed stage charges its cost model for the chase, live and in
+/// walk order; returning `Some((U, T, R))` hands the kernel a
+/// factorization of that block made elsewhere (Algorithm IV.2's line 16
+/// on `p·h/n` processors) instead of the local one `None` asks for.
+///
+/// With `record`, every chase's `(row0, U, T)` is appended in walk order,
+/// as whatever record type the caller keeps.
+pub fn reduce_band_pass<R: From<BlockReflector>>(
     bmat: &mut BandedSym,
-    h: usize,
-    mut record: Option<&mut Vec<BlockReflector>>,
+    ops: impl IntoIterator<Item = impl Borrow<ChaseOp>>,
+    mut at_factor: impl FnMut(&ChaseOp, &MatrixView) -> Option<QrFactors>,
+    mut record: Option<&mut Vec<R>>,
     ws: &mut Workspace,
 ) {
     let n = bmat.n();
@@ -732,14 +603,14 @@ pub(crate) fn reduce_band_pass(
         bmat.capacity(),
         b
     );
-    for op in chase_plan_iter(n, b, h) {
-        CHASE_WINDOWS.add(1);
-        let factors = chase_banded_fast(bmat, &op, ws, record.is_some());
+    for op in ops {
+        let op = op.borrow();
+        let factors =
+            chase_banded_fast(bmat, op, ws, |block| at_factor(op, block), record.is_some());
         if let (Some(out), Some((u, t))) = (record.as_deref_mut(), factors) {
-            out.push((op.qr_rows.0, u, t));
+            out.push((op.qr_rows.0, u, t).into());
         }
     }
-    bmat.set_bandwidth(h);
 }
 
 /// Reduce a symmetric banded matrix straight to tridiagonal form with
@@ -1316,6 +1187,41 @@ mod tests {
             assert!(t.rows() >= 1);
         }
         assert_eq!(a, b, "recording must not change the numerics");
+    }
+
+    #[test]
+    fn handed_factors_continue_like_the_local_factorization() {
+        // The factor-step split: a walk whose hook factors every gathered
+        // block itself (`qr_factor`, the same recursion on a copy) and
+        // hands (U, T, R) back must leave bitwise the band and the record
+        // of the walk that lets the kernel factor. Ragged shapes reach
+        // wide blocks (nr < h) at the matrix end.
+        for (n, b, h, seed) in [(40usize, 8usize, 4usize, 56u64), (33, 7, 4, 57), (29, 9, 5, 58)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dense = gen::random_banded(&mut rng, n, b);
+            let mut local = BandedSym::from_dense(&dense, b, (2 * b).min(n - 1));
+            let mut handed = local.clone();
+            let mut rec_local: Vec<BlockReflector> = Vec::new();
+            let mut rec_handed: Vec<BlockReflector> = Vec::new();
+            let mut ws = Workspace::new();
+            let plan = chase_plan_to(n, b, h);
+            reduce_band_pass(&mut local, &plan, |_, _| None, Some(&mut rec_local), &mut ws);
+            let mut seen = 0;
+            reduce_band_pass(
+                &mut handed,
+                &plan,
+                |op, block| {
+                    assert_eq!((block.rows(), block.cols()), (op.nr(), op.h()));
+                    seen += 1;
+                    Some(qr_factor(&block.to_matrix(), usize::MAX))
+                },
+                Some(&mut rec_handed),
+                &mut ws,
+            );
+            assert_eq!(seen, plan.len(), "the hook runs once per chase");
+            assert_eq!(local, handed, "n={n} b={b} h={h}: bands differ");
+            assert_eq!(rec_local, rec_handed, "n={n} b={b} h={h}: records differ");
+        }
     }
 
     #[test]

@@ -354,7 +354,8 @@ pub fn band_to_tridiagonal(
         let mut work = if bw > HALVE_FLOOR {
             let mut wide = band.rehoused(bw, fill(bw), |len| vec![0.0; len]);
             let _span = leg_span(format_args!("finale.halve ({bw}→{SWEEP_BAND})"));
-            bulge::reduce_band_pass(&mut wide, SWEEP_BAND, record.as_deref_mut(), ws);
+            let plan = bulge::chase_plan_iter(n, bw, SWEEP_BAND);
+            bulge::reduce_band_pass(&mut wide, plan, |_, _| None, record.as_deref_mut(), ws);
             wide.rehoused(SWEEP_BAND, fill(SWEEP_BAND), |len| ws.take(len))
         } else {
             band.rehoused(bw, fill(bw), |len| ws.take(len))

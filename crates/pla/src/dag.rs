@@ -2,15 +2,17 @@
 //!
 //! The BSP executor ([`crate::exec`]) joins every worker at every
 //! superstep: run that way, panel QR serializes against trailing
-//! updates even when their operands are disjoint. This module is the
-//! reduction drivers' one way of running instead. A driver expresses
-//! one reduction as a [`TaskGraph`] — panel-QR, trailing-update,
-//! aggregate and chase-window nodes with explicit data dependencies,
-//! inserted in the algorithm's program order — and the executor runs
-//! any task whose dependencies have completed, regardless of which
-//! superstep the program order assigns it to (depth-1 panel lookahead
-//! falls out naturally: panel `k+1`'s first tasks become ready while
-//! panel `k`'s trailing updates are still in flight).
+//! updates even when their operands are disjoint. This module is how
+//! full→band runs instead. The driver expresses the reduction as a
+//! [`TaskGraph`] — panel-QR, trailing-update and aggregate nodes with
+//! explicit data dependencies, inserted in the algorithm's program
+//! order — and the executor runs any task whose dependencies have
+//! completed, regardless of which superstep the program order assigns
+//! it to (depth-1 panel lookahead falls out naturally: panel `k+1`'s
+//! first tasks become ready while panel `k`'s trailing updates are
+//! still in flight). The chase stages (band→band, CA-SBR, Lang) are not
+//! graphs: their chases are turns at one band, not independent
+//! products, and they walk their plans with live charges.
 //!
 //! ## Deterministic charging (the ledger is schedule-independent)
 //!

@@ -43,7 +43,6 @@ pub mod exec;
 pub mod grid;
 pub mod kern;
 pub mod lu;
-pub mod ops;
 pub mod reconstruct;
 pub mod rect_qr;
 pub mod square_qr;

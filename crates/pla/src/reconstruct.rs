@@ -16,7 +16,6 @@
 use crate::carma;
 use crate::coll;
 use crate::dist::DistMatrix;
-use crate::grid::Grid;
 use crate::lu::{dist_lu_signed, dist_tri_inverse};
 use ca_bsp::Machine;
 use ca_dla::lu::{Diag, Triangle};
@@ -128,15 +127,10 @@ pub fn reconstruct_local(q: &Matrix) -> (Matrix, Matrix, Vec<f64>) {
     (u, t, s)
 }
 
-/// Grid re-export used by callers picking reconstruction subgroups.
-pub fn square_subgrid(group: &Grid) -> Grid {
-    let qq = (group.len() as f64).sqrt().floor() as usize;
-    group.prefix((qq * qq).max(1)).as_2d(qq.max(1), qq.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Grid;
     use crate::tsqr;
     use ca_bsp::MachineParams;
     use ca_dla::gemm::{matmul, Trans};

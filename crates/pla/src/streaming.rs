@@ -286,28 +286,6 @@ pub fn streaming_mm_view_into(
     }
 }
 
-/// Convenience for replicating onto a 3D grid directly from a
-/// [`DistMatrix`] already living on layer 0.
-pub fn replicate_from_layer0(m: &Machine, grid3: &Grid, layer: DistMatrix) -> Replicated {
-    let (q0, q1, c) = grid3.shape();
-    if c > 1 {
-        for i in 0..q0 {
-            for j in 0..q1 {
-                let fiber = grid3.fiber_group(i, j);
-                let r = layer.grid().rank(i, j, 0);
-                coll::bcast(m, &fiber, 0, layer.words_on(r));
-                for l in 1..c {
-                    m.alloc(grid3.at(i, j, l), layer.words_on(r));
-                }
-            }
-        }
-    }
-    Replicated {
-        grid3: grid3.clone(),
-        layer,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,7 +38,7 @@
 //! | Eqn. (IV.1)/(IV.2) (aggregated two-sided update) | [`ca_dla::sym::two_sided_update`]; the left-looking realization is Algorithm IV.1's lines 5/8/9 in [`ca_eigen::full_to_band`] |
 //! | Algorithm IV.1 (2.5D-Full-to-Band) | [`ca_eigen::full_to_band`] |
 //! | Lemma IV.1 (its cost) | measured by `--bin c_sweep`; model in [`ca_eigen::model::full_to_band`] |
-//! | Algorithm IV.2 (2.5D-Band-to-Band) | [`ca_eigen::band_to_band`]; the exact index ranges (lines 8–14) live in [`ca_dla::bulge::chase_plan`] |
+//! | Algorithm IV.2 (2.5D-Band-to-Band) | [`ca_eigen::band_to_band`] (groups, phases, charges; line 16 on `p·h/n` processors via [`ca_pla::rect_qr`]); the exact index ranges (lines 8–14) live in [`ca_dla::bulge::chase_plan`], lines 16–22 in the one banded kernel under [`ca_dla::bulge::reduce_band_pass`] — the walk CA-SBR, Lang and the finale's pass share |
 //! | Figure 2 (pipeline phases `2i+j`) | [`ca_dla::bulge::ChaseOp::phase`]; regenerated by `--bin figure2` |
 //! | Lemma IV.2 / CA-SBR \[12\] | [`ca_eigen::ca_sbr`] |
 //! | Lemma IV.3 (band-to-band cost) | measured by `--bin band_sweep`; model in [`ca_eigen::model::band_to_band`] |

@@ -1,10 +1,13 @@
-//! The task-graph executor must be invisible in the output bits.
+//! The schedule must be invisible in the output bits and in the ledger.
 //!
-//! The two-sided reduction drivers run on the dependency-driven DAG
-//! executor (`ca_pla::dag`): pooled when the core budget allows, inline
-//! in insertion order otherwise. These tests pin that, for every
-//! problem shape — including ragged ones where the halving target does
-//! not divide the band-width — the two schedules agree **bitwise** on
+//! Full→band runs on the dependency-driven DAG executor (`ca_pla::dag`):
+//! pooled when the core budget allows, inline in insertion order
+//! otherwise. The chase stages — band→band, CA-SBR, Lang — walk their
+//! plans through the one banded kernel with live charges in program
+//! order, so for them the comparison below holds by construction and
+//! what these tests guard is the pinned ledger. For every problem shape
+//! — including ragged ones where the halving target does not divide the
+//! band-width — the pooled and the forced-serial run agree **bitwise** on
 //!
 //! * the reduced band (every stored word),
 //! * the recorded Householder transforms (`row0`, `U`, `T`),
@@ -12,10 +15,13 @@
 //! * the metered ledger: `F`/`W`/`Q`/`S` totals *and* the per-processor
 //!   flop/word/superstep breakdowns,
 //!
-//! and that on every fixed case the ledger equals [`PINS`]: the ledger
-//! the superstep-barrier drivers (one fence per panel / pipeline phase,
+//! and on every fixed case the ledger equals [`PINS`]: the ledger the
+//! superstep-barrier drivers (one fence per panel / pipeline phase,
 //! deleted once the task graph had replaced them) charged for the same
-//! case, recorded from those drivers at the last commit that had them.
+//! case, recorded from those drivers at the last commit that had them —
+//! and, for the parallel-QR band→band case and the standalone CA-SBR and
+//! Lang rows, recorded from the task-graph chase drivers at the last
+//! commit that had *those*.
 //!
 //! When an intentional accounting change lands, re-run with
 //! `UPDATE_GOLDEN=1 cargo test --test dag_equivalence -- --nocapture`
@@ -24,7 +30,9 @@
 use ca_symm_eig::bsp::{Costs, Machine, MachineParams};
 use ca_symm_eig::dla::{gen, BandedSym};
 use ca_symm_eig::eigen::band_to_band::band_to_band_to_logged;
+use ca_symm_eig::eigen::ca_sbr::ca_sbr_logged;
 use ca_symm_eig::eigen::full_to_band::full_to_band_logged;
+use ca_symm_eig::eigen::lang::lang_band_to_tridiagonal_logged;
 use ca_symm_eig::eigen::transforms::Reflectors;
 use ca_symm_eig::eigen::{symm_eigen_25d_vectors, EigenParams};
 use ca_symm_eig::pla::exec::with_forced_serial;
@@ -65,6 +73,9 @@ const PINS: &[(&str, [u64; 7], u64)] = &[
     ("band_to_band n=257 b=7 h=3 p=4", [2537764, 929636, 654737, 12647, 0, 1759585, 4809657], 0x17f8dab22cff9a93),
     ("band_to_band n=257 b=12 h=5 p=1", [7519052, 1702655, 1212245, 8484, 0, 1702655, 7519052], 0x927520382b2730d5),
     ("band_to_band n=257 b=12 h=5 p=4", [4115638, 922593, 663191, 4674, 0, 1676825, 7519052], 0xdf59e75094d66241),
+    ("band_to_band n=400 b=200 h=100 p=16", [29053304, 388555, 334056, 354, 20051, 2363504, 137982446], 0xd3f1fc1c1bfa36d3),
+    ("ca_sbr n=64 b=8 p=4", [116496, 2952, 10404, 6, 0, 8064, 295936], 0xf172990cf1e2a4a4),
+    ("lang n=48 b=6 p=4", [64868, 2044, 13258, 87, 0, 5040, 111740], 0xcb4b4369abc76ced),
     ("symm_eigen_25d_vectors n=48", [808176, 21284, 33060, 287, 5472, 66500, 1478208], 0x7f7bcd7d083a5311),
     ("symm_eigen_25d_vectors n=65", [2008358, 39467, 70492, 406, 9728, 122964, 3603371], 0x50d19766d5dfa04b),
     ("symm_eigen_25d_vectors n=129", [14393061, 178083, 182044, 156, 17920, 556312, 29168185], 0xe6600de59db74346),
@@ -142,6 +153,22 @@ fn band_to_band_run(
     (band_fingerprint(&out, &rec), ledger(&machine))
 }
 
+/// A standalone CA-SBR halving or Lang reduction of a random band.
+fn thin_band_run(lang: bool, n: usize, b: usize, p: usize, seed: u64) -> (u64, Ledger) {
+    let machine = Machine::new(MachineParams::new(p));
+    let grid = Grid::all(p);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dense = gen::random_banded(&mut rng, n, b);
+    let bm = BandedSym::from_dense(&dense, b, b);
+    let mut rec = Vec::new();
+    let out = if lang {
+        lang_band_to_tridiagonal_logged(&machine, &grid, &bm, &mut rec)
+    } else {
+        ca_sbr_logged(&machine, &grid, &bm, &mut rec)
+    };
+    (band_fingerprint(&out, &rec), ledger(&machine))
+}
+
 fn solve_run(n: usize, p: usize, seed: u64) -> (u64, Ledger) {
     let machine = Machine::new(MachineParams::new(p));
     let params = EigenParams::new(p, 1);
@@ -159,7 +186,7 @@ fn tally_hash(l: &Ledger) -> u64 {
     fnv1a(l.1.iter().chain(&l.2).chain(&l.3).copied())
 }
 
-/// Run `case` pooled and inline (forced-serial dispatch: the graph runs
+/// Run `case` pooled and inline (forced-serial dispatch: a graph runs
 /// its bodies in insertion order on this thread) and demand bitwise +
 /// ledger equality. Returns the shared ledger.
 fn assert_schedules_agree<F>(label: &str, case: F) -> Ledger
@@ -253,6 +280,22 @@ fn band_to_band_dag_matches_barrier_bitwise_ragged_sweep() {
 }
 
 #[test]
+fn band_to_band_parallel_qr_leg_is_pinned() {
+    // nr·h = 200·100 words on a 4-processor QR prefix: the one shape in
+    // the suite whose bulge blocks are factored by `rect_qr` (line 16 on
+    // `p·h/n` processors) instead of locally on the group leader.
+    assert_paths_agree("band_to_band n=400 b=200 h=100 p=16", || {
+        band_to_band_run(400, 200, 100, 16, 2400)
+    });
+}
+
+#[test]
+fn thin_band_stages_are_pinned() {
+    assert_paths_agree("ca_sbr n=64 b=8 p=4", || thin_band_run(false, 64, 8, 4, 4064));
+    assert_paths_agree("lang n=48 b=6 p=4", || thin_band_run(true, 48, 6, 4, 4048));
+}
+
+#[test]
 fn full_solve_dag_matches_barrier_bitwise() {
     // n = 129 enters the finale at a band-width of 33, wide enough for
     // the sweep to record compact-WY blocks; the other two record one
@@ -266,9 +309,8 @@ fn full_solve_dag_matches_barrier_bitwise() {
 
 #[test]
 fn dag_path_is_deterministic_run_to_run() {
-    // Same problem, two independent DAG executions: the executor may
-    // schedule tasks in any order, but the charging replay and the
-    // output must not depend on it.
+    // Same problem, two independent executions: neither the output nor
+    // the ledger may vary from run to run.
     let first = band_to_band_run(129, 10, 3, 4, 42);
     let second = band_to_band_run(129, 10, 3, 4, 42);
     assert_eq!(first.0, second.0, "DAG output bits varied between runs");

@@ -12,7 +12,7 @@
 //!   every result stays bit-identical to its solo reference.
 //!
 //! Runtime is bounded (sizes ≤ 64, values-only in the hot loop) so the
-//! suite stays CI-fast; the soak binary (`ca-bench --bin soak`) covers
+//! suite stays CI-fast; the benchmark's `service_mix` workload covers
 //! sustained load.
 
 use ca_service::{EigenService, ServiceConfig, SymmEigenJob};

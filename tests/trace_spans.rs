@@ -14,9 +14,16 @@
 //!   `finale.halve`, `finale.sweep` and `finale.dnc` under `sequential
 //!   eigensolve`, on the values and on the vectors path — the same
 //!   function runs both — and the three account for that stage's wall
-//!   to within 5 %.
+//!   to within 5 %;
+//! * the `bulge.chase_windows` counter counts every chase of the one
+//!   banded kernel: over a solve it moves by the summed lengths of the
+//!   plans its stage and leg names announce. No solve a debug build can
+//!   afford runs all three chase stages (the finale's pass needs
+//!   `n/p > 192`), so the n = 400 solves above cover the finale's pass
+//!   and an (n, p, c) = (100, 8, 2) solve band→band and CA-SBR.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
+use ca_symm_eig::dla::bulge::chase_plan_iter;
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::eigen::solver::StageCosts;
 use ca_symm_eig::eigen::{symm_eigen_25d, symm_eigen_25d_vectors, EigenParams};
@@ -32,6 +39,23 @@ fn solve(n: usize, p: usize, seed: u64) -> (Machine, StageCosts) {
     let a = gen::random_symmetric(&mut rng, n);
     let (_, stages) = symm_eigen_25d(&machine, &params, &a);
     (machine, stages)
+}
+
+/// Chases executed so far, by the kernel's own counter.
+fn chase_windows() -> u64 {
+    obs::counters::snapshot()
+        .into_iter()
+        .find(|&(name, _)| name == "bulge.chase_windows")
+        .map_or(0, |(_, v)| v)
+}
+
+/// Length of the chase plan a stage or leg name announces as `…b→h…`.
+fn plan_len(n: usize, name: &str) -> u64 {
+    let (from, to) = name.split_once('→').expect("a b→h name");
+    let digits = |s: &str| s.parse::<usize>().expect("a band-width");
+    let b = digits(from.rsplit(|c: char| !c.is_ascii_digit()).next().unwrap());
+    let h = digits(to.split(|c: char| !c.is_ascii_digit()).next().unwrap());
+    chase_plan_iter(n, b, h).count() as u64
 }
 
 /// Per-thread nesting check: sweep the spans in start order and verify
@@ -134,6 +158,7 @@ fn stage_spans_pin_names_costs_and_nesting() {
         let a = gen::random_symmetric(&mut StdRng::seed_from_u64(43), 400);
         obs::set_level(2);
         let _ = obs::drain();
+        let chases_before = chase_windows();
         if vectors {
             let _ = symm_eigen_25d_vectors(&machine, &params, &a);
         } else {
@@ -142,6 +167,11 @@ fn stage_spans_pin_names_costs_and_nesting() {
         obs::set_level(0);
         let events = obs::drain();
         assert_eq!(obs::take_dropped(), 0, "finale trace must not overflow the ring");
+        assert_eq!(
+            chase_windows() - chases_before,
+            plan_len(400, "finale.halve (200→64)"),
+            "vectors = {vectors}: the finale's pass is the solve's only chase stage"
+        );
 
         let wall = |e: &obs::Event| (e.end_ns - e.start_ns) as f64;
         let stage: Vec<&obs::Event> =
@@ -168,4 +198,32 @@ fn stage_spans_pin_names_costs_and_nesting() {
             "vectors = {vectors}: finale legs cover {legs_ns} ns of the stage's {stage_ns} ns"
         );
     }
+
+    // Phase 4 — band→band and CA-SBR pass the same counter: a
+    // replicated grid (c = 2) runs both, and enters the finale at a
+    // band-width the sweep takes directly.
+    let n = 100;
+    let machine = Machine::new(MachineParams::new(8));
+    let a = gen::random_symmetric(&mut StdRng::seed_from_u64(44), n);
+    obs::set_level(1);
+    let chases_before = chase_windows();
+    let (_, stages) = symm_eigen_25d(&machine, &EigenParams::new(8, 2), &a);
+    obs::set_level(0);
+    let _ = obs::drain();
+    let chase_stages: Vec<&str> = stages
+        .stages
+        .iter()
+        .map(|s| s.name.as_str())
+        .filter(|name| name.starts_with("band-to-band") || name.starts_with("ca-sbr"))
+        .collect();
+    assert!(
+        chase_stages.iter().any(|name| name.starts_with("band-to-band"))
+            && chase_stages.iter().any(|name| name.starts_with("ca-sbr")),
+        "the solve was meant to run both stages: {chase_stages:?}"
+    );
+    assert_eq!(
+        chase_windows() - chases_before,
+        chase_stages.iter().map(|name| plan_len(n, name)).sum::<u64>(),
+        "every chase of {chase_stages:?} passes the kernel's counter"
+    );
 }
