@@ -34,7 +34,7 @@ mod machine;
 mod params;
 
 pub use costs::{BspTime, CostSnapshot, Costs, StageRecord};
-pub use machine::{ChargeEvent, ChargeLog, Machine, PhaseRecord, ProcId};
+pub use machine::{Machine, PhaseRecord, ProcId};
 pub use params::MachineParams;
 
 #[cfg(test)]

@@ -2,92 +2,8 @@
 
 use crate::costs::{CostSnapshot, Costs};
 use crate::MachineParams;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
-
-/// One deferred ledger mutation recorded by [`Machine::capture`].
-///
-/// Every variant mirrors exactly one `Machine` charging entry point, so
-/// a replayed log performs the same `fetch_add`/`fetch_max` sequence the
-/// captured region would have performed directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChargeEvent {
-    /// [`Machine::charge_flops`].
-    Flops(ProcId, u64),
-    /// [`Machine::charge_comm`] (a `charge_transfer` captures as two).
-    Comm(ProcId, u64),
-    /// [`Machine::charge_vert`].
-    Vert(ProcId, u64),
-    /// [`Machine::alloc`].
-    Alloc(ProcId, u64),
-    /// [`Machine::free`].
-    Free(ProcId, u64),
-    /// [`Machine::step`] over a processor group.
-    Step(Vec<ProcId>, u64),
-}
-
-/// An ordered log of ledger mutations captured by [`Machine::capture`],
-/// replayable later with [`Machine::replay`].
-///
-/// This is the mechanism behind the task-graph executor's deterministic
-/// charging pass: a task's numeric body runs whenever its dependencies
-/// allow (possibly crossing what the barrier path treats as a fence
-/// boundary), while its ledger charges are logged and replayed by the
-/// driver *inside* the original fence phase, in task insertion order.
-/// Because every charge value is computed from operand shapes — never
-/// from timing or thread identity — a replayed log is identical to the
-/// log the barrier path would have produced in place, and the per-phase
-/// `Σᵢ maxⱼ` folds (plus the order-sensitive peak-memory high-water
-/// mark) come out bit-identical.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChargeLog {
-    events: Vec<ChargeEvent>,
-}
-
-impl ChargeLog {
-    /// The recorded events, in capture order.
-    pub fn events(&self) -> &[ChargeEvent] {
-        &self.events
-    }
-
-    /// True when nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Append every event of `other` after this log's events.
-    pub fn extend(&mut self, other: ChargeLog) {
-        self.events.extend(other.events);
-    }
-}
-
-thread_local! {
-    /// Active capture log for this thread, if any. Charges from any
-    /// `Machine` on this thread are redirected while set.
-    static CAPTURE: RefCell<Option<ChargeLog>> = const { RefCell::new(None) };
-}
-
-/// Redirect a charge into the active capture log, if one is installed
-/// on this thread. Returns `true` when the event was captured.
-#[inline]
-fn try_capture(make: impl FnOnce() -> ChargeEvent) -> bool {
-    CAPTURE.with(|c| {
-        let mut slot = c.borrow_mut();
-        match slot.as_mut() {
-            Some(log) => {
-                log.events.push(make());
-                true
-            }
-            None => false,
-        }
-    })
-}
-
-/// True when a [`Machine::capture`] scope is active on this thread.
-fn capturing() -> bool {
-    CAPTURE.with(|c| c.borrow().is_some())
-}
 
 /// One fenced phase's folded maxima — the per-phase profile behind the
 /// paper's `Σᵢ maxⱼ` sums, recordable for diagnostics (see
@@ -228,9 +144,6 @@ impl Machine {
     /// Charge `f` floating point operations to processor `j`.
     #[inline]
     pub fn charge_flops(&self, j: ProcId, f: u64) {
-        if try_capture(|| ChargeEvent::Flops(j, f)) {
-            return;
-        }
         self.flops[j].fetch_add(f, Relaxed);
     }
 
@@ -238,9 +151,6 @@ impl Machine {
     /// processor `j`.
     #[inline]
     pub fn charge_comm(&self, j: ProcId, w: u64) {
-        if try_capture(|| ChargeEvent::Comm(j, w)) {
-            return;
-        }
         self.comm[j].fetch_add(w, Relaxed);
     }
 
@@ -258,26 +168,17 @@ impl Machine {
     /// Charge `q` words of vertical (memory↔cache) traffic to processor `j`.
     #[inline]
     pub fn charge_vert(&self, j: ProcId, q: u64) {
-        if try_capture(|| ChargeEvent::Vert(j, q)) {
-            return;
-        }
         self.vert[j].fetch_add(q, Relaxed);
     }
 
     /// Record an allocation of `words` on processor `j` (memory tracking).
     pub fn alloc(&self, j: ProcId, words: u64) {
-        if try_capture(|| ChargeEvent::Alloc(j, words)) {
-            return;
-        }
         let now = self.mem[j].fetch_add(words, Relaxed) + words;
         self.peak_mem[j].fetch_max(now, Relaxed);
     }
 
     /// Record a deallocation of `words` on processor `j`.
     pub fn free(&self, j: ProcId, words: u64) {
-        if try_capture(|| ChargeEvent::Free(j, words)) {
-            return;
-        }
         let prev = self.mem[j].fetch_sub(words, Relaxed);
         debug_assert!(prev >= words, "freeing more than allocated on {j}");
         if prev < words {
@@ -291,101 +192,8 @@ impl Machine {
     /// subgroup; disjoint subgroups stepping concurrently share global
     /// supersteps, which this per-processor accounting captures.
     pub fn step(&self, group: &[ProcId], count: u64) {
-        if try_capture(|| ChargeEvent::Step(group.to_vec(), count)) {
-            return;
-        }
         for &j in group {
             self.steps[j].fetch_add(count, Relaxed);
-        }
-    }
-
-    /// Run `f` with every ledger mutation on this thread redirected into
-    /// a [`ChargeLog`] instead of the live counters. Returns the result
-    /// and the log; apply it later with [`Machine::replay`].
-    ///
-    /// Scopes nest (the inner scope's log is disjoint from the outer
-    /// one's) and the redirect is per-thread: work `f` hands to *other*
-    /// threads charges the live ledger directly, so captured task bodies
-    /// must keep their work on the calling thread (the task-graph
-    /// executor runs each body to completion on one worker).
-    /// [`Machine::fence`]/[`Machine::report`] are forbidden inside a
-    /// capture scope — a fold of half-captured state would be
-    /// meaningless — and panic in debug builds.
-    pub fn capture<R>(f: impl FnOnce() -> R) -> (R, ChargeLog) {
-        let prev = CAPTURE.with(|c| c.borrow_mut().replace(ChargeLog::default()));
-        // Armed until the success path disarms it: a panic in `f`
-        // restores the enclosing scope's log (this scope's events drop).
-        struct Guard(Option<Option<ChargeLog>>);
-        impl Drop for Guard {
-            fn drop(&mut self) {
-                if let Some(prev) = self.0.take() {
-                    CAPTURE.with(|c| *c.borrow_mut() = prev);
-                }
-            }
-        }
-        let mut guard = Guard(Some(prev));
-        let out = f();
-        let prev = guard.0.take().expect("capture guard consumed twice");
-        let log = CAPTURE
-            .with(|c| std::mem::replace(&mut *c.borrow_mut(), prev))
-            .unwrap_or_default();
-        (out, log)
-    }
-
-    /// Run `f` with this thread's active capture scope (if any) set
-    /// aside, restoring it afterwards: charges inside `f` reach the live
-    /// ledger. For work that merely *executes* on a capturing thread
-    /// without belonging to the captured region — a thread waiting
-    /// inside a task body lends itself to the pool and may be handed a
-    /// rank body of an unrelated computation.
-    pub fn uncaptured<R>(f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<ChargeLog>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                CAPTURE.with(|c| *c.borrow_mut() = self.0.take());
-            }
-        }
-        let _restore = Restore(CAPTURE.with(|c| c.borrow_mut().take()));
-        f()
-    }
-
-    /// Apply a captured [`ChargeLog`] to this machine's live ledger, in
-    /// capture order. Same quiescence rules as the direct charging
-    /// calls; the replay itself is not capturable (replaying inside a
-    /// capture scope would silently re-log — call it from driver code).
-    pub fn replay(&self, log: &ChargeLog) {
-        debug_assert!(
-            !capturing(),
-            "Machine::replay inside a capture scope would re-log the events"
-        );
-        for ev in &log.events {
-            match ev {
-                ChargeEvent::Flops(j, f) => {
-                    self.flops[*j].fetch_add(*f, Relaxed);
-                }
-                ChargeEvent::Comm(j, w) => {
-                    self.comm[*j].fetch_add(*w, Relaxed);
-                }
-                ChargeEvent::Vert(j, q) => {
-                    self.vert[*j].fetch_add(*q, Relaxed);
-                }
-                ChargeEvent::Alloc(j, words) => {
-                    let now = self.mem[*j].fetch_add(*words, Relaxed) + words;
-                    self.peak_mem[*j].fetch_max(now, Relaxed);
-                }
-                ChargeEvent::Free(j, words) => {
-                    let prev = self.mem[*j].fetch_sub(*words, Relaxed);
-                    debug_assert!(prev >= *words, "freeing more than allocated on {j}");
-                    if prev < *words {
-                        self.mem[*j].store(0, Relaxed);
-                    }
-                }
-                ChargeEvent::Step(group, count) => {
-                    for &j in group {
-                        self.steps[j].fetch_add(*count, Relaxed);
-                    }
-                }
-            }
         }
     }
 
@@ -395,10 +203,6 @@ impl Machine {
     /// Must be called from a quiescent point: no concurrent `charge_*`
     /// calls may be in flight.
     pub fn fence(&self) {
-        debug_assert!(
-            !capturing(),
-            "Machine::fence inside a capture scope (folds need quiescent, fully-applied state)"
-        );
         self.fold();
         let max = self.steps.iter().map(|s| s.load(Relaxed)).max().unwrap_or(0);
         for s in &self.steps {
@@ -448,10 +252,6 @@ impl Machine {
     /// work since the last fence is included. Like [`Machine::fence`],
     /// call only from quiescent points.
     pub fn report(&self) -> Costs {
-        debug_assert!(
-            !capturing(),
-            "Machine::report inside a capture scope (folds need quiescent, fully-applied state)"
-        );
         self.fold();
         Costs {
             flops: self.folded_flops.load(Relaxed),
@@ -545,83 +345,6 @@ mod threading_tests {
         assert_eq!(c.total_flops, 8 * 3000);
         assert_eq!(c.total_volume_words, 8 * 1000);
         assert_eq!(c.peak_memory_words, 5);
-    }
-
-    #[test]
-    fn capture_redirects_and_replay_matches_direct_charging() {
-        let direct = Machine::new(MachineParams::new(4));
-        let charge = |m: &Machine| {
-            m.charge_flops(0, 100);
-            m.charge_transfer(0, 1, 8);
-            m.charge_vert(2, 5);
-            m.alloc(3, 40);
-            m.free(3, 16);
-            m.alloc(3, 10); // peak 40, now 34
-            m.step(&[0, 1], 2);
-        };
-        charge(&direct);
-        direct.fence();
-        let want = direct.report();
-
-        let replayed = Machine::new(MachineParams::new(4));
-        let ((), log) = Machine::capture(|| charge(&replayed));
-        // Nothing reached the live ledger during capture.
-        assert_eq!(replayed.report().total_flops, 0);
-        assert_eq!(replayed.report().peak_memory_words, 0);
-        assert_eq!(log.events().len(), 8); // transfer logs as two Comm events
-        replayed.replay(&log);
-        replayed.fence();
-        assert_eq!(replayed.report(), want);
-    }
-
-    #[test]
-    fn uncaptured_charges_reach_the_live_ledger() {
-        let m = Machine::new(MachineParams::new(2));
-        let ((), log) = Machine::capture(|| {
-            m.charge_flops(0, 5);
-            Machine::uncaptured(|| m.charge_flops(1, 7));
-            m.charge_flops(0, 1);
-        });
-        // The aside charge went straight through; the scope's own log
-        // kept both of its events, in order.
-        assert_eq!(m.flops_per_proc(), vec![0, 7]);
-        assert_eq!(
-            log.events(),
-            &[ChargeEvent::Flops(0, 5), ChargeEvent::Flops(0, 1)]
-        );
-    }
-
-    #[test]
-    fn capture_scopes_nest_and_restore() {
-        let m = Machine::new(MachineParams::new(2));
-        let ((), outer) = Machine::capture(|| {
-            m.charge_flops(0, 1);
-            let ((), inner) = Machine::capture(|| m.charge_flops(0, 10));
-            assert_eq!(inner.events(), &[ChargeEvent::Flops(0, 10)]);
-            m.charge_flops(0, 2);
-        });
-        assert_eq!(
-            outer.events(),
-            &[ChargeEvent::Flops(0, 1), ChargeEvent::Flops(0, 2)]
-        );
-        // Scope fully unwound: charges hit the live ledger again.
-        m.charge_flops(0, 7);
-        assert_eq!(m.report().total_flops, 7);
-    }
-
-    #[test]
-    fn replay_preserves_peak_memory_ordering() {
-        // Peak memory is order-sensitive: alloc 100 / free 100 / alloc 30
-        // peaks at 100, while any reordering that overlaps them peaks
-        // higher. Replay must preserve the captured order exactly.
-        let m = Machine::new(MachineParams::new(1));
-        let ((), log) = Machine::capture(|| {
-            m.alloc(0, 100);
-            m.free(0, 100);
-            m.alloc(0, 30);
-        });
-        m.replay(&log);
-        assert_eq!(m.report().peak_memory_words, 100);
     }
 
     #[test]

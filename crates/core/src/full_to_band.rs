@@ -18,19 +18,24 @@
 //! * line 9 — `V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T` (Lemma III.2 multiplies
 //!   with `v = p^{2−3δ}`),
 //! * line 10 — replicate `U₁`, `V₁` and append to the aggregates.
+//!
+//! The driver is that list as straight-line code: one loop over panels
+//! on the calling thread, the ledger charged live, one fence per panel —
+//! the BSP program the paper costs. No task graph, cell or lock; what
+//! runs in parallel is the GEMM and QR pieces under each line.
 
 use crate::params::EigenParams;
 use ca_bsp::Machine;
 use ca_dla::gemm::Trans;
+use ca_dla::view::MatrixView;
 use ca_dla::{BandedSym, Matrix};
 use ca_pla::carma::carma_spread_into;
-use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
 use ca_pla::dist::DistMatrix;
+use ca_pla::exec;
 use ca_pla::grid::Grid;
 use ca_pla::kern;
 use ca_pla::rect_qr::rect_qr;
 use ca_pla::streaming::streaming_mm_view_into;
-use std::sync::{Mutex, RwLock};
 
 /// Structural trace of the reduction, used by the Figure-1 regeneration
 /// binary and by tests.
@@ -52,7 +57,9 @@ pub struct PanelTrace {
     pub remaining: usize,
     /// Aggregate width `m` before this panel (`U⁽⁰⁾`/`V⁽⁰⁾` columns).
     pub agg_cols: usize,
-    /// Processors used for the panel QR (`z·pᵟ`).
+    /// Processors the panel QR ran on: `z·pᵟ`, at most one per row of
+    /// the sub-diagonal block, and one (a local QR) for a ragged final
+    /// panel.
     pub qr_procs: usize,
 }
 
@@ -122,20 +129,18 @@ pub fn full_to_band_logged(
     full_to_band_impl(machine, params, a, b, Some(rec))
 }
 
-/// The driver: one [`TaskGraph`] task per pseudocode line and panel —
-/// the two line-5 aggregate products, the panel combine, the diagonal
-/// band write, the panel QR (line 7), the three W terms (line 8), the
-/// V₁ chain (line 9) and the aggregate append (line 10). Independent
-/// tasks (the line-5 pair, the two aggregate W chains, the band writes
-/// vs. the QR) may overlap, and panel `k`'s band writes may run
-/// concurrently with panel `k+1`. Cross-panel QR lookahead is bounded
-/// at depth 1 by the algorithm itself: panel `k+1`'s line 5 reads the
-/// aggregates through panel `k` (DESIGN.md §6g).
+/// The driver: Algorithm IV.1 as the paper writes it, one loop over
+/// panels calling lines 5, 7, 8, 9 and 10 in pseudocode order on plain
+/// locals, charging the ledger live, with one [`Machine::fence`] per
+/// panel and one after the base case. There is no task graph: the only
+/// products of one panel that do not depend on each other are the two
+/// halves of line 5 (DESIGN.md §6g).
 ///
-/// Tasks are inserted in pseudocode order with one fence per panel, so
-/// the graph's charge replay (and its inline mode) is the straight-line
-/// Algorithm IV.1 schedule whatever the execution interleaving
-/// (`ca_pla::dag` module docs give the determinism argument).
+/// The walk runs under [`exec::with_forced_serial`]: the rank fan-outs
+/// of the building blocks stay on this thread (a pool worker drops its
+/// arenas each time it parks, so a short fan-out re-faults its packing
+/// panels — DESIGN.md §6b), while the GEMM and QR pieces below them
+/// still reach the pool.
 ///
 /// The caller has validated `a` (each public entry point scans it for
 /// symmetry exactly once); here the scan is a debug assertion only.
@@ -144,7 +149,7 @@ pub(crate) fn full_to_band_impl(
     params: &EigenParams,
     a: &Matrix,
     b: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
+    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
 ) -> (BandedSym, FullToBandTrace) {
     let _span = ca_obs::kernel_span("driver.full_to_band");
     let n = a.rows();
@@ -158,462 +163,253 @@ pub(crate) fn full_to_band_impl(
     let all = Grid::all(params.p);
     let p = params.p;
     let q = params.q;
-    // Per-processor share of a `words`-sized object, rounded up: the
+    // An elementwise pass over a `words`-sized object spread over all
+    // processors, two flops a word. The share is rounded up: the
     // straggler holding the ragged remainder sets the BSP cost, so
     // truncating here would under-count whenever p ∤ words.
-    let per_proc = move |words: usize| (words as u64).div_ceil(p.max(1) as u64);
+    let charge_elementwise = |words: usize| {
+        for &pid in all.procs() {
+            machine.charge_flops(pid, 2 * (words as u64).div_ceil(p as u64));
+        }
+    };
+    // `op(lhs[sub]) · op(rhs)` by Algorithm III.1 into a fresh buffer.
+    let streaming_mm = |lhs: &MatrixView,
+                        sub: (usize, usize, usize, usize),
+                        transpose_lhs: bool,
+                        rhs: &MatrixView,
+                        transpose_rhs: bool| {
+        let rows = if transpose_lhs { sub.3 } else { sub.2 };
+        let cols = if transpose_rhs {
+            rhs.rows()
+        } else {
+            rhs.cols()
+        };
+        let mut out = Matrix::zeros(rows, cols);
+        streaming_mm_view_into(
+            machine,
+            &grid3,
+            lhs,
+            sub,
+            transpose_lhs,
+            rhs,
+            transpose_rhs,
+            w_depth,
+            &mut out.view_mut(),
+        );
+        out
+    };
+    // `op(lhs) · rhs` by Lemma III.2 with `v` inner-dimension chunks.
+    let carma = |lhs: &Matrix, t: Trans, rhs: &Matrix, v: usize| {
+        let rows = match t {
+            Trans::N => lhs.rows(),
+            Trans::T => lhs.cols(),
+        };
+        let mut out = Matrix::zeros(rows, rhs.cols());
+        carma_spread_into(
+            machine,
+            &all,
+            &lhs.view(),
+            t,
+            &rhs.view(),
+            v,
+            &mut out.view_mut(),
+        );
+        out
+    };
+    // Lines 5 and 1: the `rem × cols` block of `A̅` at `(o, o)`, i.e.
+    // `A + U⁽⁰⁾V⁽⁰⁾ᵀ + V⁽⁰⁾U⁽⁰⁾ᵀ` restricted to it. The transposed
+    // aggregate blocks are read in place instead of being materialized.
+    let updated_block = |u_agg: &Matrix, v_agg: &Matrix, o: usize, cols: usize, m_agg: usize| {
+        let rem = n - o;
+        let sub = (o, 0, rem, m_agg);
+        let uvt = streaming_mm(
+            &u_agg.view(),
+            sub,
+            false,
+            &v_agg.subview(o, 0, cols, m_agg),
+            true,
+        );
+        let vut = streaming_mm(
+            &v_agg.view(),
+            sub,
+            false,
+            &u_agg.subview(o, 0, cols, m_agg),
+            true,
+        );
+        let mut block = a.block(o, o, rem, cols);
+        block.axpy(1.0, &uvt);
+        block.axpy(1.0, &vut);
+        charge_elementwise(rem * cols);
+        block
+    };
 
     // Replicate A over the c layers (the Require block of Alg IV.1).
     // The dense `a` is the numerical stand-in for the per-layer
     // distributed copies; all charges flow through the replicate call.
-    // It runs live, before the graph: its charges open the same ledger
-    // phase that panel 0's replayed charges complete.
     let rep = ca_pla::streaming::Replicated::replicate(machine, &grid3, a);
 
-    // Static panel schedule — offsets, trailing sizes, aggregate widths
-    // and reflector counts are all data-independent, so the whole graph
-    // is built up front.
-    struct PanelSpec {
-        o: usize,
-        rem: usize,
-        m_agg: usize,
-        kk: usize,
-        qr_procs: usize,
-    }
-    let mut trace = FullToBandTrace::default();
-    let mut specs: Vec<PanelSpec> = Vec::new();
-    {
-        let mut o = 0usize;
-        let mut m_agg = 0usize;
-        let mut step = 0usize;
+    exec::with_forced_serial(|| {
+        let mut out = BandedSym::zeros(n, b, b);
+        let mut trace = FullToBandTrace::default();
+        // The aggregates are allocated once at full height with *global*
+        // row alignment (row r of the aggregate is global row r) and
+        // their final width — every panel but the last appends `b`
+        // reflector columns and the last `rem − b`, `n − b` in all — so
+        // panels append in place and every product takes an offset block
+        // spec. Rows above the current trailing range and columns beyond
+        // `m_agg` are never read.
+        let mut u_agg = Matrix::zeros(n, n - b);
+        let mut v_agg = Matrix::zeros(n, n - b);
+        let (mut o, mut m_agg) = (0usize, 0usize);
         while n - o > b {
             let rem = n - o;
-            trace.panels.push(PanelTrace {
-                step,
-                offset: o,
-                remaining: rem,
-                agg_cols: m_agg,
-                qr_procs: params.panel_qr_procs(n, b),
-            });
+            // A ragged final panel has only `rem − b < b` reflectors.
             let kk = (rem - b).min(b);
-            specs.push(PanelSpec {
-                o,
-                rem,
-                m_agg,
-                kk,
-                qr_procs: params.panel_qr_procs(n, b).min(rem - b).max(1),
-            });
-            m_agg += kk;
-            o += b;
-            step += 1;
-        }
-    }
-    let total_agg: usize = specs.iter().map(|s| s.kk).sum();
-    let m_agg_final = specs.last().map_or(0, |s| s.m_agg + s.kk);
-    let o_final = specs.len() * b;
 
-    // Shared state the tasks hand each other. Locks never contend on a
-    // value's bits — the dependency edges serialize every write against
-    // every read — they only make the sharing safe across worker
-    // threads. The aggregates are preallocated at full height with
-    // *global* row alignment (row r of the aggregate is global row r)
-    // and the final column count: panels append in place and every
-    // product takes an offset block spec. Rows above the current
-    // trailing range and columns beyond `m_agg` are never read.
-    let out_slot = Mutex::new(BandedSym::zeros(n, b, b));
-    let u_agg = RwLock::new(Matrix::zeros(n, total_agg));
-    let v_agg = RwLock::new(Matrix::zeros(n, total_agg));
-    let rec = Mutex::new(rec);
-
-    #[derive(Default)]
-    struct PanelCells {
-        /// Updated panel A̅(o.., o..o+b) (only built when m_agg > 0).
-        panel: TaskCell<Matrix>,
-        upd1: TaskCell<Matrix>,
-        upd2: TaskCell<Matrix>,
-        /// (U₁, T, R) from the line-7 QR.
-        qr: TaskCell<(Matrix, Matrix, Matrix)>,
-        w: TaskCell<Matrix>,
-        w2: TaskCell<Matrix>,
-        w3: TaskCell<Matrix>,
-    }
-    let cells: Vec<PanelCells> = specs.iter().map(|_| PanelCells::default()).collect();
-    let base_upd1 = TaskCell::<Matrix>::new();
-    let base_upd2 = TaskCell::<Matrix>::new();
-
-    let a_ref = a;
-    let grid3 = &grid3;
-    let all = &all;
-    let out = &out_slot;
-    let u_agg = &u_agg;
-    let v_agg = &v_agg;
-    let rec = &rec;
-    let cells = &cells;
-    let base_upd1 = &base_upd1;
-    let base_upd2 = &base_upd2;
-
-    let mut graph = TaskGraph::new(machine);
-    // Tail of the previous panel (its aggregate append), which the
-    // next panel's line 5 depends on.
-    let mut prev_tail: Option<TaskId> = None;
-    for (k, s) in specs.iter().enumerate() {
-        let (o, rem, m_agg, kk) = (s.o, s.rem, s.m_agg, s.kk);
-        let qr_procs = s.qr_procs;
-        let c = &cells[k];
-        let deps_prev: Vec<TaskId> = prev_tail.into_iter().collect();
-
-        // Line 5: the two aggregate products are independent tasks; the
-        // combine joins them. The transposed aggregate blocks are read
-        // in place (`transpose_b`) instead of being materialized.
-        let combine = if m_agg > 0 {
-            let t5a = graph.add_task("f2b.line5a", &deps_prev, move || {
-                let ug = u_agg.read().unwrap();
-                let vg = v_agg.read().unwrap();
-                let mut buf = Matrix::zeros(rem, b);
-                streaming_mm_view_into(
-                    machine,
-                    grid3,
-                    &ug.view(),
-                    (o, 0, rem, m_agg),
-                    false,
-                    &vg.subview(o, 0, b, m_agg),
-                    true,
-                    w_depth,
-                    &mut buf.view_mut(),
-                );
-                c.upd1.set(buf);
-            });
-            let t5b = graph.add_task("f2b.line5b", &deps_prev, move || {
-                let ug = u_agg.read().unwrap();
-                let vg = v_agg.read().unwrap();
-                let mut buf = Matrix::zeros(rem, b);
-                streaming_mm_view_into(
-                    machine,
-                    grid3,
-                    &vg.view(),
-                    (o, 0, rem, m_agg),
-                    false,
-                    &ug.subview(o, 0, b, m_agg),
-                    true,
-                    w_depth,
-                    &mut buf.view_mut(),
-                );
-                c.upd2.set(buf);
-            });
-            let comb = graph.add_task("f2b.panel", &[t5a, t5b], move || {
-                let mut panel = a_ref.block(o, o, rem, b);
-                panel.axpy(1.0, &c.upd1.take());
-                panel.axpy(1.0, &c.upd2.take());
-                for &pid in all.procs() {
-                    machine.charge_flops(pid, 2 * per_proc(rem * b));
-                }
-                c.panel.set(panel);
-            });
-            Some(comb)
-        } else {
-            None
-        };
-        let panel_deps: Vec<TaskId> = combine.into_iter().collect();
-
-        // The diagonal block A̅₁₁ goes straight into the output band,
-        // symmetrized in flight (`½(aᵢⱼ + aⱼᵢ)` with the lower-triangle
-        // element first — `Matrix::symmetrize`'s exact expression).
-        graph.add_task("f2b.diag", &panel_deps, move || {
-            let mut band = out.lock().unwrap();
-            let mut write = |get: &dyn Fn(usize, usize) -> f64| {
+            // Line 5: the current column panel of A̅ (panel 0 is A's own
+            // and is read in place). Its diagonal block A̅₁₁ goes
+            // straight into the output band, symmetrized in flight
+            // (`½(aᵢⱼ + aⱼᵢ)` with the lower-triangle element first —
+            // `Matrix::symmetrize`'s exact expression).
+            let a21 = {
+                let _span = ca_obs::kernel_span("f2b.line5");
+                let panel = (m_agg > 0).then(|| updated_block(&u_agg, &v_agg, o, b, m_agg));
+                let at = |i: usize, j: usize| match &panel {
+                    Some(panel) => panel.get(i, j),
+                    None => a.get(o + i, o + j),
+                };
                 for j in 0..b {
                     for i in j..b {
                         let v = if i == j {
-                            get(i, i)
+                            at(i, i)
                         } else {
-                            0.5 * (get(i, j) + get(j, i))
+                            0.5 * (at(i, j) + at(j, i))
                         };
-                        band.set(o + i, o + j, v);
+                        out.set(o + i, o + j, v);
                     }
                 }
-            };
-            if m_agg > 0 {
-                c.panel.with_ref(|pm| write(&|i, j| pm.get(i, j)));
-            } else {
-                write(&|i, j| a_ref.get(o + i, o + j));
-            }
-        });
-
-        // Line 7: QR of A̅₂₁ on z·pᵟ processors (and the eigenvector
-        // record, whose push order the dependency chain keeps in panel
-        // order). A ragged n leaves the final panel's sub-diagonal
-        // block wide (fewer than b rows); rect_qr requires m ≥ n, so
-        // that block is factored locally on the group leader with the
-        // factors re-spread — the same small-block fallback
-        // Algorithm IV.2's executor uses.
-        let qr_id = graph.add_task("f2b.qr", &panel_deps, move || {
-            let a21 = if m_agg > 0 {
-                c.panel.with_ref(|pm| pm.block(b, 0, rem - b, b))
-            } else {
-                a_ref.block(o + b, o, rem - b, b)
-            };
-            let factors = if rem - b >= b {
-                let qr_group = Grid::new_2d((0..qr_procs).collect(), qr_procs, 1);
-                let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
-                let f = rect_qr(machine, &da21);
-                da21.release(machine);
-                let u1 = f.u.assemble_unchecked();
-                f.u.release(machine);
-                (u1, f.t, f.r)
-            } else {
-                let f = kern::local_qr(machine, all.proc(0), &a21);
-                let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
-                for &pid in all.procs() {
-                    machine.charge_comm(pid, 2 * factor_words.div_ceil(p as u64));
+                match &panel {
+                    Some(panel) => panel.block(b, 0, rem - b, b),
+                    None => a.block(o + b, o, rem - b, b),
                 }
-                machine.step(all.procs(), 1);
-                (f.u, f.t, f.r)
             };
-            if let Some(r) = rec.lock().unwrap().as_deref_mut() {
-                r.push(crate::transforms::Reflectors {
-                    row0: o + b,
-                    u: factors.0.clone(),
-                    t: factors.1.clone(),
-                });
-            }
-            c.qr.set(factors);
-        });
 
-        // R is the sub-diagonal block of the band (upper-trapezoidal
-        // when the panel is ragged).
-        graph.add_task("f2b.subdiag", &[qr_id], move || {
-            let mut band = out.lock().unwrap();
-            c.qr.with_ref(|(_, _, r1)| write_subdiag_block(&mut band, o, r1));
-        });
+            // Line 7: QR of A̅₂₁ on z·pᵟ processors — as many as the
+            // block has rows, at most. A ragged n leaves the final
+            // panel's sub-diagonal block wide (fewer than b rows);
+            // rect_qr requires m ≥ n, so that block is factored locally
+            // on the group leader with the factors re-spread — the same
+            // small-block fallback Algorithm IV.2's executor uses. R is
+            // the sub-diagonal block of the band (upper-trapezoidal when
+            // the panel is ragged).
+            let (u1, t1) = {
+                let _span = ca_obs::kernel_span("f2b.qr");
+                let (u1, t1, r1, qr_procs) = if rem - b >= b {
+                    let qr_procs = params.panel_qr_procs(n, b).min(rem - b);
+                    let qr_group = Grid::new_2d((0..qr_procs).collect(), qr_procs, 1);
+                    let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
+                    let f = rect_qr(machine, &da21);
+                    da21.release(machine);
+                    let u1 = f.u.assemble_unchecked();
+                    f.u.release(machine);
+                    (u1, f.t, f.r, qr_procs)
+                } else {
+                    let f = kern::local_qr(machine, all.proc(0), &a21);
+                    let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
+                    for &pid in all.procs() {
+                        machine.charge_comm(pid, 2 * factor_words.div_ceil(p as u64));
+                    }
+                    machine.step(all.procs(), 1);
+                    (f.u, f.t, f.r, 1)
+                };
+                trace.panels.push(PanelTrace {
+                    step: trace.panels.len(),
+                    offset: o,
+                    remaining: rem,
+                    agg_cols: m_agg,
+                    qr_procs,
+                });
+                write_subdiag_block(&mut out, o, &r1);
+                (u1, t1)
+            };
 
-        // Line 8: W = A₂₂·U₁ + U₂⁽⁰⁾(V₂⁽⁰⁾ᵀU₁) + V₂⁽⁰⁾(U₂⁽⁰⁾ᵀU₁); the
-        // three terms are independent tasks.
-        let w_id = graph.add_task("f2b.w", &[qr_id], move || {
-            c.qr.with_ref(|(u1, _, _)| {
-                let mut buf = Matrix::zeros(rem - b, kk);
-                streaming_mm_view_into(
-                    machine,
-                    grid3,
-                    &a_ref.view(),
-                    (o + b, o + b, rem - b, rem - b),
-                    false,
-                    &u1.view(),
-                    false,
-                    w_depth,
-                    &mut buf.view_mut(),
-                );
-                c.w.set(buf);
-            });
-        });
-        let w_tail = if m_agg > 0 {
-            let w2_id = graph.add_task("f2b.w2", &[qr_id], move || {
-                let ug = u_agg.read().unwrap();
-                let vg = v_agg.read().unwrap();
-                c.qr.with_ref(|(u1, _, _)| {
-                    let mut vtu = Matrix::zeros(m_agg, kk);
-                    streaming_mm_view_into(
-                        machine,
-                        grid3,
-                        &vg.view(),
-                        (o + b, 0, rem - b, m_agg),
-                        true,
-                        &u1.view(),
-                        false,
-                        w_depth,
-                        &mut vtu.view_mut(),
-                    );
-                    let mut buf = Matrix::zeros(rem - b, kk);
-                    streaming_mm_view_into(
-                        machine,
-                        grid3,
-                        &ug.view(),
-                        (o + b, 0, rem - b, m_agg),
-                        false,
-                        &vtu.view(),
-                        false,
-                        w_depth,
-                        &mut buf.view_mut(),
-                    );
-                    c.w2.set(buf);
-                });
-            });
-            let w3_id = graph.add_task("f2b.w3", &[qr_id], move || {
-                let ug = u_agg.read().unwrap();
-                let vg = v_agg.read().unwrap();
-                c.qr.with_ref(|(u1, _, _)| {
-                    let mut utu = Matrix::zeros(m_agg, kk);
-                    streaming_mm_view_into(
-                        machine,
-                        grid3,
-                        &ug.view(),
-                        (o + b, 0, rem - b, m_agg),
-                        true,
-                        &u1.view(),
-                        false,
-                        w_depth,
-                        &mut utu.view_mut(),
-                    );
-                    let mut buf = Matrix::zeros(rem - b, kk);
-                    streaming_mm_view_into(
-                        machine,
-                        grid3,
-                        &vg.view(),
-                        (o + b, 0, rem - b, m_agg),
-                        false,
-                        &utu.view(),
-                        false,
-                        w_depth,
-                        &mut buf.view_mut(),
-                    );
-                    c.w3.set(buf);
-                });
-            });
-            graph.add_task("f2b.wsum", &[w_id, w2_id, w3_id], move || {
-                c.w.with_mut(|w| {
-                    w.axpy(1.0, &c.w2.take());
-                    w.axpy(1.0, &c.w3.take());
-                });
-                for &pid in all.procs() {
-                    machine.charge_flops(pid, 2 * per_proc((rem - b) * b));
+            // Line 8: W = A₂₂·U₁ + U₂⁽⁰⁾(V₂⁽⁰⁾ᵀU₁) + V₂⁽⁰⁾(U₂⁽⁰⁾ᵀU₁).
+            let w = {
+                let _span = ca_obs::kernel_span("f2b.w");
+                let trailing = (o + b, o + b, rem - b, rem - b);
+                let mut w = streaming_mm(&a.view(), trailing, false, &u1.view(), false);
+                if m_agg > 0 {
+                    let sub = (o + b, 0, rem - b, m_agg);
+                    for (outer, inner) in [(&u_agg, &v_agg), (&v_agg, &u_agg)] {
+                        let small = streaming_mm(&inner.view(), sub, true, &u1.view(), false);
+                        let term = streaming_mm(&outer.view(), sub, false, &small.view(), false);
+                        w.axpy(1.0, &term);
+                    }
+                    charge_elementwise((rem - b) * b);
                 }
-            })
-        } else {
-            w_id
-        };
+                w
+            };
 
-        // Line 9: V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T via Lemma III.2
-        // multiplies with v = p^{2−3δ} (right to left, as the
-        // Lemma IV.1 proof prescribes), written straight into the
-        // aggregate; the U₁ᵀ/Tᵀ operands are read in place.
-        let v_id = graph.add_task("f2b.v1", &[w_tail], move || {
-            c.qr.with_ref(|(u1, t1, _)| {
-                let w = c.w.take();
-                let mut wt = Matrix::zeros(rem - b, kk);
-                carma_spread_into(
-                    machine, all, &w.view(), Trans::N, &t1.view(), v_mem,
-                    &mut wt.view_mut(),
-                );
-                let mut utwt = Matrix::zeros(kk, kk);
-                carma_spread_into(
-                    machine, all, &u1.view(), Trans::T, &wt.view(), 1,
-                    &mut utwt.view_mut(),
-                );
-                let mut t_utwt = Matrix::zeros(kk, kk);
-                carma_spread_into(
-                    machine, all, &t1.view(), Trans::T, &utwt.view(), 1,
-                    &mut t_utwt.view_mut(),
-                );
-                let mut corr = Matrix::zeros(rem - b, kk);
-                carma_spread_into(
-                    machine, all, &u1.view(), Trans::N, &t_utwt.view(), v_mem,
-                    &mut corr.view_mut(),
-                );
+            // Line 9: V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T via Lemma III.2
+            // multiplies with v = p^{2−3δ} (right to left, as the
+            // Lemma IV.1 proof prescribes), written straight into the
+            // aggregate; the U₁ᵀ/Tᵀ operands are read in place.
+            {
+                let _span = ca_obs::kernel_span("f2b.v1");
+                let wt = carma(&w, Trans::N, &t1, v_mem);
+                let utwt = carma(&u1, Trans::T, &wt, 1);
+                let t_utwt = carma(&t1, Trans::T, &utwt, 1);
+                let corr = carma(&u1, Trans::N, &t_utwt, v_mem);
                 // Fused `v1 = -wt; v1 += ½·corr` (the `* -1.0` spelling
                 // is `Matrix::scale`'s exact arithmetic, which the
                 // pinned output bits were produced with).
-                let mut vg = v_agg.write().unwrap();
-                let mut dst = vg.subview_mut(o + b, m_agg, rem - b, kk);
+                let mut dst = v_agg.subview_mut(o + b, m_agg, rem - b, kk);
                 #[allow(clippy::neg_multiply)]
                 for j in 0..kk {
                     for i in 0..rem - b {
                         dst.set(i, j, wt.get(i, j) * -1.0 + 0.5 * corr.get(i, j));
                     }
                 }
-                drop(vg);
-                for &pid in all.procs() {
-                    machine.charge_flops(pid, 2 * per_proc((rem - b) * b));
+                charge_elementwise((rem - b) * b);
+            }
+
+            // Line 10: replicate U₁ and V₁ over the layers (charges),
+            // then the U₁ append; on the vectors path `(U₁, T)` then
+            // moves into the record, which is thereby in panel order.
+            {
+                let _span = ca_obs::kernel_span("f2b.append");
+                let rep_words = (2 * (rem - b) * kk) as u64;
+                for &pid in grid3.procs() {
+                    machine.charge_comm(pid, 2 * rep_words.div_ceil(p as u64));
+                    machine.alloc(pid, rep_words.div_ceil((q * q) as u64));
                 }
-            });
-        });
-
-        // Line 10: replicate U₁ and V₁ over the layers (charges), then
-        // the U₁ append. A ragged final panel contributes only
-        // k = min(rem − b, b) reflector columns.
-        let append_id = graph.add_task("f2b.append", &[v_id], move || {
-            let rep_words = 2 * (rem - b) * kk;
-            for &pid in grid3.procs() {
-                machine.charge_comm(pid, 2 * (rep_words as u64).div_ceil(p as u64));
-                machine.alloc(pid, (rep_words as u64).div_ceil((q * q) as u64));
+                machine.step(grid3.procs(), 2);
+                u_agg.set_block(o + b, m_agg, &u1);
+                if let Some(rec) = rec.as_deref_mut() {
+                    rec.push(crate::transforms::Reflectors {
+                        row0: o + b,
+                        u: u1,
+                        t: t1,
+                    });
+                }
             }
-            machine.step(grid3.procs(), 2);
-            c.qr.with_ref(|(u1, _, _)| {
-                u_agg.write().unwrap().set_block(o + b, m_agg, u1);
-            });
-        });
-        graph.add_fence();
-        prev_tail = Some(append_id);
-    }
+            machine.fence();
+            m_agg += kk;
+            o += b;
+        }
 
-    // Base case (lines 1–2): the final block, updated from the full
-    // aggregates and symmetrized into the band.
-    let (o, rem, m_agg) = (o_final, n - o_final, m_agg_final);
-    let base_deps: Vec<TaskId> = prev_tail.into_iter().collect();
-    let base_id = if m_agg > 0 {
-        let b5a = graph.add_task("f2b.base5a", &base_deps, move || {
-            let ug = u_agg.read().unwrap();
-            let vg = v_agg.read().unwrap();
-            let mut buf = Matrix::zeros(rem, rem);
-            streaming_mm_view_into(
-                machine,
-                grid3,
-                &ug.view(),
-                (o, 0, rem, m_agg),
-                false,
-                &vg.subview(o, 0, rem, m_agg),
-                true,
-                w_depth,
-                &mut buf.view_mut(),
-            );
-            base_upd1.set(buf);
-        });
-        let b5b = graph.add_task("f2b.base5b", &base_deps, move || {
-            let ug = u_agg.read().unwrap();
-            let vg = v_agg.read().unwrap();
-            let mut buf = Matrix::zeros(rem, rem);
-            streaming_mm_view_into(
-                machine,
-                grid3,
-                &vg.view(),
-                (o, 0, rem, m_agg),
-                false,
-                &ug.subview(o, 0, rem, m_agg),
-                true,
-                w_depth,
-                &mut buf.view_mut(),
-            );
-            base_upd2.set(buf);
-        });
-        graph.add_task("f2b.base", &[b5a, b5b], move || {
-            let mut last = a_ref.block(o, o, rem, rem);
-            last.axpy(1.0, &base_upd1.take());
-            last.axpy(1.0, &base_upd2.take());
-            for &pid in all.procs() {
-                machine.charge_flops(pid, 2 * per_proc(rem * rem));
-            }
+        // Base case (lines 1–2): the final block, updated from the full
+        // aggregates and symmetrized into the band.
+        {
+            let _span = ca_obs::kernel_span("f2b.base");
+            let mut last = updated_block(&u_agg, &v_agg, o, n - o, m_agg);
             last.symmetrize();
-            let mut band = out.lock().unwrap();
-            write_diag_block(&mut band, o, &last);
-        })
-    } else {
-        graph.add_task("f2b.base", &base_deps, move || {
-            let mut band = out.lock().unwrap();
-            for j in 0..rem {
-                for i in j..rem {
-                    let v = if i == j {
-                        a_ref.get(o + i, o + i)
-                    } else {
-                        0.5 * (a_ref.get(o + i, o + j) + a_ref.get(o + j, o + i))
-                    };
-                    band.set(o + i, o + j, v);
-                }
-            }
-        })
-    };
-    graph.add_task("f2b.release", &[base_id], move || rep.release(machine));
-    graph.add_fence();
-    graph.run();
-
-    (out_slot.into_inner().unwrap(), trace)
+            write_diag_block(&mut out, o, &last);
+            rep.release(machine);
+        }
+        machine.fence();
+        (out, trace)
+    })
 }
 
 /// Write a symmetric `b×b` diagonal block into the band at offset `o`.
@@ -748,6 +544,21 @@ mod tests {
             ws[0],
             ws[1]
         );
+    }
+
+    #[test]
+    fn trace_records_the_processors_each_panel_qr_ran_on() {
+        // p = 64, c = 4: z·pᵟ = 64·√(10/64) ≈ 25 processors, capped by
+        // the rows of the sub-diagonal block (54, 44, 34, 24, 14) and
+        // down to one for the ragged last panel's local QR (4 rows).
+        let m = machine(64);
+        let params = EigenParams::new(64, 4);
+        assert_eq!(params.panel_qr_procs(64, 10), 25);
+        let mut rng = StdRng::seed_from_u64(219);
+        let a = gen::random_symmetric(&mut rng, 64);
+        let (_, trace) = full_to_band(&m, &params, &a, 10);
+        let ran_on: Vec<usize> = trace.panels.iter().map(|p| p.qr_procs).collect();
+        assert_eq!(ran_on, [25, 25, 25, 24, 14, 1]);
     }
 
     #[test]

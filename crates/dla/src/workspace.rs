@@ -28,8 +28,8 @@
 //! warmed it. For a thread's *own* work that is the point: the caller's
 //! and a service worker's arenas stay warm across supersteps and jobs.
 //! But a thread also *lends* itself to queued jobs — a pool worker
-//! always, any other thread while it waits for a fork or a task graph
-//! and runs queued pieces meanwhile — and what such a job needs depends
+//! always, any other thread while it waits for a fork and runs queued
+//! pieces meanwhile — and what such a job needs depends
 //! on which job it happened to be. Arenas that kept those buffers made
 //! the process's peak heap 8 % larger than with per-fork threads and
 //! different from run to run. So guest arenas live exactly as long as
@@ -38,11 +38,12 @@
 //! first queued job it runs — other than a piece of its own fork, which
 //! is its own work and finds the arenas piece 0 warmed — and drops
 //! whatever the jobs parked when the wait is over ([`begin_loan`],
-//! [`end_loan`]) — within one task graph
-//! the arenas stay warm, as they did on the graph's scoped threads —
-//! and a pool worker drops its stack each time it runs out of work and
-//! goes to sleep ("release on park"). With that the peak is the same,
-//! to the byte, as before the pool, and repeats exactly.
+//! [`end_loan`]), and a pool worker drops its stack each time it runs
+//! out of work and goes to sleep ("release on park"). With that the
+//! peak is the same, to the byte, as before the pool, and repeats
+//! exactly. The price is paid by short fan-outs: a worker that parks
+//! between two of them re-faults its packing panels at each (DESIGN.md
+//! §6b, measured on full→band's rank bodies).
 //!
 //! Determinism: buffer reuse never changes numerics — [`Workspace::take`]
 //! zero-fills, so a kernel sees bitwise the same initial state as with a

@@ -26,10 +26,8 @@
 //! on the calling thread while the rest are queued to the persistent
 //! pool. No thread is created here. A piece may end up on any thread —
 //! an idle pool worker, or a thread that is itself waiting for a fork
-//! and lends a hand — so a queued rank body runs under
-//! [`Machine::uncaptured`]: its charges go to the live ledger even if
-//! the lending thread happens to sit inside some task body's capture
-//! scope ([`crate::dag`]).
+//! and lends a hand — and wherever it runs its charges go to the one
+//! live ledger: there is no per-thread charge state.
 //!
 //! The `ca-dla` hot-path kernels draw scratch buffers from a
 //! thread-local [`ca_dla::Workspace`] arena (`ca_dla::workspace::with_ws`).
@@ -42,8 +40,11 @@
 //! A thread's own arenas stay warm from one superstep to the next;
 //! the arenas a thread fills while *on loan* to queued pieces — a pool
 //! worker always, a waiting thread while it helps — are dropped when
-//! the loan ends (`ca_dla::workspace`), so memory warmed by one fork or
-//! graph does not outlive it.
+//! the loan ends (`ca_dla::workspace`), so memory warmed by one fork
+//! does not outlive it. That is also why full→band keeps its rank
+//! fan-outs on the driver's thread ([`with_forced_serial`]): a worker
+//! that parks between two short fan-outs re-faults its packing panels
+//! at every one (DESIGN.md §6b).
 //!
 //! When tracing is on, each dispatch also mirrors the runtime's own
 //! counters into `ca_obs` as `rt.spawns`, `rt.jobs`, `rt.helped` and
@@ -54,7 +55,6 @@
 //! [`ca_obs::knobs`]) to force serial in-order execution — the escape
 //! hatch for debugging and for measuring the parallel overhead itself.
 
-use ca_bsp::Machine;
 use std::cell::Cell;
 
 thread_local! {
@@ -73,9 +73,9 @@ pub fn serial_forced() -> bool {
 /// Run `f` with executor dispatch forced serial on this thread,
 /// regardless of `CA_SERIAL`. Because serial dispatch keeps all work on
 /// the calling thread, the override propagates through nested executor
-/// calls, and a [`crate::dag::TaskGraph`] run inside the scope executes
-/// its bodies inline in insertion order. Used by the determinism tests
-/// to compare serial and parallel runs within one process.
+/// calls. Full→band walks its panels inside one such scope; the
+/// determinism tests use it to compare serial and parallel runs within
+/// one process.
 pub fn with_forced_serial<T>(f: impl FnOnce() -> T) -> T {
     struct Restore(bool);
     impl Drop for Restore {
@@ -94,8 +94,10 @@ static RT_PARKS: ca_obs::Counter = ca_obs::Counter::new("rt.parks");
 
 /// Mirror the runtime's cumulative counters into `ca_obs` (the runtime
 /// sits below `ca-obs` in the package graph and cannot do it itself).
+/// Every dispatch does it, an inline one included: the kernels a rank
+/// body calls fork whether or not the ranks themselves were queued.
 /// One relaxed load and a branch when tracing is off.
-pub(crate) fn mirror_rt_counters() {
+fn mirror_rt_counters() {
     if ca_obs::enabled() {
         let rt = rayon::stats();
         RT_SPAWNS.record_max(rt.spawns);
@@ -113,33 +115,14 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let _span = ca_obs::kernel_span("exec.par_ranks");
-    if serial_forced() || n <= 1 {
-        return (0..n).map(f).collect();
-    }
     use rayon::prelude::*;
-    let out = (0..n)
-        .into_par_iter()
-        .map(|r| Machine::uncaptured(|| f(r)))
-        .collect();
+    let out = if serial_forced() || n <= 1 {
+        (0..n).map(f).collect()
+    } else {
+        (0..n).into_par_iter().map(f).collect()
+    };
     mirror_rt_counters();
     out
-}
-
-/// Run `f(rank)` for every rank in `0..n` for its side effects.
-pub fn for_each_rank<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let _span = ca_obs::kernel_span("exec.for_each_rank");
-    if serial_forced() || n <= 1 {
-        (0..n).for_each(f);
-        return;
-    }
-    use rayon::prelude::*;
-    (0..n)
-        .into_par_iter()
-        .for_each(|r| Machine::uncaptured(|| f(r)));
-    mirror_rt_counters();
 }
 
 /// Run `f(rank, &mut items[rank])` for every rank — the owner-computes
@@ -150,35 +133,18 @@ where
     F: Fn(usize, &mut T) + Sync,
 {
     let _span = ca_obs::kernel_span("exec.par_over");
+    use rayon::prelude::*;
     if serial_forced() || items.len() <= 1 {
         for (r, item) in items.iter_mut().enumerate() {
             f(r, item);
         }
-        return;
+    } else {
+        items
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(r, item)| f(r, item));
     }
-    use rayon::prelude::*;
-    items
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(r, item)| Machine::uncaptured(|| f(r, item)));
     mirror_rt_counters();
-}
-
-/// Run two independent closures, potentially concurrently, and return
-/// both results. Used for independent multiply chains within a phase.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if serial_forced() {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    rayon::join(|| Machine::uncaptured(a), || Machine::uncaptured(b))
 }
 
 #[cfg(test)]
@@ -196,36 +162,5 @@ mod tests {
         let mut xs = vec![0u64; 23];
         par_over(&mut xs, |r, x| *x = r as u64 + 1);
         assert!(xs.iter().enumerate().all(|(r, &x)| x == r as u64 + 1));
-    }
-
-    #[test]
-    fn dispatched_rank_bodies_charge_the_live_ledger_from_a_capturing_thread() {
-        // A thread waiting inside a task body (capture scope active)
-        // lends itself to the pool and may be handed a stranger's rank
-        // body. Stand-in for that thread: this one, which runs at least
-        // the first piece of its own dispatch.
-        use ca_bsp::MachineParams;
-        if serial_forced() {
-            return; // nothing is dispatched: inline bodies belong to the log
-        }
-        let m = Machine::new(MachineParams::new(4));
-        let ((), log) = Machine::capture(|| {
-            for_each_rank(4, |r| m.charge_flops(r, 1 + r as u64));
-            let mut slots = [0u64; 4];
-            par_over(&mut slots, |r, _| m.charge_comm(r, 10));
-            join(|| m.charge_vert(0, 5), || m.charge_vert(1, 6));
-        });
-        assert!(
-            log.is_empty(),
-            "dispatched bodies leaked into the log: {log:?}"
-        );
-        assert_eq!(m.flops_per_proc(), vec![1, 2, 3, 4]);
-        assert_eq!(m.comm_per_proc(), vec![10; 4]);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
     }
 }

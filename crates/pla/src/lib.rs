@@ -37,7 +37,6 @@ pub mod alpha_beta;
 pub mod carma;
 pub mod coll;
 pub mod cyclic;
-pub mod dag;
 pub mod dist;
 pub mod exec;
 pub mod grid;

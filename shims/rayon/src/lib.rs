@@ -5,8 +5,7 @@
 //! in the workspace already goes through it, it is also where the one
 //! runtime lives: a persistent pool of `current_num_threads() − 1`
 //! workers behind a single queue ([`pool`]), shared by the data-parallel
-//! adaptors below, by [`join`], and by [`scope`]/[`Scope::spawn`] (the
-//! task-graph executor in `ca-pla`). No thread is created per parallel
+//! adaptors below and by [`join`]. No thread is created per parallel
 //! call; [`spawn_worker`] is the only thread-creation site, and
 //! [`stats`]`().spawns` counts its uses.
 //!
@@ -14,7 +13,7 @@
 //! * `(a..b).into_par_iter()` with `for_each`, `map(..).collect::<Vec<_>>()`
 //! * `slice.par_iter()` / `slice.par_iter_mut()` (+ `enumerate`)
 //! * `slice.par_chunks_mut(n)` (+ `enumerate`)
-//! * [`join`], [`scope`], [`current_num_threads`]
+//! * [`join`], [`current_num_threads`]
 //! * beyond `rayon`: the per-thread core budget ([`with_budget`],
 //!   [`current_budget`]), [`spawn_worker`], [`on_lend`] and the
 //!   counters ([`stats`])
@@ -33,8 +32,7 @@
 mod pool;
 
 pub use pool::{
-    current_budget, current_num_threads, on_lend, scope, spawn_worker, stats, with_budget, RtStats,
-    Scope,
+    current_budget, current_num_threads, on_lend, spawn_worker, stats, with_budget, RtStats,
 };
 
 use std::sync::Mutex;
@@ -434,7 +432,6 @@ mod tests {
     use super::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     // libtest runs these concurrently on one shared pool, which is the
     // point: forks from several threads interleave on the one queue.
@@ -549,31 +546,25 @@ mod tests {
     }
 
     #[test]
-    fn panic_in_a_spawned_grandchild_drains_the_scope_first() {
+    fn panic_in_a_nested_fork_drains_both_levels_first() {
+        // The panicking closure is the last one of the depth-first order,
+        // so the other three run under every budget, inline included.
         let done = AtomicUsize::new(0);
+        let ok = || {
+            done.fetch_add(1, Ordering::Relaxed);
+        };
         let err = catch_unwind(AssertUnwindSafe(|| {
-            super::scope(|s| {
-                for child in 0..4 {
-                    let done = &done;
-                    s.spawn(move |s| {
-                        for grandchild in 0..4 {
-                            s.spawn(move |_| {
-                                if (child, grandchild) == (2, 1) {
-                                    panic!("grandchild {child}.{grandchild}");
-                                }
-                                done.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                }
-            });
+            super::join(
+                || super::join(ok, ok),
+                || super::join(ok, || panic!("grandchild 1.1")),
+            );
         }))
-        .expect_err("the panic must reach the scope's owner");
-        assert_eq!(message(err), "grandchild 2.1");
+        .expect_err("the panic must reach the outer fork's owner");
+        assert_eq!(message(err), "grandchild 1.1");
         assert_eq!(
             done.load(Ordering::Relaxed),
-            15,
-            "every other job still ran"
+            3,
+            "every other piece still ran"
         );
         pool_still_works();
     }
@@ -608,96 +599,39 @@ mod tests {
                 .map(|_| super::current_budget())
                 .collect();
             assert!(seen.iter().all(|&b| b == want), "{seen:?}");
-            super::scope(|s| {
-                for _ in 0..8 {
-                    s.spawn(move |_| assert_eq!(super::current_budget(), want));
-                }
-            });
         });
     }
 
     #[test]
-    fn a_scope_keeps_at_most_budget_jobs_in_flight() {
+    fn a_fork_keeps_at_most_budget_pieces_in_flight() {
         let budget = super::current_num_threads().min(2);
         let running = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let order = Mutex::new(Vec::new());
         super::with_budget(budget, || {
-            super::scope(|s| {
-                for id in 0..24 {
-                    let (running, peak, order) = (&running, &peak, &order);
-                    s.spawn(move |_| {
-                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                        order.lock().unwrap().push(id);
-                        std::thread::yield_now();
-                        running.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
+            (0..24).into_par_iter().for_each(|_| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::yield_now();
+                running.fetch_sub(1, Ordering::SeqCst);
             });
         });
         assert!(peak.load(Ordering::SeqCst) <= budget);
-        let mut order = order.into_inner().unwrap();
-        order.sort_unstable();
-        assert_eq!(
-            order,
-            (0..24).collect::<Vec<_>>(),
-            "every job ran exactly once"
-        );
     }
 
     #[test]
-    fn forks_nested_in_scope_jobs_complete() {
-        // Tasks that fork inside themselves while their siblings wait in
-        // the same queue: the shape of a task graph whose bodies call
-        // GEMM. Must neither deadlock nor lose work.
+    fn forks_nested_in_pieces_complete() {
+        // Pieces that fork inside themselves while their siblings wait
+        // in the same queue: the shape of a rank fan-out whose bodies
+        // call GEMM. Must neither deadlock nor lose work.
         let total = AtomicU64::new(0);
-        super::scope(|s| {
-            for t in 0..6u64 {
-                let total = &total;
-                s.spawn(move |s| {
-                    let (a, b): (Vec<u64>, u64) =
-                        super::join(|| (0..50).into_par_iter().map(|i| i as u64).collect(), || t);
-                    total.fetch_add(a.iter().sum::<u64>() + b, Ordering::Relaxed);
-                    s.spawn(move |_| {
-                        total.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
-            }
+        (0..6).into_par_iter().for_each(|t| {
+            let (a, b): (Vec<u64>, u64) = super::join(
+                || (0..50).into_par_iter().map(|i| i as u64).collect(),
+                || t as u64,
+            );
+            total.fetch_add(a.iter().sum::<u64>() + b, Ordering::Relaxed);
         });
-        assert_eq!(total.load(Ordering::Relaxed), 6 * 1225 + 15 + 6);
-    }
-
-    #[test]
-    fn tasks_never_nest_on_one_thread() {
-        // A task may hold a lock across a fork that its siblings take
-        // too: a thread waiting inside a task must leave other tasks —
-        // siblings and strangers alike — to other threads, and run
-        // pieces only.
-        thread_local! {
-            static INSIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-        }
-        let shared = Mutex::new(0u64);
-        for _ in 0..50 {
-            super::scope(|s| {
-                for t in 0..12u64 {
-                    let shared = &shared;
-                    s.spawn(move |_| {
-                        assert!(!INSIDE.with(|i| i.replace(true)), "task started inside a task");
-                        let mut sum = shared.lock().unwrap();
-                        let v: Vec<u64> = (0..64).into_par_iter().map(|i| {
-                                std::thread::yield_now();
-                                i as u64 + t
-                            })
-                            .collect();
-                        *sum += v.iter().sum::<u64>();
-                        drop(sum);
-                        INSIDE.with(|i| i.set(false));
-                    });
-                }
-            });
-        }
-        assert_eq!(*shared.lock().unwrap(), 50 * (12 * 2016 + 64 * 66));
+        assert_eq!(total.load(Ordering::Relaxed), 6 * 1225 + 15);
     }
 
     thread_local! {
@@ -728,23 +662,20 @@ mod tests {
         super::on_lend(loan_begins, loan_ends);
         for round in 0..200u64 {
             let total = AtomicU64::new(0);
-            super::scope(|s| {
-                for t in 0..4u64 {
-                    let total = &total;
-                    s.spawn(move |_| {
-                        // A wait nested in a job this thread may be
-                        // running on loan already.
-                        let (a, b) = super::join(|| t, || round);
-                        total.fetch_add(a + b, Ordering::Relaxed);
-                    });
-                }
+            (0..4).into_par_iter().for_each(|t| {
+                // A wait nested in a piece this thread may be running
+                // on loan already.
+                let (a, b) = super::join(|| t as u64, || round);
+                total.fetch_add(a + b, Ordering::Relaxed);
             });
             assert_eq!(total.load(Ordering::Relaxed), 6 + 4 * round);
             let (open, begun, ended) = LOANS.with(|l| l.get());
             assert_eq!(open, 0, "a loan outlived its wait");
             assert_eq!(begun, ended);
+            // This thread runs at most the four outer pieces itself, and
+            // each one's `join` is one outermost wait.
             assert!(
-                begun <= round as u32 + 1,
+                begun <= 4 * (round as u32 + 1),
                 "at most one loan per outermost wait"
             );
         }

@@ -3,57 +3,37 @@
 //!
 //! ## Shape
 //!
-//! Every parallel construct of the workspace ends in one of two calls:
-//! [`fork`] (run pieces `0..k` of a body that lives on the caller's
-//! stack — `join` and all the par-iter adaptors) or [`Scope::spawn`]
-//! (queue a boxed closure that must finish before the enclosing
-//! [`scope`] returns — the task-graph executor). Both push [`Job`]s onto
-//! the **one** FIFO queue and both end in [`wait_helping`].
+//! Every parallel construct of the workspace ends in one call: [`fork`]
+//! (run pieces `0..k` of a body that lives on the caller's stack —
+//! `join` and all the par-iter adaptors). It pushes [`Job`]s onto the
+//! **one** FIFO queue and ends in [`wait_helping`]. The pool runs one
+//! kind of job: pieces.
 //!
 //! ## The helping rule, and why it cannot deadlock
 //!
-//! A thread that must wait for its jobs does not sleep while there is
-//! something it may run: its *own* latch's queued jobs first (oldest
+//! A thread that must wait for its pieces does not sleep while there is
+//! something to run: its *own* latch's queued pieces first (oldest
 //! first — if no worker has picked a piece up yet, the forking thread
 //! simply runs it, so a fork never waits on a wake-up), then other
-//! latches' **pieces**. It sleeps on the pool's one condition variable
-//! only when the queue holds nothing for it, and is therefore woken by
-//! any push, not only by its own latch's completion. A fork nested
-//! inside a pool job is queued like any other, so it reaches idle
-//! workers (at p = 4 the task graph is two tasks wide and the GEMM
-//! pieces forked *inside* tasks are most of the parallelism).
+//! latches'. It sleeps on the pool's one condition variable only when
+//! the queue is empty, and is therefore woken by any push, not only by
+//! its own latch's completion. A fork nested inside a piece is queued
+//! like any other, so it reaches idle workers.
 //!
-//! Another latch's **spawned task** is run only by a thread with no
-//! task of its own half-done underneath: an idle pool worker, or a
-//! thread waiting in [`scope`] that is not itself inside a task. Never
-//! by a thread waiting for a fork, and never from inside a task. Task
-//! bodies are arbitrary code: the task-graph drivers hold a
-//! `TaskCell`'s mutex across a GEMM that forks, and a sibling task that
-//! reads the same cell, started on that very stack, would block on a
-//! lock its own thread holds. So tasks never nest on one thread (they
-//! did not when every graph had its own threads either); contending
-//! siblings land on other threads and merely wait their turn. Pieces
-//! are the compute kernels' loop bodies and `join` halves, and take no
-//! lock that outlives them.
-//!
-//! Every job therefore either finishes or waits on one of two things.
-//! Inside `wait_helping`, on jobs of its own latch: those are queued —
-//! the waiter itself takes them, whatever else it is allowed to run —
-//! or running on some thread, which by the same argument finish. Or on
-//! a lock held by a task on *another* thread, which is either running
-//! or in `wait_helping` for pieces, and pieces need no lock. Some
-//! running job can always make progress, and the finite job tree
-//! drains. The one set of jobs that is neither queued nor running, a
-//! [`Scope`]'s deferred jobs, is released by the completion of that
-//! scope's own in-flight jobs, which are queued or running.
+//! Pieces are the compute kernels' loop bodies, rank bodies and `join`
+//! halves, and take no lock that outlives them. Every piece therefore
+//! either finishes or waits, inside `wait_helping`, on pieces of its own
+//! latch: those are queued — the waiter itself takes them — or running
+//! on some thread, which by the same argument finish. Some running
+//! piece can always make progress, and the finite fork tree drains.
 //!
 //! ## The core budget
 //!
 //! A thread-local budget ([`with_budget`], default
-//! [`current_num_threads`]) caps the pieces of every fork and the
-//! in-flight jobs of every scope started under it; a job carries its
-//! creator's budget to whichever thread runs it. At budget 1 nothing is
-//! ever queued: the whole computation runs inline on its thread.
+//! [`current_num_threads`]) caps the pieces of every fork started under
+//! it; a piece carries its creator's budget to whichever thread runs
+//! it. At budget 1 nothing is ever queued: the whole computation runs
+//! inline on its thread.
 //!
 //! ## Loans
 //!
@@ -62,8 +42,8 @@
 //! — pieces of its own fork aside: those are its own work, continued —
 //! until that (outermost) wait is over. [`on_lend`] lets a layer above
 //! bracket loans — `ca-dla` keeps the scratch arenas a job warms up
-//! from outliving the fork or graph it belonged to, which is what makes
-//! the process's peak heap independent of where jobs happened to land.
+//! from outliving the fork it belonged to, which is what makes the
+//! process's peak heap independent of where jobs happened to land.
 //!
 //! ## Panics
 //!
@@ -75,7 +55,6 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, Once, OnceLock};
@@ -179,9 +158,8 @@ impl Drop for BudgetGuard {
 }
 
 /// Run `f` with this thread's core budget set to `cores` (≥ 1): every
-/// fork under it splits into at most `cores` pieces and every scope
-/// keeps at most `cores` jobs in flight. With `cores == 1` the whole of
-/// `f` runs inline on this thread.
+/// fork under it splits into at most `cores` pieces. With `cores == 1`
+/// the whole of `f` runs inline on this thread.
 pub fn with_budget<R>(cores: usize, f: impl FnOnce() -> R) -> R {
     let _restore = BudgetGuard::install(cores.max(1));
     f()
@@ -209,7 +187,7 @@ static LEND_HOOKS: OnceLock<LendHooks> = OnceLock::new();
 ///   finds the queue empty, before it sleeps.
 ///
 /// `ca-dla` uses the pair to keep the scratch arenas a job warms up
-/// from outliving the fork or graph the job belonged to.
+/// from outliving the fork the job belonged to.
 pub fn on_lend(begin: fn(), end: fn()) {
     let _ = LEND_HOOKS.set(LendHooks { begin, end });
 }
@@ -217,25 +195,6 @@ pub fn on_lend(begin: fn(), end: fn()) {
 thread_local! {
     /// True while this thread is on loan to queued jobs.
     static ON_LOAN: Cell<bool> = const { Cell::new(false) };
-    /// True while a [`Scope::spawn`]ed task is running somewhere on this
-    /// thread's stack (a piece helped from inside it does not clear it).
-    static IN_TASK: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Marks this thread as inside a task; restores the previous mark on
-/// drop (panic-safe).
-struct TaskMark(bool);
-
-impl TaskMark {
-    fn set() -> Self {
-        TaskMark(IN_TASK.with(|t| t.replace(true)))
-    }
-}
-
-impl Drop for TaskMark {
-    fn drop(&mut self) {
-        IN_TASK.with(|t| t.set(self.0));
-    }
 }
 
 /// One loan of a waiting thread; closes it on drop. Inert when the
@@ -280,8 +239,8 @@ impl Drop for Loan {
 
 type Payload = Box<dyn Any + Send + 'static>;
 
-/// Completion counter of one fork or scope. Lives on the stack of the
-/// thread that waits on it.
+/// Completion counter of one fork. Lives on the stack of the thread
+/// that waits on it.
 struct Latch {
     /// Jobs created under this latch that have not finished yet.
     pending: AtomicUsize,
@@ -311,28 +270,20 @@ impl Latch {
     }
 }
 
-enum Work {
-    /// Piece `idx` of a fork whose body lives on the forking thread's
-    /// stack.
-    Piece {
-        body: *const (dyn Fn(usize) + Sync),
-        idx: usize,
-    },
-    /// A [`Scope::spawn`]ed closure.
-    Boxed(Box<dyn FnOnce() + Send>),
-}
-
+/// Piece `idx` of a fork whose body lives on the forking thread's
+/// stack.
 struct Job {
-    work: Work,
+    body: *const (dyn Fn(usize) + Sync),
+    idx: usize,
     latch: *const Latch,
-    /// Budget of the thread that created the job.
+    /// Budget of the thread that forked.
     budget: usize,
 }
 
 // SAFETY: `body` points at a `Sync` closure and `latch` at a `Latch`
 // (atomics and a mutex, itself `Sync`), so both may be used from
-// another thread; the boxed closure is `Send`. Their lifetime is the
-// creating call's obligation (see `fork` and `Scope::spawn`).
+// another thread. Their lifetime is the creating call's obligation
+// (see `fork`).
 unsafe impl Send for Job {}
 
 struct Shared {
@@ -343,9 +294,8 @@ struct Shared {
 
 struct Pool {
     shared: Mutex<Shared>,
-    /// Signalled on every push (one sleeper per piece, all sleepers for
-    /// a task) and whenever a latch completes on a thread other than its
-    /// owner (all sleepers).
+    /// Signalled on every push (one sleeper per piece) and whenever a
+    /// latch completes on a thread other than its owner (all sleepers).
     wake: Condvar,
 }
 
@@ -371,12 +321,9 @@ impl Pool {
         guard
     }
 
-    /// Queue `jobs`, starting the workers on first use. Pieces wake one
-    /// sleeper each, since any thread may run a piece. A task wakes every
-    /// sleeper: the one a single notification lands on may be a waiter
-    /// that must refuse it (see the helping rule) while an idle worker
-    /// sleeps on.
-    fn push(&self, jobs: impl Iterator<Item = Job>, wake_all: bool) {
+    /// Queue `jobs`, starting the workers on first use. Each wakes one
+    /// sleeper, since any thread may run a piece.
+    fn push(&self, jobs: impl Iterator<Item = Job>) {
         static START: Once = Once::new();
         START.call_once(|| {
             for i in 0..current_num_threads().saturating_sub(1) {
@@ -390,12 +337,8 @@ impl Pool {
         shared.queue.extend(jobs);
         let wakes = (shared.queue.len() - before).min(shared.sleepers);
         drop(shared);
-        if wake_all && wakes > 0 {
-            self.wake.notify_all();
-        } else {
-            for _ in 0..wakes {
-                self.wake.notify_one();
-            }
+        for _ in 0..wakes {
+            self.wake.notify_one();
         }
     }
 }
@@ -406,22 +349,17 @@ impl Pool {
 fn execute(job: Job, waiter: *const Latch) {
     JOBS_RUN.fetch_add(1, Ordering::Relaxed);
     let Job {
-        work,
+        body,
+        idx,
         latch,
         budget,
     } = job;
     let result = {
         let _budget = BudgetGuard::install(budget);
-        catch_unwind(AssertUnwindSafe(|| match work {
-            // SAFETY: the forking thread is inside `fork`, which does
-            // not return before this piece has been counted off its
-            // latch below, so the body it borrowed is still alive.
-            Work::Piece { body, idx } => unsafe { (*body)(idx) },
-            Work::Boxed(f) => {
-                let _mark = TaskMark::set();
-                f()
-            }
-        }))
+        // SAFETY: the forking thread is inside `fork`, which does not
+        // return before this piece has been counted off its latch
+        // below, so the body it borrowed is still alive.
+        catch_unwind(AssertUnwindSafe(|| unsafe { (*body)(idx) }))
     };
     let own = std::ptr::eq(latch, waiter);
     // SAFETY: the latch outlives every job created under it: its owner
@@ -474,10 +412,8 @@ fn worker_loop() {
 
 /// Block until every job under `latch` has finished, running queued
 /// jobs meanwhile: this latch's own first (oldest first), then the
-/// oldest other job this thread may run — a piece, or, when
-/// `strangers_tasks` says so, anything (the helping rule in the module
-/// docs).
-fn wait_helping(latch: &Latch, strangers_tasks: bool) {
+/// oldest other one (the helping rule in the module docs).
+fn wait_helping(latch: &Latch) {
     // `Acquire` (here and below) pairs with the `Release` decrement in
     // `execute`. Fast path: the workers were quicker than piece 0.
     if latch.pending.load(Ordering::Acquire) == 0 {
@@ -488,26 +424,21 @@ fn wait_helping(latch: &Latch, strangers_tasks: bool) {
     let mut slept = false;
     let mut shared = POOL.lock();
     while latch.pending.load(Ordering::Acquire) != 0 {
-        let pick = shared
+        let own = shared
             .queue
             .iter()
-            .position(|job| std::ptr::eq(job.latch, me))
-            .or_else(|| {
-                shared
-                    .queue
-                    .iter()
-                    .position(|job| strangers_tasks || matches!(job.work, Work::Piece { .. }))
-            });
-        match pick {
-            Some(at) => {
-                let job = shared.queue.remove(at).expect("index from position");
+            .position(|job| std::ptr::eq(job.latch, me));
+        let job = match own {
+            Some(at) => shared.queue.remove(at),
+            None => shared.queue.pop_front(),
+        };
+        match job {
+            Some(job) => {
                 drop(shared);
                 JOBS_HELPED.fetch_add(1, Ordering::Relaxed);
                 // This thread's own fork, continued on this thread, is
                 // not a loan: piece k may use what piece 0 warmed up.
-                let own_piece =
-                    std::ptr::eq(job.latch, me) && matches!(job.work, Work::Piece { .. });
-                if !own_piece {
+                if own.is_none() {
                     loan.get_or_insert_with(Loan::open);
                 }
                 execute(job, me);
@@ -549,149 +480,16 @@ pub(crate) fn fork(pieces: usize, body: &(dyn Fn(usize) + Sync)) {
     let erased: *const (dyn Fn(usize) + Sync) = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
     };
-    POOL.push(
-        (1..pieces).map(|idx| Job {
-            work: Work::Piece { body: erased, idx },
-            latch: &latch,
-            budget,
-        }),
-        false,
-    );
+    POOL.push((1..pieces).map(|idx| Job {
+        body: erased,
+        idx,
+        latch: &latch,
+        budget,
+    }));
     let first = catch_unwind(AssertUnwindSafe(|| body(0)));
-    wait_helping(&latch, false);
+    wait_helping(&latch);
     if let Err(payload) = first {
         resume_unwind(payload);
     }
     latch.propagate();
 }
-
-/// A fork-join scope: jobs [`Scope::spawn`]ed into it may borrow
-/// anything that outlives `'scope` and have all finished when
-/// [`scope`] returns.
-pub struct Scope<'scope> {
-    latch: Latch,
-    /// In-flight cap: the creating thread's budget.
-    budget: usize,
-    gate: Mutex<Gate>,
-    /// Invariant in `'scope`, as for scoped threads.
-    marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-/// Admission state of a scope: how many of its jobs are on the pool's
-/// queue or running, and the ones held back by the budget.
-struct Gate {
-    in_flight: usize,
-    deferred: VecDeque<Box<dyn FnOnce() + Send>>,
-}
-
-/// Create a scope, run `op` in it on the calling thread, and wait —
-/// helping — until every job spawned into it has finished. Tasks of
-/// one scope may run concurrently but never nested on one thread, so a
-/// task may hold a lock across a fork even if its siblings take it too.
-/// A panic in `op` or in any job is re-raised here after the scope has
-/// drained.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    let scope = Scope {
-        latch: Latch::new(0),
-        budget: current_budget(),
-        gate: Mutex::new(Gate {
-            in_flight: 0,
-            deferred: VecDeque::new(),
-        }),
-        marker: PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
-    // Outside any task this thread holds nothing a task could want, so
-    // it may start other scopes' tasks too.
-    wait_helping(&scope.latch, !IN_TASK.with(Cell::get));
-    match result {
-        Err(payload) => resume_unwind(payload),
-        Ok(value) => {
-            scope.latch.propagate();
-            value
-        }
-    }
-}
-
-impl<'scope> Scope<'scope> {
-    /// Queue `body` to run on any thread of the pool (possibly the one
-    /// waiting in [`scope`]). At most `budget` jobs of one scope are
-    /// queued or running at a time; further ones are held back, in
-    /// spawn order, until one of those finishes.
-    pub fn spawn<BODY>(&self, body: BODY)
-    where
-        BODY: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.latch.pending.fetch_add(1, Ordering::Relaxed);
-        let this = SendPtr(self as *const Scope<'scope>);
-        let run: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            // SAFETY: `scope` does not return (and the `Scope` is not
-            // dropped) before this job has been counted off its latch,
-            // which happens after this closure returns.
-            let scope = unsafe { &*this.get() };
-            // The gate must move on even if `body` panics, or deferred
-            // jobs would never run and the scope never drain.
-            let _advance = AdvanceGate(scope);
-            body(scope);
-        });
-        // SAFETY (lifetime erasure): everything `run` borrows outlives
-        // `'scope`, and `scope` — which `'scope` outlives — waits for
-        // the job before returning, panic or not.
-        let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(run) };
-        let mut gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        if gate.in_flight < self.budget {
-            gate.in_flight += 1;
-            drop(gate);
-            self.enqueue(run);
-        } else {
-            gate.deferred.push_back(run);
-        }
-    }
-
-    fn enqueue(&self, run: Box<dyn FnOnce() + Send>) {
-        POOL.push(
-            std::iter::once(Job {
-                work: Work::Boxed(run),
-                latch: &self.latch,
-                budget: self.budget,
-            }),
-            true,
-        );
-    }
-}
-
-/// On drop: one job of the scope is done — admit the oldest deferred
-/// one in its place, or free the slot.
-struct AdvanceGate<'a, 'scope>(&'a Scope<'scope>);
-
-impl Drop for AdvanceGate<'_, '_> {
-    fn drop(&mut self) {
-        let scope = self.0;
-        let mut gate = scope.gate.lock().unwrap_or_else(|e| e.into_inner());
-        match gate.deferred.pop_front() {
-            Some(next) => {
-                drop(gate);
-                scope.enqueue(next);
-            }
-            None => gate.in_flight -= 1,
-        }
-    }
-}
-
-/// A shared reference, as a raw pointer, that may cross threads.
-struct SendPtr<T>(*const T);
-
-impl<T> SendPtr<T> {
-    /// By-value accessor, so closures capture the wrapper and not the
-    /// bare pointer field.
-    fn get(&self) -> *const T {
-        self.0
-    }
-}
-
-// SAFETY: the pointer is only ever dereferenced to `&T`, and `&T` is
-// `Send` exactly when `T` is `Sync`.
-unsafe impl<T: Sync> Send for SendPtr<T> {}

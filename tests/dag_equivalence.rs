@@ -1,27 +1,37 @@
 //! The schedule must be invisible in the output bits and in the ledger.
 //!
-//! Full→band runs on the dependency-driven DAG executor (`ca_pla::dag`):
-//! pooled when the core budget allows, inline in insertion order
-//! otherwise. The chase stages — band→band, CA-SBR, Lang — walk their
-//! plans through the one banded kernel with live charges in program
-//! order, so for them the comparison below holds by construction and
-//! what these tests guard is the pinned ledger. For every problem shape
-//! — including ragged ones where the halving target does not divide the
-//! band-width — the pooled and the forced-serial run agree **bitwise** on
+//! Every reduction stage — full→band (Algorithm IV.1 as one loop over
+//! panels), band→band, CA-SBR, Lang (one walk over a chase plan) — is a
+//! straight-line program on the driver's thread with live charges in
+//! program order; what reaches the pool is the rank fan-outs and the
+//! GEMM/QR pieces below them. For every problem shape — including ragged
+//! ones where the halving target does not divide the band-width — a run
+//! that may use the pool and a forced-serial run agree **bitwise** on
 //!
 //! * the reduced band (every stored word),
-//! * the recorded Householder transforms (`row0`, `U`, `T`),
+//! * the recorded Householder transforms (`row0`, `U`, `T`, in record
+//!   order),
 //! * the eigenvalues and eigenvectors of the full solver, and
 //! * the metered ledger: `F`/`W`/`Q`/`S` totals *and* the per-processor
 //!   flop/word/superstep breakdowns,
 //!
-//! and on every fixed case the ledger equals [`PINS`]: the ledger the
-//! superstep-barrier drivers (one fence per panel / pipeline phase,
-//! deleted once the task graph had replaced them) charged for the same
-//! case, recorded from those drivers at the last commit that had them —
-//! and, for the parallel-QR band→band case and the standalone CA-SBR and
-//! Lang rows, recorded from the task-graph chase drivers at the last
-//! commit that had *those*.
+//! and on every fixed case the ledger equals [`PINS`]. The rows are
+//! ledgers of drivers that no longer exist, each recorded at the last
+//! commit that had the driver and never re-pinned since, so they say
+//! that three rewrites of the schedule changed no charge:
+//!
+//! * the `c = 1` full→band rows, the `p ≤ 4` band→band rows and the
+//!   solver rows: the superstep-barrier drivers (one fence per panel /
+//!   pipeline phase);
+//! * the parallel-QR band→band row and the CA-SBR and Lang rows: the
+//!   task-graph chase drivers;
+//! * the two `c > 1` full→band rows: the task-graph full→band driver,
+//!   whose charge replay in task-insertion order is the order the loop
+//!   now charges in. With replication line 10 allocates per layer, so
+//!   the peak-memory mark `M` is sensitive to that order.
+//!
+//! (The test names keep "dag" and "barrier" for continuity of the
+//! test history; neither exists.)
 //!
 //! When an intentional accounting change lands, re-run with
 //! `UPDATE_GOLDEN=1 cargo test --test dag_equivalence -- --nocapture`
@@ -49,6 +59,8 @@ const PINS: &[(&str, [u64; 7], u64)] = &[
     ("full_to_band n=48 b=16", [79020, 10880, 8704, 74, 1600, 38912, 258732], 0x17e3785f7338ba20),
     ("full_to_band n=65 b=9", [196762, 25892, 25667, 290, 2181, 93816, 715101], 0x158abef13cf7b5f8),
     ("full_to_band n=65 b=12", [195169, 24367, 22170, 206, 2326, 88164, 688349], 0x1b9ddb2ee3d72e83),
+    ("full_to_band n=48 b=8 p=8 c=2", [119714, 10586, 11008, 319, 2037, 66550, 402539], 0xb91ff15fd2d5254a),
+    ("full_to_band n=64 b=10 p=64 c=4", [174882, 9284, 6534, 817, 649, 315408, 1091152], 0x2c1af74862d042cc),
     ("band_to_band n=48 b=9 h=4 p=1", [150472, 37199, 32032, 515, 0, 37199, 150472], 0xe319c654e5bd24a7),
     ("band_to_band n=48 b=9 h=4 p=4", [105507, 21993, 22294, 350, 0, 29347, 150472], 0x3c62316f0360015c),
     ("band_to_band n=48 b=7 h=3 p=1", [131360, 44778, 35174, 868, 0, 44778, 131360], 0xc6c53dd9bac4debd),
@@ -126,9 +138,9 @@ fn ledger(machine: &Machine) -> Ledger {
     )
 }
 
-fn full_to_band_run(n: usize, b: usize, p: usize, seed: u64) -> (u64, Ledger) {
+fn full_to_band_run(n: usize, b: usize, p: usize, c: usize, seed: u64) -> (u64, Ledger) {
     let machine = Machine::new(MachineParams::new(p));
-    let params = EigenParams::new(p, 1);
+    let params = EigenParams::new(p, c);
     let mut rng = StdRng::seed_from_u64(seed);
     let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(n, -3.0, 3.0));
     let mut rec = Vec::new();
@@ -186,9 +198,9 @@ fn tally_hash(l: &Ledger) -> u64 {
     fnv1a(l.1.iter().chain(&l.2).chain(&l.3).copied())
 }
 
-/// Run `case` pooled and inline (forced-serial dispatch: a graph runs
-/// its bodies in insertion order on this thread) and demand bitwise +
-/// ledger equality. Returns the shared ledger.
+/// Run `case` with the pool available and under forced-serial dispatch
+/// (every rank body inline on this thread, in rank order) and demand
+/// bitwise + ledger equality. Returns the shared ledger.
 fn assert_schedules_agree<F>(label: &str, case: F) -> Ledger
 where
     F: Fn() -> (u64, Ledger),
@@ -241,11 +253,11 @@ where
         .iter()
         .find(|p| p.0 == label)
         .unwrap_or_else(|| panic!("{label}: no pinned ledger"));
-    assert_eq!(got.0, pin.1, "{label}: ledger drifted from the barrier-driver pin");
+    assert_eq!(got.0, pin.1, "{label}: ledger drifted from its pin");
     assert_eq!(
         format!("{:016x}", got.1),
         format!("{:016x}", pin.2),
-        "{label}: per-processor tallies drifted from the barrier-driver pin"
+        "{label}: per-processor tallies drifted from its pin"
     );
 }
 
@@ -259,7 +271,16 @@ fn full_to_band_dag_matches_barrier_bitwise() {
     // dense stage can afford in a debug-profile test run.
     for (n, b) in [(48, 7), (48, 16), (65, 9), (65, 12)] {
         assert_paths_agree(&format!("full_to_band n={n} b={b}"), || {
-            full_to_band_run(n, b, 4, 1000 + n as u64)
+            full_to_band_run(n, b, 4, 1, 1000 + n as u64)
+        });
+    }
+    // Replicated grids (c > 1): line 10's per-layer allocations make the
+    // peak-memory mark `M` depend on the order of charges, and the panel
+    // QR runs on a proper subset of the 64 ranks (ragged last panel
+    // included at n = 64, b = 10).
+    for (n, b, p, c) in [(48, 8, 8, 2), (64, 10, 64, 4)] {
+        assert_paths_agree(&format!("full_to_band n={n} b={b} p={p} c={c}"), || {
+            full_to_band_run(n, b, p, c, 1000 + n as u64)
         });
     }
 }
@@ -313,8 +334,8 @@ fn dag_path_is_deterministic_run_to_run() {
     // the ledger may vary from run to run.
     let first = band_to_band_run(129, 10, 3, 4, 42);
     let second = band_to_band_run(129, 10, 3, 4, 42);
-    assert_eq!(first.0, second.0, "DAG output bits varied between runs");
-    assert_eq!(first.1, second.1, "DAG ledger varied between runs");
+    assert_eq!(first.0, second.0, "output bits varied between runs");
+    assert_eq!(first.1, second.1, "ledger varied between runs");
 }
 
 proptest! {

@@ -13,11 +13,6 @@
 //!   binary (the pattern of `tests/serial_knob.rs`).
 //! * **Isolation.** Solves running concurrently on the shared pool keep
 //!   their own bits and ledgers.
-//! * **Tasks never nest on one thread.** Sibling tasks that read one
-//!   `TaskCell` around a GEMM that forks — the shape of `f2b.w*` — all
-//!   finish on a pool wider than the cores: a thread that holds the
-//!   cell's lock and waits for its GEMM pieces must not start a sibling
-//!   on its own stack.
 //!
 //! `stats().spawns` is process-global and counts the runtime's own
 //! spawn site only, so everything that goes through that site (the
@@ -28,11 +23,9 @@ use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::{gen, rt, Matrix};
 use ca_symm_eig::dla::{gemm, Trans};
 use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenParams};
-use ca_symm_eig::pla::dag::{TaskCell, TaskGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
 
 /// (n, p, c): a 2D grid with a ragged panel split, and a replicated
 /// grid that also runs band→band.
@@ -130,9 +123,9 @@ fn spawns_stay_flat_after_warm_up() {
 
 #[test]
 fn concurrent_solves_keep_their_own_bits_and_ledgers() {
-    // Three caller threads share the one pool: a thread waiting inside
-    // one solve's task graph runs pieces of another's superstep. Each
-    // solve must still see exactly its own charges.
+    // Three caller threads share the one pool: a thread waiting for the
+    // pieces of one solve's fork runs pieces of another's superstep.
+    // Each solve must still see exactly its own charges.
     let (n, p, c) = SHAPES[0];
     let want = solve_hashes(n, p, c);
     std::thread::scope(|scope| {
@@ -152,7 +145,7 @@ fn concurrent_solves_keep_their_own_bits_and_ledgers() {
 #[ignore = "subprocess payload for schedule_independence_across_pool_sizes"]
 fn inner_emit_hashes() {
     // Start the pool the way a large solve would: under `CA_SERIAL` the
-    // task graphs run inline and no product at these sizes reaches
+    // rank fan-outs run inline and no product at these sizes reaches
     // GEMM's fork threshold, so nothing below would wake it, and the
     // spawn count must show that the solves add nothing to a running
     // pool.
@@ -212,92 +205,4 @@ fn schedule_independence_across_pool_sizes() {
     let inline = leg("1");
     assert_eq!(leg("2"), inline, "2 threads changed bits or ledgers");
     assert_eq!(leg("4"), inline, "4 threads changed bits or ledgers");
-}
-
-/// Subprocess payload: task graphs whose tasks hold one cell's lock
-/// across a GEMM large enough (four row slabs, 2mnk ≥ 2²³) to fork.
-#[test]
-#[ignore = "subprocess payload for sibling_tasks_sharing_a_locked_cell_…"]
-fn inner_locked_cell_graphs() {
-    let machine = Machine::new(MachineParams::new(4));
-    // Four row slabs to fork over, and no more to compute than a fork
-    // takes.
-    let (m, n, k) = (384, 32, 352);
-    let mut rng = StdRng::seed_from_u64(5);
-    let tall = gen::random_matrix(&mut rng, m, k);
-    let thin = gen::random_matrix(&mut rng, k, n);
-    let mut want = Matrix::zeros(m, n);
-    let queued = rt::stats().jobs_run;
-    gemm(1.0, &tall, Trans::N, &thin, Trans::N, 0.0, &mut want);
-    assert!(
-        rt::stats().jobs_run > queued,
-        "a {m}×{n}×{k} product no longer forks: this test has lost its subject"
-    );
-    let cell = TaskCell::new();
-    cell.set((tall, thin));
-    // C ← A·B under the cell's lock, as `f2b.w` reads `c.qr`.
-    let read_and_multiply = |out: &TaskCell<f64>| {
-        cell.with_ref(|(a, b)| {
-            let mut c = Matrix::zeros(m, n);
-            gemm(1.0, a, Trans::N, b, Trans::N, 0.0, &mut c);
-            out.set(c.get(200, 3));
-        })
-    };
-
-    // An unoptimised GEMM is ~300× slower; its longer pieces also widen
-    // the window, so fewer rounds find it.
-    let rounds = if cfg!(debug_assertions) { 30 } else { 3000 };
-    for round in 0..rounds {
-        let outs: Vec<TaskCell<f64>> = (0..7).map(|_| TaskCell::new()).collect();
-        let mut g = TaskGraph::new(&machine);
-        // One reader starts at once and forks while holding the lock …
-        g.add_task("reader", &[], || read_and_multiply(&outs[0]));
-        // … and short lock-free tasks release more readers while it
-        // waits for its pieces: those are the tasks a waiting holder
-        // must leave to other threads.
-        for i in 0..3 {
-            let small = Matrix::identity(8 + 8 * i);
-            let feeder = g.add_task("feeder", &[], move || {
-                let mut c = Matrix::zeros(small.rows(), small.rows());
-                gemm(1.0, &small, Trans::N, &small, Trans::N, 0.0, &mut c);
-            });
-            let (first, second) = (&outs[1 + 2 * i], &outs[2 + 2 * i]);
-            g.add_task("reader", &[feeder], || read_and_multiply(first));
-            g.add_task("reader", &[feeder], || read_and_multiply(second));
-        }
-        g.run();
-        for out in &outs {
-            assert_eq!(out.take().to_bits(), want.get(200, 3).to_bits(), "round {round}");
-        }
-    }
-    println!("LOCKED_CELL_GRAPHS=ok THREADS={}", rt::current_num_threads());
-}
-
-#[test]
-fn sibling_tasks_sharing_a_locked_cell_around_a_forking_gemm_finish() {
-    // A hang is the failure, so the leg runs under a watchdog.
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut child = Command::new(exe)
-        .args(["--ignored", "--exact", "inner_locked_cell_graphs", "--nocapture"])
-        .env("RAYON_NUM_THREADS", "4")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn test subprocess");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while child.try_wait().expect("poll test subprocess").is_none() {
-        if Instant::now() > deadline {
-            child.kill().expect("kill hung subprocess");
-            child.wait().expect("reap hung subprocess");
-            panic!("tasks sharing a locked cell did not finish: the runtime deadlocked");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let out = child.wait_with_output().expect("collect test subprocess");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "leg failed:\n{stdout}");
-    assert!(
-        stdout.contains("LOCKED_CELL_GRAPHS=ok THREADS=4"),
-        "the leg did not run on a 4-thread pool:\n{stdout}"
-    );
 }

@@ -15,6 +15,11 @@
 //!   eigensolve`, on the values and on the vectors path — the same
 //!   function runs both — and the three account for that stage's wall
 //!   to within 5 %;
+//! * level 2, full→band: every pseudocode line of Algorithm IV.1 opens
+//!   its own span (`f2b.line5`, `f2b.qr`, `f2b.w`, `f2b.v1`,
+//!   `f2b.append` per panel, `f2b.base` once) directly under
+//!   `driver.full_to_band` on the driver's thread, and together they
+//!   account for at least 95 % of it;
 //! * the `bulge.chase_windows` counter counts every chase of the one
 //!   banded kernel: over a solve it moves by the summed lengths of the
 //!   plans its stage and leg names announce. No solve a debug build can
@@ -25,6 +30,7 @@
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::bulge::chase_plan_iter;
 use ca_symm_eig::dla::gen;
+use ca_symm_eig::eigen::full_to_band::full_to_band;
 use ca_symm_eig::eigen::solver::StageCosts;
 use ca_symm_eig::eigen::{symm_eigen_25d, symm_eigen_25d_vectors, EigenParams};
 use ca_symm_eig::obs;
@@ -225,5 +231,51 @@ fn stage_spans_pin_names_costs_and_nesting() {
         chase_windows() - chases_before,
         chase_stages.iter().map(|name| plan_len(n, name)).sum::<u64>(),
         "every chase of {chase_stages:?} passes the kernel's counter"
+    );
+
+    // Phase 5 — full→band's pseudocode lines. Eight panels on a
+    // replicated grid, the last one ragged.
+    let (n, b) = (100, 12);
+    let machine = Machine::new(MachineParams::new(8));
+    let a = gen::random_symmetric(&mut StdRng::seed_from_u64(45), n);
+    obs::set_level(2);
+    let _ = obs::drain();
+    let _ = full_to_band(&machine, &EigenParams::new(8, 2), &a, b);
+    obs::set_level(0);
+    let events = obs::drain();
+    assert_eq!(obs::take_dropped(), 0, "full→band trace must not overflow the ring");
+
+    let driver: Vec<&obs::Event> =
+        events.iter().filter(|e| e.name() == "driver.full_to_band").collect();
+    assert_eq!(driver.len(), 1, "one driver span per reduction");
+    let driver = driver[0];
+    let lines: Vec<&obs::Event> = events.iter().filter(|e| e.name().starts_with("f2b.")).collect();
+    let count = |name: &str| lines.iter().filter(|e| e.name() == name).count();
+    let panels = n.div_ceil(b) - 1;
+    assert_eq!(
+        ["f2b.line5", "f2b.qr", "f2b.w", "f2b.v1", "f2b.append", "f2b.base"].map(count),
+        [panels, panels, panels, panels, panels, 1],
+        "one span per pseudocode line and panel, one base case"
+    );
+    assert_eq!(lines.len(), 5 * panels + 1, "no other f2b.* span");
+    for line in &lines {
+        assert!(
+            line.tid == driver.tid
+                && line.depth == driver.depth + 1
+                && line.start_ns >= driver.start_ns
+                && line.end_ns <= driver.end_ns,
+            "{} is not a child of driver.full_to_band",
+            line.name()
+        );
+    }
+    let wall = |e: &obs::Event| (e.end_ns - e.start_ns) as f64;
+    let (lines_ns, driver_ns) = (lines.iter().map(|e| wall(e)).sum::<f64>(), wall(driver));
+    assert!(
+        lines_ns >= 0.95 * driver_ns,
+        "the line spans cover {lines_ns} ns of full→band's {driver_ns} ns"
+    );
+    assert!(
+        !events.iter().any(|e| e.name() == "dag.task"),
+        "there is no task graph to open a dag.task span"
     );
 }
