@@ -7,6 +7,7 @@ use ca_dla::bulge::{
 };
 use ca_dla::costs::{gemm_flops, qr_flops};
 use ca_dla::gemm::{gemm, matmul, Trans};
+use ca_dla::lu::{self, Diag, Triangle};
 use ca_dla::qr::qr_factor;
 use ca_dla::tridiag::tridiag_eigenvalues;
 use ca_dla::{gen, BandedSym, Matrix};
@@ -96,6 +97,83 @@ fn bench_qr(c: &mut Criterion) {
                 });
             },
         );
+    }
+    group.finish();
+}
+
+/// The triangular family of Corollary III.7's reconstruction — signed
+/// LU, a left and a right solve with `n` right-hand sides, the inverse —
+/// at the orders the solver gives it (the benchmark's `values_p4` panel
+/// reconstructs at 256, 128, 64 and 32; `service_mix`'s blocks are at
+/// most 48 wide) and at 8 and 16, one leaf or less, and at 512. Each recursive kernel
+/// is followed, up to n = 128, by the scalar `*_reference` form it
+/// replaced: the recursion must be no slower from n = 8 up. An element is
+/// a flop of the textbook count (`2n³/3`, `n³`, `n³/3`), so `thrpt`
+/// reads GFLOP/s; small orders are batched so a sample outlasts the
+/// timer.
+fn bench_tri_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tri_kernels");
+    for n in [8usize, 16, 32, 48, 128, 256, 512] {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut a = gen::random_matrix(&mut rng, n, n);
+        a.scale(0.5 / n as f64);
+        let b = gen::random_matrix(&mut rng, n, n);
+        let (l, u, _) = lu::lu_nopivot_signed(&a);
+        let cube = (n * n * n) as u64;
+        let batch = (1 << 20) / cube + 1;
+        let with_oracle = n <= 128;
+        let mut run = |name: &str, flops: u64, f: &mut dyn FnMut()| {
+            group.throughput(Throughput::Elements(flops * batch));
+            group.bench_with_input(
+                BenchmarkId::from_parameter(format!("{name}/{n}")),
+                &batch,
+                |bench, &batch| {
+                    bench.iter(|| {
+                        for _ in 0..batch {
+                            f();
+                        }
+                    });
+                },
+            );
+        };
+        run("lu_signed", 2 * cube / 3, &mut || {
+            black_box(lu::lu_nopivot_signed(&a));
+        });
+        if with_oracle {
+            run("lu_signed_reference", 2 * cube / 3, &mut || {
+                black_box(lu::lu_nopivot_signed_reference(&a));
+            });
+        }
+        let mut x = b.clone();
+        run("trsm_left", cube, &mut || {
+            x.data_mut().copy_from_slice(b.data());
+            lu::trsm_left(&l, Triangle::Lower, Diag::Unit, false, &mut x);
+        });
+        if with_oracle {
+            run("trsm_left_reference", cube, &mut || {
+                x.data_mut().copy_from_slice(b.data());
+                lu::trsm_left_reference(&l, Triangle::Lower, Diag::Unit, false, &mut x);
+            });
+        }
+        run("trsm_right", cube, &mut || {
+            x.data_mut().copy_from_slice(b.data());
+            lu::trsm_right(&u, Triangle::Upper, Diag::NonUnit, false, &mut x);
+        });
+        if with_oracle {
+            run("trsm_right_reference", cube, &mut || {
+                x.data_mut().copy_from_slice(b.data());
+                lu::trsm_right_reference(&u, Triangle::Upper, Diag::NonUnit, false, &mut x);
+            });
+        }
+        run("tri_inverse", cube / 3, &mut || {
+            black_box(lu::tri_inverse(&u, Triangle::Upper, Diag::NonUnit));
+        });
+        if with_oracle {
+            run("tri_inverse_reference", cube / 3, &mut || {
+                black_box(lu::tri_inverse_reference(&u, Triangle::Upper, Diag::NonUnit));
+            });
+        }
+        black_box(&x);
     }
     group.finish();
 }
@@ -317,7 +395,7 @@ fn bench_merge_gemm(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(10);
-    targets = bench_gemm, bench_qr, bench_band_reduction, bench_band_sweep, bench_band_pass,
+    targets = bench_gemm, bench_qr, bench_tri_kernels, bench_band_reduction, bench_band_sweep, bench_band_pass,
         bench_chase_window, bench_qr_single_column_leaves, bench_tridiag_eigen, bench_dnc_values, bench_secular_solve,
         bench_merge_gemm
 }

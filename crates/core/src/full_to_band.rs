@@ -211,6 +211,7 @@ pub(crate) fn full_to_band_impl(
             &lhs.view(),
             t,
             &rhs.view(),
+            Trans::N,
             v,
             &mut out.view_mut(),
         );

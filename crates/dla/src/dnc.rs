@@ -353,28 +353,39 @@ fn secular_system(dk: &[f64], zk: &[f64], rho: f64) -> (Vec<Root>, Matrix) {
 
     // Column j of Û: ûᵢ = ẑᵢ / (dᵢ − λⱼ), normalised. A denominator of
     // exactly zero means λⱼ sits on the pole: the eigenvector is eᵢ.
+    // Û is row-major, so it is filled a row at a time — every column's
+    // quotient for row i, each column's ‖·‖² accumulated in the same
+    // i-ascending order as a walk down that column — then scaled in one
+    // more pass; an on-pole column (whose sum is meaningless) is
+    // overwritten afterwards.
+    let pole: Vec<f64> = roots.iter().map(|r| dk[r.origin]).collect();
     let mut ucoef = Matrix::zeros(m, m);
-    let mut col = vec![0.0f64; m];
-    for (j, r) in roots.iter().enumerate() {
-        let mut on_pole = None;
-        let mut nrm2 = 0.0f64;
-        for i in 0..m {
-            let den = (dk[i] - dk[r.origin]) - r.mu;
-            if den == 0.0 {
-                on_pole = Some(i);
-                break;
+    let mut nrm2 = vec![0.0f64; m];
+    let mut on_pole: Vec<(usize, usize)> = Vec::new();
+    for i in 0..m {
+        let (di, zi) = (dk[i], zhat[i]);
+        let row = ucoef.row_mut(i);
+        for j in 0..m {
+            let den = (di - pole[j]) - roots[j].mu;
+            if den == 0.0 && !on_pole.iter().any(|&(_, col)| col == j) {
+                on_pole.push((i, j));
             }
-            col[i] = zhat[i] / den;
-            nrm2 += col[i] * col[i];
+            let u = zi / den;
+            row[j] = u;
+            nrm2[j] += u * u;
         }
-        match on_pole {
-            Some(i) => ucoef.set(i, j, 1.0),
-            None => {
-                let inv = 1.0 / nrm2.sqrt();
-                for i in 0..m {
-                    ucoef.set(i, j, col[i] * inv);
-                }
-            }
+    }
+    for inv in nrm2.iter_mut() {
+        *inv = 1.0 / inv.sqrt();
+    }
+    for i in 0..m {
+        for (u, inv) in ucoef.row_mut(i).iter_mut().zip(&nrm2) {
+            *u *= inv;
+        }
+    }
+    for (i, j) in on_pole {
+        for k in 0..m {
+            ucoef.set(k, j, if k == i { 1.0 } else { 0.0 });
         }
     }
     (roots, ucoef)

@@ -202,6 +202,21 @@ impl<'a> MatrixViewMut<'a> {
         MatrixViewMut::new(&mut self.data[start..], nr, nc, self.stride)
     }
 
+    /// The first `r` rows and the rest as two disjoint mutable views
+    /// (reborrows `self`). Row ranges are contiguous in storage, so this
+    /// is the one split two live `&mut` views can share; column ranges
+    /// interleave and cannot be split this way.
+    pub fn split_rows_mut(&mut self, r: usize) -> (MatrixViewMut<'_>, MatrixViewMut<'_>) {
+        assert!(r <= self.rows, "row split out of range");
+        let (rows, cols, stride) = (self.rows, self.cols, self.stride);
+        let cut = (r * stride).min(self.data.len());
+        let (head, tail) = self.data.split_at_mut(cut);
+        (
+            MatrixViewMut::new(head, r, cols, stride),
+            MatrixViewMut::new(tail, rows - r, cols, stride),
+        )
+    }
+
     /// Set every entry to `v` (row-wise `fill`).
     pub fn fill(&mut self, v: f64) {
         for i in 0..self.rows {
@@ -215,6 +230,16 @@ impl<'a> MatrixViewMut<'a> {
         assert_eq!((self.rows, self.cols), (other.rows(), other.cols()), "copy_from shape mismatch");
         for i in 0..self.rows {
             self.row_mut(i).copy_from_slice(other.row(i));
+        }
+    }
+
+    /// Scale every entry by `alpha` — per-entry `v *= alpha`, the
+    /// arithmetic of [`Matrix::scale`].
+    pub fn scale(&mut self, alpha: f64) {
+        for i in 0..self.rows {
+            for v in self.row_mut(i) {
+                *v *= alpha;
+            }
         }
     }
 

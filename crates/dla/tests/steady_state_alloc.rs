@@ -21,6 +21,11 @@
 //! nothing else; at (512, 224), where one block-reflector pass runs
 //! first, one allocation more: that pass's wide slab, which is freed
 //! before the sweep instead of staying resident in the arena.
+//! The recursive triangular family (`ca_dla::lu`) obeys it too: in place
+//! on views at order 256 — LU plain and signed, a left and a right solve,
+//! an inverse into a caller's buffer — a warmed call allocates nothing;
+//! the copies that feed a GEMM from a column block of its own output are
+//! arena scratch.
 //! The same holds when the work runs as a forked piece on a worker of
 //! the runtime's persistent pool, and when the forking thread takes a
 //! queued piece of its own fork.
@@ -29,7 +34,9 @@
 //! and libtest runs sibling tests concurrently.
 
 use ca_dla::bulge::{chase_plan_to, execute_chase};
+use ca_dla::lu::{lu_inplace, tri_inverse_view, trsm_left_view, trsm_right_view, Diag, Triangle};
 use ca_dla::qr::qr_factor;
+use ca_dla::workspace::with_ws;
 use ca_dla::tridiag::band_to_tridiagonal;
 use ca_dla::{gemm, gen, rt, BandedSym, Matrix, Trans};
 use rand::rngs::StdRng;
@@ -193,6 +200,38 @@ fn finale_allocations() -> (u64, u64) {
     (count(64), count(224))
 }
 
+/// The in-place forms of the triangular family at order 256 (four
+/// recursion levels above the leaf), under a core budget of one like the
+/// QR above. Every operand and output lives outside the counted section;
+/// the factorisations run on a buffer refilled by a plain copy.
+fn triangular_family_allocations() -> u64 {
+    let n = 256usize;
+    let mut rng = StdRng::seed_from_u64(517);
+    let mut a = gen::random_matrix(&mut rng, n, n);
+    a.scale(0.5 / n as f64);
+    let rhs = gen::random_matrix(&mut rng, n, n);
+    let (mut w, mut x, mut inv) = (a.clone(), rhs.clone(), Matrix::zeros(n, n));
+    let mut signs = vec![0.0; n];
+    second_run_allocations(|| {
+        rt::with_budget(1, || {
+            with_ws(|ws| {
+                w.data_mut().copy_from_slice(a.data());
+                for i in 0..n {
+                    w.add_to(i, i, 2.0);
+                }
+                lu_inplace(&mut w.view_mut(), None, ws);
+                w.data_mut().copy_from_slice(a.data());
+                lu_inplace(&mut w.view_mut(), Some(&mut signs), ws);
+                // `w` is now a packed (L, U): both triangles at once.
+                x.data_mut().copy_from_slice(rhs.data());
+                trsm_left_view(&w.view(), Triangle::Lower, Diag::Unit, true, &mut x.view_mut());
+                trsm_right_view(&w.view(), Triangle::Upper, Diag::NonUnit, false, &mut x.view_mut(), ws);
+                tri_inverse_view(&w.view(), Triangle::Upper, Diag::NonUnit, &mut inv.view_mut(), ws);
+            })
+        });
+    })
+}
+
 #[test]
 fn steady_state_chase_is_allocation_free() {
     // A pool of two, so the second half below has a worker to land on
@@ -221,6 +260,12 @@ fn steady_state_chase_is_allocation_free() {
         recursive_qr_allocations(),
         (0, 4),
         "a warmed halving chase at (512, 128) allocates nothing, a warmed 512×256 qr_factor its four results"
+    );
+
+    assert_eq!(
+        triangular_family_allocations(),
+        0,
+        "warmed in-place LU, triangular solves and inversion at order 256 allocate nothing"
     );
 
     assert_eq!(

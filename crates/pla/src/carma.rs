@@ -57,7 +57,7 @@ pub fn carma(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize) -> Mat
 /// traffic.
 pub fn carma_spread(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    carma_spread_into(m, group, &a.view(), Trans::N, &b.view(), v, &mut out.view_mut());
+    carma_spread_into(m, group, &a.view(), Trans::N, &b.view(), Trans::N, v, &mut out.view_mut());
     out
 }
 
@@ -87,10 +87,10 @@ fn op_sub<'a>(
     }
 }
 
-/// The Lemma III.2 multiply on views: `out ← op(A)·B` written directly
-/// into a strided output view, with operands taken as (optionally
-/// transposed) views of their parent storage; [`carma_spread`] is the
-/// allocating wrapper.
+/// The Lemma III.2 multiply on views: `out ← op(A)·op(B)` written
+/// directly into a strided output view, with operands taken as
+/// (optionally transposed) views of their parent storage;
+/// [`carma_spread`] is the allocating wrapper.
 ///
 /// The reduction drivers address aggregate panels in place instead of
 /// extracting blocks. Charges are shape-derived, so neither the output
@@ -101,20 +101,22 @@ fn op_sub<'a>(
 ///   one elementwise add (the `0.0 + x` of the first chunk is
 ///   observable on signed zeros, so it is part of the contract);
 /// * the one-processor base writes through a `β = 0` GEMM;
-/// * a transposed operand reads through the GEMM kernels' `op(A)`
+/// * a transposed operand reads through the GEMM kernels' `op(·)`
 ///   resolver, which performs the same arithmetic in the same order as
 ///   on a pre-transposed copy.
+#[allow(clippy::too_many_arguments)] // BLAS-shaped: two operands with their orientations
 pub fn carma_spread_into(
     m: &Machine,
     group: &Grid,
     a: &MatrixView,
     ta: Trans,
     b: &MatrixView,
+    tb: Trans,
     v: usize,
     out: &mut MatrixViewMut,
 ) {
     let (mm, kk) = op_shape(a, ta);
-    let (kk2, nn) = (b.rows(), b.cols());
+    let (kk2, nn) = op_shape(b, tb);
     assert_eq!(kk, kk2, "carma: inner dimensions disagree");
     assert_eq!(
         (out.rows(), out.cols()),
@@ -123,7 +125,7 @@ pub fn carma_spread_into(
     );
     let v = v.max(1).min(kk.max(1));
     if v == 1 || kk < 2 * v {
-        carma_rec_into(m, group, a, ta, b, out);
+        carma_rec_into(m, group, a, ta, b, tb, out);
         return;
     }
     // Serialize into v inner-dimension chunks (streaming): each chunk is
@@ -138,9 +140,9 @@ pub fn carma_spread_into(
             continue;
         }
         let ac = op_sub(a, ta, 0, w[0], mm, w[1] - w[0]);
-        let bc = b.sub(w[0], 0, w[1] - w[0], nn);
+        let bc = op_sub(b, tb, w[0], 0, w[1] - w[0], nn);
         let mut part = Matrix::zeros(mm, nn);
-        carma_rec_into(m, group, &ac, ta, &bc, &mut part.view_mut());
+        carma_rec_into(m, group, &ac, ta, &bc, tb, &mut part.view_mut());
         out.add_scaled(1.0, &part.view());
         for &pid in group.procs() {
             m.charge_flops(pid, (mm * nn) as u64 / g);
@@ -156,13 +158,14 @@ fn carma_rec_into(
     a: &MatrixView,
     ta: Trans,
     b: &MatrixView,
+    tb: Trans,
     out: &mut MatrixViewMut,
 ) {
     let g = group.len();
     let (mm, kk) = op_shape(a, ta);
-    let nn = b.cols();
+    let nn = op_shape(b, tb).1;
     if g == 1 {
-        kern::local_matmul_into(m, group.proc(0), a, ta, b, Trans::N, out);
+        kern::local_matmul_into(m, group.proc(0), a, ta, b, tb, out);
         return;
     }
     let g1 = g / 2;
@@ -181,23 +184,23 @@ fn carma_rec_into(
             m.alloc(pid, (kk * nn) as u64 / gw);
         }
         m.step(group.procs(), 1);
-        carma_rec_into(m, &halves.0, &a1, ta, b, &mut out.sub_mut(0, 0, cut, nn));
-        carma_rec_into(m, &halves.1, &a2, ta, b, &mut out.sub_mut(cut, 0, mm - cut, nn));
+        carma_rec_into(m, &halves.0, &a1, ta, b, tb, &mut out.sub_mut(0, 0, cut, nn));
+        carma_rec_into(m, &halves.1, &a2, ta, b, tb, &mut out.sub_mut(cut, 0, mm - cut, nn));
         for &pid in group.procs() {
             m.free(pid, (kk * nn) as u64 / gw);
         }
     } else if nn >= kk && nn >= 2 {
         // Split columns of B (and C); op(A) is replicated into both halves.
         let cut = nn * g1 / g;
-        let b1 = b.sub(0, 0, kk, cut);
-        let b2 = b.sub(0, cut, kk, nn - cut);
+        let b1 = op_sub(b, tb, 0, 0, kk, cut);
+        let b2 = op_sub(b, tb, 0, cut, kk, nn - cut);
         for &pid in group.procs() {
             m.charge_comm(pid, 2 * (mm * kk) as u64 / gw);
             m.alloc(pid, (mm * kk) as u64 / gw);
         }
         m.step(group.procs(), 1);
-        carma_rec_into(m, &halves.0, a, ta, &b1, &mut out.sub_mut(0, 0, mm, cut));
-        carma_rec_into(m, &halves.1, a, ta, &b2, &mut out.sub_mut(0, cut, mm, nn - cut));
+        carma_rec_into(m, &halves.0, a, ta, &b1, tb, &mut out.sub_mut(0, 0, mm, cut));
+        carma_rec_into(m, &halves.1, a, ta, &b2, tb, &mut out.sub_mut(0, cut, mm, nn - cut));
         for &pid in group.procs() {
             m.free(pid, (mm * kk) as u64 / gw);
         }
@@ -209,11 +212,11 @@ fn carma_rec_into(
         let cut = kk * g1 / g;
         let a1 = op_sub(a, ta, 0, 0, mm, cut);
         let a2 = op_sub(a, ta, 0, cut, mm, kk - cut);
-        let b1 = b.sub(0, 0, cut, nn);
-        let b2 = b.sub(cut, 0, kk - cut, nn);
+        let b1 = op_sub(b, tb, 0, 0, cut, nn);
+        let b2 = op_sub(b, tb, cut, 0, kk - cut, nn);
         let mut c1 = Matrix::zeros(mm, nn);
-        carma_rec_into(m, &halves.0, &a1, ta, &b1, &mut c1.view_mut());
-        carma_rec_into(m, &halves.1, &a2, ta, &b2, out);
+        carma_rec_into(m, &halves.0, &a1, ta, &b1, tb, &mut c1.view_mut());
+        carma_rec_into(m, &halves.1, &a2, ta, &b2, tb, out);
         for &pid in group.procs() {
             m.charge_comm(pid, 2 * (mm * nn) as u64 / gw);
             m.charge_flops(pid, (mm * nn) as u64 / gw);
@@ -222,7 +225,7 @@ fn carma_rec_into(
         out.add_scaled(1.0, &c1.view());
     } else {
         // Degenerate tiny dimensions: compute on rank 0.
-        kern::local_matmul_into(m, group.proc(0), a, ta, b, Trans::N, out);
+        kern::local_matmul_into(m, group.proc(0), a, ta, b, tb, out);
     }
 }
 
@@ -276,9 +279,9 @@ mod tests {
 
     #[test]
     fn into_variant_is_bitwise_identical_with_matching_charges() {
-        // Output stride and `op(A)` must be invisible: writing into an
-        // offset region of a larger buffer from a (possibly transposed)
-        // stored operand agrees bitwise and in ledger with the plain
+        // Output stride, `op(A)` and `op(B)` must be invisible: writing
+        // into an offset region of a larger buffer from (possibly)
+        // transposed stored operands agrees bitwise and in ledger with the plain
         // wrapper, with v-chunking active, and the ledger is the one the
         // deleted copy-path recursion charged (its `report()` at the
         // commit before its removal).
@@ -311,12 +314,15 @@ mod tests {
 
             let m2 = machine(g);
             let mut host = Matrix::zeros(mm + 3, nn + 2);
+            // B is handed over transposed and read back through `tb`.
+            let bt = b.transpose();
             carma_spread_into(
                 &m2,
                 &grid,
                 &a.view(),
                 ta,
-                &b.view(),
+                &bt.view(),
+                Trans::T,
                 v,
                 &mut host.subview_mut(2, 1, mm, nn),
             );

@@ -12,6 +12,7 @@
 use crate::coll;
 use crate::grid::Grid;
 use ca_bsp::Machine;
+use ca_dla::view::{MatrixView, MatrixViewMut};
 use ca_dla::Matrix;
 
 /// Even partition of `n` into `parts` split points (length `parts + 1`).
@@ -35,25 +36,53 @@ impl DistMatrix {
     /// Zero matrix distributed over `grid` (2D shape); allocations are
     /// recorded with the machine's memory tracker.
     pub fn zeros(m: &Machine, grid: &Grid, rows: usize, cols: usize) -> Self {
-        let (pr, pc, pl) = grid.shape();
-        assert_eq!(pl, 1, "DistMatrix requires a 2D grid (use layers for 3D)");
-        let row_splits = splits(rows, pr);
-        let col_splits = splits(cols, pc);
-        let mut local = Vec::with_capacity(grid.len());
-        for r in 0..grid.len() {
-            let (i, j, _) = grid.coords(r);
-            let nr = row_splits[i + 1] - row_splits[i];
-            let nc = col_splits[j + 1] - col_splits[j];
-            m.alloc(grid.proc(r), (nr * nc) as u64);
-            local.push(Matrix::zeros(nr, nc));
-        }
+        Self::record_alloc(m, grid, rows, cols);
+        Self::unrecorded(grid, rows, cols)
+    }
+
+    /// The zero matrix over `grid` with nothing recorded anywhere.
+    fn unrecorded(grid: &Grid, rows: usize, cols: usize) -> Self {
+        let (pr, pc, _) = grid.shape();
         Self {
             rows,
             cols,
             grid: grid.clone(),
-            row_splits,
-            col_splits,
-            local,
+            row_splits: splits(rows, pr),
+            col_splits: splits(cols, pc),
+            local: Self::block_dims(grid, rows, cols)
+                .map(|(nr, nc)| Matrix::zeros(nr, nc))
+                .collect(),
+        }
+    }
+
+    /// Shape of the block every rank of `grid` holds of a `rows × cols`
+    /// matrix in this layout, in rank order.
+    fn block_dims(grid: &Grid, rows: usize, cols: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (pr, pc, pl) = grid.shape();
+        assert_eq!(pl, 1, "DistMatrix requires a 2D grid (use layers for 3D)");
+        let (row_splits, col_splits) = (splits(rows, pr), splits(cols, pc));
+        (0..grid.len()).map(move |r| {
+            let (i, j, _) = grid.coords(r);
+            (row_splits[i + 1] - row_splits[i], col_splits[j + 1] - col_splits[j])
+        })
+    }
+
+    /// Record with the memory tracker the storage of a `rows × cols`
+    /// matrix distributed over `grid` — what [`zeros`](Self::zeros)
+    /// records — without creating it. Rect-QR and reconstruction compute
+    /// on one assembled buffer and record each distributed object where
+    /// the algorithm creates it.
+    pub fn record_alloc(m: &Machine, grid: &Grid, rows: usize, cols: usize) {
+        for (r, (nr, nc)) in Self::block_dims(grid, rows, cols).enumerate() {
+            m.alloc(grid.proc(r), (nr * nc) as u64);
+        }
+    }
+
+    /// Undo a [`record_alloc`](Self::record_alloc) of the same shape —
+    /// what [`release`](Self::release) records.
+    pub fn record_free(m: &Machine, grid: &Grid, rows: usize, cols: usize) {
+        for (r, (nr, nc)) in Self::block_dims(grid, rows, cols).enumerate() {
+            m.free(grid.proc(r), (nr * nc) as u64);
         }
     }
 
@@ -62,12 +91,9 @@ impl DistMatrix {
     /// away its old share; cost `O(β·(words/p) + α)` per the paper's
     /// redistribution assumption.
     pub fn from_dense(m: &Machine, grid: &Grid, a: &Matrix) -> Self {
-        let mut d = Self::zeros(m, grid, a.rows(), a.cols());
+        let d = Self::from_dense_free(m, grid, a);
         for r in 0..d.grid.len() {
-            let (r0, c0, nr, nc) = d.owned_range(r);
-            let block = a.block(r0, c0, nr, nc);
-            m.charge_comm(d.grid.proc(r), 2 * (nr * nc) as u64);
-            d.local[r] = block;
+            m.charge_comm(d.grid.proc(r), 2 * d.words_on(r));
         }
         m.step(d.grid.procs(), 1);
         d
@@ -92,6 +118,19 @@ impl DistMatrix {
             self.row_splits[i + 1] - self.row_splits[i],
             self.col_splits[j + 1] - self.col_splits[j],
         )
+    }
+
+    /// The part of the global block `(r0, c0, nr, nc)` that grid rank `r`
+    /// owns, as global half-open ranges `(rows, cols)`; `None` if empty.
+    fn overlap(
+        &self,
+        r: usize,
+        (r0, c0, nr, nc): (usize, usize, usize, usize),
+    ) -> Option<(std::ops::Range<usize>, std::ops::Range<usize>)> {
+        let (br0, bc0, bnr, bnc) = self.owned_range(r);
+        let rows = r0.max(br0)..(r0 + nr).min(br0 + bnr);
+        let cols = c0.max(bc0)..(c0 + nc).min(bc0 + bnc);
+        (!rows.is_empty() && !cols.is_empty()).then_some((rows, cols))
     }
 
     /// Grid rank owning global entry `(i, j)`.
@@ -151,11 +190,30 @@ impl DistMatrix {
     /// diagnostics only.
     pub fn assemble_unchecked(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.grid.len() {
-            let (r0, c0, _, _) = self.owned_range(r);
-            out.set_block(r0, c0, &self.local[r]);
-        }
+        self.copy_block_into(0, 0, &mut out.view_mut());
         out
+    }
+
+    /// Copy the global block at `(r0, c0)` of `out`'s shape out of the
+    /// local blocks into `out`, without charging any cost: the numerical
+    /// half of every read below, and what the building blocks that
+    /// compute on an assembled operand use instead of
+    /// `assemble_unchecked().block(..)`.
+    pub fn copy_block_into(&self, r0: usize, c0: usize, out: &mut MatrixViewMut) {
+        let (nr, nc) = (out.rows(), out.cols());
+        assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "block out of range");
+        for r in 0..self.grid.len() {
+            if let Some((rows, cols)) = self.overlap(r, (r0, c0, nr, nc)) {
+                let (br0, bc0, _, _) = self.owned_range(r);
+                out.sub_mut(rows.start - r0, cols.start - c0, rows.len(), cols.len())
+                    .copy_from(&self.local[r].subview(
+                        rows.start - br0,
+                        cols.start - bc0,
+                        rows.len(),
+                        cols.len(),
+                    ));
+            }
+        }
     }
 
     /// Read the global block `(r0, c0, nr, nc)` onto the processor at
@@ -172,22 +230,14 @@ impl DistMatrix {
         assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "block out of range");
         let dest_id = self.grid.proc(dest);
         let mut out = Matrix::zeros(nr, nc);
+        self.copy_block_into(r0, c0, &mut out.view_mut());
         let mut moves = Vec::new();
         for r in 0..self.grid.len() {
-            let (br0, bc0, bnr, bnc) = self.owned_range(r);
-            // Intersection with the requested block.
-            let ri0 = r0.max(br0);
-            let ri1 = (r0 + nr).min(br0 + bnr);
-            let ci0 = c0.max(bc0);
-            let ci1 = (c0 + nc).min(bc0 + bnc);
-            if ri0 >= ri1 || ci0 >= ci1 {
-                continue;
+            if let Some((rows, cols)) = self.overlap(r, (r0, c0, nr, nc)) {
+                if self.grid.proc(r) != dest_id {
+                    moves.push((self.grid.proc(r), dest_id, (rows.len() * cols.len()) as u64));
+                }
             }
-            let piece = self.local[r].block(ri0 - br0, ci0 - bc0, ri1 - ri0, ci1 - ci0);
-            if self.grid.proc(r) != dest_id {
-                moves.push((self.grid.proc(r), dest_id, piece.len() as u64));
-            }
-            out.set_block(ri0 - r0, ci0 - c0, &piece);
         }
         coll::exchange(m, &self.grid, &moves);
         out
@@ -202,19 +252,16 @@ impl DistMatrix {
         let src_id = self.grid.proc(src);
         let mut moves = Vec::new();
         for r in 0..self.grid.len() {
-            let (br0, bc0, bnr, bnc) = self.owned_range(r);
-            let ri0 = r0.max(br0);
-            let ri1 = (r0 + nr).min(br0 + bnr);
-            let ci0 = c0.max(bc0);
-            let ci1 = (c0 + nc).min(bc0 + bnc);
-            if ri0 >= ri1 || ci0 >= ci1 {
+            let Some((rows, cols)) = self.overlap(r, (r0, c0, nr, nc)) else {
                 continue;
-            }
-            let piece = block.block(ri0 - r0, ci0 - c0, ri1 - ri0, ci1 - ci0);
+            };
+            let (br0, bc0, _, _) = self.owned_range(r);
             if self.grid.proc(r) != src_id {
-                moves.push((src_id, self.grid.proc(r), piece.len() as u64));
+                moves.push((src_id, self.grid.proc(r), (rows.len() * cols.len()) as u64));
             }
-            self.local[r].set_block(ri0 - br0, ci0 - bc0, &piece);
+            self.local[r]
+                .subview_mut(rows.start - br0, cols.start - bc0, rows.len(), cols.len())
+                .copy_from(&block.subview(rows.start - r0, cols.start - c0, rows.len(), cols.len()));
         }
         coll::exchange(m, &self.grid, &moves);
     }
@@ -234,10 +281,9 @@ impl DistMatrix {
         for r in 0..new_grid.len() {
             m.charge_comm(new_grid.proc(r), out.local[r].len() as u64);
         }
-        let dense = self.assemble_unchecked();
         for r in 0..new_grid.len() {
-            let (r0, c0, nr, nc) = out.owned_range(r);
-            out.local[r] = dense.block(r0, c0, nr, nc);
+            let (r0, c0, _, _) = out.owned_range(r);
+            self.copy_block_into(r0, c0, &mut out.local[r].view_mut());
         }
         let mut all: Vec<_> = self
             .grid
@@ -257,10 +303,24 @@ impl DistMatrix {
     /// its result evenly spread): records allocations but charges no
     /// communication.
     pub fn from_dense_free(m: &Machine, grid: &Grid, a: &Matrix) -> Self {
-        let mut d = Self::zeros(m, grid, a.rows(), a.cols());
+        Self::from_view_free(m, grid, &a.view())
+    }
+
+    /// [`from_dense_free`](Self::from_dense_free) of a (strided) view.
+    pub fn from_view_free(m: &Machine, grid: &Grid, a: &MatrixView) -> Self {
+        Self::record_alloc(m, grid, a.rows(), a.cols());
+        Self::from_dense_recorded(grid, a)
+    }
+
+    /// Wrap a dense matrix whose blocks are resident on their owners
+    /// *and* whose distributed storage is already on the memory ledger
+    /// ([`record_alloc`](Self::record_alloc)): nothing is recorded or
+    /// charged. The caller releases the result as usual.
+    pub fn from_dense_recorded(grid: &Grid, a: &MatrixView) -> Self {
+        let mut d = Self::unrecorded(grid, a.rows(), a.cols());
         for r in 0..d.grid.len() {
             let (r0, c0, nr, nc) = d.owned_range(r);
-            d.local[r] = a.block(r0, c0, nr, nc);
+            d.local[r].view_mut().copy_from(&a.sub(r0, c0, nr, nc));
         }
         d
     }
@@ -280,20 +340,14 @@ impl DistMatrix {
         assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "block out of range");
         let mut out = DistMatrix::zeros(m, new_grid, nr, nc);
         for r in 0..self.grid.len() {
-            let (br0, bc0, bnr, bnc) = self.owned_range(r);
-            let ri0 = r0.max(br0);
-            let ri1 = (r0 + nr).min(br0 + bnr);
-            let ci0 = c0.max(bc0);
-            let ci1 = (c0 + nc).min(bc0 + bnc);
-            if ri0 < ri1 && ci0 < ci1 {
-                m.charge_comm(self.grid.proc(r), ((ri1 - ri0) * (ci1 - ci0)) as u64);
+            if let Some((rows, cols)) = self.overlap(r, (r0, c0, nr, nc)) {
+                m.charge_comm(self.grid.proc(r), (rows.len() * cols.len()) as u64);
             }
         }
-        let dense = self.assemble_unchecked().block(r0, c0, nr, nc);
         for r in 0..new_grid.len() {
             let (nr0, nc0, nnr, nnc) = out.owned_range(r);
             m.charge_comm(new_grid.proc(r), (nnr * nnc) as u64);
-            out.local[r] = dense.block(nr0, nc0, nnr, nnc);
+            self.copy_block_into(r0 + nr0, c0 + nc0, &mut out.local[r].view_mut());
         }
         let mut all: Vec<_> = self
             .grid

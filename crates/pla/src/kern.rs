@@ -7,7 +7,7 @@
 use ca_bsp::{Machine, ProcId};
 use ca_dla::costs;
 use ca_dla::gemm::{gemm, gemm_view, Trans};
-use ca_dla::lu::{lu_nopivot, trsm_left, trsm_right, Diag, Triangle};
+use ca_dla::lu::{lu_inplace, trsm_left, trsm_right, Diag, Triangle};
 use ca_dla::qr::{qr_factor, QrFactors};
 use ca_dla::view::{MatrixView, MatrixViewMut};
 use ca_dla::Matrix;
@@ -94,11 +94,12 @@ pub fn local_qr(m: &Machine, j: ProcId, a: &Matrix) -> QrFactors {
     qr_factor(a, usize::MAX)
 }
 
-/// Charged local non-pivoted LU on processor `j`.
-pub fn local_lu(m: &Machine, j: ProcId, a: &Matrix) -> (Matrix, Matrix) {
+/// Charged local non-pivoted LU on processor `j`, in place and packed
+/// (`L` strictly below the diagonal, `U` on and above it).
+pub fn local_lu(m: &Machine, j: ProcId, a: &mut Matrix) {
     m.charge_flops(j, costs::lu_flops(a.rows()));
     m.charge_vert(j, (a.rows() * a.cols()) as u64);
-    lu_nopivot(a)
+    ca_dla::workspace::with_ws(|ws| lu_inplace(&mut a.view_mut(), None, ws));
 }
 
 /// Charged left triangular solve on processor `j`.

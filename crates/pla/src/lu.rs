@@ -14,6 +14,7 @@ use crate::kern;
 use ca_bsp::Machine;
 use ca_dla::gemm::Trans;
 use ca_dla::lu::{Diag, Triangle};
+use ca_dla::workspace::with_ws;
 use ca_dla::Matrix;
 
 /// Distributed non-pivoted LU: `A = L·U` with `L` unit lower-triangular.
@@ -38,59 +39,61 @@ fn dist_lu_impl(m: &Machine, a: &DistMatrix, signed: bool) -> (DistMatrix, DistM
     let (q, q2, _) = grid.shape();
     assert_eq!(q, q2, "dist_lu requires a square grid");
 
-    // Working copy of the blocks.
+    // Working copy of the blocks; each holds its part of the packed
+    // factorization (`L` strictly below the diagonal, `U` on and above).
     let mut w: Vec<Matrix> = (0..grid.len()).map(|r| a.local(r).clone()).collect();
-    let block_words = |mat: &Matrix| mat.len() as u64;
+    // A block leaves the array while a kernel reads its neighbours.
+    let take = |w: &mut Vec<Matrix>, r: usize| std::mem::replace(&mut w[r], Matrix::zeros(0, 0));
 
-    let mut signs = Vec::with_capacity(n);
+    let mut signs = vec![0.0; if signed { n } else { 0 }];
     for k in 0..q {
         let diag_rank = grid.rank(k, k, 0);
         // Local LU of the diagonal block.
-        let (lkk, ukk) = if signed {
-            m.charge_flops(grid.proc(diag_rank), ca_dla::costs::lu_flops(w[diag_rank].rows()));
-            let (l, u, s) = ca_dla::lu::lu_nopivot_signed(&w[diag_rank]);
-            signs.extend_from_slice(&s);
-            (l, u)
+        let mut wkk = take(&mut w, diag_rank);
+        if signed {
+            m.charge_flops(grid.proc(diag_rank), ca_dla::costs::lu_flops(wkk.rows()));
+            let row0 = a.owned_range(diag_rank).0;
+            let s = &mut signs[row0..row0 + wkk.rows()];
+            with_ws(|ws| ca_dla::lu::lu_inplace(&mut wkk.view_mut(), Some(s), ws));
         } else {
-            kern::local_lu(m, grid.proc(diag_rank), &w[diag_rank])
-        };
-        w[diag_rank] = compose_lu(&lkk, &ukk);
+            kern::local_lu(m, grid.proc(diag_rank), &mut wkk);
+        }
 
         // Broadcast U_kk down grid column k; L_kk along grid row k.
         let col_group = grid.dim0_group(k, 0);
-        coll::bcast(m, &col_group, k, block_words(&ukk));
+        coll::bcast(m, &col_group, k, wkk.len() as u64);
         let row_group = grid.dim1_group(k, 0);
-        coll::bcast(m, &row_group, k, block_words(&lkk));
+        coll::bcast(m, &row_group, k, wkk.len() as u64);
 
-        // Panel solves.
+        // Panel solves, each reading its triangle of the packed block.
         for i in k + 1..q {
             let r = grid.rank(i, k, 0);
-            kern::local_trsm_right(m, grid.proc(r), &ukk, Triangle::Upper, Diag::NonUnit, false, &mut w[r]);
+            kern::local_trsm_right(m, grid.proc(r), &wkk, Triangle::Upper, Diag::NonUnit, false, &mut w[r]);
         }
         for j in k + 1..q {
             let r = grid.rank(k, j, 0);
-            kern::local_trsm_left(m, grid.proc(r), &lkk, Triangle::Lower, Diag::Unit, false, &mut w[r]);
+            kern::local_trsm_left(m, grid.proc(r), &wkk, Triangle::Lower, Diag::Unit, false, &mut w[r]);
         }
+        w[diag_rank] = wkk;
         m.step(grid.procs(), 1);
 
         // Trailing update: broadcast panel blocks and GEMM.
         for i in k + 1..q {
             let src = grid.rank(i, k, 0);
             let row_i = grid.dim1_group(i, 0);
-            coll::bcast(m, &row_i, k, block_words(&w[src]));
+            coll::bcast(m, &row_i, k, w[src].len() as u64);
         }
         for j in k + 1..q {
             let src = grid.rank(k, j, 0);
             let col_j = grid.dim0_group(j, 0);
-            coll::bcast(m, &col_j, k, block_words(&w[src]));
+            coll::bcast(m, &col_j, k, w[src].len() as u64);
         }
         for i in k + 1..q {
             for j in k + 1..q {
                 let r = grid.rank(i, j, 0);
-                let aik = w[grid.rank(i, k, 0)].clone();
-                let akj = w[grid.rank(k, j, 0)].clone();
-                let mut acc = w[r].clone();
-                kern::local_gemm(m, grid.proc(r), -1.0, &aik, Trans::N, &akj, Trans::N, 1.0, &mut acc);
+                let mut acc = take(&mut w, r);
+                let (aik, akj) = (&w[grid.rank(i, k, 0)], &w[grid.rank(k, j, 0)]);
+                kern::local_gemm(m, grid.proc(r), -1.0, aik, Trans::N, akj, Trans::N, 1.0, &mut acc);
                 w[r] = acc;
             }
         }
@@ -100,28 +103,13 @@ fn dist_lu_impl(m: &Machine, a: &DistMatrix, signed: bool) -> (DistMatrix, DistM
     // Split the working blocks into L and U distributed factors.
     let mut l = DistMatrix::zeros(m, &grid, n, n);
     let mut u = DistMatrix::zeros(m, &grid, n, n);
-    for r in 0..grid.len() {
+    for (r, blk) in w.into_iter().enumerate() {
         let (i, j, _) = grid.coords(r);
-        let blk = &w[r];
         match i.cmp(&j) {
-            std::cmp::Ordering::Greater => *l.local_mut(r) = blk.clone(),
-            std::cmp::Ordering::Less => *u.local_mut(r) = blk.clone(),
+            std::cmp::Ordering::Greater => *l.local_mut(r) = blk,
+            std::cmp::Ordering::Less => *u.local_mut(r) = blk,
             std::cmp::Ordering::Equal => {
-                let (nr, nc) = (blk.rows(), blk.cols());
-                let mut lb = Matrix::zeros(nr, nc);
-                let mut ub = Matrix::zeros(nr, nc);
-                for bi in 0..nr {
-                    for bj in 0..nc {
-                        if bi > bj {
-                            lb.set(bi, bj, blk.get(bi, bj));
-                        } else {
-                            ub.set(bi, bj, blk.get(bi, bj));
-                        }
-                    }
-                    if bi < nc {
-                        lb.set(bi, bi, 1.0);
-                    }
-                }
+                let (lb, ub) = ca_dla::lu::unpack_lu(&blk);
                 *l.local_mut(r) = lb;
                 *u.local_mut(r) = ub;
             }
@@ -133,19 +121,6 @@ fn dist_lu_impl(m: &Machine, a: &DistMatrix, signed: bool) -> (DistMatrix, DistM
         coll::allgather(m, &grid, n.div_ceil(grid.len()) as u64);
     }
     (l, u, signs)
-}
-
-/// Pack `L` (unit diagonal implicit) and `U` into one block, LAPACK
-/// style, for the working array.
-fn compose_lu(l: &Matrix, u: &Matrix) -> Matrix {
-    let n = l.rows();
-    let mut w = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            w.set(i, j, if i > j { l.get(i, j) } else { u.get(i, j) });
-        }
-    }
-    w
 }
 
 /// Distributed inverse of a triangular matrix on a square 2D grid
@@ -170,22 +145,18 @@ fn dist_tri_inverse_upper(m: &Machine, t: &DistMatrix, diag: Diag) -> DistMatrix
     assert_eq!(q, q2, "dist_tri_inverse requires a square grid");
 
     let mut x = DistMatrix::zeros(m, &grid, n, n);
-    // Local inverses of the diagonal blocks first.
-    let mut diag_inv: Vec<Option<Matrix>> = vec![None; q];
+    // X_ii = T_ii⁻¹: local inverses of the diagonal blocks first.
     for i in 0..q {
         let r = grid.rank(i, i, 0);
         let tii = t.local(r);
         m.charge_flops(grid.proc(r), (tii.rows() as u64).pow(3) / 3);
-        let inv = ca_dla::lu::tri_inverse(tii, Triangle::Upper, diag);
-        diag_inv[i] = Some(inv);
+        *x.local_mut(r) = ca_dla::lu::tri_inverse(tii, Triangle::Upper, diag);
     }
     m.step(grid.procs(), 1);
 
     // Column-block back-substitution, bottom-up over row blocks.
     for i in (0..q).rev() {
-        // X_ii = T_ii⁻¹.
         let rii = grid.rank(i, i, 0);
-        *x.local_mut(rii) = diag_inv[i].clone().expect("diag inverse");
         // Broadcast T_ii⁻¹ along grid row i for the off-diagonal solves.
         let row_i = grid.dim1_group(i, 0);
         coll::bcast(m, &row_i, i, x.local(rii).len() as u64);
@@ -194,8 +165,7 @@ fn dist_tri_inverse_upper(m: &Machine, t: &DistMatrix, diag: Diag) -> DistMatrix
             // S = Σ_{k>i} T_ik · X_kj, partials computed at (i,k),
             // reduced at (i,j).
             let rij = grid.rank(i, j, 0);
-            let (ri0, cj0, nri, ncj) = x.owned_range(rij);
-            let _ = (ri0, cj0);
+            let (_, _, nri, ncj) = x.owned_range(rij);
             let mut s = Matrix::zeros(nri, ncj);
             for k in i + 1..q {
                 let rkj = grid.rank(k, j, 0);
@@ -208,8 +178,7 @@ fn dist_tri_inverse_upper(m: &Machine, t: &DistMatrix, diag: Diag) -> DistMatrix
                 m.charge_flops(grid.proc(rij), partial.len() as u64);
             }
             // X_ij = −T_ii⁻¹ · S at (i,j).
-            let tii_inv = diag_inv[i].as_ref().expect("diag inverse");
-            let mut xij = kern::local_matmul(m, grid.proc(rij), tii_inv, Trans::N, &s, Trans::N);
+            let mut xij = kern::local_matmul(m, grid.proc(rij), x.local(rii), Trans::N, &s, Trans::N);
             xij.scale(-1.0);
             *x.local_mut(rij) = xij;
         }

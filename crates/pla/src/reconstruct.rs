@@ -13,12 +13,14 @@
 //! Consumers that want `A = Q·R` with the reconstructed Householder `Q`
 //! must flip the rows of their `R` by `S` (see [`Reconstruction::fix_r`]).
 
-use crate::carma;
+use crate::carma::carma_spread_into;
 use crate::coll;
 use crate::dist::DistMatrix;
 use crate::lu::{dist_lu_signed, dist_tri_inverse};
 use ca_bsp::Machine;
+use ca_dla::gemm::Trans;
 use ca_dla::lu::{Diag, Triangle};
+use ca_dla::view::MatrixViewMut;
 use ca_dla::Matrix;
 
 /// The compact-WY representation recovered from an explicit `Q`.
@@ -39,19 +41,46 @@ impl Reconstruction {
     /// that `A = (I − U·T·Uᵀ)·[R'; 0]`: `R' = S·R` (row sign flips).
     pub fn fix_r(&self, r: &Matrix) -> Matrix {
         let mut out = r.clone();
-        for i in 0..r.rows().min(self.s.len()) {
-            for j in 0..r.cols() {
-                out.set(i, j, self.s[i] * r.get(i, j));
-            }
-        }
+        fix_r_into(&self.s, r, &mut out.view_mut());
         out
+    }
+}
+
+/// `out ← S·R` on the rows `S` covers (see [`Reconstruction::fix_r`]);
+/// rows of `out` beyond them are left as they are.
+pub(crate) fn fix_r_into(s: &[f64], r: &Matrix, out: &mut MatrixViewMut) {
+    for (i, si) in s.iter().enumerate().take(r.rows()) {
+        for (d, &x) in out.row_mut(i).iter_mut().zip(r.row(i)) {
+            *d = si * x;
+        }
     }
 }
 
 /// Reconstruct `(U, T, S)` from a distributed explicit `Q` (1D row
 /// layout over its group).
 pub fn reconstruct(machine: &Machine, q: &DistMatrix) -> Reconstruction {
-    let group = q.grid().clone();
+    let (mrows, n) = q.shape();
+    let mut u = Matrix::zeros(mrows, n);
+    let mut t = Matrix::zeros(n, n);
+    let s = reconstruct_into(machine, q, &mut u.view_mut(), &mut t.view_mut());
+    Reconstruction {
+        u: DistMatrix::from_dense_recorded(q.grid(), &u.view()),
+        t,
+        s,
+    }
+}
+
+/// [`reconstruct`] writing `U` (`m × n`) and `T` (`n × n`) into views of
+/// the caller's buffers and returning `S`. `U`'s distributed storage (1D
+/// row layout over `q`'s group) is recorded with the memory tracker here,
+/// where the corollary creates it; the caller owns that record.
+pub(crate) fn reconstruct_into(
+    machine: &Machine,
+    q: &DistMatrix,
+    u_out: &mut MatrixViewMut,
+    t_out: &mut MatrixViewMut,
+) -> Vec<f64> {
+    let group = q.grid();
     let g = group.len();
     let (mrows, n) = q.shape();
     assert!(mrows >= n, "reconstruction requires m ≥ n");
@@ -63,35 +92,65 @@ pub fn reconstruct(machine: &Machine, q: &DistMatrix) -> Reconstruction {
     // 1. Redistribute Q₁ (top n×n) onto the subgrid and LU it with sign
     //    subtraction.
     let q1 = q.block_redist(machine, 0, 0, n, n, &sub);
-    let (u1, w1, s) = dist_lu_signed(machine, &q1);
+    let (u1, w1, s) = {
+        let _span = ca_obs::kernel_span("rc.lu");
+        dist_lu_signed(machine, &q1)
+    };
 
     // 2. W₁⁻¹ and U₁⁻ᵀ by distributed triangular inversion.
-    let w1_inv = dist_tri_inverse(machine, &w1, Triangle::Upper, Diag::NonUnit);
-    let u1_inv = dist_tri_inverse(machine, &u1, Triangle::Lower, Diag::Unit);
+    let (w1_inv, u1_inv) = {
+        let _span = ca_obs::kernel_span("rc.triinv");
+        (
+            dist_tri_inverse(machine, &w1, Triangle::Upper, Diag::NonUnit),
+            dist_tri_inverse(machine, &u1, Triangle::Lower, Diag::Unit),
+        )
+    };
 
     // 3. U = (Q − Ŝ)·W₁⁻¹ via the recursive rectangular multiply on the
     //    full group (Lemma III.2 is exactly the cost Corollary III.7
     //    invokes for these products).
-    let mut q_minus_s = q.assemble_unchecked();
-    for (i, si) in s.iter().enumerate() {
-        q_minus_s.add_to(i, i, -si);
-    }
-    let u_dense = carma::carma_spread(machine, &group, &q_minus_s, &w1_inv.assemble_unchecked(), 1);
-    let u = DistMatrix::from_dense_free(machine, &group, &u_dense);
-
-    // 4. T = −W₁·S·U₁⁻ᵀ on the subgrid's processors.
-    let mut w1s = w1.assemble_unchecked();
-    for j in 0..n {
-        for i in 0..n {
-            let v = w1s.get(i, j) * s[j];
-            w1s.set(i, j, v);
+    {
+        let _span = ca_obs::kernel_span("rc.u");
+        let mut q_minus_s = q.assemble_unchecked();
+        for (i, si) in s.iter().enumerate() {
+            q_minus_s.add_to(i, i, -si);
         }
+        carma_spread_into(
+            machine,
+            group,
+            &q_minus_s.view(),
+            Trans::N,
+            &w1_inv.assemble_unchecked().view(),
+            Trans::N,
+            1,
+            u_out,
+        );
+        DistMatrix::record_alloc(machine, group, mrows, n);
     }
-    let u1_inv_t = u1_inv.assemble_unchecked().transpose();
-    // Charge the transpose shuffle on the subgrid.
-    coll::allgather(machine, &sub, ((n * n) / sub.len().max(1)) as u64);
-    let mut t = carma::carma_spread(machine, &sub, &w1s, &u1_inv_t, 1);
-    t.scale(-1.0);
+
+    // 4. T = −W₁·S·U₁⁻ᵀ on the subgrid's processors; the transpose is
+    //    read in place (its shuffle on the subgrid is charged).
+    {
+        let _span = ca_obs::kernel_span("rc.t");
+        let mut w1s = w1.assemble_unchecked();
+        for i in 0..n {
+            for (x, sj) in w1s.row_mut(i).iter_mut().zip(&s) {
+                *x *= sj;
+            }
+        }
+        coll::allgather(machine, &sub, ((n * n) / sub.len().max(1)) as u64);
+        carma_spread_into(
+            machine,
+            &sub,
+            &w1s.view(),
+            Trans::N,
+            &u1_inv.assemble_unchecked().view(),
+            Trans::T,
+            1,
+            t_out,
+        );
+        t_out.scale(-1.0);
+    }
 
     // Release the temporaries' storage.
     q1.release(machine);
@@ -100,7 +159,7 @@ pub fn reconstruct(machine: &Machine, q: &DistMatrix) -> Reconstruction {
     w1_inv.release(machine);
     u1_inv.release(machine);
 
-    Reconstruction { u, t, s }
+    s
 }
 
 /// Sequential reconstruction (single processor), used at recursion base
@@ -117,10 +176,10 @@ pub fn reconstruct_local(q: &Matrix) -> (Matrix, Matrix, Vec<f64>) {
     let mut u = q_minus_s;
     ca_dla::lu::trsm_right(&w1, Triangle::Upper, Diag::NonUnit, false, &mut u);
     // T = −W₁·S·U₁⁻ᵀ: T·U₁ᵀ = −W₁·S  ⇔  right-solve with U₁ᵀ.
-    let mut t = Matrix::zeros(n, n);
+    let mut t = w1.clone();
     for i in 0..n {
-        for j in 0..n {
-            t.set(i, j, -w1.get(i, j) * s[j]);
+        for (x, sj) in t.row_mut(i).iter_mut().zip(&s) {
+            *x = -*x * sj;
         }
     }
     ca_dla::lu::trsm_right(&u1, Triangle::Lower, Diag::Unit, true, &mut t);

@@ -18,16 +18,32 @@
 //!   Lemma III.2, so the update communication matches the
 //!   `O(mᵟn²⁻ᵟ/pᵟ)` term of Theorem III.6.
 //!
+//! `n₀` ([`BASE_COLS`]) is the only width in the algorithm: a panel at
+//! most `m/g` wide is already a TSQR, so `n₀` matters only where `m/g`
+//! is smaller still, and [`rect_qr_with_base`] lowers it for one reason —
+//! to force the column recursion at sizes a test can afford.
+//!
 //! The output is the aggregated compact-WY pair `(U, T)` plus `R` — the
 //! exact interface Algorithms IV.1/IV.2 consume.
+//!
+//! **Numerics on views, charges on the layout.** The recursion computes
+//! on one assembled `U`, `T` and `R`: every node writes its factors into
+//! sub-views of its parent's, transposed operands are read in place
+//! through the multiply's `op(·)`, and `[0; U₂]` is a column block of
+//! the assembled `U`. What the ledger sees is the distributed algorithm
+//! all the same — each redistribution, realignment, multiply and stored
+//! factor is charged and recorded for the 1D row layout over the node's
+//! group, where and as the distributed code would create it.
 
-use crate::carma;
+use crate::carma::carma_spread_into;
 use crate::dist::DistMatrix;
 use crate::grid::Grid;
 use crate::kern;
 use crate::reconstruct;
 use crate::tsqr;
 use ca_bsp::Machine;
+use ca_dla::gemm::Trans;
+use ca_dla::view::{MatrixView, MatrixViewMut};
 use ca_dla::Matrix;
 
 /// Result of a distributed panel QR: `A = (I − U·T·Uᵀ)·[R; 0]`.
@@ -53,103 +69,180 @@ pub fn rect_qr(machine: &Machine, a: &DistMatrix) -> PanelQr {
     rect_qr_with_base(machine, a, BASE_COLS)
 }
 
-/// [`rect_qr`] with an explicit base-case width (testing / tuning).
+/// [`rect_qr`] with the base-case width `n₀` given. Panels of at most
+/// `max(base, m/g)` columns take the TSQR path, so a small `base` is how
+/// a test reaches the column recursion on a matrix of a few dozen rows;
+/// nothing else varies it.
 pub fn rect_qr_with_base(machine: &Machine, a: &DistMatrix, base: usize) -> PanelQr {
     let group = a.grid().clone();
     let (mrows, n) = a.shape();
     assert!(mrows >= n, "rect_qr requires m ≥ n (got {mrows} × {n})");
+    // The assembled factors, zero where no node writes: U above its
+    // diagonal blocks, T and R below theirs.
+    let mut u = Matrix::zeros(mrows, n);
+    let mut t = Matrix::zeros(n, n);
+    let mut r = Matrix::zeros(n, n);
+    rect_qr_node(machine, a, base, &mut u.view_mut(), &mut t.view_mut(), &mut r.view_mut());
+    let u = DistMatrix::from_dense_recorded(&group, &u.view());
+    PanelQr { group, u, t, r }
+}
+
+/// `op(A)·B` by Lemma III.2 on `group` (operands already spread), into a
+/// fresh matrix.
+fn mm(machine: &Machine, group: &Grid, a: &MatrixView, ta: Trans, b: &MatrixView) -> Matrix {
+    let rows = match ta {
+        Trans::N => a.rows(),
+        Trans::T => a.cols(),
+    };
+    let mut out = Matrix::zeros(rows, b.cols());
+    carma_spread_into(machine, group, a, ta, b, Trans::N, 1, &mut out.view_mut());
+    out
+}
+
+/// `U·(op(T)·(Uᵀ·C))`, what `I − U·op(T)·Uᵀ` takes away from `C`: three
+/// Lemma III.2 multiplies, the transposes read in place.
+fn wy_correction(
+    machine: &Machine,
+    group: &Grid,
+    u: &MatrixView,
+    t: &MatrixView,
+    tt: Trans,
+    c: &MatrixView,
+) -> Matrix {
+    let utc = mm(machine, group, u, Trans::T, c);
+    let s = mm(machine, group, t, tt, &utc.view());
+    mm(machine, group, u, Trans::N, &s.view())
+}
+
+/// One node of the recursion: factor `a` on its group and write `U`
+/// (`m × n`), `T` and `R` (`n × n`) into the given views, which arrive
+/// zeroed. `U`'s distributed storage is recorded here, at the point the
+/// distributed algorithm creates it; the caller owns that record.
+fn rect_qr_node(
+    machine: &Machine,
+    a: &DistMatrix,
+    base: usize,
+    u: &mut MatrixViewMut,
+    t: &mut MatrixViewMut,
+    r: &mut MatrixViewMut,
+) {
+    let group = a.grid();
+    let (mrows, n) = a.shape();
     let g = group.len();
 
     // Base case: single processor — local QR gives (U, T, R) directly.
     if g == 1 {
         let f = kern::local_qr(machine, group.proc(0), a.local(0));
-        let u = DistMatrix::from_dense_free(machine, &group, &f.u);
-        return PanelQr {
-            group,
-            u,
-            t: f.t,
-            r: f.r,
-        };
+        DistMatrix::record_alloc(machine, group, mrows, n);
+        u.copy_from(&f.u.view());
+        t.copy_from(&f.t.view());
+        r.copy_from(&f.r.view());
+        return;
     }
 
     // Base case: tall panel — TSQR + reconstruction.
     if n <= base.max(mrows.div_ceil(g)) {
-        let t = tsqr::tsqr(machine, a);
-        let mut q = DistMatrix::zeros(machine, &group, mrows, n);
-        tsqr::explicit_q(machine, &t, &mut q);
-        let rec = reconstruct::reconstruct(machine, &q);
-        let r = rec.fix_r(&t.r);
-        q.release(machine);
-        return PanelQr {
-            group,
-            u: rec.u,
-            t: rec.t,
-            r,
+        let ts = {
+            let _span = ca_obs::kernel_span("rq.tsqr");
+            tsqr::tsqr(machine, a)
         };
+        let mut q = DistMatrix::zeros(machine, group, mrows, n);
+        {
+            let _span = ca_obs::kernel_span("rq.explicit_q");
+            tsqr::explicit_q(machine, &ts, &mut q);
+        }
+        let _span = ca_obs::kernel_span("rq.reconstruct");
+        let s = reconstruct::reconstruct_into(machine, &q, u, t);
+        reconstruct::fix_r_into(&s, &ts.r, r);
+        q.release(machine);
+        return;
     }
 
     // Column recursion.
     let n1 = n / 2;
     let n2 = n - n1;
 
-    let left = a.block_redist(machine, 0, 0, mrows, n1, &group);
-    let f1 = rect_qr_with_base(machine, &left, base);
+    let left = {
+        let _span = ca_obs::kernel_span("rq.split");
+        a.block_redist(machine, 0, 0, mrows, n1, group)
+    };
+    rect_qr_node(
+        machine,
+        &left,
+        base,
+        &mut u.sub_mut(0, 0, mrows, n1),
+        &mut t.sub_mut(0, 0, n1, n1),
+        &mut r.sub_mut(0, 0, n1, n1),
+    );
     left.release(machine);
 
-    // Apply Q₁ᵀ to the right half: C ← C − U₁·(T₁ᵀ·(U₁ᵀ·C)).
-    let u1_dense = f1.u.assemble_unchecked();
-    let mut c = a.assemble_unchecked().block(0, n1, mrows, n2);
-    let u1t_c = carma::carma_spread(machine, &group, &u1_dense.transpose(), &c, 1);
-    let t1t = f1.t.transpose();
-    let s = carma::carma_spread(machine, &group, &t1t, &u1t_c, 1);
-    let upd = carma::carma_spread(machine, &group, &u1_dense, &s, 1);
-    c.axpy(-1.0, &upd);
-    for &pid in group.procs() {
-        machine.charge_flops(pid, (mrows * n2) as u64 / g as u64);
-    }
+    // Apply Q₁ᵀ to the right half: C ← C − U₁·(T₁ᵀ·(U₁ᵀ·C)). R₁₂ is the
+    // top n1 rows of the result; the right recursion runs on the rows
+    // below.
+    let tail = {
+        let _span = ca_obs::kernel_span("rq.update");
+        let mut c = Matrix::zeros(mrows, n2);
+        a.copy_block_into(0, n1, &mut c.view_mut());
+        let upd = wy_correction(
+            machine,
+            group,
+            &u.sub(0, 0, mrows, n1),
+            &t.sub(0, 0, n1, n1),
+            Trans::T,
+            &c.view(),
+        );
+        c.axpy(-1.0, &upd);
+        for &pid in group.procs() {
+            machine.charge_flops(pid, (mrows * n2) as u64 / g as u64);
+        }
+        r.sub_mut(0, n1, n1, n2).copy_from(&c.subview(0, 0, n1, n2));
+        DistMatrix::from_view_free(machine, group, &c.subview(n1, 0, mrows - n1, n2))
+    };
+    rect_qr_node(
+        machine,
+        &tail,
+        base,
+        &mut u.sub_mut(n1, n1, mrows - n1, n2),
+        &mut t.sub_mut(n1, n1, n2, n2),
+        &mut r.sub_mut(n1, n1, n2, n2),
+    );
+    tail.release(machine);
 
-    // R₁₂ is the top n1 rows of the updated right half; the right
-    // recursion runs on the rows below.
-    let r12 = c.block(0, 0, n1, n2);
-    let tail = c.block(n1, 0, mrows - n1, n2);
-    let tail_dist = DistMatrix::from_dense_free(machine, &group, &tail);
-    let f2 = rect_qr_with_base(machine, &tail_dist, base);
-    tail_dist.release(machine);
-
-    // Assemble U = [U₁ | [0; U₂]] (one realignment exchange).
-    let u2_dense = f2.u.assemble_unchecked();
-    let mut u_dense = Matrix::zeros(mrows, n);
-    u_dense.set_block(0, 0, &u1_dense);
-    u_dense.set_block(n1, n1, &u2_dense);
+    let _span = ca_obs::kernel_span("rq.merge");
+    // U = [U₁ | [0; U₂]] is in place already; the distributed algorithm
+    // pays one realignment exchange and stores the result.
     for &pid in group.procs() {
         machine.charge_comm(pid, (mrows * n) as u64 / (2 * g as u64));
     }
     machine.step(group.procs(), 1);
-    let u = DistMatrix::from_dense_free(machine, &group, &u_dense);
+    DistMatrix::record_alloc(machine, group, mrows, n);
 
-    // Aggregate T = [T₁, T₁₂; 0, T₂] with T₁₂ = −T₁·(U₁ᵀ·U₂̂)·T₂,
-    // where U₂̂ is U₂ embedded at rows n1…
-    let mut u2_embedded = Matrix::zeros(mrows, n2);
-    u2_embedded.set_block(n1, 0, &u2_dense);
-    let u1t_u2 = carma::carma_spread(machine, &group, &u1_dense.transpose(), &u2_embedded, 1);
-    let t1_u = carma::carma_spread(machine, &group, &f1.t, &u1t_u2, 1);
-    let mut t12 = carma::carma_spread(machine, &group, &t1_u, &f2.t, 1);
+    // T₁₂ = −T₁·(U₁ᵀ·Û₂)·T₂ with Û₂ = [0; U₂], U's right column block.
+    let u1t_u2 = mm(
+        machine,
+        group,
+        &u.sub(0, 0, mrows, n1),
+        Trans::T,
+        &u.sub(0, n1, mrows, n2),
+    );
+    let t1_u = mm(machine, group, &t.sub(0, 0, n1, n1), Trans::N, &u1t_u2.view());
+    let (mut t_top, t_bot) = t.split_rows_mut(n1);
+    let mut t12 = t_top.sub_mut(0, n1, n1, n2);
+    carma_spread_into(
+        machine,
+        group,
+        &t1_u.view(),
+        Trans::N,
+        &t_bot.sub(0, n1, n2, n2),
+        Trans::N,
+        1,
+        &mut t12,
+    );
     t12.scale(-1.0);
-    let mut t = Matrix::zeros(n, n);
-    t.set_block(0, 0, &f1.t);
-    t.set_block(0, n1, &t12);
-    t.set_block(n1, n1, &f2.t);
 
-    // Assemble R = [R₁, R₁₂; 0, R₂].
-    let mut r = Matrix::zeros(n, n);
-    r.set_block(0, 0, &f1.r);
-    r.set_block(0, n1, &r12);
-    r.set_block(n1, n1, &f2.r);
-
-    f1.u.release(machine);
-    f2.u.release(machine);
-
-    PanelQr { group, u, t, r }
+    // The halves' own copies of U₁ and U₂ go.
+    DistMatrix::record_free(machine, group, mrows, n1);
+    DistMatrix::record_free(machine, group, mrows - n1, n2);
 }
 
 /// **Algorithm III.2 verbatim**: the binary *row*-reduction-tree QR.
@@ -248,8 +341,7 @@ pub fn rect_qr_tree(
     // and write the disjoint row slabs back in order.
     let q_chunks = crate::exec::par_ranks(groups.len(), |i| {
         let w_dense = ws[i].assemble_unchecked();
-        let z_i = z_dense.block(i * n, 0, n, n);
-        carma::carma_spread(machine, &groups[i], &w_dense, &z_i, 1)
+        mm(machine, &groups[i], &w_dense.view(), Trans::N, &z_dense.subview(i * n, 0, n, n))
     });
     for (i, q_i) in q_chunks.iter().enumerate() {
         q_dense.set_block(row_splits[i], 0, q_i);
@@ -269,11 +361,8 @@ pub fn rect_qr_tree(
 pub fn apply_qt(machine: &Machine, f: &PanelQr, c: &mut DistMatrix) {
     let group = &f.group;
     let u_dense = f.u.assemble_unchecked();
-    let c_dense = c.assemble_unchecked();
-    let utc = carma::carma_spread(machine, group, &u_dense.transpose(), &c_dense, 1);
-    let ttutc = carma::carma_spread(machine, group, &f.t.transpose(), &utc, 1);
-    let upd = carma::carma_spread(machine, group, &u_dense, &ttutc, 1);
-    let mut out = c_dense;
+    let mut out = c.assemble_unchecked();
+    let upd = wy_correction(machine, group, &u_dense.view(), &f.t.view(), Trans::T, &out.view());
     out.axpy(-1.0, &upd);
     for &pid in group.procs() {
         machine.charge_flops(pid, (out.len() as u64).div_ceil(group.len() as u64));
@@ -292,9 +381,7 @@ pub fn explicit_q(machine: &Machine, f: &PanelQr) -> DistMatrix {
     }
     let u_dense = f.u.assemble_unchecked();
     // Uᵀ·[I;0] = U₁ᵀ — cheap (triangular read), still charged.
-    let u1t = carma::carma_spread(machine, group, &u_dense.transpose(), &eye, 1);
-    let tu = carma::carma_spread(machine, group, &f.t, &u1t, 1);
-    let upd = carma::carma_spread(machine, group, &u_dense, &tu, 1);
+    let upd = wy_correction(machine, group, &u_dense.view(), &f.t.view(), Trans::N, &eye.view());
     eye.axpy(-1.0, &upd);
     DistMatrix::from_dense_free(machine, group, &eye)
 }

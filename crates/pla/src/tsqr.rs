@@ -14,7 +14,8 @@ use crate::exec;
 use crate::grid::Grid;
 use crate::kern;
 use ca_bsp::Machine;
-use ca_dla::qr::{apply_q, QrFactors};
+use ca_dla::gemm::{gemm_view, matmul, Trans};
+use ca_dla::qr::QrFactors;
 use ca_dla::Matrix;
 
 /// One merge node of the TSQR reduction tree.
@@ -118,12 +119,50 @@ pub fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
     }
 }
 
+/// `T·(Uᵀ·[S; 0])` for one tree node or leaf: the slab `S` sits on top of
+/// zero rows up to the factor's height, so only `U`'s first `S.rows()`
+/// rows meet it and the padding is never materialised.
+fn wy_coefficients(f: &QrFactors, s: &Matrix) -> Matrix {
+    let mut uts = Matrix::zeros(f.k(), s.cols());
+    gemm_view(
+        1.0,
+        &f.u.subview(0, 0, s.rows(), f.k()),
+        Trans::T,
+        &s.view(),
+        Trans::N,
+        0.0,
+        &mut uts.view_mut(),
+    );
+    matmul(&f.t, Trans::N, &uts, Trans::N)
+}
+
+/// Rows `row0..row0 + nrows` of `Q·[S; 0] = [S; 0] − U·coeff`, with
+/// `coeff` from [`wy_coefficients`].
+fn q_rows(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, nrows: usize) -> Matrix {
+    let n = s.cols();
+    let mut out = Matrix::zeros(nrows, n);
+    let live = s.rows().saturating_sub(row0).min(nrows);
+    out.subview_mut(0, 0, live, n).copy_from(&s.subview(row0, 0, live, n));
+    gemm_view(
+        -1.0,
+        &f.u.subview(row0, 0, nrows, f.k()),
+        Trans::N,
+        &coeff.view(),
+        Trans::N,
+        1.0,
+        &mut out.view_mut(),
+    );
+    out
+}
+
 /// Expand the implicit tree `Q` into an explicit `m × n` factor,
 /// distributed in the same 1D row-block layout as the input.
 ///
 /// Down-sweep: rank 0 seeds the root with `I_n`; each tree node applies
-/// its merge-`Q` to its slab and ships the bottom part to its partner;
-/// leaves apply their local `Q`.
+/// its merge-`Q` to its slab (zero-padded to the stacked height — in the
+/// charge; the product skips the zero rows) and ships the bottom part to
+/// its partner; leaves apply their local `Q`, each result written once,
+/// as the block its rank keeps.
 pub fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
     let g = t.group.len();
     let n = t.n;
@@ -153,18 +192,14 @@ pub fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
             .collect();
         let split = exec::par_ranks(level.len(), |idx| {
             let node = &level[idx];
-            // Pad to the stacked height (the slab may be narrower when
-            // leaf blocks had fewer rows than columns).
-            let total = node.top_rows + node.bot_rows;
-            let mut cin = Matrix::zeros(total, n);
-            cin.set_block(0, 0, &inputs[idx]);
+            let f = &node.factors;
             m.charge_flops(
                 t.group.proc(node.owner),
-                ca_dla::costs::apply_q_flops(total, node.factors.k(), n),
+                ca_dla::costs::apply_q_flops(node.top_rows + node.bot_rows, f.k(), n),
             );
-            apply_q(&node.factors.u, &node.factors.t, &mut cin);
-            let top = cin.block(0, 0, node.top_rows, n);
-            let bot = cin.block(node.top_rows, 0, node.bot_rows, n);
+            let coeff = wy_coefficients(f, &inputs[idx]);
+            let top = q_rows(f, &inputs[idx], &coeff, 0, node.top_rows);
+            let bot = q_rows(f, &inputs[idx], &coeff, node.top_rows, node.bot_rows);
             (top, bot)
         });
         let mut moves = Vec::new();
@@ -188,17 +223,15 @@ pub fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
     let leaf_out = exec::par_ranks(g, |rank| {
         let leaf = &t.leaves[rank];
         let rows = leaf.u.rows();
-        let mut cin = Matrix::zeros(rows, n);
-        cin.set_block(0, 0, &slabs[rank]);
         m.charge_flops(
             t.group.proc(rank),
             ca_dla::costs::apply_q_flops(rows, leaf.k(), n),
         );
-        apply_q(&leaf.u, &leaf.t, &mut cin);
-        cin
+        let coeff = wy_coefficients(leaf, &slabs[rank]);
+        q_rows(leaf, &slabs[rank], &coeff, 0, rows)
     });
-    for (rank, cin) in leaf_out.into_iter().enumerate() {
-        *out.local_mut(rank) = cin;
+    for (rank, block) in leaf_out.into_iter().enumerate() {
+        *out.local_mut(rank) = block;
     }
     m.step(t.group.procs(), 1);
 }

@@ -5,12 +5,15 @@
 //! accumulated `Q` exactly — `Q = (I − U·T·Uᵀ)·[S; 0]` — including the
 //! ragged (non-power-of-two) panel shapes the arbitrary-`n` pipeline
 //! produces: odd group sizes, row counts the group does not divide, and
-//! panel widths that are not powers of two.
+//! panel widths that are not powers of two — and at the shapes a
+//! benchmark-sized solve hands it, where the LU, the triangular inverses
+//! and the solves all run above their recursion's leaf.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gemm::{matmul, Trans};
 use ca_symm_eig::dla::{gen, Matrix};
 use ca_symm_eig::pla::dist::DistMatrix;
+use ca_symm_eig::pla::exec;
 use ca_symm_eig::pla::grid::Grid;
 use ca_symm_eig::pla::reconstruct::{reconstruct, reconstruct_local};
 use ca_symm_eig::pla::{rect_qr, tsqr};
@@ -179,4 +182,37 @@ fn reconstruction_charges_the_ledger() {
     let costs = m.costs_since(&before);
     assert!(costs.flops > 0, "reconstruction did no metered flops");
     assert!(costs.horizontal_words > 0, "reconstruction moved no metered words");
+}
+
+#[test]
+fn production_shapes_reconstruct_to_working_precision() {
+    // What a benchmark-sized solve reconstructs: `values_p4`'s panel QR
+    // reaches a 256 × 128 `Q` on two processors (a 1 × 1 subgrid: every
+    // triangular kernel local and four recursion levels deep), and the
+    // 2.5D workload runs the triangular work on a 5 × 5 subgrid (blocks
+    // of 12 and 13: panel solves, broadcasts, the block back-substitution).
+    let mut rng = StdRng::seed_from_u64(2205);
+    for (g, mrows, n) in [(2usize, 256usize, 128usize), (25, 300, 64)] {
+        let m = machine(g);
+        let grid = Grid::new_2d((0..g).collect(), g, 1);
+        let a = gen::random_matrix(&mut rng, mrows, n);
+        let da = DistMatrix::from_dense(&m, &grid, &a);
+        let (q, _) = tsqr::tsqr_explicit(&m, &da);
+        let q_dense = q.assemble_unchecked();
+        let rec = reconstruct(&m, &q);
+        let u = rec.u.assemble_unchecked();
+        assert_wy_identity(&q_dense, &u, &rec.t, &rec.s, 1e-12);
+
+        // Rank fan-outs inline or pooled: the same bits.
+        let inline = exec::with_forced_serial(|| reconstruct(&machine(g), &q));
+        assert_eq!(inline.s, rec.s, "g = {g}: signs depend on the executor");
+        assert_eq!(inline.t, rec.t, "g = {g}: T's bits depend on the executor");
+        assert_eq!(inline.u.assemble_unchecked(), u, "g = {g}: U's bits depend on the executor");
+
+        // The sequential form (right solves instead of inverses) agrees.
+        let (u_loc, t_loc, s_loc) = reconstruct_local(&q_dense);
+        assert_eq!(s_loc, rec.s);
+        assert!(u.max_diff(&u_loc) < 1e-12, "g = {g}: U off the local form by {}", u.max_diff(&u_loc));
+        assert!(rec.t.max_diff(&t_loc) < 1e-12, "g = {g}: T off the local form by {}", rec.t.max_diff(&t_loc));
+    }
 }

@@ -20,6 +20,12 @@
 //!   `f2b.append` per panel, `f2b.base` once) directly under
 //!   `driver.full_to_band` on the driver's thread, and together they
 //!   account for at least 95 % of it;
+//! * level 2, inside line 7: rect-QR opens `rq.tsqr`, `rq.explicit_q`,
+//!   `rq.reconstruct` (with `rc.lu`, `rc.triinv`, `rc.u`, `rc.t` inside
+//!   it), `rq.split`, `rq.update` and `rq.merge` — disjoint pieces of the
+//!   column recursion, on the driver's thread — and together they account for at
+//!   least 90 % of `f2b.qr`, so a trace splits the panel QR without a
+//!   patched build;
 //! * the `bulge.chase_windows` counter counts every chase of the one
 //!   banded kernel: over a solve it moves by the summed lengths of the
 //!   plans its stage and leg names announce. No solve a debug build can
@@ -277,5 +283,54 @@ fn stage_spans_pin_names_costs_and_nesting() {
     assert!(
         !events.iter().any(|e| e.name() == "dag.task"),
         "there is no task graph to open a dag.task span"
+    );
+
+    // Phase 6 — inside line 7. The benchmark's `values_p4` shape in
+    // small: b = n/2 puts the one 192 × 192 panel on two processors, where
+    // it recurses on its columns twice before TSQR takes over, so every
+    // piece of rect-QR runs.
+    let (n, b) = (384, 192);
+    let machine = Machine::new(MachineParams::new(4));
+    let a = gen::random_symmetric(&mut StdRng::seed_from_u64(46), n);
+    obs::set_level(2);
+    let _ = obs::drain();
+    let _ = full_to_band(&machine, &EigenParams::new(4, 1), &a, b);
+    obs::set_level(0);
+    let events = obs::drain();
+    assert_eq!(obs::take_dropped(), 0, "rect-QR trace must not overflow the ring");
+
+    let qr: Vec<&obs::Event> = events.iter().filter(|e| e.name() == "f2b.qr").collect();
+    assert!(!qr.is_empty());
+    let inside = |e: &obs::Event, outer: &[&obs::Event]| {
+        outer
+            .iter()
+            .any(|o| e.tid == o.tid && e.start_ns >= o.start_ns && e.end_ns <= o.end_ns)
+    };
+    let pieces: Vec<&obs::Event> = events.iter().filter(|e| e.name().starts_with("rq.")).collect();
+    for name in ["rq.tsqr", "rq.explicit_q", "rq.reconstruct", "rq.split", "rq.update", "rq.merge"] {
+        assert!(pieces.iter().any(|e| e.name() == name), "no {name} span");
+    }
+    assert!(
+        pieces.iter().all(|e| inside(e, &qr)),
+        "an rq.* span lies outside line 7 or off the driver's thread"
+    );
+    let reconstructs: Vec<&obs::Event> =
+        pieces.iter().copied().filter(|e| e.name() == "rq.reconstruct").collect();
+    for name in ["rc.lu", "rc.triinv", "rc.u", "rc.t"] {
+        let steps: Vec<&obs::Event> = events.iter().filter(|e| e.name() == name).collect();
+        assert_eq!(steps.len(), reconstructs.len(), "one {name} per reconstruction");
+        assert!(steps.iter().all(|e| inside(e, &reconstructs)), "{name} outside rq.reconstruct");
+    }
+    let (pieces_ns, qr_ns) = (
+        pieces.iter().map(|e| wall(e)).sum::<f64>(),
+        qr.iter().map(|e| wall(e)).sum::<f64>(),
+    );
+    // What is left is line 7's marshalling into and out of the 1D layout
+    // (fresh pages, a few copies): a tenth of it at this size once the
+    // kernels are optimised, 7 % at the benchmark's, under 1 % here.
+    let floor = if cfg!(debug_assertions) { 0.90 } else { 0.80 };
+    assert!(
+        pieces_ns >= floor * qr_ns,
+        "the rq.* spans cover {pieces_ns} ns of line 7's {qr_ns} ns"
     );
 }
