@@ -7,7 +7,7 @@ use ca_pla::carma::carma;
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
 use ca_pla::rect_qr::rect_qr;
-use ca_pla::streaming::{streaming_mm, Replicated};
+use ca_pla::streaming::{streaming_mm_dense, Replicated};
 use ca_pla::summa::summa;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -61,8 +61,8 @@ fn bench_streaming(c: &mut Criterion) {
             bench.iter(|| {
                 let m = Machine::new(MachineParams::new(16));
                 let g3 = Grid::new_3d((0..16).collect(), 2, 2, 4);
-                let rep = Replicated::replicate(&m, &g3, &a);
-                black_box(streaming_mm(&m, &rep, (0, 0, n, n), false, &b, 1))
+                Replicated::replicate(&m, &g3, n, n);
+                black_box(streaming_mm_dense(&m, &g3, &a, (0, 0, n, n), false, &b, 1))
             });
         });
     }

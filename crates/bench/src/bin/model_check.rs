@@ -15,7 +15,7 @@ use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
 use ca_eigen::{model, symm_eigen_25d, EigenParams};
 use ca_pla::grid::Grid;
-use ca_pla::streaming::{streaming_mm, Replicated};
+use ca_pla::streaming::{streaming_mm_dense, Replicated};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,9 +33,9 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = gen::random_matrix(&mut rng, n, n);
         let b = gen::random_matrix(&mut rng, n, k);
-        let rep = Replicated::replicate(&m, &g3, &a);
+        Replicated::replicate(&m, &g3, n, n);
         let snap = m.snapshot();
-        let _ = streaming_mm(&m, &rep, (0, 0, n, n), false, &b, w);
+        let _ = streaming_mm_dense(&m, &g3, &a, (0, 0, n, n), false, &b, w);
         m.fence();
         let meas = m.costs_since(&snap);
         let mdl = model::mm_streaming(n, n, k, q, c, w);

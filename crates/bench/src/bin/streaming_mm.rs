@@ -17,7 +17,7 @@ use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
 use ca_pla::carma::carma;
 use ca_pla::grid::Grid;
-use ca_pla::streaming::{streaming_mm, Replicated};
+use ca_pla::streaming::{streaming_mm_dense, Replicated};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -52,10 +52,10 @@ fn main() {
 
         // Replication is a one-time cost; measure the product alone
         // (Algorithm IV.1 reuses the replicated A across all panels).
-        let rep = Replicated::replicate(&machine, &grid3, &a);
+        Replicated::replicate(&machine, &grid3, n, n);
         for w_depth in [1usize, 2] {
             let snap = machine.snapshot();
-            let cmat = streaming_mm(&machine, &rep, (0, 0, n, n), false, &b, w_depth);
+            let cmat = streaming_mm_dense(&machine, &grid3, &a, (0, 0, n, n), false, &b, w_depth);
             machine.fence();
             assert_eq!(cmat.rows(), n);
             let w_stream = machine.costs_since(&snap).horizontal_words;

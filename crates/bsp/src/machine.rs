@@ -28,15 +28,14 @@ pub type ProcId = usize;
 /// The machine does not store application data itself — distributed
 /// containers (see `ca-pla`) own per-processor buffers and report every
 /// word they move and every flop they execute through the `charge_*`
-/// methods. All counters are atomic, so the machine is `Sync` and the
-/// per-virtual-processor loops of a superstep may be executed on real
-/// threads concurrently (see `ca-pla`'s `exec` module). Determinism is
-/// preserved regardless of thread interleaving because every mutation
-/// between fences is a commutative `fetch_add`/`fetch_max`: the
-/// per-processor totals a fold observes are interleaving-independent.
-/// The folds themselves ([`Machine::fence`] / [`Machine::report`]) must
-/// run at quiescent points — after the worker threads of the phase have
-/// been joined — which the executor guarantees by construction.
+/// methods. All counters are atomic, so the machine is `Sync`: one
+/// machine can be charged from any thread (a solve's driver, the
+/// threads of a test that shares it), and every mutation between fences
+/// is a commutative `fetch_add`/`fetch_max`, so the per-processor totals
+/// a fold observes do not depend on who charged in what order. The
+/// folds themselves ([`Machine::fence`] / [`Machine::report`]) must run
+/// at quiescent points; the stages run them on the driver's thread
+/// between their loops.
 ///
 /// ```
 /// use ca_bsp::{Machine, MachineParams};

@@ -13,7 +13,7 @@ use ca_eigen::{ca_sbr, model, symm_eigen_25d, EigenParams};
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
 use ca_pla::rect_qr::rect_qr;
-use ca_pla::streaming::{streaming_mm, Replicated};
+use ca_pla::streaming::{streaming_mm_dense, Replicated};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -131,9 +131,9 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
             let grid3 = params.grid3();
             let a = gen::random_symmetric(&mut rng, pt.n);
             let b = gen::random_matrix(&mut rng, pt.n, STREAM_K);
-            let rep = Replicated::replicate(&machine, &grid3, &a);
+            Replicated::replicate(&machine, &grid3, pt.n, pt.n);
             let (_, costs) = machine.measure(|| {
-                streaming_mm(&machine, &rep, (0, 0, pt.n, pt.n), false, &b, 1)
+                streaming_mm_dense(&machine, &grid3, &a, (0, 0, pt.n, pt.n), false, &b, 1)
             });
             costs
         }

@@ -98,8 +98,8 @@ pub enum EigenError {
         waited_ms: u64,
     },
     /// Admission control rejected the job: the service's bounded queue
-    /// was at capacity. Back off and resubmit, or raise
-    /// `CA_QUEUE_CAP`.
+    /// was at capacity. Back off and resubmit, or raise the service's
+    /// `queue_capacity`.
     QueueFull {
         /// The queue bound that was hit.
         capacity: usize,

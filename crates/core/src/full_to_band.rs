@@ -31,7 +31,6 @@ use ca_dla::view::MatrixView;
 use ca_dla::{BandedSym, Matrix};
 use ca_pla::carma::carma_spread_into;
 use ca_pla::dist::DistMatrix;
-use ca_pla::exec;
 use ca_pla::grid::Grid;
 use ca_pla::kern;
 use ca_pla::rect_qr::rect_qr;
@@ -136,11 +135,9 @@ pub fn full_to_band_logged(
 /// products of one panel that do not depend on each other are the two
 /// halves of line 5 (DESIGN.md §6g).
 ///
-/// The walk runs under [`exec::with_forced_serial`]: the rank fan-outs
-/// of the building blocks stay on this thread (a pool worker drops its
-/// arenas each time it parks, so a short fan-out re-faults its packing
-/// panels — DESIGN.md §6b), while the GEMM and QR pieces below them
-/// still reach the pool.
+/// The rank bodies of the building blocks are loops on this thread
+/// (DESIGN.md §6b, "Why ranks are a walk"); the GEMM and QR pieces below
+/// them reach the pool.
 ///
 /// The caller has validated `a` (each public entry point scans it for
 /// symmetry exactly once); here the scan is a debug assertion only.
@@ -247,170 +244,168 @@ pub(crate) fn full_to_band_impl(
     // Replicate A over the c layers (the Require block of Alg IV.1).
     // The dense `a` is the numerical stand-in for the per-layer
     // distributed copies; all charges flow through the replicate call.
-    let rep = ca_pla::streaming::Replicated::replicate(machine, &grid3, a);
+    let rep = ca_pla::streaming::Replicated::replicate(machine, &grid3, n, n);
 
-    exec::with_forced_serial(|| {
-        let mut out = BandedSym::zeros(n, b, b);
-        let mut trace = FullToBandTrace::default();
-        // The aggregates are allocated once at full height with *global*
-        // row alignment (row r of the aggregate is global row r) and
-        // their final width — every panel but the last appends `b`
-        // reflector columns and the last `rem − b`, `n − b` in all — so
-        // panels append in place and every product takes an offset block
-        // spec. Rows above the current trailing range and columns beyond
-        // `m_agg` are never read.
-        let mut u_agg = Matrix::zeros(n, n - b);
-        let mut v_agg = Matrix::zeros(n, n - b);
-        let (mut o, mut m_agg) = (0usize, 0usize);
-        while n - o > b {
-            let rem = n - o;
-            // A ragged final panel has only `rem − b < b` reflectors.
-            let kk = (rem - b).min(b);
+    let mut out = BandedSym::zeros(n, b, b);
+    let mut trace = FullToBandTrace::default();
+    // The aggregates are allocated once at full height with *global*
+    // row alignment (row r of the aggregate is global row r) and
+    // their final width — every panel but the last appends `b`
+    // reflector columns and the last `rem − b`, `n − b` in all — so
+    // panels append in place and every product takes an offset block
+    // spec. Rows above the current trailing range and columns beyond
+    // `m_agg` are never read.
+    let mut u_agg = Matrix::zeros(n, n - b);
+    let mut v_agg = Matrix::zeros(n, n - b);
+    let (mut o, mut m_agg) = (0usize, 0usize);
+    while n - o > b {
+        let rem = n - o;
+        // A ragged final panel has only `rem − b < b` reflectors.
+        let kk = (rem - b).min(b);
 
-            // Line 5: the current column panel of A̅ (panel 0 is A's own
-            // and is read in place). Its diagonal block A̅₁₁ goes
-            // straight into the output band, symmetrized in flight
-            // (`½(aᵢⱼ + aⱼᵢ)` with the lower-triangle element first —
-            // `Matrix::symmetrize`'s exact expression).
-            let a21 = {
-                let _span = ca_obs::kernel_span("f2b.line5");
-                let panel = (m_agg > 0).then(|| updated_block(&u_agg, &v_agg, o, b, m_agg));
-                let at = |i: usize, j: usize| match &panel {
-                    Some(panel) => panel.get(i, j),
-                    None => a.get(o + i, o + j),
-                };
-                for j in 0..b {
-                    for i in j..b {
-                        let v = if i == j {
-                            at(i, i)
-                        } else {
-                            0.5 * (at(i, j) + at(j, i))
-                        };
-                        out.set(o + i, o + j, v);
-                    }
-                }
-                match &panel {
-                    Some(panel) => panel.block(b, 0, rem - b, b),
-                    None => a.block(o + b, o, rem - b, b),
-                }
+        // Line 5: the current column panel of A̅ (panel 0 is A's own
+        // and is read in place). Its diagonal block A̅₁₁ goes
+        // straight into the output band, symmetrized in flight
+        // (`½(aᵢⱼ + aⱼᵢ)` with the lower-triangle element first —
+        // `Matrix::symmetrize`'s exact expression).
+        let a21 = {
+            let _span = ca_obs::kernel_span("f2b.line5");
+            let panel = (m_agg > 0).then(|| updated_block(&u_agg, &v_agg, o, b, m_agg));
+            let at = |i: usize, j: usize| match &panel {
+                Some(panel) => panel.get(i, j),
+                None => a.get(o + i, o + j),
             };
-
-            // Line 7: QR of A̅₂₁ on z·pᵟ processors — as many as the
-            // block has rows, at most. A ragged n leaves the final
-            // panel's sub-diagonal block wide (fewer than b rows);
-            // rect_qr requires m ≥ n, so that block is factored locally
-            // on the group leader with the factors re-spread — the same
-            // small-block fallback Algorithm IV.2's executor uses. R is
-            // the sub-diagonal block of the band (upper-trapezoidal when
-            // the panel is ragged).
-            let (u1, t1) = {
-                let _span = ca_obs::kernel_span("f2b.qr");
-                let (u1, t1, r1, qr_procs) = if rem - b >= b {
-                    let qr_procs = params.panel_qr_procs(n, b).min(rem - b);
-                    let qr_group = Grid::new_2d((0..qr_procs).collect(), qr_procs, 1);
-                    let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
-                    let f = rect_qr(machine, &da21);
-                    da21.release(machine);
-                    let u1 = f.u.assemble_unchecked();
-                    f.u.release(machine);
-                    (u1, f.t, f.r, qr_procs)
-                } else {
-                    let f = kern::local_qr(machine, all.proc(0), &a21);
-                    let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
-                    for &pid in all.procs() {
-                        machine.charge_comm(pid, 2 * factor_words.div_ceil(p as u64));
-                    }
-                    machine.step(all.procs(), 1);
-                    (f.u, f.t, f.r, 1)
-                };
-                trace.panels.push(PanelTrace {
-                    step: trace.panels.len(),
-                    offset: o,
-                    remaining: rem,
-                    agg_cols: m_agg,
-                    qr_procs,
-                });
-                write_subdiag_block(&mut out, o, &r1);
-                (u1, t1)
-            };
-
-            // Line 8: W = A₂₂·U₁ + U₂⁽⁰⁾(V₂⁽⁰⁾ᵀU₁) + V₂⁽⁰⁾(U₂⁽⁰⁾ᵀU₁).
-            let w = {
-                let _span = ca_obs::kernel_span("f2b.w");
-                let trailing = (o + b, o + b, rem - b, rem - b);
-                let mut w = streaming_mm(&a.view(), trailing, false, &u1.view(), false);
-                if m_agg > 0 {
-                    let sub = (o + b, 0, rem - b, m_agg);
-                    for (outer, inner) in [(&u_agg, &v_agg), (&v_agg, &u_agg)] {
-                        let small = streaming_mm(&inner.view(), sub, true, &u1.view(), false);
-                        let term = streaming_mm(&outer.view(), sub, false, &small.view(), false);
-                        w.axpy(1.0, &term);
-                    }
-                    charge_elementwise((rem - b) * b);
+            for j in 0..b {
+                for i in j..b {
+                    let v = if i == j {
+                        at(i, i)
+                    } else {
+                        0.5 * (at(i, j) + at(j, i))
+                    };
+                    out.set(o + i, o + j, v);
                 }
-                w
-            };
+            }
+            match &panel {
+                Some(panel) => panel.block(b, 0, rem - b, b),
+                None => a.block(o + b, o, rem - b, b),
+            }
+        };
 
-            // Line 9: V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T via Lemma III.2
-            // multiplies with v = p^{2−3δ} (right to left, as the
-            // Lemma IV.1 proof prescribes), written straight into the
-            // aggregate; the U₁ᵀ/Tᵀ operands are read in place.
-            {
-                let _span = ca_obs::kernel_span("f2b.v1");
-                let wt = carma(&w, Trans::N, &t1, v_mem);
-                let utwt = carma(&u1, Trans::T, &wt, 1);
-                let t_utwt = carma(&t1, Trans::T, &utwt, 1);
-                let corr = carma(&u1, Trans::N, &t_utwt, v_mem);
-                // Fused `v1 = -wt; v1 += ½·corr` (the `* -1.0` spelling
-                // is `Matrix::scale`'s exact arithmetic, which the
-                // pinned output bits were produced with).
-                let mut dst = v_agg.subview_mut(o + b, m_agg, rem - b, kk);
-                #[allow(clippy::neg_multiply)]
-                for j in 0..kk {
-                    for i in 0..rem - b {
-                        dst.set(i, j, wt.get(i, j) * -1.0 + 0.5 * corr.get(i, j));
-                    }
+        // Line 7: QR of A̅₂₁ on z·pᵟ processors — as many as the
+        // block has rows, at most. A ragged n leaves the final
+        // panel's sub-diagonal block wide (fewer than b rows);
+        // rect_qr requires m ≥ n, so that block is factored locally
+        // on the group leader with the factors re-spread — the same
+        // small-block fallback Algorithm IV.2's executor uses. R is
+        // the sub-diagonal block of the band (upper-trapezoidal when
+        // the panel is ragged).
+        let (u1, t1) = {
+            let _span = ca_obs::kernel_span("f2b.qr");
+            let (u1, t1, r1, qr_procs) = if rem - b >= b {
+                let qr_procs = params.panel_qr_procs(n, b).min(rem - b);
+                let qr_group = Grid::new_2d((0..qr_procs).collect(), qr_procs, 1);
+                let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
+                let f = rect_qr(machine, &da21);
+                da21.release(machine);
+                let u1 = f.u.assemble_unchecked();
+                f.u.release(machine);
+                (u1, f.t, f.r, qr_procs)
+            } else {
+                let f = kern::local_qr(machine, all.proc(0), &a21);
+                let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
+                for &pid in all.procs() {
+                    machine.charge_comm(pid, 2 * factor_words.div_ceil(p as u64));
+                }
+                machine.step(all.procs(), 1);
+                (f.u, f.t, f.r, 1)
+            };
+            trace.panels.push(PanelTrace {
+                step: trace.panels.len(),
+                offset: o,
+                remaining: rem,
+                agg_cols: m_agg,
+                qr_procs,
+            });
+            write_subdiag_block(&mut out, o, &r1);
+            (u1, t1)
+        };
+
+        // Line 8: W = A₂₂·U₁ + U₂⁽⁰⁾(V₂⁽⁰⁾ᵀU₁) + V₂⁽⁰⁾(U₂⁽⁰⁾ᵀU₁).
+        let w = {
+            let _span = ca_obs::kernel_span("f2b.w");
+            let trailing = (o + b, o + b, rem - b, rem - b);
+            let mut w = streaming_mm(&a.view(), trailing, false, &u1.view(), false);
+            if m_agg > 0 {
+                let sub = (o + b, 0, rem - b, m_agg);
+                for (outer, inner) in [(&u_agg, &v_agg), (&v_agg, &u_agg)] {
+                    let small = streaming_mm(&inner.view(), sub, true, &u1.view(), false);
+                    let term = streaming_mm(&outer.view(), sub, false, &small.view(), false);
+                    w.axpy(1.0, &term);
                 }
                 charge_elementwise((rem - b) * b);
             }
+            w
+        };
 
-            // Line 10: replicate U₁ and V₁ over the layers (charges),
-            // then the U₁ append; on the vectors path `(U₁, T)` then
-            // moves into the record, which is thereby in panel order.
-            {
-                let _span = ca_obs::kernel_span("f2b.append");
-                let rep_words = (2 * (rem - b) * kk) as u64;
-                for &pid in grid3.procs() {
-                    machine.charge_comm(pid, 2 * rep_words.div_ceil(p as u64));
-                    machine.alloc(pid, rep_words.div_ceil((q * q) as u64));
-                }
-                machine.step(grid3.procs(), 2);
-                u_agg.set_block(o + b, m_agg, &u1);
-                if let Some(rec) = rec.as_deref_mut() {
-                    rec.push(crate::transforms::Reflectors {
-                        row0: o + b,
-                        u: u1,
-                        t: t1,
-                    });
+        // Line 9: V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T via Lemma III.2
+        // multiplies with v = p^{2−3δ} (right to left, as the
+        // Lemma IV.1 proof prescribes), written straight into the
+        // aggregate; the U₁ᵀ/Tᵀ operands are read in place.
+        {
+            let _span = ca_obs::kernel_span("f2b.v1");
+            let wt = carma(&w, Trans::N, &t1, v_mem);
+            let utwt = carma(&u1, Trans::T, &wt, 1);
+            let t_utwt = carma(&t1, Trans::T, &utwt, 1);
+            let corr = carma(&u1, Trans::N, &t_utwt, v_mem);
+            // Fused `v1 = -wt; v1 += ½·corr` (the `* -1.0` spelling
+            // is `Matrix::scale`'s exact arithmetic, which the
+            // pinned output bits were produced with).
+            let mut dst = v_agg.subview_mut(o + b, m_agg, rem - b, kk);
+            #[allow(clippy::neg_multiply)]
+            for j in 0..kk {
+                for i in 0..rem - b {
+                    dst.set(i, j, wt.get(i, j) * -1.0 + 0.5 * corr.get(i, j));
                 }
             }
-            machine.fence();
-            m_agg += kk;
-            o += b;
+            charge_elementwise((rem - b) * b);
         }
 
-        // Base case (lines 1–2): the final block, updated from the full
-        // aggregates and symmetrized into the band.
+        // Line 10: replicate U₁ and V₁ over the layers (charges),
+        // then the U₁ append; on the vectors path `(U₁, T)` then
+        // moves into the record, which is thereby in panel order.
         {
-            let _span = ca_obs::kernel_span("f2b.base");
-            let mut last = updated_block(&u_agg, &v_agg, o, n - o, m_agg);
-            last.symmetrize();
-            write_diag_block(&mut out, o, &last);
-            rep.release(machine);
+            let _span = ca_obs::kernel_span("f2b.append");
+            let rep_words = (2 * (rem - b) * kk) as u64;
+            for &pid in grid3.procs() {
+                machine.charge_comm(pid, 2 * rep_words.div_ceil(p as u64));
+                machine.alloc(pid, rep_words.div_ceil((q * q) as u64));
+            }
+            machine.step(grid3.procs(), 2);
+            u_agg.set_block(o + b, m_agg, &u1);
+            if let Some(rec) = rec.as_deref_mut() {
+                rec.push(crate::transforms::Reflectors {
+                    row0: o + b,
+                    u: u1,
+                    t: t1,
+                });
+            }
         }
         machine.fence();
-        (out, trace)
-    })
+        m_agg += kk;
+        o += b;
+    }
+
+    // Base case (lines 1–2): the final block, updated from the full
+    // aggregates and symmetrized into the band.
+    {
+        let _span = ca_obs::kernel_span("f2b.base");
+        let mut last = updated_block(&u_agg, &v_agg, o, n - o, m_agg);
+        last.symmetrize();
+        write_diag_block(&mut out, o, &last);
+        rep.release(machine);
+    }
+    machine.fence();
+    (out, trace)
 }
 
 /// Write a symmetric `b×b` diagonal block into the band at offset `o`.

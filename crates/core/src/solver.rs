@@ -104,6 +104,11 @@ impl StageCosts {
     }
 }
 
+static RT_SPAWNS: ca_obs::Counter = ca_obs::Counter::new("rt.spawns");
+static RT_JOBS: ca_obs::Counter = ca_obs::Counter::new("rt.jobs");
+static RT_HELPED: ca_obs::Counter = ca_obs::Counter::new("rt.helped");
+static RT_PARKS: ca_obs::Counter = ca_obs::Counter::new("rt.parks");
+
 /// An open measured stage (see [`StageCosts::begin`]): [`StageScope::end`]
 /// reads the ledger delta and elapsed wall time once and feeds the one
 /// reading to both the [`StageCosts`] record and the trace span.
@@ -122,6 +127,17 @@ impl StageScope<'_> {
         self.span
             .set_costs(c.flops, c.horizontal_words, c.vertical_words, c.supersteps);
         costs.push(&self.name, c, secs);
+        // Mirror the runtime's cumulative counters into `ca_obs` (the
+        // runtime sits below `ca-obs` in the package graph and cannot do
+        // it itself); `rt.spawns` flat means no thread was created in
+        // the traced region. One relaxed load when tracing is off.
+        if ca_obs::enabled() {
+            let rt = rayon::stats();
+            RT_SPAWNS.record_max(rt.spawns);
+            RT_JOBS.record_max(rt.jobs_run);
+            RT_HELPED.record_max(rt.jobs_helped);
+            RT_PARKS.record_max(rt.parks);
+        }
         // `self.span` drops here, stamping the span's end time.
     }
 }

@@ -90,9 +90,10 @@ const PANEL: usize = 64;
 /// owns `n/p` eigenvector columns; every reflector's `(U, T)` is
 /// broadcast (two-phase) and applied locally. The execution mirrors the
 /// charge model: the columns split into [`PANEL`]-wide panels, each
-/// panel running the full reverse reflector chain independently on a
-/// rayon worker (`CA_SERIAL=1` runs the same panels in order — the
-/// per-panel arithmetic is identical, so both orders are bit-identical).
+/// panel running the full reverse reflector chain independently as a
+/// piece of one fork (a core budget of 1 runs the same panels in order —
+/// the per-panel arithmetic is identical, so both orders are
+/// bit-identical).
 pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Matrix) -> Matrix {
     let _span = ca_obs::kernel_span("driver.back_transform");
     let n = z.rows();
@@ -136,13 +137,7 @@ pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Ma
             }
         })
     };
-    if ca_obs::knobs::serial() || panels.len() == 1 {
-        for xp in panels.iter_mut() {
-            run(xp);
-        }
-    } else {
-        panels.par_iter_mut().for_each(run);
-    }
+    panels.par_iter_mut().for_each(run);
     let mut x = Matrix::zeros(n, ncols);
     for (&c0, xp) in starts.iter().zip(&panels) {
         x.set_block(0, c0, xp);

@@ -650,7 +650,7 @@ pub fn reduce_band_pass<R: From<BlockReflector>>(
 /// the band's bits are a function of the input alone — not of the
 /// instantiation (the loop is compiled for AVX2 + FMA behind `gemm`'s
 /// one detection token and, from the same source, portably, where
-/// `f64::mul_add` is the C library's `fma`), of threads, `CA_SERIAL` or
+/// `f64::mul_add` is the C library's `fma`), of threads, core budget or
 /// host. Unlike the zero-copy/reference engine pair the kernel is not
 /// bitwise-matched to `reduce_band_to`: this module's tests hold it to
 /// that engine op by op at `1e-12·‖A‖`, and `tests/sweep_props.rs` the

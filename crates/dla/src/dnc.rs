@@ -42,9 +42,8 @@
 //!
 //! **Determinism**: subproblems are independent, every merge is a
 //! deterministic function of its inputs, and secular roots are solved
-//! independently per interval, so the parallel (rayon) and
-//! `CA_SERIAL=1` serial orders produce **bit-identical** results; the
-//! env hatch only pins the execution order for the serial CI lane.
+//! independently per interval, so forked and inline orders (a core
+//! budget of 1, `RAYON_NUM_THREADS=1`) produce **bit-identical** results.
 //!
 //! The eigenvalue-only variant ([`dnc_eigenvalues`]) carries just the
 //! first and last rows of each subproblem's eigenvector matrix — all a
@@ -54,7 +53,6 @@
 use crate::gemm::{matmul, Trans};
 use crate::matrix::Matrix;
 use crate::tridiag::{try_tridiag_eigen, NoConvergence};
-use ca_obs::knobs::serial;
 use rayon::prelude::*;
 
 // Secular-equation work counters (live only when `CA_TRACE ≥ 1`).
@@ -95,18 +93,6 @@ fn check_shape(d: &[f64], e: &[f64]) {
     assert_eq!(e.len(), d.len() - 1, "sub-diagonal must have n−1 entries");
 }
 
-/// Run the two halves of a split, in parallel unless `CA_SERIAL=1`.
-fn run_pair<RA: Send, RB: Send>(
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB) {
-    if serial() {
-        (a(), b())
-    } else {
-        rayon::join(a, b)
-    }
-}
-
 fn solve_full(d: &[f64], e: &[f64], leaf: usize) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     let n = d.len();
     if n <= leaf {
@@ -114,7 +100,7 @@ fn solve_full(d: &[f64], e: &[f64], leaf: usize) -> Result<(Vec<f64>, Matrix), N
     }
     let k = n / 2;
     let (d1, d2, rho, s) = tear(d, e, k);
-    let (left, right) = run_pair(
+    let (left, right) = rayon::join(
         || solve_full(&d1, &e[..k - 1], leaf),
         || solve_full(&d2, &e[k..], leaf),
     );
@@ -144,7 +130,7 @@ fn solve_rows(d: &[f64], e: &[f64], leaf: usize) -> Result<(Vec<f64>, Matrix), N
     }
     let k = n / 2;
     let (d1, d2, rho, s) = tear(d, e, k);
-    let (left, right) = run_pair(
+    let (left, right) = rayon::join(
         || solve_rows(&d1, &e[..k - 1], leaf),
         || solve_rows(&d2, &e[k..], leaf),
     );
@@ -324,7 +310,7 @@ struct Root {
 /// coefficient matrix via the Gu/Eisenstat ẑ recomputation.
 fn secular_system(dk: &[f64], zk: &[f64], rho: f64) -> (Vec<Root>, Matrix) {
     let m = dk.len();
-    let roots: Vec<Root> = if m >= PAR_ROOTS && !serial() {
+    let roots: Vec<Root> = if m >= PAR_ROOTS {
         (0..m)
             .into_par_iter()
             .map(|j| secular_root(dk, zk, rho, j))

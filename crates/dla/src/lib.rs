@@ -51,7 +51,7 @@ pub mod workspace;
 /// own: `ca-service` starts its workers and scopes their core budget
 /// through here, and tests read the spawn count off `stats()`.
 pub mod rt {
-    pub use rayon::{current_num_threads, spawn_worker, stats, with_budget};
+    pub use rayon::{current_budget, current_num_threads, spawn_worker, stats, with_budget};
 }
 
 pub use band::BandedSym;

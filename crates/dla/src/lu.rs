@@ -20,7 +20,7 @@
 //!
 //! **Bits.** The tree is [`split`] of the order alone and every product
 //! obeys GEMM's cell contract, so results are bit-for-bit independent of
-//! worker count, `CA_SERIAL`, strides and host. They differ in the last
+//! worker count, core budget, strides and host. They differ in the last
 //! place from the scalar `*_reference` forms below (a different
 //! summation order), which survive as test oracles only.
 

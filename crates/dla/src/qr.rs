@@ -285,7 +285,7 @@ pub fn qr_factor(a: &Matrix, nb: usize) -> QrFactors {
 ///
 /// The tree depends on `(m, n)` only and each product obeys GEMM's cell
 /// contract, so the factors are bit-for-bit independent of worker count,
-/// `CA_SERIAL`, strides and host.
+/// core budget, strides and host.
 pub(crate) fn qr_inplace(
     w: &mut MatrixViewMut,
     u: &mut MatrixViewMut,

@@ -41,9 +41,9 @@
 //! [`end_loan`]), and a pool worker drops its stack each time it runs
 //! out of work and goes to sleep ("release on park"). With that the
 //! peak is the same, to the byte, as before the pool, and repeats
-//! exactly. The price is paid by short fan-outs: a worker that parks
+//! exactly. The price is paid by short forks: a worker that parks
 //! between two of them re-faults its packing panels at each (DESIGN.md
-//! §6b, measured on full→band's rank bodies).
+//! §6b, measured when full→band's rank bodies were still queued).
 //!
 //! Determinism: buffer reuse never changes numerics — [`Workspace::take`]
 //! zero-fills, so a kernel sees bitwise the same initial state as with a

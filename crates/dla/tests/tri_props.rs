@@ -11,8 +11,8 @@
 //! kernels must satisfy what their callers rely on — `T·T⁻¹ = I`,
 //! `L·U = A − S` with `|pivot| ≥ 1` for the signed variant, exact zeros
 //! outside the triangles — and their bits must not depend on the pool:
-//! a subprocess per `RAYON_NUM_THREADS` ∈ {1, 4} (and one with
-//! `CA_SERIAL=1`) hashes results at sizes whose GEMMs fork.
+//! a subprocess per `RAYON_NUM_THREADS` ∈ {1, 4} hashes results at
+//! sizes whose GEMMs fork.
 
 use ca_dla::gemm::{matmul, Trans};
 use ca_dla::lu::{
@@ -281,17 +281,13 @@ fn inner_emit_hash() {
 
 #[test]
 fn bits_do_not_depend_on_the_pool() {
-    let leg = |threads: &str, serial: bool| -> String {
+    let leg = |threads: &str| -> String {
         let exe = std::env::current_exe().expect("test binary path");
-        let mut cmd = Command::new(exe);
-        cmd.args(["--ignored", "--exact", "inner_emit_hash", "--nocapture"])
-            .env("RAYON_NUM_THREADS", threads);
-        if serial {
-            cmd.env("CA_SERIAL", "1");
-        } else {
-            cmd.env_remove("CA_SERIAL");
-        }
-        let out = cmd.output().expect("spawn test subprocess");
+        let out = Command::new(exe)
+            .args(["--ignored", "--exact", "inner_emit_hash", "--nocapture"])
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("spawn test subprocess");
         let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
         assert!(
             out.status.success(),
@@ -311,7 +307,5 @@ fn bits_do_not_depend_on_the_pool() {
             .expect("HASH field")
             .to_string()
     };
-    let inline = leg("1", false);
-    assert_eq!(leg("4", false), inline, "4 threads changed the bits");
-    assert_eq!(leg("4", true), inline, "CA_SERIAL changed the bits");
+    assert_eq!(leg("4"), leg("1"), "4 threads changed the bits");
 }

@@ -19,8 +19,8 @@
 //! `service.solve_us` (batch-service scheduling, mirrored from
 //! `ca_service::ServiceStats`), `rt.spawns` / `rt.jobs` / `rt.helped` /
 //! `rt.parks` (the threading runtime's cumulative totals, mirrored by
-//! `ca_pla::exec` with `record_max`; a flat `rt.spawns` means no thread
-//! was created), and `alloc.count` / `alloc.bytes` when a binary
+//! the solver at every stage end with `record_max`; a flat `rt.spawns`
+//! means no thread was created), and `alloc.count` / `alloc.bytes` when a binary
 //! installs [`crate::alloc::CountingAllocator`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,14 +1,9 @@
-//! `ca-obs`: runtime knobs plus a lightweight tracing/metrics layer for
-//! the communication-avoiding eigensolver.
-//!
-//! Two jobs live here because they share one root cause — runtime
-//! behaviour that must mean the same thing everywhere:
+//! `ca-obs`: a lightweight tracing/metrics layer for the
+//! communication-avoiding eigensolver, and the parser of its one knob.
 //!
 //! 1. **Knobs** ([`knobs`]): the single parser for `CA_*` environment
-//!    variables. Every crate consults [`knobs::serial`] /
-//!    [`knobs::bool_env`] / [`knobs::usize_env`] instead of rolling its
-//!    own truthiness rules, so `CA_SERIAL=yes` can never again mean
-//!    "serial" to one subsystem and "parallel" to another.
+//!    variables — there is one, `CA_TRACE`, read through
+//!    [`knobs::usize_env`].
 //! 2. **Tracing** ([`span`]/[`kernel_span`], [`counters`], [`export`]):
 //!    span-based stage instrumentation feeding a process-global
 //!    lock-free ring, exported as chrome-trace JSON or a per-stage
@@ -23,7 +18,7 @@
 //! |-------|---------|
 //! | 0     | off — spans are inert, counters are no-ops |
 //! | 1     | stage-level spans ([`span`]) + counters |
-//! | 2     | adds kernel-detail spans ([`kernel_span`]): executor fan-out, GEMM/QR, stage drivers |
+//! | 2     | adds kernel-detail spans ([`kernel_span`]): GEMM/QR, stage drivers, pseudocode lines |
 //!
 //! Stage spans and kernel spans are split so a deep kernel trace can
 //! never evict the handful of stage spans the conformance checks rely

@@ -1,7 +1,7 @@
 //! The process-global event collector: a lock-free bounded ring buffer.
 //!
-//! Spans complete on whatever thread ran them — including the superstep
-//! executor's short-lived workers — so the collector must accept
+//! Spans complete on whatever thread ran them — pool workers and the
+//! service's included — so the collector must accept
 //! concurrent pushes without a lock. This is the classic Vyukov bounded
 //! MPMC queue: each slot carries a sequence stamp that hands it back
 //! and forth between producers and consumers, every transition a single

@@ -152,8 +152,7 @@ impl DistMatrix {
     }
 
     /// All local blocks in grid-rank order — the disjoint per-rank
-    /// slots the parallel executor (`crate::exec`) fans owner-computes
-    /// work over.
+    /// slots of owner-computes work.
     pub fn locals_mut(&mut self) -> &mut [Matrix] {
         &mut self.local
     }

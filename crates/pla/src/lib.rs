@@ -14,11 +14,18 @@
 //! * recursive rectangular matmul, Lemma III.2 / CARMA ([`carma`]),
 //! * TSQR binary-tree QR ([`tsqr`]),
 //! * Householder reconstruction, Corollary III.7 ([`reconstruct`]),
-//! * 2D blocked CAQR for (nearly) square matrices ([`square_qr`]),
-//! * rect-QR, Algorithm III.2 / Theorem III.6 ([`rect_qr`]),
+//! * rect-QR, Algorithm III.2 / Theorem III.6 ([`rect_qr`]; a nearly
+//!   square input is the same column recursion, which is what stands
+//!   in for Lemma III.5's square QR — DESIGN.md §8.1),
 //! * distributed non-pivoted LU and triangular solves ([`lu`]),
-//! * the parallel superstep executor ([`exec`]) — runs independent
-//!   per-virtual-processor work on real threads between fences.
+//! * the budget-1 scope the benchmark's single-thread baseline runs
+//!   under ([`exec`]).
+//!
+//! The rank bodies of a superstep run as plain loops in rank order: the
+//! model prices a superstep by the maximum of what its processors are
+//! *charged*, so how the simulator walks them is free, and walking them
+//! inline measured best (DESIGN.md §6b). The kernels below a rank body
+//! (GEMM, QR, D&C) fork on the one runtime by their own size thresholds.
 //!
 //! ## Layout policy
 //!
@@ -33,7 +40,6 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-pub mod alpha_beta;
 pub mod carma;
 pub mod coll;
 pub mod cyclic;
@@ -44,7 +50,6 @@ pub mod kern;
 pub mod lu;
 pub mod reconstruct;
 pub mod rect_qr;
-pub mod square_qr;
 pub mod streaming;
 pub mod summa;
 pub mod tsqr;

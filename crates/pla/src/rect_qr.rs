@@ -337,14 +337,16 @@ pub fn rect_qr_tree(
     let z_dense = z.assemble_unchecked();
     z.release(machine);
     let mut q_dense = Matrix::zeros(mrows, n);
-    // Disjoint chunk groups, fold-free multiplies: run them in parallel
-    // and write the disjoint row slabs back in order.
-    let q_chunks = crate::exec::par_ranks(groups.len(), |i| {
-        let w_dense = ws[i].assemble_unchecked();
-        mm(machine, &groups[i], &w_dense.view(), Trans::N, &z_dense.subview(i * n, 0, n, n))
-    });
-    for (i, q_i) in q_chunks.iter().enumerate() {
-        q_dense.set_block(row_splits[i], 0, q_i);
+    for (i, w) in ws.iter().enumerate() {
+        let w_dense = w.assemble_unchecked();
+        let q_i = mm(
+            machine,
+            &groups[i],
+            &w_dense.view(),
+            Trans::N,
+            &z_dense.subview(i * n, 0, n, n),
+        );
+        q_dense.set_block(row_splits[i], 0, &q_i);
     }
     for w in ws {
         w.release(machine);

@@ -15,55 +15,67 @@
 //! otherwise each iteration re-reads it.
 
 use crate::coll;
-use crate::dist::DistMatrix;
-use crate::exec;
+use crate::dist::{splits, DistMatrix};
 use crate::grid::Grid;
 use ca_bsp::Machine;
 use ca_dla::gemm::{gemm_view, Trans};
 use ca_dla::view::{MatrixView, MatrixViewMut};
 use ca_dla::Matrix;
 
-/// A matrix replicated over the `c` layers of a 3D grid, distributed
-/// over a 2D `q₀ × q₁` grid within each layer.
+/// The record of a `rows × cols` matrix replicated over the `c` layers
+/// of a 3D grid, distributed over a 2D `q₀ × q₁` grid within each layer.
+/// It holds the layout only — the charges and the memory ledger follow
+/// from the block dimensions; a caller that multiplies against the
+/// operand passes it dense to [`streaming_mm_dense`].
 #[derive(Debug, Clone)]
 pub struct Replicated {
     /// The full `q₀ × q₁ × c` grid.
     pub grid3: Grid,
-    /// The per-layer 2D distribution (content identical on every layer;
-    /// stored once, memory charged on all layers).
-    pub layer: DistMatrix,
+    /// Rows of the replicated matrix.
+    pub rows: usize,
+    /// Columns of the replicated matrix.
+    pub cols: usize,
 }
 
 impl Replicated {
-    /// Replicate a dense matrix (starting from any balanced layout over
-    /// the whole grid) onto every layer: distribute over layer 0, then
-    /// broadcast along the layer fibers.
-    pub fn replicate(m: &Machine, grid3: &Grid, a: &Matrix) -> Replicated {
+    /// Replicate a `rows × cols` matrix (starting from any balanced
+    /// layout over the whole grid) onto every layer: distribute over
+    /// layer 0, then broadcast along the layer fibers.
+    pub fn replicate(m: &Machine, grid3: &Grid, rows: usize, cols: usize) -> Replicated {
+        let rep = Replicated {
+            grid3: grid3.clone(),
+            rows,
+            cols,
+        };
         let (q0, q1, c) = grid3.shape();
         let layer0 = grid3.layer(0);
-        let layer = DistMatrix::from_dense(m, &layer0, a);
+        DistMatrix::record_alloc(m, &layer0, rows, cols);
+        for i in 0..q0 {
+            for j in 0..q1 {
+                m.charge_comm(grid3.at(i, j, 0), 2 * rep.block_words(i, j));
+            }
+        }
+        m.step(layer0.procs(), 1);
         // Fiber broadcast of each block to the other layers.
         if c > 1 {
             for i in 0..q0 {
                 for j in 0..q1 {
                     let fiber = grid3.fiber_group(i, j);
-                    let r = layer0.rank(i, j, 0);
-                    coll::bcast(m, &fiber, 0, layer.words_on(r));
+                    coll::bcast(m, &fiber, 0, rep.block_words(i, j));
                     for l in 1..c {
-                        m.alloc(grid3.at(i, j, l), layer.words_on(r));
+                        m.alloc(grid3.at(i, j, l), rep.block_words(i, j));
                     }
                 }
             }
         }
-        Replicated {
-            grid3: grid3.clone(),
-            layer,
-        }
+        rep
     }
 
     /// Words of replicated storage per layer-0 processor block `(i, j)`.
     pub fn block_words(&self, i: usize, j: usize) -> u64 {
-        self.layer.words_on(self.layer.grid().rank(i, j, 0))
+        let (q0, q1, _) = self.grid3.shape();
+        let (rs, cs) = (splits(self.rows, q0), splits(self.cols, q1));
+        ((rs[i + 1] - rs[i]) * (cs[j + 1] - cs[j])) as u64
     }
 
     /// Release all layers' storage.
@@ -77,35 +89,21 @@ impl Replicated {
                 }
             }
         }
-        self.layer.release(m);
+        DistMatrix::record_free(m, &self.grid3.layer(0), self.rows, self.cols);
     }
 }
 
-/// `C = op(A[sub])·B` where `A` is replicated ([`Replicated`]), `sub`
-/// selects the rows/cols `(r0, c0, nr, nc)` of `A` to use (Algorithm IV.1
-/// multiplies against trailing submatrices), `B` is `nc × k`
-/// (`nr × k` when transposed) in any balanced layout, and `w` is the
-/// per-layer streaming depth of Algorithm III.1.
+/// `C = op(A[sub])·B` where `A` is replicated across the grid's layers
+/// (the caller vouches for it: a [`Replicated`] record, or Algorithm
+/// IV.1's aggregated `U⁽⁰⁾`/`V⁽⁰⁾` panels, which line 10 of the algorithm
+/// replicates as they are produced) and supplied dense, `sub` selects
+/// the rows/cols `(r0, c0, nr, nc)` of `A` to use (Algorithm IV.1
+/// multiplies against trailing submatrices), `B` is `nc × k` (`nr × k`
+/// when transposed) in any balanced layout, and `w` is the per-layer
+/// streaming depth of Algorithm III.1.
 ///
 /// Returns `C` (`nr × k`, or `nc × k` transposed) evenly spread over the
 /// grid.
-pub fn streaming_mm(
-    m: &Machine,
-    rep: &Replicated,
-    sub: (usize, usize, usize, usize),
-    transpose_a: bool,
-    b: &Matrix,
-    w: usize,
-) -> Matrix {
-    let a_dense = rep.layer.assemble_unchecked();
-    streaming_mm_dense(m, &rep.grid3, &a_dense, sub, transpose_a, b, w)
-}
-
-/// [`streaming_mm`] against a replicated operand supplied directly as a
-/// dense matrix (the caller vouches that it is already replicated across
-/// the grid's layers — e.g. Algorithm IV.1's aggregated `U⁽⁰⁾`/`V⁽⁰⁾`
-/// panels, which line 10 of the algorithm replicates as they are
-/// produced).
 pub fn streaming_mm_dense(
     m: &Machine,
     grid3: &Grid,
@@ -191,11 +189,11 @@ pub fn streaming_mm_view_into(
 
     // Split the inner dimension by the layer grid's owner blocks of A
     // and the k dimension into z column blocks.
-    let inner_splits = crate::dist::splits(inner, q);
-    let k_splits = crate::dist::splits(k, z);
+    let inner_splits = splits(inner, q);
+    let k_splits = splits(k, z);
 
     out.fill(0.0);
-    let out_splits = crate::dist::splits(out_rows, q);
+    let out_splits = splits(out_rows, q);
     let h_cache = m.cache_words();
 
     for l in 0..c {
@@ -226,13 +224,13 @@ pub fn streaming_mm_view_into(
                 coll::allgather(m, &gather_group, (b_jh.rows() * b_jh.cols()) as u64 / q as u64);
 
                 // Each idim produces a disjoint output row range
-                // [i0, i1): run the charged multiplies concurrently and
-                // accumulate the partial products in rank order.
-                let b_jh = &b_jh;
-                let parts = exec::par_ranks(q, |idim| {
+                // [i0, i1); the reduce-scatter below performs the Σⱼ
+                // numerically represented by accumulating the partial
+                // products in rank order.
+                for idim in 0..q {
                     let (i0, i1) = (out_splits[idim], out_splits[idim + 1]);
                     if i0 == i1 {
-                        return None;
+                        continue;
                     }
                     let (ar, ac, anr, anc) = if transpose_a {
                         (r0 + j0, c0 + i0, j1 - j0, i1 - i0)
@@ -261,13 +259,8 @@ pub fn streaming_mm_view_into(
                     };
                     m.charge_vert(pid, vert);
                     let mut part = Matrix::zeros(i1 - i0, kb);
-                    gemm_view(1.0, &a_blk, ta, b_jh, tb, 0.0, &mut part.view_mut());
-                    Some((i0, part))
-                });
-                // The reduce-scatter below performs the Σⱼ numerically
-                // represented by this serial in-order accumulation.
-                for (i0, part) in parts.into_iter().flatten() {
-                    out.sub_mut(i0, k0, part.rows(), part.cols())
+                    gemm_view(1.0, &a_blk, ta, &b_jh, tb, 0.0, &mut part.view_mut());
+                    out.sub_mut(i0, k0, i1 - i0, kb)
                         .add_scaled(1.0, &part.view());
                 }
             }
@@ -312,8 +305,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(160 + (q * c + w) as u64);
             let a = gen::random_matrix(&mut rng, 12, 12);
             let b = gen::random_matrix(&mut rng, 12, 6);
-            let rep = Replicated::replicate(&m, &g, &a);
-            let cmat = streaming_mm(&m, &rep, (0, 0, 12, 12), false, &b, w);
+            let cmat = streaming_mm_dense(&m, &g, &a, (0, 0, 12, 12), false, &b, w);
             let want = matmul(&a, Trans::N, &b, Trans::N);
             assert!(
                 cmat.max_diff(&want) < 1e-11,
@@ -329,9 +321,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(170);
         let a = gen::random_matrix(&mut rng, 16, 16);
         let b = gen::random_matrix(&mut rng, 10, 4);
-        let rep = Replicated::replicate(&m, &g, &a);
         // A[4.., 6..]·B with the 12×10 trailing block.
-        let cmat = streaming_mm(&m, &rep, (4, 6, 12, 10), false, &b, 2);
+        let cmat = streaming_mm_dense(&m, &g, &a, (4, 6, 12, 10), false, &b, 2);
         let want = matmul(&a.block(4, 6, 12, 10), Trans::N, &b, Trans::N);
         assert!(cmat.max_diff(&want) < 1e-11);
     }
@@ -343,9 +334,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(171);
         let a = gen::random_matrix(&mut rng, 14, 14);
         let b = gen::random_matrix(&mut rng, 9, 5);
-        let rep = Replicated::replicate(&m, &g, &a);
         // A[2..11, 3..14)ᵀ·B: (9×11)ᵀ is 11×9 · 9×5.
-        let cmat = streaming_mm(&m, &rep, (2, 3, 9, 11), true, &b, 1);
+        let cmat = streaming_mm_dense(&m, &g, &a, (2, 3, 9, 11), true, &b, 1);
         let want = matmul(&a.block(2, 3, 9, 11), Trans::T, &b, Trans::N);
         assert!(cmat.max_diff(&want) < 1e-11);
     }
@@ -430,9 +420,9 @@ mod tests {
             let g = grid3(q, c);
             let a = Matrix::zeros(n, n);
             let b = Matrix::zeros(n, k);
-            let rep = Replicated::replicate(&m, &g, &a);
+            Replicated::replicate(&m, &g, n, n);
             let snap = m.snapshot();
-            let _ = streaming_mm(&m, &rep, (0, 0, n, n), false, &b, 1);
+            let _ = streaming_mm_dense(&m, &g, &a, (0, 0, n, n), false, &b, 1);
             m.fence();
             ws.push(m.costs_since(&snap).horizontal_words as f64);
         }
@@ -447,9 +437,9 @@ mod tests {
         let q = 2;
         let n = 16;
         let m1 = machine(q * q);
-        let rep1 = Replicated::replicate(&m1, &grid3(q, 1), &Matrix::zeros(n, n));
+        let rep1 = Replicated::replicate(&m1, &grid3(q, 1), n, n);
         let m2 = machine(q * q * 3);
-        let rep2 = Replicated::replicate(&m2, &grid3(q, 3), &Matrix::zeros(n, n));
+        let rep2 = Replicated::replicate(&m2, &grid3(q, 3), n, n);
         // Peak per-proc memory identical (each holds one block copy).
         assert_eq!(
             m1.report().peak_memory_words,

@@ -11,7 +11,6 @@
 
 use crate::coll;
 use crate::dist::DistMatrix;
-use crate::exec;
 use crate::kern;
 use ca_bsp::Machine;
 use ca_dla::gemm::Trans;
@@ -40,13 +39,13 @@ pub fn summa(m: &Machine, alpha: f64, a: &DistMatrix, b: &DistMatrix, beta: f64,
 
     // Scale C once (every rank's block independently).
     if beta != 1.0 {
-        exec::par_over(c.locals_mut(), |_, loc| {
+        for loc in c.locals_mut() {
             if beta == 0.0 {
                 loc.data_mut().fill(0.0);
             } else {
                 loc.scale(beta);
             }
-        });
+        }
     }
 
     for w in bounds.windows(2) {
@@ -81,9 +80,8 @@ pub fn summa(m: &Machine, alpha: f64, a: &DistMatrix, b: &DistMatrix, beta: f64,
             b_panels.push(piece);
         }
 
-        // Local accumulation on every processor (disjoint output
-        // blocks, so the executor runs the ranks concurrently).
-        exec::par_over(c.locals_mut(), |r, loc| {
+        // Local accumulation on every processor.
+        for (r, loc) in c.locals_mut().iter_mut().enumerate() {
             let (i, j, _) = grid.coords(r);
             kern::local_gemm(
                 m,
@@ -96,7 +94,7 @@ pub fn summa(m: &Machine, alpha: f64, a: &DistMatrix, b: &DistMatrix, beta: f64,
                 1.0,
                 loc,
             );
-        });
+        }
     }
 }
 

@@ -10,7 +10,6 @@
 
 use crate::coll;
 use crate::dist::DistMatrix;
-use crate::exec;
 use crate::grid::Grid;
 use crate::kern;
 use ca_bsp::Machine;
@@ -58,7 +57,9 @@ pub fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
     let (_rows, n) = a.shape();
 
     // Leaf factorizations — one independent QR per rank.
-    let leaves = exec::par_ranks(g, |rank| kern::local_qr(m, group.proc(rank), a.local(rank)));
+    let leaves: Vec<QrFactors> = (0..g)
+        .map(|rank| kern::local_qr(m, group.proc(rank), a.local(rank)))
+        .collect();
     let mut current_r: Vec<Matrix> = leaves.iter().map(|f| f.r.clone()).collect();
     m.step(group.procs(), 1);
 
@@ -80,30 +81,26 @@ pub fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
         }
         coll::exchange(m, &group, &moves);
         // Merge nodes of one level touch disjoint (owner, partner)
-        // pairs — run them concurrently, reading current_r immutably.
-        let pairs: Vec<(usize, usize)> = (0..g)
+        // pairs: every node reads the level's inputs, then the owners
+        // take the new `R`s.
+        let nodes: Vec<TreeNode> = (0..g)
             .step_by(2 * stride)
-            .filter_map(|owner| {
+            .filter(|owner| owner + stride < g)
+            .map(|owner| {
                 let partner = owner + stride;
-                (partner < g).then_some((owner, partner))
+                let top = &current_r[owner];
+                let bot = &current_r[partner];
+                let stacked = Matrix::vstack(&[top, bot]);
+                TreeNode {
+                    owner,
+                    partner,
+                    top_rows: top.rows(),
+                    bot_rows: bot.rows(),
+                    factors: kern::local_qr(m, group.proc(owner), &stacked),
+                }
             })
             .collect();
-        let current = &current_r;
-        let mut nodes = exec::par_ranks(pairs.len(), |idx| {
-            let (owner, partner) = pairs[idx];
-            let top = &current[owner];
-            let bot = &current[partner];
-            let stacked = Matrix::vstack(&[top, bot]);
-            let f = kern::local_qr(m, group.proc(owner), &stacked);
-            TreeNode {
-                owner,
-                partner,
-                top_rows: top.rows(),
-                bot_rows: bot.rows(),
-                factors: f,
-            }
-        });
-        for node in &mut nodes {
+        for node in &nodes {
             current_r[node.owner] = node.factors.r.clone();
         }
         levels.push(nodes);
@@ -179,31 +176,21 @@ pub fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
     slab[0] = Some(seed);
 
     // Walk the tree top-down. Within a level the nodes own disjoint
-    // (owner, partner) slabs, so the node applications run concurrently:
-    // take the inputs in order, apply in parallel, store in order.
+    // (owner, partner) slabs.
     for level in t.levels.iter().rev() {
-        let inputs: Vec<Matrix> = level
-            .iter()
-            .map(|node| {
-                slab[node.owner]
-                    .take()
-                    .expect("tree down-sweep: owner slab missing")
-            })
-            .collect();
-        let split = exec::par_ranks(level.len(), |idx| {
-            let node = &level[idx];
+        let mut moves = Vec::new();
+        for node in level {
+            let input = slab[node.owner]
+                .take()
+                .expect("tree down-sweep: owner slab missing");
             let f = &node.factors;
             m.charge_flops(
                 t.group.proc(node.owner),
                 ca_dla::costs::apply_q_flops(node.top_rows + node.bot_rows, f.k(), n),
             );
-            let coeff = wy_coefficients(f, &inputs[idx]);
-            let top = q_rows(f, &inputs[idx], &coeff, 0, node.top_rows);
-            let bot = q_rows(f, &inputs[idx], &coeff, node.top_rows, node.bot_rows);
-            (top, bot)
-        });
-        let mut moves = Vec::new();
-        for (node, (top, bot)) in level.iter().zip(split) {
+            let coeff = wy_coefficients(f, &input);
+            let top = q_rows(f, &input, &coeff, 0, node.top_rows);
+            let bot = q_rows(f, &input, &coeff, node.top_rows, node.bot_rows);
             moves.push((
                 t.group.proc(node.owner),
                 t.group.proc(node.partner),
@@ -216,22 +203,16 @@ pub fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
     }
 
     // Leaf application — independent per rank.
-    let slabs: Vec<Matrix> = slab
-        .into_iter()
-        .map(|s| s.expect("leaf slab missing"))
-        .collect();
-    let leaf_out = exec::par_ranks(g, |rank| {
+    for (rank, s) in slab.into_iter().enumerate() {
+        let s = s.expect("leaf slab missing");
         let leaf = &t.leaves[rank];
         let rows = leaf.u.rows();
         m.charge_flops(
             t.group.proc(rank),
             ca_dla::costs::apply_q_flops(rows, leaf.k(), n),
         );
-        let coeff = wy_coefficients(leaf, &slabs[rank]);
-        q_rows(leaf, &slabs[rank], &coeff, 0, rows)
-    });
-    for (rank, block) in leaf_out.into_iter().enumerate() {
-        *out.local_mut(rank) = block;
+        let coeff = wy_coefficients(leaf, &s);
+        *out.local_mut(rank) = q_rows(leaf, &s, &coeff, 0, rows);
     }
     m.step(t.group.procs(), 1);
 }

@@ -1,14 +1,5 @@
-//! Service configuration and its environment knobs.
-//!
-//! All env parsing routes through [`ca_obs::knobs`] (the repo-wide
-//! parser), so malformed values warn once on stderr and fall back to
-//! the defaults instead of being silently ignored:
-//!
-//! | knob | meaning | default |
-//! |---|---|---|
-//! | `CA_SERVICE_WORKERS` | worker threads | available parallelism, capped at 8 |
-//! | `CA_QUEUE_CAP` | bounded admission-queue capacity | 256 |
-//! | `CA_BATCH_FLOOR` | problems with `n` below this coalesce into batched leaf solves | 64 |
+//! Service configuration: [`ServiceConfig`]'s fields are the whole of it
+//! — the service reads no environment variable.
 
 /// Construction-time parameters of an [`crate::EigenService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,22 +43,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The defaults with every `CA_*` service knob applied on top (see
-    /// the module docs for the knob table).
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(w) = ca_obs::knobs::usize_env("CA_SERVICE_WORKERS") {
-            cfg.workers = w;
-        }
-        if let Some(cap) = ca_obs::knobs::usize_env("CA_QUEUE_CAP") {
-            cfg.queue_capacity = cap;
-        }
-        if let Some(floor) = ca_obs::knobs::usize_env("CA_BATCH_FLOOR") {
-            cfg.batch_floor = floor;
-        }
-        cfg
-    }
-
     /// Number of worker threads, with the ≥ 1 clamp applied.
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1)
@@ -90,20 +65,5 @@ mod tests {
         assert!(cfg.queue_capacity >= 1);
         assert!(cfg.batch_max >= 1);
         assert!(!cfg.paused);
-    }
-
-    #[test]
-    fn env_overrides_apply() {
-        // Serialized through distinct var names is not possible here
-        // (the knobs are fixed), so set and remove around the read;
-        // sibling tests in this crate do not touch these vars.
-        std::env::set_var("CA_SERVICE_WORKERS", "3");
-        std::env::set_var("CA_QUEUE_CAP", "11");
-        std::env::set_var("CA_BATCH_FLOOR", "17");
-        let cfg = ServiceConfig::from_env();
-        std::env::remove_var("CA_SERVICE_WORKERS");
-        std::env::remove_var("CA_QUEUE_CAP");
-        std::env::remove_var("CA_BATCH_FLOOR");
-        assert_eq!((cfg.workers, cfg.queue_capacity, cfg.batch_floor), (3, 11, 17));
     }
 }

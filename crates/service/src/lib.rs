@@ -4,21 +4,21 @@
 //! invocation. This crate turns it into a reusable serving substrate:
 //! an [`EigenService`] owns a set of worker threads — started through
 //! the workspace runtime's one spawn site, each with a core budget of
-//! `max(1, current_num_threads() / workers)` for the forks and task
-//! graphs inside its jobs — accepts
+//! `max(1, current_num_threads() / workers)` for the forks inside its
+//! jobs — accepts
 //! many independent [`SymmEigenJob`]s (values-only or with vectors,
 //! heterogeneous `n`), applies admission control
 //! over a bounded queue, cancels jobs whose scheduling deadline passes
 //! ([`EigenError::Deadline`]), and **coalesces** small problems (below
-//! the `CA_BATCH_FLOOR` knob) into batched leaf solves that amortize
+//! [`ServiceConfig::batch_floor`]) into batched leaf solves that amortize
 //! per-solve overheads across a batch — the amortization the paper's
 //! cost model rewards.
 //!
 //! ## Determinism
 //!
 //! Results are **bit-identical to solo runs** regardless of
-//! concurrency, interleaving, batching, or `CA_SERIAL`, by
-//! construction (see DESIGN.md §6f):
+//! concurrency, interleaving, batching, or the pool width
+//! (`RAYON_NUM_THREADS`), by construction (see DESIGN.md §6f):
 //!
 //! 1. every job executes through exactly one function,
 //!    [`ca_eigen::solve_job`], which a solo reference run calls
@@ -31,8 +31,8 @@
 //!    use), so a warm arena is numerically indistinguishable from a
 //!    cold one;
 //! 3. the solver has no process-global configuration a concurrent
-//!    caller could flip mid-batch (`CA_SERIAL` is read once per
-//!    process and changes dispatch, never bits);
+//!    caller could flip mid-batch (a worker's core budget is its own
+//!    thread's and changes dispatch, never bits);
 //! 4. the solver itself is interleaving-independent: its cost ledger
 //!    is commutative-atomic and its parallel schedules are
 //!    bit-identical to serial execution (pinned by the repo's
@@ -202,12 +202,6 @@ impl EigenService {
             workers,
             next_id: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// A service configured from the `CA_*` environment knobs (see
-    /// [`ServiceConfig::from_env`]).
-    pub fn from_env() -> Self {
-        Self::new(ServiceConfig::from_env())
     }
 
     /// Admit one job. Returns a [`JobTicket`] on admission;

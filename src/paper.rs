@@ -21,10 +21,10 @@
 //! |---|---|
 //! | Lemma III.1 (sequential MM, cache traffic) | [`ca_dla::gemm`], [`ca_dla::costs::gemm_vert`] |
 //! | Lemma III.2 (rectangular parallel MM, parameter `v`) | [`ca_pla::carma::carma`] |
-//! | Algorithm III.1 (Streaming-MM, replicated operand) | [`ca_pla::streaming::streaming_mm`] |
-//! | Lemma III.3 (its cost) | cache-aware charging inside `streaming_mm`; model in [`ca_eigen::model::mm_streaming`] |
+//! | Algorithm III.1 (Streaming-MM, replicated operand) | [`ca_pla::streaming::streaming_mm_dense`] (the replication itself: [`ca_pla::streaming::Replicated`]) |
+//! | Lemma III.3 (its cost) | cache-aware charging inside `streaming_mm_view_into`; model in [`ca_eigen::model::mm_streaming`] |
 //! | Lemma III.4 (sequential QR) | [`ca_dla::qr::qr_factor`] — the lemma's own recursive formulation (split the columns, factor left, update right by GEMM, factor right, merge `T₁₂ = −T₁₁·(U₁ᵀU₂)·T₂₂` by GEMM; no block size), which also serves every bulge chase, TSQR leaf and the input generator; its `Q` charge is [`ca_dla::costs::qr_vert`] |
-//! | Lemma III.5 (square QR) | [`ca_pla::square_qr::square_qr`] (substitution: DESIGN.md §8.1) |
+//! | Lemma III.5 (square QR) | [`ca_pla::rect_qr::rect_qr`] — a nearly square input is the same column recursion, and `rect_qr_tree`'s `m ≤ 2n` nodes call it; a separate entry point would be an assert in front of that call (substitution: DESIGN.md §8.1) |
 //! | Algorithm III.2 (rect-QR, row tree) | [`ca_pla::rect_qr::rect_qr_tree`] (verbatim) and [`ca_pla::rect_qr::rect_qr`] (the column-recursive variant §III.B sanctions; used by the eigensolver) |
 //! | Theorem III.6 (rect-QR cost) | measured by `ca-bench --bin rect_qr_sweep` / `--bin qr_variants`; model in [`ca_eigen::model::qr_rectangular`] |
 //! | Corollary III.7 (Householder reconstruction) | [`ca_pla::reconstruct::reconstruct`], [`ca_dla::lu::lu_nopivot_signed`], [`ca_pla::lu::dist_lu_signed`] |

@@ -10,7 +10,7 @@ use ca_symm_eig::dla::{gen, Matrix};
 use ca_symm_eig::pla::carma::carma;
 use ca_symm_eig::pla::dist::DistMatrix;
 use ca_symm_eig::pla::grid::Grid;
-use ca_symm_eig::pla::streaming::{streaming_mm, Replicated};
+use ca_symm_eig::pla::streaming::{streaming_mm_dense, Replicated};
 use ca_symm_eig::pla::summa::summa;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,8 +46,8 @@ fn three_multiply_algorithms_agree() {
     // Streaming-MM (replicated A).
     let m3 = machine(p);
     let g3 = Grid::new_3d((0..p).collect(), q, q, 1);
-    let rep = Replicated::replicate(&m3, &g3, &a);
-    let c3 = streaming_mm(&m3, &rep, (0, 0, n, n), false, &b, 1);
+    Replicated::replicate(&m3, &g3, n, n);
+    let c3 = streaming_mm_dense(&m3, &g3, &a, (0, 0, n, n), false, &b, 1);
     assert!(c3.max_diff(&want) < 1e-11);
 
     // Cost ordering for this panel shape (k ≪ n): once A is replicated,
@@ -55,7 +55,7 @@ fn three_multiply_algorithms_agree() {
     let w_summa = m1.report().horizontal_words;
     let w_carma = m2.report().horizontal_words;
     let snap = m3.snapshot();
-    let _ = streaming_mm(&m3, &rep, (0, 0, n, n), false, &b, 1);
+    let _ = streaming_mm_dense(&m3, &g3, &a, (0, 0, n, n), false, &b, 1);
     m3.fence();
     let w_stream = m3.costs_since(&snap).horizontal_words;
     assert!(

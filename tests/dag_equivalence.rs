@@ -3,10 +3,10 @@
 //! Every reduction stage — full→band (Algorithm IV.1 as one loop over
 //! panels), band→band, CA-SBR, Lang (one walk over a chase plan) — is a
 //! straight-line program on the driver's thread with live charges in
-//! program order; what reaches the pool is the rank fan-outs and the
-//! GEMM/QR pieces below them. For every problem shape — including ragged
-//! ones where the halving target does not divide the band-width — a run
-//! that may use the pool and a forced-serial run agree **bitwise** on
+//! program order, rank bodies included; what reaches the pool is the
+//! GEMM/QR/D&C pieces below them. For every problem shape — including
+//! ragged ones where the halving target does not divide the band-width —
+//! a run that may use the pool and a budget-1 run agree **bitwise** on
 //!
 //! * the reduced band (every stored word),
 //! * the recorded Householder transforms (`row0`, `U`, `T`, in record
@@ -198,8 +198,8 @@ fn tally_hash(l: &Ledger) -> u64 {
     fnv1a(l.1.iter().chain(&l.2).chain(&l.3).copied())
 }
 
-/// Run `case` with the pool available and under forced-serial dispatch
-/// (every rank body inline on this thread, in rank order) and demand
+/// Run `case` with the pool available and under a core budget of 1
+/// (nothing queued: every kernel piece inline on this thread) and demand
 /// bitwise + ledger equality. Returns the shared ledger.
 fn assert_schedules_agree<F>(label: &str, case: F) -> Ledger
 where

@@ -203,11 +203,11 @@ fn production_shapes_reconstruct_to_working_precision() {
         let u = rec.u.assemble_unchecked();
         assert_wy_identity(&q_dense, &u, &rec.t, &rec.s, 1e-12);
 
-        // Rank fan-outs inline or pooled: the same bits.
+        // Kernel pieces inline (budget 1) or pooled: the same bits.
         let inline = exec::with_forced_serial(|| reconstruct(&machine(g), &q));
-        assert_eq!(inline.s, rec.s, "g = {g}: signs depend on the executor");
-        assert_eq!(inline.t, rec.t, "g = {g}: T's bits depend on the executor");
-        assert_eq!(inline.u.assemble_unchecked(), u, "g = {g}: U's bits depend on the executor");
+        assert_eq!(inline.s, rec.s, "g = {g}: signs depend on the budget");
+        assert_eq!(inline.t, rec.t, "g = {g}: T's bits depend on the budget");
+        assert_eq!(inline.u.assemble_unchecked(), u, "g = {g}: U's bits depend on the budget");
 
         // The sequential form (right solves instead of inverses) agrees.
         let (u_loc, t_loc, s_loc) = reconstruct_local(&q_dense);

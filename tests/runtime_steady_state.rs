@@ -10,7 +10,7 @@
 //!   reference host, and a pool wider than its cores — give identical
 //!   eigenvalue bits and identical per-processor ledgers. The pool size
 //!   is read once per process, so each leg is a subprocess of this test
-//!   binary (the pattern of `tests/serial_knob.rs`).
+//!   binary (the pattern of `tests/trace_knob.rs`).
 //! * **Isolation.** Solves running concurrently on the shared pool keep
 //!   their own bits and ledgers.
 //!
@@ -144,11 +144,10 @@ fn concurrent_solves_keep_their_own_bits_and_ledgers() {
 #[test]
 #[ignore = "subprocess payload for schedule_independence_across_pool_sizes"]
 fn inner_emit_hashes() {
-    // Start the pool the way a large solve would: under `CA_SERIAL` the
-    // rank fan-outs run inline and no product at these sizes reaches
-    // GEMM's fork threshold, so nothing below would wake it, and the
-    // spawn count must show that the solves add nothing to a running
-    // pool.
+    // Start the pool the way a large solve would: the rank bodies are
+    // a walk and no product at these sizes reaches GEMM's fork
+    // threshold, so little below would wake it, and the spawn count must
+    // show that the solves add nothing to a running pool.
     let (a, b) = (Matrix::identity(128), Matrix::zeros(128, 256));
     let mut c = Matrix::zeros(128, 256);
     gemm(1.0, &a, Trans::N, &b, Trans::N, 0.0, &mut c);

@@ -10,10 +10,10 @@
 //! directly on this thread — the same function the workers run, so any
 //! divergence is a real scheduling leak, not a harness artifact.
 //!
-//! Also runs under `CA_SERIAL=true` in the serial-executor CI lane,
-//! covering the "regardless of `CA_SERIAL`" half of the claim (serial ↔
-//! parallel bit-identity of the solver itself is pinned by
-//! `tests/serial_knob.rs`).
+//! Also runs under `RAYON_NUM_THREADS=1` and `=4` in CI, covering the
+//! "regardless of the pool width" half of the claim (inline ↔ forked
+//! bit-identity of the solver itself is pinned by
+//! `tests/executor_determinism.rs` and `tests/runtime_steady_state.rs`).
 
 use ca_service::{EigenService, JobResult, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::dla::gen;

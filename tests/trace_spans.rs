@@ -113,8 +113,7 @@ fn stage_spans_pin_names_costs_and_nesting() {
     assert!(
         !events.iter().any(|e| {
             let n = e.name();
-            n.starts_with("exec.") || n.starts_with("gemm.") || n.starts_with("qr.")
-                || n.starts_with("driver.")
+            n.starts_with("gemm.") || n.starts_with("qr.") || n.starts_with("driver.")
         }),
         "kernel-detail spans must stay inert at level 1"
     );
