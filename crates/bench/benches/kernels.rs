@@ -232,19 +232,30 @@ fn bench_band_sweep(c: &mut Criterion) {
 }
 
 /// One sequential block-reflector pass `b → h` (Algorithm IV.2 on one
-/// processor): the halving the finale used to start with, and the single
-/// pass to the sweep band it takes now. An element is a flop of the
-/// per-chase count the distributed stages charge (QR of the bulge block,
-/// the `W`/`V` chain, the rank-2h update), summed over the plan.
+/// processor): the halving the finale used to start with, the single
+/// pass to the sweep band it takes now (1024, 256 → 64: `values_p4`),
+/// and the stage shapes the benchmark workloads chase — CA-SBR's
+/// 512 → 256 at n = 1024 (`values_p4`) and 384 → 192 at n = 768
+/// (`vectors_p4`), `values_p64c4`'s band→band 170 → 64. An element is a
+/// flop of the per-chase count the distributed stages *charge* (QR of
+/// the bulge block, the `W`/`V` chain, the rank-2h update over the
+/// plan's whole `nc`-row strip), summed over the plan — not the flops
+/// the kernel executes, which skips the strip's zero rows and the
+/// factors' triangles — so `thrpt` reads how fast the charged work is
+/// done.
 fn bench_band_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("band_pass");
     for (n, b, h) in [
         (1024usize, 256usize, 128usize),
         (1024, 256, 64),
         (768, 192, 64),
+        (1024, 512, 256),
+        (1024, 170, 64),
+        (768, 384, 192),
     ] {
         let mut rng = StdRng::seed_from_u64(8);
-        let base = BandedSym::from_dense(&gen::random_banded(&mut rng, n, b), b, 2 * b);
+        let cap = (2 * b).min(n - 1);
+        let base = BandedSym::from_dense(&gen::random_banded(&mut rng, n, b), b, cap);
         let flops: u64 = chase_plan_iter(n, b, h)
             .map(|op| {
                 let (nr, nc) = (op.nr(), op.nc());

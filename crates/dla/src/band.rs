@@ -149,10 +149,7 @@ impl BandedSym {
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         let (hi, lo) = if i >= j { (i, j) } else { (j, i) };
         if hi - lo > self.cap {
-            assert!(
-                v.abs() < 1e-9 * self.scale.max(1.0),
-                "write of {v:.3e} outside band capacity at ({i},{j}): fill analysis violated"
-            );
+            check_fill(v, self.scale, (i, j));
             return;
         }
         if v.abs() > self.scale {
@@ -253,6 +250,15 @@ impl BandedSym {
         }
         s.sqrt()
     }
+}
+
+/// The fill-analysis check of a write with nowhere to go: a value beyond
+/// the band's capacity must be negligible against its `scale`.
+pub(crate) fn check_fill(v: f64, scale: f64, (i, j): (usize, usize)) {
+    assert!(
+        v.abs() < 1e-9 * scale.max(1.0),
+        "write of {v:.3e} outside band capacity at ({i},{j}): fill analysis violated",
+    );
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 //!   `tests/kernel_equivalence.rs` (see DESIGN.md §"kernel engine").
 //! * [`reduce_band`] — run the whole plan sequentially.
 
-use crate::band::BandedSym;
-use crate::gemm::{gemm, gemm_view, gemm_view_hinted, matmul, Fma, Trans};
+use crate::band::{check_fill, BandedSym};
+use crate::gemm::{gemm, gemm_view_tri, matmul, Fma, Trans, Tri};
 use crate::matrix::Matrix;
 use crate::qr::{dot, house_gen_in_place, qr_factor, qr_inplace, QrFactors};
 use crate::view::{MatrixView, MatrixViewMut};
@@ -236,14 +236,144 @@ pub fn chase_window_update_factors_reference(d: &mut Matrix, op: &ChaseOp) -> (M
     (f.u, f.t)
 }
 
+/// Rows per tile of the transposing copies between a row-major buffer
+/// and stored band columns ([`Runs`]): a tile's rows of the buffer — one
+/// cache line each per eight columns — stay in L1 while every column's
+/// run streams past, instead of a whole run's rows (up to `2b + 1`
+/// lines) being revisited once per column.
+const TILE: usize = 32;
+
+/// A row-major buffer (row length `ld`) whose column `c` lies, over its
+/// rows `run(c) = (r0, r1, base)`, along one stored band column: buffer
+/// cell `(r, c)` is slab word `base + r − r0`. Rows `r1 .. rows` of the
+/// column are beyond the band's capacity. The QR block (every cell
+/// globally lower) and the lower part of the update strip are both of
+/// this shape.
+struct Runs<F: Fn(usize) -> (usize, usize, usize)> {
+    ld: usize,
+    cols: usize,
+    rows: usize,
+    run: F,
+}
+
+impl<F: Fn(usize) -> (usize, usize, usize)> Runs<F> {
+    /// Every run, a tile of rows at a time.
+    fn for_each(&self, mut f: impl FnMut(usize, usize, usize, usize)) {
+        for t0 in (0..self.rows).step_by(TILE) {
+            let t1 = self.rows.min(t0 + TILE);
+            for c in 0..self.cols {
+                let (r0, r1, base) = (self.run)(c);
+                let (lo, hi) = (r0.max(t0), r1.min(t1));
+                if lo < hi {
+                    f(c, lo, hi, base + lo - r0);
+                }
+            }
+        }
+    }
+
+    /// Each column's cells beyond the capacity, `(r, c)` for `r` in
+    /// `r1 .. rows`.
+    fn beyond(&self, mut f: impl FnMut(usize, usize)) {
+        for c in 0..self.cols {
+            let (r0, r1, _) = (self.run)(c);
+            for r in r1.max(r0)..self.rows {
+                f(r, c);
+            }
+        }
+    }
+
+    /// Copy the runs from the slab into the buffer, and store the zero
+    /// `get` reads beyond the capacity.
+    fn gather(&self, slab: &[f64], buf: &mut [f64]) {
+        let ld = self.ld;
+        self.for_each(|c, lo, hi, at| {
+            for (r, &s) in (lo..hi).zip(&slab[at..at + (hi - lo)]) {
+                buf[r * ld + c] = s;
+            }
+        });
+        self.beyond(|r, c| buf[r * ld + c] = 0.0);
+    }
+
+    /// Copy the runs from the buffer onto the slab under
+    /// [`BandedSym::set`]'s contract: `scale` rises to every value
+    /// stored, and a cell beyond the capacity must be negligible against
+    /// it. `at` maps a buffer cell to global indices for the message.
+    fn scatter(
+        &self,
+        buf: &[f64],
+        slab: &mut [f64],
+        scale: &mut f64,
+        at: impl Fn(usize, usize) -> (usize, usize),
+    ) {
+        let ld = self.ld;
+        let mut smax = *scale;
+        self.for_each(|c, lo, hi, base| {
+            let run = &mut slab[base..base + (hi - lo)];
+            for (s, r) in run.iter_mut().zip(lo..hi) {
+                *s = buf[r * ld + c];
+            }
+            smax = max_abs(smax, run);
+        });
+        self.beyond(|r, c| check_fill(buf[r * ld + c], smax, at(r, c)));
+        *scale = smax;
+    }
+}
+
+/// The larger of `m` and the largest magnitude in `xs` — `set`'s
+/// `if |x| > scale` high-water over a run, NaN ignored as there — on
+/// four independent lanes: a maximum is exact in any order, and one
+/// running maximum is a compare chain as long as the run.
+fn max_abs(m: f64, xs: &[f64]) -> f64 {
+    let raise = |m: f64, x: f64| if x > m { x } else { m };
+    let mut lanes = [m; 4];
+    let mut chunks = xs.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = raise(*lane, x.abs());
+        }
+    }
+    let m = lanes.into_iter().fold(m, raise);
+    chunks.remainder().iter().fold(m, |m, &x| raise(m, x.abs()))
+}
+
 /// Zero-copy banded chase: operate on the band storage directly, never
-/// materializing the dense symmetric window. Only the `nr × h` QR block
-/// and the `nc × nr` update strip `B[I_up.cs, I_qr.rs]` are gathered
-/// (into arena buffers); the rank-2k update runs on the strip and each
+/// materializing the dense symmetric window, and move and multiply only
+/// what the band's structure leaves non-zero. Only the `nr × h` QR block
+/// and the update strip `P = B[I_up.cs, I_qr.rs]` are gathered (into
+/// arena buffers); the rank-2k update runs on the strip and each
 /// symmetric pair is written back exactly once, from the orientation
 /// whose floating-point accumulation order matches the cell the
 /// reference path's `set_window` persists (the globally *lower* one) —
-/// see DESIGN.md §"kernel engine" for the case analysis.
+/// see DESIGN.md §6c, "Zero-copy banded chase", for the case analysis.
+///
+/// **The trimmed strip.** Of the plan's `nc` strip rows only the first
+/// `m = min(nc, ov + nr + b)` are gathered, multiplied and written back
+/// (`b` the band-width the plan reduces). Strip cell `(r, c)` is global
+/// `(up_c0 + r, qr_r0 + c)`, at distance `r − ov − c` from the diagonal,
+/// so a row `r ≥ ov + nr + b` lies wholly outside band `b`, where only
+/// bulge fill can be non-zero. A chase puts fill only into the columns of
+/// its own QR rows, and no further than `b` rows below them: the rows it
+/// mixes into those columns are the rows with non-zeros there, which by
+/// the same bound end `b` below. So fill past row `qr_rows.1 + b` in
+/// this chase's columns can only come from a chase of an earlier sweep
+/// whose QR rows reach past this one's — and that sweep's next chase and
+/// the sweeps between it and this one eliminate those shared columns,
+/// `h` at a time, before this chase runs, in sweep order and in
+/// pipeline-phase order alike (their QR blocks cover exactly those rows
+/// and write `[R; 0]`, `R` inside band `b`). The skipped rows hold exact
+/// zeros, which a debug assertion checks on every chase. Through lines
+/// 19–22 a strip row only ever meets itself — row `r` of `W` is row `r`
+/// of `P·U·T`, and line 22 adds row `r` of `V` to row `r` of `P` — so a
+/// zero row would stay zero and skipping it changes no other cell. The
+/// plan, and its `nc`, stay as they are: the distributed stages charge
+/// from them.
+///
+/// **The products** skip their structural zeros ([`gemm_view_tri`]): `U`
+/// is unit lower-trapezoidal and `T` upper triangular, so `P·U`, `BU·T`,
+/// `Uᵀ·W`, `Tᵀ·(…)`, `U·(…)` and `V·Uᵀ` cut their inner dimension to
+/// where both factors can be non-zero, and lines 21–22 compute only the
+/// lower triangle of the diagonal square, the half that is written back.
+/// By GEMM's cell contract every persisted cell keeps its bits.
 ///
 /// The kernel is split at its factor step: `at_factor` sees the gathered
 /// QR block and either returns `None` — the kernel factors it in the
@@ -260,22 +390,36 @@ fn chase_banded_fast(
     CHASE_WINDOWS.add(1);
     let nr = op.nr();
     let h = op.h();
-    let nc = op.nc();
     let ov = op.ov;
     let qr_r0 = op.qr_rows.0;
     let qr_c0 = op.qr_cols.0;
     let up_c0 = op.up_cols.0;
     let kk = nr.min(h);
+    let b = bmat.bandwidth();
+    debug_assert!(
+        op.j == 1 || ov + h == b,
+        "op {op:?} is not of a plan for band-width {b}"
+    );
+    let m = op.nc().min(ov + nr + b);
+    let cap = bmat.capacity();
+    let bw = cap + 1;
 
-    // Line 16: gather the QR block from the band (symmetric read, 0.0
-    // beyond capacity — exactly the window materialization values) and
-    // factor it in the arena.
-    let mut blk = ws.take(nr * h);
-    for i in 0..nr {
-        for j in 0..h {
-            blk[i * h + j] = bmat.get(qr_r0 + i, qr_c0 + j);
-        }
-    }
+    // Line 16: gather the QR block from the band (0.0 beyond capacity —
+    // exactly the window materialization values) and factor it in the
+    // arena. Every block cell is globally lower (qr_rows.0 ≥
+    // qr_cols.0 + h), so block column j runs down stored column
+    // qr_c0 + j from its diagonal offset d = qr_r0 − qr_c0 − j.
+    let block = Runs {
+        ld: h,
+        cols: h,
+        rows: nr,
+        run: |j: usize| {
+            let d = qr_r0 - qr_c0 - j;
+            (0, nr.min(bw.saturating_sub(d)), (qr_c0 + j) * bw + d)
+        },
+    };
+    let mut blk = ws.take_scratch(nr * h);
+    block.gather(bmat.bands(), &mut blk);
     let mut u = ws.take_scratch(nr * kk);
     let mut t = ws.take_scratch(kk * kk);
     match at_factor(&MatrixView::from_slice(&blk, nr, h)) {
@@ -304,141 +448,165 @@ fn chase_banded_fast(
         }
     }
 
-    // Line 17: write [R; 0] back, R as the factor step left it. Every
-    // QR-block entry is globally lower (qr_rows.0 ≥ qr_cols.0 + h), so
-    // this covers the mirror too.
-    for i in 0..nr {
-        for j in 0..h {
-            let val = if i < kk { blk[i * h + j] } else { 0.0 };
-            bmat.set(qr_r0 + i, qr_c0 + j, val);
-        }
+    // Line 17: write [R; 0] back, R as the factor step left it, through
+    // the same runs (globally lower, so this covers the mirror too).
+    blk[kk * h..].fill(0.0);
+    {
+        let (slab, scale) = bmat.bands_mut_scale();
+        block.scatter(&blk, slab, scale, |i, j| (qr_r0 + i, qr_c0 + j));
     }
 
     // Gather the update strip P = B[I_up.cs, I_qr.rs] (disjoint from the
-    // QR block in band storage, so gathering after the R write is safe).
-    // Strip cell (r, c) is global (up_c0+r, qr_r0+c); instead of per-cell
-    // symmetric `get` (orientation branch + capacity branch each), stream
-    // the two triangles straight off the band slab: globally-upper cells
-    // (r < ov + c) sit mirror-contiguous along each strip row, lower
-    // cells run contiguously down each stored column. Cells beyond the
-    // capacity stay at the arena's 0.0 fill — the value `get` returns.
-    let cap = bmat.capacity();
-    let bw = cap + 1;
-    let mut p1 = ws.take(nc * nr);
+    // QR block in band storage, so gathering after the R write is safe),
+    // its first m rows. Strip cell (r, c) is global (up_c0+r, qr_r0+c);
+    // globally-upper cells (r < ov + c) sit mirror-contiguous along each
+    // strip row and are copied row by row, lower cells run down each
+    // stored column and are copied by `Runs`. Cells beyond the capacity
+    // are stored as 0.0 — the value `get` returns. A row stride that is
+    // a multiple of 512 bytes gets a cache line of padding: at nr = 256
+    // rows 2 KB apart put a tile's rows in two L1 sets (the products
+    // read P through its stride, so the padding cannot reach a bit).
+    let ld = if nr.is_multiple_of(64) { nr + 8 } else { nr };
+    let lower = Runs {
+        ld,
+        cols: nr,
+        rows: m,
+        run: |c: usize| {
+            let r0 = ov + c;
+            (r0, m.min(r0 + bw), (qr_r0 + c) * bw)
+        },
+    };
+    let mut p1 = ws.take_scratch(m * ld);
     {
         let slab = bmat.bands();
-        for r in 0..nc.min(ov + nr) {
+        for r in 0..m.min(ov + nr) {
             let c0 = (r + 1).saturating_sub(ov).min(nr);
-            let c1 = nr.min((cap + r + 1).saturating_sub(ov));
+            let c1 = nr.min((cap + r + 1).saturating_sub(ov)).max(c0);
             if c0 < c1 {
                 let base = (up_c0 + r) * bw + (ov + c0 - r);
-                p1[r * nr + c0..r * nr + c1].copy_from_slice(&slab[base..base + (c1 - c0)]);
+                p1[r * ld + c0..r * ld + c1].copy_from_slice(&slab[base..base + (c1 - c0)]);
             }
+            p1[r * ld + c1..r * ld + nr].fill(0.0);
         }
-        for c in 0..nr {
-            let r0 = ov + c;
-            if r0 >= nc {
-                break;
-            }
-            let r1 = nc.min(r0 + bw);
-            let base = (qr_r0 + c) * bw;
-            for (d, r) in (r0..r1).enumerate() {
-                p1[r * nr + c] = slab[base + d];
-            }
-        }
+        lower.gather(slab, &mut p1);
+        debug_assert!(
+            (0..nr).all(|c| {
+                let col = &slab[(qr_r0 + c) * bw..][..bw];
+                (m.max(ov + c)..op.nc().min(ov + c + bw)).all(|r| col[r - ov - c] == 0.0)
+            }),
+            "chase {op:?}: fill in the strip rows past ov + nr + b"
+        );
     }
 
-    // Line 19: W = P·U·T, V = −W fused.
-    let mut bu = ws.take(nc * kk);
-    gemm_view(
+    // Line 19: V = −W = −(P·U)·T, the negation carried by the second
+    // product's α: negating is exact, so V is −W bit for bit (a zero
+    // may change sign, which no later sum can see).
+    let uv = MatrixView::from_slice(&u, nr, kk);
+    let tv = MatrixView::from_slice(&t, kk, kk);
+    let mut bu = ws.take_scratch(m * kk);
+    gemm_view_tri(
         1.0,
-        &MatrixView::from_slice(&p1, nc, nr),
+        &MatrixView::new(&p1, m, nr, ld),
         Trans::N,
-        &MatrixView::from_slice(&u, nr, kk),
+        &uv,
         Trans::N,
         0.0,
-        &mut MatrixViewMut::from_slice(&mut bu, nc, kk),
+        &mut MatrixViewMut::from_slice(&mut bu, m, kk),
+        [Tri::Full, Tri::Lower, Tri::Full],
     );
-    let mut w = ws.take(nc * kk);
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&bu, nc, kk),
+    let mut v = ws.take_scratch(m * kk);
+    gemm_view_tri(
+        -1.0,
+        &MatrixView::from_slice(&bu, m, kk),
         Trans::N,
-        &MatrixView::from_slice(&t, kk, kk),
+        &tv,
         Trans::N,
         0.0,
-        &mut MatrixViewMut::from_slice(&mut w, nc, kk),
+        &mut MatrixViewMut::from_slice(&mut v, m, kk),
+        [Tri::Full, Tri::Upper, Tri::Full],
     );
-    let mut v = ws.take(nc * kk);
-    for (vv, &wv) in v.iter_mut().zip(w.iter()) {
-        *vv = -wv;
-    }
 
-    // Line 20: symmetric correction on V's rows ov..ov+nr.
-    let mut utw = ws.take(kk * kk);
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&u, nr, kk),
+    // Line 20: symmetric correction on V's rows ov..ov+nr, from
+    // Uᵀ·W = −(Uᵀ·V) (again bit for bit: every partial sum is the exact
+    // negation of the reference's).
+    let mut utw = ws.take_scratch(kk * kk);
+    gemm_view_tri(
+        -1.0,
+        &uv,
         Trans::T,
-        &MatrixView::from_slice(&w, nc, kk).sub(ov, 0, nr, kk),
+        &MatrixView::from_slice(&v, m, kk).sub(ov, 0, nr, kk),
         Trans::N,
         0.0,
         &mut MatrixViewMut::from_slice(&mut utw, kk, kk),
+        [Tri::Upper, Tri::Full, Tri::Full],
     );
-    let mut ttutw = ws.take(kk * kk);
-    gemm_view(
+    let mut ttutw = ws.take_scratch(kk * kk);
+    gemm_view_tri(
         1.0,
-        &MatrixView::from_slice(&t, kk, kk),
+        &tv,
         Trans::T,
         &MatrixView::from_slice(&utw, kk, kk),
         Trans::N,
         0.0,
         &mut MatrixViewMut::from_slice(&mut ttutw, kk, kk),
+        [Tri::Lower, Tri::Full, Tri::Full],
     );
-    let mut corr = ws.take(nr * kk);
-    gemm_view(
+    let mut corr = ws.take_scratch(nr * kk);
+    gemm_view_tri(
         1.0,
-        &MatrixView::from_slice(&u, nr, kk),
+        &uv,
         Trans::N,
         &MatrixView::from_slice(&ttutw, kk, kk),
         Trans::N,
         0.0,
         &mut MatrixViewMut::from_slice(&mut corr, nr, kk),
+        [Tri::Lower, Tri::Full, Tri::Full],
     );
-    for a in 0..nr {
-        for c in 0..kk {
-            v[(ov + a) * kk + c] += 0.5 * corr[a * kk + c];
-        }
+    for (vr, cr) in v[ov * kk..(ov + nr) * kk].iter_mut().zip(&corr) {
+        *vr += 0.5 * cr;
     }
 
     // Line 21 restricted to the strip: of B[I_qr.rs, I_up.cs] += U·Vᵀ
     // only the diagonal square (columns ov..ov+nr of the update) lands
-    // on pairs the strip holds; accumulate it into P's rows ov..ov+nr
+    // on pairs the strip holds, and of the square only the lower
+    // triangle is written back; accumulate it into P's rows ov..ov+nr
     // *before* line 22, reproducing the reference's per-cell addition
-    // order on the persisted orientation. The shape hint pins the
-    // reference's full-shape (nr × nc × kk) kernel choice.
-    {
-        let mut p1v = MatrixViewMut::from_slice(&mut p1, nc, nr);
-        gemm_view_hinted(
-            1.0,
-            &MatrixView::from_slice(&u, nr, kk),
-            Trans::N,
-            &MatrixView::from_slice(&v, nc, kk).sub(ov, 0, nr, kk),
-            Trans::T,
-            1.0,
-            &mut p1v.sub_mut(ov, 0, nr, nr),
-            (nr, nc, kk),
-        );
-    }
-    // Line 22: B[I_up.cs, I_qr.rs] += V·Uᵀ, the strip's own orientation.
-    gemm_view(
+    // order on the persisted orientation.
+    let vv = MatrixView::from_slice(&v, m, kk);
+    let mut pv = MatrixViewMut::new(&mut p1, m, nr, ld);
+    gemm_view_tri(
         1.0,
-        &MatrixView::from_slice(&v, nc, kk),
+        &uv,
         Trans::N,
-        &MatrixView::from_slice(&u, nr, kk),
+        &vv.sub(ov, 0, nr, kk),
         Trans::T,
         1.0,
-        &mut MatrixViewMut::from_slice(&mut p1, nc, nr),
+        &mut pv.sub_mut(ov, 0, nr, nr),
+        [Tri::Lower, Tri::Full, Tri::Lower],
+    );
+    // Line 22: B[I_up.cs, I_qr.rs] += V·Uᵀ, the strip's own orientation:
+    // every cell of the rows above the square, the lower triangle from
+    // the square down.
+    let (mut above, mut below) = pv.split_rows_mut(ov);
+    gemm_view_tri(
+        1.0,
+        &vv.sub(0, 0, ov, kk),
+        Trans::N,
+        &uv,
+        Trans::T,
+        1.0,
+        &mut above,
+        [Tri::Full, Tri::Upper, Tri::Full],
+    );
+    gemm_view_tri(
+        1.0,
+        &vv.sub(ov, 0, m - ov, kk),
+        Trans::N,
+        &uv,
+        Trans::T,
+        1.0,
+        &mut below,
+        [Tri::Full, Tri::Upper, Tri::Lower],
     );
 
     // Write each symmetric pair back exactly once:
@@ -455,50 +623,17 @@ fn chase_banded_fast(
     // capacity cannot hold must be negligible against the scale.
     {
         let (slab, scale) = bmat.bands_mut_scale();
-        let mut smax = *scale;
-        for r in 0..ov.min(nc) {
+        for r in 0..ov.min(m) {
             let c1 = nr.min((cap + r + 1).saturating_sub(ov));
             let base = (up_c0 + r) * bw + (ov - r);
-            for (c, &vv) in p1[r * nr..r * nr + c1].iter().enumerate() {
-                if vv.abs() > smax {
-                    smax = vv.abs();
-                }
-                slab[base + c] = vv;
-            }
-            for (c, &vv) in p1[r * nr + c1..r * nr + nr].iter().enumerate() {
-                assert!(
-                    vv.abs() < 1e-9 * smax.max(1.0),
-                    "write of {vv:.3e} outside band capacity at ({},{}): fill analysis violated",
-                    up_c0 + r,
-                    qr_r0 + c1 + c,
-                );
+            let row = &p1[r * ld..r * ld + nr];
+            slab[base..base + c1].copy_from_slice(&row[..c1]);
+            *scale = max_abs(*scale, &row[..c1]);
+            for (c, &x) in row.iter().enumerate().skip(c1) {
+                check_fill(x, *scale, (up_c0 + r, qr_r0 + c));
             }
         }
-        for c in 0..nr {
-            let r0 = ov + c;
-            if r0 >= nc {
-                break;
-            }
-            let r1 = nc.min(r0 + bw);
-            let base = (qr_r0 + c) * bw;
-            for (d, r) in (r0..r1).enumerate() {
-                let vv = p1[r * nr + c];
-                if vv.abs() > smax {
-                    smax = vv.abs();
-                }
-                slab[base + d] = vv;
-            }
-            for r in r1..nc {
-                let vv = p1[r * nr + c];
-                assert!(
-                    vv.abs() < 1e-9 * smax.max(1.0),
-                    "write of {vv:.3e} outside band capacity at ({},{}): fill analysis violated",
-                    up_c0 + r,
-                    qr_r0 + c,
-                );
-            }
-        }
-        *scale = smax;
+        lower.scatter(&p1, slab, scale, |r, c| (up_c0 + r, qr_r0 + c));
     }
 
     let out = if record {
@@ -510,7 +645,6 @@ fn chase_banded_fast(
     ws.put(ttutw);
     ws.put(utw);
     ws.put(v);
-    ws.put(w);
     ws.put(bu);
     ws.put(p1);
     ws.put(t);

@@ -120,41 +120,19 @@ pub fn gemm_view(
     beta: f64,
     c: &mut MatrixViewMut,
 ) {
-    let shape = check_shapes(a, ta, b, tb, c);
-    gemm_core(alpha, a, ta, b, tb, beta, c, shape, Fma::detect());
-}
-
-/// [`gemm_view`] with the read-`A`-in-place-or-pack-it choice made as if
-/// the product had shape `full_shape = (m, n, k)`.
-///
-/// Used by callers that shrink a product's output to just the cells they
-/// need (the bulge chase's diagonal-overlap update computes only the
-/// `nr × nr` corner of the reference path's `nr × nc` rank-2k update).
-/// By the cell contract (module docs) each shared output cell is bitwise
-/// the reference's on either path; the hint only keeps the shrunk
-/// product on the path its full shape would have taken.
-#[allow(clippy::too_many_arguments)] // mirrors gemm_view's BLAS-shaped signature + the hint
-pub fn gemm_view_hinted(
-    alpha: f64,
-    a: &MatrixView,
-    ta: Trans,
-    b: &MatrixView,
-    tb: Trans,
-    beta: f64,
-    c: &mut MatrixViewMut,
-    full_shape: (usize, usize, usize),
-) {
     check_shapes(a, ta, b, tb, c);
-    gemm_core(alpha, a, ta, b, tb, beta, c, full_shape, Fma::detect());
+    gemm_core(alpha, a, ta, b, tb, beta, c, None, Fma::detect());
 }
 
-/// [`gemm_view_hinted`] through the portable instantiation of the tile
-/// loop whatever the host supports: the oracle the SIMD instantiation
-/// is held to, bit for bit, by `tests/gemm_props.rs`. Not a runtime leg
-/// — nothing outside tests calls it.
+/// [`gemm_view`] with both of its free choices forced: `pack_a` packs
+/// `op(A)` or reads it in place whatever the shape, `portable` runs the
+/// portable instantiation of the tile loop whatever the host supports.
+/// The cell contract says neither can change a bit; this is how
+/// `tests/gemm_props.rs` holds every combination to that, and nothing
+/// outside tests calls it.
 #[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_view_hinted_portable(
+#[allow(clippy::too_many_arguments)] // gemm_view's BLAS-shaped signature + the two choices
+pub fn gemm_view_forced(
     alpha: f64,
     a: &MatrixView,
     ta: Trans,
@@ -162,10 +140,184 @@ pub fn gemm_view_hinted_portable(
     tb: Trans,
     beta: f64,
     c: &mut MatrixViewMut,
-    full_shape: (usize, usize, usize),
+    (pack_a, portable): (bool, bool),
 ) {
     check_shapes(a, ta, b, tb, c);
-    gemm_core(alpha, a, ta, b, tb, beta, c, full_shape, None);
+    let fma = if portable { None } else { Fma::detect() };
+    gemm_core(alpha, a, ta, b, tb, beta, c, Some(pack_a), fma);
+}
+
+/// A triangle of a matrix as a product uses it (`op(A)`, `op(B)` or
+/// `C`): for a factor, where its entries can be non-zero; for the
+/// output, which cells the caller wants. Entry `(r, c)` lies in
+/// [`Tri::Lower`] when `c ≤ r` and in [`Tri::Upper`] when `c ≥ r`
+/// (trapezoids included: the triangle is about the indices, not the
+/// shape).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tri {
+    /// Every entry.
+    Full,
+    /// Entries with `c ≤ r`.
+    Lower,
+    /// Entries with `c ≥ r`.
+    Upper,
+}
+
+/// Extent at or below which [`gemm_view_tri`] does not halve a
+/// dimension: a 32-wide block wastes at most half of a 32-wide diagonal
+/// strip, and narrower calls start to pay their packing more than once.
+const TRI_LEAF: usize = 32;
+
+/// Flops (2mnk) below which [`gemm_view_tri`] makes one call whatever
+/// the structure: cutting a few microseconds of work costs more calls
+/// than it saves.
+const TRI_FLOPS: usize = 1 << 16;
+
+/// [`gemm_view`] for a product with triangular structure: `op(A)` is
+/// zero outside `tri[0]`, `op(B)` outside `tri[1]`, and only the cells of
+/// `C` in `tri[2]` are wanted. Every wanted cell is bit for bit
+/// [`gemm_view`]'s on the same operands; an unwanted one is either left
+/// as it was or computed like a wanted one.
+///
+/// A product under [`TRI_FLOPS`] is one [`gemm_view`] call on the
+/// operands as given. A larger one is cut into blocks by halving the
+/// output's rows or columns — the longer of the dimensions along which
+/// the structure varies — until a block's structure is flat, its extent
+/// is at most [`TRI_LEAF`], or its product is under [`TRI_FLOPS`]; each
+/// block is one [`gemm_view`] call on the rows and columns of `C` it
+/// wants and the range of the inner dimension where both factors can be
+/// non-zero over the block. A large block still forks inside that call.
+///
+/// Why the bits hold (module docs, the cell contract): a product with a
+/// zero factor leaves a chunk's accumulator as it was, so dropping a
+/// zero *tail* of the inner dimension changes nothing. Dropping a zero
+/// *head* moves the chunk boundaries unless the new start is a multiple
+/// of `KC`, so the cut goes back to the chunk boundary below it (with
+/// `k ≤ KC` there is one chunk and the whole head goes). A dropped whole
+/// chunk would have added `α·0`. This holds for exact zeros in each
+/// factor's structural triangle and finite values elsewhere.
+#[allow(clippy::too_many_arguments)] // gemm_view's BLAS-shaped signature + the structure
+pub fn gemm_view_tri(
+    alpha: f64,
+    a: &MatrixView,
+    ta: Trans,
+    b: &MatrixView,
+    tb: Trans,
+    beta: f64,
+    c: &mut MatrixViewMut,
+    tri: [Tri; 3],
+) {
+    let (m, n, k) = check_shapes(a, ta, b, tb, c);
+    if 2 * m * n * k < TRI_FLOPS {
+        return gemm_core(alpha, a, ta, b, tb, beta, c, None, Fma::detect());
+    }
+    let p = TriProduct {
+        alpha,
+        a: *a,
+        ta,
+        b: *b,
+        tb,
+        beta,
+        tri,
+        k,
+    };
+    p.block(c, 0..m, 0..n);
+}
+
+/// The fixed arguments of one [`gemm_view_tri`] call.
+struct TriProduct<'a> {
+    alpha: f64,
+    a: MatrixView<'a>,
+    ta: Trans,
+    b: MatrixView<'a>,
+    tb: Trans,
+    beta: f64,
+    tri: [Tri; 3],
+    k: usize,
+}
+
+type Span = std::ops::Range<usize>;
+
+impl TriProduct<'_> {
+    /// What the rows `i` and columns `j` of `C` leave to compute: the
+    /// rows and columns with a wanted cell, and the inner range where
+    /// both factors can be non-zero for some cell of them (its head cut
+    /// only to a `KC` boundary). `None` when no cell is wanted.
+    fn needs(&self, mut i: Span, mut j: Span) -> Option<(Span, Span, Span)> {
+        match self.tri[2] {
+            Tri::Lower => {
+                j.end = j.end.min(i.end);
+                i.start = i.start.max(j.start);
+            }
+            Tri::Upper => {
+                j.start = j.start.max(i.start);
+                i.end = i.end.min(j.end);
+            }
+            Tri::Full => {}
+        }
+        if i.is_empty() || j.is_empty() {
+            return None;
+        }
+        let mut l = 0..self.k;
+        match self.tri[0] {
+            Tri::Lower => l.end = l.end.min(i.end),
+            Tri::Upper => l.start = l.start.max(i.start),
+            Tri::Full => {}
+        }
+        match self.tri[1] {
+            Tri::Lower => l.start = l.start.max(j.start),
+            Tri::Upper => l.end = l.end.min(j.end),
+            Tri::Full => {}
+        }
+        if self.k > KC {
+            l.start -= l.start % KC;
+        }
+        l.start = l.start.min(l.end);
+        Some((i, j, l))
+    }
+
+    /// Compute the wanted cells of rows `i`, columns `j` of `C`.
+    fn block(&self, c: &mut MatrixViewMut, i: Span, j: Span) {
+        let Some((i, j, l)) = self.needs(i, j) else {
+            return;
+        };
+        // A dimension is worth halving when its first and last index
+        // need different parts of the rest.
+        let row_needs = |r: usize| self.needs(r..r + 1, j.clone()).map(|(_, jj, ll)| (jj, ll));
+        let col_needs = |s: usize| self.needs(i.clone(), s..s + 1).map(|(ii, _, ll)| (ii, ll));
+        let varies_rows = i.len() > TRI_LEAF && row_needs(i.start) != row_needs(i.end - 1);
+        let varies_cols = j.len() > TRI_LEAF && col_needs(j.start) != col_needs(j.end - 1);
+        let halve = |s: &Span| s.start + (s.len() / 2).next_multiple_of(8).min(s.len() - 1);
+        if 2 * i.len() * j.len() * l.len() >= TRI_FLOPS && (varies_rows || varies_cols) {
+            if varies_rows && (!varies_cols || i.len() >= j.len()) {
+                let mid = halve(&i);
+                self.block(c, i.start..mid, j.clone());
+                self.block(c, mid..i.end, j);
+            } else {
+                let mid = halve(&j);
+                self.block(c, i.clone(), j.start..mid);
+                self.block(c, i, mid..j.end);
+            }
+            return;
+        }
+        gemm_view(
+            self.alpha,
+            &op_sub(&self.a, self.ta, &i, &l),
+            self.ta,
+            &op_sub(&self.b, self.tb, &l, &j),
+            self.tb,
+            self.beta,
+            &mut c.sub_mut(i.start, j.start, i.len(), j.len()),
+        );
+    }
+}
+
+/// Rows `r` and columns `s` of `op(X)`, as a view of `X`.
+fn op_sub<'a>(x: &MatrixView<'a>, t: Trans, r: &Span, s: &Span) -> MatrixView<'a> {
+    match t {
+        Trans::N => x.sub(r.start, s.start, r.len(), s.len()),
+        Trans::T => x.sub(s.start, r.start, s.len(), r.len()),
+    }
 }
 
 fn check_shapes(
@@ -250,9 +402,10 @@ fn scale_cols(beta: f64, data: &mut [f64], cs: usize, rows: usize, col0: usize, 
     }
 }
 
-/// The loop nest around the tile kernel. `decision_shape` chooses
-/// between packing `op(A)` and reading it in place; `fma` chooses the
-/// instantiation of the tile loop. Neither can change a bit of `C`.
+/// The loop nest around the tile kernel. `pack_a` chooses between
+/// packing `op(A)` and reading it in place (`None`: by the product's
+/// size); `fma` chooses the instantiation of the tile loop. Neither can
+/// change a bit of `C`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_core(
     alpha: f64,
@@ -262,7 +415,7 @@ fn gemm_core(
     tb: Trans,
     beta: f64,
     c: &mut MatrixViewMut,
-    decision_shape: (usize, usize, usize),
+    pack_a: Option<bool>,
     fma: Option<Fma>,
 ) {
     let (m, n, cs) = (c.rows(), c.cols(), c.stride());
@@ -283,8 +436,8 @@ fn gemm_core(
     }
     let av = Operand::new(a, ta);
     let bv = Operand::new(b, tb);
-    let (dm, dn, dk) = decision_shape;
-    let pack_a = 2 * dm * dn * dk >= if av.t { SMALL_FLOPS } else { SMALL_FLOPS_ROWS };
+    let pack_a =
+        pack_a.unwrap_or(2 * m * n * k >= if av.t { SMALL_FLOPS } else { SMALL_FLOPS_ROWS });
     let fork = m > MC && 2 * m * n * k >= PAR_FLOPS;
 
     with_ws(|ws| {

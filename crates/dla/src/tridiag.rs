@@ -82,6 +82,34 @@ const HALVE_FLOOR: usize = 192;
 /// its target is flat between 48 and 64. Not knobs: both constants are
 /// crossovers of this kernel pair on a cache hierarchy, to be re-measured
 /// when either kernel changes.
+///
+/// Re-measured when the pass kernel stopped moving and multiplying the
+/// strip's zero rows and its factors' zero triangles (same host, another
+/// day — the sweep reads ≈ 10 % slower than above for the same code, so
+/// compare within this table; one thread, minimum over four alternating
+/// rounds of three, ms):
+///
+/// | (n, bw) | sweep directly | pass to 64, sweep (previous pass) | pass to 64, sweep | pass to 48 / 32, sweep |
+/// |---|---|---|---|---|
+/// | (512, 128) | **18.4** | 11.7 + 12.8 = 24.4 | 8.4 + 12.7 = 21.1 | |
+/// | (640, 160) | **33.9** | 19.5 + 19.9 = 39.7 | 15.2 + 19.8 = 34.9 | |
+/// | (768, 192) | 56.9 | 33.5 + 28.9 = 62.3 | **24.9 + 28.6 = 53.7** | 48.2 / 46.7 |
+/// | (1024, 160) | 99.0 | 61.0 + 51.7 = 112.8 | **44.2 + 51.5 = 96.0** | |
+/// | (1024, 192) | 112.8 | 67.1 + 51.5 = 118.7 | **48.6 + 51.5 = 100.1** | |
+/// | (1024, 224) | 129.5 | 70.7 + 51.6 = 122.2 | **52.9 + 52.4 = 105.7** | |
+/// | (1024, 256) | 144.8 | 81.3 + 51.4 = 132.7 | **57.4 + 51.7 = 109.2** | 100.3 / 100.3 |
+/// | (1536, 192) | 297.3 | 170.1 + 117.4 = 287.6 | **119.3 + 117.5 = 237.8** | |
+/// | (1536, 256) | 394.0 | 215.6 + 117.7 = 333.4 | **147.1 + 117.0 = 265.2** | |
+///
+/// For eigenvalues the crossover moved from `b ≈ 200` to `≈ 160` and the
+/// target towards 32–48 (the default pool reads the same within 3 ms).
+/// Neither constant moved with it. Below 192, `vectors_p4`'s band
+/// (n = 768, bw = 192) would take the pass: its output bits would change,
+/// and the back-transformation would apply the pass's reflectors on top
+/// of the sweep's for a 3 ms gain in the reduction. A lower target changes
+/// which reflectors reduce `values_p4`'s band, so its output bits too,
+/// for ≈ 9 ms of a ≈ 110 ms finale. Both wait for a change that re-pins
+/// the outputs and measures the vectors path end to end.
 const SWEEP_BAND: usize = 64;
 
 /// A tridiagonal eigensolver failed to converge within its iteration

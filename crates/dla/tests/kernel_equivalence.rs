@@ -90,6 +90,48 @@ proptest! {
     }
 }
 
+/// A whole plan through both engines, op by op: the same `(U, T)` and
+/// the same band (scale mark included) after every operation.
+fn replay_against_the_oracle(n: usize, b: usize, h: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dense = gen::random_banded(&mut rng, n, b);
+    let cap = (2 * b).min(n - 1);
+    let mut fast = BandedSym::from_dense(&dense, b, cap);
+    let mut refr = fast.clone();
+    for op in chase_plan_to(n, b, h) {
+        let (uf, tf) = execute_chase_recording(&mut fast, &op);
+        let (ur, tr) = execute_chase_recording_reference(&mut refr, &op);
+        let at = format!("n={n} b={b} h={h}, op ({}, {})", op.i, op.j);
+        assert_eq!(uf, ur, "{at}: U diverged");
+        assert_eq!(tf, tr, "{at}: T diverged");
+        assert_eq!(fast, refr, "{at}: band diverged");
+    }
+}
+
+/// A band wider than GEMM's `KC = 256`: the strip product `P·U`, the
+/// diagonal square and `Uᵀ·W` run two chunks of the inner dimension
+/// (`nr = 320`), so the structured products may cut a zero head only at
+/// a chunk boundary.
+#[test]
+fn band_wider_than_one_gemm_chunk_is_bitwise_identical() {
+    replay_against_the_oracle(640, 320, 160, 101);
+}
+
+/// Plans whose every sweep is its panel elimination alone (`j = 1`:
+/// the bulge has nowhere to go) and whose last blocks are wide
+/// (`nr < h`, so `U` is `nr × nr` and `T`'s order is `nr`): the shapes
+/// at a matrix's end, where the trimmed strip is the whole strip.
+#[test]
+fn panel_only_sweeps_and_wide_tails_are_bitwise_identical() {
+    for (n, b, h, seed) in [(40usize, 24usize, 16usize, 102u64), (57, 36, 22, 103)] {
+        let plan = chase_plan_to(n, b, h);
+        let at = format!("n={n} b={b} h={h}");
+        assert!(plan.iter().all(|op| op.j == 1), "{at}: a sweep chases");
+        assert!(plan.iter().any(|op| op.nr() < op.h()), "{at}: no wide tail");
+        replay_against_the_oracle(n, b, h, seed);
+    }
+}
+
 /// An `h = 1` plan (direct tridiagonalization, the shape that dominates
 /// the sequential finale) through both engines, deterministic.
 #[test]
