@@ -16,7 +16,7 @@ use ca_bench::{emit_json, flag_value, print_table};
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gemm::{gemm, Trans};
 use ca_dla::{gen, BandedSym, Matrix};
-use ca_eigen::{full_to_band, EigenParams};
+use ca_eigen::{try_full_to_band, EigenParams};
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
 use ca_pla::rect_qr::rect_qr;
@@ -46,13 +46,13 @@ fn main() {
     println!();
     let mut rows = Vec::new();
     for c in [1usize, 4] {
-        let params = EigenParams::new_unchecked(p, c);
+        let params = EigenParams::try_new_unchecked(p, c).unwrap();
         let mut rng = StdRng::seed_from_u64(77);
         let spectrum = gen::linspace_spectrum(n, -3.0, 3.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
         let reference = {
             let tmp = BandedSym::from_dense(&a, n - 1, n - 1);
-            ca_dla::tridiag::banded_eigenvalues(&tmp)
+            ca_dla::tridiag::try_banded_eigenvalues(&tmp).unwrap()
         };
 
         for eager in [false, true] {
@@ -60,9 +60,9 @@ fn main() {
             let band = if eager {
                 full_to_band_eager(&machine, &params, &a, b)
             } else {
-                full_to_band(&machine, &params, &a, b).0
+                try_full_to_band(&machine, &params, &a, b, None).unwrap().0
             };
-            let ev = ca_dla::tridiag::banded_eigenvalues(&band);
+            let ev = ca_dla::tridiag::try_banded_eigenvalues(&band).unwrap();
             let err = ca_dla::tridiag::spectrum_distance(&ev, &reference);
             assert!(err < 1e-7 * n as f64, "eager={eager} err {err}");
             let cst = machine.report();

@@ -13,7 +13,7 @@
 use ca_bench::{emit_json, flag_value, print_table};
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::{gen, BandedSym};
-use ca_eigen::band_to_band;
+use ca_eigen::try_band_to_band;
 use ca_pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +43,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(88);
     let dense = gen::random_banded(&mut rng, n, b);
     let bm = BandedSym::from_dense(&dense, b, b);
-    let reference = ca_dla::tridiag::banded_eigenvalues(&bm);
+    let reference = ca_dla::tridiag::try_banded_eigenvalues(&bm).unwrap();
 
     let mut rows = Vec::new();
     for multi in [true, false] {
@@ -52,15 +52,16 @@ fn main() {
         let mut band = BandedSym::from_dense(&dense, b, b);
         if multi {
             while band.bandwidth() > h {
-                let (next, _) = band_to_band(&machine, &grid, &band, 2, 1);
+                let half = band.bandwidth().div_ceil(2);
+                let (next, _) = try_band_to_band(&machine, &grid, &band, half, 1, None).unwrap();
                 band = next;
             }
         } else {
-            let (next, _) = band_to_band(&machine, &grid, &band, b / h, 1);
+            let (next, _) = try_band_to_band(&machine, &grid, &band, h, 1, None).unwrap();
             band = next;
         }
         assert!(band.measured_bandwidth(1e-9) <= h);
-        let ev = ca_dla::tridiag::banded_eigenvalues(&band);
+        let ev = ca_dla::tridiag::try_banded_eigenvalues(&band).unwrap();
         assert!(ca_dla::tridiag::spectrum_distance(&ev, &reference) < 1e-7 * n as f64);
 
         let c = machine.report();

@@ -13,7 +13,7 @@
 use ca_bench::{emit_json, flag_value, print_table};
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::{gen, BandedSym};
-use ca_eigen::band_to_band;
+use ca_eigen::try_band_to_band;
 use ca_pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,7 +85,7 @@ fn run_one(n: usize, b: usize, k: usize, p: usize) -> BandRecord {
     let dense = gen::random_banded(&mut rng, n, b);
     let bm = BandedSym::from_dense(&dense, b, b);
     let snap = machine.snapshot();
-    let (out, _) = band_to_band(&machine, &Grid::all(p), &bm, k, 1);
+    let (out, _) = try_band_to_band(&machine, &Grid::all(p), &bm, b.div_ceil(k), 1, None).unwrap();
     machine.fence();
     assert!(out.measured_bandwidth(1e-9) <= b / k);
     let c = machine.costs_since(&snap);

@@ -17,7 +17,7 @@
 use ca_bench::{emit_json, flag_value, print_table};
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
-use ca_eigen::{full_to_band, symm_eigen_25d, EigenParams};
+use ca_eigen::{try_full_to_band, try_symm_eigen_25d, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -59,7 +59,7 @@ fn main() {
     let mut w1_solver = 0f64;
     let mut w1_ftb = 0f64;
     for &c in &cs {
-        let params = EigenParams::new_unchecked(p, c);
+        let params = EigenParams::try_new_unchecked(p, c).unwrap();
         let in_regime = c * c * c <= p;
 
         // Whole solver.
@@ -67,14 +67,14 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(21);
         let spectrum = gen::linspace_spectrum(n, -4.0, 4.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-        let (ev, _) = symm_eigen_25d(&machine, &params, &a);
+        let (ev, _) = try_symm_eigen_25d(&machine, &params, &a).unwrap();
         assert!(ca_dla::tridiag::spectrum_distance(&ev, &spectrum) < 1e-6 * n as f64);
         let total = machine.report();
 
         // Full-to-band stage alone (where the √c saving concentrates).
         let m2 = Machine::new(MachineParams::new(p));
         let b = params.initial_bandwidth(n);
-        let _ = full_to_band(&m2, &params, &a, b);
+        let _ = try_full_to_band(&m2, &params, &a, b, None).unwrap();
         let ftb = m2.report();
 
         if c == 1 {

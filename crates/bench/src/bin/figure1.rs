@@ -20,7 +20,7 @@
 use ca_bench::{flag_value, print_table};
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
-use ca_eigen::{full_to_band, EigenParams};
+use ca_eigen::{try_full_to_band, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,7 +36,7 @@ fn main() {
     let params = EigenParams::new(p, 1);
     let mut rng = StdRng::seed_from_u64(7);
     let a = gen::random_symmetric(&mut rng, n);
-    let (band, trace) = full_to_band(&machine, &params, &a, b);
+    let (band, trace) = try_full_to_band(&machine, &params, &a, b, None).unwrap();
 
     // The paper's figure shows recursive steps 3 and 4 (1-based).
     for step in [2usize, 3] {

@@ -15,9 +15,9 @@
 
 use ca_bench::{flag_value, print_table};
 use ca_bsp::{Machine, MachineParams};
-use ca_dla::bulge::{chase_plan, execute_chase};
+use ca_dla::bulge::{chase_plan_iter, execute_chase};
 use ca_dla::{gen, BandedSym};
-use ca_eigen::band_to_band;
+use ca_eigen::try_band_to_band;
 use ca_pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +36,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(11);
     let dense = gen::random_banded(&mut rng, n, b);
     let bm = BandedSym::from_dense(&dense, b, b);
-    let (out, trace) = band_to_band(&machine, &Grid::all(p), &bm, k, 1);
+    let (out, trace) = try_band_to_band(&machine, &Grid::all(p), &bm, b / k, 1, None).unwrap();
     assert!(out.measured_bandwidth(1e-9) <= b / k);
 
     // The paper's two concurrent iteration sets.
@@ -72,7 +72,7 @@ fn main() {
     // band right after the phase-7 ops have run.
     println!("band sparsity after completing phase 7 (█ band ≤ h, ▒ within old band, ░ bulge):");
     let mut replay = BandedSym::from_dense(&dense, b, (2 * b).min(n - 1));
-    let mut plan = chase_plan(n, b, k);
+    let mut plan: Vec<_> = chase_plan_iter(n, b, b / k).collect();
     plan.sort_by_key(|op| (op.phase(), op.i));
     for op in plan.iter().filter(|op| op.phase() <= 7) {
         execute_chase(&mut replay, op);

@@ -13,7 +13,7 @@
 use ca_bench::print_table;
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
-use ca_eigen::{model, symm_eigen_25d, EigenParams};
+use ca_eigen::{model, try_symm_eigen_25d, EigenParams};
 use ca_pla::grid::Grid;
 use ca_pla::streaming::{streaming_mm_dense, Replicated};
 use rand::rngs::StdRng;
@@ -54,7 +54,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(2);
         let spectrum = gen::linspace_spectrum(n, -4.0, 4.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-        let (_, _) = symm_eigen_25d(&m, &params, &a);
+        let (_, _) = try_symm_eigen_25d(&m, &params, &a).unwrap();
         let meas = m.report();
         let mdl = model::eigensolver(n, &params);
         rows.push(row(

@@ -21,7 +21,7 @@
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
 use ca_eigen::params::EigenParams;
-use ca_eigen::solver::{symm_eigen_25d, StageCosts};
+use ca_eigen::solver::{try_symm_eigen_25d, StageCosts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -48,7 +48,7 @@ fn run_case(n: usize, p: usize, reps: usize) -> (f64, StageCosts) {
     let mut runs: Vec<(f64, StageCosts)> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            let (ev, stages) = symm_eigen_25d(&machine, &params, &a);
+            let (ev, stages) = try_symm_eigen_25d(&machine, &params, &a).unwrap();
             black_box(ev);
             (t0.elapsed().as_secs_f64(), stages)
         })
@@ -81,7 +81,7 @@ fn run_traced(trace_path: &str, n: usize, p: usize) {
     ca_obs::counters::reset();
     ca_obs::alloc::take();
     ca_obs::alloc::set_metering(true);
-    let (ev, stages) = symm_eigen_25d(&machine, &params, &a);
+    let (ev, stages) = try_symm_eigen_25d(&machine, &params, &a).unwrap();
     ca_obs::alloc::set_metering(false);
     ca_obs::set_level(0);
     black_box(ev);

@@ -10,7 +10,7 @@
 use ca_bench::flag_value;
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
-use ca_eigen::{symm_eigen_25d, EigenParams};
+use ca_eigen::{try_symm_eigen_25d, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,7 +25,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(3);
     let spectrum = gen::linspace_spectrum(n, -4.0, 4.0);
     let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-    let (ev, _) = symm_eigen_25d(&machine, &params, &a);
+    let (ev, _) = try_symm_eigen_25d(&machine, &params, &a).unwrap();
     assert!(ca_dla::tridiag::spectrum_distance(&ev, &spectrum) < 1e-7 * n as f64);
 
     let trace = machine.phase_trace();

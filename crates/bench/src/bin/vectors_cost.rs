@@ -17,7 +17,7 @@
 use ca_bench::{emit_json, flag_value, print_table};
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
-use ca_eigen::{symm_eigen_25d, symm_eigen_25d_vectors, EigenParams};
+use ca_eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -50,12 +50,12 @@ fn main() {
 
         // Eigenvalue-only baseline.
         let m0 = Machine::new(MachineParams::new(p));
-        let (_, costs0) = symm_eigen_25d(&m0, &params, &a);
+        let (_, costs0) = try_symm_eigen_25d(&m0, &params, &a).unwrap();
         let f0 = costs0.total().flops;
 
         // With eigenvectors.
         let m1 = Machine::new(MachineParams::new(p));
-        let (ev, v, costs1) = symm_eigen_25d_vectors(&m1, &params, &a);
+        let (ev, v, costs1) = try_symm_eigen_25d_vectors(&m1, &params, &a).unwrap();
         assert!(ca_dla::tridiag::spectrum_distance(&ev, &spectrum) < 1e-7 * n as f64);
         assert_eq!(v.rows(), n);
 

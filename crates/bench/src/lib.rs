@@ -13,7 +13,7 @@
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::{gen, Matrix};
 use ca_eigen::baselines::{elpa_two_stage, scalapack::scalapack_eigenvalues};
-use ca_eigen::{ca_sbr, symm_eigen_25d, EigenParams};
+use ca_eigen::{ca_sbr, try_symm_eigen_25d, EigenParams};
 use ca_pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,7 +80,7 @@ pub fn run_eigensolver(alg: Algorithm, n: usize, p: usize, seed: u64) -> RunResu
         Algorithm::CaSbr => casbr_eigensolver(&machine, p, &a),
         Algorithm::TwoPointFiveD { c } => {
             let params = EigenParams::new(p, c);
-            symm_eigen_25d(&machine, &params, &a).0
+            try_symm_eigen_25d(&machine, &params, &a).unwrap().0
         }
     };
     let err = ca_dla::tridiag::spectrum_distance(&ev, &spectrum);
@@ -106,18 +106,18 @@ pub fn run_eigensolver(alg: Algorithm, n: usize, p: usize, seed: u64) -> RunResu
 /// The Table-I "CA-SBR" row: a 2D full→band reduction followed by
 /// successive CA-SBR halvings to band-width `n/p`, then a sequential
 /// solve (the successive-band-reduction eigensolver of \[12\]).
-pub fn casbr_eigensolver(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
+fn casbr_eigensolver(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let params = EigenParams::new(p, 1);
     let b = params.initial_bandwidth(n);
-    let (mut band, _) = ca_eigen::full_to_band(machine, &params, a, b);
+    let (mut band, _) = ca_eigen::try_full_to_band(machine, &params, a, b, None).unwrap();
     let grid = Grid::all(p);
     let target = (n / p).max(1);
     while band.bandwidth() > target && band.bandwidth() >= 2 {
         // Lemma IV.2 is valid for b ≤ n/p̂: use at most n/b processors
         // per halving (the 1D pipeline cannot use more anyway).
         let active = grid.prefix((n / band.bandwidth()).clamp(1, p));
-        band = ca_sbr(machine, &active, &band);
+        band = ca_sbr(machine, &active, &band, None);
     }
     ca_pla::coll::gather(
         machine,
@@ -127,7 +127,7 @@ pub fn casbr_eigensolver(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     );
     machine.charge_flops(0, 6 * (n as u64) * (band.bandwidth() as u64).pow(2) + 30 * (n as u64).pow(2));
     machine.fence();
-    ca_dla::tridiag::banded_eigenvalues(&band)
+    ca_dla::tridiag::try_banded_eigenvalues(&band).unwrap()
 }
 
 /// Least-squares slope of `log y` against `log x` — the measured scaling

@@ -45,12 +45,6 @@ impl MachineParams {
         }
     }
 
-    /// Override the cache size `H` (in words).
-    pub fn with_cache_words(mut self, h: u64) -> Self {
-        self.cache_words = h;
-        self
-    }
-
     /// Override the time parameters `(γ, β, ν, α)`.
     pub fn with_times(mut self, gamma: f64, beta: f64, nu: f64, alpha: f64) -> Self {
         self.gamma = gamma;

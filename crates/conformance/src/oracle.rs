@@ -23,7 +23,7 @@ use ca_bsp::{Machine, MachineParams};
 use ca_dla::gemm::{matmul, Trans};
 use ca_dla::sturm::bisection_eigenvalues;
 use ca_dla::{bulge, gen, BandedSym, Matrix};
-use ca_eigen::{symm_eigen_25d, symm_eigen_25d_vectors, EigenParams};
+use ca_eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -97,7 +97,7 @@ fn gallery(n: usize) -> Vec<GalleryEntry> {
 
 /// Independent reference spectrum by sequential bulge-chasing
 /// tridiagonalization + Sturm bisection — no parallel pipeline code.
-fn sturm_reference(a: &Matrix) -> Vec<f64> {
+fn sturm_spectrum(a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let bw = measured_dense_bandwidth(a);
     if bw <= 1 {
@@ -133,7 +133,8 @@ fn tridiag_of(a: &Matrix) -> (Vec<f64>, Vec<f64>) {
 
 fn solve_values(p: usize, c: usize, a: &Matrix) -> Vec<f64> {
     let m = Machine::new(MachineParams::new(p));
-    symm_eigen_25d(&m, &EigenParams::new_unchecked(p, c), a).0
+    let params = EigenParams::try_new_unchecked(p, c).unwrap();
+    try_symm_eigen_25d(&m, &params, a).unwrap().0
 }
 
 fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
@@ -176,14 +177,15 @@ fn check_entry(entry: &GalleryEntry, p: usize, c: usize, tol: f64) -> OracleOut 
 
     // Eigenpairs: residual + orthogonality.
     let m = Machine::new(MachineParams::new(p));
-    let (ev, v, _) = symm_eigen_25d_vectors(&m, &EigenParams::new_unchecked(p, c), a);
+    let params = EigenParams::try_new_unchecked(p, c).unwrap();
+    let (ev, v, _) = try_symm_eigen_25d_vectors(&m, &params, a).unwrap();
     let residual = residual_defect(a, &ev, &v);
     let orthogonality = orthogonality_defect(&v);
 
     // Reference spectrum.
     let reference = match &entry.reference {
         RefSpec::Known(s) => s.clone(),
-        RefSpec::Sturm => sturm_reference(a),
+        RefSpec::Sturm => sturm_spectrum(a),
     };
     let eigenvalue_error = max_abs_diff(&ev, &reference) / scale;
 

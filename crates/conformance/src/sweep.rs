@@ -9,7 +9,7 @@
 
 use ca_bsp::{Costs, Machine, MachineParams};
 use ca_dla::{gen, BandedSym};
-use ca_eigen::{ca_sbr, model, symm_eigen_25d, EigenParams};
+use ca_eigen::{ca_sbr, model, try_symm_eigen_25d, EigenParams};
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
 use ca_pla::rect_qr::rect_qr;
@@ -127,7 +127,7 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
     let machine = Machine::new(MachineParams::new(pt.p));
     let costs = match stage {
         Stage::StreamingMm => {
-            let params = EigenParams::new_unchecked(pt.p, pt.c);
+            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
             let grid3 = params.grid3();
             let a = gen::random_symmetric(&mut rng, pt.n);
             let b = gen::random_matrix(&mut rng, pt.n, STREAM_K);
@@ -145,11 +145,12 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
             costs
         }
         Stage::FullToBand => {
-            let params = EigenParams::new_unchecked(pt.p, pt.c);
+            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
             let a = gen::random_symmetric(&mut rng, pt.n);
             let b = f2b_bandwidth(pt.n);
-            let (_, costs) =
-                machine.measure(|| ca_eigen::full_to_band(&machine, &params, &a, b));
+            let (_, costs) = machine.measure(|| {
+                ca_eigen::try_full_to_band(&machine, &params, &a, b, None).unwrap()
+            });
             costs
         }
         Stage::BandToBand => {
@@ -157,23 +158,24 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
             let dense = gen::random_banded(&mut rng, pt.n, b);
             let bm = BandedSym::from_dense(&dense, b, b);
             let grid = Grid::all(pt.p);
-            let (_, costs) =
-                machine.measure(|| ca_eigen::band_to_band(&machine, &grid, &bm, 2, 1));
+            let (_, costs) = machine.measure(|| {
+                ca_eigen::try_band_to_band(&machine, &grid, &bm, b.div_ceil(2), 1, None).unwrap()
+            });
             costs
         }
         Stage::CaSbr => {
             let dense = gen::random_banded(&mut rng, pt.n, SBR_BAND);
             let bm = BandedSym::from_dense(&dense, SBR_BAND, SBR_BAND);
             let grid = Grid::all(pt.p);
-            let (_, costs) = machine.measure(|| ca_sbr(&machine, &grid, &bm));
+            let (_, costs) = machine.measure(|| ca_sbr(&machine, &grid, &bm, None));
             costs
         }
         Stage::Solver => {
-            let params = EigenParams::new_unchecked(pt.p, pt.c);
+            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
             let spectrum = gen::linspace_spectrum(pt.n, -4.0, 4.0);
             let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
             let ((ev, _stages), costs) =
-                machine.measure(|| symm_eigen_25d(&machine, &params, &a));
+                machine.measure(|| try_symm_eigen_25d(&machine, &params, &a).unwrap());
             // The sweep is also a correctness probe: a run that meters
             // beautifully but diverges numerically must not pass.
             let dist = ca_dla::tridiag::spectrum_distance(&ev, &spectrum);
@@ -206,18 +208,18 @@ pub fn model_costs(stage: Stage, pt: Point) -> ModelQuad {
     // run on a q×q×c grid; the 1D-group stages take `p` directly.
     let m = match stage {
         Stage::StreamingMm => {
-            let params = EigenParams::new_unchecked(pt.p, pt.c);
+            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
             model::mm_streaming(pt.n, pt.n, STREAM_K, params.q, params.c, 1)
         }
         Stage::RectQr => model::qr_rectangular(QR_ASPECT * pt.n, pt.n, pt.p, 0.5),
         Stage::FullToBand => {
-            let params = EigenParams::new_unchecked(pt.p, pt.c);
+            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
             model::full_to_band(pt.n, f2b_bandwidth(pt.n), &params)
         }
         Stage::BandToBand => model::band_to_band(pt.n, b2b_bandwidth(pt.n), 2, pt.p, 0.5),
         Stage::CaSbr => model::ca_sbr_halving(pt.n, SBR_BAND, pt.p),
         Stage::Solver => {
-            let params = EigenParams::new_unchecked(pt.p, pt.c);
+            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
             model::eigensolver(pt.n, &params)
         }
     };

@@ -3,7 +3,7 @@
 //! `h = b/k`, generalized to non-divisor targets for arbitrary `n`) by
 //! pipelined bulge chasing.
 //!
-//! The chase schedule comes from [`ca_dla::bulge::chase_plan`] (the
+//! The chase schedule comes from [`ca_dla::bulge::chase_plan_iter`] (the
 //! paper's exact index ranges); iterations with equal `2i + j` run
 //! concurrently on disjoint processor groups `Π̂ⱼ` of `p̂ = p·b/n`
 //! processors (Figure 2), which the ledger's per-processor superstep
@@ -26,7 +26,7 @@
 //! exactly at the granularity the paper's cost expressions sum over.
 
 use ca_bsp::Machine;
-use ca_dla::bulge::{chase_plan_to, reduce_band_pass, ChaseOp};
+use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, ChaseOp};
 use ca_dla::{costs, BandedSym, MatrixView, QrFactors, Workspace};
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
@@ -52,67 +52,19 @@ pub struct ChaseRecord {
     pub qr_procs: usize,
 }
 
-/// Reduce `bmat` from band-width `b` to `⌈b/k⌉` on the processors of
-/// `grid` (1D), charging per Algorithm IV.2. `v_mem` is the Lemma III.2
-/// memory parameter for the update multiplies. `k` need not divide `b`
-/// (odd band-widths arise for arbitrary `n`); the target rounds up.
-pub fn band_to_band(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    k: usize,
-    v_mem: usize,
-) -> (BandedSym, BandToBandTrace) {
-    try_band_to_band(machine, grid, bmat, k, v_mem).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`band_to_band`] with typed input validation: a reduction factor
-/// outside `1 ≤ k ≤ b` comes back as `Err(EigenError)` with the ledger
-/// untouched.
-pub fn try_band_to_band(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    k: usize,
-    v_mem: usize,
-) -> Result<(BandedSym, BandToBandTrace), crate::EigenError> {
-    if k < 1 || k > bmat.bandwidth() {
-        return Err(crate::EigenError::InvalidReductionFactor {
-            b: bmat.bandwidth(),
-            k,
-        });
-    }
-    let h = bmat.bandwidth().div_ceil(k);
-    Ok(band_to_band_impl(machine, grid, bmat, h, v_mem, None))
-}
-
-/// [`band_to_band`] with an explicit target band-width `h` (any
-/// `1 ≤ h ≤ b`) instead of a divisor `k` — the solver's schedule for
-/// arbitrary `n` clamps the last halving to `n/pᵟ` rather than
-/// overshooting it, and such targets are not expressible as `⌈b/k⌉`.
-pub fn band_to_band_to(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    h: usize,
-    v_mem: usize,
-) -> (BandedSym, BandToBandTrace) {
-    band_to_band_impl(machine, grid, bmat, h, v_mem, None)
-}
-
-/// [`band_to_band_to`] with transform recording: each chase's `(U, T)`
-/// is appended to `rec` in execution (pipeline-phase) order.
-pub fn band_to_band_to_logged(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    h: usize,
-    v_mem: usize,
-    rec: &mut Vec<crate::transforms::Reflectors>,
-) -> (BandedSym, BandToBandTrace) {
-    band_to_band_impl(machine, grid, bmat, h, v_mem, Some(rec))
-}
-
+/// Reduce `bmat` from band-width `b` to the target `h` on the
+/// processors of `grid` (1D), charging per Algorithm IV.2. `v_mem` is
+/// the Lemma III.2 memory parameter for the update multiplies. `h` is
+/// any `1 ≤ h ≤ b`: it need not divide `b` — the solver's schedule for
+/// arbitrary `n` halves odd band-widths to `⌈b/2⌉` and clamps its last
+/// pass to `n/pᵟ` rather than overshooting it.
+///
+/// With `rec`, each chase's `(U, T)` is appended to it in execution
+/// (pipeline-phase) order; recording changes no bit of the band and no
+/// charge. A target outside `1 ≤ h ≤ b` comes back as
+/// `Err(EigenError::InvalidTargetBandwidth)` before anything is charged
+/// or recorded.
+///
 /// The driver: the plan in pipeline-phase order (chases with equal
 /// `2i + j` run concurrently on their groups `Π̂ⱼ`, Figure 2; ties by
 /// ascending `i`, the handoff order — bitwise the sequential order, as
@@ -120,18 +72,20 @@ pub fn band_to_band_to_logged(
 /// kernel. Every phase charges its residency prologue, then each chase
 /// its cost model at the kernel's factor step, and a fence closes it:
 /// live charges in program order.
-fn band_to_band_impl(
+pub fn try_band_to_band(
     machine: &Machine,
     grid: &Grid,
     bmat: &BandedSym,
     h: usize,
     v_mem: usize,
     mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, BandToBandTrace) {
+) -> Result<(BandedSym, BandToBandTrace), crate::EigenError> {
+    let b = bmat.bandwidth();
+    if h < 1 || h > b {
+        return Err(crate::EigenError::InvalidTargetBandwidth { b, h });
+    }
     let _span = ca_obs::kernel_span("driver.band_to_band");
     let n = bmat.n();
-    let b = bmat.bandwidth();
-    assert!(h >= 1 && h <= b, "need 1 ≤ h ≤ band-width");
     let p = grid.len();
 
     // Working copy with bulge capacity.
@@ -139,7 +93,7 @@ fn band_to_band_impl(
     let mut work = bmat.rehoused(b, capacity, |len| vec![0.0; len]);
     let mut trace = BandToBandTrace::default();
     if h == b {
-        return (work, trace);
+        return Ok((work, trace));
     }
 
     // Processor groups Π̂ⱼ: ⌈n/b⌉ groups of p̂ = p·b/n processors
@@ -153,7 +107,7 @@ fn band_to_band_impl(
     // Line 16's `Π̂ⱼ[1 : p·h/n]`.
     let qr_procs = ((p * h) / n).clamp(1, p_hat);
 
-    let mut plan = chase_plan_to(n, b, h);
+    let mut plan: Vec<ChaseOp> = chase_plan_iter(n, b, h).collect();
     plan.sort_by_key(|op| (op.phase(), op.i));
     trace.chases = plan
         .iter()
@@ -192,7 +146,7 @@ fn band_to_band_impl(
         machine.fence();
     }
     work.set_bandwidth(h);
-    (work, trace)
+    Ok((work, trace))
 }
 
 /// Fresh words entering a group's window for one chase (line 2 of Alg
@@ -321,7 +275,7 @@ mod tests {
     use super::*;
     use ca_bsp::MachineParams;
     use ca_dla::gen;
-    use ca_dla::tridiag::{banded_eigenvalues, spectrum_distance};
+    use ca_dla::tridiag::{spectrum_distance, try_banded_eigenvalues};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -329,25 +283,24 @@ mod tests {
         Machine::new(MachineParams::new(p))
     }
 
-    fn check(n: usize, b: usize, k: usize, p: usize, seed: u64) {
+    fn check(n: usize, b: usize, h: usize, p: usize, seed: u64) {
         let m = machine(p);
         let grid = Grid::all(p);
         let mut rng = StdRng::seed_from_u64(seed);
         let dense = gen::random_banded(&mut rng, n, b);
         let bm = BandedSym::from_dense(&dense, b, b);
-        let reference = banded_eigenvalues(&bm);
-        let (out, trace) = band_to_band(&m, &grid, &bm, k, 1);
+        let reference = try_banded_eigenvalues(&bm).unwrap();
+        let (out, trace) = try_band_to_band(&m, &grid, &bm, h, 1, None).unwrap();
         assert!(
-            out.measured_bandwidth(1e-9) <= b / k,
-            "n={n} b={b} k={k} p={p}: bandwidth {} > {}",
+            out.measured_bandwidth(1e-9) <= h,
+            "n={n} b={b} h={h} p={p}: bandwidth {} > {h}",
             out.measured_bandwidth(1e-9),
-            b / k
         );
-        let ev = banded_eigenvalues(&out);
+        let ev = try_banded_eigenvalues(&out).unwrap();
         let dist = spectrum_distance(&ev, &reference);
         assert!(
             dist < 1e-8 * n as f64,
-            "n={n} b={b} k={k} p={p}: spectrum drifted {dist}"
+            "n={n} b={b} h={h} p={p}: spectrum drifted {dist}"
         );
         assert!(!trace.chases.is_empty());
         // Phases are non-decreasing in execution order.
@@ -358,17 +311,17 @@ mod tests {
 
     #[test]
     fn halves_band_small_machine() {
-        check(48, 8, 2, 4, 210);
+        check(48, 8, 4, 4, 210);
     }
 
     #[test]
     fn quarter_reduction() {
-        check(64, 8, 4, 8, 211);
+        check(64, 8, 2, 8, 211);
     }
 
     #[test]
     fn to_tridiagonal() {
-        check(32, 4, 4, 4, 212);
+        check(32, 4, 1, 4, 212);
     }
 
     #[test]
@@ -388,7 +341,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(215);
         let dense = gen::random_banded(&mut rng, 16, 4);
         let bm = BandedSym::from_dense(&dense, 4, 4);
-        let (out, trace) = band_to_band(&m, &Grid::all(2), &bm, 1, 1);
+        let (out, trace) = try_band_to_band(&m, &Grid::all(2), &bm, 4, 1, None).unwrap();
         assert_eq!(out.bandwidth(), 4);
         assert!(trace.chases.is_empty());
         assert!(out.to_dense().max_diff(&dense) < 1e-14);
@@ -405,19 +358,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(217);
         let dense = gen::random_banded(&mut rng, n, b);
         let bm = BandedSym::from_dense(&dense, b, b);
-        let reference = banded_eigenvalues(&bm);
+        let reference = try_banded_eigenvalues(&bm).unwrap();
 
         let plain_machine = machine(p);
-        let (plain, trace) = band_to_band_to(&plain_machine, &grid, &bm, h, 1);
+        let (plain, trace) = try_band_to_band(&plain_machine, &grid, &bm, h, 1, None).unwrap();
         assert!(trace.chases.iter().all(|c| c.qr_procs == 4));
         let m = machine(p);
         let mut log = crate::transforms::TransformLog::default();
-        let (out, _) = band_to_band_to_logged(&m, &grid, &bm, h, 1, log.stage("band-to-band"));
+        let rec = Some(log.stage("band-to-band"));
+        let (out, _) = try_band_to_band(&m, &grid, &bm, h, 1, rec).unwrap();
         assert_eq!(plain, out, "recording changed the band");
         assert_eq!(plain_machine.report(), m.report(), "recording changed the ledger");
 
         assert!(out.measured_bandwidth(1e-9) <= h);
-        let dist = spectrum_distance(&banded_eigenvalues(&out), &reference);
+        let dist = spectrum_distance(&try_banded_eigenvalues(&out).unwrap(), &reference);
         assert!(dist < 1e-8 * n as f64, "spectrum drifted {dist}");
         // Every local-leg chase leaves M = 0; only the leg's `DistMatrix`
         // allocates on the machine.
@@ -448,7 +402,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(216);
             let dense = gen::random_banded(&mut rng, 128, 8);
             let bm = BandedSym::from_dense(&dense, 8, 8);
-            let _ = band_to_band(&m, &Grid::all(p), &bm, 2, 1);
+            let _ = try_band_to_band(&m, &Grid::all(p), &bm, 4, 1, None).unwrap();
             steps.push(m.report().supersteps);
         }
         assert!(

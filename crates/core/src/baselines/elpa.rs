@@ -10,7 +10,7 @@
 //! eigenvalues of the tridiagonal matrix are then computed on one
 //! processor.
 
-use crate::full_to_band::full_to_band;
+use crate::full_to_band::try_full_to_band;
 use crate::lang::lang_band_to_tridiagonal;
 use crate::params::EigenParams;
 use ca_bsp::Machine;
@@ -30,18 +30,19 @@ pub fn elpa_two_stage(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let b = (n / params.q.max(1)).clamp(2.min(hi), hi);
 
     // Stage 1: 2D full → band (no replication).
-    let (band, _) = full_to_band(machine, &params, a, b);
+    let (band, _) = try_full_to_band(machine, &params, a, b, None)
+        .expect("the baseline takes a square symmetric matrix");
 
     // Stage 2: band → tridiagonal via Lang's algorithm [36].
     let grid = Grid::all(p);
-    let tri = lang_band_to_tridiagonal(machine, &grid, &band);
+    let tri = lang_band_to_tridiagonal(machine, &grid, &band, None);
 
     // Gather the tridiagonal and solve sequentially.
     let (d, e) = tri.tridiagonal();
     coll::gather(machine, &grid, 0, ((2 * n) as u64).div_ceil(p.max(1) as u64));
     machine.charge_flops(grid.proc(0), 30 * (n as u64).pow(2));
     machine.fence();
-    ca_dla::tridiag::tridiag_eigenvalues(&d, &e)
+    ca_dla::tridiag::try_tridiag_eigenvalues(&d, &e).expect("QL converges on a finite tridiagonal")
 }
 
 #[cfg(test)]
@@ -81,7 +82,7 @@ mod tests {
 
         let m1 = Machine::new(MachineParams::new(p));
         let params = EigenParams::new(p, 1);
-        let _ = full_to_band(&m1, &params, &a, 16);
+        let _ = try_full_to_band(&m1, &params, &a, 16, None).unwrap();
         let q_stage1 = m1.report().vertical_words;
 
         let m2 = Machine::new(MachineParams::new(p));

@@ -18,26 +18,13 @@ use ca_pla::grid::Grid;
 
 /// Halve the band-width of `bmat` (`b → ⌈b/2⌉`) on the processors of
 /// `grid` (1D column layout). Odd band-widths (which arise for
-/// arbitrary `n`) round the target up.
-pub fn ca_sbr(machine: &Machine, grid: &Grid, bmat: &BandedSym) -> BandedSym {
-    ca_sbr_impl(machine, grid, bmat, None)
-}
-
-/// [`ca_sbr`] with transform recording for eigenvector
-/// back-transformation.
-pub fn ca_sbr_logged(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    rec: &mut Vec<crate::transforms::Reflectors>,
-) -> BandedSym {
-    ca_sbr_impl(machine, grid, bmat, Some(rec))
-}
-
+/// arbitrary `n`) round the target up. With `rec`, every chase's
+/// transform is recorded for eigenvector back-transformation.
+///
 /// The driver: the halving plan walked in sweep order through the one
 /// banded kernel, each chase charged to the owner of its window's first
 /// column at the kernel's factor step.
-fn ca_sbr_impl(
+pub fn ca_sbr(
     machine: &Machine,
     grid: &Grid,
     bmat: &BandedSym,
@@ -116,7 +103,7 @@ mod tests {
     use super::*;
     use ca_bsp::MachineParams;
     use ca_dla::gen;
-    use ca_dla::tridiag::{banded_eigenvalues, spectrum_distance};
+    use ca_dla::tridiag::{spectrum_distance, try_banded_eigenvalues};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -131,11 +118,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(220);
         let dense = gen::random_banded(&mut rng, n, b);
         let bm = BandedSym::from_dense(&dense, b, b);
-        let reference = banded_eigenvalues(&bm);
-        let out = ca_sbr(&m, &Grid::all(p), &bm);
+        let reference = try_banded_eigenvalues(&bm).unwrap();
+        let out = ca_sbr(&m, &Grid::all(p), &bm, None);
         assert_eq!(out.bandwidth(), b / 2);
         assert!(out.measured_bandwidth(1e-9) <= b / 2);
-        let ev = banded_eigenvalues(&out);
+        let ev = try_banded_eigenvalues(&out).unwrap();
         assert!(spectrum_distance(&ev, &reference) < 1e-9 * n as f64);
     }
 
@@ -146,12 +133,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(221);
         let dense = gen::random_banded(&mut rng, n, 8);
         let mut bm = BandedSym::from_dense(&dense, 8, 8);
-        let reference = banded_eigenvalues(&bm);
+        let reference = try_banded_eigenvalues(&bm).unwrap();
         while bm.bandwidth() > 1 {
-            bm = ca_sbr(&m, &Grid::all(p), &bm);
+            bm = ca_sbr(&m, &Grid::all(p), &bm, None);
         }
         assert!(bm.measured_bandwidth(1e-9) <= 1);
-        let ev = banded_eigenvalues(&bm);
+        let ev = try_banded_eigenvalues(&bm).unwrap();
         assert!(spectrum_distance(&ev, &reference) < 1e-9 * n as f64);
     }
 
@@ -162,7 +149,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(222);
         let dense = gen::random_banded(&mut rng, 40, 4);
         let bm = BandedSym::from_dense(&dense, 4, 4);
-        let _ = ca_sbr(&m, &Grid::all(p), &bm);
+        let _ = ca_sbr(&m, &Grid::all(p), &bm, None);
         let s = m.report().supersteps;
         // Redistribution (1) + aggregated pipeline (p) + fence.
         assert_eq!(s, 1 + p as u64 + 1);
@@ -175,7 +162,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(223);
         let dense = gen::random_banded(&mut rng, 64, 4);
         let bm = BandedSym::from_dense(&dense, 4, 4);
-        let _ = ca_sbr(&m, &Grid::all(p), &bm);
+        let _ = ca_sbr(&m, &Grid::all(p), &bm, None);
         let f = m.flops_per_proc();
         // Every processor owns some chases.
         assert!(f.iter().all(|&x| x > 0), "{f:?}");

@@ -1,12 +1,11 @@
 //! Typed validation errors for the solver's public entry points.
 //!
-//! The seed implementation `panic!`ed on every malformed input (shape,
-//! symmetry, grid), which is fine for a research harness but means a
-//! serving layer cannot reject a bad request without catching unwinds.
-//! Every input-validation failure now surfaces as an [`EigenError`];
-//! the original panicking entry points remain as thin shims that
-//! `unwrap` the `Result` (so existing callers and tests are
-//! unaffected).
+//! Every fallible public operation — the solver, the SVD, full→band and
+//! band→band — has one entry point, and it returns `Result<_,
+//! EigenError>`: a malformed input (shape, symmetry, finiteness, grid,
+//! band-width) is rejected before anything is charged or recorded, so a
+//! serving layer can turn a bad request away without catching unwinds.
+//! A caller that treats a bad request as a programming error unwraps.
 
 use std::fmt;
 
@@ -76,13 +75,13 @@ pub enum EigenError {
         /// The offending band-width.
         b: usize,
     },
-    /// A reduction factor outside `1 ≤ k ≤ b` was requested from
+    /// A target band-width outside `1 ≤ h ≤ b` was requested from
     /// `band_to_band`.
-    InvalidReductionFactor {
+    InvalidTargetBandwidth {
         /// Current band-width.
         b: usize,
-        /// The offending factor.
-        k: usize,
+        /// The offending target.
+        h: usize,
     },
     /// A service job missed its deadline: it spent longer in the
     /// admission queue than its timeout allowed and was never started.
@@ -113,7 +112,7 @@ pub enum EigenError {
     /// the finale surfaces here instead of aborting the process.
     ConvergenceFailure {
         /// Which solver gave up (`"tridiag_eigenvalues"`,
-        /// `"tridiag_eigen"`).
+        /// `"tridiag_eigen"`: the QL solvers of `ca_dla::tridiag`).
         solver: &'static str,
         /// Eigenvalue index being iterated when the budget ran out.
         index: usize,
@@ -161,10 +160,10 @@ impl fmt::Display for EigenError {
             Self::InvalidBandwidth { n, b } => {
                 write!(f, "band-width must satisfy 1 ≤ b < n (got b = {b}, n = {n})")
             }
-            Self::InvalidReductionFactor { b, k } => {
+            Self::InvalidTargetBandwidth { b, h } => {
                 write!(
                     f,
-                    "reduction factor must satisfy 1 ≤ k ≤ band-width (got k = {k}, b = {b})"
+                    "target band-width must satisfy 1 ≤ h ≤ band-width (got h = {h}, b = {b})"
                 )
             }
             Self::Deadline { timeout_ms, waited_ms } => {

@@ -67,24 +67,20 @@ pub struct PanelTrace {
 /// need not be a multiple of `b` — the final panel is simply shorter
 /// (its sub-diagonal block has fewer than `b` rows, factored by a
 /// local wide QR).
-pub fn full_to_band(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-    b: usize,
-) -> (BandedSym, FullToBandTrace) {
-    try_full_to_band(machine, params, a, b).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`full_to_band`] with typed input validation: malformed requests
-/// (non-square or asymmetric `a`, band-width outside `1 ≤ b < n`,
-/// inconsistent grid parameters) come back as `Err(EigenError)` with
-/// the ledger untouched.
+///
+/// With `rec`, each panel's `(U₁, T)` is appended to it in application
+/// order, for eigenvector back-transformation; recording changes no bit
+/// of the band and no charge.
+///
+/// Malformed requests (non-square or asymmetric `a`, band-width outside
+/// `1 ≤ b < n`, inconsistent grid parameters) come back as
+/// `Err(EigenError)` before anything is charged or recorded.
 pub fn try_full_to_band(
     machine: &Machine,
     params: &EigenParams,
     a: &Matrix,
     b: usize,
+    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
 ) -> Result<(BandedSym, FullToBandTrace), crate::EigenError> {
     use crate::EigenError;
     params.revalidate()?;
@@ -99,7 +95,7 @@ pub fn try_full_to_band(
     if b < 1 || b >= n {
         return Err(EigenError::InvalidBandwidth { n, b });
     }
-    Ok(full_to_band_impl(machine, params, a, b, None))
+    Ok(full_to_band_impl(machine, params, a, b, rec))
 }
 
 /// The symmetry test every entry point applies to its input, once: one
@@ -114,20 +110,6 @@ pub(crate) fn check_symmetric(a: &Matrix) -> Result<(), crate::EigenError> {
     Ok(())
 }
 
-/// [`full_to_band`] with transform recording for eigenvector
-/// back-transformation: each panel's `(U₁, T)` is appended to `rec` in
-/// application order.
-pub fn full_to_band_logged(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-    b: usize,
-    rec: &mut Vec<crate::transforms::Reflectors>,
-) -> (BandedSym, FullToBandTrace) {
-    check_symmetric(a).unwrap_or_else(|e| panic!("{e}"));
-    full_to_band_impl(machine, params, a, b, Some(rec))
-}
-
 /// The driver: Algorithm IV.1 as the paper writes it, one loop over
 /// panels calling lines 5, 7, 8, 9 and 10 in pseudocode order on plain
 /// locals, charging the ledger live, with one [`Machine::fence`] per
@@ -139,8 +121,9 @@ pub fn full_to_band_logged(
 /// (DESIGN.md §6b, "Why ranks are a walk"); the GEMM and QR pieces below
 /// them reach the pool.
 ///
-/// The caller has validated `a` (each public entry point scans it for
-/// symmetry exactly once); here the scan is a debug assertion only.
+/// The caller has validated `a` ([`try_full_to_band`], or the solver's
+/// request validation — each scans it for symmetry exactly once); here
+/// the scan is a debug assertion only.
 pub(crate) fn full_to_band_impl(
     machine: &Machine,
     params: &EigenParams,
@@ -437,7 +420,7 @@ mod tests {
     use super::*;
     use ca_bsp::MachineParams;
     use ca_dla::gen;
-    use ca_dla::tridiag::{banded_eigenvalues, spectrum_distance};
+    use ca_dla::tridiag::{spectrum_distance, try_banded_eigenvalues};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -451,10 +434,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let spectrum = gen::linspace_spectrum(n, -3.0, 5.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-        let (band, trace) = full_to_band(&m, &params, &a, b);
+        let (band, trace) = try_full_to_band(&m, &params, &a, b, None).unwrap();
         assert!(band.measured_bandwidth(1e-9) <= b);
         assert_eq!(trace.panels.len(), n.div_ceil(b) - 1);
-        let ev = banded_eigenvalues(&band);
+        let ev = try_banded_eigenvalues(&band).unwrap();
         let d = spectrum_distance(&ev, &spectrum);
         assert!(
             d < 1e-8 * (n as f64),
@@ -512,8 +495,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let spectrum = gen::linspace_spectrum(n, -1.0, 1.0);
             let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-            let (band, _) = full_to_band(&m, &params, &a, 1);
-            let ev = banded_eigenvalues(&band);
+            let (band, _) = try_full_to_band(&m, &params, &a, 1, None).unwrap();
+            let ev = try_banded_eigenvalues(&band).unwrap();
             assert!(spectrum_distance(&ev, &spectrum) < 1e-9);
         }
     }
@@ -531,7 +514,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(205);
             let a = gen::random_symmetric(&mut rng, n);
             let snap = m.snapshot();
-            let _ = full_to_band(&m, &params, &a, b);
+            let _ = try_full_to_band(&m, &params, &a, b, None).unwrap();
             ws.push(m.costs_since(&snap).horizontal_words as f64);
         }
         assert!(
@@ -552,7 +535,7 @@ mod tests {
         assert_eq!(params.panel_qr_procs(64, 10), 25);
         let mut rng = StdRng::seed_from_u64(219);
         let a = gen::random_symmetric(&mut rng, 64);
-        let (_, trace) = full_to_band(&m, &params, &a, 10);
+        let (_, trace) = try_full_to_band(&m, &params, &a, 10, None).unwrap();
         let ran_on: Vec<usize> = trace.panels.iter().map(|p| p.qr_procs).collect();
         assert_eq!(ran_on, [25, 25, 25, 24, 14, 1]);
     }
@@ -563,7 +546,7 @@ mod tests {
         let params = EigenParams::new(4, 1);
         let mut rng = StdRng::seed_from_u64(206);
         let a = gen::random_symmetric(&mut rng, 24);
-        let (_, trace) = full_to_band(&m, &params, &a, 4);
+        let (_, trace) = try_full_to_band(&m, &params, &a, 4, None).unwrap();
         for (s, p) in trace.panels.iter().enumerate() {
             assert_eq!(p.step, s);
             assert_eq!(p.offset, s * 4);

@@ -11,27 +11,14 @@
 //! intermediate band-widths.
 
 use ca_bsp::Machine;
-use ca_dla::bulge::{chase_plan, reduce_band_pass, ChaseOp};
+use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, ChaseOp};
 use ca_dla::{costs, BandedSym, Workspace};
 use ca_pla::grid::Grid;
 
 /// Reduce a symmetric band-`b` matrix to tridiagonal (Lang's algorithm
-/// shape). Returns the tridiagonal as a [`BandedSym`] of band-width 1.
-pub fn lang_band_to_tridiagonal(machine: &Machine, grid: &Grid, bmat: &BandedSym) -> BandedSym {
-    lang_impl(machine, grid, bmat, None)
-}
-
-/// [`lang_band_to_tridiagonal`] with transform recording.
-pub fn lang_band_to_tridiagonal_logged(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    rec: &mut Vec<crate::transforms::Reflectors>,
-) -> BandedSym {
-    lang_impl(machine, grid, bmat, Some(rec))
-}
-
-fn lang_impl(
+/// shape). Returns the tridiagonal as a [`BandedSym`] of band-width 1;
+/// with `rec`, every chase's transform is recorded.
+pub fn lang_band_to_tridiagonal(
     machine: &Machine,
     grid: &Grid,
     bmat: &BandedSym,
@@ -57,7 +44,7 @@ fn lang_impl(
     // h = 1 chase plan, walked in pipeline-phase order: one phase per
     // sweep step, owners charged per chase, neighbour hand-offs when a
     // window crosses a processor boundary.
-    let mut plan = chase_plan(n, b, b);
+    let mut plan: Vec<ChaseOp> = chase_plan_iter(n, b, 1).collect();
     plan.sort_by_key(|op| (op.phase(), op.i));
 
     let charge = |op: &ChaseOp| {
@@ -105,7 +92,7 @@ mod tests {
     use super::*;
     use ca_bsp::MachineParams;
     use ca_dla::gen;
-    use ca_dla::tridiag::{banded_eigenvalues, spectrum_distance, tridiag_eigenvalues};
+    use ca_dla::tridiag::{spectrum_distance, try_banded_eigenvalues, try_tridiag_eigenvalues};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -116,11 +103,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(620);
         let dense = gen::random_banded(&mut rng, n, b);
         let bm = BandedSym::from_dense(&dense, b, b);
-        let reference = banded_eigenvalues(&bm);
-        let tri = lang_band_to_tridiagonal(&m, &Grid::all(p), &bm);
+        let reference = try_banded_eigenvalues(&bm).unwrap();
+        let tri = lang_band_to_tridiagonal(&m, &Grid::all(p), &bm, None);
         assert!(tri.measured_bandwidth(1e-9) <= 1);
         let (d, e) = tri.tridiagonal();
-        let ev = tridiag_eigenvalues(&d, &e);
+        let ev = try_tridiag_eigenvalues(&d, &e).unwrap();
         assert!(spectrum_distance(&ev, &reference) < 1e-8 * n as f64);
     }
 
@@ -133,7 +120,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(621);
             let dense = gen::random_banded(&mut rng, n, b);
             let bm = BandedSym::from_dense(&dense, b, b);
-            let _ = lang_band_to_tridiagonal(&m, &Grid::all(p), &bm);
+            let _ = lang_band_to_tridiagonal(&m, &Grid::all(p), &bm, None);
             s.push(m.report().supersteps as f64);
         }
         let ratio = s[1] / s[0];
@@ -149,9 +136,9 @@ mod tests {
         let dense = gen::random_banded(&mut rng, n, b);
         let bm = BandedSym::from_dense(&dense, b, b);
         let mut log = crate::transforms::TransformLog::default();
-        let tri = lang_band_to_tridiagonal_logged(&m, &Grid::all(p), &bm, log.stage("lang"));
+        let tri = lang_band_to_tridiagonal(&m, &Grid::all(p), &bm, Some(log.stage("lang")));
         let (d, e) = tri.tridiagonal();
-        let (lam, z) = ca_dla::tridiag::tridiag_eigen(&d, &e);
+        let (lam, z) = ca_dla::tridiag::try_tridiag_eigen(&d, &e).unwrap();
         let v = crate::transforms::back_transform(&m, &Grid::all(p), &log, &z);
         let av = matmul(&dense, Trans::N, &v, Trans::N);
         let mut vl = v.clone();
@@ -168,7 +155,7 @@ mod tests {
         let m = Machine::new(MachineParams::new(2));
         let a = gen::laplacian_2d(8, 1);
         let bm = BandedSym::from_dense(&a, 1, 1);
-        let out = lang_band_to_tridiagonal(&m, &Grid::all(2), &bm);
+        let out = lang_band_to_tridiagonal(&m, &Grid::all(2), &bm, None);
         assert!(out.to_dense().max_diff(&a) < 1e-15);
         assert_eq!(m.report().horizontal_words, 0);
     }

@@ -12,10 +12,11 @@
 //!   through the Streaming-MM of Algorithm III.1 at
 //!   `W = O(n²/pᵟ)` communication.
 //! * [`band_to_band`] — Algorithm IV.2, **2.5D-Band-to-Band**: reduce
-//!   band-width `b → b/k` by pipelined bulge chasing, each chase a
-//!   parallel rectangular QR plus Lemma III.2 updates on a processor
-//!   group `Π̂ⱼ` of `p·b/n` processors, with concurrent groups sharing
-//!   supersteps (phases `2i + j = const`, Figure 2).
+//!   band-width `b → h` (the paper's `h = b/k`) by pipelined bulge
+//!   chasing, each chase a parallel rectangular QR plus Lemma III.2
+//!   updates on a processor group `Π̂ⱼ` of `p·b/n` processors, with
+//!   concurrent groups sharing supersteps (phases `2i + j = const`,
+//!   Figure 2).
 //! * [`ca_sbr`] — the CA-SBR band halving of Ballard–Demmel–Knight \[12\]
 //!   (Lemma IV.2), used once the band is thin (`b ≤ n/pᵟ`).
 //! * [`solver`] — Algorithm IV.3, the complete
@@ -31,6 +32,11 @@
 //! execution *and* leaves the full `F/W/Q/S/M` cost record in the
 //! machine ledger, which the `ca-bench` harness uses to regenerate the
 //! paper's Table I and Figures 1–2.
+//!
+//! Each operation has one entry point: a fallible one returns
+//! `Result<_, EigenError>` (`try_*`), and a stage that can record its
+//! transforms for eigenvector back-transformation takes them as
+//! `rec: Option<&mut Vec<Reflectors>>`.
 
 // Index-heavy numerical code: range loops over several arrays at once
 // are the clearer idiom here.
@@ -51,16 +57,13 @@ pub mod svd;
 pub mod transforms;
 pub mod tuning;
 
-pub use band_to_band::{band_to_band, band_to_band_to, band_to_band_to_logged, try_band_to_band};
-pub use ca_sbr::{ca_sbr, ca_sbr_logged};
+pub use band_to_band::try_band_to_band;
+pub use ca_sbr::ca_sbr;
 pub use error::EigenError;
-pub use full_to_band::{full_to_band, full_to_band_logged, try_full_to_band, FullToBandTrace};
+pub use full_to_band::{try_full_to_band, FullToBandTrace};
 pub use job::{solve_job, JobResult, SymmEigenJob};
 pub use lang::lang_band_to_tridiagonal;
 pub use params::EigenParams;
-pub use solver::{
-    symm_eigen_25d, symm_eigen_25d_vectors, try_symm_eigen_25d, try_symm_eigen_25d_vectors,
-    StageCosts,
-};
-pub use svd::{singular_values, svd, try_singular_values, try_svd, Svd};
+pub use solver::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, StageCosts};
+pub use svd::{try_singular_values, try_svd, Svd};
 pub use transforms::{back_transform, Reflectors, TransformLog};

@@ -25,20 +25,6 @@ pub struct ModelCosts {
     pub memory_words: f64,
 }
 
-/// Lemma III.2: rectangular matrix multiplication of `m×k · k×n` on `p`
-/// processors with memory parameter `v`.
-pub fn mm_rectangular(m: usize, k: usize, n: usize, p: usize, v: usize) -> ModelCosts {
-    let (m, k, n, p, v) = (m as f64, k as f64, n as f64, p as f64, v.max(1) as f64);
-    let operands = (m * k + k * n + m * n) / p;
-    ModelCosts {
-        flops: 2.0 * m * k * n / p,
-        horizontal_words: operands + v.cbrt() * (m * k * n / p).powf(2.0 / 3.0),
-        vertical_words: operands,
-        supersteps: v * p.log2().max(1.0),
-        memory_words: operands + (m * k * n / (v * p)).powf(2.0 / 3.0),
-    }
-}
-
 /// Lemma III.3: Streaming-MM of a replicated `m×n` against `n×k` on a
 /// `q×q×c` grid with streaming depth `w`.
 pub fn mm_streaming(m: usize, n: usize, k: usize, q: usize, c: usize, w: usize) -> ModelCosts {
@@ -183,7 +169,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(700);
         let a = gen::random_symmetric(&mut rng, n);
         let m = Machine::new(MachineParams::new(p));
-        let _ = crate::full_to_band(&m, &params, &a, b);
+        let _ = crate::try_full_to_band(&m, &params, &a, b, None).unwrap();
         let measured = m.report();
         let model = full_to_band(n, b, &params);
         // Ratios within an order of magnitude (unit-constant model).

@@ -58,15 +58,11 @@ impl EigenParams {
         Self::validated(p, c, false)
     }
 
-    /// Panicking shim over [`Self::try_new`] for callers that treat a
-    /// bad grid as a programming error (tests, examples, benches).
+    /// [`Self::try_new`] for callers that treat a bad grid as a
+    /// programming error (tests, examples, benches): panics with the
+    /// error's message.
     pub fn new(p: usize, c: usize) -> Self {
         Self::try_new(p, c).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Panicking shim over [`Self::try_new_unchecked`].
-    pub fn new_unchecked(p: usize, c: usize) -> Self {
-        Self::try_new_unchecked(p, c).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Re-check the struct's invariants (fields are public, so a
@@ -215,7 +211,7 @@ mod tests {
             EigenParams::try_new(16, 4),
             Err(EigenError::ReplicationOutOfRegime { p: 16, c: 4 })
         );
-        // new_unchecked admits the out-of-regime case but not the rest.
+        // try_new_unchecked admits the out-of-regime case but not the rest.
         assert!(EigenParams::try_new_unchecked(16, 4).is_ok());
         assert!(EigenParams::try_new_unchecked(24, 2).is_err());
     }
@@ -225,10 +221,6 @@ mod tests {
         for (p, c) in [(1usize, 1usize), (4, 1), (8, 2), (64, 4)] {
             assert_eq!(EigenParams::new(p, c), EigenParams::try_new(p, c).unwrap());
         }
-        assert_eq!(
-            EigenParams::new_unchecked(16, 4),
-            EigenParams::try_new_unchecked(16, 4).unwrap()
-        );
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! Every stage's `F/W/Q/S` delta is recorded in [`StageCosts`], which is
 //! what the Table-I harness prints.
 
+use crate::band_to_band::try_band_to_band;
 use crate::ca_sbr::ca_sbr;
 use crate::error::EigenError;
 use crate::params::EigenParams;
@@ -146,34 +147,31 @@ impl StageScope<'_> {
 /// communication-avoiding 2.5D algorithm. Returns the ascending
 /// eigenvalues and the per-stage cost breakdown.
 ///
+/// Malformed requests (non-square, non-finite or asymmetric `a`,
+/// `n < 2`, inconsistent grid parameters) come back as
+/// `Err(EigenError)` with the ledger untouched — a serving layer can
+/// reject them without catching a panic.
+///
 /// ```
 /// use ca_bsp::{Machine, MachineParams};
-/// use ca_eigen::{symm_eigen_25d, EigenParams};
+/// use ca_eigen::{try_symm_eigen_25d, EigenError, EigenParams};
 /// use ca_dla::gen;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let spectrum = gen::linspace_spectrum(32, -1.0, 1.0);
-/// let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
+/// fn main() -> Result<(), EigenError> {
+///     let mut rng = StdRng::seed_from_u64(7);
+///     let spectrum = gen::linspace_spectrum(32, -1.0, 1.0);
+///     let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
 ///
-/// let machine = Machine::new(MachineParams::new(4));
-/// let (eigenvalues, stages) = symm_eigen_25d(&machine, &EigenParams::new(4, 1), &a);
+///     let machine = Machine::new(MachineParams::new(4));
+///     let params = EigenParams::try_new(4, 1)?;
+///     let (eigenvalues, stages) = try_symm_eigen_25d(&machine, &params, &a)?;
 ///
-/// assert!(ca_dla::tridiag::spectrum_distance(&eigenvalues, &spectrum) < 1e-8);
-/// assert!(stages.total().horizontal_words > 0); // every word was metered
+///     assert!(ca_dla::tridiag::spectrum_distance(&eigenvalues, &spectrum) < 1e-8);
+///     assert!(stages.total().horizontal_words > 0); // every word was metered
+///     Ok(())
+/// }
 /// ```
-pub fn symm_eigen_25d(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-) -> (Vec<f64>, StageCosts) {
-    try_symm_eigen_25d(machine, params, a).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`symm_eigen_25d`] with typed input validation: malformed requests
-/// (non-square or asymmetric `a`, `n < 2`, inconsistent grid
-/// parameters) come back as `Err(EigenError)` instead of aborting the
-/// process — the entry point a serving layer should call.
 pub fn try_symm_eigen_25d(
     machine: &Machine,
     params: &EigenParams,
@@ -190,16 +188,7 @@ pub fn try_symm_eigen_25d(
 /// `A·V = V·diag(λ)`). Costs the paper attributes to
 /// back-transformation (`O(n³)` per intermediate band-width, `O(n²)`
 /// transform memory per stage) appear in the final stage's record.
-pub fn symm_eigen_25d_vectors(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-) -> (Vec<f64>, Matrix, StageCosts) {
-    try_symm_eigen_25d_vectors(machine, params, a).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`symm_eigen_25d_vectors`] with typed input validation (see
-/// [`try_symm_eigen_25d`]).
+/// Requests are validated as by [`try_symm_eigen_25d`].
 pub fn try_symm_eigen_25d_vectors(
     machine: &Machine,
     params: &EigenParams,
@@ -298,19 +287,8 @@ fn solve_impl(
             0,
             ((n * (band.bandwidth() + 1)) as u64).div_ceil(p as u64),
         );
-        let v_mem = params.p_2m3d();
-        let (next, _) = if want_vectors {
-            crate::band_to_band::band_to_band_to_logged(
-                machine,
-                &grid,
-                &band,
-                target,
-                v_mem,
-                log.stage(&format!("band-to-band (b={})", band.bandwidth())),
-            )
-        } else {
-            crate::band_to_band::band_to_band_to(machine, &grid, &band, target, v_mem)
-        };
+        let rec = want_vectors.then(|| log.stage(&format!("band-to-band (b={bw})")));
+        let (next, _) = try_band_to_band(machine, &grid, &band, target, params.p_2m3d(), rec)?;
         scope.end(&mut costs);
         band = next;
         stage += 1;
@@ -330,16 +308,8 @@ fn solve_impl(
                 band.bandwidth().div_ceil(2)
             ),
         );
-        let next = if want_vectors {
-            crate::ca_sbr::ca_sbr_logged(
-                machine,
-                &sbr_grid,
-                &band,
-                log.stage(&format!("ca-sbr (b={})", band.bandwidth())),
-            )
-        } else {
-            ca_sbr(machine, &sbr_grid, &band)
-        };
+        let rec = want_vectors.then(|| log.stage(&format!("ca-sbr (b={})", band.bandwidth())));
+        let next = ca_sbr(machine, &sbr_grid, &band, rec);
         scope.end(&mut costs);
         band = next;
     }
@@ -411,7 +381,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let spectrum = gen::linspace_spectrum(n, -5.0, 5.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-        let (ev, stages) = symm_eigen_25d(&m, &params, &a);
+        let (ev, stages) = try_symm_eigen_25d(&m, &params, &a).unwrap();
         let d = spectrum_distance(&ev, &spectrum);
         (d, stages.total())
     }
@@ -450,7 +420,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let spectrum = gen::linspace_spectrum(n, -3.0, 3.0);
             let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-            let (ev, v, costs) = symm_eigen_25d_vectors(&m, &params, &a);
+            let (ev, v, costs) = try_symm_eigen_25d_vectors(&m, &params, &a).unwrap();
             assert!(spectrum_distance(&ev, &spectrum) < 1e-8 * n as f64);
             // V orthonormal.
             let vtv = matmul(&v, Trans::T, &v, Trans::N);
@@ -485,7 +455,7 @@ mod tests {
         let params = EigenParams::new(4, 1);
         let mut rng = StdRng::seed_from_u64(304);
         let a = gen::random_symmetric(&mut rng, 64);
-        let (_, stages) = symm_eigen_25d(&m, &params, &a);
+        let (_, stages) = try_symm_eigen_25d(&m, &params, &a).unwrap();
         let names: Vec<&str> = stages.stages.iter().map(|s| s.name.as_str()).collect();
         assert!(names[0].starts_with("full-to-band"));
         assert!(names.last().unwrap().starts_with("sequential"));

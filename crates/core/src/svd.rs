@@ -55,17 +55,8 @@ fn jordan_wielandt(a: &Matrix) -> (Matrix, usize) {
 }
 
 /// Singular values of `a` (descending), computed with the 2.5D
-/// eigensolver on the embedded symmetric matrix.
-pub fn singular_values(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-) -> (Vec<f64>, StageCosts) {
-    try_singular_values(machine, params, a).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`singular_values`] with typed input validation (see
-/// [`crate::solver::try_symm_eigen_25d`]).
+/// eigensolver on the embedded symmetric matrix. Requests are validated
+/// as by [`crate::solver::try_symm_eigen_25d`].
 pub fn try_singular_values(
     machine: &Machine,
     params: &EigenParams,
@@ -86,13 +77,8 @@ pub fn try_singular_values(
 }
 
 /// Full thin SVD via the eigenvector extension: the top-`k`
-/// eigenvectors of the embedding are `(vᵢ, uᵢ)/√2`.
-pub fn svd(machine: &Machine, params: &EigenParams, a: &Matrix) -> (Svd, StageCosts) {
-    try_svd(machine, params, a).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`svd`] with typed input validation (see
-/// [`crate::solver::try_symm_eigen_25d`]).
+/// eigenvectors of the embedding are `(vᵢ, uᵢ)/√2`. Requests are
+/// validated as by [`crate::solver::try_symm_eigen_25d`].
 pub fn try_svd(
     machine: &Machine,
     params: &EigenParams,
@@ -175,7 +161,7 @@ mod tests {
     fn singular_values_of_diagonal_matrix() {
         let a = Matrix::from_fn(4, 4, |i, j| if i == j { (4 - i) as f64 } else { 0.0 });
         let m = machine(4);
-        let (sigma, _) = singular_values(&m, &EigenParams::new(4, 1), &a);
+        let (sigma, _) = try_singular_values(&m, &EigenParams::new(4, 1), &a).unwrap();
         for (i, s) in sigma.iter().enumerate() {
             assert!((s - (4 - i) as f64).abs() < 1e-8, "σ_{i} = {s}");
         }
@@ -187,10 +173,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(900);
         let a = gen::random_matrix(&mut rng, 12, 8);
         let m = machine(4);
-        let (sigma, _) = singular_values(&m, &EigenParams::new(4, 1), &a);
+        let (sigma, _) = try_singular_values(&m, &EigenParams::new(4, 1), &a).unwrap();
         let gram = matmul(&a, Trans::T, &a, Trans::N);
         let gram_band = ca_dla::BandedSym::from_dense(&gram, 7, 7);
-        let mut gram_ev = ca_dla::tridiag::banded_eigenvalues(&gram_band);
+        let mut gram_ev = ca_dla::tridiag::try_banded_eigenvalues(&gram_band).unwrap();
         gram_ev.reverse();
         for (s, g) in sigma.iter().zip(&gram_ev) {
             assert!((s * s - g).abs() < 1e-7 * (1.0 + g.abs()), "σ²={} vs λ={}", s * s, g);
@@ -203,7 +189,7 @@ mod tests {
         for (mrows, ncols) in [(10usize, 6usize), (6, 10), (8, 8)] {
             let a = gen::random_matrix(&mut rng, mrows, ncols);
             let m = machine(4);
-            let (f, _) = svd(&m, &EigenParams::new(4, 1), &a);
+            let (f, _) = try_svd(&m, &EigenParams::new(4, 1), &a).unwrap();
             // A = U·Σ·Vᵀ.
             let mut us = f.u.clone();
             for i in 0..mrows {
@@ -239,7 +225,7 @@ mod tests {
         let y = Matrix::from_fn(1, 5, |_, j| (j + 1) as f64);
         let a = matmul(&x, Trans::N, &y, Trans::N); // rank 1
         let m = machine(4);
-        let (f, _) = svd(&m, &EigenParams::new(4, 1), &a);
+        let (f, _) = try_svd(&m, &EigenParams::new(4, 1), &a).unwrap();
         let k = f.sigma.len();
         let utu = matmul(&f.u, Trans::T, &f.u, Trans::N);
         let vtv = matmul(&f.v, Trans::T, &f.v, Trans::N);
@@ -271,7 +257,7 @@ mod tests {
         let y = Matrix::from_fn(1, 5, |_, j| (j + 1) as f64);
         let a = matmul(&x, Trans::N, &y, Trans::N);
         let m = machine(4);
-        let (sigma, _) = singular_values(&m, &EigenParams::new(4, 1), &a);
+        let (sigma, _) = try_singular_values(&m, &EigenParams::new(4, 1), &a).unwrap();
         assert!(sigma[0] > 1.0);
         for s in &sigma[1..] {
             assert!(s.abs() < 1e-7, "trailing σ = {s}");

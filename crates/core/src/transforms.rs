@@ -185,9 +185,9 @@ fn apply_reflector(refl: &Reflectors, xp: &mut Matrix, ws: &mut Workspace) {
 mod tests {
     use super::*;
     use ca_bsp::MachineParams;
-    use ca_dla::bulge::{chase_plan, execute_chase_recording};
+    use ca_dla::bulge::{chase_plan_iter, execute_chase_recording};
     use ca_dla::gemm::{matmul, Trans};
-    use ca_dla::tridiag::tridiag_eigen;
+    use ca_dla::tridiag::try_tridiag_eigen;
     use ca_dla::{gen, BandedSym};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -203,7 +203,7 @@ mod tests {
 
         let mut log = TransformLog::default();
         let stage = log.stage("band→tridiag");
-        for op in chase_plan(n, b, b) {
+        for op in chase_plan_iter(n, b, 1) {
             let row0 = op.qr_rows.0;
             let (u, t) = execute_chase_recording(&mut bm, &op);
             stage.push(Reflectors { row0, u, t });
@@ -211,7 +211,7 @@ mod tests {
         assert!(bm.measured_bandwidth(1e-9) <= 1);
 
         let (d, e) = bm.tridiagonal();
-        let (lam, z) = tridiag_eigen(&d, &e);
+        let (lam, z) = try_tridiag_eigen(&d, &e).unwrap();
 
         let machine = Machine::new(MachineParams::new(4));
         let v = back_transform(&machine, &Grid::all(4), &log, &z);
@@ -259,7 +259,7 @@ mod tests {
         let mut bm = BandedSym::from_dense(&dense, b, (2 * b).min(n - 1));
         let mut log = TransformLog::default();
         let stage = log.stage("s");
-        for op in chase_plan(n, b, b) {
+        for op in chase_plan_iter(n, b, 1) {
             let row0 = op.qr_rows.0;
             let (u, t) = execute_chase_recording(&mut bm, &op);
             stage.push(Reflectors { row0, u, t });

@@ -30,7 +30,7 @@ pub struct TuningChoice {
 
 /// Legal replication factors for `p` (perfect-square layers, within the
 /// paper's `c ≤ p^{1/3}` regime).
-pub fn legal_replications(p: usize) -> Vec<usize> {
+fn legal_replications(p: usize) -> Vec<usize> {
     (0..=p.ilog2())
         .map(|e| 1usize << e)
         .filter(|&c| {

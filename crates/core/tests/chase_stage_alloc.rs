@@ -24,7 +24,7 @@
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::workspace::thread_ws_stats;
 use ca_dla::{gemm, gen, BandedSym, Matrix, Trans};
-use ca_eigen::{band_to_band_to, ca_sbr, lang_band_to_tridiagonal};
+use ca_eigen::{ca_sbr, lang_band_to_tridiagonal, try_band_to_band};
 use ca_pla::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,7 +49,7 @@ fn pass_allocations(n: usize) -> (u64, usize) {
     let band = random_band(n, 64, 519);
     let _ = ca_obs::alloc::take();
     ca_obs::alloc::set_metering(true);
-    let (out, trace) = band_to_band_to(&machine, &grid, &band, 32, 1);
+    let (out, trace) = try_band_to_band(&machine, &grid, &band, 32, 1, None).unwrap();
     ca_obs::alloc::set_metering(false);
     assert_eq!(out.bandwidth(), 32);
     (ca_obs::alloc::take().0, trace.chases.len())
@@ -67,11 +67,11 @@ fn chase_stages_park_nothing_and_allocate_nothing_per_chase() {
     let band = random_band(96, 16, 518);
     let before = parked();
     assert!(before.0 > 0, "the warm-up was meant to park GEMM's panels");
-    let _ = band_to_band_to(&machine, &grid, &band, 8, 1);
+    let _ = try_band_to_band(&machine, &grid, &band, 8, 1, None).unwrap();
     assert_eq!(parked(), before, "band→band left scratch in the caller's arena");
-    let _ = ca_sbr(&machine, &grid, &band);
+    let _ = ca_sbr(&machine, &grid, &band, None);
     assert_eq!(parked(), before, "CA-SBR left scratch in the caller's arena");
-    let _ = lang_band_to_tridiagonal(&machine, &grid, &band);
+    let _ = lang_band_to_tridiagonal(&machine, &grid, &band, None);
     assert_eq!(parked(), before, "Lang left scratch in the caller's arena");
 
     let (small, small_chases) = pass_allocations(256);

@@ -113,8 +113,7 @@ impl BandedSym {
 
     /// The raw band slab: entry `(i, j)` with `j ≤ i ≤ j + cap` lives at
     /// `bands()[j·(cap+1) + (i−j)]` (column-major lower bands). Exposed
-    /// for kernels that stream the bands directly (e.g. the row-sliced
-    /// parallel [`crate::sym::symv_banded`]).
+    /// for kernels that stream the bands directly.
     #[inline]
     pub fn bands(&self) -> &[f64] {
         &self.data

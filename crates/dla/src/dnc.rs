@@ -71,7 +71,7 @@ pub(crate) const LEAF: usize = 40;
 /// Eigenvalues and orthonormal eigenvectors of the symmetric
 /// tridiagonal matrix `(d, e)` by divide-and-conquer: returns
 /// `(λ ascending, Z)` with `T·Z = Z·diag(λ)`, like
-/// [`crate::tridiag::tridiag_eigen`]. Subproblems of size
+/// [`crate::tridiag::try_tridiag_eigen`]. Subproblems of size
 /// ≤ 40 fall back to the QL solver, whose convergence
 /// failure (never observed on finite input) is the only error path.
 pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergence> {
@@ -605,7 +605,7 @@ mod tests {
     use super::*;
     use crate::gen;
     use crate::sturm;
-    use crate::tridiag::{spectrum_distance, tridiag_eigenvalues};
+    use crate::tridiag::{spectrum_distance, try_tridiag_eigenvalues};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -619,7 +619,7 @@ mod tests {
             assert!(w[0] <= w[1], "eigenvalues not sorted");
         }
         // Against the QL oracle.
-        let ql = tridiag_eigenvalues(d, e);
+        let ql = try_tridiag_eigenvalues(d, e).unwrap();
         let scale = 1.0 + ql.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(
             spectrum_distance(&lam, &ql) <= tol * scale,

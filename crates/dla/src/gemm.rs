@@ -124,29 +124,6 @@ pub fn gemm_view(
     gemm_core(alpha, a, ta, b, tb, beta, c, None, Fma::detect());
 }
 
-/// [`gemm_view`] with both of its free choices forced: `pack_a` packs
-/// `op(A)` or reads it in place whatever the shape, `portable` runs the
-/// portable instantiation of the tile loop whatever the host supports.
-/// The cell contract says neither can change a bit; this is how
-/// `tests/gemm_props.rs` holds every combination to that, and nothing
-/// outside tests calls it.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)] // gemm_view's BLAS-shaped signature + the two choices
-pub fn gemm_view_forced(
-    alpha: f64,
-    a: &MatrixView,
-    ta: Trans,
-    b: &MatrixView,
-    tb: Trans,
-    beta: f64,
-    c: &mut MatrixViewMut,
-    (pack_a, portable): (bool, bool),
-) {
-    check_shapes(a, ta, b, tb, c);
-    let fma = if portable { None } else { Fma::detect() };
-    gemm_core(alpha, a, ta, b, tb, beta, c, Some(pack_a), fma);
-}
-
 /// A triangle of a matrix as a product uses it (`op(A)`, `op(B)` or
 /// `C`): for a factor, where its entries can be non-zero; for the
 /// output, which cells the caller wants. Entry `(r, c)` lies in
@@ -320,7 +297,7 @@ fn op_sub<'a>(x: &MatrixView<'a>, t: Trans, r: &Span, s: &Span) -> MatrixView<'a
     }
 }
 
-fn check_shapes(
+pub(crate) fn check_shapes(
     a: &MatrixView,
     ta: Trans,
     b: &MatrixView,
@@ -405,9 +382,10 @@ fn scale_cols(beta: f64, data: &mut [f64], cs: usize, rows: usize, col0: usize, 
 /// The loop nest around the tile kernel. `pack_a` chooses between
 /// packing `op(A)` and reading it in place (`None`: by the product's
 /// size); `fma` chooses the instantiation of the tile loop. Neither can
-/// change a bit of `C`.
+/// change a bit of `C` (`oracle::gemm_view_forced` forces both, for the
+/// tests that hold every combination to that).
 #[allow(clippy::too_many_arguments)]
-fn gemm_core(
+pub(crate) fn gemm_core(
     alpha: f64,
     a: &MatrixView,
     ta: Trans,

@@ -22,6 +22,11 @@
 //!   [`workspace`]) that let the hot kernels run in place with no
 //!   steady-state heap allocation (see DESIGN.md §"kernel engine").
 //!
+//! Each module holds one implementation of each operation. The forms the
+//! tests and benches hold them to — the seed's scalar and dense-window
+//! kernels, the portable instance of a feature-compiled loop — live in
+//! one hidden module, `oracle`, that no solve reaches.
+//!
 //! All kernels are pure (no dependency on the cost model); the `ca-pla`
 //! crate wraps them with cost charging when they run on a virtual
 //! processor.
@@ -39,9 +44,10 @@ pub mod gemm;
 pub mod gen;
 pub mod lu;
 pub mod matrix;
+#[doc(hidden)]
+pub mod oracle;
 pub mod qr;
 pub mod sturm;
-pub mod sym;
 pub mod tridiag;
 pub mod view;
 pub mod workspace;

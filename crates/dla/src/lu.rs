@@ -21,8 +21,8 @@
 //! **Bits.** The tree is [`split`] of the order alone and every product
 //! obeys GEMM's cell contract, so results are bit-for-bit independent of
 //! worker count, core budget, strides and host. They differ in the last
-//! place from the scalar `*_reference` forms below (a different
-//! summation order), which survive as test oracles only.
+//! place from the scalar forms they replaced (a different summation
+//! order), which survive as `oracle::*_reference` for the tests only.
 
 use crate::gemm::{gemm_view, Trans};
 use crate::matrix::Matrix;
@@ -84,7 +84,7 @@ fn load_op(t: &MatrixView, transposed: bool) -> [[f64; LEAF]; LEAF] {
 }
 
 /// True when `op(T)` is lower-triangular.
-fn op_is_lower(tri: Triangle, transposed: bool) -> bool {
+pub(crate) fn op_is_lower(tri: Triangle, transposed: bool) -> bool {
     matches!(tri, Triangle::Lower) != transposed
 }
 
@@ -553,96 +553,6 @@ fn tri_inverse_leaf(t: &MatrixView, tri: Triangle, diag: Diag, out: &mut MatrixV
     for i in 0..n {
         out.row_mut(i).copy_from_slice(&x[i][..n]);
     }
-}
-
-/// The scalar elimination [`lu_inplace`] replaced, with or without the
-/// sign subtraction. Not on any solver path: the oracle of
-/// `tests/tri_props.rs` and the baseline of `benches/kernels.rs`.
-fn lu_reference(a: &Matrix, signed: bool) -> (Matrix, Matrix, Vec<f64>) {
-    let n = a.rows();
-    assert_eq!(n, a.cols(), "LU requires a square matrix");
-    let mut w = a.clone();
-    let mut signs = Vec::with_capacity(n);
-    for k in 0..n {
-        if signed {
-            let s = if w.get(k, k) >= 0.0 { -1.0 } else { 1.0 };
-            signs.push(s);
-            w.add_to(k, k, -s);
-        }
-        let pivot = w.get(k, k);
-        assert!(
-            pivot != 0.0,
-            "lu_nopivot: zero pivot at {k}; matrix is not non-pivoted-LU factorizable"
-        );
-        for i in k + 1..n {
-            let m = w.get(i, k) / pivot;
-            w.set(i, k, m);
-            if m != 0.0 {
-                for j in k + 1..n {
-                    w.add_to(i, j, -m * w.get(k, j));
-                }
-            }
-        }
-    }
-    let (l, u) = unpack_lu(&w);
-    (l, u, signs)
-}
-
-/// Scalar oracle for [`lu_nopivot`] (tests and benches only).
-#[doc(hidden)]
-pub fn lu_nopivot_reference(a: &Matrix) -> (Matrix, Matrix) {
-    let (l, u, _) = lu_reference(a, false);
-    (l, u)
-}
-
-/// Scalar oracle for [`lu_nopivot_signed`] (tests and benches only).
-#[doc(hidden)]
-pub fn lu_nopivot_signed_reference(a: &Matrix) -> (Matrix, Matrix, Vec<f64>) {
-    lu_reference(a, true)
-}
-
-/// Scalar oracle for [`trsm_left`]: one substitution per right-hand
-/// side, `op(T)` through a per-element accessor (tests and benches only).
-#[doc(hidden)]
-pub fn trsm_left_reference(t: &Matrix, tri: Triangle, diag: Diag, transposed: bool, b: &mut Matrix) {
-    let n = t.rows();
-    assert_eq!(n, t.cols());
-    assert_eq!(b.rows(), n);
-    let get = |i: usize, j: usize| if transposed { t.get(j, i) } else { t.get(i, j) };
-    let lower = op_is_lower(tri, transposed);
-    for c in 0..b.cols() {
-        for step in 0..n {
-            let i = if lower { step } else { n - 1 - step };
-            let known = if lower { 0..i } else { i + 1..n };
-            let mut v = b.get(i, c);
-            for j in known {
-                v -= get(i, j) * b.get(j, c);
-            }
-            if matches!(diag, Diag::NonUnit) {
-                v /= get(i, i);
-            }
-            b.set(i, c, v);
-        }
-    }
-}
-
-/// Scalar oracle for [`trsm_right`]: `X·op(T) = B ⇔ op(T)ᵀ·Xᵀ = Bᵀ`
-/// through two transposed copies (tests and benches only).
-#[doc(hidden)]
-pub fn trsm_right_reference(t: &Matrix, tri: Triangle, diag: Diag, transposed: bool, b: &mut Matrix) {
-    let mut bt = b.transpose();
-    trsm_left_reference(t, tri, diag, !transposed, &mut bt);
-    *b = bt.transpose();
-}
-
-/// Scalar oracle for [`tri_inverse`]: a left solve against the dense
-/// identity, `n³` multiply-adds (tests and benches only).
-#[doc(hidden)]
-pub fn tri_inverse_reference(t: &Matrix, tri: Triangle, diag: Diag) -> Matrix {
-    let n = t.rows();
-    let mut inv = Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 });
-    trsm_left_reference(t, tri, diag, false, &mut inv);
-    inv
 }
 
 #[cfg(test)]

@@ -172,45 +172,6 @@ fn qr_leaf(w: &mut MatrixViewMut, u: &mut MatrixViewMut, t: &mut MatrixViewMut, 
     ws.put(p);
 }
 
-/// Form the upper-triangular `T` of the compact-WY representation from
-/// the unit lower-trapezoidal `U` and the `tau` scalars (LAPACK `larft`,
-/// forward column-wise, BLAS-1 over the full width). Not on any solver
-/// path: the oracle the recursion's GEMM-assembled `T` is held to in
-/// `tests/qr_props.rs`.
-pub fn form_t(u: &Matrix, taus: &[f64]) -> Matrix {
-    let (m, k) = (u.rows(), u.cols());
-    assert_eq!(taus.len(), k);
-    let mut t = Matrix::zeros(k, k);
-    let mut w = vec![0.0; k];
-    for j in 0..k {
-        let tau = taus[j];
-        t.set(j, j, tau);
-        if j > 0 && tau != 0.0 {
-            // w = −tau · U[:, 0..j]ᵀ · u_j
-            let wj = &mut w[..j];
-            wj.fill(0.0);
-            for i in j..m {
-                let uij = u.get(i, j);
-                for (wc, &uic) in wj.iter_mut().zip(&u.row(i)[..j]) {
-                    *wc += uic * uij;
-                }
-            }
-            for wc in wj.iter_mut() {
-                *wc *= -tau;
-            }
-            // T[0..j, j] = T[0..j, 0..j] · w
-            for r in 0..j {
-                let mut acc = 0.0;
-                for (&tv, &wc) in t.row(r)[r..j].iter().zip(&w[r..j]) {
-                    acc += tv * wc;
-                }
-                t.set(r, j, acc);
-            }
-        }
-    }
-    t
-}
-
 /// Column count at or below which the recursion stops and the panel is
 /// factored by the unblocked [`qr_leaf`]. Not a knob of the interface:
 /// the recursion is cache-oblivious and every product above the leaf
@@ -436,7 +397,7 @@ pub fn apply_qt(u: &Matrix, t: &Matrix, c: &mut Matrix) {
 }
 
 /// `C ← Q·C = C − U·(T·(Uᵀ·C))`.
-pub fn apply_q(u: &Matrix, t: &Matrix, c: &mut Matrix) {
+fn apply_q(u: &Matrix, t: &Matrix, c: &mut Matrix) {
     assert_eq!(u.rows(), c.rows());
     let utc = matmul(u, Trans::T, c, Trans::N);
     let s = matmul(t, Trans::N, &utc, Trans::N);

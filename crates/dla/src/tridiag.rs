@@ -115,12 +115,14 @@ const SWEEP_BAND: usize = 64;
 /// A tridiagonal eigensolver failed to converge within its iteration
 /// budget. On finite input this does not occur (the Wilkinson shift
 /// strategy is globally convergent); non-finite input (NaN/∞ reaching
-/// the solver) is the practical trigger. Carried through the `try_*`
-/// entry points so distributed callers can surface a typed error
+/// the solver) is the practical trigger. Returned by every solver of
+/// this module so distributed callers can surface a typed error
 /// instead of poisoning the run with a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoConvergence {
-    /// The solver that gave up (e.g. `"tridiag_eigenvalues"`).
+    /// The solver that gave up (`"tridiag_eigenvalues"` for
+    /// [`try_tridiag_eigenvalues`], `"tridiag_eigen"` for
+    /// [`try_tridiag_eigen`]).
     pub solver: &'static str,
     /// The eigenvalue index being iterated when the budget ran out.
     pub index: usize,
@@ -142,14 +144,7 @@ impl std::error::Error for NoConvergence {}
 /// sub-diagonal `e` (`e.len() == d.len() − 1`), in ascending order.
 ///
 /// Implicit-shift QL with Wilkinson-style shifts (EISPACK `tql1` shape).
-/// Panics on non-convergence; [`try_tridiag_eigenvalues`] reports it as
-/// a typed error instead.
-pub fn tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Vec<f64> {
-    try_tridiag_eigenvalues(d, e).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// [`tridiag_eigenvalues`] with non-convergence reported as
-/// [`NoConvergence`] instead of a panic.
+/// Non-convergence comes back as [`NoConvergence`].
 pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
     let n = d.len();
     assert!(n > 0);
@@ -227,15 +222,9 @@ pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConve
 ///
 /// This powers the eigenvector extension (the paper's §IV.C future
 /// work): the band-reduction stages' Householder transforms are
-/// back-applied to `Z` to recover the dense matrix's eigenvectors.
-/// Panics on non-convergence; [`try_tridiag_eigen`] reports it as a
-/// typed error instead.
-pub fn tridiag_eigen(d: &[f64], e: &[f64]) -> (Vec<f64>, crate::Matrix) {
-    try_tridiag_eigen(d, e).unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// [`tridiag_eigen`] with non-convergence reported as [`NoConvergence`]
-/// instead of a panic. Also the QL leaf solver of [`crate::dnc`].
+/// back-applied to `Z` to recover the dense matrix's eigenvectors. Also
+/// the QL leaf solver of [`crate::dnc`]. Non-convergence comes back as
+/// [`NoConvergence`].
 pub fn try_tridiag_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, crate::Matrix), NoConvergence> {
     let n = d.len();
     assert!(n > 0);
@@ -322,12 +311,6 @@ pub fn try_tridiag_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, crate::Matri
         }
     }
     Ok((d, z))
-}
-
-/// Eigenvalues of a symmetric banded matrix, computed sequentially.
-/// Panicking wrapper around [`try_banded_eigenvalues`].
-pub fn banded_eigenvalues(b: &BandedSym) -> Vec<f64> {
-    try_banded_eigenvalues(b).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// Eigenvalues of a symmetric banded matrix, computed sequentially,
@@ -432,7 +415,7 @@ mod tests {
         let (a, b, c) = (2.0, 1.5, -1.0);
         let mid = (a + c) / 2.0;
         let rad = (((a - c) / 2.0f64).powi(2) + b * b).sqrt();
-        let ev = tridiag_eigenvalues(&[a, c], &[b]);
+        let ev = try_tridiag_eigenvalues(&[a, c], &[b]).unwrap();
         assert!((ev[0] - (mid - rad)).abs() < 1e-12);
         assert!((ev[1] - (mid + rad)).abs() < 1e-12);
     }
@@ -444,7 +427,7 @@ mod tests {
         let n = 21;
         let d = vec![2.0; n];
         let e = vec![-1.0; n - 1];
-        let ev = tridiag_eigenvalues(&d, &e);
+        let ev = try_tridiag_eigenvalues(&d, &e).unwrap();
         for (idx, lam) in ev.iter().enumerate() {
             let k = (idx + 1) as f64;
             let want = 2.0 - 2.0 * (k * std::f64::consts::PI / (n as f64 + 1.0)).cos();
@@ -456,13 +439,13 @@ mod tests {
     fn diagonal_matrix_returns_sorted_diagonal() {
         let d = vec![3.0, -1.0, 2.0, 0.5];
         let e = vec![0.0; 3];
-        let ev = tridiag_eigenvalues(&d, &e);
+        let ev = try_tridiag_eigenvalues(&d, &e).unwrap();
         assert_eq!(ev, vec![-1.0, 0.5, 2.0, 3.0]);
     }
 
     #[test]
     fn single_element() {
-        assert_eq!(tridiag_eigenvalues(&[42.0], &[]), vec![42.0]);
+        assert_eq!(try_tridiag_eigenvalues(&[42.0], &[]).unwrap(), vec![42.0]);
     }
 
     #[test]
@@ -471,7 +454,7 @@ mod tests {
         let a = gen::random_banded(&mut rng, 40, 1);
         let b = BandedSym::from_dense(&a, 1, 1);
         let (d, e) = b.tridiagonal();
-        let ev = tridiag_eigenvalues(&d, &e);
+        let ev = try_tridiag_eigenvalues(&d, &e).unwrap();
         let tr: f64 = d.iter().sum();
         let ev_sum: f64 = ev.iter().sum();
         assert!((tr - ev_sum).abs() < 1e-10);
@@ -483,12 +466,12 @@ mod tests {
     #[test]
     fn banded_solver_recovers_prescribed_spectrum_via_dense_reduction() {
         // Build a banded matrix, compute its spectrum two ways:
-        // banded_eigenvalues vs QL on an independently generated dense
+        // try_banded_eigenvalues vs QL on an independently generated dense
         // reduction path (moments already tested in bulge.rs).
         let mut rng = StdRng::seed_from_u64(51);
         let dense = gen::random_banded(&mut rng, 24, 5);
         let b = BandedSym::from_dense(&dense, 5, 10);
-        let ev = banded_eigenvalues(&b);
+        let ev = try_banded_eigenvalues(&b).unwrap();
         // Independent check: Sturm bisection (crate::sturm) on the
         // tridiagonalized matrix would be circular here; instead verify
         // the moment identities which pin the spectrum's first moments.
@@ -511,7 +494,7 @@ mod tests {
         let n = 16;
         let lap = gen::laplacian_2d(n, 1);
         let b = BandedSym::from_dense(&lap, 1, 4);
-        let ev = banded_eigenvalues(&b);
+        let ev = try_banded_eigenvalues(&b).unwrap();
         for (idx, lam) in ev.iter().enumerate() {
             let k = (idx + 1) as f64;
             let want = 4.0 - 2.0 * (k * std::f64::consts::PI / (n as f64 + 1.0)).cos();
@@ -525,7 +508,7 @@ mod tests {
         let n = 30;
         let d: Vec<f64> = (0..n).map(|i| 1.0 + 1e-10 * i as f64).collect();
         let e = vec![1e-12; n - 1];
-        let ev = tridiag_eigenvalues(&d, &e);
+        let ev = try_tridiag_eigenvalues(&d, &e).unwrap();
         assert_eq!(ev.len(), n);
         for lam in &ev {
             assert!((lam - 1.0).abs() < 1e-8);
@@ -557,7 +540,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(54);
         let dense = gen::random_banded(&mut rng, 60, 7);
         let b = BandedSym::from_dense(&dense, 7, 14);
-        let tuned = banded_eigenvalues(&b);
+        let tuned = try_banded_eigenvalues(&b).unwrap();
         let mut w = b.clone();
         bulge::reduce_band_to(&mut w, 1);
         let (d, e) = w.tridiagonal();
@@ -569,9 +552,9 @@ mod tests {
     fn check_tridiag_eigen(d: &[f64], e: &[f64], tol: f64) {
         use crate::gemm::{matmul, Trans};
         let n = d.len();
-        let (lam, z) = tridiag_eigen(d, e);
+        let (lam, z) = try_tridiag_eigen(d, e).unwrap();
         // Matches the eigenvalue-only path.
-        let lam_only = tridiag_eigenvalues(d, e);
+        let lam_only = try_tridiag_eigenvalues(d, e).unwrap();
         assert!(spectrum_distance(&lam, &lam_only) < tol);
         // Z orthonormal.
         let ztz = matmul(&z, Trans::T, &z, Trans::N);
@@ -615,7 +598,7 @@ mod tests {
 
     #[test]
     fn eigenvectors_of_diagonal_are_permutation() {
-        let (lam, z) = tridiag_eigen(&[3.0, 1.0, 2.0], &[0.0, 0.0]);
+        let (lam, z) = try_tridiag_eigen(&[3.0, 1.0, 2.0], &[0.0, 0.0]).unwrap();
         assert_eq!(lam, vec![1.0, 2.0, 3.0]);
         // Column j of Z is the standard basis vector of the source index.
         assert_eq!(z.get(1, 0), 1.0);
@@ -631,7 +614,7 @@ mod tests {
         let n = 21;
         let d: Vec<f64> = (0..n).map(|i| (i as f64 - 10.0).abs()).collect();
         let e = vec![1.0; n - 1];
-        let ev = tridiag_eigenvalues(&d, &e);
+        let ev = try_tridiag_eigenvalues(&d, &e).unwrap();
         assert!((ev[n - 1] - 10.746194182903393).abs() < 1e-9);
         assert!((ev[n - 1] - ev[n - 2]) < 1e-5); // near-degenerate pair
     }
@@ -639,7 +622,7 @@ mod tests {
     #[test]
     fn matrix_free_cross_check_against_characteristic_poly_roots() {
         // 3×3 tridiagonal with known characteristic polynomial roots.
-        let ev = tridiag_eigenvalues(&[0.0, 0.0, 0.0], &[1.0, 1.0]);
+        let ev = try_tridiag_eigenvalues(&[0.0, 0.0, 0.0], &[1.0, 1.0]).unwrap();
         let s2 = 2.0f64.sqrt();
         assert!((ev[0] + s2).abs() < 1e-12);
         assert!(ev[1].abs() < 1e-12);
@@ -653,7 +636,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(52);
         let a = gen::random_banded(&mut rng, 18, 3);
         let b3 = BandedSym::from_dense(&a, 3, 6);
-        let ev_banded = banded_eigenvalues(&b3);
+        let ev_banded = try_banded_eigenvalues(&b3).unwrap();
         let ev_sturm = crate::sturm::banded_bisection_eigenvalues(&b3, 1e-12);
         let dist = spectrum_distance(&ev_banded, &ev_sturm);
         assert!(dist < 1e-9 * a.norm_fro().max(1.0), "paths differ by {dist}");

@@ -37,8 +37,8 @@
 //! checkout): a waiting thread sets its own stack aside before the
 //! first queued job it runs — other than a piece of its own fork, which
 //! is its own work and finds the arenas piece 0 warmed — and drops
-//! whatever the jobs parked when the wait is over ([`begin_loan`],
-//! [`end_loan`]), and a pool worker drops its stack each time it runs
+//! whatever the jobs parked when the wait is over (`begin_loan`,
+//! `end_loan`), and a pool worker drops its stack each time it runs
 //! out of work and goes to sleep ("release on park"). With that the
 //! peak is the same, to the byte, as before the pool, and repeats
 //! exactly. The price is paid by short forks: a worker that parks
@@ -182,7 +182,7 @@ thread_local! {
 /// The calling thread starts running jobs that are not its own: set its
 /// parked arenas aside so the jobs cannot grow them. Arenas checked out
 /// by frames below are unaffected.
-pub fn begin_loan() {
+fn begin_loan() {
     let own = THREAD_WS.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
     OWN_WS.with(|cell| *cell.borrow_mut() = own);
 }
@@ -190,7 +190,7 @@ pub fn begin_loan() {
 /// The loan is over (or, on a pool worker, the queue ran dry): drop
 /// every arena the jobs parked on this thread, returning their memory,
 /// and put the thread's own arenas back.
-pub fn end_loan() {
+fn end_loan() {
     let own = OWN_WS.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
     // Swap first so the buffers are freed outside the `RefCell` borrow.
     let guests = THREAD_WS.with(|cell| std::mem::replace(&mut *cell.borrow_mut(), own));

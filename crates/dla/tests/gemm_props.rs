@@ -9,7 +9,8 @@
 //! strips, strided operands and the multi-chunk `KC` accumulation are
 //! all exercised.
 
-use ca_dla::gemm::{gemm, gemm_view, gemm_view_forced, gemm_view_tri, matmul, Trans, Tri};
+use ca_dla::gemm::{gemm, gemm_view, gemm_view_tri, matmul, Trans, Tri};
+use ca_dla::oracle::gemm_view_forced;
 use ca_dla::{Matrix, MatrixView};
 use proptest::prelude::*;
 

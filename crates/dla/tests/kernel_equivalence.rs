@@ -10,11 +10,9 @@
 //! factors, with zero tolerance. Likewise the rayon-parallel bisection
 //! must return exactly the sequential eigenvalues, in order.
 
-use ca_dla::bulge::{
-    chase_plan_to, execute_chase, execute_chase_recording, execute_chase_recording_reference,
-    execute_chase_reference,
-};
+use ca_dla::bulge::{chase_plan_iter, execute_chase, execute_chase_recording};
 use ca_dla::gen;
+use ca_dla::oracle::{execute_chase_recording_reference, execute_chase_reference};
 use ca_dla::sturm::{bisection_eigenvalues, kth_eigenvalue};
 use ca_dla::BandedSym;
 use proptest::prelude::*;
@@ -42,7 +40,7 @@ proptest! {
         let cap = (2 * b).min(n - 1);
         let mut fast = BandedSym::from_dense(&dense, b, cap);
         let mut refr = fast.clone();
-        for op in chase_plan_to(n, b, h) {
+        for op in chase_plan_iter(n, b, h) {
             execute_chase(&mut fast, &op);
             execute_chase_reference(&mut refr, &op);
         }
@@ -65,7 +63,7 @@ proptest! {
         let cap = (2 * b).min(n - 1);
         let mut fast = BandedSym::from_dense(&dense, b, cap);
         let mut refr = fast.clone();
-        for op in chase_plan_to(n, b, h) {
+        for op in chase_plan_iter(n, b, h) {
             let (uf, tf) = execute_chase_recording(&mut fast, &op);
             let (ur, tr) = execute_chase_recording_reference(&mut refr, &op);
             prop_assert_eq!(&uf, &ur, "U diverged at op ({}, {})", op.i, op.j);
@@ -98,7 +96,7 @@ fn replay_against_the_oracle(n: usize, b: usize, h: usize, seed: u64) {
     let cap = (2 * b).min(n - 1);
     let mut fast = BandedSym::from_dense(&dense, b, cap);
     let mut refr = fast.clone();
-    for op in chase_plan_to(n, b, h) {
+    for op in chase_plan_iter(n, b, h) {
         let (uf, tf) = execute_chase_recording(&mut fast, &op);
         let (ur, tr) = execute_chase_recording_reference(&mut refr, &op);
         let at = format!("n={n} b={b} h={h}, op ({}, {})", op.i, op.j);
@@ -124,7 +122,7 @@ fn band_wider_than_one_gemm_chunk_is_bitwise_identical() {
 #[test]
 fn panel_only_sweeps_and_wide_tails_are_bitwise_identical() {
     for (n, b, h, seed) in [(40usize, 24usize, 16usize, 102u64), (57, 36, 22, 103)] {
-        let plan = chase_plan_to(n, b, h);
+        let plan: Vec<_> = chase_plan_iter(n, b, h).collect();
         let at = format!("n={n} b={b} h={h}");
         assert!(plan.iter().all(|op| op.j == 1), "{at}: a sweep chases");
         assert!(plan.iter().any(|op| op.nr() < op.h()), "{at}: no wide tail");
@@ -142,7 +140,7 @@ fn h_equals_one_plan_is_bitwise_identical() {
     let cap = (2 * b).min(n - 1);
     let mut fast = BandedSym::from_dense(&dense, b, cap);
     let mut refr = fast.clone();
-    for op in chase_plan_to(n, b, 1) {
+    for op in chase_plan_iter(n, b, 1) {
         execute_chase(&mut fast, &op);
         execute_chase_reference(&mut refr, &op);
     }

@@ -12,7 +12,8 @@
 //! unblocked elimination order — is the oracle for the default one.
 
 use ca_dla::gemm::{matmul, Trans};
-use ca_dla::qr::{explicit_q, form_t, qr_factor};
+use ca_dla::oracle::form_t;
+use ca_dla::qr::{explicit_q, qr_factor};
 use ca_dla::Matrix;
 use proptest::prelude::*;
 

@@ -33,7 +33,7 @@
 //! Single test in this file on purpose: the counter is process-global
 //! and libtest runs sibling tests concurrently.
 
-use ca_dla::bulge::{chase_plan_to, execute_chase};
+use ca_dla::bulge::{chase_plan_iter, execute_chase};
 use ca_dla::lu::{lu_inplace, tri_inverse_view, trsm_left_view, trsm_right_view, Diag, Triangle};
 use ca_dla::qr::qr_factor;
 use ca_dla::workspace::with_ws;
@@ -78,7 +78,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn chase_pass(dense: &ca_dla::Matrix, b: usize, counted: bool) -> u64 {
     let n = dense.rows();
     let cap = (2 * b).min(n - 1);
-    let plan = chase_plan_to(n, b, 1);
+    let plan: Vec<_> = chase_plan_iter(n, b, 1).collect();
     assert!(
         plan.len() > 100,
         "plan too small to be a meaningful workload"
@@ -170,7 +170,7 @@ fn recursive_qr_allocations() -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(515);
     let (n, b) = (512usize, 128usize);
     let band = BandedSym::from_dense(&gen::random_banded(&mut rng, n, b), b, 2 * b);
-    let op = chase_plan_to(n, b, b / 2).swap_remove(0);
+    let op = chase_plan_iter(n, b, b / 2).next().unwrap();
     assert_eq!((op.nr(), op.h()), (128, 64));
     let mut copies = vec![band.clone(), band];
     let chase = second_run_allocations(|| {

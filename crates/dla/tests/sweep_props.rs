@@ -16,16 +16,15 @@
 //!   equals the product of the same run's rank-1 reflectors taken in the
 //!   sweep's own `(i, j)` order — the commutation argument of the docs,
 //!   checked numerically — and each `T` is `larft`'s factor of its `U`
-//!   (`qr::form_t`), a zero column standing for an identity chase.
+//!   (`oracle::form_t`), a zero column standing for an identity chase.
 //! * **Recording is free of side effects** on the band, and
 //!   `tridiag::band_to_tridiagonal` is the same function with and
 //!   without it.
 
-use ca_dla::bulge::{
-    sweep_group, sweep_to_tridiagonal, sweep_to_tridiagonal_portable, BlockReflector,
-};
+use ca_dla::bulge::{sweep_group, sweep_to_tridiagonal, BlockReflector};
 use ca_dla::gemm::{matmul, Trans};
-use ca_dla::qr::{apply_q_right, form_t};
+use ca_dla::oracle::{form_t, sweep_to_tridiagonal_portable};
+use ca_dla::qr::apply_q_right;
 use ca_dla::tridiag::band_to_tridiagonal;
 use ca_dla::{gen, BandedSym, Matrix};
 use rand::rngs::StdRng;

@@ -16,9 +16,11 @@
 
 use ca_dla::gemm::{matmul, Trans};
 use ca_dla::lu::{
-    lu_nopivot, lu_nopivot_reference, lu_nopivot_signed, lu_nopivot_signed_reference, tri_inverse,
-    tri_inverse_reference, trsm_left, trsm_left_reference, trsm_right, trsm_right_reference, Diag,
-    Triangle,
+    lu_nopivot, lu_nopivot_signed, tri_inverse, trsm_left, trsm_right, Diag, Triangle,
+};
+use ca_dla::oracle::{
+    lu_nopivot_reference, lu_nopivot_signed_reference, tri_inverse_reference, trsm_left_reference,
+    trsm_right_reference,
 };
 use ca_dla::Matrix;
 use proptest::prelude::*;

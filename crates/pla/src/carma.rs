@@ -48,16 +48,9 @@ pub fn carma(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize) -> Mat
         m.charge_comm(pid, entry);
     }
     m.step(group.procs(), 1);
-    carma_spread(m, group, a, b, v)
-}
-
-/// [`carma`] for operands already in the recursive layout (produced by
-/// an enclosing recursion or an earlier charged redistribution): skips
-/// the entry charge, keeping only the internal replication/reduction
-/// traffic.
-pub fn carma_spread(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    carma_spread_into(m, group, &a.view(), Trans::N, &b.view(), Trans::N, v, &mut out.view_mut());
+    let mut out = Matrix::zeros(mm, nn);
+    let (av, bv) = (a.view(), b.view());
+    carma_spread_into(m, group, &av, Trans::N, &bv, Trans::N, v, &mut out.view_mut());
     out
 }
 
@@ -89,8 +82,11 @@ fn op_sub<'a>(
 
 /// The Lemma III.2 multiply on views: `out ← op(A)·op(B)` written
 /// directly into a strided output view, with operands taken as
-/// (optionally transposed) views of their parent storage;
-/// [`carma_spread`] is the allocating wrapper.
+/// (optionally transposed) views of their parent storage. It skips
+/// [`carma`]'s entry charge: the operands are already in the recursive
+/// layout (produced by an enclosing recursion or an earlier charged
+/// redistribution), so only the internal replication/reduction traffic
+/// is charged.
 ///
 /// The reduction drivers address aggregate panels in place instead of
 /// extracting blocks. Charges are shape-derived, so neither the output
@@ -281,8 +277,9 @@ mod tests {
     fn into_variant_is_bitwise_identical_with_matching_charges() {
         // Output stride, `op(A)` and `op(B)` must be invisible: writing
         // into an offset region of a larger buffer from (possibly)
-        // transposed stored operands agrees bitwise and in ledger with the plain
-        // wrapper, with v-chunking active, and the ledger is the one the
+        // transposed stored operands agrees bitwise and in ledger with a
+        // plain fresh output from untransposed operands, with v-chunking
+        // active, and the ledger is the one the
         // deleted copy-path recursion charged (its `report()` at the
         // commit before its removal).
         for (mm, kk, nn, g, v, ta, seed, pin) in [
@@ -309,7 +306,10 @@ mod tests {
                 Trans::N => a.clone(),
                 Trans::T => a.transpose(),
             };
-            let want = carma_spread(&m1, &grid, &a_op, &b, v);
+            let mut want = Matrix::zeros(mm, nn);
+            let (av, bv) = (a_op.view(), b.view());
+            let mut wv = want.view_mut();
+            carma_spread_into(&m1, &grid, &av, Trans::N, &bv, Trans::N, v, &mut wv);
             m1.fence();
 
             let m2 = machine(g);

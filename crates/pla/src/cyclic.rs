@@ -151,25 +151,6 @@ impl CyclicMatrix {
         out
     }
 
-    /// Words each processor owns of the aligned trailing submatrix
-    /// `A[o.., o..]` — the load-balance diagnostic that distinguishes
-    /// cyclic from block layouts.
-    pub fn trailing_words(&self, o: usize) -> Vec<u64> {
-        let (pr, pc, _) = self.grid.shape();
-        (0..self.grid.len())
-            .map(|r| {
-                let (pi, pj, _) = self.grid.coords(r);
-                let lr = (0..numroc(self.rows, self.mb, pi, pr))
-                    .filter(|&li| local_to_global(pi, li, self.mb, pr) >= o)
-                    .count();
-                let lc = (0..numroc(self.cols, self.nb, pj, pc))
-                    .filter(|&lj| local_to_global(pj, lj, self.nb, pc) >= o)
-                    .count();
-                (lr * lc) as u64
-            })
-            .collect()
-    }
-
     /// Convert to a block layout (charged all-to-all: every entry can
     /// change owner).
     pub fn to_block(&self, m: &Machine, grid: &Grid) -> DistMatrix {
@@ -267,7 +248,12 @@ mod tests {
         let a = Matrix::zeros(n, n);
         let cyc = CyclicMatrix::from_dense(&m, &g, &a, 4, 4);
         let o = n / 2;
-        let shares = cyc.trailing_words(o);
+        let mut shares = vec![0u64; 4];
+        for i in o..n {
+            for j in o..n {
+                shares[cyc.owner_of(i, j)] += 1;
+            }
+        }
         let mean = shares.iter().sum::<u64>() as f64 / 4.0;
         for s in &shares {
             assert!(

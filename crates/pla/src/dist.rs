@@ -242,29 +242,6 @@ impl DistMatrix {
         out
     }
 
-    /// Write `block` (held by the processor at grid rank `src`) into the
-    /// global position `(r0, c0)`: owners receive their pieces (one
-    /// superstep).
-    pub fn write_block(&mut self, m: &Machine, src: usize, r0: usize, c0: usize, block: &Matrix) {
-        let (nr, nc) = (block.rows(), block.cols());
-        assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "block out of range");
-        let src_id = self.grid.proc(src);
-        let mut moves = Vec::new();
-        for r in 0..self.grid.len() {
-            let Some((rows, cols)) = self.overlap(r, (r0, c0, nr, nc)) else {
-                continue;
-            };
-            let (br0, bc0, _, _) = self.owned_range(r);
-            if self.grid.proc(r) != src_id {
-                moves.push((src_id, self.grid.proc(r), (rows.len() * cols.len()) as u64));
-            }
-            self.local[r]
-                .subview_mut(rows.start - br0, cols.start - bc0, rows.len(), cols.len())
-                .copy_from(&block.subview(rows.start - r0, cols.start - c0, rows.len(), cols.len()));
-        }
-        coll::exchange(m, &self.grid, &moves);
-    }
-
     /// Redistribute onto a (possibly different) grid/shape: every
     /// processor sends its old share and receives its new block
     /// (one superstep of an all-to-all).
@@ -466,15 +443,16 @@ mod tests {
         let g = Grid::new_2d((0..4).collect(), 2, 2);
         let mut rng = StdRng::seed_from_u64(71);
         let a = gen::random_matrix(&mut rng, 8, 8);
-        let mut d = DistMatrix::from_dense(&m, &g, &a);
+        let d = DistMatrix::from_dense(&m, &g, &a);
+        let snap = m.snapshot();
         let blk = d.read_block(&m, 0, 2, 3, 4, 4);
         assert!(blk.max_diff(&a.block(2, 3, 4, 4)) < 1e-15);
-        let mut newblk = blk.clone();
-        newblk.scale(2.0);
-        d.write_block(&m, 0, 2, 3, &newblk);
-        let out = d.assemble_unchecked();
-        assert!((out.get(3, 4) - 2.0 * a.get(3, 4)).abs() < 1e-15);
-        assert!((out.get(0, 0) - a.get(0, 0)).abs() < 1e-15);
+        // The block straddles all four 4×4 owner blocks; rank 0 keeps its
+        // 2×1 piece, the others send 2×3 + 2×1 + 2×3 = 14 words (volume
+        // counts both ends).
+        assert_eq!(m.costs_since(&snap).total_volume_words, 2 * 14);
+        // Reading leaves the distributed matrix as it was.
+        assert_eq!(d.assemble_unchecked().max_diff(&a), 0.0);
     }
 
     #[test]

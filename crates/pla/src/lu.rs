@@ -17,27 +17,18 @@ use ca_dla::lu::{Diag, Triangle};
 use ca_dla::workspace::with_ws;
 use ca_dla::Matrix;
 
-/// Distributed non-pivoted LU: `A = L·U` with `L` unit lower-triangular.
+/// Distributed non-pivoted LU with on-the-fly diagonal sign subtraction
+/// (Householder reconstruction, Corollary III.7 / \[26\]): factors
+/// `A − diag(s) = L·U` with `L` unit lower-triangular and
+/// `sᵢ = −sgn(pivotᵢ)`. Returns `(L, U, s)`.
 ///
 /// `a` must be square on a square 2D grid.
-pub fn dist_lu(m: &Machine, a: &DistMatrix) -> (DistMatrix, DistMatrix) {
-    let (l, u, _) = dist_lu_impl(m, a, false);
-    (l, u)
-}
-
-/// Distributed LU with on-the-fly diagonal sign subtraction
-/// (Householder reconstruction, Corollary III.7 / \[26\]): factors
-/// `A − diag(s) = L·U` with `sᵢ = −sgn(pivotᵢ)`. Returns `(L, U, s)`.
 pub fn dist_lu_signed(m: &Machine, a: &DistMatrix) -> (DistMatrix, DistMatrix, Vec<f64>) {
-    dist_lu_impl(m, a, true)
-}
-
-fn dist_lu_impl(m: &Machine, a: &DistMatrix, signed: bool) -> (DistMatrix, DistMatrix, Vec<f64>) {
     let (n, n2) = a.shape();
-    assert_eq!(n, n2, "dist_lu requires a square matrix");
+    assert_eq!(n, n2, "dist_lu_signed requires a square matrix");
     let grid = a.grid().clone();
     let (q, q2, _) = grid.shape();
-    assert_eq!(q, q2, "dist_lu requires a square grid");
+    assert_eq!(q, q2, "dist_lu_signed requires a square grid");
 
     // Working copy of the blocks; each holds its part of the packed
     // factorization (`L` strictly below the diagonal, `U` on and above).
@@ -45,19 +36,15 @@ fn dist_lu_impl(m: &Machine, a: &DistMatrix, signed: bool) -> (DistMatrix, DistM
     // A block leaves the array while a kernel reads its neighbours.
     let take = |w: &mut Vec<Matrix>, r: usize| std::mem::replace(&mut w[r], Matrix::zeros(0, 0));
 
-    let mut signs = vec![0.0; if signed { n } else { 0 }];
+    let mut signs = vec![0.0; n];
     for k in 0..q {
         let diag_rank = grid.rank(k, k, 0);
         // Local LU of the diagonal block.
         let mut wkk = take(&mut w, diag_rank);
-        if signed {
-            m.charge_flops(grid.proc(diag_rank), ca_dla::costs::lu_flops(wkk.rows()));
-            let row0 = a.owned_range(diag_rank).0;
-            let s = &mut signs[row0..row0 + wkk.rows()];
-            with_ws(|ws| ca_dla::lu::lu_inplace(&mut wkk.view_mut(), Some(s), ws));
-        } else {
-            kern::local_lu(m, grid.proc(diag_rank), &mut wkk);
-        }
+        m.charge_flops(grid.proc(diag_rank), ca_dla::costs::lu_flops(wkk.rows()));
+        let row0 = a.owned_range(diag_rank).0;
+        let s = &mut signs[row0..row0 + wkk.rows()];
+        with_ws(|ws| ca_dla::lu::lu_inplace(&mut wkk.view_mut(), Some(s), ws));
 
         // Broadcast U_kk down grid column k; L_kk along grid row k.
         let col_group = grid.dim0_group(k, 0);
@@ -115,11 +102,9 @@ fn dist_lu_impl(m: &Machine, a: &DistMatrix, signed: bool) -> (DistMatrix, DistM
             }
         }
     }
-    if signed {
-        // Sign choices live with the diagonal-block owners; share them
-        // with the group (n words).
-        coll::allgather(m, &grid, n.div_ceil(grid.len()) as u64);
-    }
+    // Sign choices live with the diagonal-block owners; share them with
+    // the group (n words).
+    coll::allgather(m, &grid, n.div_ceil(grid.len()) as u64);
     (l, u, signs)
 }
 
@@ -218,11 +203,16 @@ mod tests {
             let g = Grid::new_2d((0..p).collect(), q, q);
             let a = diag_dominant(n, 100 + n as u64);
             let da = DistMatrix::from_dense(&m, &g, &a);
-            let (l, u) = dist_lu(&m, &da);
+            let (l, u, s) = dist_lu_signed(&m, &da);
             let ld = l.assemble_unchecked();
             let ud = u.assemble_unchecked();
             let prod = matmul(&ld, Trans::N, &ud, Trans::N);
-            assert!(prod.max_diff(&a) < 1e-9, "n={n} q={q}: LU ≠ A ({})", prod.max_diff(&a));
+            let mut want = a.clone();
+            for (i, si) in s.iter().enumerate() {
+                want.add_to(i, i, -si);
+            }
+            let diff = prod.max_diff(&want);
+            assert!(diff < 1e-9, "n={n} q={q}: LU ≠ A − S ({diff})");
             // Structure checks.
             for i in 0..n {
                 assert!((ld.get(i, i) - 1.0).abs() < 1e-12);
@@ -241,8 +231,9 @@ mod tests {
         let g = Grid::new_2d((0..4).collect(), 2, 2);
         let a = diag_dominant(n, 104);
         let da = DistMatrix::from_dense(&m, &g, &a);
-        let (l, u) = dist_lu(&m, &da);
-        let (ls, us) = ca_dla::lu::lu_nopivot(&a);
+        let (l, u, s) = dist_lu_signed(&m, &da);
+        let (ls, us, ss) = ca_dla::lu::lu_nopivot_signed(&a);
+        assert_eq!(s, ss);
         assert!(l.assemble_unchecked().max_diff(&ls) < 1e-9);
         assert!(u.assemble_unchecked().max_diff(&us) < 1e-9);
     }
@@ -278,7 +269,7 @@ mod tests {
         let g = Grid::new_2d((0..16).collect(), 4, 4);
         let a = diag_dominant(n, 107);
         let da = DistMatrix::from_dense(&m, &g, &a);
-        let _ = dist_lu(&m, &da);
+        let _ = dist_lu_signed(&m, &da);
         m.fence();
         let total: u64 = m.flops_per_proc().iter().sum();
         let maxp = *m.flops_per_proc().iter().max().unwrap();

@@ -72,7 +72,7 @@ impl Replicated {
     }
 
     /// Words of replicated storage per layer-0 processor block `(i, j)`.
-    pub fn block_words(&self, i: usize, j: usize) -> u64 {
+    fn block_words(&self, i: usize, j: usize) -> u64 {
         let (q0, q1, _) = self.grid3.shape();
         let (rs, cs) = (splits(self.rows, q0), splits(self.cols, q1));
         ((rs[i + 1] - rs[i]) * (cs[j + 1] - cs[j])) as u64

@@ -138,15 +138,6 @@ impl JobTicket {
         self.submitted.elapsed()
     }
 
-    /// Whether the result is already available (`wait` would not block).
-    pub fn is_done(&self) -> bool {
-        self.slot
-            .cell
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
-    }
-
     /// Block until the job completes and return its result. Never loses
     /// a job: every admitted ticket is eventually fulfilled — with the
     /// solve's output, a typed solve error, [`EigenError::Deadline`],
@@ -274,17 +265,6 @@ impl EigenService {
         st.paused = false;
         drop(st);
         self.shared.cv.notify_all();
-    }
-
-    /// Jobs currently waiting in the admission queue (excludes
-    /// in-flight solves).
-    pub fn queue_depth(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .queue
-            .len()
     }
 
     /// The service's construction-time configuration.

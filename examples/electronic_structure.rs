@@ -18,12 +18,12 @@ use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::dla::tridiag::spectrum_distance;
 use ca_symm_eig::eigen::baselines::scalapack::scalapack_eigenvalues;
-use ca_symm_eig::eigen::{symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenError, EigenParams};
 use ca_symm_eig::pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), EigenError> {
     let n = 256; // sites on the ring
     let p = 16;
     let hopping = 1.0;
@@ -34,7 +34,7 @@ fn main() {
 
     let machine_ca = Machine::new(MachineParams::new(p));
     let machine_direct = Machine::new(MachineParams::new(p));
-    let params = EigenParams::new(p, 1);
+    let params = EigenParams::try_new(p, 1)?;
     let grid2 = Grid::all(p).squarest_2d();
 
     println!(
@@ -46,7 +46,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(100 + step as u64);
         let h = gen::tight_binding_ring(&mut rng, n, hopping, disorder);
 
-        let (ev_ca, _) = symm_eigen_25d(&machine_ca, &params, &h);
+        let (ev_ca, _) = try_symm_eigen_25d(&machine_ca, &params, &h)?;
         let ev_direct = scalapack_eigenvalues(&machine_direct, &grid2, &h);
         let err = spectrum_distance(&ev_ca, &ev_direct);
         assert!(err < 1e-8, "solvers disagree: {err}");
@@ -85,4 +85,5 @@ fn main() {
     println!("trailing-matrix matvec traffic that banded reduction avoids);");
     println!("direct/banded synchronization ratio: {s_ratio:.2}× (the direct method");
     println!("synchronizes per column, Θ(n) times per solve).");
+    Ok(())
 }

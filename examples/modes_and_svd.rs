@@ -3,7 +3,7 @@
 //!
 //! Computes the vibrational modes of a discrete 1D chain (the
 //! tridiagonal Laplacian — whose eigenvectors are exact sine waves we
-//! can check against) with `symm_eigen_25d_vectors`, then the SVD of a
+//! can check against) with `try_symm_eigen_25d_vectors`, then the SVD of a
 //! rank-structured rectangular matrix via the Jordan–Wielandt embedding.
 //!
 //! Run with: `cargo run --release --example modes_and_svd`
@@ -11,16 +11,16 @@
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gemm::{matmul, Trans};
 use ca_symm_eig::dla::gen;
-use ca_symm_eig::eigen::{svd, symm_eigen_25d_vectors, EigenParams};
+use ca_symm_eig::eigen::{try_svd, try_symm_eigen_25d_vectors, EigenError, EigenParams};
 
-fn main() {
+fn main() -> Result<(), EigenError> {
     // Part 1: modes of a fixed-end chain of 64 masses.
     let n = 64;
     let a = gen::laplacian_2d(n, 1); // tridiagonal (−1, 4, −1): 1D slice of the 2D stencil
     let p = 8;
     let machine = Machine::new(MachineParams::new(p));
-    let params = EigenParams::new_unchecked(p, 2);
-    let (freqs, modes, costs) = symm_eigen_25d_vectors(&machine, &params, &a);
+    let params = EigenParams::try_new_unchecked(p, 2)?;
+    let (freqs, modes, costs) = try_symm_eigen_25d_vectors(&machine, &params, &a)?;
 
     println!("1D chain normal modes (n = {n}, p = {p}, c = 2):");
     println!("  lowest frequencies² and their analytic values 4−2cos(kπ/(n+1)):");
@@ -71,7 +71,7 @@ fn main() {
     mat.axpy(0.01, &noise);
 
     let machine = Machine::new(MachineParams::new(4));
-    let (f, _) = svd(&machine, &EigenParams::new(4, 1), &mat);
+    let (f, _) = try_svd(&machine, &EigenParams::try_new(4, 1)?, &mat)?;
     println!("SVD of a rank-{rank} + noise {m_rows}×{n_cols} matrix:");
     println!("  singular values: {:?}", &f.sigma[..6.min(f.sigma.len())]);
     let gap = f.sigma[rank - 1] / f.sigma[rank];
@@ -93,4 +93,5 @@ fn main() {
         "  machine costs: F = {}, W = {}, S = {}",
         total.flops, total.horizontal_words, total.supersteps
     );
+    Ok(())
 }

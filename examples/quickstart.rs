@@ -8,11 +8,11 @@
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::dla::tridiag::spectrum_distance;
-use ca_symm_eig::eigen::{symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenError, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), EigenError> {
     // Problem: a 128×128 symmetric matrix with a known spectrum
     // (A = Q·diag(λ)·Qᵀ for a random orthogonal Q), so we can check the
     // answer exactly.
@@ -27,7 +27,7 @@ fn main() {
     let p = 16;
     let c = 1;
     let machine = Machine::new(MachineParams::new(p));
-    let params = EigenParams::new(p, c);
+    let params = EigenParams::try_new(p, c)?;
     println!(
         "solving n = {n} on p = {p} processors, c = {c} replicas (δ = {:.3})",
         params.delta()
@@ -36,7 +36,7 @@ fn main() {
     // Solve. The eigensolver reduces A to successively thinner banded
     // matrices with the same eigenvalues (full → band → … → tridiagonal)
     // and returns the spectrum plus a per-stage cost breakdown.
-    let (eigenvalues, stages) = symm_eigen_25d(&machine, &params, &a);
+    let (eigenvalues, stages) = try_symm_eigen_25d(&machine, &params, &a)?;
 
     let err = spectrum_distance(&eigenvalues, &spectrum);
     println!("largest eigenvalue error vs the prescribed spectrum: {err:.2e}");
@@ -68,4 +68,5 @@ fn main() {
         time.compute, time.horizontal, time.vertical, time.synchronization
     );
     println!("five smallest eigenvalues: {:?}", &eigenvalues[..5]);
+    Ok(())
 }

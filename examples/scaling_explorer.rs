@@ -9,11 +9,11 @@
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
-use ca_symm_eig::eigen::{symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenError, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), EigenError> {
     let n: usize = std::env::args()
         .nth(1)
         .and_then(|v| v.parse().ok())
@@ -48,8 +48,8 @@ fn main() {
             continue; // the paper assumes n ≥ p
         }
         let machine = Machine::new(MachineParams::new(p));
-        let params = EigenParams::new(p, c);
-        let (ev, _) = symm_eigen_25d(&machine, &params, &a);
+        let params = EigenParams::try_new(p, c)?;
+        let (ev, _) = try_symm_eigen_25d(&machine, &params, &a)?;
         assert!(ca_symm_eig::dla::tridiag::spectrum_distance(&ev, &spectrum) < 1e-7 * n as f64);
         let r = machine.report();
         let t = r.time(machine.params());
@@ -70,4 +70,5 @@ fn main() {
     println!("Notes: W should fall with p (∝ p^(−δ)) and with c at fixed p (∝ 1/√c");
     println!("within c ≤ p^(1/3)); peak memory grows ∝ c (the price of replication);");
     println!("the modeled time weighs F/W/Q/S by the machine's γ/β/ν/α.");
+    Ok(())
 }

@@ -13,11 +13,11 @@
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::eigen::tuning::{best_configuration, rank_configurations};
-use ca_symm_eig::eigen::{symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenError, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), EigenError> {
     let n = 256;
     let p = 64;
 
@@ -47,7 +47,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(77);
         let spectrum = gen::linspace_spectrum(n, -2.0, 2.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-        let (ev, _) = symm_eigen_25d(&machine, &EigenParams::new(p, c), &a);
+        let (ev, _) = try_symm_eigen_25d(&machine, &EigenParams::try_new(p, c)?, &a)?;
         assert!(ca_symm_eig::dla::tridiag::spectrum_distance(&ev, &spectrum) < 1e-7 * n as f64);
         let r = machine.report();
         println!(
@@ -64,4 +64,5 @@ fn main() {
         "\nreplication saved {:.0}% of the words moved — the advisor's call, confirmed.",
         100.0 * (1.0 - measured[1] as f64 / measured[0] as f64)
     );
+    Ok(())
 }

@@ -2,7 +2,7 @@
 //!
 //! Re-exports the workspace members and hosts the integration tests,
 //! examples, and the `eigensolve` CLI. Start at [`paper`] for the
-//! paper-to-implementation map, or at [`eigen::symm_eigen_25d`] for the
+//! paper-to-implementation map, or at [`eigen::try_symm_eigen_25d`] for the
 //! headline algorithm.
 // Index-heavy numerical code: range loops over several arrays at once
 // are the clearer idiom here.

@@ -35,18 +35,18 @@
 //!
 //! | Paper object | Implementation |
 //! |---|---|
-//! | Eqn. (IV.1)/(IV.2) (aggregated two-sided update) | [`ca_dla::sym::two_sided_update`]; the left-looking realization is Algorithm IV.1's lines 5/8/9 in [`ca_eigen::full_to_band`] |
-//! | Algorithm IV.1 (2.5D-Full-to-Band) | [`ca_eigen::full_to_band`] |
+//! | Eqn. (IV.1)/(IV.2) (aggregated two-sided update) | Algorithm IV.1's lines 5, 8 and 9 in [`ca_eigen::full_to_band`]: `A + U⁽⁰⁾V⁽⁰⁾ᵀ + V⁽⁰⁾U⁽⁰⁾ᵀ` is never formed — line 5 applies it to the current column panel, line 8 to the product `A̅₂₂U₁`, and line 9 forms the `V₁` that joins the aggregates |
+//! | Algorithm IV.1 (2.5D-Full-to-Band) | [`ca_eigen::try_full_to_band`] |
 //! | Lemma IV.1 (its cost) | measured by `--bin c_sweep`; model in [`ca_eigen::model::full_to_band`] |
-//! | Algorithm IV.2 (2.5D-Band-to-Band) | [`ca_eigen::band_to_band`] (groups, phases, charges; line 16 on `p·h/n` processors via [`ca_pla::rect_qr`]); the exact index ranges (lines 8–14) live in [`ca_dla::bulge::chase_plan`], lines 16–22 in the one banded kernel under [`ca_dla::bulge::reduce_band_pass`] — the walk CA-SBR, Lang and the finale's pass share |
+//! | Algorithm IV.2 (2.5D-Band-to-Band) | [`ca_eigen::try_band_to_band`] (groups, phases, charges; line 16 on `p·h/n` processors via [`ca_pla::rect_qr`]); the exact index ranges (lines 8–14) live in [`ca_dla::bulge::chase_plan_iter`], lines 16–22 in the one banded kernel under [`ca_dla::bulge::reduce_band_pass`] — the walk CA-SBR, Lang and the finale's pass share |
 //! | Figure 2 (pipeline phases `2i+j`) | [`ca_dla::bulge::ChaseOp::phase`]; regenerated by `--bin figure2` |
 //! | Lemma IV.2 / CA-SBR \[12\] | [`ca_eigen::ca_sbr`] |
 //! | Lemma IV.3 (band-to-band cost) | measured by `--bin band_sweep`; model in [`ca_eigen::model::band_to_band`] |
 //! | Lang band→tridiagonal \[36\] (ELPA stage 2) | [`ca_eigen::lang::lang_band_to_tridiagonal`] |
-//! | Algorithm IV.3 (complete eigensolver) | [`ca_eigen::symm_eigen_25d`] |
+//! | Algorithm IV.3 (complete eigensolver) | [`ca_eigen::try_symm_eigen_25d`] |
 //! | Theorem IV.4 (its cost) | measured by `--bin table1`; model in [`ca_eigen::model::eigensolver`] |
 //! | Table I baselines (ScaLAPACK \[15\], ELPA \[13\]\[37\]) | [`ca_eigen::baselines`] |
-//! | §IV.C back-transformation (future work) | implemented: [`ca_eigen::transforms`], [`ca_eigen::symm_eigen_25d_vectors`] |
+//! | §IV.C back-transformation (future work) | implemented: [`ca_eigen::transforms`], [`ca_eigen::try_symm_eigen_25d_vectors`] |
 //!
 //! ## §V — Conclusion
 //!
@@ -55,5 +55,5 @@
 //! | Left-looking vs complete trailing updates | ablation `--bin ablation_agg` |
 //! | `k = p^{2−3δ}` single-stage reduction | ablation `--bin ablation_stages` |
 //! | Lookahead \[38\]\[39\] | not modeled (overlap does not change the ledger's asymptotics; recorded in DESIGN.md §8) |
-//! | "singular values or eigenvalues" | [`ca_eigen::svd`] (Jordan–Wielandt embedding) |
+//! | "singular values or eigenvalues" | [`ca_eigen::try_svd`], [`ca_eigen::try_singular_values`] (Jordan–Wielandt embedding) |
 //! | Tuning space in `c` | [`ca_eigen::tuning`] |

@@ -10,9 +10,7 @@ use ca_symm_eig::dla::gen;
 use ca_symm_eig::dla::gemm::{matmul, Trans};
 use ca_symm_eig::dla::tridiag::spectrum_distance;
 use ca_symm_eig::dla::Matrix;
-use ca_symm_eig::eigen::{
-    symm_eigen_25d, symm_eigen_25d_vectors, try_symm_eigen_25d, EigenError, EigenParams,
-};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenError, EigenParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +23,7 @@ fn check_eigenvalues(n: usize, p: usize, c: usize, seed: u64) {
     let spectrum = gen::linspace_spectrum(n, -1.0, 1.0);
     let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
     let m = Machine::new(MachineParams::new(p));
-    let (ev, stages) = symm_eigen_25d(&m, &EigenParams::new(p, c), &a);
+    let (ev, stages) = try_symm_eigen_25d(&m, &EigenParams::new(p, c), &a).unwrap();
     assert_eq!(ev.len(), n);
     let dist = spectrum_distance(&ev, &spectrum);
     assert!(
@@ -144,7 +142,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = gen::random_symmetric(&mut rng, n);
         let m = Machine::new(MachineParams::new(p));
-        let (ev, v, stages) = symm_eigen_25d_vectors(&m, &EigenParams::new(p, c), &a);
+        let (ev, v, stages) = try_symm_eigen_25d_vectors(&m, &EigenParams::new(p, c), &a).unwrap();
         prop_assert_eq!(ev.len(), n);
         // Columns orthonormal, A·V = V·diag(λ).
         let vtv = matmul(&v, Trans::T, &v, Trans::N);

@@ -5,7 +5,7 @@
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::eigen::baselines::scalapack::scalapack_tridiag;
-use ca_symm_eig::eigen::{full_to_band, symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{try_full_to_band, try_symm_eigen_25d, EigenParams};
 use ca_symm_eig::pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +23,7 @@ fn full_to_band_replication_saves_communication() {
     let mut w = Vec::new();
     for c in [1usize, 4] {
         let m = Machine::new(MachineParams::new(p));
-        let _ = full_to_band(&m, &EigenParams::new(p, c), &a, b);
+        let _ = try_full_to_band(&m, &EigenParams::new(p, c), &a, b, None).unwrap();
         w.push(m.report().horizontal_words as f64);
     }
     let gain = w[0] / w[1];
@@ -44,7 +44,7 @@ fn end_to_end_solver_wins_with_replication_at_scale() {
     let mut w = Vec::new();
     for c in [1usize, 4] {
         let m = Machine::new(MachineParams::new(p));
-        let (ev, _) = symm_eigen_25d(&m, &EigenParams::new(p, c), &a);
+        let (ev, _) = try_symm_eigen_25d(&m, &EigenParams::new(p, c), &a).unwrap();
         assert!(ca_symm_eig::dla::tridiag::spectrum_distance(&ev, &spectrum) < 1e-6 * n as f64);
         w.push(m.report().horizontal_words);
     }
@@ -102,7 +102,7 @@ fn banded_solver_synchronization_sublinear_in_n() {
         let spectrum = gen::linspace_spectrum(n, -4.0, 4.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
         let m = Machine::new(MachineParams::new(p));
-        let _ = symm_eigen_25d(&m, &EigenParams::new(p, 1), &a);
+        let _ = try_symm_eigen_25d(&m, &EigenParams::new(p, 1), &a).unwrap();
         s.push(m.report().supersteps as f64);
     }
     let ratio = s[1] / s[0];
@@ -125,7 +125,7 @@ fn memory_grows_with_replication() {
     let mut mem = Vec::new();
     for c in [1usize, 4] {
         let m = Machine::new(MachineParams::new(p));
-        let _ = full_to_band(&m, &EigenParams::new(p, c), &a, 8);
+        let _ = try_full_to_band(&m, &EigenParams::new(p, c), &a, 8, None).unwrap();
         mem.push(m.report().peak_memory_words as f64);
     }
     let ratio = mem[1] / mem[0];
@@ -146,7 +146,7 @@ fn solver_communication_decreases_with_p() {
         let spectrum = gen::linspace_spectrum(n, -4.0, 4.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
         let m = Machine::new(MachineParams::new(p));
-        let _ = symm_eigen_25d(&m, &EigenParams::new(p, 1), &a);
+        let _ = try_symm_eigen_25d(&m, &EigenParams::new(p, 1), &a).unwrap();
         w.push(m.report().horizontal_words as f64);
     }
     assert!(
@@ -165,7 +165,7 @@ fn work_is_load_balanced_across_processors() {
     let spectrum = gen::linspace_spectrum(n, -4.0, 4.0);
     let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
     let m = Machine::new(MachineParams::new(p));
-    let _ = symm_eigen_25d(&m, &EigenParams::new(p, 1), &a);
+    let _ = try_symm_eigen_25d(&m, &EigenParams::new(p, 1), &a).unwrap();
     let c = m.report();
     // Per-superstep-max F should be within a small factor of volume/p
     // (perfect balance would make them equal).

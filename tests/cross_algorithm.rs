@@ -6,7 +6,7 @@ use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::dla::tridiag::spectrum_distance;
 use ca_symm_eig::eigen::baselines::{elpa_two_stage, scalapack::scalapack_eigenvalues};
-use ca_symm_eig::eigen::{symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenParams};
 use ca_symm_eig::pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ fn all_solvers_agree_on_prescribed_spectrum() {
     let tol = 1e-8 * n as f64;
 
     let m = Machine::new(MachineParams::new(p));
-    let (ev_25d, _) = symm_eigen_25d(&m, &EigenParams::new(p, 1), &a);
+    let (ev_25d, _) = try_symm_eigen_25d(&m, &EigenParams::new(p, 1), &a).unwrap();
     assert!(spectrum_distance(&ev_25d, &spectrum) < tol, "2.5d");
 
     let m = Machine::new(MachineParams::new(p));
@@ -52,7 +52,7 @@ fn solver_agrees_across_machine_configurations() {
     let tol = 1e-8 * n as f64;
     for (p, c) in [(1usize, 1usize), (4, 1), (16, 1), (8, 2), (64, 4)] {
         let m = Machine::new(MachineParams::new(p));
-        let (ev, _) = symm_eigen_25d(&m, &EigenParams::new(p, c), &a);
+        let (ev, _) = try_symm_eigen_25d(&m, &EigenParams::new(p, c), &a).unwrap();
         assert!(
             spectrum_distance(&ev, &spectrum) < tol,
             "p={p} c={c} drifted by {}",
@@ -78,7 +78,7 @@ fn degenerate_and_extreme_spectra() {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let a = gen::symmetric_with_spectrum(&mut rng, spectrum);
         let m = Machine::new(MachineParams::new(p));
-        let (ev, _) = symm_eigen_25d(&m, &EigenParams::new(p, 1), &a);
+        let (ev, _) = try_symm_eigen_25d(&m, &EigenParams::new(p, 1), &a).unwrap();
         let scale = sorted.last().unwrap().abs().max(1e-12);
         assert!(
             spectrum_distance(&ev, &sorted) < tol * scale,
@@ -95,7 +95,7 @@ fn banded_intermediates_verified_by_inertia_counts() {
     // eigenvalues below any probe) as the prescribed spectrum —
     // checked by banded LDLᵀ, with no further reduction involved.
     use ca_symm_eig::dla::sturm::count_below_banded;
-    use ca_symm_eig::eigen::{band_to_band, full_to_band};
+    use ca_symm_eig::eigen::{try_band_to_band, try_full_to_band};
     use ca_symm_eig::pla::grid::Grid as PGrid;
 
     let n = 64;
@@ -103,13 +103,13 @@ fn banded_intermediates_verified_by_inertia_counts() {
     let (spectrum, a) = problem(n, 410);
     let m = Machine::new(MachineParams::new(p));
     let params = EigenParams::new(p, 1);
-    let (band, _) = full_to_band(&m, &params, &a, 16);
+    let (band, _) = try_full_to_band(&m, &params, &a, 16, None).unwrap();
     let probes = [-5.0, -3.0, -1.0, 0.0, 1.5];
     for probe in probes {
         let expected = spectrum.iter().filter(|l| **l < probe).count();
         assert_eq!(count_below_banded(&band, probe), expected, "after full→band");
     }
-    let (half, _) = band_to_band(&m, &PGrid::all(p), &band, 2, 1);
+    let (half, _) = try_band_to_band(&m, &PGrid::all(p), &band, 8, 1, None).unwrap();
     for probe in probes {
         let expected = spectrum.iter().filter(|l| **l < probe).count();
         assert_eq!(count_below_banded(&half, probe), expected, "after band→band");
@@ -119,12 +119,12 @@ fn banded_intermediates_verified_by_inertia_counts() {
 #[test]
 fn eigenvector_decomposition_reconstructs_input() {
     use ca_symm_eig::dla::gemm::{matmul, Trans};
-    use ca_symm_eig::eigen::symm_eigen_25d_vectors;
+    use ca_symm_eig::eigen::try_symm_eigen_25d_vectors;
     let n = 64;
     let p = 16;
     let (_, a) = problem(n, 411);
     let m = Machine::new(MachineParams::new(p));
-    let (ev, v, _) = symm_eigen_25d_vectors(&m, &EigenParams::new(p, 1), &a);
+    let (ev, v, _) = try_symm_eigen_25d_vectors(&m, &EigenParams::new(p, 1), &a).unwrap();
     // V·Λ·Vᵀ = A.
     let mut vl = v.clone();
     for i in 0..n {
@@ -158,6 +158,6 @@ fn physical_matrices_laplacian() {
     expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
     let m = Machine::new(MachineParams::new(16));
-    let (ev, _) = symm_eigen_25d(&m, &EigenParams::new(16, 1), &a);
+    let (ev, _) = try_symm_eigen_25d(&m, &EigenParams::new(16, 1), &a).unwrap();
     assert!(spectrum_distance(&ev, &expected) < 1e-9 * n as f64);
 }

@@ -39,12 +39,12 @@
 
 use ca_symm_eig::bsp::{Costs, Machine, MachineParams};
 use ca_symm_eig::dla::{gen, BandedSym};
-use ca_symm_eig::eigen::band_to_band::band_to_band_to_logged;
-use ca_symm_eig::eigen::ca_sbr::ca_sbr_logged;
-use ca_symm_eig::eigen::full_to_band::full_to_band_logged;
-use ca_symm_eig::eigen::lang::lang_band_to_tridiagonal_logged;
+use ca_symm_eig::eigen::band_to_band::try_band_to_band;
+use ca_symm_eig::eigen::ca_sbr::ca_sbr;
+use ca_symm_eig::eigen::full_to_band::try_full_to_band;
+use ca_symm_eig::eigen::lang::lang_band_to_tridiagonal;
 use ca_symm_eig::eigen::transforms::Reflectors;
-use ca_symm_eig::eigen::{symm_eigen_25d_vectors, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d_vectors, EigenParams};
 use ca_symm_eig::pla::exec::with_forced_serial;
 use ca_symm_eig::pla::Grid;
 use proptest::prelude::*;
@@ -144,7 +144,7 @@ fn full_to_band_run(n: usize, b: usize, p: usize, c: usize, seed: u64) -> (u64, 
     let mut rng = StdRng::seed_from_u64(seed);
     let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(n, -3.0, 3.0));
     let mut rec = Vec::new();
-    let (band, _) = full_to_band_logged(&machine, &params, &a, b, &mut rec);
+    let (band, _) = try_full_to_band(&machine, &params, &a, b, Some(&mut rec)).unwrap();
     (band_fingerprint(&band, &rec), ledger(&machine))
 }
 
@@ -161,7 +161,7 @@ fn band_to_band_run(
     let dense = gen::random_banded(&mut rng, n, b);
     let bm = BandedSym::from_dense(&dense, b, b);
     let mut rec = Vec::new();
-    let (out, _) = band_to_band_to_logged(&machine, &grid, &bm, h, 1, &mut rec);
+    let (out, _) = try_band_to_band(&machine, &grid, &bm, h, 1, Some(&mut rec)).unwrap();
     (band_fingerprint(&out, &rec), ledger(&machine))
 }
 
@@ -174,9 +174,9 @@ fn thin_band_run(lang: bool, n: usize, b: usize, p: usize, seed: u64) -> (u64, L
     let bm = BandedSym::from_dense(&dense, b, b);
     let mut rec = Vec::new();
     let out = if lang {
-        lang_band_to_tridiagonal_logged(&machine, &grid, &bm, &mut rec)
+        lang_band_to_tridiagonal(&machine, &grid, &bm, Some(&mut rec))
     } else {
-        ca_sbr_logged(&machine, &grid, &bm, &mut rec)
+        ca_sbr(&machine, &grid, &bm, Some(&mut rec))
     };
     (band_fingerprint(&out, &rec), ledger(&machine))
 }
@@ -186,7 +186,7 @@ fn solve_run(n: usize, p: usize, seed: u64) -> (u64, Ledger) {
     let params = EigenParams::new(p, 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(n, -2.0, 2.0));
-    let (ev, v, _) = symm_eigen_25d_vectors(&machine, &params, &a);
+    let (ev, v, _) = try_symm_eigen_25d_vectors(&machine, &params, &a).unwrap();
     let mut bits = ev;
     bits.extend_from_slice(v.data());
     (bit_hash(bits), ledger(&machine))

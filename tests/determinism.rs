@@ -7,7 +7,7 @@
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
-use ca_symm_eig::eigen::{symm_eigen_25d, symm_eigen_25d_vectors, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -15,7 +15,7 @@ fn run_once(n: usize, p: usize, c: usize, seed: u64) -> (Vec<f64>, ca_symm_eig::
     let mut rng = StdRng::seed_from_u64(seed);
     let a = gen::random_symmetric(&mut rng, n);
     let m = Machine::new(MachineParams::new(p));
-    let (ev, _) = symm_eigen_25d(&m, &EigenParams::new(p, c), &a);
+    let (ev, _) = try_symm_eigen_25d(&m, &EigenParams::new(p, c), &a).unwrap();
     (ev, m.report())
 }
 
@@ -42,7 +42,7 @@ fn vectors_path_is_deterministic() {
     let a = gen::random_symmetric(&mut rng, 32);
     let run = |a: &ca_symm_eig::dla::Matrix| {
         let m = Machine::new(MachineParams::new(4));
-        let (ev, v, _) = symm_eigen_25d_vectors(&m, &EigenParams::new(4, 1), a);
+        let (ev, v, _) = try_symm_eigen_25d_vectors(&m, &EigenParams::new(4, 1), a).unwrap();
         (ev, v)
     };
     let (ev1, v1) = run(&a);

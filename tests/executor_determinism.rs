@@ -14,7 +14,7 @@
 
 use ca_symm_eig::bsp::{Costs, Machine, MachineParams};
 use ca_symm_eig::dla::{gen, rt, BandedSym, Matrix};
-use ca_symm_eig::eigen::full_to_band::full_to_band;
+use ca_symm_eig::eigen::full_to_band::try_full_to_band;
 use ca_symm_eig::eigen::EigenParams;
 use ca_symm_eig::pla::dist::DistMatrix;
 use ca_symm_eig::pla::exec;
@@ -28,7 +28,7 @@ fn run_full_to_band(n: usize, p: usize, b: usize, seed: u64) -> (BandedSym, Cost
     let a = gen::random_symmetric(&mut rng, n);
     let machine = Machine::new(MachineParams::new(p));
     let params = EigenParams::new(p, 1);
-    let (band, _) = full_to_band(&machine, &params, &a, b);
+    let (band, _) = try_full_to_band(&machine, &params, &a, b, None).unwrap();
     (band, machine.report())
 }
 

@@ -26,10 +26,19 @@ fn full_to_band_rejects_asymmetric_input() {
     let m = machine(4);
     let a = Matrix::from_fn(16, 16, |i, j| (i * 16 + j) as f64);
     assert!(matches!(
-        try_full_to_band(&m, &EigenParams::new(4, 1), &a, 4),
+        try_full_to_band(&m, &EigenParams::new(4, 1), &a, 4, None),
         Err(EigenError::AsymmetricInput { .. })
     ));
-    assert_eq!(m.report().horizontal_words, 0, "rejected request charged the ledger");
+    // The recording path validates alike and records nothing.
+    let mut rec = Vec::new();
+    assert!(matches!(
+        try_full_to_band(&m, &EigenParams::new(4, 1), &a, 4, Some(&mut rec)),
+        Err(EigenError::AsymmetricInput { .. })
+    ));
+    assert!(rec.is_empty(), "rejected request recorded transforms");
+    let words = m.report().horizontal_words;
+    assert_eq!(words, 0, "rejected request charged the ledger");
+    assert_eq!(m.report().supersteps, 0);
 }
 
 #[test]
@@ -39,38 +48,56 @@ fn full_to_band_rejects_overwide_bandwidth() {
     let m = machine(4);
     let mut a = Matrix::from_fn(16, 16, |i, j| ((i + j) as f64).sin());
     a.symmetrize();
+    let params = EigenParams::new(4, 1);
+    let err = try_full_to_band(&m, &params, &a, 16, None).unwrap_err();
+    assert_eq!(err, EigenError::InvalidBandwidth { n: 16, b: 16 });
+    let msg = err.to_string();
+    assert!(msg.contains("1 ≤ b < n"), "unexpected message: {msg}");
     assert!(matches!(
-        try_full_to_band(&m, &EigenParams::new(4, 1), &a, 16),
-        Err(EigenError::InvalidBandwidth { n: 16, b: 16 })
-    ));
-    assert!(matches!(
-        try_full_to_band(&m, &EigenParams::new(4, 1), &a, 0),
+        try_full_to_band(&m, &params, &a, 0, None),
         Err(EigenError::InvalidBandwidth { n: 16, b: 0 })
     ));
-    // The panicking shim reports the same condition.
-    let err = std::panic::catch_unwind(|| {
-        ca_symm_eig::eigen::full_to_band(&m, &EigenParams::new(4, 1), &a, 16)
-    })
-    .expect_err("b = n must panic");
-    let msg = err.downcast_ref::<String>().expect("panic message");
-    assert!(msg.contains("1 ≤ b < n"), "unexpected message: {msg}");
+    // The recording path takes the same checks — band-width and grid —
+    // and records nothing.
+    let mut rec = Vec::new();
+    for b in [16, 17, 0] {
+        assert!(matches!(
+            try_full_to_band(&m, &params, &a, b, Some(&mut rec)),
+            Err(EigenError::InvalidBandwidth { n: 16, .. })
+        ));
+    }
+    let mut bad = params;
+    bad.q = 3;
+    assert!(matches!(
+        try_full_to_band(&m, &bad, &a, 4, Some(&mut rec)),
+        Err(EigenError::NonSquareGrid { .. })
+    ));
+    assert!(rec.is_empty(), "rejected request recorded transforms");
+    let words = m.report().horizontal_words;
+    assert_eq!(words, 0, "rejected request charged the ledger");
+    assert_eq!(m.report().supersteps, 0);
 }
 
 #[test]
 fn band_to_band_rejects_bad_k() {
-    // k need not divide b any more (targets round up), but k > b is
-    // still rejected.
+    // The target h need not divide b, but it must lie in 1 ≤ h ≤ b —
+    // on the plain and the recording path alike.
     let m = machine(2);
     let b = BandedSym::zeros(16, 6, 6);
-    assert!(matches!(
-        try_band_to_band(&m, &Grid::all(2), &b, 7, 1),
-        Err(EigenError::InvalidReductionFactor { b: 6, k: 7 })
-    ));
-    assert!(matches!(
-        try_band_to_band(&m, &Grid::all(2), &b, 0, 1),
-        Err(EigenError::InvalidReductionFactor { b: 6, k: 0 })
-    ));
+    let mut rec = Vec::new();
+    for h in [7, 0] {
+        assert_eq!(
+            try_band_to_band(&m, &Grid::all(2), &b, h, 1, None).unwrap_err(),
+            EigenError::InvalidTargetBandwidth { b: 6, h }
+        );
+        assert_eq!(
+            try_band_to_band(&m, &Grid::all(2), &b, h, 1, Some(&mut rec)).unwrap_err(),
+            EigenError::InvalidTargetBandwidth { b: 6, h }
+        );
+    }
+    assert!(rec.is_empty(), "rejected request recorded transforms");
     assert_eq!(m.report().horizontal_words, 0);
+    assert_eq!(m.report().supersteps, 0);
 }
 
 #[test]
@@ -225,7 +252,7 @@ fn banded_capacity_violation_is_caught() {
 #[should_panic(expected = "capacity")]
 fn reduce_band_requires_bulge_capacity() {
     let mut b = BandedSym::zeros(16, 4, 4); // capacity == bandwidth: no bulge room
-    ca_symm_eig::dla::bulge::reduce_band(&mut b, 2);
+    ca_symm_eig::dla::bulge::reduce_band_to(&mut b, 2);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use ca_symm_eig::bsp::{Costs, Machine, MachineParams};
 use ca_symm_eig::dla::gen;
-use ca_symm_eig::eigen::{symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -20,7 +20,7 @@ fn run(n: usize, p: usize, c: usize) -> Costs {
     let mut rng = StdRng::seed_from_u64(12345);
     let a = gen::random_symmetric(&mut rng, n);
     let m = Machine::new(MachineParams::new(p));
-    let _ = symm_eigen_25d(&m, &EigenParams::new(p, c), &a);
+    let _ = try_symm_eigen_25d(&m, &EigenParams::new(p, c), &a).unwrap();
     m.report()
 }
 

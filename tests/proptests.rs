@@ -8,7 +8,7 @@ use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gemm::{matmul, Trans};
 use ca_symm_eig::dla::qr::{explicit_q, qr_factor};
 use ca_symm_eig::dla::sturm;
-use ca_symm_eig::dla::tridiag::banded_eigenvalues;
+use ca_symm_eig::dla::tridiag::try_banded_eigenvalues;
 use ca_symm_eig::dla::{bulge, BandedSym, Matrix};
 use ca_symm_eig::pla::dist::DistMatrix;
 use ca_symm_eig::pla::grid::Grid;
@@ -83,20 +83,20 @@ proptest! {
         prop_assume!(b >= 2);
         let n = a.rows();
         let before = BandedSym::from_dense(&a, b, b);
-        let reference = banded_eigenvalues(&before);
+        let reference = try_banded_eigenvalues(&before).unwrap();
 
         let mut bm = BandedSym::from_dense(&a, b, (2 * b).min(n - 1));
-        bulge::reduce_band(&mut bm, 2);
+        bulge::reduce_band_to(&mut bm, b.div_ceil(2));
         prop_assert!(bm.measured_bandwidth(1e-9) <= b / 2 + b % 2 + (b / 2 == 0) as usize);
 
-        let after = banded_eigenvalues(&bm);
+        let after = try_banded_eigenvalues(&bm).unwrap();
         for (x, y) in reference.iter().zip(&after) {
             prop_assert!((x - y).abs() < 1e-8 * n as f64, "{x} vs {y}");
         }
         // Sturm cross-check: counts below a few probes agree between the
         // QL spectrum and the reduced matrix's tridiagonal form.
         let mut work = BandedSym::from_dense(&a, b, (2 * b).min(n - 1));
-        bulge::reduce_band(&mut work, b); // straight to tridiagonal
+        bulge::reduce_band_to(&mut work, 1); // straight to tridiagonal
         let (d, e) = work.tridiagonal();
         for probe in [-2.0, -0.5, 0.0, 0.5, 2.0] {
             let count = sturm::count_below(&d, &e, probe);
@@ -134,25 +134,6 @@ proptest! {
     }
 
     #[test]
-    fn banded_symv_matches_dense_product(
-        n in 4usize..24,
-        b in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let b = b.min(n - 1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dense = ca_symm_eig::dla::gen::random_banded(&mut rng, n, b);
-        let bm = BandedSym::from_dense(&dense, b, b);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-        let want = ca_symm_eig::dla::gemm::symv(&dense, &x);
-        let got = ca_symm_eig::dla::sym::symv_banded(&bm, &x);
-        for (w, g) in want.iter().zip(&got) {
-            prop_assert!((w - g).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn numroc_partitions_and_roundtrips(
         n in 1usize..200,
         block in 1usize..9,
@@ -170,29 +151,13 @@ proptest! {
     }
 
     #[test]
-    fn two_sided_update_keeps_exact_symmetry(
-        n in 2usize..16,
-        k in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut a = ca_symm_eig::dla::gen::random_symmetric(&mut rng, n);
-        let u = ca_symm_eig::dla::gen::random_matrix(&mut rng, n, k);
-        let v = ca_symm_eig::dla::gen::random_matrix(&mut rng, n, k);
-        ca_symm_eig::dla::sym::two_sided_update(&mut a, &u, &v);
-        prop_assert_eq!(a.asymmetry(), 0.0);
-        // Trace identity: tr(A + UVᵀ + VUᵀ) = tr(A) + 2·Σᵢ (U∘V)ᵢ.
-    }
-
-    #[test]
     fn tridiag_ql_matches_sturm_bisection(
         d in proptest::collection::vec(-3.0f64..3.0, 4..24),
         scale in 0.1f64..2.0,
     ) {
         let n = d.len();
         let e: Vec<f64> = (0..n - 1).map(|i| scale * (((i * 13) % 7) as f64 / 7.0 - 0.4)).collect();
-        let ql = ca_symm_eig::dla::tridiag::tridiag_eigenvalues(&d, &e);
+        let ql = ca_symm_eig::dla::tridiag::try_tridiag_eigenvalues(&d, &e).unwrap();
         let bi = sturm::bisection_eigenvalues(&d, &e, 1e-11);
         for (x, y) in ql.iter().zip(&bi) {
             prop_assert!((x - y).abs() < 1e-8, "{x} vs {y}");

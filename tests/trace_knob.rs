@@ -6,7 +6,7 @@
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
-use ca_symm_eig::eigen::{symm_eigen_25d, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::Command;
@@ -21,7 +21,7 @@ fn inner_solve() {
     let mut rng = StdRng::seed_from_u64(97);
     let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(48, -2.0, 2.0));
     let machine = Machine::new(MachineParams::new(4));
-    let (ev, _) = symm_eigen_25d(&machine, &EigenParams::new(4, 1), &a);
+    let (ev, _) = try_symm_eigen_25d(&machine, &EigenParams::new(4, 1), &a).unwrap();
     println!(
         "SOLVED={} ENABLED={}",
         ev.len(),

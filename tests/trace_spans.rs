@@ -36,9 +36,9 @@
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::bulge::chase_plan_iter;
 use ca_symm_eig::dla::gen;
-use ca_symm_eig::eigen::full_to_band::full_to_band;
+use ca_symm_eig::eigen::full_to_band::try_full_to_band;
 use ca_symm_eig::eigen::solver::StageCosts;
-use ca_symm_eig::eigen::{symm_eigen_25d, symm_eigen_25d_vectors, EigenParams};
+use ca_symm_eig::eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
 use ca_symm_eig::obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,7 +49,7 @@ fn solve(n: usize, p: usize, seed: u64) -> (Machine, StageCosts) {
     let params = EigenParams::new(p, 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let a = gen::random_symmetric(&mut rng, n);
-    let (_, stages) = symm_eigen_25d(&machine, &params, &a);
+    let (_, stages) = try_symm_eigen_25d(&machine, &params, &a).unwrap();
     (machine, stages)
 }
 
@@ -171,9 +171,9 @@ fn stage_spans_pin_names_costs_and_nesting() {
         let _ = obs::drain();
         let chases_before = chase_windows();
         if vectors {
-            let _ = symm_eigen_25d_vectors(&machine, &params, &a);
+            let _ = try_symm_eigen_25d_vectors(&machine, &params, &a).unwrap();
         } else {
-            let _ = symm_eigen_25d(&machine, &params, &a);
+            let _ = try_symm_eigen_25d(&machine, &params, &a).unwrap();
         }
         obs::set_level(0);
         let events = obs::drain();
@@ -218,7 +218,7 @@ fn stage_spans_pin_names_costs_and_nesting() {
     let a = gen::random_symmetric(&mut StdRng::seed_from_u64(44), n);
     obs::set_level(1);
     let chases_before = chase_windows();
-    let (_, stages) = symm_eigen_25d(&machine, &EigenParams::new(8, 2), &a);
+    let (_, stages) = try_symm_eigen_25d(&machine, &EigenParams::new(8, 2), &a).unwrap();
     obs::set_level(0);
     let _ = obs::drain();
     let chase_stages: Vec<&str> = stages
@@ -245,7 +245,7 @@ fn stage_spans_pin_names_costs_and_nesting() {
     let a = gen::random_symmetric(&mut StdRng::seed_from_u64(45), n);
     obs::set_level(2);
     let _ = obs::drain();
-    let _ = full_to_band(&machine, &EigenParams::new(8, 2), &a, b);
+    let _ = try_full_to_band(&machine, &EigenParams::new(8, 2), &a, b, None).unwrap();
     obs::set_level(0);
     let events = obs::drain();
     assert_eq!(obs::take_dropped(), 0, "full→band trace must not overflow the ring");
@@ -293,7 +293,7 @@ fn stage_spans_pin_names_costs_and_nesting() {
     let a = gen::random_symmetric(&mut StdRng::seed_from_u64(46), n);
     obs::set_level(2);
     let _ = obs::drain();
-    let _ = full_to_band(&machine, &EigenParams::new(4, 1), &a, b);
+    let _ = try_full_to_band(&machine, &EigenParams::new(4, 1), &a, b, None).unwrap();
     obs::set_level(0);
     let events = obs::drain();
     assert_eq!(obs::take_dropped(), 0, "rect-QR trace must not overflow the ring");
