@@ -28,7 +28,7 @@ fn bench_summa(c: &mut Criterion) {
                 let db = DistMatrix::from_dense(&m, &g, &b);
                 let mut dc = DistMatrix::zeros(&m, &g, n, n);
                 summa(&m, 1.0, &da, &db, 0.0, &mut dc);
-                black_box(dc.assemble_unchecked())
+                black_box(dc)
             });
         });
     }

@@ -141,8 +141,7 @@ fn full_to_band_eager(
                 out.set(o + b + i, o + j, f.r.get(i, j));
             }
         }
-        let u1 = f.u.assemble_unchecked();
-        f.u.release(machine);
+        let u1 = f.u.release(machine);
 
         // Eager: W = A₂₂U₁ computed per layer from the replicated copy,
         // then the rank-2b update applied to EVERY copy.

@@ -203,9 +203,7 @@ fn charge_chase(
         let dist = DistMatrix::from_dense(machine, &group.prefix(qr_procs), &block.to_matrix());
         let f = rect_qr(machine, &dist);
         dist.release(machine);
-        let u = f.u.assemble_unchecked();
-        f.u.release(machine);
-        Some(QrFactors { u, t: f.t, r: f.r })
+        Some(QrFactors { u: f.u.release(machine), t: f.t, r: f.r })
     } else {
         let leader = group.proc(0);
         machine.charge_flops(leader, costs::qr_flops(nr, h));

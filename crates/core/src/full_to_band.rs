@@ -290,11 +290,9 @@ pub(crate) fn full_to_band_impl(
                 let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
                 let f = rect_qr(machine, &da21);
                 da21.release(machine);
-                let u1 = f.u.assemble_unchecked();
-                f.u.release(machine);
-                (u1, f.t, f.r, qr_procs)
+                (f.u.release(machine), f.t, f.r, qr_procs)
             } else {
-                let f = kern::local_qr(machine, all.proc(0), &a21);
+                let f = kern::local_qr(machine, all.proc(0), &a21.view());
                 let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
                 for &pid in all.procs() {
                     machine.charge_comm(pid, 2 * factor_words.div_ceil(p as u64));

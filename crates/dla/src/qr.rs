@@ -213,13 +213,24 @@ fn split(n: usize, leaf: usize) -> usize {
 /// assert!(matmul(&q, Trans::N, &f.r, Trans::N).max_diff(&a) < 1e-12);
 /// ```
 pub fn qr_factor(a: &Matrix, nb: usize) -> QrFactors {
+    factor_in_place(a.clone(), nb.clamp(1, LEAF))
+}
+
+/// [`qr_factor`] of a (strided) view with the default leaf: how a
+/// distributed building block factors one rank's block of its operand.
+/// The one copy it makes is the factorisation's working buffer, as in
+/// [`qr_factor`].
+pub fn qr_factor_view(a: &MatrixView) -> QrFactors {
+    factor_in_place(a.to_matrix(), LEAF)
+}
+
+/// `(U, T, R)` of `w`, factored in place with leaf width `leaf`.
+fn factor_in_place(mut w: Matrix, leaf: usize) -> QrFactors {
     let _span = ca_obs::kernel_span("qr.factor");
-    let (m, n) = (a.rows(), a.cols());
+    let (m, n) = (w.rows(), w.cols());
     let k = m.min(n);
-    let mut w = a.clone();
     let mut u = Matrix::zeros(m, k);
     let mut t = Matrix::zeros(k, k);
-    let leaf = nb.clamp(1, LEAF);
     with_ws(|ws| qr_leaf_capped(&mut w.view_mut(), &mut u.view_mut(), &mut t.view_mut(), leaf, ws));
     let mut r = Matrix::zeros(k, n);
     for i in 0..k {

@@ -161,7 +161,7 @@ fn carma_rec_into(
     let (mm, kk) = op_shape(a, ta);
     let nn = op_shape(b, tb).1;
     if g == 1 {
-        kern::local_matmul_into(m, group.proc(0), a, ta, b, tb, out);
+        kern::local_gemm(m, group.proc(0), 1.0, a, ta, b, tb, 0.0, out);
         return;
     }
     let g1 = g / 2;
@@ -221,7 +221,7 @@ fn carma_rec_into(
         out.add_scaled(1.0, &c1.view());
     } else {
         // Degenerate tiny dimensions: compute on rank 0.
-        kern::local_matmul_into(m, group.proc(0), a, ta, b, tb, out);
+        kern::local_gemm(m, group.proc(0), 1.0, a, ta, b, tb, 0.0, out);
     }
 }
 

@@ -10,10 +10,10 @@
 //! per-superstep traffic exceeds `O(words)` — matching the collective
 //! costs assumed throughout §III/§IV of the paper.
 //!
-//! The physical payload movement is performed by the callers (the
-//! distributed containers in [`crate::dist`] and the algorithms), which
-//! hold the per-processor buffers; these functions are the single point
-//! where the corresponding costs enter the ledger.
+//! The payload itself does not move: the distributed containers in
+//! [`crate::dist`] and [`crate::cyclic`] hold one buffer per operand and
+//! the algorithms compute on views of it. These functions are the single
+//! point where the cost of each move enters the ledger.
 
 use crate::grid::Grid;
 use ca_bsp::{Machine, ProcId};
@@ -35,6 +35,31 @@ pub fn exchange(m: &Machine, group: &Grid, moves: &[(ProcId, ProcId, u64)]) {
         m.charge_transfer(from, to, words);
     }
     m.step(group.procs(), 1);
+}
+
+/// A change of layout (an all-to-all): every rank `r` of `old` sends its
+/// old share `sent(r)`, every rank `r` of `new` receives its new share
+/// `received(r)`, in one superstep of both groups. A processor's old and
+/// new shares are not netted against each other: block boundaries rarely
+/// align, and the paper's redistribution charge is `O(words/p)`
+/// regardless.
+pub(crate) fn relayout(
+    m: &Machine,
+    old: &Grid,
+    sent: impl Fn(usize) -> u64,
+    new: &Grid,
+    received: impl Fn(usize) -> u64,
+) {
+    for r in 0..old.len() {
+        m.charge_comm(old.proc(r), sent(r));
+    }
+    for r in 0..new.len() {
+        m.charge_comm(new.proc(r), received(r));
+    }
+    let mut all: Vec<ProcId> = old.procs().iter().chain(new.procs()).copied().collect();
+    all.sort_unstable();
+    all.dedup();
+    m.step(&all, 1);
 }
 
 /// Broadcast `words` from `root` (a rank within `group`) to all members:

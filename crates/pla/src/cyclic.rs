@@ -4,7 +4,9 @@
 //!
 //! A [`CyclicMatrix`] distributes an `m×n` matrix over a `pr×pc` grid in
 //! ScaLAPACK's 2D block-cyclic fashion: global entry `(i, j)` lives on
-//! grid coordinates `((i/mb) mod pr, (j/nb) mod pc)`. The defining
+//! grid coordinates `((i/mb) mod pr, (j/nb) mod pc)`. Like a
+//! [`DistMatrix`] it holds the operand in one buffer; the layout decides
+//! each owner's share ([`numroc`]) and so the ledger. The defining
 //! property — and the reason the paper's recursions can assume perfect
 //! load balance *at every trailing submatrix* without re-balancing — is
 //! that any aligned trailing corner `A[o.., o..]` remains evenly spread
@@ -25,14 +27,13 @@ use ca_dla::Matrix;
 /// A dense matrix in a 2D block-cyclic layout.
 #[derive(Debug, Clone)]
 pub struct CyclicMatrix {
-    rows: usize,
-    cols: usize,
     mb: usize,
     nb: usize,
     grid: Grid,
-    /// Local pieces in grid-rank order, each holding that processor's
-    /// cyclically-owned entries packed row-major in local index order.
-    local: Vec<Matrix>,
+    /// The whole operand; rank `r` owns the entries
+    /// [`owner_of`](Self::owner_of) maps to it, [`words_on`](Self::words_on)`(r)`
+    /// of them.
+    data: Matrix,
 }
 
 /// Number of rows/cols of a dimension owned by grid coordinate `coord`
@@ -73,51 +74,31 @@ impl CyclicMatrix {
         mb: usize,
         nb: usize,
     ) -> CyclicMatrix {
-        let (pr, pc, pl) = grid.shape();
-        assert_eq!(pl, 1, "CyclicMatrix requires a 2D grid");
+        let c = Self::resident(m, grid, a.clone(), mb, nb);
+        coll::relayout(m, grid, |r| c.words_on(r), grid, |r| c.words_on(r));
+        c
+    }
+
+    /// `a` in the `(mb, nb)` layout over `grid`, every owner's share
+    /// recorded with the memory tracker; nothing charged.
+    fn resident(m: &Machine, grid: &Grid, a: Matrix, mb: usize, nb: usize) -> CyclicMatrix {
+        assert_eq!(grid.shape().2, 1, "CyclicMatrix requires a 2D grid");
         assert!(mb >= 1 && nb >= 1);
-        let (rows, cols) = (a.rows(), a.cols());
-        let mut local = Vec::with_capacity(grid.len());
-        for r in 0..grid.len() {
-            let (pi, pj, _) = grid.coords(r);
-            let lr = numroc(rows, mb, pi, pr);
-            let lc = numroc(cols, nb, pj, pc);
-            let mut blk = Matrix::zeros(lr, lc);
-            for li in 0..lr {
-                let gi = local_to_global(pi, li, mb, pr);
-                for lj in 0..lc {
-                    let gj = local_to_global(pj, lj, nb, pc);
-                    blk.set(li, lj, a.get(gi, gj));
-                }
-            }
-            m.charge_comm(grid.proc(r), 2 * (lr * lc) as u64);
-            m.alloc(grid.proc(r), (lr * lc) as u64);
-            local.push(blk);
-        }
-        m.step(grid.procs(), 1);
-        CyclicMatrix {
-            rows,
-            cols,
+        let c = CyclicMatrix {
             mb,
             nb,
             grid: grid.clone(),
-            local,
+            data: a,
+        };
+        for r in 0..grid.len() {
+            m.alloc(grid.proc(r), c.words_on(r));
         }
+        c
     }
 
-    /// Matrix dimensions.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Blocking factors `(mb, nb)`.
-    pub fn blocks(&self) -> (usize, usize) {
-        (self.mb, self.nb)
-    }
-
-    /// The grid this matrix lives on.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
+    /// The whole operand (reading it charges nothing).
+    pub fn dense(&self) -> &Matrix {
+        &self.data
     }
 
     /// Grid rank owning global entry `(i, j)`.
@@ -130,58 +111,37 @@ impl CyclicMatrix {
 
     /// Words stored on grid rank `r`.
     pub fn words_on(&self, r: usize) -> u64 {
-        self.local[r].len() as u64
-    }
-
-    /// Assemble the dense matrix (diagnostics/tests; no charge).
-    pub fn assemble_unchecked(&self) -> Matrix {
         let (pr, pc, _) = self.grid.shape();
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.grid.len() {
-            let (pi, pj, _) = self.grid.coords(r);
-            let blk = &self.local[r];
-            for li in 0..blk.rows() {
-                let gi = local_to_global(pi, li, self.mb, pr);
-                for lj in 0..blk.cols() {
-                    let gj = local_to_global(pj, lj, self.nb, pc);
-                    out.set(gi, gj, blk.get(li, lj));
-                }
-            }
-        }
-        out
+        let (pi, pj, _) = self.grid.coords(r);
+        let lr = numroc(self.data.rows(), self.mb, pi, pr);
+        let lc = numroc(self.data.cols(), self.nb, pj, pc);
+        (lr * lc) as u64
     }
 
-    /// Convert to a block layout (charged all-to-all: every entry can
-    /// change owner).
+    /// Convert to a block layout on `grid` (charged all-to-all: every
+    /// entry can change owner).
     pub fn to_block(&self, m: &Machine, grid: &Grid) -> DistMatrix {
-        for r in 0..self.grid.len() {
-            m.charge_comm(self.grid.proc(r), self.words_on(r));
-        }
-        let dense = self.assemble_unchecked();
-        let out = DistMatrix::from_dense_free(m, grid, &dense);
-        for r in 0..grid.len() {
-            m.charge_comm(grid.proc(r), out.words_on(r));
-        }
-        coll::exchange(m, grid, &[]);
-        out
+        let d = DistMatrix::resident(m, grid, self.data.clone());
+        coll::relayout(m, &self.grid, |r| self.words_on(r), grid, |r| d.words_on(r));
+        d
     }
 
-    /// Release the storage.
-    pub fn release(self, m: &Machine) {
+    /// Release the storage, updating the memory tracker, and hand back
+    /// the operand.
+    pub fn release(self, m: &Machine) -> Matrix {
         for r in 0..self.grid.len() {
-            m.free(self.grid.proc(r), self.local[r].len() as u64);
+            m.free(self.grid.proc(r), self.words_on(r));
         }
+        self.data
     }
 }
 
-/// Convert a block-layout matrix to block-cyclic (charged all-to-all).
+/// Convert a block-layout matrix to block-cyclic on its grid (charged
+/// all-to-all, as [`CyclicMatrix::to_block`] is the other way).
 pub fn from_block(m: &Machine, d: &DistMatrix, mb: usize, nb: usize) -> CyclicMatrix {
-    for r in 0..d.grid().len() {
-        m.charge_comm(d.grid().proc(r), d.words_on(r));
-    }
-    let dense = d.assemble_unchecked();
-    // from_dense charges the receive side and the superstep.
-    CyclicMatrix::from_dense(m, d.grid(), &dense, mb, nb)
+    let c = CyclicMatrix::resident(m, d.grid(), d.dense().clone(), mb, nb);
+    coll::relayout(m, d.grid(), |r| d.words_on(r), d.grid(), |r| c.words_on(r));
+    c
 }
 
 #[cfg(test)]
@@ -219,21 +179,28 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(800);
         let a = gen::random_matrix(&mut rng, 19, 23);
         let c = CyclicMatrix::from_dense(&m, &g, &a, 4, 3);
-        assert!(c.assemble_unchecked().max_diff(&a) < 1e-15);
+        // Every owner's share is on the memory ledger, and releasing
+        // hands the operand back as it went in.
+        let largest = (0..g.len()).map(|r| c.words_on(r)).max().unwrap();
+        assert_eq!(m.report().peak_memory_words, largest);
+        assert_eq!(c.release(&m), a);
     }
 
     #[test]
     fn owner_of_matches_storage() {
         let m = machine(4);
         let g = Grid::new_2d((0..4).collect(), 2, 2);
-        let a = Matrix::from_fn(16, 16, |i, j| (i * 16 + j) as f64);
-        let c = CyclicMatrix::from_dense(&m, &g, &a, 2, 2);
-        // Spot-check: entry (i, j) appears in the owner's local block.
-        for (i, j) in [(0, 0), (3, 5), (10, 2), (15, 15)] {
-            let r = c.owner_of(i, j);
-            let v = a.get(i, j);
-            let found = c.local[r].data().iter().any(|&x| (x - v).abs() < 1e-15);
-            assert!(found, "entry ({i},{j}) not on its owner");
+        let a = Matrix::zeros(18, 13);
+        let c = CyclicMatrix::from_dense(&m, &g, &a, 4, 3);
+        // Each rank owns exactly its numroc share of the entries.
+        let mut owned = vec![0u64; g.len()];
+        for i in 0..18 {
+            for j in 0..13 {
+                owned[c.owner_of(i, j)] += 1;
+            }
+        }
+        for (r, &n) in owned.iter().enumerate() {
+            assert_eq!(n, c.words_on(r), "rank {r}");
         }
     }
 
@@ -282,11 +249,31 @@ mod tests {
         let c = CyclicMatrix::from_dense(&m, &g, &a, 3, 3);
         let snap = m.snapshot();
         let d = c.to_block(&m, &g);
-        assert!(d.assemble_unchecked().max_diff(&a) < 1e-15);
+        assert!(d.dense().max_diff(&a) < 1e-15);
         let back = from_block(&m, &d, 3, 3);
-        assert!(back.assemble_unchecked().max_diff(&a) < 1e-15);
+        assert!(back.dense().max_diff(&a) < 1e-15);
         let cost = m.costs_since(&snap);
         assert!(cost.horizontal_words > 0, "conversions must be charged");
+    }
+
+    #[test]
+    fn square_round_trip_charges_the_same_words_each_way() {
+        // block → cyclic and cyclic → block on a square layout each move
+        // every processor's share out of one layout and into the other,
+        // so every processor is charged the same words both ways.
+        let m = machine(4);
+        let g = Grid::new_2d((0..4).collect(), 2, 2);
+        let a = Matrix::from_fn(12, 12, |i, j| (i * 12 + j) as f64);
+        let d = DistMatrix::from_dense(&m, &g, &a);
+        let w0 = m.comm_per_proc();
+        let c = from_block(&m, &d, 3, 3);
+        let w1 = m.comm_per_proc();
+        let back = c.to_block(&m, &g);
+        let w2 = m.comm_per_proc();
+        let there: Vec<u64> = w1.iter().zip(&w0).map(|(x, y)| x - y).collect();
+        let home: Vec<u64> = w2.iter().zip(&w1).map(|(x, y)| x - y).collect();
+        assert_eq!(there, home);
+        assert_eq!(back.dense(), &a);
     }
 
     #[test]

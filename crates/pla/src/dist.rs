@@ -1,11 +1,14 @@
-//! Distributed matrices with per-processor physical storage.
+//! Distributed matrices: one dense operand plus its block layout.
 //!
 //! A [`DistMatrix`] is partitioned over a 2D grid in a block layout:
 //! processor `(i, j)` of a `pr × pc` grid owns the contiguous block
 //! `rows[row_splits[i]..row_splits[i+1]] × cols[col_splits[j]..col_splits[j+1]]`.
-//! Every block physically lives in the owner's local store; cross-owner
-//! access goes through methods that move the data and charge the
-//! corresponding BSP costs.
+//! The simulator holds the operand in one buffer and a rank's block is a
+//! view into it ([`DistMatrix::block`]); what the layout decides is the
+//! ledger. Each owner's storage is recorded from its block's shape, and
+//! every method that moves data between owners charges the words and
+//! supersteps that move costs — numerics on views, charges on the layout
+//! (DESIGN.md §6b).
 //!
 //! 1D row (column) layouts are 2D grids with `pc = 1` (`pr = 1`).
 
@@ -23,35 +26,38 @@ pub fn splits(n: usize, parts: usize) -> Vec<usize> {
 /// A dense matrix distributed in a block layout over a 2D grid.
 #[derive(Debug, Clone)]
 pub struct DistMatrix {
-    rows: usize,
-    cols: usize,
     grid: Grid,
     row_splits: Vec<usize>,
     col_splits: Vec<usize>,
-    /// Local blocks in grid-rank order.
-    local: Vec<Matrix>,
+    /// The whole operand; rank `r` owns the view [`block`](Self::block)`(r)`.
+    data: Matrix,
 }
 
 impl DistMatrix {
     /// Zero matrix distributed over `grid` (2D shape); allocations are
     /// recorded with the machine's memory tracker.
     pub fn zeros(m: &Machine, grid: &Grid, rows: usize, cols: usize) -> Self {
-        Self::record_alloc(m, grid, rows, cols);
-        Self::unrecorded(grid, rows, cols)
+        Self::resident(m, grid, Matrix::zeros(rows, cols))
     }
 
-    /// The zero matrix over `grid` with nothing recorded anywhere.
-    fn unrecorded(grid: &Grid, rows: usize, cols: usize) -> Self {
+    /// Distribute `a`, whose blocks are already resident on their owners
+    /// (e.g. the output of a multiply that left its result evenly
+    /// spread): records every owner's storage, charges no communication.
+    pub fn resident(m: &Machine, grid: &Grid, a: Matrix) -> Self {
+        Self::record_alloc(m, grid, a.rows(), a.cols());
+        Self::wrap(grid, a)
+    }
+
+    /// [`resident`](Self::resident) for storage already on the memory
+    /// ledger: rect-QR and reconstruction [`record_alloc`](Self::record_alloc)
+    /// a factor where the algorithm creates it and hand it out at the end.
+    pub(crate) fn wrap(grid: &Grid, a: Matrix) -> Self {
         let (pr, pc, _) = grid.shape();
         Self {
-            rows,
-            cols,
             grid: grid.clone(),
-            row_splits: splits(rows, pr),
-            col_splits: splits(cols, pc),
-            local: Self::block_dims(grid, rows, cols)
-                .map(|(nr, nc)| Matrix::zeros(nr, nc))
-                .collect(),
+            row_splits: splits(a.rows(), pr),
+            col_splits: splits(a.cols(), pc),
+            data: a,
         }
     }
 
@@ -91,22 +97,25 @@ impl DistMatrix {
     /// away its old share; cost `O(β·(words/p) + α)` per the paper's
     /// redistribution assumption.
     pub fn from_dense(m: &Machine, grid: &Grid, a: &Matrix) -> Self {
-        let d = Self::from_dense_free(m, grid, a);
-        for r in 0..d.grid.len() {
-            m.charge_comm(d.grid.proc(r), 2 * d.words_on(r));
-        }
-        m.step(d.grid.procs(), 1);
+        let d = Self::resident(m, grid, a.clone());
+        coll::relayout(m, grid, |r| d.words_on(r), grid, |r| d.words_on(r));
         d
     }
 
     /// Matrix dimensions.
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.data.rows(), self.data.cols())
     }
 
     /// The grid this matrix is distributed over.
     pub fn grid(&self) -> &Grid {
         &self.grid
+    }
+
+    /// The whole operand. Reading it charges nothing: a building block
+    /// that computes on it charges what its distributed form would move.
+    pub fn dense(&self) -> &Matrix {
+        &self.data
     }
 
     /// Global index range owned by grid rank `r`: `(r0, c0, nr, nc)`.
@@ -118,6 +127,18 @@ impl DistMatrix {
             self.row_splits[i + 1] - self.row_splits[i],
             self.col_splits[j + 1] - self.col_splits[j],
         )
+    }
+
+    /// The block of grid rank `r`, a view into the operand.
+    pub fn block(&self, r: usize) -> MatrixView<'_> {
+        let (r0, c0, nr, nc) = self.owned_range(r);
+        self.data.subview(r0, c0, nr, nc)
+    }
+
+    /// Mutable [`block`](Self::block) (owner-side computation).
+    pub fn block_mut(&mut self, r: usize) -> MatrixViewMut<'_> {
+        let (r0, c0, nr, nc) = self.owned_range(r);
+        self.data.subview_mut(r0, c0, nr, nc)
     }
 
     /// The part of the global block `(r0, c0, nr, nc)` that grid rank `r`
@@ -135,84 +156,36 @@ impl DistMatrix {
 
     /// Grid rank owning global entry `(i, j)`.
     pub fn owner_of(&self, i: usize, j: usize) -> usize {
-        assert!(i < self.rows && j < self.cols);
+        let (rows, cols) = self.shape();
+        assert!(i < rows && j < cols);
         let bi = self.row_splits.partition_point(|&s| s <= i) - 1;
         let bj = self.col_splits.partition_point(|&s| s <= j) - 1;
         self.grid.rank(bi, bj, 0)
     }
 
-    /// The local block of grid rank `r`.
-    pub fn local(&self, r: usize) -> &Matrix {
-        &self.local[r]
-    }
-
-    /// Mutable local block of grid rank `r` (owner-side computation).
-    pub fn local_mut(&mut self, r: usize) -> &mut Matrix {
-        &mut self.local[r]
-    }
-
-    /// All local blocks in grid-rank order — the disjoint per-rank
-    /// slots of owner-computes work.
-    pub fn locals_mut(&mut self) -> &mut [Matrix] {
-        &mut self.local
-    }
-
     /// Words stored on grid rank `r`.
     pub fn words_on(&self, r: usize) -> u64 {
-        self.local[r].len() as u64
+        let (_, _, nr, nc) = self.owned_range(r);
+        (nr * nc) as u64
     }
 
-    /// Release the distributed storage, updating the memory tracker.
-    pub fn release(self, m: &Machine) {
-        for r in 0..self.grid.len() {
-            m.free(self.grid.proc(r), self.local[r].len() as u64);
-        }
+    /// Release the distributed storage, updating the memory tracker, and
+    /// hand back the operand.
+    pub fn release(self, m: &Machine) -> Matrix {
+        let (rows, cols) = self.shape();
+        Self::record_free(m, &self.grid, rows, cols);
+        self.data
     }
 
     /// Gather the whole matrix onto the processor at grid rank `root`.
     pub fn gather(&self, m: &Machine, root: usize) -> Matrix {
         let root_id = self.grid.proc(root);
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        let mut moves = Vec::new();
-        for r in 0..self.grid.len() {
-            let (r0, c0, _, _) = self.owned_range(r);
-            out.set_block(r0, c0, &self.local[r]);
-            if r != root {
-                moves.push((self.grid.proc(r), root_id, self.local[r].len() as u64));
-            }
-        }
+        let moves: Vec<_> = (0..self.grid.len())
+            .filter(|&r| r != root)
+            .map(|r| (self.grid.proc(r), root_id, self.words_on(r)))
+            .collect();
         coll::exchange(m, &self.grid, &moves);
-        out
-    }
-
-    /// Assemble the full matrix without charging any cost — for tests and
-    /// diagnostics only.
-    pub fn assemble_unchecked(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        self.copy_block_into(0, 0, &mut out.view_mut());
-        out
-    }
-
-    /// Copy the global block at `(r0, c0)` of `out`'s shape out of the
-    /// local blocks into `out`, without charging any cost: the numerical
-    /// half of every read below, and what the building blocks that
-    /// compute on an assembled operand use instead of
-    /// `assemble_unchecked().block(..)`.
-    pub fn copy_block_into(&self, r0: usize, c0: usize, out: &mut MatrixViewMut) {
-        let (nr, nc) = (out.rows(), out.cols());
-        assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "block out of range");
-        for r in 0..self.grid.len() {
-            if let Some((rows, cols)) = self.overlap(r, (r0, c0, nr, nc)) {
-                let (br0, bc0, _, _) = self.owned_range(r);
-                out.sub_mut(rows.start - r0, cols.start - c0, rows.len(), cols.len())
-                    .copy_from(&self.local[r].subview(
-                        rows.start - br0,
-                        cols.start - bc0,
-                        rows.len(),
-                        cols.len(),
-                    ));
-            }
-        }
+        self.data.clone()
     }
 
     /// Read the global block `(r0, c0, nr, nc)` onto the processor at
@@ -226,79 +199,27 @@ impl DistMatrix {
         nr: usize,
         nc: usize,
     ) -> Matrix {
-        assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "block out of range");
+        let (rows, cols) = self.shape();
+        assert!(r0 + nr <= rows && c0 + nc <= cols, "block out of range");
         let dest_id = self.grid.proc(dest);
-        let mut out = Matrix::zeros(nr, nc);
-        self.copy_block_into(r0, c0, &mut out.view_mut());
-        let mut moves = Vec::new();
-        for r in 0..self.grid.len() {
-            if let Some((rows, cols)) = self.overlap(r, (r0, c0, nr, nc)) {
-                if self.grid.proc(r) != dest_id {
-                    moves.push((self.grid.proc(r), dest_id, (rows.len() * cols.len()) as u64));
-                }
-            }
-        }
+        let moves: Vec<_> = (0..self.grid.len())
+            .filter(|&r| self.grid.proc(r) != dest_id)
+            .filter_map(|r| {
+                let (rows, cols) = self.overlap(r, (r0, c0, nr, nc))?;
+                Some((self.grid.proc(r), dest_id, (rows.len() * cols.len()) as u64))
+            })
+            .collect();
         coll::exchange(m, &self.grid, &moves);
-        out
+        self.data.block(r0, c0, nr, nc)
     }
 
     /// Redistribute onto a (possibly different) grid/shape: every
     /// processor sends its old share and receives its new block
     /// (one superstep of an all-to-all).
     pub fn redistribute(&self, m: &Machine, new_grid: &Grid) -> DistMatrix {
-        let mut out = DistMatrix::zeros(m, new_grid, self.rows, self.cols);
-        // Charge: each old owner sends what it holds, each new owner
-        // receives what it will hold (self-overlap not discounted: block
-        // boundaries rarely align, and the paper's redistribution charge
-        // is O(words/p) regardless).
-        for r in 0..self.grid.len() {
-            m.charge_comm(self.grid.proc(r), self.local[r].len() as u64);
-        }
-        for r in 0..new_grid.len() {
-            m.charge_comm(new_grid.proc(r), out.local[r].len() as u64);
-        }
-        for r in 0..new_grid.len() {
-            let (r0, c0, _, _) = out.owned_range(r);
-            self.copy_block_into(r0, c0, &mut out.local[r].view_mut());
-        }
-        let mut all: Vec<_> = self
-            .grid
-            .procs()
-            .iter()
-            .chain(new_grid.procs())
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        m.step(&all, 1);
+        let out = DistMatrix::resident(m, new_grid, self.data.clone());
+        coll::relayout(m, &self.grid, |r| self.words_on(r), new_grid, |r| out.words_on(r));
         out
-    }
-
-    /// Distribute a dense matrix whose blocks are already resident on
-    /// their owners (e.g. the output of a recursive multiply that left
-    /// its result evenly spread): records allocations but charges no
-    /// communication.
-    pub fn from_dense_free(m: &Machine, grid: &Grid, a: &Matrix) -> Self {
-        Self::from_view_free(m, grid, &a.view())
-    }
-
-    /// [`from_dense_free`](Self::from_dense_free) of a (strided) view.
-    pub fn from_view_free(m: &Machine, grid: &Grid, a: &MatrixView) -> Self {
-        Self::record_alloc(m, grid, a.rows(), a.cols());
-        Self::from_dense_recorded(grid, a)
-    }
-
-    /// Wrap a dense matrix whose blocks are resident on their owners
-    /// *and* whose distributed storage is already on the memory ledger
-    /// ([`record_alloc`](Self::record_alloc)): nothing is recorded or
-    /// charged. The caller releases the result as usual.
-    pub fn from_dense_recorded(grid: &Grid, a: &MatrixView) -> Self {
-        let mut d = Self::unrecorded(grid, a.rows(), a.cols());
-        for r in 0..d.grid.len() {
-            let (r0, c0, nr, nc) = d.owned_range(r);
-            d.local[r].view_mut().copy_from(&a.sub(r0, c0, nr, nc));
-        }
-        d
     }
 
     /// Redistribute the sub-block `(r0, c0, nr, nc)` onto `new_grid` as
@@ -313,57 +234,31 @@ impl DistMatrix {
         nc: usize,
         new_grid: &Grid,
     ) -> DistMatrix {
-        assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "block out of range");
-        let mut out = DistMatrix::zeros(m, new_grid, nr, nc);
-        for r in 0..self.grid.len() {
-            if let Some((rows, cols)) = self.overlap(r, (r0, c0, nr, nc)) {
-                m.charge_comm(self.grid.proc(r), (rows.len() * cols.len()) as u64);
-            }
-        }
-        for r in 0..new_grid.len() {
-            let (nr0, nc0, nnr, nnc) = out.owned_range(r);
-            m.charge_comm(new_grid.proc(r), (nnr * nnc) as u64);
-            self.copy_block_into(r0 + nr0, c0 + nc0, &mut out.local[r].view_mut());
-        }
-        let mut all: Vec<_> = self
-            .grid
-            .procs()
-            .iter()
-            .chain(new_grid.procs())
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        m.step(&all, 1);
+        let (rows, cols) = self.shape();
+        assert!(r0 + nr <= rows && c0 + nc <= cols, "block out of range");
+        let out = DistMatrix::resident(m, new_grid, self.data.block(r0, c0, nr, nc));
+        let sent = |r| {
+            self.overlap(r, (r0, c0, nr, nc))
+                .map_or(0, |(rows, cols)| (rows.len() * cols.len()) as u64)
+        };
+        coll::relayout(m, &self.grid, sent, new_grid, |r| out.words_on(r));
         out
     }
 
     /// Transposed copy on the same grid: every block is transposed
     /// locally and shipped to the mirror owner (one superstep).
     pub fn transpose(&self, m: &Machine) -> DistMatrix {
-        let mut out = DistMatrix::zeros(m, &self.grid, self.cols, self.rows);
-        let dense_t = self.assemble_unchecked().transpose();
-        let mut moves = Vec::new();
-        for r in 0..self.grid.len() {
-            let (i, j, _) = self.grid.coords(r);
-            let mirror = self.grid.rank(
-                j.min(self.grid.shape().0 - 1),
-                i.min(self.grid.shape().1 - 1),
-                0,
-            );
-            if mirror != r && !self.local[r].is_empty() {
-                moves.push((
-                    self.grid.proc(r),
-                    self.grid.proc(mirror),
-                    self.local[r].len() as u64,
-                ));
-            }
-        }
+        let out = DistMatrix::resident(m, &self.grid, self.data.transpose());
+        let (pr, pc, _) = self.grid.shape();
+        let moves: Vec<_> = (0..self.grid.len())
+            .filter_map(|r| {
+                let (i, j, _) = self.grid.coords(r);
+                let mirror = self.grid.rank(j.min(pr - 1), i.min(pc - 1), 0);
+                (mirror != r && self.words_on(r) > 0)
+                    .then(|| (self.grid.proc(r), self.grid.proc(mirror), self.words_on(r)))
+            })
+            .collect();
         coll::exchange(m, &self.grid, &moves);
-        for r in 0..self.grid.len() {
-            let (r0, c0, nr, nc) = out.owned_range(r);
-            out.local[r] = dense_t.block(r0, c0, nr, nc);
-        }
         out
     }
 
@@ -372,7 +267,8 @@ impl DistMatrix {
     /// copy each member now holds. Used for replicated operands
     /// (Algorithm III.1's `A`, Algorithm IV.1's `U`/`V` panels).
     pub fn replicate(&self, m: &Machine, group: &Grid) -> Matrix {
-        let words = (self.rows * self.cols) as u64;
+        let (rows, cols) = self.shape();
+        let words = (rows * cols) as u64;
         let g = group.len() as u64;
         if g > 1 {
             // Owners each send their share to g−1 destinations via the
@@ -381,14 +277,14 @@ impl DistMatrix {
                 m.charge_comm(pid, 2 * words.div_ceil(g) * (g - 1));
             }
             for r in 0..self.grid.len() {
-                m.charge_comm(self.grid.proc(r), self.local[r].len() as u64);
+                m.charge_comm(self.grid.proc(r), self.words_on(r));
             }
             m.step(group.procs(), 2);
         }
         for &pid in group.procs() {
             m.alloc(pid, words);
         }
-        self.assemble_unchecked()
+        self.data.clone()
     }
 }
 
@@ -418,7 +314,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(70);
         let a = gen::random_matrix(&mut rng, 9, 11);
         let d = DistMatrix::from_dense(&m, &g, &a);
-        assert!(d.assemble_unchecked().max_diff(&a) < 1e-15);
+        assert!(d.dense().max_diff(&a) < 1e-15);
         let back = d.gather(&m, 0);
         assert!(back.max_diff(&a) < 1e-15);
     }
@@ -452,7 +348,7 @@ mod tests {
         // counts both ends).
         assert_eq!(m.costs_since(&snap).total_volume_words, 2 * 14);
         // Reading leaves the distributed matrix as it was.
-        assert_eq!(d.assemble_unchecked().max_diff(&a), 0.0);
+        assert_eq!(d.dense().max_diff(&a), 0.0);
     }
 
     #[test]
@@ -477,7 +373,7 @@ mod tests {
         let a = gen::random_matrix(&mut rng, 10, 6);
         let d1 = DistMatrix::from_dense(&m, &g1, &a);
         let d2 = d1.redistribute(&m, &g2);
-        assert!(d2.assemble_unchecked().max_diff(&a) < 1e-15);
+        assert!(d2.dense().max_diff(&a) < 1e-15);
     }
 
     #[test]
@@ -495,11 +391,17 @@ mod tests {
 
     #[test]
     fn uneven_dims_still_roundtrip() {
+        // The rank blocks of an uneven layout tile the operand: each is
+        // the owned range of the input, and their words add up to it.
         let m = machine(6);
         let g = Grid::new_2d((0..6).collect(), 3, 2);
         let mut rng = StdRng::seed_from_u64(73);
         let a = gen::random_matrix(&mut rng, 11, 7);
         let d = DistMatrix::from_dense(&m, &g, &a);
-        assert!(d.assemble_unchecked().max_diff(&a) < 1e-15);
+        for r in 0..g.len() {
+            let (r0, c0, nr, nc) = d.owned_range(r);
+            assert_eq!(d.block(r).to_matrix(), a.block(r0, c0, nr, nc));
+        }
+        assert_eq!((0..g.len()).map(|r| d.words_on(r)).sum::<u64>(), 11 * 7);
     }
 }

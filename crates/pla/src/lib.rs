@@ -7,7 +7,9 @@
 //!
 //! * processor grids and groups ([`grid`]),
 //! * BSP collectives with exact word/superstep charging ([`coll`]),
-//! * distributed matrices with per-processor physical storage ([`dist`]),
+//! * distributed matrices: one dense operand plus a block layout, a
+//!   rank's block a view, storage and moves charged from the layout
+//!   ([`dist`]; block-cyclic in [`cyclic`]),
 //! * cost-charged local kernel wrappers ([`kern`]),
 //! * SUMMA 2D matrix multiplication ([`summa`]),
 //! * Streaming-MM, Algorithm III.1 / Lemma III.3 ([`streaming`]),

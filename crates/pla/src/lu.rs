@@ -13,7 +13,7 @@ use crate::dist::DistMatrix;
 use crate::kern;
 use ca_bsp::Machine;
 use ca_dla::gemm::Trans;
-use ca_dla::lu::{Diag, Triangle};
+use ca_dla::lu::{tri_inverse_view, Diag, Triangle};
 use ca_dla::workspace::with_ws;
 use ca_dla::Matrix;
 
@@ -30,9 +30,10 @@ pub fn dist_lu_signed(m: &Machine, a: &DistMatrix) -> (DistMatrix, DistMatrix, V
     let (q, q2, _) = grid.shape();
     assert_eq!(q, q2, "dist_lu_signed requires a square grid");
 
-    // Working copy of the blocks; each holds its part of the packed
-    // factorization (`L` strictly below the diagonal, `U` on and above).
-    let mut w: Vec<Matrix> = (0..grid.len()).map(|r| a.local(r).clone()).collect();
+    // Per-rank working blocks, the factorization in flight; each holds
+    // its part of the packed factors (`L` strictly below the diagonal,
+    // `U` on and above).
+    let mut w: Vec<Matrix> = (0..grid.len()).map(|r| a.block(r).to_matrix()).collect();
     // A block leaves the array while a kernel reads its neighbours.
     let take = |w: &mut Vec<Matrix>, r: usize| std::mem::replace(&mut w[r], Matrix::zeros(0, 0));
 
@@ -55,11 +56,11 @@ pub fn dist_lu_signed(m: &Machine, a: &DistMatrix) -> (DistMatrix, DistMatrix, V
         // Panel solves, each reading its triangle of the packed block.
         for i in k + 1..q {
             let r = grid.rank(i, k, 0);
-            kern::local_trsm_right(m, grid.proc(r), &wkk, Triangle::Upper, Diag::NonUnit, false, &mut w[r]);
+            kern::local_trsm_right(m, grid.proc(r), &wkk.view(), Triangle::Upper, Diag::NonUnit, false, &mut w[r].view_mut());
         }
         for j in k + 1..q {
             let r = grid.rank(k, j, 0);
-            kern::local_trsm_left(m, grid.proc(r), &wkk, Triangle::Lower, Diag::Unit, false, &mut w[r]);
+            kern::local_trsm_left(m, grid.proc(r), &wkk.view(), Triangle::Lower, Diag::Unit, false, &mut w[r].view_mut());
         }
         w[diag_rank] = wkk;
         m.step(grid.procs(), 1);
@@ -79,26 +80,26 @@ pub fn dist_lu_signed(m: &Machine, a: &DistMatrix) -> (DistMatrix, DistMatrix, V
             for j in k + 1..q {
                 let r = grid.rank(i, j, 0);
                 let mut acc = take(&mut w, r);
-                let (aik, akj) = (&w[grid.rank(i, k, 0)], &w[grid.rank(k, j, 0)]);
-                kern::local_gemm(m, grid.proc(r), -1.0, aik, Trans::N, akj, Trans::N, 1.0, &mut acc);
+                let (aik, akj) = (w[grid.rank(i, k, 0)].view(), w[grid.rank(k, j, 0)].view());
+                kern::local_gemm(m, grid.proc(r), -1.0, &aik, Trans::N, &akj, Trans::N, 1.0, &mut acc.view_mut());
                 w[r] = acc;
             }
         }
         m.step(grid.procs(), 1);
     }
 
-    // Split the working blocks into L and U distributed factors.
+    // Split the working blocks into the L and U distributed factors.
     let mut l = DistMatrix::zeros(m, &grid, n, n);
     let mut u = DistMatrix::zeros(m, &grid, n, n);
-    for (r, blk) in w.into_iter().enumerate() {
+    for (r, blk) in w.iter().enumerate() {
         let (i, j, _) = grid.coords(r);
         match i.cmp(&j) {
-            std::cmp::Ordering::Greater => *l.local_mut(r) = blk,
-            std::cmp::Ordering::Less => *u.local_mut(r) = blk,
+            std::cmp::Ordering::Greater => l.block_mut(r).copy_from(&blk.view()),
+            std::cmp::Ordering::Less => u.block_mut(r).copy_from(&blk.view()),
             std::cmp::Ordering::Equal => {
-                let (lb, ub) = ca_dla::lu::unpack_lu(&blk);
-                *l.local_mut(r) = lb;
-                *u.local_mut(r) = ub;
+                let (lb, ub) = ca_dla::lu::unpack_lu(blk);
+                l.block_mut(r).copy_from(&lb.view());
+                u.block_mut(r).copy_from(&ub.view());
             }
         }
     }
@@ -133,9 +134,9 @@ fn dist_tri_inverse_upper(m: &Machine, t: &DistMatrix, diag: Diag) -> DistMatrix
     // X_ii = T_ii⁻¹: local inverses of the diagonal blocks first.
     for i in 0..q {
         let r = grid.rank(i, i, 0);
-        let tii = t.local(r);
+        let tii = t.block(r);
         m.charge_flops(grid.proc(r), (tii.rows() as u64).pow(3) / 3);
-        *x.local_mut(r) = ca_dla::lu::tri_inverse(tii, Triangle::Upper, diag);
+        with_ws(|ws| tri_inverse_view(&tii, Triangle::Upper, diag, &mut x.block_mut(r), ws));
     }
     m.step(grid.procs(), 1);
 
@@ -144,7 +145,7 @@ fn dist_tri_inverse_upper(m: &Machine, t: &DistMatrix, diag: Diag) -> DistMatrix
         let rii = grid.rank(i, i, 0);
         // Broadcast T_ii⁻¹ along grid row i for the off-diagonal solves.
         let row_i = grid.dim1_group(i, 0);
-        coll::bcast(m, &row_i, i, x.local(rii).len() as u64);
+        coll::bcast(m, &row_i, i, x.words_on(rii));
 
         for j in i + 1..q {
             // S = Σ_{k>i} T_ik · X_kj, partials computed at (i,k),
@@ -156,16 +157,16 @@ fn dist_tri_inverse_upper(m: &Machine, t: &DistMatrix, diag: Diag) -> DistMatrix
                 let rkj = grid.rank(k, j, 0);
                 let rik = grid.rank(i, k, 0);
                 // Ship X_kj to (i,k), multiply, ship partial to (i,j).
-                coll::p2p(m, grid.proc(rkj), grid.proc(rik), x.local(rkj).len() as u64);
-                let partial = kern::local_matmul(m, grid.proc(rik), t.local(rik), Trans::N, x.local(rkj), Trans::N);
+                coll::p2p(m, grid.proc(rkj), grid.proc(rik), x.words_on(rkj));
+                let partial = kern::local_matmul(m, grid.proc(rik), &t.block(rik), Trans::N, &x.block(rkj), Trans::N);
                 coll::p2p(m, grid.proc(rik), grid.proc(rij), partial.len() as u64);
                 s.axpy(1.0, &partial);
                 m.charge_flops(grid.proc(rij), partial.len() as u64);
             }
             // X_ij = −T_ii⁻¹ · S at (i,j).
-            let mut xij = kern::local_matmul(m, grid.proc(rij), x.local(rii), Trans::N, &s, Trans::N);
+            let mut xij = kern::local_matmul(m, grid.proc(rij), &x.block(rii), Trans::N, &s.view(), Trans::N);
             xij.scale(-1.0);
-            *x.local_mut(rij) = xij;
+            x.block_mut(rij).copy_from(&xij.view());
         }
         m.step(grid.procs(), 1);
     }
@@ -204,9 +205,9 @@ mod tests {
             let a = diag_dominant(n, 100 + n as u64);
             let da = DistMatrix::from_dense(&m, &g, &a);
             let (l, u, s) = dist_lu_signed(&m, &da);
-            let ld = l.assemble_unchecked();
-            let ud = u.assemble_unchecked();
-            let prod = matmul(&ld, Trans::N, &ud, Trans::N);
+            let ld = l.dense();
+            let ud = u.dense();
+            let prod = matmul(ld, Trans::N, ud, Trans::N);
             let mut want = a.clone();
             for (i, si) in s.iter().enumerate() {
                 want.add_to(i, i, -si);
@@ -234,8 +235,8 @@ mod tests {
         let (l, u, s) = dist_lu_signed(&m, &da);
         let (ls, us, ss) = ca_dla::lu::lu_nopivot_signed(&a);
         assert_eq!(s, ss);
-        assert!(l.assemble_unchecked().max_diff(&ls) < 1e-9);
-        assert!(u.assemble_unchecked().max_diff(&us) < 1e-9);
+        assert!(l.dense().max_diff(&ls) < 1e-9);
+        assert!(u.dense().max_diff(&us) < 1e-9);
     }
 
     #[test]
@@ -246,7 +247,7 @@ mod tests {
         let (_, u) = ca_dla::lu::lu_nopivot(&diag_dominant(n, 105));
         let du = DistMatrix::from_dense(&m, &g, &u);
         let inv = dist_tri_inverse(&m, &du, Triangle::Upper, Diag::NonUnit);
-        let prod = matmul(&u, Trans::N, &inv.assemble_unchecked(), Trans::N);
+        let prod = matmul(&u, Trans::N, inv.dense(), Trans::N);
         assert!(prod.max_diff(&Matrix::identity(n)) < 1e-9);
     }
 
@@ -258,7 +259,7 @@ mod tests {
         let (l, _) = ca_dla::lu::lu_nopivot(&diag_dominant(n, 106));
         let dl = DistMatrix::from_dense(&m, &g, &l);
         let inv = dist_tri_inverse(&m, &dl, Triangle::Lower, Diag::Unit);
-        let prod = matmul(&l, Trans::N, &inv.assemble_unchecked(), Trans::N);
+        let prod = matmul(&l, Trans::N, inv.dense(), Trans::N);
         assert!(prod.max_diff(&Matrix::identity(n)) < 1e-9);
     }
 

@@ -64,7 +64,7 @@ pub fn reconstruct(machine: &Machine, q: &DistMatrix) -> Reconstruction {
     let mut t = Matrix::zeros(n, n);
     let s = reconstruct_into(machine, q, &mut u.view_mut(), &mut t.view_mut());
     Reconstruction {
-        u: DistMatrix::from_dense_recorded(q.grid(), &u.view()),
+        u: DistMatrix::wrap(q.grid(), u),
         t,
         s,
     }
@@ -111,7 +111,7 @@ pub(crate) fn reconstruct_into(
     //    invokes for these products).
     {
         let _span = ca_obs::kernel_span("rc.u");
-        let mut q_minus_s = q.assemble_unchecked();
+        let mut q_minus_s = q.dense().clone();
         for (i, si) in s.iter().enumerate() {
             q_minus_s.add_to(i, i, -si);
         }
@@ -120,7 +120,7 @@ pub(crate) fn reconstruct_into(
             group,
             &q_minus_s.view(),
             Trans::N,
-            &w1_inv.assemble_unchecked().view(),
+            &w1_inv.dense().view(),
             Trans::N,
             1,
             u_out,
@@ -132,7 +132,7 @@ pub(crate) fn reconstruct_into(
     //    read in place (its shuffle on the subgrid is charged).
     {
         let _span = ca_obs::kernel_span("rc.t");
-        let mut w1s = w1.assemble_unchecked();
+        let mut w1s = w1.dense().clone();
         for i in 0..n {
             for (x, sj) in w1s.row_mut(i).iter_mut().zip(&s) {
                 *x *= sj;
@@ -144,7 +144,7 @@ pub(crate) fn reconstruct_into(
             &sub,
             &w1s.view(),
             Trans::N,
-            &u1_inv.assemble_unchecked().view(),
+            &u1_inv.dense().view(),
             Trans::T,
             1,
             t_out,
@@ -252,8 +252,8 @@ mod tests {
             let (q, _r) = tsqr::tsqr_explicit(&m, &da);
             let rec = reconstruct(&m, &q);
             check_wy(
-                &q.assemble_unchecked(),
-                &rec.u.assemble_unchecked(),
+                q.dense(),
+                rec.u.dense(),
                 &rec.t,
                 &rec.s,
                 1e-9,
@@ -275,10 +275,10 @@ mod tests {
         // A = (I − U T Uᵀ)·[R'; 0].
         let mut stack = Matrix::zeros(24, 5);
         stack.set_block(0, 0, &r_fixed);
-        let u = rec.u.assemble_unchecked();
-        let ut_stack = matmul(&u, Trans::T, &stack, Trans::N);
+        let u = rec.u.dense();
+        let ut_stack = matmul(u, Trans::T, &stack, Trans::N);
         let t_ut = matmul(&rec.t, Trans::N, &ut_stack, Trans::N);
-        let corr = matmul(&u, Trans::N, &t_ut, Trans::N);
+        let corr = matmul(u, Trans::N, &t_ut, Trans::N);
         stack.axpy(-1.0, &corr);
         assert!(stack.max_diff(&a) < 1e-9, "A ≠ (I−UTUᵀ)[R';0]: {}", stack.max_diff(&a));
     }
@@ -294,8 +294,8 @@ mod tests {
         let (q, _) = tsqr::tsqr_explicit(&m, &da);
         let rec = reconstruct(&m, &q);
         check_wy(
-            &q.assemble_unchecked(),
-            &rec.u.assemble_unchecked(),
+            q.dense(),
+            rec.u.dense(),
             &rec.t,
             &rec.s,
             1e-9,

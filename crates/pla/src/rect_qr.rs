@@ -18,7 +18,7 @@
 //!   Lemma III.2, so the update communication matches the
 //!   `O(mᵟn²⁻ᵟ/pᵟ)` term of Theorem III.6.
 //!
-//! `n₀` ([`BASE_COLS`]) is the only width in the algorithm: a panel at
+//! `n₀` (`BASE_COLS`) is the only width in the algorithm: a panel at
 //! most `m/g` wide is already a TSQR, so `n₀` matters only where `m/g`
 //! is smaller still, and [`rect_qr_with_base`] lowers it for one reason —
 //! to force the column recursion at sizes a test can afford.
@@ -30,10 +30,11 @@
 //! on one assembled `U`, `T` and `R`: every node writes its factors into
 //! sub-views of its parent's, transposed operands are read in place
 //! through the multiply's `op(·)`, and `[0; U₂]` is a column block of
-//! the assembled `U`. What the ledger sees is the distributed algorithm
-//! all the same — each redistribution, realignment, multiply and stored
-//! factor is charged and recorded for the 1D row layout over the node's
-//! group, where and as the distributed code would create it.
+//! the assembled `U`, which leaves as the buffer of [`PanelQr::u`]. What
+//! the ledger sees is the distributed algorithm all the same — each
+//! redistribution, realignment, multiply and stored factor is charged and
+//! recorded for the 1D row layout over the node's group, where and as the
+//! distributed code would create it.
 
 use crate::carma::carma_spread_into;
 use crate::dist::DistMatrix;
@@ -61,7 +62,7 @@ pub struct PanelQr {
 }
 
 /// Default base-case panel width.
-pub const BASE_COLS: usize = 32;
+const BASE_COLS: usize = 32;
 
 /// Distributed QR of `a` (1D row layout, `m ≥ n`): returns the
 /// Householder representation per Corollary III.7.
@@ -83,7 +84,7 @@ pub fn rect_qr_with_base(machine: &Machine, a: &DistMatrix, base: usize) -> Pane
     let mut t = Matrix::zeros(n, n);
     let mut r = Matrix::zeros(n, n);
     rect_qr_node(machine, a, base, &mut u.view_mut(), &mut t.view_mut(), &mut r.view_mut());
-    let u = DistMatrix::from_dense_recorded(&group, &u.view());
+    let u = DistMatrix::wrap(&group, u);
     PanelQr { group, u, t, r }
 }
 
@@ -132,7 +133,7 @@ fn rect_qr_node(
 
     // Base case: single processor — local QR gives (U, T, R) directly.
     if g == 1 {
-        let f = kern::local_qr(machine, group.proc(0), a.local(0));
+        let f = kern::local_qr(machine, group.proc(0), &a.block(0));
         DistMatrix::record_alloc(machine, group, mrows, n);
         u.copy_from(&f.u.view());
         t.copy_from(&f.t.view());
@@ -181,8 +182,7 @@ fn rect_qr_node(
     // below.
     let tail = {
         let _span = ca_obs::kernel_span("rq.update");
-        let mut c = Matrix::zeros(mrows, n2);
-        a.copy_block_into(0, n1, &mut c.view_mut());
+        let mut c = a.dense().block(0, n1, mrows, n2);
         let upd = wy_correction(
             machine,
             group,
@@ -196,7 +196,7 @@ fn rect_qr_node(
             machine.charge_flops(pid, (mrows * n2) as u64 / g as u64);
         }
         r.sub_mut(0, n1, n1, n2).copy_from(&c.subview(0, 0, n1, n2));
-        DistMatrix::from_view_free(machine, group, &c.subview(n1, 0, mrows - n1, n2))
+        DistMatrix::resident(machine, group, c.block(n1, 0, mrows - n1, n2))
     };
     rect_qr_node(
         machine,
@@ -270,11 +270,11 @@ pub fn rect_qr_tree(
 
     // Line 1: sequential base case.
     if p == 1 {
-        let f = kern::local_qr(machine, group.proc(0), a.local(0));
+        let f = kern::local_qr(machine, group.proc(0), &a.block(0));
         let q = ca_dla::qr::explicit_q(&f.u, &f.t, n);
         let mut r = Matrix::zeros(n.min(mrows), n);
         r.set_block(0, 0, &f.r);
-        return (DistMatrix::from_dense_free(machine, &group, &q), r);
+        return (DistMatrix::resident(machine, &group, q), r);
     }
 
     // Line 2: (nearly) square base case on min(p, q_max) processors.
@@ -287,9 +287,8 @@ pub fn rect_qr_tree(
         let q_sub = explicit_q(machine, &f);
         let q = q_sub.redistribute(machine, &group);
         q_sub.release(machine);
-        let r = f.r.clone();
         f.u.release(machine);
-        return (q, r);
+        return (q, f.r);
     }
 
     // Line 3: partition A into r row chunks.
@@ -334,42 +333,44 @@ pub fn rect_qr_tree(
 
     // Lines 8–11: Qᵢ = Wᵢ·Zᵢ per chunk (Lemma III.2 multiplies on the
     // chunk's group).
-    let z_dense = z.assemble_unchecked();
-    z.release(machine);
-    let mut q_dense = Matrix::zeros(mrows, n);
+    let z = z.release(machine);
+    let mut q = Matrix::zeros(mrows, n);
     for (i, w) in ws.iter().enumerate() {
-        let w_dense = w.assemble_unchecked();
-        let q_i = mm(
+        let (r0, r1) = (row_splits[i], row_splits[i + 1]);
+        carma_spread_into(
             machine,
             &groups[i],
-            &w_dense.view(),
+            &w.dense().view(),
             Trans::N,
-            &z_dense.subview(i * n, 0, n, n),
+            &z.subview(i * n, 0, n, n),
+            Trans::N,
+            1,
+            &mut q.subview_mut(r0, 0, r1 - r0, n),
         );
-        q_dense.set_block(row_splits[i], 0, &q_i);
     }
     for w in ws {
         w.release(machine);
     }
     machine.fence();
-    (
-        DistMatrix::from_dense_free(machine, &group, &q_dense),
-        r_final,
-    )
+    (DistMatrix::resident(machine, &group, q), r_final)
 }
 
 /// Apply `Qᵀ` from a [`PanelQr`] to a distributed matrix (same row
 /// space): `C ← C − U·(Tᵀ·(Uᵀ·C))` via Lemma III.2 multiplies.
 pub fn apply_qt(machine: &Machine, f: &PanelQr, c: &mut DistMatrix) {
     let group = &f.group;
-    let u_dense = f.u.assemble_unchecked();
-    let mut out = c.assemble_unchecked();
-    let upd = wy_correction(machine, group, &u_dense.view(), &f.t.view(), Trans::T, &out.view());
-    out.axpy(-1.0, &upd);
-    for &pid in group.procs() {
-        machine.charge_flops(pid, (out.len() as u64).div_ceil(group.len() as u64));
+    let (rows, cols) = c.shape();
+    let upd = wy_correction(machine, group, &f.u.dense().view(), &f.t.view(), Trans::T, &c.dense().view());
+    for r in 0..c.grid().len() {
+        let (r0, c0, nr, nc) = c.owned_range(r);
+        c.block_mut(r).add_scaled(-1.0, &upd.subview(r0, c0, nr, nc));
     }
-    *c = DistMatrix::from_dense_free(machine, c.grid(), &out);
+    for &pid in group.procs() {
+        machine.charge_flops(pid, ((rows * cols) as u64).div_ceil(group.len() as u64));
+    }
+    // The update is stored afresh on C's owners and C's old storage stays
+    // on the memory ledger (the building-block pins record this `M`).
+    DistMatrix::record_alloc(machine, c.grid(), rows, cols);
 }
 
 /// Explicit `m × k` orthonormal factor of a [`PanelQr`]
@@ -381,11 +382,10 @@ pub fn explicit_q(machine: &Machine, f: &PanelQr) -> DistMatrix {
     for i in 0..k {
         eye.set(i, i, 1.0);
     }
-    let u_dense = f.u.assemble_unchecked();
     // Uᵀ·[I;0] = U₁ᵀ — cheap (triangular read), still charged.
-    let upd = wy_correction(machine, group, &u_dense.view(), &f.t.view(), Trans::N, &eye.view());
+    let upd = wy_correction(machine, group, &f.u.dense().view(), &f.t.view(), Trans::N, &eye.view());
     eye.axpy(-1.0, &upd);
-    DistMatrix::from_dense_free(machine, group, &eye)
+    DistMatrix::resident(machine, group, eye)
 }
 
 #[cfg(test)]
@@ -409,12 +409,12 @@ mod tests {
         let da = DistMatrix::from_dense(&m, &grid, &a);
         let f = rect_qr_with_base(&m, &da, base);
         // A = (I − U·T·Uᵀ)·[R; 0].
-        let u = f.u.assemble_unchecked();
+        let u = f.u.dense();
         let mut stack = Matrix::zeros(mrows, n);
         stack.set_block(0, 0, &f.r);
-        let ut = matmul(&u, Trans::T, &stack, Trans::N);
+        let ut = matmul(u, Trans::T, &stack, Trans::N);
         let tut = matmul(&f.t, Trans::N, &ut, Trans::N);
-        let corr = matmul(&u, Trans::N, &tut, Trans::N);
+        let corr = matmul(u, Trans::N, &tut, Trans::N);
         stack.axpy(-1.0, &corr);
         assert!(
             stack.max_diff(&a) < 1e-8,
@@ -433,8 +433,8 @@ mod tests {
         }
         // Orthogonality of the implied Q.
         let q = explicit_q(&m, &f);
-        let qd = q.assemble_unchecked();
-        let qtq = matmul(&qd, Trans::T, &qd, Trans::N);
+        let qd = q.dense();
+        let qtq = matmul(qd, Trans::T, qd, Trans::N);
         assert!(
             qtq.max_diff(&Matrix::identity(n)) < 1e-8,
             "QᵀQ deviates by {}",
@@ -477,16 +477,16 @@ mod tests {
         let c0 = gen::random_matrix(&mut rng, 20, 5);
         let da = DistMatrix::from_dense(&m, &grid, &a);
         let f = rect_qr_with_base(&m, &da, 4);
-        let q = explicit_q(&m, &f).assemble_unchecked();
+        let q = explicit_q(&m, &f).release(&m);
         // Full m×m Q action: Qᵀ·C where Q = I − U T Uᵀ.
-        let u = f.u.assemble_unchecked();
-        let utc = matmul(&u, Trans::T, &c0, Trans::N);
+        let u = f.u.dense();
+        let utc = matmul(u, Trans::T, &c0, Trans::N);
         let ttutc = matmul(&f.t.transpose(), Trans::N, &utc, Trans::N);
         let mut want = c0.clone();
-        want.axpy(-1.0, &matmul(&u, Trans::N, &ttutc, Trans::N));
+        want.axpy(-1.0, &matmul(u, Trans::N, &ttutc, Trans::N));
         let mut dc = DistMatrix::from_dense(&m, &grid, &c0);
         apply_qt(&m, &f, &mut dc);
-        assert!(dc.assemble_unchecked().max_diff(&want) < 1e-9);
+        assert!(dc.dense().max_diff(&want) < 1e-9);
         // And QᵀA has R on top.
         let qta = matmul(&q, Trans::T, &a, Trans::N);
         for i in 0..8 {
@@ -506,15 +506,15 @@ mod tests {
         let a = gen::random_matrix(&mut rng, mrows, n);
         let da = DistMatrix::from_dense(&m, &grid, &a);
         let (q, r) = rect_qr_tree(&m, &da, q_max);
-        let qd = q.assemble_unchecked();
+        let qd = q.dense();
         // Q orthonormal, QR = A, R upper-triangular.
-        let qtq = matmul(&qd, Trans::T, &qd, Trans::N);
+        let qtq = matmul(qd, Trans::T, qd, Trans::N);
         assert!(
             qtq.max_diff(&Matrix::identity(n)) < 1e-8,
             "m={mrows} n={n} g={g}: QᵀQ deviates by {}",
             qtq.max_diff(&Matrix::identity(n))
         );
-        let qr = matmul(&qd, Trans::N, &r.block(0, 0, n.min(r.rows()), n), Trans::N);
+        let qr = matmul(qd, Trans::N, &r.block(0, 0, n.min(r.rows()), n), Trans::N);
         assert!(
             qr.max_diff(&a) < 1e-8 * (1.0 + a.norm_max()),
             "m={mrows} n={n} g={g}: QR ≠ A ({})",

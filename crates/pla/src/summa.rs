@@ -14,7 +14,7 @@ use crate::dist::DistMatrix;
 use crate::kern;
 use ca_bsp::Machine;
 use ca_dla::gemm::Trans;
-use ca_dla::Matrix;
+use ca_dla::view::MatrixView;
 
 /// `C ← α·A·B + β·C` (shapes `m×k`, `k×n`, `m×n`), all on `C`'s grid.
 pub fn summa(m: &Machine, alpha: f64, a: &DistMatrix, b: &DistMatrix, beta: f64, c: &mut DistMatrix) {
@@ -39,11 +39,12 @@ pub fn summa(m: &Machine, alpha: f64, a: &DistMatrix, b: &DistMatrix, beta: f64,
 
     // Scale C once (every rank's block independently).
     if beta != 1.0 {
-        for loc in c.locals_mut() {
+        for r in 0..grid.len() {
+            let mut blk = c.block_mut(r);
             if beta == 0.0 {
-                loc.data_mut().fill(0.0);
+                blk.fill(0.0);
             } else {
-                loc.scale(beta);
+                blk.scale(beta);
             }
         }
     }
@@ -58,30 +59,29 @@ pub fn summa(m: &Machine, alpha: f64, a: &DistMatrix, b: &DistMatrix, beta: f64,
         let a_owner_col = owner_block(&crate::dist::splits(ak, pc), k0);
         let b_owner_row = owner_block(&crate::dist::splits(ak, pr), k0);
 
-        // Extract the panel pieces (per grid row / column).
-        let mut a_panels: Vec<Matrix> = Vec::with_capacity(pr);
+        // The panel pieces (per grid row / column), views of the owners'
+        // blocks.
+        let mut a_panels: Vec<MatrixView> = Vec::with_capacity(pr);
         for i in 0..pr {
             let r = grid.rank(i, a_owner_col, 0);
-            let (_, c0, _, _) = a.owned_range(r);
-            let loc = a.local(r);
-            let piece = loc.block(0, k0 - c0, loc.rows(), k1 - k0);
+            let (r0, _, nr, _) = a.owned_range(r);
+            let piece = a.dense().subview(r0, k0, nr, k1 - k0);
             let row_group = grid.dim1_group(i, 0);
-            coll::bcast(m, &row_group, a_owner_col, piece.len() as u64);
+            coll::bcast(m, &row_group, a_owner_col, (nr * (k1 - k0)) as u64);
             a_panels.push(piece);
         }
-        let mut b_panels: Vec<Matrix> = Vec::with_capacity(pc);
+        let mut b_panels: Vec<MatrixView> = Vec::with_capacity(pc);
         for j in 0..pc {
             let r = grid.rank(b_owner_row, j, 0);
-            let (r0, _, _, _) = b.owned_range(r);
-            let loc = b.local(r);
-            let piece = loc.block(k0 - r0, 0, k1 - k0, loc.cols());
+            let (_, c0, _, nc) = b.owned_range(r);
+            let piece = b.dense().subview(k0, c0, k1 - k0, nc);
             let col_group = grid.dim0_group(j, 0);
-            coll::bcast(m, &col_group, b_owner_row, piece.len() as u64);
+            coll::bcast(m, &col_group, b_owner_row, ((k1 - k0) * nc) as u64);
             b_panels.push(piece);
         }
 
         // Local accumulation on every processor.
-        for (r, loc) in c.locals_mut().iter_mut().enumerate() {
+        for r in 0..grid.len() {
             let (i, j, _) = grid.coords(r);
             kern::local_gemm(
                 m,
@@ -92,7 +92,7 @@ pub fn summa(m: &Machine, alpha: f64, a: &DistMatrix, b: &DistMatrix, beta: f64,
                 &b_panels[j],
                 Trans::N,
                 1.0,
-                loc,
+                &mut c.block_mut(r),
             );
         }
     }
@@ -110,6 +110,7 @@ mod tests {
     use ca_bsp::{Machine, MachineParams};
     use ca_dla::gemm::matmul;
     use ca_dla::gen;
+    use ca_dla::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -129,7 +130,7 @@ mod tests {
         let mut dc = DistMatrix::zeros(&m, &g, 12, 10);
         summa(&m, 1.0, &da, &db, 0.0, &mut dc);
         let want = matmul(&a, Trans::N, &b, Trans::N);
-        assert!(dc.assemble_unchecked().max_diff(&want) < 1e-12);
+        assert!(dc.dense().max_diff(&want) < 1e-12);
     }
 
     #[test]
@@ -147,7 +148,7 @@ mod tests {
         let mut want = c0.clone();
         want.scale(3.0);
         want.axpy(2.0, &matmul(&a, Trans::N, &b, Trans::N));
-        assert!(dc.assemble_unchecked().max_diff(&want) < 1e-12);
+        assert!(dc.dense().max_diff(&want) < 1e-12);
     }
 
     #[test]

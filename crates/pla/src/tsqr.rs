@@ -15,6 +15,7 @@ use crate::kern;
 use ca_bsp::Machine;
 use ca_dla::gemm::{gemm_view, matmul, Trans};
 use ca_dla::qr::QrFactors;
+use ca_dla::view::MatrixViewMut;
 use ca_dla::Matrix;
 
 /// One merge node of the TSQR reduction tree.
@@ -58,7 +59,7 @@ pub fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
 
     // Leaf factorizations — one independent QR per rank.
     let leaves: Vec<QrFactors> = (0..g)
-        .map(|rank| kern::local_qr(m, group.proc(rank), a.local(rank)))
+        .map(|rank| kern::local_qr(m, group.proc(rank), &a.block(rank)))
         .collect();
     let mut current_r: Vec<Matrix> = leaves.iter().map(|f| f.r.clone()).collect();
     m.step(group.procs(), 1);
@@ -96,7 +97,7 @@ pub fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
                     partner,
                     top_rows: top.rows(),
                     bot_rows: bot.rows(),
-                    factors: kern::local_qr(m, group.proc(owner), &stacked),
+                    factors: kern::local_qr(m, group.proc(owner), &stacked.view()),
                 }
             })
             .collect();
@@ -133,13 +134,13 @@ fn wy_coefficients(f: &QrFactors, s: &Matrix) -> Matrix {
     matmul(&f.t, Trans::N, &uts, Trans::N)
 }
 
-/// Rows `row0..row0 + nrows` of `Q·[S; 0] = [S; 0] − U·coeff`, with
-/// `coeff` from [`wy_coefficients`].
-fn q_rows(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, nrows: usize) -> Matrix {
-    let n = s.cols();
-    let mut out = Matrix::zeros(nrows, n);
+/// Rows `row0..row0 + out.rows()` of `Q·[S; 0] = [S; 0] − U·coeff`
+/// into `out`, with `coeff` from [`wy_coefficients`].
+fn q_rows_into(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, out: &mut MatrixViewMut) {
+    let (nrows, n) = (out.rows(), s.cols());
     let live = s.rows().saturating_sub(row0).min(nrows);
-    out.subview_mut(0, 0, live, n).copy_from(&s.subview(row0, 0, live, n));
+    out.sub_mut(0, 0, live, n).copy_from(&s.subview(row0, 0, live, n));
+    out.sub_mut(live, 0, nrows - live, n).fill(0.0);
     gemm_view(
         -1.0,
         &f.u.subview(row0, 0, nrows, f.k()),
@@ -147,8 +148,14 @@ fn q_rows(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, nrows: usize) 
         &coeff.view(),
         Trans::N,
         1.0,
-        &mut out.view_mut(),
+        out,
     );
+}
+
+/// [`q_rows_into`] a fresh `nrows × n` slab.
+fn q_rows(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, nrows: usize) -> Matrix {
+    let mut out = Matrix::zeros(nrows, s.cols());
+    q_rows_into(f, s, coeff, row0, &mut out.view_mut());
     out
 }
 
@@ -212,7 +219,7 @@ pub fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
             ca_dla::costs::apply_q_flops(rows, leaf.k(), n),
         );
         let coeff = wy_coefficients(leaf, &s);
-        *out.local_mut(rank) = q_rows(leaf, &s, &coeff, 0, rows);
+        q_rows_into(leaf, &s, &coeff, 0, &mut out.block_mut(rank));
     }
     m.step(t.group.procs(), 1);
 }
@@ -247,17 +254,17 @@ mod tests {
         let a = gen::random_matrix(&mut rng, mrows, n);
         let da = DistMatrix::from_dense(&m, &grid, &a);
         let (q, r) = tsqr_explicit(&m, &da);
-        let qd = q.assemble_unchecked();
+        let qd = q.dense();
         let k = r.rows();
         // QᵀQ = I.
-        let qtq = matmul(&qd, Trans::T, &qd, Trans::N);
+        let qtq = matmul(qd, Trans::T, qd, Trans::N);
         assert!(
             qtq.max_diff(&Matrix::identity(n.min(qtq.rows()))) < 1e-11,
             "m={mrows} n={n} g={g}: Q not orthonormal ({})",
             qtq.max_diff(&Matrix::identity(n))
         );
         // QR = A.
-        let qr = matmul(&qd, Trans::N, &r, Trans::N);
+        let qr = matmul(qd, Trans::N, &r, Trans::N);
         assert!(qr.max_diff(&a) < 1e-11, "m={mrows} n={n} g={g}: QR ≠ A");
         // R upper-triangular.
         for i in 0..k {

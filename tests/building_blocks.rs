@@ -36,7 +36,7 @@ fn three_multiply_algorithms_agree() {
     let db = DistMatrix::from_dense(&m1, &g2, &b);
     let mut dc = DistMatrix::zeros(&m1, &g2, n, k);
     summa(&m1, 1.0, &da, &db, 0.0, &mut dc);
-    assert!(dc.assemble_unchecked().max_diff(&want) < 1e-11);
+    assert!(dc.dense().max_diff(&want) < 1e-11);
 
     // CARMA (recursive).
     let m2 = machine(p);
@@ -131,9 +131,227 @@ fn cyclic_and_block_layouts_interoperate() {
     let cyc = CyclicMatrix::from_dense(&m, &g, &a, 3, 3);
     let blk = cyc.to_block(&m, &g);
     let round = from_block(&m, &blk, 5, 2);
-    assert!(round.assemble_unchecked().max_diff(&a) < 1e-15);
+    assert!(round.dense().max_diff(&a) < 1e-15);
     // Every conversion charged communication.
     assert!(m.report().total_volume_words > 0);
+}
+
+/// `(case label, [F, W, Q, S, M, total volume, total flops], FNV-1a of
+/// the output bits)` for the building-block calls no solve pins: each
+/// case runs on a fresh machine from its inputs' distribution on, so the
+/// ledger covers the whole call. The rows were recorded while every
+/// distributed matrix still kept one copy per rank, and held when they
+/// became one buffer plus a layout — all but the `from_block` row, whose
+/// senders had been charged twice (`W` 621 → 522, volume 3059 → 2622,
+/// bits unchanged). Re-run with `UPDATE_GOLDEN=1 cargo test --test
+/// building_blocks -- --nocapture` to print new pin lines after an
+/// intentional accounting change.
+#[rustfmt::skip]
+const BLOCK_PINS: &[(&str, [u64; 7], u64)] = &[
+    ("rect_qr_tree m=128 n=8 p=4 q_max=4", [38362, 3252, 2976, 76, 1280, 12368, 109025], 0x391286862b861989),
+    ("rect_qr_tree m=96 n=8 p=3 q_max=2", [36382, 2784, 3024, 49, 1432, 6848, 67818], 0x36d3f22fa10c4188),
+    ("rect_qr_tree m=24 n=12 p=4 q_max=2", [53640, 1728, 2448, 20, 1512, 3744, 78480], 0x0a2f6a1109252614),
+    ("summa 9x7x11 grid=2x3 alpha=2 beta=3", [280, 204, 143, 19, 51, 1033, 1386], 0x998cab42158ca6f3),
+    ("dist_lu_signed n=16 q=4", [426, 302, 144, 26, 48, 3392, 2728], 0x6352345873e93956),
+    ("dist_lu_signed n=9 q=3", [126, 130, 54, 20, 27, 882, 486], 0x5b628c5ee56b7056),
+    ("dist_tri_inverse upper non-unit n=12 q=2", [900, 162, 216, 7, 72, 576, 1044], 0x7af45b451e04928c),
+    ("dist_tri_inverse lower unit n=13 q=3", [560, 227, 177, 13, 100, 1370, 1471], 0xf69dc47503d33b5f),
+    ("tsqr_explicit+reconstruct m=48 n=6 g=8", [10800, 554, 405, 43, 189, 2946, 37134], 0x0d703c4582b88f2c),
+    ("tsqr_explicit+reconstruct m=60 n=5 g=6", [7217, 412, 349, 42, 226, 1960, 21824], 0x1d56a5a53d4ac9b7),
+    ("rect_qr explicit_q+apply_qt m=20 n=8 g=4 base=4", [8051, 1110, 1218, 106, 191, 4248, 23836], 0x7505e5c3f52c762c),
+    ("DistMatrix::redistribute 10x6 2x2->3x2", [0, 54, 0, 2, 24, 240, 0], 0x61d3e0fa971991e5),
+    ("DistMatrix::block_redist 11x7 3x2 (2,1,6,5)->2x1", [0, 59, 0, 2, 31, 214, 0], 0xf775e5a982e13ab3),
+    ("DistMatrix::transpose 10x7 3x3", [0, 35, 0, 2, 24, 232, 0], 0x3f0c1545aa1a6366),
+    ("DistMatrix::gather 9x11 2x3 root=1", [0, 114, 0, 2, 20, 366, 0], 0x6c727d5505eb94fc),
+    ("DistMatrix::read_block 8x8 2x2 (2,3,4,4) dest=0", [0, 46, 0, 2, 16, 156, 0], 0x88cb7aa7fd9d7b60),
+    ("DistMatrix::replicate 9x11 2x3 onto 4", [0, 210, 0, 3, 119, 897, 0], 0x5f0dc968264860de),
+    ("CyclicMatrix::from_dense 19x23 2x3 mb=4 nb=3", [0, 198, 0, 1, 99, 874, 0], 0x5ecd41fc15b017aa),
+    ("CyclicMatrix::from_dense → to_block 19x23 2x3 mb=4 nb=3", [0, 360, 0, 2, 162, 1748, 0], 0xea03023ebe2f1d6d),
+    ("CyclicMatrix::from_dense → to_block → from_block 19x23 2x3 mb=4 nb=3", [0, 522, 0, 3, 261, 2622, 0], 0xd112d1d372ce28b2),
+];
+
+/// FNV-1a over the exact bit patterns of a stream of `f64`s.
+fn bit_hash(values: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Run `case` on a fresh `p`-processor machine (it appends its outputs
+/// to the vector) and check the ledger and output bits against
+/// [`BLOCK_PINS`].
+fn check_pin(label: &str, p: usize, case: impl FnOnce(&Machine, &mut Vec<f64>)) {
+    let m = machine(p);
+    let mut out = Vec::new();
+    case(&m, &mut out);
+    let c = m.report();
+    let got = (
+        [
+            c.flops,
+            c.horizontal_words,
+            c.vertical_words,
+            c.supersteps,
+            c.peak_memory_words,
+            c.total_volume_words,
+            c.total_flops,
+        ],
+        bit_hash(&out),
+    );
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        println!("    (\"{label}\", {:?}, 0x{:016x}),", got.0, got.1);
+        return;
+    }
+    let pin = BLOCK_PINS
+        .iter()
+        .find(|p| p.0 == label)
+        .unwrap_or_else(|| panic!("{label}: no pinned ledger"));
+    assert_eq!(got.0, pin.1, "{label}: ledger drifted from its pin");
+    assert_eq!(
+        format!("{:016x}", got.1),
+        format!("{:016x}", pin.2),
+        "{label}: output bits drifted from their pin"
+    );
+}
+
+fn diag_dominant(n: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut a = gen::random_matrix(&mut rng, n, n);
+    for i in 0..n {
+        a.set(i, i, n as f64 + a.get(i, i));
+    }
+    a
+}
+
+#[test]
+fn building_block_ledgers_and_bits_are_pinned() {
+    use ca_symm_eig::dla::lu::{lu_nopivot, Diag, Triangle};
+    use ca_symm_eig::pla::cyclic::{from_block, CyclicMatrix};
+    use ca_symm_eig::pla::lu::{dist_lu_signed, dist_tri_inverse};
+    use ca_symm_eig::pla::reconstruct::reconstruct;
+    use ca_symm_eig::pla::rect_qr::{apply_qt, explicit_q, rect_qr_tree, rect_qr_with_base};
+    use ca_symm_eig::pla::tsqr::tsqr_explicit;
+
+    let random = |rows: usize, cols: usize, seed: u64| {
+        gen::random_matrix(&mut StdRng::seed_from_u64(seed), rows, cols)
+    };
+    let grid = |p: usize, pr: usize, pc: usize| Grid::new_2d((0..p).collect(), pr, pc);
+
+    // rect_qr_tree: the tall tree, its uneven p = 3 processor split, and
+    // the (nearly) square base case.
+    for (mrows, n, p, q_max, seed) in [(128, 8, 4, 4, 160), (96, 8, 3, 2, 163), (24, 12, 4, 2, 162)] {
+        check_pin(&format!("rect_qr_tree m={mrows} n={n} p={p} q_max={q_max}"), p, |m, out| {
+            let da = DistMatrix::from_dense(m, &grid(p, p, 1), &random(mrows, n, seed));
+            let (q, r) = rect_qr_tree(m, &da, q_max);
+            out.extend_from_slice(q.dense().data());
+            out.extend_from_slice(r.data());
+        });
+    }
+
+    check_pin("summa 9x7x11 grid=2x3 alpha=2 beta=3", 6, |m, out| {
+        let g = grid(6, 2, 3);
+        let da = DistMatrix::from_dense(m, &g, &random(9, 7, 81));
+        let db = DistMatrix::from_dense(m, &g, &random(7, 11, 82));
+        let mut dc = DistMatrix::from_dense(m, &g, &random(9, 11, 83));
+        summa(m, 2.0, &da, &db, 3.0, &mut dc);
+        out.extend_from_slice(dc.dense().data());
+    });
+
+    for (n, q) in [(16, 4), (9, 3)] {
+        check_pin(&format!("dist_lu_signed n={n} q={q}"), q * q, |m, out| {
+            let da = DistMatrix::from_dense(m, &grid(q * q, q, q), &diag_dominant(n, 100 + n as u64));
+            let (l, u, s) = dist_lu_signed(m, &da);
+            out.extend_from_slice(l.dense().data());
+            out.extend_from_slice(u.dense().data());
+            out.extend(s);
+        });
+    }
+
+    check_pin("dist_tri_inverse upper non-unit n=12 q=2", 4, |m, out| {
+        let (_, u) = lu_nopivot(&diag_dominant(12, 105));
+        let du = DistMatrix::from_dense(m, &grid(4, 2, 2), &u);
+        out.extend_from_slice(dist_tri_inverse(m, &du, Triangle::Upper, Diag::NonUnit).dense().data());
+    });
+    check_pin("dist_tri_inverse lower unit n=13 q=3", 9, |m, out| {
+        let (l, _) = lu_nopivot(&diag_dominant(13, 106));
+        let dl = DistMatrix::from_dense(m, &grid(9, 3, 3), &l);
+        out.extend_from_slice(dist_tri_inverse(m, &dl, Triangle::Lower, Diag::Unit).dense().data());
+    });
+
+    for (mrows, n, g, seed) in [(48, 6, 8, 704), (60, 5, 6, 92)] {
+        check_pin(&format!("tsqr_explicit+reconstruct m={mrows} n={n} g={g}"), g, |m, out| {
+            let da = DistMatrix::from_dense(m, &grid(g, g, 1), &random(mrows, n, seed));
+            let (q, r) = tsqr_explicit(m, &da);
+            let rec = reconstruct(m, &q);
+            out.extend_from_slice(q.dense().data());
+            out.extend_from_slice(r.data());
+            out.extend_from_slice(rec.u.dense().data());
+            out.extend_from_slice(rec.t.data());
+            out.extend(rec.s);
+        });
+    }
+
+    check_pin("rect_qr explicit_q+apply_qt m=20 n=8 g=4 base=4", 4, |m, out| {
+        let g = grid(4, 4, 1);
+        let da = DistMatrix::from_dense(m, &g, &random(20, 8, 145));
+        let f = rect_qr_with_base(m, &da, 4);
+        let q = explicit_q(m, &f);
+        let mut dc = DistMatrix::from_dense(m, &g, &random(20, 5, 146));
+        apply_qt(m, &f, &mut dc);
+        out.extend_from_slice(f.u.dense().data());
+        out.extend_from_slice(f.t.data());
+        out.extend_from_slice(f.r.data());
+        out.extend_from_slice(q.dense().data());
+        out.extend_from_slice(dc.dense().data());
+    });
+
+    check_pin("DistMatrix::redistribute 10x6 2x2->3x2", 8, |m, out| {
+        let d = DistMatrix::from_dense(m, &grid(4, 2, 2), &random(10, 6, 72));
+        let g2 = Grid::new_2d((2..8).collect(), 3, 2);
+        out.extend_from_slice(d.redistribute(m, &g2).dense().data());
+    });
+    check_pin("DistMatrix::block_redist 11x7 3x2 (2,1,6,5)->2x1", 6, |m, out| {
+        let d = DistMatrix::from_dense(m, &grid(6, 3, 2), &random(11, 7, 73));
+        let g2 = Grid::new_2d(vec![1, 4], 2, 1);
+        out.extend_from_slice(d.block_redist(m, 2, 1, 6, 5, &g2).dense().data());
+    });
+    check_pin("DistMatrix::transpose 10x7 3x3", 9, |m, out| {
+        let d = DistMatrix::from_dense(m, &grid(9, 3, 3), &random(10, 7, 74));
+        out.extend_from_slice(d.transpose(m).dense().data());
+    });
+    check_pin("DistMatrix::gather 9x11 2x3 root=1", 6, |m, out| {
+        let d = DistMatrix::from_dense(m, &grid(6, 2, 3), &random(9, 11, 75));
+        out.extend_from_slice(d.gather(m, 1).data());
+    });
+    check_pin("DistMatrix::read_block 8x8 2x2 (2,3,4,4) dest=0", 4, |m, out| {
+        let d = DistMatrix::from_dense(m, &grid(4, 2, 2), &random(8, 8, 71));
+        out.extend_from_slice(d.read_block(m, 0, 2, 3, 4, 4).data());
+    });
+    check_pin("DistMatrix::replicate 9x11 2x3 onto 4", 6, |m, out| {
+        let d = DistMatrix::from_dense(m, &grid(6, 2, 3), &random(9, 11, 76));
+        out.extend_from_slice(d.replicate(m, &Grid::new_1d(vec![0, 2, 4, 5])).data());
+    });
+
+    // The cyclic conversions, one link of the chain more per row.
+    for links in 1..=3 {
+        let label = ["CyclicMatrix::from_dense", "→ to_block", "→ from_block"][..links].join(" ");
+        check_pin(&format!("{label} 19x23 2x3 mb=4 nb=3"), 6, |m, out| {
+            let g = grid(6, 2, 3);
+            let c = CyclicMatrix::from_dense(m, &g, &random(19, 23, 800), 4, 3);
+            out.extend_from_slice(c.dense().data());
+            if links >= 2 {
+                let d = c.to_block(m, &g);
+                out.extend_from_slice(d.dense().data());
+                if links == 3 {
+                    out.extend_from_slice(from_block(m, &d, 4, 3).dense().data());
+                }
+            }
+        });
+    }
 }
 
 #[test]
@@ -148,7 +366,7 @@ fn reconstruction_composes_with_tsqr_on_many_shapes() {
         let rec = ca_symm_eig::pla::reconstruct::reconstruct(&m, &q);
         // A = (I − U T Uᵀ)[S·R; 0].
         let r_fixed = rec.fix_r(&r);
-        let u = rec.u.assemble_unchecked();
+        let u = rec.u.dense().clone();
         let mut stack = Matrix::zeros(mrows, n);
         stack.set_block(0, 0, &r_fixed);
         let ut = matmul(&u, Trans::T, &stack, Trans::N);

@@ -81,7 +81,7 @@ fn run_rect_qr(m: usize, n: usize, p: usize, seed: u64) -> (Matrix, Matrix, Cost
     let grid = Grid::new_1d((0..p).collect());
     let ad = DistMatrix::from_dense(&machine, &grid, &a);
     let (q, r) = rect_qr_tree(&machine, &ad, p);
-    (q.assemble_unchecked(), r, machine.report())
+    (q.release(&machine), r, machine.report())
 }
 
 #[test]

@@ -71,7 +71,7 @@ proptest! {
         let grid = Grid::new_2d((0..g).collect(), g, 1);
         let da = DistMatrix::from_dense(&m, &grid, &a);
         let (q, r) = tsqr_explicit(&m, &da);
-        let qd = q.assemble_unchecked();
+        let qd = q.dense().clone();
         let qtq = matmul(&qd, Trans::T, &qd, Trans::N);
         prop_assert!(qtq.max_diff(&Matrix::identity(a.cols())) < 1e-9);
         let qr = matmul(&qd, Trans::N, &r, Trans::N);
@@ -114,13 +114,13 @@ proptest! {
         let m = Machine::new(MachineParams::new(p));
         let grid = Grid::new_2d((0..p).collect(), pr, pc);
         let d = DistMatrix::from_dense(&m, &grid, &a);
-        prop_assert!(d.assemble_unchecked().max_diff(&a) < 1e-15);
+        prop_assert!(d.dense().max_diff(&a) < 1e-15);
         let gathered = d.gather(&m, 0);
         prop_assert!(gathered.max_diff(&a) < 1e-15);
         // Redistribution to a different shape preserves content.
         let grid2 = Grid::new_2d((0..p).collect(), pc, pr);
         let d2 = d.redistribute(&m, &grid2);
-        prop_assert!(d2.assemble_unchecked().max_diff(&a) < 1e-15);
+        prop_assert!(d2.dense().max_diff(&a) < 1e-15);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn distributed_reconstruction_matches_explicit_q_on_ragged_shapes() {
         let a = gen::random_matrix(&mut rng, mrows, n);
         let da = DistMatrix::from_dense(&m, &grid, &a);
         let (q, _r) = tsqr::tsqr_explicit(&m, &da);
-        let q_dense = q.assemble_unchecked();
+        let q_dense = q.dense().clone();
         // The explicitly accumulated Q is orthonormal…
         let qtq = matmul(&q_dense, Trans::T, &q_dense, Trans::N);
         assert!(
@@ -85,7 +85,7 @@ fn distributed_reconstruction_matches_explicit_q_on_ragged_shapes() {
         );
         // …and the LU-path reconstruction reproduces it.
         let rec = reconstruct(&m, &q);
-        assert_wy_identity(&q_dense, &rec.u.assemble_unchecked(), &rec.t, &rec.s, 1e-9);
+        assert_wy_identity(&q_dense, rec.u.dense(), &rec.t, &rec.s, 1e-9);
     }
 }
 
@@ -103,7 +103,7 @@ fn local_and_distributed_reconstructions_agree() {
     let a = gen::random_matrix(&mut rng, mrows, n);
     let da = DistMatrix::from_dense(&m, &grid, &a);
     let (q, _) = tsqr::tsqr_explicit(&m, &da);
-    let q_dense = q.assemble_unchecked();
+    let q_dense = q.dense().clone();
 
     let rec = reconstruct(&m, &q);
     let (u_loc, t_loc, s_loc) = reconstruct_local(&q_dense);
@@ -113,9 +113,9 @@ fn local_and_distributed_reconstructions_agree() {
         assert_eq!(a, b, "sign choice diverged between paths");
     }
     assert!(
-        rec.u.assemble_unchecked().max_diff(&u_loc) < 1e-9,
+        rec.u.dense().max_diff(&u_loc) < 1e-9,
         "U diverged: {}",
-        rec.u.assemble_unchecked().max_diff(&u_loc)
+        rec.u.dense().max_diff(&u_loc)
     );
     assert!(rec.t.max_diff(&t_loc) < 1e-9, "T diverged: {}", rec.t.max_diff(&t_loc));
 }
@@ -135,7 +135,7 @@ fn rect_qr_wy_factors_rebuild_input_on_ragged_panels() {
         let f = rect_qr::rect_qr(&m, &da);
 
         // Stack [R; 0] and apply I − U·T·Uᵀ.
-        let u = f.u.assemble_unchecked();
+        let u = f.u.dense().clone();
         let mut stack = Matrix::zeros(mrows, n);
         stack.set_block(0, 0, &f.r);
         let ut = matmul(&u, Trans::T, &stack, Trans::N);
@@ -163,7 +163,7 @@ fn reconstruction_handles_square_panel() {
     let da = DistMatrix::from_dense(&m, &grid, &a);
     let (q, _) = tsqr::tsqr_explicit(&m, &da);
     let rec = reconstruct(&m, &q);
-    assert_wy_identity(&q.assemble_unchecked(), &rec.u.assemble_unchecked(), &rec.t, &rec.s, 1e-8);
+    assert_wy_identity(q.dense(), rec.u.dense(), &rec.t, &rec.s, 1e-8);
 }
 
 #[test]
@@ -198,16 +198,16 @@ fn production_shapes_reconstruct_to_working_precision() {
         let a = gen::random_matrix(&mut rng, mrows, n);
         let da = DistMatrix::from_dense(&m, &grid, &a);
         let (q, _) = tsqr::tsqr_explicit(&m, &da);
-        let q_dense = q.assemble_unchecked();
+        let q_dense = q.dense().clone();
         let rec = reconstruct(&m, &q);
-        let u = rec.u.assemble_unchecked();
+        let u = rec.u.dense().clone();
         assert_wy_identity(&q_dense, &u, &rec.t, &rec.s, 1e-12);
 
         // Kernel pieces inline (budget 1) or pooled: the same bits.
         let inline = exec::with_forced_serial(|| reconstruct(&machine(g), &q));
         assert_eq!(inline.s, rec.s, "g = {g}: signs depend on the budget");
         assert_eq!(inline.t, rec.t, "g = {g}: T's bits depend on the budget");
-        assert_eq!(inline.u.assemble_unchecked(), u, "g = {g}: U's bits depend on the budget");
+        assert_eq!(inline.u.dense(), &u, "g = {g}: U's bits depend on the budget");
 
         // The sequential form (right solves instead of inverses) agrees.
         let (u_loc, t_loc, s_loc) = reconstruct_local(&q_dense);
