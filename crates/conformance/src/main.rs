@@ -67,7 +67,7 @@ fn main() -> ExitCode {
             println!("  {name:<28} {value}");
         }
         if dropped > 0 {
-            println!("  (trace ring overflowed: {dropped} events dropped)");
+            println!("  (trace sink overflowed: {dropped} events dropped)");
         }
     }
     if report.pass {

@@ -26,7 +26,7 @@
 //! exactly at the granularity the paper's cost expressions sum over.
 
 use ca_bsp::Machine;
-use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, ChaseOp};
+use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, BlockReflector, ChaseOp};
 use ca_dla::{costs, BandedSym, MatrixView, QrFactors, Workspace};
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
@@ -78,7 +78,7 @@ pub fn try_band_to_band(
     bmat: &BandedSym,
     h: usize,
     v_mem: usize,
-    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
+    mut rec: Option<&mut Vec<BlockReflector>>,
 ) -> Result<(BandedSym, BandToBandTrace), crate::EigenError> {
     let b = bmat.bandwidth();
     if h < 1 || h > b {
@@ -379,7 +379,7 @@ mod tests {
         // input.
         let mut blocks = Vec::new();
         let (d, e) = ca_dla::tridiag::band_to_tridiagonal(&out, Some(&mut blocks));
-        log.stage("finale").extend(blocks.into_iter().map(Into::into));
+        log.stage("finale").extend(blocks);
         let (lam, z) = ca_dla::dnc::dnc_eigen(&d, &e).unwrap();
         let v = crate::transforms::back_transform(&m, &grid, &log, &z);
         let gram = matmul(&v, Trans::T, &v, Trans::N);

@@ -12,7 +12,7 @@
 //! (recorded deviation, DESIGN.md §8).
 
 use ca_bsp::Machine;
-use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, ChaseOp};
+use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, BlockReflector, ChaseOp};
 use ca_dla::{costs, BandedSym, Workspace};
 use ca_pla::grid::Grid;
 
@@ -28,7 +28,7 @@ pub fn ca_sbr(
     machine: &Machine,
     grid: &Grid,
     bmat: &BandedSym,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
+    rec: Option<&mut Vec<BlockReflector>>,
 ) -> BandedSym {
     let _span = ca_obs::kernel_span("driver.ca_sbr");
     let n = bmat.n();

@@ -26,6 +26,7 @@
 
 use crate::params::EigenParams;
 use ca_bsp::Machine;
+use ca_dla::bulge::BlockReflector;
 use ca_dla::gemm::Trans;
 use ca_dla::view::MatrixView;
 use ca_dla::{BandedSym, Matrix};
@@ -80,7 +81,7 @@ pub fn try_full_to_band(
     params: &EigenParams,
     a: &Matrix,
     b: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
+    rec: Option<&mut Vec<BlockReflector>>,
 ) -> Result<(BandedSym, FullToBandTrace), crate::EigenError> {
     use crate::EigenError;
     params.revalidate()?;
@@ -129,7 +130,7 @@ pub(crate) fn full_to_band_impl(
     params: &EigenParams,
     a: &Matrix,
     b: usize,
-    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
+    mut rec: Option<&mut Vec<BlockReflector>>,
 ) -> (BandedSym, FullToBandTrace) {
     let _span = ca_obs::kernel_span("driver.full_to_band");
     let n = a.rows();
@@ -364,7 +365,7 @@ pub(crate) fn full_to_band_impl(
             machine.step(grid3.procs(), 2);
             u_agg.set_block(o + b, m_agg, &u1);
             if let Some(rec) = rec.as_deref_mut() {
-                rec.push(crate::transforms::Reflectors {
+                rec.push(BlockReflector {
                     row0: o + b,
                     u: u1,
                     t: t1,

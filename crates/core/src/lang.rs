@@ -11,7 +11,7 @@
 //! intermediate band-widths.
 
 use ca_bsp::Machine;
-use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, ChaseOp};
+use ca_dla::bulge::{chase_plan_iter, reduce_band_pass, BlockReflector, ChaseOp};
 use ca_dla::{costs, BandedSym, Workspace};
 use ca_pla::grid::Grid;
 
@@ -22,7 +22,7 @@ pub fn lang_band_to_tridiagonal(
     machine: &Machine,
     grid: &Grid,
     bmat: &BandedSym,
-    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
+    mut rec: Option<&mut Vec<BlockReflector>>,
 ) -> BandedSym {
     let n = bmat.n();
     let b = bmat.bandwidth();

@@ -36,7 +36,7 @@
 //! Each operation has one entry point: a fallible one returns
 //! `Result<_, EigenError>` (`try_*`), and a stage that can record its
 //! transforms for eigenvector back-transformation takes them as
-//! `rec: Option<&mut Vec<Reflectors>>`.
+//! `rec: Option<&mut Vec<BlockReflector>>` (`ca_dla::bulge::BlockReflector`).
 
 // Index-heavy numerical code: range loops over several arrays at once
 // are the clearer idiom here.
@@ -66,4 +66,4 @@ pub use lang::lang_band_to_tridiagonal;
 pub use params::EigenParams;
 pub use solver::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, StageCosts};
 pub use svd::{try_singular_values, try_svd, Svd};
-pub use transforms::{back_transform, Reflectors, TransformLog};
+pub use transforms::{back_transform, TransformLog};

@@ -348,8 +348,7 @@ fn solve_impl(
     // capacity) has no reader past this point; the back-transformation
     // below is the solve's memory peak.
     drop(band);
-    log.stage("sequential band→tridiagonal")
-        .extend(blocks.into_iter().map(Into::into));
+    log.stage("sequential band→tridiagonal").extend(blocks);
     let (ev, z) = {
         let _span = ca_obs::kernel_span("finale.dnc");
         ca_dla::dnc::dnc_eigen(&d, &e)?

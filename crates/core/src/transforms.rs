@@ -17,28 +17,11 @@
 //! (`n/p` columns per processor; each reflector's `(U, T)` broadcast).
 
 use ca_bsp::Machine;
+use ca_dla::bulge::BlockReflector;
 use ca_dla::workspace::with_ws;
 use ca_dla::{Matrix, Workspace};
 use ca_pla::grid::Grid;
 use rayon::prelude::*;
-
-/// One two-sided Householder transform: `Q = I − U·T·Uᵀ` acting on
-/// rows `row0 .. row0 + U.rows()`.
-#[derive(Debug, Clone)]
-pub struct Reflectors {
-    /// First global row the transform acts on.
-    pub row0: usize,
-    /// Unit-lower-trapezoidal Householder vectors.
-    pub u: Matrix,
-    /// Upper-triangular compact-WY factor.
-    pub t: Matrix,
-}
-
-impl From<ca_dla::bulge::BlockReflector> for Reflectors {
-    fn from((row0, u, t): ca_dla::bulge::BlockReflector) -> Self {
-        Reflectors { row0, u, t }
-    }
-}
 
 /// The ordered record of every similarity applied during a reduction
 /// (stage granularity is informational; application order is the flat
@@ -46,12 +29,12 @@ impl From<ca_dla::bulge::BlockReflector> for Reflectors {
 #[derive(Debug, Clone, Default)]
 pub struct TransformLog {
     /// `(stage name, transforms in application order)`.
-    pub stages: Vec<(String, Vec<Reflectors>)>,
+    pub stages: Vec<(String, Vec<BlockReflector>)>,
 }
 
 impl TransformLog {
     /// Open a new stage and return a handle to push its reflectors into.
-    pub fn stage(&mut self, name: &str) -> &mut Vec<Reflectors> {
+    pub fn stage(&mut self, name: &str) -> &mut Vec<BlockReflector> {
         self.stages.push((name.to_string(), Vec::new()));
         &mut self.stages.last_mut().expect("just pushed").1
     }
@@ -151,7 +134,7 @@ pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Ma
 /// single reflector (the finale's records on a band too narrow for
 /// blocks, `ca_dla::bulge::sweep_group`) two row-major passes,
 /// `x ← x − τ·u·(uᵀx)`, over one lent row.
-fn apply_reflector(refl: &Reflectors, xp: &mut Matrix, ws: &mut Workspace) {
+fn apply_reflector(refl: &BlockReflector, xp: &mut Matrix, ws: &mut Workspace) {
     let rows = refl.u.rows();
     let k = refl.u.cols();
     let w = xp.cols();
@@ -206,7 +189,7 @@ mod tests {
         for op in chase_plan_iter(n, b, 1) {
             let row0 = op.qr_rows.0;
             let (u, t) = execute_chase_recording(&mut bm, &op);
-            stage.push(Reflectors { row0, u, t });
+            stage.push(BlockReflector { row0, u, t });
         }
         assert!(bm.measured_bandwidth(1e-9) <= 1);
 
@@ -262,7 +245,7 @@ mod tests {
         for op in chase_plan_iter(n, b, 1) {
             let row0 = op.qr_rows.0;
             let (u, t) = execute_chase_recording(&mut bm, &op);
-            stage.push(Reflectors { row0, u, t });
+            stage.push(BlockReflector { row0, u, t });
         }
         let machine = Machine::new(MachineParams::new(4));
         let z = Matrix::identity(n);

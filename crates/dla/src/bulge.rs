@@ -604,9 +604,19 @@ pub fn execute_chase_recording(bmat: &mut BandedSym, op: &ChaseOp) -> (Matrix, M
         .expect("recording chase returns factors")
 }
 
-/// One recorded block reflector `(row0, U, T)`: `Q = I − U·T·Uᵀ` acting
-/// on global rows `row0 .. row0 + U.rows()`.
-pub type BlockReflector = (usize, Matrix, Matrix);
+/// One recorded two-sided transform in compact-WY form:
+/// `Q = I − U·T·Uᵀ` acting on global rows `row0 .. row0 + U.rows()`.
+/// Every reduction stage records these, and the back-transformation
+/// applies them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockReflector {
+    /// First global row the transform acts on.
+    pub row0: usize,
+    /// Unit-lower-trapezoidal Householder vectors.
+    pub u: Matrix,
+    /// Upper-triangular compact-WY factor.
+    pub t: Matrix,
+}
 
 /// Sequentially reduce a symmetric banded matrix from bandwidth `b` to
 /// the target `h` (`1 ≤ h ≤ b`; Algorithm IV.2 executed on one
@@ -614,8 +624,7 @@ pub type BlockReflector = (usize, Matrix, Matrix);
 /// be at least `min(n−1, 2b)`.
 pub fn reduce_band_to(bmat: &mut BandedSym, h: usize) {
     let plan = chase_plan_iter(bmat.n(), bmat.bandwidth(), h);
-    let no_record = None::<&mut Vec<BlockReflector>>;
-    with_ws(|ws| reduce_band_pass(bmat, plan, |_, _| None, no_record, ws));
+    with_ws(|ws| reduce_band_pass(bmat, plan, |_, _| None, None, ws));
     bmat.set_bandwidth(h);
 }
 
@@ -633,13 +642,12 @@ pub fn reduce_band_to(bmat: &mut BandedSym, h: usize) {
 /// factorization of that block made elsewhere (Algorithm IV.2's line 16
 /// on `p·h/n` processors) instead of the local one `None` asks for.
 ///
-/// With `record`, every chase's `(row0, U, T)` is appended in walk order,
-/// as whatever record type the caller keeps.
-pub fn reduce_band_pass<R: From<BlockReflector>>(
+/// With `record`, every chase's block reflector is appended in walk order.
+pub fn reduce_band_pass(
     bmat: &mut BandedSym,
     ops: impl IntoIterator<Item = impl Borrow<ChaseOp>>,
     mut at_factor: impl FnMut(&ChaseOp, &MatrixView) -> Option<QrFactors>,
-    mut record: Option<&mut Vec<R>>,
+    mut record: Option<&mut Vec<BlockReflector>>,
     ws: &mut Workspace,
 ) {
     let n = bmat.n();
@@ -655,7 +663,7 @@ pub fn reduce_band_pass<R: From<BlockReflector>>(
         let factors =
             chase_banded_fast(bmat, op, ws, |block| at_factor(op, block), record.is_some());
         if let (Some(out), Some((u, t))) = (record.as_deref_mut(), factors) {
-            out.push((op.qr_rows.0, u, t).into());
+            out.push(BlockReflector { row0: op.qr_rows.0, u, t });
         }
     }
 }
@@ -1065,7 +1073,7 @@ impl<'a> Blocks<'a> {
                         t.set(r, s, acc);
                     }
                 }
-                self.out.push((row0, u, t));
+                self.out.push(BlockReflector { row0, u, t });
             }
             stage.fill(0.0);
             taus.fill(0.0);
@@ -1370,7 +1378,7 @@ mod tests {
         assert!(!blocks.is_empty());
         // Q = Q₁·Q₂·…  (application order: Qᵢᵀ…Q₁ᵀ·A·Q₁…Qᵢ).
         let mut q = Matrix::identity(n);
-        for (row0, u, t) in &blocks {
+        for BlockReflector { row0, u, t } in &blocks {
             assert!(u.cols() <= sweep_group(b) && u.rows() < b + sweep_group(b));
             let mut cols = q.block(0, *row0, n, u.rows());
             crate::qr::apply_q_right(u, t, &mut cols);

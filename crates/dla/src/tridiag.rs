@@ -146,12 +146,61 @@ impl std::error::Error for NoConvergence {}
 /// Implicit-shift QL with Wilkinson-style shifts (EISPACK `tql1` shape).
 /// Non-convergence comes back as [`NoConvergence`].
 pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
+    let mut d = implicit_ql(d, e, None, "tridiag_eigenvalues")?;
+    d.sort_by(|a, b| a.partial_cmp(b).expect("eigenvalues are finite"));
+    Ok(d)
+}
+
+/// Eigenvalues *and eigenvectors* of the symmetric tridiagonal matrix
+/// `(d, e)`: implicit-shift QL with accumulation of the rotations
+/// (EISPACK `tql2` shape). Returns `(λ ascending, Z)` with the columns
+/// of `Z` the orthonormal eigenvectors (`T·Z = Z·diag(λ)`).
+///
+/// This powers the eigenvector extension (the paper's §IV.C future
+/// work): the band-reduction stages' Householder transforms are
+/// back-applied to `Z` to recover the dense matrix's eigenvectors. Also
+/// the QL leaf solver of [`crate::dnc`]. Non-convergence comes back as
+/// [`NoConvergence`].
+pub fn try_tridiag_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, crate::Matrix), NoConvergence> {
+    let n = d.len();
+    let mut z = crate::Matrix::identity(n);
+    let mut d = implicit_ql(d, e, Some(&mut z), "tridiag_eigen")?;
+
+    // Sort eigenpairs ascending (selection sort, swapping columns).
+    for i in 0..n {
+        let mut k = i;
+        for j in i + 1..n {
+            if d[j] < d[k] {
+                k = j;
+            }
+        }
+        if k != i {
+            d.swap(i, k);
+            for r in 0..n {
+                let tmp = z.get(r, i);
+                z.set(r, i, z.get(r, k));
+                z.set(r, k, tmp);
+            }
+        }
+    }
+    Ok((d, z))
+}
+
+/// The implicit-shift QL iteration of both solvers above: returns the
+/// eigenvalues of `(d, e)`, unsorted, and applies every rotation to the
+/// columns of `z` when one is given (`tql2`; without, `tql1`). The
+/// iteration reads nothing back from `z`, so both solvers return the
+/// same eigenvalues bit for bit. `solver` names the caller in a
+/// [`NoConvergence`].
+fn implicit_ql(
+    d: &[f64],
+    e: &[f64],
+    mut z: Option<&mut crate::Matrix>,
+    solver: &'static str,
+) -> Result<Vec<f64>, NoConvergence> {
     let n = d.len();
     assert!(n > 0);
     assert_eq!(e.len(), n - 1, "sub-diagonal must have n−1 entries");
-    if n == 1 {
-        return Ok(vec![d[0]]);
-    }
     let mut d = d.to_vec();
     // Working copy of the off-diagonal with a trailing sentinel zero.
     let mut e: Vec<f64> = e.iter().copied().chain(std::iter::once(0.0)).collect();
@@ -173,7 +222,7 @@ pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConve
             }
             iter += 1;
             if iter > MAX_QL_ITERS {
-                return Err(NoConvergence { solver: "tridiag_eigenvalues", index: l });
+                return Err(NoConvergence { solver, index: l });
             }
 
             // Wilkinson shift.
@@ -202,6 +251,15 @@ pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConve
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
+                if let Some(z) = z.as_deref_mut() {
+                    // Accumulate the rotation into Z (columns i, i+1).
+                    for k in 0..n {
+                        let zf = z.get(k, i + 1);
+                        let zi = z.get(k, i);
+                        z.set(k, i + 1, s * zi + c * zf);
+                        z.set(k, i, c * zi - s * zf);
+                    }
+                }
             }
             if underflow {
                 continue;
@@ -211,106 +269,7 @@ pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConve
             e[m] = 0.0;
         }
     }
-    d.sort_by(|a, b| a.partial_cmp(b).expect("eigenvalues are finite"));
     Ok(d)
-}
-
-/// Eigenvalues *and eigenvectors* of the symmetric tridiagonal matrix
-/// `(d, e)`: implicit-shift QL with accumulation of the rotations
-/// (EISPACK `tql2` shape). Returns `(λ ascending, Z)` with the columns
-/// of `Z` the orthonormal eigenvectors (`T·Z = Z·diag(λ)`).
-///
-/// This powers the eigenvector extension (the paper's §IV.C future
-/// work): the band-reduction stages' Householder transforms are
-/// back-applied to `Z` to recover the dense matrix's eigenvectors. Also
-/// the QL leaf solver of [`crate::dnc`]. Non-convergence comes back as
-/// [`NoConvergence`].
-pub fn try_tridiag_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, crate::Matrix), NoConvergence> {
-    let n = d.len();
-    assert!(n > 0);
-    assert_eq!(e.len(), n - 1, "sub-diagonal must have n−1 entries");
-    let mut d = d.to_vec();
-    let mut e: Vec<f64> = e.iter().copied().chain(std::iter::once(0.0)).collect();
-    let mut z = crate::Matrix::identity(n);
-
-    for l in 0..n {
-        let mut iter = 0;
-        loop {
-            let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            iter += 1;
-            if iter > MAX_QL_ITERS {
-                return Err(NoConvergence { solver: "tridiag_eigen", index: l });
-            }
-
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            g = d[m] - d[l] + e[l] / (g + if g >= 0.0 { r.abs() } else { -r.abs() });
-            let (mut s, mut c, mut p) = (1.0f64, 1.0f64, 0.0f64);
-
-            let mut underflow = false;
-            for i in (l..m).rev() {
-                let f = s * e[i];
-                let b = c * e[i];
-                r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    underflow = true;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
-                // Accumulate the rotation into Z (columns i, i+1).
-                for k in 0..n {
-                    let zf = z.get(k, i + 1);
-                    let zi = z.get(k, i);
-                    z.set(k, i + 1, s * zi + c * zf);
-                    z.set(k, i, c * zi - s * zf);
-                }
-            }
-            if underflow {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
-            e[m] = 0.0;
-        }
-    }
-
-    // Sort eigenpairs ascending (selection sort, swapping columns).
-    for i in 0..n {
-        let mut k = i;
-        for j in i + 1..n {
-            if d[j] < d[k] {
-                k = j;
-            }
-        }
-        if k != i {
-            d.swap(i, k);
-            for r in 0..n {
-                let tmp = z.get(r, i);
-                z.set(r, i, z.get(r, k));
-                z.set(r, k, tmp);
-            }
-        }
-    }
-    Ok((d, z))
 }
 
 /// Eigenvalues of a symmetric banded matrix, computed sequentially,
@@ -593,6 +552,29 @@ mod tests {
             let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let e: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
             check_tridiag_eigen(&d, &e, 1e-9);
+        }
+    }
+
+    #[test]
+    fn both_ql_solvers_return_the_same_eigenvalue_bits() {
+        // One iteration under both entry points: with and without the
+        // rotations into Z, the eigenvalues agree bit for bit — on the
+        // gallery's tridiagonals and on random ones.
+        let mut rng = StdRng::seed_from_u64(55);
+        for n in [2usize, 3, 7, 21, 40] {
+            for a in [
+                gen::wilkinson(n),
+                gen::clement(n),
+                gen::laplacian_2d(n, 1),
+                gen::random_banded(&mut rng, n, 1),
+                gen::random_banded(&mut rng, n, 1),
+            ] {
+                let (d, e) = BandedSym::from_dense(&a, 1, 1).tridiagonal();
+                let values = try_tridiag_eigenvalues(&d, &e).unwrap();
+                let (pairs, _) = try_tridiag_eigen(&d, &e).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&values), bits(&pairs), "n = {n}");
+            }
         }
     }
 

@@ -60,7 +60,7 @@ fn banded(n: usize, b: usize, seed: u64) -> (Matrix, BandedSym) {
 /// `Q = Q₁Q₂⋯` over the blocks in emitted order.
 fn accumulate(n: usize, blocks: &[BlockReflector]) -> Matrix {
     let mut q = Matrix::identity(n);
-    for (row0, u, t) in blocks {
+    for BlockReflector { row0, u, t } in blocks {
         let mut cols = q.block(0, *row0, n, u.rows());
         apply_q_right(u, t, &mut cols);
         q.set_block(0, *row0, &cols);
@@ -77,8 +77,8 @@ fn accumulate(n: usize, blocks: &[BlockReflector]) -> Matrix {
 fn rank1_in_sweep_order(blocks: &[BlockReflector]) -> Vec<(usize, Vec<f64>, f64)> {
     let mut keyed = Vec::new();
     let mut group = 0usize;
-    for (k, (row0, u, t)) in blocks.iter().enumerate() {
-        if k > 0 && *row0 > blocks[k - 1].0 {
+    for (k, BlockReflector { row0, u, t }) in blocks.iter().enumerate() {
+        if k > 0 && *row0 > blocks[k - 1].row0 {
             group += 1;
         }
         for s in 0..u.cols() {
@@ -139,7 +139,7 @@ fn blocks_are_the_sweeps_transform_in_a_legal_order() {
         // Shapes: at most g columns, the (b + g − 1)-row trapezoid cut
         // short only by the matrix end; a short last group and a short
         // last position both occur on these ragged shapes.
-        for (row0, u, t) in &blocks {
+        for BlockReflector { row0, u, t } in &blocks {
             assert!(u.cols() <= g && (t.rows(), t.cols()) == (u.cols(), u.cols()));
             assert_eq!(
                 u.rows(),
@@ -148,11 +148,11 @@ fn blocks_are_the_sweeps_transform_in_a_legal_order() {
             );
         }
         assert!(
-            g == 1 || blocks.iter().any(|(_, u, _)| u.rows() < u.cols() - 1 + b),
+            g == 1 || blocks.iter().any(|r| r.u.rows() < r.u.cols() - 1 + b),
             "n={n} b={b}: no block was cut short by the matrix end"
         );
         assert!(
-            g == 1 || blocks.iter().any(|(_, u, _)| u.cols() < g),
+            g == 1 || blocks.iter().any(|r| r.u.cols() < g),
             "n={n} b={b}: no block narrower than the group"
         );
 
@@ -187,7 +187,7 @@ fn blocks_are_the_sweeps_transform_in_a_legal_order() {
         );
 
         // (3) Each T is larft's factor of its U.
-        for (row0, u, t) in &blocks {
+        for BlockReflector { row0, u, t } in &blocks {
             let taus: Vec<f64> = (0..u.cols()).map(|s| t.get(s, s)).collect();
             let diff = t.max_diff(&form_t(u, &taus));
             assert!(
@@ -226,10 +226,10 @@ fn an_identity_chase_is_a_zero_column() {
     // The first group's blocks end at its `j = 1` block, `row0 = 1`.
     let first_group = blocks
         .iter()
-        .position(|b| b.0 == 1)
+        .position(|b| b.row0 == 1)
         .expect("position 1 of group 1")
         + 1;
-    for (row0, u, t) in &blocks[..first_group] {
+    for BlockReflector { row0, u, t } in &blocks[..first_group] {
         assert!(
             (0..u.rows()).all(|r| u.get(r, 0) == 0.0),
             "row0={row0}: U column 0"

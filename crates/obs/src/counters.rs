@@ -20,8 +20,9 @@
 //! `ca_service::ServiceStats`), `rt.spawns` / `rt.jobs` / `rt.helped` /
 //! `rt.parks` (the threading runtime's cumulative totals, mirrored by
 //! the solver at every stage end with `record_max`; a flat `rt.spawns`
-//! means no thread was created), and `alloc.count` / `alloc.bytes` when a binary
-//! installs [`crate::alloc::CountingAllocator`].
+//! means no thread was created). `alloc.count` / `alloc.bytes` are not
+//! counters: a binary that installs [`crate::alloc::CountingAllocator`]
+//! (`stage_times`) appends them to the [`snapshot`] it exports.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -114,6 +115,7 @@ mod tests {
 
     #[test]
     fn add_and_max_respect_enablement() {
+        let _serial = crate::lock_level();
         let level = crate::level();
         crate::set_level(0);
         TEST_A.add(5);

@@ -10,7 +10,7 @@
 //! order — the same keying `StageCosts` uses — so the two views of a
 //! run can be diffed line by line.
 
-use crate::ring::Event;
+use crate::Event;
 
 /// Wall/cost totals for one span name.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,7 +167,6 @@ pub fn chrome_trace(events: &[Event], counters: &[(&str, u64)], dropped: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::Event;
 
     fn ev(name: &str, start: u64, end: u64, f: u64) -> Event {
         let mut e = Event::named(name);
@@ -196,7 +195,7 @@ mod tests {
     fn chrome_trace_names_the_threads_that_recorded_spans() {
         let tid = std::thread::Builder::new()
             .name("ca-rt-7".into())
-            .spawn(crate::thread_tid)
+            .spawn(crate::span::thread_tid)
             .unwrap()
             .join()
             .unwrap();

@@ -1,7 +1,7 @@
-//! Span guards: scoped stage/kernel instrumentation.
+//! Span guards and the events they record.
 //!
 //! A [`SpanGuard`] captures its entry time on creation and pushes one
-//! completed [`Event`](crate::Event) to the global ring when dropped.
+//! completed [`Event`] to the global sink when dropped.
 //! When tracing is disabled the guard is *inert*: no clock read, no
 //! event, no thread-local traffic — construction and drop optimize down
 //! to a branch on one relaxed atomic load, which is what keeps the
@@ -12,11 +12,76 @@
 //! one `tid` by interval containment; the pin tests assert the
 //! intervals really do nest).
 
-use crate::ring::Event;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+/// Inline capacity of an event's name. Longer names are truncated at a
+/// UTF-8 boundary.
+pub(crate) const NAME_CAP: usize = 56;
+
+/// One completed span (or marker), `Copy` with an inline name so the
+/// sink never holds heap data. Times are nanoseconds since the process
+/// trace epoch.
+#[derive(Clone, Copy, Debug)]
+pub struct Event {
+    name_buf: [u8; NAME_CAP],
+    name_len: u8,
+    /// Stable small id of the emitting thread.
+    pub tid: u32,
+    /// Span-nesting depth on the emitting thread (0 = top level).
+    pub depth: u16,
+    /// Span entry time, ns since the trace epoch.
+    pub start_ns: u64,
+    /// Span exit time, ns since the trace epoch.
+    pub end_ns: u64,
+    /// Metered `F` delta over the span (0 when the caller has no ledger).
+    pub flops: u64,
+    /// Metered `W` delta over the span.
+    pub horizontal_words: u64,
+    /// Metered `Q` delta over the span.
+    pub vertical_words: u64,
+    /// Metered `S` delta (superstep count) over the span.
+    pub supersteps: u64,
+}
+
+impl Event {
+    /// Build an event with the given name (truncated to 56 bytes at a
+    /// char boundary); all numeric fields zero.
+    pub fn named(name: &str) -> Self {
+        let mut buf = [0u8; NAME_CAP];
+        let mut len = name.len().min(NAME_CAP);
+        while len > 0 && !name.is_char_boundary(len) {
+            len -= 1;
+        }
+        buf[..len].copy_from_slice(&name.as_bytes()[..len]);
+        Self {
+            name_buf: buf,
+            name_len: len as u8,
+            tid: 0,
+            depth: 0,
+            start_ns: 0,
+            end_ns: 0,
+            flops: 0,
+            horizontal_words: 0,
+            vertical_words: 0,
+            supersteps: 0,
+        }
+    }
+
+    /// The span name.
+    pub fn name(&self) -> &str {
+        // The constructor only ever stores a char-boundary prefix of a
+        // valid &str, so this cannot fail.
+        std::str::from_utf8(&self.name_buf[..self.name_len as usize]).unwrap_or("")
+    }
+
+    /// Wall duration of the span in seconds.
+    pub fn wall_secs(&self) -> f64 {
+        self.end_ns.saturating_sub(self.start_ns) as f64 * 1e-9
+    }
+}
 
 /// The process trace epoch: all event timestamps are nanoseconds since
 /// this instant.
@@ -42,7 +107,7 @@ static THREAD_NAMES: Mutex<Vec<(u32, String)>> = Mutex::new(Vec::new());
 
 /// Stable small id of the calling thread (assigned on first use, when
 /// the thread's name, if it has one, is recorded for the exporters).
-pub fn thread_tid() -> u32 {
+pub(crate) fn thread_tid() -> u32 {
     THREAD_TID.with(|cell| {
         let cur = cell.get();
         if cur != u32::MAX {
@@ -143,7 +208,7 @@ mod tests {
         let mut g = SpanGuard::inert();
         assert!(!g.is_active());
         g.set_costs(1, 2, 3, 4);
-        drop(g); // must not touch the ring or the depth counter
+        drop(g); // must not touch the sink or the depth counter
         assert_eq!(THREAD_DEPTH.with(Cell::get), 0);
     }
 
@@ -164,5 +229,13 @@ mod tests {
         assert_eq!(here, thread_tid());
         let there = std::thread::spawn(thread_tid).join().unwrap();
         assert_ne!(here, there);
+    }
+
+    #[test]
+    fn name_truncates_at_char_boundary() {
+        let long = "p̄".repeat(40); // multi-byte chars
+        let ev = Event::named(&long);
+        assert!(ev.name().len() <= NAME_CAP);
+        assert!(long.starts_with(ev.name()));
     }
 }

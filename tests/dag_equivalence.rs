@@ -38,12 +38,12 @@
 //! to print the new pin lines, then update the table.
 
 use ca_symm_eig::bsp::{Costs, Machine, MachineParams};
+use ca_symm_eig::dla::bulge::BlockReflector;
 use ca_symm_eig::dla::{gen, BandedSym};
 use ca_symm_eig::eigen::band_to_band::try_band_to_band;
 use ca_symm_eig::eigen::ca_sbr::ca_sbr;
 use ca_symm_eig::eigen::full_to_band::try_full_to_band;
 use ca_symm_eig::eigen::lang::lang_band_to_tridiagonal;
-use ca_symm_eig::eigen::transforms::Reflectors;
 use ca_symm_eig::eigen::{try_symm_eigen_25d_vectors, EigenParams};
 use ca_symm_eig::pla::exec::with_forced_serial;
 use ca_symm_eig::pla::Grid;
@@ -113,7 +113,7 @@ fn bit_hash(values: impl IntoIterator<Item = f64>) -> u64 {
 /// Every stored word of the band plus every recorded transform, folded
 /// into one hash. `row0` rides along as a float so a transform applied
 /// at the wrong offset changes the fingerprint even if `U`/`T` agree.
-fn band_fingerprint(band: &BandedSym, rec: &[Reflectors]) -> u64 {
+fn band_fingerprint(band: &BandedSym, rec: &[BlockReflector]) -> u64 {
     let mut bits: Vec<f64> = band.bands().to_vec();
     bits.push(band.bandwidth() as f64);
     for r in rec {
