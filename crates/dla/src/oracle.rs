@@ -14,6 +14,10 @@
 //! * LAPACK's BLAS-1 `larft` ([`form_t`]), which the QR recursion's
 //!   GEMM-assembled `T` and the sweep's recorded blocks are checked
 //!   against (`tests/qr_props.rs`, `tests/sweep_props.rs`);
+//! * Streaming-MM's numerics as each simulated rank computed them
+//!   ([`streaming_mm_partials_reference`]), the bitwise oracle of
+//!   `ca_pla::streaming`'s one product per inner block
+//!   (`crates/pla/tests/streaming_props.rs`);
 //! * the portable instance of the band sweep
 //!   ([`sweep_to_tridiagonal_portable`]) and a GEMM with both of its free
 //!   choices forced ([`gemm_view_forced`]), which must agree with what
@@ -262,4 +266,57 @@ pub fn gemm_view_forced(
     gemm::check_shapes(a, ta, b, tb, c);
     let fma = if portable { None } else { Fma::detect() };
     gemm::gemm_core(alpha, a, ta, b, tb, beta, c, Some(pack_a), fma);
+}
+
+/// Streaming-MM's numerics (`ca_pla::streaming`, Algorithm III.1) as
+/// each simulated rank computed them: `out ← op(A)·op(B)` with the rows
+/// of `op(A)` and the inner dimension cut into `q` blocks and the
+/// columns of `op(B)` into `z = w·c` (block `t` of `n` over `parts` is
+/// `[t·n/parts, (t+1)·n/parts)`), one partial product per (column block,
+/// inner block, row block) in a fresh `β = 0` buffer, each added into
+/// the zero-filled output as it is made.
+pub fn streaming_mm_partials_reference(
+    a: &MatrixView,
+    transpose_a: bool,
+    b: &MatrixView,
+    transpose_b: bool,
+    q: usize,
+    z: usize,
+    out: &mut MatrixViewMut,
+) {
+    let (out_rows, k) = (out.rows(), out.cols());
+    let inner = if transpose_a { a.rows() } else { a.cols() };
+    let ta = if transpose_a { Trans::T } else { Trans::N };
+    let tb = if transpose_b { Trans::T } else { Trans::N };
+    let block = |t: usize, n: usize, parts: usize| (t * n / parts, (t + 1) * n / parts);
+    out.fill(0.0);
+    for h in 0..z {
+        let (k0, k1) = block(h, k, z);
+        for j in 0..q {
+            let (j0, j1) = block(j, inner, q);
+            if k0 == k1 || j0 == j1 {
+                continue;
+            }
+            let b_jh = if transpose_b {
+                b.sub(k0, j0, k1 - k0, j1 - j0)
+            } else {
+                b.sub(j0, k0, j1 - j0, k1 - k0)
+            };
+            for i in 0..q {
+                let (i0, i1) = block(i, out_rows, q);
+                if i0 == i1 {
+                    continue;
+                }
+                let a_ij = if transpose_a {
+                    a.sub(j0, i0, j1 - j0, i1 - i0)
+                } else {
+                    a.sub(i0, j0, i1 - i0, j1 - j0)
+                };
+                let mut part = Matrix::zeros(i1 - i0, k1 - k0);
+                gemm::gemm_view(1.0, &a_ij, ta, &b_jh, tb, 0.0, &mut part.view_mut());
+                out.sub_mut(i0, k0, i1 - i0, k1 - k0)
+                    .add_scaled(1.0, &part.view());
+            }
+        }
+    }
 }

@@ -28,6 +28,8 @@
 //! *charged*, so how the simulator walks them is free, and walking them
 //! inline measured best (DESIGN.md §6b). The kernels below a rank body
 //! (GEMM, QR, D&C) fork on the one runtime by their own size thresholds.
+//! Streaming-MM walks its ranks for their charges only, and computes one
+//! product per inner block over all of them ([`streaming`]).
 //!
 //! ## Layout policy
 //!

@@ -13,6 +13,14 @@
 //! Vertical traffic follows Lemma III.3's two cases: if a processor's
 //! `A` block fits in cache it is read once across all `w` iterations;
 //! otherwise each iteration re-reads it.
+//!
+//! Numerics on the whole operand, charges on the layout (DESIGN.md §6b):
+//! the ranks are a charge walk over block shapes, and the arithmetic is
+//! one GEMM per inner block `j` over every row block, column block and
+//! layer at once. Per cell that is the ranks' own sum — by GEMM's cell
+//! contract a cell's bits depend only on its inner range — so the output
+//! is the per-rank partials' bit for bit
+//! (`ca_dla::oracle::streaming_mm_partials_reference`).
 
 use crate::coll;
 use crate::dist::{splits, DistMatrix};
@@ -20,6 +28,7 @@ use crate::grid::Grid;
 use ca_bsp::Machine;
 use ca_dla::gemm::{gemm_view, Trans};
 use ca_dla::view::{MatrixView, MatrixViewMut};
+use ca_dla::workspace::with_ws;
 use ca_dla::Matrix;
 
 /// The record of a `rows × cols` matrix replicated over the `c` layers
@@ -136,13 +145,19 @@ pub fn streaming_mm_dense(
 ///
 /// The reduction drivers stream trailing updates straight out of the
 /// replicated operand and straight into pre-allocated aggregate
-/// storage. The per-rank resident blocks `A_ij` and streamed blocks
-/// `B_jh` are sub-views, each rank's partial product lands in a fresh
-/// `β = 0` buffer, and the partials accumulate into the zero-filled
-/// output elementwise in rank order (the `0.0 + x` first touch is
-/// observable on signed zeros, so it is part of the contract). All
-/// charges are shape-derived: neither the output stride nor
-/// `transpose_b` changes the ledger or the product's bits.
+/// storage. The charges walk the ranks of Algorithm III.1 — gather,
+/// local multiply with Lemma III.3's resident-`A` rule, reduce-scatter,
+/// per (layer, column block, inner block, row block) — from block
+/// shapes alone. The numerics are the reduce-scatter's `Σⱼ` with `j`
+/// outermost: for each non-empty inner block, one `β = 0` product
+/// `op(A)[:, j]·op(B)[j, :]` over the whole output into one arena
+/// buffer, added elementwise into the zero-filled output. Each cell is
+/// `((0 + P₀) + P₁) + …` over the inner blocks in order, exactly as
+/// when each rank computed its partial apart (the `0.0 + x` first touch
+/// is observable on signed zeros, so it is part of the contract); the
+/// inner blocks are not fused, because one product over the whole inner
+/// range would move GEMM's chunk boundaries. Neither the output stride
+/// nor `transpose_b` changes the ledger or the product's bits.
 ///
 /// `transpose_b` streams `Bᵀ` without materializing the transpose (the
 /// aggregate-panel operands of Algorithm IV.1's lines 5/12 are
@@ -191,11 +206,11 @@ pub fn streaming_mm_view_into(
     // and the k dimension into z column blocks.
     let inner_splits = splits(inner, q);
     let k_splits = splits(k, z);
-
-    out.fill(0.0);
     let out_splits = splits(out_rows, q);
     let h_cache = m.cache_words();
 
+    // The charge walk: rank (idim, jdim, l) holds A_ij resident while
+    // its layer's w column blocks of B stream past it.
     for l in 0..c {
         // Layer l handles column blocks h ∈ {l, l+c, …, l+(w−1)c}.
         for step in 0..w {
@@ -203,65 +218,42 @@ pub fn streaming_mm_view_into(
             if h >= z || k_splits[h] == k_splits[h + 1] {
                 continue;
             }
-            let (k0, k1) = (k_splits[h], k_splits[h + 1]);
-            let kb = k1 - k0;
+            let kb = k_splits[h + 1] - k_splits[h];
             for jdim in 0..q {
-                let (j0, j1) = (inner_splits[jdim], inner_splits[jdim + 1]);
-                if j0 == j1 {
+                let jb = inner_splits[jdim + 1] - inner_splits[jdim];
+                if jb == 0 {
                     continue;
                 }
-                let b_jh = if transpose_b {
-                    b.sub(k0, j0, kb, j1 - j0)
-                } else {
-                    b.sub(j0, k0, j1 - j0, kb)
-                };
                 // Gather B_jh along the row dimension of the layer grid.
                 let gather_group = if transpose_a {
                     grid3.dim1_group(jdim, l)
                 } else {
                     grid3.dim0_group(jdim, l)
                 };
-                coll::allgather(m, &gather_group, (b_jh.rows() * b_jh.cols()) as u64 / q as u64);
+                coll::allgather(m, &gather_group, (jb * kb) as u64 / q as u64);
 
-                // Each idim produces a disjoint output row range
-                // [i0, i1); the reduce-scatter below performs the Σⱼ
-                // numerically represented by accumulating the partial
-                // products in rank order.
                 for idim in 0..q {
-                    let (i0, i1) = (out_splits[idim], out_splits[idim + 1]);
-                    if i0 == i1 {
+                    let ib = out_splits[idim + 1] - out_splits[idim];
+                    if ib == 0 {
                         continue;
                     }
-                    let (ar, ac, anr, anc) = if transpose_a {
-                        (r0 + j0, c0 + i0, j1 - j0, i1 - i0)
-                    } else {
-                        (r0 + i0, c0 + j0, i1 - i0, j1 - j0)
-                    };
-                    let a_blk = a_dense.sub(ar, ac, anr, anc);
                     let pid = grid3.at(
                         if transpose_a { jdim } else { idim },
                         if transpose_a { idim } else { jdim },
                         l,
                     );
-                    let ta = if transpose_a { Trans::T } else { Trans::N };
-                    let tb = if transpose_b { Trans::T } else { Trans::N };
-                    // Charged local multiply with Lemma III.3 vertical
-                    // accounting: A resident in cache across iterations
-                    // when it fits.
-                    let flops = 2 * (i1 - i0) as u64 * (j1 - j0) as u64 * kb as u64;
-                    m.charge_flops(pid, flops);
-                    let a_words = (a_blk.rows() * a_blk.cols()) as u64;
-                    let bc_words = (b_jh.rows() * b_jh.cols() + (i1 - i0) * kb) as u64;
+                    // Local multiply C̄_ijh = A_ij·B_jh with Lemma III.3
+                    // vertical accounting: A resident in cache across
+                    // iterations when it fits.
+                    m.charge_flops(pid, 2 * ib as u64 * jb as u64 * kb as u64);
+                    let a_words = (ib * jb) as u64;
+                    let bc_words = (jb * kb + ib * kb) as u64;
                     let vert = if a_words <= h_cache && step > 0 {
                         bc_words
                     } else {
                         bc_words + a_words
                     };
                     m.charge_vert(pid, vert);
-                    let mut part = Matrix::zeros(i1 - i0, kb);
-                    gemm_view(1.0, &a_blk, ta, &b_jh, tb, 0.0, &mut part.view_mut());
-                    out.sub_mut(i0, k0, i1 - i0, kb)
-                        .add_scaled(1.0, &part.view());
                 }
             }
             // Reduce-scatter C_ih = Σ_j C̄_ijh along the other dimension.
@@ -277,6 +269,36 @@ pub fn streaming_mm_view_into(
             m.step(grid3.procs(), 1);
         }
     }
+
+    // The numerics: the reduce-scatter's Σⱼ, one inner block at a time
+    // over every row block, column block and layer at once.
+    out.fill(0.0);
+    if out_rows == 0 || k == 0 {
+        return;
+    }
+    let ta = if transpose_a { Trans::T } else { Trans::N };
+    let tb = if transpose_b { Trans::T } else { Trans::N };
+    let mut buf = with_ws(|ws| ws.take_scratch(out_rows * k));
+    let mut part = MatrixViewMut::from_slice(&mut buf, out_rows, k);
+    for jdim in 0..q {
+        let (j0, j1) = (inner_splits[jdim], inner_splits[jdim + 1]);
+        if j0 == j1 {
+            continue;
+        }
+        let a_j = if transpose_a {
+            a_dense.sub(r0 + j0, c0, j1 - j0, out_rows)
+        } else {
+            a_dense.sub(r0, c0 + j0, out_rows, j1 - j0)
+        };
+        let b_j = if transpose_b {
+            b.sub(0, j0, k, j1 - j0)
+        } else {
+            b.sub(j0, 0, j1 - j0, k)
+        };
+        gemm_view(1.0, &a_j, ta, &b_j, tb, 0.0, &mut part);
+        out.add_scaled(1.0, &part.as_view());
+    }
+    with_ws(|ws| ws.put(buf));
 }
 
 #[cfg(test)]
@@ -407,9 +429,9 @@ mod tests {
 
     #[test]
     fn replication_cuts_streaming_communication() {
-        // Lemma III.3: W = O((mk + nk)/(qc)) — more layers, less W for
-        // the same p... no wait, p grows with c. Fix q and vary c: W per
-        // proc should *drop* roughly by c.
+        // Lemma III.3: W = O((mk + nk)/(qc)). Fix q and add layers
+        // (p = q²c grows with c): W per processor should drop roughly
+        // by c.
         let n = 32;
         let k = 8;
         let q = 2;

@@ -10,7 +10,7 @@ use ca_symm_eig::dla::{gen, Matrix};
 use ca_symm_eig::pla::carma::carma;
 use ca_symm_eig::pla::dist::DistMatrix;
 use ca_symm_eig::pla::grid::Grid;
-use ca_symm_eig::pla::streaming::{streaming_mm_dense, Replicated};
+use ca_symm_eig::pla::streaming::{streaming_mm_dense, streaming_mm_view_into, Replicated};
 use ca_symm_eig::pla::summa::summa;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -143,9 +143,11 @@ fn cyclic_and_block_layouts_interoperate() {
 /// distributed matrix still kept one copy per rank, and held when they
 /// became one buffer plus a layout — all but the `from_block` row, whose
 /// senders had been charged twice (`W` 621 → 522, volume 3059 → 2622,
-/// bits unchanged). Re-run with `UPDATE_GOLDEN=1 cargo test --test
-/// building_blocks -- --nocapture` to print new pin lines after an
-/// intentional accounting change.
+/// bits unchanged). The two Streaming-MM rows were recorded while each
+/// rank's partial product was still computed on its own, and held when
+/// the numerics became one product per inner block. Re-run with
+/// `UPDATE_GOLDEN=1 cargo test --test building_blocks -- --nocapture` to
+/// print new pin lines after an intentional accounting change.
 #[rustfmt::skip]
 const BLOCK_PINS: &[(&str, [u64; 7], u64)] = &[
     ("rect_qr_tree m=128 n=8 p=4 q_max=4", [38362, 3252, 2976, 76, 1280, 12368, 109025], 0x391286862b861989),
@@ -168,6 +170,8 @@ const BLOCK_PINS: &[(&str, [u64; 7], u64)] = &[
     ("CyclicMatrix::from_dense 19x23 2x3 mb=4 nb=3", [0, 198, 0, 1, 99, 874, 0], 0x5ecd41fc15b017aa),
     ("CyclicMatrix::from_dense → to_block 19x23 2x3 mb=4 nb=3", [0, 360, 0, 2, 162, 1748, 0], 0xea03023ebe2f1d6d),
     ("CyclicMatrix::from_dense → to_block → from_block 19x23 2x3 mb=4 nb=3", [0, 522, 0, 3, 261, 2622, 0], 0xd112d1d372ce28b2),
+    ("streaming_mm_view_into q=4 c=4 w=1 29x11 tb", [450, 84, 123, 7, 0, 4776, 23254], 0xcfd1f36b53d04ce1),
+    ("streaming_mm_view_into q=4 c=2 w=3 29x4", [300, 56, 106, 9, 0, 1696, 8456], 0xd6d314911c79b5bc),
 ];
 
 /// FNV-1a over the exact bit patterns of a stream of `f64`s.
@@ -335,6 +339,33 @@ fn building_block_ledgers_and_bits_are_pinned() {
         let d = DistMatrix::from_dense(m, &grid(6, 2, 3), &random(9, 11, 76));
         out.extend_from_slice(d.replicate(m, &Grid::new_1d(vec![0, 2, 4, 5])).data());
     });
+
+    // Streaming-MM at the solver's q = 4 grids: c = 4 with a
+    // transposed-B operand streamed once per layer, and c = 2 streamed
+    // three deep with fewer columns than the z = w·c column blocks (so
+    // some blocks are empty). The output lands in a strided window.
+    for (q, c, w, k, transpose_b, seed) in [(4usize, 4usize, 1usize, 11usize, true, 820u64), (4, 2, 3, 4, false, 821)] {
+        let tb = if transpose_b { " tb" } else { "" };
+        check_pin(&format!("streaming_mm_view_into q={q} c={c} w={w} 29x{k}{tb}"), q * q * c, |m, out| {
+            let g = Grid::new_3d((0..q * q * c).collect(), q, q, c);
+            let a = random(37, 41, seed);
+            let (sub, inner, rows) = ((3, 2, 29, 35), 35, 29);
+            let b = if transpose_b { random(k, inner, seed + 1) } else { random(inner, k, seed + 1) };
+            let mut host = Matrix::zeros(rows + 1, k + 2);
+            streaming_mm_view_into(
+                m,
+                &g,
+                &a.view(),
+                sub,
+                false,
+                &b.view(),
+                transpose_b,
+                w,
+                &mut host.subview_mut(1, 1, rows, k),
+            );
+            out.extend_from_slice(host.data());
+        });
+    }
 
     // The cyclic conversions, one link of the chain more per row.
     for links in 1..=3 {
