@@ -1,23 +1,37 @@
-#![allow(clippy::needless_range_loop)]
 //! **Timeline diagnostic**: render the per-phase communication profile
 //! of an eigensolver run — what the `Σᵢ maxⱼ Wᵢⱼ` sums of §II actually
 //! look like phase by phase. The full-to-band panels show as a train of
 //! roughly equal bursts; the band-to-band pipeline as many small
 //! phases; CA-SBR as a few redistribution spikes.
 //!
+//! It is the one reader of [`Machine::enable_phase_trace`], the
+//! per-superstep view of the ledger.
+//!
 //! Usage: `cargo run --release -p ca-bench --bin timeline [--n N] [--p P] [--c C]`
 
-use ca_bench::flag_value;
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
 use ca_eigen::{try_symm_eigen_25d, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Value of `--<flag> <v>` as an integer, or `default` when absent.
+fn flag_usize(args: &[String], flag: &str, default: usize) -> usize {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("{flag} takes an integer"))
+        })
+        .unwrap_or(default)
+}
+
 fn main() {
-    let n: usize = flag_value("--n").map(|v| v.parse().unwrap()).unwrap_or(128);
-    let p: usize = flag_value("--p").map(|v| v.parse().unwrap()).unwrap_or(16);
-    let c: usize = flag_value("--c").map(|v| v.parse().unwrap()).unwrap_or(1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let n = flag_usize(&args, "--n", 128);
+    let p = flag_usize(&args, "--p", 16);
+    let c = flag_usize(&args, "--c", 1);
 
     let machine = Machine::new(MachineParams::new(p));
     machine.enable_phase_trace();

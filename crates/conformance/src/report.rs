@@ -54,29 +54,43 @@ pub struct ClaimOut {
     pub points: Vec<SweepPointOut>,
 }
 
-/// Outcome of one replication-gain claim.
+/// One side of a ratio claim, with its value.
 #[derive(Debug, Clone, Serialize)]
-pub struct GainOut {
-    /// Stable claim id, `<stage>.gain.c<c_hi>`.
-    pub id: String,
+pub struct OperandOut {
     /// Stage name.
     pub stage: String,
     /// Matrix dimension.
     pub n: u64,
     /// Processor count.
     pub p: u64,
-    /// Replication factor of the replicated run.
-    pub c_hi: u64,
-    /// Paper reference for the √c saving.
+    /// Replication factor.
+    pub c: u64,
+    /// Second shape (band-width, panel or column count; 0 = the
+    /// stage's default).
+    pub w: u64,
+    /// Whether the value is the closed-form model's, not a metered run.
+    pub model: bool,
+    /// The quantity's value.
+    pub value: f64,
+}
+
+/// Outcome of one ratio claim.
+#[derive(Debug, Clone, Serialize)]
+pub struct RatioOut {
+    /// Stable claim id.
+    pub id: String,
+    /// Quantity compared (`F`/`Fvol`/`W`/`Q`/`S`/`M`).
+    pub quantity: String,
+    /// Paper reference for the comparison.
     pub reference: String,
-    /// The paper's predicted gain, `√c_hi`.
-    pub expected_gain: f64,
-    /// Measured `W(c=1)/W(c=c_hi)`.
-    pub measured_gain: f64,
-    /// Measured `W` at `c = 1`.
-    pub w_base: f64,
-    /// Measured `W` at `c = c_hi`.
-    pub w_replicated: f64,
+    /// Numerator.
+    pub num: OperandOut,
+    /// Denominator.
+    pub den: OperandOut,
+    /// The paper's predicted ratio, where it states one.
+    pub paper: Option<f64>,
+    /// Measured `num / den`.
+    pub measured: f64,
     /// Documented lower bound.
     pub lo: f64,
     /// Documented upper bound.
@@ -128,8 +142,8 @@ pub struct Report {
     pub quick: bool,
     /// Exponent-claim outcomes.
     pub exponents: Vec<ClaimOut>,
-    /// Replication-gain outcomes.
-    pub gains: Vec<GainOut>,
+    /// Ratio-claim outcomes.
+    pub ratios: Vec<RatioOut>,
     /// Numerical-oracle outcomes.
     pub oracles: Vec<OracleOut>,
     /// Number of passing checks (all three sections).

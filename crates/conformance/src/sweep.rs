@@ -8,30 +8,63 @@
 //! held fixed so `W_mm ∝ n` in the `n`-sweep).
 
 use ca_bsp::{Costs, Machine, MachineParams};
-use ca_dla::{gen, BandedSym};
-use ca_eigen::{ca_sbr, model, try_symm_eigen_25d, EigenParams};
+use ca_dla::{gen, BandedSym, Matrix};
+use ca_eigen::baselines::{elpa_two_stage, scalapack::scalapack_eigenvalues};
+use ca_eigen::{ca_sbr, model, try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
+use ca_pla::carma::carma;
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
-use ca_pla::rect_qr::rect_qr;
+use ca_pla::rect_qr::{rect_qr, rect_qr_tree};
 use ca_pla::streaming::{streaming_mm_dense, Replicated};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// One pipeline stage the harness can meter in isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Algorithm III.1 / Lemma III.3: replicated streaming multiply.
     StreamingMm,
-    /// Theorem III.6: rectangular (panel) QR on a 1D group.
+    /// Theorem III.6: rectangular (panel) QR on a 1D group, the
+    /// column recursion the solver runs.
     RectQr,
+    /// Algorithm III.2 as written: the row-reduction tree, with
+    /// `q_max` capping the processors of each base case.
+    RectQrTree {
+        /// Processor cap of the (nearly) square base cases.
+        q_max: usize,
+    },
+    /// Lemma III.2: CARMA, the recursive multiply of operands that are
+    /// not replicated.
+    Carma,
     /// Algorithm IV.1 / Lemma IV.1: 2.5D full→band reduction.
     FullToBand,
     /// Algorithm IV.2 / Lemma IV.3: 2.5D band→band reduction.
     BandToBand,
+    /// Band→band from `b` down to `h`, each invocation dividing the
+    /// band-width by `k` (the §V staging choice: `k = 2` halvings or
+    /// one `k = b/h` shot).
+    BandLadder {
+        /// Reduction factor of each invocation.
+        k: usize,
+        /// Target band-width.
+        h: usize,
+    },
     /// Lemma IV.2: one CA-SBR band halving.
     CaSbr,
     /// Algorithm IV.3 / Theorem IV.4: the end-to-end eigensolver.
     Solver,
+    /// §IV.C: the vectors solve's back-transformation, per reduction
+    /// stage (its costs divided by the number of stages it applies).
+    BackTransform,
+    /// Table I row "ScaLAPACK": direct blocked tridiagonalization on the
+    /// squarest 2D grid, then the eigenvalues.
+    Scalapack,
+    /// Table I row "ELPA": two-stage 2D reduction (full→band at
+    /// `c = 1`, then Lang's `h = 1` pipeline).
+    Elpa,
+    /// Table I row "CA-SBR": 2D full→band, then CA-SBR halvings to
+    /// band-width `n/p`, then the sequential banded eigensolve.
+    CaSbrSolver,
 }
 
 impl Stage {
@@ -40,29 +73,55 @@ impl Stage {
         match self {
             Stage::StreamingMm => "streaming-mm",
             Stage::RectQr => "rect-qr",
+            Stage::RectQrTree { .. } => "rect-qr-tree",
+            Stage::Carma => "carma",
             Stage::FullToBand => "full-to-band",
             Stage::BandToBand => "band-to-band",
+            Stage::BandLadder { .. } => "band-ladder",
             Stage::CaSbr => "ca-sbr",
             Stage::Solver => "solver",
+            Stage::BackTransform => "back-transformation",
+            Stage::Scalapack => "scalapack",
+            Stage::Elpa => "elpa",
+            Stage::CaSbrSolver => "ca-sbr-solver",
         }
     }
 }
 
 /// A sweep grid point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Point {
-    /// Matrix dimension.
+    /// Matrix dimension (the row count of rect-QR and CARMA operands).
     pub n: usize,
     /// Processor count.
     pub p: usize,
     /// Replication factor.
     pub c: usize,
+    /// Second shape, `0` for the stage's default: the band-width `b`
+    /// of full→band and the band stages, the column count of rect-QR
+    /// (whose panel is then `n × w`), and CARMA's inner and column
+    /// dimension (`n×w` times `w×w`).
+    pub w: usize,
 }
 
 impl Point {
-    /// Convenience constructor.
+    /// A point at the stage's default second shape.
     pub fn new(n: usize, p: usize, c: usize) -> Self {
-        Self { n, p, c }
+        Self { n, p, c, w: 0 }
+    }
+
+    /// A point with the second shape `w` given.
+    pub fn with_w(n: usize, p: usize, c: usize, w: usize) -> Self {
+        Self { n, p, c, w }
+    }
+
+    /// `w`, or `default` when the point leaves it to the stage.
+    fn w_or(&self, default: usize) -> usize {
+        if self.w == 0 {
+            default
+        } else {
+            self.w
+        }
     }
 }
 
@@ -76,21 +135,29 @@ const QR_ASPECT: usize = 4;
 const SBR_BAND: usize = 8;
 
 /// Deterministic per-point seed (fixed mixing constants; no RNG state
-/// shared between points, so sweeps are order-independent).
+/// shared between points, so sweeps are order-independent). The
+/// variants of one operation share a seed, so a ratio between them
+/// compares runs on the same input.
 fn seed(stage: Stage, pt: Point) -> u64 {
     let s = match stage {
         Stage::StreamingMm => 1,
-        Stage::RectQr => 2,
+        Stage::RectQr | Stage::RectQrTree { .. } => 2,
         Stage::FullToBand => 3,
-        Stage::BandToBand => 4,
+        Stage::BandToBand | Stage::BandLadder { .. } => 4,
         Stage::CaSbr => 5,
-        Stage::Solver => 6,
+        Stage::Solver
+        | Stage::BackTransform
+        | Stage::Scalapack
+        | Stage::Elpa
+        | Stage::CaSbrSolver => 6,
+        Stage::Carma => 7,
     };
     0x00c0_ffee_u64
         .wrapping_mul(31)
         .wrapping_add(s)
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add((pt.n as u64) << 32 | (pt.p as u64) << 8 | pt.c as u64)
+        .wrapping_add((pt.w as u64) << 48)
 }
 
 /// Band-width used by the band→band sweep at dimension `n`
@@ -111,6 +178,29 @@ pub fn f2b_bandwidth(n: usize) -> usize {
     (n / 8).max(4)
 }
 
+/// Rows and columns of the rect-QR panel at `pt`.
+fn qr_shape(pt: Point) -> (usize, usize) {
+    if pt.w == 0 {
+        (QR_ASPECT * pt.n, pt.n)
+    } else {
+        (pt.n, pt.w)
+    }
+}
+
+/// The sweeps double as correctness probes: a solver that meters
+/// beautifully but diverges numerically must not pass.
+fn assert_spectrum(stage: Stage, pt: Point, ev: &[f64], spectrum: &[f64]) {
+    let dist = ca_dla::tridiag::spectrum_distance(ev, spectrum);
+    assert!(
+        dist < 1e-6 * pt.n as f64,
+        "{} diverged at n={} p={} c={}: spectrum distance {dist:.3e}",
+        stage.name(),
+        pt.n,
+        pt.p,
+        pt.c
+    );
+}
+
 /// Run `stage` at `pt` on a fresh machine and return the metered cost
 /// delta of the stage proper (input generation, distribution and
 /// replication are excluded — the lemmas cost the algorithm, not the
@@ -125,10 +215,10 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
     ));
     let mut rng = StdRng::seed_from_u64(seed(stage, pt));
     let machine = Machine::new(MachineParams::new(pt.p));
+    let params = || EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
     let costs = match stage {
         Stage::StreamingMm => {
-            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
-            let grid3 = params.grid3();
+            let grid3 = params().grid3();
             let a = gen::random_symmetric(&mut rng, pt.n);
             let b = gen::random_matrix(&mut rng, pt.n, STREAM_K);
             Replicated::replicate(&machine, &grid3, pt.n, pt.n);
@@ -137,29 +227,50 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
             });
             costs
         }
-        Stage::RectQr => {
-            let a = gen::random_matrix(&mut rng, QR_ASPECT * pt.n, pt.n);
-            let grid = Grid::all(pt.p);
-            let da = DistMatrix::from_dense(&machine, &grid, &a);
-            let (_, costs) = machine.measure(|| rect_qr(&machine, &da));
-            costs
-        }
-        Stage::FullToBand => {
-            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
-            let a = gen::random_symmetric(&mut rng, pt.n);
-            let b = f2b_bandwidth(pt.n);
-            let (_, costs) = machine.measure(|| {
-                ca_eigen::try_full_to_band(&machine, &params, &a, b, None).unwrap()
+        Stage::RectQr | Stage::RectQrTree { .. } => {
+            let (rows, cols) = qr_shape(pt);
+            let a = gen::random_matrix(&mut rng, rows, cols);
+            let da = DistMatrix::from_dense(&machine, &Grid::all(pt.p), &a);
+            let (_, costs) = machine.measure(|| match stage {
+                Stage::RectQrTree { q_max } => {
+                    rect_qr_tree(&machine, &da, q_max).0.release(&machine);
+                }
+                _ => {
+                    rect_qr(&machine, &da);
+                }
             });
             costs
         }
-        Stage::BandToBand => {
-            let b = b2b_bandwidth(pt.n);
+        Stage::Carma => {
+            let a = gen::random_matrix(&mut rng, pt.n, pt.w);
+            let b = gen::random_matrix(&mut rng, pt.w, pt.w);
+            let (_, costs) = machine.measure(|| carma(&machine, &Grid::all(pt.p), &a, &b, 1));
+            costs
+        }
+        Stage::FullToBand => {
+            let a = gen::random_symmetric(&mut rng, pt.n);
+            let b = pt.w_or(f2b_bandwidth(pt.n));
+            let params = params();
+            let (_, costs) = machine
+                .measure(|| ca_eigen::try_full_to_band(&machine, &params, &a, b, None).unwrap());
+            costs
+        }
+        Stage::BandToBand | Stage::BandLadder { .. } => {
+            let b = pt.w_or(b2b_bandwidth(pt.n));
+            let (k, h) = match stage {
+                Stage::BandLadder { k, h } => (k, h),
+                _ => (2, b.div_ceil(2)),
+            };
             let dense = gen::random_banded(&mut rng, pt.n, b);
-            let bm = BandedSym::from_dense(&dense, b, b);
+            let mut band = BandedSym::from_dense(&dense, b, b);
             let grid = Grid::all(pt.p);
             let (_, costs) = machine.measure(|| {
-                ca_eigen::try_band_to_band(&machine, &grid, &bm, b.div_ceil(2), 1, None).unwrap()
+                while band.bandwidth() > h {
+                    let target = band.bandwidth().div_ceil(k).max(h);
+                    band = ca_eigen::try_band_to_band(&machine, &grid, &band, target, 1, None)
+                        .unwrap()
+                        .0;
+                }
             });
             costs
         }
@@ -170,23 +281,44 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
             let (_, costs) = machine.measure(|| ca_sbr(&machine, &grid, &bm, None));
             costs
         }
-        Stage::Solver => {
-            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
+        Stage::Solver | Stage::Scalapack | Stage::Elpa | Stage::CaSbrSolver => {
             let spectrum = gen::linspace_spectrum(pt.n, -4.0, 4.0);
             let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-            let ((ev, _stages), costs) =
-                machine.measure(|| try_symm_eigen_25d(&machine, &params, &a).unwrap());
-            // The sweep is also a correctness probe: a run that meters
-            // beautifully but diverges numerically must not pass.
-            let dist = ca_dla::tridiag::spectrum_distance(&ev, &spectrum);
-            assert!(
-                dist < 1e-6 * pt.n as f64,
-                "solver diverged at n={} p={} c={}: spectrum distance {dist:.3e}",
-                pt.n,
-                pt.p,
-                pt.c
-            );
+            let (ev, costs) = machine.measure(|| match stage {
+                Stage::Solver => try_symm_eigen_25d(&machine, &params(), &a).unwrap().0,
+                Stage::Scalapack => {
+                    scalapack_eigenvalues(&machine, &Grid::all(pt.p).squarest_2d(), &a)
+                }
+                Stage::Elpa => elpa_two_stage(&machine, pt.p, &a),
+                _ => ca_sbr_eigenvalues(&machine, pt.p, &a),
+            });
+            assert_spectrum(stage, pt, &ev, &spectrum);
             costs
+        }
+        Stage::BackTransform => {
+            let spectrum = gen::linspace_spectrum(pt.n, -4.0, 4.0);
+            let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
+            let (ev, _, stages) = try_symm_eigen_25d_vectors(&machine, &params(), &a).unwrap();
+            assert_spectrum(stage, pt, &ev, &spectrum);
+            // Every record but the sequential solve and the
+            // back-transformation itself is a reduction stage whose
+            // reflectors are applied.
+            let reductions = stages.stages.len() as u64 - 2;
+            let bt = stages
+                .stages
+                .iter()
+                .find(|s| s.name == "back-transformation")
+                .expect("the vectors solve records its back-transformation")
+                .costs;
+            Costs {
+                flops: bt.flops / reductions,
+                horizontal_words: bt.horizontal_words / reductions,
+                vertical_words: bt.vertical_words / reductions,
+                supersteps: bt.supersteps / reductions,
+                peak_memory_words: bt.peak_memory_words,
+                total_volume_words: bt.total_volume_words / reductions,
+                total_flops: bt.total_flops / reductions,
+            }
         }
     };
     span.set_costs(
@@ -198,40 +330,72 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
     costs
 }
 
+/// The Table I "CA-SBR" row: a 2D full→band reduction followed by
+/// successive CA-SBR halvings to band-width `n/p`, then a sequential
+/// solve (the successive-band-reduction eigensolver of \[12\]).
+fn ca_sbr_eigenvalues(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
+    let n = a.rows();
+    let params = EigenParams::new(p, 1);
+    let b = params.initial_bandwidth(n);
+    let (mut band, _) = ca_eigen::try_full_to_band(machine, &params, a, b, None).unwrap();
+    let grid = Grid::all(p);
+    let target = (n / p).max(1);
+    while band.bandwidth() > target && band.bandwidth() >= 2 {
+        // Lemma IV.2 is valid for b ≤ n/p̂: use at most n/b processors
+        // per halving (the 1D pipeline cannot use more anyway).
+        let active = grid.prefix((n / band.bandwidth()).clamp(1, p));
+        band = ca_sbr(machine, &active, &band, None);
+    }
+    ca_pla::coll::gather(
+        machine,
+        &grid,
+        0,
+        ((n * (band.bandwidth() + 1)) as u64).div_ceil(p as u64),
+    );
+    let bw = band.bandwidth() as u64;
+    machine.charge_flops(0, 6 * (n as u64) * bw * bw + 30 * (n as u64).pow(2));
+    machine.fence();
+    ca_dla::tridiag::try_banded_eigenvalues(&band).unwrap()
+}
+
 /// The closed-form model prediction ([`ca_eigen::model`]) for `stage`
 /// at `pt`, with the *same* stage shapes as [`measure`]. Fitting these
 /// over a sweep gives the finite-size exponent the paper's own formula
 /// implies on that window — reported as a diagnostic next to the
-/// asymptotic exponent.
-pub fn model_costs(stage: Stage, pt: Point) -> ModelQuad {
+/// asymptotic exponent. `None` for the stages no lemma costs on its
+/// own (the ladder, the back-transformation).
+pub fn model_costs(stage: Stage, pt: Point) -> Option<ModelQuad> {
     // The 2.5D grid parameterization only applies to the stages that
     // run on a q×q×c grid; the 1D-group stages take `p` directly.
+    let params = || EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
     let m = match stage {
         Stage::StreamingMm => {
-            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
+            let params = params();
             model::mm_streaming(pt.n, pt.n, STREAM_K, params.q, params.c, 1)
         }
-        Stage::RectQr => model::qr_rectangular(QR_ASPECT * pt.n, pt.n, pt.p, 0.5),
-        Stage::FullToBand => {
-            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
-            model::full_to_band(pt.n, f2b_bandwidth(pt.n), &params)
+        Stage::RectQr | Stage::RectQrTree { .. } => {
+            let (rows, cols) = qr_shape(pt);
+            model::qr_rectangular(rows, cols, pt.p, 0.5)
         }
-        Stage::BandToBand => model::band_to_band(pt.n, b2b_bandwidth(pt.n), 2, pt.p, 0.5),
+        Stage::Carma => model::mm_recursive(pt.n, pt.w, pt.w, pt.p),
+        Stage::FullToBand => model::full_to_band(pt.n, pt.w_or(f2b_bandwidth(pt.n)), &params()),
+        Stage::BandToBand => model::band_to_band(pt.n, pt.w_or(b2b_bandwidth(pt.n)), 2, pt.p, 0.5),
         Stage::CaSbr => model::ca_sbr_halving(pt.n, SBR_BAND, pt.p),
-        Stage::Solver => {
-            let params = EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
-            model::eigensolver(pt.n, &params)
-        }
+        Stage::Solver => model::eigensolver(pt.n, &params()),
+        // Table I gives the ELPA and CA-SBR rows the direct method's W.
+        Stage::Scalapack | Stage::Elpa | Stage::CaSbrSolver => model::scalapack_direct(pt.n, pt.p),
+        Stage::BandLadder { .. } | Stage::BackTransform => return None,
     };
-    ModelQuad {
+    Some(ModelQuad {
         flops: m.flops,
         horizontal_words: m.horizontal_words,
         vertical_words: m.vertical_words,
         supersteps: m.supersteps,
-    }
+        memory_words: m.memory_words,
+    })
 }
 
-/// The four fitted quantities of a model prediction, as `f64`.
+/// The fitted quantities of a model prediction, as `f64`.
 #[derive(Debug, Clone, Copy)]
 pub struct ModelQuad {
     /// Predicted `F`.
@@ -242,6 +406,8 @@ pub struct ModelQuad {
     pub vertical_words: f64,
     /// Predicted `S`.
     pub supersteps: f64,
+    /// Predicted `M`.
+    pub memory_words: f64,
 }
 
 /// The metered quantity a claim fits.
@@ -261,6 +427,8 @@ pub enum Quantity {
     Q,
     /// Supersteps — `S`.
     S,
+    /// Peak per-processor memory in words — `M`.
+    M,
 }
 
 impl Quantity {
@@ -272,6 +440,7 @@ impl Quantity {
             Quantity::W => "W",
             Quantity::Q => "Q",
             Quantity::S => "S",
+            Quantity::M => "M",
         }
     }
 
@@ -283,6 +452,7 @@ impl Quantity {
             Quantity::W => c.horizontal_words as f64,
             Quantity::Q => c.vertical_words as f64,
             Quantity::S => c.supersteps as f64,
+            Quantity::M => c.peak_memory_words as f64,
         }
     }
 
@@ -295,16 +465,7 @@ impl Quantity {
             Quantity::W => m.horizontal_words,
             Quantity::Q => m.vertical_words,
             Quantity::S => m.supersteps,
+            Quantity::M => m.memory_words,
         }
     }
-}
-
-/// Replication gain: measure `W` for `stage` at `(n, p, c = 1)` and
-/// `(n, p, c = c_hi)` on the same seeded input and return
-/// `(w_base, w_replicated, gain)`. The paper's headline is
-/// `gain → √c_hi` (Lemma III.3 through Theorem IV.4).
-pub fn replication_gain(stage: Stage, n: usize, p: usize, c_hi: usize) -> (f64, f64, f64) {
-    let w1 = Quantity::W.of(&measure(stage, Point::new(n, p, 1)));
-    let wc = Quantity::W.of(&measure(stage, Point::new(n, p, c_hi)));
-    (w1, wc, w1 / wc)
 }

@@ -408,4 +408,43 @@ mod tests {
             "pipelining did not reduce supersteps: {steps:?}"
         );
     }
+
+    /// Figure 2 (n = 64, b = 8, h = 4, p = 8): the two concurrent sets
+    /// of iterations run as pipeline phases 7 and 8, each chase on the
+    /// group the figure shades, with the figure's QR and update ranges.
+    #[test]
+    fn phases_seven_and_eight_are_figure2() {
+        let m = machine(8);
+        let mut rng = StdRng::seed_from_u64(11);
+        let dense = gen::random_banded(&mut rng, 64, 8);
+        let bm = BandedSym::from_dense(&dense, 8, 8);
+        let (_, trace) = try_band_to_band(&m, &Grid::all(8), &bm, 4, 1, None).unwrap();
+        type Chase = ((usize, usize), usize, (usize, usize), (usize, usize), (usize, usize));
+        let phase = |ph: usize| -> Vec<Chase> {
+            let mut v: Vec<Chase> = trace
+                .chases
+                .iter()
+                .filter(|r| r.phase == ph)
+                .map(|r| ((r.op.i, r.op.j), r.group_index, r.op.qr_rows, r.op.qr_cols, r.op.up_cols))
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(
+            phase(7),
+            vec![
+                ((1, 5), 4, (36, 44), (28, 32), (32, 60)),
+                ((2, 3), 2, (24, 32), (16, 20), (20, 48)),
+                ((3, 1), 0, (12, 20), (8, 12), (12, 40)),
+            ]
+        );
+        assert_eq!(
+            phase(8),
+            vec![
+                ((1, 6), 5, (44, 52), (36, 40), (40, 64)),
+                ((2, 4), 3, (32, 40), (24, 28), (28, 56)),
+                ((3, 2), 1, (20, 28), (12, 16), (16, 44)),
+            ]
+        );
+    }
 }

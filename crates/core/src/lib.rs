@@ -30,8 +30,8 @@
 //!
 //! Every algorithm returns its eigenvalues from real floating-point
 //! execution *and* leaves the full `F/W/Q/S/M` cost record in the
-//! machine ledger, which the `ca-bench` harness uses to regenerate the
-//! paper's Table I and Figures 1–2.
+//! machine ledger, which the `conformance` crate's claims read to check
+//! the paper's Table I, its lemma shapes and Figure 2's schedule.
 //!
 //! Each operation has one entry point: a fallible one returns
 //! `Result<_, EigenError>` (`try_*`), and a stage that can record its

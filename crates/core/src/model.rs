@@ -3,7 +3,7 @@
 //!
 //! Each function returns the *dominant-term* prediction (unit constants)
 //! of a lemma or theorem. They serve three purposes: (1) the
-//! `model_check` harness compares them against the measured ledger,
+//! conformance harness fits them next to the measured ledger,
 //! (2) tests pin the measured/model ratio into a band so accounting
 //! regressions are caught, and (3) downstream users can evaluate the
 //! tuning space (`p`, `c`, `b`) without running a simulation.
@@ -37,6 +37,21 @@ pub fn mm_streaming(m: usize, n: usize, k: usize, q: usize, c: usize, w: usize) 
         vertical_words: (mf * kf + nf * kf) / p_delta,
         supersteps: 2.0 * w as f64 + 2.0,
         memory_words: mf * nf / ((q * q) as f64) + (mf * kf + nf * kf) / (w as f64 * p_delta),
+    }
+}
+
+/// Lemma III.2: recursive (CARMA) multiply of `m×k` by `k×n` on `p`
+/// processors with no operand replicated — the 1D, 2D and 3D cases in
+/// one bound, `W = (mn + nk + mk)/p + (mnk/p)^{2/3}`.
+pub fn mm_recursive(m: usize, k: usize, n: usize, p: usize) -> ModelCosts {
+    let (mf, kf, nf, pf) = (m as f64, k as f64, n as f64, p as f64);
+    let words = (mf * nf + nf * kf + mf * kf) / pf + (mf * nf * kf / pf).powf(2.0 / 3.0);
+    ModelCosts {
+        flops: 2.0 * mf * nf * kf / pf,
+        horizontal_words: words,
+        vertical_words: words,
+        supersteps: pf.log2().max(1.0),
+        memory_words: words,
     }
 }
 

@@ -11,11 +11,7 @@ use std::collections::BTreeSet;
 fn assert_report_shape(report: &conformance::Report) {
     // ≥ 5 distinct stages must have fitted exponents (the acceptance
     // floor for the harness).
-    let stages: BTreeSet<&str> = report
-        .exponents
-        .iter()
-        .map(|e| e.stage.as_str())
-        .collect();
+    let stages: BTreeSet<&str> = report.exponents.iter().map(|e| e.stage.as_str()).collect();
     assert!(
         stages.len() >= 5,
         "fitted exponents cover only {:?}",
@@ -25,13 +21,13 @@ fn assert_report_shape(report: &conformance::Report) {
     // and the √c replication gain.
     assert!(report.exponents.iter().any(|e| e.id == "full-to-band.W.p"));
     assert!(report.exponents.iter().any(|e| e.id == "streaming-mm.W.p"));
-    assert!(report.gains.iter().any(|g| g.id == "streaming-mm.gain.c4"));
+    assert!(report.ratios.iter().any(|r| r.id == "streaming-mm.gain.c4"));
     assert!(!report.oracles.is_empty(), "oracle suite did not run");
     // The JSON document round-trips the verdict fields.
     let json = report.to_json();
-    assert!(json.contains("\"schema\": \"ca-symm-eig/conformance/v1\""));
+    assert!(json.contains("\"schema\": \"ca-symm-eig/conformance/v2\""));
     assert!(json.contains("\"measured_exponent\""));
-    assert!(json.contains("\"measured_gain\""));
+    assert!(json.contains("\"measured\""));
 }
 
 #[test]
@@ -48,10 +44,10 @@ fn quick_conformance_suite_passes() {
                 e.id, e.measured_exponent, e.paper_exponent, e.tolerance
             )
         })
-        .chain(report.gains.iter().filter(|g| !g.pass).map(|g| {
+        .chain(report.ratios.iter().filter(|r| !r.pass).map(|r| {
             format!(
-                "{}: gain ×{:.3} outside [{:.2}, {:.2}]",
-                g.id, g.measured_gain, g.lo, g.hi
+                "{}: ratio ×{:.3} outside [{:.2}, {:.2}]",
+                r.id, r.measured, r.lo, r.hi
             )
         }))
         .chain(report.oracles.iter().filter(|o| !o.pass).map(|o| {
@@ -75,4 +71,28 @@ fn full_conformance_suite_passes() {
     let report = conformance::run(false, |_| {});
     assert_report_shape(&report);
     assert!(report.pass, "{} conformance claims failed", report.failed);
+}
+
+/// EXPERIMENTS.md quotes the committed full-tier report by claim id, so
+/// a row cannot land (or go) without regenerating it with
+/// `cargo run --release -p conformance`.
+#[test]
+fn committed_report_lists_exactly_the_claims() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/CONFORMANCE.json");
+    let json = std::fs::read_to_string(path).expect("CONFORMANCE.json is committed");
+    assert!(
+        json.contains("\"quick\": false"),
+        "the committed report is the full tier"
+    );
+    let committed: BTreeSet<&str> = json
+        .split("\"id\": \"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').unwrap()])
+        .collect();
+    let defined: BTreeSet<&str> = conformance::claims::exponent_claims()
+        .iter()
+        .map(|c| c.id)
+        .chain(conformance::claims::ratio_claims().iter().map(|r| r.id))
+        .collect();
+    assert_eq!(committed, defined, "regenerate CONFORMANCE.json");
 }
