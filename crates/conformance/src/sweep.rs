@@ -8,8 +8,8 @@
 //! held fixed so `W_mm ∝ n` in the `n`-sweep).
 
 use ca_bsp::{Costs, Machine, MachineParams};
-use ca_dla::{gen, BandedSym, Matrix};
-use ca_eigen::baselines::{elpa_two_stage, scalapack::scalapack_eigenvalues};
+use ca_dla::{gen, BandedSym};
+use ca_eigen::baselines::{ca_sbr_eigenvalues, elpa_two_stage, scalapack::scalapack_eigenvalues};
 use ca_eigen::{ca_sbr, model, try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
 use ca_pla::carma::carma;
 use ca_pla::dist::DistMatrix;
@@ -328,34 +328,6 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
         costs.supersteps,
     );
     costs
-}
-
-/// The Table I "CA-SBR" row: a 2D full→band reduction followed by
-/// successive CA-SBR halvings to band-width `n/p`, then a sequential
-/// solve (the successive-band-reduction eigensolver of \[12\]).
-fn ca_sbr_eigenvalues(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
-    let n = a.rows();
-    let params = EigenParams::new(p, 1);
-    let b = params.initial_bandwidth(n);
-    let (mut band, _) = ca_eigen::try_full_to_band(machine, &params, a, b, None).unwrap();
-    let grid = Grid::all(p);
-    let target = (n / p).max(1);
-    while band.bandwidth() > target && band.bandwidth() >= 2 {
-        // Lemma IV.2 is valid for b ≤ n/p̂: use at most n/b processors
-        // per halving (the 1D pipeline cannot use more anyway).
-        let active = grid.prefix((n / band.bandwidth()).clamp(1, p));
-        band = ca_sbr(machine, &active, &band, None);
-    }
-    ca_pla::coll::gather(
-        machine,
-        &grid,
-        0,
-        ((n * (band.bandwidth() + 1)) as u64).div_ceil(p as u64),
-    );
-    let bw = band.bandwidth() as u64;
-    machine.charge_flops(0, 6 * (n as u64) * bw * bw + 30 * (n as u64).pow(2));
-    machine.fence();
-    ca_dla::tridiag::try_banded_eigenvalues(&band).unwrap()
 }
 
 /// The closed-form model prediction ([`ca_eigen::model`]) for `stage`

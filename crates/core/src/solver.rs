@@ -20,7 +20,7 @@ use crate::ca_sbr::ca_sbr;
 use crate::error::EigenError;
 use crate::params::EigenParams;
 use ca_bsp::{Costs, Machine};
-use ca_dla::Matrix;
+use ca_dla::{BandedSym, Matrix};
 use ca_pla::coll;
 use ca_pla::grid::Grid;
 
@@ -316,20 +316,7 @@ fn solve_impl(
 
     // Stage 4: gather and solve sequentially (line 11).
     let scope = costs.begin(machine, "sequential eigensolve".to_string());
-    let bw = band.bandwidth();
-    coll::gather(
-        machine,
-        &Grid::all(p),
-        0,
-        ((n * (bw + 1)) as u64).div_ceil(p as u64),
-    );
-    // Sequential band → tridiagonal + eigensolve, charged to
-    // processor 0: the fused rank-1 sweep is ≈ 6nb² flops, and
-    // divide-and-conquer's secular solves and 2×m·m row-carrier merge
-    // GEMMs are ≈ 16n² with typical deflation.
-    let seq_flops = 6 * (n as u64) * (bw as u64).pow(2) + 16 * (n as u64).pow(2);
-    machine.charge_flops(0, seq_flops);
-    machine.charge_vert(0, (n * (bw + 1)) as u64);
+    gather_and_charge_finale(machine, p, &band);
 
     if !want_vectors {
         let ev = ca_dla::tridiag::try_banded_eigenvalues(&band)?;
@@ -363,6 +350,21 @@ fn solve_impl(
     scope.end(&mut costs);
 
     Ok((ev, costs, Some(v)))
+}
+
+/// Line 11's gather and sequential-finale charge: the `n × (b + 1)`
+/// band lands on processor 0, which reads it once and is charged the
+/// band → tridiagonal sweep and the eigensolve — the fused rank-1 sweep
+/// is ≈ 6nb² flops, and divide-and-conquer's secular solves and 2×m·m
+/// row-carrier merge GEMMs are ≈ 16n² with typical deflation. The
+/// solver's stage 4 and the CA-SBR baseline charge the finale here and
+/// nowhere else.
+pub(crate) fn gather_and_charge_finale(machine: &Machine, p: usize, band: &BandedSym) {
+    let n = band.n() as u64;
+    let bw = band.bandwidth() as u64;
+    coll::gather(machine, &Grid::all(p), 0, (n * (bw + 1)).div_ceil(p as u64));
+    machine.charge_flops(0, 6 * n * bw * bw + 16 * n * n);
+    machine.charge_vert(0, n * (bw + 1));
 }
 
 #[cfg(test)]

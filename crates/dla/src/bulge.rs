@@ -763,12 +763,13 @@ const GROUP_MAX: usize = 32;
 /// the measurements above. Blocks do not lose there — at (n, b) =
 /// (96, 24), `g = 12`, a whole vectors solve read 1.87 → 1.75 ms — but
 /// that is a few per cent of a job the size of `service_mix`'s, and
-/// that workload's closed loop (FIFO queue, small jobs coalesced behind
-/// the large ones) turns a 6 % shorter largest job into a 19 % longer
-/// *median* job latency: the measurement, and why the rank-1 leg is kept
-/// for narrow bands, are in `results/pr17_benchmark_pairs.md`. A rule on
-/// the band-width, which the code observes; wide bands are
-/// `vectors_p4`'s side of it, narrow ones `service_mix`'s.
+/// that workload's closed loop (FIFO queue, small jobs then coalesced
+/// behind the large ones) turned a 6 % shorter largest job into a 19 %
+/// longer *median* job latency: the measurement, and why the rank-1 leg
+/// is kept for narrow bands, are in `results/pr17_benchmark_pairs.md`
+/// (the service no longer coalesces, DESIGN.md §6f). A rule on the
+/// band-width, which the code observes; wide bands are `vectors_p4`'s
+/// side of it, narrow ones `service_mix`'s.
 const BLOCK_MIN_BAND: usize = 32;
 
 /// [`sweep_to_tridiagonal`] on the caller's arena, in the instantiation

@@ -98,9 +98,6 @@ const SMALL_FLOPS_ROWS: usize = 1 << 25;
 /// fork can pay for itself.
 const PAR_FLOPS: usize = 1 << 23;
 
-/// Row count threshold above which [`symv`] parallelizes.
-const PAR_ROWS: usize = 128;
-
 /// `C ← α·op(A)·op(B) + β·C`.
 ///
 /// Panics if the operand shapes are inconsistent with `C`.
@@ -679,46 +676,6 @@ pub fn matmul(a: &Matrix, ta: Trans, b: &Matrix, tb: Trans) -> Matrix {
     c
 }
 
-/// Dense symmetric matrix–vector product `y = A·x` (used by the
-/// ScaLAPACK-style baseline's per-column trailing updates). Each row's
-/// dot product runs over slices with four independent accumulators;
-/// rows are distributed over rayon threads when large.
-pub fn symv(a: &Matrix, x: &[f64]) -> Vec<f64> {
-    assert_eq!(a.rows(), a.cols());
-    assert_eq!(a.rows(), x.len());
-    let n = x.len();
-    let data = a.data();
-    let dot_row = |i: usize| -> f64 {
-        let row = &data[i * n..(i + 1) * n];
-        let mut acc = [0.0f64; 4];
-        for (r4, x4) in row.chunks_exact(4).zip(x.chunks_exact(4)) {
-            acc[0] += r4[0] * x4[0];
-            acc[1] += r4[1] * x4[1];
-            acc[2] += r4[2] * x4[2];
-            acc[3] += r4[3] * x4[3];
-        }
-        let tail = row
-            .chunks_exact(4)
-            .remainder()
-            .iter()
-            .zip(x.chunks_exact(4).remainder())
-            .map(|(&r, &xx)| r * xx)
-            .sum::<f64>();
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-    };
-    let mut y = vec![0.0; n];
-    if n >= PAR_ROWS {
-        y.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, yi)| *yi = dot_row(i));
-    } else {
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = dot_row(i);
-        }
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,33 +801,6 @@ mod tests {
         let a = Matrix::from_fn(40, 600, |i, j| ((i * 3 + j) % 9) as f64 * 0.1 - 0.4);
         let b = Matrix::from_fn(600, 35, |i, j| ((i + j * 5) % 8) as f64 * 0.2 - 0.7);
         assert!(matmul(&a, Trans::N, &b, Trans::N).max_diff(&naive(&a, &b)) < 1e-9);
-    }
-
-    #[test]
-    fn symv_matches_gemm() {
-        let mut a = Matrix::from_fn(6, 6, |i, j| ((i * 6 + j) as f64).cos());
-        a.symmetrize();
-        let x: Vec<f64> = (0..6).map(|i| i as f64 - 2.5).collect();
-        let xm = Matrix::from_vec(6, 1, x.clone());
-        let want = matmul(&a, Trans::N, &xm, Trans::N);
-        let got = symv(&a, &x);
-        for i in 0..6 {
-            assert!((got[i] - want.get(i, 0)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn symv_large_parallel_path() {
-        let n = 200;
-        let mut a = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) % 17) as f64 * 0.1 - 0.8);
-        a.symmetrize();
-        let x: Vec<f64> = (0..n).map(|i| ((i % 9) as f64) - 4.0).collect();
-        let xm = Matrix::from_vec(n, 1, x.clone());
-        let want = matmul(&a, Trans::N, &xm, Trans::N);
-        let got = symv(&a, &x);
-        for i in 0..n {
-            assert!((got[i] - want.get(i, 0)).abs() < 1e-9);
-        }
     }
 
     #[test]

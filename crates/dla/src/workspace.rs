@@ -16,9 +16,8 @@
 //! acquire an arena via [`with_ws`] and pass `&mut Workspace` down the
 //! call tree. The checkout is **re-entrant**: a nested [`with_ws`] (an
 //! entry point reached from inside another entry point's scope — a
-//! coalesced batch solve running whole solver invocations on one
-//! service worker, or a thread that waits for a fork and meanwhile runs
-//! somebody else's piece) checks out its own arena from the stack.
+//! thread that waits for a fork and meanwhile runs somebody else's
+//! piece) checks out its own arena from the stack.
 //! Arenas return to the stack LIFO, so repeated workloads at any
 //! nesting depth reuse the same warm arenas and steady-state execution
 //! stays allocation-free.

@@ -14,9 +14,8 @@
 //! / `dnc.secular_iters` (secular-equation work),
 //! `service.submitted` / `service.completed` / `service.failed` /
 //! `service.queue_rejected` / `service.deadline_missed` /
-//! `service.batches` / `service.batched_jobs` /
 //! `service.queue_depth_peak` / `service.queue_wait_us` /
-//! `service.solve_us` (batch-service scheduling, mirrored from
+//! `service.solve_us` (service scheduling, mirrored from
 //! `ca_service::ServiceStats`), `rt.spawns` / `rt.jobs` / `rt.helped` /
 //! `rt.parks` (the threading runtime's cumulative totals, mirrored by
 //! the solver at every stage end with `record_max`; a flat `rt.spawns`

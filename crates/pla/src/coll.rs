@@ -101,22 +101,6 @@ pub fn gather(m: &Machine, group: &Grid, root: usize, words_each: u64) {
     m.step(group.procs(), 1);
 }
 
-/// Scatter `words_each` from `root` to every member: one superstep.
-pub fn scatter(m: &Machine, group: &Grid, root: usize, words_each: u64) {
-    let g = group.len() as u64;
-    if g <= 1 || words_each == 0 {
-        return;
-    }
-    let root_id = group.proc(root);
-    m.charge_comm(root_id, (g - 1) * words_each);
-    for (r, &pid) in group.procs().iter().enumerate() {
-        if r != root {
-            m.charge_comm(pid, words_each);
-        }
-    }
-    m.step(group.procs(), 1);
-}
-
 /// All-gather: every member contributes `words_each` and ends with all
 /// `g·words_each` words: one superstep.
 pub fn allgather(m: &Machine, group: &Grid, words_each: u64) {
@@ -236,16 +220,6 @@ mod tests {
         let c = m.report();
         assert_eq!(c.horizontal_words, 0);
         assert_eq!(c.supersteps, 0);
-    }
-
-    #[test]
-    fn scatter_is_dual_of_gather() {
-        let m = machine(4);
-        scatter(&m, &Grid::all(4), 0, 100);
-        let per = m.comm_per_proc();
-        assert_eq!(per[0], 300); // root sends (g−1)·words_each
-        assert_eq!(per[3], 100);
-        assert_eq!(m.report().supersteps, 1);
     }
 
     #[test]

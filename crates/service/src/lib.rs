@@ -1,23 +1,20 @@
-//! # ca-service — batched, multi-tenant eigensolver serving
+//! # ca-service — multi-tenant eigensolver serving
 //!
 //! The research driver solves exactly one eigenproblem per process
 //! invocation. This crate turns it into a reusable serving substrate:
-//! an [`EigenService`] owns a set of worker threads — started through
-//! the workspace runtime's one spawn site, each with a core budget of
-//! `max(1, current_num_threads() / workers)` for the forks inside its
-//! jobs — accepts
-//! many independent [`SymmEigenJob`]s (values-only or with vectors,
-//! heterogeneous `n`), applies admission control
-//! over a bounded queue, cancels jobs whose scheduling deadline passes
-//! ([`EigenError::Deadline`]), and **coalesces** small problems (below
-//! [`ServiceConfig::batch_floor`]) into batched leaf solves that amortize
-//! per-solve overheads across a batch — the amortization the paper's
-//! cost model rewards.
+//! an [`EigenService`] is a bounded FIFO queue and `N` worker threads —
+//! started through the workspace runtime's one spawn site, each with a
+//! core budget of `max(1, current_num_threads() / workers)` for the
+//! forks inside its jobs. It accepts many independent
+//! [`SymmEigenJob`]s (values-only or with vectors, heterogeneous `n`),
+//! applies admission control over the queue, and cancels jobs whose
+//! scheduling deadline passes ([`EigenError::Deadline`]). A worker pops
+//! one job, runs it through [`ca_eigen::solve_job`], and pops the next.
 //!
 //! ## Determinism
 //!
 //! Results are **bit-identical to solo runs** regardless of
-//! concurrency, interleaving, batching, or the pool width
+//! concurrency, interleaving, or the pool width
 //! (`RAYON_NUM_THREADS`), by construction (see DESIGN.md §6f):
 //!
 //! 1. every job executes through exactly one function,
@@ -31,7 +28,7 @@
 //!    use), so a warm arena is numerically indistinguishable from a
 //!    cold one;
 //! 3. the solver has no process-global configuration a concurrent
-//!    caller could flip mid-batch (a worker's core budget is its own
+//!    caller could flip mid-solve (a worker's core budget is its own
 //!    thread's and changes dispatch, never bits);
 //! 4. the solver itself is interleaving-independent: its cost ledger
 //!    is commutative-atomic and its parallel schedules are
@@ -115,7 +112,8 @@ struct Shared {
     /// Signalled when work arrives, the pause flag clears, or the
     /// service closes.
     cv: Condvar,
-    config: ServiceConfig,
+    /// Admission bound: `submit` rejects once this many jobs are queued.
+    capacity: usize,
     stats: ServiceStats,
 }
 
@@ -123,21 +121,9 @@ struct Shared {
 #[derive(Debug)]
 pub struct JobTicket {
     slot: Arc<Slot>,
-    id: u64,
-    submitted: Instant,
 }
 
 impl JobTicket {
-    /// Monotonically increasing submission id (order of admission).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Time since the job was admitted.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.submitted.elapsed()
-    }
-
     /// Block until the job completes and return its result. Never loses
     /// a job: every admitted ticket is eventually fulfilled — with the
     /// solve's output, a typed solve error, [`EigenError::Deadline`],
@@ -154,7 +140,7 @@ impl JobTicket {
     }
 }
 
-/// A batched, multi-tenant eigensolver front-end. See the crate docs.
+/// A multi-tenant eigensolver front-end. See the crate docs.
 pub struct EigenService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -163,22 +149,23 @@ pub struct EigenService {
 
 impl EigenService {
     /// A service with the given configuration; its workers start now.
+    /// Both fields are clamped to at least 1.
     pub fn new(config: ServiceConfig) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                paused: config.paused,
+                paused: false,
                 closed: false,
             }),
             cv: Condvar::new(),
-            config,
+            capacity: config.queue_capacity.max(1),
             stats: ServiceStats::default(),
         });
         // The core budget is derived, not configured: the runtime's
         // threads divided evenly among this service's workers. With no
         // cores to spare (budget 1) a job runs entirely inline on its
         // worker — nothing is handed to another thread.
-        let workers = shared.config.effective_workers();
+        let workers = config.workers.max(1);
         let budget = (rt::current_num_threads() / workers).max(1);
         let workers = (0..workers)
             .map(|i| {
@@ -212,7 +199,7 @@ impl EigenService {
             if st.closed {
                 return Err(EigenError::ServiceShutdown);
             }
-            let cap = self.shared.config.effective_capacity();
+            let cap = self.shared.capacity;
             if st.queue.len() >= cap {
                 self.shared.stats.record_rejected();
                 return Err(EigenError::QueueFull { capacity: cap });
@@ -226,7 +213,7 @@ impl EigenService {
             self.shared.stats.record_submit(st.queue.len());
         }
         self.shared.cv.notify_one();
-        Ok(JobTicket { slot, id, submitted })
+        Ok(JobTicket { slot })
     }
 
     /// Submit every job, preserving order; each element is that job's
@@ -238,19 +225,6 @@ impl EigenService {
         jobs.into_iter().map(|j| self.submit(j)).collect()
     }
 
-    /// Submit every job and wait for all results, preserving order —
-    /// the synchronous batch entry point.
-    pub fn solve_batch(
-        &self,
-        jobs: impl IntoIterator<Item = SymmEigenJob>,
-    ) -> Vec<Result<JobResult, EigenError>> {
-        let tickets = self.submit_batch(jobs);
-        tickets
-            .into_iter()
-            .map(|t| t.and_then(JobTicket::wait))
-            .collect()
-    }
-
     /// Stop dispatching queued jobs (in-flight solves finish; admission
     /// stays open). Idempotent.
     pub fn pause(&self) {
@@ -258,18 +232,12 @@ impl EigenService {
         st.paused = true;
     }
 
-    /// Resume dispatch after [`EigenService::pause`] (or a paused
-    /// construction). Idempotent.
+    /// Resume dispatch after [`EigenService::pause`]. Idempotent.
     pub fn resume(&self) {
         let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
         st.paused = false;
         drop(st);
         self.shared.cv.notify_all();
-    }
-
-    /// The service's construction-time configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.shared.config
     }
 
     /// Point-in-time metrics.
@@ -306,33 +274,14 @@ impl Drop for EigenService {
     }
 }
 
-/// Claim the dequeued job's coalesced batch: if `first` is below the
-/// batch floor, also claim every other queued sub-floor job (up to
-/// `batch_max`), leaving larger jobs queued for other workers. Runs
-/// under the state lock.
-fn claim_batch(st: &mut State, first: QueuedJob, config: &ServiceConfig) -> Vec<QueuedJob> {
-    let mut batch = vec![first];
-    if config.batch_floor > 0 && batch[0].job.n() < config.batch_floor {
-        let mut i = 0;
-        while i < st.queue.len() && batch.len() < config.batch_max.max(1) {
-            if st.queue[i].job.n() < config.batch_floor {
-                batch.push(st.queue.remove(i).expect("index checked"));
-            } else {
-                i += 1;
-            }
-        }
-    }
-    batch
-}
-
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let q = {
             let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if !st.paused || st.closed {
-                    if let Some(first) = st.queue.pop_front() {
-                        break claim_batch(&mut st, first, &shared.config);
+                    if let Some(q) = st.queue.pop_front() {
+                        break q;
                     }
                     if st.closed {
                         return;
@@ -341,21 +290,11 @@ fn worker_loop(shared: &Shared) {
                 st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        if batch.len() > 1 {
-            shared.stats.record_batch(batch.len());
-            let _span = ca_obs::span(&format!("service.batch x{}", batch.len()));
-            for q in batch {
-                run_one(shared, q);
-            }
-        } else {
-            for q in batch {
-                run_one(shared, q);
-            }
-        }
+        run_one(shared, q);
     }
 }
 
-/// Execute (or deadline-cancel) one claimed job and fulfill its ticket.
+/// Execute (or deadline-cancel) one dequeued job and fulfill its ticket.
 fn run_one(shared: &Shared, q: QueuedJob) {
     let waited = q.submitted.elapsed();
     shared.stats.record_wait(waited);
@@ -407,8 +346,18 @@ mod tests {
         EigenService::new(ServiceConfig {
             workers,
             queue_capacity: cap,
-            ..ServiceConfig::default()
         })
+    }
+
+    fn serve_all(
+        service: &EigenService,
+        jobs: Vec<SymmEigenJob>,
+    ) -> Vec<Result<JobResult, EigenError>> {
+        let tickets = service.submit_batch(jobs);
+        tickets
+            .into_iter()
+            .map(|t| t.and_then(JobTicket::wait))
+            .collect()
     }
 
     #[test]
@@ -425,7 +374,7 @@ mod tests {
     fn batch_of_mixed_sizes_all_complete() {
         let service = small_service(3, 64);
         let jobs: Vec<_> = (0..12).map(|i| job(8 + 5 * i, 100 + i as u64).0).collect();
-        let results = service.solve_batch(jobs);
+        let results = serve_all(&service, jobs);
         assert_eq!(results.len(), 12);
         for (i, r) in results.iter().enumerate() {
             let out = r.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
@@ -439,12 +388,8 @@ mod tests {
     fn queue_full_is_a_typed_error() {
         // Paused service: nothing is dequeued, so the third submission
         // must hit the capacity-2 bound deterministically.
-        let service = EigenService::new(ServiceConfig {
-            workers: 1,
-            queue_capacity: 2,
-            paused: true,
-            ..ServiceConfig::default()
-        });
+        let service = small_service(1, 2);
+        service.pause();
         let t1 = service.submit(job(8, 2).0).unwrap();
         let t2 = service.submit(job(8, 3).0).unwrap();
         match service.submit(job(8, 4).0) {
@@ -459,12 +404,8 @@ mod tests {
 
     #[test]
     fn expired_deadline_cancels_without_solving() {
-        let service = EigenService::new(ServiceConfig {
-            workers: 1,
-            queue_capacity: 8,
-            paused: true,
-            ..ServiceConfig::default()
-        });
+        let service = small_service(1, 8);
+        service.pause();
         let t = service
             .submit(job(16, 5).0.timeout(Duration::ZERO))
             .unwrap();
@@ -477,53 +418,6 @@ mod tests {
         }
         let stats = service.stats();
         assert_eq!((stats.deadline_missed, stats.completed), (1, 0));
-    }
-
-    #[test]
-    fn coalescing_batches_small_jobs() {
-        // Paused service with one worker: queue 6 sub-floor jobs, then
-        // resume — the worker must claim them as one coalesced batch.
-        let service = EigenService::new(ServiceConfig {
-            workers: 1,
-            queue_capacity: 16,
-            batch_floor: 64,
-            batch_max: 16,
-            paused: true,
-        });
-        let tickets: Vec<_> = (0..6)
-            .map(|i| service.submit(job(10 + i, 20 + i as u64).0).unwrap())
-            .collect();
-        service.resume();
-        for t in tickets {
-            assert!(t.wait().is_ok());
-        }
-        let stats = service.stats();
-        assert_eq!(stats.batches, 1, "6 queued sub-floor jobs → one batch");
-        assert_eq!(stats.batched_jobs, 6);
-    }
-
-    #[test]
-    fn oversize_jobs_bypass_coalescing() {
-        let service = EigenService::new(ServiceConfig {
-            workers: 1,
-            queue_capacity: 16,
-            batch_floor: 16,
-            batch_max: 16,
-            paused: true,
-        });
-        let tickets: Vec<_> = [24usize, 8, 32, 9]
-            .into_iter()
-            .enumerate()
-            .map(|(i, n)| service.submit(job(n, 40 + i as u64).0).unwrap())
-            .collect();
-        service.resume();
-        for t in tickets {
-            assert!(t.wait().is_ok());
-        }
-        let stats = service.stats();
-        // The two sub-floor jobs (8, 9) coalesce when the worker reaches
-        // the first of them; the n=24/32 jobs run singly.
-        assert_eq!(stats.batched_jobs, 2);
     }
 
     #[test]
@@ -563,7 +457,7 @@ mod tests {
             .iter()
             .map(|j| solve_job(j).unwrap().eigenvalues)
             .collect();
-        let served = service.solve_batch(jobs);
+        let served = serve_all(&service, jobs);
         for (s, r) in solo.iter().zip(&served) {
             let r = r.as_ref().unwrap();
             assert_eq!(

@@ -7,8 +7,7 @@
 //! process-global [`ca_obs::Counter`] registry, where they appear next
 //! to the kernel counters in trace summaries: `service.submitted`,
 //! `service.completed`, `service.failed`, `service.queue_rejected`,
-//! `service.deadline_missed`, `service.batches`,
-//! `service.batched_jobs`, `service.queue_depth_peak`,
+//! `service.deadline_missed`, `service.queue_depth_peak`,
 //! `service.queue_wait_us`, `service.solve_us`.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -19,8 +18,6 @@ static OBS_COMPLETED: ca_obs::Counter = ca_obs::Counter::new("service.completed"
 static OBS_FAILED: ca_obs::Counter = ca_obs::Counter::new("service.failed");
 static OBS_REJECTED: ca_obs::Counter = ca_obs::Counter::new("service.queue_rejected");
 static OBS_DEADLINE: ca_obs::Counter = ca_obs::Counter::new("service.deadline_missed");
-static OBS_BATCHES: ca_obs::Counter = ca_obs::Counter::new("service.batches");
-static OBS_BATCHED_JOBS: ca_obs::Counter = ca_obs::Counter::new("service.batched_jobs");
 static OBS_DEPTH_PEAK: ca_obs::Counter = ca_obs::Counter::new("service.queue_depth_peak");
 static OBS_WAIT_US: ca_obs::Counter = ca_obs::Counter::new("service.queue_wait_us");
 static OBS_SOLVE_US: ca_obs::Counter = ca_obs::Counter::new("service.solve_us");
@@ -33,8 +30,6 @@ pub(crate) struct ServiceStats {
     failed: AtomicU64,
     rejected: AtomicU64,
     deadline_missed: AtomicU64,
-    batches: AtomicU64,
-    batched_jobs: AtomicU64,
     queue_depth_peak: AtomicU64,
     queue_wait_us: AtomicU64,
     solve_us: AtomicU64,
@@ -75,13 +70,6 @@ impl ServiceStats {
         }
     }
 
-    pub(crate) fn record_batch(&self, jobs: usize) {
-        self.batches.fetch_add(1, Relaxed);
-        self.batched_jobs.fetch_add(jobs as u64, Relaxed);
-        OBS_BATCHES.add(1);
-        OBS_BATCHED_JOBS.add(jobs as u64);
-    }
-
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             submitted: self.submitted.load(Relaxed),
@@ -89,8 +77,8 @@ impl ServiceStats {
             failed: self.failed.load(Relaxed),
             rejected: self.rejected.load(Relaxed),
             deadline_missed: self.deadline_missed.load(Relaxed),
-            batches: self.batches.load(Relaxed),
-            batched_jobs: self.batched_jobs.load(Relaxed),
+            batches: 0,
+            batched_jobs: 0,
             queue_depth_peak: self.queue_depth_peak.load(Relaxed),
             queue_wait_us: self.queue_wait_us.load(Relaxed),
             solve_us: self.solve_us.load(Relaxed),
@@ -111,9 +99,10 @@ pub struct StatsSnapshot {
     pub rejected: u64,
     /// Jobs cancelled because their deadline passed while queued.
     pub deadline_missed: u64,
-    /// Coalesced batches executed (each covering ≥ 2 jobs).
+    /// Always 0: workers run one job at a time. Kept only because the
+    /// frozen benchmark harness still reads it.
     pub batches: u64,
-    /// Jobs that ran inside a coalesced batch.
+    /// Always 0, as [`StatsSnapshot::batches`].
     pub batched_jobs: u64,
     /// High-water mark of the pending-queue depth.
     pub queue_depth_peak: u64,

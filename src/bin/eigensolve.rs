@@ -42,11 +42,31 @@ fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
+/// Print `eigensolve: <msg>` and exit with code 2: the one way this
+/// binary reports bad input.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("eigensolve: {msg}");
+    std::process::exit(2)
+}
+
+/// The integer value of option `name`, or `default` when it is absent.
+fn int_arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+    match arg(name) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| fail(format!("{name} expects a non-negative integer, got {v:?}"))),
+    }
+}
+
 fn main() {
-    let n: usize = arg("--n").map(|v| v.parse().expect("--n")).unwrap_or(128);
-    let p: usize = arg("--p").map(|v| v.parse().expect("--p")).unwrap_or(16);
-    let c: usize = arg("--c").map(|v| v.parse().expect("--c")).unwrap_or(1);
-    let seed: u64 = arg("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(42);
+    let n: usize = int_arg("--n", 128);
+    let p: usize = int_arg("--p", 16);
+    let c: usize = int_arg("--c", 1);
+    let seed: u64 = int_arg("--seed", 42);
+    if p == 0 {
+        fail("--p must be at least 1");
+    }
     let kind = arg("--kind").unwrap_or_else(|| "spectrum".into());
     let algorithm = arg("--algorithm").unwrap_or_else(|| "2.5d".into());
     let want_vectors = flag("--vectors");
@@ -54,7 +74,7 @@ fn main() {
 
     // Build or load the matrix.
     let a: Matrix = if let Some(path) = arg("--input") {
-        load_csv(&path)
+        load_csv(&path).unwrap_or_else(|e| fail(format!("{path}: {e}")))
     } else {
         let mut rng = StdRng::seed_from_u64(seed);
         match kind.as_str() {
@@ -67,13 +87,13 @@ fn main() {
                 let side = (n as f64).sqrt().round() as usize;
                 gen::laplacian_2d(side, n / side.max(1))
             }
-            other => {
-                eprintln!("unknown --kind {other}");
-                std::process::exit(2);
-            }
+            other => fail(format!("unknown --kind {other}")),
         }
     };
     let n = a.rows();
+    if n < 2 {
+        fail(format!("matrix dimension must be at least 2 (got n = {n})"));
+    }
 
     let machine = Machine::new(MachineParams::new(p));
     let mut residual = None;
@@ -81,17 +101,10 @@ fn main() {
         "2.5d" => {
             // The typed-error entry points: a bad grid or input prints
             // a one-line diagnostic instead of a panic backtrace.
-            let params = EigenParams::try_new(p, c).unwrap_or_else(|e| {
-                eprintln!("eigensolve: {e}");
-                std::process::exit(2);
-            });
-            let reject = |e: ca_symm_eig::eigen::EigenError| -> ! {
-                eprintln!("eigensolve: {e}");
-                std::process::exit(2)
-            };
+            let params = EigenParams::try_new(p, c).unwrap_or_else(|e| fail(e));
             if want_vectors {
-                let (ev, v, _) = try_symm_eigen_25d_vectors(&machine, &params, &a)
-                    .unwrap_or_else(|e| reject(e));
+                let (ev, v, _) =
+                    try_symm_eigen_25d_vectors(&machine, &params, &a).unwrap_or_else(|e| fail(e));
                 // Residual ‖A·V − V·Λ‖_max.
                 let av = matmul(&a, Trans::N, &v, Trans::N);
                 let mut vl = v.clone();
@@ -104,16 +117,17 @@ fn main() {
                 ev
             } else {
                 try_symm_eigen_25d(&machine, &params, &a)
-                    .unwrap_or_else(|e| reject(e))
+                    .unwrap_or_else(|e| fail(e))
                     .0
             }
         }
         "scalapack" => scalapack_eigenvalues(&machine, &Grid::all(p).squarest_2d(), &a),
-        "elpa" => elpa_two_stage(&machine, p, &a),
-        other => {
-            eprintln!("unknown --algorithm {other}");
-            std::process::exit(2);
+        "elpa" => {
+            // ELPA's first stage runs on a square 2D grid.
+            EigenParams::try_new(p, 1).unwrap_or_else(|e| fail(e));
+            elpa_two_stage(&machine, p, &a)
         }
+        other => fail(format!("unknown --algorithm {other}")),
     };
 
     let costs = machine.report();
@@ -150,32 +164,42 @@ fn main() {
     }
 }
 
-fn load_csv(path: &str) -> Matrix {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let rows: Vec<Vec<f64>> = text
+/// A dense symmetric matrix from CSV rows: every entry a finite number,
+/// as many rows as columns, and symmetric to `1e-8` relative.
+fn load_csv(path: &str) -> Result<Matrix, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    let rows = text
         .lines()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| {
+        .enumerate()
+        .map(|(i, l)| {
             l.split(',')
-                .map(|tok| tok.trim().parse::<f64>().expect("CSV entry"))
-                .collect()
+                .map(|tok| match tok.trim().parse::<f64>() {
+                    Ok(v) if v.is_finite() => Ok(v),
+                    _ => Err(format!("row {}: {:?} is not a finite number", i + 1, tok.trim())),
+                })
+                .collect::<Result<Vec<f64>, String>>()
         })
-        .collect();
+        .collect::<Result<Vec<_>, String>>()?;
     let n = rows.len();
-    assert!(n > 0, "empty matrix");
-    assert!(rows.iter().all(|r| r.len() == n), "matrix must be square");
+    if n == 0 {
+        return Err("empty matrix".into());
+    }
+    if let Some(i) = rows.iter().position(|r| r.len() != n) {
+        return Err(format!(
+            "matrix must be square: row {} has {} entries, expected {n}",
+            i + 1,
+            rows[i].len()
+        ));
+    }
     let mut a = Matrix::zeros(n, n);
     for (i, r) in rows.iter().enumerate() {
         for (j, v) in r.iter().enumerate() {
             a.set(i, j, *v);
         }
     }
-    assert!(
-        a.asymmetry() < 1e-8 * a.norm_max().max(1.0),
-        "input matrix must be symmetric"
-    );
-    a
+    if a.asymmetry() >= 1e-8 * a.norm_max().max(1.0) {
+        return Err("input matrix must be symmetric".into());
+    }
+    Ok(a)
 }

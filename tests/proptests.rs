@@ -184,16 +184,13 @@ proptest! {
     /// gallery's own defect functions, not a reimplementation.
     #[test]
     fn service_batches_preserve_conformance_oracles(specs in batch_strategy()) {
-        use ca_service::{EigenService, ServiceConfig, SymmEigenJob};
+        use ca_service::{EigenService, JobTicket, ServiceConfig, SymmEigenJob};
         use ca_symm_eig::dla::gen;
         use conformance::oracle::{orthogonality_defect, residual_defect};
         use rand::{rngs::StdRng, SeedableRng};
 
         let service = EigenService::new(ServiceConfig {
             workers: 3,
-            // A mid-range floor so some jobs coalesce into batched leaf
-            // solves while others run singly — both scheduler paths.
-            batch_floor: 24,
             ..ServiceConfig::default()
         });
 
@@ -212,7 +209,8 @@ proptest! {
             })
             .collect();
 
-        let results = service.solve_batch(jobs.iter().map(|(_, _, j)| j.clone()));
+        let tickets = service.submit_batch(jobs.iter().map(|(_, _, j)| j.clone()));
+        let results: Vec<_> = tickets.into_iter().map(|t| t.and_then(JobTicket::wait)).collect();
         prop_assert_eq!(results.len(), jobs.len());
         for ((spectrum, a, job), res) in jobs.iter().zip(results) {
             let r = res.expect("service must complete every admitted job");

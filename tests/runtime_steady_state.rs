@@ -18,7 +18,7 @@
 //! spawn site only, so everything that goes through that site (the
 //! pool, a service) lives in the one test that reads the count.
 
-use ca_service::{EigenService, ServiceConfig, SymmEigenJob};
+use ca_service::{EigenService, JobTicket, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::{gen, rt, Matrix};
 use ca_symm_eig::dla::{gemm, Trans};
@@ -109,13 +109,13 @@ fn spawns_stay_flat_after_warm_up() {
             SymmEigenJob::values(input(n, i as u64), 4, 1)
         }
     };
-    for r in service.solve_batch((0..16).map(job)) {
-        r.expect("warm-up job");
+    for t in service.submit_batch((0..16).map(job)) {
+        t.and_then(JobTicket::wait).expect("warm-up job");
     }
     let warm = rt::stats().spawns;
     for round in 0..25 {
-        for r in service.solve_batch((0..8).map(|i| job(8 * round + i))) {
-            r.expect("job");
+        for t in service.submit_batch((0..8).map(|i| job(8 * round + i))) {
+            t.and_then(JobTicket::wait).expect("job");
         }
     }
     assert_eq!(rt::stats().spawns, warm, "serving 200 jobs created a thread");

@@ -2,8 +2,8 @@
 //! **bit-identical** to the same problem solved solo.
 //!
 //! The service's determinism claim (DESIGN.md §6f) is that scheduling —
-//! concurrency, queue interleaving, coalesced batching, pause/resume
-//! churn — never changes a single output bit. This suite enforces it
+//! concurrency, queue interleaving, pause/resume churn — never changes
+//! a single output bit. This suite enforces it
 //! over the size/output matrix `n ∈ {2, 48, 65, 129, 257}` (QL finale
 //! at or below the D&C leaf size, D&C above), values-only and with
 //! vectors. The solo reference is [`ca_service::solve_job`] called
@@ -15,7 +15,7 @@
 //! bit-identity of the solver itself is pinned by
 //! `tests/executor_determinism.rs` and `tests/runtime_steady_state.rs`).
 
-use ca_service::{EigenService, JobResult, ServiceConfig, SymmEigenJob};
+use ca_service::{EigenError, EigenService, JobResult, JobTicket, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::dla::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,6 +44,18 @@ fn bits(r: &JobResult) -> Vec<u64> {
     out
 }
 
+/// Submit every job, then wait for each result in submission order.
+fn serve_all(
+    service: &EigenService,
+    jobs: &[(String, SymmEigenJob)],
+) -> Vec<Result<JobResult, EigenError>> {
+    let tickets = service.submit_batch(jobs.iter().map(|(_, j)| j.clone()));
+    tickets
+        .into_iter()
+        .map(|t| t.and_then(JobTicket::wait))
+        .collect()
+}
+
 /// The full job matrix: sizes × output modes. Vectors at
 /// n = 257 are the most expensive cell (~O(n³) back-transformation);
 /// the whole matrix stays well inside CI budgets.
@@ -62,10 +74,6 @@ fn concurrent_batch_is_bit_identical_to_solo() {
     let service = EigenService::new(ServiceConfig {
         workers: 4,
         queue_capacity: 64,
-        // Floor of 64 exercises both paths: n = 2 and n = 48 coalesce,
-        // n ∈ {65, 129, 257} run singly.
-        batch_floor: 64,
-        ..ServiceConfig::default()
     });
     let jobs = job_matrix();
 
@@ -78,7 +86,7 @@ fn concurrent_batch_is_bit_identical_to_solo() {
         .collect();
 
     // One concurrent submission of the whole matrix.
-    let served = service.solve_batch(jobs.iter().map(|(_, j)| j.clone()));
+    let served = serve_all(&service, &jobs);
     assert_eq!(served.len(), jobs.len());
     for (((label, _), want), got) in jobs.iter().zip(&solo).zip(&served) {
         let got = got.as_ref().unwrap_or_else(|e| panic!("served {label}: {e}"));
@@ -92,9 +100,9 @@ fn concurrent_batch_is_bit_identical_to_solo() {
 
 #[test]
 fn interleaving_and_batching_shape_do_not_change_bits() {
-    // The same matrix served three more ways: single worker (pure FIFO),
-    // many workers with reversed submission order, and coalescing
-    // disabled. All byte streams must agree with the first serving.
+    // The same matrix served three more ways: a single worker, many
+    // workers with reversed submission order, and four workers in
+    // order. All byte streams must agree with the first serving.
     // The full matrix already ran in `concurrent_batch_is_bit_identical_
     // to_solo`; here the most expensive cells (vectors at n = 257) are
     // dropped to keep three extra servings inside the CI budget —
@@ -105,18 +113,15 @@ fn interleaving_and_batching_shape_do_not_change_bits() {
         workers: 2,
         ..ServiceConfig::default()
     });
-    let reference: Vec<Vec<u64>> = reference_service
-        .solve_batch(jobs.iter().map(|(_, j)| j.clone()))
+    let reference: Vec<Vec<u64>> = serve_all(&reference_service, &jobs)
         .into_iter()
         .map(|r| bits(&r.expect("reference serving")))
         .collect();
 
-    for (workers, reversed, batch_floor) in [(1usize, false, 64usize), (6, true, 64), (4, false, 0)] {
+    for (workers, reversed) in [(1usize, false), (6, true), (4, false)] {
         let service = EigenService::new(ServiceConfig {
             workers,
             queue_capacity: 64,
-            batch_floor,
-            ..ServiceConfig::default()
         });
         let order: Vec<usize> = if reversed {
             (0..jobs.len()).rev().collect()
@@ -132,7 +137,7 @@ fn interleaving_and_batching_shape_do_not_change_bits() {
             assert_eq!(
                 reference[i],
                 bits(&got),
-                "{} (workers={workers} reversed={reversed} floor={batch_floor}): bits changed",
+                "{} (workers={workers} reversed={reversed}): bits changed",
                 jobs[i].0
             );
         }

@@ -84,8 +84,6 @@ fn eight_clients_mixed_sizes_no_lost_jobs_bit_identical() {
         let service = Arc::new(EigenService::new(ServiceConfig {
             workers: 4,
             queue_capacity: 256,
-            batch_floor: 32,
-            ..ServiceConfig::default()
         }));
 
         let chaos = {
@@ -145,9 +143,8 @@ fn queue_full_under_flood_is_typed_and_nothing_is_lost() {
     let service = Arc::new(EigenService::new(ServiceConfig {
         workers: 2,
         queue_capacity: 4,
-        paused: true,
-        ..ServiceConfig::default()
     }));
+    service.pause();
     let pool = job_pool();
 
     let floods: Vec<_> = (0..CLIENTS)
@@ -193,9 +190,8 @@ fn expired_deadlines_are_typed_and_late_jobs_still_run() {
     let service = EigenService::new(ServiceConfig {
         workers: 2,
         queue_capacity: 64,
-        paused: true,
-        ..ServiceConfig::default()
     });
+    service.pause();
     let pool = job_pool();
 
     // Half the jobs carry an already-hopeless deadline, half none.
