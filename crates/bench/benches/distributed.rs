@@ -8,32 +8,10 @@ use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
 use ca_pla::rect_qr::rect_qr;
 use ca_pla::streaming::{streaming_mm_dense, Replicated};
-use ca_pla::summa::summa;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-
-fn bench_summa(c: &mut Criterion) {
-    let mut group = c.benchmark_group("summa_sim");
-    for n in [128usize, 256] {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = gen::random_matrix(&mut rng, n, n);
-        let b = gen::random_matrix(&mut rng, n, n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| {
-                let m = Machine::new(MachineParams::new(16));
-                let g = Grid::new_2d((0..16).collect(), 4, 4);
-                let da = DistMatrix::from_dense(&m, &g, &a);
-                let db = DistMatrix::from_dense(&m, &g, &b);
-                let mut dc = DistMatrix::zeros(&m, &g, n, n);
-                summa(&m, 1.0, &da, &db, 0.0, &mut dc);
-                black_box(dc)
-            });
-        });
-    }
-    group.finish();
-}
 
 fn bench_carma(c: &mut Criterion) {
     let mut group = c.benchmark_group("carma_sim");
@@ -93,6 +71,6 @@ fn bench_rect_qr(c: &mut Criterion) {
 criterion_group! {
     name = distributed;
     config = Criterion::default().sample_size(10);
-    targets = bench_summa, bench_carma, bench_streaming, bench_rect_qr
+    targets = bench_carma, bench_streaming, bench_rect_qr
 }
 criterion_main!(distributed);

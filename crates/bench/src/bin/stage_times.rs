@@ -1,7 +1,7 @@
 //! Stage-time benchmark: per-stage wall-clock and model flop-rate of
 //! the end-to-end solver at p = 4, c = 1.
 //!
-//! Stage wall-clock comes from [`StageCosts::wall_secs`]; model flops
+//! Stage wall-clock comes from [`StageCosts::wall_seconds`]; model flops
 //! from the metered ledger. Each grid point reports the median of five
 //! solves (by end-to-end wall time).
 //!
@@ -14,9 +14,10 @@
 //!   tracing on (`ca_obs` level 1 + allocation metering) and write a
 //!   chrome-trace JSON to `path` (load in `chrome://tracing` or
 //!   Perfetto). The run cross-checks every stage span's wall time
-//!   against the same stage's [`StageCosts::wall_secs`] entry (within
-//!   1%) and exits nonzero on disagreement, then prints the per-stage
-//!   summary table and counter totals.
+//!   against the same stage's record
+//!   ([`ca_eigen::solver::StageRecord::wall_secs`], within 1%) and exits
+//!   nonzero on disagreement, then prints the per-stage summary table
+//!   and counter totals.
 
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
@@ -112,10 +113,10 @@ fn run_traced(trace_path: &str, n: usize, p: usize) {
     // the StageCosts the solver returned, grouped by exact stage name
     // (spans are opened under the same names by construction).
     let mut expected: Vec<(String, f64)> = Vec::new();
-    for (record, &wall) in stages.stages.iter().zip(&stages.wall_secs) {
+    for record in &stages.stages {
         match expected.iter_mut().find(|(name, _)| *name == record.name) {
-            Some(e) => e.1 += wall,
-            None => expected.push((record.name.clone(), wall)),
+            Some(e) => e.1 += record.wall_secs,
+            None => expected.push((record.name.clone(), record.wall_secs)),
         }
     }
     let mut failed = false;
@@ -140,7 +141,7 @@ fn run_traced(trace_path: &str, n: usize, p: usize) {
         std::process::exit(1);
     }
     println!(
-        "trace check: {} stage names agree with StageCosts::wall_secs within 1%",
+        "trace check: {} stage names agree with the StageCosts wall-clock within 1%",
         expected.len()
     );
 }

@@ -86,37 +86,3 @@ impl BspTime {
 pub struct CostSnapshot {
     pub(crate) report: Costs,
 }
-
-impl CostSnapshot {
-    /// The absolute ledger totals captured when the snapshot was taken.
-    /// Exposed so harnesses can serialize or diff snapshots directly
-    /// rather than only through [`crate::Machine::costs_since`].
-    pub fn costs(&self) -> Costs {
-        self.report
-    }
-}
-
-/// A named region of ledger activity: the stage tag plus the costs
-/// accumulated while it ran. This is the unit both the solver's
-/// per-stage breakdown and the conformance harness's per-stage sweeps
-/// are built from, and it serializes directly into the machine-readable
-/// reports (`CONFORMANCE.json`, `results/*.jsonl`).
-#[derive(Debug, Clone, Serialize)]
-pub struct StageRecord {
-    /// Human-readable stage tag, e.g. `"full-to-band (b=16)"`. Tags are
-    /// prefix-matchable: consumers aggregate repeated stages (the
-    /// band-to-band chain, CA-SBR halvings) by name prefix.
-    pub name: String,
-    /// Costs accumulated between the stage's begin and end snapshots.
-    pub costs: Costs,
-}
-
-impl StageRecord {
-    /// Build a record from a tag and measured costs.
-    pub fn new(name: impl Into<String>, costs: Costs) -> Self {
-        Self {
-            name: name.into(),
-            costs,
-        }
-    }
-}

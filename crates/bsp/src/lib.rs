@@ -33,8 +33,8 @@ mod costs;
 mod machine;
 mod params;
 
-pub use costs::{BspTime, CostSnapshot, Costs, StageRecord};
-pub use machine::{Machine, PhaseRecord, ProcId};
+pub use costs::{BspTime, CostSnapshot, Costs};
+pub use machine::{Machine, ProcId};
 pub use params::MachineParams;
 
 #[cfg(test)]

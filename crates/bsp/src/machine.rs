@@ -3,22 +3,6 @@
 use crate::costs::{CostSnapshot, Costs};
 use crate::MachineParams;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
-
-/// One fenced phase's folded maxima — the per-phase profile behind the
-/// paper's `Σᵢ maxⱼ` sums, recordable for diagnostics (see
-/// [`Machine::enable_phase_trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseRecord {
-    /// Max flops by any processor during the phase.
-    pub flops: u64,
-    /// Max horizontal words by any processor during the phase.
-    pub horizontal_words: u64,
-    /// Max vertical words by any processor during the phase.
-    pub vertical_words: u64,
-    /// Processors that did any work or communication in the phase.
-    pub active_procs: usize,
-}
 
 /// Identifier of a virtual processor, in `0..p`.
 pub type ProcId = usize;
@@ -83,8 +67,6 @@ pub struct Machine {
     folded_flops: AtomicU64,
     folded_comm: AtomicU64,
     folded_vert: AtomicU64,
-    /// Optional per-phase trace (None until enabled).
-    trace: Mutex<Option<Vec<PhaseRecord>>>,
 }
 
 impl Machine {
@@ -107,22 +89,7 @@ impl Machine {
             folded_flops: AtomicU64::new(0),
             folded_comm: AtomicU64::new(0),
             folded_vert: AtomicU64::new(0),
-            trace: Mutex::new(None),
         }
-    }
-
-    /// Start recording a [`PhaseRecord`] at every fold (fence/report).
-    /// Used by the timeline diagnostics; has no effect on the costs.
-    pub fn enable_phase_trace(&self) {
-        let mut t = self.trace.lock().unwrap();
-        if t.is_none() {
-            *t = Some(Vec::new());
-        }
-    }
-
-    /// The recorded phase trace so far (empty if tracing is off).
-    pub fn phase_trace(&self) -> Vec<PhaseRecord> {
-        self.trace.lock().unwrap().clone().unwrap_or_default()
     }
 
     /// Number of processors `p`.
@@ -215,14 +182,10 @@ impl Machine {
         let mut dmax_f = 0u64;
         let mut dmax_w = 0u64;
         let mut dmax_q = 0u64;
-        let mut active = 0usize;
         for j in 0..self.params.p {
             let df = self.flops[j].load(Relaxed) - self.fence_flops[j].load(Relaxed);
             let dw = self.comm[j].load(Relaxed) - self.fence_comm[j].load(Relaxed);
             let dq = self.vert[j].load(Relaxed) - self.fence_vert[j].load(Relaxed);
-            if df + dw + dq > 0 {
-                active += 1;
-            }
             dmax_f = dmax_f.max(df);
             dmax_w = dmax_w.max(dw);
             dmax_q = dmax_q.max(dq);
@@ -230,16 +193,6 @@ impl Machine {
         self.folded_flops.fetch_add(dmax_f, Relaxed);
         self.folded_comm.fetch_add(dmax_w, Relaxed);
         self.folded_vert.fetch_add(dmax_q, Relaxed);
-        if dmax_f + dmax_w + dmax_q > 0 {
-            if let Some(t) = self.trace.lock().unwrap().as_mut() {
-                t.push(PhaseRecord {
-                    flops: dmax_f,
-                    horizontal_words: dmax_w,
-                    vertical_words: dmax_q,
-                    active_procs: active,
-                });
-            }
-        }
         for j in 0..self.params.p {
             self.fence_flops[j].store(self.flops[j].load(Relaxed), Relaxed);
             self.fence_comm[j].store(self.comm[j].load(Relaxed), Relaxed);

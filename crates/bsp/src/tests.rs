@@ -126,45 +126,3 @@ fn fence_aligns_stragglers() {
     m.fence();
     assert_eq!(m.report().supersteps, 8);
 }
-
-#[test]
-fn phase_trace_records_folded_maxima() {
-    let m = machine(3);
-    m.enable_phase_trace();
-    m.charge_flops(0, 10);
-    m.charge_comm(1, 4);
-    m.fence();
-    m.charge_vert(2, 7);
-    m.fence();
-    let t = m.phase_trace();
-    assert_eq!(t.len(), 2);
-    assert_eq!(t[0].flops, 10);
-    assert_eq!(t[0].horizontal_words, 4);
-    assert_eq!(t[0].active_procs, 2);
-    assert_eq!(t[1].vertical_words, 7);
-    assert_eq!(t[1].active_procs, 1);
-}
-
-#[test]
-fn phase_trace_skips_empty_phases() {
-    let m = machine(2);
-    m.enable_phase_trace();
-    m.fence();
-    m.fence();
-    assert!(m.phase_trace().is_empty());
-}
-
-#[test]
-fn trace_does_not_change_costs() {
-    let run = |trace: bool| {
-        let m = machine(4);
-        if trace {
-            m.enable_phase_trace();
-        }
-        m.charge_flops(1, 5);
-        m.charge_comm(2, 9);
-        m.fence();
-        m.report()
-    };
-    assert_eq!(run(false), run(true));
-}

@@ -10,7 +10,8 @@
 use ca_bsp::{Costs, Machine, MachineParams};
 use ca_dla::{gen, BandedSym};
 use ca_eigen::baselines::{ca_sbr_eigenvalues, elpa_two_stage, scalapack::scalapack_eigenvalues};
-use ca_eigen::{ca_sbr, model, try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
+use ca_eigen::model::{self, ModelCosts};
+use ca_eigen::{ca_sbr, try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
 use ca_pla::carma::carma;
 use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
@@ -336,11 +337,11 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
 /// implies on that window — reported as a diagnostic next to the
 /// asymptotic exponent. `None` for the stages no lemma costs on its
 /// own (the ladder, the back-transformation).
-pub fn model_costs(stage: Stage, pt: Point) -> Option<ModelQuad> {
+pub fn model_costs(stage: Stage, pt: Point) -> Option<ModelCosts> {
     // The 2.5D grid parameterization only applies to the stages that
     // run on a q×q×c grid; the 1D-group stages take `p` directly.
     let params = || EigenParams::try_new_unchecked(pt.p, pt.c).unwrap();
-    let m = match stage {
+    Some(match stage {
         Stage::StreamingMm => {
             let params = params();
             model::mm_streaming(pt.n, pt.n, STREAM_K, params.q, params.c, 1)
@@ -357,29 +358,7 @@ pub fn model_costs(stage: Stage, pt: Point) -> Option<ModelQuad> {
         // Table I gives the ELPA and CA-SBR rows the direct method's W.
         Stage::Scalapack | Stage::Elpa | Stage::CaSbrSolver => model::scalapack_direct(pt.n, pt.p),
         Stage::BandLadder { .. } | Stage::BackTransform => return None,
-    };
-    Some(ModelQuad {
-        flops: m.flops,
-        horizontal_words: m.horizontal_words,
-        vertical_words: m.vertical_words,
-        supersteps: m.supersteps,
-        memory_words: m.memory_words,
     })
-}
-
-/// The fitted quantities of a model prediction, as `f64`.
-#[derive(Debug, Clone, Copy)]
-pub struct ModelQuad {
-    /// Predicted `F`.
-    pub flops: f64,
-    /// Predicted `W`.
-    pub horizontal_words: f64,
-    /// Predicted `Q`.
-    pub vertical_words: f64,
-    /// Predicted `S`.
-    pub supersteps: f64,
-    /// Predicted `M`.
-    pub memory_words: f64,
 }
 
 /// The metered quantity a claim fits.
@@ -431,7 +410,7 @@ impl Quantity {
     /// Extract this quantity from a model prediction. `Fvol` maps to
     /// the model's per-processor `F` — identical exponent in any
     /// fixed-`p` sweep, which is the only place `Fvol` is claimed.
-    pub fn of_model(&self, m: &ModelQuad) -> f64 {
+    pub fn of_model(&self, m: &ModelCosts) -> f64 {
         match self {
             Quantity::F | Quantity::Fvol => m.flops,
             Quantity::W => m.horizontal_words,

@@ -62,8 +62,9 @@ pub struct ChaseRecord {
 /// With `rec`, each chase's `(U, T)` is appended to it in execution
 /// (pipeline-phase) order; recording changes no bit of the band and no
 /// charge. A target outside `1 ≤ h ≤ b` comes back as
-/// `Err(EigenError::InvalidTargetBandwidth)` before anything is charged
-/// or recorded.
+/// `Err(EigenError::InvalidTargetBandwidth)`, and a `grid` naming a
+/// processor the machine lacks as `Err(EigenError::MachineMismatch)`,
+/// before anything is charged or recorded.
 ///
 /// The driver: the plan in pipeline-phase order (chases with equal
 /// `2i + j` run concurrently on their groups `Π̂ⱼ`, Figure 2; ties by
@@ -83,6 +84,13 @@ pub fn try_band_to_band(
     let b = bmat.bandwidth();
     if h < 1 || h > b {
         return Err(crate::EigenError::InvalidTargetBandwidth { b, h });
+    }
+    let grid_p = grid.procs().iter().max().map_or(0, |&j| j + 1);
+    if grid_p > machine.p() {
+        return Err(crate::EigenError::MachineMismatch {
+            machine_p: machine.p(),
+            grid_p,
+        });
     }
     let _span = ca_obs::kernel_span("driver.band_to_band");
     let n = bmat.n();

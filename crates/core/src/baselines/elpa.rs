@@ -7,15 +7,15 @@
 //! the paper describes). Stage 2 reduces the band to tridiagonal with an
 //! `h = 1` bulge-chasing pipeline (Lang's algorithm \[36\] shape),
 //! realized by [`crate::lang`]'s dedicated h = 1 pipeline. The
-//! eigenvalues of the tridiagonal matrix are then computed on one
-//! processor.
+//! tridiagonal is then gathered and solved on one processor by the
+//! solver's own finale, charged where the solver charges it.
 
 use crate::full_to_band::try_full_to_band;
 use crate::lang::lang_band_to_tridiagonal;
 use crate::params::EigenParams;
+use crate::solver::gather_and_charge_finale;
 use ca_bsp::Machine;
 use ca_dla::Matrix;
-use ca_pla::coll;
 use ca_pla::grid::Grid;
 
 /// Two-stage eigenvalue computation; `p` must have an integer square
@@ -34,15 +34,12 @@ pub fn elpa_two_stage(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
         .expect("the baseline takes a square symmetric matrix");
 
     // Stage 2: band → tridiagonal via Lang's algorithm [36].
-    let grid = Grid::all(p);
-    let tri = lang_band_to_tridiagonal(machine, &grid, &band, None);
+    let tri = lang_band_to_tridiagonal(machine, &Grid::all(p), &band, None);
 
-    // Gather the tridiagonal and solve sequentially.
-    let (d, e) = tri.tridiagonal();
-    coll::gather(machine, &grid, 0, ((2 * n) as u64).div_ceil(p.max(1) as u64));
-    machine.charge_flops(grid.proc(0), 30 * (n as u64).pow(2));
+    // Gather the tridiagonal and solve it sequentially.
+    gather_and_charge_finale(machine, p, &tri);
     machine.fence();
-    ca_dla::tridiag::try_tridiag_eigenvalues(&d, &e).expect("QL converges on a finite tridiagonal")
+    ca_dla::tridiag::try_banded_eigenvalues(&tri).expect("the finale converges on a finite band")
 }
 
 #[cfg(test)]

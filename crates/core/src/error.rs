@@ -3,7 +3,7 @@
 //! Every fallible public operation — the solver, the SVD, full→band and
 //! band→band — has one entry point, and it returns `Result<_,
 //! EigenError>`: a malformed input (shape, symmetry, finiteness, grid,
-//! band-width) is rejected before anything is charged or recorded, so a
+//! machine size, band-width) is rejected before anything is charged or recorded, so a
 //! serving layer can turn a bad request away without catching unwinds.
 //! A caller that treats a bad request as a programming error unwraps.
 
@@ -66,6 +66,16 @@ pub enum EigenError {
         p: usize,
         /// Replication factor.
         c: usize,
+    },
+    /// The machine has fewer processors than the request's grid names,
+    /// so the first charge to a missing processor would index past the
+    /// ledger.
+    MachineMismatch {
+        /// Processors the machine has.
+        machine_p: usize,
+        /// Processors the grid needs: `p` for a solver request, one past
+        /// the highest processor id for an explicit grid.
+        grid_p: usize,
     },
     /// A band-width outside `1 ≤ b < n` was requested from
     /// `full_to_band`.
@@ -157,6 +167,12 @@ impl fmt::Display for EigenError {
                     "c = {c} exceeds the paper's c ≤ p^{{1/3}} regime for p = {p}"
                 )
             }
+            Self::MachineMismatch { machine_p, grid_p } => {
+                write!(
+                    f,
+                    "the grid needs {grid_p} processors but the machine has {machine_p}"
+                )
+            }
             Self::InvalidBandwidth { n, b } => {
                 write!(f, "band-width must satisfy 1 ≤ b < n (got b = {b}, n = {n})")
             }
@@ -205,6 +221,13 @@ mod tests {
             (EigenError::NoProcessors, "p = 0"),
             (EigenError::ReplicationMismatch { p: 10, c: 3 }, "c must divide p"),
             (EigenError::NonSquareGrid { p: 24, c: 2 }, "perfect square"),
+            (
+                EigenError::MachineMismatch {
+                    machine_p: 4,
+                    grid_p: 16,
+                },
+                "needs 16 processors but the machine has 4",
+            ),
             (
                 EigenError::ReplicationOutOfRegime { p: 8, c: 4 },
                 "c ≤ p^{1/3}",

@@ -74,7 +74,8 @@ pub struct PanelTrace {
 /// of the band and no charge.
 ///
 /// Malformed requests (non-square or asymmetric `a`, band-width outside
-/// `1 ≤ b < n`, inconsistent grid parameters) come back as
+/// `1 ≤ b < n`, inconsistent grid parameters, a machine with fewer than
+/// `p` processors) come back as
 /// `Err(EigenError)` before anything is charged or recorded.
 pub fn try_full_to_band(
     machine: &Machine,
@@ -85,6 +86,7 @@ pub fn try_full_to_band(
 ) -> Result<(BandedSym, FullToBandTrace), crate::EigenError> {
     use crate::EigenError;
     params.revalidate()?;
+    params.check_machine(machine)?;
     let n = a.rows();
     if n != a.cols() {
         return Err(EigenError::NonSquareInput {

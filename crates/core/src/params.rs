@@ -76,6 +76,19 @@ impl EigenParams {
         Ok(())
     }
 
+    /// The request's grid names processors `0..p`: the machine must have
+    /// them all, or the first charge to a missing one would index past
+    /// its ledger.
+    pub(crate) fn check_machine(&self, machine: &ca_bsp::Machine) -> Result<(), EigenError> {
+        if self.p > machine.p() {
+            return Err(EigenError::MachineMismatch {
+                machine_p: machine.p(),
+                grid_p: self.p,
+            });
+        }
+        Ok(())
+    }
+
     /// The implied `δ = (1 + log_p c)/2 ∈ [1/2, 2/3]`.
     pub fn delta(&self) -> f64 {
         if self.p <= 1 {

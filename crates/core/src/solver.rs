@@ -24,9 +24,26 @@ use ca_dla::{BandedSym, Matrix};
 use ca_pla::coll;
 use ca_pla::grid::Grid;
 
+/// One measured stage of a solve: its tag, the ledger delta it charged
+/// and the wall-clock it took.
+#[derive(Debug, Clone)]
+pub struct StageRecord {
+    /// Stage tag, e.g. `"full-to-band (b=16)"`. Tags are
+    /// prefix-matchable: consumers aggregate repeated stages (the
+    /// band-to-band chain, CA-SBR halvings) by name prefix.
+    pub name: String,
+    /// Costs accumulated between the stage's begin and end snapshots.
+    pub costs: Costs,
+    /// Measured wall-clock seconds. Diagnostic only: not part of the
+    /// cost ledger or the conformance claims (those stay model-derived),
+    /// but the stage-time bench harness reads it to attribute
+    /// end-to-end time to stages.
+    pub wall_secs: f64,
+}
+
 /// Per-stage cost record of one eigensolver run.
 ///
-/// Each entry is a [`ca_bsp::StageRecord`] whose `name` starts with the
+/// Each entry is a [`StageRecord`] whose `name` starts with the
 /// stage's kind — `"full-to-band"`, `"band-to-band"`, `"ca-sbr"`,
 /// `"sequential eigensolve"` or `"back-transformation"` — followed by
 /// the stage's parameters (band-widths, active processors). Consumers
@@ -35,25 +52,21 @@ use ca_pla::grid::Grid;
 #[derive(Debug, Clone, Default)]
 pub struct StageCosts {
     /// Stage records in execution order.
-    pub stages: Vec<ca_bsp::StageRecord>,
-    /// Measured wall-clock seconds per stage, parallel to `stages`.
-    /// Diagnostic only: not part of the cost ledger or the conformance
-    /// claims (those stay model-derived), but the stage-time bench
-    /// harness reads it to attribute end-to-end time to stages.
-    pub wall_secs: Vec<f64>,
+    pub stages: Vec<StageRecord>,
 }
 
 impl StageCosts {
-    fn push(&mut self, name: &str, c: Costs, secs: f64) {
-        self.stages.push(ca_bsp::StageRecord::new(name, c));
-        self.wall_secs.push(secs);
+    fn matching<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a StageRecord> {
+        self.stages
+            .iter()
+            .filter(move |s| s.name.starts_with(prefix))
     }
 
     /// Open a measured stage: snapshots the ledger, starts the wall
     /// clock, and opens a `ca_obs` span under the *same name* the
-    /// [`StageRecord`](ca_bsp::StageRecord) will carry — so a trace's
-    /// per-stage wall totals and cost deltas agree with this struct by
-    /// construction, not by parallel bookkeeping.
+    /// [`StageRecord`] will carry — so a trace's per-stage wall totals
+    /// and cost deltas agree with this struct by construction, not by
+    /// parallel bookkeeping.
     fn begin<'m>(&mut self, machine: &'m Machine, name: String) -> StageScope<'m> {
         let span = ca_obs::span(&name);
         StageScope {
@@ -68,12 +81,7 @@ impl StageCosts {
     /// Summed measured wall-clock seconds over every stage whose name
     /// starts with `prefix` (`""` sums everything).
     pub fn wall_seconds(&self, prefix: &str) -> f64 {
-        self.stages
-            .iter()
-            .zip(&self.wall_secs)
-            .filter(|(s, _)| s.name.starts_with(prefix))
-            .map(|(_, w)| *w)
-            .sum()
+        self.matching(prefix).map(|s| s.wall_secs).sum()
     }
 
     /// Total costs over all stages.
@@ -86,7 +94,7 @@ impl StageCosts {
     /// not a sum, and is maxed instead.
     pub fn aggregate(&self, prefix: &str) -> Costs {
         let mut t = Costs::default();
-        for s in self.stages.iter().filter(|s| s.name.starts_with(prefix)) {
+        for s in self.matching(prefix) {
             let c = &s.costs;
             t.flops += c.flops;
             t.horizontal_words += c.horizontal_words;
@@ -101,7 +109,7 @@ impl StageCosts {
 
     /// Number of stages whose name starts with `prefix`.
     pub fn count(&self, prefix: &str) -> usize {
-        self.stages.iter().filter(|s| s.name.starts_with(prefix)).count()
+        self.matching(prefix).count()
     }
 }
 
@@ -127,7 +135,11 @@ impl StageScope<'_> {
         let secs = self.t0.elapsed().as_secs_f64();
         self.span
             .set_costs(c.flops, c.horizontal_words, c.vertical_words, c.supersteps);
-        costs.push(&self.name, c, secs);
+        costs.stages.push(StageRecord {
+            name: self.name,
+            costs: c,
+            wall_secs: secs,
+        });
         // Mirror the runtime's cumulative counters into `ca_obs` (the
         // runtime sits below `ca-obs` in the package graph and cannot do
         // it itself); `rt.spawns` flat means no thread was created in
@@ -148,7 +160,8 @@ impl StageScope<'_> {
 /// eigenvalues and the per-stage cost breakdown.
 ///
 /// Malformed requests (non-square, non-finite or asymmetric `a`,
-/// `n < 2`, inconsistent grid parameters) come back as
+/// `n < 2`, inconsistent grid parameters, a machine with fewer than `p`
+/// processors) come back as
 /// `Err(EigenError)` with the ledger untouched — a serving layer can
 /// reject them without catching a panic.
 ///
@@ -177,7 +190,7 @@ pub fn try_symm_eigen_25d(
     params: &EigenParams,
     a: &Matrix,
 ) -> Result<(Vec<f64>, StageCosts), EigenError> {
-    validate_input(params, a)?;
+    validate_input(machine, params, a)?;
     let (ev, costs, _) = solve_impl(machine, params, a, false)?;
     Ok((ev, costs))
 }
@@ -194,16 +207,18 @@ pub fn try_symm_eigen_25d_vectors(
     params: &EigenParams,
     a: &Matrix,
 ) -> Result<(Vec<f64>, Matrix, StageCosts), EigenError> {
-    validate_input(params, a)?;
+    validate_input(machine, params, a)?;
     let (ev, costs, v) = solve_impl(machine, params, a, true)?;
     Ok((ev, v.expect("vectors requested"), costs))
 }
 
 /// Shared request validation for the `Result` entry points: grid
-/// invariants, squareness, minimum size, symmetry. Runs before any
-/// cost is charged, so a rejected request leaves the ledger untouched.
-fn validate_input(params: &EigenParams, a: &Matrix) -> Result<(), EigenError> {
+/// invariants, a machine that holds the grid, squareness, minimum size,
+/// symmetry. Runs before any cost is charged, so a rejected request
+/// leaves the ledger untouched.
+fn validate_input(machine: &Machine, params: &EigenParams, a: &Matrix) -> Result<(), EigenError> {
     params.revalidate()?;
+    params.check_machine(machine)?;
     if a.rows() != a.cols() {
         return Err(EigenError::NonSquareInput {
             rows: a.rows(),
@@ -357,8 +372,8 @@ fn solve_impl(
 /// band → tridiagonal sweep and the eigensolve — the fused rank-1 sweep
 /// is ≈ 6nb² flops, and divide-and-conquer's secular solves and 2×m·m
 /// row-carrier merge GEMMs are ≈ 16n² with typical deflation. The
-/// solver's stage 4 and the CA-SBR baseline charge the finale here and
-/// nowhere else.
+/// solver's stage 4 and the CA-SBR and ELPA baselines charge the finale
+/// here and nowhere else.
 pub(crate) fn gather_and_charge_finale(machine: &Machine, p: usize, band: &BandedSym) {
     let n = band.n() as u64;
     let bw = band.bandwidth() as u64;
@@ -466,8 +481,7 @@ mod tests {
         assert_eq!(total.horizontal_words, ledger.horizontal_words);
         assert_eq!(total.supersteps, ledger.supersteps);
         // Every stage carries a measured wall-clock sample.
-        assert_eq!(stages.wall_secs.len(), stages.stages.len());
-        assert!(stages.wall_secs.iter().all(|w| *w >= 0.0));
+        assert!(stages.stages.iter().all(|s| s.wall_secs >= 0.0));
         assert!(stages.wall_seconds("") >= stages.wall_seconds("full-to-band"));
     }
 

@@ -10,8 +10,8 @@
 //! per-superstep traffic exceeds `O(words)` — matching the collective
 //! costs assumed throughout §III/§IV of the paper.
 //!
-//! The payload itself does not move: the distributed containers in
-//! [`crate::dist`] and [`crate::cyclic`] hold one buffer per operand and
+//! The payload itself does not move: the distributed container in
+//! [`crate::dist`] holds one buffer per operand and
 //! the algorithms compute on views of it. These functions are the single
 //! point where the cost of each move enters the ledger.
 

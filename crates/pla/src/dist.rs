@@ -154,15 +154,6 @@ impl DistMatrix {
         (!rows.is_empty() && !cols.is_empty()).then_some((rows, cols))
     }
 
-    /// Grid rank owning global entry `(i, j)`.
-    pub fn owner_of(&self, i: usize, j: usize) -> usize {
-        let (rows, cols) = self.shape();
-        assert!(i < rows && j < cols);
-        let bi = self.row_splits.partition_point(|&s| s <= i) - 1;
-        let bj = self.col_splits.partition_point(|&s| s <= j) - 1;
-        self.grid.rank(bi, bj, 0)
-    }
-
     /// Words stored on grid rank `r`.
     pub fn words_on(&self, r: usize) -> u64 {
         let (_, _, nr, nc) = self.owned_range(r);
@@ -317,20 +308,6 @@ mod tests {
         assert!(d.dense().max_diff(&a) < 1e-15);
         let back = d.gather(&m, 0);
         assert!(back.max_diff(&a) < 1e-15);
-    }
-
-    #[test]
-    fn owner_of_matches_owned_range() {
-        let m = machine(4);
-        let g = Grid::new_2d((0..4).collect(), 2, 2);
-        let d = DistMatrix::zeros(&m, &g, 7, 5);
-        for i in 0..7 {
-            for j in 0..5 {
-                let r = d.owner_of(i, j);
-                let (r0, c0, nr, nc) = d.owned_range(r);
-                assert!(i >= r0 && i < r0 + nr && j >= c0 && j < c0 + nc);
-            }
-        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * BSP collectives with exact word/superstep charging ([`coll`]),
 //! * distributed matrices: one dense operand plus a block layout, a
 //!   rank's block a view, storage and moves charged from the layout
-//!   ([`dist`]; block-cyclic in [`cyclic`]),
+//!   ([`dist`]),
 //! * cost-charged local kernel wrappers ([`kern`]),
-//! * SUMMA 2D matrix multiplication ([`summa`]),
-//! * Streaming-MM, Algorithm III.1 / Lemma III.3 ([`streaming`]),
+//! * Streaming-MM, Algorithm III.1 / Lemma III.3 ([`streaming`]) — the
+//!   replicated SUMMA variant the solver runs,
 //! * recursive rectangular matmul, Lemma III.2 / CARMA ([`carma`]),
 //! * TSQR binary-tree QR ([`tsqr`]),
 //! * Householder reconstruction, Corollary III.7 ([`reconstruct`]),
@@ -37,7 +37,8 @@
 //! the block size (one block per processor per dimension). For the
 //! per-superstep-maximum cost accounting of the paper's model this is
 //! load-balance-equivalent to the block-cyclic layouts the paper assumes
-//! (DESIGN.md §8): redistribution between stages is explicit and charged.
+//! (DESIGN.md §8.12): redistribution between stages is explicit and charged.
+//! The block-cyclic layouts themselves are not implemented.
 
 // Index-heavy numerical code: range loops over several arrays at once
 // are the clearer idiom here.
@@ -46,7 +47,6 @@
 
 pub mod carma;
 pub mod coll;
-pub mod cyclic;
 pub mod dist;
 pub mod exec;
 pub mod grid;
@@ -55,7 +55,6 @@ pub mod lu;
 pub mod reconstruct;
 pub mod rect_qr;
 pub mod streaming;
-pub mod summa;
 pub mod tsqr;
 
 pub use dist::DistMatrix;

@@ -11,7 +11,7 @@
 //!
 //! Supported surface:
 //! * `(a..b).into_par_iter()` with `for_each`, `map(..).collect::<Vec<_>>()`
-//! * `slice.par_iter()` / `slice.par_iter_mut()` (+ `enumerate`)
+//! * `slice.par_iter_mut()` (+ `enumerate`)
 //! * `slice.par_chunks_mut(n)` (+ `enumerate`)
 //! * [`join`], [`current_num_threads`]
 //! * beyond `rayon`: the per-thread core budget ([`with_budget`],
@@ -208,45 +208,6 @@ impl IntoParallelIterator for std::ops::Range<usize> {
     }
 }
 
-/// Parallel shared iterator over slice elements.
-pub struct ParIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    /// Apply `f` to every element in parallel.
-    pub fn for_each<F: Fn(&'a T) + Sync>(self, f: F) {
-        let slice = self.slice;
-        run_partitioned(slice.len(), |lo, hi| {
-            for item in &slice[lo..hi] {
-                f(item);
-            }
-        });
-    }
-
-    /// Pair every element with its index.
-    pub fn enumerate(self) -> EnumParIter<'a, T> {
-        EnumParIter { slice: self.slice }
-    }
-}
-
-/// Enumerated variant of [`ParIter`].
-pub struct EnumParIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> EnumParIter<'a, T> {
-    /// Apply `f((index, &item))` in parallel.
-    pub fn for_each<F: Fn((usize, &'a T)) + Sync>(self, f: F) {
-        let slice = self.slice;
-        run_partitioned(slice.len(), |lo, hi| {
-            for (i, item) in slice[lo..hi].iter().enumerate() {
-                f((lo + i, item));
-            }
-        });
-    }
-}
-
 /// Split `items` into consecutive parts of whole `unit`-element units
 /// (the last unit may be short), one part per piece, and run
 /// `f(first_unit, part)` on each.
@@ -352,32 +313,6 @@ impl<'a, T: Send> EnumParChunksMut<'a, T> {
     }
 }
 
-/// `.par_iter()` on shared slices.
-pub trait IntoParallelRefIterator<'a> {
-    /// Element type.
-    type Item;
-    /// Parallel iterator type.
-    type Iter;
-    /// Convert.
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    type Iter = ParIter<'a, T>;
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { slice: self }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = ParIter<'a, T>;
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { slice: self }
-    }
-}
-
 /// `.par_iter_mut()` on exclusive slices.
 pub trait IntoParallelRefMutIterator<'a> {
     /// Element type.
@@ -422,8 +357,7 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 /// Common imports, mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-        ParallelSliceMut,
+        IntoParallelIterator, IntoParallelRefMutIterator, ParallelSliceMut,
     };
 }
 

@@ -29,7 +29,7 @@
 //! | Theorem III.6 (rect-QR cost) | claims `rect-qr.*`, `rect-qr.W.over-theorem.tall`, `rect-qr-tree.W.over-column` in `conformance::claims`; model in [`ca_eigen::model::qr_rectangular`] |
 //! | Corollary III.7 (Householder reconstruction) | [`ca_pla::reconstruct::reconstruct`], [`ca_dla::lu::lu_nopivot_signed`], [`ca_pla::lu::dist_lu_signed`] |
 //! | TSQR \[16\] | [`ca_pla::tsqr`] |
-//! | SUMMA \[25\] | [`ca_pla::summa::summa`] |
+//! | SUMMA \[25\] | [`ca_pla::streaming`] — Streaming-MM is the replicated SUMMA variant the solver runs; no plain 2D SUMMA is implemented |
 //!
 //! ## §IV — Symmetric eigensolvers
 //!

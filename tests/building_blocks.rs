@@ -1,7 +1,7 @@
 #![allow(clippy::needless_range_loop)]
-//! Cross-cutting integration of the §III building blocks: the three
-//! multiplication algorithms agree numerically on the same problem and
-//! order correctly in communication cost; the QR paths agree on `R`;
+//! Cross-cutting integration of the §III building blocks: CARMA and
+//! Streaming-MM agree with the sequential product on the same problem
+//! and order correctly in communication cost; the QR paths agree on `R`;
 //! collectives satisfy their cost identities.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
@@ -11,7 +11,6 @@ use ca_symm_eig::pla::carma::carma;
 use ca_symm_eig::pla::dist::DistMatrix;
 use ca_symm_eig::pla::grid::Grid;
 use ca_symm_eig::pla::streaming::{streaming_mm_dense, streaming_mm_view_into, Replicated};
-use ca_symm_eig::pla::summa::summa;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,15 +28,6 @@ fn three_multiply_algorithms_agree() {
     let b = gen::random_matrix(&mut rng, n, k);
     let want = matmul(&a, Trans::N, &b, Trans::N);
 
-    // SUMMA (2D block layout).
-    let m1 = machine(p);
-    let g2 = Grid::new_2d((0..p).collect(), q, q);
-    let da = DistMatrix::from_dense(&m1, &g2, &a);
-    let db = DistMatrix::from_dense(&m1, &g2, &b);
-    let mut dc = DistMatrix::zeros(&m1, &g2, n, k);
-    summa(&m1, 1.0, &da, &db, 0.0, &mut dc);
-    assert!(dc.dense().max_diff(&want) < 1e-11);
-
     // CARMA (recursive).
     let m2 = machine(p);
     let c2 = carma(&m2, &Grid::all(p), &a, &b, 1);
@@ -51,16 +41,15 @@ fn three_multiply_algorithms_agree() {
     assert!(c3.max_diff(&want) < 1e-11);
 
     // Cost ordering for this panel shape (k ≪ n): once A is replicated,
-    // streaming must beat both general algorithms on W.
-    let w_summa = m1.report().horizontal_words;
+    // streaming must beat the general recursive algorithm on W.
     let w_carma = m2.report().horizontal_words;
     let snap = m3.snapshot();
     let _ = streaming_mm_dense(&m3, &g3, &a, (0, 0, n, n), false, &b, 1);
     m3.fence();
     let w_stream = m3.costs_since(&snap).horizontal_words;
     assert!(
-        w_stream < w_carma && w_stream < w_summa,
-        "streaming {w_stream} should beat carma {w_carma} and summa {w_summa}"
+        w_stream < w_carma,
+        "streaming {w_stream} should beat carma {w_carma}"
     );
 }
 
@@ -121,29 +110,12 @@ fn collective_cost_identities() {
     assert!(ar > rs && ar < 3 * rs, "allreduce {ar} vs reduce_scatter {rs}");
 }
 
-#[test]
-fn cyclic_and_block_layouts_interoperate() {
-    use ca_symm_eig::pla::cyclic::{from_block, CyclicMatrix};
-    let m = machine(4);
-    let g = Grid::new_2d((0..4).collect(), 2, 2);
-    let mut rng = StdRng::seed_from_u64(702);
-    let a = gen::random_matrix(&mut rng, 20, 20);
-    let cyc = CyclicMatrix::from_dense(&m, &g, &a, 3, 3);
-    let blk = cyc.to_block(&m, &g);
-    let round = from_block(&m, &blk, 5, 2);
-    assert!(round.dense().max_diff(&a) < 1e-15);
-    // Every conversion charged communication.
-    assert!(m.report().total_volume_words > 0);
-}
-
 /// `(case label, [F, W, Q, S, M, total volume, total flops], FNV-1a of
 /// the output bits)` for the building-block calls no solve pins: each
 /// case runs on a fresh machine from its inputs' distribution on, so the
 /// ledger covers the whole call. The rows were recorded while every
 /// distributed matrix still kept one copy per rank, and held when they
-/// became one buffer plus a layout — all but the `from_block` row, whose
-/// senders had been charged twice (`W` 621 → 522, volume 3059 → 2622,
-/// bits unchanged). The two Streaming-MM rows were recorded while each
+/// became one buffer plus a layout. The two Streaming-MM rows were recorded while each
 /// rank's partial product was still computed on its own, and held when
 /// the numerics became one product per inner block. Re-run with
 /// `UPDATE_GOLDEN=1 cargo test --test building_blocks -- --nocapture` to
@@ -153,7 +125,6 @@ const BLOCK_PINS: &[(&str, [u64; 7], u64)] = &[
     ("rect_qr_tree m=128 n=8 p=4 q_max=4", [38362, 3252, 2976, 76, 1280, 12368, 109025], 0x391286862b861989),
     ("rect_qr_tree m=96 n=8 p=3 q_max=2", [36382, 2784, 3024, 49, 1432, 6848, 67818], 0x36d3f22fa10c4188),
     ("rect_qr_tree m=24 n=12 p=4 q_max=2", [53640, 1728, 2448, 20, 1512, 3744, 78480], 0x0a2f6a1109252614),
-    ("summa 9x7x11 grid=2x3 alpha=2 beta=3", [280, 204, 143, 19, 51, 1033, 1386], 0x998cab42158ca6f3),
     ("dist_lu_signed n=16 q=4", [426, 302, 144, 26, 48, 3392, 2728], 0x6352345873e93956),
     ("dist_lu_signed n=9 q=3", [126, 130, 54, 20, 27, 882, 486], 0x5b628c5ee56b7056),
     ("dist_tri_inverse upper non-unit n=12 q=2", [900, 162, 216, 7, 72, 576, 1044], 0x7af45b451e04928c),
@@ -167,9 +138,6 @@ const BLOCK_PINS: &[(&str, [u64; 7], u64)] = &[
     ("DistMatrix::gather 9x11 2x3 root=1", [0, 114, 0, 2, 20, 366, 0], 0x6c727d5505eb94fc),
     ("DistMatrix::read_block 8x8 2x2 (2,3,4,4) dest=0", [0, 46, 0, 2, 16, 156, 0], 0x88cb7aa7fd9d7b60),
     ("DistMatrix::replicate 9x11 2x3 onto 4", [0, 210, 0, 3, 119, 897, 0], 0x5f0dc968264860de),
-    ("CyclicMatrix::from_dense 19x23 2x3 mb=4 nb=3", [0, 198, 0, 1, 99, 874, 0], 0x5ecd41fc15b017aa),
-    ("CyclicMatrix::from_dense → to_block 19x23 2x3 mb=4 nb=3", [0, 360, 0, 2, 162, 1748, 0], 0xea03023ebe2f1d6d),
-    ("CyclicMatrix::from_dense → to_block → from_block 19x23 2x3 mb=4 nb=3", [0, 522, 0, 3, 261, 2622, 0], 0xd112d1d372ce28b2),
     ("streaming_mm_view_into q=4 c=4 w=1 29x11 tb", [450, 84, 123, 7, 0, 4776, 23254], 0xcfd1f36b53d04ce1),
     ("streaming_mm_view_into q=4 c=2 w=3 29x4", [300, 56, 106, 9, 0, 1696, 8456], 0xd6d314911c79b5bc),
 ];
@@ -234,7 +202,6 @@ fn diag_dominant(n: usize, seed: u64) -> Matrix {
 #[test]
 fn building_block_ledgers_and_bits_are_pinned() {
     use ca_symm_eig::dla::lu::{lu_nopivot, Diag, Triangle};
-    use ca_symm_eig::pla::cyclic::{from_block, CyclicMatrix};
     use ca_symm_eig::pla::lu::{dist_lu_signed, dist_tri_inverse};
     use ca_symm_eig::pla::reconstruct::reconstruct;
     use ca_symm_eig::pla::rect_qr::{apply_qt, explicit_q, rect_qr_tree, rect_qr_with_base};
@@ -255,15 +222,6 @@ fn building_block_ledgers_and_bits_are_pinned() {
             out.extend_from_slice(r.data());
         });
     }
-
-    check_pin("summa 9x7x11 grid=2x3 alpha=2 beta=3", 6, |m, out| {
-        let g = grid(6, 2, 3);
-        let da = DistMatrix::from_dense(m, &g, &random(9, 7, 81));
-        let db = DistMatrix::from_dense(m, &g, &random(7, 11, 82));
-        let mut dc = DistMatrix::from_dense(m, &g, &random(9, 11, 83));
-        summa(m, 2.0, &da, &db, 3.0, &mut dc);
-        out.extend_from_slice(dc.dense().data());
-    });
 
     for (n, q) in [(16, 4), (9, 3)] {
         check_pin(&format!("dist_lu_signed n={n} q={q}"), q * q, |m, out| {
@@ -367,22 +325,6 @@ fn building_block_ledgers_and_bits_are_pinned() {
         });
     }
 
-    // The cyclic conversions, one link of the chain more per row.
-    for links in 1..=3 {
-        let label = ["CyclicMatrix::from_dense", "→ to_block", "→ from_block"][..links].join(" ");
-        check_pin(&format!("{label} 19x23 2x3 mb=4 nb=3"), 6, |m, out| {
-            let g = grid(6, 2, 3);
-            let c = CyclicMatrix::from_dense(m, &g, &random(19, 23, 800), 4, 3);
-            out.extend_from_slice(c.dense().data());
-            if links >= 2 {
-                let d = c.to_block(m, &g);
-                out.extend_from_slice(d.dense().data());
-                if links == 3 {
-                    out.extend_from_slice(from_block(m, &d, 4, 3).dense().data());
-                }
-            }
-        });
-    }
 }
 
 #[test]

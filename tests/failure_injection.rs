@@ -8,14 +8,16 @@
 //! `should_panic` remains only for the low-level invariants that have
 //! no typed path (capacity checks, kernel shape asserts).
 
-use ca_symm_eig::bsp::{Machine, MachineParams};
-use ca_symm_eig::dla::{BandedSym, Matrix};
+use ca_symm_eig::bsp::{Costs, Machine, MachineParams};
+use ca_symm_eig::dla::{gen, BandedSym, Matrix};
 use ca_symm_eig::eigen::{
     try_band_to_band, try_full_to_band, try_singular_values, try_svd, try_symm_eigen_25d,
-    EigenError, EigenParams,
+    try_symm_eigen_25d_vectors, EigenError, EigenParams,
 };
 use ca_symm_eig::pla::dist::DistMatrix;
 use ca_symm_eig::pla::grid::Grid;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn machine(p: usize) -> Machine {
     Machine::new(MachineParams::new(p))
@@ -98,6 +100,44 @@ fn band_to_band_rejects_bad_k() {
     assert!(rec.is_empty(), "rejected request recorded transforms");
     assert_eq!(m.report().horizontal_words, 0);
     assert_eq!(m.report().supersteps, 0);
+}
+
+#[test]
+fn machine_smaller_than_grid_is_a_typed_error() {
+    // A 16-processor request on a 4-processor machine: every entry
+    // point refuses it before the first charge to a missing processor.
+    let m = machine(4);
+    let params = EigenParams::new(16, 1);
+    let a = gen::random_symmetric(&mut StdRng::seed_from_u64(34), 64);
+    let want = EigenError::MachineMismatch {
+        machine_p: 4,
+        grid_p: 16,
+    };
+    assert_eq!(try_symm_eigen_25d(&m, &params, &a).unwrap_err(), want);
+    assert_eq!(
+        try_symm_eigen_25d_vectors(&m, &params, &a).unwrap_err(),
+        want
+    );
+    let mut rec = Vec::new();
+    assert_eq!(
+        try_full_to_band(&m, &params, &a, 8, Some(&mut rec)).unwrap_err(),
+        want
+    );
+    let band = BandedSym::from_dense(
+        &gen::random_banded(&mut StdRng::seed_from_u64(35), 64, 8),
+        8,
+        8,
+    );
+    assert_eq!(
+        try_band_to_band(&m, &Grid::all(16), &band, 4, 1, Some(&mut rec)).unwrap_err(),
+        want
+    );
+    assert!(rec.is_empty(), "rejected request recorded transforms");
+    assert_eq!(
+        m.report(),
+        Costs::default(),
+        "rejected request charged the ledger"
+    );
 }
 
 #[test]

@@ -134,23 +134,6 @@ proptest! {
     }
 
     #[test]
-    fn numroc_partitions_and_roundtrips(
-        n in 1usize..200,
-        block in 1usize..9,
-        nprocs in 1usize..7,
-    ) {
-        use ca_symm_eig::pla::cyclic::{global_to_local, local_to_global, numroc};
-        let total: usize = (0..nprocs).map(|c| numroc(n, block, c, nprocs)).sum();
-        prop_assert_eq!(total, n);
-        for g in 0..n {
-            let (owner, l) = global_to_local(g, block, nprocs);
-            prop_assert!(owner < nprocs);
-            prop_assert!(l < numroc(n, block, owner, nprocs));
-            prop_assert_eq!(local_to_global(owner, l, block, nprocs), g);
-        }
-    }
-
-    #[test]
     fn tridiag_ql_matches_sturm_bisection(
         d in proptest::collection::vec(-3.0f64..3.0, 4..24),
         scale in 0.1f64..2.0,
