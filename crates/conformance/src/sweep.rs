@@ -269,8 +269,7 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
                 while band.bandwidth() > h {
                     let target = band.bandwidth().div_ceil(k).max(h);
                     band = ca_eigen::try_band_to_band(&machine, &grid, &band, target, 1, None)
-                        .unwrap()
-                        .0;
+                        .unwrap();
                 }
             });
             costs

@@ -32,26 +32,6 @@ use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
 use ca_pla::rect_qr::rect_qr;
 
-/// Trace of the pipeline schedule (consumed by the Figure-2 binary).
-#[derive(Debug, Clone, Default)]
-pub struct BandToBandTrace {
-    /// `(phase, i, j, qr_rows, qr_cols, up_cols, group_index)` per chase.
-    pub chases: Vec<ChaseRecord>,
-}
-
-/// One executed chase and where it ran.
-#[derive(Debug, Clone)]
-pub struct ChaseRecord {
-    /// Pipeline phase `2i + j`.
-    pub phase: usize,
-    /// The chase operation (paper index ranges).
-    pub op: ChaseOp,
-    /// Which processor group `Π̂ⱼ` executed it.
-    pub group_index: usize,
-    /// Processors used for the QR (line 16's `Π̂ⱼ[1 : p·h/n]`).
-    pub qr_procs: usize,
-}
-
 /// Reduce `bmat` from band-width `b` to the target `h` on the
 /// processors of `grid` (1D), charging per Algorithm IV.2. `v_mem` is
 /// the Lemma III.2 memory parameter for the update multiplies. `h` is
@@ -80,7 +60,7 @@ pub fn try_band_to_band(
     h: usize,
     v_mem: usize,
     mut rec: Option<&mut Vec<BlockReflector>>,
-) -> Result<(BandedSym, BandToBandTrace), crate::EigenError> {
+) -> Result<BandedSym, crate::EigenError> {
     let b = bmat.bandwidth();
     if h < 1 || h > b {
         return Err(crate::EigenError::InvalidTargetBandwidth { b, h });
@@ -99,9 +79,8 @@ pub fn try_band_to_band(
     // Working copy with bulge capacity.
     let capacity = (2 * b).min(n - 1);
     let mut work = bmat.rehoused(b, capacity, |len| vec![0.0; len]);
-    let mut trace = BandToBandTrace::default();
     if h == b {
-        return Ok((work, trace));
+        return Ok(work);
     }
 
     // Processor groups Π̂ⱼ: ⌈n/b⌉ groups of p̂ = p·b/n processors
@@ -111,21 +90,12 @@ pub fn try_band_to_band(
     let groups: Vec<Grid> = (0..n_groups)
         .map(|g| Grid::new_1d(grid.procs()[g * p_hat..(g + 1) * p_hat].to_vec()))
         .collect();
-    let group_of = |op: &ChaseOp| (op.j - 1) % n_groups;
+    let group_of = |op: &ChaseOp| pipeline_group(op.j, n_groups);
     // Line 16's `Π̂ⱼ[1 : p·h/n]`.
     let qr_procs = ((p * h) / n).clamp(1, p_hat);
 
     let mut plan: Vec<ChaseOp> = chase_plan_iter(n, b, h).collect();
     plan.sort_by_key(|op| (op.phase(), op.i));
-    trace.chases = plan
-        .iter()
-        .map(|op| ChaseRecord {
-            phase: op.phase(),
-            op: op.clone(),
-            group_index: group_of(op),
-            qr_procs,
-        })
-        .collect();
 
     let mut last_window: Vec<Option<(usize, usize)>> = vec![None; n_groups];
     // The stage's own scratch, dropped with it: strips parked in the
@@ -154,7 +124,14 @@ pub fn try_band_to_band(
         machine.fence();
     }
     work.set_bandwidth(h);
-    Ok((work, trace))
+    Ok(work)
+}
+
+/// The processor group `Π̂ⱼ` that runs the chases at position `j`
+/// (1-based) of every sweep, out of `n_groups`: groups recycle once `j`
+/// passes `n_groups` (Figure 2).
+pub(crate) fn pipeline_group(j: usize, n_groups: usize) -> usize {
+    (j - 1) % n_groups
 }
 
 /// Fresh words entering a group's window for one chase (line 2 of Alg
@@ -296,7 +273,7 @@ mod tests {
         let dense = gen::random_banded(&mut rng, n, b);
         let bm = BandedSym::from_dense(&dense, b, b);
         let reference = try_banded_eigenvalues(&bm).unwrap();
-        let (out, trace) = try_band_to_band(&m, &grid, &bm, h, 1, None).unwrap();
+        let out = try_band_to_band(&m, &grid, &bm, h, 1, None).unwrap();
         assert!(
             out.measured_bandwidth(1e-9) <= h,
             "n={n} b={b} h={h} p={p}: bandwidth {} > {h}",
@@ -308,11 +285,7 @@ mod tests {
             dist < 1e-8 * n as f64,
             "n={n} b={b} h={h} p={p}: spectrum drifted {dist}"
         );
-        assert!(!trace.chases.is_empty());
-        // Phases are non-decreasing in execution order.
-        for w in trace.chases.windows(2) {
-            assert!(w[0].phase <= w[1].phase);
-        }
+        assert!(m.report().supersteps > 0, "the chases charged nothing");
     }
 
     #[test]
@@ -347,9 +320,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(215);
         let dense = gen::random_banded(&mut rng, 16, 4);
         let bm = BandedSym::from_dense(&dense, 4, 4);
-        let (out, trace) = try_band_to_band(&m, &Grid::all(2), &bm, 4, 1, None).unwrap();
+        let out = try_band_to_band(&m, &Grid::all(2), &bm, 4, 1, None).unwrap();
         assert_eq!(out.bandwidth(), 4);
-        assert!(trace.chases.is_empty());
+        assert_eq!(m.report(), ca_bsp::Costs::default(), "h = b chased and charged");
         assert!(out.to_dense().max_diff(&dense) < 1e-14);
     }
 
@@ -367,12 +340,11 @@ mod tests {
         let reference = try_banded_eigenvalues(&bm).unwrap();
 
         let plain_machine = machine(p);
-        let (plain, trace) = try_band_to_band(&plain_machine, &grid, &bm, h, 1, None).unwrap();
-        assert!(trace.chases.iter().all(|c| c.qr_procs == 4));
+        let plain = try_band_to_band(&plain_machine, &grid, &bm, h, 1, None).unwrap();
         let m = machine(p);
         let mut log = crate::transforms::TransformLog::default();
-        let rec = Some(log.stage("band-to-band"));
-        let (out, _) = try_band_to_band(&m, &grid, &bm, h, 1, rec).unwrap();
+        let rec = Some(log.stage());
+        let out = try_band_to_band(&m, &grid, &bm, h, 1, rec).unwrap();
         assert_eq!(plain, out, "recording changed the band");
         assert_eq!(plain_machine.report(), m.report(), "recording changed the ledger");
 
@@ -387,7 +359,7 @@ mod tests {
         // input.
         let mut blocks = Vec::new();
         let (d, e) = ca_dla::tridiag::band_to_tridiagonal(&out, Some(&mut blocks));
-        log.stage("finale").extend(blocks);
+        log.stage().extend(blocks);
         let (lam, z) = ca_dla::dnc::dnc_eigen(&d, &e).unwrap();
         let v = crate::transforms::back_transform(&m, &grid, &log, &z);
         let gram = matmul(&v, Trans::T, &v, Trans::N);
@@ -408,7 +380,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(216);
             let dense = gen::random_banded(&mut rng, 128, 8);
             let bm = BandedSym::from_dense(&dense, 8, 8);
-            let _ = try_band_to_band(&m, &Grid::all(p), &bm, 4, 1, None).unwrap();
+            try_band_to_band(&m, &Grid::all(p), &bm, 4, 1, None).unwrap();
             steps.push(m.report().supersteps);
         }
         assert!(
@@ -422,18 +394,16 @@ mod tests {
     /// group the figure shades, with the figure's QR and update ranges.
     #[test]
     fn phases_seven_and_eight_are_figure2() {
-        let m = machine(8);
-        let mut rng = StdRng::seed_from_u64(11);
-        let dense = gen::random_banded(&mut rng, 64, 8);
-        let bm = BandedSym::from_dense(&dense, 8, 8);
-        let (_, trace) = try_band_to_band(&m, &Grid::all(8), &bm, 4, 1, None).unwrap();
+        // n/b = 8 groups Π̂ⱼ of p̂ = p·b/n = 1 processor.
+        let n_groups = 8;
         type Chase = ((usize, usize), usize, (usize, usize), (usize, usize), (usize, usize));
         let phase = |ph: usize| -> Vec<Chase> {
-            let mut v: Vec<Chase> = trace
-                .chases
-                .iter()
-                .filter(|r| r.phase == ph)
-                .map(|r| ((r.op.i, r.op.j), r.group_index, r.op.qr_rows, r.op.qr_cols, r.op.up_cols))
+            let mut v: Vec<Chase> = chase_plan_iter(64, 8, 4)
+                .filter(|op| op.phase() == ph)
+                .map(|op| {
+                    let group = pipeline_group(op.j, n_groups);
+                    ((op.i, op.j), group, op.qr_rows, op.qr_cols, op.up_cols)
+                })
                 .collect();
             v.sort();
             v

@@ -30,7 +30,7 @@ pub fn elpa_two_stage(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let b = (n / params.q.max(1)).clamp(2.min(hi), hi);
 
     // Stage 1: 2D full → band (no replication).
-    let (band, _) = try_full_to_band(machine, &params, a, b, None)
+    let band = try_full_to_band(machine, &params, a, b, None)
         .expect("the baseline takes a square symmetric matrix");
 
     // Stage 2: band → tridiagonal via Lang's algorithm [36].

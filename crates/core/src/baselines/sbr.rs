@@ -17,7 +17,7 @@ pub fn ca_sbr_eigenvalues(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let params = EigenParams::new(p, 1);
     let b = params.initial_bandwidth(n);
-    let (mut band, _) = try_full_to_band(machine, &params, a, b, None)
+    let mut band = try_full_to_band(machine, &params, a, b, None)
         .expect("the baseline takes a square symmetric matrix");
     let grid = Grid::all(p);
     let target = (n / p).max(1);

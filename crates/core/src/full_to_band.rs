@@ -37,32 +37,6 @@ use ca_pla::kern;
 use ca_pla::rect_qr::rect_qr;
 use ca_pla::streaming::streaming_mm_view_into;
 
-/// Structural trace of the reduction, used by the Figure-1 regeneration
-/// binary and by tests.
-#[derive(Debug, Clone, Default)]
-pub struct FullToBandTrace {
-    /// One record per eliminated panel.
-    pub panels: Vec<PanelTrace>,
-}
-
-/// What Algorithm IV.1 did for one panel (cf. Figure 1's depiction of
-/// two consecutive recursive steps).
-#[derive(Debug, Clone)]
-pub struct PanelTrace {
-    /// Panel index (0-based recursion depth).
-    pub step: usize,
-    /// Global offset of the panel (`A₁₁` starts here).
-    pub offset: usize,
-    /// Rows remaining in the trailing problem (dimension of `A`).
-    pub remaining: usize,
-    /// Aggregate width `m` before this panel (`U⁽⁰⁾`/`V⁽⁰⁾` columns).
-    pub agg_cols: usize,
-    /// Processors the panel QR ran on: `z·pᵟ`, at most one per row of
-    /// the sub-diagonal block, and one (a local QR) for a ragged final
-    /// panel.
-    pub qr_procs: usize,
-}
-
 /// Reduce the symmetric `a` to a banded matrix of band-width `b` with
 /// the same eigenvalues (Algorithm IV.1). Requires `1 ≤ b < n`; `n`
 /// need not be a multiple of `b` — the final panel is simply shorter
@@ -83,7 +57,7 @@ pub fn try_full_to_band(
     a: &Matrix,
     b: usize,
     rec: Option<&mut Vec<BlockReflector>>,
-) -> Result<(BandedSym, FullToBandTrace), crate::EigenError> {
+) -> Result<BandedSym, crate::EigenError> {
     use crate::EigenError;
     params.revalidate()?;
     params.check_machine(machine)?;
@@ -133,7 +107,7 @@ pub(crate) fn full_to_band_impl(
     a: &Matrix,
     b: usize,
     mut rec: Option<&mut Vec<BlockReflector>>,
-) -> (BandedSym, FullToBandTrace) {
+) -> BandedSym {
     let _span = ca_obs::kernel_span("driver.full_to_band");
     let n = a.rows();
     assert_eq!(n, a.cols(), "input must be square");
@@ -233,7 +207,6 @@ pub(crate) fn full_to_band_impl(
     let rep = ca_pla::streaming::Replicated::replicate(machine, &grid3, n, n);
 
     let mut out = BandedSym::zeros(n, b, b);
-    let mut trace = FullToBandTrace::default();
     // The aggregates are allocated once at full height with *global*
     // row alignment (row r of the aggregate is global row r) and
     // their final width — every panel but the last appends `b`
@@ -287,13 +260,13 @@ pub(crate) fn full_to_band_impl(
         // the panel is ragged).
         let (u1, t1) = {
             let _span = ca_obs::kernel_span("f2b.qr");
-            let (u1, t1, r1, qr_procs) = if rem - b >= b {
-                let qr_procs = params.panel_qr_procs(n, b).min(rem - b);
+            let (u1, t1, r1) = if rem - b >= b {
+                let qr_procs = panel_qr_group(params, n, b, rem - b);
                 let qr_group = Grid::new_2d((0..qr_procs).collect(), qr_procs, 1);
                 let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
                 let f = rect_qr(machine, &da21);
                 da21.release(machine);
-                (f.u.release(machine), f.t, f.r, qr_procs)
+                (f.u.release(machine), f.t, f.r)
             } else {
                 let f = kern::local_qr(machine, all.proc(0), &a21.view());
                 let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
@@ -301,15 +274,8 @@ pub(crate) fn full_to_band_impl(
                     machine.charge_comm(pid, 2 * factor_words.div_ceil(p as u64));
                 }
                 machine.step(all.procs(), 1);
-                (f.u, f.t, f.r, 1)
+                (f.u, f.t, f.r)
             };
-            trace.panels.push(PanelTrace {
-                step: trace.panels.len(),
-                offset: o,
-                remaining: rem,
-                agg_cols: m_agg,
-                qr_procs,
-            });
             write_subdiag_block(&mut out, o, &r1);
             (u1, t1)
         };
@@ -389,7 +355,19 @@ pub(crate) fn full_to_band_impl(
         rep.release(machine);
     }
     machine.fence();
-    (out, trace)
+    out
+}
+
+/// Processors line 7's QR of a panel runs on, given the `rows` of its
+/// sub-diagonal block `A̅₂₁`: `z·pᵟ`, at most one per row, and one (a
+/// local QR on the group leader) for a ragged final panel, whose block
+/// is wide (`rows < b`).
+pub(crate) fn panel_qr_group(params: &EigenParams, n: usize, b: usize, rows: usize) -> usize {
+    if rows >= b {
+        params.panel_qr_procs(n, b).min(rows)
+    } else {
+        1
+    }
 }
 
 /// Write a symmetric `b×b` diagonal block into the band at offset `o`.
@@ -435,9 +413,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let spectrum = gen::linspace_spectrum(n, -3.0, 5.0);
         let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-        let (band, trace) = try_full_to_band(&m, &params, &a, b, None).unwrap();
+        let mut rec = Vec::new();
+        let band = try_full_to_band(&m, &params, &a, b, Some(&mut rec)).unwrap();
         assert!(band.measured_bandwidth(1e-9) <= b);
-        assert_eq!(trace.panels.len(), n.div_ceil(b) - 1);
+        assert_eq!(rec.len(), n.div_ceil(b) - 1, "one recorded panel per step");
         let ev = try_banded_eigenvalues(&band).unwrap();
         let d = spectrum_distance(&ev, &spectrum);
         assert!(
@@ -496,7 +475,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let spectrum = gen::linspace_spectrum(n, -1.0, 1.0);
             let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-            let (band, _) = try_full_to_band(&m, &params, &a, 1, None).unwrap();
+            let band = try_full_to_band(&m, &params, &a, 1, None).unwrap();
             let ev = try_banded_eigenvalues(&band).unwrap();
             assert!(spectrum_distance(&ev, &spectrum) < 1e-9);
         }
@@ -530,28 +509,39 @@ mod tests {
     fn trace_records_the_processors_each_panel_qr_ran_on() {
         // p = 64, c = 4: z·pᵟ = 64·√(10/64) ≈ 25 processors, capped by
         // the rows of the sub-diagonal block (54, 44, 34, 24, 14) and
-        // down to one for the ragged last panel's local QR (4 rows).
+        // down to one for the ragged last panel's local QR (4 rows). The
+        // block of panel s has the rows of its recorded reflector `U₁`.
         let m = machine(64);
         let params = EigenParams::new(64, 4);
         assert_eq!(params.panel_qr_procs(64, 10), 25);
         let mut rng = StdRng::seed_from_u64(219);
         let a = gen::random_symmetric(&mut rng, 64);
-        let (_, trace) = try_full_to_band(&m, &params, &a, 10, None).unwrap();
-        let ran_on: Vec<usize> = trace.panels.iter().map(|p| p.qr_procs).collect();
+        let mut rec = Vec::new();
+        try_full_to_band(&m, &params, &a, 10, Some(&mut rec)).unwrap();
+        let ran_on: Vec<usize> = rec
+            .iter()
+            .map(|r| panel_qr_group(&params, 64, 10, r.u.rows()))
+            .collect();
         assert_eq!(ran_on, [25, 25, 25, 24, 14, 1]);
     }
 
     #[test]
     fn trace_records_growing_aggregates() {
+        // Figure 1: panel s starts at row (s+1)·b below the diagonal,
+        // and the aggregates U⁽⁰⁾/V⁽⁰⁾ it is updated from hold the
+        // columns of every earlier panel's U₁.
         let m = machine(4);
         let params = EigenParams::new(4, 1);
         let mut rng = StdRng::seed_from_u64(206);
         let a = gen::random_symmetric(&mut rng, 24);
-        let (_, trace) = try_full_to_band(&m, &params, &a, 4, None).unwrap();
-        for (s, p) in trace.panels.iter().enumerate() {
-            assert_eq!(p.step, s);
-            assert_eq!(p.offset, s * 4);
-            assert_eq!(p.agg_cols, s * 4);
+        let mut rec = Vec::new();
+        try_full_to_band(&m, &params, &a, 4, Some(&mut rec)).unwrap();
+        assert_eq!(rec.len(), 5);
+        let mut agg_cols = 0;
+        for (s, r) in rec.iter().enumerate() {
+            assert_eq!(r.row0, (s + 1) * 4);
+            assert_eq!(agg_cols, s * 4);
+            agg_cols += r.u.cols();
         }
     }
 }

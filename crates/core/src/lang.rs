@@ -136,7 +136,7 @@ mod tests {
         let dense = gen::random_banded(&mut rng, n, b);
         let bm = BandedSym::from_dense(&dense, b, b);
         let mut log = crate::transforms::TransformLog::default();
-        let tri = lang_band_to_tridiagonal(&m, &Grid::all(p), &bm, Some(log.stage("lang")));
+        let tri = lang_band_to_tridiagonal(&m, &Grid::all(p), &bm, Some(log.stage()));
         let (d, e) = tri.tridiagonal();
         let (lam, z) = ca_dla::tridiag::try_tridiag_eigen(&d, &e).unwrap();
         let v = crate::transforms::back_transform(&m, &Grid::all(p), &log, &z);

@@ -54,16 +54,15 @@ pub mod model;
 pub mod params;
 pub mod solver;
 pub mod svd;
-pub mod transforms;
+mod transforms;
 pub mod tuning;
 
 pub use band_to_band::try_band_to_band;
 pub use ca_sbr::ca_sbr;
 pub use error::EigenError;
-pub use full_to_band::{try_full_to_band, FullToBandTrace};
+pub use full_to_band::try_full_to_band;
 pub use job::{solve_job, JobResult, SymmEigenJob};
 pub use lang::lang_band_to_tridiagonal;
 pub use params::EigenParams;
 pub use solver::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, StageCosts};
 pub use svd::{try_singular_values, try_svd, Svd};
-pub use transforms::{back_transform, TransformLog};

@@ -256,8 +256,8 @@ fn solve_impl(
     // Stage 1: full → band at b = n / max(p^{2−3δ}, log₂ p).
     let b0 = params.initial_bandwidth(n);
     let scope = costs.begin(machine, format!("full-to-band (b={b0})"));
-    let rec = want_vectors.then(|| log.stage(&format!("full-to-band (b={b0})")));
-    let (mut band, _) = crate::full_to_band::full_to_band_impl(machine, params, a, b0, rec);
+    let rec = want_vectors.then(|| log.stage());
+    let mut band = crate::full_to_band::full_to_band_impl(machine, params, a, b0, rec);
     scope.end(&mut costs);
 
     // Stage 2: successive band reductions on shrinking prefixes until
@@ -302,8 +302,8 @@ fn solve_impl(
             0,
             ((n * (band.bandwidth() + 1)) as u64).div_ceil(p as u64),
         );
-        let rec = want_vectors.then(|| log.stage(&format!("band-to-band (b={bw})")));
-        let (next, _) = try_band_to_band(machine, &grid, &band, target, params.p_2m3d(), rec)?;
+        let rec = want_vectors.then(|| log.stage());
+        let next = try_band_to_band(machine, &grid, &band, target, params.p_2m3d(), rec)?;
         scope.end(&mut costs);
         band = next;
         stage += 1;
@@ -323,7 +323,7 @@ fn solve_impl(
                 band.bandwidth().div_ceil(2)
             ),
         );
-        let rec = want_vectors.then(|| log.stage(&format!("ca-sbr (b={})", band.bandwidth())));
+        let rec = want_vectors.then(|| log.stage());
         let next = ca_sbr(machine, &sbr_grid, &band, rec);
         scope.end(&mut costs);
         band = next;
@@ -350,7 +350,7 @@ fn solve_impl(
     // capacity) has no reader past this point; the back-transformation
     // below is the solve's memory peak.
     drop(band);
-    log.stage("sequential band→tridiagonal").extend(blocks);
+    log.stage().extend(blocks);
     let (ev, z) = {
         let _span = ca_obs::kernel_span("finale.dnc");
         ca_dla::dnc::dnc_eigen(&d, &e)?

@@ -23,40 +23,24 @@ use ca_dla::{Matrix, Workspace};
 use ca_pla::grid::Grid;
 use rayon::prelude::*;
 
-/// The ordered record of every similarity applied during a reduction
-/// (stage granularity is informational; application order is the flat
-/// concatenation).
-#[derive(Debug, Clone, Default)]
-pub struct TransformLog {
-    /// `(stage name, transforms in application order)`.
-    pub stages: Vec<(String, Vec<BlockReflector>)>,
+/// The ordered record of every similarity applied during a reduction,
+/// one group per stage: application order is the flat concatenation,
+/// and [`back_transform`] closes a superstep after each group.
+#[derive(Debug, Default)]
+pub(crate) struct TransformLog {
+    stages: Vec<Vec<BlockReflector>>,
 }
 
 impl TransformLog {
     /// Open a new stage and return a handle to push its reflectors into.
-    pub fn stage(&mut self, name: &str) -> &mut Vec<BlockReflector> {
-        self.stages.push((name.to_string(), Vec::new()));
-        &mut self.stages.last_mut().expect("just pushed").1
-    }
-
-    /// Total recorded reflectors.
-    pub fn len(&self) -> usize {
-        self.stages.iter().map(|(_, v)| v.len()).sum()
+    pub(crate) fn stage(&mut self) -> &mut Vec<BlockReflector> {
+        self.stages.push(Vec::new());
+        self.stages.last_mut().expect("just pushed")
     }
 
     /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Words held by the log (diagnostics; the paper's `O(n²)` memory
-    /// per stage).
-    pub fn words(&self) -> usize {
-        self.stages
-            .iter()
-            .flat_map(|(_, v)| v.iter())
-            .map(|r| r.u.len() + r.t.len())
-            .sum()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.stages.iter().all(Vec::is_empty)
     }
 }
 
@@ -77,14 +61,19 @@ const PANEL: usize = 64;
 /// piece of one fork (a core budget of 1 runs the same panels in order —
 /// the per-panel arithmetic is identical, so both orders are
 /// bit-identical).
-pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Matrix) -> Matrix {
+pub(crate) fn back_transform(
+    machine: &Machine,
+    grid: &Grid,
+    log: &TransformLog,
+    z: &Matrix,
+) -> Matrix {
     let _span = ca_obs::kernel_span("driver.back_transform");
     let n = z.rows();
     let p = grid.len() as u64;
     let ncols = z.cols();
 
     // Charging pass: the ledger is identical whatever the worker count.
-    for (_, stage) in log.stages.iter().rev() {
+    for stage in log.stages.iter().rev() {
         for refl in stage.iter().rev() {
             let rows = refl.u.rows();
             let k = refl.u.cols();
@@ -113,7 +102,7 @@ pub fn back_transform(machine: &Machine, grid: &Grid, log: &TransformLog, z: &Ma
         .collect();
     let run = |xp: &mut Matrix| {
         with_ws(|ws| {
-            for (_, stage) in log.stages.iter().rev() {
+            for stage in log.stages.iter().rev() {
                 for refl in stage.iter().rev() {
                     apply_reflector(refl, xp, ws);
                 }
@@ -185,7 +174,7 @@ mod tests {
         let mut bm = BandedSym::from_dense(&dense, b, (2 * b).min(n - 1));
 
         let mut log = TransformLog::default();
-        let stage = log.stage("band→tridiag");
+        let stage = log.stage();
         for op in chase_plan_iter(n, b, 1) {
             let row0 = op.qr_rows.0;
             let (u, t) = execute_chase_recording(&mut bm, &op);
@@ -241,7 +230,7 @@ mod tests {
         let dense = gen::random_banded(&mut rng, n, b);
         let mut bm = BandedSym::from_dense(&dense, b, (2 * b).min(n - 1));
         let mut log = TransformLog::default();
-        let stage = log.stage("s");
+        let stage = log.stage();
         for op in chase_plan_iter(n, b, 1) {
             let row0 = op.qr_rows.0;
             let (u, t) = execute_chase_recording(&mut bm, &op);
@@ -253,6 +242,5 @@ mod tests {
         let c = machine.report();
         assert!(c.flops > 0);
         assert!(c.horizontal_words > 0, "reflector broadcasts must be charged");
-        assert!(log.words() > 0);
     }
 }

@@ -16,12 +16,13 @@
 //!   pass has the widest strips and warms the stage's arena, and no later
 //!   one allocates (no dense window, no transpose, no `Matrix`
 //!   temporaries). What is left is per pass — the working slab, the plan,
-//!   the trace, the groups — and the two `Vec`s that grow with the plan.
+//!   the groups — and the two `Vec`s that grow with the plan.
 //!
 //! Single test in this file on purpose: the allocation tally is
 //! process-global and libtest runs sibling tests concurrently.
 
 use ca_bsp::{Machine, MachineParams};
+use ca_dla::bulge::chase_plan_iter;
 use ca_dla::workspace::thread_ws_stats;
 use ca_dla::{gemm, gen, BandedSym, Matrix, Trans};
 use ca_eigen::{ca_sbr, lang_band_to_tridiagonal, try_band_to_band};
@@ -49,10 +50,10 @@ fn pass_allocations(n: usize) -> (u64, usize) {
     let band = random_band(n, 64, 519);
     let _ = ca_obs::alloc::take();
     ca_obs::alloc::set_metering(true);
-    let (out, trace) = try_band_to_band(&machine, &grid, &band, 32, 1, None).unwrap();
+    let out = try_band_to_band(&machine, &grid, &band, 32, 1, None).unwrap();
     ca_obs::alloc::set_metering(false);
     assert_eq!(out.bandwidth(), 32);
-    (ca_obs::alloc::take().0, trace.chases.len())
+    (ca_obs::alloc::take().0, chase_plan_iter(n, 64, 32).count())
 }
 
 #[test]
@@ -67,7 +68,7 @@ fn chase_stages_park_nothing_and_allocate_nothing_per_chase() {
     let band = random_band(96, 16, 518);
     let before = parked();
     assert!(before.0 > 0, "the warm-up was meant to park GEMM's panels");
-    let _ = try_band_to_band(&machine, &grid, &band, 8, 1, None).unwrap();
+    try_band_to_band(&machine, &grid, &band, 8, 1, None).unwrap();
     assert_eq!(parked(), before, "band→band left scratch in the caller's arena");
     let _ = ca_sbr(&machine, &grid, &band, None);
     assert_eq!(parked(), before, "CA-SBR left scratch in the caller's arena");

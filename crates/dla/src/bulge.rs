@@ -727,8 +727,9 @@ pub fn reduce_band_pass(
 /// either way, so they commute. (`j` ascending would not do: `H(i, j+1)`
 /// and `H(i′, j)`, `i < i′`, overlap and must keep their order.) An
 /// identity chase (`σ² = 0`) leaves a zero column in `U` and `T`; a block
-/// of nothing but those is not emitted. Recording does not touch the
-/// band's arithmetic.
+/// of nothing but those is still emitted (it applies as `X − U·0`), so the
+/// record's shape — and the back-transformation's charges — depend on
+/// `n` and `b` alone. Recording does not touch the band's arithmetic.
 pub fn sweep_to_tridiagonal(bmat: &mut BandedSym, record: Option<&mut Vec<BlockReflector>>) {
     with_ws(|ws| sweep(bmat, record, ws, Fma::detect()));
 }
@@ -1047,35 +1048,33 @@ impl<'a> Blocks<'a> {
             let rows = (cols - 1 + b).min(n - row0);
             let stage = &mut self.stage[(j - 1) * g * ld..][..g * ld];
             let taus = &mut self.taus[(j - 1) * g..][..g];
-            if taus.iter().any(|&tau| tau != 0.0) {
-                let mut u = Matrix::zeros(rows, cols);
-                let mut t = Matrix::zeros(cols, cols);
-                for s in 0..cols {
-                    for (r, &x) in stage[s * ld..][..rows].iter().enumerate().skip(s) {
-                        u.set(r, s, x);
-                    }
-                    // larft, forward and column-wise:
-                    // T[..s, s] = −τ·T[..s, ..s]·(U[:, ..s]ᵀ·u_s).
-                    let tau = taus[s];
-                    t.set(s, s, tau);
-                    if tau == 0.0 {
-                        continue;
-                    }
-                    let us = &stage[s * ld + s..][..rows - s];
-                    let mut z = [0.0f64; GROUP_MAX];
-                    for c in 0..s {
-                        z[c] = -tau * dot(&stage[c * ld + s..][..rows - s], us);
-                    }
-                    for r in 0..s {
-                        let mut acc = 0.0;
-                        for c in r..s {
-                            acc += t.get(r, c) * z[c];
-                        }
-                        t.set(r, s, acc);
-                    }
+            let mut u = Matrix::zeros(rows, cols);
+            let mut t = Matrix::zeros(cols, cols);
+            for s in 0..cols {
+                for (r, &x) in stage[s * ld..][..rows].iter().enumerate().skip(s) {
+                    u.set(r, s, x);
                 }
-                self.out.push(BlockReflector { row0, u, t });
+                // larft, forward and column-wise:
+                // T[..s, s] = −τ·T[..s, ..s]·(U[:, ..s]ᵀ·u_s).
+                let tau = taus[s];
+                t.set(s, s, tau);
+                if tau == 0.0 {
+                    continue;
+                }
+                let us = &stage[s * ld + s..][..rows - s];
+                let mut z = [0.0f64; GROUP_MAX];
+                for c in 0..s {
+                    z[c] = -tau * dot(&stage[c * ld + s..][..rows - s], us);
+                }
+                for r in 0..s {
+                    let mut acc = 0.0;
+                    for c in r..s {
+                        acc += t.get(r, c) * z[c];
+                    }
+                    t.set(r, s, acc);
+                }
             }
+            self.out.push(BlockReflector { row0, u, t });
             stage.fill(0.0);
             taus.fill(0.0);
         }

@@ -155,7 +155,7 @@ impl DistMatrix {
     }
 
     /// Words stored on grid rank `r`.
-    pub fn words_on(&self, r: usize) -> u64 {
+    pub(crate) fn words_on(&self, r: usize) -> u64 {
         let (_, _, nr, nc) = self.owned_range(r);
         (nr * nc) as u64
     }
@@ -177,31 +177,6 @@ impl DistMatrix {
             .collect();
         coll::exchange(m, &self.grid, &moves);
         self.data.clone()
-    }
-
-    /// Read the global block `(r0, c0, nr, nc)` onto the processor at
-    /// grid rank `dest`: owners send their pieces (one superstep).
-    pub fn read_block(
-        &self,
-        m: &Machine,
-        dest: usize,
-        r0: usize,
-        c0: usize,
-        nr: usize,
-        nc: usize,
-    ) -> Matrix {
-        let (rows, cols) = self.shape();
-        assert!(r0 + nr <= rows && c0 + nc <= cols, "block out of range");
-        let dest_id = self.grid.proc(dest);
-        let moves: Vec<_> = (0..self.grid.len())
-            .filter(|&r| self.grid.proc(r) != dest_id)
-            .filter_map(|r| {
-                let (rows, cols) = self.overlap(r, (r0, c0, nr, nc))?;
-                Some((self.grid.proc(r), dest_id, (rows.len() * cols.len()) as u64))
-            })
-            .collect();
-        coll::exchange(m, &self.grid, &moves);
-        self.data.block(r0, c0, nr, nc)
     }
 
     /// Redistribute onto a (possibly different) grid/shape: every
@@ -308,24 +283,6 @@ mod tests {
         assert!(d.dense().max_diff(&a) < 1e-15);
         let back = d.gather(&m, 0);
         assert!(back.max_diff(&a) < 1e-15);
-    }
-
-    #[test]
-    fn block_read_write_roundtrip() {
-        let m = machine(4);
-        let g = Grid::new_2d((0..4).collect(), 2, 2);
-        let mut rng = StdRng::seed_from_u64(71);
-        let a = gen::random_matrix(&mut rng, 8, 8);
-        let d = DistMatrix::from_dense(&m, &g, &a);
-        let snap = m.snapshot();
-        let blk = d.read_block(&m, 0, 2, 3, 4, 4);
-        assert!(blk.max_diff(&a.block(2, 3, 4, 4)) < 1e-15);
-        // The block straddles all four 4×4 owner blocks; rank 0 keeps its
-        // 2×1 piece, the others send 2×3 + 2×1 + 2×3 = 14 words (volume
-        // counts both ends).
-        assert_eq!(m.costs_since(&snap).total_volume_words, 2 * 14);
-        // Reading leaves the distributed matrix as it was.
-        assert_eq!(d.dense().max_diff(&a), 0.0);
     }
 
     #[test]

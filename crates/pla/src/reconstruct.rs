@@ -162,8 +162,8 @@ pub(crate) fn reconstruct_into(
     s
 }
 
-/// Sequential reconstruction (single processor), used at recursion base
-/// cases and in tests.
+/// Sequential reconstruction (single processor): the reference the
+/// distributed [`reconstruct`] is tested against. No solve calls it.
 pub fn reconstruct_local(q: &Matrix) -> (Matrix, Matrix, Vec<f64>) {
     let n = q.cols();
     let q1 = q.block(0, 0, n, n);

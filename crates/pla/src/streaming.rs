@@ -39,11 +39,11 @@ use ca_dla::Matrix;
 #[derive(Debug, Clone)]
 pub struct Replicated {
     /// The full `q₀ × q₁ × c` grid.
-    pub grid3: Grid,
+    grid3: Grid,
     /// Rows of the replicated matrix.
-    pub rows: usize,
+    rows: usize,
     /// Columns of the replicated matrix.
-    pub cols: usize,
+    cols: usize,
 }
 
 impl Replicated {

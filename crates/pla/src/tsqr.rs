@@ -4,7 +4,7 @@
 //! Each processor QR-factors its row block locally; pairs then merge
 //! their `R` factors up a binary tree (`log g` supersteps, `O(n²)` words
 //! per level). The implicit tree `Q` can be expanded into an explicit
-//! `m × n` orthonormal factor by a down-sweep ([`explicit_q`]), which the
+//! `m × n` orthonormal factor by a down-sweep ([`tsqr_explicit`]), which the
 //! Householder reconstruction of Corollary III.7 then converts into the
 //! compact-WY `(U, T)` form the eigensolver needs.
 
@@ -20,37 +20,37 @@ use ca_dla::Matrix;
 
 /// One merge node of the TSQR reduction tree.
 #[derive(Debug, Clone)]
-pub struct TreeNode {
+struct TreeNode {
     /// Grid rank that performed the merge.
-    pub owner: usize,
+    owner: usize,
     /// Grid rank whose `R` was merged into the owner's.
-    pub partner: usize,
+    partner: usize,
     /// Rows contributed by the owner (top of the stacked matrix).
-    pub top_rows: usize,
+    top_rows: usize,
     /// Rows contributed by the partner (bottom).
-    pub bot_rows: usize,
+    bot_rows: usize,
     /// QR factors of the stacked `[R_top; R_bot]`.
-    pub factors: QrFactors,
+    factors: QrFactors,
 }
 
 /// The TSQR factorization: leaf factors plus the merge tree; `r` is the
 /// final upper-triangular factor (held by the group's rank 0).
 #[derive(Debug, Clone)]
-pub struct Tsqr {
+pub(crate) struct Tsqr {
     /// Number of columns factored.
-    pub n: usize,
+    n: usize,
     /// The 1D group the factorization ran on.
-    pub group: Grid,
+    group: Grid,
     /// Per-rank leaf QR factors.
-    pub leaves: Vec<QrFactors>,
+    leaves: Vec<QrFactors>,
     /// Merge levels, bottom-up; level `l` merges ranks at stride `2^l`.
-    pub levels: Vec<Vec<TreeNode>>,
+    levels: Vec<Vec<TreeNode>>,
     /// Final `min(m,n) × n` upper-triangular factor (on rank 0).
-    pub r: Matrix,
+    pub(crate) r: Matrix,
 }
 
 /// TSQR of `a`, a matrix in a 1D row-block layout (`g × 1` grid).
-pub fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
+pub(crate) fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
     let group = a.grid().clone();
     let (_, pc, _) = group.shape();
     assert_eq!(pc, 1, "tsqr expects a 1D row-block layout");
@@ -167,7 +167,7 @@ fn q_rows(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, nrows: usize) 
 /// charge; the product skips the zero rows) and ships the bottom part to
 /// its partner; leaves apply their local `Q`, each result written once,
 /// as the block its rank keeps.
-pub fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
+pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
     let g = t.group.len();
     let n = t.n;
     assert_eq!(out.grid(), &t.group, "output must live on the TSQR group");

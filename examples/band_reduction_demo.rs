@@ -34,7 +34,7 @@ fn main() -> Result<(), EigenError> {
     sparsity(&a_to_band(&a), n);
 
     // Stage 1: full → band.
-    let (mut band, _) = try_full_to_band(&machine, &params, &a, b0, None)?;
+    let mut band = try_full_to_band(&machine, &params, &a, b0, None)?;
     check(&band, &spectrum, "full→band")?;
     println!("\nafter full-to-band (b = {}):", band.bandwidth());
     sparsity(&band, n);
@@ -42,8 +42,7 @@ fn main() -> Result<(), EigenError> {
     // Stage 2: halve repeatedly.
     while band.bandwidth() > 1 {
         let half = band.bandwidth().div_ceil(2);
-        let (next, _) = try_band_to_band(&machine, &grid, &band, half, 1, None)?;
-        band = next;
+        band = try_band_to_band(&machine, &grid, &band, half, 1, None)?;
         check(&band, &spectrum, "band-to-band")?;
         println!("\nafter band-to-band (b = {}):", band.bandwidth());
         sparsity(&band, n);

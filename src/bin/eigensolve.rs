@@ -30,6 +30,7 @@ use ca_symm_eig::eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenPa
 use ca_symm_eig::pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{ErrorKind, Write};
 
 fn arg(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -43,7 +44,8 @@ fn flag(name: &str) -> bool {
 }
 
 /// Print `eigensolve: <msg>` and exit with code 2: the one way this
-/// binary reports bad input.
+/// binary reports an error (bad input, or stdout failing other than by
+/// its reader closing).
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("eigensolve: {msg}");
     std::process::exit(2)
@@ -131,35 +133,47 @@ fn main() {
     };
 
     let costs = machine.report();
-    if json {
-        let evs: Vec<String> = eigenvalues.iter().map(|v| format!("{v}")).collect();
-        println!(
-            "{{\"n\":{n},\"p\":{p},\"c\":{c},\"algorithm\":\"{algorithm}\",\"eigenvalues\":[{}],\
-             \"flops\":{},\"horizontal_words\":{},\"vertical_words\":{},\"supersteps\":{}{}}}",
-            evs.join(","),
-            costs.flops,
-            costs.horizontal_words,
-            costs.vertical_words,
-            costs.supersteps,
-            residual.map(|r| format!(",\"residual\":{r}")).unwrap_or_default()
-        );
-    } else {
-        println!("eigensolve: n = {n}, p = {p}, c = {c}, algorithm = {algorithm}");
-        println!(
-            "costs: F = {}, W = {}, Q = {}, S = {}, peak M = {}",
-            costs.flops,
-            costs.horizontal_words,
-            costs.vertical_words,
-            costs.supersteps,
-            costs.peak_memory_words
-        );
-        if let Some(r) = residual {
-            println!("eigenvector residual ‖A·V − V·Λ‖_max = {r:.3e}");
+    let report = |out: &mut dyn Write| -> std::io::Result<()> {
+        if json {
+            let evs: Vec<String> = eigenvalues.iter().map(|v| format!("{v}")).collect();
+            writeln!(
+                out,
+                "{{\"n\":{n},\"p\":{p},\"c\":{c},\"algorithm\":\"{algorithm}\",\"eigenvalues\":[{}],\
+                 \"flops\":{},\"horizontal_words\":{},\"vertical_words\":{},\"supersteps\":{}{}}}",
+                evs.join(","),
+                costs.flops,
+                costs.horizontal_words,
+                costs.vertical_words,
+                costs.supersteps,
+                residual.map(|r| format!(",\"residual\":{r}")).unwrap_or_default()
+            )?;
+        } else {
+            writeln!(out, "eigensolve: n = {n}, p = {p}, c = {c}, algorithm = {algorithm}")?;
+            writeln!(
+                out,
+                "costs: F = {}, W = {}, Q = {}, S = {}, peak M = {}",
+                costs.flops,
+                costs.horizontal_words,
+                costs.vertical_words,
+                costs.supersteps,
+                costs.peak_memory_words
+            )?;
+            if let Some(r) = residual {
+                writeln!(out, "eigenvector residual ‖A·V − V·Λ‖_max = {r:.3e}")?;
+            }
+            writeln!(out, "eigenvalues (ascending):")?;
+            for chunk in eigenvalues.chunks(8) {
+                let line: Vec<String> = chunk.iter().map(|v| format!("{v:>12.6}")).collect();
+                writeln!(out, "  {}", line.join(" "))?;
+            }
         }
-        println!("eigenvalues (ascending):");
-        for chunk in eigenvalues.chunks(8) {
-            let line: Vec<String> = chunk.iter().map(|v| format!("{v:>12.6}")).collect();
-            println!("  {}", line.join(" "));
+        out.flush()
+    };
+    if let Err(e) = report(&mut std::io::stdout().lock()) {
+        // A reader that closed its end early (`eigensolve … | head`) has
+        // read all it wanted: exit 0, say nothing.
+        if e.kind() != ErrorKind::BrokenPipe {
+            fail(format!("writing stdout: {e}"));
         }
     }
 }

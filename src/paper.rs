@@ -46,7 +46,7 @@
 //! | Algorithm IV.3 (complete eigensolver) | [`ca_eigen::try_symm_eigen_25d`] |
 //! | Theorem IV.4 (its cost) | claims `solver.*` and, against the baselines, `scalapack.*` / `elpa.W.p`; model in [`ca_eigen::model::eigensolver`] |
 //! | Table I baselines (ScaLAPACK \[15\], ELPA \[13\]\[37\]) | [`ca_eigen::baselines`] |
-//! | §IV.C back-transformation (future work) | implemented: [`ca_eigen::transforms`], [`ca_eigen::try_symm_eigen_25d_vectors`] |
+//! | §IV.C back-transformation (future work) | implemented: [`ca_eigen::try_symm_eigen_25d_vectors`] — every reduction stage records its reflectors (`rec: Option<&mut Vec<`[`ca_dla::bulge::BlockReflector`]`>>`) and the crate-private `transforms` module applies them in reverse, one superstep per stage |
 //!
 //! ## §V — Conclusion
 //!

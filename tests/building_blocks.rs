@@ -136,7 +136,6 @@ const BLOCK_PINS: &[(&str, [u64; 7], u64)] = &[
     ("DistMatrix::block_redist 11x7 3x2 (2,1,6,5)->2x1", [0, 59, 0, 2, 31, 214, 0], 0xf775e5a982e13ab3),
     ("DistMatrix::transpose 10x7 3x3", [0, 35, 0, 2, 24, 232, 0], 0x3f0c1545aa1a6366),
     ("DistMatrix::gather 9x11 2x3 root=1", [0, 114, 0, 2, 20, 366, 0], 0x6c727d5505eb94fc),
-    ("DistMatrix::read_block 8x8 2x2 (2,3,4,4) dest=0", [0, 46, 0, 2, 16, 156, 0], 0x88cb7aa7fd9d7b60),
     ("DistMatrix::replicate 9x11 2x3 onto 4", [0, 210, 0, 3, 119, 897, 0], 0x5f0dc968264860de),
     ("streaming_mm_view_into q=4 c=4 w=1 29x11 tb", [450, 84, 123, 7, 0, 4776, 23254], 0xcfd1f36b53d04ce1),
     ("streaming_mm_view_into q=4 c=2 w=3 29x4", [300, 56, 106, 9, 0, 1696, 8456], 0xd6d314911c79b5bc),
@@ -288,10 +287,6 @@ fn building_block_ledgers_and_bits_are_pinned() {
     check_pin("DistMatrix::gather 9x11 2x3 root=1", 6, |m, out| {
         let d = DistMatrix::from_dense(m, &grid(6, 2, 3), &random(9, 11, 75));
         out.extend_from_slice(d.gather(m, 1).data());
-    });
-    check_pin("DistMatrix::read_block 8x8 2x2 (2,3,4,4) dest=0", 4, |m, out| {
-        let d = DistMatrix::from_dense(m, &grid(4, 2, 2), &random(8, 8, 71));
-        out.extend_from_slice(d.read_block(m, 0, 2, 3, 4, 4).data());
     });
     check_pin("DistMatrix::replicate 9x11 2x3 onto 4", 6, |m, out| {
         let d = DistMatrix::from_dense(m, &grid(6, 2, 3), &random(9, 11, 76));

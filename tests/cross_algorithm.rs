@@ -103,13 +103,13 @@ fn banded_intermediates_verified_by_inertia_counts() {
     let (spectrum, a) = problem(n, 410);
     let m = Machine::new(MachineParams::new(p));
     let params = EigenParams::new(p, 1);
-    let (band, _) = try_full_to_band(&m, &params, &a, 16, None).unwrap();
+    let band = try_full_to_band(&m, &params, &a, 16, None).unwrap();
     let probes = [-5.0, -3.0, -1.0, 0.0, 1.5];
     for probe in probes {
         let expected = spectrum.iter().filter(|l| **l < probe).count();
         assert_eq!(count_below_banded(&band, probe), expected, "after full→band");
     }
-    let (half, _) = try_band_to_band(&m, &PGrid::all(p), &band, 8, 1, None).unwrap();
+    let half = try_band_to_band(&m, &PGrid::all(p), &band, 8, 1, None).unwrap();
     for probe in probes {
         let expected = spectrum.iter().filter(|l| **l < probe).count();
         assert_eq!(count_below_banded(&half, probe), expected, "after band→band");

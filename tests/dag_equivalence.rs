@@ -144,7 +144,7 @@ fn full_to_band_run(n: usize, b: usize, p: usize, c: usize, seed: u64) -> (u64, 
     let mut rng = StdRng::seed_from_u64(seed);
     let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(n, -3.0, 3.0));
     let mut rec = Vec::new();
-    let (band, _) = try_full_to_band(&machine, &params, &a, b, Some(&mut rec)).unwrap();
+    let band = try_full_to_band(&machine, &params, &a, b, Some(&mut rec)).unwrap();
     (band_fingerprint(&band, &rec), ledger(&machine))
 }
 
@@ -161,7 +161,7 @@ fn band_to_band_run(
     let dense = gen::random_banded(&mut rng, n, b);
     let bm = BandedSym::from_dense(&dense, b, b);
     let mut rec = Vec::new();
-    let (out, _) = try_band_to_band(&machine, &grid, &bm, h, 1, Some(&mut rec)).unwrap();
+    let out = try_band_to_band(&machine, &grid, &bm, h, 1, Some(&mut rec)).unwrap();
     (band_fingerprint(&out, &rec), ledger(&machine))
 }
 

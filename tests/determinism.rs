@@ -6,8 +6,13 @@
 //! reproducible and the cost-regression tests meaningful.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
-use ca_symm_eig::dla::gen;
-use ca_symm_eig::eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
+use ca_symm_eig::dla::bulge::BlockReflector;
+use ca_symm_eig::dla::{gen, BandedSym, Matrix};
+use ca_symm_eig::eigen::{
+    ca_sbr, lang_band_to_tridiagonal, try_full_to_band, try_symm_eigen_25d,
+    try_symm_eigen_25d_vectors, EigenParams,
+};
+use ca_symm_eig::pla::grid::Grid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,7 +45,7 @@ fn generator_is_seed_deterministic() {
 fn vectors_path_is_deterministic() {
     let mut rng = StdRng::seed_from_u64(43);
     let a = gen::random_symmetric(&mut rng, 32);
-    let run = |a: &ca_symm_eig::dla::Matrix| {
+    let run = |a: &Matrix| {
         let m = Machine::new(MachineParams::new(4));
         let (ev, v, _) = try_symm_eigen_25d_vectors(&m, &EigenParams::new(4, 1), a).unwrap();
         (ev, v)
@@ -63,6 +68,74 @@ fn cost_ledger_independent_of_matrix_values() {
     );
     assert_eq!(c1.supersteps, c2.supersteps);
     assert_eq!(c1.flops, c2.flops);
+
+    // The vectors path too, down to its sparsest input: on diag(0..n)
+    // every reduction reflector is the identity, and the recorded
+    // transforms — hence the back-transformation's charges — must still
+    // have the shapes they have on a dense input.
+    let n = 64;
+    let mut rng = StdRng::seed_from_u64(1);
+    let dense = gen::random_symmetric(&mut rng, n);
+    let diag = Matrix::from_fn(n, n, |i, j| if i == j { i as f64 } else { 0.0 });
+    let vectors_ledger = |a: &Matrix| {
+        let m = Machine::new(MachineParams::new(16));
+        try_symm_eigen_25d_vectors(&m, &EigenParams::new(16, 1), a).unwrap();
+        m.report()
+    };
+    assert_eq!(
+        vectors_ledger(&dense),
+        vectors_ledger(&diag),
+        "the vectors path's ledger must be data-independent"
+    );
+}
+
+/// A stage that can record its transforms.
+type Recording<'a> = &'a dyn Fn(&Machine, Option<&mut Vec<BlockReflector>>) -> BandedSym;
+
+#[test]
+fn recording_changes_no_bit_and_no_charge() {
+    // The vectors path runs the same stages as the values path with
+    // `rec: Some`: the record is a by-product, never an input, so the
+    // band and the ledger are those of `rec: None` bit for bit.
+    let mut rng = StdRng::seed_from_u64(45);
+    let dense = gen::random_symmetric(&mut rng, 48);
+    let band = BandedSym::from_dense(&gen::random_banded(&mut rng, 48, 8), 8, 8);
+    let (params, grid) = (EigenParams::new(4, 1), Grid::all(4));
+    let stages: [(&str, Recording); 3] = [
+        ("full→band", &|m, rec| {
+            try_full_to_band(m, &params, &dense, 8, rec).unwrap()
+        }),
+        ("CA-SBR", &|m, rec| ca_sbr(m, &grid, &band, rec)),
+        ("Lang", &|m, rec| {
+            lang_band_to_tridiagonal(m, &grid, &band, rec)
+        }),
+    ];
+    let bits = |b: &BandedSym| {
+        (
+            b.bandwidth(),
+            b.bands().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        )
+    };
+    for (name, stage) in stages {
+        let (plain_m, rec_m) = (
+            Machine::new(MachineParams::new(4)),
+            Machine::new(MachineParams::new(4)),
+        );
+        let plain = stage(&plain_m, None);
+        let mut rec = Vec::new();
+        let recorded = stage(&rec_m, Some(&mut rec));
+        assert!(!rec.is_empty(), "{name}: recorded nothing");
+        assert_eq!(
+            bits(&plain),
+            bits(&recorded),
+            "{name}: recording changed the band"
+        );
+        assert_eq!(
+            plain_m.report(),
+            rec_m.report(),
+            "{name}: recording changed the ledger"
+        );
+    }
 }
 
 /// FNV-1a over the exact bit patterns of a stream of `f64`s.

@@ -1,10 +1,10 @@
 //! The `eigensolve` binary on bad input: every malformed CSV and every
 //! non-integer numeric option ends in one `eigensolve: …` line on stderr
 //! and exit code 2 — never a panic backtrace. A well-formed CSV still
-//! solves.
+//! solves, and a reader that closes stdout early ends the run quietly.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_eigensolve"))
@@ -75,4 +75,22 @@ fn well_formed_csv_solves() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"n\":2"), "{stdout}");
+}
+
+#[test]
+fn closed_stdout_is_not_an_error() {
+    // `eigensolve … | head -c 10`: the reader is gone before the solve
+    // finishes, so every write meets a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_eigensolve"))
+        .args(["--n", "256", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("eigensolve runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("eigensolve exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "panicked:\n{stderr}");
+    assert_eq!(out.status.code(), Some(0), "exit status, stderr:\n{stderr}");
+    assert!(stderr.is_empty(), "expected no message, got:\n{stderr}");
 }

@@ -28,7 +28,7 @@ fn run_full_to_band(n: usize, p: usize, b: usize, seed: u64) -> (BandedSym, Cost
     let a = gen::random_symmetric(&mut rng, n);
     let machine = Machine::new(MachineParams::new(p));
     let params = EigenParams::new(p, 1);
-    let (band, _) = try_full_to_band(&machine, &params, &a, b, None).unwrap();
+    let band = try_full_to_band(&machine, &params, &a, b, None).unwrap();
     (band, machine.report())
 }
 

@@ -278,7 +278,7 @@ fn dist_matrix_rejects_out_of_range_reads() {
     let m = machine(4);
     let g = Grid::new_2d((0..4).collect(), 2, 2);
     let d = DistMatrix::zeros(&m, &g, 8, 8);
-    let _ = d.read_block(&m, 0, 6, 6, 4, 4);
+    let _ = d.block_redist(&m, 6, 6, 4, 4, &g);
 }
 
 #[test]
