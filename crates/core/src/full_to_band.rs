@@ -76,15 +76,16 @@ pub fn try_full_to_band(
 }
 
 /// The symmetry test every entry point applies to its input, once: one
-/// scan each for `‖A‖_max` and `max |aᵢⱼ − aⱼᵢ|`.
-pub(crate) fn check_symmetric(a: &Matrix) -> Result<(), crate::EigenError> {
-    let (scale, asymmetry) = (a.norm_max().max(1.0), a.asymmetry());
+/// scan each for `‖A‖_max` and `max |aᵢⱼ − aⱼᵢ|`. Returns `‖A‖_max`.
+pub(crate) fn check_symmetric(a: &Matrix) -> Result<f64, crate::EigenError> {
+    let (amax, asymmetry) = (a.norm_max(), a.asymmetry());
+    let scale = amax.max(1.0);
     if asymmetry >= 1e-10 * scale {
         return Err(crate::EigenError::AsymmetricInput {
             asymmetry: asymmetry / scale,
         });
     }
-    Ok(())
+    Ok(amax)
 }
 
 /// The driver: Algorithm IV.1 as the paper writes it, one loop over

@@ -36,8 +36,8 @@ pub struct StageRecord {
     pub costs: Costs,
     /// Measured wall-clock seconds. Diagnostic only: not part of the
     /// cost ledger or the conformance claims (those stay model-derived),
-    /// but the stage-time bench harness reads it to attribute
-    /// end-to-end time to stages.
+    /// but the `stage_times` binary and the benchmark read it to
+    /// attribute end-to-end time to stages.
     pub wall_secs: f64,
 }
 
@@ -190,8 +190,8 @@ pub fn try_symm_eigen_25d(
     params: &EigenParams,
     a: &Matrix,
 ) -> Result<(Vec<f64>, StageCosts), EigenError> {
-    validate_input(machine, params, a)?;
-    let (ev, costs, _) = solve_impl(machine, params, a, false)?;
+    let amax = validate_input(machine, params, a)?;
+    let (ev, costs, _) = solve_in_range(machine, params, a, amax, false)?;
     Ok((ev, costs))
 }
 
@@ -207,16 +207,16 @@ pub fn try_symm_eigen_25d_vectors(
     params: &EigenParams,
     a: &Matrix,
 ) -> Result<(Vec<f64>, Matrix, StageCosts), EigenError> {
-    validate_input(machine, params, a)?;
-    let (ev, costs, v) = solve_impl(machine, params, a, true)?;
+    let amax = validate_input(machine, params, a)?;
+    let (ev, costs, v) = solve_in_range(machine, params, a, amax, true)?;
     Ok((ev, v.expect("vectors requested"), costs))
 }
 
 /// Shared request validation for the `Result` entry points: grid
 /// invariants, a machine that holds the grid, squareness, minimum size,
 /// symmetry. Runs before any cost is charged, so a rejected request
-/// leaves the ledger untouched.
-fn validate_input(machine: &Machine, params: &EigenParams, a: &Matrix) -> Result<(), EigenError> {
+/// leaves the ledger untouched. Returns `‖A‖_max`.
+fn validate_input(machine: &Machine, params: &EigenParams, a: &Matrix) -> Result<f64, EigenError> {
     params.revalidate()?;
     params.check_machine(machine)?;
     if a.rows() != a.cols() {
@@ -239,6 +239,50 @@ fn validate_input(machine: &Machine, params: &EigenParams, a: &Matrix) -> Result
     }
     // The one symmetry scan of a solve: the stages below trust it.
     crate::full_to_band::check_symmetric(a)
+}
+
+/// [`solve_impl`] on `a` brought into LAPACK `dsyev`'s safe range.
+/// Outside `[√(MIN_POSITIVE/ε), its reciprocal]` (≈ `[1e-146, 1e146]`)
+/// the stages underflow or overflow: silently wrong eigenvalues, or
+/// `NoConvergence` on finite input. A nonzero `amax = ‖A‖_max` there
+/// solves `2^k·A` with `‖2^k·A‖_max ∈ [½, 1)` instead and scales the
+/// eigenvalues back by `2^−k`. Both scalings are exact and charge
+/// nothing, and the eigenvectors need no unscaling; in-range inputs are
+/// solved as they are.
+fn solve_in_range(
+    machine: &Machine,
+    params: &EigenParams,
+    a: &Matrix,
+    amax: f64,
+    want_vectors: bool,
+) -> Result<(Vec<f64>, StageCosts, Option<Matrix>), EigenError> {
+    let rmin = (f64::MIN_POSITIVE / f64::EPSILON).sqrt();
+    if amax == 0.0 || (rmin..=1.0 / rmin).contains(&amax) {
+        return solve_impl(machine, params, a, want_vectors);
+    }
+    let k = -binary_exponent(amax);
+    let mut scaled = a.clone();
+    scale_pow2(scaled.data_mut(), k);
+    let (mut ev, costs, v) = solve_impl(machine, params, &scaled, want_vectors)?;
+    scale_pow2(&mut ev, -k);
+    Ok((ev, costs, v))
+}
+
+/// Multiply every entry by `2^k`, in two power-of-two steps: `|k|` can
+/// reach 1074, past the largest finite power of two.
+fn scale_pow2(xs: &mut [f64], k: i32) {
+    let (lo, hi) = (2f64.powi(k / 2), 2f64.powi(k - k / 2));
+    for x in xs {
+        *x = *x * lo * hi;
+    }
+}
+
+/// The exponent `e` of a finite `x > 0` written as `m·2^e`, `m ∈ [½, 1)`.
+fn binary_exponent(x: f64) -> i32 {
+    match ((x.to_bits() >> 52) & 0x7ff) as i32 {
+        0 => binary_exponent(x * 2f64.powi(64)) - 64, // subnormal
+        biased => biased - 1022,
+    }
 }
 
 fn solve_impl(
@@ -483,6 +527,50 @@ mod tests {
         // Every stage carries a measured wall-clock sample.
         assert!(stages.stages.iter().all(|s| s.wall_secs >= 0.0));
         assert!(stages.wall_seconds("") >= stages.wall_seconds("full-to-band"));
+    }
+
+    #[test]
+    fn badly_scaled_input_solves_like_unit_scale() {
+        use ca_dla::gemm::{matmul, Trans};
+        let (n, p) = (64, 4);
+        let params = EigenParams::new(p, 1);
+        let a = gen::random_symmetric(&mut StdRng::seed_from_u64(320), n);
+        let solve = |a: &Matrix| {
+            let values = try_symm_eigen_25d(&Machine::new(MachineParams::new(p)), &params, a);
+            let vectors =
+                try_symm_eigen_25d_vectors(&Machine::new(MachineParams::new(p)), &params, a);
+            (values.unwrap(), vectors.unwrap())
+        };
+        let ledger = |c: &StageCosts| -> Vec<(String, Costs)> {
+            c.stages.iter().map(|s| (s.name.clone(), s.costs)).collect()
+        };
+        let ((ev1, costs1), (_, _, vcosts1)) = solve(&a);
+        let lmax = ev1.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let tol = 100.0 * n as f64 * f64::EPSILON * lmax;
+        for s in [1e-200, 1e-150, 1e150, 1e160] {
+            let mut a_s = a.clone();
+            a_s.scale(s);
+            let ((ev, costs), (vev, v, vcosts)) = solve(&a_s);
+            for (path, ev) in [("values", &ev), ("vectors", &vev)] {
+                let err = ev
+                    .iter()
+                    .zip(&ev1)
+                    .fold(0.0f64, |m, (x, y)| m.max((x / s - y).abs()));
+                assert!(err <= tol, "s = {s:e}, {path}: error {err:e} > {tol:e}");
+            }
+            // ‖A·V − V·Λ_s/s‖_max at unit scale.
+            let av = matmul(&a, Trans::N, &v, Trans::N);
+            let mut vl = v.clone();
+            for i in 0..n {
+                for j in 0..n {
+                    vl.set(i, j, v.get(i, j) * (vev[j] / s));
+                }
+            }
+            let res = av.max_diff(&vl);
+            assert!(res <= tol, "s = {s:e}: residual {res:e} > {tol:e}");
+            assert_eq!(ledger(&costs), ledger(&costs1), "s = {s:e}: values");
+            assert_eq!(ledger(&vcosts), ledger(&vcosts1), "s = {s:e}: vectors");
+        }
     }
 
     #[test]

@@ -588,18 +588,6 @@ fn apply_merge(plan: &MergePlan, mut cmat: Matrix) -> (Vec<f64>, Matrix) {
     (plan.lam.clone(), out)
 }
 
-/// Benchmark hooks: `#[doc(hidden)]` wrappers over internal merge
-/// stages so the micro-bench harness can time them in isolation
-/// (deflation + secular solve without the column algebra).
-#[doc(hidden)]
-pub mod bench_hooks {
-    /// Eigenvalues of the rank-one update `diag(d) + ρ·zzᵀ` via the
-    /// full deflation scan and secular root solve.
-    pub fn secular_merge_values(d: &[f64], z: &[f64], rho: f64) -> Vec<f64> {
-        super::merge_plan(d, z, rho).lam
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

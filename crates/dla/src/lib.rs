@@ -23,7 +23,7 @@
 //!   steady-state heap allocation (see DESIGN.md §"kernel engine").
 //!
 //! Each module holds one implementation of each operation. The forms the
-//! tests and benches hold them to — the seed's scalar and dense-window
+//! tests hold them to — the seed's scalar and dense-window
 //! kernels, the portable instance of a feature-compiled loop — live in
 //! one hidden module, `oracle`, that no solve reaches.
 //!

@@ -50,8 +50,9 @@ pub enum Diag {
 /// Order at or below which the recursions stop and a block is handled by
 /// scalar row operations. Not a knob of the interface: it only has to be
 /// large enough that the GEMMs above it are not dominated by call
-/// overhead (`benches/kernels.rs`, group `tri_kernels`: no slower than
-/// the scalar forms from n = 8 up). Changing it changes output bits.
+/// overhead (measured with a kernels bench since removed, group
+/// `tri_kernels`: no slower than the scalar forms from n = 8 up; README
+/// has the rates). Changing it changes output bits.
 const LEAF: usize = 16;
 
 /// The LU recursion's leaf. Scalar elimination is already a sequence of

@@ -2,8 +2,7 @@
 //!
 //! Each production module holds one implementation of each operation;
 //! what it replaced, or an instance of it no host would pick, lives here
-//! so that `tests/` and `benches/kernels.rs` can hold the production
-//! kernel to it:
+//! so that `tests/` can hold the production kernel to it:
 //!
 //! * the seed's dense-window chase ([`execute_chase_reference`]), the
 //!   bitwise oracle of [`crate::bulge`]'s banded kernel
@@ -24,7 +23,7 @@
 //!   the host runs bit for bit (`tests/sweep_props.rs`,
 //!   `tests/gemm_props.rs`).
 //!
-//! Nothing outside tests and benches calls this module.
+//! Nothing outside tests calls this module.
 
 use crate::band::BandedSym;
 use crate::bulge::{BlockReflector, ChaseOp};

@@ -197,8 +197,8 @@ fn split(n: usize, leaf: usize) -> usize {
 /// `nb` is a cap on the recursion's leaf width and nothing else: any
 /// `nb ≥ 8` (callers without an opinion pass `usize::MAX`) is the
 /// default factorisation, `nb = 1` recurses down to single columns —
-/// the unblocked elimination order, kept as the oracle the tests and
-/// `benches/kernels.rs` compare against. The parameter survives because
+/// the unblocked elimination order, kept as the oracle the tests compare
+/// against. The parameter survives because
 /// the frozen benchmark harness passes one; it goes in the next
 /// `[benchmark]` PR (ROADMAP item 5's shim list).
 ///

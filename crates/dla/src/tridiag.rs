@@ -50,9 +50,10 @@ const HALVE_FLOOR: usize = 192;
 ///
 /// Measured on the reference host (2 vCPU Sapphire Rapids @ 2.1 GHz
 /// under KVM, one thread; minimum over four alternating rounds of 5–7
-/// runs, the host's speed drifts by tens of per cent between rounds).
-/// `cargo bench -p ca-bench --bench kernels` prints the legs (groups
-/// `band_sweep`, `band_pass`).
+/// runs, the host's speed drifts by tens of per cent between rounds),
+/// with a kernels bench since removed (groups `band_sweep`,
+/// `band_pass`); the benchmark's `dla.band_finale_ms` times the whole
+/// schedule.
 ///
 /// The fused sweep alone, n = 1024, band → tridiagonal, ms:
 ///

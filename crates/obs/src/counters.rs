@@ -21,7 +21,8 @@
 //! the solver at every stage end with `record_max`; a flat `rt.spawns`
 //! means no thread was created). `alloc.count` / `alloc.bytes` are not
 //! counters: a binary that installs [`crate::alloc::CountingAllocator`]
-//! (`stage_times`) appends them to the [`snapshot`] it exports.
+//! (the umbrella package's `stage_times`) appends them to the
+//! [`snapshot`] it exports.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};

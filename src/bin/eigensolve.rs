@@ -17,7 +17,8 @@
 //!   --seed <SEED>      generator seed (default 42)
 //!   --vectors          also compute eigenvectors (reports residual)
 //!   --json             emit results as JSON on stdout
-//!   --algorithm <A>    2.5d | scalapack | elpa (default 2.5d)
+//!   --algorithm <A>    2.5d | scalapack | elpa (default 2.5d); the
+//!                      baselines take neither --vectors nor --c ≠ 1
 //! ```
 //!
 //! Prints the eigenvalues and the machine's F/W/Q/S cost record.
@@ -73,6 +74,16 @@ fn main() {
     let algorithm = arg("--algorithm").unwrap_or_else(|| "2.5d".into());
     let want_vectors = flag("--vectors");
     let json = flag("--json");
+    // The baselines compute eigenvalues on a 2D grid: refuse what they
+    // would otherwise drop without a word.
+    if matches!(algorithm.as_str(), "scalapack" | "elpa") {
+        if want_vectors {
+            fail(format!("--vectors needs --algorithm 2.5d, not {algorithm}"));
+        }
+        if c != 1 {
+            fail(format!("--c {c} needs --algorithm 2.5d, not {algorithm}"));
+        }
+    }
 
     // Build or load the matrix.
     let a: Matrix = if let Some(path) = arg("--input") {

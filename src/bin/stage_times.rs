@@ -26,7 +26,24 @@ use ca_eigen::solver::{try_symm_eigen_25d, StageCosts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::io::{ErrorKind, Write};
 use std::time::Instant;
+
+/// `println!`, except that a reader that closed stdout early
+/// (`stage_times --quick | head -1`) has read all it wanted: the run
+/// ends with exit 0 and no message, as `eigensolve`'s does.
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("writing stdout: {e}");
+    }
+}
 
 /// Counting allocator so traced runs report `alloc.count`/`alloc.bytes`
 /// alongside the subsystem counters. Metering is off except inside the
@@ -97,16 +114,16 @@ fn run_traced(trace_path: &str, n: usize, p: usize) {
 
     let json = ca_obs::export::chrome_trace(&events, &counters, dropped);
     std::fs::write(trace_path, json).unwrap_or_else(|e| panic!("write {trace_path}: {e}"));
-    println!(
+    outln!(
         "wrote {trace_path} ({} spans, {dropped} dropped) — load in chrome://tracing or Perfetto",
         events.len()
     );
 
     let summary = ca_obs::export::summarize(&events);
-    print!("{}", ca_obs::export::render_summary(&summary));
-    println!("counters:");
+    emit(format_args!("{}", ca_obs::export::render_summary(&summary)));
+    outln!("counters:");
     for (name, value) in &counters {
-        println!("  {name:<28} {value}");
+        outln!("  {name:<28} {value}");
     }
 
     // Cross-check: the trace's per-stage wall totals must agree with
@@ -140,7 +157,7 @@ fn run_traced(trace_path: &str, n: usize, p: usize) {
     if failed {
         std::process::exit(1);
     }
-    println!(
+    outln!(
         "trace check: {} stage names agree with the StageCosts wall-clock within 1%",
         expected.len()
     );
@@ -155,7 +172,7 @@ fn main() {
     let mut out = String::from("{\n  \"cases\": [\n");
     for (ci, &n) in sizes.iter().enumerate() {
         let (total, stages) = run_case(n, p, reps);
-        println!("solver n={n} p={p}: {:.1} ms", total * 1e3);
+        outln!("solver n={n} p={p}: {:.1} ms", total * 1e3);
         out.push_str(&format!(
             "    {{\"n\": {n}, \"p\": {p}, \"c\": 1, \"total_ms\": {:.3},\n     \"stages\": [\n",
             total * 1e3
@@ -169,7 +186,7 @@ fn main() {
             let wall = stages.wall_seconds(stage);
             let gflop = stages.aggregate(stage).total_flops as f64 / 1e9;
             let rate = gflop / wall.max(1e-12);
-            println!(
+            outln!(
                 "  {stage:<22} {:>8.1} ms  ({gflop:.3} model Gflop, {rate:.2} GF/s)",
                 wall * 1e3
             );
@@ -190,7 +207,7 @@ fn main() {
     out.push_str("  ]\n}\n");
     if let Some(out_path) = flag_value(&args, "--out") {
         std::fs::write(out_path, &out).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-        println!("wrote {out_path}");
+        outln!("wrote {out_path}");
     }
 
     if let Some(trace_path) = flag_value(&args, "--trace") {

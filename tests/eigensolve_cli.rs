@@ -1,7 +1,8 @@
 //! The `eigensolve` binary on bad input: every malformed CSV and every
 //! non-integer numeric option ends in one `eigensolve: …` line on stderr
-//! and exit code 2 — never a panic backtrace. A well-formed CSV still
-//! solves, and a reader that closes stdout early ends the run quietly.
+//! and exit code 2 — never a panic backtrace — and so does an option the
+//! chosen baseline cannot honour. A well-formed CSV still solves, and a
+//! reader that closes stdout early ends the run quietly.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -60,6 +61,17 @@ fn non_integer_options_are_a_one_line_error() {
         ("--seed", "abc"),
     ] {
         assert_rejected(&format!("{flag} {value}"), &run(&[flag, value]));
+    }
+}
+
+#[test]
+fn baseline_options_they_cannot_honour_are_a_one_line_error() {
+    for algorithm in ["scalapack", "elpa"] {
+        for extra in [&["--vectors"][..], &["--c", "2"]] {
+            let mut args = vec!["--n", "16", "--p", "4", "--algorithm", algorithm];
+            args.extend_from_slice(extra);
+            assert_rejected(&args.join(" "), &run(&args));
+        }
     }
 }
 
