@@ -170,7 +170,12 @@ impl Machine {
     /// calls may be in flight.
     pub fn fence(&self) {
         self.fold();
-        let max = self.steps.iter().map(|s| s.load(Relaxed)).max().unwrap_or(0);
+        let max = self
+            .steps
+            .iter()
+            .map(|s| s.load(Relaxed))
+            .max()
+            .unwrap_or(0);
         for s in &self.steps {
             s.store(max + 1, Relaxed);
         }
@@ -209,7 +214,12 @@ impl Machine {
             flops: self.folded_flops.load(Relaxed),
             horizontal_words: self.folded_comm.load(Relaxed),
             vertical_words: self.folded_vert.load(Relaxed),
-            supersteps: self.steps.iter().map(|s| s.load(Relaxed)).max().unwrap_or(0),
+            supersteps: self
+                .steps
+                .iter()
+                .map(|s| s.load(Relaxed))
+                .max()
+                .unwrap_or(0),
             peak_memory_words: self
                 .peak_mem
                 .iter()

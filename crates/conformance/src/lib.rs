@@ -55,9 +55,18 @@ mod tests {
     /// asserts the spectrum distance) and is charged on the ledger.
     #[test]
     fn quick_run_all_algorithms() {
-        for stage in [Stage::Scalapack, Stage::Elpa, Stage::CaSbrSolver, Stage::Solver] {
+        for stage in [
+            Stage::Scalapack,
+            Stage::Elpa,
+            Stage::CaSbrSolver,
+            Stage::Solver,
+        ] {
             let costs = measure(stage, Point::new(32, 4, 1));
-            assert!(costs.horizontal_words > 0, "{}: no words moved", stage.name());
+            assert!(
+                costs.horizontal_words > 0,
+                "{}: no words moved",
+                stage.name()
+            );
             assert!(costs.flops > 0, "{}: no flops", stage.name());
         }
     }

@@ -62,7 +62,10 @@ fn main() -> ExitCode {
     if ca_obs::enabled() {
         let events = ca_obs::drain();
         let dropped = ca_obs::take_dropped();
-        print!("\n{}", ca_obs::export::render_summary(&ca_obs::export::summarize(&events)));
+        print!(
+            "\n{}",
+            ca_obs::export::render_summary(&ca_obs::export::summarize(&events))
+        );
         for (name, value) in ca_obs::counters::snapshot() {
             println!("  {name:<28} {value}");
         }

@@ -188,7 +188,11 @@ fn charge_chase(
         let dist = DistMatrix::from_dense(machine, &group.prefix(qr_procs), &block.to_matrix());
         let f = rect_qr(machine, &dist);
         dist.release(machine);
-        Some(QrFactors { u: f.u.release(machine), t: f.t, r: f.r })
+        Some(QrFactors {
+            u: f.u.release(machine),
+            t: f.t,
+            r: f.r,
+        })
     } else {
         let leader = group.proc(0);
         machine.charge_flops(leader, costs::qr_flops(nr, h));
@@ -322,7 +326,11 @@ mod tests {
         let bm = BandedSym::from_dense(&dense, 4, 4);
         let out = try_band_to_band(&m, &Grid::all(2), &bm, 4, 1, None).unwrap();
         assert_eq!(out.bandwidth(), 4);
-        assert_eq!(m.report(), ca_bsp::Costs::default(), "h = b chased and charged");
+        assert_eq!(
+            m.report(),
+            ca_bsp::Costs::default(),
+            "h = b chased and charged"
+        );
         assert!(out.to_dense().max_diff(&dense) < 1e-14);
     }
 
@@ -346,14 +354,21 @@ mod tests {
         let rec = Some(log.stage());
         let out = try_band_to_band(&m, &grid, &bm, h, 1, rec).unwrap();
         assert_eq!(plain, out, "recording changed the band");
-        assert_eq!(plain_machine.report(), m.report(), "recording changed the ledger");
+        assert_eq!(
+            plain_machine.report(),
+            m.report(),
+            "recording changed the ledger"
+        );
 
         assert!(out.measured_bandwidth(1e-9) <= h);
         let dist = spectrum_distance(&try_banded_eigenvalues(&out).unwrap(), &reference);
         assert!(dist < 1e-8 * n as f64, "spectrum drifted {dist}");
         // Every local-leg chase leaves M = 0; only the leg's `DistMatrix`
         // allocates on the machine.
-        assert!(m.report().peak_memory_words > 0, "the rect_qr leg did not run");
+        assert!(
+            m.report().peak_memory_words > 0,
+            "the rect_qr leg did not run"
+        );
 
         // The record back-transforms to an orthonormal eigenbasis of the
         // input.
@@ -396,7 +411,13 @@ mod tests {
     fn phases_seven_and_eight_are_figure2() {
         // n/b = 8 groups Π̂ⱼ of p̂ = p·b/n = 1 processor.
         let n_groups = 8;
-        type Chase = ((usize, usize), usize, (usize, usize), (usize, usize), (usize, usize));
+        type Chase = (
+            (usize, usize),
+            usize,
+            (usize, usize),
+            (usize, usize),
+            (usize, usize),
+        );
         let phase = |ph: usize| -> Vec<Chase> {
             let mut v: Vec<Chase> = chase_plan_iter(64, 8, 4)
                 .filter(|op| op.phase() == ph)

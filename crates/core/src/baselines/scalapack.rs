@@ -111,7 +111,12 @@ pub fn scalapack_tridiag(machine: &Machine, grid: &Grid, a: &Matrix) -> (Vec<f64
 pub fn scalapack_eigenvalues(machine: &Machine, grid: &Grid, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let (d, e) = scalapack_tridiag(machine, grid, a);
-    coll::gather(machine, grid, 0, ((2 * n) as u64).div_ceil(grid.len().max(1) as u64));
+    coll::gather(
+        machine,
+        grid,
+        0,
+        ((2 * n) as u64).div_ceil(grid.len().max(1) as u64),
+    );
     machine.charge_flops(grid.proc(0), 30 * (n as u64).pow(2));
     machine.fence();
     ca_dla::tridiag::try_tridiag_eigenvalues(&d, &e).expect("QL converges on a finite tridiagonal")

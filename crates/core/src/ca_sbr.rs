@@ -65,8 +65,10 @@ pub fn ca_sbr(
         // Vertical traffic: the O(b²) window per chase (Lemma IV.2's
         // ν·n²/p total over the n²/(p·b²)-per-processor chases).
         let win_words = ((hi - lo) * (cap + 1).min(hi - lo)) as u64;
-        machine
-            .charge_vert(owner, win_words.min(h_cache.max(1)) + win_words.saturating_sub(h_cache));
+        machine.charge_vert(
+            owner,
+            win_words.min(h_cache.max(1)) + win_words.saturating_sub(h_cache),
+        );
         // Boundary exchange when the window spans processors: only
         // the bulge hand-off region (h columns of band data) moves,
         // giving the lemma's O(β·nb) total per halving.

@@ -131,7 +131,10 @@ pub enum EigenError {
 
 impl From<ca_dla::tridiag::NoConvergence> for EigenError {
     fn from(e: ca_dla::tridiag::NoConvergence) -> Self {
-        Self::ConvergenceFailure { solver: e.solver, index: e.index }
+        Self::ConvergenceFailure {
+            solver: e.solver,
+            index: e.index,
+        }
     }
 }
 
@@ -145,10 +148,16 @@ impl fmt::Display for EigenError {
                 write!(f, "matrix dimension must be at least 2 (got n = {n})")
             }
             Self::AsymmetricInput { asymmetry } => {
-                write!(f, "input must be symmetric (relative asymmetry {asymmetry:.3e})")
+                write!(
+                    f,
+                    "input must be symmetric (relative asymmetry {asymmetry:.3e})"
+                )
             }
             Self::NonFiniteInput { row, col } => {
-                write!(f, "input must be finite (non-finite entry at ({row}, {col}))")
+                write!(
+                    f,
+                    "input must be finite (non-finite entry at ({row}, {col}))"
+                )
             }
             Self::NoProcessors => write!(f, "at least one processor is required (p = 0)"),
             Self::ReplicationMismatch { p, c } => {
@@ -174,7 +183,10 @@ impl fmt::Display for EigenError {
                 )
             }
             Self::InvalidBandwidth { n, b } => {
-                write!(f, "band-width must satisfy 1 ≤ b < n (got b = {b}, n = {n})")
+                write!(
+                    f,
+                    "band-width must satisfy 1 ≤ b < n (got b = {b}, n = {n})"
+                )
             }
             Self::InvalidTargetBandwidth { b, h } => {
                 write!(
@@ -182,14 +194,20 @@ impl fmt::Display for EigenError {
                     "target band-width must satisfy 1 ≤ h ≤ band-width (got h = {h}, b = {b})"
                 )
             }
-            Self::Deadline { timeout_ms, waited_ms } => {
+            Self::Deadline {
+                timeout_ms,
+                waited_ms,
+            } => {
                 write!(
                     f,
                     "job missed its deadline (timeout {timeout_ms} ms, waited {waited_ms} ms in queue)"
                 )
             }
             Self::QueueFull { capacity } => {
-                write!(f, "service queue is full (capacity {capacity}); resubmit later")
+                write!(
+                    f,
+                    "service queue is full (capacity {capacity}); resubmit later"
+                )
             }
             Self::ServiceShutdown => write!(f, "service is shut down"),
             Self::ConvergenceFailure { solver, index } => {
@@ -219,7 +237,10 @@ mod tests {
                 "non-finite entry at (2, 5)",
             ),
             (EigenError::NoProcessors, "p = 0"),
-            (EigenError::ReplicationMismatch { p: 10, c: 3 }, "c must divide p"),
+            (
+                EigenError::ReplicationMismatch { p: 10, c: 3 },
+                "c must divide p",
+            ),
             (EigenError::NonSquareGrid { p: 24, c: 2 }, "perfect square"),
             (
                 EigenError::MachineMismatch {
@@ -233,11 +254,17 @@ mod tests {
                 "c ≤ p^{1/3}",
             ),
             (
-                EigenError::ConvergenceFailure { solver: "tridiag_eigen", index: 7 },
+                EigenError::ConvergenceFailure {
+                    solver: "tridiag_eigen",
+                    index: 7,
+                },
                 "did not converge",
             ),
             (
-                EigenError::Deadline { timeout_ms: 5, waited_ms: 9 },
+                EigenError::Deadline {
+                    timeout_ms: 5,
+                    waited_ms: 9,
+                },
                 "timeout 5 ms, waited 9 ms",
             ),
             (EigenError::QueueFull { capacity: 4 }, "capacity 4"),

@@ -51,7 +51,10 @@ impl SymmEigenJob {
 
     /// A values-and-vectors job (see [`SymmEigenJob::values`]).
     pub fn with_vectors(a: Matrix, p: usize, c: usize) -> Self {
-        Self { want_vectors: true, ..Self::values(a, p, c) }
+        Self {
+            want_vectors: true,
+            ..Self::values(a, p, c)
+        }
     }
 
     /// Set the scheduling deadline, by value (builder style).
@@ -89,10 +92,18 @@ pub fn solve_job(job: &SymmEigenJob) -> Result<JobResult, EigenError> {
     if job.want_vectors {
         let (eigenvalues, vectors, costs) =
             try_symm_eigen_25d_vectors(&machine, &job.params, &job.a)?;
-        Ok(JobResult { eigenvalues, vectors: Some(vectors), costs })
+        Ok(JobResult {
+            eigenvalues,
+            vectors: Some(vectors),
+            costs,
+        })
     } else {
         let (eigenvalues, costs) = try_symm_eigen_25d(&machine, &job.params, &job.a)?;
-        Ok(JobResult { eigenvalues, vectors: None, costs })
+        Ok(JobResult {
+            eigenvalues,
+            vectors: None,
+            costs,
+        })
     }
 }
 

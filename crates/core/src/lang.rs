@@ -124,7 +124,10 @@ mod tests {
             s.push(m.report().supersteps as f64);
         }
         let ratio = s[1] / s[0];
-        assert!((1.6..2.5).contains(&ratio), "S ratio {ratio} not ~2 (Θ(n) phases)");
+        assert!(
+            (1.6..2.5).contains(&ratio),
+            "S ratio {ratio} not ~2 (Θ(n) phases)"
+        );
     }
 
     #[test]

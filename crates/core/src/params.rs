@@ -71,7 +71,10 @@ impl EigenParams {
     pub fn revalidate(&self) -> Result<(), EigenError> {
         let checked = Self::validated(self.p, self.c, false)?;
         if checked.q != self.q {
-            return Err(EigenError::NonSquareGrid { p: self.p, c: self.c });
+            return Err(EigenError::NonSquareGrid {
+                p: self.p,
+                c: self.c,
+            });
         }
         Ok(())
     }

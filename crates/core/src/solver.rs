@@ -474,7 +474,11 @@ mod tests {
     #[test]
     fn eigenvectors_diagonalize_the_input() {
         use ca_dla::gemm::{matmul, Trans};
-        for (n, p, c, seed) in [(32usize, 4usize, 1usize, 310u64), (64, 16, 1, 311), (32, 8, 2, 312)] {
+        for (n, p, c, seed) in [
+            (32usize, 4usize, 1usize, 310u64),
+            (64, 16, 1, 311),
+            (32, 8, 2, 312),
+        ] {
             let m = Machine::new(MachineParams::new(p));
             let params = EigenParams::new(p, c);
             let mut rng = StdRng::seed_from_u64(seed);

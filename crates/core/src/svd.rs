@@ -179,7 +179,12 @@ mod tests {
         let mut gram_ev = ca_dla::tridiag::try_banded_eigenvalues(&gram_band).unwrap();
         gram_ev.reverse();
         for (s, g) in sigma.iter().zip(&gram_ev) {
-            assert!((s * s - g).abs() < 1e-7 * (1.0 + g.abs()), "σ²={} vs λ={}", s * s, g);
+            assert!(
+                (s * s - g).abs() < 1e-7 * (1.0 + g.abs()),
+                "σ²={} vs λ={}",
+                s * s,
+                g
+            );
         }
     }
 

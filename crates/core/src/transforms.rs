@@ -241,6 +241,9 @@ mod tests {
         let _ = back_transform(&machine, &Grid::all(4), &log, &z);
         let c = machine.report();
         assert!(c.flops > 0);
-        assert!(c.horizontal_words > 0, "reflector broadcasts must be charged");
+        assert!(
+            c.horizontal_words > 0,
+            "reflector broadcasts must be charged"
+        );
     }
 }

@@ -69,9 +69,17 @@ fn chase_stages_park_nothing_and_allocate_nothing_per_chase() {
     let before = parked();
     assert!(before.0 > 0, "the warm-up was meant to park GEMM's panels");
     try_band_to_band(&machine, &grid, &band, 8, 1, None).unwrap();
-    assert_eq!(parked(), before, "band→band left scratch in the caller's arena");
+    assert_eq!(
+        parked(),
+        before,
+        "band→band left scratch in the caller's arena"
+    );
     let _ = ca_sbr(&machine, &grid, &band, None);
-    assert_eq!(parked(), before, "CA-SBR left scratch in the caller's arena");
+    assert_eq!(
+        parked(),
+        before,
+        "CA-SBR left scratch in the caller's arena"
+    );
     let _ = lang_band_to_tridiagonal(&machine, &grid, &band, None);
     assert_eq!(parked(), before, "Lang left scratch in the caller's arena");
 

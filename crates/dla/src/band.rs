@@ -48,12 +48,7 @@ impl BandedSym {
     /// lends and takes back. Stored columns are copied as slices, every
     /// diagonal both capacities hold; the caller vouches that nothing
     /// non-zero lies beyond `cap`.
-    pub fn rehoused(
-        &self,
-        bw: usize,
-        cap: usize,
-        zeroed: impl FnOnce(usize) -> Vec<f64>,
-    ) -> Self {
+    pub fn rehoused(&self, bw: usize, cap: usize, zeroed: impl FnOnce(usize) -> Vec<f64>) -> Self {
         let n = self.n;
         assert!(bw <= cap && cap < n.max(1));
         let mut slab = zeroed(n * (cap + 1));

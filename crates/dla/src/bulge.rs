@@ -375,7 +375,14 @@ fn chase_banded_fast(
         }
         Some(f) => {
             assert_eq!(
-                [f.u.rows(), f.u.cols(), f.t.rows(), f.t.cols(), f.r.rows(), f.r.cols()],
+                [
+                    f.u.rows(),
+                    f.u.cols(),
+                    f.t.rows(),
+                    f.t.cols(),
+                    f.r.rows(),
+                    f.r.cols()
+                ],
                 [nr, kk, kk, kk, kk, h],
                 "factors do not fit the chase's QR block"
             );
@@ -574,7 +581,10 @@ fn chase_banded_fast(
     }
 
     let out = if record {
-        Some((Matrix::from_vec(nr, kk, u.clone()), Matrix::from_vec(kk, kk, t.clone())))
+        Some((
+            Matrix::from_vec(nr, kk, u.clone()),
+            Matrix::from_vec(kk, kk, t.clone()),
+        ))
     } else {
         None
     };
@@ -663,7 +673,11 @@ pub fn reduce_band_pass(
         let factors =
             chase_banded_fast(bmat, op, ws, |block| at_factor(op, block), record.is_some());
         if let (Some(out), Some((u, t))) = (record.as_deref_mut(), factors) {
-            out.push(BlockReflector { row0: op.qr_rows.0, u, t });
+            out.push(BlockReflector {
+                row0: op.qr_rows.0,
+                u,
+                t,
+            });
         }
     }
 }
@@ -1116,8 +1130,14 @@ mod tests {
         let out = bm.to_dense();
         let (t1, f1, m1) = moments(&out);
         let scale = f0.max(1.0);
-        assert!((t0 - t1).abs() < 1e-9 * scale, "trace drifted: {t0} vs {t1}");
-        assert!((f0 - f1).abs() < 1e-9 * scale, "‖A‖_F drifted: {f0} vs {f1}");
+        assert!(
+            (t0 - t1).abs() < 1e-9 * scale,
+            "trace drifted: {t0} vs {t1}"
+        );
+        assert!(
+            (f0 - f1).abs() < 1e-9 * scale,
+            "‖A‖_F drifted: {f0} vs {f1}"
+        );
         assert!(
             (m0 - m1).abs() < 1e-7 * scale.powi(3),
             "tr(A³) drifted: {m0} vs {m1}"
@@ -1219,7 +1239,11 @@ mod tests {
         // hands (U, T, R) back must leave bitwise the band and the record
         // of the walk that lets the kernel factor. Ragged shapes reach
         // wide blocks (nr < h) at the matrix end.
-        for (n, b, h, seed) in [(40usize, 8usize, 4usize, 56u64), (33, 7, 4, 57), (29, 9, 5, 58)] {
+        for (n, b, h, seed) in [
+            (40usize, 8usize, 4usize, 56u64),
+            (33, 7, 4, 57),
+            (29, 9, 5, 58),
+        ] {
             let mut rng = StdRng::seed_from_u64(seed);
             let dense = gen::random_banded(&mut rng, n, b);
             let mut local = BandedSym::from_dense(&dense, b, (2 * b).min(n - 1));
@@ -1228,7 +1252,13 @@ mod tests {
             let mut rec_handed: Vec<BlockReflector> = Vec::new();
             let mut ws = Workspace::new();
             let plan: Vec<ChaseOp> = chase_plan_iter(n, b, h).collect();
-            reduce_band_pass(&mut local, &plan, |_, _| None, Some(&mut rec_local), &mut ws);
+            reduce_band_pass(
+                &mut local,
+                &plan,
+                |_, _| None,
+                Some(&mut rec_local),
+                &mut ws,
+            );
             let mut seen = 0;
             reduce_band_pass(
                 &mut handed,
@@ -1256,7 +1286,12 @@ mod tests {
     fn plan_phases_match_figure2() {
         // Figure 2 (k = 2): iterations {(3,1),(2,3),(1,5)} are concurrent,
         // as are {(3,2),(2,4),(1,6)} — i.e. equal 2i + j.
-        for (a, b) in [((3, 1), (2, 3)), ((2, 3), (1, 5)), ((3, 2), (2, 4)), ((2, 4), (1, 6))] {
+        for (a, b) in [
+            ((3, 1), (2, 3)),
+            ((2, 3), (1, 5)),
+            ((3, 2), (2, 4)),
+            ((2, 4), (1, 6)),
+        ] {
             assert_eq!(2 * a.0 + a.1, 2 * b.0 + b.1);
         }
         // And the plan generator assigns those phases.
@@ -1329,7 +1364,12 @@ mod tests {
     fn fused_sweep_matches_generic_engine_spectrum() {
         // Same plan, different kernel: the fused rank-1 sweep must land
         // on the same tridiagonal spectrum as reduce_band_to(·, 1).
-        for (n, b, seed) in [(40usize, 6usize, 60u64), (33, 7, 61), (48, 12, 62), (21, 2, 63)] {
+        for (n, b, seed) in [
+            (40usize, 6usize, 60u64),
+            (33, 7, 61),
+            (48, 12, 62),
+            (21, 2, 63),
+        ] {
             let mut rng = StdRng::seed_from_u64(seed);
             let dense = gen::random_banded(&mut rng, n, b);
             let cap = (2 * b).min(n - 1);
@@ -1344,7 +1384,10 @@ mod tests {
             let sf = crate::tridiag::try_tridiag_eigenvalues(&df, &ef).unwrap();
             let sg = crate::tridiag::try_tridiag_eigenvalues(&dg, &eg).unwrap();
             let dist = crate::tridiag::spectrum_distance(&sf, &sg);
-            assert!(dist < 1e-9 * dense.norm_fro().max(1.0), "n={n} b={b}: spectra differ by {dist}");
+            assert!(
+                dist < 1e-9 * dense.norm_fro().max(1.0),
+                "n={n} b={b}: spectra differ by {dist}"
+            );
         }
     }
 
@@ -1384,7 +1427,12 @@ mod tests {
             crate::qr::apply_q_right(u, t, &mut cols);
             q.set_block(0, *row0, &cols);
         }
-        let qtaq = matmul(&matmul(&q, Trans::T, &dense, Trans::N), Trans::N, &q, Trans::N);
+        let qtaq = matmul(
+            &matmul(&q, Trans::T, &dense, Trans::N),
+            Trans::N,
+            &q,
+            Trans::N,
+        );
         let diff = qtaq.max_diff(&bm.to_dense());
         assert!(diff < 1e-9 * dense.norm_fro().max(1.0), "QᵀAQ ≠ T: {diff}");
         // And the recording run equals the plain run bitwise.
@@ -1415,7 +1463,11 @@ mod tests {
         // matrix as the sequential i-then-j order — any true data
         // conflict between same-phase ops would reorder floating-point
         // operations and change low bits.
-        for (n, b, h, seed) in [(64usize, 8usize, 4usize, 46u64), (60, 6, 2, 47), (48, 4, 1, 48)] {
+        for (n, b, h, seed) in [
+            (64usize, 8usize, 4usize, 46u64),
+            (60, 6, 2, 47),
+            (48, 4, 1, 48),
+        ] {
             let mut rng = StdRng::seed_from_u64(seed);
             let dense = gen::random_banded(&mut rng, n, b);
             let cap = (2 * b).min(n - 1);

@@ -280,7 +280,8 @@ fn merge_plan(d: &[f64], z: &[f64], rho: f64) -> MergePlan {
             .map(|(j, r)| (dk[r.origin] + r.mu, ColSrc::Secular(j))),
     );
     items.sort_by(|a, b| {
-        a.0.total_cmp(&b.0).then_with(|| src_key(&a.1).cmp(&src_key(&b.1)))
+        a.0.total_cmp(&b.0)
+            .then_with(|| src_key(&a.1).cmp(&src_key(&b.1)))
     });
     let (lam, src): (Vec<f64>, Vec<ColSrc>) = items.into_iter().unzip();
 
@@ -409,7 +410,14 @@ fn eval_g(delta: &[f64], zk: &[f64], rho: f64, mu: f64, split: usize) -> Secular
         dphi += t * inv;
         scale += t.abs();
     }
-    SecularEval { g: 1.0 + psi + phi, psi, dpsi, phi, dphi, scale }
+    SecularEval {
+        g: 1.0 + psi + phi,
+        psi,
+        dpsi,
+        phi,
+        dphi,
+        scale,
+    }
 }
 
 /// Root `j` of the secular equation: guarded two-pole rational
@@ -422,7 +430,10 @@ fn secular_root(dk: &[f64], zk: &[f64], rho: f64, j: usize) -> Root {
     if m == 1 {
         // 1 + ρz²/(d − λ) = 0 ⇒ λ = d + ρz² (z is unit so z² = 1, but
         // keep the computed value).
-        return Root { origin: 0, mu: rho * zk[0] * zk[0] };
+        return Root {
+            origin: 0,
+            mu: rho * zk[0] * zk[0],
+        };
     }
     let last = j == m - 1;
     // Right end of the root's interval; for the last root the bound
@@ -663,7 +674,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(700);
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 13, 17, 31, 33, 64, 65] {
             let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            let e: Vec<f64> = (0..n.saturating_sub(1)).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let e: Vec<f64> = (0..n.saturating_sub(1))
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
             check_eigen(&d, &e, 1e-11, LEAF);
         }
     }
@@ -719,7 +732,9 @@ mod tests {
     fn graded_spectrum_against_bisection() {
         let mut rng = StdRng::seed_from_u64(703);
         let n = 50;
-        let d: Vec<f64> = (0..n).map(|i| 10.0f64.powi(-(i % 12)) * rng.gen_range(0.5..2.0)).collect();
+        let d: Vec<f64> = (0..n)
+            .map(|i| 10.0f64.powi(-(i % 12)) * rng.gen_range(0.5..2.0))
+            .collect();
         let e: Vec<f64> = (0..n - 1).map(|i| 10.0f64.powi(-(i % 12)) * 0.3).collect();
         let (lam, _) = dnc_eigen(&d, &e).unwrap();
         let bis = sturm::bisection_eigenvalues(&d, &e, 1e-13);

@@ -102,7 +102,10 @@ pub fn graded_spectrum(n: usize, largest: f64, decay: f64) -> Vec<f64> {
 /// near-multiple-eigenvalue stress case (tridiagonal QL and bisection
 /// both slow down or mis-order without careful deflation).
 pub fn clustered_spectrum(n: usize, clusters: usize, lo: f64, hi: f64, spread: f64) -> Vec<f64> {
-    assert!(clusters >= 1 && clusters <= n.max(1), "need 1 ≤ clusters ≤ n");
+    assert!(
+        clusters >= 1 && clusters <= n.max(1),
+        "need 1 ≤ clusters ≤ n"
+    );
     let mut lambda = Vec::with_capacity(n);
     for i in 0..n {
         let k = i * clusters / n.max(1); // cluster index, balanced sizes

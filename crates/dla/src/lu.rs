@@ -92,7 +92,12 @@ pub(crate) fn op_is_lower(tri: Triangle, transposed: bool) -> bool {
 /// The off-diagonal block of `T` as stored, and the orientation that
 /// makes it `op(T)`'s: `op(T)₂₁` when `op(T)` is lower, `op(T)₁₂` when
 /// upper.
-fn off_diagonal<'a>(t: &MatrixView<'a>, tri: Triangle, transposed: bool, n1: usize) -> (MatrixView<'a>, Trans) {
+fn off_diagonal<'a>(
+    t: &MatrixView<'a>,
+    tri: Triangle,
+    transposed: bool,
+    n1: usize,
+) -> (MatrixView<'a>, Trans) {
     let n2 = t.rows() - n1;
     let off = match tri {
         Triangle::Lower => t.sub(n1, 0, n2, n1),
@@ -102,7 +107,13 @@ fn off_diagonal<'a>(t: &MatrixView<'a>, tri: Triangle, transposed: bool, n1: usi
 }
 
 /// Rows `i` (mutable) and `j ≠ i` (shared) of a strided row-major buffer.
-fn row_pair(data: &mut [f64], stride: usize, cols: usize, i: usize, j: usize) -> (&mut [f64], &[f64]) {
+fn row_pair(
+    data: &mut [f64],
+    stride: usize,
+    cols: usize,
+    i: usize,
+    j: usize,
+) -> (&mut [f64], &[f64]) {
     if j < i {
         let (head, tail) = data.split_at_mut(i * stride);
         (&mut tail[..cols], &head[j * stride..][..cols])
@@ -240,7 +251,11 @@ fn lu_leaf(w: &mut MatrixViewMut, mut signs: Option<&mut [f64]>, k0: usize) {
     let data = w.data_mut();
     for k in 0..n {
         if let Some(signs) = signs.as_deref_mut() {
-            let s = if data[k * stride + k] >= 0.0 { -1.0 } else { 1.0 };
+            let s = if data[k * stride + k] >= 0.0 {
+                -1.0
+            } else {
+                1.0
+            };
             signs[k] = s;
             data[k * stride + k] -= s;
         }
@@ -274,14 +289,26 @@ pub fn trsm_left(t: &Matrix, tri: Triangle, diag: Diag, transposed: bool, b: &mu
 /// subtracts its contribution from the other block by one GEMM and
 /// solves that; the two blocks are row ranges of `B`, so nothing is
 /// copied and no scratch is needed.
-pub fn trsm_left_view(t: &MatrixView, tri: Triangle, diag: Diag, transposed: bool, b: &mut MatrixViewMut) {
+pub fn trsm_left_view(
+    t: &MatrixView,
+    tri: Triangle,
+    diag: Diag,
+    transposed: bool,
+    b: &mut MatrixViewMut,
+) {
     let n = t.rows();
     assert_eq!(n, t.cols(), "triangular operand must be square");
     assert_eq!(b.rows(), n, "right-hand side row count disagrees");
     trsm_left_rec(t, tri, diag, transposed, b);
 }
 
-fn trsm_left_rec(t: &MatrixView, tri: Triangle, diag: Diag, transposed: bool, b: &mut MatrixViewMut) {
+fn trsm_left_rec(
+    t: &MatrixView,
+    tri: Triangle,
+    diag: Diag,
+    transposed: bool,
+    b: &mut MatrixViewMut,
+) {
     let n = t.rows();
     if n <= LEAF {
         return trsm_left_leaf(t, tri, diag, transposed, b);
@@ -303,7 +330,13 @@ fn trsm_left_rec(t: &MatrixView, tri: Triangle, diag: Diag, transposed: bool, b:
 }
 
 /// The left-solve leaf: substitution by whole rows of `B`.
-fn trsm_left_leaf(t: &MatrixView, tri: Triangle, diag: Diag, transposed: bool, b: &mut MatrixViewMut) {
+fn trsm_left_leaf(
+    t: &MatrixView,
+    tri: Triangle,
+    diag: Diag,
+    transposed: bool,
+    b: &mut MatrixViewMut,
+) {
     let tt = load_op(t, transposed);
     let (n, cols, stride) = (b.rows(), b.cols(), b.stride());
     if cols == 0 {
@@ -383,7 +416,14 @@ fn trsm_right_rec(
     } else {
         ((0, n1, t11), (n1, n2, t22))
     };
-    trsm_right_rec(&first.2, tri, diag, transposed, &mut b.sub_mut(0, first.0, r, first.1), ws);
+    trsm_right_rec(
+        &first.2,
+        tri,
+        diag,
+        transposed,
+        &mut b.sub_mut(0, first.0, r, first.1),
+        ws,
+    );
     let x = scratch_copy(&b.sub(0, first.0, r, first.1), ws);
     gemm_view(
         -1.0,
@@ -395,7 +435,14 @@ fn trsm_right_rec(
         &mut b.sub_mut(0, then.0, r, then.1),
     );
     ws.put(x);
-    trsm_right_rec(&then.2, tri, diag, transposed, &mut b.sub_mut(0, then.0, r, then.1), ws);
+    trsm_right_rec(
+        &then.2,
+        tri,
+        diag,
+        transposed,
+        &mut b.sub_mut(0, then.0, r, then.1),
+        ws,
+    );
 }
 
 /// The right-solve leaf. Each row of `B` is an independent small solve
@@ -460,22 +507,46 @@ pub fn tri_inverse(t: &Matrix, tri: Triangle, diag: Diag) -> Matrix {
 /// `X₁₂ = −(X₁₁·T₁₂)·X₂₂` for an upper `T`, `X₂₁ = −(X₂₂·T₂₁)·X₁₁` for a
 /// lower one — so it executes the `n³/3` multiply-adds an inverse costs,
 /// not the `n³` of a solve against a dense identity.
-pub fn tri_inverse_view(t: &MatrixView, tri: Triangle, diag: Diag, out: &mut MatrixViewMut, ws: &mut Workspace) {
+pub fn tri_inverse_view(
+    t: &MatrixView,
+    tri: Triangle,
+    diag: Diag,
+    out: &mut MatrixViewMut,
+    ws: &mut Workspace,
+) {
     let n = t.rows();
     assert_eq!(n, t.cols(), "triangular operand must be square");
     assert_eq!((out.rows(), out.cols()), (n, n), "inverse shape disagrees");
     tri_inverse_rec(t, tri, diag, out, ws);
 }
 
-fn tri_inverse_rec(t: &MatrixView, tri: Triangle, diag: Diag, out: &mut MatrixViewMut, ws: &mut Workspace) {
+fn tri_inverse_rec(
+    t: &MatrixView,
+    tri: Triangle,
+    diag: Diag,
+    out: &mut MatrixViewMut,
+    ws: &mut Workspace,
+) {
     let n = t.rows();
     if n <= LEAF {
         return tri_inverse_leaf(t, tri, diag, out);
     }
     let n1 = split(n);
     let n2 = n - n1;
-    tri_inverse_rec(&t.sub(0, 0, n1, n1), tri, diag, &mut out.sub_mut(0, 0, n1, n1), ws);
-    tri_inverse_rec(&t.sub(n1, n1, n2, n2), tri, diag, &mut out.sub_mut(n1, n1, n2, n2), ws);
+    tri_inverse_rec(
+        &t.sub(0, 0, n1, n1),
+        tri,
+        diag,
+        &mut out.sub_mut(0, 0, n1, n1),
+        ws,
+    );
+    tri_inverse_rec(
+        &t.sub(n1, n1, n2, n2),
+        tri,
+        diag,
+        &mut out.sub_mut(n1, n1, n2, n2),
+        ws,
+    );
     let mut tmp = ws.take_scratch(n1 * n2);
     let (mut top, mut bot) = out.split_rows_mut(n1);
     match tri {
@@ -532,7 +603,11 @@ fn tri_inverse_leaf(t: &MatrixView, tri: Triangle, diag: Diag, out: &mut MatrixV
     let mut x = [[0.0; LEAF]; LEAF];
     let mut invert_row = |i: usize, known: std::ops::Range<usize>| {
         let ti = t.row(i);
-        let d = if matches!(diag, Diag::NonUnit) { ti[i] } else { 1.0 };
+        let d = if matches!(diag, Diag::NonUnit) {
+            ti[i]
+        } else {
+            1.0
+        };
         let mut xi = [0.0; LEAF];
         for k in known {
             // Row k of X is zero outside the triangle's columns.

@@ -121,7 +121,10 @@ impl Matrix {
 
     /// Copy of the sub-block `rows r0..r0+nr`, `cols c0..c0+nc`.
     pub fn block(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Matrix {
-        assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "block out of range");
+        assert!(
+            r0 + nr <= self.rows && c0 + nc <= self.cols,
+            "block out of range"
+        );
         let mut out = Matrix::zeros(nr, nc);
         for i in 0..nr {
             let src = &self.data[(r0 + i) * self.cols + c0..(r0 + i) * self.cols + c0 + nc];
@@ -132,7 +135,10 @@ impl Matrix {
 
     /// Write `b` into the sub-block starting at `(r0, c0)`.
     pub fn set_block(&mut self, r0: usize, c0: usize, b: &Matrix) {
-        assert!(r0 + b.rows <= self.rows && c0 + b.cols <= self.cols, "block out of range");
+        assert!(
+            r0 + b.rows <= self.rows && c0 + b.cols <= self.cols,
+            "block out of range"
+        );
         for i in 0..b.rows {
             let dst_start = (r0 + i) * self.cols + c0;
             self.data[dst_start..dst_start + b.cols].copy_from_slice(b.row(i));
@@ -141,10 +147,16 @@ impl Matrix {
 
     /// Add `alpha * b` into the sub-block starting at `(r0, c0)`.
     pub fn add_block(&mut self, r0: usize, c0: usize, b: &Matrix, alpha: f64) {
-        assert!(r0 + b.rows <= self.rows && c0 + b.cols <= self.cols, "block out of range");
+        assert!(
+            r0 + b.rows <= self.rows && c0 + b.cols <= self.cols,
+            "block out of range"
+        );
         for i in 0..b.rows {
             let dst_start = (r0 + i) * self.cols + c0;
-            for (d, s) in self.data[dst_start..dst_start + b.cols].iter_mut().zip(b.row(i)) {
+            for (d, s) in self.data[dst_start..dst_start + b.cols]
+                .iter_mut()
+                .zip(b.row(i))
+            {
                 *d += alpha * s;
             }
         }

@@ -105,7 +105,12 @@ pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// rank-1 update runs over contiguous columns (in `w` itself a column is
 /// one element per cache line, and for a power-of-two stride one cache
 /// set), then scattered back once.
-fn qr_leaf(w: &mut MatrixViewMut, u: &mut MatrixViewMut, t: &mut MatrixViewMut, ws: &mut Workspace) {
+fn qr_leaf(
+    w: &mut MatrixViewMut,
+    u: &mut MatrixViewMut,
+    t: &mut MatrixViewMut,
+    ws: &mut Workspace,
+) {
     let (m, n) = (w.rows(), w.cols());
     debug_assert!(n <= LEAF && n <= m);
     let mut p = ws.take_scratch(m * n);
@@ -231,7 +236,15 @@ fn factor_in_place(mut w: Matrix, leaf: usize) -> QrFactors {
     let k = m.min(n);
     let mut u = Matrix::zeros(m, k);
     let mut t = Matrix::zeros(k, k);
-    with_ws(|ws| qr_leaf_capped(&mut w.view_mut(), &mut u.view_mut(), &mut t.view_mut(), leaf, ws));
+    with_ws(|ws| {
+        qr_leaf_capped(
+            &mut w.view_mut(),
+            &mut u.view_mut(),
+            &mut t.view_mut(),
+            leaf,
+            ws,
+        )
+    });
     let mut r = Matrix::zeros(k, n);
     for i in 0..k {
         r.row_mut(i)[i..].copy_from_slice(&w.row(i)[i..]);
@@ -281,7 +294,12 @@ fn qr_leaf_capped(
     assert_eq!((t.rows(), t.cols()), (k, k));
     qr_rec(&mut w.sub_mut(0, 0, m, k), u, t, leaf, ws);
     if k < n {
-        apply_qt_view(&u.as_view(), &t.as_view(), &mut w.sub_mut(0, k, m, n - k), ws);
+        apply_qt_view(
+            &u.as_view(),
+            &t.as_view(),
+            &mut w.sub_mut(0, k, m, n - k),
+            ws,
+        );
     }
 }
 
@@ -306,7 +324,12 @@ fn qr_rec(
         leaf,
         ws,
     );
-    apply_qt_view(&u.sub(0, 0, m, n1), &t.sub(0, 0, n1, n1), &mut w.sub_mut(0, n1, m, n2), ws);
+    apply_qt_view(
+        &u.sub(0, 0, m, n1),
+        &t.sub(0, 0, n1, n1),
+        &mut w.sub_mut(0, n1, m, n2),
+        ws,
+    );
     qr_rec(
         &mut w.sub_mut(n1, n1, m - n1, n2),
         &mut u.sub_mut(n1, n1, m - n1, n2),
@@ -348,7 +371,8 @@ fn qr_rec(
         0.0,
         &mut MatrixViewMut::from_slice(&mut g, n1, n2),
     );
-    t.sub_mut(0, n1, n1, n2).copy_from(&MatrixView::from_slice(&g, n1, n2));
+    t.sub_mut(0, n1, n1, n2)
+        .copy_from(&MatrixView::from_slice(&g, n1, n2));
     ws.put(h);
     ws.put(g);
 }
@@ -396,7 +420,15 @@ fn apply_block_view(
         0.0,
         &mut MatrixViewMut::from_slice(&mut s, k, nc),
     );
-    gemm_view(-1.0, u, Trans::N, &MatrixView::from_slice(&s, k, nc), Trans::N, 1.0, c);
+    gemm_view(
+        -1.0,
+        u,
+        Trans::N,
+        &MatrixView::from_slice(&s, k, nc),
+        Trans::N,
+        1.0,
+        c,
+    );
     ws.put(s);
     ws.put(utc);
 }

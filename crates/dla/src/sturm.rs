@@ -28,7 +28,13 @@ pub fn count_below(d: &[f64], e: &[f64], x: f64) -> usize {
     let mut q = 1.0f64;
     for i in 0..n {
         let e2 = if i == 0 { 0.0 } else { e[i - 1] * e[i - 1] };
-        q = d[i] - x - if q != 0.0 { e2 / q } else { e2 / f64::MIN_POSITIVE.sqrt() };
+        q = d[i]
+            - x
+            - if q != 0.0 {
+                e2 / q
+            } else {
+                e2 / f64::MIN_POSITIVE.sqrt()
+            };
         if q < 0.0 {
             count += 1;
         }
@@ -48,8 +54,8 @@ fn gershgorin_bounds(d: &[f64], e: &[f64]) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for i in 0..n {
-        let r = (if i > 0 { e[i - 1].abs() } else { 0.0 })
-            + (if i + 1 < n { e[i].abs() } else { 0.0 });
+        let r =
+            (if i > 0 { e[i - 1].abs() } else { 0.0 }) + (if i + 1 < n { e[i].abs() } else { 0.0 });
         lo = lo.min(d[i] - r);
         hi = hi.max(d[i] + r);
     }
@@ -87,7 +93,10 @@ pub fn bisection_eigenvalues(d: &[f64], e: &[f64], tol: f64) -> Vec<f64> {
     if n < PAR_EIGS {
         (0..n).map(|k| kth_eigenvalue(d, e, k, tol)).collect()
     } else {
-        (0..n).into_par_iter().map(|k| kth_eigenvalue(d, e, k, tol)).collect()
+        (0..n)
+            .into_par_iter()
+            .map(|k| kth_eigenvalue(d, e, k, tol))
+            .collect()
     }
 }
 

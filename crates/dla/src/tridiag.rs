@@ -506,7 +506,10 @@ mod tests {
         let (d, e) = w.tridiagonal();
         let legacy = try_tridiag_eigenvalues(&d, &e).unwrap();
         let dist = spectrum_distance(&tuned, &legacy);
-        assert!(dist < 1e-9 * dense.norm_fro().max(1.0), "engines differ by {dist}");
+        assert!(
+            dist < 1e-9 * dense.norm_fro().max(1.0),
+            "engines differ by {dist}"
+        );
     }
 
     fn check_tridiag_eigen(d: &[f64], e: &[f64], tol: f64) {
@@ -622,6 +625,9 @@ mod tests {
         let ev_banded = try_banded_eigenvalues(&b3).unwrap();
         let ev_sturm = crate::sturm::banded_bisection_eigenvalues(&b3, 1e-12);
         let dist = spectrum_distance(&ev_banded, &ev_sturm);
-        assert!(dist < 1e-9 * a.norm_fro().max(1.0), "paths differ by {dist}");
+        assert!(
+            dist < 1e-9 * a.norm_fro().max(1.0),
+            "paths differ by {dist}"
+        );
     }
 }

@@ -45,8 +45,16 @@ impl<'a> MatrixView<'a> {
     /// `(rows−1)·stride + cols` elements (for a non-empty shape).
     pub fn new(data: &'a [f64], rows: usize, cols: usize, stride: usize) -> Self {
         assert!(stride >= cols, "view stride below column count");
-        assert!(data.len() >= span(rows, cols, stride), "view data too short");
-        Self { data, rows, cols, stride }
+        assert!(
+            data.len() >= span(rows, cols, stride),
+            "view data too short"
+        );
+        Self {
+            data,
+            rows,
+            cols,
+            stride,
+        }
     }
 
     /// Full view of a contiguous buffer interpreted as `rows × cols`.
@@ -94,8 +102,15 @@ impl<'a> MatrixView<'a> {
 
     /// Sub-view of rows `r0..r0+nr`, columns `c0..c0+nc`.
     pub fn sub(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> MatrixView<'a> {
-        assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "sub-view out of range");
-        let start = if nr == 0 || nc == 0 { 0 } else { r0 * self.stride + c0 };
+        assert!(
+            r0 + nr <= self.rows && c0 + nc <= self.cols,
+            "sub-view out of range"
+        );
+        let start = if nr == 0 || nc == 0 {
+            0
+        } else {
+            r0 * self.stride + c0
+        };
         MatrixView::new(&self.data[start..], nr, nc, self.stride)
     }
 
@@ -122,8 +137,16 @@ impl<'a> MatrixViewMut<'a> {
     /// [`MatrixView::new`].
     pub fn new(data: &'a mut [f64], rows: usize, cols: usize, stride: usize) -> Self {
         assert!(stride >= cols, "view stride below column count");
-        assert!(data.len() >= span(rows, cols, stride), "view data too short");
-        Self { data, rows, cols, stride }
+        assert!(
+            data.len() >= span(rows, cols, stride),
+            "view data too short"
+        );
+        Self {
+            data,
+            rows,
+            cols,
+            stride,
+        }
     }
 
     /// Full mutable view of a contiguous buffer as `rows × cols`.
@@ -197,8 +220,15 @@ impl<'a> MatrixViewMut<'a> {
     /// Mutable sub-view of rows `r0..r0+nr`, columns `c0..c0+nc`
     /// (reborrows `self`).
     pub fn sub_mut(&mut self, r0: usize, c0: usize, nr: usize, nc: usize) -> MatrixViewMut<'_> {
-        assert!(r0 + nr <= self.rows && c0 + nc <= self.cols, "sub-view out of range");
-        let start = if nr == 0 || nc == 0 { 0 } else { r0 * self.stride + c0 };
+        assert!(
+            r0 + nr <= self.rows && c0 + nc <= self.cols,
+            "sub-view out of range"
+        );
+        let start = if nr == 0 || nc == 0 {
+            0
+        } else {
+            r0 * self.stride + c0
+        };
         MatrixViewMut::new(&mut self.data[start..], nr, nc, self.stride)
     }
 
@@ -227,7 +257,11 @@ impl<'a> MatrixViewMut<'a> {
     /// Overwrite this view with `other`'s entries (same shape) — the
     /// view analogue of [`Matrix::set_block`].
     pub fn copy_from(&mut self, other: &MatrixView) {
-        assert_eq!((self.rows, self.cols), (other.rows(), other.cols()), "copy_from shape mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (other.rows(), other.cols()),
+            "copy_from shape mismatch"
+        );
         for i in 0..self.rows {
             self.row_mut(i).copy_from_slice(other.row(i));
         }
@@ -248,7 +282,11 @@ impl<'a> MatrixViewMut<'a> {
     /// so an accumulation routed through views is bitwise the one routed
     /// through extracted copies.
     pub fn add_scaled(&mut self, alpha: f64, other: &MatrixView) {
-        assert_eq!((self.rows, self.cols), (other.rows(), other.cols()), "add_scaled shape mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (other.rows(), other.cols()),
+            "add_scaled shape mismatch"
+        );
         for i in 0..self.rows {
             for (d, s) in self.row_mut(i).iter_mut().zip(other.row(i)) {
                 *d += alpha * s;
@@ -281,7 +319,11 @@ impl Matrix {
     pub fn subview_mut(&mut self, r0: usize, c0: usize, nr: usize, nc: usize) -> MatrixViewMut<'_> {
         let (rows, cols) = (self.rows(), self.cols());
         assert!(r0 + nr <= rows && c0 + nc <= cols, "sub-view out of range");
-        let start = if nr == 0 || nc == 0 { 0 } else { r0 * cols + c0 };
+        let start = if nr == 0 || nc == 0 {
+            0
+        } else {
+            r0 * cols + c0
+        };
         MatrixViewMut::new(&mut self.data_mut()[start..], nr, nc, cols)
     }
 }

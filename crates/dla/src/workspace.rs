@@ -224,7 +224,11 @@ mod tests {
         ws.put(a);
         let b = ws.take(8);
         assert!(b.iter().all(|&v| v == 0.0), "reused buffer not zeroed");
-        assert_eq!(ws.stats().grows, 1, "second take must reuse the first buffer");
+        assert_eq!(
+            ws.stats().grows,
+            1,
+            "second take must reuse the first buffer"
+        );
         ws.put(b);
     }
 
@@ -255,7 +259,10 @@ mod tests {
         ws.put(big);
         ws.put(small);
         let got = ws.take(5);
-        assert!(got.capacity() < 100, "best-fit should pick the small buffer");
+        assert!(
+            got.capacity() < 100,
+            "best-fit should pick the small buffer"
+        );
         ws.put(got);
     }
 

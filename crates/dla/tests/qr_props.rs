@@ -89,7 +89,10 @@ fn check_factors(a: &Matrix, nb: usize, how: Degenerate) {
     // The GEMM-assembled T against larft on the same U and τ.
     let taus: Vec<f64> = (0..k).map(|j| f.t.get(j, j)).collect();
     let t_diff = f.t.max_diff(&form_t(&f.u, &taus));
-    assert!(t_diff <= 1e-13 * k as f64, "{ctx}: T differs from form_t by {t_diff:e}");
+    assert!(
+        t_diff <= 1e-13 * k as f64,
+        "{ctx}: T differs from form_t by {t_diff:e}"
+    );
     for (j, &tau) in taus.iter().enumerate() {
         assert!((0.0..=2.0).contains(&tau), "{ctx}: τ[{j}] = {tau}");
         if tau == 0.0 {

@@ -36,8 +36,8 @@
 use ca_dla::bulge::{chase_plan_iter, execute_chase};
 use ca_dla::lu::{lu_inplace, tri_inverse_view, trsm_left_view, trsm_right_view, Diag, Triangle};
 use ca_dla::qr::qr_factor;
-use ca_dla::workspace::with_ws;
 use ca_dla::tridiag::band_to_tridiagonal;
+use ca_dla::workspace::with_ws;
 use ca_dla::{gemm, gen, rt, BandedSym, Matrix, Trans};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -224,9 +224,28 @@ fn triangular_family_allocations() -> u64 {
                 lu_inplace(&mut w.view_mut(), Some(&mut signs), ws);
                 // `w` is now a packed (L, U): both triangles at once.
                 x.data_mut().copy_from_slice(rhs.data());
-                trsm_left_view(&w.view(), Triangle::Lower, Diag::Unit, true, &mut x.view_mut());
-                trsm_right_view(&w.view(), Triangle::Upper, Diag::NonUnit, false, &mut x.view_mut(), ws);
-                tri_inverse_view(&w.view(), Triangle::Upper, Diag::NonUnit, &mut inv.view_mut(), ws);
+                trsm_left_view(
+                    &w.view(),
+                    Triangle::Lower,
+                    Diag::Unit,
+                    true,
+                    &mut x.view_mut(),
+                );
+                trsm_right_view(
+                    &w.view(),
+                    Triangle::Upper,
+                    Diag::NonUnit,
+                    false,
+                    &mut x.view_mut(),
+                    ws,
+                );
+                tri_inverse_view(
+                    &w.view(),
+                    Triangle::Upper,
+                    Diag::NonUnit,
+                    &mut inv.view_mut(),
+                    ws,
+                );
             })
         });
     })

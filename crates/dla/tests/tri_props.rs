@@ -99,8 +99,16 @@ fn check_lu(n: usize, vals: &[f64]) {
     let a = dominant(n, vals, false);
     let (l, u) = lu_nopivot(&a);
     let (lr, ur) = lu_nopivot_reference(&a);
-    assert!(l.max_diff(&lr) <= tol, "n = {n}: L off the oracle by {:e}", l.max_diff(&lr));
-    assert!(u.max_diff(&ur) <= tol * n as f64, "n = {n}: U off the oracle by {:e}", u.max_diff(&ur));
+    assert!(
+        l.max_diff(&lr) <= tol,
+        "n = {n}: L off the oracle by {:e}",
+        l.max_diff(&lr)
+    );
+    assert!(
+        u.max_diff(&ur) <= tol * n as f64,
+        "n = {n}: U off the oracle by {:e}",
+        u.max_diff(&ur)
+    );
     let back = matmul(&l, Trans::N, &u, Trans::N).max_diff(&a);
     assert!(back <= tol * n as f64, "n = {n}: ‖L·U − A‖ = {back:e}");
 
@@ -112,13 +120,25 @@ fn check_lu(n: usize, vals: &[f64]) {
     let (l, u, s) = lu_nopivot_signed(&q);
     let (lr, ur, sr) = lu_nopivot_signed_reference(&q);
     assert_eq!(s, sr, "n = {n}: sign choices differ from the oracle");
-    assert!(l.max_diff(&lr) <= tol, "n = {n}: signed L off the oracle by {:e}", l.max_diff(&lr));
-    assert!(u.max_diff(&ur) <= tol, "n = {n}: signed U off the oracle by {:e}", u.max_diff(&ur));
+    assert!(
+        l.max_diff(&lr) <= tol,
+        "n = {n}: signed L off the oracle by {:e}",
+        l.max_diff(&lr)
+    );
+    assert!(
+        u.max_diff(&ur) <= tol,
+        "n = {n}: signed U off the oracle by {:e}",
+        u.max_diff(&ur)
+    );
     let mut a_minus_s = q.clone();
     for (i, si) in s.iter().enumerate() {
         assert!(si.abs() == 1.0, "n = {n}: s[{i}] = {si}");
         a_minus_s.add_to(i, i, -si);
-        assert!(u.get(i, i).abs() >= 1.0, "n = {n}: |pivot {i}| = {}", u.get(i, i).abs());
+        assert!(
+            u.get(i, i).abs() >= 1.0,
+            "n = {n}: |pivot {i}| = {}",
+            u.get(i, i).abs()
+        );
     }
     let back = matmul(&l, Trans::N, &u, Trans::N).max_diff(&a_minus_s);
     assert!(back <= tol, "n = {n}: ‖L·U − (A − S)‖ = {back:e}");
@@ -149,7 +169,8 @@ fn check_solves(n: usize, nrhs: usize, vals: &[f64]) {
             }
             let t = triangle_of(&src, tri, diag);
             for transposed in [false, true] {
-                let ctx = format!("n = {n}, {nrhs} rhs, {tri:?}/{diag:?}/transposed = {transposed}");
+                let ctx =
+                    format!("n = {n}, {nrhs} rhs, {tri:?}/{diag:?}/transposed = {transposed}");
                 let op = dense_op(&t, tri, diag, transposed);
                 let scale = op.norm_max().max(1.0);
 
@@ -157,7 +178,11 @@ fn check_solves(n: usize, nrhs: usize, vals: &[f64]) {
                 let (mut x, mut xr) = (b.clone(), b.clone());
                 trsm_left(&t, tri, diag, transposed, &mut x);
                 trsm_left_reference(&t, tri, diag, transposed, &mut xr);
-                assert!(x.max_diff(&xr) <= tol, "{ctx}: left solve off the oracle by {:e}", x.max_diff(&xr));
+                assert!(
+                    x.max_diff(&xr) <= tol,
+                    "{ctx}: left solve off the oracle by {:e}",
+                    x.max_diff(&xr)
+                );
                 let back = matmul(&op, Trans::N, &x, Trans::N).max_diff(&b);
                 assert!(back <= tol * scale, "{ctx}: ‖op(T)·X − B‖ = {back:e}");
 
@@ -165,7 +190,11 @@ fn check_solves(n: usize, nrhs: usize, vals: &[f64]) {
                 let (mut x, mut xr) = (b.clone(), b.clone());
                 trsm_right(&t, tri, diag, transposed, &mut x);
                 trsm_right_reference(&t, tri, diag, transposed, &mut xr);
-                assert!(x.max_diff(&xr) <= tol, "{ctx}: right solve off the oracle by {:e}", x.max_diff(&xr));
+                assert!(
+                    x.max_diff(&xr) <= tol,
+                    "{ctx}: right solve off the oracle by {:e}",
+                    x.max_diff(&xr)
+                );
                 let back = matmul(&x, Trans::N, &op, Trans::N).max_diff(&b);
                 assert!(back <= tol * scale, "{ctx}: ‖X·op(T) − B‖ = {back:e}");
             }
@@ -173,7 +202,11 @@ fn check_solves(n: usize, nrhs: usize, vals: &[f64]) {
             let ctx = format!("n = {n}, {tri:?}/{diag:?}");
             let inv = tri_inverse(&t, tri, diag);
             let inv_ref = tri_inverse_reference(&t, tri, diag);
-            assert!(inv.max_diff(&inv_ref) <= tol, "{ctx}: inverse off the oracle by {:e}", inv.max_diff(&inv_ref));
+            assert!(
+                inv.max_diff(&inv_ref) <= tol,
+                "{ctx}: inverse off the oracle by {:e}",
+                inv.max_diff(&inv_ref)
+            );
             let op = dense_op(&t, tri, diag, false);
             let eye = matmul(&op, Trans::N, &inv, Trans::N).max_diff(&Matrix::identity(n));
             assert!(eye <= tol, "{ctx}: ‖T·T⁻¹ − I‖ = {eye:e}");
@@ -267,7 +300,11 @@ fn inner_emit_hash() {
     fnv(&mut h, &ls);
     fnv(&mut h, &us);
     for (tri, t) in [(Triangle::Lower, &l), (Triangle::Upper, &u)] {
-        let diag = if matches!(tri, Triangle::Lower) { Diag::Unit } else { Diag::NonUnit };
+        let diag = if matches!(tri, Triangle::Lower) {
+            Diag::Unit
+        } else {
+            Diag::NonUnit
+        };
         for transposed in [false, true] {
             let mut x = rhs(n, 320, &vals);
             trsm_left(t, tri, diag, transposed, &mut x);
@@ -278,7 +315,10 @@ fn inner_emit_hash() {
         }
         fnv(&mut h, &tri_inverse(t, tri, diag));
     }
-    println!("HASH={h:016x} THREADS={}", ca_dla::rt::current_num_threads());
+    println!(
+        "HASH={h:016x} THREADS={}",
+        ca_dla::rt::current_num_threads()
+    );
 }
 
 #[test]

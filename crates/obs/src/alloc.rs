@@ -42,7 +42,10 @@ pub fn snapshot() -> (u64, u64) {
 
 /// Read and reset the tallies.
 pub fn take() -> (u64, u64) {
-    (COUNT.swap(0, Ordering::Relaxed), BYTES.swap(0, Ordering::Relaxed))
+    (
+        COUNT.swap(0, Ordering::Relaxed),
+        BYTES.swap(0, Ordering::Relaxed),
+    )
 }
 
 /// [`System`] with opt-in allocation counting; see the module docs.

@@ -57,7 +57,10 @@ impl Counter {
 
     fn ensure_registered(&'static self) {
         if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().lock().unwrap_or_else(|e| e.into_inner()).push(self);
+            registry()
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(self);
         }
     }
 

@@ -178,7 +178,11 @@ mod tests {
 
     #[test]
     fn summary_groups_by_name_in_order() {
-        let events = vec![ev("b", 0, 1_000, 5), ev("a", 1_000, 3_000, 7), ev("b", 3_000, 4_000, 1)];
+        let events = vec![
+            ev("b", 0, 1_000, 5),
+            ev("a", 1_000, 3_000, 7),
+            ev("b", 3_000, 4_000, 1),
+        ];
         let s = summarize(&events);
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].name, "b");
@@ -218,7 +222,10 @@ mod tests {
         let json = chrome_trace(&events, &[("test.counter", 3)], 2);
         assert!(json.starts_with("[\n"));
         assert!(json.trim_end().ends_with("]"));
-        assert!(json.contains("\\\"x\\\"\\\\"), "name must be escaped: {json}");
+        assert!(
+            json.contains("\\\"x\\\"\\\\"),
+            "name must be escaped: {json}"
+        );
         assert!(json.contains("\"ts\": 0.500"));
         assert!(json.contains("\"dur\": 2.000"));
         assert!(json.contains("counter:test.counter"));

@@ -260,7 +260,12 @@ mod tests {
             .find(|e| e.name() == "lib-test-stage")
             .expect("span must be recorded");
         assert_eq!(
-            (ev.flops, ev.horizontal_words, ev.vertical_words, ev.supersteps),
+            (
+                ev.flops,
+                ev.horizontal_words,
+                ev.vertical_words,
+                ev.supersteps
+            ),
             (11, 22, 33, 44)
         );
         assert!(ev.end_ns >= ev.start_ns);

@@ -50,7 +50,16 @@ pub fn carma(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize) -> Mat
     m.step(group.procs(), 1);
     let mut out = Matrix::zeros(mm, nn);
     let (av, bv) = (a.view(), b.view());
-    carma_spread_into(m, group, &av, Trans::N, &bv, Trans::N, v, &mut out.view_mut());
+    carma_spread_into(
+        m,
+        group,
+        &av,
+        Trans::N,
+        &bv,
+        Trans::N,
+        v,
+        &mut out.view_mut(),
+    );
     out
 }
 
@@ -180,8 +189,24 @@ fn carma_rec_into(
             m.alloc(pid, (kk * nn) as u64 / gw);
         }
         m.step(group.procs(), 1);
-        carma_rec_into(m, &halves.0, &a1, ta, b, tb, &mut out.sub_mut(0, 0, cut, nn));
-        carma_rec_into(m, &halves.1, &a2, ta, b, tb, &mut out.sub_mut(cut, 0, mm - cut, nn));
+        carma_rec_into(
+            m,
+            &halves.0,
+            &a1,
+            ta,
+            b,
+            tb,
+            &mut out.sub_mut(0, 0, cut, nn),
+        );
+        carma_rec_into(
+            m,
+            &halves.1,
+            &a2,
+            ta,
+            b,
+            tb,
+            &mut out.sub_mut(cut, 0, mm - cut, nn),
+        );
         for &pid in group.procs() {
             m.free(pid, (kk * nn) as u64 / gw);
         }
@@ -195,8 +220,24 @@ fn carma_rec_into(
             m.alloc(pid, (mm * kk) as u64 / gw);
         }
         m.step(group.procs(), 1);
-        carma_rec_into(m, &halves.0, a, ta, &b1, tb, &mut out.sub_mut(0, 0, mm, cut));
-        carma_rec_into(m, &halves.1, a, ta, &b2, tb, &mut out.sub_mut(0, cut, mm, nn - cut));
+        carma_rec_into(
+            m,
+            &halves.0,
+            a,
+            ta,
+            &b1,
+            tb,
+            &mut out.sub_mut(0, 0, mm, cut),
+        );
+        carma_rec_into(
+            m,
+            &halves.1,
+            a,
+            ta,
+            &b2,
+            tb,
+            &mut out.sub_mut(0, cut, mm, nn - cut),
+        );
         for &pid in group.procs() {
             m.free(pid, (mm * kk) as u64 / gw);
         }
@@ -283,14 +324,67 @@ mod tests {
         // deleted copy-path recursion charged (its `report()` at the
         // commit before its removal).
         for (mm, kk, nn, g, v, ta, seed, pin) in [
-            (24usize, 32usize, 16usize, 4usize, 1usize, Trans::N, 310u64,
-             [6240u64, 448, 640, 3, 128, 1792, 24960]),
-            (24, 32, 16, 4, 4, Trans::N, 311, [6528, 640, 1024, 9, 80, 2560, 26112]),
-            (64, 8, 8, 6, 1, Trans::N, 312, [1408, 127, 240, 4, 63, 634, 8192]),
+            (
+                24usize,
+                32usize,
+                16usize,
+                4usize,
+                1usize,
+                Trans::N,
+                310u64,
+                [6240u64, 448, 640, 3, 128, 1792, 24960],
+            ),
+            (
+                24,
+                32,
+                16,
+                4,
+                4,
+                Trans::N,
+                311,
+                [6528, 640, 1024, 9, 80, 2560, 26112],
+            ),
+            (
+                64,
+                8,
+                8,
+                6,
+                1,
+                Trans::N,
+                312,
+                [1408, 127, 240, 4, 63, 634, 8192],
+            ),
             // k-split + chunking
-            (8, 40, 8, 8, 5, Trans::N, 313, [720, 240, 240, 16, 16, 1920, 5760]),
-            (17, 13, 19, 5, 2, Trans::T, 314, [2000, 347, 378, 7, 93, 1241, 9038]),
-            (32, 24, 16, 4, 3, Trans::T, 315, [6528, 576, 960, 7, 96, 2304, 26112]),
+            (
+                8,
+                40,
+                8,
+                8,
+                5,
+                Trans::N,
+                313,
+                [720, 240, 240, 16, 16, 1920, 5760],
+            ),
+            (
+                17,
+                13,
+                19,
+                5,
+                2,
+                Trans::T,
+                314,
+                [2000, 347, 378, 7, 93, 1241, 9038],
+            ),
+            (
+                32,
+                24,
+                16,
+                4,
+                3,
+                Trans::T,
+                315,
+                [6528, 576, 960, 7, 96, 2304, 26112],
+            ),
         ] {
             let grid = Grid::all(g);
             let mut rng = StdRng::seed_from_u64(seed);
@@ -337,7 +431,11 @@ mod tests {
                 }
             }
             let r = m1.report();
-            assert_eq!(r, m2.report(), "seed {seed}: ledger depends on stride / op(A)");
+            assert_eq!(
+                r,
+                m2.report(),
+                "seed {seed}: ledger depends on stride / op(A)"
+            );
             assert_eq!(
                 crate::ledger_array(r),
                 pin,

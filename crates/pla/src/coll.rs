@@ -225,11 +225,7 @@ mod tests {
     #[test]
     fn exchange_batches_into_one_superstep() {
         let m = machine(4);
-        exchange(
-            &m,
-            &Grid::all(4),
-            &[(0, 1, 10), (2, 3, 20), (1, 2, 5)],
-        );
+        exchange(&m, &Grid::all(4), &[(0, 1, 10), (2, 3, 20), (1, 2, 5)]);
         m.fence();
         let c = m.report();
         assert_eq!(c.total_volume_words, 2 * 35);

@@ -63,13 +63,20 @@ impl DistMatrix {
 
     /// Shape of the block every rank of `grid` holds of a `rows × cols`
     /// matrix in this layout, in rank order.
-    fn block_dims(grid: &Grid, rows: usize, cols: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    fn block_dims(
+        grid: &Grid,
+        rows: usize,
+        cols: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + '_ {
         let (pr, pc, pl) = grid.shape();
         assert_eq!(pl, 1, "DistMatrix requires a 2D grid (use layers for 3D)");
         let (row_splits, col_splits) = (splits(rows, pr), splits(cols, pc));
         (0..grid.len()).map(move |r| {
             let (i, j, _) = grid.coords(r);
-            (row_splits[i + 1] - row_splits[i], col_splits[j + 1] - col_splits[j])
+            (
+                row_splits[i + 1] - row_splits[i],
+                col_splits[j + 1] - col_splits[j],
+            )
         })
     }
 
@@ -184,7 +191,13 @@ impl DistMatrix {
     /// (one superstep of an all-to-all).
     pub fn redistribute(&self, m: &Machine, new_grid: &Grid) -> DistMatrix {
         let out = DistMatrix::resident(m, new_grid, self.data.clone());
-        coll::relayout(m, &self.grid, |r| self.words_on(r), new_grid, |r| out.words_on(r));
+        coll::relayout(
+            m,
+            &self.grid,
+            |r| self.words_on(r),
+            new_grid,
+            |r| out.words_on(r),
+        );
         out
     }
 

@@ -131,7 +131,10 @@ impl Grid {
 
     /// Split into `parts` contiguous 1D groups of equal size.
     pub fn split(&self, parts: usize) -> Vec<Grid> {
-        assert!(parts >= 1 && self.len().is_multiple_of(parts), "split must be even");
+        assert!(
+            parts >= 1 && self.len().is_multiple_of(parts),
+            "split must be even"
+        );
         let each = self.len() / parts;
         (0..parts)
             .map(|s| Grid::new_1d(self.procs[s * each..(s + 1) * each].to_vec()))

@@ -56,11 +56,27 @@ pub fn dist_lu_signed(m: &Machine, a: &DistMatrix) -> (DistMatrix, DistMatrix, V
         // Panel solves, each reading its triangle of the packed block.
         for i in k + 1..q {
             let r = grid.rank(i, k, 0);
-            kern::local_trsm_right(m, grid.proc(r), &wkk.view(), Triangle::Upper, Diag::NonUnit, false, &mut w[r].view_mut());
+            kern::local_trsm_right(
+                m,
+                grid.proc(r),
+                &wkk.view(),
+                Triangle::Upper,
+                Diag::NonUnit,
+                false,
+                &mut w[r].view_mut(),
+            );
         }
         for j in k + 1..q {
             let r = grid.rank(k, j, 0);
-            kern::local_trsm_left(m, grid.proc(r), &wkk.view(), Triangle::Lower, Diag::Unit, false, &mut w[r].view_mut());
+            kern::local_trsm_left(
+                m,
+                grid.proc(r),
+                &wkk.view(),
+                Triangle::Lower,
+                Diag::Unit,
+                false,
+                &mut w[r].view_mut(),
+            );
         }
         w[diag_rank] = wkk;
         m.step(grid.procs(), 1);
@@ -81,7 +97,17 @@ pub fn dist_lu_signed(m: &Machine, a: &DistMatrix) -> (DistMatrix, DistMatrix, V
                 let r = grid.rank(i, j, 0);
                 let mut acc = take(&mut w, r);
                 let (aik, akj) = (w[grid.rank(i, k, 0)].view(), w[grid.rank(k, j, 0)].view());
-                kern::local_gemm(m, grid.proc(r), -1.0, &aik, Trans::N, &akj, Trans::N, 1.0, &mut acc.view_mut());
+                kern::local_gemm(
+                    m,
+                    grid.proc(r),
+                    -1.0,
+                    &aik,
+                    Trans::N,
+                    &akj,
+                    Trans::N,
+                    1.0,
+                    &mut acc.view_mut(),
+                );
                 w[r] = acc;
             }
         }
@@ -158,13 +184,27 @@ fn dist_tri_inverse_upper(m: &Machine, t: &DistMatrix, diag: Diag) -> DistMatrix
                 let rik = grid.rank(i, k, 0);
                 // Ship X_kj to (i,k), multiply, ship partial to (i,j).
                 coll::p2p(m, grid.proc(rkj), grid.proc(rik), x.words_on(rkj));
-                let partial = kern::local_matmul(m, grid.proc(rik), &t.block(rik), Trans::N, &x.block(rkj), Trans::N);
+                let partial = kern::local_matmul(
+                    m,
+                    grid.proc(rik),
+                    &t.block(rik),
+                    Trans::N,
+                    &x.block(rkj),
+                    Trans::N,
+                );
                 coll::p2p(m, grid.proc(rik), grid.proc(rij), partial.len() as u64);
                 s.axpy(1.0, &partial);
                 m.charge_flops(grid.proc(rij), partial.len() as u64);
             }
             // X_ij = −T_ii⁻¹ · S at (i,j).
-            let mut xij = kern::local_matmul(m, grid.proc(rij), &x.block(rii), Trans::N, &s.view(), Trans::N);
+            let mut xij = kern::local_matmul(
+                m,
+                grid.proc(rij),
+                &x.block(rii),
+                Trans::N,
+                &s.view(),
+                Trans::N,
+            );
             xij.scale(-1.0);
             x.block_mut(rij).copy_from(&xij.view());
         }

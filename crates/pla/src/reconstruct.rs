@@ -251,13 +251,7 @@ mod tests {
             let da = DistMatrix::from_dense(&m, &grid, &a);
             let (q, _r) = tsqr::tsqr_explicit(&m, &da);
             let rec = reconstruct(&m, &q);
-            check_wy(
-                q.dense(),
-                rec.u.dense(),
-                &rec.t,
-                &rec.s,
-                1e-9,
-            );
+            check_wy(q.dense(), rec.u.dense(), &rec.t, &rec.s, 1e-9);
         }
     }
 
@@ -280,7 +274,11 @@ mod tests {
         let t_ut = matmul(&rec.t, Trans::N, &ut_stack, Trans::N);
         let corr = matmul(u, Trans::N, &t_ut, Trans::N);
         stack.axpy(-1.0, &corr);
-        assert!(stack.max_diff(&a) < 1e-9, "A ≠ (I−UTUᵀ)[R';0]: {}", stack.max_diff(&a));
+        assert!(
+            stack.max_diff(&a) < 1e-9,
+            "A ≠ (I−UTUᵀ)[R';0]: {}",
+            stack.max_diff(&a)
+        );
     }
 
     #[test]
@@ -293,12 +291,6 @@ mod tests {
         let da = DistMatrix::from_dense(&m, &grid, &a);
         let (q, _) = tsqr::tsqr_explicit(&m, &da);
         let rec = reconstruct(&m, &q);
-        check_wy(
-            q.dense(),
-            rec.u.dense(),
-            &rec.t,
-            &rec.s,
-            1e-9,
-        );
+        check_wy(q.dense(), rec.u.dense(), &rec.t, &rec.s, 1e-9);
     }
 }

@@ -83,7 +83,14 @@ pub fn rect_qr_with_base(machine: &Machine, a: &DistMatrix, base: usize) -> Pane
     let mut u = Matrix::zeros(mrows, n);
     let mut t = Matrix::zeros(n, n);
     let mut r = Matrix::zeros(n, n);
-    rect_qr_node(machine, a, base, &mut u.view_mut(), &mut t.view_mut(), &mut r.view_mut());
+    rect_qr_node(
+        machine,
+        a,
+        base,
+        &mut u.view_mut(),
+        &mut t.view_mut(),
+        &mut r.view_mut(),
+    );
     let u = DistMatrix::wrap(&group, u);
     PanelQr { group, u, t, r }
 }
@@ -225,7 +232,13 @@ fn rect_qr_node(
         Trans::T,
         &u.sub(0, n1, mrows, n2),
     );
-    let t1_u = mm(machine, group, &t.sub(0, 0, n1, n1), Trans::N, &u1t_u2.view());
+    let t1_u = mm(
+        machine,
+        group,
+        &t.sub(0, 0, n1, n1),
+        Trans::N,
+        &u1t_u2.view(),
+    );
     let (mut t_top, t_bot) = t.split_rows_mut(n1);
     let mut t12 = t_top.sub_mut(0, n1, n1, n2);
     carma_spread_into(
@@ -258,11 +271,7 @@ fn rect_qr_node(
 ///
 /// Returns the explicit `m×n` `Q` (1D row layout) and `R`; apply
 /// Corollary III.7 ([`crate::reconstruct`]) for the Householder form.
-pub fn rect_qr_tree(
-    machine: &Machine,
-    a: &DistMatrix,
-    q_max: usize,
-) -> (DistMatrix, Matrix) {
+pub fn rect_qr_tree(machine: &Machine, a: &DistMatrix, q_max: usize) -> (DistMatrix, Matrix) {
     let group = a.grid().clone();
     let (mrows, n) = a.shape();
     assert!(mrows >= n, "rect_qr_tree requires m ≥ n");
@@ -360,10 +369,18 @@ pub fn rect_qr_tree(
 pub fn apply_qt(machine: &Machine, f: &PanelQr, c: &mut DistMatrix) {
     let group = &f.group;
     let (rows, cols) = c.shape();
-    let upd = wy_correction(machine, group, &f.u.dense().view(), &f.t.view(), Trans::T, &c.dense().view());
+    let upd = wy_correction(
+        machine,
+        group,
+        &f.u.dense().view(),
+        &f.t.view(),
+        Trans::T,
+        &c.dense().view(),
+    );
     for r in 0..c.grid().len() {
         let (r0, c0, nr, nc) = c.owned_range(r);
-        c.block_mut(r).add_scaled(-1.0, &upd.subview(r0, c0, nr, nc));
+        c.block_mut(r)
+            .add_scaled(-1.0, &upd.subview(r0, c0, nr, nc));
     }
     for &pid in group.procs() {
         machine.charge_flops(pid, ((rows * cols) as u64).div_ceil(group.len() as u64));
@@ -383,7 +400,14 @@ pub fn explicit_q(machine: &Machine, f: &PanelQr) -> DistMatrix {
         eye.set(i, i, 1.0);
     }
     // Uᵀ·[I;0] = U₁ᵀ — cheap (triangular read), still charged.
-    let upd = wy_correction(machine, group, &f.u.dense().view(), &f.t.view(), Trans::N, &eye.view());
+    let upd = wy_correction(
+        machine,
+        group,
+        &f.u.dense().view(),
+        &f.t.view(),
+        Trans::N,
+        &eye.view(),
+    );
     eye.axpy(-1.0, &upd);
     DistMatrix::resident(machine, group, eye)
 }

@@ -370,13 +370,72 @@ mod tests {
         // copy-path body charged (its `report()` at the commit before
         // its removal).
         for (q, c, w, sub, transpose_a, transpose_b, k, seed, pin) in [
-            (2usize, 1usize, 1usize, (0usize, 0usize, 12usize, 12usize), false, false, 6usize, 400u64,
-             [450u64, 108, 108, 5, 0, 432, 1800]),
-            (2, 2, 2, (4, 6, 12, 10), false, false, 4, 401, [126, 30, 52, 10, 0, 240, 1008]),
-            (2, 1, 1, (2, 3, 9, 11), true, false, 5, 402, [315, 76, 85, 5, 0, 286, 1044]),
-            (3, 1, 2, (1, 0, 13, 14), false, false, 7, 403, [373, 111, 95, 8, 0, 921, 2725]),
-            (2, 1, 2, (3, 1, 11, 9), false, true, 6, 404, [378, 91, 96, 8, 0, 344, 1252]),
-            (2, 2, 1, (0, 2, 10, 13), true, true, 5, 405, [220, 47, 71, 6, 0, 322, 1364]),
+            (
+                2usize,
+                1usize,
+                1usize,
+                (0usize, 0usize, 12usize, 12usize),
+                false,
+                false,
+                6usize,
+                400u64,
+                [450u64, 108, 108, 5, 0, 432, 1800],
+            ),
+            (
+                2,
+                2,
+                2,
+                (4, 6, 12, 10),
+                false,
+                false,
+                4,
+                401,
+                [126, 30, 52, 10, 0, 240, 1008],
+            ),
+            (
+                2,
+                1,
+                1,
+                (2, 3, 9, 11),
+                true,
+                false,
+                5,
+                402,
+                [315, 76, 85, 5, 0, 286, 1044],
+            ),
+            (
+                3,
+                1,
+                2,
+                (1, 0, 13, 14),
+                false,
+                false,
+                7,
+                403,
+                [373, 111, 95, 8, 0, 921, 2725],
+            ),
+            (
+                2,
+                1,
+                2,
+                (3, 1, 11, 9),
+                false,
+                true,
+                6,
+                404,
+                [378, 91, 96, 8, 0, 344, 1252],
+            ),
+            (
+                2,
+                2,
+                1,
+                (0, 2, 10, 13),
+                true,
+                true,
+                5,
+                405,
+                [220, 47, 71, 6, 0, 322, 1364],
+            ),
         ] {
             let p = q * q * c;
             let g = grid3(q, c);
@@ -388,7 +447,11 @@ mod tests {
             // The wrapper takes B stored `inner x k`; the view call may
             // instead read the transpose of a `k x inner` backing store.
             let b = gen::random_matrix(&mut rng, inner, k);
-            let b_stored = if transpose_b { b.transpose() } else { b.clone() };
+            let b_stored = if transpose_b {
+                b.transpose()
+            } else {
+                b.clone()
+            };
 
             let m1 = machine(p);
             let want = streaming_mm_dense(&m1, &g, &a, sub, transpose_a, &b, w);
@@ -418,7 +481,11 @@ mod tests {
                 }
             }
             let r = m1.report();
-            assert_eq!(r, m2.report(), "seed {seed}: ledger depends on stride / op(B)");
+            assert_eq!(
+                r,
+                m2.report(),
+                "seed {seed}: ledger depends on stride / op(B)"
+            );
             assert_eq!(
                 crate::ledger_array(r),
                 pin,
@@ -463,10 +530,7 @@ mod tests {
         let m2 = machine(q * q * 3);
         let rep2 = Replicated::replicate(&m2, &grid3(q, 3), n, n);
         // Peak per-proc memory identical (each holds one block copy).
-        assert_eq!(
-            m1.report().peak_memory_words,
-            m2.report().peak_memory_words
-        );
+        assert_eq!(m1.report().peak_memory_words, m2.report().peak_memory_words);
         rep1.release(&m1);
         rep2.release(&m2);
     }

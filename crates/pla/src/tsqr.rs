@@ -139,7 +139,8 @@ fn wy_coefficients(f: &QrFactors, s: &Matrix) -> Matrix {
 fn q_rows_into(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, out: &mut MatrixViewMut) {
     let (nrows, n) = (out.rows(), s.cols());
     let live = s.rows().saturating_sub(row0).min(nrows);
-    out.sub_mut(0, 0, live, n).copy_from(&s.subview(row0, 0, live, n));
+    out.sub_mut(0, 0, live, n)
+        .copy_from(&s.subview(row0, 0, live, n));
     out.sub_mut(live, 0, nrows - live, n).fill(0.0);
     gemm_view(
         -1.0,

@@ -89,7 +89,10 @@ struct Slot {
 
 impl Slot {
     fn new() -> Arc<Self> {
-        Arc::new(Self { cell: Mutex::new(None), cv: Condvar::new() })
+        Arc::new(Self {
+            cell: Mutex::new(None),
+            cv: Condvar::new(),
+        })
     }
 
     fn fulfill(&self, res: Result<JobResult, EigenError>) {
@@ -462,7 +465,10 @@ mod tests {
             let r = r.as_ref().unwrap();
             assert_eq!(
                 s.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                r.eigenvalues.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                r.eigenvalues
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
             );
         }
     }

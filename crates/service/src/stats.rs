@@ -54,7 +54,8 @@ impl ServiceStats {
     }
 
     pub(crate) fn record_wait(&self, waited: Duration) {
-        self.queue_wait_us.fetch_add(waited.as_micros() as u64, Relaxed);
+        self.queue_wait_us
+            .fetch_add(waited.as_micros() as u64, Relaxed);
         OBS_WAIT_US.add(waited.as_micros() as u64);
     }
 

@@ -68,7 +68,10 @@ fn a_to_band(a: &ca_symm_eig::dla::Matrix) -> BandedSym {
 fn check(band: &BandedSym, spectrum: &[f64], stage: &str) -> Result<(), EigenError> {
     let ev = try_banded_eigenvalues(band)?;
     let err = spectrum_distance(&ev, spectrum);
-    assert!(err < 1e-8 * spectrum.len() as f64, "{stage}: spectrum drifted {err}");
+    assert!(
+        err < 1e-8 * spectrum.len() as f64,
+        "{stage}: spectrum drifted {err}"
+    );
     Ok(())
 }
 
@@ -77,7 +80,11 @@ fn sparsity(bandm: &BandedSym, n: usize) {
     for i in (0..n).step_by(step) {
         let mut row = String::from("    ");
         for j in (0..n).step_by(step) {
-            row.push(if bandm.get(i, j).abs() > 1e-9 { '█' } else { '·' });
+            row.push(if bandm.get(i, j).abs() > 1e-9 {
+                '█'
+            } else {
+                '·'
+            });
         }
         println!("{row}");
     }

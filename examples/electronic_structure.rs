@@ -79,9 +79,7 @@ fn main() -> Result<(), EigenError> {
     println!();
     let q_ratio = direct.vertical_words as f64 / ca.vertical_words as f64;
     let s_ratio = direct.supersteps as f64 / ca.supersteps as f64;
-    println!(
-        "direct/banded vertical-traffic ratio: {q_ratio:.2}× (grows ∝ n — the n³/p"
-    );
+    println!("direct/banded vertical-traffic ratio: {q_ratio:.2}× (grows ∝ n — the n³/p");
     println!("trailing-matrix matvec traffic that banded reduction avoids);");
     println!("direct/banded synchronization ratio: {s_ratio:.2}× (the direct method");
     println!("synchronizes per column, Θ(n) times per solve).");

@@ -26,7 +26,12 @@ fn main() -> Result<(), EigenError> {
     println!("  lowest frequencies² and their analytic values 4−2cos(kπ/(n+1)):");
     for k in 0..4 {
         let analytic = 4.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
-        println!("    mode {}: λ = {:.8}  (analytic {:.8})", k + 1, freqs[k], analytic);
+        println!(
+            "    mode {}: λ = {:.8}  (analytic {:.8})",
+            k + 1,
+            freqs[k],
+            analytic
+        );
         assert!((freqs[k] - analytic).abs() < 1e-9);
     }
     // The fundamental mode is a half sine wave: render it.
@@ -75,7 +80,10 @@ fn main() -> Result<(), EigenError> {
     println!("SVD of a rank-{rank} + noise {m_rows}×{n_cols} matrix:");
     println!("  singular values: {:?}", &f.sigma[..6.min(f.sigma.len())]);
     let gap = f.sigma[rank - 1] / f.sigma[rank];
-    println!("  spectral gap σ_{rank}/σ_{} = {gap:.1} (rank revealed)", rank + 1);
+    println!(
+        "  spectral gap σ_{rank}/σ_{} = {gap:.1} (rank revealed)",
+        rank + 1
+    );
     assert!(gap > 10.0);
     // Reconstruction.
     let mut us = f.u.clone();

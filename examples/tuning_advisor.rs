@@ -25,7 +25,10 @@ fn main() -> Result<(), EigenError> {
     let bandwidth_bound = MachineParams::new(p).with_times(1e-6, 1.0, 0.1, 10.0);
     let latency_bound = MachineParams::new(p).with_times(1e-6, 1e-3, 1e-4, 1e6);
 
-    for (name, m) in [("bandwidth-bound", bandwidth_bound), ("latency-bound", latency_bound)] {
+    for (name, m) in [
+        ("bandwidth-bound", bandwidth_bound),
+        ("latency-bound", latency_bound),
+    ] {
         println!("{name} machine (β = {}, α = {}):", m.beta, m.alpha);
         println!("  ranked configurations for n = {n}:");
         for choice in rank_configurations(n, &m, None) {

@@ -172,7 +172,10 @@ impl<F> Map<F> {
     {
         let start = self.start;
         let f = self.f;
-        C::from_ordered_vec(map_collect(self.end.saturating_sub(start), |i| f(start + i)))
+        C::from_ordered_vec(map_collect(
+            self.end.saturating_sub(start),
+            |i| f(start + i),
+        ))
     }
 
     /// Apply the mapped function for its effects only.
@@ -356,9 +359,7 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 
 /// Common imports, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefMutIterator, ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelIterator, IntoParallelRefMutIterator, ParallelSliceMut};
 }
 
 #[cfg(test)]
@@ -402,7 +403,9 @@ mod tests {
     #[test]
     fn par_iter_mut_enumerate() {
         let mut data = vec![0usize; 37];
-        data.par_iter_mut().enumerate().for_each(|(i, v)| *v = i + 1);
+        data.par_iter_mut()
+            .enumerate()
+            .for_each(|(i, v)| *v = i + 1);
         assert!(data.iter().enumerate().all(|(i, &x)| x == i + 1));
     }
 
@@ -418,7 +421,8 @@ mod tests {
         let v: Vec<usize> = (5..5).into_par_iter().map(|i| i).collect();
         assert!(v.is_empty());
         let mut e: Vec<u8> = Vec::new();
-        e.par_chunks_mut(4).for_each(|_| panic!("no chunks expected"));
+        e.par_chunks_mut(4)
+            .for_each(|_| panic!("no chunks expected"));
     }
 
     /// The message a caught panic carried.

@@ -159,7 +159,10 @@ fn main() {
                 residual.map(|r| format!(",\"residual\":{r}")).unwrap_or_default()
             )?;
         } else {
-            writeln!(out, "eigensolve: n = {n}, p = {p}, c = {c}, algorithm = {algorithm}")?;
+            writeln!(
+                out,
+                "eigensolve: n = {n}, p = {p}, c = {c}, algorithm = {algorithm}"
+            )?;
             writeln!(
                 out,
                 "costs: F = {}, W = {}, Q = {}, S = {}, peak M = {}",
@@ -201,7 +204,11 @@ fn load_csv(path: &str) -> Result<Matrix, String> {
             l.split(',')
                 .map(|tok| match tok.trim().parse::<f64>() {
                     Ok(v) if v.is_finite() => Ok(v),
-                    _ => Err(format!("row {}: {:?} is not a finite number", i + 1, tok.trim())),
+                    _ => Err(format!(
+                        "row {}: {:?} is not a finite number",
+                        i + 1,
+                        tok.trim()
+                    )),
                 })
                 .collect::<Result<Vec<f64>, String>>()
         })

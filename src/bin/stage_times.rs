@@ -53,7 +53,12 @@ static ALLOC: ca_obs::alloc::CountingAllocator = ca_obs::alloc::CountingAllocato
 
 /// Stage-name prefixes reported individually (matching
 /// [`StageCosts::aggregate`] prefix semantics).
-const STAGES: [&str; 4] = ["full-to-band", "band-to-band", "ca-sbr", "sequential eigensolve"];
+const STAGES: [&str; 4] = [
+    "full-to-band",
+    "band-to-band",
+    "ca-sbr",
+    "sequential eigensolve",
+];
 
 /// Run the solver `reps` times and return the median run (by end-to-end
 /// wall time) with its stage breakdown.

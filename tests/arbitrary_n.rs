@@ -6,8 +6,8 @@
 //! shapes.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
-use ca_symm_eig::dla::gen;
 use ca_symm_eig::dla::gemm::{matmul, Trans};
+use ca_symm_eig::dla::gen;
 use ca_symm_eig::dla::tridiag::spectrum_distance;
 use ca_symm_eig::dla::Matrix;
 use ca_symm_eig::eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenError, EigenParams};
@@ -99,8 +99,12 @@ fn awkward_n() -> impl Strategy<Value = usize> {
         1 => (base | 1).min(199),
         // Next prime at or above base.
         2 => {
-            let is_prime =
-                |x: usize| x >= 2 && (2..x).take_while(|d| d * d <= x).all(|d| !x.is_multiple_of(d));
+            let is_prime = |x: usize| {
+                x >= 2
+                    && (2..x)
+                        .take_while(|d| d * d <= x)
+                        .all(|d| !x.is_multiple_of(d))
+            };
             (base..=211).find(|&x| is_prime(x)).unwrap_or(199)
         }
         // Power of two ± 1.

@@ -70,9 +70,18 @@ fn qr_paths_agree_on_r_up_to_signs() {
     for i in 0..n {
         for j in 0..n {
             let want = seq.r.get(i, j).abs();
-            assert!((tsqr_r.get(i, j).abs() - want).abs() < 1e-9, "tsqr ({i},{j})");
-            assert!((f_col.r.get(i, j).abs() - want).abs() < 1e-9, "col ({i},{j})");
-            assert!((tree_r.get(i, j).abs() - want).abs() < 1e-9, "tree ({i},{j})");
+            assert!(
+                (tsqr_r.get(i, j).abs() - want).abs() < 1e-9,
+                "tsqr ({i},{j})"
+            );
+            assert!(
+                (f_col.r.get(i, j).abs() - want).abs() < 1e-9,
+                "col ({i},{j})"
+            );
+            assert!(
+                (tree_r.get(i, j).abs() - want).abs() < 1e-9,
+                "tree ({i},{j})"
+            );
         }
     }
     tsqr_q.release(&m);
@@ -98,7 +107,10 @@ fn collective_cost_identities() {
     let bcast_max = m.comm_per_proc().into_iter().max().unwrap();
     let reduce_max = m2.comm_per_proc().into_iter().max().unwrap();
     let ratio = reduce_max as f64 / bcast_max as f64;
-    assert!((0.3..3.0).contains(&ratio), "bcast/reduce asymmetry {ratio}");
+    assert!(
+        (0.3..3.0).contains(&ratio),
+        "bcast/reduce asymmetry {ratio}"
+    );
 
     // All-reduce volume ≈ 2× reduce-scatter volume.
     let m3 = machine(p);
@@ -107,7 +119,10 @@ fn collective_cost_identities() {
     let m4 = machine(p);
     coll::allreduce(&m4, &grid, words);
     let ar = m4.report().total_volume_words;
-    assert!(ar > rs && ar < 3 * rs, "allreduce {ar} vs reduce_scatter {rs}");
+    assert!(
+        ar > rs && ar < 3 * rs,
+        "allreduce {ar} vs reduce_scatter {rs}"
+    );
 }
 
 /// `(case label, [F, W, Q, S, M, total volume, total flops], FNV-1a of
@@ -213,18 +228,24 @@ fn building_block_ledgers_and_bits_are_pinned() {
 
     // rect_qr_tree: the tall tree, its uneven p = 3 processor split, and
     // the (nearly) square base case.
-    for (mrows, n, p, q_max, seed) in [(128, 8, 4, 4, 160), (96, 8, 3, 2, 163), (24, 12, 4, 2, 162)] {
-        check_pin(&format!("rect_qr_tree m={mrows} n={n} p={p} q_max={q_max}"), p, |m, out| {
-            let da = DistMatrix::from_dense(m, &grid(p, p, 1), &random(mrows, n, seed));
-            let (q, r) = rect_qr_tree(m, &da, q_max);
-            out.extend_from_slice(q.dense().data());
-            out.extend_from_slice(r.data());
-        });
+    for (mrows, n, p, q_max, seed) in [(128, 8, 4, 4, 160), (96, 8, 3, 2, 163), (24, 12, 4, 2, 162)]
+    {
+        check_pin(
+            &format!("rect_qr_tree m={mrows} n={n} p={p} q_max={q_max}"),
+            p,
+            |m, out| {
+                let da = DistMatrix::from_dense(m, &grid(p, p, 1), &random(mrows, n, seed));
+                let (q, r) = rect_qr_tree(m, &da, q_max);
+                out.extend_from_slice(q.dense().data());
+                out.extend_from_slice(r.data());
+            },
+        );
     }
 
     for (n, q) in [(16, 4), (9, 3)] {
         check_pin(&format!("dist_lu_signed n={n} q={q}"), q * q, |m, out| {
-            let da = DistMatrix::from_dense(m, &grid(q * q, q, q), &diag_dominant(n, 100 + n as u64));
+            let da =
+                DistMatrix::from_dense(m, &grid(q * q, q, q), &diag_dominant(n, 100 + n as u64));
             let (l, u, s) = dist_lu_signed(m, &da);
             out.extend_from_slice(l.dense().data());
             out.extend_from_slice(u.dense().data());
@@ -235,51 +256,71 @@ fn building_block_ledgers_and_bits_are_pinned() {
     check_pin("dist_tri_inverse upper non-unit n=12 q=2", 4, |m, out| {
         let (_, u) = lu_nopivot(&diag_dominant(12, 105));
         let du = DistMatrix::from_dense(m, &grid(4, 2, 2), &u);
-        out.extend_from_slice(dist_tri_inverse(m, &du, Triangle::Upper, Diag::NonUnit).dense().data());
+        out.extend_from_slice(
+            dist_tri_inverse(m, &du, Triangle::Upper, Diag::NonUnit)
+                .dense()
+                .data(),
+        );
     });
     check_pin("dist_tri_inverse lower unit n=13 q=3", 9, |m, out| {
         let (l, _) = lu_nopivot(&diag_dominant(13, 106));
         let dl = DistMatrix::from_dense(m, &grid(9, 3, 3), &l);
-        out.extend_from_slice(dist_tri_inverse(m, &dl, Triangle::Lower, Diag::Unit).dense().data());
+        out.extend_from_slice(
+            dist_tri_inverse(m, &dl, Triangle::Lower, Diag::Unit)
+                .dense()
+                .data(),
+        );
     });
 
     for (mrows, n, g, seed) in [(48, 6, 8, 704), (60, 5, 6, 92)] {
-        check_pin(&format!("tsqr_explicit+reconstruct m={mrows} n={n} g={g}"), g, |m, out| {
-            let da = DistMatrix::from_dense(m, &grid(g, g, 1), &random(mrows, n, seed));
-            let (q, r) = tsqr_explicit(m, &da);
-            let rec = reconstruct(m, &q);
-            out.extend_from_slice(q.dense().data());
-            out.extend_from_slice(r.data());
-            out.extend_from_slice(rec.u.dense().data());
-            out.extend_from_slice(rec.t.data());
-            out.extend(rec.s);
-        });
+        check_pin(
+            &format!("tsqr_explicit+reconstruct m={mrows} n={n} g={g}"),
+            g,
+            |m, out| {
+                let da = DistMatrix::from_dense(m, &grid(g, g, 1), &random(mrows, n, seed));
+                let (q, r) = tsqr_explicit(m, &da);
+                let rec = reconstruct(m, &q);
+                out.extend_from_slice(q.dense().data());
+                out.extend_from_slice(r.data());
+                out.extend_from_slice(rec.u.dense().data());
+                out.extend_from_slice(rec.t.data());
+                out.extend(rec.s);
+            },
+        );
     }
 
-    check_pin("rect_qr explicit_q+apply_qt m=20 n=8 g=4 base=4", 4, |m, out| {
-        let g = grid(4, 4, 1);
-        let da = DistMatrix::from_dense(m, &g, &random(20, 8, 145));
-        let f = rect_qr_with_base(m, &da, 4);
-        let q = explicit_q(m, &f);
-        let mut dc = DistMatrix::from_dense(m, &g, &random(20, 5, 146));
-        apply_qt(m, &f, &mut dc);
-        out.extend_from_slice(f.u.dense().data());
-        out.extend_from_slice(f.t.data());
-        out.extend_from_slice(f.r.data());
-        out.extend_from_slice(q.dense().data());
-        out.extend_from_slice(dc.dense().data());
-    });
+    check_pin(
+        "rect_qr explicit_q+apply_qt m=20 n=8 g=4 base=4",
+        4,
+        |m, out| {
+            let g = grid(4, 4, 1);
+            let da = DistMatrix::from_dense(m, &g, &random(20, 8, 145));
+            let f = rect_qr_with_base(m, &da, 4);
+            let q = explicit_q(m, &f);
+            let mut dc = DistMatrix::from_dense(m, &g, &random(20, 5, 146));
+            apply_qt(m, &f, &mut dc);
+            out.extend_from_slice(f.u.dense().data());
+            out.extend_from_slice(f.t.data());
+            out.extend_from_slice(f.r.data());
+            out.extend_from_slice(q.dense().data());
+            out.extend_from_slice(dc.dense().data());
+        },
+    );
 
     check_pin("DistMatrix::redistribute 10x6 2x2->3x2", 8, |m, out| {
         let d = DistMatrix::from_dense(m, &grid(4, 2, 2), &random(10, 6, 72));
         let g2 = Grid::new_2d((2..8).collect(), 3, 2);
         out.extend_from_slice(d.redistribute(m, &g2).dense().data());
     });
-    check_pin("DistMatrix::block_redist 11x7 3x2 (2,1,6,5)->2x1", 6, |m, out| {
-        let d = DistMatrix::from_dense(m, &grid(6, 3, 2), &random(11, 7, 73));
-        let g2 = Grid::new_2d(vec![1, 4], 2, 1);
-        out.extend_from_slice(d.block_redist(m, 2, 1, 6, 5, &g2).dense().data());
-    });
+    check_pin(
+        "DistMatrix::block_redist 11x7 3x2 (2,1,6,5)->2x1",
+        6,
+        |m, out| {
+            let d = DistMatrix::from_dense(m, &grid(6, 3, 2), &random(11, 7, 73));
+            let g2 = Grid::new_2d(vec![1, 4], 2, 1);
+            out.extend_from_slice(d.block_redist(m, 2, 1, 6, 5, &g2).dense().data());
+        },
+    );
     check_pin("DistMatrix::transpose 10x7 3x3", 9, |m, out| {
         let d = DistMatrix::from_dense(m, &grid(9, 3, 3), &random(10, 7, 74));
         out.extend_from_slice(d.transpose(m).dense().data());
@@ -297,34 +338,48 @@ fn building_block_ledgers_and_bits_are_pinned() {
     // transposed-B operand streamed once per layer, and c = 2 streamed
     // three deep with fewer columns than the z = w·c column blocks (so
     // some blocks are empty). The output lands in a strided window.
-    for (q, c, w, k, transpose_b, seed) in [(4usize, 4usize, 1usize, 11usize, true, 820u64), (4, 2, 3, 4, false, 821)] {
+    for (q, c, w, k, transpose_b, seed) in [
+        (4usize, 4usize, 1usize, 11usize, true, 820u64),
+        (4, 2, 3, 4, false, 821),
+    ] {
         let tb = if transpose_b { " tb" } else { "" };
-        check_pin(&format!("streaming_mm_view_into q={q} c={c} w={w} 29x{k}{tb}"), q * q * c, |m, out| {
-            let g = Grid::new_3d((0..q * q * c).collect(), q, q, c);
-            let a = random(37, 41, seed);
-            let (sub, inner, rows) = ((3, 2, 29, 35), 35, 29);
-            let b = if transpose_b { random(k, inner, seed + 1) } else { random(inner, k, seed + 1) };
-            let mut host = Matrix::zeros(rows + 1, k + 2);
-            streaming_mm_view_into(
-                m,
-                &g,
-                &a.view(),
-                sub,
-                false,
-                &b.view(),
-                transpose_b,
-                w,
-                &mut host.subview_mut(1, 1, rows, k),
-            );
-            out.extend_from_slice(host.data());
-        });
+        check_pin(
+            &format!("streaming_mm_view_into q={q} c={c} w={w} 29x{k}{tb}"),
+            q * q * c,
+            |m, out| {
+                let g = Grid::new_3d((0..q * q * c).collect(), q, q, c);
+                let a = random(37, 41, seed);
+                let (sub, inner, rows) = ((3, 2, 29, 35), 35, 29);
+                let b = if transpose_b {
+                    random(k, inner, seed + 1)
+                } else {
+                    random(inner, k, seed + 1)
+                };
+                let mut host = Matrix::zeros(rows + 1, k + 2);
+                streaming_mm_view_into(
+                    m,
+                    &g,
+                    &a.view(),
+                    sub,
+                    false,
+                    &b.view(),
+                    transpose_b,
+                    w,
+                    &mut host.subview_mut(1, 1, rows, k),
+                );
+                out.extend_from_slice(host.data());
+            },
+        );
     }
-
 }
 
 #[test]
 fn reconstruction_composes_with_tsqr_on_many_shapes() {
-    for (mrows, n, g, seed) in [(32usize, 4usize, 4usize, 703u64), (48, 6, 8, 704), (24, 8, 2, 705)] {
+    for (mrows, n, g, seed) in [
+        (32usize, 4usize, 4usize, 703u64),
+        (48, 6, 8, 704),
+        (24, 8, 2, 705),
+    ] {
         let m = machine(g);
         let grid = Grid::new_2d((0..g).collect(), g, 1);
         let mut rng = StdRng::seed_from_u64(seed);

@@ -67,10 +67,10 @@ fn degenerate_and_extreme_spectra() {
     let p = 4;
     let tol = 1e-8 * n as f64;
     let cases: Vec<Vec<f64>> = vec![
-        vec![1.0; n],                                             // fully degenerate
+        vec![1.0; n],                                                 // fully degenerate
         (0..n).map(|i| if i < n / 2 { -1.0 } else { 1.0 }).collect(), // two clusters
-        (0..n).map(|i| 10f64.powi(-(i as i32) / 8)).collect(),    // wide dynamic range
-        gen::linspace_spectrum(n, -1e-6, 1e-6),                   // tiny scale
+        (0..n).map(|i| 10f64.powi(-(i as i32) / 8)).collect(),        // wide dynamic range
+        gen::linspace_spectrum(n, -1e-6, 1e-6),                       // tiny scale
     ];
     for (idx, spectrum) in cases.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(402 + idx as u64);
@@ -107,12 +107,20 @@ fn banded_intermediates_verified_by_inertia_counts() {
     let probes = [-5.0, -3.0, -1.0, 0.0, 1.5];
     for probe in probes {
         let expected = spectrum.iter().filter(|l| **l < probe).count();
-        assert_eq!(count_below_banded(&band, probe), expected, "after full→band");
+        assert_eq!(
+            count_below_banded(&band, probe),
+            expected,
+            "after full→band"
+        );
     }
     let half = try_band_to_band(&m, &PGrid::all(p), &band, 8, 1, None).unwrap();
     for probe in probes {
         let expected = spectrum.iter().filter(|l| **l < probe).count();
-        assert_eq!(count_below_banded(&half, probe), expected, "after band→band");
+        assert_eq!(
+            count_below_banded(&half, probe),
+            expected,
+            "after band→band"
+        );
     }
 }
 

@@ -148,13 +148,7 @@ fn full_to_band_run(n: usize, b: usize, p: usize, c: usize, seed: u64) -> (u64, 
     (band_fingerprint(&band, &rec), ledger(&machine))
 }
 
-fn band_to_band_run(
-    n: usize,
-    b: usize,
-    h: usize,
-    p: usize,
-    seed: u64,
-) -> (u64, Ledger) {
+fn band_to_band_run(n: usize, b: usize, h: usize, p: usize, seed: u64) -> (u64, Ledger) {
     let machine = Machine::new(MachineParams::new(p));
     let grid = Grid::all(p);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -216,8 +210,14 @@ where
         pool_ledger.0, inl_ledger.0,
         "{label}: folded F/W/Q/S ledger diverged"
     );
-    assert_eq!(pool_ledger.1, inl_ledger.1, "{label}: per-proc flops diverged");
-    assert_eq!(pool_ledger.2, inl_ledger.2, "{label}: per-proc words diverged");
+    assert_eq!(
+        pool_ledger.1, inl_ledger.1,
+        "{label}: per-proc flops diverged"
+    );
+    assert_eq!(
+        pool_ledger.2, inl_ledger.2,
+        "{label}: per-proc words diverged"
+    );
     assert_eq!(
         pool_ledger.3, inl_ledger.3,
         "{label}: per-proc supersteps diverged"
@@ -312,7 +312,9 @@ fn band_to_band_parallel_qr_leg_is_pinned() {
 
 #[test]
 fn thin_band_stages_are_pinned() {
-    assert_paths_agree("ca_sbr n=64 b=8 p=4", || thin_band_run(false, 64, 8, 4, 4064));
+    assert_paths_agree("ca_sbr n=64 b=8 p=4", || {
+        thin_band_run(false, 64, 8, 4, 4064)
+    });
     assert_paths_agree("lang n=48 b=6 p=4", || thin_band_run(true, 48, 6, 4, 4048));
 }
 

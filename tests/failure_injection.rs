@@ -259,7 +259,11 @@ fn solver_rejects_non_finite_input_up_front() {
         try_symm_eigen_25d(&m, &params, &nan),
         Err(EigenError::NonFiniteInput { row: 0, col: 0 })
     ));
-    assert_eq!(m.report().horizontal_words, 0, "rejected request charged the ledger");
+    assert_eq!(
+        m.report().horizontal_words,
+        0,
+        "rejected request charged the ledger"
+    );
     assert_eq!(m.report().supersteps, 0);
 }
 

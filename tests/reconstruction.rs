@@ -117,7 +117,11 @@ fn local_and_distributed_reconstructions_agree() {
         "U diverged: {}",
         rec.u.dense().max_diff(&u_loc)
     );
-    assert!(rec.t.max_diff(&t_loc) < 1e-9, "T diverged: {}", rec.t.max_diff(&t_loc));
+    assert!(
+        rec.t.max_diff(&t_loc) < 1e-9,
+        "T diverged: {}",
+        rec.t.max_diff(&t_loc)
+    );
 }
 
 #[test]
@@ -181,7 +185,10 @@ fn reconstruction_charges_the_ledger() {
     let _rec = reconstruct(&m, &q);
     let costs = m.costs_since(&before);
     assert!(costs.flops > 0, "reconstruction did no metered flops");
-    assert!(costs.horizontal_words > 0, "reconstruction moved no metered words");
+    assert!(
+        costs.horizontal_words > 0,
+        "reconstruction moved no metered words"
+    );
 }
 
 #[test]
@@ -207,12 +214,24 @@ fn production_shapes_reconstruct_to_working_precision() {
         let inline = exec::with_forced_serial(|| reconstruct(&machine(g), &q));
         assert_eq!(inline.s, rec.s, "g = {g}: signs depend on the budget");
         assert_eq!(inline.t, rec.t, "g = {g}: T's bits depend on the budget");
-        assert_eq!(inline.u.dense(), &u, "g = {g}: U's bits depend on the budget");
+        assert_eq!(
+            inline.u.dense(),
+            &u,
+            "g = {g}: U's bits depend on the budget"
+        );
 
         // The sequential form (right solves instead of inverses) agrees.
         let (u_loc, t_loc, s_loc) = reconstruct_local(&q_dense);
         assert_eq!(s_loc, rec.s);
-        assert!(u.max_diff(&u_loc) < 1e-12, "g = {g}: U off the local form by {}", u.max_diff(&u_loc));
-        assert!(rec.t.max_diff(&t_loc) < 1e-12, "g = {g}: T off the local form by {}", rec.t.max_diff(&t_loc));
+        assert!(
+            u.max_diff(&u_loc) < 1e-12,
+            "g = {g}: U off the local form by {}",
+            u.max_diff(&u_loc)
+        );
+        assert!(
+            rec.t.max_diff(&t_loc) < 1e-12,
+            "g = {g}: T off the local form by {}",
+            rec.t.max_diff(&t_loc)
+        );
     }
 }

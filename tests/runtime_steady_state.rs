@@ -20,8 +20,8 @@
 
 use ca_service::{EigenService, JobTicket, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::bsp::{Machine, MachineParams};
-use ca_symm_eig::dla::{gen, rt, Matrix};
 use ca_symm_eig::dla::{gemm, Trans};
+use ca_symm_eig::dla::{gen, rt, Matrix};
 use ca_symm_eig::eigen::{try_symm_eigen_25d, EigenParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,7 +92,11 @@ fn spawns_stay_flat_after_warm_up() {
             );
         }
     }
-    assert_eq!(rt::stats().spawns, after_warm_up, "a solve created a thread");
+    assert_eq!(
+        rt::stats().spawns,
+        after_warm_up,
+        "a solve created a thread"
+    );
 
     // Service: its workers are counted too, once, at construction.
     let workers = 2;
@@ -118,7 +122,11 @@ fn spawns_stay_flat_after_warm_up() {
             t.and_then(JobTicket::wait).expect("job");
         }
     }
-    assert_eq!(rt::stats().spawns, warm, "serving 200 jobs created a thread");
+    assert_eq!(
+        rt::stats().spawns,
+        warm,
+        "serving 200 jobs created a thread"
+    );
 }
 
 #[test]

@@ -89,7 +89,9 @@ fn concurrent_batch_is_bit_identical_to_solo() {
     let served = serve_all(&service, &jobs);
     assert_eq!(served.len(), jobs.len());
     for (((label, _), want), got) in jobs.iter().zip(&solo).zip(&served) {
-        let got = got.as_ref().unwrap_or_else(|e| panic!("served {label}: {e}"));
+        let got = got
+            .as_ref()
+            .unwrap_or_else(|e| panic!("served {label}: {e}"));
         assert_eq!(
             want,
             &bits(got),

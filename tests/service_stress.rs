@@ -109,7 +109,9 @@ fn eight_clients_mixed_sizes_no_lost_jobs_bit_identical() {
                     shuffle(&mut order, &mut rng);
                     let mut results = Vec::new();
                     for i in order {
-                        let ticket = service.submit(pool[i].clone()).expect("capacity 256 holds all");
+                        let ticket = service
+                            .submit(pool[i].clone())
+                            .expect("capacity 256 holds all");
                         results.push((i, result_hash(&ticket.wait().expect("solve"))));
                     }
                     results
@@ -133,7 +135,10 @@ fn eight_clients_mixed_sizes_no_lost_jobs_bit_identical() {
         let stats = service.stats();
         assert_eq!(stats.submitted, pool.len() as u64);
         assert_eq!(stats.completed, pool.len() as u64);
-        assert_eq!((stats.failed, stats.deadline_missed, stats.rejected), (0, 0, 0));
+        assert_eq!(
+            (stats.failed, stats.deadline_missed, stats.rejected),
+            (0, 0, 0)
+        );
     }
 }
 
@@ -199,7 +204,11 @@ fn expired_deadlines_are_typed_and_late_jobs_still_run() {
         .map(|i| {
             let job = pool[i].clone();
             let doomed = i % 2 == 0;
-            let job = if doomed { job.timeout(Duration::ZERO) } else { job };
+            let job = if doomed {
+                job.timeout(Duration::ZERO)
+            } else {
+                job
+            };
             (doomed, service.submit(job).expect("admit"))
         })
         .collect();
@@ -208,8 +217,17 @@ fn expired_deadlines_are_typed_and_late_jobs_still_run() {
 
     for (doomed, t) in tickets {
         match (doomed, t.wait()) {
-            (true, Err(EigenError::Deadline { timeout_ms: 0, waited_ms })) => {
-                assert!(waited_ms < 60_000, "bounded wait expected, got {waited_ms} ms");
+            (
+                true,
+                Err(EigenError::Deadline {
+                    timeout_ms: 0,
+                    waited_ms,
+                }),
+            ) => {
+                assert!(
+                    waited_ms < 60_000,
+                    "bounded wait expected, got {waited_ms} ms"
+                );
             }
             (true, other) => panic!("doomed job: expected Deadline, got {:?}", other.map(|_| ())),
             (false, Ok(_)) => {}

@@ -102,7 +102,11 @@ fn stage_spans_pin_names_costs_and_nesting() {
     let (machine, stages) = solve(64, 4, 42);
     obs::set_level(0);
     let events = obs::drain();
-    assert_eq!(obs::take_dropped(), 0, "stage-level trace must not overflow the ring");
+    assert_eq!(
+        obs::take_dropped(),
+        0,
+        "stage-level trace must not overflow the ring"
+    );
 
     let span_names: Vec<&str> = events.iter().map(|e| e.name()).collect();
     let stage_names: Vec<&str> = stages.stages.iter().map(|s| s.name.as_str()).collect();
@@ -127,7 +131,11 @@ fn stage_spans_pin_names_costs_and_nesting() {
     assert_eq!(sum(|e| e.vertical_words), ledger.vertical_words);
     assert_eq!(sum(|e| e.supersteps), ledger.supersteps);
     for ev in &events {
-        assert!(ev.end_ns >= ev.start_ns, "span {:?} ends before it starts", ev.name());
+        assert!(
+            ev.end_ns >= ev.start_ns,
+            "span {:?} ends before it starts",
+            ev.name()
+        );
     }
 
     // Phase 2 — level 2: kernel spans appear and nest per thread.
@@ -177,7 +185,11 @@ fn stage_spans_pin_names_costs_and_nesting() {
         }
         obs::set_level(0);
         let events = obs::drain();
-        assert_eq!(obs::take_dropped(), 0, "finale trace must not overflow the ring");
+        assert_eq!(
+            obs::take_dropped(),
+            0,
+            "finale trace must not overflow the ring"
+        );
         assert_eq!(
             chase_windows() - chases_before,
             plan_len(400, "finale.halve (200→64)"),
@@ -185,11 +197,15 @@ fn stage_spans_pin_names_costs_and_nesting() {
         );
 
         let wall = |e: &obs::Event| (e.end_ns - e.start_ns) as f64;
-        let stage: Vec<&obs::Event> =
-            events.iter().filter(|e| e.name() == "sequential eigensolve").collect();
+        let stage: Vec<&obs::Event> = events
+            .iter()
+            .filter(|e| e.name() == "sequential eigensolve")
+            .collect();
         assert_eq!(stage.len(), 1, "one sequential stage per solve");
-        let legs: Vec<&obs::Event> =
-            events.iter().filter(|e| e.name().starts_with("finale.")).collect();
+        let legs: Vec<&obs::Event> = events
+            .iter()
+            .filter(|e| e.name().starts_with("finale."))
+            .collect();
         let names: Vec<&str> = legs.iter().map(|e| e.name()).collect();
         assert_eq!(
             names,
@@ -228,13 +244,18 @@ fn stage_spans_pin_names_costs_and_nesting() {
         .filter(|name| name.starts_with("band-to-band") || name.starts_with("ca-sbr"))
         .collect();
     assert!(
-        chase_stages.iter().any(|name| name.starts_with("band-to-band"))
+        chase_stages
+            .iter()
+            .any(|name| name.starts_with("band-to-band"))
             && chase_stages.iter().any(|name| name.starts_with("ca-sbr")),
         "the solve was meant to run both stages: {chase_stages:?}"
     );
     assert_eq!(
         chase_windows() - chases_before,
-        chase_stages.iter().map(|name| plan_len(n, name)).sum::<u64>(),
+        chase_stages
+            .iter()
+            .map(|name| plan_len(n, name))
+            .sum::<u64>(),
         "every chase of {chase_stages:?} passes the kernel's counter"
     );
 
@@ -248,17 +269,34 @@ fn stage_spans_pin_names_costs_and_nesting() {
     let _ = try_full_to_band(&machine, &EigenParams::new(8, 2), &a, b, None).unwrap();
     obs::set_level(0);
     let events = obs::drain();
-    assert_eq!(obs::take_dropped(), 0, "full→band trace must not overflow the ring");
+    assert_eq!(
+        obs::take_dropped(),
+        0,
+        "full→band trace must not overflow the ring"
+    );
 
-    let driver: Vec<&obs::Event> =
-        events.iter().filter(|e| e.name() == "driver.full_to_band").collect();
+    let driver: Vec<&obs::Event> = events
+        .iter()
+        .filter(|e| e.name() == "driver.full_to_band")
+        .collect();
     assert_eq!(driver.len(), 1, "one driver span per reduction");
     let driver = driver[0];
-    let lines: Vec<&obs::Event> = events.iter().filter(|e| e.name().starts_with("f2b.")).collect();
+    let lines: Vec<&obs::Event> = events
+        .iter()
+        .filter(|e| e.name().starts_with("f2b."))
+        .collect();
     let count = |name: &str| lines.iter().filter(|e| e.name() == name).count();
     let panels = n.div_ceil(b) - 1;
     assert_eq!(
-        ["f2b.line5", "f2b.qr", "f2b.w", "f2b.v1", "f2b.append", "f2b.base"].map(count),
+        [
+            "f2b.line5",
+            "f2b.qr",
+            "f2b.w",
+            "f2b.v1",
+            "f2b.append",
+            "f2b.base"
+        ]
+        .map(count),
         [panels, panels, panels, panels, panels, 1],
         "one span per pseudocode line and panel, one base case"
     );
@@ -296,7 +334,11 @@ fn stage_spans_pin_names_costs_and_nesting() {
     let _ = try_full_to_band(&machine, &EigenParams::new(4, 1), &a, b, None).unwrap();
     obs::set_level(0);
     let events = obs::drain();
-    assert_eq!(obs::take_dropped(), 0, "rect-QR trace must not overflow the ring");
+    assert_eq!(
+        obs::take_dropped(),
+        0,
+        "rect-QR trace must not overflow the ring"
+    );
 
     let qr: Vec<&obs::Event> = events.iter().filter(|e| e.name() == "f2b.qr").collect();
     assert!(!qr.is_empty());
@@ -305,20 +347,40 @@ fn stage_spans_pin_names_costs_and_nesting() {
             .iter()
             .any(|o| e.tid == o.tid && e.start_ns >= o.start_ns && e.end_ns <= o.end_ns)
     };
-    let pieces: Vec<&obs::Event> = events.iter().filter(|e| e.name().starts_with("rq.")).collect();
-    for name in ["rq.tsqr", "rq.explicit_q", "rq.reconstruct", "rq.split", "rq.update", "rq.merge"] {
+    let pieces: Vec<&obs::Event> = events
+        .iter()
+        .filter(|e| e.name().starts_with("rq."))
+        .collect();
+    for name in [
+        "rq.tsqr",
+        "rq.explicit_q",
+        "rq.reconstruct",
+        "rq.split",
+        "rq.update",
+        "rq.merge",
+    ] {
         assert!(pieces.iter().any(|e| e.name() == name), "no {name} span");
     }
     assert!(
         pieces.iter().all(|e| inside(e, &qr)),
         "an rq.* span lies outside line 7 or off the driver's thread"
     );
-    let reconstructs: Vec<&obs::Event> =
-        pieces.iter().copied().filter(|e| e.name() == "rq.reconstruct").collect();
+    let reconstructs: Vec<&obs::Event> = pieces
+        .iter()
+        .copied()
+        .filter(|e| e.name() == "rq.reconstruct")
+        .collect();
     for name in ["rc.lu", "rc.triinv", "rc.u", "rc.t"] {
         let steps: Vec<&obs::Event> = events.iter().filter(|e| e.name() == name).collect();
-        assert_eq!(steps.len(), reconstructs.len(), "one {name} per reconstruction");
-        assert!(steps.iter().all(|e| inside(e, &reconstructs)), "{name} outside rq.reconstruct");
+        assert_eq!(
+            steps.len(),
+            reconstructs.len(),
+            "one {name} per reconstruction"
+        );
+        assert!(
+            steps.iter().all(|e| inside(e, &reconstructs)),
+            "{name} outside rq.reconstruct"
+        );
     }
     let (pieces_ns, qr_ns) = (
         pieces.iter().map(|e| wall(e)).sum::<f64>(),
