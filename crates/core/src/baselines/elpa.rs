@@ -13,13 +13,14 @@
 use crate::full_to_band::try_full_to_band;
 use crate::lang::lang_band_to_tridiagonal;
 use crate::params::EigenParams;
-use crate::solver::gather_and_charge_finale;
+use crate::solver::{gather_and_charge_finale, in_safe_range};
 use ca_bsp::Machine;
 use ca_dla::Matrix;
 use ca_pla::grid::Grid;
 
 /// Two-stage eigenvalue computation; `p` must have an integer square
-/// root (2D grid). Returns the eigenvalues in ascending order.
+/// root (2D grid). Returns the eigenvalues in ascending order. Badly
+/// scaled input is solved as the solver solves it ([`in_safe_range`]).
 pub fn elpa_two_stage(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let params = EigenParams::new(p, 1);
@@ -29,17 +30,21 @@ pub fn elpa_two_stage(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let hi = (n / 2).max(1);
     let b = (n / params.q.max(1)).clamp(2.min(hi), hi);
 
-    // Stage 1: 2D full → band (no replication).
-    let band = try_full_to_band(machine, &params, a, b, None)
-        .expect("the baseline takes a square symmetric matrix");
+    let solve = |a: &Matrix| {
+        // Stage 1: 2D full → band (no replication).
+        let band = try_full_to_band(machine, &params, a, b, None)
+            .expect("the baseline takes a square symmetric matrix");
 
-    // Stage 2: band → tridiagonal via Lang's algorithm [36].
-    let tri = lang_band_to_tridiagonal(machine, &Grid::all(p), &band, None);
+        // Stage 2: band → tridiagonal via Lang's algorithm [36].
+        let tri = lang_band_to_tridiagonal(machine, &Grid::all(p), &band, None);
 
-    // Gather the tridiagonal and solve it sequentially.
-    gather_and_charge_finale(machine, p, &tri);
-    machine.fence();
-    ca_dla::tridiag::try_banded_eigenvalues(&tri).expect("the finale converges on a finite band")
+        // Gather the tridiagonal and solve it sequentially.
+        gather_and_charge_finale(machine, p, &tri);
+        machine.fence();
+        ca_dla::tridiag::try_banded_eigenvalues(&tri)
+            .expect("the finale converges on a finite band")
+    };
+    in_safe_range(a, a.norm_max(), solve, |ev| Some(ev))
 }
 
 #[cfg(test)]

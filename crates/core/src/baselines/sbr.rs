@@ -6,30 +6,36 @@
 use crate::ca_sbr::ca_sbr;
 use crate::full_to_band::try_full_to_band;
 use crate::params::EigenParams;
-use crate::solver::gather_and_charge_finale;
+use crate::solver::{gather_and_charge_finale, in_safe_range};
 use ca_bsp::Machine;
 use ca_dla::Matrix;
 use ca_pla::grid::Grid;
 
 /// Successive-band-reduction eigenvalues; `p` must have an integer
 /// square root (2D grid). Returns the eigenvalues in ascending order.
+/// Badly scaled input is solved as the solver solves it
+/// ([`in_safe_range`]).
 pub fn ca_sbr_eigenvalues(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let params = EigenParams::new(p, 1);
     let b = params.initial_bandwidth(n);
-    let mut band = try_full_to_band(machine, &params, a, b, None)
-        .expect("the baseline takes a square symmetric matrix");
-    let grid = Grid::all(p);
-    let target = (n / p).max(1);
-    while band.bandwidth() > target && band.bandwidth() >= 2 {
-        // Lemma IV.2 is valid for b ≤ n/p̂: use at most n/b processors
-        // per halving (the 1D pipeline cannot use more anyway).
-        let active = grid.prefix((n / band.bandwidth()).clamp(1, p));
-        band = ca_sbr(machine, &active, &band, None);
-    }
-    gather_and_charge_finale(machine, p, &band);
-    machine.fence();
-    ca_dla::tridiag::try_banded_eigenvalues(&band).expect("the finale converges on a finite band")
+    let solve = |a: &Matrix| {
+        let mut band = try_full_to_band(machine, &params, a, b, None)
+            .expect("the baseline takes a square symmetric matrix");
+        let grid = Grid::all(p);
+        let target = (n / p).max(1);
+        while band.bandwidth() > target && band.bandwidth() >= 2 {
+            // Lemma IV.2 is valid for b ≤ n/p̂: use at most n/b processors
+            // per halving (the 1D pipeline cannot use more anyway).
+            let active = grid.prefix((n / band.bandwidth()).clamp(1, p));
+            band = ca_sbr(machine, &active, &band, None);
+        }
+        gather_and_charge_finale(machine, p, &band);
+        machine.fence();
+        ca_dla::tridiag::try_banded_eigenvalues(&band)
+            .expect("the finale converges on a finite band")
+    };
+    in_safe_range(a, a.norm_max(), solve, |ev| Some(ev))
 }
 
 #[cfg(test)]

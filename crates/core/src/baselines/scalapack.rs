@@ -11,6 +11,7 @@
 //! The numerics are the textbook two-sided update
 //! `T ← T − v·wᵀ − w·vᵀ` with `w = τ·T·v − (τ²/2)(vᵀTv)·v`.
 
+use crate::solver::in_safe_range;
 use ca_bsp::Machine;
 use ca_dla::qr::house_gen;
 use ca_dla::Matrix;
@@ -107,19 +108,24 @@ pub fn scalapack_tridiag(machine: &Machine, grid: &Grid, a: &Matrix) -> (Vec<f64
 }
 
 /// Full baseline: tridiagonalize and solve (eigenvalues gathered and
-/// computed on one processor, as the final stage).
+/// computed on one processor, as the final stage). Badly scaled input is
+/// solved as the solver solves it ([`in_safe_range`]).
 pub fn scalapack_eigenvalues(machine: &Machine, grid: &Grid, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
-    let (d, e) = scalapack_tridiag(machine, grid, a);
-    coll::gather(
-        machine,
-        grid,
-        0,
-        ((2 * n) as u64).div_ceil(grid.len().max(1) as u64),
-    );
-    machine.charge_flops(grid.proc(0), 30 * (n as u64).pow(2));
-    machine.fence();
-    ca_dla::tridiag::try_tridiag_eigenvalues(&d, &e).expect("QL converges on a finite tridiagonal")
+    let solve = |a: &Matrix| {
+        let (d, e) = scalapack_tridiag(machine, grid, a);
+        coll::gather(
+            machine,
+            grid,
+            0,
+            ((2 * n) as u64).div_ceil(grid.len().max(1) as u64),
+        );
+        machine.charge_flops(grid.proc(0), 30 * (n as u64).pow(2));
+        machine.fence();
+        ca_dla::tridiag::try_tridiag_eigenvalues(&d, &e)
+            .expect("QL converges on a finite tridiagonal")
+    };
+    in_safe_range(a, a.norm_max(), solve, |ev| Some(ev))
 }
 
 #[cfg(test)]

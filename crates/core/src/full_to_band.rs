@@ -35,7 +35,7 @@ use ca_pla::dist::DistMatrix;
 use ca_pla::grid::Grid;
 use ca_pla::kern;
 use ca_pla::rect_qr::rect_qr;
-use ca_pla::streaming::streaming_mm_view_into;
+use ca_pla::streaming::{streaming_mm_charge, streaming_mm_view_into};
 
 /// Reduce the symmetric `a` to a banded matrix of band-width `b` with
 /// the same eigenvalues (Algorithm IV.1). Requires `1 ≤ b < n`; `n`
@@ -178,6 +178,11 @@ pub(crate) fn full_to_band_impl(
     // Lines 5 and 1: the `rem × cols` block of `A̅` at `(o, o)`, i.e.
     // `A + U⁽⁰⁾V⁽⁰⁾ᵀ + V⁽⁰⁾U⁽⁰⁾ᵀ` restricted to it. The transposed
     // aggregate blocks are read in place instead of being materialized.
+    // The base case's block is square, and there `V·Uᵀ` is `U·Vᵀ`
+    // transposed bit for bit — each cell is the same chain of fused
+    // multiply-adds over the same inner blocks and `KC` chunks, with the
+    // two factors of every product swapped — so it is charged as a
+    // product but computed as that transpose.
     let updated_block = |u_agg: &Matrix, v_agg: &Matrix, o: usize, cols: usize, m_agg: usize| {
         let rem = n - o;
         let sub = (o, 0, rem, m_agg);
@@ -188,13 +193,18 @@ pub(crate) fn full_to_band_impl(
             &v_agg.subview(o, 0, cols, m_agg),
             true,
         );
-        let vut = streaming_mm(
-            &v_agg.view(),
-            sub,
-            false,
-            &u_agg.subview(o, 0, cols, m_agg),
-            true,
-        );
+        let vut = if cols == rem {
+            streaming_mm_charge(machine, &grid3, rem, m_agg, cols, false, w_depth);
+            uvt.transpose()
+        } else {
+            streaming_mm(
+                &v_agg.view(),
+                sub,
+                false,
+                &u_agg.subview(o, 0, cols, m_agg),
+                true,
+            )
+        };
         let mut block = a.block(o, o, rem, cols);
         block.axpy(1.0, &uvt);
         block.axpy(1.0, &vut);

@@ -20,6 +20,7 @@ use crate::ca_sbr::ca_sbr;
 use crate::error::EigenError;
 use crate::params::EigenParams;
 use ca_bsp::{Costs, Machine};
+use ca_dla::tridiag::{safe_range_exponent, scale_pow2};
 use ca_dla::{BandedSym, Matrix};
 use ca_pla::coll;
 use ca_pla::grid::Grid;
@@ -241,14 +242,9 @@ fn validate_input(machine: &Machine, params: &EigenParams, a: &Matrix) -> Result
     crate::full_to_band::check_symmetric(a)
 }
 
-/// [`solve_impl`] on `a` brought into LAPACK `dsyev`'s safe range.
-/// Outside `[√(MIN_POSITIVE/ε), its reciprocal]` (≈ `[1e-146, 1e146]`)
-/// the stages underflow or overflow: silently wrong eigenvalues, or
-/// `NoConvergence` on finite input. A nonzero `amax = ‖A‖_max` there
-/// solves `2^k·A` with `‖2^k·A‖_max ∈ [½, 1)` instead and scales the
-/// eigenvalues back by `2^−k`. Both scalings are exact and charge
-/// nothing, and the eigenvectors need no unscaling; in-range inputs are
-/// solved as they are.
+/// [`solve_impl`] on `a` brought into LAPACK `dsyev`'s safe range
+/// ([`in_safe_range`]; `amax = ‖A‖_max` comes from `check_symmetric`'s
+/// scan, uncharged).
 fn solve_in_range(
     machine: &Machine,
     params: &EigenParams,
@@ -256,33 +252,38 @@ fn solve_in_range(
     amax: f64,
     want_vectors: bool,
 ) -> Result<(Vec<f64>, StageCosts, Option<Matrix>), EigenError> {
-    let rmin = (f64::MIN_POSITIVE / f64::EPSILON).sqrt();
-    if amax == 0.0 || (rmin..=1.0 / rmin).contains(&amax) {
-        return solve_impl(machine, params, a, want_vectors);
-    }
-    let k = -binary_exponent(amax);
+    in_safe_range(
+        a,
+        amax,
+        |a| solve_impl(machine, params, a, want_vectors),
+        |r| r.as_mut().ok().map(|(ev, ..)| ev),
+    )
+}
+
+/// `solve(a)`, with `a` first brought into LAPACK `dsyev`'s safe range:
+/// when `amax = ‖A‖_max` lies outside it
+/// ([`ca_dla::tridiag::safe_range_exponent`]), `solve` gets `2^k·A` with
+/// `‖2^k·A‖_max ∈ [½, 1)` and the eigenvalues `eigenvalues` finds in its
+/// result are scaled back by `2^−k`. Both scalings are exact and charge
+/// nothing, so the ledger is the unit-scale run's, and eigenvectors need
+/// no unscaling; in-range inputs are solved as they are. The solver and
+/// the Table I baselines enter through here.
+pub(crate) fn in_safe_range<R>(
+    a: &Matrix,
+    amax: f64,
+    solve: impl FnOnce(&Matrix) -> R,
+    eigenvalues: impl FnOnce(&mut R) -> Option<&mut Vec<f64>>,
+) -> R {
+    let Some(k) = safe_range_exponent(amax) else {
+        return solve(a);
+    };
     let mut scaled = a.clone();
     scale_pow2(scaled.data_mut(), k);
-    let (mut ev, costs, v) = solve_impl(machine, params, &scaled, want_vectors)?;
-    scale_pow2(&mut ev, -k);
-    Ok((ev, costs, v))
-}
-
-/// Multiply every entry by `2^k`, in two power-of-two steps: `|k|` can
-/// reach 1074, past the largest finite power of two.
-fn scale_pow2(xs: &mut [f64], k: i32) {
-    let (lo, hi) = (2f64.powi(k / 2), 2f64.powi(k - k / 2));
-    for x in xs {
-        *x = *x * lo * hi;
+    let mut result = solve(&scaled);
+    if let Some(ev) = eigenvalues(&mut result) {
+        scale_pow2(ev, -k);
     }
-}
-
-/// The exponent `e` of a finite `x > 0` written as `m·2^e`, `m ∈ [½, 1)`.
-fn binary_exponent(x: f64) -> i32 {
-    match ((x.to_bits() >> 52) & 0x7ff) as i32 {
-        0 => binary_exponent(x * 2f64.powi(64)) - 64, // subnormal
-        biased => biased - 1022,
-    }
+    result
 }
 
 fn solve_impl(

@@ -9,7 +9,7 @@
 //! rank-one update, solve the halves independently (in parallel — the
 //! subproblems share nothing), and stitch the spectra back together
 //! through the **secular equation**, expressing the eigenvector merge
-//! as a dense GEMM so the dominant cost runs at blocked-kernel rates.
+//! as GEMM products so the dominant cost runs at blocked-kernel rates.
 //!
 //! Pipeline per merge, following Gu & Eisenstat's stable formulation:
 //!
@@ -36,9 +36,22 @@
 //! 4. **Gu/Eisenstat ẑ**: recompute `ẑᵢ² = Πⱼ(λⱼ−dᵢ)/Πⱼ≠ᵢ(dⱼ−dᵢ)` from
 //!    the computed roots, which restores numerical orthogonality of the
 //!    secular eigenvectors without extended precision.
-//! 5. **GEMM merge**: the undeflated eigenvectors of the merged system
-//!    are `Q·Û` — one dense `n × m × m` product through the blocked
-//!    [`crate::gemm`] kernels; deflated columns pass through untouched.
+//! 5. **GEMM merge on row halves**: the undeflated eigenvectors of the
+//!    merged system are `Q·Û` with `Q = [Q₁ 0; 0 Q₂]`, products through
+//!    the blocked [`crate::gemm`] kernels; deflated columns pass through
+//!    untouched. `Q` is never formed: rows `0..k` (from `Q₁`) and rows
+//!    `k..n` (from `Q₂`) are multiplied apart, each only by the rows of
+//!    `Û` whose kept columns can be non-zero in it — a column a deflating
+//!    rotation mixed across the tear counts in both — so a merge with
+//!    nothing across the tear does half the dense product's flops. The
+//!    halves run as the two sides of one `rayon::join`. **Chunk rule:**
+//!    GEMM sums each cell in `KC` = 256-wide chunks of the inner (kept)
+//!    index, so a half runs one product per chunk over that chunk's
+//!    columns it holds, in ascending kept order, `β = 0` first and
+//!    `β = 1` after; the dropped columns are exact zeros inside a chunk,
+//!    so every bit is the dense product's (`oracle::dnc_eigen_reference`).
+//!    **Memory:** beside `Û` and the output, a merge holds `O(n·KC)`
+//!    scratch — no `n × n` carrier, gathered copy or product buffer.
 //!
 //! **Determinism**: subproblems are independent, every merge is a
 //! deterministic function of its inputs, and secular roots are solved
@@ -50,10 +63,12 @@
 //! parent merge ever reads — turning the `O(n³)` vector algebra into
 //! `O(n²)` while following the identical deflation/secular path.
 
-use crate::gemm::{matmul, Trans};
+use crate::gemm::{gemm_view, Trans, KC, PAR_FLOPS};
 use crate::matrix::Matrix;
 use crate::tridiag::{try_tridiag_eigen, NoConvergence};
+use crate::view::{MatrixView, MatrixViewMut};
 use rayon::prelude::*;
+use std::ops::Range;
 
 // Secular-equation work counters (live only when `CA_TRACE ≥ 1`).
 static SECULAR_ROOTS: ca_obs::Counter = ca_obs::Counter::new("dnc.secular_roots");
@@ -76,7 +91,7 @@ pub(crate) const LEAF: usize = 40;
 /// failure (never observed on finite input) is the only error path.
 pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     check_shape(d, e);
-    solve_full(d, e, LEAF)
+    solve_full(d, e, LEAF, merge)
 }
 
 /// Eigenvalues only, in ascending order. Same recursion and merge
@@ -84,7 +99,7 @@ pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergen
 /// and last eigenvector rows) instead of the full `Z`.
 pub fn dnc_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
     check_shape(d, e);
-    let (lam, _) = solve_rows(d, e, LEAF)?;
+    let (lam, _) = solve_rows(d, e, LEAF, merge)?;
     Ok(lam)
 }
 
@@ -93,7 +108,20 @@ fn check_shape(d: &[f64], e: &[f64]) {
     assert_eq!(e.len(), d.len() - 1, "sub-diagonal must have n−1 entries");
 }
 
-fn solve_full(d: &[f64], e: &[f64], leaf: usize) -> Result<(Vec<f64>, Matrix), NoConvergence> {
+/// How a merge turns the halves' carried rows into the merged system's:
+/// `merge(plan, q₁, q₂)` with `q₁` the left half's rows over pre-merge
+/// columns `0..k` and `q₂` the right half's over `k..n` returns the
+/// merged eigenvalues and their `(r₁ + r₂) × n` rows of the merged
+/// eigenvector matrix. The solver passes [`merge`]; the tests pass the
+/// dense oracle.
+pub(crate) type Merge = fn(MergePlan, Matrix, Matrix) -> (Vec<f64>, Matrix);
+
+pub(crate) fn solve_full(
+    d: &[f64],
+    e: &[f64],
+    leaf: usize,
+    merge: Merge,
+) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     let n = d.len();
     if n <= leaf {
         return try_tridiag_eigen(d, e);
@@ -101,25 +129,25 @@ fn solve_full(d: &[f64], e: &[f64], leaf: usize) -> Result<(Vec<f64>, Matrix), N
     let k = n / 2;
     let (d1, d2, rho, s) = tear(d, e, k);
     let (left, right) = rayon::join(
-        || solve_full(&d1, &e[..k - 1], leaf),
-        || solve_full(&d2, &e[k..], leaf),
+        || solve_full(&d1, &e[..k - 1], leaf, merge),
+        || solve_full(&d2, &e[k..], leaf, merge),
     );
     let (lam1, q1) = left?;
     let (lam2, q2) = right?;
 
     let (dm, z) = merge_inputs(&lam1, &lam2, q1.row(k - 1), q2.row(0), s);
     let plan = merge_plan(&dm, &z, rho);
-
-    // Carrier: block-diagonal pre-merge eigenvector basis.
-    let mut c = Matrix::zeros(n, n);
-    c.set_block(0, 0, &q1);
-    c.set_block(k, k, &q2);
-    Ok(apply_merge(&plan, c))
+    Ok(merge(plan, q1, q2))
 }
 
 /// Row-pair recursion: returns `(λ, R)` with `R` `2 × n`, row 0 the
 /// first and row 1 the last row of the (never materialised) `Z`.
-fn solve_rows(d: &[f64], e: &[f64], leaf: usize) -> Result<(Vec<f64>, Matrix), NoConvergence> {
+pub(crate) fn solve_rows(
+    d: &[f64],
+    e: &[f64],
+    leaf: usize,
+    merge: Merge,
+) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     let n = d.len();
     if n <= leaf {
         let (lam, z) = try_tridiag_eigen(d, e)?;
@@ -131,20 +159,19 @@ fn solve_rows(d: &[f64], e: &[f64], leaf: usize) -> Result<(Vec<f64>, Matrix), N
     let k = n / 2;
     let (d1, d2, rho, s) = tear(d, e, k);
     let (left, right) = rayon::join(
-        || solve_rows(&d1, &e[..k - 1], leaf),
-        || solve_rows(&d2, &e[k..], leaf),
+        || solve_rows(&d1, &e[..k - 1], leaf, merge),
+        || solve_rows(&d2, &e[k..], leaf, merge),
     );
     let (lam1, r1) = left?;
     let (lam2, r2) = right?;
 
     let (dm, z) = merge_inputs(&lam1, &lam2, r1.row(1), r2.row(0), s);
     let plan = merge_plan(&dm, &z, rho);
-
-    // Carrier: first row of the left block, last row of the right.
-    let mut c = Matrix::zeros(2, n);
-    c.row_mut(0)[..k].copy_from_slice(r1.row(0));
-    c.row_mut(1)[k..].copy_from_slice(r2.row(1));
-    Ok(apply_merge(&plan, c))
+    // The rows a parent reads: the first of the left half, the last of
+    // the right.
+    let first = Matrix::from_vec(1, k, r1.row(0).to_vec());
+    let last = Matrix::from_vec(1, n - k, r2.row(1).to_vec());
+    Ok(merge(plan, first, last))
 }
 
 /// Split `(d, e)` at `k`: returns the two corrected diagonals, the
@@ -180,7 +207,7 @@ fn merge_inputs(
 }
 
 /// Where an output column of a merge comes from.
-enum ColSrc {
+pub(crate) enum ColSrc {
     /// Column `j` of the secular eigenvector set `Q·Û`.
     Secular(usize),
     /// The (rotation-updated) pre-merge column with this index.
@@ -190,19 +217,19 @@ enum ColSrc {
 /// Everything a merge decides *before* touching the carried
 /// eigenvector columns. Computing the plan first keeps the column
 /// algebra identical between the full-`Z` and row-pair drivers.
-struct MergePlan {
+pub(crate) struct MergePlan {
     /// Merged eigenvalues, ascending.
-    lam: Vec<f64>,
+    pub(crate) lam: Vec<f64>,
     /// Provenance of each output column, parallel to `lam`.
-    src: Vec<ColSrc>,
+    pub(crate) src: Vec<ColSrc>,
     /// Deflating Givens rotations `(col_i, col_j, c, s)`, applied in
     /// order to the carrier: `qᵢ ← c·qᵢ − s·qⱼ`, `qⱼ ← s·qᵢ + c·qⱼ`.
-    rots: Vec<(usize, usize, f64, f64)>,
+    pub(crate) rots: Vec<(usize, usize, f64, f64)>,
     /// Pre-merge column index of each undeflated (kept) slot.
-    kept_cols: Vec<usize>,
+    pub(crate) kept_cols: Vec<usize>,
     /// `m × m` secular eigenvector coefficients: column `j` holds the
     /// normalised `ûᵢ = ẑᵢ/(dᵢ − λⱼ)` over the kept slots.
-    ucoef: Matrix,
+    pub(crate) ucoef: Matrix,
 }
 
 /// Deflation scan + secular solve for the merged system
@@ -546,62 +573,192 @@ fn secular_root(dk: &[f64], zk: &[f64], rho: f64, j: usize) -> Root {
     Root { origin, mu }
 }
 
-/// Apply a merge plan to the carried eigenvector columns (`cmat` is
-/// `n × n` for the full driver, `2 × n` for the row-pair driver):
-/// deflating rotations, then the secular GEMM `W = Q[:, kept]·Û`, then
-/// column assembly in ascending eigenvalue order.
-fn apply_merge(plan: &MergePlan, mut cmat: Matrix) -> (Vec<f64>, Matrix) {
-    let nr = cmat.rows();
-    let n = plan.lam.len();
-    for &(i, j, c, s) in &plan.rots {
-        for r in 0..nr {
-            let a = cmat.get(r, i);
-            let b = cmat.get(r, j);
-            cmat.set(r, i, c * a - s * b);
-            cmat.set(r, j, s * a + c * b);
-        }
-    }
+/// The merge, one row half at a time. Rows `0..r₁` of the merged
+/// eigenvector matrix are `q₁`'s and can be non-zero only in the left
+/// half's pre-merge columns `0..k`, or in a column a deflating rotation
+/// mixed across the tear; rows `r₁..` likewise hold `q₂` over `k..n`.
+/// Each half rotates the columns it holds, multiplies its rows by the
+/// rows of `Û` its kept columns meet, and puts its rows into ascending-λ
+/// order. The halves share nothing but the plan, so a merge worth a fork
+/// runs them as the two sides of one `rayon::join` (inline under a core
+/// budget of 1 or below GEMM's fork size, with the same bits).
+///
+/// **Bits.** The dense product `[q₁ 0; 0 q₂]·Û` over the kept columns
+/// sums, per output cell, one `KC`-chunk accumulator of the kept index
+/// after another (the cell contract of [`crate::gemm`]). A kept column a
+/// half does not hold adds exact zeros to that half's accumulators, so
+/// the half runs one product per chunk over the chunk's columns it
+/// holds, in ascending kept order, `β = 0` on its first product and
+/// `β = 1` after: every accumulator, and so every output bit, is the
+/// dense product's (`oracle::dnc_eigen_reference` is that product). One
+/// product over the compacted columns would move the chunk boundaries
+/// and change bits.
+///
+/// **Memory.** Besides `Û` and the output, a half holds one chunk's
+/// gathered operands (`r × KC` of its rows, `KC × KC` of `Û` at a time),
+/// `O(n)` vectors and the columns rotated in from the other half.
+fn merge(plan: MergePlan, q1: Matrix, q2: Matrix) -> (Vec<f64>, Matrix) {
+    let (r1, k) = (q1.rows(), q1.cols());
+    let (r2, n) = (q2.rows(), k + q2.cols());
     let m = plan.kept_cols.len();
-    let mut out = Matrix::zeros(nr, n);
-    if m > 0 {
-        // Gather the kept columns and run the one dense merge GEMM.
-        let mut q_kept = Matrix::zeros(nr, m);
-        for r in 0..nr {
-            let row = cmat.row(r);
-            let dst = q_kept.row_mut(r);
-            for (t, &c) in plan.kept_cols.iter().enumerate() {
-                dst[t] = row[c];
-            }
-        }
-        let w = matmul(&q_kept, Trans::N, &plan.ucoef, Trans::N);
-        for r in 0..nr {
-            let wrow = w.row(r);
-            let crow = cmat.row(r);
-            let orow = out.row_mut(r);
-            for (oc, src) in plan.src.iter().enumerate() {
-                orow[oc] = match src {
-                    ColSrc::Secular(jj) => wrow[*jj],
-                    ColSrc::Deflated(cc) => crow[*cc],
-                };
-            }
-        }
+    let mut out = Matrix::zeros(r1 + r2, n);
+    let mut whole = out.view_mut();
+    let (top, bottom) = whole.split_rows_mut(r1);
+    let left = || Half::new(&plan, q1, 0..k).write(&plan, top);
+    let right = || Half::new(&plan, q2, k..n).write(&plan, bottom);
+    // Fork where GEMM would fork the dense product: a row-pair merge
+    // (r₁ + r₂ = 2) stays inline up to m = 1448.
+    if 2 * (r1 + r2) * m * m >= PAR_FLOPS {
+        rayon::join(left, right);
     } else {
-        for r in 0..nr {
-            let crow = cmat.row(r);
-            let orow = out.row_mut(r);
-            for (oc, src) in plan.src.iter().enumerate() {
-                if let ColSrc::Deflated(cc) = src {
-                    orow[oc] = crow[*cc];
+        left();
+        right();
+    }
+    (plan.lam, out)
+}
+
+/// Where one row half keeps a pre-merge column's entries.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Column `c` of the half's own eigenvectors.
+    Own(usize),
+    /// Entry `x` of the columns rotations mixed in from the other half.
+    Mixed(usize),
+    /// Not held: every entry in these rows is this zero (`−0` where the
+    /// dense carrier's rotations of two zero columns leave one).
+    Zero(f64),
+}
+
+/// One row half of a merge: its pre-merge eigenvector rows and the
+/// columns the deflating rotations mixed into them.
+struct Half {
+    q: Matrix,
+    /// Columns of the other half, one `Vec` of this half's rows each.
+    mixed: Vec<Vec<f64>>,
+    /// The slot of every pre-merge column.
+    slot: Vec<Slot>,
+}
+
+impl Half {
+    /// Take over `q`, the rows of pre-merge columns `own`, and apply the
+    /// plan's rotations with the dense carrier's expressions, the zero
+    /// operand of a column not held included.
+    fn new(plan: &MergePlan, q: Matrix, own: Range<usize>) -> Self {
+        let slot = (0..plan.lam.len())
+            .map(|c| {
+                if own.contains(&c) {
+                    Slot::Own(c - own.start)
+                } else {
+                    Slot::Zero(0.0)
+                }
+            })
+            .collect();
+        let mut h = Half {
+            q,
+            mixed: Vec::new(),
+            slot,
+        };
+        for &(i, j, c, s) in &plan.rots {
+            if let (Slot::Zero(a), Slot::Zero(b)) = (h.slot[i], h.slot[j]) {
+                h.slot[i] = Slot::Zero(c * a - s * b);
+                h.slot[j] = Slot::Zero(s * a + c * b);
+                continue;
+            }
+            for col in [i, j] {
+                if let Slot::Zero(v) = h.slot[col] {
+                    h.slot[col] = Slot::Mixed(h.mixed.len());
+                    h.mixed.push(vec![v; h.q.rows()]);
                 }
             }
+            for r in 0..h.q.rows() {
+                let (a, b) = (h.get(r, i), h.get(r, j));
+                h.set(r, i, c * a - s * b);
+                h.set(r, j, s * a + c * b);
+            }
+        }
+        h
+    }
+
+    fn holds(&self, col: usize) -> bool {
+        !matches!(self.slot[col], Slot::Zero(_))
+    }
+
+    fn get(&self, r: usize, col: usize) -> f64 {
+        match self.slot[col] {
+            Slot::Own(c) => self.q.get(r, c),
+            Slot::Mixed(x) => self.mixed[x][r],
+            Slot::Zero(v) => v,
         }
     }
-    (plan.lam.clone(), out)
+
+    fn set(&mut self, r: usize, col: usize, v: f64) {
+        match self.slot[col] {
+            Slot::Own(c) => self.q.set(r, c, v),
+            Slot::Mixed(x) => self.mixed[x][r] = v,
+            Slot::Zero(_) => unreachable!("rotations write held columns only"),
+        }
+    }
+
+    /// This half's rows of the merged eigenvector matrix into `out`
+    /// (`r × n`, zero on entry): the secular product into its leading
+    /// `m` columns, one product per `KC`-chunk of the kept index (in
+    /// `KC`-wide column blocks, so that `Û`'s rows are gathered a block
+    /// at a time), then each row through one `n`-long buffer into
+    /// ascending-λ order.
+    fn write(self, plan: &MergePlan, mut out: MatrixViewMut) {
+        let (rows, m) = (out.rows(), plan.kept_cols.len());
+        let width = m.min(KC);
+        let mut a = Vec::with_capacity(rows * width);
+        let mut b = Vec::with_capacity(width * width);
+        let mut beta = 0.0;
+        for p in (0..m).step_by(KC) {
+            let held: Vec<usize> = (p..m.min(p + KC))
+                .filter(|&t| self.holds(plan.kept_cols[t]))
+                .collect();
+            if held.is_empty() {
+                continue;
+            }
+            let w = held.len();
+            a.clear();
+            for r in 0..rows {
+                a.extend(held.iter().map(|&t| self.get(r, plan.kept_cols[t])));
+            }
+            for j0 in (0..m).step_by(KC) {
+                let jb = KC.min(m - j0);
+                b.clear();
+                for &t in &held {
+                    b.extend_from_slice(&plan.ucoef.row(t)[j0..j0 + jb]);
+                }
+                gemm_view(
+                    1.0,
+                    &MatrixView::from_slice(&a, rows, w),
+                    Trans::N,
+                    &MatrixView::from_slice(&b, w, jb),
+                    Trans::N,
+                    beta,
+                    &mut out.sub_mut(0, j0, rows, jb),
+                );
+            }
+            beta = 1.0;
+        }
+        let mut buf = vec![0.0; plan.src.len()];
+        for r in 0..rows {
+            let row = out.row_mut(r);
+            for (x, src) in buf.iter_mut().zip(&plan.src) {
+                *x = match *src {
+                    ColSrc::Secular(j) => row[j],
+                    ColSrc::Deflated(c) => self.get(r, c),
+                };
+            }
+            row.copy_from_slice(&buf);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::matmul;
     use crate::gen;
     use crate::sturm;
     use crate::tridiag::{spectrum_distance, try_tridiag_eigenvalues};
@@ -612,7 +769,7 @@ mod tests {
     /// subproblems of size `leaf`; returns the eigenvalues.
     fn check_eigen(d: &[f64], e: &[f64], tol: f64, leaf: usize) -> Vec<f64> {
         let n = d.len();
-        let (lam, z) = solve_full(d, e, leaf).expect("converges");
+        let (lam, z) = solve_full(d, e, leaf, merge).expect("converges");
         // Ascending.
         for w in lam.windows(2) {
             assert!(w[0] <= w[1], "eigenvalues not sorted");
@@ -651,7 +808,7 @@ mod tests {
             tz.max_diff(&zl)
         );
         // Values-only variant agrees exactly.
-        let (vals, _) = solve_rows(d, e, leaf).expect("converges");
+        let (vals, _) = solve_rows(d, e, leaf, merge).expect("converges");
         assert_eq!(vals, lam, "row-pair recursion diverged from full recursion");
         lam
     }
@@ -661,7 +818,7 @@ mod tests {
         let n = 33;
         let d = vec![2.0; n];
         let e = vec![-1.0; n - 1];
-        let (lam, _) = solve_full(&d, &e, 8).unwrap();
+        let (lam, _) = solve_full(&d, &e, 8, merge).unwrap();
         for (idx, l) in lam.iter().enumerate() {
             let want =
                 2.0 - 2.0 * ((idx + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
@@ -761,6 +918,151 @@ mod tests {
             let (full, _) = dnc_eigen(&d, &e).unwrap();
             assert_eq!(vals, full);
         }
+    }
+
+    /// The top merge's plan for `(d, e)` and its tear index.
+    fn top_plan(d: &[f64], e: &[f64]) -> (MergePlan, usize) {
+        let k = d.len() / 2;
+        let (d1, d2, rho, s) = tear(d, e, k);
+        let (lam1, r1) = solve_rows(&d1, &e[..k - 1], LEAF, merge).unwrap();
+        let (lam2, r2) = solve_rows(&d2, &e[k..], LEAF, merge).unwrap();
+        let (dm, z) = merge_inputs(&lam1, &lam2, r1.row(1), r2.row(0), s);
+        (merge_plan(&dm, &z, rho), k)
+    }
+
+    /// What a case's top merge must look like: `kept` secular columns,
+    /// and whether rotations pair poles within a half and across the
+    /// tear.
+    struct TopMerge {
+        kept: usize,
+        within: bool,
+        across: bool,
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: entry {i} is {g:e}, the dense merge's {w:e}"
+            );
+        }
+    }
+
+    /// Check that `(d, e)`'s top merge has the shape `top`, then hold
+    /// both drivers to the dense merge (`oracle::dnc_eigen_reference`)
+    /// bit for bit — eigenvalues, eigenvectors and the value driver's row
+    /// pair — inline (a core budget of 1) and forked.
+    fn assert_merge_matches_dense(what: &str, d: &[f64], e: &[f64], top: TopMerge) {
+        let what = format!("{what} n={}", d.len());
+        let (plan, k) = top_plan(d, e);
+        assert_eq!(plan.kept_cols.len(), top.kept, "{what}: kept columns");
+        let across = plan.rots.iter().filter(|r| (r.0 < k) != (r.1 < k)).count();
+        assert_eq!(across > 0, top.across, "{what}: rotations across the tear");
+        let within = plan.rots.len() > across;
+        assert_eq!(within, top.within, "{what}: rotations within a half");
+        for budget in [1, 4] {
+            rayon::with_budget(budget, || {
+                let at = |part: &str| format!("{what}, budget {budget}: {part}");
+                let (lam, z) = dnc_eigen(d, e).unwrap();
+                let (lam_ref, z_ref) = crate::oracle::dnc_eigen_reference(d, e, LEAF).unwrap();
+                assert_same_bits(&lam, &lam_ref, &at("λ"));
+                assert_same_bits(z.data(), z_ref.data(), &at("Z"));
+                let (vals, rows) = solve_rows(d, e, LEAF, merge).unwrap();
+                let (vals_ref, rows_ref) =
+                    crate::oracle::dnc_eigenvalues_reference(d, e, LEAF).unwrap();
+                assert_same_bits(&vals, &vals_ref, &at("values"));
+                assert_same_bits(rows.data(), rows_ref.data(), &at("row pair"));
+                assert_same_bits(&dnc_eigenvalues(d, e).unwrap(), &lam, &at("values vs λ"));
+            });
+        }
+    }
+
+    /// A nearly uniform chain whose halves sit 0.0123 apart: nothing
+    /// deflates, so the top merge keeps all `n` columns.
+    fn undeflated_chain(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = (0..n)
+            .map(|i| rng.gen_range(-1e-3..1e-3) + if i < n / 2 { 0.0 } else { 0.0123 })
+            .collect();
+        let e = (0..n - 1)
+            .map(|_| 1.0 + rng.gen_range(-1e-3..1e-3))
+            .collect();
+        (d, e)
+    }
+
+    #[test]
+    fn merge_bits_without_deflation_around_one_chunk() {
+        for n in [255usize, 256, 257] {
+            let (d, e) = undeflated_chain(n, 705);
+            let top = TopMerge {
+                kept: n,
+                within: false,
+                across: false,
+            };
+            assert_merge_matches_dense("no deflation", &d, &e, top);
+        }
+    }
+
+    #[test]
+    fn merge_bits_without_deflation_past_two_chunks() {
+        let (d, e) = undeflated_chain(520, 706);
+        let top = TopMerge {
+            kept: 520,
+            within: false,
+            across: false,
+        };
+        assert_merge_matches_dense("no deflation", &d, &e, top);
+    }
+
+    #[test]
+    fn merge_bits_under_heavy_deflation() {
+        // By z: the outer quarters are decoupled 6-blocks whose
+        // eigenvectors never reach the tear.
+        let n = 600;
+        const PAT: [f64; 6] = [0.3, -0.7, 1.1, 0.2, -0.4, 0.9];
+        let d: Vec<f64> = (0..n).map(|i| PAT[i % 6]).collect();
+        let e: Vec<f64> = (0..n - 1)
+            .map(|i| match i % 6 == 5 && (i < n / 4 || i >= 3 * n / 4) {
+                true => 1e-20,
+                false => 0.5 + 0.1 * ((i * 7) % 5) as f64,
+            })
+            .collect();
+        let top = TopMerge {
+            kept: 303,
+            within: false,
+            across: false,
+        };
+        assert_merge_matches_dense("decoupled blocks", &d, &e, top);
+        // By rotation: 25 Wilkinson W₂₁ blocks glued by 1e-12 give
+        // clusters of 25 poles, paired within each half and across it.
+        let n = 21 * 25;
+        let d: Vec<f64> = (0..n).map(|i| ((i % 21) as f64 - 10.0).abs()).collect();
+        let e: Vec<f64> = (0..n - 1)
+            .map(|i| if i % 21 == 20 { 1e-12 } else { 1.0 })
+            .collect();
+        let top = TopMerge {
+            kept: 43,
+            within: true,
+            across: true,
+        };
+        assert_merge_matches_dense("glued Wilkinson", &d, &e, top);
+    }
+
+    #[test]
+    fn merge_bits_with_every_kept_column_rotated_across_the_tear() {
+        // The tear of the 1-D Laplacian leaves two halves with the same
+        // spectrum: every kept column is a pair rotated across the tear,
+        // and 257 of them straddle a chunk boundary.
+        let n = 514;
+        let (d, e) = (vec![2.0; n], vec![-1.0; n - 1]);
+        let top = TopMerge {
+            kept: 257,
+            within: false,
+            across: true,
+        };
+        assert_merge_matches_dense("mirror halves", &d, &e, top);
     }
 
     proptest::proptest! {

@@ -73,7 +73,7 @@ const NR: usize = 8;
 const MC: usize = 96;
 /// Inner-dimension depth per packed panel — and the chunk length of the
 /// cell contract, so changing it changes output bits.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Columns of `op(B)` packed per panel (`KC·NC` doubles).
 const NC: usize = 2048;
 
@@ -96,7 +96,7 @@ const SMALL_FLOPS_ROWS: usize = 1 << 25;
 /// on the reference host (a 224×64×32 product ran 57 µs forked, 30 µs
 /// inline; DESIGN.md §6b); a product this size runs for ~300 µs, so the
 /// fork can pay for itself.
-const PAR_FLOPS: usize = 1 << 23;
+pub(crate) const PAR_FLOPS: usize = 1 << 23;
 
 /// `C ← α·op(A)·op(B) + β·C`.
 ///

@@ -17,6 +17,10 @@
 //!   ([`streaming_mm_partials_reference`]), the bitwise oracle of
 //!   `ca_pla::streaming`'s one product per inner block
 //!   (`crates/pla/tests/streaming_props.rs`);
+//! * the divide-and-conquer merge on the dense block-diagonal carrier
+//!   ([`dnc_eigen_reference`], [`dnc_eigenvalues_reference`]), the
+//!   bitwise oracle of [`crate::dnc`]'s merge on row halves (its unit
+//!   tests);
 //! * the portable instance of the band sweep
 //!   ([`sweep_to_tridiagonal_portable`]) and a GEMM with both of its free
 //!   choices forced ([`gemm_view_forced`]), which must agree with what
@@ -27,10 +31,12 @@
 
 use crate::band::BandedSym;
 use crate::bulge::{BlockReflector, ChaseOp};
+use crate::dnc::{self, ColSrc, MergePlan};
 use crate::gemm::{self, gemm, matmul, Fma, Trans};
 use crate::lu::{op_is_lower, unpack_lu, Diag, Triangle};
 use crate::matrix::Matrix;
 use crate::qr::qr_factor;
+use crate::tridiag::NoConvergence;
 use crate::view::{MatrixView, MatrixViewMut};
 use crate::workspace::with_ws;
 
@@ -318,4 +324,68 @@ pub fn streaming_mm_partials_reference(
             }
         }
     }
+}
+
+/// [`crate::dnc::dnc_eigen`] with the merge it ran before it worked on
+/// row halves ([`merge_dense_reference`]), recursing down to subproblems
+/// of size `leaf` (the solver's is 40). The production merge matches it
+/// bit for bit.
+pub fn dnc_eigen_reference(
+    d: &[f64],
+    e: &[f64],
+    leaf: usize,
+) -> Result<(Vec<f64>, Matrix), NoConvergence> {
+    dnc::solve_full(d, e, leaf, merge_dense_reference)
+}
+
+/// [`crate::dnc::dnc_eigenvalues`] with the dense merge: the
+/// eigenvalues and the `2 × n` row pair the recursion carries.
+pub fn dnc_eigenvalues_reference(
+    d: &[f64],
+    e: &[f64],
+    leaf: usize,
+) -> Result<(Vec<f64>, Matrix), NoConvergence> {
+    dnc::solve_rows(d, e, leaf, merge_dense_reference)
+}
+
+/// The dense merge: the halves' rows copied into the block-diagonal
+/// carrier `[q₁ 0; 0 q₂]`, the deflating rotations applied to its
+/// columns, the kept columns gathered into one operand for one secular
+/// product `W = Q[:, kept]·Û`, then every column placed in ascending-λ
+/// order.
+fn merge_dense_reference(plan: MergePlan, q1: Matrix, q2: Matrix) -> (Vec<f64>, Matrix) {
+    let (r1, k) = (q1.rows(), q1.cols());
+    let mut cmat = Matrix::zeros(r1 + q2.rows(), k + q2.cols());
+    cmat.set_block(0, 0, &q1);
+    cmat.set_block(r1, k, &q2);
+    let nr = cmat.rows();
+    let n = plan.lam.len();
+    for &(i, j, c, s) in &plan.rots {
+        for r in 0..nr {
+            let a = cmat.get(r, i);
+            let b = cmat.get(r, j);
+            cmat.set(r, i, c * a - s * b);
+            cmat.set(r, j, s * a + c * b);
+        }
+    }
+    let m = plan.kept_cols.len();
+    let mut out = Matrix::zeros(nr, n);
+    let mut q_kept = Matrix::zeros(nr, m);
+    for r in 0..nr {
+        let row = cmat.row(r);
+        for (dst, &c) in q_kept.row_mut(r).iter_mut().zip(&plan.kept_cols) {
+            *dst = row[c];
+        }
+    }
+    let w = matmul(&q_kept, Trans::N, &plan.ucoef, Trans::N);
+    for r in 0..nr {
+        let (wrow, crow) = (w.row(r), cmat.row(r));
+        for (o, src) in out.row_mut(r).iter_mut().zip(&plan.src) {
+            *o = match *src {
+                ColSrc::Secular(j) => wrow[j],
+                ColSrc::Deflated(c) => crow[c],
+            };
+        }
+    }
+    (plan.lam, out)
 }

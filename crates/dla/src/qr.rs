@@ -4,8 +4,12 @@
 //! `U` is unit lower-trapezoidal (`m × min(m,n)`, implicit unit diagonal
 //! stored explicitly here for simplicity), `T` is upper-triangular. This
 //! matches the paper's Householder aggregation: Corollary III.7's
-//! reconstruction produces the same `(U, T)` pair, and the two-sided
-//! update identity of Eqn. (IV.1) consumes it.
+//! reconstruction produces the same kind of `(U, T)` pair, and the
+//! two-sided update identity of Eqn. (IV.1) consumes it. The structure
+//! is exact for the factors made here; the reconstruction's `U`
+//! (`ca_pla::reconstruct`) is unit lower-trapezoidal only to rounding —
+//! its top block carries ulp-level entries above and on the diagonal —
+//! so a product that skips a triangle of a `U` is exact only on these.
 //!
 //! There is one factorisation, `qr_inplace` — Lemma III.4's sequential
 //! recursive QR: split the columns, factor the left half, update the

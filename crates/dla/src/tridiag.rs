@@ -273,11 +273,64 @@ fn implicit_ql(
     Ok(d)
 }
 
+/// LAPACK `dsyev`'s safe range for a symmetric matrix's largest entry
+/// `amax`: inside `[√(MIN_POSITIVE/ε), its reciprocal]` (≈ `[1e-146,
+/// 1e146]`) the reductions and the tridiagonal solvers neither underflow
+/// nor overflow; outside it they return silently wrong eigenvalues or
+/// [`NoConvergence`] on finite input. For a finite nonzero `amax` outside
+/// the range this is the `k` with `2^k·amax ∈ [½, 1)`: solve `2^k·A`
+/// instead and scale its eigenvalues back with [`scale_pow2`]`(·, −k)` —
+/// both scalings are exact, and eigenvectors need no unscaling. `None`:
+/// solve `A` as it is.
+pub fn safe_range_exponent(amax: f64) -> Option<i32> {
+    let rmin = (f64::MIN_POSITIVE / f64::EPSILON).sqrt();
+    if amax == 0.0 || !amax.is_finite() || (rmin..=1.0 / rmin).contains(&amax) {
+        return None;
+    }
+    Some(-binary_exponent(amax))
+}
+
+/// Multiply every entry by `2^k`, in two power-of-two steps: `|k|` can
+/// reach 1074, past the largest finite power of two.
+pub fn scale_pow2(xs: &mut [f64], k: i32) {
+    let (lo, hi) = (2f64.powi(k / 2), 2f64.powi(k - k / 2));
+    for x in xs {
+        *x = *x * lo * hi;
+    }
+}
+
+/// The exponent `e` of a finite `x > 0` written as `m·2^e`, `m ∈ [½, 1)`.
+fn binary_exponent(x: f64) -> i32 {
+    match ((x.to_bits() >> 52) & 0x7ff) as i32 {
+        0 => binary_exponent(x * 2f64.powi(64)) - 64, // subnormal
+        biased => biased - 1022,
+    }
+}
+
 /// Eigenvalues of a symmetric banded matrix, computed sequentially,
 /// with non-convergence reported as [`NoConvergence`]:
 /// [`band_to_tridiagonal`], then [`crate::dnc`] (implicit QL at or below
 /// its leaf size).
+///
+/// A band whose largest entry lies outside LAPACK `dsyev`'s safe range
+/// ([`safe_range_exponent`]) is solved as the exactly scaled `2^k·B`,
+/// its eigenvalues scaled back by `2^−k`; an in-range band is solved as
+/// it is.
 pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> {
+    let amax = b.bands().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let Some(k) = safe_range_exponent(amax) else {
+        return banded_eigenvalues_in_range(b);
+    };
+    let mut scaled = b.clone();
+    let (bands, scale) = scaled.bands_mut_scale();
+    scale_pow2(bands, k);
+    scale_pow2(std::slice::from_mut(scale), k);
+    let mut ev = banded_eigenvalues_in_range(&scaled)?;
+    scale_pow2(&mut ev, -k);
+    Ok(ev)
+}
+
+fn banded_eigenvalues_in_range(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> {
     let (d, e) = band_to_tridiagonal(b, None);
     let _span = ca_obs::kernel_span("finale.dnc");
     if d.len() > dnc::LEAF {
@@ -368,6 +421,32 @@ mod tests {
     use crate::matrix::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A band scaled far outside LAPACK `dsyev`'s safe range comes back
+    /// as `s` times the unit-scale eigenvalues, not as underflowed values
+    /// or a convergence failure on finite input.
+    #[test]
+    fn banded_eigenvalues_of_badly_scaled_bands() {
+        let (n, b) = (64, 8);
+        let mut rng = StdRng::seed_from_u64(91);
+        let dense = gen::random_banded(&mut rng, n, b);
+        let unit = try_banded_eigenvalues(&BandedSym::from_dense(&dense, b, b)).unwrap();
+        let lmax = unit.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let tol = 100.0 * n as f64 * f64::EPSILON * lmax;
+        for s in [1e-200, 1e-150, 1e150, 1e160] {
+            let mut scaled = dense.clone();
+            scaled.scale(s);
+            let band = BandedSym::from_dense(&scaled, b, b);
+            let ev = try_banded_eigenvalues(&band).unwrap_or_else(|e| panic!("s = {s:e}: {e}"));
+            for (i, (x, u)) in ev.iter().zip(&unit).enumerate() {
+                assert!(
+                    (x / s - u).abs() <= tol,
+                    "s = {s:e}: λ_{i} / s = {:e}, unit scale {u:e}",
+                    x / s
+                );
+            }
+        }
+    }
 
     #[test]
     fn two_by_two_analytic() {

@@ -26,8 +26,13 @@ use ca_dla::Matrix;
 /// The compact-WY representation recovered from an explicit `Q`.
 #[derive(Debug, Clone)]
 pub struct Reconstruction {
-    /// `m × n` unit-lower-trapezoidal Householder vectors, distributed
-    /// in the 1D row layout of the input `Q`.
+    /// `m × n` Householder vectors, distributed in the 1D row layout of
+    /// the input `Q`: unit lower-trapezoidal to rounding only. Step 3
+    /// computes `(Q − [S; 0])·W₁⁻¹` on every row, the top `n × n` block
+    /// too, so that block's strict upper triangle holds rounding-level
+    /// non-zeros (|·| ≲ 4e-16) and its diagonal ones that miss 1 by an
+    /// ulp or two, although the LU already holds the exact unit-lower
+    /// `L`. A product that trusts the structure changes output bits.
     pub u: DistMatrix,
     /// `n × n` upper-triangular `T` (numerically assembled; its storage
     /// and all operations on it are charged as distributed).

@@ -52,7 +52,11 @@ use ca_dla::Matrix;
 pub struct PanelQr {
     /// 1D group the factorization ran on.
     pub group: Grid,
-    /// `m × k` unit-lower-trapezoidal Householder vectors, 1D row layout.
+    /// `m × k` Householder vectors, 1D row layout: unit
+    /// lower-trapezoidal only to rounding where the reconstruction made
+    /// them ([`reconstruct::Reconstruction::u`]), so no product may skip
+    /// their upper triangle or assume a unit diagonal without changing
+    /// bits.
     pub u: DistMatrix,
     /// `k × k` upper-triangular aggregated `T` (assembled numerically;
     /// storage and operations charged as distributed).

@@ -139,59 +139,24 @@ pub fn streaming_mm_dense(
     out
 }
 
-/// The Streaming-MM sweep on views: `out ← op(A[sub])·op(B)`, written
-/// (overwritten) into a strided output view; [`streaming_mm_dense`] is
-/// the allocating wrapper.
-///
-/// The reduction drivers stream trailing updates straight out of the
-/// replicated operand and straight into pre-allocated aggregate
-/// storage. The charges walk the ranks of Algorithm III.1 — gather,
-/// local multiply with Lemma III.3's resident-`A` rule, reduce-scatter,
-/// per (layer, column block, inner block, row block) — from block
-/// shapes alone. The numerics are the reduce-scatter's `Σⱼ` with `j`
-/// outermost: for each non-empty inner block, one `β = 0` product
-/// `op(A)[:, j]·op(B)[j, :]` over the whole output into one arena
-/// buffer, added elementwise into the zero-filled output. Each cell is
-/// `((0 + P₀) + P₁) + …` over the inner blocks in order, exactly as
-/// when each rank computed its partial apart (the `0.0 + x` first touch
-/// is observable on signed zeros, so it is part of the contract); the
-/// inner blocks are not fused, because one product over the whole inner
-/// range would move GEMM's chunk boundaries. Neither the output stride
-/// nor `transpose_b` changes the ledger or the product's bits.
-///
-/// `transpose_b` streams `Bᵀ` without materializing the transpose (the
-/// aggregate-panel operands of Algorithm IV.1's lines 5/12 are
-/// transposed blocks): the GEMM kernels' operand resolver reads the
-/// stored orientation in place, performing the same arithmetic in the
-/// same order as on a pre-transposed copy.
-#[allow(clippy::too_many_arguments)] // mirrors streaming_mm_dense + the output view
-pub fn streaming_mm_view_into(
+/// The ledger of one [`streaming_mm_view_into`] product of shape
+/// `out_rows × inner × k` — its charge walk over the ranks of Algorithm
+/// III.1 and nothing else; returns the inner dimension's split over the
+/// layer grid, which the numerics follow. A caller that obtains a
+/// product's values another way (full→band's base case takes `V·Uᵀ` as
+/// the transpose of `U·Vᵀ`) charges it with this.
+pub fn streaming_mm_charge(
     m: &Machine,
     grid3: &Grid,
-    a_dense: &MatrixView,
-    sub: (usize, usize, usize, usize),
+    out_rows: usize,
+    inner: usize,
+    k: usize,
     transpose_a: bool,
-    b: &MatrixView,
-    transpose_b: bool,
     w: usize,
-    out: &mut MatrixViewMut,
-) {
-    let (r0, c0, nr, nc) = sub;
+) -> Vec<usize> {
     let (q0, q1, c) = grid3.shape();
     assert_eq!(q0, q1, "streaming_mm expects a square per-layer grid");
     let q = q0;
-    let (inner, out_rows) = if transpose_a { (nr, nc) } else { (nc, nr) };
-    let (b_rows, k) = if transpose_b {
-        (b.cols(), b.rows())
-    } else {
-        (b.rows(), b.cols())
-    };
-    assert_eq!(b_rows, inner, "streaming_mm: inner dimension mismatch");
-    assert_eq!(
-        (out.rows(), out.cols()),
-        (out_rows, k),
-        "streaming_mm_view_into: output shape disagrees"
-    );
     let w = w.max(1);
     let z = w * c;
 
@@ -269,6 +234,62 @@ pub fn streaming_mm_view_into(
             m.step(grid3.procs(), 1);
         }
     }
+
+    inner_splits
+}
+
+/// The Streaming-MM sweep on views: `out ← op(A[sub])·op(B)`, written
+/// (overwritten) into a strided output view; [`streaming_mm_dense`] is
+/// the allocating wrapper.
+///
+/// The reduction drivers stream trailing updates straight out of the
+/// replicated operand and straight into pre-allocated aggregate
+/// storage. The charges ([`streaming_mm_charge`]) walk the ranks of
+/// Algorithm III.1 — gather, local multiply with Lemma III.3's
+/// resident-`A` rule, reduce-scatter, per (layer, column block, inner
+/// block, row block) — from block shapes alone. The numerics are the reduce-scatter's `Σⱼ` with `j`
+/// outermost: for each non-empty inner block, one `β = 0` product
+/// `op(A)[:, j]·op(B)[j, :]` over the whole output into one arena
+/// buffer, added elementwise into the zero-filled output. Each cell is
+/// `((0 + P₀) + P₁) + …` over the inner blocks in order, exactly as
+/// when each rank computed its partial apart (the `0.0 + x` first touch
+/// is observable on signed zeros, so it is part of the contract); the
+/// inner blocks are not fused, because one product over the whole inner
+/// range would move GEMM's chunk boundaries. Neither the output stride
+/// nor `transpose_b` changes the ledger or the product's bits.
+///
+/// `transpose_b` streams `Bᵀ` without materializing the transpose (the
+/// aggregate-panel operands of Algorithm IV.1's lines 5/12 are
+/// transposed blocks): the GEMM kernels' operand resolver reads the
+/// stored orientation in place, performing the same arithmetic in the
+/// same order as on a pre-transposed copy.
+#[allow(clippy::too_many_arguments)] // mirrors streaming_mm_dense + the output view
+pub fn streaming_mm_view_into(
+    m: &Machine,
+    grid3: &Grid,
+    a_dense: &MatrixView,
+    sub: (usize, usize, usize, usize),
+    transpose_a: bool,
+    b: &MatrixView,
+    transpose_b: bool,
+    w: usize,
+    out: &mut MatrixViewMut,
+) {
+    let (r0, c0, nr, nc) = sub;
+    let (inner, out_rows) = if transpose_a { (nr, nc) } else { (nc, nr) };
+    let (b_rows, k) = if transpose_b {
+        (b.cols(), b.rows())
+    } else {
+        (b.rows(), b.cols())
+    };
+    assert_eq!(b_rows, inner, "streaming_mm: inner dimension mismatch");
+    assert_eq!(
+        (out.rows(), out.cols()),
+        (out_rows, k),
+        "streaming_mm_view_into: output shape disagrees"
+    );
+    let inner_splits = streaming_mm_charge(m, grid3, out_rows, inner, k, transpose_a, w);
+    let q = inner_splits.len() - 1;
 
     // The numerics: the reduce-scatter's Σⱼ, one inner block at a time
     // over every row block, column block and layer at once.
@@ -480,12 +501,18 @@ mod tests {
                     );
                 }
             }
+            // The charge walk alone leaves the same ledger.
+            let m3 = machine(p);
+            streaming_mm_charge(&m3, &g, out_rows, inner, k, transpose_a, w);
+            m3.fence();
+
             let r = m1.report();
             assert_eq!(
                 r,
                 m2.report(),
                 "seed {seed}: ledger depends on stride / op(B)"
             );
+            assert_eq!(r, m3.report(), "seed {seed}: charge walk alone differs");
             assert_eq!(
                 crate::ledger_array(r),
                 pin,
