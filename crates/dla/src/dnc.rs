@@ -622,7 +622,7 @@ fn merge(plan: MergePlan, q1: Matrix, q2: Matrix) -> (Vec<f64>, Matrix) {
 enum Slot {
     /// Column `c` of the half's own eigenvectors.
     Own(usize),
-    /// Entry `x` of the columns rotations mixed in from the other half.
+    /// Column `x` of the columns rotations mixed in from the other half.
     Mixed(usize),
     /// Not held: every entry in these rows is this zero (`−0` where the
     /// dense carrier's rotations of two zero columns leave one).
@@ -633,8 +633,9 @@ enum Slot {
 /// columns the deflating rotations mixed into them.
 struct Half {
     q: Matrix,
-    /// Columns of the other half, one `Vec` of this half's rows each.
-    mixed: Vec<Vec<f64>>,
+    /// Columns of the other half, one after another, this half's rows
+    /// each.
+    mixed: Vec<f64>,
     /// The slot of every pre-merge column.
     slot: Vec<Slot>,
 }
@@ -666,8 +667,9 @@ impl Half {
             }
             for col in [i, j] {
                 if let Slot::Zero(v) = h.slot[col] {
-                    h.slot[col] = Slot::Mixed(h.mixed.len());
-                    h.mixed.push(vec![v; h.q.rows()]);
+                    let rows = h.q.rows();
+                    h.slot[col] = Slot::Mixed(h.mixed.len() / rows);
+                    h.mixed.resize(h.mixed.len() + rows, v);
                 }
             }
             for r in 0..h.q.rows() {
@@ -686,7 +688,7 @@ impl Half {
     fn get(&self, r: usize, col: usize) -> f64 {
         match self.slot[col] {
             Slot::Own(c) => self.q.get(r, c),
-            Slot::Mixed(x) => self.mixed[x][r],
+            Slot::Mixed(x) => self.mixed[x * self.q.rows() + r],
             Slot::Zero(v) => v,
         }
     }
@@ -694,7 +696,7 @@ impl Half {
     fn set(&mut self, r: usize, col: usize, v: f64) {
         match self.slot[col] {
             Slot::Own(c) => self.q.set(r, c, v),
-            Slot::Mixed(x) => self.mixed[x][r] = v,
+            Slot::Mixed(x) => self.mixed[x * self.q.rows() + r] = v,
             Slot::Zero(_) => unreachable!("rotations write held columns only"),
         }
     }
@@ -710,11 +712,11 @@ impl Half {
         let width = m.min(KC);
         let mut a = Vec::with_capacity(rows * width);
         let mut b = Vec::with_capacity(width * width);
+        let mut held = Vec::with_capacity(width);
         let mut beta = 0.0;
         for p in (0..m).step_by(KC) {
-            let held: Vec<usize> = (p..m.min(p + KC))
-                .filter(|&t| self.holds(plan.kept_cols[t]))
-                .collect();
+            held.clear();
+            held.extend((p..m.min(p + KC)).filter(|&t| self.holds(plan.kept_cols[t])));
             if held.is_empty() {
                 continue;
             }
