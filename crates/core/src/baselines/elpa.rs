@@ -20,7 +20,7 @@ use ca_pla::grid::Grid;
 
 /// Two-stage eigenvalue computation; `p` must have an integer square
 /// root (2D grid). Returns the eigenvalues in ascending order. Badly
-/// scaled input is solved as the solver solves it ([`in_safe_range`]).
+/// scaled input is solved as the solver solves it (`solver::in_safe_range`).
 pub fn elpa_two_stage(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let params = EigenParams::new(p, 1);

@@ -14,7 +14,7 @@ use ca_pla::grid::Grid;
 /// Successive-band-reduction eigenvalues; `p` must have an integer
 /// square root (2D grid). Returns the eigenvalues in ascending order.
 /// Badly scaled input is solved as the solver solves it
-/// ([`in_safe_range`]).
+/// (`solver::in_safe_range`).
 pub fn ca_sbr_eigenvalues(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let params = EigenParams::new(p, 1);

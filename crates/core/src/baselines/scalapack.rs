@@ -109,7 +109,7 @@ pub fn scalapack_tridiag(machine: &Machine, grid: &Grid, a: &Matrix) -> (Vec<f64
 
 /// Full baseline: tridiagonalize and solve (eigenvalues gathered and
 /// computed on one processor, as the final stage). Badly scaled input is
-/// solved as the solver solves it ([`in_safe_range`]).
+/// solved as the solver solves it (`solver::in_safe_range`).
 pub fn scalapack_eigenvalues(machine: &Machine, grid: &Grid, a: &Matrix) -> Vec<f64> {
     let n = a.rows();
     let solve = |a: &Matrix| {

@@ -327,7 +327,7 @@ pub fn streaming_mm_partials_reference(
 }
 
 /// [`crate::dnc::dnc_eigen`] with the merge it ran before it worked on
-/// row halves ([`merge_dense_reference`]), recursing down to subproblems
+/// row halves (the dense merge below), recursing down to subproblems
 /// of size `leaf` (the solver's is 40). The production merge matches it
 /// bit for bit.
 pub fn dnc_eigen_reference(
