@@ -223,7 +223,8 @@ pub(crate) struct MergePlan {
     /// Provenance of each output column, parallel to `lam`.
     pub(crate) src: Vec<ColSrc>,
     /// Deflating Givens rotations `(col_i, col_j, c, s)`, applied in
-    /// order to the carrier: `qᵢ ← c·qᵢ − s·qⱼ`, `qⱼ ← s·qᵢ + c·qⱼ`.
+    /// order to the pre-merge eigenvector columns: `qᵢ ← c·qᵢ − s·qⱼ`,
+    /// `qⱼ ← s·qᵢ + c·qⱼ`.
     pub(crate) rots: Vec<(usize, usize, f64, f64)>,
     /// Pre-merge column index of each undeflated (kept) slot.
     pub(crate) kept_cols: Vec<usize>,
@@ -625,7 +626,7 @@ enum Slot {
     /// Column `x` of the columns rotations mixed in from the other half.
     Mixed(usize),
     /// Not held: every entry in these rows is this zero (`−0` where the
-    /// dense carrier's rotations of two zero columns leave one).
+    /// dense merge's rotations of two zero columns leave one).
     Zero(f64),
 }
 
@@ -642,7 +643,7 @@ struct Half {
 
 impl Half {
     /// Take over `q`, the rows of pre-merge columns `own`, and apply the
-    /// plan's rotations with the dense carrier's expressions, the zero
+    /// plan's rotations with the dense merge's expressions, the zero
     /// operand of a column not held included.
     fn new(plan: &MergePlan, q: Matrix, own: Range<usize>) -> Self {
         let slot = (0..plan.lam.len())

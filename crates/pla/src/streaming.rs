@@ -247,10 +247,11 @@ pub fn streaming_mm_charge(
 /// storage. The charges ([`streaming_mm_charge`]) walk the ranks of
 /// Algorithm III.1 — gather, local multiply with Lemma III.3's
 /// resident-`A` rule, reduce-scatter, per (layer, column block, inner
-/// block, row block) — from block shapes alone. The numerics are the reduce-scatter's `Σⱼ` with `j`
-/// outermost: for each non-empty inner block, one `β = 0` product
-/// `op(A)[:, j]·op(B)[j, :]` over the whole output into one arena
-/// buffer, added elementwise into the zero-filled output. Each cell is
+/// block, row block) — from block shapes alone. The numerics are the
+/// reduce-scatter's `Σⱼ` with `j` outermost: for each non-empty inner
+/// block, one `β = 0` product `op(A)[:, j]·op(B)[j, :]` over the whole
+/// output into one arena buffer, added elementwise into the zero-filled
+/// output. Each cell is
 /// `((0 + P₀) + P₁) + …` over the inner blocks in order, exactly as
 /// when each rank computed its partial apart (the `0.0 + x` first touch
 /// is observable on signed zeros, so it is part of the contract); the
