@@ -60,12 +60,15 @@
 //!
 //! The eigenvalue-only variant ([`dnc_eigenvalues`]) carries just the
 //! first and last rows of each subproblem's eigenvector matrix — all a
-//! parent merge ever reads — turning the `O(n³)` vector algebra into
-//! `O(n²)` while following the identical deflation/secular path.
+//! parent merge ever reads, and all its QL leaves rotate — turning the
+//! `O(n³)` vector algebra into `O(n²)` while following the identical
+//! deflation/secular path. The values finale does not run it: for
+//! eigenvalues alone `dsterf`'s root-free QL (`crate::tridiag`) is faster
+//! unless the spectrum deflates wholesale.
 
 use crate::gemm::{gemm_view, Trans, KC, PAR_FLOPS};
 use crate::matrix::Matrix;
-use crate::tridiag::{try_tridiag_eigen, NoConvergence};
+use crate::tridiag::{in_safe_range, tridiag_eigen_rows, NoConvergence};
 use crate::view::{MatrixView, MatrixViewMut};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -81,7 +84,7 @@ const PAR_ROOTS: usize = 64;
 /// Subproblem size at or below which the recursion falls back to the
 /// implicit-shift QL solver, whose `O(n²)` rotations beat the merge
 /// machinery's constant factors there.
-pub(crate) const LEAF: usize = 40;
+const LEAF: usize = 40;
 
 /// Eigenvalues and orthonormal eigenvectors of the symmetric
 /// tridiagonal matrix `(d, e)` by divide-and-conquer: returns
@@ -89,17 +92,26 @@ pub(crate) const LEAF: usize = 40;
 /// [`crate::tridiag::try_tridiag_eigen`]. Subproblems of size
 /// ≤ 40 fall back to the QL solver, whose convergence
 /// failure (never observed on finite input) is the only error path.
+///
+/// A matrix whose largest entry lies outside LAPACK `dsyev`'s safe range
+/// ([`crate::tridiag::safe_range_exponent`]) is solved as the exactly
+/// scaled `2^k·T` — the deflation test and the secular equation square
+/// its entries — and its eigenvalues scaled back; an in-range one is
+/// solved as it is.
 pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     check_shape(d, e);
-    solve_full(d, e, LEAF, merge)
+    in_safe_range(d, e, |d, e| solve_full(d, e, LEAF, merge))
 }
 
-/// Eigenvalues only, in ascending order. Same recursion and merge
-/// arithmetic as [`dnc_eigen`] but carrying a `2 × n` row pair (first
-/// and last eigenvector rows) instead of the full `Z`.
+/// Eigenvalues only, in ascending order. Same recursion, merge
+/// arithmetic and scaling guard as [`dnc_eigen`] but carrying a `2 × n`
+/// row pair (first and last eigenvector rows) instead of the full `Z`.
+/// No solve calls it — the values finale is `dsterf`'s root-free QL
+/// (`crate::tridiag`), which beats it unless the spectrum deflates
+/// heavily — but it is D&C's values-only form, timed on its own.
 pub fn dnc_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
     check_shape(d, e);
-    let (lam, _) = solve_rows(d, e, LEAF, merge)?;
+    let (lam, _) = in_safe_range(d, e, |d, e| solve_rows(d, e, LEAF, merge))?;
     Ok(lam)
 }
 
@@ -124,7 +136,8 @@ pub(crate) fn solve_full(
 ) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     let n = d.len();
     if n <= leaf {
-        return try_tridiag_eigen(d, e);
+        let rows: Vec<usize> = (0..n).collect();
+        return tridiag_eigen_rows(d, e, &rows);
     }
     let k = n / 2;
     let (d1, d2, rho, s) = tear(d, e, k);
@@ -150,11 +163,7 @@ pub(crate) fn solve_rows(
 ) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     let n = d.len();
     if n <= leaf {
-        let (lam, z) = try_tridiag_eigen(d, e)?;
-        let mut r = Matrix::zeros(2, n);
-        r.row_mut(0).copy_from_slice(z.row(0));
-        r.row_mut(1).copy_from_slice(z.row(n - 1));
-        return Ok((lam, r));
+        return tridiag_eigen_rows(d, e, &[0, n - 1]);
     }
     let k = n / 2;
     let (d1, d2, rho, s) = tear(d, e, k);

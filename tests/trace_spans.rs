@@ -11,10 +11,11 @@
 //!   intervals on one thread must form a tree);
 //! * level 2, the finale: a solve that enters the sequential stage with
 //!   a band wide enough for the block-reflector pass opens
-//!   `finale.halve`, `finale.sweep` and `finale.dnc` under `sequential
-//!   eigensolve`, on the values and on the vectors path — the same
-//!   function runs both — and the three account for that stage's wall
-//!   to within 5 %;
+//!   `finale.halve`, `finale.sweep` and `finale.tridiag` under
+//!   `sequential eigensolve`, on the values and on the vectors path — the
+//!   same band → tridiagonal function runs both, and each path's
+//!   tridiagonal solve is one leg — and the three account for that
+//!   stage's wall to within 5 %;
 //! * level 2, full→band: every pseudocode line of Algorithm IV.1 opens
 //!   its own span (`f2b.line5`, `f2b.qr`, `f2b.w`, `f2b.v1`,
 //!   `f2b.append` per panel, `f2b.base` once) directly under
@@ -209,7 +210,11 @@ fn stage_spans_pin_names_costs_and_nesting() {
         let names: Vec<&str> = legs.iter().map(|e| e.name()).collect();
         assert_eq!(
             names,
-            ["finale.halve (200→64)", "finale.sweep (64)", "finale.dnc"],
+            [
+                "finale.halve (200→64)",
+                "finale.sweep (64)",
+                "finale.tridiag"
+            ],
             "vectors = {vectors}"
         );
         for leg in &legs {
