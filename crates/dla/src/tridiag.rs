@@ -33,7 +33,7 @@
 //! `[−1, 1]`; the last column is the largest difference between the two
 //! spectra:
 //!
-//! | n | spectrum | root-free QL | D&C values (`dnc_eigenvalues`) | `tql1` | difference |
+//! | n | spectrum | root-free QL | D&C, values only | `tql1` | difference |
 //! |---|---|---|---|---|---|
 //! | 48 | linspace | 0.051 | 0.101 | 0.102 | 1.8e-15 |
 //! | 48 | clustered | 0.030 | 0.088 | 0.068 | 1.3e-15 |
@@ -44,10 +44,15 @@
 //! | 1024 | linspace | 18.2 | 32.7 | 38.7 | 1.2e-14 |
 //! | 1024 | clustered | 10.4 | 33.3 | 24.0 | 5.0e-15 |
 //!
-//! D&C still wins where it deflates wholesale: at n = 1024 with the
+//! D&C still wins where it deflates wholesale. At n = 1024 with the
 //! diagonal cycling through 1, 2, 3, 4 and every `eᵢ = 1e-3`, D&C values
-//! took 7.8 ms against 9.7 ms (`tql1` 22.6 ms). LAPACK accepts the same
-//! trade, and no solve's values finale sees such a spectrum.
+//! took 7.8 ms against 9.7 ms (`tql1` 22.6 ms). On a tridiagonal with
+//! independent uniform entries in `[−1, 1]`, whose eigenvectors are
+//! localized, it took 5.8 ms against 19.1 ms (at n = 256, 1.6 against
+//! 1.4 ms). LAPACK accepts the same trade. The solver's values finale
+//! reduces a dense matrix, whose tridiagonal is not of that kind: on the
+//! tridiagonal of a random band of width 256 at n = 1024 root-free QL
+//! took 18.6 ms against D&C's 32.3 ms.
 
 use crate::band::BandedSym;
 use crate::bulge::{self, BlockReflector};
