@@ -122,9 +122,10 @@ pub enum EigenError {
     /// the finale surfaces here instead of aborting the process.
     ConvergenceFailure {
         /// Which solver gave up (`"tridiag_eigenvalues"`,
-        /// `"tridiag_eigen"`: the QL solvers of `ca_dla::tridiag`).
+        /// `"tridiag_eigen"`, `"sterf"`: the solvers of `ca_dla::tridiag`).
         solver: &'static str,
-        /// Eigenvalue index being iterated when the budget ran out.
+        /// Eigenvalue index being iterated when the budget ran out, or
+        /// the first non-finite entry `"sterf"` was handed.
         index: usize,
     },
 }
