@@ -7,7 +7,11 @@
 //! paper's exact index ranges); iterations with equal `2i + j` run
 //! concurrently on disjoint processor groups `Π̂ⱼ` of `p̂ = p·b/n`
 //! processors (Figure 2), which the ledger's per-processor superstep
-//! counters capture. Each chase is charged for
+//! counters capture. (In this plan same-phase chases are not
+//! independent — `(i, j)` reads rows `(i + 1, j − 2)` writes — so the
+//! numerics walk them in the handoff order; the ledger charges them as
+//! Figure 2 does, a deviation DESIGN.md §8 records.) Each chase is
+//! charged for
 //!
 //! 1. gathering its `O(b)×O(b)` window onto the group
 //!    (`O(b²/p̂)` words per processor, as in the Lemma IV.3 proof),

@@ -72,9 +72,15 @@ impl ChaseOp {
         self.up_cols.1 - self.up_cols.0
     }
 
-    /// The pipeline phase of this operation: operations with equal
-    /// `2i + j` are independent (they involve disjoint index ranges) and
-    /// execute concurrently on different processor groups (Figure 2).
+    /// The pipeline phase of this operation, `2i + j`: the paper runs
+    /// operations of equal phase concurrently on different processor
+    /// groups (Figure 2). In this plan they are **not** independent:
+    /// `(i, j)` reads rows that `(i + 1, j − 2)` writes (its update strip
+    /// is `h + 3b` columns wide), so a walk in phase order is the sweep
+    /// order's bits only with ties taken by ascending `i`; ties by
+    /// descending `i` change the band. Phases `3i + j` would separate
+    /// them (ties in either order give the sweep's bits). Band→band
+    /// charges a phase as one superstep all the same (DESIGN.md §8).
     pub fn phase(&self) -> usize {
         2 * self.i + self.j
     }
@@ -1453,16 +1459,76 @@ mod tests {
         assert_eq!(bm, before);
     }
 
+    /// The band after walking `plan` in the order of the sort key `key`
+    /// (a stable sort: equal keys keep the plan's order), each chase by
+    /// the dense-window oracle on a band of full capacity: bit for bit
+    /// the kernel's in a legal order (`tests/kernel_equivalence.rs`),
+    /// and, unlike the kernel's debug build, silent about fill an illegal
+    /// order leaves where a chase assumes zeros.
+    fn walk_sorted(
+        dense: &Matrix,
+        b: usize,
+        plan: &[ChaseOp],
+        key: impl Fn(&ChaseOp) -> (usize, isize),
+    ) -> BandedSym {
+        let mut band = BandedSym::from_dense(dense, b, dense.rows() - 1);
+        let mut sorted: Vec<&ChaseOp> = plan.iter().collect();
+        sorted.sort_by_key(|op| key(op));
+        for op in sorted {
+            crate::oracle::execute_chase_reference(&mut band, op);
+        }
+        band
+    }
+
+    #[test]
+    fn same_phase_chases_depend_on_each_other() {
+        // Three facts about the plan's data dependences (`ChaseOp::phase`):
+        // phase order with ties by ascending i is the sweep's band bit
+        // for bit; ties by descending i are not, because (i, j) reads
+        // rows (i + 1, j − 2) writes; phases 3i + j separate them, so
+        // ties in descending order give the sweep's bits again.
+        for (n, b, h, seed) in [
+            (96usize, 12usize, 3usize, 60u64),
+            (80, 8, 1, 61),
+            (120, 16, 8, 62),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dense = gen::random_banded(&mut rng, n, b);
+            let plan: Vec<ChaseOp> = chase_plan_iter(n, b, h).collect();
+            let sweep = walk_sorted(&dense, b, &plan, |_| (0, 0));
+            let differ = |band: &BandedSym| {
+                let pairs = band.bands().iter().zip(sweep.bands());
+                pairs.filter(|(x, y)| x.to_bits() != y.to_bits()).count()
+            };
+            let i = |op: &ChaseOp| op.i as isize;
+            let ascending = walk_sorted(&dense, b, &plan, |op| (op.phase(), i(op)));
+            assert_eq!(
+                differ(&ascending),
+                0,
+                "n={n} b={b} h={h}: 2i + j, ascending i"
+            );
+            let descending = walk_sorted(&dense, b, &plan, |op| (op.phase(), -i(op)));
+            assert!(
+                differ(&descending) > 0,
+                "n={n} b={b} h={h}: 2i + j, descending i"
+            );
+            let separated = walk_sorted(&dense, b, &plan, |op| (3 * op.i + op.j, -i(op)));
+            assert_eq!(
+                differ(&separated),
+                0,
+                "n={n} b={b} h={h}: 3i + j, descending i"
+            );
+        }
+    }
+
     #[test]
     fn pipelined_phase_order_matches_sequential_order() {
-        // Algorithm IV.2 executes iterations with equal 2i + j
-        // concurrently on different processor groups (Figure 2). That
-        // schedule is legal iff replaying the plan sorted by phase
-        // (ties broken by ascending i, matching the pipeline's
-        // adjacent-group handoff order) yields the *bitwise identical*
-        // matrix as the sequential i-then-j order — any true data
-        // conflict between same-phase ops would reorder floating-point
-        // operations and change low bits.
+        // Band→band and Lang walk the plan sorted by phase 2i + j, ties
+        // by ascending i (the pipeline's adjacent-group handoff order).
+        // That walk must give the *bitwise identical* band the
+        // sequential i-then-j order gives, through the kernel itself.
+        // (Same-phase chases are not independent, so the tie order
+        // matters: `same_phase_chases_depend_on_each_other`.)
         for (n, b, h, seed) in [
             (64usize, 8usize, 4usize, 46u64),
             (60, 6, 2, 47),

@@ -11,7 +11,9 @@
 //!   cache — or, for a product too small to repay that copy
 //!   (`2mnk <` [`SMALL_FLOPS`]), read where it lies through its strides,
 //! * an `MR × NR` register tile accumulates over the strips with
-//!   fused multiply-adds, one independent chain per cell of `C`.
+//!   fused multiply-adds, one independent chain per cell of `C`. `NR` is
+//!   a parameter of the one tile source: 8 (portable and AVX2 + FMA) or
+//!   32 (AVX-512F), chosen per product ([`Tile`]).
 //!
 //! Transposed operands are handled by the packing routines (the gather
 //! happens once per panel), never by materializing `op(A)`/`op(B)`, and
@@ -37,9 +39,11 @@
 //! cell never shares an accumulator with another, so which other rows
 //! and columns are computed alongside it (and by which thread) cannot
 //! reach its bits. On x86-64 with AVX2 and FMA the tile loop is compiled
-//! for those features (detected once, [`Fma::detect`]); everywhere else
-//! the same source runs with [`f64::mul_add`] lowered to the C library's
-//! correctly-rounded `fma` — slow, and bit-for-bit the same.
+//! for those features as a 6×8 tile, and with AVX-512F also as a 6×32
+//! one that runs every product at least 32 columns wide (features
+//! detected once, [`Fma::detect`]); everywhere else the same source runs
+//! with [`f64::mul_add`] lowered to the C library's correctly-rounded
+//! `fma` — slow, and bit-for-bit the same.
 //!
 //! Every path is generic over row strides: [`gemm_view`] accepts
 //! [`MatrixView`] operands and a [`MatrixViewMut`] accumulation target,
@@ -62,12 +66,18 @@ pub enum Trans {
     T,
 }
 
-/// Register tile height (rows of `C`): with `NR = 8` that is twelve
-/// 256-bit accumulators, two `B` vectors and one broadcast — fifteen of
-/// the sixteen vector registers.
+/// Register tile height (rows of `C`), the same in every instantiation,
+/// so `op(A)`'s packing and [`MC`] are shared.
 const MR: usize = 6;
-/// Register tile width (columns of `C`).
+/// Register tile width (columns of `C`) of the portable and AVX2 + FMA
+/// instantiations: twelve 256-bit accumulators, two `B` vectors and one
+/// broadcast — fifteen of the sixteen vector registers.
 const NR: usize = 8;
+/// Register tile width of the AVX-512F instantiation: 24 512-bit
+/// accumulators, four `B` vectors and one broadcast — 29 of the 32.
+/// (8×16 and 8×24 tiles of the same source spill their accumulators
+/// and run at 3–4 GFLOP/s on the reference host.)
+const NR_WIDE: usize = 32;
 /// Rows of `op(A)` packed per slab (L2-resident: `MC·KC` doubles); a
 /// multiple of `MR`, so only a product's last slab has a ragged strip.
 const MC: usize = 96;
@@ -118,7 +128,7 @@ pub fn gemm_view(
     c: &mut MatrixViewMut,
 ) {
     check_shapes(a, ta, b, tb, c);
-    gemm_core(alpha, a, ta, b, tb, beta, c, None, Fma::detect());
+    gemm_core(alpha, a, ta, b, tb, beta, c, None, None);
 }
 
 /// A triangle of a matrix as a product uses it (`op(A)`, `op(B)` or
@@ -183,7 +193,7 @@ pub fn gemm_view_tri(
 ) {
     let (m, n, k) = check_shapes(a, ta, b, tb, c);
     if 2 * m * n * k < TRI_FLOPS {
-        return gemm_core(alpha, a, ta, b, tb, beta, c, None, Fma::detect());
+        return gemm_core(alpha, a, ta, b, tb, beta, c, None, None);
     }
     let p = TriProduct {
         alpha,
@@ -315,30 +325,87 @@ pub(crate) fn check_shapes(
     (m, n, k)
 }
 
-/// Proof that the host has AVX2 and FMA: the only way to obtain one is
-/// [`Fma::detect`], so holding it is what makes calling a
-/// feature-compiled instantiation (the tile loop here, the band sweep in
-/// [`crate::bulge`]) sound.
+/// Proof that the host has AVX2 and FMA, and whether it also has
+/// AVX-512F: the only way to obtain one is [`Fma::detect`], so holding
+/// it is what makes calling a feature-compiled instantiation (the tile
+/// loop here, the band sweep in [`crate::bulge`]) sound.
 #[derive(Clone, Copy)]
-pub(crate) struct Fma(());
+pub(crate) struct Fma {
+    avx512f: bool,
+}
 
 impl Fma {
     /// The one feature-detection site (cached after the first call).
     pub(crate) fn detect() -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
         {
+            use std::arch::is_x86_feature_detected as has;
             use std::sync::OnceLock;
-            static HAVE: OnceLock<bool> = OnceLock::new();
-            let have = *HAVE.get_or_init(|| {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            });
-            have.then_some(Self(()))
+            static HAVE: OnceLock<Option<Fma>> = OnceLock::new();
+            *HAVE.get_or_init(|| {
+                (has!("avx2") && has!("fma")).then(|| Self {
+                    avx512f: has!("avx512f"),
+                })
+            })
         }
         #[cfg(not(target_arch = "x86_64"))]
         None
     }
 }
+
+/// An instantiation of the register tile: one source ([`tile`])
+/// compiled three ways. Every one computes every cell by the cell
+/// contract, so which one runs cannot change a bit of `C`; a product
+/// runs the widest the host has that suits its shape, and
+/// `oracle::gemm_view_forced` forces one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tile {
+    /// 6×8, [`f64::mul_add`] as the C library's `fma`: any host.
+    Portable,
+    /// 6×8 compiled for AVX2 + FMA.
+    Avx2,
+    /// 6×32 compiled for AVX-512F.
+    Avx512,
+}
+
+impl Tile {
+    /// The instantiations this host can run, narrowest first.
+    pub fn available() -> &'static [Tile] {
+        match Fma::detect() {
+            None => &[Tile::Portable],
+            Some(Fma { avx512f: false }) => &[Tile::Portable, Tile::Avx2],
+            Some(Fma { avx512f: true }) => &[Tile::Portable, Tile::Avx2, Tile::Avx512],
+        }
+    }
+
+    /// The instantiation a product with `n` columns runs on this host:
+    /// the 6×32 tile when the host has AVX-512F and `n ≥ NR_WIDE`, else
+    /// the widest 6×8 one. Narrower products stay on 6×8, where a 6×32
+    /// strip would be mostly padding (96×16×96 ran 0.65–0.98× the 6×8
+    /// tile's rate on the reference host, one thread).
+    ///
+    /// No flop floor: the wide tile was faster at every product at least
+    /// 32 wide measured on the reference host — 1.36× at 1×32×32
+    /// (2mnk = 2¹¹), 1.4–1.6× from 6×32×8 to 16×32×32, 1.7–1.9× from
+    /// 64³ up. With a floor of 2¹⁵ instead, `service_mix`, whose products
+    /// are mostly that small, read `op_ms_p50` 4.5–11 % higher (ten
+    /// alternating pairs over two seeds), not lower.
+    fn for_product(n: usize) -> Tile {
+        let widest = *Tile::available()
+            .last()
+            .expect("Portable is always available");
+        if widest == Tile::Avx512 && n < NR_WIDE {
+            Tile::Avx2
+        } else {
+            widest
+        }
+    }
+}
+
+/// Executed GEMM work: `2mnk` of every product that reaches the tile
+/// loop, and the part of it that ran on [`Tile::Avx512`].
+static GEMM_FLOPS: ca_obs::Counter = ca_obs::Counter::new("gemm.flops");
+static GEMM_WIDE_FLOPS: ca_obs::Counter = ca_obs::Counter::new("gemm.wide_flops");
 
 /// An operand as stored: `op(X)[i][j]` is `data[i·ld + j]`, or
 /// `data[j·ld + i]` when transposed.
@@ -378,9 +445,12 @@ fn scale_cols(beta: f64, data: &mut [f64], cs: usize, rows: usize, col0: usize, 
 
 /// The loop nest around the tile kernel. `pack_a` chooses between
 /// packing `op(A)` and reading it in place (`None`: by the product's
-/// size); `fma` chooses the instantiation of the tile loop. Neither can
+/// size); `tile` chooses the instantiation of the tile loop (`None`: by
+/// the host and the product's shape, [`Tile::for_product`]). Neither can
 /// change a bit of `C` (`oracle::gemm_view_forced` forces both, for the
 /// tests that hold every combination to that).
+///
+/// Panics if `tile` forces an instantiation the host cannot run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_core(
     alpha: f64,
@@ -391,7 +461,7 @@ pub(crate) fn gemm_core(
     beta: f64,
     c: &mut MatrixViewMut,
     pack_a: Option<bool>,
-    fma: Option<Fma>,
+    tile: Option<Tile>,
 ) {
     let (m, n, cs) = (c.rows(), c.cols(), c.stride());
     let k = match ta {
@@ -401,55 +471,113 @@ pub(crate) fn gemm_core(
     if m == 0 || n == 0 {
         return;
     }
-    // Works on strided `C`: `cols ≤ stride`, so slab boundaries at
-    // multiples of `MC·stride` never split a row's live columns, and the
-    // last slab ends at its last row's `n`-th column.
-    let live = (m - 1) * cs + n;
     if alpha == 0.0 || k == 0 {
         scale_cols(beta, c.data_mut(), cs, m, 0, n);
         return;
     }
+    let flops = 2 * m * n * k;
+    let tile = match tile {
+        Some(t) => {
+            assert!(
+                Tile::available().contains(&t),
+                "gemm: {t:?} tile not available on this host"
+            );
+            t
+        }
+        None => Tile::for_product(n),
+    };
+    GEMM_FLOPS.add(flops as u64);
     let av = Operand::new(a, ta);
     let bv = Operand::new(b, tb);
-    let pack_a =
-        pack_a.unwrap_or(2 * m * n * k >= if av.t { SMALL_FLOPS } else { SMALL_FLOPS_ROWS });
-    let fork = m > MC && 2 * m * n * k >= PAR_FLOPS;
+    let nest = Nest {
+        alpha,
+        beta,
+        av: &av,
+        bv: &bv,
+        k,
+        pack_a: pack_a.unwrap_or(flops >= if av.t { SMALL_FLOPS } else { SMALL_FLOPS_ROWS }),
+        fork: m > MC && flops >= PAR_FLOPS,
+    };
+    match tile {
+        Tile::Portable => nest.run::<NR>(c, tiles_body::<NR>),
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx2 => {
+            // SAFETY: `tile` is in `Tile::available()` (asserted or chosen
+            // from it above), which lists `Avx2` only when `Fma::detect`
+            // found AVX2 and FMA.
+            nest.run::<NR>(c, |p, a, slab, mb| unsafe { tiles_avx2(p, a, slab, mb) })
+        }
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx512 => {
+            GEMM_WIDE_FLOPS.add(flops as u64);
+            // SAFETY: as for `Avx2`; `Tile::available()` lists `Avx512`
+            // only when `Fma::detect` found AVX-512F as well.
+            nest.run::<NR_WIDE>(c, |p, a, slab, mb| unsafe { tiles_avx512(p, a, slab, mb) })
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("only the portable tile is available off x86-64"),
+    }
+}
 
-    with_ws(|ws| {
-        let mut bpack = ws.take_scratch(KC.min(k) * NC.min(n).next_multiple_of(NR));
-        for jc in (0..n).step_by(NC) {
-            let nb = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kb = KC.min(k - pc);
-                pack::<NR>(&mut bpack, &bv, bv.t, jc, pc, nb, kb);
-                let panel = Panel {
-                    alpha,
-                    beta: if pc == 0 { beta } else { 1.0 },
-                    av: &av,
-                    bpack: &bpack,
-                    pc,
-                    jc,
-                    kb,
-                    nb,
-                    cs,
-                    pack_a,
-                    fma,
-                };
-                // Each MC-row slab of C is owned by exactly one task.
-                let data = &mut c.data_mut()[..live];
-                if fork {
-                    data.par_chunks_mut(MC * cs)
-                        .enumerate()
-                        .for_each(|(blk, slab)| panel.slab(blk * MC, slab));
-                } else {
-                    data.chunks_mut(MC * cs)
-                        .enumerate()
-                        .for_each(|(blk, slab)| panel.slab(blk * MC, slab));
+/// One instantiation of the tile loop over a slab (see [`tiles_body`]).
+type TilesFn = fn(&Panel, &ASrc, &mut [f64], usize);
+
+/// The arguments of one product that the loop nest needs.
+struct Nest<'a> {
+    alpha: f64,
+    beta: f64,
+    av: &'a Operand<'a>,
+    bv: &'a Operand<'a>,
+    k: usize,
+    pack_a: bool,
+    fork: bool,
+}
+
+impl Nest<'_> {
+    /// The loop nest with `op(B)` packed into `W`-wide strips, each slab
+    /// run through `tiles` — an instantiation of [`tiles_body`]`::<W>`.
+    fn run<const W: usize>(&self, c: &mut MatrixViewMut, tiles: TilesFn) {
+        let (m, n, cs, k) = (c.rows(), c.cols(), c.stride(), self.k);
+        // Works on strided `C`: `cols ≤ stride`, so slab boundaries at
+        // multiples of `MC·stride` never split a row's live columns, and
+        // the last slab ends at its last row's `n`-th column.
+        let live = (m - 1) * cs + n;
+        with_ws(|ws| {
+            let mut bpack = ws.take_scratch(KC.min(k) * NC.min(n).next_multiple_of(W));
+            for jc in (0..n).step_by(NC) {
+                let nb = NC.min(n - jc);
+                for pc in (0..k).step_by(KC) {
+                    let kb = KC.min(k - pc);
+                    pack::<W>(&mut bpack, self.bv, self.bv.t, jc, pc, nb, kb);
+                    let panel = Panel {
+                        alpha: self.alpha,
+                        beta: if pc == 0 { self.beta } else { 1.0 },
+                        av: self.av,
+                        bpack: &bpack,
+                        pc,
+                        jc,
+                        kb,
+                        nb,
+                        cs,
+                        pack_a: self.pack_a,
+                        tiles,
+                    };
+                    // Each MC-row slab of C is owned by exactly one task.
+                    let data = &mut c.data_mut()[..live];
+                    if self.fork {
+                        data.par_chunks_mut(MC * cs)
+                            .enumerate()
+                            .for_each(|(blk, slab)| panel.slab(blk * MC, slab));
+                    } else {
+                        data.chunks_mut(MC * cs)
+                            .enumerate()
+                            .for_each(|(blk, slab)| panel.slab(blk * MC, slab));
+                    }
                 }
             }
-        }
-        ws.put(bpack);
-    });
+            ws.put(bpack);
+        });
+    }
 }
 
 /// Pack `count` rows of `op(A)` (or columns of `op(B)`) from `x0`, over
@@ -535,7 +663,9 @@ struct Panel<'a> {
     nb: usize,
     cs: usize,
     pack_a: bool,
-    fma: Option<Fma>,
+    /// The instantiation of the tile loop, of the width `bpack` was
+    /// packed at.
+    tiles: TilesFn,
 }
 
 impl Panel<'_> {
@@ -556,7 +686,7 @@ impl Panel<'_> {
                     ls: MR,
                     padded: true,
                 };
-                self.tiles(&a, slab, mb);
+                (self.tiles)(self, &a, slab, mb);
                 ws.put(apack);
             });
         } else {
@@ -569,54 +699,52 @@ impl Panel<'_> {
                 ls,
                 padded: false,
             };
-            self.tiles(&a, slab, mb);
+            (self.tiles)(self, &a, slab, mb);
         }
-    }
-
-    /// Run the tile loop over the slab in the instantiation `self.fma`
-    /// selects.
-    fn tiles(&self, a: &ASrc, slab: &mut [f64], mb: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if self.fma.is_some() {
-            // SAFETY: an `Fma` exists only if `Fma::detect` found AVX2
-            // and FMA on this host.
-            unsafe { tiles_fma(self, a, slab, mb) };
-            return;
-        }
-        tiles_body(self, a, slab, mb);
     }
 }
 
-/// [`tiles_body`] compiled for AVX2 + FMA: the same source, so the same
-/// chain of operations on every cell; `f64::mul_add` becomes one
-/// `vfmadd` lane instead of a call.
+/// [`tiles_body`] at the 6×8 tile compiled for AVX2 + FMA: the same
+/// source, so the same chain of operations on every cell;
+/// `f64::mul_add` becomes one `vfmadd` lane instead of a call.
 ///
 /// # Safety
 /// The host must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tiles_fma(p: &Panel, a: &ASrc, slab: &mut [f64], mb: usize) {
-    tiles_body(p, a, slab, mb);
+unsafe fn tiles_avx2(p: &Panel, a: &ASrc, slab: &mut [f64], mb: usize) {
+    tiles_body::<NR>(p, a, slab, mb);
 }
 
-/// All `MR × NR` tiles of one slab against one packed panel: `B` strips
-/// outermost so a strip stays in L1 while the slab's `A` strips stream
-/// past it.
+/// [`tiles_body`] at the 6×32 tile compiled for AVX-512F: the same
+/// source again, with each row of the tile four 512-bit vectors.
+///
+/// # Safety
+/// The host must support AVX2, FMA and AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,avx512f")]
+unsafe fn tiles_avx512(p: &Panel, a: &ASrc, slab: &mut [f64], mb: usize) {
+    tiles_body::<NR_WIDE>(p, a, slab, mb);
+}
+
+/// All `MR × W` tiles of one slab against one panel packed into
+/// `W`-wide strips: `B` strips outermost so a strip stays in L1 while
+/// the slab's `A` strips stream past it.
 #[inline(always)]
-fn tiles_body(p: &Panel, a: &ASrc, slab: &mut [f64], mb: usize) {
+fn tiles_body<const W: usize>(p: &Panel, a: &ASrc, slab: &mut [f64], mb: usize) {
     let (kb, nb, cs) = (p.kb, p.nb, p.cs);
-    for (t, pb) in p.bpack[..nb.div_ceil(NR) * kb * NR]
-        .chunks_exact(kb * NR)
+    for (t, pb) in p.bpack[..nb.div_ceil(W) * kb * W]
+        .chunks_exact(kb * W)
         .enumerate()
     {
-        let nr_eff = NR.min(nb - t * NR);
-        let col0 = p.jc + t * NR;
+        let nr_eff = W.min(nb - t * W);
+        let col0 = p.jc + t * W;
         for s in 0..mb.div_ceil(MR) {
             let mr_eff = MR.min(mb - s * MR);
             let last = if a.padded { MR - 1 } else { mr_eff - 1 };
             let base: [usize; MR] =
                 std::array::from_fn(|r| a.origin + s * a.ss + r.min(last) * a.rs);
-            let acc = tile(a.data, &base, a.ls, pb);
+            let acc = tile::<W>(a.data, &base, a.ls, pb);
             for (r, acc_row) in acc.iter().enumerate().take(mr_eff) {
                 let row = &mut slab[(s * MR + r) * cs + col0..][..nr_eff];
                 for (cv, &x) in row.iter_mut().zip(acc_row) {
@@ -627,31 +755,31 @@ fn tiles_body(p: &Panel, a: &ASrc, slab: &mut [f64], mb: usize) {
     }
 }
 
-/// The register tile: for each group of `NR` packed `B` values, one
-/// fused multiply-add per cell, `MR × NR` independent chains over `l`
+/// The register tile: for each group of `W` packed `B` values, one
+/// fused multiply-add per cell, `MR × W` independent chains over `l`
 /// ascending from zero. The fixed-size array refs let the compiler keep
 /// the whole accumulator tile in registers.
 #[inline(always)]
-fn tile(a: &[f64], base: &[usize; MR], ls: usize, pb: &[f64]) -> [[f64; NR]; MR] {
-    let steps = pb.len() / NR;
+fn tile<const W: usize>(a: &[f64], base: &[usize; MR], ls: usize, pb: &[f64]) -> [[f64; W]; MR] {
+    let steps = pb.len() / W;
     if steps == 0 {
-        return [[0.0; NR]; MR];
+        return [[0.0; W]; MR];
     }
     // The one bounds check on `a` for the whole tile: the largest index
     // the loop below forms.
     let reach = base.iter().copied().max().expect("MR > 0") + (steps - 1) * ls;
     assert!(reach < a.len(), "gemm: op(A) tile reaches past its operand");
-    let mut acc = [[0.0f64; NR]; MR];
+    let mut acc = [[0.0f64; W]; MR];
     let mut off = 0;
-    for bvec in pb.chunks_exact(NR) {
-        let bvec: &[f64; NR] = bvec.try_into().expect("chunks_exact(NR) yields NR values");
+    for bvec in pb.chunks_exact(W) {
+        let bvec: &[f64; W] = bvec.try_into().expect("chunks_exact(W) yields W values");
         for r in 0..MR {
             // SAFETY: `off ≤ (steps − 1)·ls` and `base[r] ≤ max(base)`,
             // so the index is at most `reach`, asserted above to be in
             // bounds. (Checked indexing here spills the accumulator tile
             // around twelve panic edges per step: 16 vs 28 GFLOP/s.)
             let ar = unsafe { *a.get_unchecked(base[r] + off) };
-            for cc in 0..NR {
+            for cc in 0..W {
                 acc[r][cc] = ar.mul_add(bvec[cc], acc[r][cc]);
             }
         }

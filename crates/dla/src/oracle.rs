@@ -32,7 +32,7 @@
 use crate::band::BandedSym;
 use crate::bulge::{BlockReflector, ChaseOp};
 use crate::dnc::{self, ColSrc, MergePlan};
-use crate::gemm::{self, gemm, matmul, Fma, Trans};
+use crate::gemm::{self, gemm, matmul, Tile, Trans};
 use crate::lu::{op_is_lower, unpack_lu, Diag, Triangle};
 use crate::matrix::Matrix;
 use crate::qr::qr_factor;
@@ -255,8 +255,9 @@ pub fn sweep_to_tridiagonal_portable(
 
 /// [`crate::gemm::gemm_view`] with both of its free choices forced:
 /// `pack_a` packs `op(A)` or reads it in place whatever the shape,
-/// `portable` runs the portable instantiation of the tile loop whatever
-/// the host supports. The cell contract says neither can change a bit.
+/// `tile` runs that instantiation of the tile loop whatever the shape
+/// (one of [`Tile::available`]; panics on another). The cell contract
+/// says neither can change a bit.
 #[allow(clippy::too_many_arguments)] // gemm_view's BLAS-shaped signature + the two choices
 pub fn gemm_view_forced(
     alpha: f64,
@@ -266,11 +267,10 @@ pub fn gemm_view_forced(
     tb: Trans,
     beta: f64,
     c: &mut MatrixViewMut,
-    (pack_a, portable): (bool, bool),
+    (pack_a, tile): (bool, Tile),
 ) {
     gemm::check_shapes(a, ta, b, tb, c);
-    let fma = if portable { None } else { Fma::detect() };
-    gemm::gemm_core(alpha, a, ta, b, tb, beta, c, Some(pack_a), fma);
+    gemm::gemm_core(alpha, a, ta, b, tb, beta, c, Some(pack_a), Some(tile));
 }
 
 /// Streaming-MM's numerics (`ca_pla::streaming`, Algorithm III.1) as

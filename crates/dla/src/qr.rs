@@ -209,7 +209,7 @@ fn split(n: usize, leaf: usize) -> usize {
 /// the unblocked elimination order, kept as the oracle the tests compare
 /// against. The parameter survives because
 /// the frozen benchmark harness passes one; it goes in the next
-/// `[benchmark]` PR (ROADMAP item 5's shim list).
+/// `[benchmark]` PR (ROADMAP item 9's shim list).
 ///
 /// ```
 /// use ca_dla::qr::{qr_factor, explicit_q};

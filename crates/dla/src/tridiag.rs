@@ -144,6 +144,24 @@ const HALVE_FLOOR: usize = 192;
 /// which reflectors reduce `values_p4`'s band, so its output bits too,
 /// for ≈ 9 ms of a ≈ 110 ms finale. Both wait for a change that re-pins
 /// the outputs and measures the vectors path end to end.
+///
+/// Re-measured when the pass's GEMM gained the 6×32 AVX-512 tile (same
+/// host, another day; one thread, minimum over two alternating rounds of
+/// four × three runs, sweep on a slab re-housed to its own fill, ms; the
+/// sweep runs no GEMM):
+///
+/// | (n, bw) | sweep directly | pass to 64, sweep (6×8 tile) | pass to 64, sweep (6×32 tile) |
+/// |---|---|---|---|
+/// | (768, 192) | 52.0 / 51.6 | 22.1 + 25.3 = 47.4 | **17.2 + 25.2 = 42.4** |
+/// | (1024, 160) | 90.1 / 88.8 | 38.8 + 45.2 = 84.0 | **30.0 + 45.5 = 75.5** |
+/// | (1024, 192) | 101.2 / 102.9 | 42.0 + 44.5 = 86.5 | **33.6 + 44.9 = 78.5** |
+/// | (1024, 256) | 134.0 / 132.2 | 50.0 + 45.5 = 95.5 | **36.8 + 45.3 = 82.1** |
+///
+/// The pass runs 20–26 % faster and the sweep level; the pass now wins
+/// at (768, 192) by 9 ms and at (1024, 160) by 13 ms, so the crossover
+/// sits further below 192 than it did. The constants stay, for the
+/// reason above: moving either changes output bits and waits for a
+/// change that re-pins them.
 const SWEEP_BAND: usize = 64;
 
 /// A tridiagonal eigensolver failed to converge within its iteration

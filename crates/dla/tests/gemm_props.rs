@@ -1,15 +1,16 @@
 //! Property tests for the cache-blocked GEMM: for arbitrary shapes,
 //! orientations and α/β, the kernel must agree with a straightforward
 //! triple-loop reference to rounding, and with *itself* to the bit —
-//! the SIMD and portable instantiations of the tile loop, the
-//! `A`-in-place and `A`-packed paths, a cell computed alone or as part
-//! of a larger product, and a product that skips a triangular factor's
-//! zeros all follow one cell contract (`gemm.rs` module docs). Shapes
-//! are drawn on both sides of the packing thresholds so ragged `MR`/`NR`
-//! strips, strided operands and the multi-chunk `KC` accumulation are
-//! all exercised.
+//! every instantiation of the tile loop the host can run (portable 6×8,
+//! AVX2 6×8, AVX-512 6×32), the `A`-in-place and `A`-packed paths, a
+//! cell computed alone or as part of a larger product, and a product
+//! that skips a triangular factor's zeros all follow one cell contract
+//! (`gemm.rs` module docs). Shapes are drawn on both sides of the
+//! packing thresholds and of the wide tile's width floor (`n ≥ 32`) so
+//! ragged `MR`/`NR` strips, strided operands and the multi-chunk `KC`
+//! accumulation are all exercised.
 
-use ca_dla::gemm::{gemm, gemm_view, gemm_view_tri, matmul, Trans, Tri};
+use ca_dla::gemm::{gemm, gemm_view, gemm_view_tri, matmul, Tile, Trans, Tri};
 use ca_dla::oracle::gemm_view_forced;
 use ca_dla::{Matrix, MatrixView};
 use proptest::prelude::*;
@@ -104,8 +105,11 @@ fn structured(rows: usize, cols: usize, t: Trans, tri: Tri, vals: &[f64], salt: 
     })
 }
 
-/// `gemm_view_tri` against `gemm_view` on the same operands: every
-/// wanted cell bit for bit, every other one as it was or as computed.
+/// `gemm_view_tri` against the portable instantiation of the full
+/// product on the same operands: every wanted cell bit for bit, every
+/// other one as it was or as computed. The blocks it cuts run whichever
+/// tile their own shape picks; `gemm_view` on the whole product must
+/// match the portable one everywhere.
 #[allow(clippy::too_many_arguments)]
 fn check_tri(
     (m, n, k): (usize, usize, usize),
@@ -120,7 +124,22 @@ fn check_tri(
     let c0 = Matrix::from_fn(m, n, |i, j| 1.5 + vals[(i * 13 + j * 3) % vals.len()]);
     let mut full = c0.clone();
     let (av, bv) = (a.view(), b.view());
-    gemm_view(alpha, &av, ta, &bv, tb, beta, &mut full.view_mut());
+    let mut fv = full.view_mut();
+    gemm_view_forced(
+        alpha,
+        &av,
+        ta,
+        &bv,
+        tb,
+        beta,
+        &mut fv,
+        (true, Tile::Portable),
+    );
+    let mut own = c0.clone();
+    gemm_view(alpha, &av, ta, &bv, tb, beta, &mut own.view_mut());
+    if bits(&own) != bits(&full) {
+        return Err(format!("{m}×{n}×{k} {ta:?},{tb:?}: gemm_view ≠ portable"));
+    }
     let mut got = c0.clone();
     gemm_view_tri(alpha, &av, ta, &bv, tb, beta, &mut got.view_mut(), tri);
     for i in 0..m {
@@ -196,18 +215,23 @@ proptest! {
         prop_assert!(c1.max_diff(&c2) < tol, "diff {}", c1.max_diff(&c2));
     }
 
-    /// The SIMD and portable instantiations of the tile loop agree
-    /// bitwise — through the packed-`A` micro-kernel and through the
-    /// `A`-in-place small path, which in turn agree with each other —
-    /// over ragged shapes (row counts across the `MC` slab boundary),
-    /// all four orientations, strided `A`, `B` and `C`, general α/β,
-    /// and inner dimensions on both sides of the `KC = 256` chunk
-    /// boundary. On a host without AVX2 + FMA both sides are the
-    /// portable body and this only checks the two paths.
+    /// Every instantiation of the tile loop the host has agrees with the
+    /// portable one bitwise — through the packed-`A` micro-kernel and
+    /// through the `A`-in-place small path, which in turn agree with
+    /// each other — and so does the instantiation a product picks for
+    /// itself, over ragged shapes (row counts across the `MC` slab
+    /// boundary and off multiples of 6, column counts off multiples of 8
+    /// and 32), all four orientations, strided `A`, `B` and `C`, general
+    /// α/β, inner dimensions on both sides of the `KC = 256` chunk
+    /// boundary, and products on both sides of the wide tile's width
+    /// floor (`n ≥ 32`). On
+    /// a host without AVX2 + FMA only the portable body and the two paths
+    /// are checked; without AVX-512F, the 6×32 tile is not
+    /// (`available_instantiations` says which).
     #[test]
     fn simd_and_portable_kernels_agree_bitwise(
-        dims in (1usize..=110, 1usize..=21),
-        k_pick in 0usize..5,
+        dims in (1usize..=110, 1usize..=100),
+        k_pick in 0usize..7,
         ta in trans_strategy(),
         tb in trans_strategy(),
         pads in (0usize..=3, 0usize..=3, 0usize..=3),
@@ -215,32 +239,105 @@ proptest! {
         vals in proptest::collection::vec(-1.0f64..1.0, 17usize..=64),
     ) {
         let (m, n) = dims;
-        let k = [1usize, 255, 256, 257, 600][k_pick];
+        let k = [1usize, 4, 40, 255, 256, 257, 600][k_pick];
         let (alpha, beta) = (coeffs.0 + 2.5, coeffs.1 - 2.5); // never 0 or 1
         let (pa, pb, pc) = pads;
         let a = operand(m, k, ta, pa, &vals, 0);
         let b = operand(k, n, tb, pb, &vals, 5);
         let c0 = operand(m, n, Trans::N, pc, &vals, 11);
+        let (av, bv) = (stored_view(&a, pa), stored_view(&b, pb));
 
-        let run = |pack_a: bool, portable: bool| {
+        let run = |pack_a: bool, tile: Tile| {
             let mut c = c0.clone();
             let mut cv = c.subview_mut(0, 0, m, n);
-            let (av, bv) = (stored_view(&a, pa), stored_view(&b, pb));
-            gemm_view_forced(alpha, &av, ta, &bv, tb, beta, &mut cv, (pack_a, portable));
+            gemm_view_forced(alpha, &av, ta, &bv, tb, beta, &mut cv, (pack_a, tile));
             bits(&c)
         };
-        let packed = run(true, false);
-        prop_assert!(packed == run(true, true), "micro-kernel: SIMD ≠ portable");
-        let in_place = run(false, false);
-        prop_assert!(in_place == run(false, true), "small path: SIMD ≠ portable");
-        prop_assert!(packed == in_place, "packed A ≠ A in place");
-        // The padding columns of C are not the product's to touch.
+        let portable = run(true, Tile::Portable);
+        prop_assert!(portable == run(false, Tile::Portable), "portable: packed A ≠ A in place");
+        for &tile in Tile::available() {
+            prop_assert!(run(true, tile) == portable, "micro-kernel: {tile:?} ≠ portable");
+            prop_assert!(run(false, tile) == portable, "small path: {tile:?} ≠ portable");
+        }
         let mut c = c0.clone();
-        gemm_view(alpha, &stored_view(&a, pa), ta, &stored_view(&b, pb), tb, beta,
-            &mut c.subview_mut(0, 0, m, n));
+        gemm_view(alpha, &av, ta, &bv, tb, beta, &mut c.subview_mut(0, 0, m, n));
+        prop_assert!(bits(&c) == portable, "own choice ≠ portable");
+        // The padding columns of C are not the product's to touch.
         for i in 0..m {
             for j in n..n + pc {
                 prop_assert!(c.get(i, j) == c0.get(i, j), "padding cell ({i}, {j}) written");
+            }
+        }
+    }
+}
+
+/// Which instantiations the tests above hold to the portable one: all
+/// the crate reports for this host. Says so when one is missing, since
+/// then its leg is skipped.
+#[test]
+fn available_instantiations() {
+    let tiles = Tile::available();
+    assert_eq!(tiles.first(), Some(&Tile::Portable));
+    eprintln!("gemm instantiations on this host: {tiles:?}");
+    for tile in [Tile::Avx2, Tile::Avx512] {
+        if !tiles.contains(&tile) {
+            eprintln!("skipped: the {tile:?} tile (this host cannot run it)");
+        }
+    }
+}
+
+/// The wide tile on the shapes where its strips are ragged and its
+/// chunking deepest, against the portable one: `n` one past, one short
+/// of and between multiples of 32, `m` off multiples of 6 and across the
+/// `MC = 96` slab boundary, `k` past one and two `KC` chunks, every
+/// orientation, strided operands and α/β off 0 and 1 — and products 31
+/// and 32 wide, just under and at the wide tile's width floor, through
+/// the instantiation the product picks itself.
+#[test]
+fn wide_tile_matches_the_portable_one_on_ragged_deep_shapes() {
+    let vals: Vec<f64> = (0..53).map(|i| (i * 29 % 53) as f64 / 26.5 - 1.0).collect();
+    let shapes = [
+        (97, 33, 600),
+        (101, 95, 513),
+        (7, 63, 257),
+        (200, 65, 300),
+        (16, 32, 31),
+        (33, 31, 600),
+    ];
+    let wide = Tile::available().contains(&Tile::Avx512);
+    if !wide {
+        eprintln!("skipped: the Avx512 leg (this host has no AVX-512F); checking the rest");
+    }
+    for (m, n, k) in shapes {
+        for (ta, tb) in [
+            (Trans::N, Trans::N),
+            (Trans::N, Trans::T),
+            (Trans::T, Trans::N),
+            (Trans::T, Trans::T),
+        ] {
+            let a = operand(m, k, ta, 3, &vals, 0);
+            let b = operand(k, n, tb, 2, &vals, 5);
+            let c0 = operand(m, n, Trans::N, 1, &vals, 11);
+            let (av, bv) = (stored_view(&a, 3), stored_view(&b, 2));
+            let run = |tile: Option<Tile>| {
+                let mut c = c0.clone();
+                let mut cv = c.subview_mut(0, 0, m, n);
+                match tile {
+                    Some(t) => gemm_view_forced(-0.75, &av, ta, &bv, tb, 1.5, &mut cv, (true, t)),
+                    None => gemm_view(-0.75, &av, ta, &bv, tb, 1.5, &mut cv),
+                }
+                bits(&c)
+            };
+            let portable = run(Some(Tile::Portable));
+            assert!(
+                run(None) == portable,
+                "{m}×{n}×{k} {ta:?},{tb:?}: own choice ≠ portable"
+            );
+            if wide {
+                assert!(
+                    run(Some(Tile::Avx512)) == portable,
+                    "{m}×{n}×{k} {ta:?},{tb:?}: Avx512 ≠ portable"
+                );
             }
         }
     }
@@ -297,8 +394,9 @@ fn large_triangular_products_match_the_full_product_bitwise() {
 
 /// A cell computed on a shrunk output (a sub-block of `C`, from the
 /// matching rows of `op(A)` and columns of `op(B)`) is bitwise the same
-/// cell of the full product — with `op(A)` packed, read in place, and
-/// on whichever path the shrunk shape picks. Full shapes on both sides
+/// cell of the full product — with `op(A)` packed and read in place on
+/// every instantiation the host has, and on whichever path and tile the
+/// shrunk shape picks. Full shapes on both sides
 /// of both packing thresholds (`2mnk` = 2¹⁷ for a transposed `A`, 2²⁵
 /// for one as stored), and a forking one.
 #[test]
@@ -331,20 +429,22 @@ fn shrunk_output_cells_match_the_full_product_bitwise() {
                 Trans::N => b.subview(0, c0, k, nc),
                 Trans::T => b.subview(c0, 0, nc, k),
             };
-            let mut forced = [Matrix::zeros(mr, nc), Matrix::zeros(mr, nc)];
-            for (pack_a, out) in [true, false].into_iter().zip(&mut forced) {
-                let mut ov = out.view_mut();
-                gemm_view_forced(1.0, &a_sub, ta, &b_sub, tb, 0.0, &mut ov, (pack_a, false));
+            let mut runs = Vec::new();
+            for &tile in Tile::available() {
+                for pack_a in [true, false] {
+                    let mut out = Matrix::zeros(mr, nc);
+                    let mut ov = out.view_mut();
+                    gemm_view_forced(1.0, &a_sub, ta, &b_sub, tb, 0.0, &mut ov, (pack_a, tile));
+                    runs.push((format!("{tile:?}, packed A: {pack_a}"), out));
+                }
             }
             let mut plain = Matrix::zeros(mr, nc);
             gemm_view(1.0, &a_sub, ta, &b_sub, tb, 0.0, &mut plain.view_mut());
+            runs.push(("own path".to_string(), plain));
             for i in 0..mr {
                 for j in 0..nc {
                     let want = full.get(r0 + i, c0 + j).to_bits();
-                    for (path, got) in ["packed", "in place", "own path"]
-                        .iter()
-                        .zip([&forced[0], &forced[1], &plain])
-                    {
+                    for (path, got) in &runs {
                         assert_eq!(
                             got.get(i, j).to_bits(),
                             want,

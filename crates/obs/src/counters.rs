@@ -10,7 +10,9 @@
 //!
 //! Registered counters in this build: `workspace.checkouts`,
 //! `workspace.grows`, `workspace.high_water_words` (arena metering),
-//! `bulge.chase_windows` (chase kernel invocations), `dnc.secular_roots`
+//! `bulge.chase_windows` (chase kernel invocations), `gemm.flops` /
+//! `gemm.wide_flops` (`2mnk` of every GEMM that reaches the tile loop,
+//! and of those that ran the 6×32 AVX-512 tile), `dnc.secular_roots`
 //! / `dnc.secular_iters` (secular-equation work),
 //! `service.submitted` / `service.completed` / `service.failed` /
 //! `service.queue_rejected` / `service.deadline_missed` /

@@ -12,7 +12,7 @@
 /// is queued to the pool — rank loops, GEMM slabs, D&C splits and
 /// bisections all run inline — with the same bits and the same ledger.
 /// The name is the harness's; it goes (for `rayon::with_budget(1, ·)`
-/// at the call site) in ROADMAP item 5's `[benchmark]` PR.
+/// at the call site) in ROADMAP item 9's `[benchmark]` PR.
 pub fn with_forced_serial<T>(f: impl FnOnce() -> T) -> T {
     rayon::with_budget(1, f)
 }

@@ -18,6 +18,9 @@
 //!   ([`ca_eigen::solver::StageRecord::wall_secs`], within 1%) and exits
 //!   nonzero on disagreement, then prints the per-stage summary table
 //!   and counter totals.
+//!
+//! The GEMM tile instantiation the host's wide products run is printed
+//! on stderr.
 
 use ca_bsp::{Machine, MachineParams};
 use ca_dla::gen;
@@ -173,6 +176,13 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let sizes: &[usize] = if quick { &[256] } else { &[256, 512] };
     let (p, reps) = (4usize, 5usize);
+    // Which GEMM tile the wide products run: it sets the rates below, and
+    // stays out of stdout and the JSON so reports compare across hosts.
+    let tiles = ca_dla::gemm::Tile::available();
+    eprintln!(
+        "gemm tile: {:?} (this host runs {tiles:?})",
+        tiles.last().expect("never empty")
+    );
 
     let mut out = String::from("{\n  \"cases\": [\n");
     for (ci, &n) in sizes.iter().enumerate() {

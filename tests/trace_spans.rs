@@ -32,11 +32,15 @@
 //!   plans its stage and leg names announce. No solve a debug build can
 //!   afford runs all three chase stages (the finale's pass needs
 //!   `n/p > 192`), so the n = 400 solves above cover the finale's pass
-//!   and an (n, p, c) = (100, 8, 2) solve band→band and CA-SBR.
+//!   and an (n, p, c) = (100, 8, 2) solve band→band and CA-SBR;
+//! * `gemm.flops` counts `2mnk` of every product and `gemm.wide_flops`
+//!   the part the 6×32 AVX-512 tile ran: a product 64 wide on it, one
+//!   16 wide not (and neither on a host without AVX-512F).
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::bulge::chase_plan_iter;
-use ca_symm_eig::dla::gen;
+use ca_symm_eig::dla::gemm::{matmul, Tile, Trans};
+use ca_symm_eig::dla::{gen, Matrix};
 use ca_symm_eig::eigen::full_to_band::try_full_to_band;
 use ca_symm_eig::eigen::solver::StageCosts;
 use ca_symm_eig::eigen::{try_symm_eigen_25d, try_symm_eigen_25d_vectors, EigenParams};
@@ -54,12 +58,17 @@ fn solve(n: usize, p: usize, seed: u64) -> (Machine, StageCosts) {
     (machine, stages)
 }
 
-/// Chases executed so far, by the kernel's own counter.
-fn chase_windows() -> u64 {
+/// A counter's value so far (0 before it first fires).
+fn counter(name: &str) -> u64 {
     obs::counters::snapshot()
         .into_iter()
-        .find(|&(name, _)| name == "bulge.chase_windows")
+        .find(|&(n, _)| n == name)
         .map_or(0, |(_, v)| v)
+}
+
+/// Chases executed so far, by the kernel's own counter.
+fn chase_windows() -> u64 {
+    counter("bulge.chase_windows")
 }
 
 /// Length of the chase plan a stage or leg name announces as `…b→h…`.
@@ -262,6 +271,28 @@ fn stage_spans_pin_names_costs_and_nesting() {
             .map(|name| plan_len(n, name))
             .sum::<u64>(),
         "every chase of {chase_stages:?} passes the kernel's counter"
+    );
+
+    // Phase 4b — executed GEMM work: `gemm.flops` adds 2mnk per
+    // product, `gemm.wide_flops` the part on the 6×32 tile, which runs a
+    // product at least 32 columns wide on a host with AVX-512F.
+    let x = Matrix::from_fn(64, 64, |i, j| (i * 3 + j) as f64);
+    let narrow = Matrix::from_fn(64, 16, |i, j| (i + j) as f64);
+    let (flops_before, wide_before) = (counter("gemm.flops"), counter("gemm.wide_flops"));
+    obs::set_level(1);
+    let _ = matmul(&x, Trans::N, &x, Trans::N);
+    let _ = matmul(&x, Trans::N, &narrow, Trans::N);
+    obs::set_level(0);
+    let _ = obs::drain();
+    assert_eq!(
+        counter("gemm.flops") - flops_before,
+        2 * 64 * 64 * (64 + 16)
+    );
+    let wide = Tile::available().contains(&Tile::Avx512);
+    assert_eq!(
+        counter("gemm.wide_flops") - wide_before,
+        if wide { 2 * 64 * 64 * 64 } else { 0 },
+        "only the 64-wide product runs the wide tile, and only on AVX-512F"
     );
 
     // Phase 5 — full→band's pseudocode lines. Eight panels on a
