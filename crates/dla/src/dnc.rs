@@ -100,7 +100,7 @@ const LEAF: usize = 40;
 /// solved as it is.
 pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     check_shape(d, e);
-    in_safe_range(d, e, |d, e| solve_full(d, e, LEAF, merge))
+    in_safe_range(d, e, |d, e| solve(d, e, LEAF, merge, Rows::All))
 }
 
 /// Eigenvalues only, in ascending order. Same recursion, merge
@@ -111,7 +111,7 @@ pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergen
 /// heavily — but it is D&C's values-only form, timed on its own.
 pub fn dnc_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
     check_shape(d, e);
-    let (lam, _) = in_safe_range(d, e, |d, e| solve_rows(d, e, LEAF, merge))?;
+    let (lam, _) = in_safe_range(d, e, |d, e| solve(d, e, LEAF, merge, Rows::Ends))?;
     Ok(lam)
 }
 
@@ -128,59 +128,56 @@ fn check_shape(d: &[f64], e: &[f64]) {
 /// dense oracle.
 pub(crate) type Merge = fn(MergePlan, Matrix, Matrix) -> (Vec<f64>, Matrix);
 
-pub(crate) fn solve_full(
+/// Which rows of a subproblem's eigenvector matrix `Z` the recursion
+/// carries.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows {
+    /// All of `Z`.
+    All,
+    /// Its first and last row, as a `2 × n` matrix: all a parent merge
+    /// reads of a subproblem that carries no more.
+    Ends,
+}
+
+/// The recursion: returns `(λ ascending, R)` with `R` the `rows` of `Z`.
+/// Both forms run the same tear, leaves and merge arithmetic, so they
+/// return the same eigenvalues bit for bit.
+pub(crate) fn solve(
     d: &[f64],
     e: &[f64],
     leaf: usize,
     merge: Merge,
+    rows: Rows,
 ) -> Result<(Vec<f64>, Matrix), NoConvergence> {
     let n = d.len();
     if n <= leaf {
-        let rows: Vec<usize> = (0..n).collect();
-        return tridiag_eigen_rows(d, e, &rows);
+        let keep: Vec<usize> = match rows {
+            Rows::All => (0..n).collect(),
+            Rows::Ends => vec![0, n - 1],
+        };
+        return tridiag_eigen_rows(d, e, &keep);
     }
     let k = n / 2;
     let (d1, d2, rho, s) = tear(d, e, k);
     let (left, right) = rayon::join(
-        || solve_full(&d1, &e[..k - 1], leaf, merge),
-        || solve_full(&d2, &e[k..], leaf, merge),
+        || solve(&d1, &e[..k - 1], leaf, merge, rows),
+        || solve(&d2, &e[k..], leaf, merge, rows),
     );
     let (lam1, q1) = left?;
     let (lam2, q2) = right?;
 
-    let (dm, z) = merge_inputs(&lam1, &lam2, q1.row(k - 1), q2.row(0), s);
+    let (dm, z) = merge_inputs(&lam1, &lam2, q1.row(q1.rows() - 1), q2.row(0), s);
     let plan = merge_plan(&dm, &z, rho);
-    Ok(merge(plan, q1, q2))
-}
-
-/// Row-pair recursion: returns `(λ, R)` with `R` `2 × n`, row 0 the
-/// first and row 1 the last row of the (never materialised) `Z`.
-pub(crate) fn solve_rows(
-    d: &[f64],
-    e: &[f64],
-    leaf: usize,
-    merge: Merge,
-) -> Result<(Vec<f64>, Matrix), NoConvergence> {
-    let n = d.len();
-    if n <= leaf {
-        return tridiag_eigen_rows(d, e, &[0, n - 1]);
-    }
-    let k = n / 2;
-    let (d1, d2, rho, s) = tear(d, e, k);
-    let (left, right) = rayon::join(
-        || solve_rows(&d1, &e[..k - 1], leaf, merge),
-        || solve_rows(&d2, &e[k..], leaf, merge),
-    );
-    let (lam1, r1) = left?;
-    let (lam2, r2) = right?;
-
-    let (dm, z) = merge_inputs(&lam1, &lam2, r1.row(1), r2.row(0), s);
-    let plan = merge_plan(&dm, &z, rho);
-    // The rows a parent reads: the first of the left half, the last of
-    // the right.
-    let first = Matrix::from_vec(1, k, r1.row(0).to_vec());
-    let last = Matrix::from_vec(1, n - k, r2.row(1).to_vec());
-    Ok(merge(plan, first, last))
+    Ok(match rows {
+        Rows::All => merge(plan, q1, q2),
+        // The rows a parent reads: the first of the left half, the last
+        // of the right.
+        Rows::Ends => {
+            let first = Matrix::from_vec(1, k, q1.row(0).to_vec());
+            let last = Matrix::from_vec(1, n - k, q2.row(1).to_vec());
+            merge(plan, first, last)
+        }
+    })
 }
 
 /// Split `(d, e)` at `k`: returns the two corrected diagonals, the
@@ -781,7 +778,7 @@ mod tests {
     /// subproblems of size `leaf`; returns the eigenvalues.
     fn check_eigen(d: &[f64], e: &[f64], tol: f64, leaf: usize) -> Vec<f64> {
         let n = d.len();
-        let (lam, z) = solve_full(d, e, leaf, merge).expect("converges");
+        let (lam, z) = solve(d, e, leaf, merge, Rows::All).expect("converges");
         // Ascending.
         for w in lam.windows(2) {
             assert!(w[0] <= w[1], "eigenvalues not sorted");
@@ -820,7 +817,7 @@ mod tests {
             tz.max_diff(&zl)
         );
         // Values-only variant agrees exactly.
-        let (vals, _) = solve_rows(d, e, leaf, merge).expect("converges");
+        let (vals, _) = solve(d, e, leaf, merge, Rows::Ends).expect("converges");
         assert_eq!(vals, lam, "row-pair recursion diverged from full recursion");
         lam
     }
@@ -830,7 +827,7 @@ mod tests {
         let n = 33;
         let d = vec![2.0; n];
         let e = vec![-1.0; n - 1];
-        let (lam, _) = solve_full(&d, &e, 8, merge).unwrap();
+        let (lam, _) = solve(&d, &e, 8, merge, Rows::All).unwrap();
         for (idx, l) in lam.iter().enumerate() {
             let want =
                 2.0 - 2.0 * ((idx + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
@@ -936,8 +933,8 @@ mod tests {
     fn top_plan(d: &[f64], e: &[f64]) -> (MergePlan, usize) {
         let k = d.len() / 2;
         let (d1, d2, rho, s) = tear(d, e, k);
-        let (lam1, r1) = solve_rows(&d1, &e[..k - 1], LEAF, merge).unwrap();
-        let (lam2, r2) = solve_rows(&d2, &e[k..], LEAF, merge).unwrap();
+        let (lam1, r1) = solve(&d1, &e[..k - 1], LEAF, merge, Rows::Ends).unwrap();
+        let (lam2, r2) = solve(&d2, &e[k..], LEAF, merge, Rows::Ends).unwrap();
         let (dm, z) = merge_inputs(&lam1, &lam2, r1.row(1), r2.row(0), s);
         (merge_plan(&dm, &z, rho), k)
     }
@@ -981,7 +978,7 @@ mod tests {
                 let (lam_ref, z_ref) = crate::oracle::dnc_eigen_reference(d, e, LEAF).unwrap();
                 assert_same_bits(&lam, &lam_ref, &at("λ"));
                 assert_same_bits(z.data(), z_ref.data(), &at("Z"));
-                let (vals, rows) = solve_rows(d, e, LEAF, merge).unwrap();
+                let (vals, rows) = solve(d, e, LEAF, merge, Rows::Ends).unwrap();
                 let (vals_ref, rows_ref) =
                     crate::oracle::dnc_eigenvalues_reference(d, e, LEAF).unwrap();
                 assert_same_bits(&vals, &vals_ref, &at("values"));

@@ -335,7 +335,7 @@ pub fn dnc_eigen_reference(
     e: &[f64],
     leaf: usize,
 ) -> Result<(Vec<f64>, Matrix), NoConvergence> {
-    dnc::solve_full(d, e, leaf, merge_dense_reference)
+    dnc::solve(d, e, leaf, merge_dense_reference, dnc::Rows::All)
 }
 
 /// [`crate::dnc::dnc_eigenvalues`] with the dense merge: the
@@ -345,7 +345,7 @@ pub fn dnc_eigenvalues_reference(
     e: &[f64],
     leaf: usize,
 ) -> Result<(Vec<f64>, Matrix), NoConvergence> {
-    dnc::solve_rows(d, e, leaf, merge_dense_reference)
+    dnc::solve(d, e, leaf, merge_dense_reference, dnc::Rows::Ends)
 }
 
 /// The dense merge: the halves' rows copied into the block-diagonal
