@@ -116,16 +116,20 @@ pub enum EigenError {
     /// The job was submitted to a service that is shutting down (or
     /// already shut down).
     ServiceShutdown,
-    /// The sequential tridiagonal eigensolver failed to converge —
-    /// unreachable for finite symmetric input (the implicit-shift QL
-    /// iteration is globally convergent), but non-finite data reaching
+    /// The sequential tridiagonal eigensolver failed to converge. Not
+    /// seen for finite symmetric input — the QL driver of
+    /// `ca_dla::tridiag` splits, scales and orients each block as LAPACK
+    /// `dsterf` does, and its tests sweep graded, clustered and glued
+    /// tridiagonals in both orientations — but non-finite data reaching
     /// the finale surfaces here instead of aborting the process.
     ConvergenceFailure {
-        /// Which solver gave up (`"tridiag_eigenvalues"`,
-        /// `"tridiag_eigen"`, `"sterf"`: the solvers of `ca_dla::tridiag`).
+        /// Which kernel gave up: `"tridiag_eigenvalues"` (the root-free
+        /// QL of the values finale and the baselines) or
+        /// `"tridiag_eigen"` (the QL with rotations, the D&C's leaves).
         solver: &'static str,
-        /// Eigenvalue index being iterated when the budget ran out, or
-        /// the first non-finite entry `"sterf"` was handed.
+        /// The first non-finite entry the solver was handed, or the
+        /// first row of the block still unreduced when the iteration cap
+        /// ran out.
         index: usize,
     },
 }

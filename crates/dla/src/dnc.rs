@@ -1,10 +1,10 @@
 //! Cuppen-style divide-and-conquer symmetric tridiagonal eigensolver.
 //!
 //! The final sequential stage of Algorithm IV.3 hands one processor a
-//! tridiagonal matrix. The implicit-QL solver in [`crate::tridiag`]
-//! processes it with `O(n²)` dependent scalar rotations — correct, but
-//! the one kernel in the pipeline that can never reach matrix–matrix
-//! flop rates. This module implements the standard production answer
+//! tridiagonal matrix. The QL driver in [`crate::tridiag`] solves it
+//! with `O(n²)` dependent scalar rotations — correct, but with
+//! eigenvectors the one kernel in the pipeline that can never reach
+//! matrix–matrix flop rates. This module implements the standard production answer
 //! (LAPACK `dstedc` / ELPA lineage): tear the matrix in half with a
 //! rank-one update, solve the halves independently (in parallel — the
 //! subproblems share nothing), and stitch the spectra back together
@@ -68,7 +68,7 @@
 
 use crate::gemm::{gemm_view, Trans, KC, PAR_FLOPS};
 use crate::matrix::Matrix;
-use crate::tridiag::{in_safe_range, tridiag_eigen_rows, NoConvergence};
+use crate::tridiag::{safe_range_exponent, scale_pow2, tridiag_eigen_rows, NoConvergence};
 use crate::view::{MatrixView, MatrixViewMut};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -81,8 +81,10 @@ const EPS: f64 = f64::EPSILON;
 /// Secular systems at least this large solve their roots over rayon
 /// workers (same threshold flavour as `sturm::PAR_EIGS`).
 const PAR_ROOTS: usize = 64;
-/// Subproblem size at or below which the recursion falls back to the
-/// implicit-shift QL solver, whose `O(n²)` rotations beat the merge
+/// Subproblem size at or below which the recursion's leaf is the QL
+/// driver of [`crate::tridiag`] with its rotation kernel (the driver of
+/// [`crate::tridiag::try_tridiag_eigen`], keeping the rows of `Z` the
+/// recursion carries), whose `O(n²)` rotations beat the merge
 /// machinery's constant factors there.
 const LEAF: usize = 40;
 
@@ -90,8 +92,8 @@ const LEAF: usize = 40;
 /// tridiagonal matrix `(d, e)` by divide-and-conquer: returns
 /// `(λ ascending, Z)` with `T·Z = Z·diag(λ)`, like
 /// [`crate::tridiag::try_tridiag_eigen`]. Subproblems of size
-/// ≤ 40 fall back to the QL solver, whose convergence
-/// failure (never observed on finite input) is the only error path.
+/// ≤ 40 are solved by that QL driver, whose convergence failure (on
+/// non-finite input; not seen on finite input) is the only error path.
 ///
 /// A matrix whose largest entry lies outside LAPACK `dsyev`'s safe range
 /// ([`crate::tridiag::safe_range_exponent`]) is solved as the exactly
@@ -99,7 +101,6 @@ const LEAF: usize = 40;
 /// its entries — and its eigenvalues scaled back; an in-range one is
 /// solved as it is.
 pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergence> {
-    check_shape(d, e);
     in_safe_range(d, e, |d, e| solve(d, e, LEAF, merge, Rows::All))
 }
 
@@ -110,14 +111,34 @@ pub fn dnc_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Matrix), NoConvergen
 /// (`crate::tridiag`), which beats it unless the spectrum deflates
 /// heavily — but it is D&C's values-only form, timed on its own.
 pub fn dnc_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
-    check_shape(d, e);
     let (lam, _) = in_safe_range(d, e, |d, e| solve(d, e, LEAF, merge, Rows::Ends))?;
     Ok(lam)
 }
 
-fn check_shape(d: &[f64], e: &[f64]) {
+/// Run the recursion `solve` on `(d, e)` — or, when `max(|d|, |e|)`
+/// lies outside the safe range ([`safe_range_exponent`]), on
+/// `2^k·(d, e)`, its eigenvalues scaled back by `2^−k`. Both scalings are
+/// exact and eigenvectors need none, so an in-range input keeps every
+/// bit. The deflation test and the secular equation square the entries:
+/// without it the recursion loses digits below ≈ 1e-150. (Its QL leaves
+/// scale each of their blocks themselves.)
+fn in_safe_range<Z>(
+    d: &[f64],
+    e: &[f64],
+    solve: impl FnOnce(&[f64], &[f64]) -> Result<(Vec<f64>, Z), NoConvergence>,
+) -> Result<(Vec<f64>, Z), NoConvergence> {
     assert!(!d.is_empty());
     assert_eq!(e.len(), d.len() - 1, "sub-diagonal must have n−1 entries");
+    let amax = d.iter().chain(e).fold(0.0f64, |m, x| m.max(x.abs()));
+    let Some(k) = safe_range_exponent(amax) else {
+        return solve(d, e);
+    };
+    let (mut ds, mut es) = (d.to_vec(), e.to_vec());
+    scale_pow2(&mut ds, k);
+    scale_pow2(&mut es, k);
+    let (mut lam, z) = solve(&ds, &es)?;
+    scale_pow2(&mut lam, -k);
+    Ok((lam, z))
 }
 
 /// How a merge turns the halves' carried rows into the merged system's:

@@ -12,7 +12,8 @@
 //!   Householder reconstruction (Corollary III.7),
 //! * symmetric banded storage and the bulge-chasing elimination kernel
 //!   with the exact index ranges of Algorithm IV.2 ([`band`], [`bulge`]),
-//! * symmetric tridiagonal eigensolvers: implicit-shift QL,
+//! * symmetric tridiagonal eigensolvers: one QL driver (root-free and
+//!   with rotations),
 //!   Sturm-sequence bisection, and GEMM-rich divide-and-conquer
 //!   ([`tridiag`], [`sturm`], [`dnc`]),
 //! * reproducible matrix generators with prescribed spectra ([`gen`]),

@@ -9,14 +9,17 @@
 //!   path both call: at most one block-reflector pass down to a
 //!   cache-sized band, then the fused rank-1 sweep of [`crate::bulge`],
 //!   optionally recording every transform as a compact-WY block;
-//! * the tridiagonal spectrum. For eigenvalues alone it is a port of
-//!   LAPACK `dsterf`'s root-free QL/QR (private to this module, reached
-//!   through [`try_banded_eigenvalues`]), which is what LAPACK's `dstedc`
-//!   runs for a values-only request too. With eigenvectors it is
-//!   divide-and-conquer ([`crate::dnc`]), whose leaf is this module's
-//!   implicit QL with rotations ([`try_tridiag_eigen`], EISPACK `tql2`).
-//!   [`try_tridiag_eigenvalues`] (`tql1`) is the oracle of the property
-//!   sweeps and the ScaLAPACK baseline's solver.
+//! * the tridiagonal spectrum, by one QL driver in `dsterf`'s shape (one
+//!   split rule, one per-block scaling, one iteration cap, one direction
+//!   rule: a block whose bottom is the smaller end runs QL reversed,
+//!   which is QR) with two kernels. For eigenvalues alone it runs the
+//!   root-free kernel, a port of LAPACK `dsterf`
+//!   ([`try_tridiag_eigenvalues`], and through it
+//!   [`try_banded_eigenvalues`]), which is what LAPACK's `dstedc` runs for
+//!   a values-only request too; it is also the ScaLAPACK baseline's
+//!   solver. With eigenvectors the finale is divide-and-conquer
+//!   ([`crate::dnc`]), whose leaves, like [`try_tridiag_eigen`], run the
+//!   kernel with rotations into rows of `Zᵀ` (EISPACK `tql2`'s sweep).
 //!
 //! The paper cites MRRR for the second step; any correct `O(n²)`-ish
 //! sequential tridiagonal solver exercises the same code path
@@ -25,13 +28,15 @@
 //!
 //! Why root-free QL for values: the step is lower-order `O(n²)` work
 //! against the band reduction, and D&C's merges (a secular system per
-//! merge, `tql2` leaves) cost more than the rotations they avoid unless
+//! merge, QL leaves) cost more than the rotations they avoid unless
 //! the spectrum deflates heavily. Measured on the reference host (2 vCPU
 //! Sapphire Rapids @ 2.1 GHz under KVM), one thread, minimum over three
 //! rounds, ms; the tridiagonals are `symmetric_with_spectrum` reduced to
 //! tridiagonal, the clustered one four clusters of spread 1e-10 in
 //! `[−1, 1]`; the last column is the largest difference between the two
-//! spectra:
+//! spectra. The `tql1` column is a solver since deleted (EISPACK's
+//! implicit QL without vectors, chasing from the bottom only, which
+//! stalled on graded input), kept as measured:
 //!
 //! | n | spectrum | root-free QL | D&C, values only | `tql1` | difference |
 //! |---|---|---|---|---|---|
@@ -58,11 +63,6 @@ use crate::band::BandedSym;
 use crate::bulge::{self, BlockReflector};
 use crate::gemm::Fma;
 use crate::workspace::with_ws;
-
-/// Maximum implicit-QL iterations per eigenvalue before the solver
-/// reports [`NoConvergence`] (EISPACK used 30; 64 is generous — on
-/// finite input the shift strategy converges cubically).
-const MAX_QL_ITERS: usize = 64;
 
 /// Bandwidth above which [`band_to_tridiagonal`] runs one
 /// block-reflector pass (down to [`SWEEP_BAND`]) before the fused sweep;
@@ -165,22 +165,23 @@ const HALVE_FLOOR: usize = 192;
 const SWEEP_BAND: usize = 64;
 
 /// A tridiagonal eigensolver failed to converge within its iteration
-/// budget. Non-finite input (NaN/∞ reaching the solver) is the practical
-/// trigger; on finite input only `tql1` / `tql2` have been seen to stall,
-/// on a matrix graded from 1 down past ≈ 1e-200 with the small end at
-/// the bottom (their rotation sines underflow before reaching the top;
-/// the root-free QL runs QR there). Returned by every solver of
-/// this module so distributed callers can surface a typed error
-/// instead of poisoning the run with a panic.
+/// budget. Non-finite input (NaN/∞ reaching the solver) is the trigger;
+/// on finite input the driver has not been seen to reach its cap — the
+/// tests sweep graded (1 down to 1e-300, either end small), clustered,
+/// glued and random tridiagonals up to n = 1024 through every entry.
+/// Returned by every solver of this module so distributed callers can
+/// surface a typed error instead of poisoning the run with a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoConvergence {
-    /// The solver that gave up (`"tridiag_eigenvalues"` for
-    /// [`try_tridiag_eigenvalues`], `"tridiag_eigen"` for
-    /// [`try_tridiag_eigen`], `"sterf"` for the root-free QL of
-    /// [`try_banded_eigenvalues`]).
+    /// The kernel that gave up: `"tridiag_eigenvalues"` for the
+    /// root-free QL ([`try_tridiag_eigenvalues`],
+    /// [`try_banded_eigenvalues`]), `"tridiag_eigen"` for the QL with
+    /// rotations ([`try_tridiag_eigen`] and the leaves of
+    /// [`crate::dnc`]).
     pub solver: &'static str,
-    /// The eigenvalue index being iterated when the budget ran out, or
-    /// the index of the first non-finite input entry.
+    /// The index of the first non-finite input entry, or, when the
+    /// iteration cap ran out, the first row of the unreduced block being
+    /// iterated whose off-diagonal was not yet zero.
     pub index: usize,
 }
 
@@ -197,37 +198,33 @@ impl std::fmt::Display for NoConvergence {
 impl std::error::Error for NoConvergence {}
 
 /// Eigenvalues of the symmetric tridiagonal matrix with diagonal `d` and
-/// sub-diagonal `e` (`e.len() == d.len() − 1`), in ascending order.
-///
-/// Implicit-shift QL with Wilkinson-style shifts (EISPACK `tql1` shape).
-/// Non-convergence comes back as [`NoConvergence`]. An input whose
-/// largest entry lies outside the safe range ([`safe_range_exponent`])
-/// is solved as the exactly scaled `2^k·T`.
+/// sub-diagonal `e` (`e.len() == d.len() − 1`), in ascending order: the
+/// QL driver with the root-free kernel, a port of LAPACK `dsterf`, the
+/// values-only solver LAPACK's `dstedc` picks over divide-and-conquer.
+/// It works on `eᵢ²` and needs no square root per rotation, so it is the
+/// values finale of [`try_banded_eigenvalues`] at every `n`.
 pub fn try_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
-    let (lam, ()) = in_safe_range(d, e, |d, e| {
-        let mut d = implicit_ql(d, e, None, "tridiag_eigenvalues")?;
-        d.sort_by(|a, b| a.partial_cmp(b).expect("eigenvalues are finite"));
-        Ok((d, ()))
+    let mut d = d.to_vec();
+    ql(&mut d, e, None).map_err(|index| NoConvergence {
+        solver: "tridiag_eigenvalues",
+        index,
     })?;
-    Ok(lam)
+    d.sort_by(|a, b| a.partial_cmp(b).expect("eigenvalues are finite"));
+    Ok(d)
 }
 
 /// Eigenvalues *and eigenvectors* of the symmetric tridiagonal matrix
-/// `(d, e)`: implicit-shift QL with accumulation of the rotations
-/// (EISPACK `tql2` shape). Returns `(λ ascending, Z)` with the columns
-/// of `Z` the orthonormal eigenvectors (`T·Z = Z·diag(λ)`).
+/// `(d, e)`: the QL driver with the rotation kernel (LAPACK `dsteqr`'s
+/// shape, EISPACK `tql2`'s sweep). Returns `(λ ascending, Z)` with the
+/// columns of `Z` the orthonormal eigenvectors (`T·Z = Z·diag(λ)`).
 ///
 /// This powers the eigenvector extension (the paper's §IV.C future
 /// work): the band-reduction stages' Householder transforms are
-/// back-applied to `Z` to recover the dense matrix's eigenvectors. Its
-/// QL, without the scaling guard, is the leaf solver of [`crate::dnc`].
-/// Non-convergence comes back as
-/// [`NoConvergence`]. An input whose largest entry lies outside the safe
-/// range ([`safe_range_exponent`]) is solved as the exactly scaled
-/// `2^k·T`; `Z` needs no unscaling.
+/// back-applied to `Z` to recover the dense matrix's eigenvectors. The
+/// same driver and kernel are the leaf solver of [`crate::dnc`].
 pub fn try_tridiag_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, crate::Matrix), NoConvergence> {
     let rows: Vec<usize> = (0..d.len()).collect();
-    in_safe_range(d, e, |d, e| tridiag_eigen_rows(d, e, &rows))
+    tridiag_eigen_rows(d, e, &rows)
 }
 
 /// [`try_tridiag_eigen`] keeping only the listed rows of `Z`: returns
@@ -243,14 +240,18 @@ pub(crate) fn tridiag_eigen_rows(
     rows: &[usize],
 ) -> Result<(Vec<f64>, crate::Matrix), NoConvergence> {
     let n = d.len();
-    let mut yt = crate::Matrix::zeros(n, rows.len());
+    let w = rows.len();
+    let mut yt = crate::Matrix::zeros(n, w);
     for (k, &r) in rows.iter().enumerate() {
         yt.set(r, k, 1.0);
     }
-    let mut d = implicit_ql(d, e, Some(&mut yt), "tridiag_eigen")?;
+    let mut d = d.to_vec();
+    ql(&mut d, e, Some((yt.data_mut(), w))).map_err(|index| NoConvergence {
+        solver: "tridiag_eigen",
+        index,
+    })?;
 
     // Sort eigenpairs ascending (selection sort, swapping rows of Yᵀ).
-    let w = rows.len();
     for i in 0..n {
         let mut k = i;
         for j in i + 1..n {
@@ -260,8 +261,7 @@ pub(crate) fn tridiag_eigen_rows(
         }
         if k != i {
             d.swap(i, k);
-            let (lo, hi) = yt.data_mut().split_at_mut(k * w);
-            lo[i * w..(i + 1) * w].swap_with_slice(&mut hi[..w]);
+            swap_rows(yt.data_mut(), w, i, k);
         }
     }
     if w != n {
@@ -278,164 +278,57 @@ pub(crate) fn tridiag_eigen_rows(
     Ok((d, yt))
 }
 
-/// The implicit-shift QL iteration of both solvers above: returns the
-/// eigenvalues of `(d, e)`, unsorted, and applies every rotation to the
-/// rows of `yt` (`Zᵀ`, or the columns of it a caller keeps) when one is
-/// given (`tql2`; without, `tql1`). The iteration reads nothing back
-/// from `yt`, so both solvers return the same eigenvalues bit for bit.
-/// `solver` names the caller in a [`NoConvergence`].
-fn implicit_ql(
-    d: &[f64],
-    e: &[f64],
-    mut yt: Option<&mut crate::Matrix>,
-    solver: &'static str,
-) -> Result<Vec<f64>, NoConvergence> {
-    let n = d.len();
-    assert!(n > 0);
-    assert_eq!(e.len(), n - 1, "sub-diagonal must have n−1 entries");
-    let mut d = d.to_vec();
-    // Working copy of the off-diagonal with a trailing sentinel zero.
-    let mut e: Vec<f64> = e.iter().copied().chain(std::iter::once(0.0)).collect();
+/// LAPACK's unit roundoff `dlamch('E')`, 2⁻⁵³, and its square, the
+/// deflation tolerance of both kernels.
+const EPS: f64 = f64::EPSILON / 2.0;
+const EPS2: f64 = EPS * EPS;
 
-    for l in 0..n {
-        let mut iter = 0;
-        loop {
-            // Find the first negligible off-diagonal at or after l.
-            let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            iter += 1;
-            if iter > MAX_QL_ITERS {
-                return Err(NoConvergence { solver, index: l });
-            }
-
-            // Wilkinson shift.
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            g = d[m] - d[l] + e[l] / (g + if g >= 0.0 { r.abs() } else { -r.abs() });
-            let (mut s, mut c, mut p) = (1.0f64, 1.0f64, 0.0f64);
-
-            let mut underflow = false;
-            for i in (l..m).rev() {
-                let f = s * e[i];
-                let b = c * e[i];
-                r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    // Recover from underflow: skip the transformation.
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    underflow = true;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
-                if let Some(yt) = yt.as_deref_mut() {
-                    // Accumulate the rotation into Z's columns i, i+1:
-                    // rows i, i+1 of Yᵀ, contiguous.
-                    let w = yt.cols();
-                    let (lo, hi) = yt.data_mut().split_at_mut((i + 1) * w);
-                    for (zi, zf) in lo[i * w..].iter_mut().zip(&mut hi[..w]) {
-                        let (a, b) = (*zi, *zf);
-                        *zf = s * a + c * b;
-                        *zi = c * a - s * b;
-                    }
-                }
-            }
-            if underflow {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
-            e[m] = 0.0;
-        }
-    }
-    Ok(d)
-}
-
-/// Eigenvalues of the symmetric tridiagonal `(d, e)`, ascending: a port
-/// of LAPACK `dsterf`'s root-free QL/QR, the values-only solver LAPACK's
-/// `dstedc` picks over divide-and-conquer. It works on `eᵢ²` and needs
-/// no square root per rotation (one division pair per inner step against
-/// `tql1`'s `hypot`), so it is the values finale of
-/// [`try_banded_eigenvalues`] at every `n`.
+/// The tridiagonal QL driver, `dsterf`'s shape: overwrites `d` with the
+/// eigenvalues of `(d, e)`, unsorted. Without `yt` each block runs the
+/// root-free kernel ([`ql_root_free`]); with `yt = (Yᵀ, w)`, the rows of
+/// an `n × w` row-major matrix, the rotation kernel ([`ql_rotations`]),
+/// which applies every rotation to two contiguous rows of `Yᵀ`.
 ///
-/// As in `dsterf`: the matrix splits into unreduced blocks where
-/// `|eᵢ| ≤ ε·√|dᵢ|·√|dᵢ₊₁|`, and each block
-/// * is scaled into `[ssfmin, ssfmax] = [√safmin/ε², √safmax/3]` when
-///   its largest entry lies outside, so that `eᵢ²` neither underflows
-///   nor overflows — here by the power of two that lands it just inside,
-///   so scaling and unscaling are exact (`dlascl` multiplies by
-///   `ssfmax/‖·‖`);
-/// * runs QL when `|d_end| ≥ |d_start|` and QR otherwise, deflating where
-///   `eᵢ² ≤ ε²·|dᵢ·dᵢ₊₁|` and finishing a 2 × 2 by `dlae2`.
-///
-/// The iteration count over the whole matrix is capped at `30·n`
-/// (`NMAXIT`); past it, or on a non-finite entry (checked first — NaN
-/// would never deflate, and a 2 × 2 block would return it), the result
-/// is [`NoConvergence`] with `solver == "sterf"`.
-fn sterf(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
-    const SOLVER: &str = "sterf";
-    const MAXIT: usize = 30;
+/// * A NaN or ∞ anywhere is an error at its index, checked first: NaN
+///   would never deflate, and a 2 × 2 block would return it.
+/// * The matrix splits into unreduced blocks where
+///   `|eᵢ| ≤ ε·√|dᵢ|·√|dᵢ₊₁|`.
+/// * A block whose largest entry lies outside `[ssfmin, ssfmax] =
+///   [√safmin/ε², √safmax/3]` is scaled by the power of two that lands it
+///   just inside, so that `eᵢ²` neither underflows nor overflows and
+///   scaling and unscaling are exact (`dlascl` multiplies by
+///   `ssfmax/‖·‖`); eigenvectors need no unscaling.
+/// * A block whose last diagonal is smaller in magnitude than its first
+///   is reversed (`d`, `e` and its rows of `Yᵀ`), run through QL and
+///   reversed back: QL chases towards the top and deflates there, so the
+///   small end must be the top. This is `dsterf`'s QR sweep, bit for bit.
+/// * Sweeps over the whole matrix are capped at `30·n` (`NMAXIT`); past
+///   it the error is the first row of the block whose off-diagonal is
+///   not yet zero.
+fn ql(d: &mut [f64], e: &[f64], mut yt: Option<(&mut [f64], usize)>) -> Result<(), usize> {
     let n = d.len();
     assert!(n > 0);
     assert_eq!(e.len(), n - 1, "sub-diagonal must have n−1 entries");
     if let Some(i) = d.iter().chain(e).position(|x| !x.is_finite()) {
-        let index = if i < n { i } else { i - n };
-        return Err(NoConvergence {
-            solver: SOLVER,
-            index,
-        });
+        return Err(if i < n { i } else { i - n });
     }
-    let mut d = d.to_vec();
     let mut e = e.to_vec();
-    // LAPACK's constants: `dlamch('E')` is the unit roundoff 2⁻⁵³.
-    let eps = f64::EPSILON / 2.0;
-    let eps2 = eps * eps;
-    let safmin = f64::MIN_POSITIVE;
-    let ssfmax = (1.0 / safmin).sqrt() / 3.0;
-    let ssfmin = safmin.sqrt() / eps2;
-    let nmaxit = n * MAXIT;
-    let mut jtot = 0;
+    let ssfmax = (1.0 / f64::MIN_POSITIVE).sqrt() / 3.0;
+    let ssfmin = f64::MIN_POSITIVE.sqrt() / EPS2;
+    let mut budget = 30 * n;
 
-    let mut l1 = 0;
-    while l1 < n {
-        // The next unreduced block is `lsv..=lendsv`.
-        if l1 > 0 {
-            e[l1 - 1] = 0.0;
-        }
-        let mut m = l1;
-        while m + 1 < n {
-            if e[m].abs() <= (d[m].abs().sqrt() * d[m + 1].abs().sqrt()) * eps {
-                e[m] = 0.0;
-                break;
-            }
+    let mut l0 = 0;
+    while l0 < n {
+        // The next unreduced block is `l0..=m`.
+        let mut m = l0;
+        while m + 1 < n && e[m].abs() > (d[m].abs().sqrt() * d[m + 1].abs().sqrt()) * EPS {
             m += 1;
         }
-        let (lsv, lendsv) = (l1, m);
-        l1 = m + 1;
-        if lendsv == lsv {
-            continue;
-        }
-
-        let anorm = d[lsv..=lendsv]
-            .iter()
-            .chain(&e[lsv..lendsv])
-            .fold(0.0f64, |a, x| a.max(x.abs()));
-        if anorm == 0.0 {
+        let (db, eb) = (&mut d[l0..=m], &mut e[l0..m]);
+        let rows = l0..m + 1;
+        l0 = m + 1;
+        let anorm = db.iter().chain(&*eb).fold(0.0f64, |a, x| a.max(x.abs()));
+        if db.len() == 1 || anorm == 0.0 {
             continue;
         }
         let scale = if anorm > ssfmax {
@@ -446,51 +339,71 @@ fn sterf(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
             None
         };
         if let Some(k) = scale {
-            scale_pow2(&mut d[lsv..=lendsv], k);
-            scale_pow2(&mut e[lsv..lendsv], k);
+            scale_pow2(db, k);
+            scale_pow2(eb, k);
         }
-        for x in &mut e[lsv..lendsv] {
-            *x *= *x;
+        let mut yb = yt
+            .as_mut()
+            .map(|(yt, w)| (&mut yt[rows.start * *w..rows.end * *w], *w));
+        let flip = db[db.len() - 1].abs() < db[0].abs();
+        if flip {
+            mirror(db, eb, &mut yb);
         }
-
-        let converged = if d[lendsv].abs() < d[lsv].abs() {
-            sterf_qr(&mut d, &mut e, lendsv, lsv, eps2, &mut jtot, nmaxit)
-        } else {
-            sterf_ql(&mut d, &mut e, lsv, lendsv, eps2, &mut jtot, nmaxit)
+        let converged = match yb.as_mut() {
+            None => {
+                for x in eb.iter_mut() {
+                    *x *= *x;
+                }
+                ql_root_free(db, eb, &mut budget)
+            }
+            Some((yb, w)) => ql_rotations(db, eb, yb, *w, &mut budget),
         };
+        if flip {
+            mirror(db, eb, &mut yb);
+        }
         if let Some(k) = scale {
-            scale_pow2(&mut d[lsv..=lendsv], -k);
+            scale_pow2(db, -k);
         }
         if !converged {
-            let index = e.iter().position(|&x| x != 0.0).unwrap_or(lsv);
-            return Err(NoConvergence {
-                solver: SOLVER,
-                index,
-            });
+            return Err(rows.start + eb.iter().position(|&x| x != 0.0).unwrap_or(0));
         }
     }
-    d.sort_by(|a, b| a.partial_cmp(b).expect("eigenvalues are finite"));
-    Ok(d)
+    Ok(())
 }
 
-/// `dsterf`'s QL sweep over the block `l..=lend` (`l ≤ lend`) of `(d, e²)`:
-/// `false` when the iteration budget runs out first.
-fn sterf_ql(
-    d: &mut [f64],
-    e: &mut [f64],
-    mut l: usize,
-    lend: usize,
-    eps2: f64,
-    jtot: &mut usize,
-    nmaxit: usize,
-) -> bool {
+/// Reverse a block: its diagonal, its off-diagonals and its rows of
+/// `Yᵀ`, the permutation `P·T·P` with `P` the block's exchange matrix.
+fn mirror(d: &mut [f64], e: &mut [f64], yt: &mut Option<(&mut [f64], usize)>) {
+    d.reverse();
+    e.reverse();
+    if let Some((yt, w)) = yt {
+        for i in 0..d.len() / 2 {
+            swap_rows(yt, *w, i, d.len() - 1 - i);
+        }
+    }
+}
+
+/// Swap rows `i < k` of the row-major, `w`-wide `rows`.
+fn swap_rows(rows: &mut [f64], w: usize, i: usize, k: usize) {
+    let (lo, hi) = rows.split_at_mut(k * w);
+    lo[i * w..(i + 1) * w].swap_with_slice(&mut hi[..w]);
+}
+
+/// The deflation test of both kernels: `eᵢ² ≤ ε²·|dᵢ·dᵢ₊₁|`, given `eᵢ²`.
+fn negligible(e2: f64, di: f64, dj: f64) -> bool {
+    e2.abs() <= EPS2 * (di * dj).abs()
+}
+
+/// `dsterf`'s QL sweep over one unreduced block `(d, e²)` of the driver,
+/// finishing a 2 × 2 by `dlae2`: `false` when the driver's budget runs
+/// out first.
+fn ql_root_free(d: &mut [f64], e: &mut [f64], budget: &mut usize) -> bool {
+    let lend = d.len() - 1;
+    let mut l = 0;
     loop {
         // Look for a small sub-diagonal element.
         let mut m = l;
-        while m < lend {
-            if e[m].abs() <= eps2 * (d[m] * d[m + 1]).abs() {
-                break;
-            }
+        while m < lend && !negligible(e[m], d[m], d[m + 1]) {
             m += 1;
         }
         if m < lend {
@@ -515,10 +428,10 @@ fn sterf_ql(
             }
             continue;
         }
-        if *jtot == nmaxit {
+        if *budget == 0 {
             return false;
         }
-        *jtot += 1;
+        *budget -= 1;
 
         // Form the shift.
         let p = d[l];
@@ -553,84 +466,74 @@ fn sterf_ql(
     }
 }
 
-/// `dsterf`'s QR sweep over the block `lend..=l` (`lend < l`) of
-/// `(d, e²)`, chasing from the bottom: `false` when the iteration budget
-/// runs out first.
-fn sterf_qr(
+/// The implicit-shift QL sweep with Wilkinson's shift over one unreduced
+/// block `(d, e)` of the driver (EISPACK `tql2`'s), accumulating every
+/// rotation into two contiguous rows of `yt` (`w` wide): `false` when
+/// the driver's budget runs out first. The iteration reads nothing back
+/// from `yt`.
+fn ql_rotations(
     d: &mut [f64],
     e: &mut [f64],
-    mut l: usize,
-    lend: usize,
-    eps2: f64,
-    jtot: &mut usize,
-    nmaxit: usize,
+    yt: &mut [f64],
+    w: usize,
+    budget: &mut usize,
 ) -> bool {
-    loop {
-        // Look for a small super-diagonal element.
+    let lend = d.len() - 1;
+    let mut l = 0;
+    'sweep: loop {
         let mut m = l;
-        while m > lend {
-            if e[m - 1].abs() <= eps2 * (d[m] * d[m - 1]).abs() {
-                break;
-            }
-            m -= 1;
+        while m < lend && !negligible(e[m] * e[m], d[m], d[m + 1]) {
+            m += 1;
         }
-        if m > lend {
-            e[m - 1] = 0.0;
+        if m < lend {
+            e[m] = 0.0;
         }
         if m == l {
-            // Eigenvalue found.
-            if l == lend {
+            l += 1;
+            if l > lend {
                 return true;
             }
-            l -= 1;
             continue;
         }
-        if m + 1 == l {
-            let (rt1, rt2) = dlae2(d[l], e[l - 1].sqrt(), d[l - 1]);
-            d[l] = rt1;
-            d[l - 1] = rt2;
-            e[l - 1] = 0.0;
-            if l < lend + 2 {
-                return true;
-            }
-            l -= 2;
-            continue;
-        }
-        if *jtot == nmaxit {
+        if *budget == 0 {
             return false;
         }
-        *jtot += 1;
+        *budget -= 1;
 
-        // Form the shift.
-        let p = d[l];
-        let rte = e[l - 1].sqrt();
-        let sigma = (d[l - 1] - p) / (2.0 * rte);
-        let r = sigma.hypot(1.0);
-        let sigma = p - rte / (sigma + r.copysign(sigma));
-        let (mut c, mut s) = (1.0f64, 0.0f64);
-        let mut gamma = d[m] - sigma;
-        let mut p = gamma * gamma;
-        for i in m..l {
-            let bb = e[i];
-            let r = p + bb;
-            if i != m {
-                e[i - 1] = s * r;
+        let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+        let mut r = g.hypot(1.0);
+        g = d[m] - d[l] + e[l] / (g + if g >= 0.0 { r } else { -r });
+        let (mut s, mut c, mut p) = (1.0f64, 1.0f64, 0.0f64);
+        for i in (l..m).rev() {
+            let f = s * e[i];
+            let b = c * e[i];
+            r = f.hypot(g);
+            if i + 1 < m {
+                e[i + 1] = r;
             }
-            let oldc = c;
-            c = p / r;
-            s = bb / r;
-            let oldgam = gamma;
-            let alpha = d[i + 1];
-            gamma = c * (alpha - sigma) - s * oldgam;
-            d[i] = oldgam + (alpha - gamma);
-            p = if c != 0.0 {
-                (gamma * gamma) / c
-            } else {
-                oldc * bb
-            };
+            if r == 0.0 {
+                // Recover from underflow: `e[i + 1]` is now zero, so the
+                // block splits there; skip the rest of the sweep.
+                d[i + 1] -= p;
+                continue 'sweep;
+            }
+            s = f / r;
+            c = g / r;
+            g = d[i + 1] - p;
+            r = (d[i] - g) * s + 2.0 * c * b;
+            p = s * r;
+            d[i + 1] = g + p;
+            g = c * r - b;
+            // Columns i, i+1 of Z: rows i, i+1 of Yᵀ.
+            let (lo, hi) = yt.split_at_mut((i + 1) * w);
+            for (zi, zf) in lo[i * w..].iter_mut().zip(&mut hi[..w]) {
+                let (a, b) = (*zi, *zf);
+                *zf = s * a + c * b;
+                *zi = c * a - s * b;
+            }
         }
-        e[l - 1] = s * p;
-        d[l] = sigma + gamma;
+        d[l] -= p;
+        e[l] = g;
     }
 }
 
@@ -662,9 +565,9 @@ fn dlae2(a: f64, b: f64, c: f64) -> (f64, f64) {
 
 /// LAPACK `dsyev`'s safe range for a symmetric matrix's largest entry
 /// `amax`: inside `[√(MIN_POSITIVE/ε), its reciprocal]` (≈ `[1e-146,
-/// 1e146]`) the reductions and the tridiagonal solvers neither underflow
-/// nor overflow; outside it they return silently wrong eigenvalues or
-/// [`NoConvergence`] on finite input. For a finite nonzero `amax` outside
+/// 1e146]`) the reductions and divide-and-conquer neither underflow nor
+/// overflow; outside it they return silently wrong eigenvalues (the QL
+/// driver scales each of its blocks itself). For a finite nonzero `amax` outside
 /// the range this is the `k` with `2^k·amax ∈ [½, 1)`: solve `2^k·A`
 /// instead and scale its eigenvalues back with [`scale_pow2`]`(·, −k)` —
 /// both scalings are exact, and eigenvectors need no unscaling. `None`:
@@ -675,30 +578,6 @@ pub fn safe_range_exponent(amax: f64) -> Option<i32> {
         return None;
     }
     Some(-binary_exponent(amax))
-}
-
-/// Run the tridiagonal solver `solve` on `(d, e)` — or, when
-/// `max(|d|, |e|)` lies outside the safe range ([`safe_range_exponent`]),
-/// on `2^k·(d, e)`, its eigenvalues scaled back by `2^−k`. Both scalings
-/// are exact and eigenvectors need none, so an in-range input keeps
-/// every bit. Without it the QL solvers stop converging on some finite
-/// input near 1e-300 and divide-and-conquer, which squares the entries,
-/// loses digits below ≈ 1e-150.
-pub(crate) fn in_safe_range<Z>(
-    d: &[f64],
-    e: &[f64],
-    solve: impl FnOnce(&[f64], &[f64]) -> Result<(Vec<f64>, Z), NoConvergence>,
-) -> Result<(Vec<f64>, Z), NoConvergence> {
-    let amax = d.iter().chain(e).fold(0.0f64, |m, x| m.max(x.abs()));
-    let Some(k) = safe_range_exponent(amax) else {
-        return solve(d, e);
-    };
-    let (mut ds, mut es) = (d.to_vec(), e.to_vec());
-    scale_pow2(&mut ds, k);
-    scale_pow2(&mut es, k);
-    let (mut lam, z) = solve(&ds, &es)?;
-    scale_pow2(&mut lam, -k);
-    Ok((lam, z))
 }
 
 /// Multiply every entry by `2^k`, in two power-of-two steps: `|k|` can
@@ -744,7 +623,7 @@ pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> 
 fn banded_eigenvalues_in_range(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> {
     let (d, e) = band_to_tridiagonal(b, None);
     let _span = ca_obs::kernel_span("finale.tridiag");
-    sterf(&d, &e)
+    try_tridiag_eigenvalues(&d, &e)
 }
 
 /// Reduce a symmetric banded matrix to tridiagonal form, sequentially:
@@ -968,32 +847,38 @@ mod tests {
 
     #[test]
     fn non_finite_input_yields_typed_error() {
-        // NaN never satisfies the deflation test, so the QL loop runs
-        // out of budget — the typed error, not a panic or a NaN result.
+        // The driver checks first: a NaN or ∞ anywhere is the typed error
+        // at its index, also where a 2 × 2 block would return it — not a
+        // panic, a NaN result or a budget run out.
         let d = vec![1.0, f64::NAN, 2.0, 0.5];
         let e = vec![0.3, 0.2, 0.1];
         let err = try_tridiag_eigenvalues(&d, &e).unwrap_err();
-        assert_eq!(err.solver, "tridiag_eigenvalues");
-        assert!(err.to_string().contains("did not converge"));
-        let err = try_tridiag_eigen(&d, &e).unwrap_err();
-        assert_eq!(err.solver, "tridiag_eigen");
-        // The root-free QL checks first: a NaN or ∞ anywhere is the typed
-        // error at its index, also where a 2 × 2 block would return it.
         assert_eq!(
-            sterf(&d, &e),
-            Err(NoConvergence {
-                solver: "sterf",
+            err,
+            NoConvergence {
+                solver: "tridiag_eigenvalues",
                 index: 1
-            })
+            }
+        );
+        assert!(err.to_string().contains("did not converge"));
+        assert_eq!(
+            try_tridiag_eigen(&d, &e).unwrap_err(),
+            NoConvergence {
+                solver: "tridiag_eigen",
+                index: 1
+            }
         );
         assert_eq!(
-            sterf(&[1.0, 2.0], &[f64::INFINITY]),
+            try_tridiag_eigenvalues(&[1.0, 2.0], &[f64::INFINITY]),
             Err(NoConvergence {
-                solver: "sterf",
+                solver: "tridiag_eigenvalues",
                 index: 0
             })
         );
-        assert_eq!(sterf(&[f64::NAN], &[]).unwrap_err().solver, "sterf");
+        assert_eq!(
+            try_tridiag_eigenvalues(&[f64::NAN], &[]).unwrap_err().index,
+            0
+        );
         let mut band = BandedSym::zeros(4, 1, 1);
         for (i, (&x, &y)) in d.iter().zip(e.iter().chain([&0.0])).enumerate() {
             band.set(i, i, x);
@@ -1001,12 +886,13 @@ mod tests {
                 band.set(i + 1, i, y);
             }
         }
-        assert_eq!(try_banded_eigenvalues(&band).unwrap_err().solver, "sterf");
+        let err = try_banded_eigenvalues(&band).unwrap_err();
+        assert_eq!(err.solver, "tridiag_eigenvalues");
     }
 
-    /// The test matrices of the root-free QL's sweep, each at order `n`:
+    /// The test matrices of the QL driver's sweeps, each at order `n`:
     /// `(name, d, e)`.
-    fn sterf_gallery(n: usize, rng: &mut StdRng) -> Vec<(&'static str, Vec<f64>, Vec<f64>)> {
+    fn gallery(n: usize, rng: &mut StdRng) -> Vec<(&'static str, Vec<f64>, Vec<f64>)> {
         use rand::Rng;
         // `gen::wilkinson(n)` and `gen::clement(n)`'s entries.
         let mid = (n as f64 - 1.0) / 2.0;
@@ -1039,54 +925,91 @@ mod tests {
         ]
     }
 
-    /// The root-free QL against Sturm bisection and `tql1`, within
-    /// `8·n·ε·‖T‖` (‖T‖ the largest absolute row sum), on the gallery at
-    /// orders from 1 to 1024, Wilkinson's `W₂₁⁺` among them.
+    /// `‖T‖`, the largest absolute row sum of the tridiagonal `(d, e)`.
+    fn row_sum_norm(d: &[f64], e: &[f64]) -> f64 {
+        (0..d.len()).fold(0.0f64, |m, i| {
+            let left = if i > 0 { e[i - 1].abs() } else { 0.0 };
+            let right = if i + 1 < d.len() { e[i].abs() } else { 0.0 };
+            m.max(d[i].abs() + left + right)
+        })
+    }
+
+    /// Both kernels against Sturm bisection, within `8·n·ε·‖T‖`, on the
+    /// gallery at orders from 1 to 1024, Wilkinson's `W₂₁⁺` and the
+    /// graded matrix (small end at the bottom, so every block runs
+    /// mirrored) among them; the rotation kernel up to n = 128.
     #[test]
-    fn sterf_matches_bisection_and_tql1() {
+    fn sterf_matches_bisection() {
         let mut rng = StdRng::seed_from_u64(57);
         for n in [1usize, 2, 3, 7, 21, 40, 41, 97, 128, 1024] {
-            for (name, d, e) in sterf_gallery(n, &mut rng) {
-                let norm = (0..n).fold(0.0f64, |m, i| {
-                    let left = if i > 0 { e[i - 1].abs() } else { 0.0 };
-                    let right = if i + 1 < n { e[i].abs() } else { 0.0 };
-                    m.max(d[i].abs() + left + right)
-                });
+            for (name, d, e) in gallery(n, &mut rng) {
+                let norm = row_sum_norm(&d, &e);
                 let tol = 8.0 * n as f64 * f64::EPSILON * norm;
-                let ev = sterf(&d, &e).unwrap_or_else(|err| panic!("{name}, n = {n}: {err}"));
+                let bis = crate::sturm::bisection_eigenvalues(&d, &e, f64::EPSILON * norm);
+                let ev = try_tridiag_eigenvalues(&d, &e)
+                    .unwrap_or_else(|err| panic!("{name}, n = {n}: {err}"));
                 assert!(
                     ev.windows(2).all(|w| w[0] <= w[1]),
                     "{name}, n = {n}: unsorted"
                 );
-                match try_tridiag_eigenvalues(&d, &e) {
-                    Ok(ql) => {
-                        let dist = spectrum_distance(&ev, &ql);
-                        assert!(
-                            dist <= tol,
-                            "{name}, n = {n}: {dist:e} from tql1 (tol {tol:e})"
-                        );
-                    }
-                    // `tql1` chases from the bottom only: on a matrix graded
-                    // from 1 down past ≈ 1e-200 its rotation sines underflow
-                    // to zero before they reach the top, and it stalls until
-                    // its budget runs out. The root-free QL runs QR there.
-                    Err(err) => assert!(name == "graded" && n >= 21, "{name}, n = {n}: {err}"),
-                }
-                let bis = crate::sturm::bisection_eigenvalues(&d, &e, f64::EPSILON * norm);
                 let dist = spectrum_distance(&ev, &bis);
                 assert!(
                     dist <= tol,
                     "{name}, n = {n}: {dist:e} from bisection (tol {tol:e})"
                 );
+                if n <= 128 {
+                    let (ev, _) = try_tridiag_eigen(&d, &e)
+                        .unwrap_or_else(|err| panic!("{name}, n = {n}, vectors: {err}"));
+                    let dist = spectrum_distance(&ev, &bis);
+                    assert!(
+                        dist <= tol,
+                        "{name}, n = {n}, vectors: {dist:e} from bisection (tol {tol:e})"
+                    );
+                }
             }
         }
+    }
+
+    /// The driver runs QR as QL on the reversed block, so the eigenvalues
+    /// of `(d, e)` and of its reversal are the same bits wherever the
+    /// block's ends differ in magnitude (with equal ends both run QL, in
+    /// opposite directions): on the gallery and on random tridiagonals.
+    #[test]
+    fn mirrored_input_returns_the_same_bits() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(58);
+        let mut cases = Vec::new();
+        for n in [2usize, 3, 7, 21, 40, 41, 97, 128, 1024] {
+            cases.extend(gallery(n, &mut rng));
+        }
+        for _ in 0..200 {
+            let n = rng.gen_range(2..100);
+            let scale = 10f64.powi(rng.gen_range(-3..4));
+            let d = (0..n).map(|_| scale * rng.gen_range(-2.0..2.0)).collect();
+            let e = (1..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            cases.push(("random", d, e));
+        }
+        let mut checked = 0;
+        for (name, d, e) in cases {
+            let n = d.len();
+            if d[0].abs() == d[n - 1].abs() {
+                continue;
+            }
+            let rev = |x: &[f64]| x.iter().rev().copied().collect::<Vec<_>>();
+            let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let fwd = try_tridiag_eigenvalues(&d, &e).unwrap();
+            let bwd = try_tridiag_eigenvalues(&rev(&d), &rev(&e)).unwrap();
+            assert_eq!(bits(fwd), bits(bwd), "{name}, n = {n}");
+            checked += 1;
+        }
+        assert!(checked > 200, "only {checked} cases had unequal ends");
     }
 
     #[test]
     fn sterf_analytic_spectra() {
         // 2 × 2 blocks go through dlae2, the smaller root from the
         // determinant: [[1, 1e-9], [1e-9, 1e-20]] has λ₋ ≈ 1e-20 − 1e-18.
-        let ev = sterf(&[1.0, 1e-20], &[1e-9]).unwrap();
+        let ev = try_tridiag_eigenvalues(&[1.0, 1e-20], &[1e-9]).unwrap();
         let small = 1e-20 - 1e-18 / (1.0 - 1e-20);
         assert!(
             ((ev[0] - small) / small).abs() < 4.0 * f64::EPSILON,
@@ -1095,7 +1018,7 @@ mod tests {
         // Clement's spectrum is {−(n−1), −(n−3), …, n−1}.
         let n = 50;
         let (d, e) = BandedSym::from_dense(&gen::clement(n), 1, 1).tridiagonal();
-        for (k, lam) in sterf(&d, &e).unwrap().iter().enumerate() {
+        for (k, lam) in try_tridiag_eigenvalues(&d, &e).unwrap().iter().enumerate() {
             let want = 2.0 * k as f64 - (n as f64 - 1.0);
             assert!(
                 (lam - want).abs() < 1e-12 * n as f64,
@@ -1103,15 +1026,16 @@ mod tests {
             );
         }
         // A split matrix and a zero block: each block on its own.
-        let ev = sterf(&[3.0, 0.0, 0.0, -1.0], &[0.0, 0.0, 0.0]).unwrap();
+        let ev = try_tridiag_eigenvalues(&[3.0, 0.0, 0.0, -1.0], &[0.0, 0.0, 0.0]).unwrap();
         assert_eq!(ev, vec![-1.0, 0.0, 0.0, 3.0]);
-        assert_eq!(sterf(&[42.0], &[]).unwrap(), vec![42.0]);
+        assert_eq!(try_tridiag_eigen(&[42.0], &[]).unwrap().0, vec![42.0]);
     }
 
     #[test]
     fn banded_engines_agree_on_spectrum() {
-        // Same matrix through the generic-chase + QL schedule (built
-        // here from its public pieces) and the fused sweep + D&C one.
+        // Same matrix through the finale's schedule and through the
+        // generic chase (built here from its public pieces), whose
+        // tridiagonal Sturm bisection solves.
         let mut rng = StdRng::seed_from_u64(54);
         let dense = gen::random_banded(&mut rng, 60, 7);
         let b = BandedSym::from_dense(&dense, 7, 14);
@@ -1119,7 +1043,7 @@ mod tests {
         let mut w = b.clone();
         bulge::reduce_band_to(&mut w, 1);
         let (d, e) = w.tridiagonal();
-        let legacy = try_tridiag_eigenvalues(&d, &e).unwrap();
+        let legacy = crate::sturm::bisection_eigenvalues(&d, &e, f64::EPSILON);
         let dist = spectrum_distance(&tuned, &legacy);
         assert!(
             dist < 1e-9 * dense.norm_fro().max(1.0),
@@ -1131,9 +1055,9 @@ mod tests {
         use crate::gemm::{matmul, Trans};
         let n = d.len();
         let (lam, z) = try_tridiag_eigen(d, e).unwrap();
-        // Matches the eigenvalue-only path.
-        let lam_only = try_tridiag_eigenvalues(d, e).unwrap();
-        assert!(spectrum_distance(&lam, &lam_only) < tol);
+        // Matches Sturm bisection.
+        let bis = crate::sturm::bisection_eigenvalues(d, e, f64::EPSILON);
+        assert!(spectrum_distance(&lam, &bis) < tol);
         // Z orthonormal.
         let ztz = matmul(&z, Trans::T, &z, Trans::N);
         assert!(ztz.max_diff(&Matrix::identity(n)) < tol, "ZᵀZ ≠ I");
@@ -1171,29 +1095,6 @@ mod tests {
             let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let e: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
             check_tridiag_eigen(&d, &e, 1e-9);
-        }
-    }
-
-    #[test]
-    fn both_ql_solvers_return_the_same_eigenvalue_bits() {
-        // One iteration under both entry points: with and without the
-        // rotations into Z, the eigenvalues agree bit for bit — on the
-        // gallery's tridiagonals and on random ones.
-        let mut rng = StdRng::seed_from_u64(55);
-        for n in [2usize, 3, 7, 21, 40] {
-            for a in [
-                gen::wilkinson(n),
-                gen::clement(n),
-                gen::laplacian_2d(n, 1),
-                gen::random_banded(&mut rng, n, 1),
-                gen::random_banded(&mut rng, n, 1),
-            ] {
-                let (d, e) = BandedSym::from_dense(&a, 1, 1).tridiagonal();
-                let values = try_tridiag_eigenvalues(&d, &e).unwrap();
-                let (pairs, _) = try_tridiag_eigen(&d, &e).unwrap();
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&values), bits(&pairs), "n = {n}");
-            }
         }
     }
 

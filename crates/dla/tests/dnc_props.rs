@@ -1,5 +1,5 @@
 //! Property sweeps for the divide-and-conquer tridiagonal eigensolver
-//! against the repo's independent oracles — implicit-shift QL and
+//! against the repo's independent oracles — the root-free QL and
 //! Sturm-sequence bisection — over the spectra that stress its two
 //! hard paths:
 //!
