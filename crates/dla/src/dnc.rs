@@ -4,12 +4,13 @@
 //! tridiagonal matrix. The QL driver in [`crate::tridiag`] solves it
 //! with `O(n²)` dependent scalar rotations — correct, but with
 //! eigenvectors the one kernel in the pipeline that can never reach
-//! matrix–matrix flop rates. This module implements the standard production answer
-//! (LAPACK `dstedc` / ELPA lineage): tear the matrix in half with a
-//! rank-one update, solve the halves independently (in parallel — the
-//! subproblems share nothing), and stitch the spectra back together
-//! through the **secular equation**, expressing the eigenvector merge
-//! as GEMM products so the dominant cost runs at blocked-kernel rates.
+//! matrix–matrix flop rates. This module implements the standard
+//! production answer (LAPACK `dstedc` / ELPA lineage): tear the matrix
+//! in half with a rank-one update, solve the halves independently (in
+//! parallel — the subproblems share nothing), and stitch the spectra
+//! back together through the **secular equation**, expressing the
+//! eigenvector merge as GEMM products so the dominant cost runs at
+//! blocked-kernel rates.
 //!
 //! Pipeline per merge, following Gu & Eisenstat's stable formulation:
 //!
