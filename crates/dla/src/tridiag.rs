@@ -168,7 +168,7 @@ const SWEEP_BAND: usize = 64;
 /// budget. Non-finite input (NaN/∞ reaching the solver) is the trigger;
 /// on finite input the driver has not been seen to reach its cap — the
 /// tests sweep graded (1 down to 1e-300, either end small), clustered,
-/// glued and random tridiagonals up to n = 1024 through every entry.
+/// glued and random tridiagonals up to n = 1024.
 /// Returned by every solver of this module so distributed callers can
 /// surface a typed error instead of poisoning the run with a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
