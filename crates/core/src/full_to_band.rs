@@ -492,6 +492,33 @@ mod tests {
         }
     }
 
+    /// The recorded `U₁` is rect-QR's reconstruction, unit
+    /// lower-trapezoidal only to rounding, so the back-transformation
+    /// must not skip its upper triangle (`ca_dla::qr::Wy::checked` keeps
+    /// it on the plain products). Pins the state of ROADMAP item 1: once
+    /// `U₁`'s zeros are exact this fails, and the back-transformation of
+    /// full→band's records can skip them too.
+    #[test]
+    fn recorded_u1_is_not_exactly_lower_trapezoidal() {
+        let (n, p) = (768, 4);
+        let params = EigenParams::new(p, 1);
+        let b = params.initial_bandwidth(n);
+        let mut rng = StdRng::seed_from_u64(1);
+        let a = gen::random_symmetric(&mut rng, n);
+        let mut rec = Vec::new();
+        try_full_to_band(&machine(p), &params, &a, b, Some(&mut rec)).unwrap();
+        assert!(!rec.is_empty());
+        for r in &rec {
+            let wy = ca_dla::qr::Wy::checked(r.u.view(), r.t.view());
+            assert!(
+                !wy.is_exact(),
+                "a {} × {} U₁ has exact zeros",
+                r.u.rows(),
+                r.u.cols()
+            );
+        }
+    }
+
     #[test]
     fn replication_reduces_communication() {
         // Θ(√c) claim: at fixed p, measured W drops as c grows.

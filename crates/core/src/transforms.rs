@@ -18,6 +18,8 @@
 
 use ca_bsp::Machine;
 use ca_dla::bulge::BlockReflector;
+use ca_dla::gemm::Trans;
+use ca_dla::qr::{Side, Wy};
 use ca_dla::workspace::with_ws;
 use ca_dla::{Matrix, Workspace};
 use ca_pla::grid::Grid;
@@ -119,10 +121,16 @@ pub(crate) fn back_transform(
 
 /// `X[rows] ← (I − U·T·Uᵀ)·X[rows]` on one column panel, in place. A
 /// block takes three products straight on the panel's row window
-/// (`qr::apply_q_view`), the two `k × w` intermediates lent by `ws`; a
+/// ([`Wy::apply`]), the two `k × w` intermediates lent by `ws`; a
 /// single reflector (the finale's records on a band too narrow for
 /// blocks, `ca_dla::bulge::sweep_group`) two row-major passes,
 /// `x ← x − τ·u·(uᵀx)`, over one lent row.
+///
+/// The block's structure is [`Wy::checked`]: chase blocks and sweep
+/// trapezoids come from `qr_inplace` with exact zeros, and their
+/// products skip them; full→band's `U₁` (rect-QR's reconstruction) has
+/// rounding-level entries above its diagonal and runs the plain
+/// products, whose bits skipping would change.
 fn apply_reflector(refl: &BlockReflector, xp: &mut Matrix, ws: &mut Workspace) {
     let rows = refl.u.rows();
     let k = refl.u.cols();
@@ -145,9 +153,9 @@ fn apply_reflector(refl: &BlockReflector, xp: &mut Matrix, ws: &mut Workspace) {
         ws.put(s);
         return;
     }
-    ca_dla::qr::apply_q_view(
-        &refl.u.view(),
-        &refl.t.view(),
+    Wy::checked(refl.u.view(), refl.t.view()).apply(
+        Trans::N,
+        Side::Left,
         &mut xp.subview_mut(refl.row0, 0, rows, w),
         ws,
     );

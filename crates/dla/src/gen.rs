@@ -8,7 +8,7 @@
 
 use crate::gemm::{matmul, Trans};
 use crate::matrix::Matrix;
-use crate::qr::{explicit_q, qr_factor, QrFactors};
+use crate::qr::explicit_q_of;
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
@@ -19,13 +19,12 @@ pub fn random_matrix<R: Rng>(rng: &mut R, m: usize, n: usize) -> Matrix {
 }
 
 /// Random `n × n` orthogonal matrix: the explicit `Q` factor of the QR
-/// factorization of a random Gaussian-ish matrix. The input and `R` are
-/// freed before `Q` is formed, so at most five `n × n` buffers are live.
+/// factorization of a random Gaussian-ish matrix. The matrix is factored
+/// in place and freed with `R`, and `T` is freed before `Q` is allocated
+/// ([`crate::qr`]'s `explicit_q_of`), so at most three `n × n` buffers
+/// are live.
 pub fn random_orthogonal<R: Rng>(rng: &mut R, n: usize) -> Matrix {
-    let a = random_matrix(rng, n, n);
-    let QrFactors { u, t, .. } = qr_factor(&a, usize::MAX);
-    drop(a);
-    explicit_q(&u, &t, n)
+    explicit_q_of(random_matrix(rng, n, n))
 }
 
 /// Symmetric matrix with the prescribed spectrum: `A = Q·diag(λ)·Qᵀ`.

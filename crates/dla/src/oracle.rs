@@ -10,6 +10,9 @@
 //! * the scalar triangular family ([`lu_nopivot_reference`] and its four
 //!   siblings), which [`crate::lu`]'s recursions match to rounding
 //!   (`tests/tri_props.rs`);
+//! * the compact-WY application as three plain products
+//!   ([`apply_wy_reference`]), the bitwise oracle of [`crate::qr::Wy`],
+//!   which skips the factors' zero triangles (`tests/wy_props.rs`);
 //! * LAPACK's BLAS-1 `larft` ([`form_t`]), which the QR recursion's
 //!   GEMM-assembled `T` and the sweep's recorded blocks are checked
 //!   against (`tests/qr_props.rs`, `tests/sweep_props.rs`);
@@ -35,7 +38,7 @@ use crate::dnc::{self, ColSrc, MergePlan};
 use crate::gemm::{self, gemm, matmul, Tile, Trans};
 use crate::lu::{op_is_lower, unpack_lu, Diag, Triangle};
 use crate::matrix::Matrix;
-use crate::qr::qr_factor;
+use crate::qr::{qr_factor, Side};
 use crate::tridiag::NoConvergence;
 use crate::view::{MatrixView, MatrixViewMut};
 use crate::workspace::with_ws;
@@ -240,6 +243,31 @@ pub fn form_t(u: &Matrix, taus: &[f64]) -> Matrix {
         }
     }
     t
+}
+
+/// The compact-WY application `Q = I − U·T·Uᵀ` as three plain products
+/// on the full operands: `op(Q)·C = C − U·(op(T)·(Uᵀ·C))`
+/// ([`Side::Left`]) or `C·op(Q) = C − ((C·U)·op(T))·Uᵀ`
+/// ([`Side::Right`]), `op(T) = T` for `trans = N` and `Tᵀ` for `T`, each
+/// product a [`gemm`] that skips nothing and an identity or `[S; 0]`
+/// right-hand side materialised by the caller. What [`crate::qr::Wy`]
+/// computed before it knew the factors' zeros, and its bitwise oracle
+/// (`tests/wy_props.rs`).
+pub fn apply_wy_reference(u: &Matrix, t: &Matrix, trans: Trans, side: Side, c: &Matrix) -> Matrix {
+    let mut out = c.clone();
+    match side {
+        Side::Left => {
+            let utc = matmul(u, Trans::T, c, Trans::N);
+            let s = matmul(t, trans, &utc, Trans::N);
+            gemm(-1.0, u, Trans::N, &s, Trans::N, 1.0, &mut out);
+        }
+        Side::Right => {
+            let cu = matmul(c, Trans::N, u, Trans::N);
+            let cut = matmul(&cu, Trans::N, t, trans);
+            gemm(-1.0, &cut, Trans::N, u, Trans::T, 1.0, &mut out);
+        }
+    }
+    out
 }
 
 /// [`crate::bulge::sweep_to_tridiagonal`] through the portable

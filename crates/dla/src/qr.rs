@@ -17,7 +17,7 @@
 //! size; rect-QR's tree nodes, TSQR's leaves, every bulge chase and the
 //! input generator reach it ([`qr_factor`] is its allocating wrapper).
 
-use crate::gemm::{gemm, gemm_view, matmul, Trans};
+use crate::gemm::{gemm_view_tri, Trans, Tri};
 use crate::matrix::Matrix;
 use crate::view::{MatrixView, MatrixViewMut};
 use crate::workspace::{with_ws, Workspace};
@@ -235,6 +235,18 @@ pub fn qr_factor_view(a: &MatrixView) -> QrFactors {
 
 /// `(U, T, R)` of `w`, factored in place with leaf width `leaf`.
 fn factor_in_place(mut w: Matrix, leaf: usize) -> QrFactors {
+    let (u, t) = factor_wy(&mut w, leaf);
+    let k = u.cols();
+    let mut r = Matrix::zeros(k, w.cols());
+    for i in 0..k {
+        r.row_mut(i)[i..].copy_from_slice(&w.row(i)[i..]);
+    }
+    QrFactors { u, t, r }
+}
+
+/// `(U, T)` of `w`, factored in place with leaf width `leaf`; `w` is
+/// left holding `R` and the reflector tails.
+fn factor_wy(w: &mut Matrix, leaf: usize) -> (Matrix, Matrix) {
     let _span = ca_obs::kernel_span("qr.factor");
     let (m, n) = (w.rows(), w.cols());
     let k = m.min(n);
@@ -249,11 +261,7 @@ fn factor_in_place(mut w: Matrix, leaf: usize) -> QrFactors {
             ws,
         )
     });
-    let mut r = Matrix::zeros(k, n);
-    for i in 0..k {
-        r.row_mut(i)[i..].copy_from_slice(&w.row(i)[i..]);
-    }
-    QrFactors { u, t, r }
+    (u, t)
 }
 
 /// Recursive Householder QR of the view `w` **in place** (Lemma III.4,
@@ -298,9 +306,9 @@ fn qr_leaf_capped(
     assert_eq!((t.rows(), t.cols()), (k, k));
     qr_rec(&mut w.sub_mut(0, 0, m, k), u, t, leaf, ws);
     if k < n {
-        apply_qt_view(
-            &u.as_view(),
-            &t.as_view(),
+        Wy::new(u.as_view(), t.as_view()).apply(
+            Trans::T,
+            Side::Left,
             &mut w.sub_mut(0, k, m, n - k),
             ws,
         );
@@ -328,9 +336,9 @@ fn qr_rec(
         leaf,
         ws,
     );
-    apply_qt_view(
-        &u.sub(0, 0, m, n1),
-        &t.sub(0, 0, n1, n1),
+    Wy::new(u.sub(0, 0, m, n1), t.sub(0, 0, n1, n1)).apply(
+        Trans::T,
+        Side::Left,
         &mut w.sub_mut(0, n1, m, n2),
         ws,
     );
@@ -344,136 +352,466 @@ fn qr_rec(
     u.sub_mut(0, n1, n1, n2).fill(0.0);
     t.sub_mut(n1, 0, n2, n1).fill(0.0);
 
-    // T₁₂ = −T₁₁·(U₁ᵀ·U₂)·T₂₂; U₂ is zero above row n₁, so only U₁'s
-    // rows from n₁ down meet it.
     let mut g = ws.take_scratch(n1 * n2);
-    let mut h = ws.take_scratch(n1 * n2);
-    gemm_view(
-        1.0,
-        &u.sub(n1, 0, m - n1, n1),
-        Trans::T,
-        &u.sub(n1, n1, m - n1, n2),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut g, n1, n2),
-    );
-    gemm_view(
-        1.0,
-        &MatrixView::from_slice(&g, n1, n2),
-        Trans::N,
-        &t.sub(n1, n1, n2, n2),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut h, n1, n2),
-    );
-    gemm_view(
-        -1.0,
-        &t.sub(0, 0, n1, n1),
-        Trans::N,
-        &MatrixView::from_slice(&h, n1, n2),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut g, n1, n2),
-    );
+    let first = Wy::new(u.sub(0, 0, m, n1), t.sub(0, 0, n1, n1));
+    let second = Wy::new(u.sub(n1, n1, m - n1, n2), t.sub(n1, n1, n2, n2));
+    first.join_t(&second, &mut MatrixViewMut::from_slice(&mut g, n1, n2), ws);
     t.sub_mut(0, n1, n1, n2)
         .copy_from(&MatrixView::from_slice(&g, n1, n2));
-    ws.put(h);
     ws.put(g);
 }
 
-/// `C ← Qᵀ·C = C − U·(Tᵀ·(Uᵀ·C))` on views, temporaries from `ws`.
-fn apply_qt_view(u: &MatrixView, t: &MatrixView, c: &mut MatrixViewMut, ws: &mut Workspace) {
-    apply_block_view(u, t, Trans::T, c, ws);
+/// Which side of `C` a compact-WY `Q` multiplies from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// `C ← op(Q)·C`.
+    Left,
+    /// `C ← C·op(Q)`.
+    Right,
 }
 
-/// `C ← Q·C = C − U·(T·(Uᵀ·C))` in place on a (strided) view of `C`, the
-/// two `k × n` intermediates lent by `ws` — the eigenvector
-/// back-transformation applies every recorded block this way, straight
-/// on a column panel's row window.
-pub fn apply_q_view(u: &MatrixView, t: &MatrixView, c: &mut MatrixViewMut, ws: &mut Workspace) {
-    apply_block_view(u, t, Trans::N, c, ws);
+/// A right-hand side of [`Wy::coeff`] and [`Wy::update`] with its zeros
+/// known, `U`'s `m` rows tall. Neither is materialised: the products
+/// read only the rows that can be non-zero.
+#[derive(Clone, Copy)]
+pub enum Rhs<'a> {
+    /// `I[:, ..ncols]`: the first `ncols ≤ m` columns of the identity.
+    Identity(usize),
+    /// `[S; 0]`: `S` (at most `m` rows) on top of zero rows.
+    Top(MatrixView<'a>),
 }
 
-/// `C ← C − U·(op(T)·(Uᵀ·C))`: three products, `op(T) = T` for `Q`,
-/// `Tᵀ` for `Qᵀ`.
-fn apply_block_view(
-    u: &MatrixView,
-    t: &MatrixView,
-    tt: Trans,
+impl Rhs<'_> {
+    /// Columns of `C`.
+    pub fn cols(&self) -> usize {
+        match self {
+            Rhs::Identity(ncols) => *ncols,
+            Rhs::Top(s) => s.cols(),
+        }
+    }
+}
+
+/// `Q = I − U·T·Uᵀ` as the one routine that forms and applies it: every
+/// compact-WY product of the crate and of its clients — the recursive
+/// QR's trailing update and `T` merge, the explicit `Q` of a QR, TSQR's
+/// down-sweep, the eigenvector back-transformation — is a method here.
+///
+/// **Structure.** `U` (`m × k`) is unit lower-trapezoidal and `T`
+/// (`k × k`) upper triangular. When both hold *exactly* — `U` zero above
+/// its diagonal, `T` below, as every factor [`qr_inplace`] writes —
+/// each product goes through [`gemm_view_tri`] told so: `Uᵀ·C`, `U·X`,
+/// `C·U`, `X·Uᵀ` and `op(T)·W` cut their inner dimension to where both
+/// factors can be non-zero, and an identity right-hand side is read as
+/// `Uᵀ` in place (`Uᵀ·I[:, ..ncols]` is `Uᵀ[:, ..ncols]`, entry for
+/// entry), so the explicit `Q` takes about `n³` flops instead of `6n³`.
+/// By GEMM's cell contract each product's cells keep the bits of the
+/// plain three-product form (`oracle::apply_wy_reference`,
+/// `tests/wy_props.rs`). A factor whose zeros hold only to rounding — the
+/// reconstruction's `U` (`ca_pla::reconstruct`) — is [`Wy::checked`]
+/// into the same products with no structure claimed, which are the plain
+/// form exactly.
+///
+/// **Right-hand sides.** [`Wy::apply`] updates a dense `C` in place from
+/// either side, its two `k`-wide intermediates lent by the arena.
+/// [`Wy::coeff`] and [`Wy::update`] are the left-side application split
+/// at its coefficient `X = op(T)·(Uᵀ·C)` for a [`Rhs`] that is not
+/// materialised, so that one coefficient can feed several row windows
+/// of `op(Q)·C = C − U·X` (TSQR sends the two halves of a node's output
+/// to different ranks).
+#[derive(Clone, Copy)]
+pub struct Wy<'a> {
+    u: MatrixView<'a>,
+    t: MatrixView<'a>,
+    exact: bool,
+}
+
+impl<'a> Wy<'a> {
+    /// The factors of a QR made here: `U` zero above its diagonal and
+    /// `T` below, exactly (a debug build asserts both).
+    pub fn new(u: MatrixView<'a>, t: MatrixView<'a>) -> Self {
+        let wy = Self::checked(u, t);
+        debug_assert!(
+            wy.exact,
+            "compact-WY factors with non-zeros in a structural triangle"
+        );
+        Wy { exact: true, ..wy }
+    }
+
+    /// Factors whose structure is checked, not assumed: the products skip
+    /// `U`'s and `T`'s zero triangles only if every entry there is an
+    /// exact zero, else they run on the full operands.
+    pub fn checked(u: MatrixView<'a>, t: MatrixView<'a>) -> Self {
+        let k = u.cols();
+        assert!(k <= u.rows(), "U must be tall");
+        assert_eq!((t.rows(), t.cols()), (k, k), "T must be k × k");
+        let exact = (0..k).all(|r| u.row(r)[r + 1..].iter().all(|&x| x == 0.0))
+            && (1..k).all(|r| t.row(r)[..r].iter().all(|&x| x == 0.0));
+        Wy { u, t, exact }
+    }
+
+    /// Whether the products skip the structural zeros: `U` is exactly
+    /// zero above its diagonal and `T` below.
+    pub fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    /// Number of reflectors.
+    pub fn k(&self) -> usize {
+        self.u.cols()
+    }
+
+    /// `C ← op(Q)·C` ([`Side::Left`], `C` has `m` rows) or `C ← C·op(Q)`
+    /// ([`Side::Right`], `m` columns) in place on a (strided) view, with
+    /// `op(Q) = Q` for `trans = N` and `Qᵀ` for `T`: three products, two
+    /// `k`-wide intermediates lent by `ws`.
+    pub fn apply(&self, trans: Trans, side: Side, c: &mut MatrixViewMut, ws: &mut Workspace) {
+        let (u, t, k) = (&self.u, &self.t, self.k());
+        let t_tri = t_structure(trans);
+        let (rows, cols) = match side {
+            Side::Left => (k, c.cols()),
+            Side::Right => (c.rows(), k),
+        };
+        let mut w = ws.take_scratch(rows * cols);
+        let mut x = ws.take_scratch(rows * cols);
+        let mut wv = MatrixViewMut::from_slice(&mut w, rows, cols);
+        let mut xv = MatrixViewMut::from_slice(&mut x, rows, cols);
+        match side {
+            Side::Left => {
+                assert_eq!(u.rows(), c.rows(), "apply: C must have U's rows");
+                // C − U·(op(T)·(Uᵀ·C)).
+                let ut = [Tri::Upper, Tri::Full, Tri::Full];
+                wy_product(
+                    self.exact,
+                    1.0,
+                    u,
+                    Trans::T,
+                    &c.as_view(),
+                    Trans::N,
+                    0.0,
+                    &mut wv,
+                    ut,
+                );
+                let tw = [t_tri, Tri::Full, Tri::Full];
+                wy_product(
+                    self.exact,
+                    1.0,
+                    t,
+                    trans,
+                    &wv.as_view(),
+                    Trans::N,
+                    0.0,
+                    &mut xv,
+                    tw,
+                );
+                let ux = [Tri::Lower, Tri::Full, Tri::Full];
+                wy_product(
+                    self.exact,
+                    -1.0,
+                    u,
+                    Trans::N,
+                    &xv.as_view(),
+                    Trans::N,
+                    1.0,
+                    c,
+                    ux,
+                );
+            }
+            Side::Right => {
+                assert_eq!(u.rows(), c.cols(), "apply: C must have U's rows as columns");
+                // C − ((C·U)·op(T))·Uᵀ.
+                let cu = [Tri::Full, Tri::Lower, Tri::Full];
+                wy_product(
+                    self.exact,
+                    1.0,
+                    &c.as_view(),
+                    Trans::N,
+                    u,
+                    Trans::N,
+                    0.0,
+                    &mut wv,
+                    cu,
+                );
+                let wt = [Tri::Full, t_tri, Tri::Full];
+                wy_product(
+                    self.exact,
+                    1.0,
+                    &wv.as_view(),
+                    Trans::N,
+                    t,
+                    trans,
+                    0.0,
+                    &mut xv,
+                    wt,
+                );
+                let xu = [Tri::Full, Tri::Upper, Tri::Full];
+                wy_product(
+                    self.exact,
+                    -1.0,
+                    &xv.as_view(),
+                    Trans::N,
+                    u,
+                    Trans::T,
+                    1.0,
+                    c,
+                    xu,
+                );
+            }
+        }
+        ws.put(x);
+        ws.put(w);
+    }
+
+    /// `out ← op(T)·(Uᵀ·C)` (`k × ncols`), the coefficient of
+    /// `op(Q)·C = C − U·out` for a right-hand side whose zeros are known.
+    /// For an identity it is `op(T)·Uᵀ[:, ..ncols]` with `Uᵀ` read in
+    /// place — upper × upper for `Q`, so only `out`'s upper triangle is
+    /// computed and the rest is zeroed.
+    pub fn coeff(&self, trans: Trans, rhs: Rhs, out: &mut MatrixViewMut) {
+        let (u, t, k) = (&self.u, &self.t, self.k());
+        let ncols = rhs.cols();
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (k, ncols),
+            "coeff: out must be k × ncols"
+        );
+        let t_tri = t_structure(trans);
+        match rhs {
+            Rhs::Identity(_) => {
+                assert!(ncols <= u.rows(), "coeff: more identity columns than rows");
+                let out_tri = if t_tri == Tri::Upper && self.exact {
+                    for r in 1..k {
+                        out.row_mut(r)[..r.min(ncols)].fill(0.0);
+                    }
+                    Tri::Upper
+                } else {
+                    Tri::Full
+                };
+                let ut = u.sub(0, 0, ncols, k);
+                let tri = [t_tri, Tri::Upper, out_tri];
+                wy_product(self.exact, 1.0, t, trans, &ut, Trans::T, 0.0, out, tri);
+            }
+            Rhs::Top(s) => {
+                let r = s.rows();
+                assert!(r <= u.rows(), "coeff: S taller than U");
+                // Uᵀ·[S; 0] = U[..r]ᵀ·S: the zero rows end the inner
+                // dimension, so dropping them moves no chunk boundary.
+                let mut w = Matrix::zeros(k, ncols);
+                let us = [Tri::Upper, Tri::Full, Tri::Full];
+                let ur = u.sub(0, 0, r, k);
+                wy_product(
+                    self.exact,
+                    1.0,
+                    &ur,
+                    Trans::T,
+                    &s,
+                    Trans::N,
+                    0.0,
+                    &mut w.view_mut(),
+                    us,
+                );
+                let tw = [t_tri, Tri::Full, Tri::Full];
+                wy_product(self.exact, 1.0, t, trans, &w.view(), Trans::N, 0.0, out, tw);
+            }
+        }
+    }
+
+    /// Rows `row0 .. row0 + out.rows()` of `op(Q)·C = C − U·coeff` into
+    /// `out`, `coeff` from [`Wy::coeff`] with the same `trans` and `rhs`.
+    pub fn update(
+        &self,
+        trans: Trans,
+        rhs: Rhs,
+        coeff: &MatrixView,
+        row0: usize,
+        out: &mut MatrixViewMut,
+    ) {
+        update_rows(&self.u, self.exact, trans, rhs, coeff, row0, out);
+    }
+
+    /// `T₁₂ = −T₁₁·(U₁ᵀ·U₂)·T₂₂`, the block that joins `self = (U₁, T₁₁)`
+    /// and `second = (U₂, T₂₂)` — whose reflectors act on rows `k₁..` of
+    /// the first's — into one compact-WY pair `Q₁·Q₂`, into `out`
+    /// (`k₁ × k₂`). Only `U₁`'s rows from `k₁` down meet `U₂`, and below
+    /// its triangle they are full.
+    fn join_t(&self, second: &Wy, out: &mut MatrixViewMut, ws: &mut Workspace) {
+        let (k1, k2) = (self.k(), second.k());
+        let exact = self.exact && second.exact;
+        let below = self.u.sub(k1, 0, self.u.rows() - k1, k1);
+        assert_eq!(
+            below.rows(),
+            second.u.rows(),
+            "join_t: U₂ must hang below U₁'s triangle"
+        );
+        let mut h = ws.take_scratch(k1 * k2);
+        let mut hv = MatrixViewMut::from_slice(&mut h, k1, k2);
+        let uu = [Tri::Full, Tri::Lower, Tri::Full];
+        wy_product(
+            exact,
+            1.0,
+            &below,
+            Trans::T,
+            &second.u,
+            Trans::N,
+            0.0,
+            out,
+            uu,
+        );
+        let gt = [Tri::Full, Tri::Upper, Tri::Full];
+        wy_product(
+            exact,
+            1.0,
+            &out.as_view(),
+            Trans::N,
+            &second.t,
+            Trans::N,
+            0.0,
+            &mut hv,
+            gt,
+        );
+        let th = [Tri::Upper, Tri::Full, Tri::Full];
+        wy_product(
+            exact,
+            -1.0,
+            &self.t,
+            Trans::N,
+            &hv.as_view(),
+            Trans::N,
+            0.0,
+            out,
+            th,
+        );
+        ws.put(h);
+    }
+}
+
+/// The structure of `op(T)`: upper for `T`, lower for `Tᵀ`.
+fn t_structure(trans: Trans) -> Tri {
+    match trans {
+        Trans::N => Tri::Upper,
+        Trans::T => Tri::Lower,
+    }
+}
+
+/// One product of [`Wy`]'s, its structure claimed only when the factors'
+/// zeros are exact.
+#[allow(clippy::too_many_arguments)] // gemm_view_tri's signature
+fn wy_product(
+    exact: bool,
+    alpha: f64,
+    a: &MatrixView,
+    ta: Trans,
+    b: &MatrixView,
+    tb: Trans,
+    beta: f64,
     c: &mut MatrixViewMut,
-    ws: &mut Workspace,
+    tri: [Tri; 3],
 ) {
-    let (k, nc) = (u.cols(), c.cols());
-    let mut utc = ws.take_scratch(k * nc);
-    let mut s = ws.take_scratch(k * nc);
-    gemm_view(
-        1.0,
-        u,
-        Trans::T,
-        &c.as_view(),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut utc, k, nc),
-    );
-    gemm_view(
-        1.0,
-        t,
-        tt,
-        &MatrixView::from_slice(&utc, k, nc),
-        Trans::N,
-        0.0,
-        &mut MatrixViewMut::from_slice(&mut s, k, nc),
-    );
-    gemm_view(
-        -1.0,
-        u,
-        Trans::N,
-        &MatrixView::from_slice(&s, k, nc),
-        Trans::N,
-        1.0,
-        c,
-    );
-    ws.put(s);
-    ws.put(utc);
+    let tri = if exact { tri } else { [Tri::Full; 3] };
+    gemm_view_tri(alpha, a, ta, b, tb, beta, c, tri);
+}
+
+/// [`Wy::update`] on `U` alone: the last product needs no `T`, so an
+/// owner of the factors can free `T` before it allocates the output.
+#[allow(clippy::too_many_arguments)] // Wy::update's arguments and the factor
+fn update_rows(
+    u: &MatrixView,
+    exact: bool,
+    trans: Trans,
+    rhs: Rhs,
+    coeff: &MatrixView,
+    row0: usize,
+    out: &mut MatrixViewMut,
+) {
+    let (nrows, ncols, k) = (out.rows(), out.cols(), u.cols());
+    assert_eq!(ncols, rhs.cols(), "update: out must have C's columns");
+    assert!(row0 + nrows <= u.rows(), "update: rows past U's");
+    let identity = match rhs {
+        Rhs::Identity(_) => {
+            out.fill(0.0);
+            for i in row0..(row0 + nrows).min(ncols) {
+                out.set(i - row0, i, 1.0);
+            }
+            true
+        }
+        Rhs::Top(s) => {
+            let live = s.rows().saturating_sub(row0).min(nrows);
+            out.sub_mut(0, 0, live, ncols)
+                .copy_from(&s.sub(row0.min(s.rows()), 0, live, ncols));
+            out.sub_mut(live, 0, nrows - live, ncols).fill(0.0);
+            false
+        }
+    };
+    // T·Uᵀ is upper × upper.
+    let coeff_tri = if identity && trans == Trans::N {
+        Tri::Upper
+    } else {
+        Tri::Full
+    };
+    // A window from row 0 is U's own lower trapezoid; one lower down is
+    // lower only from an offset diagonal, which no `Tri` names.
+    let u_tri = if row0 == 0 { Tri::Lower } else { Tri::Full };
+    let tri = [u_tri, coeff_tri, Tri::Full];
+    let uw = u.sub(row0, 0, nrows, k);
+    wy_product(exact, -1.0, &uw, Trans::N, coeff, Trans::N, 1.0, out, tri);
 }
 
 /// `C ← Qᵀ·C = C − U·(Tᵀ·(Uᵀ·C))`.
 pub fn apply_qt(u: &Matrix, t: &Matrix, c: &mut Matrix) {
-    assert_eq!(u.rows(), c.rows());
-    with_ws(|ws| apply_qt_view(&u.view(), &t.view(), &mut c.view_mut(), ws));
-}
-
-/// `C ← Q·C = C − U·(T·(Uᵀ·C))`.
-fn apply_q(u: &Matrix, t: &Matrix, c: &mut Matrix) {
-    assert_eq!(u.rows(), c.rows());
-    let utc = matmul(u, Trans::T, c, Trans::N);
-    let s = matmul(t, Trans::N, &utc, Trans::N);
-    gemm(-1.0, u, Trans::N, &s, Trans::N, 1.0, c);
+    let wy = Wy::new(u.view(), t.view());
+    with_ws(|ws| wy.apply(Trans::T, Side::Left, &mut c.view_mut(), ws));
 }
 
 /// `C ← C·Q = C − ((C·U)·T)·Uᵀ`.
 pub fn apply_q_right(u: &Matrix, t: &Matrix, c: &mut Matrix) {
-    assert_eq!(u.rows(), c.cols());
-    let cu = matmul(c, Trans::N, u, Trans::N);
-    let cut = matmul(&cu, Trans::N, t, Trans::N);
-    gemm(-1.0, &cut, Trans::N, u, Trans::T, 1.0, c);
+    let wy = Wy::new(u.view(), t.view());
+    with_ws(|ws| wy.apply(Trans::N, Side::Right, &mut c.view_mut(), ws));
 }
 
-/// The first `ncols` columns of the explicit `Q` factor (`m × ncols`).
+/// The first `ncols` columns of the explicit `Q` factor (`m × ncols`):
+/// `S = T·Uᵀ[:, ..ncols]`, then `Q = I − U·S` (module [`Wy`]).
 pub fn explicit_q(u: &Matrix, t: &Matrix, ncols: usize) -> Matrix {
-    let m = u.rows();
-    assert!(ncols <= m);
-    let mut q = Matrix::zeros(m, ncols);
-    for i in 0..ncols {
-        q.set(i, i, 1.0);
-    }
-    apply_q(u, t, &mut q);
+    let wy = Wy::new(u.view(), t.view());
+    let mut s = Matrix::zeros(wy.k(), ncols);
+    wy.coeff(Trans::N, Rhs::Identity(ncols), &mut s.view_mut());
+    let mut q = Matrix::zeros(u.rows(), ncols);
+    wy.update(
+        Trans::N,
+        Rhs::Identity(ncols),
+        &s.view(),
+        0,
+        &mut q.view_mut(),
+    );
+    q
+}
+
+/// The explicit `m × k` `Q` of `a`'s QR with the least memory: `a` is
+/// factored in place and freed with `R`, and `T` is freed once
+/// `S = T·Uᵀ` is formed, before `Q` is allocated — at most three
+/// `m × k`-sized buffers are live (the input generator's `n × n` case).
+pub(crate) fn explicit_q_of(mut a: Matrix) -> Matrix {
+    let (u, t) = factor_wy(&mut a, LEAF);
+    drop(a);
+    let (m, k) = (u.rows(), u.cols());
+    let mut s = Matrix::zeros(k, k);
+    Wy::new(u.view(), t.view()).coeff(Trans::N, Rhs::Identity(k), &mut s.view_mut());
+    drop(t);
+    let mut q = Matrix::zeros(m, k);
+    update_rows(
+        &u.view(),
+        true,
+        Trans::N,
+        Rhs::Identity(k),
+        &s.view(),
+        0,
+        &mut q.view_mut(),
+    );
     q
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::matmul;
     use crate::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

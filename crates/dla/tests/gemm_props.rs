@@ -292,7 +292,10 @@ fn available_instantiations() {
 /// `MC = 96` slab boundary, `k` past one and two `KC` chunks, every
 /// orientation, strided operands and α/β off 0 and 1 — and products 31
 /// and 32 wide, just under and at the wide tile's width floor, through
-/// the instantiation the product picks itself.
+/// the instantiation the product picks itself. Mixed-tile products too:
+/// a last strip of at most 8 live columns runs on the 6×8 tile beside
+/// the 6×32 ones (`n` = 33, 40, 65, 72, and 2056, whose second column
+/// panel is that strip alone), one of 9 stays on the wide tile (41).
 #[test]
 fn wide_tile_matches_the_portable_one_on_ragged_deep_shapes() {
     let vals: Vec<f64> = (0..53).map(|i| (i * 29 % 53) as f64 / 26.5 - 1.0).collect();
@@ -303,6 +306,10 @@ fn wide_tile_matches_the_portable_one_on_ragged_deep_shapes() {
         (200, 65, 300),
         (16, 32, 31),
         (33, 31, 600),
+        (96, 40, 96),
+        (13, 72, 300),
+        (50, 41, 40),
+        (7, 2056, 257),
     ];
     let wide = Tile::available().contains(&Tile::Avx512);
     if !wide {

@@ -13,8 +13,8 @@ use crate::dist::DistMatrix;
 use crate::grid::Grid;
 use crate::kern;
 use ca_bsp::Machine;
-use ca_dla::gemm::{gemm_view, matmul, Trans};
-use ca_dla::qr::QrFactors;
+use ca_dla::gemm::Trans;
+use ca_dla::qr::{QrFactors, Rhs, Wy};
 use ca_dla::view::MatrixViewMut;
 use ca_dla::Matrix;
 
@@ -117,47 +117,20 @@ pub(crate) fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
     }
 }
 
-/// `T·(Uᵀ·[S; 0])` for one tree node or leaf: the slab `S` sits on top of
-/// zero rows up to the factor's height, so only `U`'s first `S.rows()`
-/// rows meet it and the padding is never materialised.
-fn wy_coefficients(f: &QrFactors, s: &Matrix) -> Matrix {
-    let mut uts = Matrix::zeros(f.k(), s.cols());
-    gemm_view(
-        1.0,
-        &f.u.subview(0, 0, s.rows(), f.k()),
-        Trans::T,
-        &s.view(),
-        Trans::N,
-        0.0,
-        &mut uts.view_mut(),
-    );
-    matmul(&f.t, Trans::N, &uts, Trans::N)
-}
-
-/// Rows `row0..row0 + out.rows()` of `Q·[S; 0] = [S; 0] − U·coeff`
-/// into `out`, with `coeff` from [`wy_coefficients`].
-fn q_rows_into(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, out: &mut MatrixViewMut) {
-    let (nrows, n) = (out.rows(), s.cols());
-    let live = s.rows().saturating_sub(row0).min(nrows);
-    out.sub_mut(0, 0, live, n)
-        .copy_from(&s.subview(row0, 0, live, n));
-    out.sub_mut(live, 0, nrows - live, n).fill(0.0);
-    gemm_view(
-        -1.0,
-        &f.u.subview(row0, 0, nrows, f.k()),
-        Trans::N,
-        &coeff.view(),
-        Trans::N,
-        1.0,
-        out,
-    );
-}
-
-/// [`q_rows_into`] a fresh `nrows × n` slab.
-fn q_rows(f: &QrFactors, s: &Matrix, coeff: &Matrix, row0: usize, nrows: usize) -> Matrix {
-    let mut out = Matrix::zeros(nrows, s.cols());
-    q_rows_into(f, s, coeff, row0, &mut out.view_mut());
-    out
+/// `Q·C` of one tree node or leaf into the row windows `outs`, which
+/// stack to the factor's height from its top: `C` is the node's slab `S`
+/// on top of zero rows (in the charge; the product reads only `S`'s
+/// rows), or, at the root, the identity the down-sweep is seeded with.
+/// One coefficient feeds every window.
+fn apply_node(f: &QrFactors, c: Rhs, outs: &mut [&mut MatrixViewMut]) {
+    let wy = Wy::new(f.u.view(), f.t.view());
+    let mut coeff = Matrix::zeros(f.k(), c.cols());
+    wy.coeff(Trans::N, c, &mut coeff.view_mut());
+    let mut row0 = 0;
+    for out in outs {
+        wy.update(Trans::N, c, &coeff.view(), row0, out);
+        row0 += out.rows();
+    }
 }
 
 /// Expand the implicit tree `Q` into an explicit `m × n` factor,
@@ -174,7 +147,8 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
     assert_eq!(out.grid(), &t.group, "output must live on the TSQR group");
     assert_eq!(out.shape().1, n);
 
-    // Per-rank current slab.
+    // Per-rank current slab. The root's is the seed: with `n` rows it
+    // is the identity, which the root's product reads as `Uᵀ` in place.
     let mut slab: Vec<Option<Matrix>> = vec![None; g];
     let root_rows = t.r.rows();
     let mut seed = Matrix::zeros(root_rows, n);
@@ -182,6 +156,7 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
         seed.set(i, i, 1.0);
     }
     slab[0] = Some(seed);
+    let mut seed_is_identity = root_rows == n;
 
     // Walk the tree top-down. Within a level the nodes own disjoint
     // (owner, partner) slabs.
@@ -196,9 +171,14 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
                 t.group.proc(node.owner),
                 ca_dla::costs::apply_q_flops(node.top_rows + node.bot_rows, f.k(), n),
             );
-            let coeff = wy_coefficients(f, &input);
-            let top = q_rows(f, &input, &coeff, 0, node.top_rows);
-            let bot = q_rows(f, &input, &coeff, node.top_rows, node.bot_rows);
+            let c = if std::mem::take(&mut seed_is_identity) {
+                Rhs::Identity(n)
+            } else {
+                Rhs::Top(input.view())
+            };
+            let mut top = Matrix::zeros(node.top_rows, n);
+            let mut bot = Matrix::zeros(node.bot_rows, n);
+            apply_node(f, c, &mut [&mut top.view_mut(), &mut bot.view_mut()]);
             moves.push((
                 t.group.proc(node.owner),
                 t.group.proc(node.partner),
@@ -219,8 +199,12 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
             t.group.proc(rank),
             ca_dla::costs::apply_q_flops(rows, leaf.k(), n),
         );
-        let coeff = wy_coefficients(leaf, &s);
-        q_rows_into(leaf, &s, &coeff, 0, &mut out.block_mut(rank));
+        let c = if std::mem::take(&mut seed_is_identity) {
+            Rhs::Identity(n)
+        } else {
+            Rhs::Top(s.view())
+        };
+        apply_node(leaf, c, &mut [&mut out.block_mut(rank)]);
     }
     m.step(t.group.procs(), 1);
 }
