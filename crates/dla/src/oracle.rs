@@ -249,7 +249,7 @@ pub fn form_t(u: &Matrix, taus: &[f64]) -> Matrix {
 /// on the full operands: `op(Q)·C = C − U·(op(T)·(Uᵀ·C))`
 /// ([`Side::Left`]) or `C·op(Q) = C − ((C·U)·op(T))·Uᵀ`
 /// ([`Side::Right`]), `op(T) = T` for `trans = N` and `Tᵀ` for `T`, each
-/// product a [`gemm`] that skips nothing and an identity or `[S; 0]`
+/// product a [`gemm()`] that skips nothing and an identity or `[S; 0]`
 /// right-hand side materialised by the caller. What [`crate::qr::Wy`]
 /// computed before it knew the factors' zeros, and its bitwise oracle
 /// (`tests/wy_props.rs`).

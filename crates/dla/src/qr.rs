@@ -16,6 +16,10 @@
 //! right half by GEMM, factor it, assemble `T` by GEMM. It has no block
 //! size; rect-QR's tree nodes, TSQR's leaves, every bulge chase and the
 //! input generator reach it ([`qr_factor`] is its allocating wrapper).
+//!
+//! There is one compact-WY routine, [`Wy`], which forms and applies `Q`
+//! and `Qᵀ` on the exact zeros of `U` and `T`; every product by a `Q`
+//! made here, and the back-transformation's, goes through it.
 
 use crate::gemm::{gemm_view_tri, Trans, Tri};
 use crate::matrix::Matrix;
@@ -275,8 +279,8 @@ fn factor_wy(w: &mut Matrix, leaf: usize) -> (Matrix, Matrix) {
 /// `m × n₁` block, applies `Q₁ᵀ` to the right one
 /// (`C −= U₁·(T₁₁ᵀ·(U₁ᵀ·C))`), factors the trailing `(m − n₁) × n₂`
 /// block and merges `T₁₂ = −T₁₁·(U₁ᵀ·U₂)·T₂₂` — six products through
-/// [`gemm_view`], so all but the leaf columns run at GEMM rate with no
-/// block size to tune. A wide input (`m < n`) factors its leading `m`
+/// [`Wy`], which skips the factors' zero triangles, so all but the leaf
+/// columns run at GEMM rate with no block size to tune. A wide input (`m < n`) factors its leading `m`
 /// columns and applies `Qᵀ` to the rest. All scratch (the `n₁ × n₂`
 /// temporaries) comes from `ws`: steady-state calls allocate nothing.
 ///
@@ -398,7 +402,7 @@ impl Rhs<'_> {
 ///
 /// **Structure.** `U` (`m × k`) is unit lower-trapezoidal and `T`
 /// (`k × k`) upper triangular. When both hold *exactly* — `U` zero above
-/// its diagonal, `T` below, as every factor [`qr_inplace`] writes —
+/// its diagonal, `T` below, as every factor `qr_inplace` writes —
 /// each product goes through [`gemm_view_tri`] told so: `Uᵀ·C`, `U·X`,
 /// `C·U`, `X·Uᵀ` and `op(T)·W` cut their inner dimension to where both
 /// factors can be non-zero, and an identity right-hand side is read as
@@ -480,81 +484,21 @@ impl<'a> Wy<'a> {
                 assert_eq!(u.rows(), c.rows(), "apply: C must have U's rows");
                 // C − U·(op(T)·(Uᵀ·C)).
                 let ut = [Tri::Upper, Tri::Full, Tri::Full];
-                wy_product(
-                    self.exact,
-                    1.0,
-                    u,
-                    Trans::T,
-                    &c.as_view(),
-                    Trans::N,
-                    0.0,
-                    &mut wv,
-                    ut,
-                );
+                self.product(1.0, u, Trans::T, &c.as_view(), Trans::N, 0.0, &mut wv, ut);
                 let tw = [t_tri, Tri::Full, Tri::Full];
-                wy_product(
-                    self.exact,
-                    1.0,
-                    t,
-                    trans,
-                    &wv.as_view(),
-                    Trans::N,
-                    0.0,
-                    &mut xv,
-                    tw,
-                );
+                self.product(1.0, t, trans, &wv.as_view(), Trans::N, 0.0, &mut xv, tw);
                 let ux = [Tri::Lower, Tri::Full, Tri::Full];
-                wy_product(
-                    self.exact,
-                    -1.0,
-                    u,
-                    Trans::N,
-                    &xv.as_view(),
-                    Trans::N,
-                    1.0,
-                    c,
-                    ux,
-                );
+                self.product(-1.0, u, Trans::N, &xv.as_view(), Trans::N, 1.0, c, ux);
             }
             Side::Right => {
                 assert_eq!(u.rows(), c.cols(), "apply: C must have U's rows as columns");
                 // C − ((C·U)·op(T))·Uᵀ.
                 let cu = [Tri::Full, Tri::Lower, Tri::Full];
-                wy_product(
-                    self.exact,
-                    1.0,
-                    &c.as_view(),
-                    Trans::N,
-                    u,
-                    Trans::N,
-                    0.0,
-                    &mut wv,
-                    cu,
-                );
+                self.product(1.0, &c.as_view(), Trans::N, u, Trans::N, 0.0, &mut wv, cu);
                 let wt = [Tri::Full, t_tri, Tri::Full];
-                wy_product(
-                    self.exact,
-                    1.0,
-                    &wv.as_view(),
-                    Trans::N,
-                    t,
-                    trans,
-                    0.0,
-                    &mut xv,
-                    wt,
-                );
+                self.product(1.0, &wv.as_view(), Trans::N, t, trans, 0.0, &mut xv, wt);
                 let xu = [Tri::Full, Tri::Upper, Tri::Full];
-                wy_product(
-                    self.exact,
-                    -1.0,
-                    &xv.as_view(),
-                    Trans::N,
-                    u,
-                    Trans::T,
-                    1.0,
-                    c,
-                    xu,
-                );
+                self.product(-1.0, &xv.as_view(), Trans::N, u, Trans::T, 1.0, c, xu);
             }
         }
         ws.put(x);
@@ -588,7 +532,7 @@ impl<'a> Wy<'a> {
                 };
                 let ut = u.sub(0, 0, ncols, k);
                 let tri = [t_tri, Tri::Upper, out_tri];
-                wy_product(self.exact, 1.0, t, trans, &ut, Trans::T, 0.0, out, tri);
+                self.product(1.0, t, trans, &ut, Trans::T, 0.0, out, tri);
             }
             Rhs::Top(s) => {
                 let r = s.rows();
@@ -598,19 +542,9 @@ impl<'a> Wy<'a> {
                 let mut w = Matrix::zeros(k, ncols);
                 let us = [Tri::Upper, Tri::Full, Tri::Full];
                 let ur = u.sub(0, 0, r, k);
-                wy_product(
-                    self.exact,
-                    1.0,
-                    &ur,
-                    Trans::T,
-                    &s,
-                    Trans::N,
-                    0.0,
-                    &mut w.view_mut(),
-                    us,
-                );
+                self.product(1.0, &ur, Trans::T, &s, Trans::N, 0.0, &mut w.view_mut(), us);
                 let tw = [t_tri, Tri::Full, Tri::Full];
-                wy_product(self.exact, 1.0, t, trans, &w.view(), Trans::N, 0.0, out, tw);
+                self.product(1.0, t, trans, &w.view(), Trans::N, 0.0, out, tw);
             }
         }
     }
@@ -635,7 +569,11 @@ impl<'a> Wy<'a> {
     /// its triangle they are full.
     fn join_t(&self, second: &Wy, out: &mut MatrixViewMut, ws: &mut Workspace) {
         let (k1, k2) = (self.k(), second.k());
-        let exact = self.exact && second.exact;
+        // Skip U₂'s and T₂₂'s zeros only if they are exact too.
+        let wy = Wy {
+            exact: self.exact && second.exact,
+            ..*self
+        };
         let below = self.u.sub(k1, 0, self.u.rows() - k1, k1);
         assert_eq!(
             below.rows(),
@@ -645,20 +583,9 @@ impl<'a> Wy<'a> {
         let mut h = ws.take_scratch(k1 * k2);
         let mut hv = MatrixViewMut::from_slice(&mut h, k1, k2);
         let uu = [Tri::Full, Tri::Lower, Tri::Full];
-        wy_product(
-            exact,
-            1.0,
-            &below,
-            Trans::T,
-            &second.u,
-            Trans::N,
-            0.0,
-            out,
-            uu,
-        );
+        wy.product(1.0, &below, Trans::T, &second.u, Trans::N, 0.0, out, uu);
         let gt = [Tri::Full, Tri::Upper, Tri::Full];
-        wy_product(
-            exact,
+        wy.product(
             1.0,
             &out.as_view(),
             Trans::N,
@@ -669,8 +596,7 @@ impl<'a> Wy<'a> {
             gt,
         );
         let th = [Tri::Upper, Tri::Full, Tri::Full];
-        wy_product(
-            exact,
+        wy.product(
             -1.0,
             &self.t,
             Trans::N,
@@ -682,6 +608,23 @@ impl<'a> Wy<'a> {
         );
         ws.put(h);
     }
+
+    /// One product of the routine, its structure claimed only when the
+    /// factors' zeros are exact.
+    #[allow(clippy::too_many_arguments)] // gemm_view_tri's signature
+    fn product(
+        &self,
+        alpha: f64,
+        a: &MatrixView,
+        ta: Trans,
+        b: &MatrixView,
+        tb: Trans,
+        beta: f64,
+        c: &mut MatrixViewMut,
+        tri: [Tri; 3],
+    ) {
+        wy_product(self.exact, alpha, a, ta, b, tb, beta, c, tri);
+    }
 }
 
 /// The structure of `op(T)`: upper for `T`, lower for `Tᵀ`.
@@ -692,8 +635,8 @@ fn t_structure(trans: Trans) -> Tri {
     }
 }
 
-/// One product of [`Wy`]'s, its structure claimed only when the factors'
-/// zeros are exact.
+/// [`Wy::product`] with the exactness given (for [`update_rows`], which
+/// has no `T`).
 #[allow(clippy::too_many_arguments)] // gemm_view_tri's signature
 fn wy_product(
     exact: bool,
