@@ -280,9 +280,10 @@ fn factor_wy(w: &mut Matrix, leaf: usize) -> (Matrix, Matrix) {
 /// (`C −= U₁·(T₁₁ᵀ·(U₁ᵀ·C))`), factors the trailing `(m − n₁) × n₂`
 /// block and merges `T₁₂ = −T₁₁·(U₁ᵀ·U₂)·T₂₂` — six products through
 /// [`Wy`], which skips the factors' zero triangles, so all but the leaf
-/// columns run at GEMM rate with no block size to tune. A wide input (`m < n`) factors its leading `m`
-/// columns and applies `Qᵀ` to the rest. All scratch (the `n₁ × n₂`
-/// temporaries) comes from `ws`: steady-state calls allocate nothing.
+/// columns run at GEMM rate with no block size to tune. A wide input
+/// (`m < n`) factors its leading `m` columns and applies `Qᵀ` to the
+/// rest. All scratch (the `n₁ × n₂` temporaries) comes from `ws`:
+/// steady-state calls allocate nothing.
 ///
 /// The tree depends on `(m, n)` only and each product obeys GEMM's cell
 /// contract, so the factors are bit-for-bit independent of worker count,
@@ -395,10 +396,12 @@ impl Rhs<'_> {
     }
 }
 
-/// `Q = I − U·T·Uᵀ` as the one routine that forms and applies it: every
-/// compact-WY product of the crate and of its clients — the recursive
-/// QR's trailing update and `T` merge, the explicit `Q` of a QR, TSQR's
-/// down-sweep, the eigenvector back-transformation — is a method here.
+/// `Q = I − U·T·Uᵀ` as the one routine that forms and applies it: the
+/// recursive QR's trailing update and `T` merge, the explicit `Q` of a
+/// QR, TSQR's down-sweep and the eigenvector back-transformation are
+/// methods here. (The chase kernel fuses its two-sided update into its
+/// own structured products, [`crate::bulge`]; rect-QR's distributed
+/// multiplies charge Lemma III.2 on a `U` that is not exact.)
 ///
 /// **Structure.** `U` (`m × k`) is unit lower-trapezoidal and `T`
 /// (`k × k`) upper triangular. When both hold *exactly* — `U` zero above
