@@ -40,8 +40,7 @@
 //! and columns are computed alongside it (and by which thread) cannot
 //! reach its bits. On x86-64 with AVX2 and FMA the tile loop is compiled
 //! for those features as a 6×8 tile, and with AVX-512F also as a 6×32
-//! one that runs every product at least 32 columns wide — but for a last
-//! strip of at most 8 live columns, which the 6×8 tile runs (features
+//! one that runs every product at least 32 columns wide (features
 //! detected once, [`Fma::detect`]); everywhere else the same source runs
 //! with [`f64::mul_add`] lowered to the C library's correctly-rounded
 //! `fma` — slow, and bit-for-bit the same.
@@ -392,12 +391,13 @@ impl Tile {
     /// are mostly that small, read `op_ms_p50` 4.5–11 % higher (ten
     /// alternating pairs over two seeds), not lower.
     ///
-    /// A wide product's last strip with at most 8 live columns
-    /// ([`narrow_tail`]) runs on the 6×8 tile instead of a 6×32 strip of
-    /// padding: one thread, best of seven rounds, three alternating
-    /// repetitions, 96×33×96 read 19.7–20.2 µs padded and 15.2–19.0 µs
-    /// split, 96×40×96 20.5–21.0 and 14.9–18.5 µs (96×32×96 and
-    /// 96×64×96, which have no such strip, read the same either way).
+    /// A wide product's last strip is padded to 32 columns even when at
+    /// most 8 are live. Running such a strip on the 6×8 tile instead was
+    /// faster alone (one thread, best of seven rounds: 96×33×96
+    /// 19.7–20.2 → 15.2–19.0 µs, 96×40×96 20.5–21.0 → 14.9–18.5 µs), but
+    /// those strips carry 0.003 % (`values_p4`), 0.06 % (`values_p64c4`)
+    /// and 0.005 % (`vectors_p4`) of a benchmark solve's GEMM flops and
+    /// none of its input generator's, so the padding stays.
     fn for_product(n: usize) -> Tile {
         let widest = *Tile::available()
             .last()
@@ -506,22 +506,21 @@ pub(crate) fn gemm_core(
         pack_a: pack_a.unwrap_or(flops >= if av.t { SMALL_FLOPS } else { SMALL_FLOPS_ROWS }),
         fork: m > MC && flops >= PAR_FLOPS,
     };
-    // SAFETY (both closures): `tile` is in `Tile::available()` (asserted
-    // or chosen from it above), which lists `Avx2` only when
-    // `Fma::detect` found AVX2 and FMA, and `Avx512` only when it found
-    // AVX-512F as well — and the 6×8 body runs only where either is.
-    #[cfg(target_arch = "x86_64")]
-    let avx2: TilesFn = |p, a, slab, mb| unsafe { tiles_avx2(p, a, slab, mb) };
     match tile {
-        Tile::Portable => nest.run::<NR>(c, tiles_body::<NR>, None),
+        Tile::Portable => nest.run::<NR>(c, tiles_body::<NR>),
         #[cfg(target_arch = "x86_64")]
-        Tile::Avx2 => nest.run::<NR>(c, avx2, None),
+        Tile::Avx2 => {
+            // SAFETY: `tile` is in `Tile::available()` (asserted or chosen
+            // from it above), which lists `Avx2` only when `Fma::detect`
+            // found AVX2 and FMA.
+            nest.run::<NR>(c, |p, a, slab, mb| unsafe { tiles_avx2(p, a, slab, mb) })
+        }
         #[cfg(target_arch = "x86_64")]
         Tile::Avx512 => {
-            let narrow = narrow_tail((n - 1) % NC + 1);
-            GEMM_WIDE_FLOPS.add((2 * m * (n - narrow) * k) as u64);
-            let wide: TilesFn = |p, a, slab, mb| unsafe { tiles_avx512(p, a, slab, mb) };
-            nest.run::<NR_WIDE>(c, wide, Some(avx2))
+            GEMM_WIDE_FLOPS.add(flops as u64);
+            // SAFETY: as for `Avx2`; `Tile::available()` lists `Avx512`
+            // only when `Fma::detect` found AVX-512F as well.
+            nest.run::<NR_WIDE>(c, |p, a, slab, mb| unsafe { tiles_avx512(p, a, slab, mb) })
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("only the portable tile is available off x86-64"),
@@ -542,25 +541,10 @@ struct Nest<'a> {
     fork: bool,
 }
 
-/// Columns of a `nb`-wide panel that the 6×32 tile leaves to the 6×8
-/// one: a last strip with at most `NR` live columns, which a 32-wide
-/// strip would compute as three quarters padding or more.
-fn narrow_tail(nb: usize) -> usize {
-    let r = nb % NR_WIDE;
-    if r <= NR {
-        r
-    } else {
-        0
-    }
-}
-
 impl Nest<'_> {
     /// The loop nest with `op(B)` packed into `W`-wide strips, each slab
     /// run through `tiles` — an instantiation of [`tiles_body`]`::<W>`.
-    /// With `narrow` (the 6×8 instantiation, given for `W = NR_WIDE`) a
-    /// panel's [`narrow_tail`] is packed 8 wide and run through it; the
-    /// cell contract makes the split invisible in the bits.
-    fn run<const W: usize>(&self, c: &mut MatrixViewMut, tiles: TilesFn, narrow: Option<TilesFn>) {
+    fn run<const W: usize>(&self, c: &mut MatrixViewMut, tiles: TilesFn) {
         let (m, n, cs, k) = (c.rows(), c.cols(), c.stride(), self.k);
         // Works on strided `C`: `cols ≤ stride`, so slab boundaries at
         // multiples of `MC·stride` never split a row's live columns, and
@@ -568,14 +552,11 @@ impl Nest<'_> {
         let live = (m - 1) * cs + n;
         with_ws(|ws| {
             let mut bpack = ws.take_scratch(KC.min(k) * NC.min(n).next_multiple_of(W));
-            let narrow = narrow.filter(|_| narrow_tail((n - 1) % NC + 1) > 0);
-            let mut tpack = narrow.map(|_| ws.take_scratch(KC.min(k) * NR));
             for jc in (0..n).step_by(NC) {
                 let nb = NC.min(n - jc);
-                let tail = narrow.map_or(0, |_| narrow_tail(nb));
                 for pc in (0..k).step_by(KC) {
                     let kb = KC.min(k - pc);
-                    pack::<W>(&mut bpack, self.bv, self.bv.t, jc, pc, nb - tail, kb);
+                    pack::<W>(&mut bpack, self.bv, self.bv.t, jc, pc, nb, kb);
                     let panel = Panel {
                         alpha: self.alpha,
                         beta: if pc == 0 { self.beta } else { 1.0 },
@@ -584,29 +565,10 @@ impl Nest<'_> {
                         pc,
                         jc,
                         kb,
-                        nb: nb - tail,
+                        nb,
                         cs,
                         pack_a: self.pack_a,
                         tiles,
-                        tail: None,
-                    };
-                    let tail_panel = match (narrow, tpack.as_mut()) {
-                        (Some(tiles), Some(tp)) if tail > 0 => {
-                            let j0 = jc + nb - tail;
-                            pack::<NR>(tp, self.bv, self.bv.t, j0, pc, tail, kb);
-                            Some(Panel {
-                                bpack: tp,
-                                jc: j0,
-                                nb: tail,
-                                tiles,
-                                ..panel
-                            })
-                        }
-                        _ => None,
-                    };
-                    let panel = Panel {
-                        tail: tail_panel.as_ref(),
-                        ..panel
                     };
                     // Each MC-row slab of C is owned by exactly one task.
                     let data = &mut c.data_mut()[..live];
@@ -620,9 +582,6 @@ impl Nest<'_> {
                             .for_each(|(blk, slab)| panel.slab(blk * MC, slab));
                     }
                 }
-            }
-            if let Some(tp) = tpack {
-                ws.put(tp);
             }
             ws.put(bpack);
         });
@@ -715,9 +674,6 @@ struct Panel<'a> {
     /// The instantiation of the tile loop, of the width `bpack` was
     /// packed at.
     tiles: TilesFn,
-    /// The panel's narrow last columns, packed and run at 6×8 by the
-    /// same slab (its `beta` applied here).
-    tail: Option<&'a Panel<'a>>,
 }
 
 impl Panel<'_> {
@@ -725,14 +681,7 @@ impl Panel<'_> {
     fn slab(&self, i0: usize, slab: &mut [f64]) {
         let (av, kb) = (self.av, self.kb);
         let mb = slab.len().div_ceil(self.cs);
-        let nb = self.nb + self.tail.map_or(0, |t| t.nb);
-        scale_cols(self.beta, slab, self.cs, mb, self.jc, nb);
-        let mut run = |a: &ASrc| {
-            (self.tiles)(self, a, slab, mb);
-            if let Some(t) = self.tail {
-                (t.tiles)(t, a, slab, mb);
-            }
-        };
+        scale_cols(self.beta, slab, self.cs, mb, self.jc, self.nb);
         if self.pack_a {
             with_ws(|ws| {
                 let mut apack = ws.take_scratch(mb.next_multiple_of(MR) * kb);
@@ -745,7 +694,7 @@ impl Panel<'_> {
                     ls: MR,
                     padded: true,
                 };
-                run(&a);
+                (self.tiles)(self, &a, slab, mb);
                 ws.put(apack);
             });
         } else {
@@ -758,7 +707,7 @@ impl Panel<'_> {
                 ls,
                 padded: false,
             };
-            run(&a);
+            (self.tiles)(self, &a, slab, mb);
         }
     }
 }

@@ -292,10 +292,9 @@ fn available_instantiations() {
 /// `MC = 96` slab boundary, `k` past one and two `KC` chunks, every
 /// orientation, strided operands and α/β off 0 and 1 — and products 31
 /// and 32 wide, just under and at the wide tile's width floor, through
-/// the instantiation the product picks itself. Mixed-tile products too:
-/// a last strip of at most 8 live columns runs on the 6×8 tile beside
-/// the 6×32 ones (`n` = 33, 40, 65, 72, and 2056, whose second column
-/// panel is that strip alone), one of 9 stays on the wide tile (41).
+/// the instantiation the product picks itself — and ragged last strips
+/// of 1 to 9 live columns (`n` = 33, 40, 41, 65, 72, and 2056, whose
+/// second column panel is such a strip alone).
 #[test]
 fn wide_tile_matches_the_portable_one_on_ragged_deep_shapes() {
     let vals: Vec<f64> = (0..53).map(|i| (i * 29 % 53) as f64 / 26.5 - 1.0).collect();
