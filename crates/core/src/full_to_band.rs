@@ -494,8 +494,9 @@ mod tests {
 
     /// The recorded `U₁` is rect-QR's reconstruction, unit
     /// lower-trapezoidal only to rounding, so the back-transformation
-    /// must not skip its upper triangle (`ca_dla::qr::Wy::checked` keeps
-    /// it on the plain products). Pins the state of ROADMAP item 1: once
+    /// must not skip its upper triangle (`ca_dla::qr::Wy::new` finds it
+    /// inexact and keeps it on the plain products). Pins the state of
+    /// ROADMAP item 1: once
     /// `U₁`'s zeros are exact this fails, and the back-transformation of
     /// full→band's records can skip them too.
     #[test]
@@ -509,7 +510,7 @@ mod tests {
         try_full_to_band(&machine(p), &params, &a, b, Some(&mut rec)).unwrap();
         assert!(!rec.is_empty());
         for r in &rec {
-            let wy = ca_dla::qr::Wy::checked(r.u.view(), r.t.view());
+            let wy = ca_dla::qr::Wy::new(r.u.view(), r.t.view());
             assert!(
                 !wy.is_exact(),
                 "a {} × {} U₁ has exact zeros",

@@ -126,7 +126,7 @@ pub(crate) fn back_transform(
 /// blocks, `ca_dla::bulge::sweep_group`) two row-major passes,
 /// `x ← x − τ·u·(uᵀx)`, over one lent row.
 ///
-/// The block's structure is [`Wy::checked`]: chase blocks and sweep
+/// The block's structure is what [`Wy::new`] reads: chase blocks and sweep
 /// trapezoids come from `qr_inplace` with exact zeros, and their
 /// products skip them; full→band's `U₁` (rect-QR's reconstruction) has
 /// rounding-level entries above its diagonal and runs the plain
@@ -153,7 +153,7 @@ fn apply_reflector(refl: &BlockReflector, xp: &mut Matrix, ws: &mut Workspace) {
         ws.put(s);
         return;
     }
-    Wy::checked(refl.u.view(), refl.t.view()).apply(
+    Wy::new(refl.u.view(), refl.t.view()).apply(
         Trans::N,
         Side::Left,
         &mut xp.subview_mut(refl.row0, 0, rows, w),

@@ -25,6 +25,7 @@ use crate::gemm::{gemm_view_tri, Trans, Tri};
 use crate::matrix::Matrix;
 use crate::view::{MatrixView, MatrixViewMut};
 use crate::workspace::{with_ws, Workspace};
+use std::borrow::Cow;
 
 /// The result of a Householder QR factorization: `A = Q·R` with
 /// `Q = I − U·T·Uᵀ`.
@@ -311,7 +312,7 @@ fn qr_leaf_capped(
     assert_eq!((t.rows(), t.cols()), (k, k));
     qr_rec(&mut w.sub_mut(0, 0, m, k), u, t, leaf, ws);
     if k < n {
-        Wy::new(u.as_view(), t.as_view()).apply(
+        own_factors(u.as_view(), t.as_view()).apply(
             Trans::T,
             Side::Left,
             &mut w.sub_mut(0, k, m, n - k),
@@ -341,7 +342,7 @@ fn qr_rec(
         leaf,
         ws,
     );
-    Wy::new(u.sub(0, 0, m, n1), t.sub(0, 0, n1, n1)).apply(
+    own_factors(u.sub(0, 0, m, n1), t.sub(0, 0, n1, n1)).apply(
         Trans::T,
         Side::Left,
         &mut w.sub_mut(0, n1, m, n2),
@@ -358,12 +359,24 @@ fn qr_rec(
     t.sub_mut(n1, 0, n2, n1).fill(0.0);
 
     let mut g = ws.take_scratch(n1 * n2);
-    let first = Wy::new(u.sub(0, 0, m, n1), t.sub(0, 0, n1, n1));
-    let second = Wy::new(u.sub(n1, n1, m - n1, n2), t.sub(n1, n1, n2, n2));
+    let first = own_factors(u.sub(0, 0, m, n1), t.sub(0, 0, n1, n1));
+    let second = own_factors(u.sub(n1, n1, m - n1, n2), t.sub(n1, n1, n2, n2));
     first.join_t(&second, &mut MatrixViewMut::from_slice(&mut g, n1, n2), ws);
     t.sub_mut(0, n1, n1, n2)
         .copy_from(&MatrixView::from_slice(&g, n1, n2));
     ws.put(g);
+}
+
+/// The recursion's own factors, whose zeros it writes exactly: a debug
+/// build asserts that [`Wy::new`] found them so, since a lost zero would
+/// only slow the products down, silently.
+fn own_factors<'a>(u: MatrixView<'a>, t: MatrixView<'a>) -> Wy<'a> {
+    let wy = Wy::new(u, t);
+    debug_assert!(
+        wy.is_exact(),
+        "the QR's compact-WY factors with non-zeros in a structural triangle"
+    );
+    wy
 }
 
 /// Which side of `C` a compact-WY `Q` multiplies from.
@@ -414,9 +427,9 @@ impl Rhs<'_> {
 /// By GEMM's cell contract each product's cells keep the bits of the
 /// plain three-product form (`oracle::apply_wy_reference`,
 /// `tests/wy_props.rs`). A factor whose zeros hold only to rounding — the
-/// reconstruction's `U` (`ca_pla::reconstruct`) — is [`Wy::checked`]
-/// into the same products with no structure claimed, which are the plain
-/// form exactly.
+/// reconstruction's `U` (`ca_pla::reconstruct`) — runs the same products
+/// with no structure claimed, which are the plain form exactly:
+/// [`Wy::new`] reads the triangles and decides.
 ///
 /// **Right-hand sides.** [`Wy::apply`] updates a dense `C` in place from
 /// either side, its two `k`-wide intermediates lent by the arena.
@@ -433,21 +446,11 @@ pub struct Wy<'a> {
 }
 
 impl<'a> Wy<'a> {
-    /// The factors of a QR made here: `U` zero above its diagonal and
-    /// `T` below, exactly (a debug build asserts both).
+    /// The factors, their structure checked, not assumed: the products
+    /// skip `U`'s and `T`'s zero triangles only if every entry there is
+    /// an exact zero, else they run on the full operands. The scan reads
+    /// `k²` entries against the products' `m·k·ncols`.
     pub fn new(u: MatrixView<'a>, t: MatrixView<'a>) -> Self {
-        let wy = Self::checked(u, t);
-        debug_assert!(
-            wy.exact,
-            "compact-WY factors with non-zeros in a structural triangle"
-        );
-        Wy { exact: true, ..wy }
-    }
-
-    /// Factors whose structure is checked, not assumed: the products skip
-    /// `U`'s and `T`'s zero triangles only if every entry there is an
-    /// exact zero, else they run on the full operands.
-    pub fn checked(u: MatrixView<'a>, t: MatrixView<'a>) -> Self {
         let k = u.cols();
         assert!(k <= u.rows(), "U must be tall");
         assert_eq!((t.rows(), t.cols()), (k, k), "T must be k × k");
@@ -554,6 +557,8 @@ impl<'a> Wy<'a> {
 
     /// Rows `row0 .. row0 + out.rows()` of `op(Q)·C = C − U·coeff` into
     /// `out`, `coeff` from [`Wy::coeff`] with the same `trans` and `rhs`.
+    /// It reads `U` alone, so the explicit `Q` of a QR can free `T`
+    /// first.
     pub fn update(
         &self,
         trans: Trans,
@@ -626,7 +631,8 @@ impl<'a> Wy<'a> {
         c: &mut MatrixViewMut,
         tri: [Tri; 3],
     ) {
-        wy_product(self.exact, alpha, a, ta, b, tb, beta, c, tri);
+        let tri = if self.exact { tri } else { [Tri::Full; 3] };
+        gemm_view_tri(alpha, a, ta, b, tb, beta, c, tri);
     }
 }
 
@@ -638,26 +644,9 @@ fn t_structure(trans: Trans) -> Tri {
     }
 }
 
-/// [`Wy::product`] with the exactness given (for [`update_rows`], which
-/// has no `T`).
-#[allow(clippy::too_many_arguments)] // gemm_view_tri's signature
-fn wy_product(
-    exact: bool,
-    alpha: f64,
-    a: &MatrixView,
-    ta: Trans,
-    b: &MatrixView,
-    tb: Trans,
-    beta: f64,
-    c: &mut MatrixViewMut,
-    tri: [Tri; 3],
-) {
-    let tri = if exact { tri } else { [Tri::Full; 3] };
-    gemm_view_tri(alpha, a, ta, b, tb, beta, c, tri);
-}
-
-/// [`Wy::update`] on `U` alone: the last product needs no `T`, so an
-/// owner of the factors can free `T` before it allocates the output.
+/// [`Wy::update`] on `U` alone, `exact` as [`Wy::is_exact`] read it for
+/// the coefficient: the last product needs no `T`, so [`explicit_q_of`]
+/// frees `T` before it allocates `Q`.
 #[allow(clippy::too_many_arguments)] // Wy::update's arguments and the factor
 fn update_rows(
     u: &MatrixView,
@@ -696,9 +685,13 @@ fn update_rows(
     // A window from row 0 is U's own lower trapezoid; one lower down is
     // lower only from an offset diagonal, which no `Tri` names.
     let u_tri = if row0 == 0 { Tri::Lower } else { Tri::Full };
-    let tri = [u_tri, coeff_tri, Tri::Full];
+    let tri = if exact {
+        [u_tri, coeff_tri, Tri::Full]
+    } else {
+        [Tri::Full; 3]
+    };
     let uw = u.sub(row0, 0, nrows, k);
-    wy_product(exact, -1.0, &uw, Trans::N, coeff, Trans::N, 1.0, out, tri);
+    gemm_view_tri(-1.0, &uw, Trans::N, coeff, Trans::N, 1.0, out, tri);
 }
 
 /// `C ← Qᵀ·C = C − U·(Tᵀ·(Uᵀ·C))`.
@@ -716,37 +709,35 @@ pub fn apply_q_right(u: &Matrix, t: &Matrix, c: &mut Matrix) {
 /// The first `ncols` columns of the explicit `Q` factor (`m × ncols`):
 /// `S = T·Uᵀ[:, ..ncols]`, then `Q = I − U·S` (module [`Wy`]).
 pub fn explicit_q(u: &Matrix, t: &Matrix, ncols: usize) -> Matrix {
-    let wy = Wy::new(u.view(), t.view());
-    let mut s = Matrix::zeros(wy.k(), ncols);
-    wy.coeff(Trans::N, Rhs::Identity(ncols), &mut s.view_mut());
-    let mut q = Matrix::zeros(u.rows(), ncols);
-    wy.update(
-        Trans::N,
-        Rhs::Identity(ncols),
-        &s.view(),
-        0,
-        &mut q.view_mut(),
-    );
-    q
+    q_from_factors(u, Cow::Borrowed(t), ncols)
 }
 
 /// The explicit `m × k` `Q` of `a`'s QR with the least memory: `a` is
-/// factored in place and freed with `R`, and `T` is freed once
-/// `S = T·Uᵀ` is formed, before `Q` is allocated — at most three
-/// `m × k`-sized buffers are live (the input generator's `n × n` case).
+/// factored in place and freed with `R`, and `T` is freed before `Q` is
+/// allocated — at most three `m × k`-sized buffers are live (the input
+/// generator's `n × n` case).
 pub(crate) fn explicit_q_of(mut a: Matrix) -> Matrix {
     let (u, t) = factor_wy(&mut a, LEAF);
     drop(a);
-    let (m, k) = (u.rows(), u.cols());
-    let mut s = Matrix::zeros(k, k);
-    Wy::new(u.view(), t.view()).coeff(Trans::N, Rhs::Identity(k), &mut s.view_mut());
+    let k = u.cols();
+    q_from_factors(&u, Cow::Owned(t), k)
+}
+
+/// [`explicit_q`]'s two products; an owned `T` is freed once `S` is
+/// formed.
+fn q_from_factors(u: &Matrix, t: Cow<Matrix>, ncols: usize) -> Matrix {
+    let rhs = Rhs::Identity(ncols);
+    let wy = Wy::new(u.view(), t.view());
+    let exact = wy.is_exact();
+    let mut s = Matrix::zeros(wy.k(), ncols);
+    wy.coeff(Trans::N, rhs, &mut s.view_mut());
     drop(t);
-    let mut q = Matrix::zeros(m, k);
+    let mut q = Matrix::zeros(u.rows(), ncols);
     update_rows(
         &u.view(),
-        true,
+        exact,
         Trans::N,
-        Rhs::Identity(k),
+        rhs,
         &s.view(),
         0,
         &mut q.view_mut(),

@@ -10,11 +10,13 @@
 //! ragged `m`, `k` and `ncols` — including `k` and `m` past GEMM's
 //! 256-deep chunk, where a skipped head of the inner dimension may only
 //! start at a chunk boundary. `U`'s strict lower part carries some `−0`
-//! entries, which `Uᵀ·I` would have turned into `+0`.
+//! entries, which `Uᵀ·I` would have turned into `+0`. A stray non-zero
+//! in either structural triangle makes `Wy::new` claim no structure, and
+//! the products are still the plain form.
 
 use ca_dla::gemm::Trans;
 use ca_dla::oracle::apply_wy_reference;
-use ca_dla::qr::{explicit_q, qr_factor, Rhs, Side, Wy};
+use ca_dla::qr::{apply_q_right, apply_qt, explicit_q, qr_factor, Rhs, Side, Wy};
 use ca_dla::workspace::with_ws;
 use ca_dla::Matrix;
 use proptest::prelude::*;
@@ -81,6 +83,16 @@ fn check(u: &Matrix, t: &Matrix, ncols: usize, srows: usize, split: usize) -> Re
             let mut got = c.clone();
             with_ws(|ws| wy.apply(trans, side, &mut got.view_mut(), ws));
             same(&format!("{ctx}, dense {trans:?} {side:?}"), &got, &want)?;
+            let public: Option<fn(&Matrix, &Matrix, &mut Matrix)> = match (trans, side) {
+                (Trans::T, Side::Left) => Some(apply_qt),
+                (Trans::N, Side::Right) => Some(apply_q_right),
+                _ => None,
+            };
+            if let Some(apply) = public {
+                let mut got = c.clone();
+                apply(u, t, &mut got);
+                same(&format!("{ctx}, {trans:?} {side:?} wrapper"), &got, &want)?;
+            }
         }
 
         let nc = ncols.min(m);
@@ -115,10 +127,21 @@ proptest! {
         ncols in 1usize..=64,
         neg_zero in 2usize..9,
         vals in proptest::collection::vec(-2.0f64..2.0, 5..40),
+        stray in 0usize..3,
     ) {
         let k = 1 + picks.0 % m;
         let (srows, split) = (picks.1 % (m + 1), picks.2 % (m + 1));
-        let (u, t) = factors(m, k, &vals, neg_zero);
+        let (mut u, mut t) = factors(m, k, &vals, neg_zero);
+        // A rounding-sized entry in `U`'s upper or `T`'s lower triangle.
+        let (i, j) = (picks.1 % k, picks.2 % k);
+        let (i, j) = (i.min(j), i.max(j));
+        match stray {
+            1 if i < j => u.set(i, j, 3e-16),
+            2 if i < j => t.set(j, i, -2e-16),
+            _ => {}
+        }
+        let exact = stray == 0 || i == j;
+        prop_assert_eq!(Wy::new(u.view(), t.view()).is_exact(), exact);
         let checked = check(&u, &t, ncols, srows, split);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }

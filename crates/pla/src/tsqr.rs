@@ -133,6 +133,16 @@ fn apply_node(f: &QrFactors, c: Rhs, outs: &mut [&mut MatrixViewMut]) {
     }
 }
 
+/// The right-hand side of a node or leaf: its slab `S` (on top of zero
+/// rows), or at the root the seed, which with `n` rows is the identity.
+fn node_rhs(s: &Matrix, root: bool) -> Rhs<'_> {
+    if root && s.rows() == s.cols() {
+        Rhs::Identity(s.cols())
+    } else {
+        Rhs::Top(s.view())
+    }
+}
+
 /// Expand the implicit tree `Q` into an explicit `m × n` factor,
 /// distributed in the same 1D row-block layout as the input.
 ///
@@ -156,11 +166,10 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
         seed.set(i, i, 1.0);
     }
     slab[0] = Some(seed);
-    let mut seed_is_identity = root_rows == n;
 
-    // Walk the tree top-down. Within a level the nodes own disjoint
-    // (owner, partner) slabs.
-    for level in t.levels.iter().rev() {
+    // Walk the tree top-down; the top level is the root alone. Within a
+    // level the nodes own disjoint (owner, partner) slabs.
+    for (depth, level) in t.levels.iter().rev().enumerate() {
         let mut moves = Vec::new();
         for node in level {
             let input = slab[node.owner]
@@ -171,11 +180,7 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
                 t.group.proc(node.owner),
                 ca_dla::costs::apply_q_flops(node.top_rows + node.bot_rows, f.k(), n),
             );
-            let c = if std::mem::take(&mut seed_is_identity) {
-                Rhs::Identity(n)
-            } else {
-                Rhs::Top(input.view())
-            };
+            let c = node_rhs(&input, depth == 0);
             let mut top = Matrix::zeros(node.top_rows, n);
             let mut bot = Matrix::zeros(node.bot_rows, n);
             apply_node(f, c, &mut [&mut top.view_mut(), &mut bot.view_mut()]);
@@ -199,11 +204,8 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
             t.group.proc(rank),
             ca_dla::costs::apply_q_flops(rows, leaf.k(), n),
         );
-        let c = if std::mem::take(&mut seed_is_identity) {
-            Rhs::Identity(n)
-        } else {
-            Rhs::Top(s.view())
-        };
+        // With one rank the leaf is the root.
+        let c = node_rhs(&s, t.levels.is_empty());
         apply_node(leaf, c, &mut [&mut out.block_mut(rank)]);
     }
     m.step(t.group.procs(), 1);
