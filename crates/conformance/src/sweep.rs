@@ -231,7 +231,7 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
         Stage::RectQr | Stage::RectQrTree { .. } => {
             let (rows, cols) = qr_shape(pt);
             let a = gen::random_matrix(&mut rng, rows, cols);
-            let da = DistMatrix::from_dense(&machine, &Grid::all(pt.p), &a);
+            let da = DistMatrix::from_dense(&machine, &Grid::all(pt.p), a);
             let (_, costs) = machine.measure(|| match stage {
                 Stage::RectQrTree { q_max } => {
                     rect_qr_tree(&machine, &da, q_max).0.release(&machine);
@@ -278,7 +278,7 @@ pub fn measure(stage: Stage, pt: Point) -> Costs {
             let dense = gen::random_banded(&mut rng, pt.n, SBR_BAND);
             let bm = BandedSym::from_dense(&dense, SBR_BAND, SBR_BAND);
             let grid = Grid::all(pt.p);
-            let (_, costs) = machine.measure(|| ca_sbr(&machine, &grid, &bm, None));
+            let (_, costs) = machine.measure(|| ca_sbr(&machine, &grid, bm, None));
             costs
         }
         Stage::Solver | Stage::Scalapack | Stage::Elpa | Stage::CaSbrSolver => {

@@ -189,7 +189,7 @@ fn charge_chase(
     // factors broadcast to the group.
     const LOCAL_QR_WORDS: usize = 1 << 14;
     let factors = if nr >= h && qr_procs > 1 && nr * h > LOCAL_QR_WORDS {
-        let dist = DistMatrix::from_dense(machine, &group.prefix(qr_procs), &block.to_matrix());
+        let dist = DistMatrix::from_dense(machine, &group.prefix(qr_procs), block.to_matrix());
         let f = rect_qr(machine, &dist);
         dist.release(machine);
         Some(QrFactors {
@@ -354,9 +354,8 @@ mod tests {
         let plain_machine = machine(p);
         let plain = try_band_to_band(&plain_machine, &grid, &bm, h, 1, None).unwrap();
         let m = machine(p);
-        let mut log = crate::transforms::TransformLog::default();
-        let rec = Some(log.stage());
-        let out = try_band_to_band(&m, &grid, &bm, h, 1, rec).unwrap();
+        let mut leg = Vec::new();
+        let out = try_band_to_band(&m, &grid, &bm, h, 1, Some(&mut leg)).unwrap();
         assert_eq!(plain, out, "recording changed the band");
         assert_eq!(
             plain_machine.report(),
@@ -374,8 +373,24 @@ mod tests {
             "the rect_qr leg did not run"
         );
 
+        // The chase zeroes the strict upper triangle of rect-QR's `U`,
+        // which its products skip: every recorded reflector is the one
+        // applied, with exact structural zeros.
+        assert!(!leg.is_empty());
+        for r in &leg {
+            assert!(
+                ca_dla::qr::Wy::new(r.u.view(), r.t.view()).is_exact(),
+                "a recorded {} × {} reflector at row {} is not exactly structured",
+                r.u.rows(),
+                r.u.cols(),
+                r.row0
+            );
+        }
+
         // The record back-transforms to an orthonormal eigenbasis of the
         // input.
+        let mut log = crate::transforms::TransformLog::default();
+        log.stage().extend(leg);
         let mut blocks = Vec::new();
         let (d, e) = ca_dla::tridiag::band_to_tridiagonal(&out, Some(&mut blocks));
         log.stage().extend(blocks);

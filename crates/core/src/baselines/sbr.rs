@@ -28,7 +28,7 @@ pub fn ca_sbr_eigenvalues(machine: &Machine, p: usize, a: &Matrix) -> Vec<f64> {
             // Lemma IV.2 is valid for b ≤ n/p̂: use at most n/b processors
             // per halving (the 1D pipeline cannot use more anyway).
             let active = grid.prefix((n / band.bandwidth()).clamp(1, p));
-            band = ca_sbr(machine, &active, &band, None);
+            band = ca_sbr(machine, &active, band, None);
         }
         gather_and_charge_finale(machine, p, &band);
         machine.fence();

@@ -21,13 +21,17 @@ use ca_pla::grid::Grid;
 /// arbitrary `n`) round the target up. With `rec`, every chase's
 /// transform is recorded for eigenvector back-transformation.
 ///
+/// The band is taken by value and freed once the pass's working copy
+/// (at fill capacity `2b`) is made; a caller that keeps it passes a
+/// clone.
+///
 /// The driver: the halving plan walked in sweep order through the one
 /// banded kernel, each chase charged to the owner of its window's first
 /// column at the kernel's factor step.
 pub fn ca_sbr(
     machine: &Machine,
     grid: &Grid,
-    bmat: &BandedSym,
+    bmat: BandedSym,
     rec: Option<&mut Vec<BlockReflector>>,
 ) -> BandedSym {
     let _span = ca_obs::kernel_span("driver.ca_sbr");
@@ -48,6 +52,7 @@ pub fn ca_sbr(
 
     let cap = (2 * b).min(n - 1);
     let mut work = bmat.rehoused(b, cap, |len| vec![0.0; len]);
+    drop(bmat);
     let h_cache = machine.cache_words();
     let charge = |op: &ChaseOp| {
         let (lo, hi) = op.window();
@@ -121,7 +126,7 @@ mod tests {
         let dense = gen::random_banded(&mut rng, n, b);
         let bm = BandedSym::from_dense(&dense, b, b);
         let reference = try_banded_eigenvalues(&bm).unwrap();
-        let out = ca_sbr(&m, &Grid::all(p), &bm, None);
+        let out = ca_sbr(&m, &Grid::all(p), bm, None);
         assert_eq!(out.bandwidth(), b / 2);
         assert!(out.measured_bandwidth(1e-9) <= b / 2);
         let ev = try_banded_eigenvalues(&out).unwrap();
@@ -137,7 +142,7 @@ mod tests {
         let mut bm = BandedSym::from_dense(&dense, 8, 8);
         let reference = try_banded_eigenvalues(&bm).unwrap();
         while bm.bandwidth() > 1 {
-            bm = ca_sbr(&m, &Grid::all(p), &bm, None);
+            bm = ca_sbr(&m, &Grid::all(p), bm, None);
         }
         assert!(bm.measured_bandwidth(1e-9) <= 1);
         let ev = try_banded_eigenvalues(&bm).unwrap();
@@ -151,7 +156,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(222);
         let dense = gen::random_banded(&mut rng, 40, 4);
         let bm = BandedSym::from_dense(&dense, 4, 4);
-        let _ = ca_sbr(&m, &Grid::all(p), &bm, None);
+        let _ = ca_sbr(&m, &Grid::all(p), bm, None);
         let s = m.report().supersteps;
         // Redistribution (1) + aggregated pipeline (p) + fence.
         assert_eq!(s, 1 + p as u64 + 1);
@@ -164,7 +169,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(223);
         let dense = gen::random_banded(&mut rng, 64, 4);
         let bm = BandedSym::from_dense(&dense, 4, 4);
-        let _ = ca_sbr(&m, &Grid::all(p), &bm, None);
+        let _ = ca_sbr(&m, &Grid::all(p), bm, None);
         let f = m.flops_per_proc();
         // Every processor owns some chases.
         assert!(f.iter().all(|&x| x > 0), "{f:?}");

@@ -176,7 +176,8 @@ pub(crate) fn full_to_band_impl(
         out
     };
     // Lines 5 and 1: the `rem × cols` block of `A̅` at `(o, o)`, i.e.
-    // `A + U⁽⁰⁾V⁽⁰⁾ᵀ + V⁽⁰⁾U⁽⁰⁾ᵀ` restricted to it. The transposed
+    // `A + U⁽⁰⁾V⁽⁰⁾ᵀ + V⁽⁰⁾U⁽⁰⁾ᵀ` restricted to it (`o ≥ b`: the
+    // aggregates' row `o − b` is global row `o`). The transposed
     // aggregate blocks are read in place instead of being materialized.
     // The base case's block is square, and there `V·Uᵀ` is `U·Vᵀ`
     // transposed bit for bit — each cell is the same chain of fused
@@ -185,12 +186,12 @@ pub(crate) fn full_to_band_impl(
     // product but computed as that transpose.
     let updated_block = |u_agg: &Matrix, v_agg: &Matrix, o: usize, cols: usize, m_agg: usize| {
         let rem = n - o;
-        let sub = (o, 0, rem, m_agg);
+        let sub = (o - b, 0, rem, m_agg);
         let uvt = streaming_mm(
             &u_agg.view(),
             sub,
             false,
-            &v_agg.subview(o, 0, cols, m_agg),
+            &v_agg.subview(o - b, 0, cols, m_agg),
             true,
         );
         let vut = if cols == rem {
@@ -201,7 +202,7 @@ pub(crate) fn full_to_band_impl(
                 &v_agg.view(),
                 sub,
                 false,
-                &u_agg.subview(o, 0, cols, m_agg),
+                &u_agg.subview(o - b, 0, cols, m_agg),
                 true,
             )
         };
@@ -218,15 +219,16 @@ pub(crate) fn full_to_band_impl(
     let rep = ca_pla::streaming::Replicated::replicate(machine, &grid3, n, n);
 
     let mut out = BandedSym::zeros(n, b, b);
-    // The aggregates are allocated once at full height with *global*
-    // row alignment (row r of the aggregate is global row r) and
-    // their final width — every panel but the last appends `b`
-    // reflector columns and the last `rem − b`, `n − b` in all — so
-    // panels append in place and every product takes an offset block
-    // spec. Rows above the current trailing range and columns beyond
-    // `m_agg` are never read.
-    let mut u_agg = Matrix::zeros(n, n - b);
-    let mut v_agg = Matrix::zeros(n, n - b);
+    // The aggregates are allocated once at their final shape: every
+    // panel's reflectors start at least `b` rows down, so row `r` of an
+    // aggregate is global row `r + b` (the top `b` rows would never be
+    // written or read), and every panel but the last appends `b`
+    // reflector columns and the last `rem − b`, `n − b` in all. Panels
+    // append in place and every product takes an offset block spec.
+    // Rows above the current trailing range and columns beyond `m_agg`
+    // are never read.
+    let mut u_agg = Matrix::zeros(n - b, n - b);
+    let mut v_agg = Matrix::zeros(n - b, n - b);
     let (mut o, mut m_agg) = (0usize, 0usize);
     while n - o > b {
         let rem = n - o;
@@ -274,12 +276,12 @@ pub(crate) fn full_to_band_impl(
             let (u1, t1, r1) = if rem - b >= b {
                 let qr_procs = panel_qr_group(params, n, b, rem - b);
                 let qr_group = Grid::new_2d((0..qr_procs).collect(), qr_procs, 1);
-                let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
+                let da21 = DistMatrix::from_dense(machine, &qr_group, a21);
                 let f = rect_qr(machine, &da21);
                 da21.release(machine);
                 (f.u.release(machine), f.t, f.r)
             } else {
-                let f = kern::local_qr(machine, all.proc(0), &a21.view());
+                let f = kern::local_qr(machine, all.proc(0), a21);
                 let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
                 for &pid in all.procs() {
                     machine.charge_comm(pid, 2 * factor_words.div_ceil(p as u64));
@@ -297,7 +299,8 @@ pub(crate) fn full_to_band_impl(
             let trailing = (o + b, o + b, rem - b, rem - b);
             let mut w = streaming_mm(&a.view(), trailing, false, &u1.view(), false);
             if m_agg > 0 {
-                let sub = (o + b, 0, rem - b, m_agg);
+                // The aggregates' rows `o..`, global rows `o + b..`.
+                let sub = (o, 0, rem - b, m_agg);
                 for (outer, inner) in [(&u_agg, &v_agg), (&v_agg, &u_agg)] {
                     let small = streaming_mm(&inner.view(), sub, true, &u1.view(), false);
                     let term = streaming_mm(&outer.view(), sub, false, &small.view(), false);
@@ -315,13 +318,14 @@ pub(crate) fn full_to_band_impl(
         {
             let _span = ca_obs::kernel_span("f2b.v1");
             let wt = carma(&w, Trans::N, &t1, v_mem);
+            drop(w);
             let utwt = carma(&u1, Trans::T, &wt, 1);
             let t_utwt = carma(&t1, Trans::T, &utwt, 1);
             let corr = carma(&u1, Trans::N, &t_utwt, v_mem);
             // Fused `v1 = -wt; v1 += ½·corr` (the `* -1.0` spelling
             // is `Matrix::scale`'s exact arithmetic, which the
             // pinned output bits were produced with).
-            let mut dst = v_agg.subview_mut(o + b, m_agg, rem - b, kk);
+            let mut dst = v_agg.subview_mut(o, m_agg, rem - b, kk);
             #[allow(clippy::neg_multiply)]
             for j in 0..kk {
                 for i in 0..rem - b {
@@ -342,7 +346,7 @@ pub(crate) fn full_to_band_impl(
                 machine.alloc(pid, rep_words.div_ceil((q * q) as u64));
             }
             machine.step(grid3.procs(), 2);
-            u_agg.set_block(o + b, m_agg, &u1);
+            u_agg.set_block(o, m_agg, &u1);
             if let Some(rec) = rec.as_deref_mut() {
                 rec.push(BlockReflector {
                     row0: o + b,

@@ -369,7 +369,7 @@ fn solve_impl(
             ),
         );
         let rec = want_vectors.then(|| log.stage());
-        let next = ca_sbr(machine, &sbr_grid, &band, rec);
+        let next = ca_sbr(machine, &sbr_grid, band, rec);
         scope.end(&mut costs);
         band = next;
     }

@@ -74,7 +74,7 @@ fn chase_stages_park_nothing_and_allocate_nothing_per_chase() {
         before,
         "band→band left scratch in the caller's arena"
     );
-    let _ = ca_sbr(&machine, &grid, &band, None);
+    let _ = ca_sbr(&machine, &grid, band.clone(), None);
     assert_eq!(
         parked(),
         before,

@@ -392,7 +392,14 @@ fn chase_banded_fast(
                 [nr, kk, kk, kk, kk, h],
                 "factors do not fit the chase's QR block"
             );
+            // Rect-QR's reconstructed `U` is unit lower-trapezoidal only
+            // to rounding. The products below skip its strict upper
+            // triangle, so zeroing it changes no bit of the band and
+            // makes the recorded reflector the one applied.
             u.copy_from_slice(f.u.data());
+            for i in 0..kk {
+                u[i * kk + i + 1..(i + 1) * kk].fill(0.0);
+            }
             t.copy_from_slice(f.t.data());
             blk[..kk * h].copy_from_slice(f.r.data());
         }

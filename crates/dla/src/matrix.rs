@@ -262,6 +262,14 @@ impl Matrix {
     }
 }
 
+/// A copy, for an API that takes its matrix by value (such as
+/// `DistMatrix::from_dense`) called by a caller that keeps its own.
+impl From<&Matrix> for Matrix {
+    fn from(a: &Matrix) -> Self {
+        a.clone()
+    }
+}
+
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;

@@ -230,12 +230,12 @@ pub fn qr_factor(a: &Matrix, nb: usize) -> QrFactors {
     factor_in_place(a.clone(), nb.clamp(1, LEAF))
 }
 
-/// [`qr_factor`] of a (strided) view with the default leaf: how a
-/// distributed building block factors one rank's block of its operand.
-/// The one copy it makes is the factorisation's working buffer, as in
-/// [`qr_factor`].
-pub fn qr_factor_view(a: &MatrixView) -> QrFactors {
-    factor_in_place(a.to_matrix(), LEAF)
+/// [`qr_factor`] of an owned matrix with the default leaf, factored in
+/// its own buffer: how a distributed building block factors a rank's
+/// block of its operand (copied out by the caller) or a matrix it has
+/// assembled and has no further use for (TSQR's stacked `[R_top; R_bot]`).
+pub fn qr_factor_owned(a: Matrix) -> QrFactors {
+    factor_in_place(a, LEAF)
 }
 
 /// `(U, T, R)` of `w`, factored in place with leaf width `leaf`.

@@ -662,11 +662,15 @@ pub fn band_to_tridiagonal(
         // `values_p4`'s peak heap by 2.1 MB over freeing it.
         let fill = |b: usize| (2 * b).min(n - 1);
         let mut work = if bw > HALVE_FLOOR {
-            let mut wide = band.rehoused(bw, fill(bw), |len| vec![0.0; len]);
+            // The leg spans the pass's whole life: the copy into it and
+            // the slab's release are the leg's work too.
             let _span = leg_span(format_args!("finale.halve ({bw}→{SWEEP_BAND})"));
+            let mut wide = band.rehoused(bw, fill(bw), |len| vec![0.0; len]);
             let plan = bulge::chase_plan_iter(n, bw, SWEEP_BAND);
             bulge::reduce_band_pass(&mut wide, plan, |_, _| None, record.as_deref_mut(), ws);
-            wide.rehoused(SWEEP_BAND, fill(SWEEP_BAND), |len| ws.take(len))
+            let narrow = wide.rehoused(SWEEP_BAND, fill(SWEEP_BAND), |len| ws.take(len));
+            drop(wide);
+            narrow
         } else {
             band.rehoused(bw, fill(bw), |len| ws.take(len))
         };

@@ -103,8 +103,11 @@ impl DistMatrix {
     /// load-balanced layout: each processor receives its block and sends
     /// away its old share; cost `O(β·(words/p) + α)` per the paper's
     /// redistribution assumption.
-    pub fn from_dense(m: &Machine, grid: &Grid, a: &Matrix) -> Self {
-        let d = Self::resident(m, grid, a.clone());
+    ///
+    /// The matrix is taken by value and becomes the operand's buffer; a
+    /// caller that keeps its own passes `&a`, which is copied.
+    pub fn from_dense(m: &Machine, grid: &Grid, a: impl Into<Matrix>) -> Self {
+        let d = Self::resident(m, grid, a.into());
         coll::relayout(m, grid, |r| d.words_on(r), grid, |r| d.words_on(r));
         d
     }

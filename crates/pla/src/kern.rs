@@ -8,7 +8,7 @@ use ca_bsp::{Machine, ProcId};
 use ca_dla::costs;
 use ca_dla::gemm::{gemm_view, Trans};
 use ca_dla::lu::{trsm_left_view, trsm_right_view, Diag, Triangle};
-use ca_dla::qr::{qr_factor_view, QrFactors};
+use ca_dla::qr::{qr_factor_owned, QrFactors};
 use ca_dla::view::{MatrixView, MatrixViewMut};
 use ca_dla::workspace::with_ws;
 use ca_dla::Matrix;
@@ -64,11 +64,14 @@ pub fn local_matmul(
     c
 }
 
-/// Charged local Householder QR of a view on processor `j`.
-pub fn local_qr(m: &Machine, j: ProcId, a: &MatrixView) -> QrFactors {
+/// Charged local Householder QR on processor `j`, factored in `a`'s own
+/// buffer: a caller that factors a block of an operand it keeps passes
+/// a copy (`block(r).to_matrix()`), one that has no further use for `a`
+/// passes it whole.
+pub fn local_qr(m: &Machine, j: ProcId, a: Matrix) -> QrFactors {
     m.charge_flops(j, costs::qr_flops(a.rows(), a.cols()));
     m.charge_vert(j, costs::qr_vert(a.rows(), a.cols(), m.cache_words()));
-    qr_factor_view(a)
+    qr_factor_owned(a)
 }
 
 /// Charged left triangular solve on processor `j`.
@@ -121,7 +124,7 @@ mod tests {
     fn qr_charges_to_named_proc() {
         let m = Machine::new(MachineParams::new(3));
         let a = Matrix::from_fn(6, 3, |i, j| (i + j) as f64 + 1.0);
-        let _ = local_qr(&m, 2, &a.view());
+        let _ = local_qr(&m, 2, a);
         let f = m.flops_per_proc();
         assert!(f[2] > 0);
         assert_eq!(f[0] + f[1], 0);

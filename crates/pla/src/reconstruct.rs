@@ -62,8 +62,10 @@ pub(crate) fn fix_r_into(s: &[f64], r: &Matrix, out: &mut MatrixViewMut) {
 }
 
 /// Reconstruct `(U, T, S)` from a distributed explicit `Q` (1D row
-/// layout over its group).
-pub fn reconstruct(machine: &Machine, q: &DistMatrix) -> Reconstruction {
+/// layout over its group). Step 3's `Q − [S; 0]` is formed in `q`'s
+/// buffer, which holds it on return: a caller that needs `Q` afterwards
+/// reads it first. `q`'s storage record stays the caller's.
+pub fn reconstruct(machine: &Machine, q: &mut DistMatrix) -> Reconstruction {
     let (mrows, n) = q.shape();
     let mut u = Matrix::zeros(mrows, n);
     let mut t = Matrix::zeros(n, n);
@@ -76,16 +78,17 @@ pub fn reconstruct(machine: &Machine, q: &DistMatrix) -> Reconstruction {
 }
 
 /// [`reconstruct`] writing `U` (`m × n`) and `T` (`n × n`) into views of
-/// the caller's buffers and returning `S`. `U`'s distributed storage (1D
-/// row layout over `q`'s group) is recorded with the memory tracker here,
-/// where the corollary creates it; the caller owns that record.
+/// the caller's buffers and returning `S`; `q` is left holding
+/// `Q − [S; 0]`. `U`'s distributed storage (1D row layout over `q`'s
+/// group) is recorded with the memory tracker here, where the corollary
+/// creates it; the caller owns that record.
 pub(crate) fn reconstruct_into(
     machine: &Machine,
-    q: &DistMatrix,
+    q: &mut DistMatrix,
     u_out: &mut MatrixViewMut,
     t_out: &mut MatrixViewMut,
 ) -> Vec<f64> {
-    let group = q.grid();
+    let group = q.grid().clone();
     let g = group.len();
     let (mrows, n) = q.shape();
     assert!(mrows >= n, "reconstruction requires m ≥ n");
@@ -97,7 +100,7 @@ pub(crate) fn reconstruct_into(
     // 1. Redistribute Q₁ (top n×n) onto the subgrid and LU it with sign
     //    subtraction.
     let q1 = q.block_redist(machine, 0, 0, n, n, &sub);
-    let (u1, w1, s) = {
+    let (u1, mut w1, s) = {
         let _span = ca_obs::kernel_span("rc.lu");
         dist_lu_signed(machine, &q1)
     };
@@ -113,41 +116,49 @@ pub(crate) fn reconstruct_into(
 
     // 3. U = (Q − Ŝ)·W₁⁻¹ via the recursive rectangular multiply on the
     //    full group (Lemma III.2 is exactly the cost Corollary III.7
-    //    invokes for these products).
+    //    invokes for these products). `Q − Ŝ` is formed in place: the
+    //    diagonal of `Q₁` sits in the blocks of its owners.
     {
         let _span = ca_obs::kernel_span("rc.u");
-        let mut q_minus_s = q.dense().clone();
-        for (i, si) in s.iter().enumerate() {
-            q_minus_s.add_to(i, i, -si);
+        for r in 0..g {
+            let (r0, c0, nr, nc) = q.owned_range(r);
+            let mut block = q.block_mut(r);
+            for i in r0.max(c0)..(r0 + nr).min(c0 + nc).min(n) {
+                block.row_mut(i - r0)[i - c0] -= s[i];
+            }
         }
         carma_spread_into(
             machine,
-            group,
-            &q_minus_s.view(),
+            &group,
+            &q.dense().view(),
             Trans::N,
             &w1_inv.dense().view(),
             Trans::N,
             1,
             u_out,
         );
-        DistMatrix::record_alloc(machine, group, mrows, n);
+        DistMatrix::record_alloc(machine, &group, mrows, n);
     }
 
-    // 4. T = −W₁·S·U₁⁻ᵀ on the subgrid's processors; the transpose is
+    // 4. T = −W₁·S·U₁⁻ᵀ on the subgrid's processors; `W₁·S` is formed
+    //    in `W₁`'s blocks (nothing reads `W₁` after), the transpose is
     //    read in place (its shuffle on the subgrid is charged).
     {
         let _span = ca_obs::kernel_span("rc.t");
-        let mut w1s = w1.dense().clone();
-        for i in 0..n {
-            for (x, sj) in w1s.row_mut(i).iter_mut().zip(&s) {
-                *x *= sj;
+        for r in 0..w1.grid().len() {
+            let (_, c0, nr, nc) = w1.owned_range(r);
+            let mut block = w1.block_mut(r);
+            for i in 0..nr {
+                for (x, sj) in block.row_mut(i).iter_mut().zip(&s[c0..c0 + nc]) {
+                    *x *= sj;
+                }
             }
         }
         coll::allgather(machine, &sub, ((n * n) / sub.len().max(1)) as u64);
         carma_spread_into(
             machine,
             &sub,
-            &w1s.view(),
+            &w1.dense().view(),
             Trans::N,
             &u1_inv.dense().view(),
             Trans::T,
@@ -254,9 +265,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(121 + g as u64);
             let a = gen::random_matrix(&mut rng, 8 * g, 6);
             let da = DistMatrix::from_dense(&m, &grid, &a);
-            let (q, _r) = tsqr::tsqr_explicit(&m, &da);
-            let rec = reconstruct(&m, &q);
-            check_wy(q.dense(), rec.u.dense(), &rec.t, &rec.s, 1e-9);
+            let (mut q, _r) = tsqr::tsqr_explicit(&m, &da);
+            let q_dense = q.dense().clone();
+            let rec = reconstruct(&m, &mut q);
+            check_wy(&q_dense, rec.u.dense(), &rec.t, &rec.s, 1e-9);
         }
     }
 
@@ -268,8 +280,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(130);
         let a = gen::random_matrix(&mut rng, 24, 5);
         let da = DistMatrix::from_dense(&m, &grid, &a);
-        let (q, r) = tsqr::tsqr_explicit(&m, &da);
-        let rec = reconstruct(&m, &q);
+        let (mut q, r) = tsqr::tsqr_explicit(&m, &da);
+        let rec = reconstruct(&m, &mut q);
         let r_fixed = rec.fix_r(&r);
         // A = (I − U T Uᵀ)·[R'; 0].
         let mut stack = Matrix::zeros(24, 5);
@@ -294,8 +306,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(131);
         let a = gen::random_matrix(&mut rng, 10, 3);
         let da = DistMatrix::from_dense(&m, &grid, &a);
-        let (q, _) = tsqr::tsqr_explicit(&m, &da);
-        let rec = reconstruct(&m, &q);
-        check_wy(q.dense(), rec.u.dense(), &rec.t, &rec.s, 1e-9);
+        let (mut q, _) = tsqr::tsqr_explicit(&m, &da);
+        let q_dense = q.dense().clone();
+        let rec = reconstruct(&m, &mut q);
+        check_wy(&q_dense, rec.u.dense(), &rec.t, &rec.s, 1e-9);
     }
 }

@@ -144,7 +144,7 @@ fn rect_qr_node(
 
     // Base case: single processor — local QR gives (U, T, R) directly.
     if g == 1 {
-        let f = kern::local_qr(machine, group.proc(0), &a.block(0));
+        let f = kern::local_qr(machine, group.proc(0), a.block(0).to_matrix());
         DistMatrix::record_alloc(machine, group, mrows, n);
         u.copy_from(&f.u.view());
         t.copy_from(&f.t.view());
@@ -158,14 +158,15 @@ fn rect_qr_node(
             let _span = ca_obs::kernel_span("rq.tsqr");
             tsqr::tsqr(machine, a)
         };
+        // The tree goes once `Q` is formed; only its `R` is kept.
         let mut q = DistMatrix::zeros(machine, group, mrows, n);
-        {
+        let ts_r = {
             let _span = ca_obs::kernel_span("rq.explicit_q");
-            tsqr::explicit_q(machine, &ts, &mut q);
-        }
+            tsqr::explicit_q(machine, ts, &mut q)
+        };
         let _span = ca_obs::kernel_span("rq.reconstruct");
-        let s = reconstruct::reconstruct_into(machine, &q, u, t);
-        reconstruct::fix_r_into(&s, &ts.r, r);
+        let s = reconstruct::reconstruct_into(machine, &mut q, u, t);
+        reconstruct::fix_r_into(&s, &ts_r, r);
         q.release(machine);
         return;
     }
@@ -283,7 +284,7 @@ pub fn rect_qr_tree(machine: &Machine, a: &DistMatrix, q_max: usize) -> (DistMat
 
     // Line 1: sequential base case.
     if p == 1 {
-        let f = kern::local_qr(machine, group.proc(0), &a.block(0));
+        let f = kern::local_qr(machine, group.proc(0), a.block(0).to_matrix());
         let q = ca_dla::qr::explicit_q(&f.u, &f.t, n);
         let mut r = Matrix::zeros(n.min(mrows), n);
         r.set_block(0, 0, &f.r);
@@ -340,7 +341,7 @@ pub fn rect_qr_tree(machine: &Machine, a: &DistMatrix, q_max: usize) -> (DistMat
     // Line 7: QR of the stacked Rs with all p processors.
     let stacked_refs: Vec<&Matrix> = rs.iter().collect();
     let stacked = Matrix::vstack(&stacked_refs);
-    let dstacked = DistMatrix::from_dense(machine, &group, &stacked);
+    let dstacked = DistMatrix::from_dense(machine, &group, stacked);
     let (z, r_final) = rect_qr_tree(machine, &dstacked, q_max);
     dstacked.release(machine);
 

@@ -18,6 +18,26 @@ use ca_dla::qr::{QrFactors, Rhs, Wy};
 use ca_dla::view::MatrixViewMut;
 use ca_dla::Matrix;
 
+/// The compact-WY factors `(U, T)` of one leaf or merge node: its `R`
+/// moves up the tree (into the next merge, or out as the result).
+#[derive(Debug, Clone)]
+struct Reflectors {
+    u: Matrix,
+    t: Matrix,
+}
+
+impl Reflectors {
+    /// A factorization split into its reflectors and its `R`.
+    fn split(f: QrFactors) -> (Self, Matrix) {
+        (Reflectors { u: f.u, t: f.t }, f.r)
+    }
+
+    /// Number of reflectors.
+    fn k(&self) -> usize {
+        self.u.cols()
+    }
+}
+
 /// One merge node of the TSQR reduction tree.
 #[derive(Debug, Clone)]
 struct TreeNode {
@@ -29,8 +49,8 @@ struct TreeNode {
     top_rows: usize,
     /// Rows contributed by the partner (bottom).
     bot_rows: usize,
-    /// QR factors of the stacked `[R_top; R_bot]`.
-    factors: QrFactors,
+    /// Reflectors of the stacked `[R_top; R_bot]`.
+    factors: Reflectors,
 }
 
 /// The TSQR factorization: leaf factors plus the merge tree; `r` is the
@@ -41,8 +61,8 @@ pub(crate) struct Tsqr {
     n: usize,
     /// The 1D group the factorization ran on.
     group: Grid,
-    /// Per-rank leaf QR factors.
-    leaves: Vec<QrFactors>,
+    /// Per-rank leaf reflectors.
+    leaves: Vec<Reflectors>,
     /// Merge levels, bottom-up; level `l` merges ranks at stride `2^l`.
     levels: Vec<Vec<TreeNode>>,
     /// Final `min(m,n) × n` upper-triangular factor (on rank 0).
@@ -57,11 +77,16 @@ pub(crate) fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
     let g = group.len();
     let (_rows, n) = a.shape();
 
-    // Leaf factorizations — one independent QR per rank.
-    let leaves: Vec<QrFactors> = (0..g)
-        .map(|rank| kern::local_qr(m, group.proc(rank), &a.block(rank)))
-        .collect();
-    let mut current_r: Vec<Matrix> = leaves.iter().map(|f| f.r.clone()).collect();
+    // Leaf factorizations — one independent QR per rank, of a copy of
+    // its block. Each `R` moves up the tree: a rank holds its current
+    // `R` until a merge takes it.
+    let (leaves, mut current_r): (Vec<Reflectors>, Vec<Option<Matrix>>) = (0..g)
+        .map(|rank| {
+            let f = kern::local_qr(m, group.proc(rank), a.block(rank).to_matrix());
+            let (leaf, r) = Reflectors::split(f);
+            (leaf, Some(r))
+        })
+        .unzip();
     m.step(group.procs(), 1);
 
     // Binary reduction tree.
@@ -74,36 +99,39 @@ pub(crate) fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
             if partner >= g {
                 continue;
             }
-            moves.push((
-                group.proc(partner),
-                group.proc(owner),
-                current_r[partner].len() as u64,
-            ));
+            let words = current_r[partner].as_ref().map_or(0, Matrix::len);
+            moves.push((group.proc(partner), group.proc(owner), words as u64));
         }
         coll::exchange(m, &group, &moves);
         // Merge nodes of one level touch disjoint (owner, partner)
-        // pairs: every node reads the level's inputs, then the owners
-        // take the new `R`s.
+        // pairs: each takes both `R`s, factors their stack in its own
+        // buffer and leaves the new `R` with the owner.
         let nodes: Vec<TreeNode> = (0..g)
             .step_by(2 * stride)
             .filter(|owner| owner + stride < g)
             .map(|owner| {
                 let partner = owner + stride;
-                let top = &current_r[owner];
-                let bot = &current_r[partner];
-                let stacked = Matrix::vstack(&[top, bot]);
+                let top = current_r[owner]
+                    .take()
+                    .expect("tree merge: owner R missing");
+                let bot = current_r[partner]
+                    .take()
+                    .expect("tree merge: partner R missing");
+                let (top_rows, bot_rows) = (top.rows(), bot.rows());
+                let stacked = Matrix::vstack(&[&top, &bot]);
+                drop((top, bot));
+                let f = kern::local_qr(m, group.proc(owner), stacked);
+                let (factors, r) = Reflectors::split(f);
+                current_r[owner] = Some(r);
                 TreeNode {
                     owner,
                     partner,
-                    top_rows: top.rows(),
-                    bot_rows: bot.rows(),
-                    factors: kern::local_qr(m, group.proc(owner), &stacked.view()),
+                    top_rows,
+                    bot_rows,
+                    factors,
                 }
             })
             .collect();
-        for node in &nodes {
-            current_r[node.owner] = node.factors.r.clone();
-        }
         levels.push(nodes);
         stride *= 2;
     }
@@ -113,7 +141,7 @@ pub(crate) fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
         group,
         leaves,
         levels,
-        r: current_r[0].clone(),
+        r: current_r[0].take().expect("tree root R missing"),
     }
 }
 
@@ -122,7 +150,7 @@ pub(crate) fn tsqr(m: &Machine, a: &DistMatrix) -> Tsqr {
 /// on top of zero rows (in the charge; the product reads only `S`'s
 /// rows), or, at the root, the identity the down-sweep is seeded with.
 /// One coefficient feeds every window.
-fn apply_node(f: &QrFactors, c: Rhs, outs: &mut [&mut MatrixViewMut]) {
+fn apply_node(f: &Reflectors, c: Rhs, outs: &mut [&mut MatrixViewMut]) {
     let wy = Wy::new(f.u.view(), f.t.view());
     let mut coeff = Matrix::zeros(f.k(), c.cols());
     wy.coeff(Trans::N, c, &mut coeff.view_mut());
@@ -144,23 +172,31 @@ fn node_rhs(s: &Matrix, root: bool) -> Rhs<'_> {
 }
 
 /// Expand the implicit tree `Q` into an explicit `m × n` factor,
-/// distributed in the same 1D row-block layout as the input.
+/// distributed in the same 1D row-block layout as the input, and return
+/// `R`. The tree is consumed: each node's reflectors are freed once the
+/// down-sweep has applied them.
 ///
 /// Down-sweep: rank 0 seeds the root with `I_n`; each tree node applies
 /// its merge-`Q` to its slab (zero-padded to the stacked height — in the
 /// charge; the product skips the zero rows) and ships the bottom part to
 /// its partner; leaves apply their local `Q`, each result written once,
 /// as the block its rank keeps.
-pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
-    let g = t.group.len();
-    let n = t.n;
-    assert_eq!(out.grid(), &t.group, "output must live on the TSQR group");
+pub(crate) fn explicit_q(m: &Machine, t: Tsqr, out: &mut DistMatrix) -> Matrix {
+    let Tsqr {
+        n,
+        group,
+        leaves,
+        levels,
+        r,
+    } = t;
+    let g = group.len();
+    assert_eq!(out.grid(), &group, "output must live on the TSQR group");
     assert_eq!(out.shape().1, n);
 
     // Per-rank current slab. The root's is the seed: with `n` rows it
     // is the identity, which the root's product reads as `Uᵀ` in place.
     let mut slab: Vec<Option<Matrix>> = vec![None; g];
-    let root_rows = t.r.rows();
+    let root_rows = r.rows();
     let mut seed = Matrix::zeros(root_rows, n);
     for i in 0..root_rows.min(n) {
         seed.set(i, i, 1.0);
@@ -169,7 +205,8 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
 
     // Walk the tree top-down; the top level is the root alone. Within a
     // level the nodes own disjoint (owner, partner) slabs.
-    for (depth, level) in t.levels.iter().rev().enumerate() {
+    let one_rank = levels.is_empty();
+    for (depth, level) in levels.into_iter().rev().enumerate() {
         let mut moves = Vec::new();
         for node in level {
             let input = slab[node.owner]
@@ -177,7 +214,7 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
                 .expect("tree down-sweep: owner slab missing");
             let f = &node.factors;
             m.charge_flops(
-                t.group.proc(node.owner),
+                group.proc(node.owner),
                 ca_dla::costs::apply_q_flops(node.top_rows + node.bot_rows, f.k(), n),
             );
             let c = node_rhs(&input, depth == 0);
@@ -185,30 +222,30 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
             let mut bot = Matrix::zeros(node.bot_rows, n);
             apply_node(f, c, &mut [&mut top.view_mut(), &mut bot.view_mut()]);
             moves.push((
-                t.group.proc(node.owner),
-                t.group.proc(node.partner),
+                group.proc(node.owner),
+                group.proc(node.partner),
                 bot.len() as u64,
             ));
             slab[node.owner] = Some(top);
             slab[node.partner] = Some(bot);
         }
-        coll::exchange(m, &t.group, &moves);
+        coll::exchange(m, &group, &moves);
     }
 
     // Leaf application — independent per rank.
-    for (rank, s) in slab.into_iter().enumerate() {
+    for (rank, (s, leaf)) in slab.into_iter().zip(leaves).enumerate() {
         let s = s.expect("leaf slab missing");
-        let leaf = &t.leaves[rank];
         let rows = leaf.u.rows();
         m.charge_flops(
-            t.group.proc(rank),
+            group.proc(rank),
             ca_dla::costs::apply_q_flops(rows, leaf.k(), n),
         );
         // With one rank the leaf is the root.
-        let c = node_rhs(&s, t.levels.is_empty());
-        apply_node(leaf, c, &mut [&mut out.block_mut(rank)]);
+        let c = node_rhs(&s, one_rank);
+        apply_node(&leaf, c, &mut [&mut out.block_mut(rank)]);
     }
-    m.step(t.group.procs(), 1);
+    m.step(group.procs(), 1);
+    r
 }
 
 /// Convenience: TSQR followed by explicit-`Q` expansion; returns
@@ -216,9 +253,9 @@ pub(crate) fn explicit_q(m: &Machine, t: &Tsqr, out: &mut DistMatrix) {
 pub fn tsqr_explicit(m: &Machine, a: &DistMatrix) -> (DistMatrix, Matrix) {
     let t = tsqr(m, a);
     let (rows, n) = a.shape();
-    let mut q = DistMatrix::zeros(m, &t.group, rows, n);
-    explicit_q(m, &t, &mut q);
-    (q, t.r.clone())
+    let mut q = DistMatrix::zeros(m, a.grid(), rows, n);
+    let r = explicit_q(m, t, &mut q);
+    (q, r)
 }
 
 #[cfg(test)]

@@ -234,7 +234,7 @@ fn building_block_ledgers_and_bits_are_pinned() {
             &format!("rect_qr_tree m={mrows} n={n} p={p} q_max={q_max}"),
             p,
             |m, out| {
-                let da = DistMatrix::from_dense(m, &grid(p, p, 1), &random(mrows, n, seed));
+                let da = DistMatrix::from_dense(m, &grid(p, p, 1), random(mrows, n, seed));
                 let (q, r) = rect_qr_tree(m, &da, q_max);
                 out.extend_from_slice(q.dense().data());
                 out.extend_from_slice(r.data());
@@ -245,7 +245,7 @@ fn building_block_ledgers_and_bits_are_pinned() {
     for (n, q) in [(16, 4), (9, 3)] {
         check_pin(&format!("dist_lu_signed n={n} q={q}"), q * q, |m, out| {
             let da =
-                DistMatrix::from_dense(m, &grid(q * q, q, q), &diag_dominant(n, 100 + n as u64));
+                DistMatrix::from_dense(m, &grid(q * q, q, q), diag_dominant(n, 100 + n as u64));
             let (l, u, s) = dist_lu_signed(m, &da);
             out.extend_from_slice(l.dense().data());
             out.extend_from_slice(u.dense().data());
@@ -277,11 +277,11 @@ fn building_block_ledgers_and_bits_are_pinned() {
             &format!("tsqr_explicit+reconstruct m={mrows} n={n} g={g}"),
             g,
             |m, out| {
-                let da = DistMatrix::from_dense(m, &grid(g, g, 1), &random(mrows, n, seed));
-                let (q, r) = tsqr_explicit(m, &da);
-                let rec = reconstruct(m, &q);
+                let da = DistMatrix::from_dense(m, &grid(g, g, 1), random(mrows, n, seed));
+                let (mut q, r) = tsqr_explicit(m, &da);
                 out.extend_from_slice(q.dense().data());
                 out.extend_from_slice(r.data());
+                let rec = reconstruct(m, &mut q);
                 out.extend_from_slice(rec.u.dense().data());
                 out.extend_from_slice(rec.t.data());
                 out.extend(rec.s);
@@ -294,10 +294,10 @@ fn building_block_ledgers_and_bits_are_pinned() {
         4,
         |m, out| {
             let g = grid(4, 4, 1);
-            let da = DistMatrix::from_dense(m, &g, &random(20, 8, 145));
+            let da = DistMatrix::from_dense(m, &g, random(20, 8, 145));
             let f = rect_qr_with_base(m, &da, 4);
             let q = explicit_q(m, &f);
-            let mut dc = DistMatrix::from_dense(m, &g, &random(20, 5, 146));
+            let mut dc = DistMatrix::from_dense(m, &g, random(20, 5, 146));
             apply_qt(m, &f, &mut dc);
             out.extend_from_slice(f.u.dense().data());
             out.extend_from_slice(f.t.data());
@@ -308,7 +308,7 @@ fn building_block_ledgers_and_bits_are_pinned() {
     );
 
     check_pin("DistMatrix::redistribute 10x6 2x2->3x2", 8, |m, out| {
-        let d = DistMatrix::from_dense(m, &grid(4, 2, 2), &random(10, 6, 72));
+        let d = DistMatrix::from_dense(m, &grid(4, 2, 2), random(10, 6, 72));
         let g2 = Grid::new_2d((2..8).collect(), 3, 2);
         out.extend_from_slice(d.redistribute(m, &g2).dense().data());
     });
@@ -316,21 +316,21 @@ fn building_block_ledgers_and_bits_are_pinned() {
         "DistMatrix::block_redist 11x7 3x2 (2,1,6,5)->2x1",
         6,
         |m, out| {
-            let d = DistMatrix::from_dense(m, &grid(6, 3, 2), &random(11, 7, 73));
+            let d = DistMatrix::from_dense(m, &grid(6, 3, 2), random(11, 7, 73));
             let g2 = Grid::new_2d(vec![1, 4], 2, 1);
             out.extend_from_slice(d.block_redist(m, 2, 1, 6, 5, &g2).dense().data());
         },
     );
     check_pin("DistMatrix::transpose 10x7 3x3", 9, |m, out| {
-        let d = DistMatrix::from_dense(m, &grid(9, 3, 3), &random(10, 7, 74));
+        let d = DistMatrix::from_dense(m, &grid(9, 3, 3), random(10, 7, 74));
         out.extend_from_slice(d.transpose(m).dense().data());
     });
     check_pin("DistMatrix::gather 9x11 2x3 root=1", 6, |m, out| {
-        let d = DistMatrix::from_dense(m, &grid(6, 2, 3), &random(9, 11, 75));
+        let d = DistMatrix::from_dense(m, &grid(6, 2, 3), random(9, 11, 75));
         out.extend_from_slice(d.gather(m, 1).data());
     });
     check_pin("DistMatrix::replicate 9x11 2x3 onto 4", 6, |m, out| {
-        let d = DistMatrix::from_dense(m, &grid(6, 2, 3), &random(9, 11, 76));
+        let d = DistMatrix::from_dense(m, &grid(6, 2, 3), random(9, 11, 76));
         out.extend_from_slice(d.replicate(m, &Grid::new_1d(vec![0, 2, 4, 5])).data());
     });
 
@@ -385,8 +385,8 @@ fn reconstruction_composes_with_tsqr_on_many_shapes() {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = gen::random_matrix(&mut rng, mrows, n);
         let da = DistMatrix::from_dense(&m, &grid, &a);
-        let (q, r) = ca_symm_eig::pla::tsqr::tsqr_explicit(&m, &da);
-        let rec = ca_symm_eig::pla::reconstruct::reconstruct(&m, &q);
+        let (mut q, r) = ca_symm_eig::pla::tsqr::tsqr_explicit(&m, &da);
+        let rec = ca_symm_eig::pla::reconstruct::reconstruct(&m, &mut q);
         // A = (I − U T Uᵀ)[S·R; 0].
         let r_fixed = rec.fix_r(&r);
         let u = rec.u.dense().clone();

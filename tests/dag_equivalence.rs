@@ -170,7 +170,7 @@ fn thin_band_run(lang: bool, n: usize, b: usize, p: usize, seed: u64) -> (u64, L
     let out = if lang {
         lang_band_to_tridiagonal(&machine, &grid, &bm, Some(&mut rec))
     } else {
-        ca_sbr(&machine, &grid, &bm, Some(&mut rec))
+        ca_sbr(&machine, &grid, bm, Some(&mut rec))
     };
     (band_fingerprint(&out, &rec), ledger(&machine))
 }

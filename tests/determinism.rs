@@ -105,7 +105,7 @@ fn recording_changes_no_bit_and_no_charge() {
         ("full→band", &|m, rec| {
             try_full_to_band(m, &params, &dense, 8, rec).unwrap()
         }),
-        ("CA-SBR", &|m, rec| ca_sbr(m, &grid, &band, rec)),
+        ("CA-SBR", &|m, rec| ca_sbr(m, &grid, band.clone(), rec)),
         ("Lang", &|m, rec| {
             lang_band_to_tridiagonal(m, &grid, &band, rec)
         }),

@@ -74,7 +74,7 @@ fn distributed_reconstruction_matches_explicit_q_on_ragged_shapes() {
         let grid = Grid::new_2d((0..g).collect(), g, 1);
         let a = gen::random_matrix(&mut rng, mrows, n);
         let da = DistMatrix::from_dense(&m, &grid, &a);
-        let (q, _r) = tsqr::tsqr_explicit(&m, &da);
+        let (mut q, _r) = tsqr::tsqr_explicit(&m, &da);
         let q_dense = q.dense().clone();
         // The explicitly accumulated Q is orthonormal…
         let qtq = matmul(&q_dense, Trans::T, &q_dense, Trans::N);
@@ -84,7 +84,7 @@ fn distributed_reconstruction_matches_explicit_q_on_ragged_shapes() {
             qtq.max_diff(&Matrix::identity(n))
         );
         // …and the LU-path reconstruction reproduces it.
-        let rec = reconstruct(&m, &q);
+        let rec = reconstruct(&m, &mut q);
         assert_wy_identity(&q_dense, rec.u.dense(), &rec.t, &rec.s, 1e-9);
     }
 }
@@ -102,10 +102,10 @@ fn local_and_distributed_reconstructions_agree() {
     let grid = Grid::new_2d((0..g).collect(), g, 1);
     let a = gen::random_matrix(&mut rng, mrows, n);
     let da = DistMatrix::from_dense(&m, &grid, &a);
-    let (q, _) = tsqr::tsqr_explicit(&m, &da);
+    let (mut q, _) = tsqr::tsqr_explicit(&m, &da);
     let q_dense = q.dense().clone();
 
-    let rec = reconstruct(&m, &q);
+    let rec = reconstruct(&m, &mut q);
     let (u_loc, t_loc, s_loc) = reconstruct_local(&q_dense);
 
     assert_eq!(rec.s.len(), s_loc.len());
@@ -165,9 +165,10 @@ fn reconstruction_handles_square_panel() {
     let grid = Grid::new_2d((0..g).collect(), g, 1);
     let a = gen::random_matrix(&mut rng, n, n);
     let da = DistMatrix::from_dense(&m, &grid, &a);
-    let (q, _) = tsqr::tsqr_explicit(&m, &da);
-    let rec = reconstruct(&m, &q);
-    assert_wy_identity(q.dense(), rec.u.dense(), &rec.t, &rec.s, 1e-8);
+    let (mut q, _) = tsqr::tsqr_explicit(&m, &da);
+    let q_dense = q.dense().clone();
+    let rec = reconstruct(&m, &mut q);
+    assert_wy_identity(&q_dense, rec.u.dense(), &rec.t, &rec.s, 1e-8);
 }
 
 #[test]
@@ -180,9 +181,9 @@ fn reconstruction_charges_the_ledger() {
     let mut rng = StdRng::seed_from_u64(2204);
     let a = gen::random_matrix(&mut rng, 30, 6);
     let da = DistMatrix::from_dense(&m, &grid, &a);
-    let (q, _) = tsqr::tsqr_explicit(&m, &da);
+    let (mut q, _) = tsqr::tsqr_explicit(&m, &da);
     let before = m.snapshot();
-    let _rec = reconstruct(&m, &q);
+    let _rec = reconstruct(&m, &mut q);
     let costs = m.costs_since(&before);
     assert!(costs.flops > 0, "reconstruction did no metered flops");
     assert!(
@@ -204,14 +205,15 @@ fn production_shapes_reconstruct_to_working_precision() {
         let grid = Grid::new_2d((0..g).collect(), g, 1);
         let a = gen::random_matrix(&mut rng, mrows, n);
         let da = DistMatrix::from_dense(&m, &grid, &a);
-        let (q, _) = tsqr::tsqr_explicit(&m, &da);
+        let (mut q, _) = tsqr::tsqr_explicit(&m, &da);
         let q_dense = q.dense().clone();
-        let rec = reconstruct(&m, &q);
+        let mut q_inline = q.clone();
+        let rec = reconstruct(&m, &mut q);
         let u = rec.u.dense().clone();
         assert_wy_identity(&q_dense, &u, &rec.t, &rec.s, 1e-12);
 
         // Kernel pieces inline (budget 1) or pooled: the same bits.
-        let inline = exec::with_forced_serial(|| reconstruct(&machine(g), &q));
+        let inline = exec::with_forced_serial(|| reconstruct(&machine(g), &mut q_inline));
         assert_eq!(inline.s, rec.s, "g = {g}: signs depend on the budget");
         assert_eq!(inline.t, rec.t, "g = {g}: T's bits depend on the budget");
         assert_eq!(
